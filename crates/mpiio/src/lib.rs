@@ -21,6 +21,7 @@ pub mod file;
 pub mod parcoll;
 pub mod reqagg;
 pub mod retry;
+pub mod rounds;
 pub mod sieve;
 pub mod view;
 pub mod viewcoll;
@@ -30,7 +31,8 @@ pub use error::{IoError, Result};
 pub use extents::ExtentSet;
 pub use file::{File, Mode, Whence};
 pub use parcoll::write_all_partitioned;
-pub use retry::pfs_retry;
+pub use retry::{pfs_retry, ReadRoute};
+pub use rounds::DeferredQueue;
 pub use sieve::SieveConfig;
 pub use view::FileView;
 pub use viewcoll::{read_all_view_based, register_views, write_all_view_based, RegisteredViews};

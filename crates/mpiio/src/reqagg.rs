@@ -208,11 +208,8 @@ impl PieceMap {
         out
     }
 
-    fn encode(self) -> Vec<u8> {
+    fn encode(self) -> Result<Vec<u8>> {
         let pieces = self.coalesced();
-        if pieces.is_empty() {
-            return Vec::new();
-        }
         let views: Vec<(u64, &[u8])> = pieces.iter().map(|(o, b)| (*o, b.as_slice())).collect();
         encode_pieces(&views)
     }
@@ -290,7 +287,7 @@ pub(crate) fn exchange_pieces(
                         }
                     }
                     rank.charge_memcpy(moved);
-                    map.encode()
+                    map.encode()?
                 }
                 None => Vec::new(),
             };
@@ -397,7 +394,7 @@ pub(crate) fn exchange_requests(
                         }
                     }
                     let runs = union.runs().to_vec();
-                    let enc = encode_requests(&runs);
+                    let enc = encode_requests(&runs)?;
                     merged.insert(a, runs);
                     enc
                 }

@@ -47,6 +47,49 @@ pub fn pfs_retry<T>(rank: &mut Rank, mut op: impl FnMut(&mut Rank) -> pfs::Resul
     }
 }
 
+/// Which PFS read call a window read or segment load goes through — the
+/// one place `hedged_reads` (of `CollectiveConfig` and tcio's config) is
+/// turned into a call. Hedging is a no-op unless the PFS has a health
+/// layer attached.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadRoute {
+    Plain,
+    Hedged,
+}
+
+impl ReadRoute {
+    pub fn new(hedged_reads: bool) -> ReadRoute {
+        if hedged_reads {
+            ReadRoute::Hedged
+        } else {
+            ReadRoute::Plain
+        }
+    }
+
+    /// Reset `client`'s hedge budget at the start of a read phase.
+    pub fn begin_scope(self, pfs: &pfs::Pfs, client: usize) {
+        if self == ReadRoute::Hedged {
+            pfs.hedge_scope_begin(client);
+        }
+    }
+
+    /// One read attempt — the body of a [`pfs_retry`] closure.
+    pub fn read_at(
+        self,
+        pfs: &pfs::Pfs,
+        fid: pfs::FileId,
+        client: usize,
+        off: u64,
+        dst: &mut [u8],
+        now: f64,
+    ) -> pfs::Result<f64> {
+        match self {
+            ReadRoute::Plain => pfs.read_at(fid, client, off, dst, now),
+            ReadRoute::Hedged => pfs.read_at_hedged(fid, client, off, dst, now),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

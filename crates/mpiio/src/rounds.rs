@@ -1,0 +1,525 @@
+//! The two-phase round engine: the one loop behind every collective path.
+//!
+//! ROMIO's two-phase algorithm (§III.A) is the same skeleton whichever
+//! wire format rides it: agree on the aggregate file domain, split it
+//! across aggregators, and per round — one `cb_buffer` window per
+//! aggregator — exchange per-destination payloads, assemble the window in
+//! a memory-accounted collective buffer and move its extent runs to or
+//! from the file system under [`pfs_retry`]. [`write_rounds`] and
+//! [`read_rounds`] own that skeleton, including the depth-2 deferred
+//! completions of `CollectiveConfig::pipeline`. A caller supplies only
+//! what is its own: a [`Path`] (communicator, whether `req_agg` merges
+//! semantically, span names) and the closures that speak its wire format.
+
+use crate::collective::CollectiveConfig;
+use crate::error::{IoError, Result};
+use crate::extents::ExtentSet;
+use crate::file::File;
+use crate::reqagg::{self, ReadSession};
+use crate::retry::{pfs_retry, ReadRoute};
+use mpisim::{DeferredIo, MemGuard, Phase, Rank, ReduceOp, SubComm};
+use std::collections::VecDeque;
+
+/// Pipeline depth of every round loop: double buffering, matching the two
+/// collective buffers an aggregator holds in flight.
+const PIPELINE_DEPTH: usize = 2;
+
+/// The communicator a collective runs over. Payload vectors and
+/// aggregator ranks live in its rank space.
+#[derive(Clone, Copy)]
+pub(crate) enum Scope<'a> {
+    World,
+    Group(&'a SubComm),
+}
+
+impl Scope<'_> {
+    /// `(this rank's index, communicator size)`.
+    fn place(self, rank: &Rank) -> (usize, usize) {
+        match self {
+            Scope::World => (rank.rank(), rank.nprocs()),
+            Scope::Group(c) => (c.group_rank(), c.size()),
+        }
+    }
+
+    fn allreduce(self, rank: &mut Rank, v: u64, op: ReduceOp) -> Result<u64> {
+        Ok(match self {
+            Scope::World => rank.allreduce_u64(v, op)?,
+            Scope::Group(c) => rank.allreduce_u64_in(c, v, op)?,
+        })
+    }
+
+    fn barrier(self, rank: &mut Rank) -> Result<()> {
+        match self {
+            Scope::World => rank.barrier()?,
+            Scope::Group(c) => rank.barrier_in(c)?,
+        }
+        Ok(())
+    }
+
+    /// The all-to-all burst, flat or leader-forwarded.
+    fn burst(self, rank: &mut Rank, two_level: bool, data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
+        Ok(match (self, two_level) {
+            (Scope::World, false) => rank.alltoallv_burst(data)?,
+            (Scope::World, true) => rank.alltoallv_burst_hier(data)?,
+            (Scope::Group(c), false) => rank.alltoallv_burst_in(c, data)?,
+            (Scope::Group(c), true) => rank.alltoallv_burst_hier_in(c, data)?,
+        })
+    }
+}
+
+/// What one collective path is, as values: everything the five callers
+/// differ in outside their wire formats.
+pub(crate) struct Path<'a> {
+    pub(crate) scope: Scope<'a>,
+    /// `req_agg` merges offset–length lists at node leaders on this path
+    /// (its payloads are piece/request lists); otherwise `req_agg` means
+    /// the opaque two-level exchange, like `intra_agg`.
+    pub(crate) merges: bool,
+    /// Serialized rounds: `Some(name)` syncs the clock under `Phase::Io`
+    /// and marks a span; `None` is a bare `sync_to`.
+    pub(crate) flat_span: Option<&'static str>,
+    /// Deferred-handle span under `CollectiveConfig::pipeline`; `None` for
+    /// a path that has nothing to overlap and ignores the knob.
+    pub(crate) pipe_span: Option<&'static str>,
+}
+
+/// The data-exchange strategy, resolved once per collective.
+#[derive(Clone, Copy, PartialEq)]
+enum Exchange {
+    /// The flat all-to-all burst.
+    Flat,
+    /// Node leaders forward members' payloads opaquely (Kang et al.).
+    TwoLevel,
+    /// Node leaders decode and merge the lists — see [`crate::reqagg`].
+    ReqAgg,
+}
+
+impl Exchange {
+    fn resolve(rank: &Rank, cfg: &CollectiveConfig, merges: bool) -> Exchange {
+        // Without a topology there are no node leaders: both knobs fall
+        // back to the flat burst.
+        if !(cfg.intra_agg || cfg.req_agg) || rank.topology().is_none() {
+            Exchange::Flat
+        } else if cfg.req_agg && merges {
+            Exchange::ReqAgg
+        } else {
+            Exchange::TwoLevel
+        }
+    }
+}
+
+/// Deferred I/O completions of in-flight rounds, oldest first. A
+/// collective buffer's memory guard rides along with its handle, so the
+/// buffer stays charged against the rank's budget until its round is
+/// settled. Also drives tcio's pipelined level-2 drain.
+#[derive(Default)]
+pub struct DeferredQueue(VecDeque<(DeferredIo, Option<MemGuard>)>);
+
+impl DeferredQueue {
+    /// Double buffering: settle the oldest handles until one more fits
+    /// within the pipeline depth. Call before opening the next round.
+    pub fn make_room(&mut self, rank: &mut Rank) {
+        while self.0.len() >= PIPELINE_DEPTH {
+            let (io, _guard) = self.0.pop_front().expect("non-empty queue");
+            rank.io_complete(io);
+        }
+    }
+
+    /// Keep a submitted I/O's completion outstanding. The storage layer
+    /// applied the bytes at submission; only the clock sync is deferred.
+    pub fn push(&mut self, io: DeferredIo, guard: Option<MemGuard>) {
+        self.0.push_back((io, guard));
+    }
+
+    /// Settle everything. Call before the closing barrier so the rank's
+    /// clock covers its own I/O completions.
+    pub fn drain(&mut self, rank: &mut Rank) {
+        for (io, _guard) in self.0.drain(..) {
+            rank.io_complete(io);
+        }
+    }
+}
+
+/// What one collective call agreed on: the file-domain geometry, who
+/// aggregates, how payloads travel and how completions reach the clock.
+pub(crate) struct Plan<'a> {
+    path: &'a Path<'a>,
+    exch: Exchange,
+    gmin: u64,
+    gmax: u64,
+    dsize: u64,
+    round_size: u64,
+    rounds: u64,
+    /// The rank (in the scope's rank space) serving each aggregator index.
+    pub(crate) agg_ranks: Vec<usize>,
+    /// The aggregator index this rank serves, if any.
+    my_agg: Option<usize>,
+    /// Communicator size: the length of every payload vector.
+    n: usize,
+    /// The deferred-handle span when this call pipelines its rounds.
+    pipe_span: Option<&'static str>,
+}
+
+impl<'a> Plan<'a> {
+    /// Agree on the aggregate domain of everyone's `extents` and split it
+    /// across aggregators. `None` — after the closing barrier — when
+    /// nobody has anything to move.
+    pub(crate) fn agree(
+        rank: &mut Rank,
+        cfg: &CollectiveConfig,
+        path: &'a Path<'a>,
+        extents: &[(u64, u64)],
+    ) -> Result<Option<Plan<'a>>> {
+        let scope = path.scope;
+        let local_min = extents.first().map_or(u64::MAX, |&(o, _)| o);
+        let local_max = extents.last().map_or(0, |&(o, l)| o + l);
+        let gmin = scope.allreduce(rank, local_min, ReduceOp::Min)?;
+        let gmax = scope.allreduce(rank, local_max, ReduceOp::Max)?;
+        if gmin >= gmax {
+            scope.barrier(rank)?;
+            return Ok(None);
+        }
+        let (me, n) = scope.place(rank);
+        let naggs = cfg.cb_nodes.unwrap_or(n).clamp(1, n);
+        let mut agg_ranks: Vec<usize> = match (scope, rank.topology()) {
+            // Node-aware placement: interleave nodes so the first
+            // `num_nodes` aggregators land one per node — aggregator NICs
+            // are the bottleneck of the I/O phase, so doubling up on a node
+            // before every node has one wastes links.
+            (Scope::World, Some(topo)) => {
+                let mut order = topo.interleaved_order();
+                order.truncate(naggs);
+                order
+            }
+            // Topology-blind (and every group, whatever the topology): the
+            // classic evenly-spread ROMIO mapping.
+            _ => (0..naggs).map(|i| i * n / naggs).collect(),
+        };
+        // Graceful degradation (world only): drop aggregators with a stall
+        // window still ahead or a crash-stop coming — an aggregator that
+        // dies mid-drain takes every rank's staged data with it. The
+        // allreduces above are symmetric, so all ranks get here with
+        // *identical* clocks and the pure-function stall/crash queries
+        // yield the same shrunk set everywhere without extra communication.
+        // If every candidate is a straggler, keep the original set (someone
+        // has to do the I/O).
+        if let (Scope::World, Some(engine)) = (scope, rank.chaos()) {
+            let t = rank.now();
+            let healthy = |&r: &usize| !engine.stall_ahead(r, t) && !engine.crash_ahead(r);
+            let shrunk: Vec<usize> = agg_ranks.iter().copied().filter(healthy).collect();
+            if !shrunk.is_empty() {
+                agg_ranks = shrunk;
+            }
+        }
+        let mut dsize = (gmax - gmin).div_ceil(agg_ranks.len() as u64);
+        if let Some(a) = cfg.align.filter(|&a| a > 0) {
+            dsize = dsize.div_ceil(a) * a;
+        }
+        let round_size = cfg.cb_buffer.unwrap_or(dsize).max(1).min(dsize);
+        Ok(Some(Plan {
+            path,
+            exch: Exchange::resolve(rank, cfg, path.merges),
+            gmin,
+            gmax,
+            dsize,
+            round_size,
+            rounds: dsize.div_ceil(round_size),
+            my_agg: agg_ranks.iter().position(|&r| r == me),
+            agg_ranks,
+            n,
+            pipe_span: path.pipe_span.filter(|_| cfg.pipeline),
+        }))
+    }
+
+    /// Aggregator i's window `[start, end)` for round r (empty once the
+    /// round runs past the end of its domain).
+    fn window(&self, i: usize, r: u64) -> (u64, u64) {
+        let ds = (self.gmin + i as u64 * self.dsize).min(self.gmax);
+        let de = (ds + self.dsize).min(self.gmax);
+        let ws = ds + r * self.round_size;
+        (ws.min(de), (ws + self.round_size).min(de))
+    }
+
+    /// `(aggregator rank, window)` for every non-empty window of round r.
+    fn windows(&self, r: u64) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
+        let non_empty = move |(i, &a): (usize, &usize)| {
+            let (ws, we) = self.window(i, r);
+            (ws < we).then_some((a, ws, we))
+        };
+        self.agg_ranks.iter().enumerate().filter_map(non_empty)
+    }
+
+    /// This rank's window in round r, when it aggregates a non-empty one.
+    fn my_window(&self, r: u64) -> Option<(u64, u64)> {
+        let w = self.window(self.my_agg?, r);
+        (w.0 < w.1).then_some(w)
+    }
+
+    fn burst(&self, rank: &mut Rank, data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
+        let two_level = self.exch == Exchange::TwoLevel;
+        self.path.scope.burst(rank, two_level, data)
+    }
+
+    /// Run `op(rank, off, len)` over a window's extent runs under
+    /// [`pfs_retry`]. The storage layer moves the bytes at submission; the
+    /// completion instant stays outstanding in the returned handle.
+    fn submit(
+        &self,
+        rank: &mut Rank,
+        runs: &ExtentSet,
+        mut op: impl FnMut(&mut Rank, u64, u64) -> pfs::Result<f64>,
+    ) -> Result<DeferredIo> {
+        let submitted = rank.now();
+        let (mut done, mut bytes) = (submitted, 0u64);
+        for &(off, len) in runs.runs() {
+            done = done.max(pfs_retry(rank, |rk| op(rk, off, len))?);
+            bytes += len;
+        }
+        let name = self.pipe_span.or(self.path.flat_span).unwrap_or_default();
+        Ok(DeferredIo {
+            name,
+            submitted,
+            done,
+            bytes,
+        })
+    }
+
+    /// Land a completion on the clock: through the deferred-handle
+    /// accounting when pipelined, else by waiting it out.
+    fn settle(&self, rank: &mut Rank, io: DeferredIo) {
+        if self.pipe_span.is_some() {
+            rank.io_complete(io);
+        } else if self.path.flat_span.is_some() {
+            rank.with_phase(Phase::Io, |rk| rk.sync_to(io.done));
+            rank.trace_mark(io.name, Phase::Io, io.submitted, io.bytes);
+        } else {
+            rank.sync_to(io.done);
+        }
+    }
+}
+
+/// The collective write loop. `build(ws, we)` encodes this rank's payload
+/// for the aggregator owning window `[ws, we)` (empty = nothing to send);
+/// `place(rank, src, payload, ws, buf, dirty)` copies one incoming payload
+/// into the window buffer, charges the copy and records what it touched.
+pub(crate) fn write_rounds(
+    rank: &mut Rank,
+    file: &File,
+    cfg: &CollectiveConfig,
+    path: &Path<'_>,
+    extents: &[(u64, u64)],
+    mut build: impl FnMut(u64, u64) -> Result<Vec<u8>>,
+    mut place: impl FnMut(&mut Rank, usize, &[u8], u64, &mut [u8], &mut ExtentSet) -> Result<()>,
+) -> Result<()> {
+    if !file.mode().writable() {
+        return Err(IoError::Usage("file is not open for writing".into()));
+    }
+    let Some(plan) = Plan::agree(rank, cfg, path, extents)? else {
+        return Ok(());
+    };
+    let (pfs, fid) = (file.pfs(), file.file_id());
+    let mut inflight = DeferredQueue::default();
+    for r in 0..plan.rounds {
+        inflight.make_room(rank);
+        let mut payloads: Vec<Vec<u8>> = vec![Vec::new(); plan.n];
+        for (a, ws, we) in plan.windows(r) {
+            payloads[a] = build(ws, we)?;
+        }
+        // Data exchange phase.
+        let exchanged = match plan.exch {
+            Exchange::ReqAgg => reqagg::exchange_pieces(rank, &plan.agg_ranks, payloads)?,
+            _ => plan.burst(rank, payloads)?,
+        };
+        // I/O phase (aggregators only): assemble the window in the
+        // collective buffer, then write only the runs that were touched.
+        let Some((ws, we)) = plan.my_window(r) else {
+            continue;
+        };
+        let cb = rank.alloc(we - ws)?;
+        rank.note_mem_peak();
+        let mut buf = vec![0u8; (we - ws) as usize];
+        let mut dirty = ExtentSet::new();
+        for (src, payload) in exchanged.iter().enumerate() {
+            if !payload.is_empty() {
+                place(rank, src, payload, ws, &mut buf, &mut dirty)?;
+            }
+        }
+        let io = plan.submit(rank, &dirty, |rk, off, len| {
+            let at = (off - ws) as usize;
+            pfs.write_at(fid, rk.rank(), off, &buf[at..at + len as usize], rk.now())
+        })?;
+        rank.stats.io_writes += dirty.runs().len() as u64;
+        rank.stats.io_write_bytes += io.bytes;
+        if plan.pipe_span.is_some() {
+            // Round r+1's exchange overlaps the OST service.
+            inflight.push(io, Some(cb));
+        } else {
+            drop(cb);
+            plan.settle(rank, io);
+        }
+    }
+    inflight.drain(rank);
+    plan.path.scope.barrier(rank)
+}
+
+/// `(buf_cursor, len)` slots of the caller's buffer that one aggregator's
+/// answer fills, in request order.
+pub(crate) type Slots = Vec<(usize, usize)>;
+
+/// One round's request phase: the incoming requests, the request-aggregation
+/// session to answer through, and the slots each asked aggregator's reply fills.
+type Asked = (Vec<Vec<u8>>, Option<ReadSession>, Vec<(usize, Slots)>);
+
+/// An aggregator's submitted window read.
+struct WindowRead {
+    ws: u64,
+    wbuf: Vec<u8>,
+    /// Per source rank, the file extents it asked for, in reply order.
+    wanted_by: Vec<Vec<(u64, u64)>>,
+    io: DeferredIo,
+    _cb: MemGuard,
+}
+
+/// Read the union of what the sources asked of window `[ws, we)`.
+fn read_window(
+    rank: &mut Rank,
+    plan: &Plan<'_>,
+    file: &File,
+    route: ReadRoute,
+    (ws, we): (u64, u64),
+    incoming: &[Vec<u8>],
+    decode: &mut impl FnMut(usize, &[u8]) -> Result<Vec<(u64, u64)>>,
+) -> Result<Option<WindowRead>> {
+    let mut wanted = ExtentSet::new();
+    let mut wanted_by = Vec::with_capacity(incoming.len());
+    for (src, payload) in incoming.iter().enumerate() {
+        let reqs = if payload.is_empty() {
+            Vec::new()
+        } else {
+            decode(src, payload)?
+        };
+        for &(o, l) in &reqs {
+            wanted.insert(o, l);
+        }
+        wanted_by.push(reqs);
+    }
+    if wanted.is_empty() {
+        return Ok(None);
+    }
+    let cb = rank.alloc(we - ws)?;
+    rank.note_mem_peak();
+    let mut wbuf = vec![0u8; (we - ws) as usize];
+    let (pfs, fid) = (file.pfs(), file.file_id());
+    route.begin_scope(pfs, rank.rank());
+    let io = plan.submit(rank, &wanted, |rk, off, len| {
+        let dst = &mut wbuf[(off - ws) as usize..][..len as usize];
+        route.read_at(pfs, fid, rk.rank(), off, dst, rk.now())
+    })?;
+    rank.stats.io_reads += wanted.runs().len() as u64;
+    rank.stats.io_read_bytes += io.bytes;
+    Ok(Some(WindowRead {
+        ws,
+        wbuf,
+        wanted_by,
+        io,
+        _cb: cb,
+    }))
+}
+
+/// The collective read loop. `request(ws, we)` encodes what this rank
+/// needs from window `[ws, we)` plus the `buf` slots the reply will fill
+/// (empty payload = nothing); `decode(src, payload)` turns an incoming
+/// request into the file extents `src` wants, in reply order.
+///
+/// Serialized, a round is request exchange → window read → reply
+/// exchange. Pipelined, the aggregator leaves the read's completion
+/// outstanding, runs round r+1's *request* exchange while the OSTs
+/// service it, and only then settles the read and answers round r.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn read_rounds(
+    rank: &mut Rank,
+    file: &File,
+    cfg: &CollectiveConfig,
+    path: &Path<'_>,
+    extents: &[(u64, u64)],
+    buf: &mut [u8],
+    mut request: impl FnMut(u64, u64) -> Result<(Vec<u8>, Slots)>,
+    mut decode: impl FnMut(usize, &[u8]) -> Result<Vec<(u64, u64)>>,
+) -> Result<()> {
+    if !file.mode().readable() {
+        return Err(IoError::Usage("file is not open for reading".into()));
+    }
+    let Some(plan) = Plan::agree(rank, cfg, path, extents)? else {
+        return Ok(());
+    };
+    let route = ReadRoute::new(cfg.hedged_reads);
+    let mut ask = |rank: &mut Rank, r: u64| -> Result<Asked> {
+        let mut requests: Vec<Vec<u8>> = vec![Vec::new(); plan.n];
+        let mut fills = Vec::new();
+        for (a, ws, we) in plan.windows(r) {
+            let (msg, slots) = request(ws, we)?;
+            if !msg.is_empty() {
+                requests[a] = msg;
+                fills.push((a, slots));
+            }
+        }
+        let (incoming, session) = match plan.exch {
+            Exchange::ReqAgg => {
+                let (inc, s) = reqagg::exchange_requests(rank, &plan.agg_ranks, requests)?;
+                (inc, Some(s))
+            }
+            _ => (plan.burst(rank, requests)?, None),
+        };
+        Ok((incoming, session, fills))
+    };
+    let mut prefetched: Option<Asked> = None;
+    for r in 0..plan.rounds {
+        let (incoming, session, fills) = match prefetched.take() {
+            Some(asked) => asked,
+            None => ask(rank, r)?,
+        };
+        let window = match plan.my_window(r) {
+            Some(w) => read_window(rank, &plan, file, route, w, &incoming, &mut decode)?,
+            None => None,
+        };
+        if plan.pipe_span.is_some() && r + 1 < plan.rounds {
+            prefetched = Some(ask(rank, r + 1)?);
+        }
+        // Settle the read, then slice each source's extents out of the
+        // window buffer in the order it asked for them.
+        let mut responses: Vec<Vec<u8>> = vec![Vec::new(); plan.n];
+        if let Some(w) = window {
+            plan.settle(rank, w.io);
+            for (src, reqs) in w.wanted_by.iter().enumerate() {
+                if reqs.is_empty() {
+                    continue;
+                }
+                let total: u64 = reqs.iter().map(|&(_, l)| l).sum();
+                let mut resp = Vec::with_capacity(total as usize);
+                for &(off, len) in reqs {
+                    let at = (off - w.ws) as usize;
+                    resp.extend_from_slice(&w.wbuf[at..at + len as usize]);
+                }
+                rank.charge_memcpy(total);
+                responses[src] = resp;
+            }
+        }
+        let answers = match session {
+            Some(s) => reqagg::exchange_responses(rank, s, responses)?,
+            None => plan.burst(rank, responses)?,
+        };
+        for (a, slots) in &fills {
+            let answer = &answers[*a];
+            let expect: usize = slots.iter().map(|&(_, len)| len).sum();
+            if answer.len() != expect {
+                return Err(IoError::Usage("read reply length mismatch".into()));
+            }
+            let mut pos = 0usize;
+            for &(cursor, len) in slots {
+                buf[cursor..cursor + len].copy_from_slice(&answer[pos..pos + len]);
+                pos += len;
+            }
+        }
+    }
+    plan.path.scope.barrier(rank)
+}

@@ -16,10 +16,11 @@
 //! domain is a *single contiguous stream interval* — one header per
 //! aggregator, regardless of how fragmented the file extents are.
 
-use crate::collective::{compute_domains, exchange, CollectiveConfig};
+use crate::collective::CollectiveConfig;
 use crate::error::{IoError, Result};
 use crate::extents::ExtentSet;
 use crate::file::File;
+use crate::rounds::{read_rounds, write_rounds, Path, Scope};
 use crate::view::FileView;
 use mpisim::Rank;
 
@@ -27,6 +28,18 @@ use mpisim::Rank;
 #[derive(Debug)]
 pub struct RegisteredViews {
     views: Vec<FileView>,
+}
+
+impl RegisteredViews {
+    /// The calling rank's own view.
+    fn mine(&self, rank: &Rank) -> Result<&FileView> {
+        if self.views.len() != rank.nprocs() {
+            return Err(IoError::Usage(
+                "registered views do not match the communicator".into(),
+            ));
+        }
+        Ok(&self.views[rank.rank()])
+    }
 }
 
 /// Collectively register every rank's current view (call after
@@ -41,6 +54,33 @@ pub fn register_views(rank: &mut Rank, file: &File) -> Result<RegisteredViews> {
     Ok(RegisteredViews { views })
 }
 
+/// The part `[lo, hi)` of the stream range `[offset, offset + len)` that
+/// `view` maps into the file window `[ws, we)` — one contiguous interval,
+/// because views are monotone.
+fn stream_interval(view: &FileView, offset: u64, len: u64, ws: u64, we: u64) -> Option<(u64, u64)> {
+    let lo = view.stream_len_for_file(ws).max(offset);
+    let hi = view.stream_len_for_file(we).min(offset + len);
+    (lo < hi).then_some((lo, hi))
+}
+
+/// The 16-byte `(stream position, length)` header, with room for `data`
+/// bytes to follow.
+fn interval_header(lo: u64, len: u64, data: usize) -> Vec<u8> {
+    let mut msg = Vec::with_capacity(16 + data);
+    msg.extend_from_slice(&lo.to_le_bytes());
+    msg.extend_from_slice(&len.to_le_bytes());
+    msg
+}
+
+/// Split a non-empty payload into `(stream position, length, rest)`.
+fn parse_interval(payload: &[u8]) -> Result<(u64, u64, &[u8])> {
+    if payload.len() < 16 {
+        return Err(IoError::Usage("malformed view-based payload".into()));
+    }
+    let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
+    Ok((word(0), word(8), &payload[16..]))
+}
+
 /// View-based collective write: all ranks call, each with its own data at
 /// a view-stream `offset`. Functionally identical to
 /// [`crate::write_all_at`]; the exchange carries one 16-byte header per
@@ -53,134 +93,41 @@ pub fn write_all_view_based(
     data: &[u8],
     cfg: &CollectiveConfig,
 ) -> Result<()> {
-    if !file.mode().writable() {
-        return Err(IoError::Usage("file is not open for writing".into()));
-    }
-    if views.views.len() != rank.nprocs() {
-        return Err(IoError::Usage(
-            "registered views do not match the communicator".into(),
-        ));
-    }
-    let nprocs = rank.nprocs();
-    let me = rank.rank();
-    let view = views.views[me].clone();
-    let extents = view.map_range(offset, data.len() as u64);
-    let local_min = extents.first().map_or(u64::MAX, |&(o, _)| o);
-    let local_max = extents.last().map_or(0, |&(o, l)| o + l);
-
-    let Some(doms) = compute_domains(rank, local_min, local_max, cfg)? else {
-        rank.barrier()?;
-        return Ok(());
+    let path = Path {
+        scope: Scope::World,
+        merges: false,
+        flat_span: None,
+        pipe_span: Some("vb_io_pipe"),
     };
-    let my_agg = doms.my_agg_index(me, nprocs);
-
-    // Deferred completions of in-flight rounds (pipelined mode only); the
-    // collective-buffer guard rides along so both buffers stay charged.
-    let mut inflight: std::collections::VecDeque<(mpisim::DeferredIo, mpisim::MemGuard)> =
-        std::collections::VecDeque::new();
-
-    for r in 0..doms.rounds {
-        // Double buffering: settle the oldest in-flight write before
-        // opening this round's exchange.
-        while inflight.len() >= 2 {
-            let (h, _cb) = inflight.pop_front().expect("non-empty inflight");
-            rank.io_complete(h);
-        }
-        // Sender side: one contiguous stream interval per aggregator.
-        let mut payloads: Vec<Vec<u8>> = vec![Vec::new(); nprocs];
-        for i in 0..doms.naggs {
-            let (ws, we) = doms.window(i, r);
-            if ws >= we {
-                continue;
+    let view = views.mine(rank)?;
+    let extents = view.map_range(offset, data.len() as u64);
+    // Sender side: one contiguous stream interval per aggregator.
+    let build = |ws, we| {
+        let Some((lo, hi)) = stream_interval(view, offset, data.len() as u64, ws, we) else {
+            return Ok(Vec::new());
+        };
+        let mut msg = interval_header(lo, hi - lo, (hi - lo) as usize);
+        msg.extend_from_slice(&data[(lo - offset) as usize..(hi - offset) as usize]);
+        Ok(msg)
+    };
+    // Aggregator side: reconstruct placement from the stored views.
+    let place =
+        |rank: &mut Rank, src: usize, payload: &[u8], ws, buf: &mut [u8], dirty: &mut ExtentSet| {
+            let (stream_lo, len, bytes) = parse_interval(payload)?;
+            if bytes.len() as u64 != len {
+                return Err(IoError::Usage("view-based payload length mismatch".into()));
             }
-            // Stream positions of the window boundaries under MY view.
-            let a_lo = view.stream_len_for_file(ws);
-            let a_hi = view.stream_len_for_file(we);
-            let lo = a_lo.max(offset);
-            let hi = a_hi.min(offset + data.len() as u64);
-            if lo >= hi {
-                continue;
+            let mut cursor = 0usize;
+            for (foff, flen) in views.views[src].map_range(stream_lo, len) {
+                let at = (foff - ws) as usize;
+                buf[at..at + flen as usize].copy_from_slice(&bytes[cursor..cursor + flen as usize]);
+                cursor += flen as usize;
+                dirty.insert(foff, flen);
             }
-            let mut msg = Vec::with_capacity(16 + (hi - lo) as usize);
-            msg.extend_from_slice(&lo.to_le_bytes());
-            msg.extend_from_slice(&(hi - lo).to_le_bytes());
-            msg.extend_from_slice(&data[(lo - offset) as usize..(hi - offset) as usize]);
-            payloads[doms.agg_rank(i, nprocs)] = msg;
-        }
-        let exchanged = exchange(rank, cfg, payloads)?;
-
-        // Aggregator side: reconstruct placement from the stored views.
-        if let Some(i) = my_agg {
-            let (ws, we) = doms.window(i, r);
-            if ws < we {
-                let win_len = (we - ws) as usize;
-                let cb = rank.alloc(win_len as u64)?;
-                rank.note_mem_peak();
-                let mut buf = vec![0u8; win_len];
-                let mut dirty = ExtentSet::new();
-                for (src, payload) in exchanged.iter().enumerate() {
-                    if payload.is_empty() {
-                        continue;
-                    }
-                    if payload.len() < 16 {
-                        return Err(IoError::Usage("malformed view-based payload".into()));
-                    }
-                    let stream_lo = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-                    let len = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-                    if payload.len() as u64 != 16 + len {
-                        return Err(IoError::Usage("view-based payload length mismatch".into()));
-                    }
-                    let bytes = &payload[16..];
-                    let mut cursor = 0usize;
-                    for (foff, flen) in views.views[src].map_range(stream_lo, len) {
-                        debug_assert!(foff >= ws && foff + flen <= we, "view maps outside domain");
-                        let at = (foff - ws) as usize;
-                        buf[at..at + flen as usize]
-                            .copy_from_slice(&bytes[cursor..cursor + flen as usize]);
-                        cursor += flen as usize;
-                        dirty.insert(foff, flen);
-                    }
-                    rank.charge_memcpy(len);
-                }
-                let pfs = file.pfs().clone();
-                let fid = file.file_id();
-                let io_start = rank.now();
-                let mut written = 0u64;
-                let mut done = rank.now();
-                for &(off, len) in dirty.runs() {
-                    let at = (off - ws) as usize;
-                    let slice = &buf[at..at + len as usize];
-                    let t = crate::retry::pfs_retry(rank, |rk| {
-                        pfs.write_at(fid, rk.rank(), off, slice, rk.now())
-                    })?;
-                    done = done.max(t);
-                    written += len;
-                    rank.stats.io_writes += 1;
-                    rank.stats.io_write_bytes += len;
-                }
-                if cfg.pipeline {
-                    inflight.push_back((
-                        mpisim::DeferredIo {
-                            name: "vb_io_pipe",
-                            submitted: io_start,
-                            done,
-                            bytes: written,
-                        },
-                        cb,
-                    ));
-                } else {
-                    drop(cb);
-                    rank.sync_to(done);
-                }
-            }
-        }
-    }
-    // Drain the pipeline before the closing barrier.
-    while let Some((h, _cb)) = inflight.pop_front() {
-        rank.io_complete(h);
-    }
-    rank.barrier()?;
-    Ok(())
+            rank.charge_memcpy(len);
+            Ok(())
+        };
+    write_rounds(rank, file, cfg, &path, &extents, build, place)
 }
 
 /// View-based collective read: the registered views replace the entire
@@ -189,11 +136,12 @@ pub fn write_all_view_based(
 /// aggregator derives both what to read from the file and how to slice the
 /// responses from the stored views.
 ///
-/// `CollectiveConfig::pipeline` is a no-op here: the read has no separate
-/// request exchange to prefetch (the 16-byte headers *are* the request
-/// phase), so there is no round k+1 traffic to overlap with round k's OST
-/// service without reordering the response exchange the scatter depends
-/// on. The classic [`crate::read_all_at`] path pipelines reads.
+/// `CollectiveConfig::pipeline` is a no-op here (the path's `pipe_span` is
+/// `None`): the read has no separate request exchange to prefetch (the
+/// 16-byte headers *are* the request phase), so there is no round k+1
+/// traffic to overlap with round k's OST service without reordering the
+/// response exchange the scatter depends on. The classic
+/// [`crate::read_all_at`] path pipelines reads.
 pub fn read_all_view_based(
     rank: &mut Rank,
     file: &mut File,
@@ -202,128 +150,32 @@ pub fn read_all_view_based(
     buf: &mut [u8],
     cfg: &CollectiveConfig,
 ) -> Result<()> {
-    if !file.mode().readable() {
-        return Err(IoError::Usage("file is not open for reading".into()));
-    }
-    if views.views.len() != rank.nprocs() {
-        return Err(IoError::Usage(
-            "registered views do not match the communicator".into(),
-        ));
-    }
-    let nprocs = rank.nprocs();
-    let me = rank.rank();
-    let view = views.views[me].clone();
-    let extents = view.map_range(offset, buf.len() as u64);
-    let local_min = extents.first().map_or(u64::MAX, |&(o, _)| o);
-    let local_max = extents.last().map_or(0, |&(o, l)| o + l);
-
-    let Some(doms) = compute_domains(rank, local_min, local_max, cfg)? else {
-        rank.barrier()?;
-        return Ok(());
+    let path = Path {
+        scope: Scope::World,
+        merges: false,
+        flat_span: None,
+        pipe_span: None,
     };
-    let my_agg = doms.my_agg_index(me, nprocs);
-
-    for r in 0..doms.rounds {
-        // Phase 1: 16-byte interval headers only.
-        let mut requests: Vec<Vec<u8>> = vec![Vec::new(); nprocs];
-        // Remember my own stream interval per aggregator to scatter replies.
-        let mut my_intervals: Vec<Option<(u64, u64)>> = vec![None; nprocs];
-        for i in 0..doms.naggs {
-            let (ws, we) = doms.window(i, r);
-            if ws >= we {
-                continue;
-            }
-            let a_lo = view.stream_len_for_file(ws);
-            let a_hi = view.stream_len_for_file(we);
-            let lo = a_lo.max(offset);
-            let hi = a_hi.min(offset + buf.len() as u64);
-            if lo >= hi {
-                continue;
-            }
-            let a = doms.agg_rank(i, nprocs);
-            let mut msg = Vec::with_capacity(16);
-            msg.extend_from_slice(&lo.to_le_bytes());
-            msg.extend_from_slice(&(hi - lo).to_le_bytes());
-            requests[a] = msg;
-            my_intervals[a] = Some((lo, hi));
-        }
-        let incoming = exchange(rank, cfg, requests)?;
-
-        // Phase 2: aggregators read and answer from the stored views.
-        let mut responses: Vec<Vec<u8>> = vec![Vec::new(); nprocs];
-        if let Some(i) = my_agg {
-            let (ws, we) = doms.window(i, r);
-            if ws < we {
-                // Parse intervals; derive wanted file runs from the views.
-                let mut wanted = ExtentSet::new();
-                let mut intervals: Vec<Option<(u64, u64)>> = vec![None; nprocs];
-                for (src, payload) in incoming.iter().enumerate() {
-                    if payload.is_empty() {
-                        continue;
-                    }
-                    if payload.len() != 16 {
-                        return Err(IoError::Usage("malformed view-based request".into()));
-                    }
-                    let lo = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-                    let len = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-                    intervals[src] = Some((lo, len));
-                    for (o, l) in views.views[src].map_range(lo, len) {
-                        wanted.insert(o, l);
-                    }
-                }
-                if !wanted.is_empty() {
-                    let win_len = (we - ws) as usize;
-                    let _cb = rank.alloc(win_len as u64)?;
-                    rank.note_mem_peak();
-                    let pfs = file.pfs().clone();
-                    let fid = file.file_id();
-                    let mut wbuf = vec![0u8; win_len];
-                    let mut done = rank.now();
-                    if cfg.hedged_reads {
-                        pfs.hedge_scope_begin(rank.rank());
-                    }
-                    for &(off, len) in wanted.runs() {
-                        let at = (off - ws) as usize;
-                        let dst = &mut wbuf[at..at + len as usize];
-                        let t = crate::retry::pfs_retry(rank, |rk| {
-                            if cfg.hedged_reads {
-                                pfs.read_at_hedged(fid, rk.rank(), off, dst, rk.now())
-                            } else {
-                                pfs.read_at(fid, rk.rank(), off, dst, rk.now())
-                            }
-                        })?;
-                        done = done.max(t);
-                        rank.stats.io_reads += 1;
-                        rank.stats.io_read_bytes += len;
-                    }
-                    rank.sync_to(done);
-                    for (src, iv) in intervals.iter().enumerate() {
-                        let Some((lo, len)) = iv else { continue };
-                        let mut resp = Vec::with_capacity(*len as usize);
-                        for (o, l) in views.views[src].map_range(*lo, *len) {
-                            let at = (o - ws) as usize;
-                            resp.extend_from_slice(&wbuf[at..at + l as usize]);
-                        }
-                        rank.charge_memcpy(*len);
-                        responses[src] = resp;
-                    }
-                }
-            }
-        }
-        let answers = exchange(rank, cfg, responses)?;
-
-        // Scatter each aggregator's reply into my buffer.
-        for (a, iv) in my_intervals.iter().enumerate() {
-            let Some((lo, hi)) = iv else { continue };
-            let payload = &answers[a];
-            if payload.len() as u64 != hi - lo {
-                return Err(IoError::Usage("view-based reply length mismatch".into()));
-            }
-            buf[(lo - offset) as usize..(hi - offset) as usize].copy_from_slice(payload);
-        }
-    }
-    rank.barrier()?;
-    Ok(())
+    let view = views.mine(rank)?;
+    let want = buf.len() as u64;
+    let extents = view.map_range(offset, want);
+    // Phase 1: a 16-byte interval header per aggregator; its reply fills
+    // the one matching slot of `buf`.
+    let request = |ws, we| {
+        Ok(match stream_interval(view, offset, want, ws, we) {
+            Some((lo, hi)) => (
+                interval_header(lo, hi - lo, 0),
+                vec![((lo - offset) as usize, (hi - lo) as usize)],
+            ),
+            None => (Vec::new(), Vec::new()),
+        })
+    };
+    // Phase 2: the aggregator derives the wanted file runs from `src`'s view.
+    let decode = |src: usize, payload: &[u8]| match parse_interval(payload)? {
+        (lo, len, []) => Ok(views.views[src].map_range(lo, len)),
+        _ => Err(IoError::Usage("malformed view-based request".into())),
+    };
+    read_rounds(rank, file, cfg, &path, &extents, buf, request, decode)
 }
 
 #[cfg(test)]

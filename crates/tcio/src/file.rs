@@ -721,18 +721,12 @@ impl<'a> TcioFile<'a> {
             let fid = self.fid;
             let opened_at = self.opened_at;
             let mut first = true;
-            let hedged = self.cfg.hedged_reads;
-            if hedged {
-                pfs.hedge_scope_begin(rank.rank());
-            }
+            let route = mpiio::ReadRoute::new(self.cfg.hedged_reads);
+            route.begin_scope(&pfs, rank.rank());
             let t = mpiio::pfs_retry(rank, |rk| {
                 let at = if first { opened_at } else { rk.now() };
                 first = false;
-                if hedged {
-                    pfs.read_at_hedged(fid, rk.rank(), file_off, &mut tmp, at)
-                } else {
-                    pfs.read_at(fid, rk.rank(), file_off, &mut tmp, at)
-                }
+                route.read_at(&pfs, fid, rk.rank(), file_off, &mut tmp, at)
             })?;
             rank.with_phase(Phase::Io, |rk| rk.sync_to(t));
             rank.stats.io_reads += 1;
@@ -782,18 +776,12 @@ impl<'a> TcioFile<'a> {
                 // First attempt keeps the open-time pricing; retries must
                 // re-issue at the backed-off clock or the outage never lifts.
                 let mut first = true;
-                let hedged = self.cfg.hedged_reads;
-                if hedged {
-                    pfs.hedge_scope_begin(owner);
-                }
+                let route = mpiio::ReadRoute::new(self.cfg.hedged_reads);
+                route.begin_scope(&pfs, owner);
                 let t = mpiio::pfs_retry(rank, |rk| {
                     let at = if first { opened_at } else { rk.now() };
                     first = false;
-                    if hedged {
-                        pfs.read_at_hedged(fid, owner, file_off, &mut tmp, at)
-                    } else {
-                        pfs.read_at(fid, owner, file_off, &mut tmp, at)
-                    }
+                    route.read_at(&pfs, fid, owner, file_off, &mut tmp, at)
                 })?;
                 rank.with_phase(Phase::Io, |rk| rk.sync_to(t));
                 rank.trace_mark("tcio_load", Phase::Io, t0, len);
@@ -884,17 +872,13 @@ impl<'a> TcioFile<'a> {
         // Deferred per-segment completions (pipeline_drain only): at most
         // two segments' writes stay outstanding, so segment k+1's window
         // copy and submission overlap segment k's OST service.
-        let mut inflight: std::collections::VecDeque<mpisim::DeferredIo> =
-            std::collections::VecDeque::new();
+        let mut inflight = mpiio::DeferredQueue::default();
         for seg in 0..self.cfg.num_segments {
             let meta = self.meta.segs[me][seg].lock();
             if meta.valid.is_empty() {
                 continue;
             }
-            while inflight.len() >= 2 {
-                let h = inflight.pop_front().expect("non-empty inflight");
-                rank.io_complete(h);
-            }
+            inflight.make_room(rank);
             let file_base = self.map.file_offset(me, seg);
             let seg_base = (seg as u64 * s) as usize;
             let runs: Vec<(u64, u64)> = meta.valid.runs().to_vec();
@@ -930,20 +914,19 @@ impl<'a> TcioFile<'a> {
             }
             drained += seg_bytes;
             if pipelined {
-                inflight.push_back(mpisim::DeferredIo {
+                let io = mpisim::DeferredIo {
                     name: "tcio_drain_pipe",
                     submitted: seg_start,
                     done: t,
                     bytes: seg_bytes,
-                });
+                };
+                inflight.push(io, None);
             } else {
                 done = done.max(t);
             }
         }
         if pipelined {
-            while let Some(h) = inflight.pop_front() {
-                rank.io_complete(h);
-            }
+            inflight.drain(rank);
         } else {
             rank.with_phase(Phase::Io, |rk| rk.sync_to(done));
             rank.trace_mark("tcio_drain", Phase::Io, t0, drained);

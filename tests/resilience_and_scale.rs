@@ -216,9 +216,10 @@ fn tcio_scales_to_128_ranks_with_verification() {
     assert_eq!(rep.results.len(), nprocs);
 }
 
-/// One ART dump/restart cycle at `nprocs` ranks on the event core,
-/// returning the wall-clock seconds the simulation took to execute.
-fn art_scale_run(nprocs: usize) -> f64 {
+/// One ART dump/restart cycle at `nprocs` ranks on the event core. No
+/// wall-clock assertion: what this shape costs the host is measured by
+/// simbench (`art_scale`, `probe-scale`), not by tier-1.
+fn art_scale_run(nprocs: usize) {
     use workloads::art::{self, ArtConfig, ArtMethod, FttConfig};
     // One segment per rank, ~3 small trees each: the point is rank count
     // (fiber scheduling, allgather fan-in, aggregator traffic), not bytes.
@@ -238,7 +239,6 @@ fn art_scale_run(nprocs: usize) -> f64 {
         backend: mpisim::Backend::Event,
         ..Default::default()
     };
-    let t0 = std::time::Instant::now();
     let rep = mpisim::run(nprocs, sim, move |rk| {
         let w = art::dump(rk, &fs2, &cfg, ArtMethod::Tcio, "/big").map_err(WlError::into_mpi)?;
         let r = art::restart(rk, &fs2, &cfg, ArtMethod::Tcio, "/big").map_err(WlError::into_mpi)?;
@@ -246,35 +246,22 @@ fn art_scale_run(nprocs: usize) -> f64 {
         Ok(w.bytes)
     })
     .unwrap();
-    let wall = t0.elapsed().as_secs_f64();
     assert_eq!(rep.results.len(), nprocs);
     assert!(rep.results.iter().all(|&b| b > 0), "every rank wrote data");
     assert!(rep.makespan > 0.0);
-    wall
 }
 
 #[test]
-fn art_scales_to_4096_ranks_within_wall_clock_ceiling() {
-    let wall = art_scale_run(4096);
-    // Generous ceiling (debug builds on loaded CI machines): the
-    // thread-per-rank runtime this replaced couldn't finish a 4096-rank
-    // ART in any reasonable time; the event core does it in seconds.
-    assert!(
-        wall < 120.0,
-        "4096-rank ART took {wall:.1}s — event-core scaling regressed"
-    );
+fn art_scales_to_4096_ranks_and_restarts_every_byte() {
+    art_scale_run(4096);
 }
 
 /// Nightly-only (see .github/workflows): the 16k-rank target from the
 /// roadmap. Run with `cargo test --release -- --ignored art_scales_to_16k`.
 #[test]
 #[ignore = "16k ranks: minutes in debug — nightly CI runs it in release"]
-fn art_scales_to_16k_ranks_within_wall_clock_ceiling() {
-    let wall = art_scale_run(16384);
-    assert!(
-        wall < 600.0,
-        "16384-rank ART took {wall:.1}s — event-core scaling regressed"
-    );
+fn art_scales_to_16k_ranks_and_restarts_every_byte() {
+    art_scale_run(16384);
 }
 
 #[test]

@@ -70,7 +70,7 @@ fn file_image() -> Vec<u8> {
     out
 }
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum Entry {
     WriteAll,
     ReadAll,
