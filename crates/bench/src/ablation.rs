@@ -1,7 +1,7 @@
 //! Pipelining/request-aggregation ablation: the Table II interleaved-
 //! arrays workload across the four collective-I/O configurations
 //! {flat, +req-agg, +pipeline, +both} for both methods (TCIO and the
-//! two-phase OCIO path), on a node topology (`ablation_sweep` binary).
+//! two-phase OCIO path), on a node topology (`ablation_sweep`).
 //!
 //! Each cell runs dump-then-restart at a given `(nprocs, ppn)` placement
 //! and reports write/read virtual makespans plus the exchange/OST-service
@@ -24,12 +24,14 @@
 //! itself a regression check.
 
 use crate::calib::Calib;
+use crate::registry::Args;
+use crate::report::Json;
+use crate::runner::{dump_restart, slowest, synth_params, tcio_config};
+use crate::topo::{field, find_cell, sweep_ppns};
 use mpisim::Topology;
 use pfs::Pfs;
-use std::sync::Arc;
 use tcio::TcioConfig;
-use workloads::synthetic::{self, SynthParams};
-use workloads::WlError;
+use workloads::synthetic::Method;
 
 /// Which I/O method runs inside an ablation cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,76 +134,133 @@ pub fn run_cell(
     len_virtual: usize,
     size_access: usize,
 ) -> AblationCell {
-    let len_real = (len_virtual as u64 / calib.scale_inv).max(1) as usize;
-    let len_real = len_real.div_ceil(size_access) * size_access;
-    let p = SynthParams::with_types("i,d", len_real, size_access).expect("valid params");
+    let p = synth_params(calib, len_virtual, size_access);
     let sim = mpisim::SimConfig {
         topology: Some(Topology::blocked(nprocs, ppn)),
         trace: true, // the overlap report needs per-operation spans
         ..calib.sim_config_unbudgeted()
     };
     let fs = Pfs::new(nprocs, calib.pfs.clone()).expect("pfs config");
-    let seg = calib.segment_size;
     let num_nodes = nprocs.div_ceil(ppn);
-    let file_size = p.file_size(nprocs);
-    let fs2 = Arc::clone(&fs);
-    let p2 = p.clone();
+    let tcfg = TcioConfig {
+        pipeline_drain: variant.pipeline(),
+        ..tcio_config(calib, &p, nprocs)
+    };
+    let ccfg = mpiio::CollectiveConfig {
+        cb_nodes: Some(num_nodes),
+        cb_buffer: Some(sweep_cb_buffer(p.file_size(nprocs), num_nodes)),
+        req_agg: variant.req_agg(),
+        pipeline: variant.pipeline(),
+        ..Default::default()
+    };
+    let io = match method {
+        AblationMethod::Tcio => Method::Tcio,
+        AblationMethod::Ocio => Method::Ocio,
+    };
     let rep = mpisim::run(nprocs, sim, move |rk| {
-        let base_tcfg = TcioConfig {
-            pipeline_drain: variant.pipeline(),
-            ..TcioConfig::for_file_size_with_segment(file_size, rk.nprocs(), seg)
-        };
-        let tcfg = move || base_tcfg.clone();
-        let ccfg = mpiio::CollectiveConfig {
-            cb_nodes: Some(num_nodes),
-            cb_buffer: Some(sweep_cb_buffer(file_size, num_nodes)),
-            req_agg: variant.req_agg(),
-            pipeline: variant.pipeline(),
-            ..Default::default()
-        };
-        let w = match method {
-            AblationMethod::Tcio => synthetic::write_tcio(rk, &fs2, &p2, "/ablation", Some(tcfg())),
-            AblationMethod::Ocio => synthetic::write_ocio(rk, &fs2, &p2, "/ablation", &ccfg),
-        }
-        .map_err(WlError::into_mpi)?;
-        let r = match method {
-            AblationMethod::Tcio => synthetic::read_tcio(rk, &fs2, &p2, "/ablation", Some(tcfg())),
-            AblationMethod::Ocio => synthetic::read_ocio(rk, &fs2, &p2, "/ablation", &ccfg),
-        }
-        .map_err(WlError::into_mpi)?;
-        Ok((w.elapsed, r.elapsed))
+        dump_restart(rk, &fs, &p, "/ablation", io, &tcfg, &ccfg)
     })
     .expect("ablation cell completes");
     let overlap = insight::Analyzer::new(&rep.traces).overlap_report();
+    let (write_s, read_s) = slowest(rep.results.iter().copied());
     AblationCell {
         nprocs,
         ppn,
         method,
         variant,
-        write_s: rep.results.iter().map(|&(w, _)| w).fold(0.0f64, f64::max),
-        read_s: rep.results.iter().map(|&(_, r)| r).fold(0.0f64, f64::max),
+        write_s,
+        read_s,
         overlap_frac: overlap.fraction(),
         hidden_s: rep.aggregate_stats().io_overlap,
     }
 }
 
-/// Deterministic JSON rendering of one cell — the regression guard
-/// compares this string verbatim against the committed baseline, so the
-/// format (field order, float precision) must stay stable.
-pub fn cell_to_json(c: &AblationCell) -> String {
-    format!(
-        "{{\"nprocs\": {}, \"ppn\": {}, \"method\": \"{}\", \"variant\": \"{}\", \
-         \"write_s\": {:.9}, \"read_s\": {:.9}, \"overlap_frac\": {:.9}, \
-         \"hidden_s\": {:.9}}}",
-        c.nprocs,
-        c.ppn,
-        c.method.label(),
-        c.variant.label(),
-        c.write_s,
-        c.read_s,
-        c.overlap_frac,
-        c.hidden_s
-    )
+/// One cell of the document; times and the fraction at 1e-9 resolution.
+pub fn cell_to_json(c: &AblationCell) -> Json {
+    Json::obj()
+        .with("nprocs", Json::num(c.nprocs as f64))
+        .with("ppn", Json::num(c.ppn as f64))
+        .with("method", Json::str(c.method.label()))
+        .with("variant", Json::str(c.variant.label()))
+        .with("write_s", Json::nanos(c.write_s))
+        .with("read_s", Json::nanos(c.read_s))
+        .with("overlap_frac", Json::nanos(c.overlap_frac))
+        .with("hidden_s", Json::nanos(c.hidden_s))
+}
+
+/// `ablation_sweep`: every placement of the grid for both methods and all
+/// four knob combinations, with a progress table on stderr.
+pub fn run(args: &Args) -> Json {
+    let (len, size_access) = (args.usize("len"), args.usize("size-access"));
+    let calib = Calib::paper(args.int("scale"));
+    let mut cells = Vec::new();
+    for nprocs in args.ints("procs") {
+        for ppn in sweep_ppns(nprocs, &args.ints("ppns")) {
+            for method in AblationMethod::ALL {
+                for variant in AblationVariant::ALL {
+                    let c = run_cell(&calib, nprocs, ppn, method, variant, len, size_access);
+                    eprintln!(
+                        "P={nprocs} ppn={ppn} {:>4}/{:>8}: write {:.6}s read {:.6}s \
+                         overlap {:.3}",
+                        method.label(),
+                        variant.label(),
+                        c.write_s,
+                        c.read_s,
+                        c.overlap_frac
+                    );
+                    cells.push(cell_to_json(&c));
+                }
+            }
+        }
+    }
+    Json::obj().with("cells", Json::Arr(cells))
+}
+
+/// The committed grid covers every placement, method and variant; and the
+/// headline holds on it: at 128 ranks x 16 ppn, request aggregation (one
+/// merged offset-length list per node-aggregator pair instead of 16) plus
+/// the round pipeline (round k's OST service hidden behind round k+1's
+/// exchange) cuts the collective-write makespan by at least 20% vs flat,
+/// flat rounds report an overlap fraction of exactly 0 and pipelined
+/// rounds a positive one.
+pub fn claims(result: &Json) -> Result<(), String> {
+    let cell = |nprocs: usize, ppn: usize, method: &str, variant: &str| {
+        let want = [
+            ("nprocs", Json::num(nprocs as f64)),
+            ("ppn", Json::num(ppn as f64)),
+            ("method", Json::str(method)),
+            ("variant", Json::str(variant)),
+        ];
+        find_cell(result, &want)
+    };
+    for nprocs in [1usize, 8, 32, 128] {
+        for ppn in sweep_ppns(nprocs, &[1, 4, 16]) {
+            for method in AblationMethod::ALL {
+                for variant in AblationVariant::ALL {
+                    let c = cell(nprocs, ppn, method.label(), variant.label())?;
+                    field(c, "overlap_frac")?;
+                    field(c, "hidden_s")?;
+                }
+            }
+        }
+    }
+    let (flat, both) = (
+        cell(128, 16, "ocio", "flat")?,
+        cell(128, 16, "ocio", "both")?,
+    );
+    let (flat_w, both_w) = (field(flat, "write_s")?, field(both, "write_s")?);
+    if both_w > 0.8 * flat_w {
+        return Err(format!(
+            "pipelined+req-agg write {both_w}s must be >=20% under flat {flat_w}s at 128x16"
+        ));
+    }
+    if field(flat, "overlap_frac")? != 0.0 {
+        return Err("flat rounds are serialized and must report zero overlap".into());
+    }
+    if field(both, "overlap_frac")? <= 0.0 {
+        return Err("pipelined rounds must hide some OST service behind exchange".into());
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -239,8 +298,8 @@ mod tests {
             "pipelined rounds must hide some OST service behind exchange"
         );
         let json = cell_to_json(&piped);
-        assert!(json.contains("\"variant\": \"both\""));
-        assert!(json.contains("\"overlap_frac\""));
+        assert_eq!(json.get("variant"), Some(&Json::str("both")));
+        assert!(json.get("overlap_frac").is_some());
     }
 
     #[test]
@@ -275,62 +334,6 @@ mod tests {
         assert!(
             piped.hidden_s > 0.0,
             "pipelined drain must hide some OST service"
-        );
-    }
-
-    #[test]
-    fn single_rank_cells_are_deterministic() {
-        // The regression guard asserts exact equality against a committed
-        // baseline; single-rank cells are the only fully scheduler-
-        // independent ones (multi-rank timeline reservation order varies
-        // run to run), so the guard pins exactly these.
-        let calib = Calib::paper(1024);
-        for method in AblationMethod::ALL {
-            for variant in AblationVariant::ALL {
-                let a = cell_to_json(&run_cell(&calib, 1, 1, method, variant, 1 << 16, 1));
-                let b = cell_to_json(&run_cell(&calib, 1, 1, method, variant, 1 << 16, 1));
-                assert_eq!(
-                    a,
-                    b,
-                    "{}/{} cell drifted between runs",
-                    method.label(),
-                    variant.label()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_req_agg_beats_flat_at_scale() {
-        // The acceptance bar: at 128 ranks × 16 ppn, request aggregation
-        // (one merged offset-length list per node-aggregator pair instead
-        // of 16) plus the round pipeline (round k's OST service hidden
-        // behind round k+1's exchange) must cut the collective-write
-        // makespan by at least 20% vs the flat configuration.
-        let calib = Calib::paper(1024);
-        let flat = run_cell(
-            &calib,
-            128,
-            16,
-            AblationMethod::Ocio,
-            AblationVariant::Flat,
-            1 << 16,
-            1,
-        );
-        let both = run_cell(
-            &calib,
-            128,
-            16,
-            AblationMethod::Ocio,
-            AblationVariant::Both,
-            1 << 16,
-            1,
-        );
-        assert!(
-            both.write_s <= 0.8 * flat.write_s,
-            "pipelined+req-agg write {}s must be >=20% under flat {}s",
-            both.write_s,
-            flat.write_s
         );
     }
 

@@ -1,35 +1,34 @@
 //! # bench — the experiment harness
 //!
-//! One binary per figure/table of the paper's evaluation (see the
-//! per-experiment index in `DESIGN.md`):
+//! One binary (`cargo run --release -p bench -- <subcommand>`), driven by
+//! one table of experiments ([`registry::EXPERIMENTS`]): every figure,
+//! table, ablation, sweep and diagnostic of the evaluation is an entry
+//! with a name, a description, declared options and a `run(&Args) -> Json`.
+//! `bench list` prints the table; `bench <name> --help` an entry's options.
 //!
-//! | binary | reproduces |
-//! |---|---|
-//! | `fig5_scale` | Fig. 5: synthetic write/read throughput vs process count |
-//! | `fig6_7_filesize` | Figs. 6–7: throughput vs file size at P=64, incl. the OCIO OOM at 48 GB |
-//! | `fig9_10_art` | Figs. 9–10: ART dump/restart, TCIO vs vanilla MPI-IO |
-//! | `table3_effort` | Table III + Programs 2/3: programming effort and memory comparison |
-//! | `ablation_segment_size` | §IV.A: segment size vs the PFS lock granularity |
-//! | `ablation_modes` | §IV.A design choices: L1 combining, lock/unlock vs fence, lazy vs eager reads |
-//! | `ablation_cb` | OCIO hints: unchunked vs cb_buffer-chunked exchange, aggregator counts |
-//! | `topo_sweep` | node topology sweep: ppn × {TCIO, OCIO, OCIO+intra-agg}, intra/inter byte split |
-//! | `ablation_sweep` | pipelining/request-aggregation ablation: {flat, +req-agg, +pipeline, +both} × {tcio, ocio}, makespans + overlap fraction |
-//! | `tenant_sweep` | multi-tenant facility: offered rate × QoS mode → aggregate + per-tenant p50/p95/p99 |
-//! | `resilience_sweep` | gray-failure defense: fault intensity × {defended, undefended} → latency percentiles + defense counters |
-//!
-//! Microbenches for hot paths live in `benches/micro.rs` (`cargo bench -p bench`).
+//! Six entries own a committed baseline under `bench_results/`, all in
+//! one schema — `{"schema", "experiment", "args", "result"}`. `bench gate`
+//! re-runs each with the args its baseline records, requires every leaf
+//! of the document to match exactly, and checks the entry's headline
+//! claims on the fresh result ([`perfgate`]); `bench bless` rewrites the
+//! files. Nothing in this crate reads a wall clock — host-time
+//! measurement lives in `benchmark/` (simbench).
 
 pub mod ablation;
+pub mod ablations;
 pub mod calib;
+pub mod chaos_sweep;
+pub mod diag;
+pub mod figures;
+pub mod perf;
 pub mod perfgate;
+pub mod registry;
 pub mod report;
 pub mod resilience;
 pub mod runner;
 pub mod tenant;
 pub mod topo;
 
-pub use ablation::{AblationCell, AblationMethod, AblationVariant};
 pub use calib::{fmt_bytes, Calib};
-pub use report::{emit_json, mbs, sparkline, write_json_file, write_json_text, Args, Json, Table};
-pub use runner::{run_art, run_synth, run_traced_synth, Outcome};
-pub use topo::{cell_to_json, run_cell, TopoCell, Variant};
+pub use registry::{Args, Experiment, EXPERIMENTS};
+pub use report::{mbs, sparkline, write_json_file, Json, Table};

@@ -1,9 +1,9 @@
-//! Table printing, CSV output, and JSON plumbing for the experiment
-//! binaries. [`Json`] is a minimal self-contained value type (the offline
-//! build has no serde): deterministic rendering — object keys keep
-//! insertion order, numbers use Rust's shortest-roundtrip formatting — a
-//! full parser for reading summaries back, and the shared `--json <path>`
-//! writers every diagnostic and sweep binary routes file output through.
+//! Table printing, CSV output, and JSON plumbing for the experiments.
+//! [`Json`] is a minimal self-contained value type (the offline build has
+//! no serde): deterministic rendering — object keys keep insertion order,
+//! numbers use Rust's shortest-roundtrip formatting — a total parser for
+//! reading baselines back, and the one file writer every document goes
+//! through.
 
 use std::fs;
 use std::io::Write;
@@ -75,71 +75,19 @@ impl Table {
         }
         Ok(path)
     }
-}
 
-/// Minimal `--key value` argument parsing for the experiment binaries.
-pub struct Args {
-    pairs: Vec<(String, String)>,
-    positional: Vec<String>,
-}
-
-impl Args {
-    pub fn parse() -> Args {
-        let mut pairs = Vec::new();
-        let mut positional = Vec::new();
-        let mut it = std::env::args().skip(1).peekable();
-        while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                let val = it.next().unwrap_or_else(|| {
-                    eprintln!("missing value for --{key}");
-                    std::process::exit(2);
-                });
-                pairs.push((key.to_string(), val));
-            } else {
-                positional.push(a);
-            }
+    /// Write the CSV under `bench_results/`, report where it went, and
+    /// return the table as a document (`columns` plus string `rows`).
+    pub fn save(&self, name: &str) -> Json {
+        match self.write_csv(name) {
+            Ok(path) => println!("\nwrote {}", path.display()),
+            Err(e) => eprintln!("csv write failed: {e}"),
         }
-        Args { pairs, positional }
-    }
-
-    pub fn positional(&self) -> &[String] {
-        &self.positional
-    }
-
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects a number, got {v:?}"))
-            })
-            .unwrap_or(default)
-    }
-
-    pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.get_u64(key, default as u64) as usize
-    }
-
-    /// Comma-separated usize list.
-    pub fn get_list(&self, key: &str, default: &[usize]) -> Vec<usize> {
-        match self.get(key) {
-            None => default.to_vec(),
-            Some(v) => v
-                .split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .unwrap_or_else(|_| panic!("--{key}: bad entry {s:?}"))
-                })
-                .collect(),
-        }
+        let strs = |cells: &[String]| Json::Arr(cells.iter().map(Json::str).collect());
+        Json::obj().with("columns", strs(&self.headers)).with(
+            "rows",
+            Json::Arr(self.rows.iter().map(|r| strs(r)).collect()),
+        )
     }
 }
 
@@ -176,8 +124,20 @@ impl Json {
         }
     }
 
+    /// A number; non-finite values have no JSON spelling and become
+    /// `null` here, so a document always equals its own re-parse.
     pub fn num(x: f64) -> Json {
-        Json::Num(x)
+        if x.is_finite() {
+            Json::Num(x)
+        } else {
+            Json::Null
+        }
+    }
+
+    /// Virtual seconds at nanosecond resolution (the precision the topo
+    /// and ablation grids have always been committed at).
+    pub fn nanos(secs: f64) -> Json {
+        Json::num(format!("{secs:.9}").parse().unwrap_or(f64::NAN))
     }
 
     pub fn str(s: impl Into<String>) -> Json {
@@ -212,32 +172,31 @@ impl Json {
         }
     }
 
-    /// Flatten to `(dotted.path, value)` numeric leaves, in document order.
-    /// Array elements use their index as the path component.
-    pub fn leaves(&self) -> Vec<(String, f64)> {
-        let mut out = Vec::new();
-        fn walk(j: &Json, prefix: &str, out: &mut Vec<(String, f64)>) {
+    /// Flatten to `(dotted.path, leaf)` pairs in document order: every
+    /// scalar, plus empty containers (so `{}` and "absent" differ). Array
+    /// elements use their index as the path component.
+    pub fn leaves(&self) -> Vec<(String, &Json)> {
+        fn walk<'a>(j: &'a Json, prefix: String, out: &mut Vec<(String, &'a Json)>) {
+            let join = |k: &str| match prefix.as_str() {
+                "" => k.to_string(),
+                p => format!("{p}.{k}"),
+            };
             match j {
-                Json::Num(x) => out.push((prefix.to_string(), *x)),
-                Json::Obj(pairs) => {
+                Json::Obj(pairs) if !pairs.is_empty() => {
                     for (k, v) in pairs {
-                        let p = if prefix.is_empty() {
-                            k.clone()
-                        } else {
-                            format!("{prefix}.{k}")
-                        };
-                        walk(v, &p, out);
+                        walk(v, join(k), out);
                     }
                 }
-                Json::Arr(items) => {
+                Json::Arr(items) if !items.is_empty() => {
                     for (i, v) in items.iter().enumerate() {
-                        walk(v, &format!("{prefix}.{i}"), out);
+                        walk(v, join(&i.to_string()), out);
                     }
                 }
-                _ => {}
+                leaf => out.push((prefix, leaf)),
             }
         }
-        walk(self, "", &mut out);
+        let mut out = Vec::new();
+        walk(self, String::new(), &mut out);
         out
     }
 
@@ -319,18 +278,23 @@ impl Json {
 
     /// Parse a JSON document. Accepts the full grammar the renderer emits
     /// (plus arbitrary whitespace); returns a description of the first
-    /// error otherwise.
+    /// error otherwise. Total on arbitrary text: nesting is bounded by
+    /// [`MAX_DEPTH`], numbers must be finite, and nothing is allocated
+    /// ahead of the bytes that justify it.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let v = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return Err(format!("trailing garbage at byte {pos}"));
         }
         Ok(v)
     }
 }
+
+/// Deepest container nesting [`Json::parse`] accepts (the parser recurses
+/// per level; the documents this crate writes nest under ten deep).
+pub const MAX_DEPTH: usize = 64;
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
     while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
@@ -347,8 +311,12 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = text.as_bytes();
     skip_ws(b, pos);
+    if depth > MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -361,10 +329,10 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(text, pos, depth + 1)?;
                 pairs.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -386,7 +354,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -398,7 +366,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 }
             }
         }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b't') if b[*pos..].starts_with(b"true") => {
             *pos += 4;
             Ok(Json::Bool(true))
@@ -418,15 +386,17 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             {
                 *pos += 1;
             }
-            let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-            s.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number {s:?} at byte {start}"))
+            let s = &text[start..*pos];
+            match s.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(Json::Num(x)),
+                _ => Err(format!("bad number {s:?} at byte {start}")),
+            }
         }
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let b = text.as_bytes();
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -462,9 +432,9 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy one UTF-8 scalar (multi-byte safe).
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().unwrap();
+                // Copy one UTF-8 scalar: `pos` only ever advances by whole
+                // scalars, so it sits on a boundary of the `&str`.
+                let c = text[*pos..].chars().next().expect("pos < len");
                 out.push(c);
                 *pos += c.len_utf8();
             }
@@ -472,33 +442,15 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-/// The shared `--json <path>` writer: creates parent directories, writes
-/// the rendered value, and notes the path on stderr.
-pub fn write_json_file(path: &str, value: &Json) -> std::io::Result<()> {
-    write_json_text(path, &value.render())
-}
-
-/// [`write_json_file`] for binaries that assemble JSON text themselves
-/// (the sweeps keep their pinned stdout formats byte-identical).
-pub fn write_json_text(path: &str, text: &str) -> std::io::Result<()> {
-    if let Some(dir) = Path::new(path).parent() {
-        if !dir.as_os_str().is_empty() {
-            fs::create_dir_all(dir)?;
-        }
+/// The one document writer: creates parent directories, writes the
+/// rendered value, and notes the path on stderr.
+pub fn write_json_file(path: &Path, value: &Json) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        fs::create_dir_all(dir)?;
     }
-    fs::write(path, text)?;
-    eprintln!("wrote {path}");
+    fs::write(path, value.render())?;
+    eprintln!("wrote {}", path.display());
     Ok(())
-}
-
-/// Honor a binary's `--json <path>` flag: write `value` there when given.
-pub fn emit_json(args: &Args, value: &Json) {
-    if let Some(path) = args.get("json") {
-        write_json_file(path, value).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(2);
-        });
-    }
 }
 
 /// Render a series as a one-line unicode sparkline (quick shape check in
@@ -605,6 +557,19 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("nul").is_err());
+        assert!(
+            Json::parse("1e999").is_err(),
+            "non-finite numbers are refused"
+        );
+        let deep = "[".repeat(MAX_DEPTH + 2) + &"]".repeat(MAX_DEPTH + 2);
+        assert!(Json::parse(&deep).is_err(), "nesting is bounded");
+    }
+
+    #[test]
+    fn non_finite_numbers_become_null() {
+        assert_eq!(Json::num(f64::NAN), Json::Null);
+        assert_eq!(Json::nanos(f64::NAN), Json::Null);
+        assert_eq!(Json::nanos(0.0207041873), Json::Num(0.020704187));
     }
 
     #[test]
@@ -622,11 +587,13 @@ mod tests {
         assert_eq!(
             leaves,
             vec![
-                ("a".to_string(), 1.0),
-                ("b.c".to_string(), 2.0),
-                ("arr.0".to_string(), 5.0),
+                ("a".to_string(), &Json::Num(1.0)),
+                ("b.c".to_string(), &Json::Num(2.0)),
+                ("b.skip".to_string(), &Json::str("text")),
+                ("arr.0".to_string(), &Json::Num(5.0)),
             ]
         );
+        assert_eq!(Json::obj().leaves(), vec![(String::new(), &Json::obj())]);
     }
 
     #[test]

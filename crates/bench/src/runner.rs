@@ -1,13 +1,73 @@
-//! Shared experiment runners used by the figure binaries.
+//! Shared runners and helpers the experiments are built from.
 
 use crate::calib::Calib;
-use mpisim::{Rank, SimError};
+use mpiio::CollectiveConfig;
+use mpisim::{MpiError, Rank, SimError};
 use pfs::Pfs;
 use std::sync::Arc;
 use tcio::TcioConfig;
 use workloads::art::{ArtConfig, ArtMethod};
 use workloads::synthetic::{self, Method, SynthParams};
 use workloads::WlError;
+
+/// Report a bad command line (or an unreadable input file) and exit 2.
+pub fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
+/// Read and parse a fault-plan TOML named on the command line.
+pub fn load_plan(path: &str) -> chaos::FaultPlan {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die(format!("cannot read fault plan {path}: {e}")));
+    chaos::FaultPlan::parse(&text).unwrap_or_else(|e| die(format!("bad fault plan {path}: {e}")))
+}
+
+/// The Table II `"i,d"` arrays at a scale point. `len_virtual` is the
+/// paper's LEN_array; the real array length is divided by the
+/// calibration's scale factor and kept a multiple of SIZE_access.
+pub fn synth_params(calib: &Calib, len_virtual: usize, size_access: usize) -> SynthParams {
+    let len_real = (len_virtual as u64 / calib.scale_inv).max(1) as usize;
+    let len_real = len_real.div_ceil(size_access) * size_access;
+    SynthParams::with_types("i,d", len_real, size_access).expect("valid params")
+}
+
+/// TCIO's config for `p` at the calibration's segment size.
+pub fn tcio_config(calib: &Calib, p: &SynthParams, nprocs: usize) -> TcioConfig {
+    TcioConfig::for_file_size_with_segment(p.file_size(nprocs), nprocs, calib.segment_size)
+}
+
+/// One rank's dump-then-restart of the arrays through `method` (the
+/// pattern of the paper's runs): returns each phase's elapsed virtual
+/// seconds, timed between its own barriers.
+pub fn dump_restart(
+    rk: &mut Rank,
+    fs: &Arc<Pfs>,
+    p: &SynthParams,
+    path: &str,
+    method: Method,
+    tcfg: &TcioConfig,
+    ccfg: &CollectiveConfig,
+) -> Result<(f64, f64), MpiError> {
+    let w = match method {
+        Method::Tcio => synthetic::write_tcio(rk, fs, p, path, Some(tcfg.clone())),
+        Method::Ocio => synthetic::write_ocio(rk, fs, p, path, ccfg),
+        Method::Vanilla => synthetic::write_vanilla(rk, fs, p, path),
+    }
+    .map_err(WlError::into_mpi)?;
+    let r = match method {
+        Method::Tcio => synthetic::read_tcio(rk, fs, p, path, Some(tcfg.clone())),
+        Method::Ocio => synthetic::read_ocio(rk, fs, p, path, ccfg),
+        Method::Vanilla => synthetic::read_vanilla(rk, fs, p, path),
+    }
+    .map_err(WlError::into_mpi)?;
+    Ok((w.elapsed, r.elapsed))
+}
+
+/// Per-phase makespans: the slowest rank's write and read seconds.
+pub fn slowest(results: impl Iterator<Item = (f64, f64)>) -> (f64, f64) {
+    results.fold((0.0, 0.0), |(w, r), (rw, rr)| (w.max(rw), r.max(rr)))
+}
 
 /// Result of one (method, scale-point) synthetic run.
 #[derive(Debug, Clone, Copy)]
@@ -37,7 +97,7 @@ impl Outcome {
 fn classify(err: SimError) -> Outcome {
     match err {
         SimError::RankFailed {
-            error: mpisim::MpiError::OutOfMemory { .. },
+            error: MpiError::OutOfMemory { .. },
             ..
         } => Outcome::Oom,
         other => panic!("experiment failed unexpectedly: {other}"),
@@ -58,10 +118,7 @@ pub fn run_synth(
     method: Method,
     enforce_budget: bool,
 ) -> (Outcome, Outcome) {
-    let len_real = (len_virtual as u64 / calib.scale_inv).max(1) as usize;
-    // Keep LEN a multiple of SIZE_access after scaling.
-    let len_real = len_real.div_ceil(size_access) * size_access;
-    let p = SynthParams::with_types("i,d", len_real, size_access).expect("valid params");
+    let p = synth_params(calib, len_virtual, size_access);
     let sim = if enforce_budget {
         calib.sim_config()
     } else {
@@ -69,30 +126,19 @@ pub fn run_synth(
     };
     let fs = Pfs::new(nprocs, calib.pfs.clone()).expect("pfs config");
     let bytes_real = p.file_size(nprocs);
-    let seg = calib.segment_size;
-
-    // Write then read inside one simulation (the dump-then-restart pattern
-    // of the paper's runs), timing each phase between its own barriers.
-    let fs2 = Arc::clone(&fs);
-    let p2 = p.clone();
+    let tcfg = tcio_config(calib, &p, nprocs);
+    // Write then read inside one simulation, so both phases share one
+    // consistent set of resource timelines.
     let run = mpisim::run(nprocs, sim, move |rk| {
-        let base_tcfg =
-            TcioConfig::for_file_size_with_segment(p2.file_size(rk.nprocs()), rk.nprocs(), seg);
-        let tcfg = move || base_tcfg.clone();
-        let ccfg = mpiio::CollectiveConfig::default;
-        let w = match method {
-            Method::Tcio => synthetic::write_tcio(rk, &fs2, &p2, "/synth", Some(tcfg())),
-            Method::Ocio => synthetic::write_ocio(rk, &fs2, &p2, "/synth", &ccfg()),
-            Method::Vanilla => synthetic::write_vanilla(rk, &fs2, &p2, "/synth"),
-        }
-        .map_err(WlError::into_mpi)?;
-        let r = match method {
-            Method::Tcio => synthetic::read_tcio(rk, &fs2, &p2, "/synth", Some(tcfg())),
-            Method::Ocio => synthetic::read_ocio(rk, &fs2, &p2, "/synth", &ccfg()),
-            Method::Vanilla => synthetic::read_vanilla(rk, &fs2, &p2, "/synth"),
-        }
-        .map_err(WlError::into_mpi)?;
-        Ok((w.elapsed, r.elapsed))
+        dump_restart(
+            rk,
+            &fs,
+            &p,
+            "/synth",
+            method,
+            &tcfg,
+            &CollectiveConfig::default(),
+        )
     });
     match run {
         Ok(rep) => {
@@ -112,24 +158,13 @@ pub fn run_synth(
 /// Interleaved-arrays write with tracing enabled: returns the simulation
 /// report (including per-rank `RankTrace`s) and the per-OST metric rows.
 ///
-/// This is the workload behind the `diag_trace` binary and the
-/// observability acceptance tests: every rank writes its slice of an
-/// `"i,d"` interleaved pair of arrays through `method`, with the virtual
-/// clocks attributed to phases as they advance.
+/// This is the workload behind `diag_trace` and the observability
+/// acceptance tests: every rank writes its slice of an `"i,d"` interleaved
+/// pair of arrays through `method`, with the virtual clocks attributed to
+/// phases as they advance. A fault plan, when given, is attached to both
+/// the runtime (stalls, slowdowns, message faults) and the file system
+/// (OST faults, lock storms).
 pub fn run_traced_synth(
-    calib: &Calib,
-    nprocs: usize,
-    len_virtual: usize,
-    size_access: usize,
-    method: Method,
-) -> (mpisim::SimReport<f64>, Vec<mpisim::OstRow>) {
-    run_traced_synth_chaos(calib, nprocs, len_virtual, size_access, method, None)
-}
-
-/// [`run_traced_synth`] with an optional fault plan attached to both the
-/// runtime (stalls, slowdowns, message faults) and the file system (OST
-/// faults, lock storms).
-pub fn run_traced_synth_chaos(
     calib: &Calib,
     nprocs: usize,
     len_virtual: usize,
@@ -137,9 +172,7 @@ pub fn run_traced_synth_chaos(
     method: Method,
     engine: Option<Arc<chaos::ChaosEngine>>,
 ) -> (mpisim::SimReport<f64>, Vec<mpisim::OstRow>) {
-    let len_real = (len_virtual as u64 / calib.scale_inv).max(1) as usize;
-    let len_real = len_real.div_ceil(size_access) * size_access;
-    let p = SynthParams::with_types("i,d", len_real, size_access).expect("valid params");
+    let p = synth_params(calib, len_virtual, size_access);
     let sim = mpisim::SimConfig {
         trace: true,
         chaos: engine.clone(),
@@ -150,168 +183,20 @@ pub fn run_traced_synth_chaos(
         fs.attach_chaos(e).expect("fault plan fits the PFS layout");
     }
     let fs2 = Arc::clone(&fs);
-    let p2 = p.clone();
     let rep = mpisim::run(nprocs, sim, move |rk| {
         let t0 = rk.now();
-        match synthetic::write_with(method, rk, &fs2, &p2, "/trace.dat").map_err(WlError::into_mpi)
-        {
+        match synthetic::write_with(method, rk, &fs2, &p, "/trace.dat").map_err(WlError::into_mpi) {
             Ok(m) => Ok(m.elapsed),
             // Fault-tolerant body: a rank crash-stopped by the plan stops
             // here with the virtual time it survived; the other ranks
             // finish the dump (TCIO: including the buddy recovery drain).
-            Err(mpisim::MpiError::RankCrashed { rank }) if rank == rk.rank() => Ok(rk.now() - t0),
+            Err(MpiError::RankCrashed { rank }) if rank == rk.rank() => Ok(rk.now() - t0),
             Err(e) => Err(e),
         }
     })
     .expect("traced run");
     let osts = fs.ost_report();
     (rep, osts)
-}
-
-/// One dump-then-restart run under a fault plan, for the `chaos_sweep`
-/// binary: Table II workload, returning per-phase elapsed times and the
-/// resilience counters aggregated across ranks.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosRun {
-    /// Write-phase elapsed virtual seconds (max across ranks). `NaN` when
-    /// the run did not complete.
-    pub write_s: f64,
-    /// Read-phase elapsed virtual seconds.
-    pub read_s: f64,
-    /// Total transient-fault retries across all ranks.
-    pub io_retries: u64,
-    /// Total fault-plan stall windows absorbed across all ranks.
-    pub chaos_stalls: u64,
-    /// Transient refusals issued by the file system.
-    pub transient_errors: u64,
-    /// Did the dump-then-restart finish with verified data? TCIO's
-    /// durability epochs survive a crashed rank; OCIO under the same plan
-    /// aborts (or fails restart verification) and reports `false`.
-    pub completed: bool,
-    /// Injected crash-stops that fired, across all ranks.
-    pub rank_crashes: u64,
-    /// Level-2 segments the buddy recovery drain reconstructed.
-    pub segments_recovered: u64,
-}
-
-pub fn run_synth_chaos(
-    calib: &Calib,
-    nprocs: usize,
-    len_virtual: usize,
-    size_access: usize,
-    method: Method,
-    engine: Option<Arc<chaos::ChaosEngine>>,
-) -> ChaosRun {
-    let len_real = (len_virtual as u64 / calib.scale_inv).max(1) as usize;
-    let len_real = len_real.div_ceil(size_access) * size_access;
-    let p = SynthParams::with_types("i,d", len_real, size_access).expect("valid params");
-    let sim = mpisim::SimConfig {
-        chaos: engine.clone(),
-        ..calib.sim_config_unbudgeted()
-    };
-    let fs = Pfs::new(nprocs, calib.pfs.clone()).expect("pfs config");
-    let planned_crashes = engine.as_ref().map_or(0, |e| {
-        (0..nprocs).filter(|&r| e.crash_ahead(r)).count() as u64
-    });
-    if let Some(e) = engine {
-        fs.attach_chaos(e).expect("fault plan fits the PFS layout");
-    }
-    let seg = calib.segment_size;
-    let fs2 = Arc::clone(&fs);
-    let p2 = p.clone();
-    let run = mpisim::run(nprocs, sim, move |rk| {
-        let base_tcfg =
-            TcioConfig::for_file_size_with_segment(p2.file_size(rk.nprocs()), rk.nprocs(), seg);
-        let tcfg = move || base_tcfg.clone();
-        let ccfg = mpiio::CollectiveConfig::default;
-        // TCIO callers are fault-tolerant: a crash-stopped rank catches
-        // its own typed failure and drops out while the survivors finish
-        // the dump (including the buddy recovery drain) and verify the
-        // restart. OCIO/vanilla have no recovery story — the crash
-        // propagates and the run reports a typed abort instead.
-        let caught = |rk: &Rank, e: mpisim::MpiError| {
-            method == Method::Tcio
-                && matches!(e, mpisim::MpiError::RankCrashed { rank } if rank == rk.rank())
-        };
-        let w = match method {
-            Method::Tcio => synthetic::write_tcio(rk, &fs2, &p2, "/synth", Some(tcfg())),
-            Method::Ocio => synthetic::write_ocio(rk, &fs2, &p2, "/synth", &ccfg()),
-            Method::Vanilla => synthetic::write_vanilla(rk, &fs2, &p2, "/synth"),
-        }
-        .map_err(WlError::into_mpi);
-        let w = match w {
-            Ok(m) => m.elapsed,
-            Err(e) if caught(rk, e.clone()) => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let r = match method {
-            Method::Tcio => synthetic::read_tcio(rk, &fs2, &p2, "/synth", Some(tcfg())),
-            Method::Ocio => synthetic::read_ocio(rk, &fs2, &p2, "/synth", &ccfg()),
-            Method::Vanilla => synthetic::read_vanilla(rk, &fs2, &p2, "/synth"),
-        }
-        .map_err(WlError::into_mpi);
-        let r = match r {
-            Ok(m) => m.elapsed,
-            Err(e) if caught(rk, e.clone()) => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        Ok(Some((w, r)))
-    });
-    match run {
-        Ok(rep) => {
-            let write_s = rep
-                .results
-                .iter()
-                .flatten()
-                .map(|&(w, _)| w)
-                .fold(0.0f64, f64::max);
-            let read_s = rep
-                .results
-                .iter()
-                .flatten()
-                .map(|&(_, r)| r)
-                .fold(0.0f64, f64::max);
-            ChaosRun {
-                write_s,
-                read_s,
-                io_retries: rep.stats.iter().map(|s| s.io_retries).sum(),
-                chaos_stalls: rep.stats.iter().map(|s| s.chaos_stalls).sum(),
-                transient_errors: fs.stats.snapshot().transient_errors,
-                completed: true,
-                rank_crashes: rep.stats.iter().map(|s| s.rank_crashes).sum(),
-                segments_recovered: rep.stats.iter().map(|s| s.segments_recovered).sum(),
-            }
-        }
-        // A crashed rank tore an unprotected collective down, or the
-        // restart read caught the data hole the crash left: the plan was
-        // survivable only for an implementation with durability epochs.
-        Err(e @ SimError::CollectiveAborted { .. })
-        | Err(
-            e @ SimError::RankFailed {
-                error: mpisim::MpiError::InvalidDatatype(_),
-                ..
-            },
-        ) => {
-            let aborted = ChaosRun {
-                write_s: f64::NAN,
-                read_s: f64::NAN,
-                io_retries: 0,
-                chaos_stalls: 0,
-                transient_errors: fs.stats.snapshot().transient_errors,
-                completed: false,
-                rank_crashes: planned_crashes,
-                segments_recovered: 0,
-            };
-            if let SimError::RankFailed { error, .. } = &e {
-                assert!(
-                    error.to_string().contains("verification failed"),
-                    "experiment failed unexpectedly: {e}"
-                );
-            }
-            aborted
-        }
-        Err(other) => panic!("experiment failed unexpectedly: {other}"),
-    }
 }
 
 /// ART dump + restart at `nprocs`: returns (write MB/s, read MB/s, bytes).
@@ -362,7 +247,7 @@ mod tests {
         // time, and the run yields spans plus per-OST rows.
         let calib = Calib::unscaled();
         for method in [Method::Ocio, Method::Tcio, Method::Vanilla] {
-            let (rep, osts) = run_traced_synth(&calib, 4, 1 << 12, 1, method);
+            let (rep, osts) = run_traced_synth(&calib, 4, 1 << 12, 1, method, None);
             assert!(!osts.is_empty());
             assert_eq!(rep.traces.len(), 4);
             for (r, tr) in rep.traces.iter().enumerate() {

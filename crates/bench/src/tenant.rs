@@ -1,6 +1,5 @@
 //! Multi-tenant facility sweep cells: a fixed eight-tenant fleet run at
-//! an offered arrival rate under one QoS discipline, flattened to the
-//! JSON shape the perfgate policy understands.
+//! an offered arrival rate under one QoS discipline (`tenant_sweep`).
 //!
 //! The fleet mixes every workload style the facility serves — a
 //! burst-buffered checkpointer, a small-request storm, a latency-
@@ -9,14 +8,15 @@
 //! batching, fair sharing, and the burst-buffer drain path at once.
 //! Everything runs on the serial event core, so a cell is a pure
 //! function of `(jobs, rate, mode, seed)` and the committed
-//! `bench_results/tenant_sweep.json` baseline can be regenerated and
-//! diffed exactly (see `tests/tenant_baseline.rs`).
+//! `bench_results/tenant_sweep.json` baseline is regenerated and diffed
+//! exactly by `bench gate`.
+//!
+//! Rates are open-loop Poisson job-arrival rates in jobs/s per tenant
+//! (0 = every job lands at t=0, the maximum-contention point).
 
-use crate::report::Json;
+use crate::registry::Args;
+use crate::report::{mbs, Json, Table};
 use facility::{run_facility, FacilityConfig, FacilityReport, QosMode, Style, TenantSpec};
-
-/// Seed every committed sweep cell uses.
-pub const SWEEP_SEED: u64 = 0x7E_4A_17;
 
 fn tenant(
     name: &str,
@@ -111,12 +111,12 @@ pub fn mode_label(mode: QosMode) -> &'static str {
     }
 }
 
-pub fn parse_mode(s: &str) -> Option<QosMode> {
+fn parse_mode(s: &str) -> QosMode {
     match s {
-        "off" => Some(QosMode::Off),
-        "fifo" => Some(QosMode::Fifo),
-        "fair" => Some(QosMode::FairShare),
-        _ => None,
+        "off" => QosMode::Off,
+        "fifo" => QosMode::Fifo,
+        "fair" => QosMode::FairShare,
+        other => unreachable!("--qos admits off|fifo|fair, got {other:?}"),
     }
 }
 
@@ -138,7 +138,7 @@ pub fn run_point(
     run_facility(&cfg).expect("facility sweep cell")
 }
 
-/// Flatten one report to the perfgate-friendly cell: makespan, aggregate
+/// Flatten one report to its document cell: makespan, aggregate
 /// throughput, and per-tenant rate→{throughput, p50/p95/p99}.
 pub fn report_to_json(rep: &FacilityReport) -> Json {
     let aggregate_mbs = if rep.makespan > 0.0 {
@@ -164,13 +164,43 @@ pub fn report_to_json(rep: &FacilityReport) -> Json {
         .with("tenants", tenants)
 }
 
-/// The whole sweep document: one entry per rate, one cell per QoS mode.
-pub fn sweep_to_json(jobs: usize, rates: &[usize], modes: &[QosMode], seed: u64) -> Json {
+/// `tenant_sweep`: one document entry per rate, one cell per QoS mode,
+/// with each cell's per-tenant table on stdout.
+pub fn run(args: &Args) -> Json {
+    let jobs = args.usize("jobs").max(1);
+    let seed = args.int("seed");
+    let modes: Vec<QosMode> = args.words("qos").map(parse_mode).collect();
+    eprintln!(
+        "tenant_sweep: {} tenants / {} ranks, {jobs} job(s) per tenant, seed {seed:#x}",
+        fleet(jobs, 0.0).len(),
+        fleet_ranks(jobs),
+    );
     let mut points = Vec::new();
-    for &rate in rates {
+    for rate in args.ints("rates") {
         let mut point = Json::obj().with("rate_hz", Json::num(rate as f64));
-        for &mode in modes {
+        for &mode in &modes {
             let rep = run_point(jobs, rate as f64, mode, 0.0, seed);
+            let agg = rep.total_bytes_written() as f64 / rep.makespan / 1.0e6;
+            println!(
+                "== rate {rate}/s  qos {}  makespan {:.3}s  aggregate {} MB/s",
+                mode_label(mode),
+                rep.makespan,
+                mbs(agg),
+            );
+            let mut table = Table::new(vec![
+                "tenant", "jobs", "thr MB/s", "p50 ms", "p95 ms", "p99 ms",
+            ]);
+            for t in &rep.tenants {
+                table.row(vec![
+                    t.name.clone(),
+                    t.jobs.to_string(),
+                    mbs(t.throughput_mbs),
+                    format!("{:.3}", t.p50_ns() as f64 / 1.0e6),
+                    format!("{:.3}", t.p95_ns() as f64 / 1.0e6),
+                    format!("{:.3}", t.p99_ns() as f64 / 1.0e6),
+                ]);
+            }
+            table.print();
             point.set(mode_label(mode), report_to_json(&rep));
         }
         points.push(point);
@@ -181,6 +211,31 @@ pub fn sweep_to_json(jobs: usize, rates: &[usize], modes: &[QosMode], seed: u64)
         .with("jobs_per_tenant", Json::num(jobs as f64))
         .with("seed", Json::num(seed as f64))
         .with("points", Json::Arr(points))
+}
+
+/// Coverage: the committed sweep spans the three offered rates under both
+/// scheduled disciplines, and every cell reports every fleet tenant's
+/// throughput and latency percentiles.
+pub fn claims(result: &Json) -> Result<(), String> {
+    let points = result.get("points").and_then(Json::as_arr).unwrap_or(&[]);
+    for rate in [10.0, 80.0, 640.0] {
+        let point = points
+            .iter()
+            .find(|p| p.get("rate_hz").and_then(Json::as_f64) == Some(rate))
+            .ok_or_else(|| format!("no point at {rate} jobs/s"))?;
+        for mode in ["fair", "fifo"] {
+            let tenants = point.get(mode).and_then(|c| c.get("tenants"));
+            for spec in fleet(1, 0.0) {
+                for leaf in ["throughput_mbs", "p50_ms", "p95_ms", "p99_ms"] {
+                    let v = tenants.and_then(|t| t.get(&spec.name)?.get(leaf)?.as_f64());
+                    if v.is_none() {
+                        return Err(format!("rate {rate} {mode}: {} has no {leaf}", spec.name));
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -202,7 +257,7 @@ mod tests {
 
     #[test]
     fn cell_json_carries_per_tenant_percentiles() {
-        let rep = run_point(1, 0.0, QosMode::FairShare, 0.0, SWEEP_SEED);
+        let rep = run_point(1, 0.0, QosMode::FairShare, 0.0, 7);
         let j = report_to_json(&rep);
         let ckpt = j.get("tenants").unwrap().get("ckpt").unwrap();
         assert!(ckpt.get("throughput_mbs").unwrap().as_f64().unwrap() > 0.0);

@@ -1,20 +1,24 @@
 //! Topology sweep: the Table II interleaved-arrays workload on a node
 //! topology, for TCIO, topology-blind OCIO, and OCIO with two-level
-//! intra-node aggregation (`topo_sweep` binary).
+//! intra-node aggregation (`topo_sweep`).
 //!
 //! Each cell runs dump-then-restart at a given `(nprocs, ppn)` placement
 //! and reports the per-phase virtual times plus the fabric's intra-/
 //! inter-node byte split — the quantity the two-level exchange moves:
 //! pre-aggregation converts inter-node bytes into cheap intra-node bytes
 //! and collapses the off-node message count to one per node pair.
+//!
+//! `ppn = 1` is the zero-cost-off placement: a trivial topology behaves
+//! bit-identically to no topology, so that column doubles as the flat
+//! baseline (and its `ocio`/`ocio_intra` rows must be identical).
 
 use crate::calib::Calib;
+use crate::registry::Args;
+use crate::report::Json;
+use crate::runner::{dump_restart, slowest, synth_params, tcio_config};
 use mpisim::Topology;
 use pfs::Pfs;
-use std::sync::Arc;
-use tcio::TcioConfig;
-use workloads::synthetic::{self, SynthParams};
-use workloads::WlError;
+use workloads::synthetic::Method;
 
 /// What runs inside a sweep cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,75 +69,135 @@ pub fn run_cell(
     len_virtual: usize,
     size_access: usize,
 ) -> TopoCell {
-    let len_real = (len_virtual as u64 / calib.scale_inv).max(1) as usize;
-    let len_real = len_real.div_ceil(size_access) * size_access;
-    let p = SynthParams::with_types("i,d", len_real, size_access).expect("valid params");
+    let p = synth_params(calib, len_virtual, size_access);
     let sim = mpisim::SimConfig {
         topology: Some(Topology::blocked(nprocs, ppn)),
         ..calib.sim_config_unbudgeted()
     };
     let fs = Pfs::new(nprocs, calib.pfs.clone()).expect("pfs config");
-    let seg = calib.segment_size;
-    let fs2 = Arc::clone(&fs);
-    let p2 = p.clone();
+    let tcfg = tcio_config(calib, &p, nprocs);
+    let ccfg = mpiio::CollectiveConfig {
+        intra_agg: variant == Variant::OcioIntra,
+        ..Default::default()
+    };
+    let method = match variant {
+        Variant::Tcio => Method::Tcio,
+        Variant::Ocio | Variant::OcioIntra => Method::Ocio,
+    };
     let rep = mpisim::run(nprocs, sim, move |rk| {
-        let base_tcfg =
-            TcioConfig::for_file_size_with_segment(p2.file_size(rk.nprocs()), rk.nprocs(), seg);
-        let tcfg = move || base_tcfg.clone();
-        let ccfg = mpiio::CollectiveConfig {
-            intra_agg: variant == Variant::OcioIntra,
-            ..Default::default()
-        };
-        let w = match variant {
-            Variant::Tcio => synthetic::write_tcio(rk, &fs2, &p2, "/topo", Some(tcfg())),
-            Variant::Ocio | Variant::OcioIntra => {
-                synthetic::write_ocio(rk, &fs2, &p2, "/topo", &ccfg)
-            }
-        }
-        .map_err(WlError::into_mpi)?;
-        let r = match variant {
-            Variant::Tcio => synthetic::read_tcio(rk, &fs2, &p2, "/topo", Some(tcfg())),
-            Variant::Ocio | Variant::OcioIntra => {
-                synthetic::read_ocio(rk, &fs2, &p2, "/topo", &ccfg)
-            }
-        }
-        .map_err(WlError::into_mpi)?;
-        Ok((w.elapsed, r.elapsed))
+        dump_restart(rk, &fs, &p, "/topo", method, &tcfg, &ccfg)
     })
     .expect("topo cell completes");
+    let (write_s, read_s) = slowest(rep.results.iter().copied());
     TopoCell {
         nprocs,
         ppn,
         variant,
-        write_s: rep.results.iter().map(|&(w, _)| w).fold(0.0f64, f64::max),
-        read_s: rep.results.iter().map(|&(_, r)| r).fold(0.0f64, f64::max),
+        write_s,
+        read_s,
         intra_bytes: rep.fabric.intra_bytes,
         inter_bytes: rep.fabric.inter_bytes,
     }
 }
 
-/// Deterministic JSON rendering of one cell — the regression guard
-/// compares this string verbatim against the committed baseline, so the
-/// format (field order, float precision) must stay stable.
-pub fn cell_to_json(c: &TopoCell) -> String {
-    format!(
-        "{{\"nprocs\": {}, \"ppn\": {}, \"variant\": \"{}\", \
-         \"write_s\": {:.9}, \"read_s\": {:.9}, \
-         \"intra_bytes\": {}, \"inter_bytes\": {}}}",
-        c.nprocs,
-        c.ppn,
-        c.variant.label(),
-        c.write_s,
-        c.read_s,
-        c.intra_bytes,
-        c.inter_bytes
-    )
+/// One cell of the document; times at nanosecond resolution.
+pub fn cell_to_json(c: &TopoCell) -> Json {
+    Json::obj()
+        .with("nprocs", Json::num(c.nprocs as f64))
+        .with("ppn", Json::num(c.ppn as f64))
+        .with("variant", Json::str(c.variant.label()))
+        .with("write_s", Json::nanos(c.write_s))
+        .with("read_s", Json::nanos(c.read_s))
+        .with("intra_bytes", Json::num(c.intra_bytes as f64))
+        .with("inter_bytes", Json::num(c.inter_bytes as f64))
 }
 
-/// The default sweep grid: every `ppn` from the list that fits `nprocs`
-/// with at least two nodes' worth of ranks, plus the trivial `ppn = 1`.
+/// The `ppn` values of the grid that fit `nprocs`.
 pub fn sweep_ppns(nprocs: usize, ppns: &[usize]) -> Vec<usize> {
     ppns.iter().copied().filter(|&p| p <= nprocs).collect()
+}
+
+/// `topo_sweep`: every `(procs, ppn)` placement of the grid for every
+/// variant, with a progress table on stderr.
+pub fn run(args: &Args) -> Json {
+    let (len, size_access) = (args.usize("len"), args.usize("size-access"));
+    let calib = Calib::paper(args.int("scale"));
+    let mut cells = Vec::new();
+    for nprocs in args.ints("procs") {
+        for ppn in sweep_ppns(nprocs, &args.ints("ppns")) {
+            for variant in Variant::ALL {
+                let c = run_cell(&calib, nprocs, ppn, variant, len, size_access);
+                eprintln!(
+                    "P={nprocs} ppn={ppn} {:>10}: write {:.6}s read {:.6}s \
+                     intra {}B inter {}B",
+                    variant.label(),
+                    c.write_s,
+                    c.read_s,
+                    c.intra_bytes,
+                    c.inter_bytes
+                );
+                cells.push(cell_to_json(&c));
+            }
+        }
+    }
+    Json::obj().with("cells", Json::Arr(cells))
+}
+
+/// The cell of a grid document (`topo_sweep` or `ablation_sweep`) whose
+/// string/number fields all match `want`.
+pub(crate) fn find_cell<'a>(doc: &'a Json, want: &[(&str, Json)]) -> Result<&'a Json, String> {
+    let cells = doc.get("cells").and_then(Json::as_arr).unwrap_or(&[]);
+    cells
+        .iter()
+        .find(|c| want.iter().all(|(k, v)| c.get(k) == Some(v)))
+        .ok_or_else(|| format!("grid has no cell with {want:?}"))
+}
+
+pub(crate) fn field(cell: &Json, key: &str) -> Result<f64, String> {
+    let v = cell.get(key).and_then(Json::as_f64);
+    v.ok_or_else(|| format!("cell has no numeric {key}"))
+}
+
+/// The committed grid covers every placement the evaluation quotes; the
+/// trivial topology is free; and past the per-rank connection cache (64)
+/// the two-level exchange wins: at 128 ranks x 16 ppn the flat burst
+/// thrashes connection setup and queues P-1 unexpected messages per rank
+/// while only node leaders stay on the wire, so the collective write must
+/// improve by at least 20% (it measures >2x).
+pub fn claims(result: &Json) -> Result<(), String> {
+    let cell = |nprocs: usize, ppn: usize, variant: &str| {
+        let want = [
+            ("nprocs", Json::num(nprocs as f64)),
+            ("ppn", Json::num(ppn as f64)),
+            ("variant", Json::str(variant)),
+        ];
+        find_cell(result, &want)
+    };
+    for nprocs in [1usize, 8, 32, 128] {
+        for ppn in sweep_ppns(nprocs, &[1, 4, 16]) {
+            for v in Variant::ALL {
+                let c = cell(nprocs, ppn, v.label())?;
+                field(c, "intra_bytes")?;
+                field(c, "inter_bytes")?;
+            }
+        }
+        for key in ["write_s", "read_s", "intra_bytes", "inter_bytes"] {
+            let (flat, two) = (cell(nprocs, 1, "ocio")?, cell(nprocs, 1, "ocio_intra")?);
+            if field(flat, key)? != field(two, key)? {
+                return Err(format!(
+                    "P={nprocs} ppn=1: ocio and ocio_intra differ in {key}"
+                ));
+            }
+        }
+    }
+    let flat = field(cell(128, 16, "ocio")?, "write_s")?;
+    let two = field(cell(128, 16, "ocio_intra")?, "write_s")?;
+    if two > 0.8 * flat {
+        return Err(format!(
+            "two-level write {two}s must be >=20% under flat {flat}s at 128x16"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -149,43 +213,8 @@ mod tests {
         assert!(cell.write_s > 0.0 && cell.read_s > 0.0);
         assert!(cell.intra_bytes > 0, "two-level must move intra bytes");
         let json = cell_to_json(&cell);
-        assert!(json.contains("\"variant\": \"ocio_intra\""));
-        assert!(json.contains("\"intra_bytes\""));
-    }
-
-    #[test]
-    fn single_rank_cells_are_deterministic() {
-        // The regression guard asserts exact equality against a committed
-        // baseline; this only holds if back-to-back runs agree to the bit.
-        // Single-rank cells are the only fully scheduler-independent ones
-        // (multi-rank timeline reservation order varies run to run), which
-        // is why the guard pins exactly these.
-        let calib = Calib::paper(1024);
-        for variant in Variant::ALL {
-            let a = cell_to_json(&run_cell(&calib, 1, 1, variant, 1 << 16, 1));
-            let b = cell_to_json(&run_cell(&calib, 1, 1, variant, 1 << 16, 1));
-            assert_eq!(a, b, "{} cell drifted between runs", variant.label());
-        }
-    }
-
-    #[test]
-    fn two_level_beats_flat_ocio_past_the_conn_cache() {
-        // The acceptance bar: at ppn = 16 with more ranks than the
-        // per-rank connection cache (64), the flat burst thrashes
-        // connection setup and queues P-1 unexpected messages per rank,
-        // while the two-level exchange keeps only node leaders on the
-        // wire. The interleaved-arrays collective write must improve by
-        // at least 20% (it measures >2x; the margin absorbs scheduler
-        // jitter in the virtual clocks).
-        let calib = Calib::paper(1024);
-        let flat = run_cell(&calib, 128, 16, Variant::Ocio, 1 << 16, 1);
-        let two = run_cell(&calib, 128, 16, Variant::OcioIntra, 1 << 16, 1);
-        assert!(
-            two.write_s <= 0.8 * flat.write_s,
-            "two-level write {}s must be >=20% under flat {}s",
-            two.write_s,
-            flat.write_s
-        );
+        assert_eq!(json.get("variant"), Some(&Json::str("ocio_intra")));
+        assert!(json.get("intra_bytes").is_some());
     }
 
     #[test]

@@ -78,12 +78,66 @@ pub struct CollectiveConfig {
     pub hedged_reads: bool,
 }
 
-/// An offset or length the exchange format carries as a `u32`.
-fn wire_u32(v: u64) -> Result<[u8; 4]> {
+/// An offset, length or rank the exchange formats carry as a `u32`.
+pub(crate) fn wire_u32(v: u64) -> Result<[u8; 4]> {
     match u32::try_from(v) {
         Ok(v) => Ok(v.to_le_bytes()),
         Err(_) => Err(IoError::Usage(format!("{v} overflows a 32-bit wire field"))),
     }
+}
+
+/// Bounds-checked reader over a received payload — the one way any
+/// exchange format in this crate is decoded. Every read either yields
+/// bytes that are really there or a typed `IoError::Usage`; nothing is
+/// sliced, added or allocated on the strength of a length field alone.
+pub(crate) struct Cursor<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Cursor { buf, pos: 0 }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pos == self.buf.len()
+    }
+
+    /// The next `n` bytes.
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
+        let end = end.ok_or_else(|| IoError::Usage("malformed exchange payload".into()))?;
+        let bytes = &self.buf[self.pos..end];
+        self.pos = end;
+        Ok(bytes)
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<usize> {
+        let b = self.take(4)?;
+        Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")) as usize)
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64> {
+        let b = self.take(8)?;
+        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
+    }
+
+    /// One `(id u32, len u32, bytes)` frame of a request-aggregation blob.
+    pub(crate) fn frame(&mut self) -> Result<(usize, &'a [u8])> {
+        let id = self.u32()?;
+        let len = self.u32()?;
+        Ok((id, self.take(len)?))
+    }
+}
+
+/// Append one `(id u32, len u32, bytes)` frame — [`Cursor::frame`]'s
+/// inverse.
+pub(crate) fn push_frame(blob: &mut Vec<u8>, id: usize, bytes: &[u8]) -> Result<()> {
+    blob.extend_from_slice(&wire_u32(id as u64)?);
+    blob.extend_from_slice(&wire_u32(bytes.len() as u64)?);
+    blob.extend_from_slice(bytes);
+    Ok(())
 }
 
 /// The list header both payload kinds share: a count, then one
@@ -102,24 +156,22 @@ fn encode_list(list: impl ExactSizeIterator<Item = (u64, u64)>, data: usize) -> 
     Ok(out)
 }
 
-/// Parse a list header; returns the `(file_off, len)` entries and the
-/// position just past them (nothing, for the empty payload). The count is
-/// checked against the buffer before anything is allocated for it.
-fn decode_list(buf: &[u8]) -> Result<(Vec<(u64, u64)>, usize)> {
-    if buf.is_empty() {
-        return Ok((Vec::new(), 0));
+/// Parse a list header; returns the `(file_off, len)` entries (nothing,
+/// for the empty payload) and leaves the cursor just past them. The count
+/// is checked against the buffer before anything is allocated for it.
+fn decode_list(cur: &mut Cursor<'_>) -> Result<Vec<(u64, u64)>> {
+    if cur.is_empty() {
+        return Ok(Vec::new());
     }
+    let n = cur.u32()?;
     let bad = || IoError::Usage("malformed exchange payload".into());
-    let count = buf.get(0..4).ok_or_else(bad)?;
-    let n = u32::from_le_bytes(count.try_into().expect("4-byte slice")) as usize;
-    let end = n.checked_mul(12).and_then(|m| m.checked_add(4));
-    let end = end.filter(|&e| e <= buf.len()).ok_or_else(bad)?;
-    let entries = buf[4..end].chunks_exact(12).map(|e| {
+    let entries = cur.take(n.checked_mul(12).ok_or_else(bad)?)?;
+    let entries = entries.chunks_exact(12).map(|e| {
         let off = u64::from_le_bytes(e[0..8].try_into().expect("8-byte slice"));
         let len = u32::from_le_bytes(e[8..12].try_into().expect("4-byte slice"));
         (off, len as u64)
     });
-    Ok((entries.collect(), end))
+    Ok(entries.collect())
 }
 
 /// Serialize a piece list `[(file_off, payload)]` for the exchange.
@@ -134,13 +186,11 @@ pub(crate) fn encode_pieces(pieces: &[(u64, &[u8])]) -> Result<Vec<u8>> {
 
 /// Decode a piece list; returns `(off, payload)` views into `buf`.
 pub(crate) fn decode_pieces(buf: &[u8]) -> Result<Vec<(u64, &[u8])>> {
-    let (meta, mut pos) = decode_list(buf)?;
+    let mut cur = Cursor::new(buf);
+    let meta = decode_list(&mut cur)?;
     let mut out = Vec::with_capacity(meta.len());
     for (off, len) in meta {
-        let end = pos.checked_add(len as usize).filter(|&e| e <= buf.len());
-        let end = end.ok_or_else(|| IoError::Usage("malformed exchange payload".into()))?;
-        out.push((off, &buf[pos..end]));
-        pos = end;
+        out.push((off, cur.take(len as usize)?));
     }
     Ok(out)
 }
@@ -151,10 +201,12 @@ pub(crate) fn encode_requests(reqs: &[(u64, u64)]) -> Result<Vec<u8>> {
 }
 
 pub(crate) fn decode_requests(buf: &[u8]) -> Result<Vec<(u64, u64)>> {
-    match decode_list(buf)? {
-        (reqs, end) if end == buf.len() => Ok(reqs),
-        _ => Err(IoError::Usage("malformed request payload".into())),
+    let mut cur = Cursor::new(buf);
+    let reqs = decode_list(&mut cur)?;
+    if !cur.is_empty() {
+        return Err(IoError::Usage("malformed request payload".into()));
     }
+    Ok(reqs)
 }
 
 /// The parts of a request's file `extents` (in stream order) that fall
@@ -328,6 +380,63 @@ mod tests {
             Err(IoError::Usage(_))
         ));
         assert!(encode_requests(&[(u64::MAX, u32::MAX as u64)]).is_ok());
+    }
+
+    /// Corrupt a valid encoding: truncate, extend, plant an all-ones
+    /// length field, or flip a bit — one to three times.
+    fn mutate(seed: &[u8], rng: &mut rand::rngs::StdRng) -> Vec<u8> {
+        use rand::RngExt;
+        let mut m = seed.to_vec();
+        for _ in 0..1 + rng.next_u64() % 3 {
+            let at = (rng.next_u64() % (m.len() as u64 + 1)) as usize;
+            match rng.next_u64() % 4 {
+                0 => m.truncate(at),
+                1 => m.extend_from_slice(&rng.next_u64().to_le_bytes()[..1 + at % 8]),
+                2 if at + 4 <= m.len() => m[at..at + 4].fill(0xff),
+                _ if at < m.len() => m[at] ^= 1 << (rng.next_u64() % 8),
+                _ => {}
+            }
+        }
+        m
+    }
+
+    /// The seeded mutate-and-decode loop over every wire format of the
+    /// crate — piece lists, request lists, request-aggregation frames and
+    /// serialized views: a corrupted payload decodes to a typed error or a
+    /// value, never a panic, and a decoded list never has more entries
+    /// than the input has bytes to describe them.
+    #[test]
+    fn every_decoder_is_total_on_mutated_payloads() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x2b);
+        let a = [7u8; 40];
+        let pieces = encode_pieces(&[(0, &a[..8]), (64, &a[..]), (1 << 40, &a[..1])]).unwrap();
+        let requests = encode_requests(&[(0, 8), (64, 40), (1 << 40, u32::MAX as u64)]).unwrap();
+        let mut frames = Vec::new();
+        push_frame(&mut frames, 3, &pieces).unwrap();
+        push_frame(&mut frames, 0, &[]).unwrap();
+        push_frame(&mut frames, 17, &requests).unwrap();
+        let etype = Datatype::named(Named::Int).commit();
+        let ftype = Datatype::vector(6, 2, 5, Datatype::named(Named::Int)).commit();
+        let view = crate::FileView::new(24, &etype, &ftype).unwrap();
+        let view = view.serialize().unwrap();
+        for seed in [pieces, requests, frames, view] {
+            for _ in 0..4000 {
+                let m = mutate(&seed, &mut rng);
+                if let Ok(list) = decode_pieces(&m) {
+                    assert!(4 + 12 * list.capacity() <= m.len().max(4));
+                }
+                if let Ok(list) = decode_requests(&m) {
+                    assert!(4 + 12 * list.capacity() <= m.len().max(4));
+                }
+                let mut cur = Cursor::new(&m);
+                while !cur.is_empty() && cur.frame().is_ok() {}
+                if let Ok(v) = crate::FileView::deserialize(&m) {
+                    assert_eq!(v.serialize().unwrap().len(), m.len());
+                    assert!(v.is_identity() || v.tile_size() > 0);
+                }
+            }
+        }
     }
 
     fn run_interleaved(

@@ -45,8 +45,10 @@
 //! case — are bit-identical to the flat burst, which is what the
 //! differential suite pins.
 
-use crate::collective::{decode_pieces, decode_requests, encode_pieces, encode_requests};
-use crate::error::Result;
+use crate::collective::{
+    decode_pieces, decode_requests, encode_pieces, encode_requests, push_frame, Cursor,
+};
+use crate::error::{IoError, Result};
 use crate::extents::ExtentSet;
 use mpisim::{MpiError, Phase, Rank, Tag};
 use std::collections::BTreeMap;
@@ -60,16 +62,6 @@ const TAG_RA_XNODE: Tag = 0x5241_0003;
 const TAG_RA_RESP_LOCAL: Tag = 0x5241_0004;
 const TAG_RA_RESP_X: Tag = 0x5241_0005;
 const TAG_RA_DOWN: Tag = 0x5241_0006;
-
-fn push_u32(buf: &mut Vec<u8>, v: usize) {
-    buf.extend_from_slice(&(v as u32).to_le_bytes());
-}
-
-fn read_u32(buf: &[u8], pos: &mut usize) -> usize {
-    let v = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().expect("u32 header")) as usize;
-    *pos += 4;
-    v
-}
 
 /// Receive from a fixed `(src, tag)`, treating a crashed peer as an empty
 /// message — the same graceful-degradation contract as the flat burst.
@@ -243,9 +235,7 @@ pub(crate) fn exchange_pieces(
         for &a in &plan.off_node_aggs {
             let p = std::mem::take(&mut payloads[a]);
             if !p.is_empty() {
-                push_u32(&mut up, a);
-                push_u32(&mut up, p.len());
-                up.extend_from_slice(&p);
+                push_frame(&mut up, a, &p)?;
             }
         }
         sends.push(rank.isend(plan.my_leader, TAG_RA_UP, &up)?);
@@ -264,15 +254,10 @@ pub(crate) fn exchange_pieces(
                 continue;
             }
             let up = recv_or_empty(rank, p, TAG_RA_UP)?;
-            let mut pos = 0;
-            while pos < up.len() {
-                let a = read_u32(&up, &mut pos);
-                let len = read_u32(&up, &mut pos);
-                contrib
-                    .entry(a)
-                    .or_default()
-                    .insert(p, up[pos..pos + len].to_vec());
-                pos += len;
+            let mut frames = Cursor::new(&up);
+            while !frames.is_empty() {
+                let (a, list) = frames.frame()?;
+                contrib.entry(a).or_default().insert(p, list.to_vec());
             }
         }
         for &a in &plan.off_node_aggs {
@@ -354,9 +339,7 @@ pub(crate) fn exchange_requests(
         for &a in &plan.off_node_aggs {
             let p = std::mem::take(&mut requests[a]);
             if !p.is_empty() {
-                push_u32(&mut up, a);
-                push_u32(&mut up, p.len());
-                up.extend_from_slice(&p);
+                push_frame(&mut up, a, &p)?;
             }
         }
         sends.push(rank.isend(plan.my_leader, TAG_RA_UP, &up)?);
@@ -375,13 +358,11 @@ pub(crate) fn exchange_requests(
                 continue;
             }
             let up = recv_or_empty(rank, p, TAG_RA_UP)?;
-            let mut pos = 0;
-            while pos < up.len() {
-                let a = read_u32(&up, &mut pos);
-                let len = read_u32(&up, &mut pos);
-                let reqs = decode_requests(&up[pos..pos + len])?;
+            let mut frames = Cursor::new(&up);
+            while !frames.is_empty() {
+                let (a, list) = frames.frame()?;
+                let reqs = decode_requests(list)?;
                 member_reqs.entry(a).or_default().insert(p, reqs);
-                pos += len;
             }
         }
         for &a in &plan.off_node_aggs {
@@ -518,10 +499,7 @@ pub(crate) fn exchange_responses(
                     if m == me {
                         answers[a] = bytes;
                     } else {
-                        let blob = down.entry(m).or_default();
-                        push_u32(blob, a);
-                        push_u32(blob, bytes.len());
-                        blob.extend_from_slice(&bytes);
+                        push_frame(down.entry(m).or_default(), a, &bytes)?;
                     }
                 }
             }
@@ -536,12 +514,13 @@ pub(crate) fn exchange_responses(
         }
     } else {
         let down = recv_or_empty(rank, plan.my_leader, TAG_RA_DOWN)?;
-        let mut pos = 0;
-        while pos < down.len() {
-            let a = read_u32(&down, &mut pos);
-            let len = read_u32(&down, &mut pos);
-            answers[a] = down[pos..pos + len].to_vec();
-            pos += len;
+        let mut frames = Cursor::new(&down);
+        while !frames.is_empty() {
+            let (a, bytes) = frames.frame()?;
+            let slot = answers.get_mut(a);
+            *slot.ok_or_else(|| {
+                IoError::Usage(format!("response for rank {a} of {me}'s world"))
+            })? = bytes.to_vec();
         }
     }
     rank.waitall(sends)?;

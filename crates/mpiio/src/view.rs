@@ -8,6 +8,7 @@
 //! then maps `(stream position, length)` ranges to absolute file extents in
 //! O(extents) time.
 
+use crate::collective::{wire_u32, Cursor};
 use crate::error::{IoError, Result};
 use mpisim::Committed;
 
@@ -153,43 +154,54 @@ impl FileView {
 
     /// Serialize for transmission (view-based collective I/O registers
     /// every rank's view at the aggregators once, instead of shipping
-    /// per-call offset lists).
-    pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(25 + self.tile.len() * 16);
+    /// per-call offset lists). Fails, rather than truncating, on a view
+    /// with more tile entries than the 32-bit count field can carry.
+    pub fn serialize(&self) -> Result<Vec<u8>> {
+        let mut out = Vec::with_capacity(21 + self.tile.len() * 16);
         out.extend_from_slice(&self.disp.to_le_bytes());
         out.extend_from_slice(&self.tile_extent.to_le_bytes());
         out.push(self.identity as u8);
-        out.extend_from_slice(&(self.tile.len() as u32).to_le_bytes());
+        out.extend_from_slice(&wire_u32(self.tile.len() as u64)?);
         for &(o, l) in &self.tile {
             out.extend_from_slice(&o.to_le_bytes());
             out.extend_from_slice(&l.to_le_bytes());
         }
-        out
+        Ok(out)
     }
 
-    /// Inverse of [`FileView::serialize`].
+    /// Inverse of [`FileView::serialize`], total on arbitrary bytes: the
+    /// entry count must account for the buffer exactly before anything is
+    /// allocated for it, and the entries must satisfy what
+    /// [`FileView::new`] guarantees — monotone extents whose sizes sum
+    /// without overflow, to a nonzero tile unless the view is the
+    /// identity.
     pub fn deserialize(buf: &[u8]) -> Result<FileView> {
         let bad = || IoError::Usage("malformed serialized view".into());
-        if buf.len() < 21 {
-            return Err(bad());
-        }
-        let disp = u64::from_le_bytes(buf[0..8].try_into().unwrap());
-        let tile_extent = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-        let identity = buf[16] != 0;
-        let n = u32::from_le_bytes(buf[17..21].try_into().unwrap()) as usize;
-        if buf.len() != 21 + n * 16 {
+        let mut cur = Cursor::new(buf);
+        let disp = cur.u64()?;
+        let tile_extent = cur.u64()?;
+        let identity = cur.take(1)?[0] != 0;
+        let n = cur.u32()?;
+        let entries = cur.take(n.checked_mul(16).ok_or_else(bad)?)?;
+        if !cur.is_empty() {
             return Err(bad());
         }
         let mut tile = Vec::with_capacity(n);
         let mut prefix = Vec::with_capacity(n);
-        let mut acc = 0u64;
-        for i in 0..n {
-            let at = 21 + i * 16;
-            let o = u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
-            let l = u64::from_le_bytes(buf[at + 8..at + 16].try_into().unwrap());
+        let (mut acc, mut last_end) = (0u64, 0u64);
+        for e in entries.chunks_exact(16) {
+            let o = u64::from_le_bytes(e[0..8].try_into().expect("8-byte slice"));
+            let l = u64::from_le_bytes(e[8..16].try_into().expect("8-byte slice"));
+            if o < last_end {
+                return Err(bad());
+            }
+            last_end = o.checked_add(l).ok_or_else(bad)?;
             tile.push((o, l));
             prefix.push(acc);
-            acc += l;
+            acc = acc.checked_add(l).ok_or_else(bad)?;
+        }
+        if acc == 0 && !identity {
+            return Err(bad());
         }
         Ok(FileView {
             disp,

@@ -46,7 +46,7 @@ impl RegisteredViews {
 /// `set_view`; re-call if views change). This is the one-time metadata
 /// exchange that per-call offset lists are traded against.
 pub fn register_views(rank: &mut Rank, file: &File) -> Result<RegisteredViews> {
-    let gathered = rank.allgather(&file.view().serialize())?;
+    let gathered = rank.allgather(&file.view().serialize()?)?;
     let views = gathered
         .iter()
         .map(|b| FileView::deserialize(b))
@@ -445,7 +445,7 @@ mod tests {
         let etype = Datatype::contiguous(12, Datatype::named(Named::Byte)).commit();
         let ftype = Datatype::vector(5, 1, 3, etype.datatype().clone()).commit();
         let v = FileView::new(24, &etype, &ftype).unwrap();
-        let w = FileView::deserialize(&v.serialize()).unwrap();
+        let w = FileView::deserialize(&v.serialize().unwrap()).unwrap();
         for (pos, len) in [(0u64, 60u64), (7, 13), (59, 1)] {
             assert_eq!(v.map_range(pos, len), w.map_range(pos, len));
         }

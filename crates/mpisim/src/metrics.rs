@@ -17,9 +17,8 @@
 //!
 //! Canonical naming: `<layer>_<field>[_total]` in `snake_case` —
 //! `mpisim_rank_crashes_total`, `pfs_transient_errors_total`,
-//! `tcio_l1_fallbacks_total`. The short legacy field names remain valid
-//! lookup keys through [`Registry::resolve`] (the compat shim: struct
-//! fields and old test spellings keep working).
+//! `tcio_l1_fallbacks_total`. Names are the only keys: there is no alias
+//! table, so a lookup is one `BTreeMap` probe.
 
 use crate::stats::RankStats;
 use std::collections::BTreeMap;
@@ -279,49 +278,6 @@ impl RankMetrics {
     }
 }
 
-/// Legacy (bare field) metric names and their canonical registry names —
-/// the compat shim that keeps the old spellings resolvable.
-pub const LEGACY_ALIASES: &[(&str, &str)] = &[
-    ("msgs_sent", "mpisim_msgs_sent_total"),
-    ("bytes_sent", "mpisim_bytes_sent_total"),
-    ("msgs_recvd", "mpisim_msgs_recvd_total"),
-    ("bytes_recvd", "mpisim_bytes_recvd_total"),
-    ("collectives", "mpisim_collectives_total"),
-    ("rma_epochs", "mpisim_rma_epochs_total"),
-    ("puts", "mpisim_puts_total"),
-    ("put_bytes", "mpisim_put_bytes_total"),
-    ("gets", "mpisim_gets_total"),
-    ("get_bytes", "mpisim_get_bytes_total"),
-    ("io_reads", "mpisim_io_reads_total"),
-    ("io_read_bytes", "mpisim_io_read_bytes_total"),
-    ("io_writes", "mpisim_io_writes_total"),
-    ("io_write_bytes", "mpisim_io_write_bytes_total"),
-    ("mem_peak", "mpisim_mem_peak_bytes"),
-    ("collective_wait", "mpisim_collective_wait_ns_total"),
-    ("io_overlap", "mpisim_io_overlap_ns_total"),
-    ("io_retries", "mpisim_io_retries_total"),
-    ("chaos_stalls", "mpisim_chaos_stalls_total"),
-    ("leader_fallbacks", "mpisim_leader_fallbacks_total"),
-    ("rank_crashes", "mpisim_rank_crashes_total"),
-    ("segments_recovered", "mpisim_segments_recovered_total"),
-    ("read_rpcs", "pfs_read_rpcs_total"),
-    ("write_rpcs", "pfs_write_rpcs_total"),
-    ("bytes_read", "pfs_bytes_read_total"),
-    ("bytes_written", "pfs_bytes_written_total"),
-    ("lock_transfers", "pfs_lock_transfers_total"),
-    ("transient_errors", "pfs_transient_errors_total"),
-    ("checksum_failures", "pfs_checksum_failures_total"),
-    ("scrub_repairs", "pfs_scrub_repairs_total"),
-    ("silent_corruptions", "pfs_silent_corruptions_total"),
-    ("flushes", "tcio_flushes_total"),
-    ("window_switches", "tcio_window_switches_total"),
-    ("loads", "tcio_loads_total"),
-    ("bytes_buffered", "tcio_bytes_buffered_total"),
-    ("read_requests", "tcio_read_requests_total"),
-    ("spills", "tcio_spills_total"),
-    ("l1_fallbacks", "tcio_l1_fallbacks_total"),
-];
-
 /// A deterministic collection of named counters and histograms.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
@@ -334,29 +290,16 @@ impl Registry {
         Registry::default()
     }
 
-    /// Canonical name for `name`: legacy bare field names map to their
-    /// `<layer>_<field>[_total]` spelling, canonical names pass through.
-    pub fn resolve(name: &str) -> &str {
-        LEGACY_ALIASES
-            .iter()
-            .find(|(legacy, _)| *legacy == name)
-            .map(|(_, canonical)| *canonical)
-            .unwrap_or(name)
-    }
-
     pub fn set_counter(&mut self, name: &str, value: u64) {
-        self.counters.insert(Self::resolve(name).to_string(), value);
+        self.counters.insert(name.to_string(), value);
     }
 
     pub fn add_counter(&mut self, name: &str, value: u64) {
-        *self
-            .counters
-            .entry(Self::resolve(name).to_string())
-            .or_insert(0) += value;
+        *self.counters.entry(name.to_string()).or_insert(0) += value;
     }
 
     pub fn insert_hist(&mut self, name: &str, hist: Hist) {
-        match self.hists.entry(Self::resolve(name).to_string()) {
+        match self.hists.entry(name.to_string()) {
             std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(&hist),
             std::collections::btree_map::Entry::Vacant(e) => {
                 e.insert(hist);
@@ -364,14 +307,12 @@ impl Registry {
         }
     }
 
-    /// Counter lookup; accepts legacy aliases.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.get(Self::resolve(name)).copied()
+        self.counters.get(name).copied()
     }
 
-    /// Histogram lookup; accepts legacy aliases.
     pub fn hist(&self, name: &str) -> Option<&Hist> {
-        self.hists.get(Self::resolve(name))
+        self.hists.get(name)
     }
 
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
@@ -547,32 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_aliases_resolve_to_canonical() {
-        assert_eq!(
-            Registry::resolve("rank_crashes"),
-            "mpisim_rank_crashes_total"
-        );
-        assert_eq!(Registry::resolve("l1_fallbacks"), "tcio_l1_fallbacks_total");
-        assert_eq!(
-            Registry::resolve("transient_errors"),
-            "pfs_transient_errors_total"
-        );
-        assert_eq!(
-            Registry::resolve("segments_recovered"),
-            "mpisim_segments_recovered_total"
-        );
-        // Canonical names pass through untouched.
-        assert_eq!(
-            Registry::resolve("pfs_transient_errors_total"),
-            "pfs_transient_errors_total"
-        );
-        let mut reg = Registry::new();
-        reg.set_counter("rank_crashes", 2);
-        assert_eq!(reg.counter("rank_crashes"), Some(2));
-        assert_eq!(reg.counter("mpisim_rank_crashes_total"), Some(2));
-    }
-
-    #[test]
     fn json_and_prometheus_are_deterministic() {
         let mut reg = Registry::new();
         reg.set_counter("b_metric_total", 2);
@@ -640,7 +555,7 @@ mod tests {
         let mut reg = Registry::new();
         reg.export_rank_stats(&agg);
         assert_eq!(reg.counter("mpisim_rank_crashes_total"), Some(1));
-        assert_eq!(reg.counter("segments_recovered"), Some(5));
+        assert_eq!(reg.counter("mpisim_segments_recovered_total"), Some(5));
         assert_eq!(reg.counter("mpisim_msgs_sent_total"), Some(7));
     }
 }

@@ -2,14 +2,17 @@
 //!
 //! Resources in the cost model (NIC ports, RMA lock tokens, OSTs, client
 //! links) serialize work in *virtual* time. A naive `busy_until` scalar is
-//! order-sensitive: on a machine with few cores, one rank thread can run
-//! far ahead in *real* time, booking thousands of short reservations
-//! spread across virtual time; a peer that arrives later in real time —
-//! but whose requests are *earlier* in virtual time — would then queue
-//! behind the last booking, serializing ranks that a real machine would
-//! interleave. A [`Timeline`] keeps the actual busy intervals and lets a
-//! reservation backfill the earliest gap that fits, making the outcome
-//! (nearly) independent of thread scheduling.
+//! order-sensitive. The event core *schedules* ranks in clock order — the
+//! runnable rank with the smallest virtual clock goes next — but a running
+//! rank *books* ahead of its clock: between two yields it reserves every
+//! stripe of a large write, every hop of a gathered put, at instants well
+//! past the clock it was scheduled at. The rank scheduled after it has an
+//! earlier clock than those bookings, so its requests are *earlier* in
+//! virtual time than reservations already made; behind a scalar it would
+//! queue after the last of them, serializing ranks that a real machine
+//! interleaves. A [`Timeline`] keeps the actual busy intervals and lets a
+//! reservation backfill the earliest gap that fits, so the outcome depends
+//! on when work is due in virtual time, not on which rank booked first.
 
 /// A set of disjoint busy intervals on the virtual-time axis.
 #[derive(Debug)]

@@ -242,7 +242,7 @@ pub fn write_tcio(
         cfg.unwrap_or_else(|| TcioConfig::for_file_size(p.file_size(rank.nprocs()), rank.nprocs()));
     let (metrics, ()) = timed(rank, p.bytes_per_rank(), |rk| {
         // [program3-begin] — the I/O-essential lines of the paper's
-        // Program 3, counted by `bench --bin table3_effort`.
+        // Program 3, counted by `bench table3_effort`.
         let mut f = TcioFile::open(rk, pfs, path, TcioMode::Write, cfg)?;
         for a in 0..p.accesses() {
             // Program 3 line 3a: pos = rank·bs + access·bs·P
@@ -335,7 +335,7 @@ pub fn write_ocio(
     let nprocs = rank.nprocs();
     let (metrics, ()) = timed(rank, p.bytes_per_rank(), |rk| {
         // [program2-begin] — the I/O-essential lines of the paper's
-        // Program 2, counted by `bench --bin table3_effort`.
+        // Program 2, counted by `bench table3_effort`.
         // Steps 1–2: the application-level combine buffer (an extra copy of
         // the whole per-rank dataset — the memory cost OCIO imposes).
         let _combine_mem = rk.alloc(p.bytes_per_rank())?;

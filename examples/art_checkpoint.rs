@@ -81,6 +81,6 @@ fn main() {
     );
     println!(
         "(tiny demo problem — the speedup here is inflated; the calibrated Fig. 9/10 numbers \
-         come from `cargo run -p bench --bin fig9_10_art`)"
+         come from `cargo run -p bench -- fig9_10_art`)"
     );
 }

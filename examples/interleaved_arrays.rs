@@ -72,6 +72,6 @@ fn main() {
     println!(
         "note the programming-effort difference: workloads::synthetic::write_ocio \
          needs the combine buffer + 2 datatypes + a file view; write_tcio is a plain loop \
-         (run `cargo run -p bench --bin table3_effort` for the measured LoC comparison)"
+         (run `cargo run -p bench -- table3_effort` for the measured LoC comparison)"
     );
 }

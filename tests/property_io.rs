@@ -9,7 +9,9 @@
 //! * lazy TCIO reads return exactly the bytes of the file model;
 //! * the two-phase collective write equals the model too;
 //! * datatype pack→unpack is the identity on the type's footprint;
-//! * the file view maps ranges exactly like a naive per-byte walk.
+//! * the file view maps ranges exactly like a naive per-byte walk;
+//! * the text parsers (fault plans, bench documents) are total on
+//!   mutated input.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -1076,4 +1078,86 @@ fn hedged_read_flag_without_health_layer_is_bit_identical() {
         assert_eq!(off.1, on.1, "seed {seed}: clocks changed with the flag");
         assert_eq!(off.2, on.2, "seed {seed}: bytes changed with the flag");
     }
+}
+
+/// ROADMAP 2b, the text half of the mutate-and-decode loop (the binary
+/// codecs are fuzzed inside `mpiio`): every committed fault plan and every
+/// committed bench document is corrupted — truncated, spliced with
+/// structural characters, digits swapped for huge exponents — and parsed.
+/// The parsers return a typed error or a value, never panic, and what
+/// they build is bounded by the input: a plan has at most one fault per
+/// line, a document at most one leaf per byte.
+#[test]
+fn text_parsers_are_total_on_mutated_inputs() {
+    const SPLICE: &[&str] = &[
+        "[[", "]]", "[", "{", "\"", "\\u", "=", ",", "1e999", "-", "\n", "é",
+    ];
+    fn mutate(seed: &str, rng: &mut StdRng) -> String {
+        let mut m: Vec<char> = seed.chars().collect();
+        for _ in 0..pick(rng, 1, 4) {
+            let at = pick(rng, 0, m.len() as u64 + 1) as usize;
+            match pick(rng, 0, 3) {
+                0 => m.truncate(at),
+                1 => {
+                    let piece = SPLICE[pick(rng, 0, SPLICE.len() as u64) as usize];
+                    m.splice(at..at, piece.chars());
+                }
+                _ if at < m.len() => drop(m.remove(at)),
+                _ => {}
+            }
+        }
+        m.into_iter().collect()
+    }
+    fn committed(dir: &str, ext: &str) -> Vec<String> {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
+        let files = std::fs::read_dir(&dir).expect("committed directory");
+        let paths = files.map(|f| f.expect("dir entry").path());
+        let texts = paths.filter(|p| p.extension().is_some_and(|e| e == ext));
+        texts
+            .map(|p| std::fs::read_to_string(p).expect("readable"))
+            .collect()
+    }
+    let mut rng = StdRng::seed_from_u64(0x2b);
+    let plans = committed("plans", "toml");
+    assert!(plans.len() >= 11, "one plan per fault family");
+    for seed in &plans {
+        chaos::FaultPlan::parse(seed).expect("committed plans parse");
+        for _ in 0..300 {
+            let m = mutate(seed, &mut rng);
+            if let Ok(plan) = chaos::FaultPlan::parse(&m) {
+                assert!(plan.faults.len() <= m.lines().count(), "{m}");
+            }
+        }
+    }
+    // A document's skeleton has every construct the full grid repeats:
+    // keep the first element of each array and six keys of each object.
+    fn skeleton(j: &bench::Json) -> bench::Json {
+        use bench::Json::{Arr, Obj};
+        match j {
+            Arr(items) => Arr(items.iter().take(1).map(skeleton).collect()),
+            Obj(pairs) => {
+                let kept = pairs.iter().take(6);
+                Obj(kept.map(|(k, v)| (k.clone(), skeleton(v))).collect())
+            }
+            leaf => leaf.clone(),
+        }
+    }
+    let docs = committed("bench_results", "json");
+    assert_eq!(docs.len(), 6, "the six gated baselines");
+    let mut survived = 0;
+    for text in &docs {
+        let seed = skeleton(&bench::Json::parse(text).expect("committed documents parse"));
+        for _ in 0..300 {
+            let m = mutate(&seed.render(), &mut rng);
+            if let Ok(doc) = bench::Json::parse(&m) {
+                survived += 1;
+                assert!(doc.leaves().len() <= m.len(), "{m}");
+                assert_eq!(bench::Json::parse(&doc.render()), Ok(doc));
+            }
+        }
+    }
+    assert!(
+        survived > 50,
+        "mutations that still parse exercise the value path"
+    );
 }
