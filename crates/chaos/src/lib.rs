@@ -31,6 +31,8 @@
 //! Plans come from the [`FaultPlan`] builder API or from a TOML-subset
 //! text format (see [`FaultPlan::parse`]).
 
+#![forbid(unsafe_code)]
+
 mod plan;
 
 pub use plan::PlanError;

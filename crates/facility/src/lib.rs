@@ -23,6 +23,8 @@
 //! same seed, same report — bit for bit — because the facility always
 //! runs on the serial event core ([`mpisim::Backend::Event`]).
 
+#![forbid(unsafe_code)]
+
 pub mod arrivals;
 pub mod burst;
 pub mod job;

@@ -31,6 +31,8 @@
 //! off the span instrumentation labels, mirroring the cost taxonomy of the
 //! TCIO paper's evaluation.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 

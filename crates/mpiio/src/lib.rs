@@ -14,6 +14,8 @@
 //!
 //! See `DESIGN.md` at the repository root for the experiment map.
 
+#![forbid(unsafe_code)]
+
 pub mod collective;
 pub mod error;
 pub mod extents;

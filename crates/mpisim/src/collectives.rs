@@ -10,15 +10,14 @@
 //! *generation*, which doubles as a collectively-agreed identifier (used to
 //! key window creation and shared-state registries).
 
-use parking_lot::{Condvar, Mutex};
-#[cfg(test)]
-use std::sync::atomic::{AtomicBool, Ordering};
+use parking_lot::Mutex;
 use std::sync::Arc;
 
+/// Nothing blocks here: a depositor that is not the last parks in the
+/// event core and polls its generation when woken (see `runtime.rs`).
 #[derive(Debug)]
 pub(crate) struct Rendezvous {
     inner: Mutex<RvState>,
-    cv: Condvar,
 }
 
 #[derive(Debug)]
@@ -82,17 +81,12 @@ impl Rendezvous {
                 result_max_rank: usize::MAX,
                 dead: vec![false; n],
             }),
-            cv: Condvar::new(),
         }
     }
 
-    pub(crate) fn interrupt(&self) {
-        self.cv.notify_all();
-    }
-
     /// Publish the in-flight generation: dead ranks' slots become empty
-    /// payloads, waiters are released, and the next generation opens.
-    fn publish(st: &mut RvState, cv: &Condvar) -> RvResult {
+    /// payloads and the next generation opens.
+    fn publish(st: &mut RvState) -> RvResult {
         let my_gen = st.gen;
         let payloads: Vec<Vec<u8>> = st
             .slots
@@ -107,7 +101,6 @@ impl Rendezvous {
         st.arrived = 0;
         st.max_t = f64::NEG_INFINITY;
         st.max_rank = usize::MAX;
-        cv.notify_all();
         RvResult {
             payloads: Arc::clone(&st.result),
             max_t: st.result_max,
@@ -129,9 +122,7 @@ impl Rendezvous {
         }
         st.dead[rank] = true;
         if st.complete() {
-            Self::publish(&mut st, &self.cv);
-        } else {
-            self.cv.notify_all();
+            Self::publish(&mut st);
         }
     }
 
@@ -155,7 +146,7 @@ impl Rendezvous {
         }
         if st.complete() {
             // Last (surviving) arrival: publish and open the next generation.
-            Deposit::Complete(Self::publish(&mut st, &self.cv))
+            Deposit::Complete(Self::publish(&mut st))
         } else {
             Deposit::Waiting { gen: my_gen }
         }
@@ -179,41 +170,6 @@ impl Rendezvous {
             })
         } else {
             None
-        }
-    }
-
-    /// Enter the collective with `payload` at virtual time `t`, blocking
-    /// on the condvar until the generation completes. Returns `None` if
-    /// the simulation aborts while waiting. Standalone reference path for
-    /// the runtime's deposit/poll/park loop; exercised only by unit tests
-    /// now that all ranks run under the event loop.
-    #[cfg(test)]
-    pub(crate) fn enter(
-        &self,
-        me: usize,
-        payload: Vec<u8>,
-        t: f64,
-        abort: &AtomicBool,
-    ) -> Option<RvResult> {
-        let my_gen = match self.deposit(me, payload, t) {
-            Deposit::Complete(r) => return Some(r),
-            Deposit::Waiting { gen } => gen,
-        };
-        let mut st = self.inner.lock();
-        loop {
-            if st.gen > my_gen {
-                debug_assert_eq!(st.done_gen, my_gen);
-                return Some(RvResult {
-                    payloads: Arc::clone(&st.result),
-                    max_t: st.result_max,
-                    max_rank: st.result_max_rank,
-                    gen: my_gen,
-                });
-            }
-            if abort.load(Ordering::SeqCst) {
-                return None;
-            }
-            self.cv.wait(&mut st);
         }
     }
 }
@@ -240,7 +196,33 @@ pub fn log2ceil(n: usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
+
+    /// Deposit for `ranks` in the order given; everyone but the last must
+    /// be told to wait on the same generation, and the last completes it.
+    fn run_generation(rv: &Rendezvous, entries: &[(usize, Vec<u8>, f64)]) -> RvResult {
+        let (last, waiters) = entries.split_last().unwrap();
+        let mut gens = Vec::new();
+        for (me, payload, t) in waiters {
+            match rv.deposit(*me, payload.clone(), *t) {
+                Deposit::Waiting { gen } => {
+                    assert!(rv.poll(gen).is_none(), "not published yet");
+                    gens.push(gen);
+                }
+                Deposit::Complete(_) => panic!("rank {me} completed early"),
+            }
+        }
+        let (me, payload, t) = last;
+        let Deposit::Complete(done) = rv.deposit(*me, payload.clone(), *t) else {
+            panic!("last arrival must complete the generation");
+        };
+        for gen in gens {
+            assert_eq!(gen, done.gen);
+            let seen = rv.poll(gen).expect("published for every waiter");
+            assert_eq!(seen.payloads, done.payloads);
+            assert_eq!((seen.max_t, seen.max_rank), (done.max_t, done.max_rank));
+        }
+        done
+    }
 
     #[test]
     fn log2ceil_values() {
@@ -254,134 +236,86 @@ mod tests {
 
     #[test]
     fn rendezvous_gathers_payloads_and_max_time() {
-        let rv = Arc::new(Rendezvous::new(4));
-        let abort = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for me in 0..4 {
-            let rv = Arc::clone(&rv);
-            let abort = Arc::clone(&abort);
-            handles.push(thread::spawn(move || {
-                rv.enter(me, vec![me as u8], me as f64, &abort).unwrap()
-            }));
-        }
-        for h in handles {
-            let r = h.join().unwrap();
-            assert_eq!(r.max_t, 3.0);
-            assert_eq!(r.max_rank, 3);
-            assert_eq!(r.gen, 0);
-            for (i, p) in r.payloads.iter().enumerate() {
-                assert_eq!(p, &vec![i as u8]);
-            }
+        let rv = Rendezvous::new(4);
+        // Arrival order is not rank order.
+        let entries: Vec<_> = [2usize, 0, 3, 1]
+            .iter()
+            .map(|&me| (me, vec![me as u8], me as f64))
+            .collect();
+        let r = run_generation(&rv, &entries);
+        assert_eq!(r.max_t, 3.0);
+        assert_eq!(r.max_rank, 3);
+        assert_eq!(r.gen, 0);
+        for (i, p) in r.payloads.iter().enumerate() {
+            assert_eq!(p, &vec![i as u8]);
         }
     }
 
     #[test]
     fn straggler_ties_break_to_lowest_rank() {
         // All ranks enter with the same clock; the straggler must be rank 0
-        // regardless of thread arrival order.
-        for _ in 0..20 {
-            let rv = Arc::new(Rendezvous::new(4));
-            let abort = Arc::new(AtomicBool::new(false));
-            let mut handles = Vec::new();
-            for me in 0..4 {
-                let rv = Arc::clone(&rv);
-                let abort = Arc::clone(&abort);
-                handles.push(thread::spawn(move || {
-                    rv.enter(me, Vec::new(), 7.5, &abort).unwrap()
-                }));
-            }
-            for h in handles {
-                let r = h.join().unwrap();
-                assert_eq!(r.max_rank, 0);
-                assert_eq!(r.max_t, 7.5);
-            }
+        // whatever the arrival order.
+        for order in [[0usize, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2]] {
+            let rv = Rendezvous::new(4);
+            let entries: Vec<_> = order.iter().map(|&me| (me, Vec::new(), 7.5)).collect();
+            let r = run_generation(&rv, &entries);
+            assert_eq!(r.max_rank, 0, "order {order:?}");
+            assert_eq!(r.max_t, 7.5);
         }
     }
 
     #[test]
     fn consecutive_generations_do_not_mix() {
-        let rv = Arc::new(Rendezvous::new(2));
-        let abort = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
-        for me in 0..2usize {
-            let rv = Arc::clone(&rv);
-            let abort = Arc::clone(&abort);
-            handles.push(thread::spawn(move || {
-                let mut gens = Vec::new();
-                for round in 0..50u8 {
-                    let r = rv
-                        .enter(me, vec![round, me as u8], round as f64, &abort)
-                        .unwrap();
-                    assert_eq!(r.payloads[0][0], round);
-                    assert_eq!(r.payloads[1][0], round);
-                    gens.push(r.gen);
-                }
-                gens
-            }));
+        let rv = Rendezvous::new(2);
+        for round in 0..50u8 {
+            // Alternate who arrives first.
+            let (a, b) = if round % 2 == 0 { (0, 1) } else { (1, 0) };
+            let r = run_generation(
+                &rv,
+                &[
+                    (a, vec![round, a as u8], round as f64),
+                    (b, vec![round, b as u8], round as f64),
+                ],
+            );
+            assert_eq!(r.gen, round as u64);
+            assert_eq!(*r.payloads, vec![vec![round, 0], vec![round, 1]]);
         }
-        let a = handles.pop().unwrap().join().unwrap();
-        let b = handles.pop().unwrap().join().unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, (0..50).collect::<Vec<u64>>());
     }
 
     #[test]
     fn dead_rank_releases_survivors_with_empty_slot() {
-        let rv = Arc::new(Rendezvous::new(3));
-        let abort = Arc::new(AtomicBool::new(false));
-        let mut handles = Vec::new();
+        let rv = Rendezvous::new(3);
+        let mut gens = Vec::new();
         for me in 0..2usize {
-            let rv = Arc::clone(&rv);
-            let abort = Arc::clone(&abort);
-            handles.push(thread::spawn(move || {
-                rv.enter(me, vec![me as u8 + 1], me as f64, &abort).unwrap()
-            }));
+            match rv.deposit(me, vec![me as u8 + 1], me as f64) {
+                Deposit::Waiting { gen } => gens.push(gen),
+                Deposit::Complete(_) => panic!("rank 2 has not arrived"),
+            }
         }
-        thread::sleep(std::time::Duration::from_millis(20));
         // Rank 2 dies instead of arriving: the generation completes for
         // the survivors, with an empty payload in the dead slot.
         rv.mark_dead(2);
-        for h in handles {
-            let r = h.join().unwrap();
+        for gen in gens {
+            let r = rv.poll(gen).expect("death completed the generation");
             assert_eq!(r.max_t, 1.0, "max over survivors only");
-            assert_eq!(&*r.payloads[2], &[] as &[u8]);
-            assert_eq!(&*r.payloads[0], &[1]);
+            assert_eq!(*r.payloads, vec![vec![1], vec![2], vec![]]);
         }
         // Later generations keep completing without the dead rank.
-        let abort2 = AtomicBool::new(false);
-        let rv2 = Arc::clone(&rv);
-        let h = thread::spawn(move || {
-            let abort = AtomicBool::new(false);
-            rv2.enter(1, vec![9], 5.0, &abort).unwrap()
-        });
-        let r = rv.enter(0, vec![8], 4.0, &abort2).unwrap();
+        let r = run_generation(&rv, &[(1, vec![9], 5.0), (0, vec![8], 4.0)]);
+        assert_eq!(r.gen, 1);
         assert_eq!(r.max_t, 5.0);
-        assert_eq!(&*r.payloads[2], &[] as &[u8]);
-        h.join().unwrap();
+        assert_eq!(*r.payloads, vec![vec![8], vec![9], vec![]]);
     }
 
     #[test]
     fn dead_before_anyone_arrives_still_completes() {
         let rv = Rendezvous::new(2);
-        let abort = AtomicBool::new(false);
+        rv.mark_dead(1);
+        // Marking twice changes nothing.
         rv.mark_dead(1);
         // A singleton "collective" among the survivors completes inline.
-        let r = rv.enter(0, vec![7], 2.0, &abort).unwrap();
-        assert_eq!(&*r.payloads[0], &[7]);
-        assert_eq!(&*r.payloads[1], &[] as &[u8]);
+        let r = run_generation(&rv, &[(0, vec![7], 2.0)]);
+        assert_eq!(*r.payloads, vec![vec![7], vec![]]);
         assert_eq!(r.max_t, 2.0);
-    }
-
-    #[test]
-    fn abort_releases_waiters() {
-        let rv = Arc::new(Rendezvous::new(2));
-        let abort = Arc::new(AtomicBool::new(false));
-        let rv2 = Arc::clone(&rv);
-        let ab2 = Arc::clone(&abort);
-        let h = thread::spawn(move || rv2.enter(0, Vec::new(), 0.0, &ab2));
-        thread::sleep(std::time::Duration::from_millis(20));
-        abort.store(true, Ordering::SeqCst);
-        rv.interrupt();
-        assert!(h.join().unwrap().is_none());
     }
 }

@@ -79,16 +79,6 @@ impl Hist {
         self.sum = self.sum.saturating_add(v);
     }
 
-    /// Rebuild from raw parts (e.g. from an atomic mirror kept in another
-    /// crate). `count`/`sum` are trusted as the totals of `buckets`.
-    pub fn from_raw(buckets: [u64; HIST_BUCKETS], count: u64, sum: u64) -> Hist {
-        Hist {
-            buckets,
-            count,
-            sum,
-        }
-    }
-
     pub fn count(&self) -> u64 {
         self.count
     }

@@ -16,14 +16,12 @@
 //!    flight in the same virtual-time neighbourhood, modelling fabric/switch
 //!    contention during synchronized communication bursts.
 //!
-//! All bookkeeping is in *virtual seconds*; wall-clock thread scheduling only
-//! affects the order in which reservations are made, which introduces jitter
-//! comparable to real-machine noise.
+//! All bookkeeping is in *virtual seconds*, and reservations are made in the
+//! deterministic order the event core runs the ranks in.
 
 use crate::timeline::Timeline;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Tunable constants of the network model. All times are seconds, all
@@ -125,49 +123,22 @@ pub struct Transfer {
     pub sender_done: f64,
 }
 
-/// Aggregate fabric statistics (monotonic counters).
-#[derive(Debug, Default)]
-pub struct FabricStats {
-    pub messages: AtomicU64,
-    pub bytes: AtomicU64,
-    pub conn_misses: AtomicU64,
-    /// Transfers that saw a congestion multiplier > 1.
-    pub congested_transfers: AtomicU64,
-    /// Transfers that stayed on a node (loopback, or co-located ranks
-    /// under a non-trivial topology).
-    pub intra_messages: AtomicU64,
-    pub intra_bytes: AtomicU64,
-    /// Transfers that crossed a NIC.
-    pub inter_messages: AtomicU64,
-    pub inter_bytes: AtomicU64,
-}
-
-/// Snapshot of [`FabricStats`] for reports.
+/// Aggregate fabric statistics (monotonic counters), as of
+/// [`Fabric::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FabricStatsSnapshot {
     pub messages: u64,
     pub bytes: u64,
     pub conn_misses: u64,
+    /// Transfers that saw a congestion multiplier > 1.
     pub congested_transfers: u64,
+    /// Transfers that stayed on a node (loopback, or co-located ranks
+    /// under a non-trivial topology).
     pub intra_messages: u64,
     pub intra_bytes: u64,
+    /// Transfers that crossed a NIC.
     pub inter_messages: u64,
     pub inter_bytes: u64,
-}
-
-impl FabricStats {
-    pub fn snapshot(&self) -> FabricStatsSnapshot {
-        FabricStatsSnapshot {
-            messages: self.messages.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            conn_misses: self.conn_misses.load(Ordering::Relaxed),
-            congested_transfers: self.congested_transfers.load(Ordering::Relaxed),
-            intra_messages: self.intra_messages.load(Ordering::Relaxed),
-            intra_bytes: self.intra_bytes.load(Ordering::Relaxed),
-            inter_messages: self.inter_messages.load(Ordering::Relaxed),
-            inter_bytes: self.inter_bytes.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// A tiny LRU set of peer ranks (linear scan; capacities are small).
@@ -216,7 +187,7 @@ struct Inflight {
 
 impl Inflight {
     /// Most recent transfers remembered for overlap counting. Virtual time
-    /// is not monotone across threads (gap backfill), so the window is
+    /// is not monotone across ranks (gap backfill), so the window is
     /// bounded by count, not by time.
     const WINDOW: usize = 2048;
 
@@ -236,43 +207,43 @@ impl Inflight {
 }
 
 /// The shared fabric: NIC reservations, connection caches, congestion state.
+///
+/// Everything that changes after construction is one plain `State`
+/// behind one mutex; every public method locks once. The event core runs
+/// one rank at a time, so the lock is never contended — it is a real
+/// `Mutex` because that is what keeps the fabric `Sync` without `unsafe`
+/// on the OS-thread substrate.
 pub struct Fabric {
     cfg: NetConfig,
-    tx_busy: Vec<Mutex<Timeline>>,
-    rx_busy: Vec<Mutex<Timeline>>,
-    conns: Vec<Mutex<LruSet>>,
-    inflight: Mutex<Inflight>,
-    /// Fault-injection engine (message-delay spikes, connection flushes).
-    chaos: Option<Arc<chaos::ChaosEngine>>,
     /// Node topology, kept only when non-trivial (a trivial topology is
     /// bit-identical to none — see [`crate::topology`]). When present,
     /// off-node traffic serializes on per-*node* NIC timelines and
     /// co-located ranks use the intra-node cost model.
     topology: Option<crate::topology::Topology>,
-    /// Per-node NIC timelines, indexed by node (only when `topology` set).
-    node_tx: Vec<Mutex<Timeline>>,
-    node_rx: Vec<Mutex<Timeline>>,
-    pub stats: FabricStats,
+    /// Fault-injection engine (message-delay spikes, connection flushes).
+    chaos: Option<Arc<chaos::ChaosEngine>>,
+    state: Mutex<State>,
 }
 
-/// Reserve `dur` seconds on a port timeline, starting no earlier than
-/// `earliest`. Returns the granted start time (gap backfill makes this
-/// insensitive to real thread scheduling order — see [`Timeline`]).
-fn reserve(slot: &Mutex<Timeline>, earliest: f64, dur: f64) -> f64 {
-    slot.lock().reserve(earliest, dur)
+fn assert_send_sync<T: Send + Sync>() {}
+/// The fabric is shared by OS threads on the thread substrate; that must
+/// follow from the fields (one real lock), never from an `unsafe impl`.
+const _: fn() = assert_send_sync::<Fabric>;
+
+struct State {
+    /// NIC port timelines, indexed by [`Fabric::port`]: one pair per node
+    /// under an active topology, else one pair per rank.
+    tx: Vec<Timeline>,
+    rx: Vec<Timeline>,
+    /// Per-rank connection caches.
+    conns: Vec<LruSet>,
+    inflight: Inflight,
+    stats: FabricStatsSnapshot,
 }
 
 impl Fabric {
     pub fn new(nprocs: usize, cfg: NetConfig) -> Self {
-        Fabric::new_with_chaos(nprocs, cfg, None)
-    }
-
-    pub fn new_with_chaos(
-        nprocs: usize,
-        cfg: NetConfig,
-        chaos: Option<Arc<chaos::ChaosEngine>>,
-    ) -> Self {
-        Fabric::new_full(nprocs, cfg, chaos, None)
+        Fabric::new_full(nprocs, cfg, None, None)
     }
 
     pub fn new_full(
@@ -283,23 +254,17 @@ impl Fabric {
     ) -> Self {
         // A trivial topology (ppn = 1) must be indistinguishable from none.
         let topology = topology.filter(|t| !t.is_trivial());
-        let num_nodes = topology.as_ref().map_or(0, |t| t.num_nodes());
+        let ports = topology.as_ref().map_or(nprocs, |t| t.num_nodes());
         Fabric {
-            tx_busy: (0..nprocs).map(|_| Mutex::new(Timeline::new())).collect(),
-            rx_busy: (0..nprocs).map(|_| Mutex::new(Timeline::new())).collect(),
-            conns: (0..nprocs)
-                .map(|_| Mutex::new(LruSet::new(cfg.conn_cache)))
-                .collect(),
-            inflight: Mutex::new(Inflight::default()),
+            state: Mutex::new(State {
+                tx: (0..ports).map(|_| Timeline::new()).collect(),
+                rx: (0..ports).map(|_| Timeline::new()).collect(),
+                conns: (0..nprocs).map(|_| LruSet::new(cfg.conn_cache)).collect(),
+                inflight: Inflight::default(),
+                stats: FabricStatsSnapshot::default(),
+            }),
             chaos,
-            node_tx: (0..num_nodes)
-                .map(|_| Mutex::new(Timeline::new()))
-                .collect(),
-            node_rx: (0..num_nodes)
-                .map(|_| Mutex::new(Timeline::new()))
-                .collect(),
             topology,
-            stats: FabricStats::default(),
             cfg,
         }
     }
@@ -313,6 +278,11 @@ impl Fabric {
         self.topology.as_ref()
     }
 
+    /// Message counters so far.
+    pub fn stats(&self) -> FabricStatsSnapshot {
+        self.state.lock().stats
+    }
+
     /// Does a `src → dst` transfer stay on one node? (Loopback always
     /// does; otherwise only co-located ranks under an active topology.)
     pub fn is_intra(&self, src: usize, dst: usize) -> bool {
@@ -323,34 +293,13 @@ impl Fabric {
                 .is_some_and(|t| t.colocated(src, dst))
     }
 
-    fn count_level(&self, intra: bool, bytes: usize) {
-        if intra {
-            self.stats.intra_messages.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .intra_bytes
-                .fetch_add(bytes as u64, Ordering::Relaxed);
-        } else {
-            self.stats.inter_messages.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .inter_bytes
-                .fetch_add(bytes as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Transmit port for `src`: the node NIC under an active topology,
-    /// else the rank's own port.
-    fn tx_port(&self, src: usize) -> &Mutex<Timeline> {
+    /// Index of `rank`'s NIC port pair: its node under an active
+    /// topology, else the rank itself. Also the index fault plans name
+    /// link endpoints by.
+    fn port(&self, rank: usize) -> usize {
         match &self.topology {
-            Some(t) => &self.node_tx[t.node_of(src)],
-            None => &self.tx_busy[src],
-        }
-    }
-
-    /// Receive port for `dst` (see [`Fabric::tx_port`]).
-    fn rx_port(&self, dst: usize) -> &Mutex<Timeline> {
-        match &self.topology {
-            Some(t) => &self.node_rx[t.node_of(dst)],
-            None => &self.rx_busy[dst],
+            Some(t) => t.node_of(rank),
+            None => rank,
         }
     }
 
@@ -364,10 +313,18 @@ impl Fabric {
     /// connection setup, no NIC serialization, no congestion), and
     /// off-node transfers serialize on the *node* NIC ports.
     pub fn transfer(&self, src: usize, dst: usize, bytes: usize, start: f64) -> Transfer {
-        self.stats.messages.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        st.stats.messages += 1;
+        st.stats.bytes += bytes as u64;
         let intra = self.is_intra(src, dst);
-        self.count_level(intra, bytes);
+        if intra {
+            st.stats.intra_messages += 1;
+            st.stats.intra_bytes += bytes as u64;
+        } else {
+            st.stats.inter_messages += 1;
+            st.stats.inter_bytes += bytes as u64;
+        }
 
         if src == dst {
             let done = start + self.cfg.send_overhead + bytes as f64 * self.cfg.memcpy_byte_time;
@@ -386,21 +343,19 @@ impl Fabric {
             };
         }
 
-        let conn = {
-            let mut cache = self.conns[src].lock();
-            if let Some(engine) = &self.chaos {
-                let gen = engine.conn_flush_generation(start);
-                if gen > cache.flush_gen {
-                    cache.entries.clear();
-                    cache.flush_gen = gen;
-                }
+        let cache = &mut st.conns[src];
+        if let Some(engine) = &self.chaos {
+            let gen = engine.conn_flush_generation(start);
+            if gen > cache.flush_gen {
+                cache.entries.clear();
+                cache.flush_gen = gen;
             }
-            if cache.touch(dst) {
-                0.0
-            } else {
-                self.stats.conn_misses.fetch_add(1, Ordering::Relaxed);
-                self.cfg.conn_setup
-            }
+        }
+        let conn = if cache.touch(dst) {
+            0.0
+        } else {
+            st.stats.conn_misses += 1;
+            self.cfg.conn_setup
         };
 
         let ready = start + self.cfg.send_overhead + conn;
@@ -408,17 +363,14 @@ impl Fabric {
         // Congestion: effective per-byte time grows with the number of
         // transfers in flight around `ready`.
         let base_dur = bytes as f64 * self.cfg.byte_time;
-        let overlap = {
-            let mut inflight = self.inflight.lock();
-            inflight.overlap_and_record(ready, ready, ready + base_dur)
-        };
+        let overlap = st
+            .inflight
+            .overlap_and_record(ready, ready, ready + base_dur);
         let excess = overlap.saturating_sub(self.cfg.congestion_free);
         let factor = 1.0
             + self.cfg.congestion_coeff * excess as f64 / (self.cfg.congestion_free.max(1) as f64);
         if excess > 0 {
-            self.stats
-                .congested_transfers
-                .fetch_add(1, Ordering::Relaxed);
+            st.stats.congested_transfers += 1;
         }
         let mut dur = base_dur * factor;
 
@@ -427,24 +379,21 @@ impl Fabric {
         // transfer could start) so the factor does not depend on the port
         // reservation it is about to influence. Without a topology every
         // rank is its own node, so the plan's node indices are rank indices.
+        let (src_port, dst_port) = (self.port(src), self.port(dst));
         if let Some(engine) = &self.chaos {
             if engine.any_link_degrade() {
-                let (sn, dn) = match &self.topology {
-                    Some(t) => (t.node_of(src), t.node_of(dst)),
-                    None => (src, dst),
-                };
-                dur *= engine.link_factor(sn, dn, ready);
+                dur *= engine.link_factor(src_port, dst_port, ready);
             }
         }
 
-        let tx_start = reserve(self.tx_port(src), ready, dur);
+        let tx_start = st.tx[src_port].reserve(ready, dur);
         // Injected in-network delay: evaluated at the transmit instant, paid
         // on the wire between the two NICs (the sender is not held up).
         let delay = match &self.chaos {
             Some(engine) => engine.message_delay(tx_start),
             None => 0.0,
         };
-        let rx_start = reserve(self.rx_port(dst), tx_start + self.cfg.latency + delay, dur);
+        let rx_start = st.rx[dst_port].reserve(tx_start + self.cfg.latency + delay, dur);
         Transfer {
             arrival: rx_start + dur,
             sender_done: tx_start + dur,
@@ -452,15 +401,17 @@ impl Fabric {
     }
 
     /// Reserve the receive port of `dst` directly (used by RMA puts whose
-    /// payload is applied eagerly but whose cost must still queue).
+    /// payload is applied eagerly but whose cost must still queue). Gap
+    /// backfill makes the granted start independent of which rank booked
+    /// first — see [`Timeline`].
     pub fn reserve_rx(&self, dst: usize, earliest: f64, dur: f64) -> f64 {
-        reserve(self.rx_port(dst), earliest, dur)
+        self.state.lock().rx[self.port(dst)].reserve(earliest, dur)
     }
 
     /// Reserve the transmit port of `src` directly (used by RMA gets, where
     /// the data flows target → origin).
     pub fn reserve_tx(&self, src: usize, earliest: f64, dur: f64) -> f64 {
-        reserve(self.tx_port(src), earliest, dur)
+        self.state.lock().tx[self.port(src)].reserve(earliest, dur)
     }
 }
 
@@ -582,7 +533,7 @@ mod tests {
             congested = congested.max(t.arrival - 100.0);
         }
         assert!(
-            f.stats.congested_transfers.load(Ordering::Relaxed) > 0,
+            f.stats().congested_transfers > 0,
             "burst should trip the congestion term"
         );
         // A lone transfer in a quiet period is faster.
@@ -600,7 +551,7 @@ mod tests {
             from: 0.0,
             until: 1e9,
         });
-        let f = Fabric::new_with_chaos(4, NetConfig::default(), Some(plan.build().unwrap()));
+        let f = Fabric::new_full(4, NetConfig::default(), Some(plan.build().unwrap()), None);
         let h = fabric(4);
         let bytes = 1 << 20;
         // Warm connections on both fabrics so setup doesn't pollute timing.
@@ -632,7 +583,7 @@ mod tests {
         let f = fabric(4);
         f.transfer(0, 1, 100, 0.0);
         f.transfer(2, 3, 50, 0.0);
-        let s = f.stats.snapshot();
+        let s = f.stats();
         assert_eq!(s.messages, 2);
         assert_eq!(s.bytes, 150);
         assert_eq!(s.inter_messages, 2);
@@ -660,7 +611,7 @@ mod tests {
             let b = topo.transfer(src, dst, bytes, start);
             assert_eq!(a, b, "{src}->{dst}");
         }
-        assert_eq!(flat.stats.snapshot(), topo.stats.snapshot());
+        assert_eq!(flat.stats(), topo.stats());
     }
 
     #[test]
@@ -676,7 +627,7 @@ mod tests {
         let expect_done = 3.0 + cfg.send_overhead + (1 << 20) as f64 * cfg.intra_byte_time;
         assert!((t.sender_done - expect_done).abs() < 1e-12);
         assert!((t.arrival - (expect_done + cfg.intra_latency)).abs() < 1e-12);
-        let s = f.stats.snapshot();
+        let s = f.stats();
         assert_eq!(s.conn_misses, 0, "shared memory needs no connection");
         assert_eq!(s.intra_messages, 1);
         assert_eq!(s.intra_bytes, 1 << 20);
@@ -709,7 +660,7 @@ mod tests {
             last_topo >= last_flat + dur * 0.9,
             "{last_topo} vs {last_flat}"
         );
-        let s = topo.stats.snapshot();
+        let s = topo.stats();
         assert_eq!(s.inter_messages, 2);
         assert_eq!(s.intra_messages, 0);
     }

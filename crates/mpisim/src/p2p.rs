@@ -11,9 +11,7 @@
 //! non-overtaking between a given pair (enforced with per-envelope sequence
 //! numbers).
 
-use parking_lot::{Condvar, Mutex};
-#[cfg(test)]
-use std::sync::atomic::{AtomicBool, Ordering};
+use parking_lot::Mutex;
 
 /// Message tag. Wildcards are expressed with `Option` at the receive side.
 pub type Tag = u64;
@@ -29,11 +27,12 @@ pub(crate) struct Envelope {
     pub span: Option<u64>,
 }
 
-/// One rank's incoming-message queue.
+/// One rank's incoming-message queue. Nothing blocks here: a receiver
+/// that finds no match parks in the event core, and the sender's push is
+/// followed by a wake of the destination rank (see `runtime.rs`).
 #[derive(Debug, Default)]
 pub(crate) struct Mailbox {
     inner: Mutex<MailboxInner>,
-    cv: Condvar,
 }
 
 #[derive(Debug, Default)]
@@ -78,21 +77,6 @@ impl Mailbox {
             seq,
             span,
         });
-        self.cv.notify_all();
-    }
-
-    /// Wake any blocked receivers (used on abort).
-    pub(crate) fn interrupt(&self) {
-        self.cv.notify_all();
-    }
-
-    /// Wake blocked receivers, synchronizing with the mailbox lock so a
-    /// flag stored immediately before this call is visible to any receiver
-    /// that re-checks under the lock (no lost wakeup). Used when a rank is
-    /// marked crash-stopped.
-    pub(crate) fn interrupt_sync(&self) {
-        let _guard = self.inner.lock();
-        self.cv.notify_all();
     }
 
     /// Try to claim the best matching envelope without blocking. The
@@ -135,74 +119,6 @@ impl Mailbox {
             e.arrival <= now && src.is_none_or(|s| e.src == s) && tag.is_none_or(|t| e.tag == t)
         })
     }
-
-    /// Block until a matching envelope arrives or `abort` is raised.
-    /// Returns `None` on abort. Condvar-based standalone path, kept (with
-    /// [`Mailbox::recv_blocking_or_dead`]) as the reference semantics the
-    /// runtime's park-based loop must mirror; exercised only by unit
-    /// tests now that all ranks run under the event loop.
-    #[cfg(test)]
-    pub(crate) fn recv_blocking(
-        &self,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        abort: &AtomicBool,
-    ) -> Option<Received> {
-        self.recv_blocking_or_dead(src, tag, abort, None).ok()
-    }
-
-    /// [`Mailbox::recv_blocking`] with crash awareness: when the receive
-    /// names a specific source and `src_dead` reads true with no matching
-    /// message pending, return [`RecvFail::SrcDead`] instead of blocking
-    /// forever. Messages the source sent *before* crashing still match and
-    /// are delivered first.
-    #[cfg(test)]
-    pub(crate) fn recv_blocking_or_dead(
-        &self,
-        src: Option<usize>,
-        tag: Option<Tag>,
-        abort: &AtomicBool,
-        src_dead: Option<&AtomicBool>,
-    ) -> Result<Received, RecvFail> {
-        loop {
-            if let Some(r) = self.try_match(src, tag) {
-                return Ok(r);
-            }
-            if abort.load(Ordering::SeqCst) {
-                return Err(RecvFail::Aborted);
-            }
-            if src_dead.is_some_and(|d| d.load(Ordering::SeqCst)) {
-                return Err(RecvFail::SrcDead);
-            }
-            let mut inner = self.inner.lock();
-            // Re-check under the lock to avoid a lost wakeup between
-            // try_match and wait.
-            let has_match = inner
-                .queue
-                .iter()
-                .any(|e| src.is_none_or(|s| e.src == s) && tag.is_none_or(|t| e.tag == t));
-            if has_match {
-                continue;
-            }
-            if abort.load(Ordering::SeqCst) {
-                return Err(RecvFail::Aborted);
-            }
-            if src_dead.is_some_and(|d| d.load(Ordering::SeqCst)) {
-                return Err(RecvFail::SrcDead);
-            }
-            self.cv.wait(&mut inner);
-        }
-    }
-}
-
-/// Why a blocking receive returned without a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RecvFail {
-    /// The simulation aborted while waiting.
-    Aborted,
-    /// The named source has crash-stopped and no matching message is
-    /// pending — it will never arrive.
-    SrcDead,
 }
 
 /// Handle for a nonblocking operation, completed via `Rank::wait` /
@@ -225,90 +141,55 @@ mod tests {
     #[test]
     fn fifo_between_pair_by_arrival() {
         let mb = Mailbox::default();
-        let abort = AtomicBool::new(false);
         mb.push(0, 7, vec![1], 2.0, None);
         mb.push(0, 7, vec![2], 1.0, None);
         // Earlier arrival wins even if pushed later.
-        let r = mb.recv_blocking(Some(0), Some(7), &abort).unwrap();
+        let r = mb.try_match(Some(0), Some(7)).unwrap();
         assert_eq!(r.data, vec![2]);
-        let r = mb.recv_blocking(Some(0), Some(7), &abort).unwrap();
+        assert_eq!(r.queue_depth, 2, "depth counted before the claim");
+        let r = mb.try_match(Some(0), Some(7)).unwrap();
         assert_eq!(r.data, vec![1]);
+        assert!(mb.try_match(Some(0), Some(7)).is_none(), "queue drained");
     }
 
     #[test]
     fn equal_arrival_ties_break_by_sequence() {
         let mb = Mailbox::default();
-        let abort = AtomicBool::new(false);
         mb.push(0, 7, vec![1], 1.0, None);
         mb.push(0, 7, vec![2], 1.0, None);
-        let r = mb.recv_blocking(Some(0), Some(7), &abort).unwrap();
+        let r = mb.try_match(Some(0), Some(7)).unwrap();
         assert_eq!(r.data, vec![1], "non-overtaking order must hold");
     }
 
     #[test]
     fn wildcard_source_and_tag() {
         let mb = Mailbox::default();
-        let abort = AtomicBool::new(false);
         mb.push(3, 9, vec![42], 1.0, None);
-        let r = mb.recv_blocking(None, None, &abort).unwrap();
+        let r = mb.try_match(None, None).unwrap();
         assert_eq!(r.src, 3);
         assert_eq!(r.tag, 9);
+        assert!((r.arrival - 1.0).abs() < f64::EPSILON);
     }
 
     #[test]
     fn tag_filtering_skips_nonmatching() {
         let mb = Mailbox::default();
-        let abort = AtomicBool::new(false);
         mb.push(0, 1, vec![1], 0.5, None);
         mb.push(0, 2, vec![2], 1.0, None);
-        let r = mb.recv_blocking(Some(0), Some(2), &abort).unwrap();
+        let r = mb.try_match(Some(0), Some(2)).unwrap();
         assert_eq!(r.data, vec![2]);
+        assert!(mb.try_match(Some(1), None).is_none(), "no such source");
+        assert_eq!(mb.try_match(None, Some(1)).unwrap().data, vec![1]);
     }
 
     #[test]
-    fn abort_unblocks_receiver() {
-        use std::sync::Arc;
-        let mb = Arc::new(Mailbox::default());
-        let abort = Arc::new(AtomicBool::new(false));
-        let mb2 = Arc::clone(&mb);
-        let ab2 = Arc::clone(&abort);
-        let h = std::thread::spawn(move || mb2.recv_blocking(Some(0), Some(1), &ab2));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        abort.store(true, Ordering::SeqCst);
-        mb.interrupt();
-        assert!(h.join().unwrap().is_none());
-    }
-
-    #[test]
-    fn dead_source_fails_receive_but_delivers_prior_messages() {
+    fn probe_sees_only_messages_that_have_arrived() {
         let mb = Mailbox::default();
-        let abort = AtomicBool::new(false);
-        let dead = AtomicBool::new(true);
         mb.push(0, 1, vec![5], 0.5, None);
-        // A message sent before the crash is still delivered.
-        let r = mb
-            .recv_blocking_or_dead(Some(0), Some(1), &abort, Some(&dead))
-            .unwrap();
-        assert_eq!(r.data, vec![5]);
-        // Nothing more will ever come: fail instead of blocking forever.
-        let e = mb
-            .recv_blocking_or_dead(Some(0), Some(1), &abort, Some(&dead))
-            .unwrap_err();
-        assert_eq!(e, RecvFail::SrcDead);
-    }
-
-    #[test]
-    fn blocked_receiver_wakes_on_push() {
-        use std::sync::Arc;
-        let mb = Arc::new(Mailbox::default());
-        let abort = Arc::new(AtomicBool::new(false));
-        let mb2 = Arc::clone(&mb);
-        let ab2 = Arc::clone(&abort);
-        let h = std::thread::spawn(move || mb2.recv_blocking(None, None, &ab2));
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        mb.push(1, 1, vec![7], 3.0, None);
-        let r = h.join().unwrap().unwrap();
-        assert_eq!(r.data, vec![7]);
-        assert!((r.arrival - 3.0).abs() < f64::EPSILON);
+        assert!(!mb.has_match(Some(0), Some(1), 0.25), "still in flight");
+        assert!(mb.has_match(Some(0), Some(1), 0.5));
+        assert!(!mb.has_match(Some(0), Some(2), 9.0), "wrong tag");
+        assert!(!mb.has_match(Some(1), None, 9.0), "wrong source");
+        assert!(mb.has_match(None, None, 9.0));
     }
 }

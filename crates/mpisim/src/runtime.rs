@@ -32,7 +32,7 @@ use crate::event::EventCore;
 use crate::fiber::{Substrate, Task};
 use crate::mem::{MemGuard, MemState, MemTracker};
 use crate::net::{Fabric, FabricStatsSnapshot, NetConfig};
-use crate::p2p::{Mailbox, Received, RecvFail, Request, Tag};
+use crate::p2p::{Mailbox, Received, Request, Tag};
 use crate::rma::{Epoch, LockKind, WinShared, Window};
 use crate::stats::RankStats;
 use crate::subcomm::{SplitRegistry, SubComm};
@@ -184,10 +184,6 @@ impl Shared {
 
     fn raise_abort(&self) {
         self.abort.store(true, Ordering::SeqCst);
-        for mb in &self.mailboxes {
-            mb.interrupt();
-        }
-        self.rendezvous.interrupt();
         self.core.wake_all();
     }
 
@@ -197,9 +193,6 @@ impl Shared {
     /// simulation keeps running — only this rank is gone.
     fn mark_dead(&self, rank: usize) {
         self.dead[rank].store(true, Ordering::SeqCst);
-        for mb in &self.mailboxes {
-            mb.interrupt_sync();
-        }
         self.rendezvous.mark_dead(rank);
         // The death may have completed a rendezvous generation or freed a
         // receiver blocked on this rank; let every parked task re-check
@@ -612,15 +605,7 @@ impl Rank {
         // pending) fails typed instead of hanging forever. Wildcard
         // receives cannot know which sender they wait for and rely on the
         // abort path.
-        let r = match self.blocking_recv(src, tag) {
-            Ok(r) => r,
-            Err(RecvFail::Aborted) => return Err(MpiError::Aborted),
-            Err(RecvFail::SrcDead) => {
-                return Err(MpiError::PeerCrashed {
-                    rank: src.expect("dead-source receive names its source"),
-                })
-            }
-        };
+        let r = self.blocking_recv(src, tag)?;
         let cfg = self.shared.fabric.config();
         // Completion: reconcile with the arrival, pay the receive overhead,
         // and pay the unexpected-queue matching cost for every message that
@@ -676,28 +661,23 @@ impl Rank {
         Ok(out)
     }
 
-    /// A blocking receive against this rank's mailbox. Predicate order
-    /// (match, then abort, then dead source) mirrors the historical
-    /// condvar path; the task parks instead of waiting, and a mailbox
-    /// push, abort, or rank death wakes it for the re-check. One-at-a-
-    /// time execution makes the check-then-park sequence atomic — no
-    /// lost wakeups.
-    fn blocking_recv(
-        &self,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> std::result::Result<Received, RecvFail> {
-        let src_dead = src.map(|s| &self.shared.dead[s]);
+    /// A blocking receive against this rank's mailbox. Predicates are
+    /// checked in the order match, abort, dead source — so a message the
+    /// source sent before crashing is still delivered — and then the task
+    /// parks; a mailbox push, abort, or rank death wakes it for the
+    /// re-check. One-at-a-time execution makes the check-then-park
+    /// sequence atomic — no lost wakeups.
+    fn blocking_recv(&self, src: Option<usize>, tag: Option<Tag>) -> Result<Received> {
         let mailbox = &self.shared.mailboxes[self.id];
         loop {
             if let Some(r) = mailbox.try_match(src, tag) {
                 return Ok(r);
             }
             if self.shared.abort.load(Ordering::SeqCst) {
-                return Err(RecvFail::Aborted);
+                return Err(MpiError::Aborted);
             }
-            if src_dead.is_some_and(|d| d.load(Ordering::SeqCst)) {
-                return Err(RecvFail::SrcDead);
+            if let Some(rank) = src.filter(|&s| self.shared.dead[s].load(Ordering::SeqCst)) {
+                return Err(MpiError::PeerCrashed { rank });
             }
             self.shared.core.park(self.id, self.clock);
         }
@@ -2013,7 +1993,7 @@ where
         clocks,
         makespan,
         stats,
-        fabric: shared.fabric.stats.snapshot(),
+        fabric: shared.fabric.stats(),
         traces,
         metrics,
     })
@@ -2053,6 +2033,36 @@ mod tests {
         assert!(rep.makespan > 0.0);
         assert_eq!(rep.aggregate_stats().msgs_sent, 1);
         assert_eq!(rep.aggregate_stats().bytes_recvd, 3);
+    }
+
+    #[test]
+    fn receive_from_a_crashed_rank_delivers_what_it_sent_first() {
+        let engine = chaos::FaultPlan::new(3)
+            .with(chaos::Fault::RankCrash { rank: 1, at: 0.5 })
+            .build()
+            .unwrap();
+        let sim = SimConfig {
+            chaos: Some(engine),
+            ..cfg()
+        };
+        let rep = run(2, sim, |rk| {
+            if rk.rank() == 1 {
+                rk.send(0, 1, &[5])?;
+                rk.advance(1.0); // past the crash instant
+                let crashed = rk.send(0, 1, &[6]);
+                assert_eq!(crashed, Err(MpiError::RankCrashed { rank: 1 }));
+                return Ok(Vec::new());
+            }
+            // The message sent before the crash is still delivered; after
+            // it nothing more will ever come, and the receive fails typed
+            // instead of parking forever.
+            let first = rk.recv(Some(1), Some(1))?.data;
+            let second = rk.recv(Some(1), Some(1));
+            assert_eq!(second.err(), Some(MpiError::PeerCrashed { rank: 1 }));
+            Ok(first)
+        })
+        .unwrap();
+        assert_eq!(rep.results[0], vec![5]);
     }
 
     #[test]

@@ -2,14 +2,13 @@
 //!
 //! The build environment has no registry access, so the workspace vendors
 //! the tiny slice of `parking_lot` it actually uses as a local crate with
-//! the same package name — `use parking_lot::{Mutex, RwLock, Condvar}`
+//! the same package name — `use parking_lot::{Mutex, Condvar}`
 //! keeps working unchanged throughout the tree.
 //!
 //! Semantics preserved from the real crate:
 //!
-//! - `Mutex::lock`, `RwLock::read`/`write` return guards directly (no
-//!   `Result`); poisoning is transparently ignored, matching parking_lot's
-//!   no-poisoning behaviour.
+//! - `Mutex::lock` returns its guard directly (no `Result`); poisoning is
+//!   transparently ignored, matching parking_lot's no-poisoning behaviour.
 //! - `Condvar::wait(&mut MutexGuard)` atomically releases and reacquires
 //!   the mutex in place.
 
@@ -121,81 +120,6 @@ impl fmt::Debug for Condvar {
     }
 }
 
-/// Reader-writer lock. Like [`Mutex`], guards come back directly and
-/// poisoning is ignored.
-#[derive(Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    pub const fn new(value: T) -> Self {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.inner.fmt(f)
-    }
-}
-
-/// Shared-read RAII guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-/// Exclusive-write RAII guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,18 +132,6 @@ mod tests {
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
         assert_eq!(m.into_inner(), 42);
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2]);
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!(a.len() + b.len(), 4);
-        }
-        l.write().push(3);
-        assert_eq!(l.read().len(), 3);
     }
 
     #[test]

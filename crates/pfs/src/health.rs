@@ -33,16 +33,14 @@
 //!   cannot storm an already-sick server.
 //!
 //! Everything here is bookkeeping over deterministic virtual-time
-//! observations made under the event core's single-runner invariant, so
-//! runs are bit-identical across repeats and backends. When no health
-//! layer is attached every hook in the cost model is one `None` check —
-//! the zero-cost-off contract shared with chaos and QoS.
+//! observations: plain `&mut self` state owned by the file system and
+//! reached under its one lock, so runs are bit-identical across repeats
+//! and backends. When no health layer is attached every hook in the cost
+//! model is one `None` check, as with chaos and QoS.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use mpisim::metrics::{Hist, HIST_BUCKETS};
-use parking_lot::Mutex;
+use mpisim::metrics::Hist;
 
 /// Tuning knobs for the gray-failure defense layer. The defaults are
 /// sized for the simulated testbed's sub-millisecond service times.
@@ -165,9 +163,7 @@ struct OstHealth {
     /// Times this OST's breaker tripped open.
     opens: u64,
     /// Client-perceived piece latency histogram (ns, log2 buckets).
-    lat_raw: [u64; HIST_BUCKETS],
-    lat_count: u64,
-    lat_sum_ns: u64,
+    lat: Hist,
 }
 
 impl OstHealth {
@@ -178,21 +174,24 @@ impl OstHealth {
             samples: 0,
             err_times: Vec::new(),
             opens: 0,
-            lat_raw: [0; HIST_BUCKETS],
-            lat_count: 0,
-            lat_sum_ns: 0,
+            lat: Hist::default(),
         }
     }
 
-    fn observe_latency(&mut self, secs: f64) {
-        let ns = (secs.max(0.0) * 1e9) as u64;
-        self.lat_raw[Hist::bucket_index(ns)] += 1;
-        self.lat_count += 1;
-        self.lat_sum_ns += ns;
+    /// Lazily advance `Open → HalfOpen` when the quarantine has expired,
+    /// then report the state.
+    fn breaker(&mut self, now: f64) -> Breaker {
+        if let Breaker::Open { until } = self.state {
+            if now >= until {
+                self.state = Breaker::HalfOpen;
+            }
+        }
+        self.state
     }
 
-    fn hist(&self) -> Hist {
-        Hist::from_raw(self.lat_raw, self.lat_count, self.lat_sum_ns)
+    fn trip(&mut self, until: f64) {
+        self.state = Breaker::Open { until };
+        self.opens += 1;
     }
 }
 
@@ -248,100 +247,79 @@ pub(crate) struct HedgeQuote {
 
 /// The attached gray-failure defense layer of one [`crate::Pfs`].
 #[derive(Debug)]
-pub struct Health {
+pub(crate) struct Health {
     cfg: HealthConfig,
-    osts: Vec<Mutex<OstHealth>>,
+    osts: Vec<OstHealth>,
     /// Degraded-mode striping: `(file, stripe) → holder OST` for extents
     /// written while their home OST's breaker was open. Cost-plane only —
     /// file bytes live in one authoritative buffer, which is what makes
     /// post-rebuild read-back bit-identical by construction.
-    reloc: Mutex<HashMap<(u32, u64), usize>>,
+    reloc: HashMap<(u32, u64), usize>,
     /// Per-client hedge token buckets.
-    budgets: Mutex<HashMap<usize, f64>>,
-    hedges_issued: AtomicU64,
-    hedge_wins: AtomicU64,
-    hedge_waste: AtomicU64,
-    breaker_opens: AtomicU64,
-    probes: AtomicU64,
-    degraded_writes: AtomicU64,
-    degraded_bytes: AtomicU64,
-    rebuilt_extents: AtomicU64,
-    rebuilt_bytes: AtomicU64,
+    budgets: HashMap<usize, f64>,
+    hedges_issued: u64,
+    hedge_wins: u64,
+    hedge_waste: u64,
+    probes: u64,
+    degraded_writes: u64,
+    degraded_bytes: u64,
+    rebuilt_extents: u64,
+    rebuilt_bytes: u64,
 }
 
 impl Health {
-    pub fn new(cfg: HealthConfig, num_osts: usize) -> Result<Health, String> {
+    pub(crate) fn new(cfg: HealthConfig, num_osts: usize) -> Result<Health, String> {
         cfg.validate()?;
         Ok(Health {
             cfg,
-            osts: (0..num_osts)
-                .map(|_| Mutex::new(OstHealth::new()))
-                .collect(),
-            reloc: Mutex::new(HashMap::new()),
-            budgets: Mutex::new(HashMap::new()),
-            hedges_issued: AtomicU64::new(0),
-            hedge_wins: AtomicU64::new(0),
-            hedge_waste: AtomicU64::new(0),
-            breaker_opens: AtomicU64::new(0),
-            probes: AtomicU64::new(0),
-            degraded_writes: AtomicU64::new(0),
-            degraded_bytes: AtomicU64::new(0),
-            rebuilt_extents: AtomicU64::new(0),
-            rebuilt_bytes: AtomicU64::new(0),
+            osts: (0..num_osts).map(|_| OstHealth::new()).collect(),
+            reloc: HashMap::new(),
+            budgets: HashMap::new(),
+            hedges_issued: 0,
+            hedge_wins: 0,
+            hedge_waste: 0,
+            probes: 0,
+            degraded_writes: 0,
+            degraded_bytes: 0,
+            rebuilt_extents: 0,
+            rebuilt_bytes: 0,
         })
     }
 
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
-    }
-
-    /// Lazily advance `Open → HalfOpen` when the quarantine has expired,
-    /// then report the state. All state transitions are driven by request
-    /// arrivals, never by wall clock — pure virtual time.
-    pub fn breaker(&self, ost: usize, now: f64) -> Breaker {
-        let mut h = self.osts[ost].lock();
-        if let Breaker::Open { until } = h.state {
-            if now >= until {
-                h.state = Breaker::HalfOpen;
-            }
-        }
-        h.state
-    }
-
-    fn trip(&self, h: &mut OstHealth, now: f64) {
-        h.state = Breaker::Open {
-            until: now + self.cfg.open_secs,
-        };
-        h.opens += 1;
-        self.breaker_opens.fetch_add(1, Ordering::Relaxed);
+    /// Breaker state of `ost` at `now` (an expired quarantine half-opens
+    /// here). All state transitions are driven by request arrivals, never
+    /// by wall clock — pure virtual time.
+    pub(crate) fn breaker(&mut self, ost: usize, now: f64) -> Breaker {
+        self.osts[ost].breaker(now)
     }
 
     /// Fold one serviced piece into the OST's health: `ratio` is the
     /// measured service ratio (1.0 = healthy), `latency` the
     /// client-perceived piece latency. Drives all breaker transitions that
     /// depend on observations.
-    pub fn observe(&self, ost: usize, ratio: f64, latency: f64, now: f64) {
-        let mut h = self.osts[ost].lock();
-        h.ewma += self.cfg.ewma_alpha * (ratio - h.ewma);
+    pub(crate) fn observe(&mut self, ost: usize, ratio: f64, latency: f64, now: f64) {
+        let cfg = &self.cfg;
+        let h = &mut self.osts[ost];
+        h.ewma += cfg.ewma_alpha * (ratio - h.ewma);
         h.samples += 1;
-        h.observe_latency(latency);
+        h.lat.observe((latency.max(0.0) * 1e9) as u64);
         match h.state {
             Breaker::Closed => {
-                if h.samples >= self.cfg.min_samples && h.ewma > self.cfg.open_factor {
-                    self.trip(&mut h, now);
+                if h.samples >= cfg.min_samples && h.ewma > cfg.open_factor {
+                    h.trip(now + cfg.open_secs);
                 }
             }
             Breaker::HalfOpen => {
                 // This observation is the probe result.
-                self.probes.fetch_add(1, Ordering::Relaxed);
-                if ratio <= self.cfg.open_factor {
+                self.probes += 1;
+                if ratio <= cfg.open_factor {
                     h.state = Breaker::Closed;
                     // Restart the EWMA from the probe so stale sickness
                     // does not instantly re-trip on the next sample.
                     h.ewma = ratio;
                     h.err_times.clear();
                 } else {
-                    self.trip(&mut h, now);
+                    h.trip(now + cfg.open_secs);
                 }
             }
             Breaker::Open { .. } => {
@@ -355,30 +333,34 @@ impl Health {
     /// Record a transient error (injected outage) on `ost`. A burst inside
     /// the sliding window trips a closed breaker; a half-open breaker
     /// re-opens on a single error (the probe failed).
-    pub fn observe_error(&self, ost: usize, now: f64) {
-        let mut h = self.osts[ost].lock();
-        if let Breaker::Open { until } = h.state {
-            if now >= until {
-                h.state = Breaker::HalfOpen;
-            }
-        }
-        h.err_times.retain(|&t| now - t < self.cfg.err_window);
+    pub(crate) fn observe_error(&mut self, ost: usize, now: f64) {
+        let cfg = &self.cfg;
+        let h = &mut self.osts[ost];
+        h.err_times.retain(|&t| now - t < cfg.err_window);
         h.err_times.push(now);
-        match h.state {
+        match h.breaker(now) {
             Breaker::Closed => {
-                if h.err_times.len() as u64 >= self.cfg.err_threshold {
-                    self.trip(&mut h, now);
+                if h.err_times.len() as u64 >= cfg.err_threshold {
+                    h.trip(now + cfg.open_secs);
                 }
             }
-            Breaker::HalfOpen => self.trip(&mut h, now),
+            Breaker::HalfOpen => h.trip(now + cfg.open_secs),
             Breaker::Open { .. } => {}
         }
     }
 
     /// Where does a *read* of `(file, stripe)` go? The relocation holder
     /// if the extent was written degraded, else its home OST.
-    pub fn route_read(&self, file: u32, stripe: u64, home: usize) -> usize {
-        *self.reloc.lock().get(&(file, stripe)).unwrap_or(&home)
+    pub(crate) fn route_read(&self, file: u32, stripe: u64, home: usize) -> usize {
+        *self.reloc.get(&(file, stripe)).unwrap_or(&home)
+    }
+
+    /// The nearest OST after `home` (wrapping) whose breaker is `Closed`.
+    fn closed_buddy(&mut self, home: usize, now: f64) -> Option<usize> {
+        let n = self.osts.len();
+        (1..n)
+            .map(|d| (home + d) % n)
+            .find(|&o| matches!(self.osts[o].breaker(now), Breaker::Closed))
     }
 
     /// Where does a *write* of `(file, stripe)` go? Relocated extents
@@ -386,33 +368,36 @@ impl Health {
     /// lives until rebuild). Otherwise an `Open` home quarantines the
     /// write onto the nearest closed-breaker OST and records the
     /// relocation; a `HalfOpen` home lets the write through as the probe.
-    pub fn route_write(&self, file: u32, stripe: u64, home: usize, bytes: u64, now: f64) -> usize {
-        if let Some(&holder) = self.reloc.lock().get(&(file, stripe)) {
+    pub(crate) fn route_write(
+        &mut self,
+        file: u32,
+        stripe: u64,
+        home: usize,
+        bytes: u64,
+        now: f64,
+    ) -> usize {
+        if let Some(&holder) = self.reloc.get(&(file, stripe)) {
             return holder;
         }
         match self.breaker(home, now) {
             Breaker::Closed | Breaker::HalfOpen => home,
-            Breaker::Open { .. } => {
-                let n = self.osts.len();
-                let target = (1..n)
-                    .map(|d| (home + d) % n)
-                    .find(|&o| matches!(self.breaker(o, now), Breaker::Closed))
-                    .unwrap_or(home);
-                if target != home {
-                    self.reloc.lock().insert((file, stripe), target);
-                    self.degraded_writes.fetch_add(1, Ordering::Relaxed);
-                    self.degraded_bytes.fetch_add(bytes, Ordering::Relaxed);
+            Breaker::Open { .. } => match self.closed_buddy(home, now) {
+                Some(target) => {
+                    self.reloc.insert((file, stripe), target);
+                    self.degraded_writes += 1;
+                    self.degraded_bytes += bytes;
+                    target
                 }
-                target
-            }
+                None => home,
+            },
         }
     }
 
     /// Restore `client`'s hedge allowance; the I/O layers call this (via
     /// [`crate::Pfs::hedge_scope_begin`]) at each collective-read entry,
     /// making the budget per-collective.
-    pub fn scope_begin(&self, client: usize) {
-        self.budgets.lock().insert(client, self.cfg.hedge_burst);
+    pub(crate) fn scope_begin(&mut self, client: usize) {
+        self.budgets.insert(client, self.cfg.hedge_burst);
     }
 
     /// Decide whether to hedge a read piece served by `home`, whose
@@ -427,30 +412,24 @@ impl Health {
     /// the primary beats the deadline, if no closed-breaker buddy exists,
     /// or if the client's token bucket is dry.
     pub(crate) fn hedge_quote(
-        &self,
+        &mut self,
         home: usize,
         client: usize,
         wait_start: f64,
         primary_fin: f64,
     ) -> Option<HedgeQuote> {
-        let home_state = self.breaker(home, wait_start);
-        let deadline = match home_state {
+        let deadline = match self.breaker(home, wait_start) {
             Breaker::Open { .. } | Breaker::HalfOpen => 0.0,
             Breaker::Closed => {
-                let mut merged = Hist::default();
-                for (i, slot) in self.osts.iter().enumerate() {
-                    if i == home {
-                        continue;
-                    }
-                    let h = slot.lock();
-                    if matches!(h.state, Breaker::Closed) {
-                        merged.merge(&h.hist());
-                    }
-                }
-                // Include the home's own history too: pre-sickness samples
+                // The home's own history counts too: pre-sickness samples
                 // are healthy evidence, and excluding them would leave a
                 // single-OST system deadline-less.
-                merged.merge(&self.osts[home].lock().hist());
+                let mut merged = Hist::default();
+                for h in &self.osts {
+                    if matches!(h.state, Breaker::Closed) {
+                        merged.merge(&h.lat);
+                    }
+                }
                 if merged.count() < self.cfg.hedge_min_samples {
                     return None;
                 }
@@ -458,11 +437,9 @@ impl Health {
             }
         };
         // Earn per-piece budget, capped at the burst allowance.
-        {
-            let mut budgets = self.budgets.lock();
-            let b = budgets.entry(client).or_insert(self.cfg.hedge_burst);
-            *b = (*b + self.cfg.hedge_budget).min(self.cfg.hedge_burst);
-        }
+        let burst = self.cfg.hedge_burst;
+        let b = self.budgets.entry(client).or_insert(burst);
+        *b = (*b + self.cfg.hedge_budget).min(burst);
         let fire = wait_start + deadline;
         if primary_fin <= fire {
             // The primary response will beat the deadline: the duplicate
@@ -471,81 +448,63 @@ impl Health {
             return None;
         }
         // A hedge must aim at a healthy OST — never storm a sick one.
-        let n = self.osts.len();
-        let buddy = (1..n)
-            .map(|d| (home + d) % n)
-            .find(|&o| matches!(self.breaker(o, wait_start), Breaker::Closed))?;
-        {
-            let mut budgets = self.budgets.lock();
-            let b = budgets.entry(client).or_insert(self.cfg.hedge_burst);
-            if *b < 1.0 {
-                return None;
-            }
-            *b -= 1.0;
+        let buddy = self.closed_buddy(home, wait_start)?;
+        let b = self.budgets.get_mut(&client).expect("bucket earned above");
+        if *b < 1.0 {
+            return None;
         }
-        self.hedges_issued.fetch_add(1, Ordering::Relaxed);
+        *b -= 1.0;
+        self.hedges_issued += 1;
         Some(HedgeQuote { buddy, fire })
     }
 
     /// Report which service won the race after a hedge was booked.
-    pub(crate) fn hedge_outcome(&self, win: bool) {
+    pub(crate) fn hedge_outcome(&mut self, win: bool) {
         if win {
-            self.hedge_wins.fetch_add(1, Ordering::Relaxed);
+            self.hedge_wins += 1;
         } else {
-            self.hedge_waste.fetch_add(1, Ordering::Relaxed);
+            self.hedge_waste += 1;
         }
     }
 
     /// Relocation entries in deterministic (file, stripe) order.
     pub(crate) fn reloc_entries(&self) -> Vec<(u32, u64, usize)> {
-        let mut v: Vec<(u32, u64, usize)> = self
-            .reloc
-            .lock()
-            .iter()
-            .map(|(&(f, s), &o)| (f, s, o))
-            .collect();
+        let mut v: Vec<(u32, u64, usize)> =
+            self.reloc.iter().map(|(&(f, s), &o)| (f, s, o)).collect();
         v.sort_unstable();
         v
     }
 
     /// Drop a relocation entry after its extent migrated home.
-    pub(crate) fn reloc_clear(&self, file: u32, stripe: u64, bytes: u64) {
-        self.reloc.lock().remove(&(file, stripe));
-        self.rebuilt_extents.fetch_add(1, Ordering::Relaxed);
-        self.rebuilt_bytes.fetch_add(bytes, Ordering::Relaxed);
+    pub(crate) fn reloc_clear(&mut self, file: u32, stripe: u64, bytes: u64) {
+        self.reloc.remove(&(file, stripe));
+        self.rebuilt_extents += 1;
+        self.rebuilt_bytes += bytes;
     }
 
-    /// Number of live relocation entries (0 = fully rebuilt).
-    pub fn relocated_live(&self) -> u64 {
-        self.reloc.lock().len() as u64
-    }
-
-    pub fn snapshot(&self) -> HealthSnapshot {
+    pub(crate) fn snapshot(&self) -> HealthSnapshot {
         HealthSnapshot {
-            hedges_issued: self.hedges_issued.load(Ordering::Relaxed),
-            hedge_wins: self.hedge_wins.load(Ordering::Relaxed),
-            hedge_waste: self.hedge_waste.load(Ordering::Relaxed),
-            breaker_opens: self.breaker_opens.load(Ordering::Relaxed),
-            probes: self.probes.load(Ordering::Relaxed),
-            degraded_writes: self.degraded_writes.load(Ordering::Relaxed),
-            degraded_bytes: self.degraded_bytes.load(Ordering::Relaxed),
-            rebuilt_extents: self.rebuilt_extents.load(Ordering::Relaxed),
-            rebuilt_bytes: self.rebuilt_bytes.load(Ordering::Relaxed),
-            relocated_live: self.relocated_live(),
+            hedges_issued: self.hedges_issued,
+            hedge_wins: self.hedge_wins,
+            hedge_waste: self.hedge_waste,
+            breaker_opens: self.osts.iter().map(|h| h.opens).sum(),
+            probes: self.probes,
+            degraded_writes: self.degraded_writes,
+            degraded_bytes: self.degraded_bytes,
+            rebuilt_extents: self.rebuilt_extents,
+            rebuilt_bytes: self.rebuilt_bytes,
+            relocated_live: self.reloc.len() as u64,
             osts: self
                 .osts
                 .iter()
                 .enumerate()
-                .map(|(i, slot)| {
-                    let h = slot.lock();
-                    OstHealthRow {
-                        ost: i,
-                        state: h.state,
-                        ewma: h.ewma,
-                        samples: h.samples,
-                        opens: h.opens,
-                        errors: h.err_times.len() as u64,
-                    }
+                .map(|(i, h)| OstHealthRow {
+                    ost: i,
+                    state: h.state,
+                    ewma: h.ewma,
+                    samples: h.samples,
+                    opens: h.opens,
+                    errors: h.err_times.len() as u64,
                 })
                 .collect(),
         }
@@ -562,7 +521,7 @@ mod tests {
 
     #[test]
     fn healthy_observations_never_trip() {
-        let h = health(4);
+        let mut h = health(4);
         for i in 0..1000 {
             h.observe(1, 1.0, 500e-6, i as f64 * 1e-3);
         }
@@ -575,7 +534,7 @@ mod tests {
     #[test]
     fn ewma_trips_after_min_samples_and_probe_closes() {
         let cfg = HealthConfig::default();
-        let h = health(4);
+        let mut h = health(4);
         let mut t = 0.0;
         // Sick ratios: the breaker must not trip before min_samples.
         for i in 0..cfg.min_samples * 2 {
@@ -609,14 +568,14 @@ mod tests {
 
     #[test]
     fn error_burst_trips_immediately() {
-        let h = health(4);
+        let mut h = health(4);
         h.observe_error(0, 0.010);
         h.observe_error(0, 0.020);
         assert_eq!(h.breaker(0, 0.020), Breaker::Closed, "below threshold");
         h.observe_error(0, 0.030);
         assert!(matches!(h.breaker(0, 0.030), Breaker::Open { .. }));
         // Spread-out errors never accumulate past the window.
-        let h2 = health(4);
+        let mut h2 = health(4);
         for i in 0..10 {
             h2.observe_error(1, i as f64); // 1 s apart >> 50 ms window
         }
@@ -625,7 +584,7 @@ mod tests {
 
     #[test]
     fn open_breaker_relocates_writes_and_rebuild_clears() {
-        let h = health(4);
+        let mut h = health(4);
         let mut t = 0.0;
         for _ in 0..20 {
             h.observe(1, 50.0, 5e-3, t);
@@ -657,7 +616,7 @@ mod tests {
             hedge_budget: 0.0,
             ..HealthConfig::default()
         };
-        let h = Health::new(cfg, 4).unwrap();
+        let mut h = Health::new(cfg, 4).unwrap();
         // Seed all OSTs with 1 ms latencies → p95 deadline ≈ the 1–2 ms
         // bucket bound.
         for ost in 0..4 {
@@ -691,7 +650,7 @@ mod tests {
             hedge_min_samples: 1,
             ..HealthConfig::default()
         };
-        let h = Health::new(cfg, 3).unwrap();
+        let mut h = Health::new(cfg, 3).unwrap();
         let mut t = 0.0;
         for ost in 0..3 {
             for _ in 0..4 {
@@ -722,7 +681,7 @@ mod tests {
             hedge_min_samples: u64::MAX, // deadline hedging can never arm
             ..HealthConfig::default()
         };
-        let h = Health::new(cfg, 3).unwrap();
+        let mut h = Health::new(cfg, 3).unwrap();
         let mut t = 0.0;
         for _ in 0..20 {
             h.observe(0, 50.0, 5e-3, t);

@@ -19,6 +19,16 @@
 //! * **stripe-granularity extent locks** — conflicting writers to the same
 //!   stripe pay lock-transfer costs (see [`locks`]), which is why TCIO
 //!   aligns its level-2 segments with the stripe size (§IV.A).
+//!
+//! All mutable state of one file system — namespace, file bytes, OST and
+//! client timelines, the lock table, the attached chaos/QoS/health layers —
+//! is one plain `State` behind one mutex: every public method locks once
+//! and works on `&mut State`. The event core runs one rank at a time, so
+//! the lock is never contended; it is a real `Mutex` (not a single-runner
+//! cell) because that is what keeps `Arc<Pfs>: Sync` sound without
+//! `unsafe` on the OS-thread substrate.
+
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod health;
@@ -30,11 +40,14 @@ pub use health::{Breaker, HealthConfig, HealthSnapshot, OstHealthRow, RebuildRep
 pub use locks::{LockManager, LockMode};
 pub use qos::{Discipline, QosConfig, TenantUsage};
 
+use health::Health;
+use mpisim::metrics::Hist;
 use mpisim::timeline::Timeline;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
+use qos::Qos;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifies an open file.
@@ -51,6 +64,12 @@ pub enum PfsError {
         offset: u64,
         len: u64,
         file_len: u64,
+    },
+    /// A write whose `[offset, offset + len)` does not fit the address
+    /// range a file can have. Refused before any byte is touched.
+    OffsetOverflow {
+        offset: u64,
+        len: u64,
     },
     Config(String),
     /// An OST the access touches is in a (injected) transient outage.
@@ -83,7 +102,11 @@ impl fmt::Display for PfsError {
             } => write!(
                 f,
                 "read [{offset}, {}) past end of file ({file_len} bytes)",
-                offset + len
+                offset.saturating_add(*len)
+            ),
+            PfsError::OffsetOverflow { offset, len } => write!(
+                f,
+                "write of {len} bytes at offset {offset} exceeds the largest file offset"
             ),
             PfsError::Config(msg) => write!(f, "bad pfs config: {msg}"),
             PfsError::Transient { ost, retry_after } => write!(
@@ -109,18 +132,11 @@ impl std::error::Error for PfsError {}
 
 pub type Result<T> = std::result::Result<T, PfsError>;
 
-#[derive(Debug)]
-struct FileState {
-    data: Mutex<Contents>,
+/// One file: its bytes plus the integrity metadata kept alongside them.
+#[derive(Debug, Default)]
+struct File {
     /// First OST of this file's round-robin stripe placement.
     ost_base: usize,
-}
-
-/// A file's bytes plus the integrity metadata kept alongside them. One
-/// mutex guards all three so a write's byte update and checksum update are
-/// atomic with respect to readers.
-#[derive(Debug, Default)]
-struct Contents {
     bytes: Vec<u8>,
     /// Per-stripe checksum, recorded on every write that touches the
     /// stripe and verified on every read. See [`stripe_checksum`] for the
@@ -131,6 +147,15 @@ struct Contents {
     /// ([`PfsConfig::stripe_replicas`]); the repair source for
     /// [`Pfs::scrub`]. Independently corruptible from the primary copy.
     replicas: HashMap<u64, Vec<u8>>,
+}
+
+/// End of `[offset, offset + len)` as an index into a file's bytes; `None`
+/// when the sum overflows or no buffer could be that long.
+fn span_end(offset: u64, len: u64) -> Option<usize> {
+    let end = offset.checked_add(len)?;
+    usize::try_from(end)
+        .ok()
+        .filter(|&end| end <= isize::MAX as usize)
 }
 
 /// FNV-1a over the stripe's content with trailing zeros stripped. The
@@ -214,54 +239,6 @@ impl PfsStatsSnapshot {
     }
 }
 
-/// Lock-free per-RPC service-latency histogram (log2 buckets over
-/// nanoseconds of virtual time). Off by default: disabled, each
-/// observation site is a single relaxed load — the same zero-cost-off
-/// contract as the chaos engine.
-#[derive(Debug)]
-struct LatencyHist {
-    enabled: AtomicBool,
-    buckets: [AtomicU64; mpisim::metrics::HIST_BUCKETS],
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-}
-
-impl Default for LatencyHist {
-    fn default() -> Self {
-        LatencyHist {
-            enabled: AtomicBool::new(false),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-        }
-    }
-}
-
-impl LatencyHist {
-    fn observe(&self, secs: f64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        let ns = (secs.max(0.0) * 1e9) as u64;
-        let idx = mpisim::metrics::Hist::bucket_index(ns);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> mpisim::metrics::Hist {
-        let mut raw = [0u64; mpisim::metrics::HIST_BUCKETS];
-        for (r, b) in raw.iter_mut().zip(&self.buckets) {
-            *r = b.load(Ordering::Relaxed);
-        }
-        mpisim::metrics::Hist::from_raw(
-            raw,
-            self.count.load(Ordering::Relaxed),
-            self.sum_ns.load(Ordering::Relaxed),
-        )
-    }
-}
-
 impl PfsStats {
     pub fn snapshot(&self) -> PfsStatsSnapshot {
         PfsStatsSnapshot {
@@ -283,36 +260,55 @@ impl PfsStats {
 /// model can serialize per-client links and attribute lock ownership.
 pub struct Pfs {
     cfg: PfsConfig,
-    namespace: Mutex<HashMap<String, FileId>>,
-    files: RwLock<Vec<Arc<FileState>>>,
-    ost_busy: Vec<Mutex<Timeline>>,
-    client_busy: Vec<Mutex<Timeline>>,
-    locks: Mutex<LockManager>,
-    next_ost_base: Mutex<usize>,
-    /// Per-OST service-time multiplier (1.0 = healthy). Degraded OSTs are
-    /// the classic production-Lustre failure mode: one slow server drags
-    /// every striped file. Exposed for failure-injection tests and the
-    /// straggler experiments.
-    ost_slowdown: Vec<Mutex<f64>>,
-    /// Per-OST service accounting (requests, bytes, busy/queue-wait time),
-    /// surfaced through [`Pfs::ost_report`] for the observability layer.
-    ost_metrics: Vec<Mutex<OstMetrics>>,
+    state: Mutex<State>,
+    pub stats: PfsStats,
+}
+
+fn assert_send_sync<T: Send + Sync>() {}
+/// `Arc<Pfs>` crosses OS threads on the thread substrate; that must follow
+/// from the fields (one real lock), never from an `unsafe impl`.
+const _: fn() = assert_send_sync::<Pfs>;
+
+/// Everything about a [`Pfs`] that changes after construction.
+struct State {
+    namespace: HashMap<String, FileId>,
+    /// Indexed by `FileId`; a deleted file keeps its (emptied) slot so ids
+    /// stay stable.
+    files: Vec<File>,
+    osts: Vec<Ost>,
+    /// Per-client link timelines.
+    clients: Vec<Timeline>,
+    locks: LockManager,
+    next_ost_base: usize,
     /// Fault-injection engine (outages, slow OSTs, lock storms, overhead
-    /// brownouts). `None` = healthy storage, zero cost.
-    chaos: Mutex<Option<Arc<chaos::ChaosEngine>>>,
+    /// brownouts). `None` = healthy storage.
+    chaos: Option<Arc<chaos::ChaosEngine>>,
     /// Multi-tenant QoS layer (admission, gateway batching, OST queue
-    /// discipline). `None` = single-tenant direct path, zero cost: the
-    /// cost-model arithmetic is bit-identical with and without the hooks.
-    qos: RwLock<Option<Arc<qos::Qos>>>,
+    /// discipline). `None` = single-tenant direct path: the cost-model
+    /// arithmetic is bit-identical with and without the hooks.
+    qos: Option<Qos>,
     /// Gray-failure defense layer (EWMA health tracking, per-OST circuit
     /// breakers, degraded-mode relocation, hedged reads). `None` = no
-    /// tracking, zero cost — and even when attached, a healthy cluster's
-    /// cost arithmetic is bit-identical because every observed service
-    /// ratio is exactly 1.0 and no breaker can open.
-    health: RwLock<Option<Arc<health::Health>>>,
-    pub stats: PfsStats,
-    /// Per-RPC service-latency histogram; see [`Pfs::enable_latency_metrics`].
-    latency: LatencyHist,
+    /// tracking — and even when attached, a healthy cluster's cost
+    /// arithmetic is bit-identical because every observed service ratio is
+    /// exactly 1.0 and no breaker can open.
+    health: Option<Health>,
+    /// Per-RPC service-latency histogram (ns of virtual time); `None`
+    /// until [`Pfs::enable_latency_metrics`].
+    latency: Option<Hist>,
+}
+
+/// One object storage target.
+#[derive(Debug)]
+struct Ost {
+    busy: Timeline,
+    /// Service-time multiplier (1.0 = healthy). Degraded OSTs are the
+    /// classic production-Lustre failure mode: one slow server drags every
+    /// striped file. Set through [`Pfs::set_ost_slowdown`] by the
+    /// failure-injection tests and the straggler experiments.
+    slowdown: f64,
+    /// Service accounting surfaced through [`Pfs::ost_report`].
+    metrics: OstMetrics,
 }
 
 /// Accumulated service metrics of one OST (virtual time).
@@ -324,6 +320,29 @@ struct OstMetrics {
     busy: f64,
     queue_wait: f64,
     lock_transfers: u64,
+}
+
+impl Ost {
+    /// Total service-time multiplier at virtual time `t`: the manually-set
+    /// degradation times any chaos slowdown window.
+    fn slowdown_at(&self, ost: usize, t: f64, engine: Option<&chaos::ChaosEngine>) -> f64 {
+        match engine {
+            Some(e) => self.slowdown * e.ost_factor(ost, t),
+            None => self.slowdown,
+        }
+    }
+
+    /// Book `dur` seconds of service, eligible from `eligible`, for a
+    /// piece that reached this OST at `arrive`. Gap backfill keeps the
+    /// outcome independent of which rank booked first (see
+    /// `mpisim::timeline`). Returns the finish time.
+    fn serve(&mut self, arrive: f64, eligible: f64, dur: f64) -> f64 {
+        let start = self.busy.reserve(eligible, dur);
+        self.metrics.requests += 1;
+        self.metrics.busy += dur;
+        self.metrics.queue_wait += (start - arrive).max(0.0);
+        start + dur
+    }
 }
 
 /// Outcome of one [`Pfs::scrub`] pass over every recorded stripe checksum.
@@ -347,42 +366,53 @@ pub struct FileStat {
     pub ost_base: usize,
 }
 
-/// Reserve `dur` seconds on a resource timeline (gap backfill keeps the
-/// outcome independent of real thread scheduling; see `mpisim::timeline`).
-fn reserve(slot: &Mutex<Timeline>, earliest: f64, dur: f64) -> f64 {
-    slot.lock().reserve(earliest, dur)
+impl State {
+    fn file(&self, id: FileId) -> Result<&File> {
+        self.files
+            .get(id.0 as usize)
+            .ok_or(PfsError::InvalidFile(id.0))
+    }
+}
+
+/// Record one RPC's service latency if the histogram is on.
+fn observe_latency(hist: &mut Option<Hist>, secs: f64) {
+    if let Some(h) = hist {
+        h.observe((secs.max(0.0) * 1e9) as u64);
+    }
 }
 
 impl Pfs {
     /// Create a file system serving `nclients` simulated clients.
     pub fn new(nclients: usize, cfg: PfsConfig) -> Result<Arc<Pfs>> {
         cfg.validate().map_err(PfsError::Config)?;
+        let state = State {
+            namespace: HashMap::new(),
+            files: Vec::new(),
+            osts: (0..cfg.num_osts)
+                .map(|_| Ost {
+                    busy: Timeline::new(),
+                    slowdown: 1.0,
+                    metrics: OstMetrics::default(),
+                })
+                .collect(),
+            clients: (0..nclients).map(|_| Timeline::new()).collect(),
+            locks: LockManager::new(),
+            next_ost_base: 0,
+            chaos: None,
+            qos: None,
+            health: None,
+            latency: None,
+        };
         Ok(Arc::new(Pfs {
-            ost_busy: (0..cfg.num_osts)
-                .map(|_| Mutex::new(Timeline::new()))
-                .collect(),
-            client_busy: (0..nclients).map(|_| Mutex::new(Timeline::new())).collect(),
-            ost_slowdown: (0..cfg.num_osts).map(|_| Mutex::new(1.0)).collect(),
-            ost_metrics: (0..cfg.num_osts)
-                .map(|_| Mutex::new(OstMetrics::default()))
-                .collect(),
-            namespace: Mutex::new(HashMap::new()),
-            files: RwLock::new(Vec::new()),
-            locks: Mutex::new(LockManager::new()),
-            next_ost_base: Mutex::new(0),
-            chaos: Mutex::new(None),
-            qos: RwLock::new(None),
-            health: RwLock::new(None),
-            stats: PfsStats::default(),
-            latency: LatencyHist::default(),
             cfg,
+            state: Mutex::new(state),
+            stats: PfsStats::default(),
         }))
     }
 
     /// Attach a fault-injection engine. Rejects plans naming OSTs this file
-    /// system does not have — the old behaviour here was an index panic
-    /// deep inside the cost model; now it is a typed config error at
-    /// attach time.
+    /// system does not have with a typed config error at attach time, so
+    /// the cost model never indexes an OST that does not exist.
     pub fn attach_chaos(&self, engine: Arc<chaos::ChaosEngine>) -> Result<()> {
         if let Some(max) = engine.max_ost() {
             if max >= self.cfg.num_osts {
@@ -392,59 +422,43 @@ impl Pfs {
                 )));
             }
         }
-        *self.chaos.lock() = Some(engine);
+        self.state.lock().chaos = Some(engine);
         Ok(())
-    }
-
-    /// The attached fault-injection engine, if any.
-    pub fn chaos(&self) -> Option<Arc<chaos::ChaosEngine>> {
-        self.chaos.lock().clone()
     }
 
     /// Attach a multi-tenant QoS layer: `tenant_of_client[c]` tags client
     /// `c`'s requests with its tenant; `cfg` sets admission caps, gateway
     /// batching, and the OST queue discipline. Clients beyond the map
     /// (e.g. internal drain agents) bill to tenant 0. Without this call
-    /// every QoS hook in the cost model is a single `None` check and the
-    /// virtual-time arithmetic is exactly the pre-facility code path.
+    /// every QoS hook in the cost model is a `None` check and the
+    /// virtual-time arithmetic is exactly the single-tenant code path.
     pub fn enable_qos(&self, cfg: qos::QosConfig, tenant_of_client: Vec<u32>) -> Result<()> {
-        let q =
-            qos::Qos::new(cfg, tenant_of_client, self.cfg.num_osts).map_err(PfsError::Config)?;
-        *self.qos.write() = Some(Arc::new(q));
+        let q = Qos::new(cfg, tenant_of_client, self.cfg.num_osts).map_err(PfsError::Config)?;
+        self.state.lock().qos = Some(q);
         Ok(())
-    }
-
-    /// The attached QoS layer, if any.
-    pub fn qos(&self) -> Option<Arc<qos::Qos>> {
-        self.qos.read().clone()
     }
 
     /// Attach the gray-failure defense layer: per-OST EWMA health
     /// tracking, three-state circuit breakers, degraded-mode write
     /// relocation, and (for callers that opt in via
     /// [`Pfs::read_at_hedged`]) adaptive hedged reads. Without this call
-    /// every health hook in the cost model is a single `None` check.
+    /// every health hook in the cost model is a `None` check.
     pub fn enable_health(&self, cfg: health::HealthConfig) -> Result<()> {
-        let h = health::Health::new(cfg, self.cfg.num_osts).map_err(PfsError::Config)?;
-        *self.health.write() = Some(Arc::new(h));
+        let h = Health::new(cfg, self.cfg.num_osts).map_err(PfsError::Config)?;
+        self.state.lock().health = Some(h);
         Ok(())
-    }
-
-    /// The attached health layer, if any.
-    pub fn health(&self) -> Option<Arc<health::Health>> {
-        self.health.read().clone()
     }
 
     /// Health counters + per-OST breaker rows; `None` when no health
     /// layer is attached.
     pub fn health_report(&self) -> Option<health::HealthSnapshot> {
-        self.health.read().as_ref().map(|h| h.snapshot())
+        self.state.lock().health.as_ref().map(Health::snapshot)
     }
 
     /// Restore `client`'s hedge allowance for a new collective; see
-    /// [`health::Health::scope_begin`]. No-op without a health layer.
+    /// `Health::scope_begin`. No-op without a health layer.
     pub fn hedge_scope_begin(&self, client: usize) {
-        if let Some(h) = self.health.read().as_ref() {
+        if let Some(h) = &mut self.state.lock().health {
             h.scope_begin(client);
         }
     }
@@ -452,10 +466,11 @@ impl Pfs {
     /// Per-tenant usage/intervention rows, ascending tenant order. Empty
     /// when no QoS layer is attached.
     pub fn tenant_report(&self) -> Vec<qos::TenantUsage> {
-        self.qos
-            .read()
+        self.state
+            .lock()
+            .qos
             .as_ref()
-            .map(|q| q.usage())
+            .map(Qos::usage)
             .unwrap_or_default()
     }
 
@@ -465,94 +480,82 @@ impl Pfs {
 
     /// Create a new empty file. Fails if the path exists.
     pub fn create(&self, path: &str) -> Result<FileId> {
-        let mut ns = self.namespace.lock();
-        if ns.contains_key(path) {
+        self.create_in(&mut self.state.lock(), path)
+    }
+
+    fn create_in(&self, st: &mut State, path: &str) -> Result<FileId> {
+        if st.namespace.contains_key(path) {
             return Err(PfsError::AlreadyExists(path.to_string()));
         }
-        let mut files = self.files.write();
-        let id = FileId(files.len() as u32);
-        let ost_base = {
-            let mut b = self.next_ost_base.lock();
-            let v = *b;
-            *b = (*b + self.cfg.stripe_count) % self.cfg.num_osts;
-            v
-        };
-        files.push(Arc::new(FileState {
-            data: Mutex::new(Contents::default()),
-            ost_base,
-        }));
-        ns.insert(path.to_string(), id);
+        let id = FileId(st.files.len() as u32);
+        st.files.push(File {
+            ost_base: st.next_ost_base,
+            ..File::default()
+        });
+        st.next_ost_base = (st.next_ost_base + self.cfg.stripe_count) % self.cfg.num_osts;
+        st.namespace.insert(path.to_string(), id);
         Ok(id)
     }
 
     /// Open an existing file.
     pub fn open(&self, path: &str) -> Result<FileId> {
-        self.namespace
+        self.state
             .lock()
+            .namespace
             .get(path)
             .copied()
             .ok_or_else(|| PfsError::NotFound(path.to_string()))
     }
 
     /// Open, creating if absent (idempotent; used by collective opens where
-    /// every rank races to create the shared file).
+    /// every rank tries to create the shared file).
     pub fn open_or_create(&self, path: &str) -> Result<FileId> {
-        {
-            let ns = self.namespace.lock();
-            if let Some(&id) = ns.get(path) {
-                return Ok(id);
-            }
-        }
-        match self.create(path) {
-            Ok(id) => Ok(id),
-            Err(PfsError::AlreadyExists(_)) => self.open(path),
-            Err(e) => Err(e),
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        match st.namespace.get(path) {
+            Some(&id) => Ok(id),
+            None => self.create_in(st, path),
         }
     }
 
     /// Remove a file and its lock state.
     pub fn delete(&self, path: &str) -> Result<()> {
-        let id = {
-            let mut ns = self.namespace.lock();
-            ns.remove(path)
-                .ok_or_else(|| PfsError::NotFound(path.to_string()))?
-        };
-        self.locks.lock().forget_file(id.0);
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        let id = st
+            .namespace
+            .remove(path)
+            .ok_or_else(|| PfsError::NotFound(path.to_string()))?;
+        st.locks.forget_file(id.0);
         // The file-id slot stays reserved (ids are stable); drop the bytes
         // so memory is reclaimed.
-        if let Some(f) = self.files.read().get(id.0 as usize) {
-            let mut c = f.data.lock();
-            c.bytes.clear();
-            c.bytes.shrink_to_fit();
-            c.sums.clear();
-            c.replicas.clear();
+        if let Some(f) = st.files.get_mut(id.0 as usize) {
+            *f = File {
+                ost_base: f.ost_base,
+                ..File::default()
+            };
         }
         Ok(())
     }
 
     pub fn exists(&self, path: &str) -> bool {
-        self.namespace.lock().contains_key(path)
-    }
-
-    fn file(&self, id: FileId) -> Result<Arc<FileState>> {
-        self.files
-            .read()
-            .get(id.0 as usize)
-            .cloned()
-            .ok_or(PfsError::InvalidFile(id.0))
+        self.state.lock().namespace.contains_key(path)
     }
 
     /// Current length of the file in bytes.
     pub fn len(&self, id: FileId) -> Result<u64> {
-        Ok(self.file(id)?.data.lock().bytes.len() as u64)
+        Ok(self.state.lock().file(id)?.bytes.len() as u64)
     }
 
     /// Set the file length (zero-filling on growth). Growth never touches
     /// stored checksums (zero-extension invariant); shrinking drops sums
     /// past the new end and re-seals the now-shorter boundary stripe.
     pub fn truncate(&self, id: FileId, len: u64) -> Result<()> {
-        let f = self.file(id)?;
-        let mut c = f.data.lock();
+        let mut st = self.state.lock();
+        let c = st
+            .files
+            .get_mut(id.0 as usize)
+            .ok_or(PfsError::InvalidFile(id.0))?;
         let shrink = (len as usize) < c.bytes.len();
         c.bytes.resize(len as usize, 0);
         if shrink {
@@ -579,27 +582,16 @@ impl Pfs {
     /// Degrade (or heal) an OST: subsequent service on it takes
     /// `factor` × the healthy time. `factor = 1.0` restores health.
     pub fn set_ost_slowdown(&self, ost: usize, factor: f64) -> Result<()> {
-        let slot = self
-            .ost_slowdown
-            .get(ost)
+        let mut st = self.state.lock();
+        let slot = st
+            .osts
+            .get_mut(ost)
             .ok_or_else(|| PfsError::Config(format!("no OST {ost}")))?;
         if factor < 1.0 || !factor.is_finite() {
             return Err(PfsError::Config(format!("bad slowdown factor {factor}")));
         }
-        *slot.lock() = factor;
+        slot.slowdown = factor;
         Ok(())
-    }
-
-    /// Total service-time multiplier of `ost` at virtual time `t`: the
-    /// manually-set degradation times any chaos slowdown window. Unknown
-    /// OST indices report healthy instead of panicking (bounds problems
-    /// are caught at `attach_chaos`/`set_ost_slowdown` time).
-    fn slowdown_at(&self, ost: usize, t: f64, engine: Option<&chaos::ChaosEngine>) -> f64 {
-        let base = self.ost_slowdown.get(ost).map_or(1.0, |s| *s.lock());
-        match engine {
-            Some(e) => base * e.ost_factor(ost, t),
-            None => base,
-        }
     }
 
     /// If any OST under `[offset, offset+len)` is in an injected outage at
@@ -613,29 +605,28 @@ impl Pfs {
     /// bytes' cost locality is on the sick OST).
     fn outage_check(
         &self,
-        file: &FileState,
+        st: &mut State,
         id: FileId,
         offset: u64,
         len: u64,
         now: f64,
         write: bool,
     ) -> Result<()> {
-        let guard = self.chaos.lock();
-        let Some(engine) = guard.as_ref() else {
+        let Some(engine) = st.chaos.as_deref() else {
             return Ok(());
         };
-        let health = self.health.read().clone();
+        let ost_base = st.files[id.0 as usize].ost_base;
         for (pos, _) in self.rpc_pieces(offset, len) {
             let stripe = pos / self.cfg.stripe_size;
-            let home = self.ost_for(file, stripe);
-            let ost = match &health {
+            let home = self.ost_for(ost_base, stripe);
+            let ost = match &st.health {
                 Some(h) => h.route_read(id.0, stripe, home),
                 None => home,
             };
             if let Some(until) = engine.ost_outage_until(ost, now) {
-                if let Some(h) = &health {
+                if let Some(h) = &mut st.health {
                     h.observe_error(ost, now);
-                    if write && matches!(h.breaker(ost, now), health::Breaker::Open { .. }) {
+                    if write && matches!(h.breaker(ost, now), Breaker::Open { .. }) {
                         continue;
                     }
                 }
@@ -651,10 +642,10 @@ impl Pfs {
 
     /// File metadata.
     pub fn stat(&self, id: FileId) -> Result<FileStat> {
-        let f = self.file(id)?;
-        let len = f.data.lock().bytes.len() as u64;
+        let st = self.state.lock();
+        let f = st.file(id)?;
         Ok(FileStat {
-            len,
+            len: f.bytes.len() as u64,
             stripe_size: self.cfg.stripe_size,
             stripe_count: self.cfg.stripe_count,
             ost_base: f.ost_base,
@@ -663,24 +654,28 @@ impl Pfs {
 
     /// Sorted listing of the namespace.
     pub fn list(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.namespace.lock().keys().cloned().collect();
+        let mut names: Vec<String> = self.state.lock().namespace.keys().cloned().collect();
         names.sort();
         names
     }
 
-    fn ost_for(&self, file: &FileState, stripe: u64) -> usize {
-        (file.ost_base + (stripe as usize % self.cfg.stripe_count)) % self.cfg.num_osts
+    /// Home OST of `stripe` in a file whose stripe 0 lives on `ost_base`.
+    fn ost_for(&self, ost_base: usize, stripe: u64) -> usize {
+        (ost_base + (stripe as usize % self.cfg.stripe_count)) % self.cfg.num_osts
     }
 
     /// Split `[offset, offset+len)` into RPC pieces: stripe-bounded and
-    /// `max_rpc`-bounded.
+    /// `max_rpc`-bounded. Total for any input: a range running past
+    /// `u64::MAX` is clipped there.
     fn rpc_pieces(&self, offset: u64, len: u64) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let mut pos = offset;
-        let end = offset + len;
+        let end = offset.saturating_add(len);
         while pos < end {
-            let stripe_end = (pos / self.cfg.stripe_size + 1) * self.cfg.stripe_size;
-            let piece_end = end.min(stripe_end).min(pos + self.cfg.max_rpc);
+            let stripe_end = (pos / self.cfg.stripe_size + 1).saturating_mul(self.cfg.stripe_size);
+            let piece_end = end
+                .min(stripe_end)
+                .min(pos.saturating_add(self.cfg.max_rpc));
             out.push((pos, piece_end - pos));
             pos = piece_end;
         }
@@ -700,41 +695,41 @@ impl Pfs {
         if data.is_empty() {
             return Ok(now);
         }
-        let file = self.file(id)?;
+        let len = data.len() as u64;
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        st.file(id)?;
+        let end = span_end(offset, len).ok_or(PfsError::OffsetOverflow { offset, len })?;
         // Fail before touching any bytes: a refused write must leave the
         // file exactly as it was so the caller can retry wholesale.
-        self.outage_check(&file, id, offset, data.len() as u64, now, true)?;
+        self.outage_check(st, id, offset, len, now, true)?;
         // Apply the bytes (correctness path), then seal the touched
-        // stripes' checksums under the same lock.
-        {
-            let mut c = file.data.lock();
-            let end = offset as usize + data.len();
-            if c.bytes.len() < end {
-                c.bytes.resize(end, 0);
-            }
-            c.bytes[offset as usize..end].copy_from_slice(data);
-            self.seal_stripes(&mut c, id, offset, data.len() as u64, now);
+        // stripes' checksums.
+        let f = &mut st.files[id.0 as usize];
+        if f.bytes.len() < end {
+            f.bytes.resize(end, 0);
         }
-        Ok(self.write_cost(&file, id, client, offset, data.len() as u64, now))
+        f.bytes[offset as usize..end].copy_from_slice(data);
+        self.seal_stripes(st, id, offset, len, now);
+        Ok(self.write_cost(st, id, client, offset, len, now))
     }
 
     /// Record checksums (and, if configured, replicas) for every stripe a
     /// write of `[offset, offset+len)` touched, then roll the fault plan's
     /// silent-corruption dice per touched stripe and copy. Checksums are
     /// computed over the *true* content first, so a flipped byte in either
-    /// copy is detectable afterwards. Called under the file's data lock;
-    /// costs no virtual time (checksumming rides along the existing
-    /// per-RPC overheads).
-    fn seal_stripes(&self, c: &mut Contents, id: FileId, offset: u64, len: u64, now: f64) {
+    /// copy is detectable afterwards. Costs no virtual time (checksumming
+    /// rides along the existing per-RPC overheads).
+    fn seal_stripes(&self, st: &mut State, id: FileId, offset: u64, len: u64, now: f64) {
         debug_assert!(len > 0);
-        let engine = self.chaos.lock().clone();
-        // Zero-cost-off: sealing (and hence verification) hashes every
-        // touched stripe, so only pay for it when the attached plan can
-        // actually corrupt. Without recorded sums, `verify_range` and
-        // `scrub` are no-ops over empty maps.
-        if !engine.as_ref().is_some_and(|e| e.any_corruption()) {
+        // Sealing (and hence verification) hashes every touched stripe, so
+        // only pay for it when the attached plan can actually corrupt.
+        // Without recorded sums, `verify_stripes` and `scrub` are no-ops
+        // over empty maps.
+        let Some(e) = st.chaos.as_deref().filter(|e| e.any_corruption()) else {
             return;
-        }
+        };
+        let c = &mut st.files[id.0 as usize];
         let s = self.cfg.stripe_size;
         let want_replicas = self.cfg.stripe_replicas;
         for stripe in (offset / s)..=((offset + len - 1) / s) {
@@ -749,7 +744,6 @@ impl Pfs {
                 let copy = c.bytes[lo..hi].to_vec();
                 c.replicas.insert(stripe, copy);
             }
-            let Some(e) = &engine else { continue };
             let site = corruption_site(id.0, stripe, now);
             if e.corrupts(site, now) {
                 self.stats
@@ -772,10 +766,10 @@ impl Pfs {
     }
 
     /// Verify every touched stripe that has a recorded checksum; the first
-    /// mismatch fails typed before any byte leaves the lock. Stripes never
-    /// written through this file system (no recorded sum) pass — there is
-    /// nothing to verify them against.
-    fn verify_stripes(&self, file: &FileState, c: &Contents, offset: u64, len: u64) -> Result<()> {
+    /// mismatch fails typed before any byte reaches the caller. Stripes
+    /// never sealed (no recorded sum) pass — there is nothing to verify
+    /// them against.
+    fn verify_stripes(&self, c: &File, offset: u64, len: u64) -> Result<()> {
         if len == 0 {
             return Ok(());
         }
@@ -795,10 +789,26 @@ impl Pfs {
                 self.stats.checksum_failures.fetch_add(1, Ordering::Relaxed);
                 return Err(PfsError::ChecksumMismatch {
                     stripe,
-                    ost: self.ost_for(file, stripe),
+                    ost: self.ost_for(c.ost_base, stripe),
                 });
             }
         }
+        Ok(())
+    }
+
+    /// The data half of every read: bounds-check `[offset, offset +
+    /// buf.len())` against the file, verify the touched stripes, copy out.
+    fn copy_out(&self, c: &File, offset: u64, buf: &mut [u8]) -> Result<()> {
+        let len = buf.len() as u64;
+        let end = span_end(offset, len)
+            .filter(|&end| end <= c.bytes.len())
+            .ok_or(PfsError::ReadPastEof {
+                offset,
+                len,
+                file_len: c.bytes.len() as u64,
+            })?;
+        self.verify_stripes(c, offset, len)?;
+        buf.copy_from_slice(&c.bytes[offset as usize..end]);
         Ok(())
     }
 
@@ -810,9 +820,7 @@ impl Pfs {
     /// byte) and never flags a clean stripe.
     pub fn scrub(&self) -> ScrubReport {
         let mut report = ScrubReport::default();
-        let files: Vec<Arc<FileState>> = self.files.read().iter().cloned().collect();
-        for f in files {
-            let mut c = f.data.lock();
+        for c in &mut self.state.lock().files {
             let mut stripes: Vec<u64> = c.sums.keys().copied().collect();
             stripes.sort_unstable();
             for stripe in stripes {
@@ -829,19 +837,20 @@ impl Pfs {
                     continue;
                 }
                 report.mismatches += 1;
-                let good = match c.replicas.get(&stripe) {
-                    Some(r) if stripe_checksum(r) == sum => Some(r.clone()),
-                    _ => None,
+                let Some(good) = c
+                    .replicas
+                    .get(&stripe)
+                    .filter(|r| stripe_checksum(r) == sum)
+                else {
+                    continue;
                 };
-                if let Some(good) = good {
-                    // Bytes past the replica's recorded length are file
-                    // growth since the seal, which only zero-fills.
-                    let end = (lo + good.len()).min(hi);
-                    c.bytes[lo..end].copy_from_slice(&good[..end - lo]);
-                    c.bytes[end..hi].fill(0);
-                    report.repaired += 1;
-                    self.stats.scrub_repairs.fetch_add(1, Ordering::Relaxed);
-                }
+                // Bytes past the replica's recorded length are file
+                // growth since the seal, which only zero-fills.
+                let end = (lo + good.len()).min(hi);
+                c.bytes[lo..end].copy_from_slice(&good[..end - lo]);
+                c.bytes[end..hi].fill(0);
+                report.repaired += 1;
+                self.stats.scrub_repairs.fetch_add(1, Ordering::Relaxed);
             }
         }
         report
@@ -858,74 +867,63 @@ impl Pfs {
     /// first. Returns how far the pass got; callers loop until
     /// `remaining == 0`.
     pub fn rebuild(&self, now: f64) -> Result<RebuildReport> {
-        let Some(h) = self.health.read().clone() else {
+        let mut guard = self.state.lock();
+        let State {
+            files,
+            osts,
+            chaos,
+            health,
+            ..
+        } = &mut *guard;
+        let Some(h) = health else {
             return Err(PfsError::Config(
                 "rebuild requires an attached health layer (enable_health)".into(),
             ));
         };
-        let engine = self.chaos.lock().clone();
+        let engine = chaos.as_deref();
         let mut report = RebuildReport {
             completed_at: now,
             ..RebuildReport::default()
         };
         for (file_no, stripe, holder) in h.reloc_entries() {
             report.scanned += 1;
-            let file = self.file(FileId(file_no))?;
-            let home = self.ost_for(&file, stripe);
-            if matches!(h.breaker(home, now), health::Breaker::Open { .. }) {
+            let file = files
+                .get(file_no as usize)
+                .ok_or(PfsError::InvalidFile(file_no))?;
+            let home = self.ost_for(file.ost_base, stripe);
+            if matches!(h.breaker(home, now), Breaker::Open { .. }) {
                 report.remaining += 1;
                 continue;
             }
             let lo = stripe * self.cfg.stripe_size;
-            let len = {
-                let c = file.data.lock();
-                let flen = c.bytes.len() as u64;
-                if lo >= flen {
-                    // Nothing stored under this stripe any more; drop the
-                    // mapping without moving bytes.
-                    0
-                } else {
-                    let len = self.cfg.stripe_size.min(flen - lo);
-                    // Integrity first: migrating a corrupt extent would
-                    // spread the damage. Leave it for scrub's replica
-                    // repair and retry on the next pass.
-                    if self.verify_stripes(&file, &c, lo, len).is_err() {
-                        report.remaining += 1;
-                        continue;
-                    }
-                    len
-                }
-            };
+            // Zero when nothing is stored under this stripe any more: the
+            // mapping is then dropped without moving bytes.
+            let len = self
+                .cfg
+                .stripe_size
+                .min((file.bytes.len() as u64).saturating_sub(lo));
+            // Integrity first: migrating a corrupt extent would spread the
+            // damage. Leave it for scrub's replica repair and retry on the
+            // next pass.
+            if self.verify_stripes(file, lo, len).is_err() {
+                report.remaining += 1;
+                continue;
+            }
             if len > 0 {
                 // Read the extent off its holder...
-                let r_slow = self.slowdown_at(holder, now, engine.as_deref());
+                let r_slow = osts[holder].slowdown_at(holder, now, engine);
                 let r_dur = (self.cfg.ost_service + len as f64 / self.cfg.ost_read_bw) * r_slow;
-                let r_start = reserve(&self.ost_busy[holder], now, r_dur);
-                let r_fin = r_start + r_dur;
-                {
-                    let mut m = self.ost_metrics[holder].lock();
-                    m.requests += 1;
-                    m.bytes_read += len;
-                    m.busy += r_dur;
-                    m.queue_wait += (r_start - now).max(0.0);
-                }
+                let r_fin = osts[holder].serve(now, now, r_dur);
+                osts[holder].metrics.bytes_read += len;
                 h.observe(holder, r_slow, r_fin - now, r_fin);
                 // ...and write it home. For a half-open home this write is
                 // the probe: the observation below re-closes or re-trips
                 // the breaker.
-                let w_arrive = r_fin;
-                let w_slow = self.slowdown_at(home, w_arrive, engine.as_deref());
+                let w_slow = osts[home].slowdown_at(home, r_fin, engine);
                 let w_dur = (self.cfg.ost_service + len as f64 / self.cfg.ost_write_bw) * w_slow;
-                let w_start = reserve(&self.ost_busy[home], w_arrive, w_dur);
-                let w_fin = w_start + w_dur;
-                {
-                    let mut m = self.ost_metrics[home].lock();
-                    m.requests += 1;
-                    m.bytes_written += len;
-                    m.busy += w_dur;
-                    m.queue_wait += (w_start - w_arrive).max(0.0);
-                }
-                h.observe(home, w_slow, w_fin - w_arrive, w_fin);
+                let w_fin = osts[home].serve(r_fin, r_fin, w_dur);
+                osts[home].metrics.bytes_written += len;
+                h.observe(home, w_slow, w_fin - r_fin, w_fin);
                 report.completed_at = report.completed_at.max(w_fin);
             }
             h.reloc_clear(file_no, stripe, len);
@@ -936,11 +934,12 @@ impl Pfs {
     }
 
     /// Atomic read-modify-write of `[offset, offset+len)`: the span is
-    /// presented to `patch` under the file's data lock, so concurrent
-    /// writers cannot interleave between the read and the write-back. This
-    /// is the primitive behind write-mode *data sieving*, which on a real
-    /// system holds a file lock across the RMW for exactly this reason.
-    /// Costs one read pass plus one write pass over the span.
+    /// presented to `patch` under the file system's lock, so no other
+    /// writer can interleave between the read and the write-back (and
+    /// `patch` must not call back into this file system). This is the
+    /// primitive behind write-mode *data sieving*, which on a real system
+    /// holds a file lock across the RMW for exactly this reason. Costs one
+    /// read pass plus one write pass over the span.
     pub fn write_rmw(
         &self,
         id: FileId,
@@ -953,67 +952,56 @@ impl Pfs {
         if len == 0 {
             return Ok(now);
         }
-        let file = self.file(id)?;
-        self.outage_check(&file, id, offset, len, now, true)?;
-        let readable;
-        {
-            let mut c = file.data.lock();
-            let end = (offset + len) as usize;
-            readable = c
-                .bytes
-                .len()
-                .saturating_sub(offset as usize)
-                .min(len as usize) as u64;
-            if c.bytes.len() < end {
-                c.bytes.resize(end, 0);
-            }
-            // The read half of the RMW must not fold corrupt bytes back
-            // into the file — and re-sealing after the patch would bless
-            // them. Verify before patching.
-            self.verify_stripes(&file, &c, offset, len)?;
-            patch(&mut c.bytes[offset as usize..end]);
-            self.seal_stripes(&mut c, id, offset, len, now);
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        st.file(id)?;
+        let end = span_end(offset, len).ok_or(PfsError::OffsetOverflow { offset, len })?;
+        self.outage_check(st, id, offset, len, now, true)?;
+        let c = &mut st.files[id.0 as usize];
+        let readable = (c.bytes.len() as u64).saturating_sub(offset).min(len);
+        if c.bytes.len() < end {
+            c.bytes.resize(end, 0);
         }
-        let t = self.read_cost(&file, id, client, offset, readable, now, false);
-        Ok(self.write_cost(&file, id, client, offset, len, t))
+        // The read half of the RMW must not fold corrupt bytes back
+        // into the file — and re-sealing after the patch would bless
+        // them. Verify before patching.
+        self.verify_stripes(c, offset, len)?;
+        patch(&mut c.bytes[offset as usize..end]);
+        self.seal_stripes(st, id, offset, len, now);
+        let t = self.read_cost(st, id, client, offset, readable, now, false);
+        Ok(self.write_cost(st, id, client, offset, len, t))
     }
 
     /// Virtual-time cost of writing `[offset, offset+len)` (no data moved).
     fn write_cost(
         &self,
-        file: &FileState,
+        st: &mut State,
         id: FileId,
         client: usize,
         offset: u64,
         len: u64,
         now: f64,
     ) -> f64 {
-        let engine = self.chaos.lock().clone();
-        let qos = self.qos.read().clone();
-        let health = self.health.read().clone();
+        let ost_base = st.files[id.0 as usize].ost_base;
+        let engine = st.chaos.as_deref();
         let mut done = now;
         // Token-bucket admission: a metered tenant's request waits at the
         // gateway until its bucket covers the payload.
-        let mut client_t = match &qos {
+        let mut client_t = match &mut st.qos {
             Some(q) => q.admit(client, len, now),
             None => now,
         };
         for (pos, len) in self.rpc_pieces(offset, len) {
             self.stats.write_rpcs.fetch_add(1, Ordering::Relaxed);
             self.stats.bytes_written.fetch_add(len, Ordering::Relaxed);
-            if let Some(q) = &qos {
+            if let Some(q) = &mut st.qos {
                 q.note_io(client, true, len);
             }
             let stripe = pos / self.cfg.stripe_size;
-            let acquired = self
-                .locks
-                .lock()
-                .acquire(id.0, stripe, client, LockMode::Write);
+            let acquired = st.locks.acquire(id.0, stripe, client, LockMode::Write);
             // A revocation storm forces a revoke + re-grant even for the
             // current holder.
-            let storm = engine
-                .as_ref()
-                .is_some_and(|e| e.lock_storm_for(client, client_t));
+            let storm = engine.is_some_and(|e| e.lock_storm_for(client, client_t));
             let transfer = acquired || storm;
             let lock_cost = if transfer {
                 self.stats.lock_transfers.fetch_add(1, Ordering::Relaxed);
@@ -1024,19 +1012,14 @@ impl Pfs {
             // Client marshals the request and streams the payload. Small
             // pieces landing in an open gateway batch window pay the
             // coalesced overhead instead of the full per-RPC cost.
-            let extra_overhead = engine
-                .as_ref()
-                .map_or(0.0, |e| e.extra_request_overhead(client_t));
-            let base_overhead = match &qos {
+            let extra_overhead = engine.map_or(0.0, |e| e.extra_request_overhead(client_t));
+            let base_overhead = match &mut st.qos {
                 Some(q) => q.rpc_overhead(client, len, client_t, self.cfg.request_overhead),
                 None => self.cfg.request_overhead,
             };
             let link_dur = len as f64 * self.cfg.client_byte_time;
-            let send_start = reserve(
-                &self.client_busy[client],
-                client_t + base_overhead + extra_overhead,
-                link_dur,
-            );
+            let send_start =
+                st.clients[client].reserve(client_t + base_overhead + extra_overhead, link_dur);
             let arrive = send_start + link_dur + lock_cost;
             // OST services the piece (degraded OSTs run slower). Under a
             // fair-share discipline a contended tenant's piece becomes
@@ -1044,34 +1027,28 @@ impl Pfs {
             // backfilled by competing tenants via the timeline. With a
             // health layer, an open breaker quarantines the home OST and
             // the piece lands on its relocation target instead.
-            let ost = match &health {
-                Some(h) => h.route_write(id.0, stripe, self.ost_for(file, stripe), len, arrive),
-                None => self.ost_for(file, stripe),
+            let home = self.ost_for(ost_base, stripe);
+            let ost = match &mut st.health {
+                Some(h) => h.route_write(id.0, stripe, home, len, arrive),
+                None => home,
             };
-            let slowdown = self.slowdown_at(ost, arrive, engine.as_deref());
+            let slowdown = st.osts[ost].slowdown_at(ost, arrive, engine);
             let service_dur =
                 (self.cfg.ost_service + len as f64 / self.cfg.ost_write_bw) * slowdown;
-            let eligible = match &qos {
+            let eligible = match &mut st.qos {
                 Some(q) => q.ost_eligible(ost, client, arrive, service_dur),
                 None => arrive,
             };
-            let svc_start = reserve(&self.ost_busy[ost], eligible, service_dur);
-            {
-                let mut m = self.ost_metrics[ost].lock();
-                m.requests += 1;
-                m.bytes_written += len;
-                m.busy += service_dur;
-                m.queue_wait += (svc_start - arrive).max(0.0);
-                m.lock_transfers += transfer as u64;
-            }
-            let piece_done = svc_start + service_dur;
-            if let Some(h) = &health {
+            let piece_done = st.osts[ost].serve(arrive, eligible, service_dur);
+            st.osts[ost].metrics.bytes_written += len;
+            st.osts[ost].metrics.lock_transfers += transfer as u64;
+            if let Some(h) = &mut st.health {
                 // The service ratio (actual ÷ healthy service time) is
                 // exactly the compound slowdown factor — what a real
                 // client measures against its calibrated expectation.
                 h.observe(ost, slowdown, piece_done - client_t, piece_done);
             }
-            self.latency.observe(piece_done - client_t);
+            observe_latency(&mut st.latency, piece_done - client_t);
             done = done.max(piece_done);
             // The client can pipeline the next piece once its link is free.
             client_t = send_start + link_dur;
@@ -1090,25 +1067,7 @@ impl Pfs {
         buf: &mut [u8],
         now: f64,
     ) -> Result<f64> {
-        if buf.is_empty() {
-            return Ok(now);
-        }
-        let file = self.file(id)?;
-        self.outage_check(&file, id, offset, buf.len() as u64, now, false)?;
-        {
-            let c = file.data.lock();
-            let end = offset as usize + buf.len();
-            if end > c.bytes.len() {
-                return Err(PfsError::ReadPastEof {
-                    offset,
-                    len: buf.len() as u64,
-                    file_len: c.bytes.len() as u64,
-                });
-            }
-            self.verify_stripes(&file, &c, offset, buf.len() as u64)?;
-            buf.copy_from_slice(&c.bytes[offset as usize..end]);
-        }
-        Ok(self.read_cost(&file, id, client, offset, buf.len() as u64, now, false))
+        self.read(id, client, offset, buf, now, false)
     }
 
     /// Like [`Pfs::read_at`], but with adaptive hedging enabled when a
@@ -1123,25 +1082,28 @@ impl Pfs {
         buf: &mut [u8],
         now: f64,
     ) -> Result<f64> {
+        self.read(id, client, offset, buf, now, true)
+    }
+
+    fn read(
+        &self,
+        id: FileId,
+        client: usize,
+        offset: u64,
+        buf: &mut [u8],
+        now: f64,
+        hedge: bool,
+    ) -> Result<f64> {
         if buf.is_empty() {
             return Ok(now);
         }
-        let file = self.file(id)?;
-        self.outage_check(&file, id, offset, buf.len() as u64, now, false)?;
-        {
-            let c = file.data.lock();
-            let end = offset as usize + buf.len();
-            if end > c.bytes.len() {
-                return Err(PfsError::ReadPastEof {
-                    offset,
-                    len: buf.len() as u64,
-                    file_len: c.bytes.len() as u64,
-                });
-            }
-            self.verify_stripes(&file, &c, offset, buf.len() as u64)?;
-            buf.copy_from_slice(&c.bytes[offset as usize..end]);
-        }
-        Ok(self.read_cost(&file, id, client, offset, buf.len() as u64, now, true))
+        let len = buf.len() as u64;
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        st.file(id)?;
+        self.outage_check(st, id, offset, len, now, false)?;
+        self.copy_out(&st.files[id.0 as usize], offset, buf)?;
+        Ok(self.read_cost(st, id, client, offset, len, now, hedge))
     }
 
     /// Copy `[offset, offset+len)` into `buf` with **no virtual-time
@@ -1153,19 +1115,7 @@ impl Pfs {
         if buf.is_empty() {
             return Ok(());
         }
-        let file = self.file(id)?;
-        let c = file.data.lock();
-        let end = offset as usize + buf.len();
-        if end > c.bytes.len() {
-            return Err(PfsError::ReadPastEof {
-                offset,
-                len: buf.len() as u64,
-                file_len: c.bytes.len() as u64,
-            });
-        }
-        self.verify_stripes(&file, &c, offset, buf.len() as u64)?;
-        buf.copy_from_slice(&c.bytes[offset as usize..end]);
-        Ok(())
+        self.copy_out(self.state.lock().file(id)?, offset, buf)
     }
 
     /// Virtual-time cost of reading `[offset, offset+len)` (no data moved).
@@ -1173,14 +1123,14 @@ impl Pfs {
     /// With `hedge` set and a health layer attached, each piece may fire a
     /// speculative duplicate at a closed-breaker buddy OST once its
     /// projected wait exceeds the adaptive deadline (see
-    /// [`health::Health::hedge_quote`]). First service to finish wins and
-    /// is the one whose response streams back over the client link; the
-    /// loser's in-flight OST service is sunk cost but its response is
-    /// never streamed (loser cancellation).
+    /// `Health::hedge_quote`). First service to finish wins and is the one
+    /// whose response streams back over the client link; the loser's
+    /// in-flight OST service is sunk cost but its response is never
+    /// streamed (loser cancellation).
     #[allow(clippy::too_many_arguments)]
     fn read_cost(
         &self,
-        file: &FileState,
+        st: &mut State,
         id: FileId,
         client: usize,
         offset: u64,
@@ -1188,28 +1138,22 @@ impl Pfs {
         now: f64,
         hedge: bool,
     ) -> f64 {
-        let engine = self.chaos.lock().clone();
-        let qos = self.qos.read().clone();
-        let health = self.health.read().clone();
+        let ost_base = st.files[id.0 as usize].ost_base;
+        let engine = st.chaos.as_deref();
         let mut done = now;
-        let mut client_t = match &qos {
+        let mut client_t = match &mut st.qos {
             Some(q) => q.admit(client, len, now),
             None => now,
         };
         for (pos, len) in self.rpc_pieces(offset, len) {
             self.stats.read_rpcs.fetch_add(1, Ordering::Relaxed);
             self.stats.bytes_read.fetch_add(len, Ordering::Relaxed);
-            if let Some(q) = &qos {
+            if let Some(q) = &mut st.qos {
                 q.note_io(client, false, len);
             }
             let stripe = pos / self.cfg.stripe_size;
-            let acquired = self
-                .locks
-                .lock()
-                .acquire(id.0, stripe, client, LockMode::Read);
-            let storm = engine
-                .as_ref()
-                .is_some_and(|e| e.lock_storm_for(client, client_t));
+            let acquired = st.locks.acquire(id.0, stripe, client, LockMode::Read);
+            let storm = engine.is_some_and(|e| e.lock_storm_for(client, client_t));
             let transfer = acquired || storm;
             let lock_cost = if transfer {
                 self.stats.lock_transfers.fetch_add(1, Ordering::Relaxed);
@@ -1217,69 +1161,51 @@ impl Pfs {
             } else {
                 0.0
             };
-            let extra_overhead = engine
-                .as_ref()
-                .map_or(0.0, |e| e.extra_request_overhead(client_t));
-            let base_overhead = match &qos {
+            let extra_overhead = engine.map_or(0.0, |e| e.extra_request_overhead(client_t));
+            let base_overhead = match &mut st.qos {
                 Some(q) => q.rpc_overhead(client, len, client_t, self.cfg.request_overhead),
                 None => self.cfg.request_overhead,
             };
             let req_sent = client_t + base_overhead + extra_overhead;
             let wait_start = req_sent + lock_cost;
             // Reads of relocated extents are served by their holder OST.
-            let ost = match &health {
-                Some(h) => h.route_read(id.0, stripe, self.ost_for(file, stripe)),
-                None => self.ost_for(file, stripe),
+            let home = self.ost_for(ost_base, stripe);
+            let ost = match &st.health {
+                Some(h) => h.route_read(id.0, stripe, home),
+                None => home,
             };
-            let slowdown = self.slowdown_at(ost, wait_start, engine.as_deref());
+            let slowdown = st.osts[ost].slowdown_at(ost, wait_start, engine);
             let service_dur = (self.cfg.ost_service + len as f64 / self.cfg.ost_read_bw) * slowdown;
-            let eligible = match &qos {
+            let eligible = match &mut st.qos {
                 Some(q) => q.ost_eligible(ost, client, wait_start, service_dur),
                 None => wait_start,
             };
-            let svc_start = reserve(&self.ost_busy[ost], eligible, service_dur);
-            {
-                let mut m = self.ost_metrics[ost].lock();
-                m.requests += 1;
-                m.bytes_read += len;
-                m.busy += service_dur;
-                m.queue_wait += (svc_start - wait_start).max(0.0);
-                m.lock_transfers += transfer as u64;
-            }
-            let primary_fin = svc_start + service_dur;
-            if let Some(h) = &health {
-                h.observe(ost, slowdown, primary_fin - wait_start, primary_fin);
-            }
+            let primary_fin = st.osts[ost].serve(wait_start, eligible, service_dur);
+            st.osts[ost].metrics.bytes_read += len;
+            st.osts[ost].metrics.lock_transfers += transfer as u64;
             let mut svc_fin = primary_fin;
-            if hedge {
-                if let Some(h) = &health {
-                    if let Some(q) = h.hedge_quote(ost, client, wait_start, primary_fin) {
-                        let b_slow = self.slowdown_at(q.buddy, q.fire, engine.as_deref());
-                        let b_dur =
-                            (self.cfg.ost_service + len as f64 / self.cfg.ost_read_bw) * b_slow;
-                        let b_start = reserve(&self.ost_busy[q.buddy], q.fire, b_dur);
-                        let b_fin = b_start + b_dur;
-                        {
-                            let mut m = self.ost_metrics[q.buddy].lock();
-                            m.requests += 1;
-                            m.bytes_read += len;
-                            m.busy += b_dur;
-                            m.queue_wait += (b_start - q.fire).max(0.0);
-                        }
-                        h.observe(q.buddy, b_slow, b_fin - wait_start, b_fin);
-                        let win = b_fin < primary_fin;
-                        h.hedge_outcome(win);
-                        if win {
-                            svc_fin = b_fin;
-                        }
+            if let Some(h) = &mut st.health {
+                h.observe(ost, slowdown, primary_fin - wait_start, primary_fin);
+                let quote = hedge.then(|| h.hedge_quote(ost, client, wait_start, primary_fin));
+                if let Some(q) = quote.flatten() {
+                    let buddy = &mut st.osts[q.buddy];
+                    let b_slow = buddy.slowdown_at(q.buddy, q.fire, engine);
+                    let b_dur = (self.cfg.ost_service + len as f64 / self.cfg.ost_read_bw) * b_slow;
+                    let b_fin = buddy.serve(q.fire, q.fire, b_dur);
+                    buddy.metrics.bytes_read += len;
+                    h.observe(q.buddy, b_slow, b_fin - wait_start, b_fin);
+                    let win = b_fin < primary_fin;
+                    h.hedge_outcome(win);
+                    if win {
+                        svc_fin = b_fin;
                     }
                 }
             }
             // The winning response streams back over the client link.
             let link_dur = len as f64 * self.cfg.client_byte_time;
-            let resp_start = reserve(&self.client_busy[client], svc_fin, link_dur);
+            let resp_start = st.clients[client].reserve(svc_fin, link_dur);
             let piece_done = resp_start + link_dur;
-            self.latency.observe(piece_done - client_t);
+            observe_latency(&mut st.latency, piece_done - client_t);
             done = done.max(piece_done);
             client_t = req_sent;
         }
@@ -1289,21 +1215,21 @@ impl Pfs {
     /// Current contents of the per-RPC latency histogram (empty unless
     /// [`Pfs::enable_latency_metrics`] was called): the percentile source
     /// for the resilience benches.
-    pub fn latency_snapshot(&self) -> mpisim::metrics::Hist {
-        self.latency.snapshot()
+    pub fn latency_snapshot(&self) -> Hist {
+        self.state.lock().latency.clone().unwrap_or_default()
     }
 
-    /// Turn on the per-RPC service-latency histogram. Off (the default)
-    /// the recording sites cost one relaxed load each.
+    /// Turn on the per-RPC service-latency histogram (log2 buckets over
+    /// nanoseconds of virtual time). Off by default.
     pub fn enable_latency_metrics(&self) {
-        self.latency.enabled.store(true, Ordering::Relaxed);
+        self.state.lock().latency.get_or_insert_with(Hist::default);
     }
 
     /// Export this file system's counters (and the latency histogram when
     /// enabled and non-empty) into a metrics registry.
     pub fn export_metrics(&self, reg: &mut mpisim::metrics::Registry) {
         self.stats.snapshot().export_metrics(reg);
-        let lat = self.latency.snapshot();
+        let lat = self.latency_snapshot();
         if !lat.is_empty() {
             reg.insert_hist("pfs_request_latency_ns", lat);
         }
@@ -1344,27 +1270,25 @@ impl Pfs {
     /// Convenience for verification in tests and examples: a full copy of
     /// the file's bytes (no cost).
     pub fn snapshot_file(&self, id: FileId) -> Result<Vec<u8>> {
-        Ok(self.file(id)?.data.lock().bytes.clone())
+        Ok(self.state.lock().file(id)?.bytes.clone())
     }
 
     /// Per-OST service histogram for the observability layer: requests,
     /// bytes, accumulated busy time, queue wait, and lock transfers, one
     /// row per OST in index order.
     pub fn ost_report(&self) -> Vec<mpisim::trace::OstRow> {
-        self.ost_metrics
+        let st = self.state.lock();
+        st.osts
             .iter()
             .enumerate()
-            .map(|(i, m)| {
-                let m = m.lock();
-                mpisim::trace::OstRow {
-                    ost: i,
-                    requests: m.requests,
-                    bytes_read: m.bytes_read,
-                    bytes_written: m.bytes_written,
-                    busy: m.busy,
-                    queue_wait: m.queue_wait,
-                    lock_transfers: m.lock_transfers,
-                }
+            .map(|(ost, o)| mpisim::trace::OstRow {
+                ost,
+                requests: o.metrics.requests,
+                bytes_read: o.metrics.bytes_read,
+                bytes_written: o.metrics.bytes_written,
+                busy: o.metrics.busy,
+                queue_wait: o.metrics.queue_wait,
+                lock_transfers: o.metrics.lock_transfers,
             })
             .collect()
     }
@@ -1477,6 +1401,58 @@ mod tests {
             p.read_at(id, 0, 0, &mut buf, 0.0),
             Err(PfsError::ReadPastEof { .. })
         ));
+    }
+
+    #[test]
+    fn far_offsets_are_typed_errors_on_every_entry_point() {
+        // `offset + len` wraps u64 in the first two rows and is merely
+        // larger than any buffer in the third.
+        for (offset, len) in [(u64::MAX - 3, 8usize), (u64::MAX, 1), (1 << 63, 8)] {
+            let p = fs(1);
+            let id = p.create("/f").unwrap();
+            p.write_at(id, 0, 0, &[7u8; 16], 0.0).unwrap();
+            let mut buf = vec![0u8; len];
+            let reads = [
+                p.read_at(id, 0, offset, &mut buf, 0.0).err(),
+                p.read_at_hedged(id, 0, offset, &mut buf, 0.0).err(),
+                p.read_bytes(id, offset, &mut buf).err(),
+            ];
+            for e in reads {
+                let want = PfsError::ReadPastEof {
+                    offset,
+                    len: len as u64,
+                    file_len: 16,
+                };
+                assert_eq!(e, Some(want), "read at {offset}+{len}");
+                assert!(e.unwrap().to_string().contains("past end of file"));
+            }
+            let writes = [
+                p.write_at(id, 0, offset, &buf, 0.0).err(),
+                p.write_rmw(id, 0, offset, len as u64, &mut |b| b.fill(1), 0.0)
+                    .err(),
+            ];
+            for e in writes {
+                let want = PfsError::OffsetOverflow {
+                    offset,
+                    len: len as u64,
+                };
+                assert_eq!(e, Some(want), "write at {offset}+{len}");
+            }
+            assert_eq!(
+                p.snapshot_file(id).unwrap(),
+                vec![7u8; 16],
+                "file untouched"
+            );
+            assert_eq!(
+                p.stats.snapshot().write_rpcs,
+                1,
+                "no refused request is costed"
+            );
+        }
+        // The piece splitter is total too: a range ending at u64::MAX
+        // neither wraps nor loops.
+        let p = fs(1);
+        assert_eq!(p.rpc_pieces(u64::MAX - 3, 8), vec![(u64::MAX - 3, 3)]);
     }
 
     #[test]
@@ -1827,7 +1803,10 @@ mod failure_tests {
             .build()
             .unwrap();
         assert!(matches!(p.attach_chaos(bad), Err(PfsError::Config(_))));
-        assert!(p.chaos().is_none(), "failed attach leaves no engine");
+        assert!(
+            p.state.lock().chaos.is_none(),
+            "failed attach leaves no engine"
+        );
         let ok = chaos::FaultPlan::new(1)
             .with(chaos::Fault::OstOutage {
                 ost: 1,
@@ -1837,7 +1816,7 @@ mod failure_tests {
             .build()
             .unwrap();
         p.attach_chaos(ok).unwrap();
-        assert!(p.chaos().is_some());
+        assert!(p.state.lock().chaos.is_some());
     }
 
     #[test]

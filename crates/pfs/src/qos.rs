@@ -40,8 +40,6 @@
 //! serves OSTs in plain arrival order — the ablation baseline that the
 //! isolation experiments beat.
 
-use parking_lot::Mutex;
-
 /// OST queue discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Discipline {
@@ -142,22 +140,16 @@ struct TenantState {
     usage: TenantUsage,
 }
 
-/// Per-OST fair-share state: one share-charged virtual clock per tenant.
-#[derive(Debug, Clone)]
-struct FairState {
-    vclock: Vec<f64>,
-}
-
-/// The attached QoS layer (see module docs). One per [`crate::Pfs`];
-/// internally synchronized so the cost model can call it from any rank.
+/// The attached QoS layer (see module docs). One per [`crate::Pfs`],
+/// owned by its state and reached under its one lock.
 #[derive(Debug)]
-pub struct Qos {
+pub(crate) struct Qos {
     cfg: QosConfig,
-    ntenants: usize,
     total_weight: f64,
     tenant_of_client: Vec<u32>,
-    tenants: Mutex<Vec<TenantState>>,
-    fair: Vec<Mutex<FairState>>,
+    tenants: Vec<TenantState>,
+    /// Fair-share state: one share-charged virtual clock per (OST, tenant).
+    vclock: Vec<Vec<f64>>,
 }
 
 impl Qos {
@@ -182,35 +174,21 @@ impl Qos {
                 st.tokens = burst;
             }
         }
-        let fair_init = FairState {
-            vclock: vec![0.0; ntenants],
-        };
         let total_weight = (0..ntenants)
             .map(|t| cfg.weights.get(t).copied().unwrap_or(1.0))
             .sum();
         Ok(Qos {
-            fair: (0..num_osts)
-                .map(|_| Mutex::new(fair_init.clone()))
-                .collect(),
-            tenants: Mutex::new(tenants),
-            ntenants,
+            vclock: vec![vec![0.0; ntenants]; num_osts],
+            tenants,
             total_weight,
             tenant_of_client,
             cfg,
         })
     }
 
-    pub fn config(&self) -> &QosConfig {
-        &self.cfg
-    }
-
-    pub fn ntenants(&self) -> usize {
-        self.ntenants
-    }
-
     /// Tenant owning `client`; unmapped clients (e.g. internal drain
     /// agents) belong to tenant 0.
-    pub fn tenant_of(&self, client: usize) -> usize {
+    fn tenant_of(&self, client: usize) -> usize {
         self.tenant_of_client
             .get(client)
             .map(|&t| t as usize)
@@ -223,13 +201,12 @@ impl Qos {
 
     /// Token-bucket admission of a `bytes`-sized request arriving at
     /// `now`: returns the instant the request may proceed.
-    pub fn admit(&self, client: usize, bytes: u64, now: f64) -> f64 {
+    pub(crate) fn admit(&mut self, client: usize, bytes: u64, now: f64) -> f64 {
         let tenant = self.tenant_of(client);
         let Some(&Some((rate, burst))) = self.cfg.token_buckets.get(tenant) else {
             return now;
         };
-        let mut tenants = self.tenants.lock();
-        let st = &mut tenants[tenant];
+        let st = &mut self.tenants[tenant];
         // Never refill into the past: a request whose virtual arrival
         // precedes the bucket's stamp (ranks call in at skewed clocks)
         // joins at the stamp instead of minting tokens twice.
@@ -255,13 +232,12 @@ impl Qos {
     /// Per-RPC gateway overhead after coalescing: small requests landing
     /// inside an open batch window pay `batched_overhead` instead of
     /// `base`.
-    pub fn rpc_overhead(&self, client: usize, len: u64, t: f64, base: f64) -> f64 {
+    pub(crate) fn rpc_overhead(&mut self, client: usize, len: u64, t: f64, base: f64) -> f64 {
         if self.cfg.batch_window <= 0.0 || len > self.cfg.batch_threshold {
             return base;
         }
         let tenant = self.tenant_of(client);
-        let mut tenants = self.tenants.lock();
-        let st = &mut tenants[tenant];
+        let st = &mut self.tenants[tenant];
         if t < st.window_end {
             st.usage.batched_rpcs += 1;
             self.cfg.batched_overhead
@@ -274,36 +250,33 @@ impl Qos {
     /// Earliest instant a piece of service length `dur` from `client`,
     /// arriving at the OST at `arrive`, may start service under the
     /// configured discipline. Also advances the tenant's virtual clock.
-    pub fn ost_eligible(&self, ost: usize, client: usize, arrive: f64, dur: f64) -> f64 {
-        if self.cfg.discipline != Discipline::FairShare || self.ntenants <= 1 {
+    pub(crate) fn ost_eligible(&mut self, ost: usize, client: usize, arrive: f64, dur: f64) -> f64 {
+        if self.cfg.discipline != Discipline::FairShare || self.tenants.len() <= 1 {
             // FIFO, or nobody to protect: bookings are never perturbed
             // (single-tenant fair share is bit-identical to no QoS).
             return arrive;
         }
         let tenant = self.tenant_of(client);
-        let mut st = self.fair[ost].lock();
         // Idle catch-up: a tenant that booked less than real time has
         // passed restarts its clock at the present — unused share is not
         // banked.
-        let vc = st.vclock[tenant].max(arrive);
+        let vc = self.vclock[ost][tenant].max(arrive);
         // Inside the allowance the piece books immediately; beyond it,
         // eligibility trails the share-charged clock, spacing this
         // tenant's reservations to `weight / Σweights` of the OST and
         // leaving first-fit gaps for everyone else to backfill.
         let start = arrive.max(vc - self.cfg.fair_allowance);
-        st.vclock[tenant] = vc + dur * (self.total_weight / self.weight(tenant));
-        drop(st);
+        self.vclock[ost][tenant] = vc + dur * (self.total_weight / self.weight(tenant));
         if start > arrive {
-            self.tenants.lock()[tenant].usage.fair_delay += start - arrive;
+            self.tenants[tenant].usage.fair_delay += start - arrive;
         }
         start
     }
 
     /// Per-piece usage accounting.
-    pub fn note_io(&self, client: usize, is_write: bool, bytes: u64) {
+    pub(crate) fn note_io(&mut self, client: usize, is_write: bool, bytes: u64) {
         let tenant = self.tenant_of(client);
-        let mut tenants = self.tenants.lock();
-        let u = &mut tenants[tenant].usage;
+        let u = &mut self.tenants[tenant].usage;
         if is_write {
             u.write_rpcs += 1;
             u.bytes_written += bytes;
@@ -314,8 +287,8 @@ impl Qos {
     }
 
     /// Per-tenant usage snapshot, ascending tenant order.
-    pub fn usage(&self) -> Vec<TenantUsage> {
-        self.tenants.lock().iter().map(|s| s.usage).collect()
+    pub(crate) fn usage(&self) -> Vec<TenantUsage> {
+        self.tenants.iter().map(|s| s.usage).collect()
     }
 }
 
@@ -353,7 +326,7 @@ mod tests {
             token_buckets: vec![Some((1000.0, 500.0))],
             ..Default::default()
         };
-        let q = qos(cfg, vec![0]);
+        let mut q = qos(cfg, vec![0]);
         // The burst passes immediately...
         assert_eq!(q.admit(0, 500, 0.0), 0.0);
         // ...then a 1000-byte request must wait a full second.
@@ -372,7 +345,7 @@ mod tests {
             token_buckets: vec![Some((1000.0, 100.0))],
             ..Default::default()
         };
-        let q = qos(cfg, vec![0, 0]);
+        let mut q = qos(cfg, vec![0, 0]);
         let t = q.admit(0, 100, 5.0); // drains the bucket at t=5
         assert_eq!(t, 5.0);
         // A straggler arriving "earlier" cannot mint tokens: it queues at
@@ -383,7 +356,7 @@ mod tests {
 
     #[test]
     fn unmetered_tenant_passes_untouched() {
-        let q = qos(QosConfig::default(), vec![0]);
+        let mut q = qos(QosConfig::default(), vec![0]);
         assert_eq!(q.admit(0, 1 << 30, 3.0), 3.0);
         assert_eq!(q.usage()[0].throttle_wait, 0.0);
     }
@@ -396,7 +369,7 @@ mod tests {
             batched_overhead: 1.0e-6,
             ..Default::default()
         };
-        let q = qos(cfg, vec![0]);
+        let mut q = qos(cfg, vec![0]);
         let base = 60.0e-6;
         // Window opener pays full freight.
         assert_eq!(q.rpc_overhead(0, 100, 0.0, base), base);
@@ -417,7 +390,7 @@ mod tests {
             fair_allowance: 0.15,
             ..Default::default()
         };
-        let q = qos(cfg.clone(), vec![0, 1]);
+        let mut q = qos(cfg.clone(), vec![0, 1]);
         let d = 0.1; // equal weights, two tenants: clock charges 2×d per piece
                      // A tenant issuing slower than its share never touches the
                      // allowance: the clock catches up to real time between pieces.
@@ -436,7 +409,7 @@ mod tests {
         // A different OST has its own clock.
         assert_eq!(q.ost_eligible(1, 1, 0.0, d), 0.0);
         // A single-tenant facility has nobody to protect: never paced.
-        let lone = qos(cfg, vec![0]);
+        let mut lone = qos(cfg, vec![0]);
         for _ in 0..10 {
             assert_eq!(lone.ost_eligible(0, 0, 0.0, d), 0.0);
         }
@@ -450,7 +423,7 @@ mod tests {
             fair_allowance: 0.0,
             ..Default::default()
         };
-        let q = qos(cfg, vec![0, 1]);
+        let mut q = qos(cfg, vec![0, 1]);
         q.ost_eligible(0, 1, 0.0, 0.5);
         for _ in 0..10 {
             assert_eq!(q.ost_eligible(0, 0, 0.0, 0.5), 0.0);
@@ -460,7 +433,7 @@ mod tests {
 
     #[test]
     fn usage_accounts_per_tenant() {
-        let q = qos(QosConfig::default(), vec![0, 1, 1]);
+        let mut q = qos(QosConfig::default(), vec![0, 1, 1]);
         q.note_io(0, true, 100);
         q.note_io(1, false, 50);
         q.note_io(2, true, 25);

@@ -56,6 +56,8 @@
 //! .unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod error;
 pub mod file;

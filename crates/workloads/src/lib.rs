@@ -10,6 +10,8 @@
 //!   slabs, S3D cubes) used by the examples.
 //! * [`dist`] — seeded normal sampling (Table IV).
 
+#![forbid(unsafe_code)]
+
 pub mod art;
 pub mod decomp;
 pub mod dist;
