@@ -290,7 +290,7 @@ fn run_groups(calib: &Calib, nprocs: usize, groups: usize, block_real: usize) ->
 }
 
 /// Ablation: partitioned collective I/O (ParColl, the paper's related
-/// work [15]) vs global two-phase collective I/O.
+/// work \[15\]) vs global two-phase collective I/O.
 ///
 /// The global exchange burst costs O(P²) in unexpected-queue matching; a
 /// partitioned collective pays O(G²) per group with no global

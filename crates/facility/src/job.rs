@@ -15,8 +15,8 @@
 //!   exchange redistributes to contiguous per-rank segments, one large
 //!   write each.
 //!
-//! All collectives run inside the job's communicator (a [`SubComm`] of
-//! the tenant's ranks, or the world for a single-tenant facility), so
+//! All collectives run inside the job's communicator (a [`Comm`] over the
+//! tenant's ranks, or the world for a single-tenant facility), so
 //! many jobs from different tenants advance concurrently in one
 //! simulation against one shared file system.
 //!
@@ -27,7 +27,7 @@
 use crate::burst::BurstBuffer;
 use crate::FacilityError;
 use mpiio::pfs_retry;
-use mpisim::{Phase, Rank, SubComm};
+use mpisim::{Comm, Phase, Rank};
 use pfs::{FileId, Pfs};
 
 /// How a tenant's jobs perform their I/O.
@@ -53,45 +53,6 @@ pub struct JobSpec {
     /// speculative duplicate at a healthy OST. Without a health layer
     /// the hedged entry point is bit-identical to the plain one.
     pub hedged_reads: bool,
-}
-
-/// Communicator a job runs in: the tenant's subgroup, or the whole
-/// machine when the facility hosts a single tenant (no `split` call, so
-/// the run stays bit-identical to a direct `mpisim::run` of the same
-/// body — the zero-cost-off contract).
-pub enum Comm {
-    World,
-    Group(SubComm),
-}
-
-impl Comm {
-    pub fn size(&self, rank: &Rank) -> usize {
-        match self {
-            Comm::World => rank.nprocs(),
-            Comm::Group(c) => c.size(),
-        }
-    }
-
-    pub fn group_rank(&self, rank: &Rank) -> usize {
-        match self {
-            Comm::World => rank.rank(),
-            Comm::Group(c) => c.group_rank(),
-        }
-    }
-
-    pub fn barrier(&self, rank: &mut Rank) -> mpisim::Result<()> {
-        match self {
-            Comm::World => rank.barrier(),
-            Comm::Group(c) => rank.barrier_in(c),
-        }
-    }
-
-    pub fn alltoallv(&self, rank: &mut Rank, data: Vec<Vec<u8>>) -> mpisim::Result<Vec<Vec<u8>>> {
-        match self {
-            Comm::World => rank.alltoallv_burst(data),
-            Comm::Group(c) => rank.alltoallv_burst_in(c, data),
-        }
-    }
 }
 
 /// What one rank contributed to a finished job.
@@ -176,8 +137,8 @@ pub fn run_job(
     job: u32,
     spec: &JobSpec,
 ) -> Result<JobOutcome, FacilityError> {
-    let g = comm.size(rank);
-    let gr = comm.group_rank(rank);
+    let g = comm.size();
+    let gr = comm.group_rank();
     let nblocks = (spec.bytes_per_rank / spec.access) as usize;
 
     // Group leader creates the file; everyone else opens after the
@@ -188,7 +149,7 @@ pub fn run_job(
             Err(e) => return Err(e.into()),
         }
     }
-    comm.barrier(rank)?;
+    rank.barrier_in(comm)?;
     let id = fs.open(&spec.file)?;
 
     let mut out = JobOutcome::default();
@@ -221,7 +182,7 @@ pub fn run_job(
             )?;
         }
     }
-    comm.barrier(rank)?;
+    rank.barrier_in(comm)?;
 
     if spec.read_back {
         if spec.hedged_reads {
@@ -246,7 +207,7 @@ pub fn run_job(
             }
             out.bytes_read += spec.access;
         }
-        comm.barrier(rank)?;
+        rank.barrier_in(comm)?;
     }
     Ok(out)
 }
@@ -275,8 +236,8 @@ fn exchange_rounds(
     spec: &JobSpec,
     window: usize,
 ) -> Result<u64, FacilityError> {
-    let g = comm.size(rank);
-    let gr = comm.group_rank(rank);
+    let g = comm.size();
+    let gr = comm.group_rank();
     let nblocks = (spec.bytes_per_rank / spec.access) as usize;
     let acc = spec.access as usize;
     let mut written = 0u64;
@@ -299,7 +260,7 @@ fn exchange_rounds(
             data[dst].extend_from_slice(&block);
             rank.charge_memcpy(spec.access);
         }
-        let mut recvd = comm.alltoallv(rank, data)?;
+        let mut recvd = rank.alltoallv_burst_in(comm, data)?;
         // Collection phase: assemble my contiguous slice of the region.
         // Slice d covers rel ∈ [d·w, (d+1)·w); block rel came from group
         // rank (rel + round_start·g) % g... i.e. source i % g, and each
@@ -324,7 +285,7 @@ fn exchange_rounds(
         // OCIO's rounds are collectively synchronized; the single TCIO
         // round ends the loop so the barrier costs nothing extra there.
         if round_start < nblocks {
-            comm.barrier(rank)?;
+            rank.barrier_in(comm)?;
         }
     }
     Ok(written)

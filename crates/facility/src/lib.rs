@@ -31,7 +31,7 @@ pub mod job;
 pub mod orchestrator;
 
 pub use burst::{BurstBuffer, BurstConfig, BurstStats};
-pub use job::{Comm, JobOutcome, JobSpec, Style};
+pub use job::{JobOutcome, JobSpec, Style};
 pub use orchestrator::{
     run_facility, FacilityConfig, FacilityReport, JobRecord, QosMode, TenantOutcome, TenantSpec,
 };

@@ -18,7 +18,7 @@
 
 use crate::arrivals;
 use crate::burst::{BurstBuffer, BurstConfig, BurstStats};
-use crate::job::{self, Comm, JobSpec, Style};
+use crate::job::{self, JobSpec, Style};
 use crate::FacilityError;
 use mpisim::metrics::{Hist, Registry};
 use mpisim::trace::PhaseTotals;
@@ -334,10 +334,13 @@ pub fn run_facility(cfg: &FacilityConfig) -> Result<FacilityReport, FacilityErro
     let rep = mpisim::run(nranks, sim, move |rank: &mut Rank| {
         let log = rank.shared_state(|| Mutex::new(Vec::<JobRecord>::new()))?;
         let t = tenant_of_rank[rank.rank()] as usize;
+        // A single tenant runs in the world itself — no `split` call, so
+        // the run stays bit-identical to a direct `mpisim::run` of the same
+        // body (the zero-cost-off contract).
         let comm = if single {
-            Comm::World
+            rank.world()
         } else {
-            Comm::Group(rank.split(t as u64)?)
+            rank.split(t as u64)?
         };
         let spec = &tenants[t];
         let bb = buffers_body.get(&t).map(|b| b.as_ref());
@@ -346,7 +349,7 @@ pub fn run_facility(cfg: &FacilityConfig) -> Result<FacilityReport, FacilityErro
             if rank.now() < arrival {
                 rank.with_phase(Phase::Sync, |rk| rk.sync_to(arrival));
             }
-            comm.barrier(rank)?;
+            rank.barrier_in(&comm)?;
             let jspec = JobSpec {
                 file: format!("/tenant{t}/job{j}.dat"),
                 style: spec.style,
@@ -359,7 +362,7 @@ pub fn run_facility(cfg: &FacilityConfig) -> Result<FacilityReport, FacilityErro
                 .map_err(FacilityError::into_mpi)?;
             // run_job ends with a group barrier, so every member's clock
             // agrees on the finish instant; the leader records the job.
-            if comm.group_rank(rank) == 0 {
+            if comm.group_rank() == 0 {
                 let total = spec.bytes_per_rank * spec.ranks as u64;
                 log.lock().push(JobRecord {
                     tenant: t,

@@ -30,7 +30,7 @@
 use crate::error::{IoError, Result};
 use crate::extents::ExtentSet;
 use crate::file::File;
-use crate::rounds::{read_rounds, write_rounds, Path, Scope};
+use crate::rounds::{read_rounds, write_rounds, Path};
 use mpisim::Rank;
 
 /// Tuning knobs of the two-phase implementation (ROMIO hints).
@@ -269,8 +269,9 @@ pub fn write_all_at(
     data: &[u8],
     cfg: &CollectiveConfig,
 ) -> Result<()> {
+    let world = rank.world();
     let path = Path {
-        scope: Scope::World,
+        comm: &world,
         merges: true,
         flat_span: Some("ocio_io"),
         pipe_span: Some("ocio_io_pipe"),
@@ -289,8 +290,9 @@ pub fn read_all_at(
     buf: &mut [u8],
     cfg: &CollectiveConfig,
 ) -> Result<()> {
+    let world = rank.world();
     let path = Path {
-        scope: Scope::World,
+        comm: &world,
         merges: true,
         flat_span: Some("ocio_read"),
         pipe_span: Some("ocio_read_pipe"),
@@ -784,8 +786,9 @@ mod tests {
                 ..Default::default()
             };
             let r = rk.rank() as u64;
+            let world = rk.world();
             let path = Path {
-                scope: Scope::World,
+                comm: &world,
                 merges: true,
                 flat_span: None,
                 pipe_span: None,

@@ -10,7 +10,7 @@
 //! happens at all.
 //!
 //! [`write_all_partitioned`] runs the two-phase algorithm scoped to a
-//! [`mpisim::SubComm`]: group-local domain agreement, group-local burst
+//! [`mpisim::Comm`]: group-local domain agreement, group-local burst
 //! exchange, group-local aggregators. It is most effective when each
 //! group's data is clustered in the file (ParColl's "file domain
 //! partitioning"); with fully interleaved data it still works, but
@@ -19,8 +19,8 @@
 use crate::collective::{write_pieces, CollectiveConfig};
 use crate::error::Result;
 use crate::file::File;
-use crate::rounds::{Path, Scope};
-use mpisim::{Rank, SubComm};
+use crate::rounds::Path;
+use mpisim::{Comm, Rank};
 
 /// Partitioned collective write: every member of `comm` calls with its own
 /// (possibly empty) data at a view-stream `offset`. Different groups
@@ -28,18 +28,18 @@ use mpisim::{Rank, SubComm};
 ///
 /// Domain agreement, the burst and the aggregators are all group-local;
 /// `cb_buffer` chunks the group exchange into rounds like the world path.
-/// The sub-communicator exchange has no semantic-merge variant, so
-/// `req_agg` rides the two-level (node-leader) burst like `intra_agg`.
+/// The semantic-merge exchange is written for the world's rank space, so
+/// here `req_agg` rides the two-level (node-leader) burst like `intra_agg`.
 pub fn write_all_partitioned(
     rank: &mut Rank,
     file: &mut File,
-    comm: &SubComm,
+    comm: &Comm,
     offset: u64,
     data: &[u8],
     cfg: &CollectiveConfig,
 ) -> Result<()> {
     let path = Path {
-        scope: Scope::Group(comm),
+        comm,
         merges: false,
         flat_span: None,
         pipe_span: Some("par_io_pipe"),
@@ -293,5 +293,58 @@ mod tests {
             "group 0 must not wait for group 1 ({}s)",
             rep.results[0]
         );
+    }
+
+    #[test]
+    fn the_world_and_a_one_colour_split_are_the_same_communicator() {
+        // Same members, same order, and the same file through the same code
+        // path as through the world-only entry point.
+        // (Aggregators fixed and no topology: the world's node-aware,
+        // chaos-shrunk placement is the one thing a group does not get.)
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        enum Via {
+            Split,
+            World,
+            WriteAllAt,
+        }
+        let nprocs = 8;
+        let run_via = |via: Via| {
+            let fs = Pfs::new(nprocs, PfsConfig::default()).unwrap();
+            let fs2 = Arc::clone(&fs);
+            mpisim::run(nprocs, SimConfig::default(), move |rk| {
+                let world = rk.world();
+                let comm = if via == Via::Split {
+                    rk.split(7)?
+                } else {
+                    world.clone()
+                };
+                assert!(world.is_world());
+                assert_eq!(comm.is_world(), via != Via::Split);
+                assert_eq!(comm.size(), nprocs);
+                assert_eq!(comm.group_rank(), rk.rank());
+                assert_eq!(comm.members(), (0..nprocs).collect::<Vec<_>>());
+                let cfg = CollectiveConfig {
+                    cb_nodes: Some(3),
+                    cb_buffer: Some(48),
+                    ..Default::default()
+                };
+                let mut f = File::open(rk, &fs2, "/w", Mode::WriteOnly).map_err(to_mpi)?;
+                let data = vec![rk.rank() as u8 + 1; 64];
+                let off = (rk.rank() * 64) as u64;
+                if via == Via::WriteAllAt {
+                    crate::write_all_at(rk, &mut f, off, &data, &cfg).map_err(to_mpi)?;
+                } else {
+                    write_all_partitioned(rk, &mut f, &comm, off, &data, &cfg).map_err(to_mpi)?;
+                }
+                Ok(())
+            })
+            .unwrap();
+            let fid = fs.open("/w").unwrap();
+            fs.snapshot_file(fid).unwrap()
+        };
+        let world_bytes = run_via(Via::World);
+        assert_eq!(world_bytes.len(), nprocs * 64);
+        assert_eq!(run_via(Via::Split), world_bytes);
+        assert_eq!(run_via(Via::WriteAllAt), world_bytes);
     }
 }

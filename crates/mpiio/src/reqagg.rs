@@ -11,7 +11,7 @@
 //! parses `O(nodes)` lists instead of `O(ranks)`, and the inter-node wire
 //! carries one header per merged extent instead of one per member extent.
 //!
-//! Wire protocol (writes, [`exchange_pieces`]):
+//! Wire protocol (writes, `exchange_pieces`):
 //!
 //! 1. every rank sends its piece lists for *on-node* aggregators directly
 //!    (shared-memory links; `TAG_RA_LOCAL`, one message per on-node
@@ -29,10 +29,10 @@
 //! rank-indexed `Vec<Vec<u8>>` the two-phase code already consumes, with
 //! the merged list sitting at the *leader's* rank index.
 //!
-//! Reads run the same shape twice: [`exchange_requests`] merges request
+//! Reads run the same shape twice: `exchange_requests` merges request
 //! lists uphill (the leader unions them into sorted, coalesced runs —
 //! [`ExtentSet`] — and remembers each member's original list in a
-//! [`ReadSession`]), then [`exchange_responses`] routes the aggregator's
+//! `ReadSession`), then `exchange_responses` routes the aggregator's
 //! run-ordered response bytes back down, the leader slicing each member's
 //! requested extents out of the merged runs (`TAG_RA_DOWN` down-blob:
 //! `(agg u32, len u32, bytes)*`).
@@ -73,19 +73,18 @@ fn recv_or_empty(rank: &mut Rank, src: usize, tag: Tag) -> Result<Vec<u8>> {
     }
 }
 
-/// Roles for one aggregated exchange: node membership, the chaos-aware
-/// leader election (identical criteria to the runtime's hierarchical
-/// exchange, so the same rank leads either way), and the aggregator set
-/// split into on-node and off-node.
+/// Roles for one aggregated exchange: node membership, the elected node
+/// leaders (`Rank::elect_node_leaders_in` — the same election as the
+/// runtime's two-level exchange, so the same rank leads either way), and
+/// the aggregator set split into on-node and off-node.
 struct RaPlan {
     me: usize,
-    nprocs: usize,
     my_node: usize,
     /// World ranks on my node, ascending (includes me).
     my_peers: Vec<usize>,
     my_leader: usize,
-    /// node id → leader world rank, for every node.
-    leader_of: BTreeMap<usize, usize>,
+    /// Leader world rank of every node, by node index.
+    leader_of: Vec<usize>,
     agg_ranks: Vec<usize>,
     /// Aggregators sharing my node, excluding me.
     on_node_aggs: Vec<usize>,
@@ -97,53 +96,36 @@ impl RaPlan {
     fn i_am_agg(&self) -> bool {
         self.agg_ranks.contains(&self.me)
     }
+
+    /// The other ranks on my node, ascending.
+    fn peers(&self) -> impl Iterator<Item = usize> + '_ {
+        self.my_peers.iter().copied().filter(|&p| p != self.me)
+    }
+
+    /// Every other node's leader, in node order.
+    fn remote_leaders(&self) -> impl Iterator<Item = usize> + '_ {
+        let others = move |(node, &l): (usize, &usize)| (node != self.my_node).then_some(l);
+        self.leader_of.iter().enumerate().filter_map(others)
+    }
 }
 
-/// Synchronize and elect. The barrier makes every rank's clock equal, so
-/// the pure-function stall/crash queries yield the same leaders everywhere
-/// without extra messages.
+/// Synchronize and elect, over the world.
 fn make_plan(rank: &mut Rank, agg_ranks: &[usize]) -> Result<RaPlan> {
-    rank.barrier()?;
-    let topo = rank
-        .topology()
-        .expect("request aggregation requires a topology");
+    let leaders = rank.elect_node_leaders_in(&rank.world())?;
+    let (Some(topo), Some(leader_of)) = (rank.topology(), leaders) else {
+        return Err(IoError::Usage(
+            "request aggregation needs a topology".into(),
+        ));
+    };
     let me = rank.rank();
-    let nprocs = rank.nprocs();
-    let mut nodes: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for w in 0..nprocs {
-        nodes.entry(topo.node_of(w)).or_default().push(w);
-    }
-    let now = rank.now();
-    let mut leader_of: BTreeMap<usize, usize> = BTreeMap::new();
-    for (&node, ws) in &nodes {
-        let healthy = ws.iter().copied().find(|&w| match rank.chaos() {
-            Some(e) => !e.stall_ahead(w, now) && !e.crash_ahead(w),
-            None => true,
-        });
-        leader_of.insert(node, healthy.unwrap_or(ws[0]));
-    }
     let my_node = topo.node_of(me);
-    let my_peers = nodes[&my_node].clone();
-    let my_leader = leader_of[&my_node];
-    if me == my_leader && my_leader != my_peers[0] {
-        rank.stats.leader_fallbacks += 1;
-    }
-    let on_node_aggs = agg_ranks
-        .iter()
-        .copied()
-        .filter(|&a| a != me && topo.node_of(a) == my_node)
-        .collect();
-    let off_node_aggs = agg_ranks
-        .iter()
-        .copied()
-        .filter(|&a| topo.node_of(a) != my_node)
-        .collect();
+    let others = agg_ranks.iter().copied().filter(|&a| a != me);
+    let (on_node_aggs, off_node_aggs) = others.partition(|&a| topo.node_of(a) == my_node);
     Ok(RaPlan {
         me,
-        nprocs,
         my_node,
-        my_peers,
-        my_leader,
+        my_peers: topo.ranks_on_node(my_node).to_vec(),
+        my_leader: leader_of[my_node],
         leader_of,
         agg_ranks: agg_ranks.to_vec(),
         on_node_aggs,
@@ -207,25 +189,28 @@ impl PieceMap {
     }
 }
 
-/// The write-side aggregated exchange. `payloads` is indexed by world rank
-/// (non-empty only at aggregator ranks); the result is indexed by source
-/// rank like the flat burst, with each node's merged off-node list at its
-/// leader's index.
-pub(crate) fn exchange_pieces(
+/// The uphill leg both directions share. `payloads` is indexed by world
+/// rank (non-empty only at aggregator ranks); the result is indexed by
+/// source rank like the flat burst, with each node's merged off-node list
+/// at its leader's index. `merge(rank, agg, lists)` is the leader's one
+/// decision: fold its members' lists for an off-node aggregator (keyed by
+/// member rank, so ascending) into the single list that crosses the wire.
+fn uphill(
     rank: &mut Rank,
-    agg_ranks: &[usize],
+    plan: &RaPlan,
     mut payloads: Vec<Vec<u8>>,
+    span: &'static str,
+    mut merge: impl FnMut(&mut Rank, usize, BTreeMap<usize, Vec<u8>>) -> Result<Vec<u8>>,
 ) -> Result<Vec<Vec<u8>>> {
-    let plan = make_plan(rank, agg_ranks)?;
     let start = rank.now();
     let total: u64 = payloads.iter().map(|p| p.len() as u64).sum();
     let me = plan.me;
-    let mut out: Vec<Vec<u8>> = vec![Vec::new(); plan.nprocs];
+    let mut out: Vec<Vec<u8>> = vec![Vec::new(); payloads.len()];
     if plan.i_am_agg() {
         out[me] = std::mem::take(&mut payloads[me]);
     }
     let mut sends = Vec::new();
-    // On-node piece lists go directly over the shared-memory links.
+    // On-node lists go directly over the shared-memory links.
     for &a in &plan.on_node_aggs {
         let p = std::mem::take(&mut payloads[a]);
         sends.push(rank.isend(a, TAG_RA_LOCAL, &p)?);
@@ -240,8 +225,6 @@ pub(crate) fn exchange_pieces(
         }
         sends.push(rank.isend(plan.my_leader, TAG_RA_UP, &up)?);
     } else {
-        // Leader: member lists per off-node aggregator, keyed by member
-        // rank so the merge applies them in ascending rank order.
         let mut contrib: BTreeMap<usize, BTreeMap<usize, Vec<u8>>> = BTreeMap::new();
         for &a in &plan.off_node_aggs {
             let p = std::mem::take(&mut payloads[a]);
@@ -249,10 +232,7 @@ pub(crate) fn exchange_pieces(
                 contrib.entry(a).or_default().insert(me, p);
             }
         }
-        for &p in &plan.my_peers {
-            if p == me {
-                continue;
-            }
+        for p in plan.peers() {
             let up = recv_or_empty(rank, p, TAG_RA_UP)?;
             let mut frames = Cursor::new(&up);
             while !frames.is_empty() {
@@ -262,40 +242,52 @@ pub(crate) fn exchange_pieces(
         }
         for &a in &plan.off_node_aggs {
             let merged = match contrib.remove(&a) {
-                Some(lists) => {
-                    let mut map = PieceMap::default();
-                    let mut moved = 0u64;
-                    for blob in lists.values() {
-                        for (off, bytes) in decode_pieces(blob)? {
-                            map.insert(off, bytes);
-                            moved += bytes.len() as u64;
-                        }
-                    }
-                    rank.charge_memcpy(moved);
-                    map.encode()?
-                }
+                Some(lists) => merge(rank, a, lists)?,
                 None => Vec::new(),
             };
             sends.push(rank.isend(a, TAG_RA_XNODE, &merged)?);
         }
     }
     if plan.i_am_agg() {
-        for &p in &plan.my_peers {
-            if p == me {
-                continue;
-            }
+        for p in plan.peers() {
             out[p] = recv_or_empty(rank, p, TAG_RA_LOCAL)?;
         }
-        for (&node, &l) in &plan.leader_of {
-            if node == plan.my_node {
-                continue;
-            }
+        for l in plan.remote_leaders() {
             out[l] = recv_or_empty(rank, l, TAG_RA_XNODE)?;
         }
     }
     rank.waitall(sends)?;
-    rank.trace_mark("reqagg_pieces", Phase::Exchange, start, total);
+    rank.trace_mark(span, Phase::Exchange, start, total);
     Ok(out)
+}
+
+/// The write-side aggregated exchange: the leader applies its members'
+/// piece lists in ascending rank order (later members overwrite on
+/// overlap) and coalesces adjacent extents.
+pub(crate) fn exchange_pieces(
+    rank: &mut Rank,
+    agg_ranks: &[usize],
+    payloads: Vec<Vec<u8>>,
+) -> Result<Vec<Vec<u8>>> {
+    let plan = make_plan(rank, agg_ranks)?;
+    uphill(
+        rank,
+        &plan,
+        payloads,
+        "reqagg_pieces",
+        |rank, _agg, lists| {
+            let mut map = PieceMap::default();
+            let mut moved = 0u64;
+            for blob in lists.values() {
+                for (off, bytes) in decode_pieces(blob)? {
+                    map.insert(off, bytes);
+                    moved += bytes.len() as u64;
+                }
+            }
+            rank.charge_memcpy(moved);
+            map.encode()
+        },
+    )
 }
 
 /// State carried from the request leg to the response leg of an
@@ -310,104 +302,39 @@ pub(crate) struct ReadSession {
     member_reqs: BTreeMap<usize, BTreeMap<usize, Vec<(u64, u64)>>>,
 }
 
-/// The read-side request leg: like [`exchange_pieces`] but merging
-/// offset–length request lists via extent union. Returns the rank-indexed
-/// incoming requests (for aggregators) plus the [`ReadSession`] the
-/// response leg needs.
+/// The read-side request leg: the leader unions its members' offset–length
+/// request lists. Returns the rank-indexed incoming requests (for
+/// aggregators) plus the [`ReadSession`] the response leg needs.
 pub(crate) fn exchange_requests(
     rank: &mut Rank,
     agg_ranks: &[usize],
-    mut requests: Vec<Vec<u8>>,
+    requests: Vec<Vec<u8>>,
 ) -> Result<(Vec<Vec<u8>>, ReadSession)> {
     let plan = make_plan(rank, agg_ranks)?;
-    let start = rank.now();
-    let total: u64 = requests.iter().map(|p| p.len() as u64).sum();
-    let me = plan.me;
-    let mut out: Vec<Vec<u8>> = vec![Vec::new(); plan.nprocs];
-    if plan.i_am_agg() {
-        out[me] = std::mem::take(&mut requests[me]);
-    }
-    let mut merged: BTreeMap<usize, Vec<(u64, u64)>> = BTreeMap::new();
-    let mut member_reqs: BTreeMap<usize, BTreeMap<usize, Vec<(u64, u64)>>> = BTreeMap::new();
-    let mut sends = Vec::new();
-    for &a in &plan.on_node_aggs {
-        let p = std::mem::take(&mut requests[a]);
-        sends.push(rank.isend(a, TAG_RA_LOCAL, &p)?);
-    }
-    if me != plan.my_leader {
-        let mut up = Vec::new();
-        for &a in &plan.off_node_aggs {
-            let p = std::mem::take(&mut requests[a]);
-            if !p.is_empty() {
-                push_frame(&mut up, a, &p)?;
+    let mut merged = BTreeMap::new();
+    let mut member_reqs = BTreeMap::new();
+    let out = uphill(rank, &plan, requests, "reqagg_reads", |_, agg, lists| {
+        let mut union = ExtentSet::new();
+        let mut by_member = BTreeMap::new();
+        for (member, blob) in lists {
+            let reqs = decode_requests(&blob)?;
+            for &(o, l) in &reqs {
+                union.insert(o, l);
             }
+            by_member.insert(member, reqs);
         }
-        sends.push(rank.isend(plan.my_leader, TAG_RA_UP, &up)?);
-    } else {
-        for &a in &plan.off_node_aggs {
-            let p = std::mem::take(&mut requests[a]);
-            if !p.is_empty() {
-                member_reqs
-                    .entry(a)
-                    .or_default()
-                    .insert(me, decode_requests(&p)?);
-            }
-        }
-        for &p in &plan.my_peers {
-            if p == me {
-                continue;
-            }
-            let up = recv_or_empty(rank, p, TAG_RA_UP)?;
-            let mut frames = Cursor::new(&up);
-            while !frames.is_empty() {
-                let (a, list) = frames.frame()?;
-                let reqs = decode_requests(list)?;
-                member_reqs.entry(a).or_default().insert(p, reqs);
-            }
-        }
-        for &a in &plan.off_node_aggs {
-            let enc = match member_reqs.get(&a) {
-                Some(lists) => {
-                    let mut union = ExtentSet::new();
-                    for reqs in lists.values() {
-                        for &(o, l) in reqs {
-                            union.insert(o, l);
-                        }
-                    }
-                    let runs = union.runs().to_vec();
-                    let enc = encode_requests(&runs)?;
-                    merged.insert(a, runs);
-                    enc
-                }
-                None => Vec::new(),
-            };
-            sends.push(rank.isend(a, TAG_RA_XNODE, &enc)?);
-        }
-    }
-    if plan.i_am_agg() {
-        for &p in &plan.my_peers {
-            if p == me {
-                continue;
-            }
-            out[p] = recv_or_empty(rank, p, TAG_RA_LOCAL)?;
-        }
-        for (&node, &l) in &plan.leader_of {
-            if node == plan.my_node {
-                continue;
-            }
-            out[l] = recv_or_empty(rank, l, TAG_RA_XNODE)?;
-        }
-    }
-    rank.waitall(sends)?;
-    rank.trace_mark("reqagg_reads", Phase::Exchange, start, total);
-    Ok((
-        out,
-        ReadSession {
-            plan,
-            merged,
-            member_reqs,
-        },
-    ))
+        let runs = union.runs().to_vec();
+        let enc = encode_requests(&runs)?;
+        merged.insert(agg, runs);
+        member_reqs.insert(agg, by_member);
+        Ok(enc)
+    })?;
+    let session = ReadSession {
+        plan,
+        merged,
+        member_reqs,
+    };
+    Ok((out, session))
 }
 
 /// Slice one member's requested extents out of a merged run-ordered
@@ -452,24 +379,18 @@ pub(crate) fn exchange_responses(
     let start = rank.now();
     let total: u64 = responses.iter().map(|p| p.len() as u64).sum();
     let me = plan.me;
-    let mut answers: Vec<Vec<u8>> = vec![Vec::new(); plan.nprocs];
+    let mut answers: Vec<Vec<u8>> = vec![Vec::new(); responses.len()];
     let mut sends = Vec::new();
     if plan.i_am_agg() {
         answers[me] = std::mem::take(&mut responses[me]);
         // Answer node peers directly, and every other node's leader with
         // the merged-run-ordered bytes. One message per destination, empty
         // allowed, so receives match on (src, tag).
-        for &p in &plan.my_peers {
-            if p == me {
-                continue;
-            }
+        for p in plan.peers() {
             let r = std::mem::take(&mut responses[p]);
             sends.push(rank.isend(p, TAG_RA_RESP_LOCAL, &r)?);
         }
-        for (&node, &l) in &plan.leader_of {
-            if node == plan.my_node {
-                continue;
-            }
+        for l in plan.remote_leaders() {
             let r = std::mem::take(&mut responses[l]);
             sends.push(rank.isend(l, TAG_RA_RESP_X, &r)?);
         }
@@ -505,10 +426,7 @@ pub(crate) fn exchange_responses(
             }
         }
         rank.charge_memcpy(moved);
-        for &m in &plan.my_peers {
-            if m == me {
-                continue;
-            }
+        for m in plan.peers() {
             let blob = down.remove(&m).unwrap_or_default();
             sends.push(rank.isend(m, TAG_RA_DOWN, &blob)?);
         }

@@ -5,10 +5,10 @@
 //! across aggregators, and per round — one `cb_buffer` window per
 //! aggregator — exchange per-destination payloads, assemble the window in
 //! a memory-accounted collective buffer and move its extent runs to or
-//! from the file system under [`pfs_retry`]. [`write_rounds`] and
-//! [`read_rounds`] own that skeleton, including the depth-2 deferred
+//! from the file system under [`pfs_retry`]. `write_rounds` and
+//! `read_rounds` own that skeleton, including the depth-2 deferred
 //! completions of `CollectiveConfig::pipeline`. A caller supplies only
-//! what is its own: a [`Path`] (communicator, whether `req_agg` merges
+//! what is its own: a `Path` (communicator, whether `req_agg` merges
 //! semantically, span names) and the closures that speak its wire format.
 
 use crate::collective::CollectiveConfig;
@@ -17,60 +17,19 @@ use crate::extents::ExtentSet;
 use crate::file::File;
 use crate::reqagg::{self, ReadSession};
 use crate::retry::{pfs_retry, ReadRoute};
-use mpisim::{DeferredIo, MemGuard, Phase, Rank, ReduceOp, SubComm};
+use mpisim::{Comm, DeferredIo, MemGuard, Phase, Rank, ReduceOp};
 use std::collections::VecDeque;
 
 /// Pipeline depth of every round loop: double buffering, matching the two
 /// collective buffers an aggregator holds in flight.
 const PIPELINE_DEPTH: usize = 2;
 
-/// The communicator a collective runs over. Payload vectors and
-/// aggregator ranks live in its rank space.
-#[derive(Clone, Copy)]
-pub(crate) enum Scope<'a> {
-    World,
-    Group(&'a SubComm),
-}
-
-impl Scope<'_> {
-    /// `(this rank's index, communicator size)`.
-    fn place(self, rank: &Rank) -> (usize, usize) {
-        match self {
-            Scope::World => (rank.rank(), rank.nprocs()),
-            Scope::Group(c) => (c.group_rank(), c.size()),
-        }
-    }
-
-    fn allreduce(self, rank: &mut Rank, v: u64, op: ReduceOp) -> Result<u64> {
-        Ok(match self {
-            Scope::World => rank.allreduce_u64(v, op)?,
-            Scope::Group(c) => rank.allreduce_u64_in(c, v, op)?,
-        })
-    }
-
-    fn barrier(self, rank: &mut Rank) -> Result<()> {
-        match self {
-            Scope::World => rank.barrier()?,
-            Scope::Group(c) => rank.barrier_in(c)?,
-        }
-        Ok(())
-    }
-
-    /// The all-to-all burst, flat or leader-forwarded.
-    fn burst(self, rank: &mut Rank, two_level: bool, data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
-        Ok(match (self, two_level) {
-            (Scope::World, false) => rank.alltoallv_burst(data)?,
-            (Scope::World, true) => rank.alltoallv_burst_hier(data)?,
-            (Scope::Group(c), false) => rank.alltoallv_burst_in(c, data)?,
-            (Scope::Group(c), true) => rank.alltoallv_burst_hier_in(c, data)?,
-        })
-    }
-}
-
 /// What one collective path is, as values: everything the five callers
 /// differ in outside their wire formats.
 pub(crate) struct Path<'a> {
-    pub(crate) scope: Scope<'a>,
+    /// The communicator the collective runs over. Payload vectors and
+    /// aggregator ranks live in its rank space.
+    pub(crate) comm: &'a Comm,
     /// `req_agg` merges offset–length lists at node leaders on this path
     /// (its payloads are piece/request lists); otherwise `req_agg` means
     /// the opaque two-level exchange, like `intra_agg`.
@@ -150,12 +109,11 @@ pub(crate) struct Plan<'a> {
     dsize: u64,
     round_size: u64,
     rounds: u64,
-    /// The rank (in the scope's rank space) serving each aggregator index.
+    /// The rank (in the communicator's rank space) serving each aggregator
+    /// index.
     pub(crate) agg_ranks: Vec<usize>,
     /// The aggregator index this rank serves, if any.
     my_agg: Option<usize>,
-    /// Communicator size: the length of every payload vector.
-    n: usize,
     /// The deferred-handle span when this call pipelines its rounds.
     pipe_span: Option<&'static str>,
 }
@@ -170,30 +128,30 @@ impl<'a> Plan<'a> {
         path: &'a Path<'a>,
         extents: &[(u64, u64)],
     ) -> Result<Option<Plan<'a>>> {
-        let scope = path.scope;
+        let comm = path.comm;
         let local_min = extents.first().map_or(u64::MAX, |&(o, _)| o);
         let local_max = extents.last().map_or(0, |&(o, l)| o + l);
-        let gmin = scope.allreduce(rank, local_min, ReduceOp::Min)?;
-        let gmax = scope.allreduce(rank, local_max, ReduceOp::Max)?;
+        let gmin = rank.allreduce_u64_in(comm, local_min, ReduceOp::Min)?;
+        let gmax = rank.allreduce_u64_in(comm, local_max, ReduceOp::Max)?;
         if gmin >= gmax {
-            scope.barrier(rank)?;
+            rank.barrier_in(comm)?;
             return Ok(None);
         }
-        let (me, n) = scope.place(rank);
+        let (me, n) = (comm.group_rank(), comm.size());
         let naggs = cfg.cb_nodes.unwrap_or(n).clamp(1, n);
-        let mut agg_ranks: Vec<usize> = match (scope, rank.topology()) {
+        let mut agg_ranks: Vec<usize> = match rank.topology().filter(|_| comm.is_world()) {
             // Node-aware placement: interleave nodes so the first
             // `num_nodes` aggregators land one per node — aggregator NICs
             // are the bottleneck of the I/O phase, so doubling up on a node
             // before every node has one wastes links.
-            (Scope::World, Some(topo)) => {
+            Some(topo) => {
                 let mut order = topo.interleaved_order();
                 order.truncate(naggs);
                 order
             }
             // Topology-blind (and every group, whatever the topology): the
             // classic evenly-spread ROMIO mapping.
-            _ => (0..naggs).map(|i| i * n / naggs).collect(),
+            None => (0..naggs).map(|i| i * n / naggs).collect(),
         };
         // Graceful degradation (world only): drop aggregators with a stall
         // window still ahead or a crash-stop coming — an aggregator that
@@ -203,7 +161,7 @@ impl<'a> Plan<'a> {
         // yield the same shrunk set everywhere without extra communication.
         // If every candidate is a straggler, keep the original set (someone
         // has to do the I/O).
-        if let (Scope::World, Some(engine)) = (scope, rank.chaos()) {
+        if let Some(engine) = rank.chaos().filter(|_| comm.is_world()) {
             let t = rank.now();
             let healthy = |&r: &usize| !engine.stall_ahead(r, t) && !engine.crash_ahead(r);
             let shrunk: Vec<usize> = agg_ranks.iter().copied().filter(healthy).collect();
@@ -226,7 +184,6 @@ impl<'a> Plan<'a> {
             rounds: dsize.div_ceil(round_size),
             my_agg: agg_ranks.iter().position(|&r| r == me),
             agg_ranks,
-            n,
             pipe_span: path.pipe_span.filter(|_| cfg.pipeline),
         }))
     }
@@ -255,9 +212,13 @@ impl<'a> Plan<'a> {
         (w.0 < w.1).then_some(w)
     }
 
+    /// The all-to-all burst, flat or leader-forwarded.
     fn burst(&self, rank: &mut Rank, data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
-        let two_level = self.exch == Exchange::TwoLevel;
-        self.path.scope.burst(rank, two_level, data)
+        let comm = self.path.comm;
+        Ok(match self.exch {
+            Exchange::TwoLevel => rank.alltoallv_burst_hier_in(comm, data)?,
+            _ => rank.alltoallv_burst_in(comm, data)?,
+        })
     }
 
     /// Run `op(rank, off, len)` over a window's extent runs under
@@ -321,7 +282,7 @@ pub(crate) fn write_rounds(
     let mut inflight = DeferredQueue::default();
     for r in 0..plan.rounds {
         inflight.make_room(rank);
-        let mut payloads: Vec<Vec<u8>> = vec![Vec::new(); plan.n];
+        let mut payloads: Vec<Vec<u8>> = vec![Vec::new(); path.comm.size()];
         for (a, ws, we) in plan.windows(r) {
             payloads[a] = build(ws, we)?;
         }
@@ -359,7 +320,7 @@ pub(crate) fn write_rounds(
         }
     }
     inflight.drain(rank);
-    plan.path.scope.barrier(rank)
+    Ok(rank.barrier_in(plan.path.comm)?)
 }
 
 /// `(buf_cursor, len)` slots of the caller's buffer that one aggregator's
@@ -454,7 +415,7 @@ pub(crate) fn read_rounds(
     };
     let route = ReadRoute::new(cfg.hedged_reads);
     let mut ask = |rank: &mut Rank, r: u64| -> Result<Asked> {
-        let mut requests: Vec<Vec<u8>> = vec![Vec::new(); plan.n];
+        let mut requests: Vec<Vec<u8>> = vec![Vec::new(); path.comm.size()];
         let mut fills = Vec::new();
         for (a, ws, we) in plan.windows(r) {
             let (msg, slots) = request(ws, we)?;
@@ -487,7 +448,7 @@ pub(crate) fn read_rounds(
         }
         // Settle the read, then slice each source's extents out of the
         // window buffer in the order it asked for them.
-        let mut responses: Vec<Vec<u8>> = vec![Vec::new(); plan.n];
+        let mut responses: Vec<Vec<u8>> = vec![Vec::new(); path.comm.size()];
         if let Some(w) = window {
             plan.settle(rank, w.io);
             for (src, reqs) in w.wanted_by.iter().enumerate() {
@@ -521,5 +482,5 @@ pub(crate) fn read_rounds(
             }
         }
     }
-    plan.path.scope.barrier(rank)
+    Ok(rank.barrier_in(plan.path.comm)?)
 }

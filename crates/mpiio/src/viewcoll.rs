@@ -20,7 +20,7 @@ use crate::collective::CollectiveConfig;
 use crate::error::{IoError, Result};
 use crate::extents::ExtentSet;
 use crate::file::File;
-use crate::rounds::{read_rounds, write_rounds, Path, Scope};
+use crate::rounds::{read_rounds, write_rounds, Path};
 use crate::view::FileView;
 use mpisim::Rank;
 
@@ -93,8 +93,9 @@ pub fn write_all_view_based(
     data: &[u8],
     cfg: &CollectiveConfig,
 ) -> Result<()> {
+    let world = rank.world();
     let path = Path {
-        scope: Scope::World,
+        comm: &world,
         merges: false,
         flat_span: None,
         pipe_span: Some("vb_io_pipe"),
@@ -150,8 +151,9 @@ pub fn read_all_view_based(
     buf: &mut [u8],
     cfg: &CollectiveConfig,
 ) -> Result<()> {
+    let world = rank.world();
     let path = Path {
-        scope: Scope::World,
+        comm: &world,
         merges: false,
         flat_span: None,
         pipe_span: None,

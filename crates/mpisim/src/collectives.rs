@@ -1,8 +1,8 @@
 //! The rendezvous primitive backing collective operations.
 //!
-//! All ranks of the simulated communicator deposit a payload and their
-//! current virtual clock; the last arrival publishes the full payload set
-//! and the maximum clock, and every participant leaves with both. Cost
+//! All members of a communicator ([`crate::Comm`]) deposit a payload and
+//! their current virtual clock; the last arrival publishes the full payload
+//! set and the maximum clock, and every participant leaves with both. Cost
 //! formulas (tree depth × latency, bandwidth terms) are applied by the
 //! callers in `runtime.rs` on top of the reconciled clock.
 //!
@@ -27,13 +27,11 @@ struct RvState {
     slots: Vec<Option<Vec<u8>>>,
     max_t: f64,
     /// Rank that set `max_t` (lowest rank on ties — arrival-order
-    /// independent, so deterministic across runs).
-    max_rank: usize,
-    /// Published result of the most recently completed generation.
-    done_gen: u64,
-    result: Arc<Vec<Vec<u8>>>,
-    result_max: f64,
-    result_max_rank: usize,
+    /// independent, so deterministic across runs); `None` until the
+    /// generation's first deposit.
+    straggler: Option<usize>,
+    /// The most recently completed generation, as published.
+    done: Option<RvResult>,
     /// Ranks that crash-stopped: they will never arrive again, so a
     /// generation completes when every *surviving* rank has deposited.
     /// Dead ranks' slots publish as empty payloads.
@@ -53,15 +51,17 @@ impl RvState {
 }
 
 /// Outcome of a completed rendezvous.
+#[derive(Debug, Clone)]
 pub(crate) struct RvResult {
     /// Payloads indexed by rank.
     pub payloads: Arc<Vec<Vec<u8>>>,
     /// Maximum clock among participants at entry.
     pub max_t: f64,
-    /// Rank (within this rendezvous' numbering) whose entry clock equals
-    /// `max_t` — the straggler every other participant waited on. Lowest
-    /// rank on ties.
-    pub max_rank: usize,
+    /// The participant whose entry clock equals `max_t` — the straggler
+    /// everyone else waited on, lowest rank on ties. In this rendezvous'
+    /// own numbering here; `Rank::rendezvous_in` maps it to a world rank
+    /// before any caller reads it.
+    pub straggler: Option<usize>,
     /// Unique id of this collective (generation number).
     pub gen: u64,
 }
@@ -74,11 +74,8 @@ impl Rendezvous {
                 arrived: 0,
                 slots: vec![None; n],
                 max_t: f64::NEG_INFINITY,
-                max_rank: usize::MAX,
-                done_gen: u64::MAX,
-                result: Arc::new(Vec::new()),
-                result_max: 0.0,
-                result_max_rank: usize::MAX,
+                straggler: None,
+                done: None,
                 dead: vec![false; n],
             }),
         }
@@ -93,28 +90,24 @@ impl Rendezvous {
             .iter_mut()
             .map(|s| s.take().unwrap_or_default())
             .collect();
-        st.result = Arc::new(payloads);
-        st.result_max = st.max_t;
-        st.result_max_rank = st.max_rank;
-        st.done_gen = my_gen;
+        let done = RvResult {
+            payloads: Arc::new(payloads),
+            max_t: st.max_t,
+            straggler: st.straggler.take(),
+            gen: my_gen,
+        };
+        st.done = Some(done.clone());
         st.gen = my_gen + 1;
         st.arrived = 0;
         st.max_t = f64::NEG_INFINITY;
-        st.max_rank = usize::MAX;
-        RvResult {
-            payloads: Arc::clone(&st.result),
-            max_t: st.result_max,
-            max_rank: st.result_max_rank,
-            gen: my_gen,
-        }
+        done
     }
 
     /// Record that `rank` crash-stopped. It will never enter again; if the
     /// in-flight generation was only waiting on it, the generation
-    /// completes now on behalf of the survivors. (Sub-communicator
-    /// rendezvous instances are not reached by this — a crash while peers
-    /// wait in a sub-communicator collective is resolved by the abort
-    /// path, not by shrinking.)
+    /// completes now on behalf of the survivors. (Only the world's
+    /// rendezvous is told — a crash while peers wait in a group's
+    /// collective is resolved by the abort path, not by shrinking.)
     pub(crate) fn mark_dead(&self, rank: usize) {
         let mut st = self.inner.lock();
         if st.dead[rank] {
@@ -140,9 +133,9 @@ impl Rendezvous {
         );
         st.slots[me] = Some(payload);
         st.arrived += 1;
-        if t > st.max_t || (t == st.max_t && me < st.max_rank) {
+        if t > st.max_t || (t == st.max_t && st.straggler.is_none_or(|r| me < r)) {
             st.max_t = t;
-            st.max_rank = me;
+            st.straggler = Some(me);
         }
         if st.complete() {
             // Last (surviving) arrival: publish and open the next generation.
@@ -160,17 +153,9 @@ impl Rendezvous {
     /// hand, at a chaos checkpoint, never while parked here).
     pub(crate) fn poll(&self, my_gen: u64) -> Option<RvResult> {
         let st = self.inner.lock();
-        if st.gen > my_gen {
-            debug_assert_eq!(st.done_gen, my_gen);
-            Some(RvResult {
-                payloads: Arc::clone(&st.result),
-                max_t: st.result_max,
-                max_rank: st.result_max_rank,
-                gen: my_gen,
-            })
-        } else {
-            None
-        }
+        let done = st.done.as_ref().filter(|_| st.gen > my_gen)?;
+        debug_assert_eq!(done.gen, my_gen);
+        Some(done.clone())
     }
 }
 
@@ -219,7 +204,7 @@ mod tests {
             assert_eq!(gen, done.gen);
             let seen = rv.poll(gen).expect("published for every waiter");
             assert_eq!(seen.payloads, done.payloads);
-            assert_eq!((seen.max_t, seen.max_rank), (done.max_t, done.max_rank));
+            assert_eq!((seen.max_t, seen.straggler), (done.max_t, done.straggler));
         }
         done
     }
@@ -244,7 +229,7 @@ mod tests {
             .collect();
         let r = run_generation(&rv, &entries);
         assert_eq!(r.max_t, 3.0);
-        assert_eq!(r.max_rank, 3);
+        assert_eq!(r.straggler, Some(3));
         assert_eq!(r.gen, 0);
         for (i, p) in r.payloads.iter().enumerate() {
             assert_eq!(p, &vec![i as u8]);
@@ -259,7 +244,7 @@ mod tests {
             let rv = Rendezvous::new(4);
             let entries: Vec<_> = order.iter().map(|&me| (me, Vec::new(), 7.5)).collect();
             let r = run_generation(&rv, &entries);
-            assert_eq!(r.max_rank, 0, "order {order:?}");
+            assert_eq!(r.straggler, Some(0), "order {order:?}");
             assert_eq!(r.max_t, 7.5);
         }
     }

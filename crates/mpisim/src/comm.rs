@@ -1,0 +1,233 @@
+//! Communicators: the world, and the groups `MPI_Comm_split` carves out
+//! of it (with a color, no key reordering).
+//!
+//! Partitioned collective I/O (ParColl — Yu & Vetter, ICPP'08, the paper's
+//! related work \[15\]) divides the processes and the file into disjoint
+//! groups so that each group synchronizes only internally, breaking the
+//! "collective wall". That needs collectives scoped to a subset of ranks.
+//! Every collective in [`crate::Rank`] is therefore written once, over a
+//! [`Comm`]: the world is the instance [`crate::Rank::world`] hands out,
+//! a group is what [`crate::Rank::split`] returns. Point-to-point
+//! communication keeps using world ranks.
+
+use crate::collectives::{log2ceil, Rendezvous};
+use crate::error::{MpiError, Result};
+use crate::p2p::Tag;
+use crate::topology::Topology;
+use parking_lot::Mutex;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
+
+/// What differs between the world and a group, as data: trace span names
+/// (the world's are the plain MPI names, a group's carry `_in`), the tag
+/// its burst all-to-all travels under, and whether the communicator is the
+/// world — the only one whose collectives shrink around a crash-stopped
+/// rank.
+pub(crate) struct Flavor {
+    pub(crate) barrier: &'static str,
+    pub(crate) allgather: &'static str,
+    pub(crate) burst: &'static str,
+    pub(crate) burst_tag: Tag,
+    pub(crate) world: bool,
+}
+
+/// Which members share a node, fixed at construction.
+pub(crate) struct NodeLayout {
+    /// Member indices grouped by node, nodes ascending; members ascend
+    /// within a node.
+    pub(crate) nodes: Vec<Vec<usize>>,
+    /// Member index → position of its node in `nodes`.
+    pub(crate) node_of: Vec<usize>,
+}
+
+impl NodeLayout {
+    fn new(members: &[usize], topo: &Topology) -> NodeLayout {
+        let mut by_node: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (j, &w) in members.iter().enumerate() {
+            by_node.entry(topo.node_of(w)).or_default().push(j);
+        }
+        let nodes: Vec<Vec<usize>> = by_node.into_values().collect();
+        let mut node_of = vec![0; members.len()];
+        for (n, idxs) in nodes.iter().enumerate() {
+            for &j in idxs {
+                node_of[j] = n;
+            }
+        }
+        NodeLayout { nodes, node_of }
+    }
+}
+
+/// The state all members of one communicator share.
+pub(crate) struct CommShared {
+    /// World ranks of the members, ascending.
+    members: Box<[usize]>,
+    pub(crate) rendezvous: Rendezvous,
+    /// `None` on a flat machine (no, or a trivial, topology).
+    nodes: Option<NodeLayout>,
+    flavor: &'static Flavor,
+}
+
+impl CommShared {
+    pub(crate) fn new(
+        members: Vec<usize>,
+        topo: Option<&Topology>,
+        flavor: &'static Flavor,
+    ) -> CommShared {
+        CommShared {
+            rendezvous: Rendezvous::new(members.len()),
+            nodes: topo.map(|t| NodeLayout::new(&members, t)),
+            members: members.into(),
+            flavor,
+        }
+    }
+}
+
+/// A communicator: the ranks that meet in a collective.
+///
+/// Cheap to clone. Payload vectors and rank arguments of the `*_in`
+/// collectives are indexed by position in [`Comm::members`] (the "group
+/// rank"), which for the world is the world rank.
+#[derive(Clone)]
+pub struct Comm {
+    pub(crate) shared: Arc<CommShared>,
+    /// This rank's index within `members`.
+    pub(crate) my_index: usize,
+}
+
+impl std::fmt::Debug for Comm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Comm")
+            .field("size", &self.size())
+            .field("my_index", &self.my_index)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Registry shared by all ranks during one `split`: one communicator per
+/// color, built by whichever member gets there first.
+pub(crate) type SplitRegistry = Mutex<HashMap<u64, Arc<CommShared>>>;
+
+impl Comm {
+    /// Rank `me`'s handle onto the group `members` of one `split` color.
+    pub(crate) fn build(
+        members: Vec<usize>,
+        me: usize,
+        registry: &SplitRegistry,
+        color: u64,
+        topo: Option<&Topology>,
+        flavor: &'static Flavor,
+    ) -> Result<Comm> {
+        let my_index = members
+            .binary_search(&me)
+            .map_err(|_| MpiError::CollectiveMismatch("rank missing from its own split group"))?;
+        let shared = Arc::clone(
+            registry
+                .lock()
+                .entry(color)
+                .or_insert_with(|| Arc::new(CommShared::new(members, topo, flavor))),
+        );
+        Ok(Comm { shared, my_index })
+    }
+
+    /// Number of members.
+    pub fn size(&self) -> usize {
+        self.shared.members.len()
+    }
+
+    /// This rank's position within the communicator (its "group rank").
+    pub fn group_rank(&self) -> usize {
+        self.my_index
+    }
+
+    /// World rank of member `i`.
+    pub fn world_rank(&self, i: usize) -> usize {
+        self.shared.members[i]
+    }
+
+    /// All members' world ranks, ascending.
+    pub fn members(&self) -> &[usize] {
+        &self.shared.members
+    }
+
+    /// Is this the communicator of all ranks ([`crate::Rank::world`])?
+    /// A one-color `split` has the same members but is still a group.
+    pub fn is_world(&self) -> bool {
+        self.shared.flavor.world
+    }
+
+    pub(crate) fn flavor(&self) -> &'static Flavor {
+        self.shared.flavor
+    }
+
+    pub(crate) fn rendezvous(&self) -> &Rendezvous {
+        &self.shared.rendezvous
+    }
+
+    pub(crate) fn nodes(&self) -> Option<&NodeLayout> {
+        self.shared.nodes.as_ref()
+    }
+
+    /// Cost exponent for tree collectives over the members.
+    pub(crate) fn log2(&self) -> u32 {
+        log2ceil(self.size())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    static GROUP: Flavor = Flavor {
+        barrier: "b",
+        allgather: "g",
+        burst: "a",
+        burst_tag: 0,
+        world: false,
+    };
+
+    fn build(members: Vec<usize>, me: usize, reg: &SplitRegistry, color: u64) -> Result<Comm> {
+        Comm::build(members, me, reg, color, None, &GROUP)
+    }
+
+    #[test]
+    fn build_locates_self() {
+        let reg = SplitRegistry::default();
+        let c = build(vec![1, 3, 5], 3, &reg, 0).unwrap();
+        assert_eq!(c.size(), 3);
+        assert_eq!(c.group_rank(), 1);
+        assert_eq!(c.world_rank(0), 1);
+        assert_eq!(c.world_rank(2), 5);
+        assert_eq!(c.members(), &[1, 3, 5]);
+        assert!(!c.is_world());
+        assert!(c.nodes().is_none(), "no topology, no node layout");
+    }
+
+    #[test]
+    fn members_share_one_communicator_per_color() {
+        let reg = SplitRegistry::default();
+        let a = build(vec![0, 1], 0, &reg, 7).unwrap();
+        let b = build(vec![0, 1], 1, &reg, 7).unwrap();
+        assert!(Arc::ptr_eq(&a.shared, &b.shared));
+        let c = build(vec![2, 3], 2, &reg, 8).unwrap();
+        assert!(!Arc::ptr_eq(&a.shared, &c.shared));
+    }
+
+    #[test]
+    fn non_member_rejected() {
+        let reg = SplitRegistry::default();
+        assert!(build(vec![0, 2], 1, &reg, 0).is_err());
+    }
+
+    #[test]
+    fn node_layout_groups_member_indices_by_node() {
+        // Four ranks per node: members 1, 2 sit on node 0 and 5, 6 on node 1.
+        let topo = Topology::blocked(8, 4);
+        let l = NodeLayout::new(&[1, 2, 5, 6], &topo);
+        assert_eq!(l.nodes, vec![vec![0, 1], vec![2, 3]]);
+        assert_eq!(l.node_of, vec![0, 0, 1, 1]);
+        // A group confined to node 1 sees one node, at position 0.
+        let l = NodeLayout::new(&[4, 7], &topo);
+        assert_eq!(l.nodes, vec![vec![0, 1]]);
+        assert_eq!(l.node_of, vec![0, 0]);
+    }
+}

@@ -69,6 +69,15 @@ struct CoreInner {
     ready: BinaryHeap<Reverse<ReadyKey>>,
 }
 
+impl CoreInner {
+    fn wake(&mut self, rank: usize) {
+        if let TaskState::Parked(clock) = self.state[rank] {
+            self.state[rank] = TaskState::Ready;
+            self.ready.push(Reverse(ReadyKey { clock, rank }));
+        }
+    }
+}
+
 pub(crate) struct EventCore {
     inner: Mutex<CoreInner>,
 }
@@ -123,21 +132,23 @@ impl EventCore {
     /// Make a parked rank runnable again. No-op for ready/running/done
     /// ranks — their predicate re-check will observe whatever changed.
     pub(crate) fn wake(&self, rank: usize) {
+        self.wake_each(&[rank]);
+    }
+
+    /// [`EventCore::wake`] for each of `ranks` (a completed rendezvous
+    /// wakes its communicator's members and nobody else).
+    pub(crate) fn wake_each(&self, ranks: &[usize]) {
         let mut g = self.inner.lock();
-        if let TaskState::Parked(clock) = g.state[rank] {
-            g.state[rank] = TaskState::Ready;
-            g.ready.push(Reverse(ReadyKey { clock, rank }));
+        for &rank in ranks {
+            g.wake(rank);
         }
     }
 
-    /// Wake every parked rank (abort, rank death, rendezvous completion).
+    /// Wake every parked rank (abort, rank death).
     pub(crate) fn wake_all(&self) {
         let mut g = self.inner.lock();
         for rank in 0..g.state.len() {
-            if let TaskState::Parked(clock) = g.state[rank] {
-                g.state[rank] = TaskState::Ready;
-                g.ready.push(Reverse(ReadyKey { clock, rank }));
-            }
+            g.wake(rank);
         }
     }
 
@@ -189,6 +200,18 @@ mod tests {
             vec![1, 3, 0, 2],
             "clock asc, rank breaks the 2.0 tie"
         );
+    }
+
+    #[test]
+    fn wake_each_wakes_the_named_ranks_only() {
+        let core = EventCore::new(4);
+        while core.pop_next().is_some() {}
+        for rank in 0..4 {
+            core.inner.lock().state[rank] = TaskState::Parked(rank as f64);
+        }
+        core.wake_each(&[3, 1]);
+        let order: Vec<usize> = std::iter::from_fn(|| core.pop_next()).collect();
+        assert_eq!(order, vec![1, 3], "bystanders 0 and 2 stay parked");
     }
 
     #[test]

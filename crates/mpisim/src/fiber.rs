@@ -11,8 +11,8 @@
 //! [`Substrate`] (the public [`crate::runtime::Backend`] maps onto them):
 //!
 //! * `Native`: on `x86_64`-linux (the only tier-1 target) a fiber is a
-//!   mmap'd stack plus a six-register context switch — ~20 ns per switch,
-//!   two VMAs per fiber, so 16k+ ranks fit comfortably in one process.
+//!   mmap'd stack plus a six-register user-space context switch, two
+//!   VMAs per fiber, so 16k+ ranks fit comfortably in one process.
 //!   Off that target it silently falls back to the thread substrate.
 //! * `Thread`: a parked OS thread handing a baton back and forth with the
 //!   driver. Identical semantics (one runner at a time, same switch

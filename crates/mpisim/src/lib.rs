@@ -33,6 +33,7 @@
 //! communication ([`rma`]) with gathered (indexed-datatype) transfers.
 
 pub mod collectives;
+pub mod comm;
 pub mod datatype;
 pub mod error;
 mod event;
@@ -44,12 +45,12 @@ pub mod p2p;
 pub mod rma;
 pub mod runtime;
 pub mod stats;
-pub mod subcomm;
 pub mod timeline;
 pub mod topology;
 pub mod trace;
 
 pub use collectives::log2ceil;
+pub use comm::Comm;
 pub use datatype::{Committed, Datatype, Named, Order};
 pub use error::{MpiError, Result, SimError};
 pub use mem::{MemGuard, MemTracker};
@@ -59,6 +60,5 @@ pub use p2p::{Received, Request, Tag};
 pub use rma::{Epoch, LockKind, Window};
 pub use runtime::{run, Backend, DeferredIo, Rank, ReduceOp, SimConfig, SimReport};
 pub use stats::RankStats;
-pub use subcomm::SubComm;
 pub use topology::Topology;
 pub use trace::{chrome_trace_json, OstRow, Phase, PhaseTotals, RankTrace, Span, TraceReport};

@@ -3,7 +3,7 @@
 //! RMA, collectives, and simulated memory allocation.
 //!
 //! All ranks execute under one deterministic virtual-time event loop
-//! (`(clock, rank)` order — see [`crate::event`]). Two interchangeable
+//! (`(clock, rank)` order — see the `event` module). Two interchangeable
 //! substrates carry the rank call stacks (see [`Backend`]): the default
 //! **event** backend uses cooperative asm fibers on the driver thread,
 //! which scales past 16k ranks; the **thread** backend parks one OS
@@ -15,7 +15,7 @@
 //! timestamps; collectives reconcile through the rendezvous maximum. The
 //! *makespan* of a simulation is the maximum final clock.
 //!
-//! Observability: every clock mutation goes through [`Rank::set_clock_as`]
+//! Observability: every clock mutation goes through `Rank::set_clock_as`
 //! (or the helpers that call it), which attributes the elapsed delta to a
 //! [`Phase`] on the rank's tracer. Runtime operations self-classify —
 //! point-to-point, all-to-all and RMA time is `Exchange`, rendezvous
@@ -26,7 +26,8 @@
 //! counts and cross-rank dependency edges, collected into
 //! [`SimReport::traces`].
 
-use crate::collectives::{log2ceil, Deposit, Rendezvous, RvResult};
+use crate::collectives::{log2ceil, Deposit, RvResult};
+use crate::comm::{Comm, CommShared, Flavor, NodeLayout, SplitRegistry};
 use crate::error::{MpiError, Result, SimError};
 use crate::event::EventCore;
 use crate::fiber::{Substrate, Task};
@@ -35,11 +36,10 @@ use crate::net::{Fabric, FabricStatsSnapshot, NetConfig};
 use crate::p2p::{Mailbox, Received, Request, Tag};
 use crate::rma::{Epoch, LockKind, WinShared, Window};
 use crate::stats::RankStats;
-use crate::subcomm::{SplitRegistry, SubComm};
 use crate::trace::{Phase, PhaseTotals, RankTrace, Tracer};
 use parking_lot::Mutex;
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -56,6 +56,21 @@ const TAG_HIER_XNODE: Tag = TAG_INTERNAL_BASE + 3;
 const TAG_HIER_DOWN: Tag = TAG_INTERNAL_BASE + 4;
 /// Two-level all-to-all: direct payload between co-located ranks.
 const TAG_HIER_LOCAL: Tag = TAG_INTERNAL_BASE + 5;
+
+static WORLD: Flavor = Flavor {
+    barrier: "barrier",
+    allgather: "allgather",
+    burst: "alltoallv_burst",
+    burst_tag: TAG_ALLTOALLV,
+    world: true,
+};
+static GROUP: Flavor = Flavor {
+    barrier: "barrier_in",
+    allgather: "allgather_in",
+    burst: "alltoallv_burst_in",
+    burst_tag: TAG_GROUP_A2A,
+    world: false,
+};
 
 /// Which execution substrate runs the simulated ranks. Both backends are
 /// driven by the same deterministic virtual-time event loop, so they are
@@ -75,7 +90,7 @@ pub enum Backend {
     /// so it is impractical beyond a few thousand ranks.
     Thread,
     /// Fiber substrate: every rank is a cooperative asm fiber resumed on
-    /// the driver thread. ~20 ns switches, two pages per idle rank:
+    /// the driver thread. User-space switches, two pages per idle rank:
     /// 16k+ ranks on one machine.
     Event,
 }
@@ -131,7 +146,9 @@ pub(crate) struct Shared {
     nprocs: usize,
     pub(crate) fabric: Fabric,
     mailboxes: Vec<Mailbox>,
-    rendezvous: Rendezvous,
+    /// The communicator of all ranks; every [`Rank::world`] is a handle
+    /// onto this one instance.
+    world: Arc<CommShared>,
     mem: Vec<Arc<MemState>>,
     /// Collectively-created objects keyed by rendezvous generation.
     registry: Mutex<HashMap<u64, RegistryEntry>>,
@@ -153,16 +170,18 @@ pub(crate) struct Shared {
 
 impl Shared {
     fn new(nprocs: usize, cfg: &SimConfig) -> Self {
+        let fabric = Fabric::new_full(
+            nprocs,
+            cfg.net.clone(),
+            cfg.chaos.clone(),
+            cfg.topology.clone(),
+        );
+        let world = CommShared::new((0..nprocs).collect(), fabric.topology(), &WORLD);
         Shared {
             nprocs,
-            fabric: Fabric::new_full(
-                nprocs,
-                cfg.net.clone(),
-                cfg.chaos.clone(),
-                cfg.topology.clone(),
-            ),
+            fabric,
             mailboxes: (0..nprocs).map(|_| Mailbox::default()).collect(),
-            rendezvous: Rendezvous::new(nprocs),
+            world: Arc::new(world),
             mem: (0..nprocs)
                 .map(|_| Arc::new(MemState::new(cfg.mem_budget)))
                 .collect(),
@@ -193,7 +212,7 @@ impl Shared {
     /// simulation keeps running — only this rank is gone.
     fn mark_dead(&self, rank: usize) {
         self.dead[rank].store(true, Ordering::SeqCst);
-        self.rendezvous.mark_dead(rank);
+        self.world.rendezvous.mark_dead(rank);
         // The death may have completed a rendezvous generation or freed a
         // receiver blocked on this rank; let every parked task re-check
         // its predicate.
@@ -207,6 +226,120 @@ pub enum ReduceOp {
     Min,
     Max,
     Sum,
+}
+
+impl ReduceOp {
+    fn u64(self, a: u64, b: u64) -> u64 {
+        match self {
+            ReduceOp::Min => a.min(b),
+            ReduceOp::Max => a.max(b),
+            ReduceOp::Sum => a + b,
+        }
+    }
+}
+
+// Decoding a peer's collective payload. Ranks that entered *different*
+// collectives meet in the same rendezvous, so any length can arrive: every
+// read is checked and a misfit is a typed error, never a slice panic.
+
+const TRUNCATED: MpiError = MpiError::CollectiveMismatch("collective payload truncated");
+const BURST_LEN: MpiError =
+    MpiError::CollectiveMismatch("alltoallv payload vector length != communicator size");
+const NO_SURVIVOR: MpiError = MpiError::CollectiveMismatch("no live rank contributed a value");
+
+/// One rank's 8-byte scalar contribution.
+fn le8(b: &[u8]) -> Result<[u8; 8]> {
+    b.try_into()
+        .map_err(|_| MpiError::CollectiveMismatch("expected one 8-byte value per rank"))
+}
+
+/// One rank's `u64`, or `dead` for a crash-stopped rank's empty slot.
+fn slot_or(b: &[u8], dead: u64) -> Result<u64> {
+    if b.is_empty() {
+        Ok(dead)
+    } else {
+        le8(b).map(u64::from_le_bytes)
+    }
+}
+
+/// Fold the live ranks' scalars (crash-stopped ranks' slots are empty);
+/// `None` when there is none.
+fn reduce_slots<T>(
+    slots: &[Vec<u8>],
+    decode: fn([u8; 8]) -> T,
+    mut f: impl FnMut(T, T) -> T,
+) -> Result<Option<T>> {
+    let mut acc = None;
+    for b in slots.iter().filter(|b| !b.is_empty()) {
+        let v = decode(le8(b)?);
+        acc = Some(match acc {
+            None => v,
+            Some(a) => f(a, v),
+        });
+    }
+    Ok(acc)
+}
+
+/// Checked cursor over a framed payload (the scatter blob and the
+/// two-level exchange's `(index u32, len u32, bytes)` frames).
+struct Wire<'a>(&'a [u8]);
+
+impl<'a> Wire<'a> {
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or(TRUNCATED)?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u64(&mut self) -> Result<u64> {
+        self.take(8).and_then(le8).map(u64::from_le_bytes)
+    }
+
+    fn u32(&mut self) -> Result<usize> {
+        let (head, rest) = self.0.split_first_chunk::<4>().ok_or(TRUNCATED)?;
+        self.0 = rest;
+        Ok(u32::from_le_bytes(*head) as usize)
+    }
+
+    /// A member index: a `u32` that must name one of `g` members.
+    fn index(&mut self, g: usize) -> Result<usize> {
+        let i = self.u32()?;
+        if i < g {
+            Ok(i)
+        } else {
+            Err(MpiError::CollectiveMismatch(
+                "two-level exchange frame names no member",
+            ))
+        }
+    }
+
+    /// One `(index, len, bytes)` frame.
+    fn frame(&mut self, g: usize) -> Result<(usize, &'a [u8])> {
+        let i = self.index(g)?;
+        let len = self.u32()?;
+        Ok((i, self.take(len)?))
+    }
+}
+
+/// Append a `u32` field; a value that does not fit is an error, never a
+/// silent truncation.
+fn push_u32(buf: &mut Vec<u8>, v: usize) -> Result<()> {
+    let v = u32::try_from(v)
+        .map_err(|_| MpiError::CollectiveMismatch("two-level exchange field exceeds u32"))?;
+    buf.extend_from_slice(&v.to_le_bytes());
+    Ok(())
+}
+
+/// Append one `(index, len, bytes)` frame.
+fn push_frame(buf: &mut Vec<u8>, index: usize, bytes: &[u8]) -> Result<()> {
+    push_u32(buf, index)?;
+    push_u32(buf, bytes.len())?;
+    buf.extend_from_slice(bytes);
+    Ok(())
 }
 
 /// A deferred-completion I/O handle — the event-core primitive behind
@@ -439,29 +572,9 @@ impl Rank {
     }
 
     /// Record a rendezvous-collective span: `ready` is the reconciled
-    /// entry clock (`rv.max_t`) and `straggler` the world rank whose late
+    /// entry clock (`rv.max_t`) and the straggler the world rank whose late
     /// arrival set it — the causal edge the critical-path walker follows.
-    fn record_sync(
-        &mut self,
-        name: &'static str,
-        start: f64,
-        bytes: u64,
-        rv: &crate::collectives::RvResult,
-    ) {
-        self.record_sync_mapped(name, start, bytes, rv, rv.max_rank);
-    }
-
-    /// Like [`Rank::record_sync`] but with the straggler already mapped to
-    /// a world rank (sub-communicator rendezvous report group ranks).
-    fn record_sync_mapped(
-        &mut self,
-        name: &'static str,
-        start: f64,
-        bytes: u64,
-        rv: &crate::collectives::RvResult,
-        world_straggler: usize,
-    ) {
-        let straggler = (world_straggler != usize::MAX).then_some(world_straggler);
+    fn record_sync(&mut self, name: &'static str, start: f64, bytes: u64, rv: &RvResult) {
         self.tracer.record_full(
             name,
             Phase::Sync,
@@ -470,7 +583,7 @@ impl Rank {
             bytes,
             None,
             rv.max_t,
-            straggler,
+            rv.straggler,
         );
     }
 
@@ -566,31 +679,7 @@ impl Rank {
 
     /// Nonblocking send; complete with [`Rank::wait`].
     pub fn isend(&mut self, dst: usize, tag: Tag, data: &[u8]) -> Result<Request> {
-        self.check_abort()?;
-        self.check_rank(dst)?;
-        self.chaos_checkpoint()?;
-        let start = self.clock;
-        let tr = self
-            .shared
-            .fabric
-            .transfer(self.id, dst, data.len(), self.clock);
-        self.advance_as(self.shared.fabric.config().send_overhead, Phase::Exchange);
-        let span = self.tracer.record(
-            self.send_span_name("isend", dst),
-            Phase::Exchange,
-            start,
-            self.clock,
-            data.len() as u64,
-            None,
-        );
-        self.shared.mailboxes[dst].push(self.id, tag, data.to_vec(), tr.arrival, span);
-        self.shared.notify_recv(dst);
-        self.stats.msgs_sent += 1;
-        self.stats.bytes_sent += data.len() as u64;
-        self.metrics.observe_msg_bytes(data.len() as u64);
-        Ok(Request::Send {
-            done: tr.sender_done,
-        })
+        self.isend_internal(dst, tag, data.to_vec())
     }
 
     /// Blocking receive. `None` arguments are wildcards.
@@ -683,15 +772,16 @@ impl Rank {
         }
     }
 
-    /// A rendezvous entry (`me` is this rank's index within `rdv`'s
-    /// numbering — group rank for sub-communicators). The completer wakes
-    /// everyone; waiters park and poll their generation on wake, checking
-    /// the generation before abort so a completed collective is delivered
-    /// even when the simulation is being torn down.
-    fn enter_rendezvous(&self, rdv: &Rendezvous, me: usize, payload: Vec<u8>) -> Option<RvResult> {
-        match rdv.deposit(me, payload, self.clock) {
+    /// Enter `comm`'s rendezvous. The completer wakes the other members
+    /// (nobody else is waiting on it); waiters park and poll their
+    /// generation on wake, checking the generation before abort so a
+    /// completed collective is delivered even when the simulation is being
+    /// torn down.
+    fn enter_rendezvous(&self, comm: &Comm, payload: Vec<u8>) -> Option<RvResult> {
+        let rdv = comm.rendezvous();
+        match rdv.deposit(comm.group_rank(), payload, self.clock) {
             Deposit::Complete(rv) => {
-                self.shared.core.wake_all();
+                self.shared.core.wake_each(comm.members());
                 Some(rv)
             }
             Deposit::Waiting { gen } => loop {
@@ -707,29 +797,66 @@ impl Rank {
     }
 
     // ---- collectives ----
+    //
+    // Each is written once, over a [`Comm`]; the world-named methods
+    // delegate to `self.world()`.
 
-    fn rendezvous(&mut self, payload: Vec<u8>) -> Result<crate::collectives::RvResult> {
+    /// The communicator of all ranks, indexed by world rank.
+    pub fn world(&self) -> Comm {
+        Comm {
+            shared: Arc::clone(&self.shared.world),
+            my_index: self.id,
+        }
+    }
+
+    /// The rendezvous entry of every collective. The straggler comes back
+    /// as a world rank — the one place group ranks are mapped.
+    fn rendezvous_in(&mut self, comm: &Comm, payload: Vec<u8>) -> Result<RvResult> {
         self.chaos_checkpoint()?;
         let entry_t = self.clock;
-        let rv = self
-            .enter_rendezvous(&self.shared.rendezvous, self.id, payload)
+        let mut rv = self
+            .enter_rendezvous(comm, payload)
             .ok_or(MpiError::Aborted)?;
+        rv.straggler = rv.straggler.map(|i| comm.world_rank(i));
         self.stats.collectives += 1;
         self.stats.collective_wait += (rv.max_t - entry_t).max(0.0);
         Ok(rv)
     }
 
-    /// Barrier: all clocks advance to `max + 2·α·⌈log₂ P⌉`.
-    pub fn barrier(&mut self) -> Result<()> {
+    fn rendezvous(&mut self, payload: Vec<u8>) -> Result<RvResult> {
+        self.rendezvous_in(&self.world(), payload)
+    }
+
+    /// The barrier engine, also behind the collectives that are a barrier
+    /// carrying a small payload (window and shared-object creation): all
+    /// members' clocks advance to `max + 2·α·⌈log₂ size⌉`.
+    fn sync_in(
+        &mut self,
+        comm: &Comm,
+        name: &'static str,
+        payload: Vec<u8>,
+        bytes: u64,
+    ) -> Result<RvResult> {
         let start = self.clock;
-        let rv = self.rendezvous(Vec::new())?;
+        let rv = self.rendezvous_in(comm, payload)?;
         let cfg = self.shared.fabric.config();
         self.set_clock_as(
-            rv.max_t + 2.0 * cfg.latency * log2ceil(self.nprocs) as f64,
+            rv.max_t + 2.0 * cfg.latency * comm.log2() as f64,
             Phase::Sync,
         );
-        self.record_sync("barrier", start, 0, &rv);
-        Ok(())
+        self.record_sync(name, start, bytes, &rv);
+        Ok(rv)
+    }
+
+    /// Barrier over `comm`.
+    pub fn barrier_in(&mut self, comm: &Comm) -> Result<()> {
+        let name = comm.flavor().barrier;
+        self.sync_in(comm, name, Vec::new(), 0).map(drop)
+    }
+
+    /// Barrier over all ranks.
+    pub fn barrier(&mut self) -> Result<()> {
+        self.barrier_in(&self.world())
     }
 
     /// The allgather engine: rendezvous, cost model, span — everything
@@ -737,75 +864,62 @@ impl Rank {
     /// helpers read the shared [`RvResult::payloads`] `Arc` directly, so
     /// an allgather of one `u64` over P ranks stays O(P) per rank instead
     /// of the O(P²) total that per-rank cloning costs at 16k ranks.
-    fn allgather_rv(&mut self, payload: &[u8]) -> Result<RvResult> {
+    fn allgather_rv_in(&mut self, comm: &Comm, payload: &[u8]) -> Result<RvResult> {
         let start = self.clock;
-        let rv = self.rendezvous(payload.to_vec())?;
+        let rv = self.rendezvous_in(comm, payload.to_vec())?;
         let cfg = self.shared.fabric.config();
         let total: usize = rv.payloads.iter().map(Vec::len).sum();
         let foreign = total - payload.len();
         self.set_clock_as(
-            rv.max_t + cfg.latency * log2ceil(self.nprocs) as f64 + foreign as f64 * cfg.byte_time,
+            rv.max_t + cfg.latency * comm.log2() as f64 + foreign as f64 * cfg.byte_time,
             Phase::Sync,
         );
-        self.record_sync("allgather", start, total as u64, &rv);
+        self.record_sync(comm.flavor().allgather, start, total as u64, &rv);
         Ok(rv)
+    }
+
+    /// Gather one byte payload from every member of `comm`, delivered to
+    /// all (indexed by group rank).
+    pub fn allgather_in(&mut self, comm: &Comm, payload: &[u8]) -> Result<Vec<Vec<u8>>> {
+        Ok(self.allgather_rv_in(comm, payload)?.payloads.to_vec())
     }
 
     /// Gather one byte payload from every rank, delivered to all.
     pub fn allgather(&mut self, payload: &[u8]) -> Result<Vec<Vec<u8>>> {
-        let rv = self.allgather_rv(payload)?;
-        Ok(rv.payloads.iter().cloned().collect())
+        self.allgather_in(&self.world(), payload)
     }
 
     /// Allgather of one `u64` per rank. Live ranks always contribute 8
     /// bytes, so an empty slot can only belong to a crash-stopped rank;
     /// it reads back as `u64::MAX`.
     pub fn allgather_u64(&mut self, value: u64) -> Result<Vec<u64>> {
-        let rv = self.allgather_rv(&value.to_le_bytes())?;
-        Ok(rv
-            .payloads
-            .iter()
-            .map(|b| {
-                if b.is_empty() {
-                    u64::MAX
-                } else {
-                    u64::from_le_bytes(b[..8].try_into().expect("u64 payload"))
-                }
-            })
-            .collect())
+        let rv = self.allgather_rv_in(&self.world(), &value.to_le_bytes())?;
+        rv.payloads.iter().map(|b| slot_or(b, u64::MAX)).collect()
     }
 
-    /// Allreduce of one `u64`. Crash-stopped ranks' (empty) slots are
-    /// excluded from the reduction — the collective re-forms over the
-    /// survivors.
+    /// Allreduce of one `u64` over `comm`. Crash-stopped ranks' (empty)
+    /// slots are excluded from the reduction — the collective re-forms
+    /// over the survivors.
+    pub fn allreduce_u64_in(&mut self, comm: &Comm, value: u64, op: ReduceOp) -> Result<u64> {
+        let rv = self.allgather_rv_in(comm, &value.to_le_bytes())?;
+        reduce_slots(&rv.payloads, u64::from_le_bytes, |a, b| op.u64(a, b))?.ok_or(NO_SURVIVOR)
+    }
+
+    /// Allreduce of one `u64` over all ranks.
     pub fn allreduce_u64(&mut self, value: u64, op: ReduceOp) -> Result<u64> {
-        let rv = self.allgather_rv(&value.to_le_bytes())?;
-        let vals = rv
-            .payloads
-            .iter()
-            .filter(|b| !b.is_empty())
-            .map(|b| u64::from_le_bytes(b[..8].try_into().expect("u64 payload")));
-        Ok(match op {
-            ReduceOp::Min => vals.min().expect("at least one survivor"),
-            ReduceOp::Max => vals.max().expect("at least one survivor"),
-            ReduceOp::Sum => vals.sum(),
-        })
+        self.allreduce_u64_in(&self.world(), value, op)
     }
 
     /// Allreduce of one `f64`. Crash-stopped ranks' slots are excluded,
     /// like [`Rank::allreduce_u64`].
     pub fn allreduce_f64(&mut self, value: f64, op: ReduceOp) -> Result<f64> {
-        let rv = self.allgather_rv(&value.to_le_bytes())?;
-        let vals = rv
-            .payloads
-            .iter()
-            .filter(|b| !b.is_empty())
-            .map(|b| f64::from_le_bytes(b[..8].try_into().expect("f64 payload")));
-        Ok(match op {
-            ReduceOp::Min => vals.fold(f64::INFINITY, f64::min),
-            ReduceOp::Max => vals.fold(f64::NEG_INFINITY, f64::max),
-            ReduceOp::Sum => vals.sum(),
-        })
+        let rv = self.allgather_rv_in(&self.world(), &value.to_le_bytes())?;
+        let reduce = |a: f64, b: f64| match op {
+            ReduceOp::Min => a.min(b),
+            ReduceOp::Max => a.max(b),
+            ReduceOp::Sum => a + b,
+        };
+        reduce_slots(&rv.payloads, f64::from_le_bytes, reduce)?.ok_or(NO_SURVIVOR)
     }
 
     /// Broadcast `root`'s payload to every rank (binomial-tree cost).
@@ -882,19 +996,13 @@ impl Rank {
         let start = self.clock;
         let rv = self.rendezvous(contribution)?;
         let cfg = self.shared.fabric.config();
-        let blob = &rv.payloads[root];
-        let mut parts = Vec::with_capacity(self.nprocs);
-        let mut pos = 0usize;
-        for _ in 0..self.nprocs {
-            if pos + 8 > blob.len() {
-                return Err(MpiError::CollectiveMismatch("scatter blob truncated"));
-            }
-            let len = u64::from_le_bytes(blob[pos..pos + 8].try_into().expect("len")) as usize;
-            pos += 8;
-            parts.push(blob[pos..pos + len].to_vec());
-            pos += len;
+        let mut blob = Wire(&rv.payloads[root]);
+        let mut mine: &[u8] = &[];
+        for _ in 0..=self.id {
+            let len = blob.u64()?;
+            mine = blob.take(usize::try_from(len).map_err(|_| TRUNCATED)?)?;
         }
-        let mine = parts.swap_remove(self.id);
+        let mine = mine.to_vec();
         self.set_clock_as(
             rv.max_t
                 + cfg.latency * log2ceil(self.nprocs) as f64
@@ -933,53 +1041,35 @@ impl Rank {
                     "allreduce_u64_vec length mismatch across ranks",
                 ));
             }
-            let vals: Vec<u64> = buf
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("u64 chunk")))
-                .collect();
+            let vals = buf.chunks_exact(8).map(|c| le8(c).map(u64::from_le_bytes));
             acc = Some(match acc {
-                None => vals,
+                None => vals.collect::<Result<_>>()?,
                 Some(mut a) => {
                     for (x, v) in a.iter_mut().zip(vals) {
-                        *x = match op {
-                            ReduceOp::Min => (*x).min(v),
-                            ReduceOp::Max => (*x).max(v),
-                            ReduceOp::Sum => *x + v,
-                        };
+                        *x = op.u64(*x, v?);
                     }
                     a
                 }
             });
         }
-        Ok(acc.expect("at least one survivor"))
+        acc.ok_or(NO_SURVIVOR)
     }
 
     /// Inclusive prefix reduction (`MPI_Scan`) of one `u64`. Crash-stopped
     /// ranks' slots are skipped — the prefix runs over the survivors.
     pub fn scan_u64(&mut self, value: u64, op: ReduceOp) -> Result<u64> {
-        let rv = self.allgather_rv(&value.to_le_bytes())?;
-        Ok(rv.payloads[..=self.id]
-            .iter()
-            .filter(|b| !b.is_empty())
-            .map(|b| u64::from_le_bytes(b[..8].try_into().expect("u64 payload")))
-            .reduce(|a, b| match op {
-                ReduceOp::Min => a.min(b),
-                ReduceOp::Max => a.max(b),
-                ReduceOp::Sum => a + b,
-            })
-            .expect("own contribution present"))
+        let rv = self.allgather_rv_in(&self.world(), &value.to_le_bytes())?;
+        let upto = &rv.payloads[..=self.id];
+        reduce_slots(upto, u64::from_le_bytes, |a, b| op.u64(a, b))?.ok_or(NO_SURVIVOR)
     }
 
     /// Exclusive prefix sum of one `u64` (`MPI_Exscan` with `+`, 0 at rank
     /// 0) — the usual offset-computation helper for parallel I/O.
     /// Crash-stopped ranks' slots contribute nothing.
     pub fn exscan_sum_u64(&mut self, value: u64) -> Result<u64> {
-        let rv = self.allgather_rv(&value.to_le_bytes())?;
-        Ok(rv.payloads[..self.id]
-            .iter()
-            .filter(|b| !b.is_empty())
-            .map(|b| u64::from_le_bytes(b[..8].try_into().expect("u64 payload")))
-            .sum())
+        let rv = self.allgather_rv_in(&self.world(), &value.to_le_bytes())?;
+        let below = &rv.payloads[..self.id];
+        Ok(reduce_slots(below, u64::from_le_bytes, |a, b| a + b)?.unwrap_or(0))
     }
 
     /// Survivor agreement (communicator shrink): synchronize through a
@@ -1024,12 +1114,10 @@ impl Rank {
         Ok(self.shared.mailboxes[self.id].has_match(src, tag, self.clock))
     }
 
-    // ---- sub-communicators ----
-
     /// `MPI_Comm_split`: collectively partition the world by `color`.
-    /// Every rank receives a [`SubComm`] over the ranks that passed the
-    /// same color (ordered by world rank).
-    pub fn split(&mut self, color: u64) -> Result<SubComm> {
+    /// Every rank receives a [`Comm`] over the ranks that passed the same
+    /// color (ordered by world rank).
+    pub fn split(&mut self, color: u64) -> Result<Comm> {
         let colors = self.allgather_u64(color)?;
         let members: Vec<usize> = colors
             .iter()
@@ -1037,114 +1125,9 @@ impl Rank {
             .filter(|&(_, &c)| c == color)
             .map(|(r, _)| r)
             .collect();
-        let registry: Arc<SplitRegistry> =
-            self.shared_state(|| SplitRegistry::new(HashMap::new()))?;
-        SubComm::build(members, self.id, &registry, color)
-    }
-
-    fn rendezvous_in(
-        &mut self,
-        comm: &SubComm,
-        payload: Vec<u8>,
-    ) -> Result<crate::collectives::RvResult> {
-        self.chaos_checkpoint()?;
-        let entry_t = self.clock;
-        let rv = self
-            .enter_rendezvous(&comm.rendezvous, comm.group_rank(), payload)
-            .ok_or(MpiError::Aborted)?;
-        self.stats.collectives += 1;
-        self.stats.collective_wait += (rv.max_t - entry_t).max(0.0);
-        Ok(rv)
-    }
-
-    /// Barrier over a sub-communicator.
-    pub fn barrier_in(&mut self, comm: &SubComm) -> Result<()> {
-        let start = self.clock;
-        let rv = self.rendezvous_in(comm, Vec::new())?;
-        let cfg = self.shared.fabric.config();
-        self.set_clock_as(
-            rv.max_t + 2.0 * cfg.latency * comm.log2() as f64,
-            Phase::Sync,
-        );
-        let straggler = comm.world_of(rv.max_rank);
-        self.record_sync_mapped("barrier_in", start, 0, &rv, straggler);
-        Ok(())
-    }
-
-    /// Allgather over a sub-communicator (payloads indexed by group rank).
-    pub fn allgather_in(&mut self, comm: &SubComm, payload: &[u8]) -> Result<Vec<Vec<u8>>> {
-        let start = self.clock;
-        let rv = self.rendezvous_in(comm, payload.to_vec())?;
-        let cfg = self.shared.fabric.config();
-        let total: usize = rv.payloads.iter().map(Vec::len).sum();
-        self.set_clock_as(
-            rv.max_t
-                + cfg.latency * comm.log2() as f64
-                + (total - payload.len()) as f64 * cfg.byte_time,
-            Phase::Sync,
-        );
-        let straggler = comm.world_of(rv.max_rank);
-        self.record_sync_mapped("allgather_in", start, total as u64, &rv, straggler);
-        Ok(rv.payloads.iter().cloned().collect())
-    }
-
-    /// Allreduce of one `u64` over a sub-communicator.
-    pub fn allreduce_u64_in(&mut self, comm: &SubComm, value: u64, op: ReduceOp) -> Result<u64> {
-        let all = self.allgather_in(comm, &value.to_le_bytes())?;
-        let vals = all
-            .iter()
-            .map(|b| u64::from_le_bytes(b[..8].try_into().expect("u64 payload")));
-        Ok(match op {
-            ReduceOp::Min => vals.min().expect("nonempty group"),
-            ReduceOp::Max => vals.max().expect("nonempty group"),
-            ReduceOp::Sum => vals.sum(),
-        })
-    }
-
-    /// The burst all-to-all scoped to a sub-communicator: `data[i]` is the
-    /// payload for group member `i`; returns payloads indexed by group
-    /// rank. Queue-depth matching costs apply within the group only —
-    /// which is exactly the point of partitioned collective I/O.
-    pub fn alltoallv_burst_in(
-        &mut self,
-        comm: &SubComm,
-        mut data: Vec<Vec<u8>>,
-    ) -> Result<Vec<Vec<u8>>> {
-        let g = comm.size();
-        if data.len() != g {
-            return Err(MpiError::CollectiveMismatch(
-                "group alltoallv payload vector length != group size",
-            ));
-        }
-        let mi = comm.group_rank();
-        let start = self.clock;
-        let total: u64 = data.iter().map(|v| v.len() as u64).sum();
-        let mut out: Vec<Vec<u8>> = (0..g).map(|_| Vec::new()).collect();
-        out[mi] = std::mem::take(&mut data[mi]);
-        let mut sends = Vec::with_capacity(g.saturating_sub(1));
-        for k in 1..g {
-            let dst = (mi + k) % g;
-            sends.push(self.isend_internal(
-                comm.world_rank(dst),
-                TAG_GROUP_A2A,
-                std::mem::take(&mut data[dst]),
-            )?);
-        }
-        for k in 1..g {
-            let src = (mi + g - k) % g;
-            let r = self.recv(Some(comm.world_rank(src)), Some(TAG_GROUP_A2A))?;
-            out[src] = r.data;
-        }
-        self.waitall(sends)?;
-        self.tracer.record(
-            "alltoallv_burst_in",
-            Phase::Exchange,
-            start,
-            self.clock,
-            total,
-            None,
-        );
-        Ok(out)
+        let registry: Arc<SplitRegistry> = self.shared_state(SplitRegistry::default)?;
+        let topo = self.shared.fabric.topology();
+        Comm::build(members, self.id, &registry, color, topo, &GROUP)
     }
 
     /// Deterministic pseudo-random system-noise sample (exponential with
@@ -1172,9 +1155,7 @@ impl Rank {
     /// returns payloads indexed by source.
     pub fn alltoallv(&mut self, mut data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
         if data.len() != self.nprocs {
-            return Err(MpiError::CollectiveMismatch(
-                "alltoallv payload vector length != nprocs",
-            ));
+            return Err(BURST_LEN);
         }
         let me = self.id;
         let n = self.nprocs;
@@ -1205,40 +1186,52 @@ impl Rank {
     /// then issues MPI_Isend to send data to all processes, and then waits
     /// until all communication complete". The eager burst piles up deep
     /// pending queues at every rank, so matching costs grow quadratically
-    /// with P (see [`NetConfig::match_overhead`]) — the "heavy traffic
-    /// bursting" behaviour the paper blames for OCIO's collapse at scale.
-    pub fn alltoallv_burst(&mut self, mut data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
-        if data.len() != self.nprocs {
-            return Err(MpiError::CollectiveMismatch(
-                "alltoallv payload vector length != nprocs",
-            ));
+    /// with the communicator's size (see [`NetConfig::match_overhead`]) —
+    /// the "heavy traffic bursting" behaviour the paper blames for OCIO's
+    /// collapse at scale, and within a group exactly what partitioned
+    /// collective I/O cuts down. `data[i]` is the payload for member `i`;
+    /// returns payloads indexed by source member.
+    pub fn alltoallv_burst_in(
+        &mut self,
+        comm: &Comm,
+        mut data: Vec<Vec<u8>>,
+    ) -> Result<Vec<Vec<u8>>> {
+        let g = comm.size();
+        if data.len() != g {
+            return Err(BURST_LEN);
         }
-        let me = self.id;
-        let n = self.nprocs;
+        let flavor = comm.flavor();
+        let mi = comm.group_rank();
         let start = self.clock;
         let total: u64 = data.iter().map(|v| v.len() as u64).sum();
-        let mut out: Vec<Vec<u8>> = (0..n).map(|_| Vec::new()).collect();
-        out[me] = std::mem::take(&mut data[me]);
-        let mut sends = Vec::with_capacity(n.saturating_sub(1));
-        for k in 1..n {
-            let dst = (me + k) % n;
-            sends.push(self.isend_internal(dst, TAG_ALLTOALLV, std::mem::take(&mut data[dst]))?);
+        let mut out: Vec<Vec<u8>> = (0..g).map(|_| Vec::new()).collect();
+        out[mi] = std::mem::take(&mut data[mi]);
+        let mut sends = Vec::with_capacity(g.saturating_sub(1));
+        for k in 1..g {
+            let dst = (mi + k) % g;
+            sends.push(self.isend_internal(
+                comm.world_rank(dst),
+                flavor.burst_tag,
+                std::mem::take(&mut data[dst]),
+            )?);
         }
-        for k in 1..n {
-            let src = (me + n - k) % n;
-            // Shrunk-communicator semantics, matching the rendezvous
-            // collectives: a crash-stopped peer contributes an empty
-            // payload (anything it sent *before* crashing is still
-            // delivered, so the shrink is deterministic in virtual time).
-            match self.recv(Some(src), Some(TAG_ALLTOALLV)) {
+        for k in 1..g {
+            let src = (mi + g - k) % g;
+            let from = comm.world_rank(src);
+            match self.recv(Some(from), Some(flavor.burst_tag)) {
                 Ok(r) => out[src] = r.data,
-                Err(MpiError::PeerCrashed { rank }) if rank == src => {}
+                // Shrunk-world semantics, matching the world's rendezvous
+                // collectives: a crash-stopped peer contributes an empty
+                // payload (anything it sent *before* crashing is still
+                // delivered, so the shrink is deterministic in virtual
+                // time). A group does not shrink.
+                Err(MpiError::PeerCrashed { rank }) if flavor.world && rank == from => {}
                 Err(e) => return Err(e),
             }
         }
         self.waitall(sends)?;
         self.tracer.record(
-            "alltoallv_burst",
+            flavor.burst,
             Phase::Exchange,
             start,
             self.clock,
@@ -1248,115 +1241,102 @@ impl Rank {
         Ok(out)
     }
 
+    /// [`Rank::alltoallv_burst_in`] over all ranks.
+    pub fn alltoallv_burst(&mut self, data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
+        self.alltoallv_burst_in(&self.world(), data)
+    }
+
     /// Two-level all-to-all for hierarchical machines (Kang et al.,
     /// *Improving MPI Collective I/O Performance With Intra-node Request
-    /// Aggregation*): ranks on a node first combine their off-node
+    /// Aggregation*): members on a node first combine their off-node
     /// payloads at a node leader over the cheap intra-node links, only
     /// leaders shuffle across nodes (one message per node pair instead of
     /// one per rank pair), and leaders scatter the received data back to
     /// their peers. On-node payloads travel directly over shared memory.
-    /// Falls back to [`Rank::alltoallv_burst`] when no (non-trivial)
-    /// topology is configured. Same contract as the flat exchange:
-    /// `data[d]` is the payload for rank `d`; the result is indexed by
-    /// source — so the two are always byte-identical.
-    ///
-    /// Leader election is chaos-aware: members enter through a barrier (so
-    /// their clocks agree) and each node takes its lowest member that is
-    /// not inside or ahead of an injected stall window; if all members are
-    /// stalled the default (lowest) is kept. A non-default election bumps
-    /// [`RankStats::leader_fallbacks`] on the elected rank.
-    pub fn alltoallv_burst_hier(&mut self, data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
-        if data.len() != self.nprocs {
-            return Err(MpiError::CollectiveMismatch(
-                "alltoallv payload vector length != nprocs",
-            ));
-        }
-        if self.shared.fabric.topology().is_none() {
-            return self.alltoallv_burst(data);
-        }
-        self.barrier()?;
-        let members: Vec<usize> = (0..self.nprocs).collect();
-        let mi = self.id;
-        self.hier_exchange(&members, mi, data)
-    }
-
-    /// [`Rank::alltoallv_burst_hier`] scoped to a sub-communicator; same
-    /// contract as [`Rank::alltoallv_burst_in`].
+    /// Falls back to [`Rank::alltoallv_burst_in`] when no (non-trivial)
+    /// topology is configured. Same contract as the flat exchange, so the
+    /// two are always byte-identical.
     pub fn alltoallv_burst_hier_in(
         &mut self,
-        comm: &SubComm,
+        comm: &Comm,
         data: Vec<Vec<u8>>,
     ) -> Result<Vec<Vec<u8>>> {
         if data.len() != comm.size() {
-            return Err(MpiError::CollectiveMismatch(
-                "group alltoallv payload vector length != group size",
-            ));
+            return Err(BURST_LEN);
         }
-        if self.shared.fabric.topology().is_none() {
+        let Some(layout) = comm.nodes() else {
             return self.alltoallv_burst_in(comm, data);
-        }
-        self.barrier_in(comm)?;
-        let members: Vec<usize> = comm.members().to_vec();
-        let mi = comm.group_rank();
-        self.hier_exchange(&members, mi, data)
+        };
+        let leaders = self.elect(comm, layout)?;
+        self.hier_exchange(comm, layout, &leaders, data)
     }
 
-    /// The member-list-generic two-level exchange behind both hier
-    /// variants. `members` are world ranks (ascending for groups), `mi` is
-    /// this rank's index into it, `data` is indexed by member. Callers
-    /// have already synchronized the members' clocks (barrier).
-    fn hier_exchange(
-        &mut self,
-        members: &[usize],
-        mi: usize,
-        mut data: Vec<Vec<u8>>,
-    ) -> Result<Vec<Vec<u8>>> {
-        use std::collections::BTreeMap;
-        fn push_u32(buf: &mut Vec<u8>, v: usize) {
-            buf.extend_from_slice(&(v as u32).to_le_bytes());
-        }
-        fn read_u32(buf: &[u8], pos: &mut usize) -> usize {
-            let v =
-                u32::from_le_bytes(buf[*pos..*pos + 4].try_into().expect("u32 header")) as usize;
-            *pos += 4;
-            v
-        }
+    /// [`Rank::alltoallv_burst_hier_in`] over all ranks.
+    pub fn alltoallv_burst_hier(&mut self, data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
+        self.alltoallv_burst_hier_in(&self.world(), data)
+    }
 
-        let topo = self
-            .shared
-            .fabric
-            .topology()
-            .cloned()
-            .expect("hier needs topology");
-        let g = members.len();
-        let start = self.clock;
-        let total: u64 = data.iter().map(|v| v.len() as u64).sum();
+    /// Barrier over `comm`, then the node-leader election of the two-level
+    /// exchanges: the elected leader (member index) of every node the
+    /// communicator touches, nodes ascending — for the world, indexed by
+    /// the topology's node index. `None`, without synchronizing, on a flat
+    /// machine.
+    ///
+    /// The election is chaos-aware: each node takes its lowest member that
+    /// is not inside or ahead of an injected stall window or crash; if all
+    /// are, the default (lowest) is kept. All members compute the same
+    /// result without messages — their clocks agree after the barrier and
+    /// the fault plan is a pure function of `(rank, time)`. A non-default
+    /// election bumps [`RankStats::leader_fallbacks`] on the elected rank.
+    pub fn elect_node_leaders_in(&mut self, comm: &Comm) -> Result<Option<Vec<usize>>> {
+        comm.nodes().map(|l| self.elect(comm, l)).transpose()
+    }
 
-        // Member indices grouped by node (BTreeMap: deterministic order;
-        // members ascend within a node because `members` is ascending).
-        let mut nodes: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (j, &w) in members.iter().enumerate() {
-            nodes.entry(topo.node_of(w)).or_default().push(j);
-        }
-
-        // Chaos-aware leader election. All members compute the same result:
-        // clocks agree after the caller's barrier, and `stall_ahead` is a
-        // pure function of (rank, time).
+    fn elect(&mut self, comm: &Comm, layout: &NodeLayout) -> Result<Vec<usize>> {
+        self.barrier_in(comm)?;
         let now = self.clock;
-        let mut leader_of: BTreeMap<usize, usize> = BTreeMap::new();
-        for (&node, idxs) in &nodes {
-            let healthy = idxs.iter().copied().find(|&j| match &self.shared.chaos {
-                Some(e) => !e.stall_ahead(members[j], now) && !e.crash_ahead(members[j]),
-                None => true,
-            });
-            leader_of.insert(node, healthy.unwrap_or(idxs[0]));
-        }
-        let my_node = topo.node_of(members[mi]);
-        let my_peers = nodes[&my_node].clone();
-        let my_leader = leader_of[&my_node];
-        if mi == my_leader && my_leader != my_peers[0] {
+        let healthy = |&j: &usize| match &self.shared.chaos {
+            Some(e) => {
+                let w = comm.world_rank(j);
+                !e.stall_ahead(w, now) && !e.crash_ahead(w)
+            }
+            None => true,
+        };
+        let leaders: Vec<usize> = layout
+            .nodes
+            .iter()
+            .map(|idxs| idxs.iter().copied().find(healthy).unwrap_or(idxs[0]))
+            .collect();
+        let mi = comm.group_rank();
+        let my_node = layout.node_of[mi];
+        if mi == leaders[my_node] && mi != layout.nodes[my_node][0] {
             self.stats.leader_fallbacks += 1;
         }
+        Ok(leaders)
+    }
+
+    /// The two-level exchange proper. `data` is indexed by member;
+    /// `leaders[n]` leads node `n` of `layout`. The election's barrier has
+    /// already synchronized the members' clocks.
+    fn hier_exchange(
+        &mut self,
+        comm: &Comm,
+        layout: &NodeLayout,
+        leaders: &[usize],
+        mut data: Vec<Vec<u8>>,
+    ) -> Result<Vec<Vec<u8>>> {
+        let g = comm.size();
+        let mi = comm.group_rank();
+        let start = self.clock;
+        let total: u64 = data.iter().map(|v| v.len() as u64).sum();
+        let my_node = layout.node_of[mi];
+        // The other members on my node, ascending.
+        let peers: Vec<usize> = layout.nodes[my_node]
+            .iter()
+            .copied()
+            .filter(|&j| j != mi)
+            .collect();
+        let my_leader = leaders[my_node];
 
         let mut out: Vec<Vec<u8>> = (0..g).map(|_| Vec::new()).collect();
         out[mi] = std::mem::take(&mut data[mi]);
@@ -1364,116 +1344,93 @@ impl Rank {
 
         // On-node payloads go directly: the links are shared memory, so
         // funnelling them through the leader would only add copies.
-        for &j in &my_peers {
-            if j != mi {
-                sends.push(self.isend_internal(
-                    members[j],
-                    TAG_HIER_LOCAL,
-                    std::mem::take(&mut data[j]),
-                )?);
-            }
+        for &j in &peers {
+            sends.push(self.isend_internal(
+                comm.world_rank(j),
+                TAG_HIER_LOCAL,
+                std::mem::take(&mut data[j]),
+            )?);
         }
 
         if mi != my_leader {
             // Combine all off-node payloads into one up-blob for the
-            // leader: (dst u32, len u32, bytes)*.
+            // leader: (dst, len, bytes)*.
             let mut up = Vec::new();
-            for (j, payload) in data.iter_mut().enumerate() {
-                if topo.node_of(members[j]) != my_node && !payload.is_empty() {
-                    push_u32(&mut up, j);
-                    push_u32(&mut up, payload.len());
-                    up.append(payload);
+            for (j, payload) in data.iter().enumerate() {
+                if layout.node_of[j] != my_node && !payload.is_empty() {
+                    push_frame(&mut up, j, payload)?;
                 }
             }
-            sends.push(self.isend_internal(members[my_leader], TAG_HIER_UP, up)?);
+            sends.push(self.isend_internal(comm.world_rank(my_leader), TAG_HIER_UP, up)?);
             // The leader's scatter carries everything off-node sent to me:
-            // (src u32, len u32, bytes)*.
-            let down = self.recv(Some(members[my_leader]), Some(TAG_HIER_DOWN))?;
-            let mut pos = 0;
-            while pos < down.data.len() {
-                let src = read_u32(&down.data, &mut pos);
-                let len = read_u32(&down.data, &mut pos);
-                out[src] = down.data[pos..pos + len].to_vec();
-                pos += len;
+            // (src, len, bytes)*.
+            let down = self.recv(Some(comm.world_rank(my_leader)), Some(TAG_HIER_DOWN))?;
+            let mut frames = Wire(&down.data);
+            while !frames.is_empty() {
+                let (src, bytes) = frames.frame(g)?;
+                out[src] = bytes.to_vec();
             }
         } else {
             // Bucket off-node payloads per destination node: mine first,
             // then each peer's up-blob. Entries: (src, dst, len, bytes)*.
-            let mut cross: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
-            for (j, payload) in data.iter_mut().enumerate() {
-                let node = topo.node_of(members[j]);
+            let n = layout.nodes.len();
+            let mut cross: Vec<Vec<u8>> = vec![Vec::new(); n];
+            for (j, payload) in data.iter().enumerate() {
+                let node = layout.node_of[j];
                 if node != my_node && !payload.is_empty() {
-                    let blob = cross.entry(node).or_default();
-                    push_u32(blob, mi);
-                    push_u32(blob, j);
-                    push_u32(blob, payload.len());
-                    blob.append(payload);
+                    push_u32(&mut cross[node], mi)?;
+                    push_frame(&mut cross[node], j, payload)?;
                 }
             }
-            for &p in &my_peers {
-                if p == mi {
-                    continue;
-                }
-                let up = self.recv(Some(members[p]), Some(TAG_HIER_UP))?;
-                let mut pos = 0;
-                while pos < up.data.len() {
-                    let dst = read_u32(&up.data, &mut pos);
-                    let len = read_u32(&up.data, &mut pos);
-                    let blob = cross.entry(topo.node_of(members[dst])).or_default();
-                    push_u32(blob, p);
-                    push_u32(blob, dst);
-                    push_u32(blob, len);
-                    blob.extend_from_slice(&up.data[pos..pos + len]);
-                    pos += len;
+            for &p in &peers {
+                let up = self.recv(Some(comm.world_rank(p)), Some(TAG_HIER_UP))?;
+                let mut frames = Wire(&up.data);
+                while !frames.is_empty() {
+                    let (dst, bytes) = frames.frame(g)?;
+                    let blob = &mut cross[layout.node_of[dst]];
+                    push_u32(blob, p)?;
+                    push_frame(blob, dst, bytes)?;
                 }
             }
             // Inter-node shuffle between leaders, ring-ordered like the
             // flat burst. Every pair exchanges exactly one message (empty
             // allowed) so receives can match on (src, tag).
-            let ring: Vec<usize> = nodes.keys().copied().collect();
-            let n = ring.len();
-            let my_pos = ring.iter().position(|&x| x == my_node).expect("own node");
             for k in 1..n {
-                let node = ring[(my_pos + k) % n];
-                let blob = cross.remove(&node).unwrap_or_default();
-                sends.push(self.isend_internal(members[leader_of[&node]], TAG_HIER_XNODE, blob)?);
+                let node = (my_node + k) % n;
+                let blob = std::mem::take(&mut cross[node]);
+                sends.push(self.isend_internal(
+                    comm.world_rank(leaders[node]),
+                    TAG_HIER_XNODE,
+                    blob,
+                )?);
             }
             let mut down: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
             for k in 1..n {
-                let node = ring[(my_pos + n - k) % n];
-                let x = self.recv(Some(members[leader_of[&node]]), Some(TAG_HIER_XNODE))?;
-                let mut pos = 0;
-                while pos < x.data.len() {
-                    let src = read_u32(&x.data, &mut pos);
-                    let dst = read_u32(&x.data, &mut pos);
-                    let len = read_u32(&x.data, &mut pos);
+                let node = (my_node + n - k) % n;
+                let x = self.recv(Some(comm.world_rank(leaders[node])), Some(TAG_HIER_XNODE))?;
+                let mut frames = Wire(&x.data);
+                while !frames.is_empty() {
+                    let src = frames.index(g)?;
+                    let (dst, bytes) = frames.frame(g)?;
                     if dst == mi {
-                        out[src] = x.data[pos..pos + len].to_vec();
+                        out[src] = bytes.to_vec();
                     } else {
-                        let blob = down.entry(dst).or_default();
-                        push_u32(blob, src);
-                        push_u32(blob, len);
-                        blob.extend_from_slice(&x.data[pos..pos + len]);
+                        push_frame(down.entry(dst).or_default(), src, bytes)?;
                     }
-                    pos += len;
                 }
             }
-            for &p in &my_peers {
-                if p != mi {
-                    sends.push(self.isend_internal(
-                        members[p],
-                        TAG_HIER_DOWN,
-                        down.remove(&p).unwrap_or_default(),
-                    )?);
-                }
+            for &p in &peers {
+                sends.push(self.isend_internal(
+                    comm.world_rank(p),
+                    TAG_HIER_DOWN,
+                    down.remove(&p).unwrap_or_default(),
+                )?);
             }
         }
 
-        for &j in &my_peers {
-            if j != mi {
-                let r = self.recv(Some(members[j]), Some(TAG_HIER_LOCAL))?;
-                out[j] = r.data;
-            }
+        for &j in &peers {
+            let r = self.recv(Some(comm.world_rank(j)), Some(TAG_HIER_LOCAL))?;
+            out[j] = r.data;
         }
         self.waitall(sends)?;
         self.tracer.record(
@@ -1487,6 +1444,8 @@ impl Rank {
         Ok(out)
     }
 
+    /// [`Rank::isend`] of an owned buffer (the collectives' own sends move
+    /// their payloads instead of copying them).
     fn isend_internal(&mut self, dst: usize, tag: Tag, data: Vec<u8>) -> Result<Request> {
         self.check_abort()?;
         self.check_rank(dst)?;
@@ -1522,29 +1481,29 @@ impl Rank {
         &mut self,
         init: impl FnOnce() -> T,
     ) -> Result<Arc<T>> {
-        let start = self.clock;
-        let rv = self.rendezvous(Vec::new())?;
-        let cfg = self.shared.fabric.config();
-        self.set_clock_as(
-            rv.max_t + 2.0 * cfg.latency * log2ceil(self.nprocs) as f64,
-            Phase::Sync,
-        );
-        self.record_sync("shared_state", start, 0, &rv);
-        let arc_any = {
-            let mut reg = self.shared.registry.lock();
-            let entry = reg
-                .entry(rv.gen)
-                .or_insert_with(|| (Arc::new(init()) as Arc<dyn Any + Send + Sync>, 0));
-            entry.1 += 1;
-            let a = Arc::clone(&entry.0);
-            if entry.1 == self.nprocs {
-                reg.remove(&rv.gen);
-            }
-            a
-        };
-        arc_any
-            .downcast::<T>()
-            .map_err(|_| MpiError::CollectiveMismatch("shared_state type mismatch across ranks"))
+        let rv = self.sync_in(&self.world(), "shared_state", Vec::new(), 0)?;
+        self.collective_object(rv.gen, init)
+    }
+
+    /// The object every rank of world collective `gen` shares: built by
+    /// whichever rank asks first, handed to the rest.
+    fn collective_object<T: Send + Sync + 'static>(
+        &self,
+        gen: u64,
+        init: impl FnOnce() -> T,
+    ) -> Result<Arc<T>> {
+        let mut reg = self.shared.registry.lock();
+        let entry = reg
+            .entry(gen)
+            .or_insert_with(|| (Arc::new(init()) as Arc<dyn Any + Send + Sync>, 0));
+        entry.1 += 1;
+        let object = Arc::clone(&entry.0);
+        if entry.1 == self.nprocs {
+            reg.remove(&gen);
+        }
+        object.downcast::<T>().map_err(|_| {
+            MpiError::CollectiveMismatch("collective object type mismatch across ranks")
+        })
     }
 
     // ---- one-sided (RMA) ----
@@ -1554,44 +1513,12 @@ impl Rank {
     pub fn win_create(&mut self, local_size: usize) -> Result<Window> {
         let mem = self.alloc(local_size as u64)?;
         self.stats.mem_peak = self.stats.mem_peak.max(self.mem.peak());
-        let start = self.clock;
-        let rv = self.rendezvous((local_size as u64).to_le_bytes().to_vec())?;
-        let cfg = self.shared.fabric.config();
-        self.set_clock_as(
-            rv.max_t + 2.0 * cfg.latency * log2ceil(self.nprocs) as f64,
-            Phase::Sync,
-        );
-        self.record_sync("win_create", start, local_size as u64, &rv);
-        let sizes: Vec<usize> = rv
-            .payloads
-            .iter()
-            .map(|b| {
-                if b.is_empty() {
-                    // Crash-stopped rank: it exposes no window memory.
-                    0
-                } else {
-                    u64::from_le_bytes(b[..8].try_into().expect("size payload")) as usize
-                }
-            })
-            .collect();
-        let shared_win = {
-            let mut reg = self.shared.registry.lock();
-            let entry = reg.entry(rv.gen).or_insert_with(|| {
-                (
-                    Arc::new(WinShared::new(sizes)) as Arc<dyn Any + Send + Sync>,
-                    0,
-                )
-            });
-            entry.1 += 1;
-            let a = Arc::clone(&entry.0);
-            if entry.1 == self.nprocs {
-                reg.remove(&rv.gen);
-            }
-            a
-        };
-        let shared_win = shared_win
-            .downcast::<WinShared>()
-            .map_err(|_| MpiError::CollectiveMismatch("window registry type mismatch"))?;
+        let size = local_size as u64;
+        let rv = self.sync_in(&self.world(), "win_create", size.to_le_bytes().into(), size)?;
+        // A crash-stopped rank exposes no window memory.
+        let size_of = |b: &Vec<u8>| slot_or(b, 0).map(|v| v as usize);
+        let sizes = rv.payloads.iter().map(size_of).collect::<Result<_>>()?;
+        let shared_win = self.collective_object(rv.gen, || WinShared::new(sizes))?;
         Ok(Window {
             shared: shared_win,
             owner: self.id,
@@ -2515,10 +2442,100 @@ mod tests {
         let expect: u64 = (0..256).sum();
         assert!(rep.results.iter().all(|&s| s == expect));
     }
+
+    fn is_mismatch<T>(r: Result<T>) -> bool {
+        matches!(r, Err(MpiError::CollectiveMismatch(_)))
+    }
+
+    #[test]
+    fn scalar_slots_reject_every_width_but_eight() {
+        assert_eq!(
+            le8(&[7, 0, 0, 0, 0, 0, 0, 0]).map(u64::from_le_bytes),
+            Ok(7)
+        );
+        for len in [0usize, 1, 7, 9, 16] {
+            assert!(is_mismatch(le8(&vec![0xAB; len])), "len {len}");
+        }
+        assert_eq!(slot_or(&[], 42), Ok(42), "empty slot = crash-stopped rank");
+        assert!(is_mismatch(slot_or(&[1], 42)));
+        let sum = |slots: &[Vec<u8>]| reduce_slots(slots, u64::from_le_bytes, |a, b| a + b);
+        let three = 3u64.to_le_bytes().to_vec();
+        assert_eq!(sum(&[three.clone(), vec![], three.clone()]), Ok(Some(6)));
+        assert_eq!(sum(&[vec![], vec![]]), Ok(None), "no survivor, no value");
+        assert!(is_mismatch(sum(&[three, vec![1, 2, 3]])));
+    }
+
+    #[test]
+    fn wire_cursor_is_total_on_short_and_garbage_input() {
+        assert!(is_mismatch(Wire(&[1, 2, 3]).u32()));
+        assert!(is_mismatch(Wire(&[0; 7]).u64()));
+        assert!(is_mismatch(Wire(&[0; 4]).take(5)));
+        assert!(Wire(&[]).is_empty());
+        // An index past the communicator, and a length past the buffer.
+        let mut buf = Vec::new();
+        push_frame(&mut buf, 5, &[9, 9]).unwrap();
+        assert!(is_mismatch(Wire(&buf).index(5)));
+        assert_eq!(Wire(&buf).frame(6), Ok((5, &[9u8, 9][..])));
+        assert!(is_mismatch(Wire(&buf[..buf.len() - 1]).frame(6)));
+        let mut liar = Vec::new();
+        push_u32(&mut liar, 0).unwrap();
+        push_u32(&mut liar, u32::MAX as usize).unwrap();
+        assert!(is_mismatch(Wire(&liar).frame(1)));
+        // Every prefix of a valid two-frame blob either parses or fails
+        // typed; none panics.
+        push_frame(&mut buf, 1, &[]).unwrap();
+        for cut in 0..=buf.len() {
+            let mut w = Wire(&buf[..cut]);
+            while !w.is_empty() && w.frame(6).is_ok() {}
+        }
+    }
+
+    #[test]
+    fn wire_fields_never_truncate_silently() {
+        let mut buf = Vec::new();
+        assert!(is_mismatch(push_u32(&mut buf, u32::MAX as usize + 1)));
+        assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn mismatched_collectives_fail_typed_instead_of_panicking() {
+        // Rank 0's one-byte allgather meets rank 1's u64 allreduce.
+        let err = run(2, cfg(), |rk| {
+            if rk.rank() == 0 {
+                rk.allgather(&[1]).map(drop)
+            } else {
+                rk.allreduce_u64(5, ReduceOp::Sum).map(drop)
+            }
+        })
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::RankFailed {
+                rank: 1,
+                error: MpiError::CollectiveMismatch(_)
+            }
+        ));
+        // A broadcast payload read as a scatter blob.
+        let err = run(2, cfg(), |rk| {
+            if rk.rank() == 0 {
+                rk.bcast(0, &[1, 2, 3]).map(drop)
+            } else {
+                rk.scatter(0, None).map(drop)
+            }
+        })
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            SimError::RankFailed {
+                rank: 1,
+                error: MpiError::CollectiveMismatch(_)
+            }
+        ));
+    }
 }
 
 #[cfg(test)]
-mod subcomm_tests {
+mod comm_tests {
     use super::*;
 
     fn cfg() -> SimConfig {
@@ -2538,6 +2555,30 @@ mod subcomm_tests {
             assert_eq!(members, &expect);
             assert_eq!(members[*grank], r);
         }
+    }
+
+    #[test]
+    fn group_barriers_leave_a_parked_bystander_to_its_message() {
+        // Ranks 0 and 1 barrier among themselves while rank 2 sits parked
+        // in a receive; completing those barriers wakes only their members,
+        // and the bystander still gets the message sent afterwards.
+        let rep = run(3, cfg(), |rk| {
+            let comm = rk.split((rk.rank() / 2) as u64)?;
+            if rk.rank() == 2 {
+                return Ok(rk.recv(Some(0), Some(9))?.data);
+            }
+            for _ in 0..3 {
+                rk.advance(1.0);
+                rk.barrier_in(&comm)?;
+            }
+            if rk.rank() == 0 {
+                rk.send(2, 9, &[42])?;
+            }
+            Ok(Vec::new())
+        })
+        .unwrap();
+        assert_eq!(rep.results[2], vec![42]);
+        assert!(rep.clocks[2] > 3.0, "the message left after three barriers");
     }
 
     #[test]

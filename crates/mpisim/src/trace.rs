@@ -2,7 +2,7 @@
 //! and a Chrome `trace_event` exporter.
 //!
 //! Every mutation of a rank's virtual clock flows through the rank's
-//! [`Tracer`], which attributes the elapsed delta to exactly one [`Phase`].
+//! `Tracer`, which attributes the elapsed delta to exactly one [`Phase`].
 //! Runtime operations self-classify (point-to-point and RMA time is
 //! [`Phase::Exchange`], rendezvous collectives are [`Phase::Sync`]); I/O
 //! layers wrap their file-system waits in [`Phase::Io`]; everything else

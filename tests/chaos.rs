@@ -717,3 +717,39 @@ fn collectives_with_a_crashed_rank_terminate_with_typed_errors() {
         other => panic!("expected CollectiveAborted for rank 2, got {other:?}"),
     }
 }
+
+#[test]
+fn a_crash_inside_a_group_collective_aborts_typed_on_both_backends() {
+    // A group does not shrink around a dead member: its peers stay parked
+    // in the group rendezvous until the run, out of runnable ranks, aborts
+    // them — a typed error naming the crashed rank, never a hang. The
+    // other group is untouched and finishes. Bound by wall-clock.
+    for backend in [mpisim::Backend::Event, mpisim::Backend::Thread] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let engine = chaos::FaultPlan::new(9)
+                .with(chaos::Fault::RankCrash { rank: 4, at: 0.5 })
+                .build()
+                .unwrap();
+            let sim = mpisim::SimConfig {
+                backend,
+                chaos: Some(engine),
+                ..Default::default()
+            };
+            let out = mpisim::run(6, sim, |rk| {
+                let comm = rk.split((rk.rank() / 3) as u64)?; // before the crash
+                rk.advance(1.0); // everyone is past the crash instant
+                rk.barrier_in(&comm)?;
+                rk.allreduce_u64_in(&comm, 1, mpisim::ReduceOp::Sum)
+            });
+            let _ = tx.send(out.map(|rep| rep.results));
+        });
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a group collective with a crashed member hung");
+        match out {
+            Err(mpisim::SimError::CollectiveAborted { crashed_rank: 4 }) => {}
+            other => panic!("{backend:?}: expected CollectiveAborted for rank 4, got {other:?}"),
+        }
+    }
+}

@@ -15,7 +15,7 @@
 //!   the storm-free run, while FIFO demonstrably blows through it.
 
 use facility::{
-    job, run_facility, Comm, FacilityConfig, FacilityError, JobSpec, QosMode, Style, TenantSpec,
+    job, run_facility, FacilityConfig, FacilityError, JobSpec, QosMode, Style, TenantSpec,
 };
 use mpisim::{Backend, SimConfig};
 use std::sync::Arc;
@@ -57,9 +57,9 @@ fn qos_off_single_tenant_is_bit_identical_to_a_direct_run() {
     };
     let rep = mpisim::run(RANKS, sim, move |rk| {
         let _log = rk.shared_state(|| ())?;
-        let comm = Comm::World;
+        let comm = rk.world();
         for j in 0..JOBS {
-            comm.barrier(rk)?;
+            rk.barrier_in(&comm)?;
             let spec = JobSpec {
                 file: format!("/tenant0/job{j}.dat"),
                 style: Style::Tcio,
