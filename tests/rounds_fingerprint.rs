@@ -5,7 +5,12 @@
 //! are crossed with {flat, `cb_buffer`-chunked, chunked + `pipeline`} ×
 //! {no topology, 4×4 topology + `intra_agg`, 4×4 topology + `req_agg`} ×
 //! {fault-free, `plans/ost_slowdown.toml`}; a few extra cells cover hedged
-//! window reads and tcio's level-2 drain. Every cell records the makespan
+//! window reads and tcio's level-2 drain. A second block pins every other
+//! path that issues file-system requests: independent `write_at`/`read_at`
+//! (plain and sieved), tcio's `use_l1 = false` and eager-read ablations,
+//! retried drains and segment loads under `plans/ost_outage.toml`, the
+//! fence ablation, the level-1 fallback around a stalled segment owner, and
+//! crash recovery followed by reads of the dead owner's segments. Every cell records the makespan
 //! and every rank's final clock as raw `f64` bits, the per-rank
 //! `RankStats`, an FNV-1a hash of the bytes that landed (the PFS file for
 //! writes, the read-back buffers for reads) and the multiset of span
@@ -13,11 +18,12 @@
 //!
 //! Regenerate with: `BLESS=1 cargo test --test rounds_fingerprint`
 
-use mpiio::{CollectiveConfig, File, IoError, Mode};
-use mpisim::{Datatype, Named, SimConfig, Topology};
+use mpiio::{CollectiveConfig, File, IoError, Mode, SieveConfig};
+use mpisim::{Datatype, MpiError, Named, SimConfig, Topology};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
+use tcio::{ReadMode, SyncMode, TcioConfig, TcioError, TcioFile, TcioMode};
 use workloads::synthetic::{self, SynthParams};
 use workloads::WlError;
 
@@ -30,6 +36,10 @@ const BLOCKS_PER_RANK: usize = 24;
 /// split into five `cb_buffer` rounds.
 const CB_NODES: usize = 6;
 const CB_BUFFER: u64 = 1000;
+/// The level-2 segment owner the stall and crash plans single out.
+const STRAGGLER: usize = 5;
+/// Later than any cell's write phase, earlier than `CRASH_AT + 1`.
+const CRASH_AT: f64 = 0.5;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -107,8 +117,16 @@ impl Entry {
 enum Plan {
     None,
     OstSlowdown,
+    /// A transient outage on OST 0: the only plan here that makes the
+    /// retry-with-backoff path run.
+    OstOutage,
     /// A flaky OST with the pfs health layer attached (hedged cells only).
     FlakyDefended,
+    /// Rank `STRAGGLER` has a stall window far ahead of the run: it never
+    /// stalls, but writers route around its level-2 segments.
+    OwnerStall,
+    /// Rank `STRAGGLER` crash-stops at `CRASH_AT`.
+    OwnerCrash,
 }
 
 impl Plan {
@@ -116,33 +134,53 @@ impl Plan {
         match self {
             Plan::None => "none",
             Plan::OstSlowdown => "ost_slowdown",
+            Plan::OstOutage => "ost_outage",
             Plan::FlakyDefended => "flaky_defended",
+            Plan::OwnerStall => "owner_stall",
+            Plan::OwnerCrash => "owner_crash",
         }
+    }
+
+    fn file(name: &str) -> Option<Arc<chaos::ChaosEngine>> {
+        let path = format!("{}/plans/{name}.toml", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(path).unwrap();
+        Some(chaos::FaultPlan::parse(&text).unwrap().build().unwrap())
+    }
+
+    fn fault(seed: u64, fault: chaos::Fault) -> Option<Arc<chaos::ChaosEngine>> {
+        Some(chaos::FaultPlan::new(seed).with(fault).build().unwrap())
     }
 
     fn engine(self) -> Option<Arc<chaos::ChaosEngine>> {
         match self {
             Plan::None => None,
-            Plan::OstSlowdown => {
-                let text = std::fs::read_to_string(concat!(
-                    env!("CARGO_MANIFEST_DIR"),
-                    "/plans/ost_slowdown.toml"
-                ))
-                .unwrap();
-                Some(chaos::FaultPlan::parse(&text).unwrap().build().unwrap())
-            }
-            Plan::FlakyDefended => Some(
-                chaos::FaultPlan::new(41)
-                    .with(chaos::Fault::FlakyOst {
-                        ost: 0,
-                        factor: 16.0,
-                        period: 1e-3,
-                        duty: 0.7,
-                        from: 0.0,
-                        until: 0.05,
-                    })
-                    .build()
-                    .unwrap(),
+            Plan::OstSlowdown => Plan::file("ost_slowdown"),
+            Plan::OstOutage => Plan::file("ost_outage"),
+            Plan::FlakyDefended => Plan::fault(
+                41,
+                chaos::Fault::FlakyOst {
+                    ost: 0,
+                    factor: 16.0,
+                    period: 1e-3,
+                    duty: 0.7,
+                    from: 0.0,
+                    until: 0.05,
+                },
+            ),
+            Plan::OwnerStall => Plan::fault(
+                43,
+                chaos::Fault::RankStall {
+                    rank: STRAGGLER,
+                    from: 10.0,
+                    until: 11.0,
+                },
+            ),
+            Plan::OwnerCrash => Plan::fault(
+                47,
+                chaos::Fault::RankCrash {
+                    rank: STRAGGLER,
+                    at: CRASH_AT,
+                },
             ),
         }
     }
@@ -203,14 +241,34 @@ fn render<T>(out: &mut String, name: &str, rep: &mpisim::SimReport<T>, landed: u
     writeln!(out, "stats_fnv {:016x}", fnv1a(per_rank.as_bytes())).unwrap();
     writeln!(out, "stats_sum {:?}", rep.aggregate_stats()).unwrap();
     writeln!(out, "bytes_fnv {landed:016x}").unwrap();
-    let mut spans: BTreeMap<&'static str, usize> = BTreeMap::new();
+    let spans = span_counts(rep);
+    let spans: Vec<String> = spans.iter().map(|(n, c)| format!("{n}={c}")).collect();
+    writeln!(out, "spans {}", spans.join(" ")).unwrap();
+}
+
+/// Install the Fig. 2 view: this rank's blocks, every `NPROCS`-th.
+fn set_interleaved_view(rk: &mut mpisim::Rank, f: &mut File) -> Result<(), MpiError> {
+    let etype = Datatype::contiguous(BLOCK, Datatype::named(Named::Byte)).commit();
+    let ftype = Datatype::vector(
+        BLOCKS_PER_RANK,
+        1,
+        NPROCS as isize,
+        etype.datatype().clone(),
+    )
+    .commit();
+    f.set_view(rk, (rk.rank() * BLOCK) as u64, &etype, &ftype)
+        .map_err(to_mpi)
+}
+
+/// How often each span name occurs in a finished cell.
+fn span_counts<T>(rep: &mpisim::SimReport<T>) -> BTreeMap<&'static str, usize> {
+    let mut spans = BTreeMap::new();
     for t in &rep.traces {
         for s in &t.spans {
             *spans.entry(s.name).or_default() += 1;
         }
     }
-    let spans: Vec<String> = spans.iter().map(|(n, c)| format!("{n}={c}")).collect();
-    writeln!(out, "spans {}", spans.join(" ")).unwrap();
+    spans
 }
 
 /// Run one collective cell and append its fingerprint.
@@ -236,16 +294,7 @@ fn collective_cell(
             Mode::WriteOnly
         };
         let mut f = File::open(rk, &fs2, "/fp", mode).map_err(to_mpi)?;
-        let etype = Datatype::contiguous(BLOCK, Datatype::named(Named::Byte)).commit();
-        let ftype = Datatype::vector(
-            BLOCKS_PER_RANK,
-            1,
-            NPROCS as isize,
-            etype.datatype().clone(),
-        )
-        .commit();
-        f.set_view(rk, (rk.rank() * BLOCK) as u64, &etype, &ftype)
-            .map_err(to_mpi)?;
+        set_interleaved_view(rk, &mut f)?;
         let data = rank_data(rk.rank());
         let mut back = vec![0u8; data.len()];
         match entry {
@@ -283,18 +332,16 @@ fn collective_cell(
     render(out, name, &rep, landed);
 }
 
-/// tcio write + read-back through the level-2 drain and segment loads.
-fn tcio_cell(out: &mut String, name: &str, pipeline_drain: bool, hedged_reads: bool, plan: Plan) {
+/// tcio write + read-back through the level-2 drain and segment loads,
+/// with `knobs` applied to the sized-to-fit configuration.
+fn tcio_cell(out: &mut String, name: &str, plan: Plan, knobs: impl Fn(&mut TcioConfig) + Sync) {
     let (fs, engine) = new_fs(plan);
     let p = SynthParams::with_types("i,d", 64, 2).unwrap();
     let fs2 = Arc::clone(&fs);
     let p2 = p.clone();
     let rep = mpisim::run(NPROCS, sim_config(true, engine), move |rk| {
-        let cfg = tcio::TcioConfig {
-            pipeline_drain,
-            hedged_reads,
-            ..tcio::TcioConfig::for_file_size_with_segment(p2.file_size(NPROCS), NPROCS, 512)
-        };
+        let mut cfg = TcioConfig::for_file_size_with_segment(p2.file_size(NPROCS), NPROCS, 512);
+        knobs(&mut cfg);
         synthetic::write_tcio(rk, &fs2, &p2, "/fp", Some(cfg.clone()))
             .map_err(WlError::into_mpi)?;
         synthetic::read_tcio(rk, &fs2, &p2, "/fp", Some(cfg)).map_err(WlError::into_mpi)?;
@@ -304,6 +351,169 @@ fn tcio_cell(out: &mut String, name: &str, pipeline_drain: bool, hedged_reads: b
     let bytes = fs.snapshot_file(fs.open("/fp").unwrap()).unwrap();
     assert_eq!(bytes.len() as u64, p.file_size(NPROCS));
     render(out, name, &rep, fnv1a(&bytes));
+}
+
+/// Independent `write_at` then `read_at` through the interleaved view: one
+/// request per extent, or one sieved request pair per call.
+fn indep_cell(out: &mut String, name: &str, sieve: bool, plan: Plan) {
+    let (fs, engine) = new_fs(plan);
+    let fs2 = Arc::clone(&fs);
+    let rep = mpisim::run(NPROCS, sim_config(false, engine), move |rk| {
+        let mut f = File::open(rk, &fs2, "/fp", Mode::ReadWrite).map_err(to_mpi)?;
+        set_interleaved_view(rk, &mut f)?;
+        f.set_sieving(sieve.then_some(SieveConfig {
+            buffer_size: 1 << 20,
+            min_extents: 2,
+            min_density: 0.0,
+        }));
+        let data = rank_data(rk.rank());
+        f.write_at(rk, 0, &data).map_err(to_mpi)?;
+        rk.barrier()?;
+        let mut back = vec![0u8; data.len()];
+        f.read_at(rk, 0, &mut back).map_err(to_mpi)?;
+        f.close(rk).map_err(to_mpi)?;
+        Ok(back)
+    })
+    .unwrap();
+    let bytes = fs.snapshot_file(fs.open("/fp").unwrap()).unwrap();
+    assert_eq!(bytes, file_image(), "{name}: file bytes are wrong");
+    for (r, back) in rep.results.iter().enumerate() {
+        assert_eq!(back, &rank_data(r), "{name}: rank {r} read foreign bytes");
+    }
+    let spans = span_counts(&rep);
+    let (write, read) = if sieve {
+        ("sieve_rmw", "sieve_read")
+    } else {
+        ("indep_write", "indep_read")
+    };
+    assert_eq!((spans[write], spans[read]), (NPROCS, NPROCS), "{name}");
+    if matches!(plan, Plan::OstOutage) {
+        assert!(
+            spans["io_retry"] > 0,
+            "{name}: the outage must force retries"
+        );
+    }
+    render(
+        out,
+        name,
+        &rep,
+        fnv1a(&[bytes, rep.results.concat()].concat()),
+    );
+}
+
+fn tcio_to_mpi(e: TcioError) -> MpiError {
+    match e {
+        TcioError::Mpi(m) => m,
+        other => MpiError::InvalidDatatype(other.to_string()),
+    }
+}
+
+/// Segment loads whose first, open-time-priced attempt lands inside the
+/// outage and is retried at the backed-off clock (a write phase in the same
+/// run would outlast the outage first).
+fn tcio_load_retry_cell(out: &mut String, name: &str, read_mode: ReadMode) {
+    // Populate the file before the plan can refuse the write.
+    let (fs, _) = new_fs(Plan::None);
+    let fid = fs.create("/fp").unwrap();
+    fs.write_at(fid, 0, 0, &file_image(), 0.0).unwrap();
+    let engine = Plan::OstOutage.engine();
+    fs.attach_chaos(Arc::clone(engine.as_ref().unwrap()))
+        .unwrap();
+    let fs2 = Arc::clone(&fs);
+    let rep = mpisim::run(NPROCS, sim_config(true, engine), move |rk| {
+        let cfg = TcioConfig {
+            read_mode,
+            ..TcioConfig::for_file_size_with_segment(file_image().len() as u64, NPROCS, 512)
+        };
+        let mut back = vec![0u8; BLOCK * BLOCKS_PER_RANK];
+        let mut f = TcioFile::open(rk, &fs2, "/fp", TcioMode::Read, cfg).map_err(tcio_to_mpi)?;
+        for (k, piece) in back.chunks_mut(BLOCK).enumerate() {
+            let off = ((k * NPROCS + rk.rank()) * BLOCK) as u64;
+            f.read_at(rk, off, piece).map_err(tcio_to_mpi)?;
+        }
+        f.close(rk).map_err(tcio_to_mpi)?;
+        Ok(back)
+    })
+    .unwrap();
+    for (r, back) in rep.results.iter().enumerate() {
+        assert_eq!(back, &rank_data(r), "{name}: rank {r} read foreign bytes");
+    }
+    let spans = span_counts(&rep);
+    assert!(spans["io_retry"] > 0, "{name}: no load was retried");
+    render(out, name, &rep, fnv1a(&rep.results.concat()));
+}
+
+/// A tcio dump of the Fig. 2 image — one block per window visit, so every
+/// rank flushes in lockstep and `SyncMode::Fence` is legal — then a
+/// read-back by whoever is still alive, with `knobs` applied to the
+/// sized-to-fit configuration.
+///
+/// `OwnerStall`: writers bypass `STRAGGLER`'s segments (level-1 fallback).
+/// `OwnerCrash`: every byte is acknowledged by a collective flush, the owner
+/// dies inside `close`, its buddy drains the replica, and the survivors'
+/// re-open sees a zero-byte window for the dead rank, so reads of its
+/// segments fall back to the file system.
+fn tcio_image_cell(out: &mut String, name: &str, plan: Plan, knobs: fn(&mut TcioConfig)) {
+    let (fs, engine) = new_fs(plan);
+    let crash = matches!(plan, Plan::OwnerCrash);
+    let fs2 = Arc::clone(&fs);
+    let rep = mpisim::run(NPROCS, sim_config(true, engine), move |rk| {
+        let me = rk.rank();
+        let mut cfg =
+            TcioConfig::for_file_size_with_segment(file_image().len() as u64, NPROCS, 512);
+        knobs(&mut cfg);
+        let offset = |k: usize| ((k * NPROCS + me) * BLOCK) as u64;
+        let mut f =
+            TcioFile::open(rk, &fs2, "/fp", TcioMode::Write, cfg.clone()).map_err(tcio_to_mpi)?;
+        for (k, block) in rank_data(me).chunks(BLOCK).enumerate() {
+            f.write_at(rk, offset(k), block).map_err(tcio_to_mpi)?;
+        }
+        f.flush(rk).map_err(tcio_to_mpi)?;
+        if crash {
+            // Past the crash instant, so the failure fires inside close.
+            rk.advance(1.0);
+        }
+        let stats = match f.close(rk) {
+            Ok(stats) => stats,
+            // Fault-tolerant caller: the victim's own close fails typed.
+            Err(TcioError::Mpi(MpiError::RankCrashed { rank })) if crash && rank == me => {
+                return Ok((Vec::new(), 0));
+            }
+            Err(e) => return Err(tcio_to_mpi(e)),
+        };
+        let mut back = vec![0u8; BLOCK * BLOCKS_PER_RANK];
+        let mut g = TcioFile::open(rk, &fs2, "/fp", TcioMode::Read, cfg).map_err(tcio_to_mpi)?;
+        for (k, piece) in back.chunks_mut(BLOCK).enumerate() {
+            g.read_at(rk, offset(k), piece).map_err(tcio_to_mpi)?;
+        }
+        g.close(rk).map_err(tcio_to_mpi)?;
+        Ok((back, stats.l1_fallbacks))
+    })
+    .unwrap();
+    let bytes = fs.snapshot_file(fs.open("/fp").unwrap()).unwrap();
+    assert_eq!(bytes, file_image(), "{name}: file bytes are wrong");
+    for (r, (back, _)) in rep.results.iter().enumerate() {
+        if !(crash && r == STRAGGLER) {
+            assert_eq!(back, &rank_data(r), "{name}: rank {r} read foreign bytes");
+        }
+    }
+    let spans = span_counts(&rep);
+    let fallbacks: u64 = rep.results.iter().map(|&(_, n)| n).sum();
+    match plan {
+        Plan::OwnerCrash => {
+            assert_eq!(rep.stats[STRAGGLER].rank_crashes, 1, "{name}");
+            for span in ["tcio_recover", "tcio_read_fallback"] {
+                assert!(spans.contains_key(span), "{name}: no {span} span");
+            }
+        }
+        Plan::OwnerStall => {
+            assert!(fallbacks > 0, "{name}: nobody took the level-1 fallback");
+            assert_eq!(spans["tcio_l1_fallback"] as u64, fallbacks, "{name}");
+        }
+        _ => assert_eq!(fallbacks, 0, "{name}"),
+    }
+    let back: Vec<u8> = rep.results.iter().flat_map(|(b, _)| b.clone()).collect();
+    render(out, name, &rep, fnv1a(&[bytes, back].concat()));
 }
 
 fn fingerprint() -> String {
@@ -372,7 +582,55 @@ fn fingerprint() -> String {
             plan.label(),
             if hedged { " hedged" } else { "" }
         );
-        tcio_cell(&mut out, &name, pipeline_drain, hedged, plan);
+        tcio_cell(&mut out, &name, plan, |c| {
+            c.pipeline_drain = pipeline_drain;
+            c.hedged_reads = hedged;
+        });
+    }
+    // Everything else that issues file-system requests.
+    for sieve in [false, true] {
+        for plan in [Plan::None, Plan::OstOutage] {
+            let name = format!(
+                "indep sieve={} plan={}",
+                if sieve { "on" } else { "off" },
+                plan.label()
+            );
+            indep_cell(&mut out, &name, sieve, plan);
+        }
+    }
+    tcio_cell(&mut out, "tcio use_l1=false plan=none", Plan::None, |c| {
+        c.use_l1 = false
+    });
+    tcio_cell(&mut out, "tcio read=eager plan=none", Plan::None, |c| {
+        c.read_mode = ReadMode::Eager
+    });
+    for pipeline_drain in [false, true] {
+        let name = format!(
+            "tcio drain={} plan=ost_outage",
+            if pipeline_drain { "pipelined" } else { "flat" }
+        );
+        tcio_cell(&mut out, &name, Plan::OstOutage, |c| {
+            c.pipeline_drain = pipeline_drain
+        });
+    }
+    for (label, read_mode) in [("lazy", ReadMode::Lazy), ("eager", ReadMode::Eager)] {
+        let name = format!("tcio load read={label} plan=ost_outage");
+        tcio_load_retry_cell(&mut out, &name, read_mode);
+    }
+    type Knobs = fn(&mut TcioConfig);
+    let image_cells: [(&str, Plan, Knobs); 5] = [
+        ("sync=fence", Plan::None, |c| c.sync = SyncMode::Fence),
+        ("sync=fence use_l1=false", Plan::None, |c| {
+            c.sync = SyncMode::Fence;
+            c.use_l1 = false;
+        }),
+        ("default", Plan::OwnerStall, |_| {}),
+        ("default", Plan::OwnerCrash, |_| {}),
+        ("use_l1=false", Plan::OwnerCrash, |c| c.use_l1 = false),
+    ];
+    for (knobs_label, plan, knobs) in image_cells {
+        let name = format!("tcio image {knobs_label} plan={}", plan.label());
+        tcio_image_cell(&mut out, &name, plan, knobs);
     }
     out
 }
