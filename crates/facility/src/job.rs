@@ -26,7 +26,7 @@
 
 use crate::burst::BurstBuffer;
 use crate::FacilityError;
-use mpiio::pfs_retry;
+use mpiio::client::{settle, submit, Direction, ReadRoute};
 use mpisim::{Comm, Phase, Rank};
 use pfs::{FileId, Pfs};
 
@@ -78,8 +78,7 @@ fn fill_pattern(buf: &mut [u8], tenant: u32, job: u32, base: u64) {
 }
 
 /// Write `data` at `offset`, through the tenant's burst buffer when it
-/// has one, with transient-fault retries either way; folds the completion
-/// into the rank clock and I/O stats.
+/// has one — one client request either way, waited out under `Phase::Io`.
 fn write_span(
     rank: &mut Rank,
     fs: &Pfs,
@@ -88,17 +87,13 @@ fn write_span(
     offset: u64,
     data: &[u8],
 ) -> Result<(), FacilityError> {
-    let t = match bb {
-        Some(bb) => pfs_retry(rank, |rk| {
-            bb.write_through(fs, id, rk.rank(), offset, data, rk.now())
-        })?,
-        None => pfs_retry(rank, |rk| {
-            fs.write_at(id, rk.rank(), offset, data, rk.now())
-        })?,
+    let write = |rk: &mut Rank, off, _, _| match bb {
+        Some(bb) => bb.write_through(fs, id, rk.rank(), off, data, rk.now()),
+        None => fs.write_at(id, rk.rank(), off, data, rk.now()),
     };
-    rank.with_phase(Phase::Io, |rk| rk.sync_to(t));
-    rank.stats.io_writes += 1;
-    rank.stats.io_write_bytes += data.len() as u64;
+    let run = [(offset, data.len() as u64)];
+    let io = submit(rank, Direction::Write, None, run, write)?;
+    rank.with_phase(Phase::Io, |rk| settle(rk, io));
     Ok(())
 }
 
@@ -109,20 +104,17 @@ fn read_span(
     id: FileId,
     offset: u64,
     buf: &mut [u8],
-    hedged: bool,
+    route: ReadRoute,
 ) -> Result<(), FacilityError> {
     // Burst-buffer reads serve staged bytes at the buffer's own speed, so
     // only direct file-system reads can hedge.
-    let t = match bb {
-        Some(bb) => pfs_retry(rank, |rk| bb.read(fs, id, rk.rank(), offset, buf, rk.now()))?,
-        None if hedged => pfs_retry(rank, |rk| {
-            fs.read_at_hedged(id, rk.rank(), offset, buf, rk.now())
-        })?,
-        None => pfs_retry(rank, |rk| fs.read_at(id, rk.rank(), offset, buf, rk.now()))?,
+    let run = [(offset, buf.len() as u64)];
+    let read = |rk: &mut Rank, off, _, _| match bb {
+        Some(bb) => bb.read(fs, id, rk.rank(), off, buf, rk.now()),
+        None => route.read_at(fs, id, rk.rank(), off, buf, rk.now()),
     };
-    rank.with_phase(Phase::Io, |rk| rk.sync_to(t));
-    rank.stats.io_reads += 1;
-    rank.stats.io_read_bytes += buf.len() as u64;
+    let io = submit(rank, Direction::Read, None, run, read)?;
+    rank.with_phase(Phase::Io, |rk| settle(rk, io));
     Ok(())
 }
 
@@ -185,16 +177,15 @@ pub fn run_job(
     rank.barrier_in(comm)?;
 
     if spec.read_back {
-        if spec.hedged_reads {
-            // The hedge token bucket is per read phase, mirroring the
-            // per-collective reset the mpiio read paths perform.
-            fs.hedge_scope_begin(rank.rank());
-        }
+        // The hedge token bucket is per read phase, mirroring the
+        // per-collective reset the mpiio read paths perform.
+        let route = ReadRoute::new(spec.hedged_reads);
+        route.begin_scope(fs, rank.rank());
         let mut block = vec![0u8; spec.access as usize];
         for b in 0..nblocks {
             let i = (b * g + gr) as u64;
             let off = i * spec.access;
-            read_span(rank, fs, bb, id, off, &mut block, spec.hedged_reads)?;
+            read_span(rank, fs, bb, id, off, &mut block, route)?;
             for (k, &byte) in block.iter().enumerate() {
                 let want = pattern_byte(tenant, job, off + k as u64);
                 if byte != want {

@@ -31,6 +31,7 @@ use crate::error::{IoError, Result};
 use crate::extents::ExtentSet;
 use crate::file::File;
 use crate::rounds::{read_rounds, write_rounds, Path};
+use mpisim::wire::{push_u32, Cursor, Malformed};
 use mpisim::Rank;
 
 /// Tuning knobs of the two-phase implementation (ROMIO hints).
@@ -78,68 +79,6 @@ pub struct CollectiveConfig {
     pub hedged_reads: bool,
 }
 
-/// An offset, length or rank the exchange formats carry as a `u32`.
-pub(crate) fn wire_u32(v: u64) -> Result<[u8; 4]> {
-    match u32::try_from(v) {
-        Ok(v) => Ok(v.to_le_bytes()),
-        Err(_) => Err(IoError::Usage(format!("{v} overflows a 32-bit wire field"))),
-    }
-}
-
-/// Bounds-checked reader over a received payload — the one way any
-/// exchange format in this crate is decoded. Every read either yields
-/// bytes that are really there or a typed `IoError::Usage`; nothing is
-/// sliced, added or allocated on the strength of a length field alone.
-pub(crate) struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    /// The next `n` bytes.
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        let end = end.ok_or_else(|| IoError::Usage("malformed exchange payload".into()))?;
-        let bytes = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(bytes)
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<usize> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")) as usize)
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    /// One `(id u32, len u32, bytes)` frame of a request-aggregation blob.
-    pub(crate) fn frame(&mut self) -> Result<(usize, &'a [u8])> {
-        let id = self.u32()?;
-        let len = self.u32()?;
-        Ok((id, self.take(len)?))
-    }
-}
-
-/// Append one `(id u32, len u32, bytes)` frame — [`Cursor::frame`]'s
-/// inverse.
-pub(crate) fn push_frame(blob: &mut Vec<u8>, id: usize, bytes: &[u8]) -> Result<()> {
-    blob.extend_from_slice(&wire_u32(id as u64)?);
-    blob.extend_from_slice(&wire_u32(bytes.len() as u64)?);
-    blob.extend_from_slice(bytes);
-    Ok(())
-}
-
 /// The list header both payload kinds share: a count, then one
 /// `(file_off u64, len u32)` entry per item. An empty list is the empty
 /// payload — the exchange's "nothing for you".
@@ -148,10 +87,10 @@ fn encode_list(list: impl ExactSizeIterator<Item = (u64, u64)>, data: usize) -> 
         return Ok(Vec::new());
     }
     let mut out = Vec::with_capacity(4 + list.len() * 12 + data);
-    out.extend_from_slice(&wire_u32(list.len() as u64)?);
+    push_u32(&mut out, list.len() as u64)?;
     for (off, len) in list {
         out.extend_from_slice(&off.to_le_bytes());
-        out.extend_from_slice(&wire_u32(len)?);
+        push_u32(&mut out, len)?;
     }
     Ok(out)
 }
@@ -164,8 +103,7 @@ fn decode_list(cur: &mut Cursor<'_>) -> Result<Vec<(u64, u64)>> {
         return Ok(Vec::new());
     }
     let n = cur.u32()?;
-    let bad = || IoError::Usage("malformed exchange payload".into());
-    let entries = cur.take(n.checked_mul(12).ok_or_else(bad)?)?;
+    let entries = cur.take(n.checked_mul(12).ok_or(Malformed::Truncated)?)?;
     let entries = entries.chunks_exact(12).map(|e| {
         let off = u64::from_le_bytes(e[0..8].try_into().expect("8-byte slice"));
         let len = u32::from_le_bytes(e[8..12].try_into().expect("4-byte slice"));
@@ -313,6 +251,7 @@ mod tests {
     use super::*;
     use crate::file::{File, Mode};
     use crate::rounds::Plan;
+    use mpisim::wire::push_frame;
     use mpisim::{Datatype, Named, SimConfig};
     use pfs::{Pfs, PfsConfig};
     use std::sync::Arc;

@@ -38,6 +38,15 @@ impl From<pfs::PfsError> for IoError {
     }
 }
 
+impl From<mpisim::wire::Malformed> for IoError {
+    fn from(e: mpisim::wire::Malformed) -> Self {
+        IoError::Usage(match e {
+            mpisim::wire::Malformed::Truncated => "malformed exchange payload".into(),
+            mpisim::wire::Malformed::Overflow(v) => format!("{v} overflows a 32-bit wire field"),
+        })
+    }
+}
+
 pub type Result<T> = std::result::Result<T, IoError>;
 
 impl IoError {

@@ -7,10 +7,11 @@
 //! the behaviour that collapses when an application emits thousands of tiny
 //! noncontiguous accesses.
 
+use crate::client::{self, Direction};
 use crate::error::{IoError, Result};
 use crate::sieve::{gather_into_span, scatter_from_span, SieveConfig};
 use crate::view::FileView;
-use mpisim::{Committed, Phase, Rank};
+use mpisim::{Committed, Rank};
 use pfs::{FileId, Pfs};
 use std::sync::Arc;
 
@@ -155,23 +156,20 @@ impl File {
         self.pos
     }
 
-    /// Move the individual file pointer.
+    /// Move the individual file pointer. Positions are `MPI_Offset`s:
+    /// non-negative `i64`s.
     pub fn seek(&mut self, offset: i64, whence: Whence) -> Result<()> {
         let base = match whence {
-            Whence::Set => 0i64,
-            Whence::Cur => self.pos as i64,
-            Whence::End => {
-                let file_len = self.pfs.len(self.fid)?;
-                self.view.stream_len_for_file(file_len) as i64
-            }
+            Whence::Set => 0,
+            Whence::Cur => self.pos,
+            Whence::End => self.view.stream_len_for_file(self.pfs.len(self.fid)?),
         };
-        let target = base + offset;
-        if target < 0 {
-            return Err(IoError::Usage(format!(
-                "seek to negative position {target}"
-            )));
-        }
-        self.pos = target as u64;
+        let target = i64::try_from(base).ok().and_then(|b| b.checked_add(offset));
+        self.pos = target.and_then(|t| u64::try_from(t).ok()).ok_or_else(|| {
+            IoError::Usage(format!(
+                "seek by {offset} from {base} leaves the offset range"
+            ))
+        })?;
         Ok(())
     }
 
@@ -208,25 +206,13 @@ impl File {
                 return self.write_sieved(rank, &extents, data);
             }
         }
-        let start = rank.now();
-        let mut cursor = 0usize;
-        let mut written = 0u64;
-        let mut done = rank.now();
-        for (file_off, len) in extents {
-            let pfs = &self.pfs;
-            let fid = self.fid;
-            let slice = &data[cursor..cursor + len as usize];
-            let t = crate::retry::pfs_retry(rank, |rk| {
-                pfs.write_at(fid, rk.rank(), file_off, slice, rk.now())
-            })?;
-            done = done.max(t);
-            cursor += len as usize;
-            written += len;
-            rank.stats.io_writes += 1;
-            rank.stats.io_write_bytes += len;
-        }
-        rank.with_phase(Phase::Io, |rk| rk.sync_to(done));
-        rank.trace_mark("indep_write", Phase::Io, start, written);
+        let (pfs, fid) = (&self.pfs, self.fid);
+        let write = |rk: &mut Rank, off, len: u64, pos: u64| {
+            let src = &data[pos as usize..][..len as usize];
+            pfs.write_at(fid, rk.rank(), off, src, rk.now())
+        };
+        let io = client::submit(rank, Direction::Write, Some("indep_write"), extents, write)?;
+        client::settle(rank, io);
         Ok(())
     }
 
@@ -237,26 +223,19 @@ impl File {
     /// writers whose spans overlap would resurrect stale gap bytes.
     fn write_sieved(&mut self, rank: &mut Rank, extents: &[(u64, u64)], data: &[u8]) -> Result<()> {
         let (start, span_len) = SieveConfig::span(extents);
-        let t0 = rank.now();
         let _mem = rank.alloc(span_len)?;
-        let pfs = &self.pfs;
-        let fid = self.fid;
-        let t = crate::retry::pfs_retry(rank, |rk| {
-            pfs.write_rmw(
-                fid,
-                rk.rank(),
-                start,
-                span_len,
-                &mut |span| gather_into_span(start, span, extents, data),
-                rk.now(),
-            )
-        })?;
+        let (pfs, fid) = (&self.pfs, self.fid);
+        let rmw = |rk: &mut Rank, off, len, _| {
+            let gather = &mut |span: &mut [u8]| gather_into_span(off, span, extents, data);
+            pfs.write_rmw(fid, rk.rank(), off, len, gather, rk.now())
+        };
+        let run = [(start, span_len)];
+        let io = client::submit(rank, Direction::Write, Some("sieve_rmw"), run, rmw)?;
+        // The read half of the pair: a request, but its bytes never reach
+        // this rank (the door counted the write half).
+        rank.stats.io_reads += 1; // door: sieve-rmw
         rank.charge_memcpy(data.len() as u64);
-        rank.stats.io_reads += 1;
-        rank.stats.io_writes += 1;
-        rank.stats.io_write_bytes += span_len;
-        rank.with_phase(Phase::Io, |rk| rk.sync_to(t));
-        rank.trace_mark("sieve_rmw", Phase::Io, t0, span_len);
+        client::settle(rank, io);
         Ok(())
     }
 
@@ -271,25 +250,13 @@ impl File {
                 return self.read_sieved(rank, &extents, buf);
             }
         }
-        let start = rank.now();
-        let mut cursor = 0usize;
-        let mut read = 0u64;
-        let mut done = rank.now();
-        for (file_off, len) in extents {
-            let pfs = &self.pfs;
-            let fid = self.fid;
-            let dst = &mut buf[cursor..cursor + len as usize];
-            let t = crate::retry::pfs_retry(rank, |rk| {
-                pfs.read_at(fid, rk.rank(), file_off, dst, rk.now())
-            })?;
-            done = done.max(t);
-            cursor += len as usize;
-            read += len;
-            rank.stats.io_reads += 1;
-            rank.stats.io_read_bytes += len;
-        }
-        rank.with_phase(Phase::Io, |rk| rk.sync_to(done));
-        rank.trace_mark("indep_read", Phase::Io, start, read);
+        let (pfs, fid) = (&self.pfs, self.fid);
+        let read = |rk: &mut Rank, off, len: u64, pos: u64| {
+            let dst = &mut buf[pos as usize..][..len as usize];
+            pfs.read_at(fid, rk.rank(), off, dst, rk.now())
+        };
+        let io = client::submit(rank, Direction::Read, Some("indep_read"), extents, read)?;
+        client::settle(rank, io);
         Ok(())
     }
 
@@ -302,20 +269,16 @@ impl File {
         buf: &mut [u8],
     ) -> Result<()> {
         let (start, span_len) = SieveConfig::span(extents);
-        let t0 = rank.now();
         let _mem = rank.alloc(span_len)?;
-        let mut span = vec![0u8; span_len as usize];
-        let pfs = &self.pfs;
-        let fid = self.fid;
-        let t = crate::retry::pfs_retry(rank, |rk| {
-            pfs.read_at(fid, rk.rank(), start, &mut span, rk.now())
-        })?;
-        rank.stats.io_reads += 1;
-        rank.stats.io_read_bytes += span_len;
-        scatter_from_span(start, &span, extents, buf);
+        let mut sieve = vec![0u8; span_len as usize];
+        let (pfs, fid) = (&self.pfs, self.fid);
+        let read =
+            |rk: &mut Rank, off, _, _| pfs.read_at(fid, rk.rank(), off, &mut sieve, rk.now());
+        let run = [(start, span_len)];
+        let io = client::submit(rank, Direction::Read, Some("sieve_read"), run, read)?;
+        scatter_from_span(start, &sieve, extents, buf);
         rank.charge_memcpy(buf.len() as u64);
-        rank.with_phase(Phase::Io, |rk| rk.sync_to(t));
-        rank.trace_mark("sieve_read", Phase::Io, t0, span_len);
+        client::settle(rank, io);
         Ok(())
     }
 

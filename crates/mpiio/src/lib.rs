@@ -16,25 +16,24 @@
 
 #![forbid(unsafe_code)]
 
+pub mod client;
 pub mod collective;
 pub mod error;
 pub mod extents;
 pub mod file;
 pub mod parcoll;
 pub mod reqagg;
-pub mod retry;
 pub mod rounds;
 pub mod sieve;
 pub mod view;
 pub mod viewcoll;
 
+pub use client::{DeferredQueue, ReadRoute};
 pub use collective::{read_all_at, write_all_at, CollectiveConfig};
 pub use error::{IoError, Result};
 pub use extents::ExtentSet;
 pub use file::{File, Mode, Whence};
 pub use parcoll::write_all_partitioned;
-pub use retry::{pfs_retry, ReadRoute};
-pub use rounds::DeferredQueue;
 pub use sieve::SieveConfig;
 pub use view::FileView;
 pub use viewcoll::{read_all_view_based, register_views, write_all_view_based, RegisteredViews};

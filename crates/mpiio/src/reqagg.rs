@@ -45,11 +45,10 @@
 //! case — are bit-identical to the flat burst, which is what the
 //! differential suite pins.
 
-use crate::collective::{
-    decode_pieces, decode_requests, encode_pieces, encode_requests, push_frame, Cursor,
-};
+use crate::collective::{decode_pieces, decode_requests, encode_pieces, encode_requests};
 use crate::error::{IoError, Result};
 use crate::extents::ExtentSet;
+use mpisim::wire::{push_frame, Cursor};
 use mpisim::{MpiError, Phase, Rank, Tag};
 use std::collections::BTreeMap;
 

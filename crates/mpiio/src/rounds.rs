@@ -5,24 +5,19 @@
 //! across aggregators, and per round — one `cb_buffer` window per
 //! aggregator — exchange per-destination payloads, assemble the window in
 //! a memory-accounted collective buffer and move its extent runs to or
-//! from the file system under [`pfs_retry`]. `write_rounds` and
+//! from the file system through the [`client`] door. `write_rounds` and
 //! `read_rounds` own that skeleton, including the depth-2 deferred
 //! completions of `CollectiveConfig::pipeline`. A caller supplies only
 //! what is its own: a `Path` (communicator, whether `req_agg` merges
 //! semantically, span names) and the closures that speak its wire format.
 
+use crate::client::{self, DeferredQueue, Direction, ReadRoute};
 use crate::collective::CollectiveConfig;
 use crate::error::{IoError, Result};
 use crate::extents::ExtentSet;
 use crate::file::File;
 use crate::reqagg::{self, ReadSession};
-use crate::retry::{pfs_retry, ReadRoute};
-use mpisim::{Comm, DeferredIo, MemGuard, Phase, Rank, ReduceOp};
-use std::collections::VecDeque;
-
-/// Pipeline depth of every round loop: double buffering, matching the two
-/// collective buffers an aggregator holds in flight.
-const PIPELINE_DEPTH: usize = 2;
+use mpisim::{Comm, DeferredIo, MemGuard, Rank, ReduceOp};
 
 /// What one collective path is, as values: everything the five callers
 /// differ in outside their wire formats.
@@ -34,8 +29,8 @@ pub(crate) struct Path<'a> {
     /// (its payloads are piece/request lists); otherwise `req_agg` means
     /// the opaque two-level exchange, like `intra_agg`.
     pub(crate) merges: bool,
-    /// Serialized rounds: `Some(name)` syncs the clock under `Phase::Io`
-    /// and marks a span; `None` is a bare `sync_to`.
+    /// Span of a serialized round's I/O, as [`client::settle`] takes it:
+    /// `None` waits in the caller's phase and marks nothing.
     pub(crate) flat_span: Option<&'static str>,
     /// Deferred-handle span under `CollectiveConfig::pipeline`; `None` for
     /// a path that has nothing to overlap and ignores the knob.
@@ -63,38 +58,6 @@ impl Exchange {
             Exchange::ReqAgg
         } else {
             Exchange::TwoLevel
-        }
-    }
-}
-
-/// Deferred I/O completions of in-flight rounds, oldest first. A
-/// collective buffer's memory guard rides along with its handle, so the
-/// buffer stays charged against the rank's budget until its round is
-/// settled. Also drives tcio's pipelined level-2 drain.
-#[derive(Default)]
-pub struct DeferredQueue(VecDeque<(DeferredIo, Option<MemGuard>)>);
-
-impl DeferredQueue {
-    /// Double buffering: settle the oldest handles until one more fits
-    /// within the pipeline depth. Call before opening the next round.
-    pub fn make_room(&mut self, rank: &mut Rank) {
-        while self.0.len() >= PIPELINE_DEPTH {
-            let (io, _guard) = self.0.pop_front().expect("non-empty queue");
-            rank.io_complete(io);
-        }
-    }
-
-    /// Keep a submitted I/O's completion outstanding. The storage layer
-    /// applied the bytes at submission; only the clock sync is deferred.
-    pub fn push(&mut self, io: DeferredIo, guard: Option<MemGuard>) {
-        self.0.push_back((io, guard));
-    }
-
-    /// Settle everything. Call before the closing barrier so the rank's
-    /// clock covers its own I/O completions.
-    pub fn drain(&mut self, rank: &mut Rank) {
-        for (io, _guard) in self.0.drain(..) {
-            rank.io_complete(io);
         }
     }
 }
@@ -221,41 +184,9 @@ impl<'a> Plan<'a> {
         })
     }
 
-    /// Run `op(rank, off, len)` over a window's extent runs under
-    /// [`pfs_retry`]. The storage layer moves the bytes at submission; the
-    /// completion instant stays outstanding in the returned handle.
-    fn submit(
-        &self,
-        rank: &mut Rank,
-        runs: &ExtentSet,
-        mut op: impl FnMut(&mut Rank, u64, u64) -> pfs::Result<f64>,
-    ) -> Result<DeferredIo> {
-        let submitted = rank.now();
-        let (mut done, mut bytes) = (submitted, 0u64);
-        for &(off, len) in runs.runs() {
-            done = done.max(pfs_retry(rank, |rk| op(rk, off, len))?);
-            bytes += len;
-        }
-        let name = self.pipe_span.or(self.path.flat_span).unwrap_or_default();
-        Ok(DeferredIo {
-            name,
-            submitted,
-            done,
-            bytes,
-        })
-    }
-
-    /// Land a completion on the clock: through the deferred-handle
-    /// accounting when pipelined, else by waiting it out.
-    fn settle(&self, rank: &mut Rank, io: DeferredIo) {
-        if self.pipe_span.is_some() {
-            rank.io_complete(io);
-        } else if self.path.flat_span.is_some() {
-            rank.with_phase(Phase::Io, |rk| rk.sync_to(io.done));
-            rank.trace_mark(io.name, Phase::Io, io.submitted, io.bytes);
-        } else {
-            rank.sync_to(io.done);
-        }
+    /// The span a window's I/O is submitted under.
+    fn io_span(&self) -> Option<&'static str> {
+        self.pipe_span.or(self.path.flat_span)
     }
 }
 
@@ -305,18 +236,18 @@ pub(crate) fn write_rounds(
                 place(rank, src, payload, ws, &mut buf, &mut dirty)?;
             }
         }
-        let io = plan.submit(rank, &dirty, |rk, off, len| {
+        let runs = dirty.runs().iter().copied();
+        let write = |rk: &mut Rank, off, len: u64, _| {
             let at = (off - ws) as usize;
             pfs.write_at(fid, rk.rank(), off, &buf[at..at + len as usize], rk.now())
-        })?;
-        rank.stats.io_writes += dirty.runs().len() as u64;
-        rank.stats.io_write_bytes += io.bytes;
+        };
+        let io = client::submit(rank, Direction::Write, plan.io_span(), runs, write)?;
         if plan.pipe_span.is_some() {
             // Round r+1's exchange overlaps the OST service.
             inflight.push(io, Some(cb));
         } else {
             drop(cb);
-            plan.settle(rank, io);
+            client::settle(rank, io);
         }
     }
     inflight.drain(rank);
@@ -372,12 +303,12 @@ fn read_window(
     let mut wbuf = vec![0u8; (we - ws) as usize];
     let (pfs, fid) = (file.pfs(), file.file_id());
     route.begin_scope(pfs, rank.rank());
-    let io = plan.submit(rank, &wanted, |rk, off, len| {
+    let runs = wanted.runs().iter().copied();
+    let read = |rk: &mut Rank, off, len: u64, _| {
         let dst = &mut wbuf[(off - ws) as usize..][..len as usize];
         route.read_at(pfs, fid, rk.rank(), off, dst, rk.now())
-    })?;
-    rank.stats.io_reads += wanted.runs().len() as u64;
-    rank.stats.io_read_bytes += io.bytes;
+    };
+    let io = client::submit(rank, Direction::Read, plan.io_span(), runs, read)?;
     Ok(Some(WindowRead {
         ws,
         wbuf,
@@ -450,7 +381,11 @@ pub(crate) fn read_rounds(
         // window buffer in the order it asked for them.
         let mut responses: Vec<Vec<u8>> = vec![Vec::new(); path.comm.size()];
         if let Some(w) = window {
-            plan.settle(rank, w.io);
+            if plan.pipe_span.is_some() {
+                rank.io_complete(w.io);
+            } else {
+                client::settle(rank, w.io);
+            }
             for (src, reqs) in w.wanted_by.iter().enumerate() {
                 if reqs.is_empty() {
                     continue;

@@ -8,8 +8,8 @@
 //! then maps `(stream position, length)` ranges to absolute file extents in
 //! O(extents) time.
 
-use crate::collective::{wire_u32, Cursor};
 use crate::error::{IoError, Result};
+use mpisim::wire::{push_u32, Cursor};
 use mpisim::Committed;
 
 /// A resolved file view for one rank.
@@ -161,7 +161,7 @@ impl FileView {
         out.extend_from_slice(&self.disp.to_le_bytes());
         out.extend_from_slice(&self.tile_extent.to_le_bytes());
         out.push(self.identity as u8);
-        out.extend_from_slice(&wire_u32(self.tile.len() as u64)?);
+        push_u32(&mut out, self.tile.len() as u64)?;
         for &(o, l) in &self.tile {
             out.extend_from_slice(&o.to_le_bytes());
             out.extend_from_slice(&l.to_le_bytes());

@@ -48,6 +48,7 @@ pub mod stats;
 pub mod timeline;
 pub mod topology;
 pub mod trace;
+pub mod wire;
 
 pub use collectives::log2ceil;
 pub use comm::Comm;

@@ -399,20 +399,6 @@ impl Fabric {
             sender_done: tx_start + dur,
         }
     }
-
-    /// Reserve the receive port of `dst` directly (used by RMA puts whose
-    /// payload is applied eagerly but whose cost must still queue). Gap
-    /// backfill makes the granted start independent of which rank booked
-    /// first — see [`Timeline`].
-    pub fn reserve_rx(&self, dst: usize, earliest: f64, dur: f64) -> f64 {
-        self.state.lock().rx[self.port(dst)].reserve(earliest, dur)
-    }
-
-    /// Reserve the transmit port of `src` directly (used by RMA gets, where
-    /// the data flows target → origin).
-    pub fn reserve_tx(&self, src: usize, earliest: f64, dur: f64) -> f64 {
-        self.state.lock().tx[self.port(src)].reserve(earliest, dur)
-    }
 }
 
 #[cfg(test)]

@@ -109,16 +109,6 @@ impl Mailbox {
             }
         })
     }
-
-    /// Is a matching message pending whose arrival time is ≤ `now`?
-    /// (An `MPI_Iprobe`: a message still "in flight" in virtual time is
-    /// not visible yet.)
-    pub(crate) fn has_match(&self, src: Option<usize>, tag: Option<Tag>, now: f64) -> bool {
-        let inner = self.inner.lock();
-        inner.queue.iter().any(|e| {
-            e.arrival <= now && src.is_none_or(|s| e.src == s) && tag.is_none_or(|t| e.tag == t)
-        })
-    }
 }
 
 /// Handle for a nonblocking operation, completed via `Rank::wait` /
@@ -180,16 +170,5 @@ mod tests {
         assert_eq!(r.data, vec![2]);
         assert!(mb.try_match(Some(1), None).is_none(), "no such source");
         assert_eq!(mb.try_match(None, Some(1)).unwrap().data, vec![1]);
-    }
-
-    #[test]
-    fn probe_sees_only_messages_that_have_arrived() {
-        let mb = Mailbox::default();
-        mb.push(0, 1, vec![5], 0.5, None);
-        assert!(!mb.has_match(Some(0), Some(1), 0.25), "still in flight");
-        assert!(mb.has_match(Some(0), Some(1), 0.5));
-        assert!(!mb.has_match(Some(0), Some(2), 9.0), "wrong tag");
-        assert!(!mb.has_match(Some(1), None, 9.0), "wrong source");
-        assert!(mb.has_match(None, None, 9.0));
     }
 }

@@ -74,11 +74,6 @@ impl Window {
         self.shared.sizes[rank]
     }
 
-    /// Number of regions (communicator size).
-    pub fn nregions(&self) -> usize {
-        self.shared.sizes.len()
-    }
-
     /// Access this rank's own region directly (e.g., the owner draining its
     /// level-2 segments to the file system). No network cost is implied;
     /// callers should charge memcpy time as appropriate.
@@ -125,14 +120,6 @@ impl<'w> Epoch<'w> {
         }
     }
 
-    pub fn target(&self) -> usize {
-        self.target
-    }
-
-    pub fn kind(&self) -> LockKind {
-        self.kind
-    }
-
     /// One-sided put of a single contiguous block.
     pub fn put(&mut self, disp: usize, data: &[u8]) -> Result<()> {
         self.put_parts(&[(disp, data)])
@@ -161,36 +148,6 @@ impl<'w> Epoch<'w> {
         Ok(())
     }
 
-    /// One-sided accumulate (`MPI_Accumulate` with `MPI_SUM`) of `f64`
-    /// elements: element-wise addition into the target region. Counts as
-    /// one put-direction message.
-    pub fn accumulate_f64(&mut self, disp: usize, values: &[f64]) -> Result<()> {
-        let bytes = values.len() * 8;
-        self.win.check_bounds(self.target, disp, bytes)?;
-        let mut region = self.win.shared.regions[self.target].lock();
-        for (i, v) in values.iter().enumerate() {
-            let at = disp + i * 8;
-            let cur = f64::from_le_bytes(region[at..at + 8].try_into().expect("f64 cell"));
-            region[at..at + 8].copy_from_slice(&(cur + v).to_le_bytes());
-        }
-        self.put_msgs.push((bytes, 1));
-        Ok(())
-    }
-
-    /// One-sided accumulate of `u64` elements (wrapping addition).
-    pub fn accumulate_u64(&mut self, disp: usize, values: &[u64]) -> Result<()> {
-        let bytes = values.len() * 8;
-        self.win.check_bounds(self.target, disp, bytes)?;
-        let mut region = self.win.shared.regions[self.target].lock();
-        for (i, v) in values.iter().enumerate() {
-            let at = disp + i * 8;
-            let cur = u64::from_le_bytes(region[at..at + 8].try_into().expect("u64 cell"));
-            region[at..at + 8].copy_from_slice(&cur.wrapping_add(*v).to_le_bytes());
-        }
-        self.put_msgs.push((bytes, 1));
-        Ok(())
-    }
-
     /// One-sided get of a single contiguous block.
     pub fn get(&mut self, disp: usize, buf: &mut [u8]) -> Result<()> {
         self.win.check_bounds(self.target, disp, buf.len())?;
@@ -216,16 +173,6 @@ impl<'w> Epoch<'w> {
         }
         self.get_msgs.push((bytes, parts.len()));
         Ok(())
-    }
-
-    /// Run a closure against the raw target region while holding its data
-    /// mutex. Used by layers that must atomically read-modify shared
-    /// metadata co-located with the window (e.g., TCIO's segment extent
-    /// tables). Counts as part of the surrounding epoch; callers should add
-    /// explicit cost through put/get if the touched bytes are significant.
-    pub fn with_target_region<R>(&mut self, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        let mut region = self.win.shared.regions[self.target].lock();
-        f(&mut region)
     }
 }
 
@@ -310,29 +257,6 @@ mod tests {
         ep.get_gathered(&mut []).unwrap();
         assert!(ep.put_msgs.is_empty());
         assert!(ep.get_msgs.is_empty());
-    }
-
-    #[test]
-    fn accumulate_sums_elementwise() {
-        let w = window(vec![32], 0);
-        let mut ep = Epoch::new(&w, 0, LockKind::Exclusive);
-        ep.accumulate_f64(0, &[1.5, 2.0]).unwrap();
-        ep.accumulate_f64(0, &[0.5, -1.0]).unwrap();
-        ep.accumulate_u64(16, &[7]).unwrap();
-        ep.accumulate_u64(16, &[3]).unwrap();
-        w.with_local(|r| {
-            assert_eq!(f64::from_le_bytes(r[0..8].try_into().unwrap()), 2.0);
-            assert_eq!(f64::from_le_bytes(r[8..16].try_into().unwrap()), 1.0);
-            assert_eq!(u64::from_le_bytes(r[16..24].try_into().unwrap()), 10);
-        });
-        assert_eq!(ep.put_msgs.len(), 4);
-    }
-
-    #[test]
-    fn accumulate_bounds_checked() {
-        let w = window(vec![8], 0);
-        let mut ep = Epoch::new(&w, 0, LockKind::Exclusive);
-        assert!(ep.accumulate_f64(4, &[1.0]).is_err());
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! counts and cross-rank dependency edges, collected into
 //! [`SimReport::traces`].
 
-use crate::collectives::{log2ceil, Deposit, RvResult};
+use crate::collectives::{Deposit, RvResult};
 use crate::comm::{Comm, CommShared, Flavor, NodeLayout, SplitRegistry};
 use crate::error::{MpiError, Result, SimError};
 use crate::event::EventCore;
@@ -36,7 +36,8 @@ use crate::net::{Fabric, FabricStatsSnapshot, NetConfig};
 use crate::p2p::{Mailbox, Received, Request, Tag};
 use crate::rma::{Epoch, LockKind, WinShared, Window};
 use crate::stats::RankStats;
-use crate::trace::{Phase, PhaseTotals, RankTrace, Tracer};
+use crate::trace::{Phase, RankTrace, Tracer};
+use crate::wire::{push_frame, push_u32, Cursor};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
@@ -242,7 +243,6 @@ impl ReduceOp {
 // collectives meet in the same rendezvous, so any length can arrive: every
 // read is checked and a misfit is a typed error, never a slice panic.
 
-const TRUNCATED: MpiError = MpiError::CollectiveMismatch("collective payload truncated");
 const BURST_LEN: MpiError =
     MpiError::CollectiveMismatch("alltoallv payload vector length != communicator size");
 const NO_SURVIVOR: MpiError = MpiError::CollectiveMismatch("no live rank contributed a value");
@@ -262,84 +262,26 @@ fn slot_or(b: &[u8], dead: u64) -> Result<u64> {
     }
 }
 
-/// Fold the live ranks' scalars (crash-stopped ranks' slots are empty);
+/// Fold the live ranks' `u64`s (crash-stopped ranks' slots are empty);
 /// `None` when there is none.
-fn reduce_slots<T>(
-    slots: &[Vec<u8>],
-    decode: fn([u8; 8]) -> T,
-    mut f: impl FnMut(T, T) -> T,
-) -> Result<Option<T>> {
+fn reduce_slots(slots: &[Vec<u8>], f: impl Fn(u64, u64) -> u64) -> Result<Option<u64>> {
     let mut acc = None;
     for b in slots.iter().filter(|b| !b.is_empty()) {
-        let v = decode(le8(b)?);
-        acc = Some(match acc {
-            None => v,
-            Some(a) => f(a, v),
-        });
+        let v = u64::from_le_bytes(le8(b)?);
+        acc = Some(acc.map_or(v, |a| f(a, v)));
     }
     Ok(acc)
 }
 
-/// Checked cursor over a framed payload (the scatter blob and the
-/// two-level exchange's `(index u32, len u32, bytes)` frames).
-struct Wire<'a>(&'a [u8]);
-
-impl<'a> Wire<'a> {
-    fn is_empty(&self) -> bool {
-        self.0.is_empty()
+/// A two-level exchange frame id, which must name one of `g` members.
+fn member(i: usize, g: usize) -> Result<usize> {
+    if i < g {
+        Ok(i)
+    } else {
+        Err(MpiError::CollectiveMismatch(
+            "two-level exchange frame names no member",
+        ))
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let (head, rest) = self.0.split_at_checked(n).ok_or(TRUNCATED)?;
-        self.0 = rest;
-        Ok(head)
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        self.take(8).and_then(le8).map(u64::from_le_bytes)
-    }
-
-    fn u32(&mut self) -> Result<usize> {
-        let (head, rest) = self.0.split_first_chunk::<4>().ok_or(TRUNCATED)?;
-        self.0 = rest;
-        Ok(u32::from_le_bytes(*head) as usize)
-    }
-
-    /// A member index: a `u32` that must name one of `g` members.
-    fn index(&mut self, g: usize) -> Result<usize> {
-        let i = self.u32()?;
-        if i < g {
-            Ok(i)
-        } else {
-            Err(MpiError::CollectiveMismatch(
-                "two-level exchange frame names no member",
-            ))
-        }
-    }
-
-    /// One `(index, len, bytes)` frame.
-    fn frame(&mut self, g: usize) -> Result<(usize, &'a [u8])> {
-        let i = self.index(g)?;
-        let len = self.u32()?;
-        Ok((i, self.take(len)?))
-    }
-}
-
-/// Append a `u32` field; a value that does not fit is an error, never a
-/// silent truncation.
-fn push_u32(buf: &mut Vec<u8>, v: usize) -> Result<()> {
-    let v = u32::try_from(v)
-        .map_err(|_| MpiError::CollectiveMismatch("two-level exchange field exceeds u32"))?;
-    buf.extend_from_slice(&v.to_le_bytes());
-    Ok(())
-}
-
-/// Append one `(index, len, bytes)` frame.
-fn push_frame(buf: &mut Vec<u8>, index: usize, bytes: &[u8]) -> Result<()> {
-    push_u32(buf, index)?;
-    push_u32(buf, bytes.len())?;
-    buf.extend_from_slice(bytes);
-    Ok(())
 }
 
 /// A deferred-completion I/O handle — the event-core primitive behind
@@ -530,12 +472,6 @@ impl Rank {
 
     // ---- tracing ----
 
-    /// Is span recording on (`SimConfig::trace`)? Phase totals are kept
-    /// regardless.
-    pub fn trace_enabled(&self) -> bool {
-        self.tracer.enabled()
-    }
-
     /// Run `f` with clock time attributed to `phase` by default. Runtime
     /// operations that know better still self-classify (p2p and RMA time
     /// stays `Exchange`, rendezvous collectives stay `Sync`); everything
@@ -587,11 +523,6 @@ impl Rank {
         );
     }
 
-    /// This rank's per-phase time totals so far.
-    pub fn phase_totals(&self) -> PhaseTotals {
-        self.tracer.totals()
-    }
-
     pub fn net_config(&self) -> &NetConfig {
         self.shared.fabric.config()
     }
@@ -600,11 +531,6 @@ impl Rank {
     /// (`Arc`-backed); a trivial `ppn = 1` topology reads back as `None`.
     pub fn topology(&self) -> Option<crate::topology::Topology> {
         self.shared.fabric.topology().cloned()
-    }
-
-    /// The simulated-memory tracker for this rank.
-    pub fn mem(&self) -> &MemTracker {
-        &self.mem
     }
 
     /// Convenience: register a simulated allocation.
@@ -823,10 +749,6 @@ impl Rank {
         Ok(rv)
     }
 
-    fn rendezvous(&mut self, payload: Vec<u8>) -> Result<RvResult> {
-        self.rendezvous_in(&self.world(), payload)
-    }
-
     /// The barrier engine, also behind the collectives that are a barrier
     /// carrying a small payload (window and shared-object creation): all
     /// members' clocks advance to `max + 2·α·⌈log₂ size⌉`.
@@ -902,174 +824,12 @@ impl Rank {
     /// over the survivors.
     pub fn allreduce_u64_in(&mut self, comm: &Comm, value: u64, op: ReduceOp) -> Result<u64> {
         let rv = self.allgather_rv_in(comm, &value.to_le_bytes())?;
-        reduce_slots(&rv.payloads, u64::from_le_bytes, |a, b| op.u64(a, b))?.ok_or(NO_SURVIVOR)
+        reduce_slots(&rv.payloads, |a, b| op.u64(a, b))?.ok_or(NO_SURVIVOR)
     }
 
     /// Allreduce of one `u64` over all ranks.
     pub fn allreduce_u64(&mut self, value: u64, op: ReduceOp) -> Result<u64> {
         self.allreduce_u64_in(&self.world(), value, op)
-    }
-
-    /// Allreduce of one `f64`. Crash-stopped ranks' slots are excluded,
-    /// like [`Rank::allreduce_u64`].
-    pub fn allreduce_f64(&mut self, value: f64, op: ReduceOp) -> Result<f64> {
-        let rv = self.allgather_rv_in(&self.world(), &value.to_le_bytes())?;
-        let reduce = |a: f64, b: f64| match op {
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
-            ReduceOp::Sum => a + b,
-        };
-        reduce_slots(&rv.payloads, f64::from_le_bytes, reduce)?.ok_or(NO_SURVIVOR)
-    }
-
-    /// Broadcast `root`'s payload to every rank (binomial-tree cost).
-    pub fn bcast(&mut self, root: usize, payload: &[u8]) -> Result<Vec<u8>> {
-        self.check_rank(root)?;
-        let contribution = if self.id == root {
-            payload.to_vec()
-        } else {
-            Vec::new()
-        };
-        let start = self.clock;
-        let rv = self.rendezvous(contribution)?;
-        let cfg = self.shared.fabric.config();
-        let bytes = rv.payloads[root].len();
-        self.set_clock_as(
-            rv.max_t + (cfg.latency + bytes as f64 * cfg.byte_time) * log2ceil(self.nprocs) as f64,
-            Phase::Sync,
-        );
-        self.record_sync("bcast", start, bytes as u64, &rv);
-        Ok(rv.payloads[root].clone())
-    }
-
-    /// Gather every rank's payload at `root`; non-roots receive `None`.
-    pub fn gather(&mut self, root: usize, payload: &[u8]) -> Result<Option<Vec<Vec<u8>>>> {
-        self.check_rank(root)?;
-        let start = self.clock;
-        let rv = self.rendezvous(payload.to_vec())?;
-        let cfg = self.shared.fabric.config();
-        let total: usize = rv.payloads.iter().map(Vec::len).sum();
-        let out = if self.id == root {
-            self.set_clock_as(
-                rv.max_t
-                    + cfg.latency * log2ceil(self.nprocs) as f64
-                    + (total - payload.len()) as f64 * cfg.byte_time,
-                Phase::Sync,
-            );
-            Some(rv.payloads.iter().cloned().collect())
-        } else {
-            self.set_clock_as(
-                rv.max_t + cfg.latency * log2ceil(self.nprocs) as f64,
-                Phase::Sync,
-            );
-            None
-        };
-        self.record_sync("gather", start, total as u64, &rv);
-        Ok(out)
-    }
-
-    /// Scatter `root`'s per-rank payloads; every rank receives its slice.
-    pub fn scatter(&mut self, root: usize, payloads: Option<Vec<Vec<u8>>>) -> Result<Vec<u8>> {
-        self.check_rank(root)?;
-        let contribution = match (&payloads, self.id == root) {
-            (Some(p), true) => {
-                if p.len() != self.nprocs {
-                    return Err(MpiError::CollectiveMismatch(
-                        "scatter payload vector length != nprocs",
-                    ));
-                }
-                // Flatten with a tiny length-prefixed encoding.
-                let mut buf = Vec::new();
-                for part in p {
-                    buf.extend_from_slice(&(part.len() as u64).to_le_bytes());
-                    buf.extend_from_slice(part);
-                }
-                buf
-            }
-            (None, true) => {
-                return Err(MpiError::CollectiveMismatch(
-                    "root must provide scatter payloads",
-                ))
-            }
-            _ => Vec::new(),
-        };
-        let start = self.clock;
-        let rv = self.rendezvous(contribution)?;
-        let cfg = self.shared.fabric.config();
-        let mut blob = Wire(&rv.payloads[root]);
-        let mut mine: &[u8] = &[];
-        for _ in 0..=self.id {
-            let len = blob.u64()?;
-            mine = blob.take(usize::try_from(len).map_err(|_| TRUNCATED)?)?;
-        }
-        let mine = mine.to_vec();
-        self.set_clock_as(
-            rv.max_t
-                + cfg.latency * log2ceil(self.nprocs) as f64
-                + mine.len() as f64 * cfg.byte_time,
-            Phase::Sync,
-        );
-        self.record_sync("scatter", start, mine.len() as u64, &rv);
-        Ok(mine)
-    }
-
-    /// Element-wise reduction of equal-length `u64` vectors, delivered to
-    /// all ranks (`MPI_Allreduce` on arrays).
-    pub fn allreduce_u64_vec(&mut self, values: &[u64], op: ReduceOp) -> Result<Vec<u64>> {
-        let payload: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
-        let start = self.clock;
-        let rv = self.rendezvous(payload)?;
-        let cfg = self.shared.fabric.config();
-        let bytes = values.len() * 8;
-        self.set_clock_as(
-            rv.max_t
-                + 2.0 * (cfg.latency + bytes as f64 * cfg.byte_time) * log2ceil(self.nprocs) as f64,
-            Phase::Sync,
-        );
-        self.record_sync("allreduce", start, bytes as u64, &rv);
-        if bytes == 0 {
-            return Ok(Vec::new());
-        }
-        let mut acc: Option<Vec<u64>> = None;
-        for buf in rv.payloads.iter() {
-            if buf.is_empty() {
-                // Crash-stopped rank: its slot carries no contribution.
-                continue;
-            }
-            if buf.len() != bytes {
-                return Err(MpiError::CollectiveMismatch(
-                    "allreduce_u64_vec length mismatch across ranks",
-                ));
-            }
-            let vals = buf.chunks_exact(8).map(|c| le8(c).map(u64::from_le_bytes));
-            acc = Some(match acc {
-                None => vals.collect::<Result<_>>()?,
-                Some(mut a) => {
-                    for (x, v) in a.iter_mut().zip(vals) {
-                        *x = op.u64(*x, v?);
-                    }
-                    a
-                }
-            });
-        }
-        acc.ok_or(NO_SURVIVOR)
-    }
-
-    /// Inclusive prefix reduction (`MPI_Scan`) of one `u64`. Crash-stopped
-    /// ranks' slots are skipped — the prefix runs over the survivors.
-    pub fn scan_u64(&mut self, value: u64, op: ReduceOp) -> Result<u64> {
-        let rv = self.allgather_rv_in(&self.world(), &value.to_le_bytes())?;
-        let upto = &rv.payloads[..=self.id];
-        reduce_slots(upto, u64::from_le_bytes, |a, b| op.u64(a, b))?.ok_or(NO_SURVIVOR)
-    }
-
-    /// Exclusive prefix sum of one `u64` (`MPI_Exscan` with `+`, 0 at rank
-    /// 0) — the usual offset-computation helper for parallel I/O.
-    /// Crash-stopped ranks' slots contribute nothing.
-    pub fn exscan_sum_u64(&mut self, value: u64) -> Result<u64> {
-        let rv = self.allgather_rv_in(&self.world(), &value.to_le_bytes())?;
-        let below = &rv.payloads[..self.id];
-        Ok(reduce_slots(below, u64::from_le_bytes, |a, b| a + b)?.unwrap_or(0))
     }
 
     /// Survivor agreement (communicator shrink): synchronize through a
@@ -1088,30 +848,6 @@ impl Rank {
             Some(e) => (0..self.nprocs).filter(|&r| !e.crashed(r, t)).collect(),
             None => (0..self.nprocs).collect(),
         })
-    }
-
-    /// Combined send and receive (`MPI_Sendrecv`).
-    pub fn sendrecv(
-        &mut self,
-        dst: usize,
-        send_tag: Tag,
-        data: &[u8],
-        src: Option<usize>,
-        recv_tag: Option<Tag>,
-    ) -> Result<Received> {
-        let req = self.isend(dst, send_tag, data)?;
-        let r = self.recv(src, recv_tag)?;
-        self.wait(req)?;
-        Ok(r)
-    }
-
-    /// Nonblocking probe: is a matching message pending?
-    pub fn iprobe(&mut self, src: Option<usize>, tag: Option<Tag>) -> Result<bool> {
-        self.check_abort()?;
-        if let Some(s) = src {
-            self.check_rank(s)?;
-        }
-        Ok(self.shared.mailboxes[self.id].has_match(src, tag, self.clock))
     }
 
     /// `MPI_Comm_split`: collectively partition the world by `color`.
@@ -1365,10 +1101,10 @@ impl Rank {
             // The leader's scatter carries everything off-node sent to me:
             // (src, len, bytes)*.
             let down = self.recv(Some(comm.world_rank(my_leader)), Some(TAG_HIER_DOWN))?;
-            let mut frames = Wire(&down.data);
+            let mut frames = Cursor::new(&down.data);
             while !frames.is_empty() {
-                let (src, bytes) = frames.frame(g)?;
-                out[src] = bytes.to_vec();
+                let (src, bytes) = frames.frame()?;
+                out[member(src, g)?] = bytes.to_vec();
             }
         } else {
             // Bucket off-node payloads per destination node: mine first,
@@ -1378,17 +1114,17 @@ impl Rank {
             for (j, payload) in data.iter().enumerate() {
                 let node = layout.node_of[j];
                 if node != my_node && !payload.is_empty() {
-                    push_u32(&mut cross[node], mi)?;
+                    push_u32(&mut cross[node], mi as u64)?;
                     push_frame(&mut cross[node], j, payload)?;
                 }
             }
             for &p in &peers {
                 let up = self.recv(Some(comm.world_rank(p)), Some(TAG_HIER_UP))?;
-                let mut frames = Wire(&up.data);
+                let mut frames = Cursor::new(&up.data);
                 while !frames.is_empty() {
-                    let (dst, bytes) = frames.frame(g)?;
-                    let blob = &mut cross[layout.node_of[dst]];
-                    push_u32(blob, p)?;
+                    let (dst, bytes) = frames.frame()?;
+                    let blob = &mut cross[layout.node_of[member(dst, g)?]];
+                    push_u32(blob, p as u64)?;
                     push_frame(blob, dst, bytes)?;
                 }
             }
@@ -1408,11 +1144,11 @@ impl Rank {
             for k in 1..n {
                 let node = (my_node + n - k) % n;
                 let x = self.recv(Some(comm.world_rank(leaders[node])), Some(TAG_HIER_XNODE))?;
-                let mut frames = Wire(&x.data);
+                let mut frames = Cursor::new(&x.data);
                 while !frames.is_empty() {
-                    let src = frames.index(g)?;
-                    let (dst, bytes) = frames.frame(g)?;
-                    if dst == mi {
+                    let src = member(frames.u32()?, g)?;
+                    let (dst, bytes) = frames.frame()?;
+                    if member(dst, g)? == mi {
                         out[src] = bytes.to_vec();
                     } else {
                         push_frame(down.entry(dst).or_default(), src, bytes)?;
@@ -2028,15 +1764,13 @@ mod tests {
             let min = rk.allreduce_u64(rk.rank() as u64 + 5, ReduceOp::Min)?;
             let max = rk.allreduce_u64(rk.rank() as u64 + 5, ReduceOp::Max)?;
             let sum = rk.allreduce_u64(rk.rank() as u64 + 5, ReduceOp::Sum)?;
-            let fmax = rk.allreduce_f64(rk.rank() as f64 * 1.5, ReduceOp::Max)?;
-            Ok((min, max, sum, fmax))
+            Ok((min, max, sum))
         })
         .unwrap();
-        for &(min, max, sum, fmax) in &rep.results {
+        for &(min, max, sum) in &rep.results {
             assert_eq!(min, 5);
             assert_eq!(max, 8);
             assert_eq!(sum, 5 + 6 + 7 + 8);
-            assert!((fmax - 4.5).abs() < 1e-12);
         }
     }
 
@@ -2227,126 +1961,6 @@ mod tests {
     }
 
     #[test]
-    fn bcast_delivers_root_payload() {
-        let rep = run(4, cfg(), |rk| {
-            let payload = if rk.rank() == 2 {
-                vec![9, 8, 7]
-            } else {
-                Vec::new()
-            };
-            rk.bcast(2, &payload)
-        })
-        .unwrap();
-        assert!(rep.results.iter().all(|p| p == &vec![9, 8, 7]));
-    }
-
-    #[test]
-    fn gather_collects_only_at_root() {
-        let rep = run(3, cfg(), |rk| {
-            let out = rk.gather(1, &[rk.rank() as u8])?;
-            Ok(out)
-        })
-        .unwrap();
-        assert!(rep.results[0].is_none());
-        assert!(rep.results[2].is_none());
-        assert_eq!(
-            rep.results[1].as_ref().unwrap(),
-            &vec![vec![0u8], vec![1], vec![2]]
-        );
-    }
-
-    #[test]
-    fn scatter_distributes_root_slices() {
-        let rep = run(3, cfg(), |rk| {
-            let payloads = if rk.rank() == 0 {
-                Some(vec![vec![10u8], vec![20, 20], vec![30, 30, 30]])
-            } else {
-                None
-            };
-            rk.scatter(0, payloads)
-        })
-        .unwrap();
-        assert_eq!(rep.results[0], vec![10]);
-        assert_eq!(rep.results[1], vec![20, 20]);
-        assert_eq!(rep.results[2], vec![30, 30, 30]);
-    }
-
-    #[test]
-    fn scatter_without_root_payload_fails() {
-        let err = run(2, cfg(), |rk| {
-            rk.scatter(0, None)?;
-            Ok(())
-        })
-        .unwrap_err();
-        assert!(err.to_string().contains("scatter"));
-    }
-
-    #[test]
-    fn allreduce_vec_elementwise() {
-        let rep = run(3, cfg(), |rk| {
-            let v = [rk.rank() as u64, 10 - rk.rank() as u64, 1];
-            rk.allreduce_u64_vec(&v, ReduceOp::Max)
-        })
-        .unwrap();
-        for r in &rep.results {
-            assert_eq!(r, &vec![2, 10, 1]);
-        }
-        let rep = run(3, cfg(), |rk| {
-            rk.allreduce_u64_vec(&[rk.rank() as u64 + 1], ReduceOp::Sum)
-        })
-        .unwrap();
-        assert!(rep.results.iter().all(|r| r == &vec![6]));
-    }
-
-    #[test]
-    fn scan_and_exscan_prefixes() {
-        let rep = run(4, cfg(), |rk| {
-            let inc = rk.scan_u64(rk.rank() as u64 + 1, ReduceOp::Sum)?;
-            let exc = rk.exscan_sum_u64(rk.rank() as u64 + 1)?;
-            Ok((inc, exc))
-        })
-        .unwrap();
-        // values 1,2,3,4 → inclusive 1,3,6,10; exclusive 0,1,3,6.
-        assert_eq!(rep.results, vec![(1, 0), (3, 1), (6, 3), (10, 6)]);
-    }
-
-    #[test]
-    fn sendrecv_swaps_between_pairs() {
-        let rep = run(2, cfg(), |rk| {
-            let partner = 1 - rk.rank();
-            let r = rk.sendrecv(partner, 5, &[rk.rank() as u8], Some(partner), Some(5))?;
-            Ok(r.data)
-        })
-        .unwrap();
-        assert_eq!(rep.results[0], vec![1]);
-        assert_eq!(rep.results[1], vec![0]);
-    }
-
-    #[test]
-    fn iprobe_sees_only_arrived_messages() {
-        let rep = run(2, cfg(), |rk| {
-            if rk.rank() == 0 {
-                rk.send(1, 3, &[1, 2, 3])?;
-                rk.barrier()?;
-                Ok((false, false))
-            } else {
-                let before = rk.iprobe(Some(0), Some(3))?;
-                rk.barrier()?; // clock advances past the arrival
-                let after = rk.iprobe(Some(0), Some(3))?;
-                let wrong_tag = rk.iprobe(Some(0), Some(4))?;
-                rk.recv(Some(0), Some(3))?;
-                let drained = rk.iprobe(Some(0), Some(3))?;
-                assert!(!wrong_tag);
-                assert!(!drained);
-                Ok((before, after))
-            }
-        })
-        .unwrap();
-        let (_, after) = rep.results[1];
-        assert!(after, "message must be probeable once arrived");
-    }
-
-    #[test]
     fn phase_totals_sum_to_final_clock() {
         let c = SimConfig {
             trace: true,
@@ -2458,7 +2072,7 @@ mod tests {
         }
         assert_eq!(slot_or(&[], 42), Ok(42), "empty slot = crash-stopped rank");
         assert!(is_mismatch(slot_or(&[1], 42)));
-        let sum = |slots: &[Vec<u8>]| reduce_slots(slots, u64::from_le_bytes, |a, b| a + b);
+        let sum = |slots: &[Vec<u8>]| reduce_slots(slots, |a, b| a + b);
         let three = 3u64.to_le_bytes().to_vec();
         assert_eq!(sum(&[three.clone(), vec![], three.clone()]), Ok(Some(6)));
         assert_eq!(sum(&[vec![], vec![]]), Ok(None), "no survivor, no value");
@@ -2466,35 +2080,9 @@ mod tests {
     }
 
     #[test]
-    fn wire_cursor_is_total_on_short_and_garbage_input() {
-        assert!(is_mismatch(Wire(&[1, 2, 3]).u32()));
-        assert!(is_mismatch(Wire(&[0; 7]).u64()));
-        assert!(is_mismatch(Wire(&[0; 4]).take(5)));
-        assert!(Wire(&[]).is_empty());
-        // An index past the communicator, and a length past the buffer.
-        let mut buf = Vec::new();
-        push_frame(&mut buf, 5, &[9, 9]).unwrap();
-        assert!(is_mismatch(Wire(&buf).index(5)));
-        assert_eq!(Wire(&buf).frame(6), Ok((5, &[9u8, 9][..])));
-        assert!(is_mismatch(Wire(&buf[..buf.len() - 1]).frame(6)));
-        let mut liar = Vec::new();
-        push_u32(&mut liar, 0).unwrap();
-        push_u32(&mut liar, u32::MAX as usize).unwrap();
-        assert!(is_mismatch(Wire(&liar).frame(1)));
-        // Every prefix of a valid two-frame blob either parses or fails
-        // typed; none panics.
-        push_frame(&mut buf, 1, &[]).unwrap();
-        for cut in 0..=buf.len() {
-            let mut w = Wire(&buf[..cut]);
-            while !w.is_empty() && w.frame(6).is_ok() {}
-        }
-    }
-
-    #[test]
-    fn wire_fields_never_truncate_silently() {
-        let mut buf = Vec::new();
-        assert!(is_mismatch(push_u32(&mut buf, u32::MAX as usize + 1)));
-        assert!(buf.is_empty());
+    fn two_level_frame_ids_must_name_a_member() {
+        assert_eq!(member(5, 6), Ok(5));
+        assert!(is_mismatch(member(5, 5)));
     }
 
     #[test]
@@ -2505,22 +2093,6 @@ mod tests {
                 rk.allgather(&[1]).map(drop)
             } else {
                 rk.allreduce_u64(5, ReduceOp::Sum).map(drop)
-            }
-        })
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::RankFailed {
-                rank: 1,
-                error: MpiError::CollectiveMismatch(_)
-            }
-        ));
-        // A broadcast payload read as a scatter blob.
-        let err = run(2, cfg(), |rk| {
-            if rk.rank() == 0 {
-                rk.bcast(0, &[1, 2, 3]).map(drop)
-            } else {
-                rk.scatter(0, None).map(drop)
             }
         })
         .unwrap_err();

@@ -153,10 +153,6 @@ impl Tracer {
         }
     }
 
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Innermost active phase (Compute when no override is in effect).
     pub(crate) fn current_phase(&self) -> Phase {
         self.stack.last().copied().unwrap_or(Phase::Compute)
@@ -164,10 +160,6 @@ impl Tracer {
 
     pub(crate) fn attribute(&mut self, phase: Phase, dt: f64) {
         self.totals.add(phase, dt);
-    }
-
-    pub(crate) fn totals(&self) -> PhaseTotals {
-        self.totals
     }
 
     pub(crate) fn push_phase(&mut self, phase: Phase) {

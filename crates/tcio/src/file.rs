@@ -14,6 +14,11 @@
 //! ranks and each rank drains its own level-2 segments to the file system
 //! with large contiguous writes.
 //!
+//! Past the level-1 copy, each movement is one function: `put_l2` (runs
+//! into a level-2 segment and its replica), `write_out` (runs of a buffer
+//! to the file system) and `load` (a file range into a temporary); the
+//! last two go through [`mpiio::client`] like every request of the stack.
+//!
 //! ## Read path
 //!
 //! Reads are **lazy**: `read`/`read_at` only record `(offset, destination)`;
@@ -26,8 +31,9 @@
 use crate::config::{ReadMode, SyncMode, TcioConfig};
 use crate::error::{Result, TcioError};
 use crate::segment::SegmentMap;
+use mpiio::client::{self, DeferredQueue, Direction, ReadRoute};
 use mpiio::ExtentSet;
-use mpisim::{Committed, LockKind, MemGuard, Phase, Rank, Window};
+use mpisim::{Committed, DeferredIo, LockKind, MemGuard, Phase, Rank, Window};
 use parking_lot::Mutex;
 use pfs::{FileId, Pfs};
 use std::collections::BTreeMap;
@@ -88,25 +94,8 @@ struct SegMeta {
     loaded: bool,
 }
 
-#[derive(Debug)]
-struct SharedMeta {
-    /// `[rank][segment]`.
-    segs: Vec<Vec<Mutex<SegMeta>>>,
-}
-
-impl SharedMeta {
-    fn new(nprocs: usize, num_segments: usize) -> SharedMeta {
-        SharedMeta {
-            segs: (0..nprocs)
-                .map(|_| {
-                    (0..num_segments)
-                        .map(|_| Mutex::new(SegMeta::default()))
-                        .collect()
-                })
-                .collect(),
-        }
-    }
-}
+/// `[rank][segment]`, shared by all ranks of one open.
+type SharedMeta = Vec<Vec<Mutex<SegMeta>>>;
 
 /// Buddy-replication state for durability epochs. Built only when the
 /// attached fault plan contains a crash instant (`any_crash`) on a
@@ -132,14 +121,14 @@ struct Durability {
 }
 
 impl Durability {
-    /// Displacement of `(owner, segment-base + disp)` inside the replica
-    /// window of `buddy[owner]`.
-    fn replica_disp(&self, owner: usize, l2_disp: usize, l2_bytes: u64) -> usize {
+    /// Where `owner`'s level-2 image starts inside the replica window of
+    /// `buddy[owner]`.
+    fn replica_base(&self, owner: usize, l2_bytes: u64) -> usize {
         let idx = self.covered[self.buddy[owner]]
             .iter()
             .position(|&r| r == owner)
             .expect("owner is covered by its buddy");
-        idx * l2_bytes as usize + l2_disp
+        idx * l2_bytes as usize
     }
 }
 
@@ -180,7 +169,6 @@ pub struct TcioFile<'a> {
     /// loads as the parallel batch a real run would produce).
     opened_at: f64,
     pub stats: TcioStats,
-    closed: bool,
 }
 
 impl std::fmt::Debug for TcioFile<'_> {
@@ -267,9 +255,9 @@ impl<'a> TcioFile<'a> {
             }
             _ => None,
         };
-        let nprocs = rank.nprocs();
-        let nsegs = cfg.num_segments;
-        let meta = rank.shared_state(move || SharedMeta::new(nprocs, nsegs))?;
+        let (nprocs, nsegs) = (rank.nprocs(), cfg.num_segments);
+        let per_rank = move |_| (0..nsegs).map(|_| Mutex::default()).collect();
+        let meta = rank.shared_state(move || (0..nprocs).map(per_rank).collect::<SharedMeta>())?;
         // Level-1 buffer: one segment (write path only, but cheap enough to
         // always account).
         let l1_mem = rank.alloc(cfg.segment_size)?;
@@ -299,7 +287,6 @@ impl<'a> TcioFile<'a> {
             opened_at,
             stats: TcioStats::default(),
             cfg,
-            closed: false,
         })
     }
 
@@ -329,20 +316,19 @@ impl<'a> TcioFile<'a> {
         self.file_len == 0
     }
 
-    /// `tcio_seek`.
+    /// `tcio_seek`. Positions are `MPI_Offset`s: non-negative `i64`s.
     pub fn seek(&mut self, offset: i64, whence: Whence) -> Result<()> {
         let base = match whence {
-            Whence::Set => 0i64,
-            Whence::Cur => self.pos as i64,
-            Whence::End => self.file_len as i64,
+            Whence::Set => 0,
+            Whence::Cur => self.pos,
+            Whence::End => self.file_len,
         };
-        let target = base + offset;
-        if target < 0 {
-            return Err(TcioError::Usage(format!(
-                "seek to negative offset {target}"
-            )));
-        }
-        self.pos = target as u64;
+        let target = i64::try_from(base).ok().and_then(|b| b.checked_add(offset));
+        self.pos = target.and_then(|t| u64::try_from(t).ok()).ok_or_else(|| {
+            TcioError::Usage(format!(
+                "seek by {offset} from {base} leaves the offset range"
+            ))
+        })?;
         Ok(())
     }
 
@@ -358,15 +344,19 @@ impl<'a> TcioFile<'a> {
         Ok(loc)
     }
 
-    // ------------------------------------------------------------------
-    // Write path
-    // ------------------------------------------------------------------
+    // ---- write path ----
 
     /// `tcio_write_at`: buffer `data` for file offset `offset`.
     pub fn write_at(&mut self, rank: &mut Rank, offset: u64, data: &[u8]) -> Result<()> {
         if self.mode != TcioMode::Write {
             return Err(TcioError::Usage("file is not open for writing".into()));
         }
+        let Some(end) = offset.checked_add(data.len() as u64) else {
+            return Err(TcioError::Usage(format!(
+                "write of {} bytes at offset {offset} exceeds the largest file offset",
+                data.len()
+            )));
+        };
         rank.advance(rank.net_config().api_call_overhead);
         if data.is_empty() {
             return Ok(());
@@ -374,7 +364,6 @@ impl<'a> TcioFile<'a> {
         let s = self.cfg.segment_size;
         let mut off = offset;
         let mut cursor = 0usize;
-        let end = offset + data.len() as u64;
         let crosses = self.map.window_start(offset) != self.map.window_start(end - 1);
         if crosses {
             self.stats.spills += 1; // block subdivided across segments (§IV.A)
@@ -415,13 +404,10 @@ impl<'a> TcioFile<'a> {
         dtype: &Committed,
         count: usize,
     ) -> Result<()> {
-        if dtype.is_contiguous() {
-            let bytes = dtype.size() * count;
-            return self.write(rank, &memory[..bytes]);
-        }
-        let packed = dtype.pack(memory, count).map_err(TcioError::Mpi)?;
-        rank.charge_memcpy(packed.len() as u64);
-        self.write(rank, &packed)
+        let pos = self.pos;
+        self.write_typed_at(rank, pos, memory, dtype, count)?;
+        self.pos = pos + (dtype.size() * count) as u64;
+        Ok(())
     }
 
     /// Typed positioned write (`tcio_write_at` with an MPI datatype).
@@ -437,7 +423,7 @@ impl<'a> TcioFile<'a> {
             let bytes = dtype.size() * count;
             return self.write_at(rank, offset, &memory[..bytes]);
         }
-        let packed = dtype.pack(memory, count).map_err(TcioError::Mpi)?;
+        let packed = dtype.pack(memory, count)?;
         rank.charge_memcpy(packed.len() as u64);
         self.write_at(rank, offset, &packed)
     }
@@ -466,73 +452,25 @@ impl<'a> TcioFile<'a> {
     /// Ablation path (`use_l1 = false`): one epoch + one put per block.
     fn direct_put(&mut self, rank: &mut Rank, off: u64, chunk: &[u8]) -> Result<()> {
         let loc = self.locate_checked(off)?;
-        let disp = loc.segment as u64 * self.cfg.segment_size + loc.disp;
-        if self.cfg.sync == SyncMode::Fence {
-            rank.win_fence(&self.win)?;
-        }
-        if let Some(dur) = &self.dur {
-            let b = dur.buddy[loc.owner];
-            let rdisp = dur.replica_disp(loc.owner, disp as usize, self.cfg.l2_bytes());
-            let mut ep = rank.win_lock(&dur.rwin, b, LockKind::Exclusive)?;
-            ep.put(rdisp, chunk).map_err(TcioError::Mpi)?;
-            rank.win_unlock(ep)?;
-        }
-        // Zero-byte window: the owner crash-stopped before this open; the
-        // replica put above is the durable copy (see `flush_l1`).
-        if self.win.size_of(loc.owner) > 0 {
-            let mut ep = rank.win_lock(&self.win, loc.owner, LockKind::Exclusive)?;
-            ep.put(disp as usize, chunk).map_err(TcioError::Mpi)?;
-            rank.win_unlock(ep)?;
-        }
-        if self.cfg.sync == SyncMode::Fence {
-            rank.win_fence(&self.win)?;
-        }
-        self.meta.segs[loc.owner][loc.segment]
-            .lock()
-            .valid
-            .insert(loc.disp, chunk.len() as u64);
-        Ok(())
+        let disp = (loc.segment as u64 * self.cfg.segment_size + loc.disp) as usize;
+        self.put_l2(rank, loc.owner, loc.segment, &[(disp, chunk)], None)
     }
 
-    /// Drain the level-1 buffer into its level-2 segment as one gathered
-    /// one-sided put.
-    fn flush_l1(&mut self, rank: &mut Rank) -> Result<()> {
-        let Some(window) = self.l1.window_start else {
-            return Ok(());
-        };
-        if self.l1.extents.is_empty() {
-            self.l1.window_start = None;
-            return Ok(());
-        }
-        let loc = self.locate_checked(window)?;
-        debug_assert_eq!(loc.disp, 0);
-        // Graceful degradation: if the fault plan has the segment owner
-        // stalled (now or ahead), parking the window in its level-2 buffer
-        // would strand the bytes behind the straggler's drain at close.
-        // Ship them straight to the file system instead.
-        if loc.owner != rank.rank()
-            && rank
-                .chaos()
-                .is_some_and(|e| e.stall_ahead(loc.owner, rank.now()))
-        {
-            return self.flush_l1_direct(rank, window);
-        }
-        let t0 = rank.now();
-        let flushed: u64 = self.l1.extents.runs().iter().map(|&(_, l)| l).sum();
-        let seg_base = loc.segment as u64 * self.cfg.segment_size;
-        let parts: Vec<(usize, &[u8])> = self
-            .l1
-            .extents
-            .runs()
-            .iter()
-            .map(|&(o, l)| {
-                (
-                    (seg_base + o) as usize,
-                    &self.l1.buf[o as usize..(o + l) as usize],
-                )
-            })
-            .collect();
-        if self.cfg.sync == SyncMode::Fence {
+    /// §IV's second movement, and the one way bytes enter level 2: put
+    /// `parts` — `(window displacement, bytes)`, all inside `owner`'s
+    /// `segment` — as one gathered message under an exclusive epoch, and
+    /// record them as valid. `replica_span` names the span the mirror put
+    /// is marked with, if any.
+    fn put_l2(
+        &self,
+        rank: &mut Rank,
+        owner: usize,
+        segment: usize,
+        parts: &[(usize, &[u8])],
+        replica_span: Option<&'static str>,
+    ) -> Result<()> {
+        let fence = self.cfg.sync == SyncMode::Fence;
+        if fence {
             rank.win_fence(&self.win)?;
         }
         // Durability: mirror the gathered put into the owner's buddy
@@ -541,68 +479,95 @@ impl<'a> TcioFile<'a> {
         // flush return).
         if let Some(dur) = &self.dur {
             let t_rep = rank.now();
-            let b = dur.buddy[loc.owner];
-            let rparts: Vec<(usize, &[u8])> = parts
-                .iter()
-                .map(|&(d, s)| (dur.replica_disp(loc.owner, d, self.cfg.l2_bytes()), s))
-                .collect();
-            let mut ep = rank.win_lock(&dur.rwin, b, LockKind::Exclusive)?;
-            ep.put_gathered(&rparts).map_err(TcioError::Mpi)?;
+            let base = dur.replica_base(owner, self.cfg.l2_bytes());
+            let rparts: Vec<(usize, &[u8])> = parts.iter().map(|&(d, s)| (base + d, s)).collect();
+            let mut ep = rank.win_lock(&dur.rwin, dur.buddy[owner], LockKind::Exclusive)?;
+            ep.put_gathered(&rparts)?;
             rank.win_unlock(ep)?;
-            rank.trace_mark("tcio_replicate", Phase::Exchange, t_rep, flushed);
+            if let Some(name) = replica_span {
+                let bytes = parts.iter().map(|(_, s)| s.len() as u64).sum();
+                rank.trace_mark(name, Phase::Exchange, t_rep, bytes);
+            }
         }
         // An owner that crash-stopped before this open exposes a zero-byte
         // window; its primary copy is unreachable. The replica put above
         // already made the bytes durable (a crash before open implies the
         // plan has a crash, so `dur` is Some), and the meta insert below
         // lets the buddy's recovery drain find them.
-        if self.win.size_of(loc.owner) > 0 {
-            let mut ep = rank.win_lock(&self.win, loc.owner, LockKind::Exclusive)?;
-            ep.put_gathered(&parts).map_err(TcioError::Mpi)?;
+        if self.win.size_of(owner) > 0 {
+            let mut ep = rank.win_lock(&self.win, owner, LockKind::Exclusive)?;
+            ep.put_gathered(parts)?;
             rank.win_unlock(ep)?;
         }
-        if self.cfg.sync == SyncMode::Fence {
+        if fence {
             rank.win_fence(&self.win)?;
         }
-        {
-            let mut meta = self.meta.segs[loc.owner][loc.segment].lock();
-            for &(o, l) in self.l1.extents.runs() {
-                meta.valid.insert(o, l);
-            }
+        let seg_base = segment as u64 * self.cfg.segment_size;
+        let mut meta = self.meta[owner][segment].lock();
+        for &(d, s) in parts {
+            meta.valid.insert(d as u64 - seg_base, s.len() as u64);
         }
-        self.stats.flushes += 1;
-        self.l1.extents.clear();
-        self.l1.window_start = None;
-        rank.trace_mark("tcio_flush", Phase::Exchange, t0, flushed);
         Ok(())
     }
 
-    /// Level-1 fallback flush: write the buffered runs directly to the
-    /// file (with transient-fault retries), leaving the stalled owner's
-    /// level-2 segment untouched so close does not re-drain these bytes.
-    fn flush_l1_direct(&mut self, rank: &mut Rank, window: u64) -> Result<()> {
-        let t0 = rank.now();
-        let flushed: u64 = self.l1.extents.runs().iter().map(|&(_, l)| l).sum();
-        let runs: Vec<(u64, u64)> = self.l1.extents.runs().to_vec();
-        let pfs = Arc::clone(&self.pfs);
-        let fid = self.fid;
-        let me = rank.rank();
-        let mut done = rank.now();
-        for (o, l) in runs {
-            let slice = &self.l1.buf[o as usize..(o + l) as usize];
-            let t = mpiio::pfs_retry(rank, |rk| {
-                pfs.write_at(fid, me, window + o, slice, rk.now())
-            })?;
-            done = done.max(t);
-            rank.stats.io_writes += 1;
-            rank.stats.io_write_bytes += l;
+    /// §IV's third movement: write `runs` of `region` — offsets relative
+    /// to `region` and to `file_base` alike — to the file system as one
+    /// client request of this rank. The caller settles the handle.
+    fn write_out(
+        &self,
+        rank: &mut Rank,
+        region: &[u8],
+        runs: &[(u64, u64)],
+        file_base: u64,
+        span: &'static str,
+    ) -> Result<DeferredIo> {
+        let (pfs, fid, me) = (&self.pfs, self.fid, rank.rank());
+        let runs = runs.iter().map(|&(o, l)| (file_base + o, l));
+        let write = |rk: &mut Rank, off: u64, len: u64, _| {
+            let at = (off - file_base) as usize;
+            pfs.write_at(fid, me, off, &region[at..at + len as usize], rk.now())
+        };
+        let io = client::submit(rank, Direction::Write, Some(span), runs, write)?;
+        Ok(io)
+    }
+
+    /// Drain the level-1 buffer into its level-2 segment as one gathered
+    /// one-sided put.
+    fn flush_l1(&mut self, rank: &mut Rank) -> Result<()> {
+        let Some(window) = self.l1.window_start else {
+            return Ok(());
+        };
+        let loc = self.locate_checked(window)?;
+        debug_assert_eq!(loc.disp, 0);
+        let runs = self.l1.extents.runs();
+        // Graceful degradation: if the fault plan has the segment owner
+        // stalled (now or ahead), parking the window in its level-2 buffer
+        // would strand the bytes behind the straggler's drain at close.
+        // Ship them straight to the file system instead, leaving the
+        // owner's segment untouched so close does not re-drain them.
+        if loc.owner != rank.rank()
+            && rank
+                .chaos()
+                .is_some_and(|e| e.stall_ahead(loc.owner, rank.now()))
+        {
+            let io = self.write_out(rank, &self.l1.buf, runs, window, "tcio_l1_fallback")?;
+            client::settle(rank, io);
+            self.stats.l1_fallbacks += 1;
+        } else {
+            let t0 = rank.now();
+            let seg_base = loc.segment as u64 * self.cfg.segment_size;
+            let part = |&(o, l): &(u64, u64)| {
+                let bytes = &self.l1.buf[o as usize..(o + l) as usize];
+                ((seg_base + o) as usize, bytes)
+            };
+            let parts: Vec<(usize, &[u8])> = runs.iter().map(part).collect();
+            self.put_l2(rank, loc.owner, loc.segment, &parts, Some("tcio_replicate"))?;
+            let flushed = runs.iter().map(|&(_, l)| l).sum();
+            rank.trace_mark("tcio_flush", Phase::Exchange, t0, flushed);
         }
-        rank.with_phase(Phase::Io, |rk| rk.sync_to(done));
         self.stats.flushes += 1;
-        self.stats.l1_fallbacks += 1;
         self.l1.extents.clear();
         self.l1.window_start = None;
-        rank.trace_mark("tcio_l1_fallback", Phase::Io, t0, flushed);
         Ok(())
     }
 
@@ -614,13 +579,10 @@ impl<'a> TcioFile<'a> {
             TcioMode::Write => self.flush_l1(rank)?,
             TcioMode::Read => self.fetch(rank)?,
         }
-        rank.barrier()?;
-        Ok(())
+        Ok(rank.barrier()?)
     }
 
-    // ------------------------------------------------------------------
-    // Read path
-    // ------------------------------------------------------------------
+    // ---- read path ----
 
     /// `tcio_read_at`: record a read of `buf.len()` bytes at `offset`.
     /// With [`ReadMode::Lazy`] the data arrives at the next `fetch` (or
@@ -634,10 +596,14 @@ impl<'a> TcioFile<'a> {
         if buf.is_empty() {
             return Ok(());
         }
-        let end = offset + buf.len() as u64;
-        if end > self.file_len {
+        let len = buf.len() as u64;
+        if offset
+            .checked_add(len)
+            .is_none_or(|end| end > self.file_len)
+        {
             return Err(TcioError::Usage(format!(
-                "read [{offset}, {end}) past end of file ({} bytes)",
+                "read [{offset}, {}) past end of file ({} bytes)",
+                offset.saturating_add(len),
                 self.file_len
             )));
         }
@@ -652,17 +618,14 @@ impl<'a> TcioFile<'a> {
             let take = ((window + s - off) as usize).min(rest.len());
             let (piece, tail) = rest.split_at_mut(take);
             rest = tail;
-            if self.cfg.read_mode == ReadMode::Lazy {
-                // Window-departure rule: resolve older requests first.
-                if self.read_window != Some(window) {
-                    if self.read_window.is_some() {
-                        self.fetch(rank)?;
-                    }
-                    self.read_window = Some(window);
-                }
-                self.pending_reads.push((off, piece));
-            } else {
-                self.eager_read(rank, off, piece)?;
+            // Window-departure rule: resolve older requests first.
+            if self.read_window != Some(window) {
+                self.fetch(rank)?;
+                self.read_window = Some(window);
+            }
+            self.pending_reads.push((off, piece));
+            if self.cfg.read_mode == ReadMode::Eager {
+                self.fetch(rank)?;
             }
             off += take as u64;
         }
@@ -676,6 +639,38 @@ impl<'a> TcioFile<'a> {
         self.read_at(rank, pos, buf)?;
         self.pos = pos + len;
         Ok(())
+    }
+
+    /// The read-side movement: read `len` file bytes at `file_off` into a
+    /// temporary, as one request charged to `client`'s file-system
+    /// resources, and wait for it under `Phase::Io` (marking `span`, if
+    /// any). The memory guard keeps the temporary charged to this rank.
+    ///
+    /// The attempt is priced from the open barrier: in a real parallel run
+    /// whichever reader first reached these bytes (any time after open)
+    /// would have triggered the read. Retries must re-issue at the
+    /// backed-off clock or the outage never lifts.
+    fn load(
+        &self,
+        rank: &mut Rank,
+        client: usize,
+        file_off: u64,
+        len: u64,
+        span: Option<&'static str>,
+    ) -> Result<(MemGuard, Vec<u8>)> {
+        let guard = rank.alloc(len)?;
+        let mut tmp = vec![0u8; len as usize];
+        let (pfs, fid) = (&self.pfs, self.fid);
+        let route = ReadRoute::new(self.cfg.hedged_reads);
+        route.begin_scope(pfs, client);
+        let mut price_at = Some(self.opened_at);
+        let read = |rk: &mut Rank, off: u64, _, _| {
+            let at = price_at.take().unwrap_or(rk.now());
+            route.read_at(pfs, fid, client, off, &mut tmp, at)
+        };
+        let io = client::submit(rank, Direction::Read, span, [(file_off, len)], read)?;
+        rank.with_phase(Phase::Io, |rk| client::settle(rk, io));
+        Ok((guard, tmp))
     }
 
     /// Ensure `(owner, segment)` is populated from the file system, then
@@ -697,112 +692,57 @@ impl<'a> TcioFile<'a> {
         if self.win.size_of(owner) == 0 {
             rank.metrics.miss_l2();
             let t0 = rank.now();
-            let lo = parts
-                .iter()
-                .map(|&(d, _)| d as u64)
-                .min()
-                .unwrap_or(seg_base);
-            let hi = parts
-                .iter()
-                .map(|(d, b)| *d as u64 + b.len() as u64)
-                .max()
-                .unwrap_or(seg_base);
+            let lo = parts.iter().map(|p| p.0).min().unwrap_or(0);
+            let hi = parts.iter().map(|(d, b)| d + b.len()).max().unwrap_or(0);
             if hi == lo {
                 return Ok(());
             }
             // One sieved read covering the whole group (the span between
             // the extreme parts is in-file: every part end was validated
             // against the file length), then scatter into the buffers.
-            let len = hi - lo;
-            let file_off = self.map.file_offset(owner, segment) + (lo - seg_base);
-            let _tmp_mem = rank.alloc(len)?;
-            let mut tmp = vec![0u8; len as usize];
-            let pfs = Arc::clone(&self.pfs);
-            let fid = self.fid;
-            let opened_at = self.opened_at;
-            let mut first = true;
-            let route = mpiio::ReadRoute::new(self.cfg.hedged_reads);
-            route.begin_scope(&pfs, rank.rank());
-            let t = mpiio::pfs_retry(rank, |rk| {
-                let at = if first { opened_at } else { rk.now() };
-                first = false;
-                route.read_at(&pfs, fid, rk.rank(), file_off, &mut tmp, at)
-            })?;
-            rank.with_phase(Phase::Io, |rk| rk.sync_to(t));
-            rank.stats.io_reads += 1;
-            rank.stats.io_read_bytes += len;
+            let file_off = self.map.file_offset(owner, segment) + (lo as u64 - seg_base);
+            let len = (hi - lo) as u64;
+            let (_tmp_mem, tmp) = self.load(rank, rank.rank(), file_off, len, None)?;
             let mut bytes = 0u64;
             for (disp, buf) in parts.iter_mut() {
-                let s = (*disp as u64 - lo) as usize;
-                buf.copy_from_slice(&tmp[s..s + buf.len()]);
+                buf.copy_from_slice(&tmp[*disp - lo..][..buf.len()]);
                 bytes += buf.len() as u64;
             }
             rank.charge_memcpy(bytes);
             rank.trace_mark("tcio_read_fallback", Phase::Io, t0, bytes);
             return Ok(());
         }
-        let meta = self.meta.segs[owner][segment].lock();
+        let meta = self.meta[owner][segment].lock();
         if meta.loaded {
             rank.metrics.hit_l2();
             drop(meta);
             let mut ep = rank.win_lock(&self.win, owner, LockKind::Shared)?;
-            ep.get_gathered(parts).map_err(TcioError::Mpi)?;
+            ep.get_gathered(parts)?;
             rank.win_unlock(ep)?;
             return Ok(());
         }
         rank.metrics.miss_l2();
         let mut meta = meta;
         let mut ep = rank.win_lock(&self.win, owner, LockKind::Exclusive)?;
-        if !meta.loaded {
-            let file_off = self.map.file_offset(owner, segment);
-            let len = self
-                .cfg
-                .segment_size
-                .min(self.file_len.saturating_sub(file_off));
-            if len > 0 {
-                let _tmp_mem = rank.alloc(len)?;
-                let mut tmp = vec![0u8; len as usize];
-                // The load is *delegated*: the paper's aggregators move
-                // file data into their own temporary buffers, so it is
-                // charged against the segment owner's file-system client
-                // resources — and priced from the open barrier, because in
-                // a real parallel run whichever reader first reached this
-                // segment (any time after open) would have triggered it.
-                // The triggering rank still waits for the completion.
-                let t0 = rank.now();
-                let pfs = Arc::clone(&self.pfs);
-                let fid = self.fid;
-                let opened_at = self.opened_at;
-                // First attempt keeps the open-time pricing; retries must
-                // re-issue at the backed-off clock or the outage never lifts.
-                let mut first = true;
-                let route = mpiio::ReadRoute::new(self.cfg.hedged_reads);
-                route.begin_scope(&pfs, owner);
-                let t = mpiio::pfs_retry(rank, |rk| {
-                    let at = if first { opened_at } else { rk.now() };
-                    first = false;
-                    route.read_at(&pfs, fid, owner, file_off, &mut tmp, at)
-                })?;
-                rank.with_phase(Phase::Io, |rk| rk.sync_to(t));
-                rank.trace_mark("tcio_load", Phase::Io, t0, len);
-                rank.stats.io_reads += 1;
-                rank.stats.io_read_bytes += len;
-                ep.put(seg_base as usize, &tmp).map_err(TcioError::Mpi)?;
-                meta.valid.insert(0, len);
-                self.stats.loads += 1;
-            }
-            meta.loaded = true;
+        let file_off = self.map.file_offset(owner, segment);
+        let len = self
+            .cfg
+            .segment_size
+            .min(self.file_len.saturating_sub(file_off));
+        if len > 0 {
+            // The load is *delegated*: the paper's aggregators move file
+            // data into their own temporary buffers, so it is charged
+            // against the segment owner's file-system client resources.
+            // The triggering rank still waits for the completion.
+            let (_tmp_mem, tmp) = self.load(rank, owner, file_off, len, Some("tcio_load"))?;
+            ep.put(seg_base as usize, &tmp)?;
+            meta.valid.insert(0, len);
+            self.stats.loads += 1;
         }
-        ep.get_gathered(parts).map_err(TcioError::Mpi)?;
+        meta.loaded = true;
+        ep.get_gathered(parts)?;
         rank.win_unlock(ep)?;
         Ok(())
-    }
-
-    fn eager_read(&mut self, rank: &mut Rank, off: u64, buf: &mut [u8]) -> Result<()> {
-        let loc = self.locate_checked(off)?;
-        let disp = (loc.segment as u64 * self.cfg.segment_size + loc.disp) as usize;
-        let mut parts = [(disp, buf)];
-        self.with_loaded_segment(rank, loc.owner, loc.segment, &mut parts)
     }
 
     /// `tcio_fetch`: resolve all recorded lazy reads.
@@ -829,9 +769,7 @@ impl<'a> TcioFile<'a> {
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Close
-    // ------------------------------------------------------------------
+    // ---- close ----
 
     /// `tcio_close`: collective. Write mode: barrier, then each rank drains
     /// its populated level-2 segments to the file system with large
@@ -851,85 +789,56 @@ impl<'a> TcioFile<'a> {
                     self.drain_l2(rank)?;
                     self.recover_l2(rank)?;
                 }
-                rank.barrier()?;
             }
-            TcioMode::Read => {
-                self.fetch(rank)?;
-                rank.barrier()?;
-            }
+            TcioMode::Read => self.fetch(rank)?,
         }
-        self.closed = true;
+        rank.barrier()?;
         Ok(self.stats)
     }
 
+    /// Drain this rank's populated level-2 segments. Serialized, the whole
+    /// drain is one wait and one span; with `pipeline_drain` each segment's
+    /// completion stays deferred — at most two outstanding — so segment
+    /// k+1's submission overlaps segment k's OST service.
     fn drain_l2(&mut self, rank: &mut Rank) -> Result<()> {
         let me = rank.rank();
-        let s = self.cfg.segment_size;
         let pipelined = self.cfg.pipeline_drain;
+        let span = if pipelined {
+            "tcio_drain_pipe"
+        } else {
+            "tcio_drain"
+        };
         let t0 = rank.now();
-        let mut drained = 0u64;
-        let mut done = rank.now();
-        // Deferred per-segment completions (pipeline_drain only): at most
-        // two segments' writes stay outstanding, so segment k+1's window
-        // copy and submission overlap segment k's OST service.
-        let mut inflight = mpiio::DeferredQueue::default();
+        let mut whole = DeferredIo {
+            name: span,
+            submitted: t0,
+            done: t0,
+            bytes: 0,
+        };
+        let mut inflight = DeferredQueue::default();
         for seg in 0..self.cfg.num_segments {
-            let meta = self.meta.segs[me][seg].lock();
-            if meta.valid.is_empty() {
+            let meta = self.meta[me][seg].lock();
+            let runs = meta.valid.runs();
+            if runs.is_empty() {
                 continue;
             }
             inflight.make_room(rank);
             let file_base = self.map.file_offset(me, seg);
-            let seg_base = (seg as u64 * s) as usize;
-            let runs: Vec<(u64, u64)> = meta.valid.runs().to_vec();
-            drop(meta);
-            // Copy the runs out of the window so each write can be retried
-            // (the epoch-free local region cannot be borrowed across the
-            // virtual-time backoff inside `pfs_retry`).
-            let chunks: Vec<(u64, Vec<u8>)> = self.win.with_local(|region| {
-                runs.iter()
-                    .map(|&(o, l)| {
-                        (
-                            o,
-                            region[seg_base + o as usize..seg_base + (o + l) as usize].to_vec(),
-                        )
-                    })
-                    .collect()
-            });
-            let pfs = Arc::clone(&self.pfs);
-            let fid = self.fid;
-            let seg_start = rank.now();
-            let mut t = rank.now();
-            for (o, bytes) in &chunks {
-                let tt = mpiio::pfs_retry(rank, |rk| {
-                    pfs.write_at(fid, me, file_base + o, bytes, rk.now())
-                })?;
-                t = t.max(tt);
-            }
-            let mut seg_bytes = 0u64;
-            for &(_, l) in &runs {
-                rank.stats.io_writes += 1;
-                rank.stats.io_write_bytes += l;
-                seg_bytes += l;
-            }
-            drained += seg_bytes;
+            let seg_base = seg * self.cfg.segment_size as usize;
+            let io = self.win.with_local(|region| {
+                self.write_out(rank, &region[seg_base..], runs, file_base, span)
+            })?;
             if pipelined {
-                let io = mpisim::DeferredIo {
-                    name: "tcio_drain_pipe",
-                    submitted: seg_start,
-                    done: t,
-                    bytes: seg_bytes,
-                };
                 inflight.push(io, None);
             } else {
-                done = done.max(t);
+                whole.done = whole.done.max(io.done);
+                whole.bytes += io.bytes;
             }
         }
         if pipelined {
             inflight.drain(rank);
         } else {
-            rank.with_phase(Phase::Io, |rk| rk.sync_to(done));
-            rank.trace_mark("tcio_drain", Phase::Io, t0, drained);
+            client::settle(rank, whole);
         }
         Ok(())
     }
@@ -945,56 +854,36 @@ impl<'a> TcioFile<'a> {
             return Ok(());
         };
         let me = rank.rank();
-        let s = self.cfg.segment_size;
-        for (idx, d) in dur.covered[me].iter().copied().enumerate() {
-            if !dur.doomed[d] {
-                continue;
-            }
-            let rbase = idx as u64 * self.cfg.l2_bytes();
+        for &d in dur.covered[me].iter().filter(|&&d| dur.doomed[d]) {
+            let image = dur.replica_base(d, self.cfg.l2_bytes());
             for seg in 0..self.cfg.num_segments {
-                let runs: Vec<(u64, u64)> = self.meta.segs[d][seg].lock().valid.runs().to_vec();
+                let meta = self.meta[d][seg].lock();
+                let runs = meta.valid.runs();
                 if runs.is_empty() {
                     continue;
                 }
                 let t0 = rank.now();
-                let seg_base = seg as u64 * s;
-                let maxlen = runs.iter().map(|&(_, l)| l).max().expect("non-empty") as usize;
-                let zeros = vec![0u8; maxlen];
+                let seg_base = seg * self.cfg.segment_size as usize;
                 // A rank that died before the open has a zero-byte window:
                 // nothing to quarantine, its primary copy never existed.
                 if self.win.size_of(d) > 0 {
+                    let maxlen = runs.iter().map(|&(_, l)| l).max().expect("non-empty");
+                    let zeros = vec![0u8; maxlen as usize];
                     let mut ep = rank.win_lock(&self.win, d, LockKind::Exclusive)?;
-                    for &(o, l) in &runs {
-                        ep.put((seg_base + o) as usize, &zeros[..l as usize])
-                            .map_err(TcioError::Mpi)?;
+                    for &(o, l) in runs {
+                        ep.put(seg_base + o as usize, &zeros[..l as usize])?;
                     }
                     rank.win_unlock(ep)?;
                 }
-                let chunks: Vec<(u64, Vec<u8>)> = dur.rwin.with_local(|region| {
-                    runs.iter()
-                        .map(|&(o, l)| {
-                            let lo = (rbase + seg_base + o) as usize;
-                            (o, region[lo..lo + l as usize].to_vec())
-                        })
-                        .collect()
-                });
                 let file_base = self.map.file_offset(d, seg);
-                let pfs = Arc::clone(&self.pfs);
-                let fid = self.fid;
-                let mut done = rank.now();
-                let mut recovered = 0u64;
-                for (o, bytes) in &chunks {
-                    let t = mpiio::pfs_retry(rank, |rk| {
-                        pfs.write_at(fid, me, file_base + o, bytes, rk.now())
-                    })?;
-                    done = done.max(t);
-                    rank.stats.io_writes += 1;
-                    rank.stats.io_write_bytes += bytes.len() as u64;
-                    recovered += bytes.len() as u64;
-                }
-                rank.with_phase(Phase::Io, |rk| rk.sync_to(done));
+                let mut io = dur.rwin.with_local(|region| {
+                    let replica = &region[image + seg_base..];
+                    self.write_out(rank, replica, runs, file_base, "tcio_recover")
+                })?;
+                // The span covers the quarantine as well as the writes.
+                io.submitted = t0;
+                client::settle(rank, io);
                 rank.stats.segments_recovered += 1;
-                rank.trace_mark("tcio_recover", Phase::Io, t0, recovered);
             }
         }
         Ok(())

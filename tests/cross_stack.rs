@@ -240,3 +240,72 @@ fn virtual_time_orders_methods_sensibly() {
         "vanilla ({vanilla}s) must be much slower than OCIO ({ocio}s)"
     );
 }
+
+/// Offsets near `u64::MAX` used to wrap (release) or panic (debug) inside
+/// `TcioFile::{write_at, read_at, seek}` and `mpiio::File::seek`; every
+/// entry point must refuse them with a typed usage error and leave the
+/// handle's length and cursor alone.
+#[test]
+fn far_offsets_are_typed_errors_at_every_entry_point() {
+    const FAR: u64 = u64::MAX - 3;
+    let fs = pfs::Pfs::new(1, pfs::PfsConfig::default()).unwrap();
+    let fs2 = Arc::clone(&fs);
+    let rep = mpisim::run(1, mpisim::SimConfig::default(), move |rk| {
+        let cfg = TcioConfig {
+            segment_size: 64,
+            num_segments: 4,
+            ..Default::default()
+        };
+        let to_mpi = |e: tcio::TcioError| mpisim::MpiError::InvalidDatatype(e.to_string());
+        let io_to_mpi = |e: mpiio::IoError| mpisim::MpiError::InvalidDatatype(e.to_string());
+        // (entry point, refused with a usage error, (len, cursor) before, after)
+        type Row = (&'static str, bool, (u64, u64), (u64, u64));
+        let mut rows: Vec<Row> = Vec::new();
+        let usage = |r: tcio::Result<()>| matches!(r, Err(tcio::TcioError::Usage(_)));
+
+        let mut w =
+            TcioFile::open(rk, &fs2, "/far", TcioMode::Write, cfg.clone()).map_err(to_mpi)?;
+        w.write(rk, &[1u8; 8]).map_err(to_mpi)?;
+        let state = (w.len(), w.position());
+        assert_eq!(state, (8, 8));
+        let refused = usage(w.write_at(rk, FAR, &[7u8; 8]));
+        rows.push(("tcio write_at", refused, state, (w.len(), w.position())));
+        for (name, off, whence) in [
+            ("tcio seek cur", i64::MAX, tcio::Whence::Cur),
+            ("tcio seek end", i64::MAX, tcio::Whence::End),
+            ("tcio seek back", i64::MIN, tcio::Whence::Cur),
+        ] {
+            let refused = usage(w.seek(off, whence));
+            rows.push((name, refused, state, (w.len(), w.position())));
+        }
+        w.close(rk).map_err(to_mpi)?;
+
+        let mut back = [0u8; 8];
+        let mut r = TcioFile::open(rk, &fs2, "/far", TcioMode::Read, cfg).map_err(to_mpi)?;
+        let state = (r.len(), r.position());
+        let refused = usage(r.read_at(rk, FAR, &mut back));
+        rows.push(("tcio read_at", refused, state, (r.len(), r.position())));
+        r.close(rk).map_err(to_mpi)?;
+
+        let mut f =
+            mpiio::File::open(rk, &fs2, "/far", mpiio::Mode::ReadWrite).map_err(io_to_mpi)?;
+        f.seek(8, mpiio::Whence::Set).map_err(io_to_mpi)?;
+        for (name, off, whence) in [
+            ("mpiio seek cur", i64::MAX, mpiio::Whence::Cur),
+            ("mpiio seek end", i64::MAX, mpiio::Whence::End),
+        ] {
+            let refused = matches!(f.seek(off, whence), Err(mpiio::IoError::Usage(_)));
+            rows.push((name, refused, (8, 8), (8, f.position())));
+        }
+        // The largest legal cursor is still reachable.
+        f.seek(i64::MAX, mpiio::Whence::Set).map_err(io_to_mpi)?;
+        assert_eq!(f.position(), i64::MAX as u64);
+        Ok(rows)
+    })
+    .unwrap();
+    for (name, refused, before, after) in &rep.results[0] {
+        assert!(refused, "{name}: not refused with a usage error");
+        assert_eq!(before, after, "{name}: moved the length or the cursor");
+    }
+    assert_eq!(fs.len(fs.open("/far").unwrap()).unwrap(), 8);
+}
