@@ -7,22 +7,16 @@ use crate::registry::Args;
 use crate::runner::{dump_restart, run_synth, synth_params, tcio_config};
 use crate::{fmt_bytes, mbs, Calib, Json, Table};
 use mpiio::CollectiveConfig;
-use mpisim::MpiError;
 use pfs::Pfs;
 use std::sync::Arc;
 use tcio::{ReadMode, SyncMode, TcioConfig};
 use workloads::synthetic::{self, Method, SynthParams};
-use workloads::WlError;
 
 /// The options the four synthetic ablations share.
 fn setup(args: &Args) -> (Calib, usize, SynthParams) {
     let calib = Calib::paper(args.int("scale"));
     let p = synth_params(&calib, args.usize("len"), 1);
     (calib, args.usize("procs"), p)
-}
-
-fn io_err(e: mpiio::IoError) -> MpiError {
-    MpiError::InvalidDatatype(e.to_string())
 }
 
 /// Ablation: TCIO's level-2 segment size vs the file-system lock
@@ -54,7 +48,7 @@ pub fn segment_size(args: &Args) -> Json {
         let rep = mpisim::run(nprocs, calib.sim_config_unbudgeted(), move |rk| {
             let tcfg =
                 TcioConfig::for_file_size_with_segment(p2.file_size(rk.nprocs()), rk.nprocs(), seg);
-            synthetic::write_tcio(rk, &fs2, &p2, "/a", Some(tcfg)).map_err(WlError::into_mpi)
+            Ok(synthetic::write_tcio(rk, &fs2, &p2, "/a", Some(tcfg))?)
         })
         .expect("run");
         let tput = calib.throughput_mbs(bytes_real, rep.results[0].elapsed);
@@ -133,7 +127,7 @@ fn run_cfg(calib: &Calib, nprocs: usize, p: &SynthParams, ccfg: &CollectiveConfi
     let p2 = p.clone();
     let ccfg = ccfg.clone();
     let rep = mpisim::run(nprocs, calib.sim_config_unbudgeted(), move |rk| {
-        synthetic::write_ocio(rk, &fs, &p2, "/cb", &ccfg).map_err(WlError::into_mpi)
+        Ok(synthetic::write_ocio(rk, &fs, &p2, "/cb", &ccfg)?)
     })
     .expect("run");
     let peak = rep.stats.iter().map(|s| s.mem_peak).max().unwrap_or(0);
@@ -152,7 +146,7 @@ fn run_view_based(calib: &Calib, nprocs: usize, p: &SynthParams) -> (f64, u64) {
     let rep = mpisim::run(nprocs, calib.sim_config_unbudgeted(), move |rk| {
         rk.barrier()?;
         let t0 = rk.now();
-        let mut f = mpiio::File::open(rk, &fs, "/vb", mpiio::Mode::WriteOnly).map_err(io_err)?;
+        let mut f = mpiio::File::open(rk, &fs, "/vb", mpiio::Mode::WriteOnly)?;
         let etype = mpisim::Datatype::contiguous(
             p2.block_size(),
             mpisim::Datatype::named(mpisim::Named::Byte),
@@ -165,12 +159,10 @@ fn run_view_based(calib: &Calib, nprocs: usize, p: &SynthParams) -> (f64, u64) {
             etype.datatype().clone(),
         )
         .commit();
-        f.set_view(rk, (rk.rank() * p2.block_size()) as u64, &etype, &ftype)
-            .map_err(io_err)?;
-        let views = mpiio::register_views(rk, &f).map_err(io_err)?;
+        f.set_view(rk, (rk.rank() * p2.block_size()) as u64, &etype, &ftype)?;
+        let views = mpiio::register_views(rk, &f)?;
         let data = vec![1u8; p2.bytes_per_rank() as usize];
-        mpiio::write_all_view_based(rk, &mut f, &views, 0, &data, &CollectiveConfig::default())
-            .map_err(io_err)?;
+        mpiio::write_all_view_based(rk, &mut f, &views, 0, &data, &CollectiveConfig::default())?;
         rk.barrier()?;
         Ok(rk.now() - t0)
     })
@@ -269,8 +261,7 @@ fn run_groups(calib: &Calib, nprocs: usize, groups: usize, block_real: usize) ->
         let comm = rk.split((rk.rank() / gsize) as u64)?;
         rk.barrier()?;
         let t0 = rk.now();
-        let mut f = mpiio::File::open_independent(rk, &fs, "/pc", mpiio::Mode::WriteOnly)
-            .map_err(io_err)?;
+        let mut f = mpiio::File::open_independent(rk, &fs, "/pc", mpiio::Mode::WriteOnly)?;
         // Group-clustered layout: rank r's block is contiguous at r·B.
         let data = vec![rk.rank() as u8; block_real];
         mpiio::write_all_partitioned(
@@ -280,8 +271,7 @@ fn run_groups(calib: &Calib, nprocs: usize, groups: usize, block_real: usize) ->
             (rk.rank() * block_real) as u64,
             &data,
             &CollectiveConfig::default(),
-        )
-        .map_err(io_err)?;
+        )?;
         rk.barrier()?;
         Ok(rk.now() - t0)
     })

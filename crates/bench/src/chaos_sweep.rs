@@ -21,6 +21,7 @@ use mpisim::{MpiError, SimError};
 use pfs::Pfs;
 use std::sync::Arc;
 use workloads::synthetic::Method;
+use workloads::WlError;
 
 /// The built-in full-intensity plan: one fault from every family that the
 /// synthetic workload exercises, windowed so outages lift well before the
@@ -129,34 +130,30 @@ fn run_synth_chaos(
                 segments_recovered: rep.stats.iter().map(|s| s.segments_recovered).sum(),
             }
         }
-        // A crashed rank tore an unprotected collective down, or the
-        // restart read caught the data hole the crash left: the plan was
-        // survivable only for an implementation with durability epochs.
-        Err(e @ SimError::CollectiveAborted { .. })
-        | Err(
-            e @ SimError::RankFailed {
-                error: MpiError::InvalidDatatype(_),
-                ..
-            },
-        ) => {
-            if let SimError::RankFailed { error, .. } = &e {
-                assert!(
-                    error.to_string().contains("verification failed"),
-                    "experiment failed unexpectedly: {e}"
-                );
-            }
-            ChaosRun {
-                write_s: f64::NAN,
-                read_s: f64::NAN,
-                io_retries: 0,
-                chaos_stalls: 0,
-                transient_errors: fs.stats.snapshot().transient_errors,
-                completed: false,
-                rank_crashes: planned_crashes,
-                segments_recovered: 0,
-            }
-        }
+        Err(e) if undone_by_a_crash(&e) => ChaosRun {
+            write_s: f64::NAN,
+            read_s: f64::NAN,
+            io_retries: 0,
+            chaos_stalls: 0,
+            transient_errors: fs.stats.snapshot().transient_errors,
+            completed: false,
+            rank_crashes: planned_crashes,
+            segments_recovered: 0,
+        },
         Err(other) => panic!("experiment failed unexpectedly: {other}"),
+    }
+}
+
+/// A crashed rank tore an unprotected collective down, or the restart's
+/// verification caught the data hole the crash left: the plan was
+/// survivable only for an implementation with durability epochs.
+fn undone_by_a_crash(e: &SimError) -> bool {
+    match e {
+        SimError::CollectiveAborted { .. } => true,
+        SimError::RankFailed { error, .. } => {
+            matches!(error.layer(), Some(WlError::Mismatch(_)))
+        }
+        SimError::RankPanicked { .. } => false,
     }
 }
 

@@ -11,11 +11,6 @@ use pfs::Pfs;
 use std::sync::Arc;
 use tcio::{TcioFile, TcioMode};
 use workloads::synthetic::{self, Method};
-use workloads::WlError;
-
-fn tcio_err(e: tcio::TcioError) -> mpisim::MpiError {
-    WlError::from(e).into_mpi()
-}
 
 /// Cost of one pairwise-exchange all-to-all vs process count, isolating
 /// the collective-wall noise term.
@@ -79,16 +74,14 @@ pub fn breakdown(args: &Args) -> Json {
                 let w = match method {
                     Method::Tcio => synthetic::write_tcio(rk, &fs2, &p2, "/d", Some(tcfg.clone())),
                     _ => synthetic::write_ocio(rk, &fs2, &p2, "/d", &ccfg),
-                }
-                .map_err(WlError::into_mpi)?;
+                }?;
                 if phase == "write" {
                     return Ok(w.elapsed);
                 }
                 let r = match method {
                     Method::Tcio => synthetic::read_tcio(rk, &fs2, &p2, "/d", Some(tcfg.clone())),
                     _ => synthetic::read_ocio(rk, &fs2, &p2, "/d", &ccfg),
-                }
-                .map_err(WlError::into_mpi)?;
+                }?;
                 Ok(r.elapsed)
             })
             .expect("run");
@@ -183,16 +176,15 @@ pub fn phase(args: &Args) -> Json {
     let rep = mpisim::run(nprocs, calib.sim_config_unbudgeted(), move |rk| {
         rk.barrier()?;
         let t0 = rk.now();
-        let mut f =
-            TcioFile::open(rk, &fs, "/p", TcioMode::Write, tcfg.clone()).map_err(tcio_err)?;
+        let mut f = TcioFile::open(rk, &fs, "/p", TcioMode::Write, tcfg.clone())?;
         let t_open = rk.now();
         let data = vec![rk.rank() as u8; block];
         for i in 0..len {
             let off = ((i * rk.nprocs() + rk.rank()) * block) as u64;
-            f.write_at(rk, off, &data).map_err(tcio_err)?;
+            f.write_at(rk, off, &data)?;
         }
         let t_loop = rk.now();
-        let stats = f.close(rk).map_err(tcio_err)?;
+        let stats = f.close(rk)?;
         let t_close = rk.now();
         Ok((
             t_open - t0,
@@ -237,7 +229,7 @@ pub fn read(args: &Args) -> Json {
     let tcfg = tcio_config(&calib, &p, nprocs);
 
     let rep = mpisim::run(nprocs, calib.sim_config_unbudgeted(), move |rk| {
-        synthetic::write_tcio(rk, &fs, &p, "/r", Some(tcfg.clone())).map_err(WlError::into_mpi)?;
+        synthetic::write_tcio(rk, &fs, &p, "/r", Some(tcfg.clone()))?;
         rk.barrier()?;
         let t0 = rk.now();
         let block = p.block_size();
@@ -245,23 +237,22 @@ pub fn read(args: &Args) -> Json {
         let n = p.accesses();
         let mut buf = vec![0u8; n * block];
         let mut marks = Vec::new();
-        let mut f =
-            TcioFile::open(rk, &fs, "/r", TcioMode::Read, tcfg.clone()).map_err(tcio_err)?;
+        let mut f = TcioFile::open(rk, &fs, "/r", TcioMode::Read, tcfg.clone())?;
         let t_open = rk.now();
         let mut rest = buf.as_mut_slice();
         for i in 0..n {
             let off = ((i * rk.nprocs() + me) * block) as u64;
             let (piece, tail) = rest.split_at_mut(block);
             rest = tail;
-            f.read_at(rk, off, piece).map_err(tcio_err)?;
+            f.read_at(rk, off, piece)?;
             if me == 0 && (i < 16 || i % (n / 8).max(1) == 0) {
                 marks.push((i, rk.now() - t_open));
             }
         }
         let t_loop = rk.now();
-        f.fetch(rk).map_err(tcio_err)?;
+        f.fetch(rk)?;
         let t_fetch = rk.now();
-        let stats = f.close(rk).map_err(tcio_err)?;
+        let stats = f.close(rk)?;
         let t_close = rk.now();
         if me == 0 {
             eprintln!("rank0 marks (access, loop seconds): {marks:?}");

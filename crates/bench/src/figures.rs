@@ -10,7 +10,6 @@ use pfs::Pfs;
 use std::sync::Arc;
 use workloads::art::{ArtConfig, ArtMethod};
 use workloads::synthetic::{self, Method, SynthParams};
-use workloads::WlError;
 
 /// Figure 5: synthetic-benchmark throughput vs number of processes.
 ///
@@ -241,14 +240,13 @@ fn peak_multiple(method: Method, nprocs: usize, p: &SynthParams, calib: &Calib) 
     let p2 = p.clone();
     let tcfg = tcio_config(calib, p, nprocs);
     let rep = mpisim::run(nprocs, calib.sim_config_unbudgeted(), move |rk| {
-        match method {
+        Ok(match method {
             Method::Tcio => synthetic::write_tcio(rk, &fs2, &p2, "/m", Some(tcfg.clone())),
             Method::Ocio => {
                 synthetic::write_ocio(rk, &fs2, &p2, "/m", &mpiio::CollectiveConfig::default())
             }
             Method::Vanilla => synthetic::write_vanilla(rk, &fs2, &p2, "/m"),
-        }
-        .map_err(WlError::into_mpi)
+        }?)
     })
     .expect("run");
     let peak = rep.stats.iter().map(|s| s.mem_peak).max().unwrap_or(0);

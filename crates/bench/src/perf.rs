@@ -16,7 +16,6 @@ use pfs::Pfs;
 use std::sync::Arc;
 use workloads::art::{self, ArtConfig, ArtMethod};
 use workloads::synthetic::Method;
-use workloads::WlError;
 
 fn traced_sim(calib: &Calib) -> SimConfig {
     SimConfig {
@@ -64,9 +63,7 @@ fn run_art_perf(nprocs: usize) -> (SimReport<f64>, Registry) {
     fs.enable_latency_metrics();
     let fs2 = Arc::clone(&fs);
     let rep = mpisim::run(nprocs, traced_sim(&calib), move |rk| {
-        art::dump(rk, &fs2, &cfg, ArtMethod::Tcio, "/art")
-            .map(|m| m.elapsed)
-            .map_err(WlError::into_mpi)
+        Ok(art::dump(rk, &fs2, &cfg, ArtMethod::Tcio, "/art")?.elapsed)
     })
     .expect("perf art run");
     let reg = export(&rep, &fs);

@@ -8,7 +8,6 @@ use std::sync::Arc;
 use tcio::TcioConfig;
 use workloads::art::{ArtConfig, ArtMethod};
 use workloads::synthetic::{self, Method, SynthParams};
-use workloads::WlError;
 
 /// Report a bad command line (or an unreadable input file) and exit 2.
 pub fn die(msg: impl std::fmt::Display) -> ! {
@@ -53,14 +52,12 @@ pub fn dump_restart(
         Method::Tcio => synthetic::write_tcio(rk, fs, p, path, Some(tcfg.clone())),
         Method::Ocio => synthetic::write_ocio(rk, fs, p, path, ccfg),
         Method::Vanilla => synthetic::write_vanilla(rk, fs, p, path),
-    }
-    .map_err(WlError::into_mpi)?;
+    }?;
     let r = match method {
         Method::Tcio => synthetic::read_tcio(rk, fs, p, path, Some(tcfg.clone())),
         Method::Ocio => synthetic::read_ocio(rk, fs, p, path, ccfg),
         Method::Vanilla => synthetic::read_vanilla(rk, fs, p, path),
-    }
-    .map_err(WlError::into_mpi)?;
+    }?;
     Ok((w.elapsed, r.elapsed))
 }
 
@@ -185,7 +182,7 @@ pub fn run_traced_synth(
     let fs2 = Arc::clone(&fs);
     let rep = mpisim::run(nprocs, sim, move |rk| {
         let t0 = rk.now();
-        match synthetic::write_with(method, rk, &fs2, &p, "/trace.dat").map_err(WlError::into_mpi) {
+        match synthetic::write_with(method, rk, &fs2, &p, "/trace.dat").map_err(MpiError::from) {
             Ok(m) => Ok(m.elapsed),
             // Fault-tolerant body: a rank crash-stopped by the plan stops
             // here with the virtual time it survived; the other ranks
@@ -212,7 +209,7 @@ pub fn run_art(
     let fs_w = Arc::clone(&fs);
     let cfg_w = cfg.clone();
     let wrep = mpisim::run(nprocs, sim.clone(), move |rk| {
-        workloads::art::dump(rk, &fs_w, &cfg_w, method, "/art").map_err(WlError::into_mpi)
+        Ok(workloads::art::dump(rk, &fs_w, &cfg_w, method, "/art")?)
     })
     .expect("art dump");
     let bytes: u64 = wrep.results.iter().map(|m| m.bytes).sum();
@@ -221,7 +218,7 @@ pub fn run_art(
     let fs_r = Arc::clone(&fs);
     let cfg_r = cfg.clone();
     let rrep = mpisim::run(nprocs, sim, move |rk| {
-        workloads::art::restart(rk, &fs_r, &cfg_r, method, "/art").map_err(WlError::into_mpi)
+        Ok(workloads::art::restart(rk, &fs_r, &cfg_r, method, "/art")?)
     })
     .expect("art restart");
     let read_mbs = bytes as f64 / 1.0e6 / rrep.results[0].elapsed;

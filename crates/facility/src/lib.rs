@@ -39,7 +39,7 @@ pub use orchestrator::{
 use std::fmt;
 
 /// Errors from facility runs.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub enum FacilityError {
     Mpi(mpisim::MpiError),
     Io(mpiio::IoError),
@@ -84,15 +84,13 @@ impl From<pfs::PfsError> for FacilityError {
     }
 }
 
-impl FacilityError {
-    /// Collapse into an [`mpisim::MpiError`] for propagation out of a
-    /// rank body (OOM is preserved so memory experiments can detect it,
-    /// mirroring the workloads crate).
-    pub fn into_mpi(self) -> mpisim::MpiError {
-        match self {
-            FacilityError::Mpi(m) => m,
-            FacilityError::Io(mpiio::IoError::Mpi(m)) => m,
-            other => mpisim::MpiError::InvalidDatatype(other.to_string()),
+/// A facility failure leaving a rank body: a runtime error it carries
+/// comes back out as itself, anything else keeps its type as a layer error.
+impl From<FacilityError> for mpisim::MpiError {
+    fn from(e: FacilityError) -> Self {
+        match e {
+            FacilityError::Mpi(m) | FacilityError::Io(mpiio::IoError::Mpi(m)) => m,
+            other => mpisim::MpiError::Layer(mpisim::LayerError::new(other)),
         }
     }
 }
@@ -102,15 +100,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn oom_survives_into_mpi() {
-        let oom = mpisim::MpiError::OutOfMemory {
+    fn runtime_errors_flatten_and_the_rest_keep_their_type() {
+        use mpisim::MpiError;
+        let oom = MpiError::OutOfMemory {
             rank: 0,
             requested: 2,
             used: 1,
             budget: 1,
         };
-        let e = FacilityError::Io(mpiio::IoError::Mpi(oom.clone()));
-        assert_eq!(e.into_mpi(), oom);
+        let nested = FacilityError::Io(mpiio::IoError::Mpi(oom.clone()));
+        assert_eq!(MpiError::from(nested), oom);
+        let crashed = MpiError::RankCrashed { rank: 3 };
+        assert_eq!(MpiError::from(FacilityError::Mpi(crashed.clone())), crashed);
+        let e = MpiError::from(FacilityError::Mismatch("byte 9 differs".into()));
+        assert_eq!(
+            e.layer::<FacilityError>(),
+            Some(&FacilityError::Mismatch("byte 9 differs".into()))
+        );
     }
 
     #[test]

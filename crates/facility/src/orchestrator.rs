@@ -358,8 +358,7 @@ pub fn run_facility(cfg: &FacilityConfig) -> Result<FacilityReport, FacilityErro
                 read_back: spec.read_back,
                 hedged_reads: defended,
             };
-            job::run_job(rank, &comm, &fs_body, bb, t as u32, j as u32, &jspec)
-                .map_err(FacilityError::into_mpi)?;
+            job::run_job(rank, &comm, &fs_body, bb, t as u32, j as u32, &jspec)?;
             // run_job ends with a group barrier, so every member's clock
             // agrees on the finish instant; the leader records the job.
             if comm.group_rank() == 0 {

@@ -103,13 +103,12 @@ fn decode_list(cur: &mut Cursor<'_>) -> Result<Vec<(u64, u64)>> {
         return Ok(Vec::new());
     }
     let n = cur.u32()?;
-    let entries = cur.take(n.checked_mul(12).ok_or(Malformed::Truncated)?)?;
-    let entries = entries.chunks_exact(12).map(|e| {
-        let off = u64::from_le_bytes(e[0..8].try_into().expect("8-byte slice"));
-        let len = u32::from_le_bytes(e[8..12].try_into().expect("4-byte slice"));
-        (off, len as u64)
-    });
-    Ok(entries.collect())
+    let mut entries = Cursor::new(cur.take(n.checked_mul(12).ok_or(Malformed::Truncated)?)?);
+    let mut list = Vec::with_capacity(n);
+    for _ in 0..n {
+        list.push((entries.u64()?, entries.u32()? as u64));
+    }
+    Ok(list)
 }
 
 /// Serialize a piece list `[(file_off, payload)]` for the exchange.
@@ -147,18 +146,48 @@ pub(crate) fn decode_requests(buf: &[u8]) -> Result<Vec<(u64, u64)>> {
     Ok(reqs)
 }
 
+/// How far [`clip`] has walked a request's extents. The windows of a round
+/// come in ascending file order, so a round costs one pass over the
+/// extents, not one per aggregator.
+#[derive(Default)]
+struct Walked {
+    /// Extents before this one end at or before `floor`…
+    next: usize,
+    /// …and hold this many bytes of the stream.
+    stream_pos: u64,
+    /// Where the last window began.
+    floor: u64,
+}
+
 /// The parts of a request's file `extents` (in stream order) that fall
 /// inside `[ws, we)`, as `(file_off, buf_cursor, len)` — the cursor is the
-/// part's position in the caller's buffer.
-fn clip(
-    extents: &[(u64, u64)],
+/// part's position in the caller's buffer. A window that starts before its
+/// predecessor (the next round) rewinds the walk.
+fn clip<'a>(
+    extents: &'a [(u64, u64)],
+    walked: &mut Walked,
     ws: u64,
     we: u64,
-) -> impl Iterator<Item = (u64, usize, usize)> + '_ {
-    let mut stream_pos = 0u64;
+) -> impl Iterator<Item = (u64, usize, usize)> + 'a {
+    if ws < walked.floor {
+        (walked.next, walked.stream_pos) = (0, 0);
+    }
+    walked.floor = ws;
+    // Only extents wholly below `ws` are left behind: one straddling this
+    // window's end is still there for the next window.
+    while let Some(&(eoff, elen)) = extents.get(walked.next) {
+        if eoff + elen > ws {
+            break;
+        }
+        walked.stream_pos += elen;
+        walked.next += 1;
+    }
+    let mut stream_pos = walked.stream_pos;
     // Extents are sorted by file offset (views are monotone): nothing at
     // or past `we` can overlap the window.
-    let reachable = extents.iter().take_while(move |&&(eoff, _)| eoff < we);
+    let reachable = extents[walked.next..]
+        .iter()
+        .take_while(move |&&(eoff, _)| eoff < we);
     reachable.filter_map(move |&(eoff, elen)| {
         let cursor = stream_pos;
         stream_pos += elen;
@@ -179,8 +208,9 @@ pub(crate) fn write_pieces(
     cfg: &CollectiveConfig,
 ) -> Result<()> {
     let extents = file.view().map_range(offset, data.len() as u64);
+    let mut walked = Walked::default();
     let build = |ws, we| {
-        let pieces: Vec<(u64, &[u8])> = clip(&extents, ws, we)
+        let pieces: Vec<(u64, &[u8])> = clip(&extents, &mut walked, ws, we)
             .map(|(off, cursor, len)| (off, &data[cursor..cursor + len]))
             .collect();
         encode_pieces(&pieces)
@@ -236,8 +266,9 @@ pub fn read_all_at(
         pipe_span: Some("ocio_read_pipe"),
     };
     let extents = file.view().map_range(offset, buf.len() as u64);
+    let mut walked = Walked::default();
     let request = |ws, we| {
-        let (reqs, slots): (Vec<_>, Vec<_>) = clip(&extents, ws, we)
+        let (reqs, slots): (Vec<_>, Vec<_>) = clip(&extents, &mut walked, ws, we)
             .map(|(off, cursor, len)| ((off, len as u64), (cursor, len)))
             .unzip();
         Ok((encode_requests(&reqs)?, slots))
@@ -255,13 +286,6 @@ mod tests {
     use mpisim::{Datatype, Named, SimConfig};
     use pfs::{Pfs, PfsConfig};
     use std::sync::Arc;
-
-    fn to_mpi(e: IoError) -> mpisim::MpiError {
-        match e {
-            IoError::Mpi(m) => m,
-            other => mpisim::MpiError::InvalidDatatype(other.to_string()),
-        }
-    }
 
     #[test]
     fn codec_roundtrip() {
@@ -399,15 +423,14 @@ mod tests {
         let fs = Pfs::new(nprocs, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         mpisim::run(nprocs, sim, move |rk| {
-            let mut f = File::open(rk, &fs2, "/c", Mode::WriteOnly).map_err(to_mpi)?;
+            let mut f = File::open(rk, &fs2, "/c", Mode::WriteOnly)?;
             let etype = Datatype::contiguous(12, Datatype::named(Named::Byte)).commit();
             let ftype =
                 Datatype::vector(len_array, 1, nprocs as isize, etype.datatype().clone()).commit();
-            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)
-                .map_err(to_mpi)?;
+            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)?;
             let data = vec![rk.rank() as u8 + 1; 12 * len_array];
-            write_all_at(rk, &mut f, 0, &data, &cfg).map_err(to_mpi)?;
-            f.close(rk).map_err(to_mpi)?;
+            write_all_at(rk, &mut f, 0, &data, &cfg)?;
+            f.close(rk)?;
             Ok(())
         })
         .unwrap();
@@ -491,15 +514,14 @@ mod tests {
         let fs = Pfs::new(nprocs, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         let rep = mpisim::run(nprocs, sim, move |rk| {
-            let mut f = File::open(rk, &fs2, "/c", Mode::WriteOnly).map_err(to_mpi)?;
+            let mut f = File::open(rk, &fs2, "/c", Mode::WriteOnly)?;
             let etype = Datatype::contiguous(12, Datatype::named(Named::Byte)).commit();
             let ftype =
                 Datatype::vector(len_array, 1, nprocs as isize, etype.datatype().clone()).commit();
-            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)
-                .map_err(to_mpi)?;
+            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)?;
             let data = vec![rk.rank() as u8 + 1; 12 * len_array];
-            write_all_at(rk, &mut f, 0, &data, &cfg).map_err(to_mpi)?;
-            f.close(rk).map_err(to_mpi)?;
+            write_all_at(rk, &mut f, 0, &data, &cfg)?;
+            f.close(rk)?;
             Ok(())
         })
         .unwrap();
@@ -556,14 +578,13 @@ mod tests {
             ..Default::default()
         };
         let rep = mpisim::run(nprocs, SimConfig::default(), move |rk| {
-            let mut f = File::open(rk, &fs2, "/c", Mode::ReadOnly).map_err(to_mpi)?;
+            let mut f = File::open(rk, &fs2, "/c", Mode::ReadOnly)?;
             let etype = Datatype::contiguous(12, Datatype::named(Named::Byte)).commit();
             let ftype =
                 Datatype::vector(len_array, 1, nprocs as isize, etype.datatype().clone()).commit();
-            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)
-                .map_err(to_mpi)?;
+            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)?;
             let mut buf = vec![0u8; 12 * len_array];
-            read_all_at(rk, &mut f, 0, &mut buf, &cfg).map_err(to_mpi)?;
+            read_all_at(rk, &mut f, 0, &mut buf, &cfg)?;
             Ok(buf)
         })
         .unwrap();
@@ -644,15 +665,14 @@ mod tests {
                 ..Default::default()
             };
             let rep = mpisim::run(nprocs, sim, move |rk| {
-                let mut f = File::open(rk, &fs2, "/c", Mode::ReadOnly).map_err(to_mpi)?;
+                let mut f = File::open(rk, &fs2, "/c", Mode::ReadOnly)?;
                 let etype = Datatype::contiguous(12, Datatype::named(Named::Byte)).commit();
                 let ftype =
                     Datatype::vector(len_array, 1, nprocs as isize, etype.datatype().clone())
                         .commit();
-                f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)
-                    .map_err(to_mpi)?;
+                f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)?;
                 let mut buf = vec![0u8; 12 * len_array];
-                read_all_at(rk, &mut f, 0, &mut buf, &cfg).map_err(to_mpi)?;
+                read_all_at(rk, &mut f, 0, &mut buf, &cfg)?;
                 Ok(buf)
             })
             .unwrap();
@@ -683,13 +703,13 @@ mod tests {
                 ..Default::default()
             };
             mpisim::run(4, sim, move |rk| {
-                let mut f = File::open(rk, &fs2, "/ow", Mode::WriteOnly).map_err(to_mpi)?;
+                let mut f = File::open(rk, &fs2, "/ow", Mode::WriteOnly)?;
                 let data = if rk.rank() < 2 {
                     vec![rk.rank() as u8 + 1; 8]
                 } else {
                     Vec::new()
                 };
-                write_all_at(rk, &mut f, 0, &data, &cfg).map_err(to_mpi)?;
+                write_all_at(rk, &mut f, 0, &data, &cfg)?;
                 Ok(())
             })
             .unwrap();
@@ -713,6 +733,82 @@ mod tests {
         check_interleaved(&bytes, 4, 8);
     }
 
+    /// What [`clip`] must return, by a scan from the first extent.
+    fn rescan(extents: &[(u64, u64)], ws: u64, we: u64) -> Vec<(u64, usize, usize)> {
+        let mut stream_pos = 0u64;
+        let mut parts = Vec::new();
+        for &(eoff, elen) in extents {
+            let (s, e) = (eoff.max(ws), (eoff + elen).min(we));
+            if s < e {
+                parts.push((s, (stream_pos + (s - eoff)) as usize, (e - s) as usize));
+            }
+            stream_pos += elen;
+        }
+        parts
+    }
+
+    /// The resumable [`clip`] equals the rescan for every window of every
+    /// round of random plans, asked in the serialized order and in an
+    /// r, r+1, r order that rewinds more than the pipelined read.
+    #[test]
+    fn resumable_clip_matches_a_rescan_for_every_window() {
+        use rand::{RngExt, SeedableRng};
+        for seed in 0..64u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xc11b ^ seed);
+            let mut pick = |lo: u64, hi: u64| lo + rng.next_u64() % (hi - lo);
+            let nprocs = pick(1, 7) as usize;
+            let cfg = CollectiveConfig {
+                cb_nodes: (pick(0, 2) == 0).then(|| pick(1, 9) as usize),
+                cb_buffer: (pick(0, 3) > 0).then(|| pick(1, 300)),
+                align: (pick(0, 2) == 0).then(|| pick(1, 65)),
+                ..Default::default()
+            };
+            // Monotone extents per rank: gaps from none to several windows
+            // wide, lengths from empty to long enough to straddle a few.
+            let mut extents = vec![Vec::new(); nprocs];
+            for mine in &mut extents {
+                let mut at = pick(0, 500);
+                for _ in 0..pick(0, 40) {
+                    let (off, len) = (at + pick(0, 120), pick(0, 400) * pick(0, 2));
+                    mine.push((off, len));
+                    at = off + len;
+                }
+            }
+            mpisim::run(nprocs, SimConfig::default(), |rk| {
+                let mine = &extents[rk.rank()];
+                let world = rk.world();
+                let path = Path {
+                    comm: &world,
+                    merges: true,
+                    flat_span: None,
+                    pipe_span: None,
+                };
+                let Some(plan) = Plan::agree(rk, &cfg, &path, mine)? else {
+                    return Ok(());
+                };
+                let check = |walked: &mut Walked, r: u64| {
+                    for (_, ws, we) in plan.windows(r) {
+                        let got: Vec<_> = clip(mine, walked, ws, we).collect();
+                        assert_eq!(
+                            got,
+                            rescan(mine, ws, we),
+                            "seed {seed} round {r} [{ws}, {we})"
+                        );
+                    }
+                };
+                let (mut serial, mut piped) = (Walked::default(), Walked::default());
+                for r in 0..plan.rounds {
+                    check(&mut serial, r);
+                    check(&mut piped, r);
+                    check(&mut piped, r + 1);
+                    check(&mut piped, r);
+                }
+                Ok(())
+            })
+            .unwrap();
+        }
+    }
+
     #[test]
     fn aggregators_spread_one_per_node_first() {
         let sim = SimConfig {
@@ -732,9 +828,7 @@ mod tests {
                 flat_span: None,
                 pipe_span: None,
             };
-            let plan = Plan::agree(rk, &cfg, &path, &[(r * 10, 10)])
-                .map_err(to_mpi)?
-                .unwrap();
+            let plan = Plan::agree(rk, &cfg, &path, &[(r * 10, 10)])?.unwrap();
             Ok(plan.agg_ranks)
         })
         .unwrap();
@@ -753,14 +847,13 @@ mod tests {
         let (fs, _) = run_interleaved(nprocs, len_array, CollectiveConfig::default());
         let fs2 = Arc::clone(&fs);
         let rep = mpisim::run(nprocs, SimConfig::default(), move |rk| {
-            let mut f = File::open(rk, &fs2, "/c", Mode::ReadOnly).map_err(to_mpi)?;
+            let mut f = File::open(rk, &fs2, "/c", Mode::ReadOnly)?;
             let etype = Datatype::contiguous(12, Datatype::named(Named::Byte)).commit();
             let ftype =
                 Datatype::vector(len_array, 1, nprocs as isize, etype.datatype().clone()).commit();
-            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)
-                .map_err(to_mpi)?;
+            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)?;
             let mut buf = vec![0u8; 12 * len_array];
-            read_all_at(rk, &mut f, 0, &mut buf, &CollectiveConfig::default()).map_err(to_mpi)?;
+            read_all_at(rk, &mut f, 0, &mut buf, &CollectiveConfig::default())?;
             Ok(buf)
         })
         .unwrap();
@@ -784,14 +877,13 @@ mod tests {
             ..Default::default()
         };
         let rep = mpisim::run(nprocs, SimConfig::default(), move |rk| {
-            let mut f = File::open(rk, &fs2, "/c", Mode::ReadOnly).map_err(to_mpi)?;
+            let mut f = File::open(rk, &fs2, "/c", Mode::ReadOnly)?;
             let etype = Datatype::contiguous(12, Datatype::named(Named::Byte)).commit();
             let ftype =
                 Datatype::vector(len_array, 1, nprocs as isize, etype.datatype().clone()).commit();
-            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)
-                .map_err(to_mpi)?;
+            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)?;
             let mut buf = vec![0u8; 12 * len_array];
-            read_all_at(rk, &mut f, 0, &mut buf, &cfg).map_err(to_mpi)?;
+            read_all_at(rk, &mut f, 0, &mut buf, &cfg)?;
             Ok(buf)
         })
         .unwrap();
@@ -806,7 +898,7 @@ mod tests {
         let fs = Pfs::new(4, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         mpisim::run(4, SimConfig::default(), move |rk| {
-            let mut f = File::open(rk, &fs2, "/e", Mode::WriteOnly).map_err(to_mpi)?;
+            let mut f = File::open(rk, &fs2, "/e", Mode::WriteOnly)?;
             let data = if rk.rank() < 2 {
                 vec![rk.rank() as u8 + 1; 8]
             } else {
@@ -818,9 +910,8 @@ mod tests {
                 rk.rank() as u64 * 8,
                 &data,
                 &CollectiveConfig::default(),
-            )
-            .map_err(to_mpi)?;
-            f.close(rk).map_err(to_mpi)?;
+            )?;
+            f.close(rk)?;
             Ok(())
         })
         .unwrap();
@@ -836,8 +927,8 @@ mod tests {
         let fs = Pfs::new(2, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         mpisim::run(2, SimConfig::default(), move |rk| {
-            let mut f = File::open(rk, &fs2, "/n", Mode::WriteOnly).map_err(to_mpi)?;
-            write_all_at(rk, &mut f, 0, &[], &CollectiveConfig::default()).map_err(to_mpi)?;
+            let mut f = File::open(rk, &fs2, "/n", Mode::WriteOnly)?;
+            write_all_at(rk, &mut f, 0, &[], &CollectiveConfig::default())?;
             Ok(())
         })
         .unwrap();
@@ -857,7 +948,7 @@ mod tests {
             ..Default::default()
         };
         let err = mpisim::run(2, sim, move |rk| {
-            let mut f = File::open(rk, &fs2, "/oom", Mode::WriteOnly).map_err(to_mpi)?;
+            let mut f = File::open(rk, &fs2, "/oom", Mode::WriteOnly)?;
             let data = vec![7u8; 200];
             write_all_at(
                 rk,
@@ -865,8 +956,7 @@ mod tests {
                 rk.rank() as u64 * 200,
                 &data,
                 &CollectiveConfig::default(),
-            )
-            .map_err(to_mpi)?;
+            )?;
             Ok(())
         })
         .unwrap_err();
@@ -893,9 +983,9 @@ mod tests {
             ..Default::default()
         };
         mpisim::run(2, sim, move |rk| {
-            let mut f = File::open(rk, &fs2, "/fit", Mode::WriteOnly).map_err(to_mpi)?;
+            let mut f = File::open(rk, &fs2, "/fit", Mode::WriteOnly)?;
             let data = vec![7u8; 200];
-            write_all_at(rk, &mut f, rk.rank() as u64 * 200, &data, &cfg).map_err(to_mpi)?;
+            write_all_at(rk, &mut f, rk.rank() as u64 * 200, &data, &cfg)?;
             Ok(())
         })
         .unwrap();
@@ -914,7 +1004,7 @@ mod tests {
         fs.write_at(fid, 0, 0, &vec![0xAAu8; 1008], 0.0).unwrap();
         let fs2 = Arc::clone(&fs);
         mpisim::run(2, SimConfig::default(), move |rk| {
-            let mut f = File::open(rk, &fs2, "/sparse", Mode::ReadWrite).map_err(to_mpi)?;
+            let mut f = File::open(rk, &fs2, "/sparse", Mode::ReadWrite)?;
             let data = vec![rk.rank() as u8 + 1; 8];
             write_all_at(
                 rk,
@@ -922,8 +1012,7 @@ mod tests {
                 rk.rank() as u64 * 1000,
                 &data,
                 &CollectiveConfig::default(),
-            )
-            .map_err(to_mpi)?;
+            )?;
             Ok(())
         })
         .unwrap();

@@ -38,6 +38,17 @@ impl From<pfs::PfsError> for IoError {
     }
 }
 
+/// An MPI-IO failure leaving a rank body: a runtime error it carries comes
+/// back out as itself, anything else keeps its type as a layer error.
+impl From<IoError> for mpisim::MpiError {
+    fn from(e: IoError) -> Self {
+        match e {
+            IoError::Mpi(m) => m,
+            other => mpisim::MpiError::Layer(mpisim::LayerError::new(other)),
+        }
+    }
+}
+
 impl From<mpisim::wire::Malformed> for IoError {
     fn from(e: mpisim::wire::Malformed) -> Self {
         IoError::Usage(match e {
@@ -49,13 +60,6 @@ impl From<mpisim::wire::Malformed> for IoError {
 
 pub type Result<T> = std::result::Result<T, IoError>;
 
-impl IoError {
-    /// True when the failure is a simulated out-of-memory condition.
-    pub fn is_oom(&self) -> bool {
-        matches!(self, IoError::Mpi(mpisim::MpiError::OutOfMemory { .. }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,14 +70,14 @@ mod tests {
         assert!(e.to_string().contains("abort"));
         let e: IoError = pfs::PfsError::NotFound("/x".into()).into();
         assert!(e.to_string().contains("/x"));
-        assert!(!e.is_oom());
-        let e: IoError = mpisim::MpiError::OutOfMemory {
+        // Out of a rank body: its own type, unless it holds a runtime error.
+        assert_eq!(mpisim::MpiError::from(e.clone()).layer(), Some(&e));
+        let oom = mpisim::MpiError::OutOfMemory {
             rank: 0,
             requested: 1,
             used: 0,
             budget: 0,
-        }
-        .into();
-        assert!(e.is_oom());
+        };
+        assert_eq!(mpisim::MpiError::from(IoError::Mpi(oom.clone())), oom);
     }
 }

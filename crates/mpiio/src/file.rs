@@ -355,13 +355,7 @@ mod tests {
         f: impl Fn(&mut Rank, &Arc<Pfs>) -> Result<T> + Sync,
     ) -> Vec<T> {
         let fs = Pfs::new(n, PfsConfig::default()).unwrap();
-        let rep = mpisim::run(n, SimConfig::default(), |rk| {
-            f(rk, &fs).map_err(|e| match e {
-                IoError::Mpi(m) => m,
-                other => mpisim::MpiError::InvalidDatatype(other.to_string()),
-            })
-        })
-        .unwrap();
+        let rep = mpisim::run(n, SimConfig::default(), |rk| Ok(f(rk, &fs)?)).unwrap();
         rep.results
     }
 
@@ -434,15 +428,12 @@ mod tests {
         let fs = Pfs::new(2, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         mpisim::run(2, SimConfig::default(), move |rk| {
-            let mut f = File::open(rk, &fs2, "/v", Mode::WriteOnly)
-                .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+            let mut f = File::open(rk, &fs2, "/v", Mode::WriteOnly)?;
             let etype = Datatype::contiguous(12, Datatype::named(Named::Byte)).commit();
             let ftype = Datatype::vector(3, 1, 2, etype.datatype().clone()).commit();
-            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)
-                .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)?;
             let me = rk.rank() as u8 + 1;
-            f.write_at(rk, 0, &[me; 36])
-                .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+            f.write_at(rk, 0, &[me; 36])?;
             rk.barrier()?;
             Ok(())
         })
@@ -498,20 +489,17 @@ mod tests {
         fs.write_at(fid, 0, 0, &[0xAAu8; 96], 0.0).unwrap();
         let fs2 = Arc::clone(&fs);
         mpisim::run(1, SimConfig::default(), move |rk| {
-            let mut f = File::open(rk, &fs2, "/sv", Mode::ReadWrite)
-                .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+            let mut f = File::open(rk, &fs2, "/sv", Mode::ReadWrite)?;
             let etype = Datatype::contiguous(8, Datatype::named(Named::Byte)).commit();
             // Blocks of 8 bytes, every other one (stride 2).
             let ftype = Datatype::vector(6, 1, 2, etype.datatype().clone()).commit();
-            f.set_view(rk, 0, &etype, &ftype)
-                .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+            f.set_view(rk, 0, &etype, &ftype)?;
             f.set_sieving(Some(crate::sieve::SieveConfig {
                 buffer_size: 1 << 20,
                 min_extents: 2,
                 min_density: 0.0,
             }));
-            f.write_at(rk, 0, &[0x55u8; 48])
-                .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+            f.write_at(rk, 0, &[0x55u8; 48])?;
             // One read RPC + one write RPC for the whole span.
             assert_eq!(rk.stats.io_writes, 1, "sieving must coalesce writes");
             Ok(())
@@ -537,15 +525,12 @@ mod tests {
         fs.write_at(fid, 0, 0, &data, 0.0).unwrap();
         let fs2 = Arc::clone(&fs);
         mpisim::run(1, SimConfig::default(), move |rk| {
-            let mut f = File::open(rk, &fs2, "/sr", Mode::ReadOnly)
-                .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+            let mut f = File::open(rk, &fs2, "/sr", Mode::ReadOnly)?;
             let etype = Datatype::contiguous(8, Datatype::named(Named::Byte)).commit();
             let ftype = Datatype::vector(6, 1, 2, etype.datatype().clone()).commit();
-            f.set_view(rk, 0, &etype, &ftype)
-                .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+            f.set_view(rk, 0, &etype, &ftype)?;
             let mut plain = vec![0u8; 48];
-            f.read_at(rk, 0, &mut plain)
-                .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+            f.read_at(rk, 0, &mut plain)?;
             let rpcs_unsieved = rk.stats.io_reads;
             f.set_sieving(Some(crate::sieve::SieveConfig {
                 buffer_size: 1 << 20,
@@ -553,8 +538,7 @@ mod tests {
                 min_density: 0.0,
             }));
             let mut sieved = vec![0u8; 48];
-            f.read_at(rk, 0, &mut sieved)
-                .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+            f.read_at(rk, 0, &mut sieved)?;
             let rpcs_sieved = rk.stats.io_reads - rpcs_unsieved;
             assert_eq!(plain, sieved, "sieving must not change data");
             assert!(rpcs_sieved < rpcs_unsieved, "sieving must reduce requests");

@@ -50,18 +50,10 @@ pub fn write_all_partitioned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::IoError;
     use crate::file::Mode;
     use mpisim::SimConfig;
     use pfs::{Pfs, PfsConfig};
     use std::sync::Arc;
-
-    fn to_mpi(e: IoError) -> mpisim::MpiError {
-        match e {
-            IoError::Mpi(m) => m,
-            other => mpisim::MpiError::InvalidDatatype(other.to_string()),
-        }
-    }
 
     /// IOR-segmented-style layout: group-contiguous blocks so each group's
     /// file region is clustered (ParColl's sweet spot).
@@ -71,7 +63,7 @@ mod tests {
         mpisim::run(nprocs, SimConfig::default(), move |rk| {
             let gsize = nprocs / groups;
             let comm = rk.split((rk.rank() / gsize) as u64)?;
-            let mut f = File::open(rk, &fs2, "/pc", Mode::WriteOnly).map_err(to_mpi)?;
+            let mut f = File::open(rk, &fs2, "/pc", Mode::WriteOnly)?;
             let data = vec![rk.rank() as u8 + 1; block];
             write_all_partitioned(
                 rk,
@@ -80,9 +72,8 @@ mod tests {
                 (rk.rank() * block) as u64,
                 &data,
                 &CollectiveConfig::default(),
-            )
-            .map_err(to_mpi)?;
-            f.close(rk).map_err(to_mpi)?;
+            )?;
+            f.close(rk)?;
             Ok(())
         })
         .unwrap();
@@ -117,11 +108,10 @@ mod tests {
         mpisim::run(nprocs, SimConfig::default(), move |rk| {
             let gsize = nprocs / groups;
             let comm = rk.split((rk.rank() / gsize) as u64)?;
-            let mut f = File::open(rk, &fs2, "/pc", Mode::WriteOnly).map_err(to_mpi)?;
+            let mut f = File::open(rk, &fs2, "/pc", Mode::WriteOnly)?;
             let data = vec![rk.rank() as u8 + 1; block];
-            write_all_partitioned(rk, &mut f, &comm, (rk.rank() * block) as u64, &data, &cfg)
-                .map_err(to_mpi)?;
-            f.close(rk).map_err(to_mpi)?;
+            write_all_partitioned(rk, &mut f, &comm, (rk.rank() * block) as u64, &data, &cfg)?;
+            f.close(rk)?;
             Ok(())
         })
         .unwrap();
@@ -156,7 +146,7 @@ mod tests {
         };
         mpisim::run(nprocs, sim, move |rk| {
             let comm = rk.split((rk.rank() / 4) as u64)?;
-            let mut f = File::open(rk, &fs2, "/pc", Mode::WriteOnly).map_err(to_mpi)?;
+            let mut f = File::open(rk, &fs2, "/pc", Mode::WriteOnly)?;
             let data = vec![rk.rank() as u8 + 1; 64];
             let cfg = CollectiveConfig {
                 req_agg: true,
@@ -164,9 +154,8 @@ mod tests {
                 pipeline: true,
                 ..Default::default()
             };
-            write_all_partitioned(rk, &mut f, &comm, (rk.rank() * 64) as u64, &data, &cfg)
-                .map_err(to_mpi)?;
-            f.close(rk).map_err(to_mpi)?;
+            write_all_partitioned(rk, &mut f, &comm, (rk.rank() * 64) as u64, &data, &cfg)?;
+            f.close(rk)?;
             Ok(())
         })
         .unwrap();
@@ -189,16 +178,15 @@ mod tests {
             };
             mpisim::run(nprocs, sim, move |rk| {
                 let comm = rk.split((rk.rank() / gsize) as u64)?;
-                let mut f = File::open(rk, &fs2, "/pc2", Mode::WriteOnly).map_err(to_mpi)?;
+                let mut f = File::open(rk, &fs2, "/pc2", Mode::WriteOnly)?;
                 let data = vec![rk.rank() as u8 + 1; 64];
                 let cfg = CollectiveConfig {
                     intra_agg: true,
                     cb_nodes: Some(2),
                     ..Default::default()
                 };
-                write_all_partitioned(rk, &mut f, &comm, (rk.rank() * 64) as u64, &data, &cfg)
-                    .map_err(to_mpi)?;
-                f.close(rk).map_err(to_mpi)?;
+                write_all_partitioned(rk, &mut f, &comm, (rk.rank() * 64) as u64, &data, &cfg)?;
+                f.close(rk)?;
                 Ok(())
             })
             .unwrap();
@@ -225,7 +213,7 @@ mod tests {
         let fs2 = Arc::clone(&fs);
         mpisim::run(nprocs, SimConfig::default(), move |rk| {
             let comm = rk.split((rk.rank() / 3) as u64)?;
-            let mut f = File::open(rk, &fs2, "/il", Mode::WriteOnly).map_err(to_mpi)?;
+            let mut f = File::open(rk, &fs2, "/il", Mode::WriteOnly)?;
             // Each rank writes 4 interleaved 16-byte blocks.
             let mut blob = Vec::new();
             let mut offs = Vec::new();
@@ -242,8 +230,7 @@ mod tests {
                     off,
                     &blob[i * 16..(i + 1) * 16],
                     &CollectiveConfig::default(),
-                )
-                .map_err(to_mpi)?;
+                )?;
             }
             Ok(())
         })
@@ -274,7 +261,7 @@ mod tests {
                 rk.advance(1000.0); // group 1 is very late
             }
             let t0 = rk.now();
-            let mut f = File::open_independent(rk, &fs, "/ns", Mode::WriteOnly).map_err(to_mpi)?;
+            let mut f = File::open_independent(rk, &fs, "/ns", Mode::WriteOnly)?;
             let data = vec![1u8; 64];
             write_all_partitioned(
                 rk,
@@ -283,8 +270,7 @@ mod tests {
                 (rk.rank() * 64) as u64,
                 &data,
                 &CollectiveConfig::default(),
-            )
-            .map_err(to_mpi)?;
+            )?;
             Ok(rk.now() - t0)
         })
         .unwrap();
@@ -328,13 +314,13 @@ mod tests {
                     cb_buffer: Some(48),
                     ..Default::default()
                 };
-                let mut f = File::open(rk, &fs2, "/w", Mode::WriteOnly).map_err(to_mpi)?;
+                let mut f = File::open(rk, &fs2, "/w", Mode::WriteOnly)?;
                 let data = vec![rk.rank() as u8 + 1; 64];
                 let off = (rk.rank() * 64) as u64;
                 if via == Via::WriteAllAt {
-                    crate::write_all_at(rk, &mut f, off, &data, &cfg).map_err(to_mpi)?;
+                    crate::write_all_at(rk, &mut f, off, &data, &cfg)?;
                 } else {
-                    write_all_partitioned(rk, &mut f, &comm, off, &data, &cfg).map_err(to_mpi)?;
+                    write_all_partitioned(rk, &mut f, &comm, off, &data, &cfg)?;
                 }
                 Ok(())
             })

@@ -156,7 +156,9 @@ impl PieceMap {
             .map(|(&s, _)| s)
             .collect();
         for s in overlapping {
-            let v = self.runs.remove(&s).expect("overlapping run present");
+            let Some(v) = self.runs.remove(&s) else {
+                continue;
+            };
             let e = s + v.len() as u64;
             if s < off {
                 self.runs.insert(s, v[..(off - s) as usize].to_vec());

@@ -71,7 +71,7 @@ pub(crate) struct Plan<'a> {
     gmax: u64,
     dsize: u64,
     round_size: u64,
-    rounds: u64,
+    pub(crate) rounds: u64,
     /// The rank (in the communicator's rank space) serving each aggregator
     /// index.
     pub(crate) agg_ranks: Vec<usize>,
@@ -161,7 +161,7 @@ impl<'a> Plan<'a> {
     }
 
     /// `(aggregator rank, window)` for every non-empty window of round r.
-    fn windows(&self, r: u64) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
+    pub(crate) fn windows(&self, r: u64) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
         let non_empty = move |(i, &a): (usize, &usize)| {
             let (ws, we) = self.window(i, r);
             (ws < we).then_some((a, ws, we))

@@ -182,16 +182,15 @@ impl FileView {
         let tile_extent = cur.u64()?;
         let identity = cur.take(1)?[0] != 0;
         let n = cur.u32()?;
-        let entries = cur.take(n.checked_mul(16).ok_or_else(bad)?)?;
+        let mut entries = Cursor::new(cur.take(n.checked_mul(16).ok_or_else(bad)?)?);
         if !cur.is_empty() {
             return Err(bad());
         }
         let mut tile = Vec::with_capacity(n);
         let mut prefix = Vec::with_capacity(n);
         let (mut acc, mut last_end) = (0u64, 0u64);
-        for e in entries.chunks_exact(16) {
-            let o = u64::from_le_bytes(e[0..8].try_into().expect("8-byte slice"));
-            let l = u64::from_le_bytes(e[8..16].try_into().expect("8-byte slice"));
+        for _ in 0..n {
+            let (o, l) = (entries.u64()?, entries.u64()?);
             if o < last_end {
                 return Err(bad());
             }

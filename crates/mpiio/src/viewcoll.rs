@@ -22,6 +22,7 @@ use crate::extents::ExtentSet;
 use crate::file::File;
 use crate::rounds::{read_rounds, write_rounds, Path};
 use crate::view::FileView;
+use mpisim::wire::Cursor;
 use mpisim::Rank;
 
 /// The views of all ranks, registered collectively.
@@ -74,11 +75,10 @@ fn interval_header(lo: u64, len: u64, data: usize) -> Vec<u8> {
 
 /// Split a non-empty payload into `(stream position, length, rest)`.
 fn parse_interval(payload: &[u8]) -> Result<(u64, u64, &[u8])> {
-    if payload.len() < 16 {
-        return Err(IoError::Usage("malformed view-based payload".into()));
-    }
-    let word = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
-    Ok((word(0), word(8), &payload[16..]))
+    let mut header = Cursor::new(payload);
+    let (lo, len) = (header.u64()?, header.u64()?);
+    // Both header words were there, so the payload has 16 bytes to skip.
+    Ok((lo, len, &payload[16..]))
 }
 
 /// View-based collective write: all ranks call, each with its own data at
@@ -188,13 +188,6 @@ mod tests {
     use pfs::{Pfs, PfsConfig};
     use std::sync::Arc;
 
-    fn to_mpi(e: IoError) -> mpisim::MpiError {
-        match e {
-            IoError::Mpi(m) => m,
-            other => mpisim::MpiError::InvalidDatatype(other.to_string()),
-        }
-    }
-
     fn write_both_ways(
         nprocs: usize,
         len_array: usize,
@@ -208,21 +201,20 @@ mod tests {
             let fs2 = Arc::clone(&fs);
             let cfg = cfg.clone();
             mpisim::run(nprocs, SimConfig::default(), move |rk| {
-                let mut f = File::open(rk, &fs2, "/vb", Mode::WriteOnly).map_err(to_mpi)?;
+                let mut f = File::open(rk, &fs2, "/vb", Mode::WriteOnly)?;
                 let etype = Datatype::contiguous(12, Datatype::named(Named::Byte)).commit();
                 let ftype =
                     Datatype::vector(len_array, 1, nprocs as isize, etype.datatype().clone())
                         .commit();
-                f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)
-                    .map_err(to_mpi)?;
+                f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)?;
                 let data = vec![rk.rank() as u8 + 1; 12 * len_array];
                 if view_based {
-                    let views = register_views(rk, &f).map_err(to_mpi)?;
-                    write_all_view_based(rk, &mut f, &views, 0, &data, &cfg).map_err(to_mpi)?;
+                    let views = register_views(rk, &f)?;
+                    write_all_view_based(rk, &mut f, &views, 0, &data, &cfg)?;
                 } else {
-                    crate::collective::write_all_at(rk, &mut f, 0, &data, &cfg).map_err(to_mpi)?;
+                    crate::collective::write_all_at(rk, &mut f, 0, &data, &cfg)?;
                 }
-                f.close(rk).map_err(to_mpi)?;
+                f.close(rk)?;
                 Ok(())
             })
             .unwrap();
@@ -279,16 +271,15 @@ mod tests {
             ..Default::default()
         };
         mpisim::run(nprocs, sim, move |rk| {
-            let mut f = File::open(rk, &fs2, "/vb2", Mode::WriteOnly).map_err(to_mpi)?;
+            let mut f = File::open(rk, &fs2, "/vb2", Mode::WriteOnly)?;
             let etype = Datatype::contiguous(12, Datatype::named(Named::Byte)).commit();
             let ftype =
                 Datatype::vector(len_array, 1, nprocs as isize, etype.datatype().clone()).commit();
-            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)
-                .map_err(to_mpi)?;
+            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)?;
             let data = vec![rk.rank() as u8 + 1; 12 * len_array];
-            let views = register_views(rk, &f).map_err(to_mpi)?;
-            write_all_view_based(rk, &mut f, &views, 0, &data, &cfg).map_err(to_mpi)?;
-            f.close(rk).map_err(to_mpi)?;
+            let views = register_views(rk, &f)?;
+            write_all_view_based(rk, &mut f, &views, 0, &data, &cfg)?;
+            f.close(rk)?;
             Ok(())
         })
         .unwrap();
@@ -306,16 +297,15 @@ mod tests {
         for view_based in [false, true] {
             let fs = Pfs::new(nprocs, PfsConfig::default()).unwrap();
             let rep = mpisim::run(nprocs, SimConfig::default(), move |rk| {
-                let mut f = File::open(rk, &fs, "/m", Mode::WriteOnly).map_err(to_mpi)?;
+                let mut f = File::open(rk, &fs, "/m", Mode::WriteOnly)?;
                 let etype = Datatype::contiguous(12, Datatype::named(Named::Byte)).commit();
                 let ftype =
                     Datatype::vector(len_array, 1, nprocs as isize, etype.datatype().clone())
                         .commit();
-                f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)
-                    .map_err(to_mpi)?;
+                f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)?;
                 let data = vec![1u8; 12 * len_array];
                 if view_based {
-                    let views = register_views(rk, &f).map_err(to_mpi)?;
+                    let views = register_views(rk, &f)?;
                     write_all_view_based(
                         rk,
                         &mut f,
@@ -323,8 +313,7 @@ mod tests {
                         0,
                         &data,
                         &CollectiveConfig::default(),
-                    )
-                    .map_err(to_mpi)?;
+                    )?;
                 } else {
                     crate::collective::write_all_at(
                         rk,
@@ -332,10 +321,9 @@ mod tests {
                         0,
                         &data,
                         &CollectiveConfig::default(),
-                    )
-                    .map_err(to_mpi)?;
+                    )?;
                 }
-                f.close(rk).map_err(to_mpi)?;
+                f.close(rk)?;
                 Ok(())
             })
             .unwrap();
@@ -354,15 +342,14 @@ mod tests {
         let fs = Pfs::new(3, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         mpisim::run(3, SimConfig::default(), move |rk| {
-            let mut f = File::open(rk, &fs2, "/e", Mode::WriteOnly).map_err(to_mpi)?;
-            let views = register_views(rk, &f).map_err(to_mpi)?;
+            let mut f = File::open(rk, &fs2, "/e", Mode::WriteOnly)?;
+            let views = register_views(rk, &f)?;
             let data = if rk.rank() == 0 {
                 vec![7u8; 24]
             } else {
                 Vec::new()
             };
-            write_all_view_based(rk, &mut f, &views, 0, &data, &CollectiveConfig::default())
-                .map_err(to_mpi)?;
+            write_all_view_based(rk, &mut f, &views, 0, &data, &CollectiveConfig::default())?;
             Ok(())
         })
         .unwrap();
@@ -378,16 +365,14 @@ mod tests {
         let fs = Pfs::new(nprocs, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         let rep = mpisim::run(nprocs, SimConfig::default(), move |rk| {
-            let mut f = File::open(rk, &fs2, "/vbr", Mode::ReadWrite).map_err(to_mpi)?;
+            let mut f = File::open(rk, &fs2, "/vbr", Mode::ReadWrite)?;
             let etype = Datatype::contiguous(12, Datatype::named(Named::Byte)).commit();
             let ftype =
                 Datatype::vector(len_array, 1, nprocs as isize, etype.datatype().clone()).commit();
-            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)
-                .map_err(to_mpi)?;
+            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)?;
             let data = vec![rk.rank() as u8 + 1; 12 * len_array];
-            crate::collective::write_all_at(rk, &mut f, 0, &data, &CollectiveConfig::default())
-                .map_err(to_mpi)?;
-            let views = register_views(rk, &f).map_err(to_mpi)?;
+            crate::collective::write_all_at(rk, &mut f, 0, &data, &CollectiveConfig::default())?;
+            let views = register_views(rk, &f)?;
             let mut back = vec![0u8; 12 * len_array];
             read_all_view_based(
                 rk,
@@ -396,8 +381,7 @@ mod tests {
                 0,
                 &mut back,
                 &CollectiveConfig::default(),
-            )
-            .map_err(to_mpi)?;
+            )?;
             Ok(back)
         })
         .unwrap();
@@ -416,15 +400,13 @@ mod tests {
         let fs = Pfs::new(nprocs, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         let rep = mpisim::run(nprocs, SimConfig::default(), move |rk| {
-            let mut f = File::open(rk, &fs2, "/vbp", Mode::ReadWrite).map_err(to_mpi)?;
+            let mut f = File::open(rk, &fs2, "/vbp", Mode::ReadWrite)?;
             let etype = Datatype::contiguous(8, Datatype::named(Named::Byte)).commit();
             let ftype = Datatype::vector(6, 1, 2, etype.datatype().clone()).commit();
-            f.set_view(rk, rk.rank() as u64 * 8, &etype, &ftype)
-                .map_err(to_mpi)?;
+            f.set_view(rk, rk.rank() as u64 * 8, &etype, &ftype)?;
             let data: Vec<u8> = (0..48).map(|i| (rk.rank() * 100 + i) as u8).collect();
-            crate::collective::write_all_at(rk, &mut f, 0, &data, &CollectiveConfig::default())
-                .map_err(to_mpi)?;
-            let views = register_views(rk, &f).map_err(to_mpi)?;
+            crate::collective::write_all_at(rk, &mut f, 0, &data, &CollectiveConfig::default())?;
+            let views = register_views(rk, &f)?;
             let mut slice = vec![0u8; 16];
             read_all_view_based(
                 rk,
@@ -433,8 +415,7 @@ mod tests {
                 10,
                 &mut slice,
                 &CollectiveConfig::default(),
-            )
-            .map_err(to_mpi)?;
+            )?;
             let expect: Vec<u8> = (10..26).map(|i| (rk.rank() * 100 + i) as u8).collect();
             assert_eq!(slice, expect, "rank {}", rk.rank());
             Ok(())

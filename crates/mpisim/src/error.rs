@@ -1,6 +1,58 @@
 //! Error types for the simulated MPI runtime.
 
+use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
+
+/// A failure of a layer above the runtime (file system, MPI-IO, TCIO,
+/// workloads, the facility), carried through a rank body without losing
+/// its type: [`MpiError::layer`] hands the original value back.
+///
+/// Each layer converts its own error with one `impl From<E> for MpiError`
+/// written next to `E`; those impls unwrap an `MpiError` nested inside `E`
+/// instead of wrapping it, so [`crate::run`] triages a crash, an
+/// out-of-memory or an abort raised under a layer exactly as it does one
+/// raised by a native runtime call.
+#[derive(Clone)]
+pub struct LayerError {
+    inner: Arc<dyn Error + Send + Sync>,
+    /// `E`'s own `==`, captured where `E` was still known.
+    same: fn(&(dyn Error + 'static), &(dyn Error + 'static)) -> bool,
+}
+
+impl LayerError {
+    pub fn new<E: Error + PartialEq + Send + Sync + 'static>(e: E) -> Self {
+        LayerError {
+            inner: Arc::new(e),
+            same: |a, b| match (a.downcast_ref::<E>(), b.downcast_ref::<E>()) {
+                (Some(a), Some(b)) => a == b,
+                _ => false,
+            },
+        }
+    }
+}
+
+impl PartialEq for LayerError {
+    fn eq(&self, other: &Self) -> bool {
+        (self.same)(&*self.inner, &*other.inner)
+    }
+}
+
+// `MpiError` is `Eq`; a layer error holding a float (`PfsError::Transient`)
+// compares like the float does.
+impl Eq for LayerError {}
+
+impl fmt::Debug for LayerError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.inner, f)
+    }
+}
+
+impl fmt::Display for LayerError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&self.inner, f)
+    }
+}
 
 /// Errors surfaced to rank code by runtime operations.
 ///
@@ -39,6 +91,18 @@ pub enum MpiError {
     /// A blocking operation targeted rank `rank`, which has crash-stopped
     /// and will never respond (e.g. a receive posted on a dead source).
     PeerCrashed { rank: usize },
+    /// A layer above the runtime failed; see [`LayerError`].
+    Layer(LayerError),
+}
+
+impl MpiError {
+    /// The layer error of type `E` this value carries, if it carries one.
+    pub fn layer<E: Error + 'static>(&self) -> Option<&E> {
+        match self {
+            MpiError::Layer(e) => e.inner.downcast_ref(),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for MpiError {
@@ -77,14 +141,15 @@ impl fmt::Display for MpiError {
             MpiError::PeerCrashed { rank } => {
                 write!(f, "peer rank {rank} has crash-stopped and will never respond")
             }
+            MpiError::Layer(e) => fmt::Display::fmt(e, f),
         }
     }
 }
 
-impl std::error::Error for MpiError {}
+impl Error for MpiError {}
 
 /// Error returned by [`crate::runtime::run`] when the simulation fails as a whole.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// A rank returned an error from its body.
     RankFailed { rank: usize, error: MpiError },
@@ -117,7 +182,34 @@ impl fmt::Display for SimError {
     }
 }
 
-impl std::error::Error for SimError {}
+impl Error for SimError {}
 
 /// Convenient result alias for rank-level operations.
 pub type Result<T> = std::result::Result<T, MpiError>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::num::ParseIntError;
+
+    #[test]
+    fn layer_error_compares_shows_and_downcasts_as_its_inner_error() {
+        // `InvalidDigit` twice, `Empty` once.
+        let bad_int = |s: &str| s.parse::<u8>().unwrap_err();
+        let wrap = |s| MpiError::Layer(LayerError::new(bad_int(s)));
+        let e = wrap("x");
+        assert_eq!(e.clone(), e);
+        assert_eq!(e, wrap("y"));
+        assert_ne!(e, wrap(""));
+        assert_ne!(e, MpiError::Layer(LayerError::new(fmt::Error)));
+        assert_eq!(e.layer::<ParseIntError>(), Some(&bad_int("x")));
+        assert_eq!(e.layer::<fmt::Error>(), None);
+        assert_eq!(MpiError::Aborted.layer::<ParseIntError>(), None);
+        assert_eq!(e.to_string(), bad_int("x").to_string());
+        let failed = SimError::RankFailed { rank: 2, error: e };
+        assert_eq!(
+            failed.to_string(),
+            format!("rank 2 failed: {}", bad_int("x"))
+        );
+    }
+}

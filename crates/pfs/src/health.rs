@@ -449,6 +449,7 @@ impl Health {
         }
         // A hedge must aim at a healthy OST — never storm a sick one.
         let buddy = self.closed_buddy(home, wait_start)?;
+        // The `entry` call above inserted it and nothing removes buckets.
         let b = self.budgets.get_mut(&client).expect("bucket earned above");
         if *b < 1.0 {
             return None;

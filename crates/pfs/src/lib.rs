@@ -130,6 +130,13 @@ impl PfsError {
 
 impl std::error::Error for PfsError {}
 
+/// A file-system failure leaving a rank body; it holds no `MpiError`.
+impl From<PfsError> for mpisim::MpiError {
+    fn from(e: PfsError) -> Self {
+        mpisim::MpiError::Layer(mpisim::LayerError::new(e))
+    }
+}
+
 pub type Result<T> = std::result::Result<T, PfsError>;
 
 /// One file: its bytes plus the integrity metadata kept alongside them.
@@ -756,6 +763,7 @@ impl Pfs {
                 self.stats
                     .silent_corruptions
                     .fetch_add(1, Ordering::Relaxed);
+                // `want_replicas` inserted this stripe's copy a few lines up.
                 let rep = c.replicas.get_mut(&stripe).expect("replica just stored");
                 let pos =
                     (e.unit_hash(site ^ REPLICA_SALT ^ FLIP_SALT) * rep.len() as f64) as usize;

@@ -63,6 +63,18 @@ impl From<pfs::PfsError> for TcioError {
     }
 }
 
+/// A TCIO failure leaving a rank body: a runtime error it carries, at any
+/// depth, comes back out as itself; anything else keeps its type as a
+/// layer error.
+impl From<TcioError> for mpisim::MpiError {
+    fn from(e: TcioError) -> Self {
+        match e {
+            TcioError::Mpi(m) | TcioError::Io(mpiio::IoError::Mpi(m)) => m,
+            other => mpisim::MpiError::Layer(mpisim::LayerError::new(other)),
+        }
+    }
+}
+
 pub type Result<T> = std::result::Result<T, TcioError>;
 
 #[cfg(test)]
@@ -75,6 +87,10 @@ mod tests {
         assert!(matches!(e, TcioError::Mpi(mpisim::MpiError::Aborted)));
         let e: TcioError = pfs::PfsError::NotFound("/f".into()).into();
         assert!(e.to_string().contains("/f"));
+        // Out of a rank body: its own type, unless it holds a runtime error.
+        assert_eq!(mpisim::MpiError::from(e.clone()).layer(), Some(&e));
+        let nested = TcioError::Io(mpiio::IoError::Mpi(mpisim::MpiError::Aborted));
+        assert_eq!(mpisim::MpiError::from(nested), mpisim::MpiError::Aborted);
     }
 
     #[test]

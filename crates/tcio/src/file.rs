@@ -127,6 +127,7 @@ impl Durability {
         let idx = self.covered[self.buddy[owner]]
             .iter()
             .position(|&r| r == owner)
+            // `open` builds `covered` by pushing every r onto covered[buddy[r]].
             .expect("owner is covered by its buddy");
         idx * l2_bytes as usize
     }
@@ -867,7 +868,7 @@ impl<'a> TcioFile<'a> {
                 // A rank that died before the open has a zero-byte window:
                 // nothing to quarantine, its primary copy never existed.
                 if self.win.size_of(d) > 0 {
-                    let maxlen = runs.iter().map(|&(_, l)| l).max().expect("non-empty");
+                    let maxlen = runs.iter().map(|&(_, l)| l).max().unwrap_or(0);
                     let zeros = vec![0u8; maxlen as usize];
                     let mut ep = rank.win_lock(&self.win, d, LockKind::Exclusive)?;
                     for &(o, l) in runs {
@@ -904,13 +905,6 @@ mod tests {
         }
     }
 
-    fn to_mpi(e: TcioError) -> mpisim::MpiError {
-        match e {
-            TcioError::Mpi(m) => m,
-            other => mpisim::MpiError::InvalidDatatype(other.to_string()),
-        }
-    }
-
     fn write_interleaved(
         nprocs: usize,
         blocks_per_rank: usize,
@@ -921,15 +915,14 @@ mod tests {
         let fs = Pfs::new(nprocs, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         let rep = mpisim::run(nprocs, SimConfig::default(), move |rk| {
-            let mut f =
-                TcioFile::open(rk, &fs2, "/t", TcioMode::Write, cfg.clone()).map_err(to_mpi)?;
+            let mut f = TcioFile::open(rk, &fs2, "/t", TcioMode::Write, cfg.clone())?;
             let me = rk.rank();
             let data = vec![me as u8 + 1; block];
             for i in 0..blocks_per_rank {
                 let off = ((i * rk.nprocs() + me) * block) as u64;
-                f.write_at(rk, off, &data).map_err(to_mpi)?;
+                f.write_at(rk, off, &data)?;
             }
-            f.close(rk).map_err(to_mpi)
+            Ok(f.close(rk)?)
         })
         .unwrap();
         (fs, rep.results)
@@ -977,15 +970,14 @@ mod tests {
                 ..Default::default()
             };
             mpisim::run(8, sim, move |rk| {
-                let mut f =
-                    TcioFile::open(rk, &fs2, "/t", TcioMode::Write, cfg.clone()).map_err(to_mpi)?;
+                let mut f = TcioFile::open(rk, &fs2, "/t", TcioMode::Write, cfg.clone())?;
                 let me = rk.rank();
                 let data = vec![me as u8 + 1; 16];
                 for i in 0..6 {
                     let off = ((i * rk.nprocs() + me) * 16) as u64;
-                    f.write_at(rk, off, &data).map_err(to_mpi)?;
+                    f.write_at(rk, off, &data)?;
                 }
-                f.close(rk).map_err(to_mpi)
+                Ok(f.close(rk)?)
             })
             .unwrap();
             let fid = fs.open("/t").unwrap();
@@ -1052,20 +1044,18 @@ mod tests {
     fn segment_overflow_is_reported() {
         let fs = Pfs::new(2, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
-        let err = mpisim::run(2, SimConfig::default(), move |rk| {
-            let mut f =
-                TcioFile::open(rk, &fs2, "/o", TcioMode::Write, small_cfg(1)).map_err(to_mpi)?;
+        mpisim::run(2, SimConfig::default(), move |rk| {
+            let mut f = TcioFile::open(rk, &fs2, "/o", TcioMode::Write, small_cfg(1))?;
             // Window index 4 → segment 2 on a 2-proc run, but only 1
             // segment is configured.
-            match f.write_at(rk, 64 * 4, &[1]) {
-                Err(TcioError::SegmentOverflow { .. }) => Err::<(), _>(
-                    mpisim::MpiError::InvalidDatatype("overflow-as-expected".into()),
-                ),
-                other => panic!("expected overflow, got {other:?}"),
-            }
+            let refused = f.write_at(rk, 64 * 4, &[1]);
+            assert!(
+                matches!(refused, Err(TcioError::SegmentOverflow { .. })),
+                "expected overflow, got {refused:?}"
+            );
+            Ok(())
         })
-        .unwrap_err();
-        assert!(err.to_string().contains("overflow-as-expected"));
+        .unwrap();
     }
 
     #[test]
@@ -1074,8 +1064,7 @@ mod tests {
         let (fs, _) = write_interleaved(nprocs, 8, 16, small_cfg(8));
         let fs2 = Arc::clone(&fs);
         let rep = mpisim::run(nprocs, SimConfig::default(), move |rk| {
-            let mut f =
-                TcioFile::open(rk, &fs2, "/t", TcioMode::Read, small_cfg(8)).map_err(to_mpi)?;
+            let mut f = TcioFile::open(rk, &fs2, "/t", TcioMode::Read, small_cfg(8))?;
             let me = rk.rank();
             let mut bufs: Vec<Vec<u8>> = vec![vec![0u8; 16]; 8];
             {
@@ -1083,11 +1072,11 @@ mod tests {
                 for i in 0..8 {
                     let off = ((i * nprocs + me) * 16) as u64;
                     let buf = iter.next().unwrap();
-                    f.read_at(rk, off, buf).map_err(to_mpi)?;
+                    f.read_at(rk, off, buf)?;
                 }
             }
-            f.fetch(rk).map_err(to_mpi)?;
-            f.close(rk).map_err(to_mpi)?;
+            f.fetch(rk)?;
+            f.close(rk)?;
             Ok(bufs)
         })
         .unwrap();
@@ -1107,12 +1096,11 @@ mod tests {
         let (fs, _) = write_interleaved(nprocs, 4, 16, small_cfg(8));
         let fs2 = Arc::clone(&fs);
         let rep = mpisim::run(nprocs, SimConfig::default(), move |rk| {
-            let mut f =
-                TcioFile::open(rk, &fs2, "/t", TcioMode::Read, small_cfg(8)).map_err(to_mpi)?;
+            let mut f = TcioFile::open(rk, &fs2, "/t", TcioMode::Read, small_cfg(8))?;
             let mut buf = vec![0u8; 16];
             let off = (rk.rank() * 16) as u64;
-            f.read_at(rk, off, &mut buf).map_err(to_mpi)?;
-            f.close(rk).map_err(to_mpi)?;
+            f.read_at(rk, off, &mut buf)?;
+            f.close(rk)?;
             Ok(buf)
         })
         .unwrap();
@@ -1129,13 +1117,13 @@ mod tests {
         let rep = mpisim::run(nprocs, SimConfig::default(), move |rk| {
             let mut cfg = small_cfg(8);
             cfg.read_mode = ReadMode::Eager;
-            let mut f = TcioFile::open(rk, &fs2, "/t", TcioMode::Read, cfg).map_err(to_mpi)?;
+            let mut f = TcioFile::open(rk, &fs2, "/t", TcioMode::Read, cfg)?;
             let mut buf = vec![0u8; 16];
             let off = ((4 + rk.rank()) * 16) as u64 % 128;
-            f.read_at(rk, off, &mut buf).map_err(to_mpi)?;
+            f.read_at(rk, off, &mut buf)?;
             // Eager: data is already there; closing ends the borrow so the
             // buffer can be inspected without an explicit fetch.
-            f.close(rk).map_err(to_mpi)?;
+            f.close(rk)?;
             let first = buf[0];
             Ok((buf, first))
         })
@@ -1151,22 +1139,20 @@ mod tests {
         let fs = Pfs::new(1, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         mpisim::run(1, SimConfig::default(), move |rk| {
-            let mut f =
-                TcioFile::open(rk, &fs2, "/seq", TcioMode::Write, small_cfg(8)).map_err(to_mpi)?;
-            f.write(rk, &[1, 2, 3]).map_err(to_mpi)?;
-            f.write(rk, &[4, 5]).map_err(to_mpi)?;
+            let mut f = TcioFile::open(rk, &fs2, "/seq", TcioMode::Write, small_cfg(8))?;
+            f.write(rk, &[1, 2, 3])?;
+            f.write(rk, &[4, 5])?;
             assert_eq!(f.position(), 5);
-            f.seek(1, Whence::Set).map_err(to_mpi)?;
-            f.write(rk, &[9]).map_err(to_mpi)?;
-            f.close(rk).map_err(to_mpi)?;
+            f.seek(1, Whence::Set)?;
+            f.write(rk, &[9])?;
+            f.close(rk)?;
 
-            let mut g =
-                TcioFile::open(rk, &fs2, "/seq", TcioMode::Read, small_cfg(8)).map_err(to_mpi)?;
+            let mut g = TcioFile::open(rk, &fs2, "/seq", TcioMode::Read, small_cfg(8))?;
             let mut buf = vec![0u8; 5];
-            g.read(rk, &mut buf).map_err(to_mpi)?;
-            g.fetch(rk).map_err(to_mpi)?;
+            g.read(rk, &mut buf)?;
+            g.fetch(rk)?;
             // `close` consumes the handle, releasing the borrow of `buf`.
-            g.close(rk).map_err(to_mpi)?;
+            g.close(rk)?;
             assert_eq!(buf, vec![1, 9, 3, 4, 5]);
             Ok(())
         })
@@ -1178,18 +1164,16 @@ mod tests {
         let fs = Pfs::new(1, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         mpisim::run(1, SimConfig::default(), move |rk| {
-            let mut f =
-                TcioFile::open(rk, &fs2, "/eof", TcioMode::Write, small_cfg(4)).map_err(to_mpi)?;
-            f.write(rk, &[1, 2, 3]).map_err(to_mpi)?;
-            f.close(rk).map_err(to_mpi)?;
-            let mut g =
-                TcioFile::open(rk, &fs2, "/eof", TcioMode::Read, small_cfg(4)).map_err(to_mpi)?;
+            let mut f = TcioFile::open(rk, &fs2, "/eof", TcioMode::Write, small_cfg(4))?;
+            f.write(rk, &[1, 2, 3])?;
+            f.close(rk)?;
+            let mut g = TcioFile::open(rk, &fs2, "/eof", TcioMode::Read, small_cfg(4))?;
             let mut buf = vec![0u8; 4];
             assert!(matches!(
                 g.read_at(rk, 0, &mut buf),
                 Err(TcioError::Usage(_))
             ));
-            g.close(rk).map_err(to_mpi)?;
+            g.close(rk)?;
             Ok(())
         })
         .unwrap();
@@ -1200,9 +1184,8 @@ mod tests {
         let fs = Pfs::new(1, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         mpisim::run(1, SimConfig::default(), move |rk| {
-            let mut f =
-                TcioFile::open(rk, &fs2, "/m", TcioMode::Write, small_cfg(4)).map_err(to_mpi)?;
-            f.write(rk, &[1]).map_err(to_mpi)?;
+            let mut f = TcioFile::open(rk, &fs2, "/m", TcioMode::Write, small_cfg(4))?;
+            f.write(rk, &[1])?;
             // Reading a write-mode handle is a usage error. The destination
             // buffer lives as long as the handle, which the API requires.
             let mut probe = [0u8; 1];
@@ -1210,7 +1193,7 @@ mod tests {
                 Err(TcioError::Usage(_)) => {}
                 other => panic!("expected usage error, got {other:?}"),
             }
-            f.close(rk).map_err(to_mpi)?;
+            f.close(rk)?;
             Ok(())
         })
         .unwrap();
@@ -1221,14 +1204,13 @@ mod tests {
         let fs = Pfs::new(1, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         mpisim::run(1, SimConfig::default(), move |rk| {
-            let mut f = TcioFile::open(rk, &fs2, "/typed", TcioMode::Write, small_cfg(4))
-                .map_err(to_mpi)?;
+            let mut f = TcioFile::open(rk, &fs2, "/typed", TcioMode::Write, small_cfg(4))?;
             // Every other int from memory.
             let t = mpisim::Datatype::vector(4, 1, 2, mpisim::Datatype::named(mpisim::Named::Int))
                 .commit();
             let memory: Vec<u8> = (0..32u8).collect();
-            f.write_typed_at(rk, 0, &memory, &t, 1).map_err(to_mpi)?;
-            f.close(rk).map_err(to_mpi)?;
+            f.write_typed_at(rk, 0, &memory, &t, 1)?;
+            f.close(rk)?;
             Ok(())
         })
         .unwrap();
@@ -1245,11 +1227,10 @@ mod tests {
         let fs = Pfs::new(1, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         mpisim::run(1, SimConfig::default(), move |rk| {
-            let mut f =
-                TcioFile::open(rk, &fs2, "/ow", TcioMode::Write, small_cfg(4)).map_err(to_mpi)?;
-            f.write_at(rk, 0, &[1; 10]).map_err(to_mpi)?;
-            f.write_at(rk, 5, &[2; 10]).map_err(to_mpi)?;
-            f.close(rk).map_err(to_mpi)?;
+            let mut f = TcioFile::open(rk, &fs2, "/ow", TcioMode::Write, small_cfg(4))?;
+            f.write_at(rk, 0, &[1; 10])?;
+            f.write_at(rk, 5, &[2; 10])?;
+            f.close(rk)?;
             Ok(())
         })
         .unwrap();
@@ -1264,13 +1245,12 @@ mod tests {
         let fs = Pfs::new(2, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         mpisim::run(2, SimConfig::default(), move |rk| {
-            let mut f =
-                TcioFile::open(rk, &fs2, "/sp", TcioMode::Write, small_cfg(8)).map_err(to_mpi)?;
+            let mut f = TcioFile::open(rk, &fs2, "/sp", TcioMode::Write, small_cfg(8))?;
             // Only rank 0 writes, and only 8 bytes far into the file.
             if rk.rank() == 0 {
-                f.write_at(rk, 300, &[7u8; 8]).map_err(to_mpi)?;
+                f.write_at(rk, 300, &[7u8; 8])?;
             }
-            f.close(rk).map_err(to_mpi)?;
+            f.close(rk)?;
             Ok(())
         })
         .unwrap();
@@ -1289,13 +1269,11 @@ mod tests {
         assert!(stats.iter().all(|s| s.window_switches >= 1));
         let fs2 = Arc::clone(&fs);
         let rep = mpisim::run(2, SimConfig::default(), move |rk| {
-            let mut f =
-                TcioFile::open(rk, &fs2, "/t", TcioMode::Read, small_cfg(8)).map_err(to_mpi)?;
+            let mut f = TcioFile::open(rk, &fs2, "/t", TcioMode::Read, small_cfg(8))?;
             let mut buf = vec![0u8; 16];
-            f.read_at(rk, (rk.rank() * 16) as u64, &mut buf)
-                .map_err(to_mpi)?;
-            f.fetch(rk).map_err(to_mpi)?;
-            let stats = f.close(rk).map_err(to_mpi)?;
+            f.read_at(rk, (rk.rank() * 16) as u64, &mut buf)?;
+            f.fetch(rk)?;
+            let stats = f.close(rk)?;
             Ok(stats)
         })
         .unwrap();

@@ -42,15 +42,14 @@
 //! let fs2 = Arc::clone(&fs);
 //! mpisim::run(4, mpisim::SimConfig::default(), move |rk| {
 //!     let cfg = TcioConfig::for_file_size(4 * 1024, rk.nprocs());
-//!     let mut f = TcioFile::open(rk, &fs2, "/demo", TcioMode::Write, cfg)
-//!         .expect("open");
+//!     let mut f = TcioFile::open(rk, &fs2, "/demo", TcioMode::Write, cfg)?;
 //!     // Interleaved pattern: block b belongs to rank b % P.
 //!     let block = vec![rk.rank() as u8; 256];
 //!     for i in 0..4u64 {
 //!         let off = (i * rk.nprocs() as u64 + rk.rank() as u64) * 256;
-//!         f.write_at(rk, off, &block).expect("write");
+//!         f.write_at(rk, off, &block)?;
 //!     }
-//!     f.close(rk).expect("close");
+//!     f.close(rk)?;
 //!     Ok(())
 //! })
 //! .unwrap();

@@ -15,6 +15,7 @@
 //! Tree shapes and cell data are generated deterministically from the cell
 //! id, so writers and verifying readers agree without communication.
 
+use mpisim::wire::Cursor;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -62,8 +63,8 @@ impl FttTree {
     pub fn generate(cell_id: u64, cfg: &FttConfig) -> FttTree {
         let mut rng = StdRng::seed_from_u64(mix(cell_id));
         let mut ncells = vec![1u32];
+        let mut parents = 1u32;
         for _ in 1..=cfg.max_depth {
-            let parents = *ncells.last().expect("nonempty");
             let mut refined = 0u32;
             for _ in 0..parents {
                 if rng.random::<f64>() < cfg.refine_prob {
@@ -73,7 +74,8 @@ impl FttTree {
             if refined == 0 {
                 break;
             }
-            ncells.push(refined * 8);
+            parents = refined * 8;
+            ncells.push(parents);
         }
         FttTree { cell_id, ncells }
     }
@@ -172,21 +174,16 @@ impl FttTree {
 
     /// Parse a header back; returns `(tree-shape, bytes consumed)`.
     pub fn parse_header(bytes: &[u8]) -> Option<(FttTree, usize)> {
-        if bytes.len() < 16 {
+        let mut cur = Cursor::new(bytes);
+        if cur.u32().ok()? != FTT_MAGIC as usize {
             return None;
         }
-        let magic = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-        if magic != FTT_MAGIC {
-            return None;
-        }
-        let cell_id = u64::from_le_bytes(bytes[4..12].try_into().unwrap());
-        let nlevels = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        if bytes.len() < 16 + 4 * nlevels {
-            return None;
-        }
+        let cell_id = cur.u64().ok()?;
+        let nlevels = cur.u32().ok()?;
         let ncells = (0..nlevels)
-            .map(|l| u32::from_le_bytes(bytes[16 + 4 * l..20 + 4 * l].try_into().unwrap()))
-            .collect();
+            .map(|_| cur.u32().map(|n| n as u32))
+            .collect::<Result<_, _>>()
+            .ok()?;
         Some((FttTree { cell_id, ncells }, 16 + 4 * nlevels))
     }
 }

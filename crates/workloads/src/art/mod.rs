@@ -21,6 +21,7 @@ pub use ftt::{FttConfig, FttTree, FTT_MAGIC};
 use crate::error::{Result, WlError};
 use crate::synthetic::{timed, RunMetrics};
 use crate::Normal;
+use mpisim::wire::Cursor;
 use mpisim::Rank;
 use pfs::Pfs;
 use std::sync::Arc;
@@ -157,11 +158,10 @@ fn layout(rank: &mut Rank, plan: &ArtPlan, cfg: &ArtConfig) -> Result<(Vec<u64>,
     let nsegs = plan.seg_lens.len();
     let mut seg_bytes = vec![0u64; nsegs];
     for (r, buf) in gathered.iter().enumerate() {
-        for (k, chunk) in buf.chunks_exact(8).enumerate() {
-            let s = r + k * nprocs;
-            if s < nsegs {
-                seg_bytes[s] = u64::from_le_bytes(chunk.try_into().expect("u64 chunk"));
-            }
+        let mut sizes = Cursor::new(buf);
+        for s in (r..nsegs).step_by(nprocs) {
+            // A crash-stopped rank's slot is empty: its segments stay 0.
+            seg_bytes[s] = sizes.u64().unwrap_or(0);
         }
     }
     let mut seg_off = Vec::with_capacity(nsegs);
@@ -472,8 +472,8 @@ mod tests {
         let fs2 = Arc::clone(&fs);
         let c2 = c.clone();
         let rep = mpisim::run(nprocs, SimConfig::default(), move |rk| {
-            let w = dump(rk, &fs2, &c2, method, "/art").map_err(WlError::into_mpi)?;
-            let r = restart(rk, &fs2, &c2, method, "/art").map_err(WlError::into_mpi)?;
+            let w = dump(rk, &fs2, &c2, method, "/art")?;
+            let r = restart(rk, &fs2, &c2, method, "/art")?;
             Ok((w, r))
         })
         .unwrap();
@@ -505,8 +505,8 @@ mod tests {
         let fs2 = Arc::clone(&fs);
         let c2 = c.clone();
         mpisim::run(6, SimConfig::default(), move |rk| {
-            dump(rk, &fs2, &c2, ArtMethod::Tcio, "/a").map_err(WlError::into_mpi)?;
-            restart(rk, &fs2, &c2, ArtMethod::Tcio, "/a").map_err(WlError::into_mpi)?;
+            dump(rk, &fs2, &c2, ArtMethod::Tcio, "/a")?;
+            restart(rk, &fs2, &c2, ArtMethod::Tcio, "/a")?;
             Ok(())
         })
         .unwrap();
@@ -521,7 +521,7 @@ mod tests {
             let fs2 = Arc::clone(&fs);
             let c2 = c.clone();
             mpisim::run(2, SimConfig::default(), move |rk| {
-                dump(rk, &fs2, &c2, method, "/s").map_err(WlError::into_mpi)?;
+                dump(rk, &fs2, &c2, method, "/s")?;
                 Ok(())
             })
             .unwrap();
@@ -539,7 +539,7 @@ mod tests {
         let fs2 = Arc::clone(&fs);
         let c2 = c.clone();
         mpisim::run(2, SimConfig::default(), move |rk| {
-            dump(rk, &fs2, &c2, ArtMethod::Tcio, "/walk").map_err(WlError::into_mpi)?;
+            dump(rk, &fs2, &c2, ArtMethod::Tcio, "/walk")?;
             Ok(())
         })
         .unwrap();

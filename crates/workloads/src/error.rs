@@ -57,15 +57,28 @@ impl From<pfs::PfsError> for WlError {
     }
 }
 
-impl WlError {
-    /// Convert to an `MpiError` for use inside `mpisim::run` closures; the
-    /// out-of-memory case is preserved so OOM-expecting experiments
-    /// (Fig. 6/7) can detect it at the `SimError` level.
-    pub fn into_mpi(self) -> mpisim::MpiError {
-        match self {
-            WlError::Mpi(m) => m,
-            other => mpisim::MpiError::InvalidDatatype(other.to_string()),
+/// A workload failure leaving a rank body: a runtime error it carries, at
+/// any depth, comes back out as itself — so an out-of-memory under OCIO
+/// (Fig. 6/7) reaches `SimError` as `MpiError::OutOfMemory` — and anything
+/// else keeps its type as a layer error.
+impl From<WlError> for mpisim::MpiError {
+    fn from(e: WlError) -> Self {
+        use mpiio::IoError;
+        use tcio::TcioError;
+        match e {
+            WlError::Mpi(m)
+            | WlError::Io(IoError::Mpi(m))
+            | WlError::Tcio(TcioError::Mpi(m) | TcioError::Io(IoError::Mpi(m))) => m,
+            other => mpisim::MpiError::Layer(mpisim::LayerError::new(other)),
         }
+    }
+}
+
+impl WlError {
+    /// `self.into()`. Rank bodies use `?`; the name stays only because
+    /// `benchmark/`, a separate workspace, calls it.
+    pub fn into_mpi(self) -> mpisim::MpiError {
+        self.into()
     }
 }
 

@@ -88,6 +88,7 @@ impl FlashParams {
             Order::C,
             Datatype::named(Named::Double),
         )
+        // padded() = nxb + 2 * guards, so start + subsize <= size on every axis.
         .expect("interior fits inside the padded block")
     }
 }
@@ -342,8 +343,8 @@ mod tests {
         let fs = Pfs::new(3, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         mpisim::run(3, SimConfig::default(), move |rk| {
-            checkpoint(rk, &fs2, &p, method, "/flash").map_err(WlError::into_mpi)?;
-            verify_checkpoint(rk, &fs2, &p, "/flash").map_err(WlError::into_mpi)?;
+            checkpoint(rk, &fs2, &p, method, "/flash")?;
+            verify_checkpoint(rk, &fs2, &p, "/flash")?;
             Ok(())
         })
         .unwrap();

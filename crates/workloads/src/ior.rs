@@ -312,8 +312,8 @@ mod tests {
         let fs2 = Arc::clone(&fs);
         let p2 = p.clone();
         mpisim::run(3, SimConfig::default(), move |rk| {
-            write(rk, &fs2, &p2, method, "/ior").map_err(WlError::into_mpi)?;
-            read(rk, &fs2, &p2, method, "/ior").map_err(WlError::into_mpi)?;
+            write(rk, &fs2, &p2, method, "/ior")?;
+            read(rk, &fs2, &p2, method, "/ior")?;
             Ok(())
         })
         .unwrap();
@@ -356,7 +356,7 @@ mod tests {
                 let fs2 = Arc::clone(&fs);
                 let p2 = p.clone();
                 mpisim::run(2, SimConfig::default(), move |rk| {
-                    write(rk, &fs2, &p2, method, "/i").map_err(WlError::into_mpi)?;
+                    write(rk, &fs2, &p2, method, "/i")?;
                     Ok(())
                 })
                 .unwrap();

@@ -541,8 +541,8 @@ mod tests {
         let fs2 = Arc::clone(&fs);
         let p2 = p.clone();
         let rep = mpisim::run(nprocs, SimConfig::default(), move |rk| {
-            let w = write_with(method, rk, &fs2, &p2, "/synth").map_err(WlError::into_mpi)?;
-            let r = read_with(method, rk, &fs2, &p2, "/synth").map_err(WlError::into_mpi)?;
+            let w = write_with(method, rk, &fs2, &p2, "/synth")?;
+            let r = read_with(method, rk, &fs2, &p2, "/synth")?;
             Ok((w, r))
         })
         .unwrap();
@@ -582,7 +582,7 @@ mod tests {
             let fs2 = Arc::clone(&fs);
             let p2 = p.clone();
             mpisim::run(3, SimConfig::default(), move |rk| {
-                write_with(method, rk, &fs2, &p2, "/f").map_err(WlError::into_mpi)?;
+                write_with(method, rk, &fs2, &p2, "/f")?;
                 Ok(())
             })
             .unwrap();
@@ -601,9 +601,9 @@ mod tests {
         let fs2 = Arc::clone(&fs);
         let p2 = p.clone();
         mpisim::run(2, SimConfig::default(), move |rk| {
-            write_with(Method::Ocio, rk, &fs2, &p2, "/x").map_err(WlError::into_mpi)?;
-            read_with(Method::Tcio, rk, &fs2, &p2, "/x").map_err(WlError::into_mpi)?;
-            read_with(Method::Vanilla, rk, &fs2, &p2, "/x").map_err(WlError::into_mpi)?;
+            write_with(Method::Ocio, rk, &fs2, &p2, "/x")?;
+            read_with(Method::Tcio, rk, &fs2, &p2, "/x")?;
+            read_with(Method::Vanilla, rk, &fs2, &p2, "/x")?;
             Ok(())
         })
         .unwrap();

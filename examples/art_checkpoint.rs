@@ -17,7 +17,6 @@
 
 use std::sync::Arc;
 use workloads::art::{self, ArtConfig, ArtMethod, FttConfig};
-use workloads::WlError;
 
 fn main() {
     let nprocs = 8;
@@ -45,7 +44,7 @@ fn main() {
         let fs_d = Arc::clone(&fs);
         let cfg_d = cfg.clone();
         let dump = mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
-            art::dump(rk, &fs_d, &cfg_d, method, "/snapshot.art").map_err(WlError::into_mpi)
+            Ok(art::dump(rk, &fs_d, &cfg_d, method, "/snapshot.art")?)
         })
         .expect("dump");
         let bytes: u64 = dump.results.iter().map(|m| m.bytes).sum();
@@ -55,7 +54,7 @@ fn main() {
         let restart = mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
             // `restart` re-reads every record and verifies it byte-for-byte
             // against the generator.
-            art::restart(rk, &fs_r, &cfg_r, method, "/snapshot.art").map_err(WlError::into_mpi)
+            Ok(art::restart(rk, &fs_r, &cfg_r, method, "/snapshot.art")?)
         })
         .expect("restart");
 

@@ -13,7 +13,6 @@
 use std::sync::Arc;
 use workloads::flash::{self, FlashParams};
 use workloads::synthetic::Method;
-use workloads::WlError;
 
 fn main() {
     let nprocs = 8;
@@ -39,11 +38,11 @@ fn main() {
         let fs = pfs::Pfs::new(nprocs, pfs::PfsConfig::default()).expect("pfs");
         let fs2 = Arc::clone(&fs);
         let rep = mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
-            let w = flash::checkpoint(rk, &fs2, &p, method, "/chk").map_err(WlError::into_mpi)?;
+            let w = flash::checkpoint(rk, &fs2, &p, method, "/chk")?;
             // Every method's checkpoint is read back and verified interior
             // by interior (guard cells are NaN-poisoned in memory, so any
             // leak would be caught).
-            flash::verify_checkpoint(rk, &fs2, &p, "/chk").map_err(WlError::into_mpi)?;
+            flash::verify_checkpoint(rk, &fs2, &p, "/chk")?;
             Ok(w.elapsed)
         })
         .expect("run");

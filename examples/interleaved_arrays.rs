@@ -20,14 +20,14 @@
 
 use std::sync::Arc;
 use workloads::synthetic::{self, Method, SynthParams};
-use workloads::WlError;
 
 fn run(method: Method, nprocs: usize, p: &SynthParams) -> (f64, u64, Vec<u8>) {
     let fs = pfs::Pfs::new(nprocs, pfs::PfsConfig::default()).expect("pfs");
     let fs2 = Arc::clone(&fs);
     let p2 = p.clone();
     let report = mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
-        synthetic::write_with(method, rk, &fs2, &p2, "/interleaved.dat").map_err(WlError::into_mpi)
+        let metrics = synthetic::write_with(method, rk, &fs2, &p2, "/interleaved.dat")?;
+        Ok(metrics)
     })
     .expect("run");
     let elapsed = report.results[0].elapsed;

@@ -23,16 +23,15 @@ fn main() {
     let fs_w = Arc::clone(&fs);
     let report = mpisim::run(NPROCS, mpisim::SimConfig::default(), move |rk| {
         let cfg = TcioConfig::for_file_size(file_size, rk.nprocs());
-        let mut f = TcioFile::open(rk, &fs_w, "/quickstart.dat", TcioMode::Write, cfg)
-            .expect("open for write");
+        let mut f = TcioFile::open(rk, &fs_w, "/quickstart.dat", TcioMode::Write, cfg)?;
         // The classic collective-I/O-friendly pattern: each rank owns every
         // P-th block of the file (small noncontiguous interleaved writes).
         let payload = vec![rk.rank() as u8 + 1; BLOCK];
         for i in 0..BLOCKS_PER_RANK {
             let offset = ((i * rk.nprocs() + rk.rank()) * BLOCK) as u64;
-            f.write_at(rk, offset, &payload).expect("write");
+            f.write_at(rk, offset, &payload)?;
         }
-        let stats = f.close(rk).expect("close");
+        let stats = f.close(rk)?;
         Ok(stats)
     })
     .expect("write phase");
@@ -48,19 +47,18 @@ fn main() {
         let cfg = TcioConfig::for_file_size(file_size, rk.nprocs());
         let mut buf = vec![0u8; BLOCK * BLOCKS_PER_RANK];
         {
-            let mut f = TcioFile::open(rk, &fs_r, "/quickstart.dat", TcioMode::Read, cfg)
-                .expect("open for read");
+            let mut f = TcioFile::open(rk, &fs_r, "/quickstart.dat", TcioMode::Read, cfg)?;
             // Lazy reads: these calls only record (offset, destination)…
             let mut rest = buf.as_mut_slice();
             for i in 0..BLOCKS_PER_RANK {
                 let offset = ((i * rk.nprocs() + rk.rank()) * BLOCK) as u64;
                 let (piece, tail) = rest.split_at_mut(BLOCK);
                 rest = tail;
-                f.read_at(rk, offset, piece).expect("read");
+                f.read_at(rk, offset, piece)?;
             }
             // …and the data actually moves here.
-            f.fetch(rk).expect("fetch");
-            f.close(rk).expect("close");
+            f.fetch(rk)?;
+            f.close(rk)?;
         }
         // Verify: every byte must be this rank's marker.
         let marker = rk.rank() as u8 + 1;

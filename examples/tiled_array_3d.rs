@@ -45,14 +45,13 @@ fn main() {
     let fs_w = Arc::clone(&fs);
     let report = mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
         let cfg = TcioConfig::for_file_size(grid.file_size(), rk.nprocs());
-        let mut f = TcioFile::open(rk, &fs_w, "/field.dat", TcioMode::Write, cfg).expect("open");
+        let mut f = TcioFile::open(rk, &fs_w, "/field.dat", TcioMode::Write, cfg)?;
         let extents = cube_extents(grid, rk.rank(), 2, 2, 2);
         let nruns = extents.len();
         for (off, len) in extents {
-            f.write_at(rk, off, &cell_bytes(off, len as usize))
-                .expect("write");
+            f.write_at(rk, off, &cell_bytes(off, len as usize))?;
         }
-        let stats = f.close(rk).expect("close");
+        let stats = f.close(rk)?;
         Ok((nruns, stats.flushes))
     })
     .expect("cube write");
@@ -72,15 +71,15 @@ fn main() {
         let total: u64 = extents.iter().map(|&(_, l)| l).sum();
         let mut buf = vec![0u8; total as usize];
         {
-            let mut f = TcioFile::open(rk, &fs_r, "/field.dat", TcioMode::Read, cfg).expect("open");
+            let mut f = TcioFile::open(rk, &fs_r, "/field.dat", TcioMode::Read, cfg)?;
             let mut rest = buf.as_mut_slice();
             for &(off, len) in &extents {
                 let (piece, tail) = rest.split_at_mut(len as usize);
                 rest = tail;
-                f.read_at(rk, off, piece).expect("read");
+                f.read_at(rk, off, piece)?;
             }
-            f.fetch(rk).expect("fetch");
-            f.close(rk).expect("close");
+            f.fetch(rk)?;
+            f.close(rk)?;
         }
         // Verify against the writer's generator.
         let mut cursor = 0usize;

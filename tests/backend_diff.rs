@@ -12,7 +12,6 @@
 use std::sync::Arc;
 use workloads::art::{self, ArtConfig, ArtMethod, FttConfig};
 use workloads::synthetic::{self, Method, SynthParams};
-use workloads::WlError;
 
 use mpisim::Backend;
 
@@ -153,8 +152,8 @@ fn run_synth(
     let fs2 = Arc::clone(&fs);
     let p2 = params.clone();
     let rep = mpisim::run(nprocs, sim, move |rk| {
-        let w = synthetic::write_with(method, rk, &fs2, &p2, "/w").map_err(WlError::into_mpi)?;
-        let r = synthetic::read_with(method, rk, &fs2, &p2, "/w").map_err(WlError::into_mpi)?;
+        let w = synthetic::write_with(method, rk, &fs2, &p2, "/w")?;
+        let r = synthetic::read_with(method, rk, &fs2, &p2, "/w")?;
         Ok((w.bytes, w.elapsed.to_bits(), r.elapsed.to_bits()))
     })
     .unwrap();
@@ -222,9 +221,8 @@ fn run_pipelined_reqagg(backend: Backend, chaos_seed: Option<u64>) -> Fingerprin
             pipeline: true,
             ..Default::default()
         };
-        let w =
-            synthetic::write_ocio(rk, &fs2, &params, "/pr", &ccfg).map_err(WlError::into_mpi)?;
-        let r = synthetic::read_ocio(rk, &fs2, &params, "/pr", &ccfg).map_err(WlError::into_mpi)?;
+        let w = synthetic::write_ocio(rk, &fs2, &params, "/pr", &ccfg)?;
+        let r = synthetic::read_ocio(rk, &fs2, &params, "/pr", &ccfg)?;
         Ok((w.bytes, w.elapsed.to_bits(), r.elapsed.to_bits()))
     })
     .unwrap();
@@ -260,8 +258,8 @@ fn run_art(backend: Backend, method: ArtMethod) -> Fingerprint {
     }
     let fs2 = Arc::clone(&fs);
     let rep = mpisim::run(nprocs, sim, move |rk| {
-        let w = art::dump(rk, &fs2, &cfg, method, "/a").map_err(WlError::into_mpi)?;
-        let r = art::restart(rk, &fs2, &cfg, method, "/a").map_err(WlError::into_mpi)?;
+        let w = art::dump(rk, &fs2, &cfg, method, "/a")?;
+        let r = art::restart(rk, &fs2, &cfg, method, "/a")?;
         Ok((w.bytes, w.elapsed.to_bits(), r.elapsed.to_bits()))
     })
     .unwrap();
@@ -401,10 +399,8 @@ fn run_degraded(backend: Backend) -> (Fingerprint, pfs::HealthSnapshot) {
             4 << 10,
         );
         cfg.hedged_reads = true;
-        let w = synthetic::write_tcio(rk, &fs2, &params, "/gf", Some(cfg.clone()))
-            .map_err(WlError::into_mpi)?;
-        let r =
-            synthetic::read_tcio(rk, &fs2, &params, "/gf", Some(cfg)).map_err(WlError::into_mpi)?;
+        let w = synthetic::write_tcio(rk, &fs2, &params, "/gf", Some(cfg.clone()))?;
+        let r = synthetic::read_tcio(rk, &fs2, &params, "/gf", Some(cfg))?;
         Ok((w.bytes, w.elapsed.to_bits(), r.elapsed.to_bits()))
     })
     .unwrap();

@@ -5,10 +5,6 @@
 use std::sync::Arc;
 use tcio::{TcioConfig, TcioFile, TcioMode};
 
-fn to_mpi<E: std::fmt::Display>(e: E) -> mpisim::MpiError {
-    mpisim::MpiError::InvalidDatatype(e.to_string())
-}
-
 /// A fault plan touching every family the interleaved workload exercises.
 fn mixed_plan() -> chaos::FaultPlan {
     chaos::FaultPlan::new(7)
@@ -97,19 +93,16 @@ fn deterministic_tcio_run(
             num_segments: 1,
             ..Default::default()
         };
-        let mut f =
-            TcioFile::open(rk, &fs2, "/det", TcioMode::Write, cfg.clone()).map_err(to_mpi)?;
+        let mut f = TcioFile::open(rk, &fs2, "/det", TcioMode::Write, cfg.clone())?;
         // Rank r writes exactly its own window [r*seg, (r+1)*seg).
         let data = vec![rk.rank() as u8 + 1; seg as usize];
-        f.write_at(rk, rk.rank() as u64 * seg, &data)
-            .map_err(to_mpi)?;
-        f.close(rk).map_err(to_mpi)?;
-        let mut g = TcioFile::open(rk, &fs2, "/det", TcioMode::Read, cfg).map_err(to_mpi)?;
+        f.write_at(rk, rk.rank() as u64 * seg, &data)?;
+        f.close(rk)?;
+        let mut g = TcioFile::open(rk, &fs2, "/det", TcioMode::Read, cfg)?;
         let mut back = vec![0u8; seg as usize];
-        g.read_at(rk, rk.rank() as u64 * seg, &mut back)
-            .map_err(to_mpi)?;
-        g.fetch(rk).map_err(to_mpi)?;
-        g.close(rk).map_err(to_mpi)?;
+        g.read_at(rk, rk.rank() as u64 * seg, &mut back)?;
+        g.fetch(rk)?;
+        g.close(rk)?;
         Ok(back)
     })
     .unwrap();
@@ -155,21 +148,19 @@ fn pipelined_collective_run(engine: Option<Arc<chaos::ChaosEngine>>) -> (f64, Ve
             pipeline: true,
             ..Default::default()
         };
-        let mut f =
-            mpiio::File::open(rk, &fs2, "/pchaos", mpiio::Mode::WriteOnly).map_err(to_mpi)?;
+        let mut f = mpiio::File::open(rk, &fs2, "/pchaos", mpiio::Mode::WriteOnly)?;
         let data = vec![rk.rank() as u8 + 1; block];
-        mpiio::write_all_at(rk, &mut f, (rk.rank() * block) as u64, &data, &ccfg)
-            .map_err(to_mpi)?;
-        f.close(rk).map_err(to_mpi)?;
-        let mut g =
-            mpiio::File::open(rk, &fs2, "/pchaos", mpiio::Mode::ReadOnly).map_err(to_mpi)?;
+        mpiio::write_all_at(rk, &mut f, (rk.rank() * block) as u64, &data, &ccfg)?;
+        f.close(rk)?;
+        let mut g = mpiio::File::open(rk, &fs2, "/pchaos", mpiio::Mode::ReadOnly)?;
         let mut back = vec![0u8; block];
-        mpiio::read_all_at(rk, &mut g, (rk.rank() * block) as u64, &mut back, &ccfg)
-            .map_err(to_mpi)?;
-        g.close(rk).map_err(to_mpi)?;
-        if !back.iter().all(|&b| b == rk.rank() as u8 + 1) {
-            return Err(to_mpi(format!("rank {} read bad data", rk.rank())));
-        }
+        mpiio::read_all_at(rk, &mut g, (rk.rank() * block) as u64, &mut back, &ccfg)?;
+        g.close(rk)?;
+        assert!(
+            back.iter().all(|&b| b == rk.rank() as u8 + 1),
+            "rank {} read bad data",
+            rk.rank()
+        );
         Ok(())
     })
     .unwrap();
@@ -301,12 +292,10 @@ fn lock_storm_ping_pong_keeps_unaligned_writers_correct() {
         };
         let fs2 = Arc::clone(&fs);
         let rep = mpisim::run(nprocs, sim, move |rk| {
-            let mut f =
-                mpiio::File::open(rk, &fs2, "/storm", mpiio::Mode::WriteOnly).map_err(to_mpi)?;
+            let mut f = mpiio::File::open(rk, &fs2, "/storm", mpiio::Mode::WriteOnly)?;
             let data = vec![rk.rank() as u8 + 1; block];
-            f.write_at(rk, (rk.rank() * block) as u64, &data)
-                .map_err(to_mpi)?;
-            f.close(rk).map_err(to_mpi)?;
+            f.write_at(rk, (rk.rank() * block) as u64, &data)?;
+            f.close(rk)?;
             Ok(rk.stats.io_retries)
         })
         .unwrap();
@@ -361,15 +350,14 @@ fn stalled_node_leader_falls_back_and_two_level_write_completes() {
     };
     let fs2 = Arc::clone(&fs);
     let rep = mpisim::run(nprocs, sim, move |rk| {
-        let mut f = mpiio::File::open(rk, &fs2, "/lead", mpiio::Mode::WriteOnly).map_err(to_mpi)?;
+        let mut f = mpiio::File::open(rk, &fs2, "/lead", mpiio::Mode::WriteOnly)?;
         let ccfg = mpiio::CollectiveConfig {
             intra_agg: true,
             ..Default::default()
         };
         let data = vec![rk.rank() as u8 + 1; block];
-        mpiio::write_all_at(rk, &mut f, (rk.rank() * block) as u64, &data, &ccfg)
-            .map_err(to_mpi)?;
-        f.close(rk).map_err(to_mpi)?;
+        mpiio::write_all_at(rk, &mut f, (rk.rank() * block) as u64, &data, &ccfg)?;
+        f.close(rk)?;
         Ok(())
     })
     .unwrap();
@@ -445,26 +433,23 @@ fn tcio_and_ocio_survive_outage_and_message_delay_end_to_end() {
                         num_segments: 4,
                         ..Default::default()
                     };
-                    let mut f = TcioFile::open(rk, &fs2, "/e2e", TcioMode::Write, cfg.clone())
-                        .map_err(to_mpi)?;
-                    f.write_at(rk, off, &data).map_err(to_mpi)?;
-                    f.close(rk).map_err(to_mpi)?;
-                    let mut g =
-                        TcioFile::open(rk, &fs2, "/e2e", TcioMode::Read, cfg).map_err(to_mpi)?;
+                    let mut f = TcioFile::open(rk, &fs2, "/e2e", TcioMode::Write, cfg.clone())?;
+                    f.write_at(rk, off, &data)?;
+                    f.close(rk)?;
+                    let mut g = TcioFile::open(rk, &fs2, "/e2e", TcioMode::Read, cfg)?;
                     let mut back = vec![0u8; block];
-                    g.read_at(rk, off, &mut back).map_err(to_mpi)?;
-                    g.fetch(rk).map_err(to_mpi)?;
-                    g.close(rk).map_err(to_mpi)?;
+                    g.read_at(rk, off, &mut back)?;
+                    g.fetch(rk)?;
+                    g.close(rk)?;
                     Ok(back)
                 }
                 _ => {
-                    let mut f = mpiio::File::open(rk, &fs2, "/e2e", mpiio::Mode::ReadWrite)
-                        .map_err(to_mpi)?;
+                    let mut f = mpiio::File::open(rk, &fs2, "/e2e", mpiio::Mode::ReadWrite)?;
                     let ccfg = mpiio::CollectiveConfig::default();
-                    mpiio::write_all_at(rk, &mut f, off, &data, &ccfg).map_err(to_mpi)?;
+                    mpiio::write_all_at(rk, &mut f, off, &data, &ccfg)?;
                     let mut back = vec![0u8; block];
-                    mpiio::read_all_at(rk, &mut f, off, &mut back, &ccfg).map_err(to_mpi)?;
-                    f.close(rk).map_err(to_mpi)?;
+                    mpiio::read_all_at(rk, &mut f, off, &mut back, &ccfg)?;
+                    f.close(rk)?;
                     Ok(back)
                 }
             }
@@ -542,17 +527,17 @@ fn crash_recovery_workload(
             num_segments: 4,
             ..Default::default()
         };
-        let mut f = TcioFile::open(rk, &fs2, "/cr", TcioMode::Write, cfg).map_err(to_mpi)?;
+        let mut f = TcioFile::open(rk, &fs2, "/cr", TcioMode::Write, cfg)?;
         let me = rk.rank();
         let data = vec![me as u8 + 1; block];
         for i in 0..blocks_per_rank {
             let off = ((i * nprocs + me) * block) as u64;
-            f.write_at(rk, off, &data).map_err(to_mpi)?;
+            f.write_at(rk, off, &data)?;
         }
         // Collective flush: every byte above is now *acknowledged* — parked
         // in its level-2 segment and (under a crash plan) mirrored to the
         // owner's buddy. The durability guarantee covers exactly these.
-        f.flush(rk).map_err(to_mpi)?;
+        f.flush(rk)?;
         // Move past the crash instant so the failure fires inside close.
         rk.advance(1.0);
         match f.close(rk) {
@@ -563,7 +548,7 @@ fn crash_recovery_workload(
             Err(tcio::TcioError::Mpi(mpisim::MpiError::RankCrashed { rank })) if rank == me => {
                 Ok(())
             }
-            Err(e) => Err(to_mpi(e)),
+            Err(e) => Err(e.into()),
         }
     })
     .unwrap();
@@ -619,12 +604,11 @@ fn crashed_owner_recovery_is_bit_identical_to_fault_free() {
             num_segments: 4,
             ..Default::default()
         };
-        let mut g = TcioFile::open(rk, &fs2, "/cr", TcioMode::Read, cfg).map_err(to_mpi)?;
+        let mut g = TcioFile::open(rk, &fs2, "/cr", TcioMode::Read, cfg)?;
         let mut back = vec![0u8; 16];
-        g.read_at(rk, (rk.rank() * 16) as u64, &mut back)
-            .map_err(to_mpi)?;
-        g.fetch(rk).map_err(to_mpi)?;
-        g.close(rk).map_err(to_mpi)?;
+        g.read_at(rk, (rk.rank() * 16) as u64, &mut back)?;
+        g.fetch(rk)?;
+        g.close(rk)?;
         Ok(back)
     })
     .unwrap();

@@ -32,7 +32,7 @@ fn synthetic_all_methods_all_scales_identical_files() {
             let fs2 = Arc::clone(&fs);
             let p2 = p.clone();
             mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
-                synthetic::write_with(method, rk, &fs2, &p2, "/f").map_err(WlError::into_mpi)?;
+                synthetic::write_with(method, rk, &fs2, &p2, "/f")?;
                 Ok(())
             })
             .unwrap();
@@ -61,9 +61,9 @@ fn every_reader_reads_every_writer() {
         let fs2 = Arc::clone(&fs);
         let p2 = p.clone();
         mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
-            synthetic::write_with(writer, rk, &fs2, &p2, "/rw").map_err(WlError::into_mpi)?;
+            synthetic::write_with(writer, rk, &fs2, &p2, "/rw")?;
             for reader in [Method::Ocio, Method::Tcio, Method::Vanilla] {
-                synthetic::read_with(reader, rk, &fs2, &p2, "/rw").map_err(WlError::into_mpi)?;
+                synthetic::read_with(reader, rk, &fs2, &p2, "/rw")?;
             }
             Ok(())
         })
@@ -79,10 +79,10 @@ fn art_snapshots_interoperate_between_methods() {
     let cfg2 = cfg.clone();
     mpisim::run(4, mpisim::SimConfig::default(), move |rk| {
         // Dump with vanilla, restart with TCIO, then the reverse.
-        art::dump(rk, &fs2, &cfg2, ArtMethod::Vanilla, "/a").map_err(WlError::into_mpi)?;
-        art::restart(rk, &fs2, &cfg2, ArtMethod::Tcio, "/a").map_err(WlError::into_mpi)?;
-        art::dump(rk, &fs2, &cfg2, ArtMethod::Tcio, "/b").map_err(WlError::into_mpi)?;
-        art::restart(rk, &fs2, &cfg2, ArtMethod::Vanilla, "/b").map_err(WlError::into_mpi)?;
+        art::dump(rk, &fs2, &cfg2, ArtMethod::Vanilla, "/a")?;
+        art::restart(rk, &fs2, &cfg2, ArtMethod::Tcio, "/a")?;
+        art::dump(rk, &fs2, &cfg2, ArtMethod::Tcio, "/b")?;
+        art::restart(rk, &fs2, &cfg2, ArtMethod::Vanilla, "/b")?;
         Ok(())
     })
     .unwrap();
@@ -105,7 +105,7 @@ fn art_checkpoint_byte_identical_across_methods() {
             let fs2 = Arc::clone(&fs);
             let cfg2 = cfg.clone();
             mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
-                art::dump(rk, &fs2, &cfg2, method, "/ck").map_err(WlError::into_mpi)?;
+                art::dump(rk, &fs2, &cfg2, method, "/ck")?;
                 Ok(())
             })
             .unwrap();
@@ -151,8 +151,7 @@ fn ocio_oom_experiment_matches_fig6() {
                     synthetic::write_ocio(rk, &fs, &p2, "/oom", &mpiio::CollectiveConfig::default())
                 }
                 Method::Vanilla => unreachable!(),
-            }
-            .map_err(WlError::into_mpi)?;
+            }?;
             Ok(())
         })
     };
@@ -175,14 +174,11 @@ fn tcio_handles_single_rank_world() {
     let fs2 = Arc::clone(&fs);
     mpisim::run(1, mpisim::SimConfig::default(), move |rk| {
         let cfg = TcioConfig::for_file_size(4096, 1);
-        let mut f = TcioFile::open(rk, &fs2, "/solo", TcioMode::Write, cfg.clone())
-            .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+        let mut f = TcioFile::open(rk, &fs2, "/solo", TcioMode::Write, cfg.clone())?;
         for i in 0..64u64 {
-            f.write_at(rk, i * 64, &[i as u8; 64])
-                .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+            f.write_at(rk, i * 64, &[i as u8; 64])?;
         }
-        f.close(rk)
-            .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+        f.close(rk)?;
         Ok(())
     })
     .unwrap();
@@ -203,8 +199,8 @@ fn moderate_scale_64_ranks_end_to_end() {
     let fs2 = Arc::clone(&fs);
     let p2 = p.clone();
     let rep = mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
-        let w = synthetic::write_tcio(rk, &fs2, &p2, "/big", None).map_err(WlError::into_mpi)?;
-        let r = synthetic::read_tcio(rk, &fs2, &p2, "/big", None).map_err(WlError::into_mpi)?;
+        let w = synthetic::write_tcio(rk, &fs2, &p2, "/big", None)?;
+        let r = synthetic::read_tcio(rk, &fs2, &p2, "/big", None)?;
         Ok((w.elapsed, r.elapsed))
     })
     .unwrap();
@@ -225,7 +221,7 @@ fn virtual_time_orders_methods_sensibly() {
         let fs = pfs::Pfs::new(nprocs, pfs::PfsConfig::default()).unwrap();
         let p2 = p.clone();
         let rep = mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
-            synthetic::write_with(method, rk, &fs, &p2, "/t").map_err(WlError::into_mpi)
+            Ok(synthetic::write_with(method, rk, &fs, &p2, "/t")?)
         })
         .unwrap();
         elapsed.push(rep.results[0].elapsed);
@@ -256,16 +252,13 @@ fn far_offsets_are_typed_errors_at_every_entry_point() {
             num_segments: 4,
             ..Default::default()
         };
-        let to_mpi = |e: tcio::TcioError| mpisim::MpiError::InvalidDatatype(e.to_string());
-        let io_to_mpi = |e: mpiio::IoError| mpisim::MpiError::InvalidDatatype(e.to_string());
         // (entry point, refused with a usage error, (len, cursor) before, after)
         type Row = (&'static str, bool, (u64, u64), (u64, u64));
         let mut rows: Vec<Row> = Vec::new();
         let usage = |r: tcio::Result<()>| matches!(r, Err(tcio::TcioError::Usage(_)));
 
-        let mut w =
-            TcioFile::open(rk, &fs2, "/far", TcioMode::Write, cfg.clone()).map_err(to_mpi)?;
-        w.write(rk, &[1u8; 8]).map_err(to_mpi)?;
+        let mut w = TcioFile::open(rk, &fs2, "/far", TcioMode::Write, cfg.clone())?;
+        w.write(rk, &[1u8; 8])?;
         let state = (w.len(), w.position());
         assert_eq!(state, (8, 8));
         let refused = usage(w.write_at(rk, FAR, &[7u8; 8]));
@@ -278,18 +271,17 @@ fn far_offsets_are_typed_errors_at_every_entry_point() {
             let refused = usage(w.seek(off, whence));
             rows.push((name, refused, state, (w.len(), w.position())));
         }
-        w.close(rk).map_err(to_mpi)?;
+        w.close(rk)?;
 
         let mut back = [0u8; 8];
-        let mut r = TcioFile::open(rk, &fs2, "/far", TcioMode::Read, cfg).map_err(to_mpi)?;
+        let mut r = TcioFile::open(rk, &fs2, "/far", TcioMode::Read, cfg)?;
         let state = (r.len(), r.position());
         let refused = usage(r.read_at(rk, FAR, &mut back));
         rows.push(("tcio read_at", refused, state, (r.len(), r.position())));
-        r.close(rk).map_err(to_mpi)?;
+        r.close(rk)?;
 
-        let mut f =
-            mpiio::File::open(rk, &fs2, "/far", mpiio::Mode::ReadWrite).map_err(io_to_mpi)?;
-        f.seek(8, mpiio::Whence::Set).map_err(io_to_mpi)?;
+        let mut f = mpiio::File::open(rk, &fs2, "/far", mpiio::Mode::ReadWrite)?;
+        f.seek(8, mpiio::Whence::Set)?;
         for (name, off, whence) in [
             ("mpiio seek cur", i64::MAX, mpiio::Whence::Cur),
             ("mpiio seek end", i64::MAX, mpiio::Whence::End),
@@ -298,7 +290,7 @@ fn far_offsets_are_typed_errors_at_every_entry_point() {
             rows.push((name, refused, (8, 8), (8, f.position())));
         }
         // The largest legal cursor is still reachable.
-        f.seek(i64::MAX, mpiio::Whence::Set).map_err(io_to_mpi)?;
+        f.seek(i64::MAX, mpiio::Whence::Set)?;
         assert_eq!(f.position(), i64::MAX as u64);
         Ok(rows)
     })
@@ -308,4 +300,111 @@ fn far_offsets_are_typed_errors_at_every_entry_point() {
         assert_eq!(before, after, "{name}: moved the length or the cursor");
     }
     assert_eq!(fs.len(fs.open("/far").unwrap()).unwrap(), 8);
+}
+
+type Body = Box<dyn Fn(&mut mpisim::Rank, &Arc<pfs::Pfs>) -> mpisim::Result<()> + Sync>;
+type Verdict = Box<dyn Fn(&mpisim::SimError) -> bool>;
+
+/// The failure is a failed rank carrying exactly this layer error.
+fn layer<E: std::error::Error + PartialEq + 'static>(want: E) -> Verdict {
+    Box::new(move |failure| match failure {
+        mpisim::SimError::RankFailed { error, .. } => error.layer::<E>() == Some(&want),
+        _ => false,
+    })
+}
+
+/// One failure per layer, raised inside a rank body that uses nothing but
+/// `?`: each reaches `SimError` as the value its layer returned, and a
+/// runtime error nested under a layer comes back out as itself, so `run`
+/// triages it like one from a native MPI call.
+#[test]
+fn a_failure_keeps_its_type_from_its_layer_to_sim_error() {
+    use mpisim::{MpiError, SimConfig, SimError};
+    let tiny = |num_segments| TcioConfig {
+        segment_size: 64,
+        num_segments,
+        ..Default::default()
+    };
+    let crash = chaos::FaultPlan::new(55).with(chaos::Fault::RankCrash { rank: 1, at: 0.5 });
+    const NPROCS: usize = 4;
+    let table: Vec<(&str, SimConfig, Body, Verdict)> = vec![
+        (
+            "pfs: open a missing path",
+            SimConfig::default(),
+            Box::new(|_, fs| Ok(fs.open("/missing").map(drop)?)),
+            layer(pfs::PfsError::NotFound("/missing".into())),
+        ),
+        (
+            "mpiio: write through a read-only file",
+            SimConfig::default(),
+            Box::new(|rk, fs| {
+                mpiio::File::open(rk, fs, "/ro", mpiio::Mode::WriteOnly)?.close(rk)?;
+                let mut f = mpiio::File::open(rk, fs, "/ro", mpiio::Mode::ReadOnly)?;
+                Ok(f.write_at(rk, 0, &[1])?)
+            }),
+            layer(mpiio::IoError::Usage("file is not open for writing".into())),
+        ),
+        (
+            // Window 4 is segment 1 of a 4-rank run; one is configured.
+            "tcio: num_segments too small",
+            SimConfig::default(),
+            Box::new(move |rk, fs| {
+                let mut f = TcioFile::open(rk, fs, "/small", TcioMode::Write, tiny(1))?;
+                Ok(f.write_at(rk, 64 * 4, &[1])?)
+            }),
+            layer(tcio::TcioError::SegmentOverflow {
+                offset: 256,
+                needed_segments: 2,
+                configured_segments: 1,
+            }),
+        ),
+        (
+            "workloads: invalid SynthParams",
+            SimConfig::default(),
+            Box::new(|_, _| Ok(SynthParams::with_types("i,d", 48, 0).map(drop)?)),
+            layer(WlError::Config(
+                "len_array and size_access must be positive".into(),
+            )),
+        ),
+        (
+            // Fig. 6's detection path.
+            "an out-of-memory raised under mpiio is MpiError::OutOfMemory",
+            SimConfig {
+                mem_budget: Some(64),
+                ..Default::default()
+            },
+            Box::new(|rk, fs| {
+                let mut f = mpiio::File::open(rk, fs, "/oom", mpiio::Mode::WriteOnly)?;
+                let cfg = mpiio::CollectiveConfig::default();
+                Ok(mpiio::write_all_at(rk, &mut f, 0, &[7u8; 512], &cfg)?)
+            }),
+            Box::new(|failure| match failure {
+                SimError::RankFailed { error, .. } => matches!(error, MpiError::OutOfMemory { .. }),
+                _ => false,
+            }),
+        ),
+        (
+            "a doomed rank's own crash leaving TcioFile::close is a crash-stop",
+            SimConfig {
+                chaos: Some(crash.build().unwrap()),
+                ..Default::default()
+            },
+            Box::new(move |rk, fs| {
+                let mut f = TcioFile::open(rk, fs, "/cr", TcioMode::Write, tiny(4))?;
+                f.write_at(rk, rk.rank() as u64 * 16, &[rk.rank() as u8; 16])?;
+                f.flush(rk)?;
+                rk.advance(1.0);
+                Ok(f.close(rk).map(drop)?)
+            }),
+            Box::new(|failure| *failure == SimError::CollectiveAborted { crashed_rank: 1 }),
+        ),
+    ];
+    for (name, sim, body, expected) in table {
+        let fs = pfs::Pfs::new(NPROCS, pfs::PfsConfig::default()).unwrap();
+        if let Some(engine) = &sim.chaos {
+            fs.attach_chaos(Arc::clone(engine)).unwrap();
+        }
+        let failure = mpisim::run(NPROCS, sim, |rk| body(rk, &fs)).expect_err(name);
+        assert!(expected(&failure), "{name}: got {failure:?}");
+    }
 }

@@ -14,9 +14,7 @@
 //!   keeps the victims' job latency inside a fixed tolerance band of
 //!   the storm-free run, while FIFO demonstrably blows through it.
 
-use facility::{
-    job, run_facility, FacilityConfig, FacilityError, JobSpec, QosMode, Style, TenantSpec,
-};
+use facility::{job, run_facility, FacilityConfig, JobSpec, QosMode, Style, TenantSpec};
 use mpisim::{Backend, SimConfig};
 use std::sync::Arc;
 
@@ -68,8 +66,7 @@ fn qos_off_single_tenant_is_bit_identical_to_a_direct_run() {
                 read_back: true,
                 hedged_reads: false,
             };
-            job::run_job(rk, &comm, &fs2, None, 0, j as u32, &spec)
-                .map_err(FacilityError::into_mpi)?;
+            job::run_job(rk, &comm, &fs2, None, 0, j as u32, &spec)?;
         }
         Ok(())
     })

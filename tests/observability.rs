@@ -9,7 +9,6 @@
 
 use std::sync::Arc;
 use workloads::synthetic::{self, Method, SynthParams};
-use workloads::WlError;
 
 /// Span names that account for bytes written to the PFS (one per write
 /// path: collective aggregator, independent, data-sieving RMW, TCIO
@@ -49,7 +48,7 @@ fn traced_write_topo(
     let fs2 = Arc::clone(&fs);
     let p2 = p.clone();
     let rep = mpisim::run(nprocs, sim, move |rk| {
-        synthetic::write_with(method, rk, &fs2, &p2, "/obs").map_err(WlError::into_mpi)?;
+        synthetic::write_with(method, rk, &fs2, &p2, "/obs")?;
         Ok(())
     })
     .unwrap();
@@ -78,7 +77,7 @@ fn phase_durations_sum_to_elapsed_virtual_time() {
         let fs = pfs::Pfs::new(4, pfs::PfsConfig::default()).unwrap();
         let p2 = p.clone();
         let rep_off = mpisim::run(4, mpisim::SimConfig::default(), move |rk| {
-            synthetic::write_with(method, rk, &fs, &p2, "/obs").map_err(WlError::into_mpi)?;
+            synthetic::write_with(method, rk, &fs, &p2, "/obs")?;
             Ok(())
         })
         .unwrap();
@@ -184,9 +183,6 @@ fn disjoint_write_run(
         topology,
         ..Default::default()
     };
-    fn to_mpi<E: std::fmt::Display>(e: E) -> mpisim::MpiError {
-        mpisim::MpiError::InvalidDatatype(e.to_string())
-    }
     let fs2 = Arc::clone(&fs);
     let rep = mpisim::run(nprocs, sim, move |rk| {
         let off = rk.rank() as u64 * seg;
@@ -198,23 +194,19 @@ fn disjoint_write_run(
                     num_segments: 1,
                     ..Default::default()
                 };
-                let mut f = tcio::TcioFile::open(rk, &fs2, "/zco", tcio::TcioMode::Write, cfg)
-                    .map_err(to_mpi)?;
-                f.write_at(rk, off, &data).map_err(to_mpi)?;
-                f.close(rk).map_err(to_mpi)?;
+                let mut f = tcio::TcioFile::open(rk, &fs2, "/zco", tcio::TcioMode::Write, cfg)?;
+                f.write_at(rk, off, &data)?;
+                f.close(rk)?;
             }
             Method::Ocio => {
-                let mut f =
-                    mpiio::File::open(rk, &fs2, "/zco", mpiio::Mode::WriteOnly).map_err(to_mpi)?;
-                mpiio::write_all_at(rk, &mut f, off, &data, &mpiio::CollectiveConfig::default())
-                    .map_err(to_mpi)?;
-                f.close(rk).map_err(to_mpi)?;
+                let mut f = mpiio::File::open(rk, &fs2, "/zco", mpiio::Mode::WriteOnly)?;
+                mpiio::write_all_at(rk, &mut f, off, &data, &mpiio::CollectiveConfig::default())?;
+                f.close(rk)?;
             }
             _ => {
-                let mut f =
-                    mpiio::File::open(rk, &fs2, "/zco", mpiio::Mode::WriteOnly).map_err(to_mpi)?;
-                f.write_at(rk, off, &data).map_err(to_mpi)?;
-                f.close(rk).map_err(to_mpi)?;
+                let mut f = mpiio::File::open(rk, &fs2, "/zco", mpiio::Mode::WriteOnly)?;
+                f.write_at(rk, off, &data)?;
+                f.close(rk)?;
             }
         }
         Ok(())
@@ -292,7 +284,7 @@ fn fabric_level_split_partitions_messages_and_bytes() {
             intra_agg: true,
             ..Default::default()
         };
-        synthetic::write_ocio(rk, &fs2, &p2, "/obs", &ccfg).map_err(WlError::into_mpi)?;
+        synthetic::write_ocio(rk, &fs2, &p2, "/obs", &ccfg)?;
         Ok(())
     })
     .unwrap();
@@ -356,23 +348,19 @@ fn chrome_trace_stays_well_formed_across_a_rank_crash() {
     };
     let fs2 = Arc::clone(&fs);
     let rep = mpisim::run(nprocs, sim, move |rk| {
-        fn to_mpi<E: std::fmt::Display>(e: E) -> mpisim::MpiError {
-            mpisim::MpiError::InvalidDatatype(e.to_string())
-        }
         let cfg = tcio::TcioConfig {
             segment_size: 64,
             num_segments: 4,
             ..Default::default()
         };
         let me = rk.rank();
-        let mut f = tcio::TcioFile::open(rk, &fs2, "/crash_trace", tcio::TcioMode::Write, cfg)
-            .map_err(to_mpi)?;
+        let mut f = tcio::TcioFile::open(rk, &fs2, "/crash_trace", tcio::TcioMode::Write, cfg)?;
         let data = vec![me as u8 + 1; block];
         for i in 0..6 {
             let off = ((i * rk.nprocs() + me) * block) as u64;
-            f.write_at(rk, off, &data).map_err(to_mpi)?;
+            f.write_at(rk, off, &data)?;
         }
-        f.flush(rk).map_err(to_mpi)?;
+        f.flush(rk)?;
         // Move past the crash instant so the failure fires inside close.
         rk.advance(1.0);
         match f.close(rk) {
@@ -380,7 +368,7 @@ fn chrome_trace_stays_well_formed_across_a_rank_crash() {
             Err(tcio::TcioError::Mpi(mpisim::MpiError::RankCrashed { rank })) if rank == me => {
                 Ok(())
             }
-            Err(e) => Err(to_mpi(e)),
+            Err(e) => Err(e.into()),
         }
     })
     .unwrap();
@@ -467,7 +455,7 @@ fn pipelined_conservation_run(pipeline: bool) -> (mpisim::SimReport<()>, Arc<pfs
             ..Default::default()
         };
         let p = SynthParams::with_types("i,d", 256, 2).unwrap();
-        synthetic::write_ocio(rk, &fs2, &p, "/pipe_obs", &ccfg).map_err(WlError::into_mpi)?;
+        synthetic::write_ocio(rk, &fs2, &p, "/pipe_obs", &ccfg)?;
         Ok(())
     })
     .unwrap();
@@ -561,9 +549,6 @@ fn metrics_off_is_bit_identical_and_collects_nothing() {
     // clocks and file bytes, and the off-run must collect no histogram
     // observations (counters still flow from the always-on stats).
     fn run(metrics: bool) -> (Vec<f64>, f64, Vec<u8>, mpisim::Registry) {
-        fn to_mpi<E: std::fmt::Display>(e: E) -> mpisim::MpiError {
-            mpisim::MpiError::InvalidDatatype(e.to_string())
-        }
         let nprocs = 4;
         let seg: u64 = 1 << 12;
         let pcfg = pfs::PfsConfig {
@@ -584,12 +569,10 @@ fn metrics_off_is_bit_identical_and_collects_nothing() {
                 num_segments: 1,
                 ..Default::default()
             };
-            let mut f = tcio::TcioFile::open(rk, &fs2, "/zc", tcio::TcioMode::Write, cfg)
-                .map_err(to_mpi)?;
+            let mut f = tcio::TcioFile::open(rk, &fs2, "/zc", tcio::TcioMode::Write, cfg)?;
             let data = vec![rk.rank() as u8 + 1; seg as usize];
-            f.write_at(rk, rk.rank() as u64 * seg, &data)
-                .map_err(to_mpi)?;
-            f.close(rk).map_err(to_mpi)?;
+            f.write_at(rk, rk.rank() as u64 * seg, &data)?;
+            f.close(rk)?;
             // Deterministic ring exchange: gives the message-size
             // histogram something to observe when the gate is on.
             let right = (rk.rank() + 1) % rk.nprocs();
@@ -643,9 +626,6 @@ fn health_layer_attached_but_healthy_is_bit_identical_and_quiet() {
     // permitted delta is the defense counter keys in the metrics export,
     // and every one of them must read zero.
     fn run(defended: bool) -> (Vec<f64>, f64, Vec<u8>, String, mpisim::Registry) {
-        fn to_mpi<E: std::fmt::Display>(e: E) -> mpisim::MpiError {
-            mpisim::MpiError::InvalidDatatype(e.to_string())
-        }
         let nprocs = 4;
         let seg: u64 = 1 << 12;
         let pcfg = pfs::PfsConfig {
@@ -673,22 +653,16 @@ fn health_layer_attached_but_healthy_is_bit_identical_and_quiet() {
             let data = vec![rk.rank() as u8 + 1; seg as usize];
             {
                 let mut f =
-                    tcio::TcioFile::open(rk, &fs2, "/hz", tcio::TcioMode::Write, cfg.clone())
-                        .map_err(to_mpi)?;
-                f.write_at(rk, rk.rank() as u64 * seg, &data)
-                    .map_err(to_mpi)?;
-                f.close(rk).map_err(to_mpi)?;
+                    tcio::TcioFile::open(rk, &fs2, "/hz", tcio::TcioMode::Write, cfg.clone())?;
+                f.write_at(rk, rk.rank() as u64 * seg, &data)?;
+                f.close(rk)?;
             }
-            let mut f =
-                tcio::TcioFile::open(rk, &fs2, "/hz", tcio::TcioMode::Read, cfg).map_err(to_mpi)?;
+            let mut f = tcio::TcioFile::open(rk, &fs2, "/hz", tcio::TcioMode::Read, cfg)?;
             let mut buf = vec![0u8; seg as usize];
-            f.read_at(rk, rk.rank() as u64 * seg, &mut buf)
-                .map_err(to_mpi)?;
-            f.fetch(rk).map_err(to_mpi)?;
-            f.close(rk).map_err(to_mpi)?;
-            if buf != data {
-                return Err(to_mpi("read-back mismatch"));
-            }
+            f.read_at(rk, rk.rank() as u64 * seg, &mut buf)?;
+            f.fetch(rk)?;
+            f.close(rk)?;
+            assert_eq!(buf, data, "read-back mismatch");
             Ok(())
         })
         .unwrap();

@@ -65,15 +65,84 @@ fn random_plan(seed: u64) -> Plan {
     }
 }
 
+impl Plan {
+    /// One past the last byte any block covers.
+    fn end(&self) -> u64 {
+        let ends = self.blocks.iter().map(|&(_, o, l, _)| o + l as u64);
+        ends.max().unwrap_or(0)
+    }
+
+    /// TCIO sized for this plan's file and segment.
+    fn tcio_config(&self) -> TcioConfig {
+        TcioConfig::for_file_size_with_segment(self.end().max(1), self.nprocs, self.segment)
+    }
+
+    /// Write the calling rank's blocks through TCIO. Returns the layer's
+    /// own `Result`: a rank body takes it with `?`.
+    fn write_tcio(
+        &self,
+        rk: &mut mpisim::Rank,
+        fs: &Arc<pfs::Pfs>,
+        path: &str,
+        cfg: TcioConfig,
+    ) -> tcio::Result<()> {
+        let mut f = TcioFile::open(rk, fs, path, TcioMode::Write, cfg)?;
+        for &(rank, off, len, fill) in &self.blocks {
+            if rank == rk.rank() {
+                f.write_at(rk, off, &block_data(len, fill))?;
+            }
+        }
+        f.close(rk)?;
+        Ok(())
+    }
+
+    /// Write every block with one two-phase collective call per block:
+    /// ranks that do not own the block contribute an empty request.
+    fn write_ocio(
+        &self,
+        rk: &mut mpisim::Rank,
+        fs: &Arc<pfs::Pfs>,
+        path: &str,
+        ccfg: &mpiio::CollectiveConfig,
+    ) -> mpiio::Result<()> {
+        let mut f = mpiio::File::open(rk, fs, path, mpiio::Mode::WriteOnly)?;
+        for &(rank, off, len, fill) in &self.blocks {
+            let (o, data) = if rank == rk.rank() {
+                (off, block_data(len, fill))
+            } else {
+                (0, Vec::new())
+            };
+            mpiio::write_all_at(rk, &mut f, o, &data, ccfg)?;
+        }
+        f.close(rk)
+    }
+
+    /// Lazily read the calling rank's blocks back through TCIO, as
+    /// `(offset, bytes)` in plan order.
+    fn read_tcio(
+        &self,
+        rk: &mut mpisim::Rank,
+        fs: &Arc<pfs::Pfs>,
+        path: &str,
+        cfg: TcioConfig,
+    ) -> tcio::Result<Vec<(u64, Vec<u8>)>> {
+        let mine = self.blocks.iter().filter(|&&(r, _, _, _)| r == rk.rank());
+        let mut bufs: Vec<_> = mine
+            .map(|&(_, off, len, _)| (off, vec![0u8; len]))
+            .collect();
+        let mut f = TcioFile::open(rk, fs, path, TcioMode::Read, cfg)?;
+        for (off, buf) in bufs.iter_mut() {
+            f.read_at(rk, *off, buf)?;
+        }
+        f.fetch(rk)?;
+        f.close(rk)?;
+        Ok(bufs)
+    }
+}
+
 /// Apply the plan to a plain byte-array model.
 fn model_file(plan: &Plan) -> Vec<u8> {
-    let end = plan
-        .blocks
-        .iter()
-        .map(|&(_, o, l, _)| o + l as u64)
-        .max()
-        .unwrap_or(0);
-    let mut file = vec![0u8; end as usize];
+    let mut file = vec![0u8; plan.end() as usize];
     for &(_, off, len, fill) in &plan.blocks {
         for i in 0..len {
             file[off as usize + i] = fill.wrapping_add(i as u8);
@@ -88,28 +157,8 @@ fn block_data(len: usize, fill: u8) -> Vec<u8> {
 
 fn run_tcio_plan(plan: &Plan) -> Vec<u8> {
     let fs = pfs::Pfs::new(plan.nprocs, pfs::PfsConfig::default()).unwrap();
-    let fs2 = Arc::clone(&fs);
-    let plan2 = plan.clone();
-    mpisim::run(plan.nprocs, mpisim::SimConfig::default(), move |rk| {
-        let file_end = plan2
-            .blocks
-            .iter()
-            .map(|&(_, o, l, _)| o + l as u64)
-            .max()
-            .unwrap_or(0);
-        let cfg =
-            TcioConfig::for_file_size_with_segment(file_end.max(1), rk.nprocs(), plan2.segment);
-        let mut f = TcioFile::open(rk, &fs2, "/prop", TcioMode::Write, cfg)
-            .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
-        for &(rank, off, len, fill) in &plan2.blocks {
-            if rank == rk.rank() {
-                f.write_at(rk, off, &block_data(len, fill))
-                    .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
-            }
-        }
-        f.close(rk)
-            .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
-        Ok(())
+    mpisim::run(plan.nprocs, mpisim::SimConfig::default(), |rk| {
+        Ok(plan.write_tcio(rk, &fs, "/prop", plan.tcio_config())?)
     })
     .unwrap();
     let fid = fs.open("/prop").unwrap();
@@ -119,9 +168,6 @@ fn run_tcio_plan(plan: &Plan) -> Vec<u8> {
 /// Run the plan through one of the four write stacks under a node
 /// topology and return the resulting PFS file contents.
 fn run_plan_variant(plan: &Plan, ppn: usize, variant: &'static str) -> Vec<u8> {
-    fn to_mpi<E: std::fmt::Display>(e: E) -> mpisim::MpiError {
-        mpisim::MpiError::InvalidDatatype(e.to_string())
-    }
     let fs = pfs::Pfs::new(plan.nprocs, pfs::PfsConfig::default()).unwrap();
     let sim = mpisim::SimConfig {
         topology: Some(mpisim::Topology::blocked(plan.nprocs, ppn)),
@@ -131,56 +177,22 @@ fn run_plan_variant(plan: &Plan, ppn: usize, variant: &'static str) -> Vec<u8> {
     let plan2 = plan.clone();
     mpisim::run(plan.nprocs, sim, move |rk| {
         match variant {
-            "tcio" => {
-                let file_end = plan2
-                    .blocks
-                    .iter()
-                    .map(|&(_, o, l, _)| o + l as u64)
-                    .max()
-                    .unwrap_or(0);
-                let cfg = TcioConfig::for_file_size_with_segment(
-                    file_end.max(1),
-                    rk.nprocs(),
-                    plan2.segment,
-                );
-                let mut f =
-                    TcioFile::open(rk, &fs2, "/diff", TcioMode::Write, cfg).map_err(to_mpi)?;
-                for &(rank, off, len, fill) in &plan2.blocks {
-                    if rank == rk.rank() {
-                        f.write_at(rk, off, &block_data(len, fill))
-                            .map_err(to_mpi)?;
-                    }
-                }
-                f.close(rk).map_err(to_mpi)?;
-            }
+            "tcio" => plan2.write_tcio(rk, &fs2, "/diff", plan2.tcio_config())?,
             "indep" => {
-                let mut f =
-                    mpiio::File::open(rk, &fs2, "/diff", mpiio::Mode::WriteOnly).map_err(to_mpi)?;
+                let mut f = mpiio::File::open(rk, &fs2, "/diff", mpiio::Mode::WriteOnly)?;
                 for &(rank, off, len, fill) in &plan2.blocks {
                     if rank == rk.rank() {
-                        f.write_at(rk, off, &block_data(len, fill))
-                            .map_err(to_mpi)?;
+                        f.write_at(rk, off, &block_data(len, fill))?;
                     }
                 }
-                f.close(rk).map_err(to_mpi)?;
+                f.close(rk)?;
             }
             _ => {
                 let ccfg = mpiio::CollectiveConfig {
                     intra_agg: variant == "ocio_intra",
                     ..Default::default()
                 };
-                let mut f =
-                    mpiio::File::open(rk, &fs2, "/diff", mpiio::Mode::WriteOnly).map_err(to_mpi)?;
-                for round in 0..plan2.blocks.len() {
-                    let (rank, off, len, fill) = plan2.blocks[round];
-                    let (o, data) = if rank == rk.rank() {
-                        (off, block_data(len, fill))
-                    } else {
-                        (0, Vec::new())
-                    };
-                    mpiio::write_all_at(rk, &mut f, o, &data, &ccfg).map_err(to_mpi)?;
-                }
-                f.close(rk).map_err(to_mpi)?;
+                plan2.write_ocio(rk, &fs2, "/diff", &ccfg)?;
             }
         }
         Ok(())
@@ -201,9 +213,6 @@ fn run_plan_ablation(
     req_agg: bool,
     pipeline: bool,
 ) -> (Vec<u8>, Vec<u8>) {
-    fn to_mpi<E: std::fmt::Display>(e: E) -> mpisim::MpiError {
-        mpisim::MpiError::InvalidDatatype(e.to_string())
-    }
     let fs = pfs::Pfs::new(plan.nprocs, pfs::PfsConfig::default()).unwrap();
     let sim = mpisim::SimConfig {
         topology: Some(mpisim::Topology::blocked(plan.nprocs, ppn)),
@@ -222,47 +231,17 @@ fn run_plan_ablation(
         };
         match method {
             "tcio" => {
-                let file_end = plan2
-                    .blocks
-                    .iter()
-                    .map(|&(_, o, l, _)| o + l as u64)
-                    .max()
-                    .unwrap_or(0);
                 let cfg = TcioConfig {
                     pipeline_drain: pipeline,
-                    ..TcioConfig::for_file_size_with_segment(
-                        file_end.max(1),
-                        rk.nprocs(),
-                        plan2.segment,
-                    )
+                    ..plan2.tcio_config()
                 };
-                let mut f =
-                    TcioFile::open(rk, &fs2, "/abl", TcioMode::Write, cfg).map_err(to_mpi)?;
-                for &(rank, off, len, fill) in &plan2.blocks {
-                    if rank == rk.rank() {
-                        f.write_at(rk, off, &block_data(len, fill))
-                            .map_err(to_mpi)?;
-                    }
-                }
-                f.close(rk).map_err(to_mpi)?;
+                plan2.write_tcio(rk, &fs2, "/abl", cfg)?;
             }
-            _ => {
-                let mut f =
-                    mpiio::File::open(rk, &fs2, "/abl", mpiio::Mode::WriteOnly).map_err(to_mpi)?;
-                for &(rank, off, len, fill) in &plan2.blocks {
-                    let (o, data) = if rank == rk.rank() {
-                        (off, block_data(len, fill))
-                    } else {
-                        (0, Vec::new())
-                    };
-                    mpiio::write_all_at(rk, &mut f, o, &data, &ccfg).map_err(to_mpi)?;
-                }
-                f.close(rk).map_err(to_mpi)?;
-            }
+            _ => plan2.write_ocio(rk, &fs2, "/abl", &ccfg)?,
         }
         // Read-back through the collective read path under the same
         // ablation config; every rank re-reads its own blocks.
-        let mut f = mpiio::File::open(rk, &fs2, "/abl", mpiio::Mode::ReadOnly).map_err(to_mpi)?;
+        let mut f = mpiio::File::open(rk, &fs2, "/abl", mpiio::Mode::ReadOnly)?;
         let mut mine = Vec::new();
         for &(rank, off, len, _) in &plan2.blocks {
             let (o, mut buf) = if rank == rk.rank() {
@@ -270,10 +249,10 @@ fn run_plan_ablation(
             } else {
                 (0, Vec::new())
             };
-            mpiio::read_all_at(rk, &mut f, o, &mut buf, &ccfg).map_err(to_mpi)?;
+            mpiio::read_all_at(rk, &mut f, o, &mut buf, &ccfg)?;
             mine.extend_from_slice(&buf);
         }
-        f.close(rk).map_err(to_mpi)?;
+        f.close(rk)?;
         Ok(mine)
     })
     .unwrap();
@@ -380,49 +359,10 @@ fn tcio_lazy_reads_return_model_bytes() {
             let fid = fs.create("/prop").unwrap();
             fs.write_at(fid, 0, 0, &model, 0.0).unwrap();
         }
-        let fs2 = Arc::clone(&fs);
-        let plan2 = plan.clone();
-        let model2 = model.clone();
-        mpisim::run(plan.nprocs, mpisim::SimConfig::default(), move |rk| {
-            let cfg = TcioConfig::for_file_size_with_segment(
-                model2.len().max(1) as u64,
-                rk.nprocs(),
-                plan2.segment,
-            );
-            let mut bufs: Vec<Vec<u8>> = plan2
-                .blocks
-                .iter()
-                .filter(|&&(r, _, _, _)| r == rk.rank())
-                .map(|&(_, _, len, _)| vec![0u8; len])
-                .collect();
-            {
-                let mut f = TcioFile::open(rk, &fs2, "/prop", TcioMode::Read, cfg)
-                    .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
-                let mut it = bufs.iter_mut();
-                for &(rank, off, _len, _) in &plan2.blocks {
-                    if rank == rk.rank() {
-                        let buf = it.next().unwrap();
-                        f.read_at(rk, off, buf)
-                            .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
-                    }
-                }
-                f.fetch(rk)
-                    .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
-                f.close(rk)
-                    .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
-            }
-            // Verify against the model.
-            let mut it = bufs.iter();
-            for &(rank, off, len, _) in &plan2.blocks {
-                if rank == rk.rank() {
-                    let got = it.next().unwrap();
-                    let want = &model2[off as usize..off as usize + len];
-                    if got.as_slice() != want {
-                        return Err(mpisim::MpiError::InvalidDatatype(format!(
-                            "read mismatch at offset {off}"
-                        )));
-                    }
-                }
+        mpisim::run(plan.nprocs, mpisim::SimConfig::default(), |rk| {
+            for (off, got) in plan.read_tcio(rk, &fs, "/prop", plan.tcio_config())? {
+                let want = &model[off as usize..off as usize + got.len()];
+                assert_eq!(got.as_slice(), want, "read mismatch at offset {off}");
             }
             Ok(())
         })
@@ -438,25 +378,8 @@ fn collective_write_matches_byte_model() {
             continue;
         }
         let fs = pfs::Pfs::new(plan.nprocs, pfs::PfsConfig::default()).unwrap();
-        let fs2 = Arc::clone(&fs);
-        let plan2 = plan.clone();
-        // One collective call per block round: all ranks participate each
-        // round; ranks without a block contribute empty requests.
-        let rounds = plan.blocks.len();
-        mpisim::run(plan.nprocs, mpisim::SimConfig::default(), move |rk| {
-            let mut f = mpiio::File::open(rk, &fs2, "/coll", mpiio::Mode::WriteOnly)
-                .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
-            for round in 0..rounds {
-                let (rank, off, len, fill) = plan2.blocks[round];
-                let (o, data) = if rank == rk.rank() {
-                    (off, block_data(len, fill))
-                } else {
-                    (0, Vec::new())
-                };
-                mpiio::write_all_at(rk, &mut f, o, &data, &mpiio::CollectiveConfig::default())
-                    .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
-            }
-            Ok(())
+        mpisim::run(plan.nprocs, mpisim::SimConfig::default(), |rk| {
+            Ok(plan.write_ocio(rk, &fs, "/coll", &Default::default())?)
         })
         .unwrap();
         let fid = fs.open("/coll").unwrap();
@@ -830,18 +753,14 @@ fn critical_path_conservation_over_random_runs() {
                     sigma: 1.0,
                     ..workloads::art::ArtConfig::default()
                 };
-                workloads::art::dump(rk, &fs2, &cfg, workloads::art::ArtMethod::Tcio, "/cp_art")
-                    .map(|_| ())
-                    .map_err(workloads::WlError::into_mpi)
+                workloads::art::dump(rk, &fs2, &cfg, workloads::art::ArtMethod::Tcio, "/cp_art")?;
             } else {
                 let p = workloads::synthetic::SynthParams::with_types("i,d", len, 1)
                     .expect("valid params");
-                workloads::synthetic::write_tcio(rk, &fs2, &p, "/cp_synth", None)
-                    .map_err(workloads::WlError::into_mpi)?;
-                workloads::synthetic::read_tcio(rk, &fs2, &p, "/cp_synth", None)
-                    .map(|_| ())
-                    .map_err(workloads::WlError::into_mpi)
+                workloads::synthetic::write_tcio(rk, &fs2, &p, "/cp_synth", None)?;
+                workloads::synthetic::read_tcio(rk, &fs2, &p, "/cp_synth", None)?;
             }
+            Ok(())
         })
         .unwrap_or_else(|e| panic!("seed {seed}: run failed: {e:?}"));
 
@@ -863,9 +782,6 @@ type DefendedRun = (Vec<u8>, u64, Vec<u64>, pfs::HealthSnapshot);
 /// relocation, hedged TCIO reads, and a post-run rebuild — under a
 /// seeded flaky-OST + degraded-link fault plan.
 fn run_defended_gray(plan: &Plan, seed: u64) -> DefendedRun {
-    fn to_mpi<E: std::fmt::Display>(e: E) -> mpisim::MpiError {
-        mpisim::MpiError::InvalidDatatype(e.to_string())
-    }
     // Both gray-failure families, windows closed well before the rebuild.
     let horizon = 0.05;
     let fplan = chaos::FaultPlan::new(seed)
@@ -911,42 +827,14 @@ fn run_defended_gray(plan: &Plan, seed: u64) -> DefendedRun {
     let model = model_file(plan);
     let model2 = model.clone();
     let rep = mpisim::run(plan.nprocs, sim, move |rk| {
-        let mut cfg = TcioConfig::for_file_size_with_segment(
-            model2.len().max(1) as u64,
-            rk.nprocs(),
-            plan2.segment,
-        );
+        let mut cfg = plan2.tcio_config();
         cfg.hedged_reads = true;
-        {
-            let mut f =
-                TcioFile::open(rk, &fs2, "/gray", TcioMode::Write, cfg.clone()).map_err(to_mpi)?;
-            for &(rank, off, len, fill) in &plan2.blocks {
-                if rank == rk.rank() {
-                    f.write_at(rk, off, &block_data(len, fill))
-                        .map_err(to_mpi)?;
-                }
-            }
-            f.close(rk).map_err(to_mpi)?;
-        }
+        plan2.write_tcio(rk, &fs2, "/gray", cfg.clone())?;
         // Read every block back hedged and verify against the model: the
         // defenses may reroute cost-plane traffic but never the bytes.
-        let mut f = TcioFile::open(rk, &fs2, "/gray", TcioMode::Read, cfg).map_err(to_mpi)?;
-        let mut bufs: Vec<(u64, Vec<u8>)> = plan2
-            .blocks
-            .iter()
-            .filter(|&&(r, _, _, _)| r == rk.rank())
-            .map(|&(_, off, len, _)| (off, vec![0u8; len]))
-            .collect();
-        for (off, buf) in bufs.iter_mut() {
-            f.read_at(rk, *off, buf).map_err(to_mpi)?;
-        }
-        f.fetch(rk).map_err(to_mpi)?;
-        f.close(rk).map_err(to_mpi)?;
-        for (off, buf) in &bufs {
-            let want = &model2[*off as usize..*off as usize + buf.len()];
-            if buf.as_slice() != want {
-                return Err(to_mpi(format!("hedged read mismatch at offset {off}")));
-            }
+        for (off, got) in plan2.read_tcio(rk, &fs2, "/gray", cfg)? {
+            let want = &model2[off as usize..off as usize + got.len()];
+            assert_eq!(got.as_slice(), want, "hedged read mismatch at offset {off}");
         }
         Ok(())
     })
@@ -1019,44 +907,14 @@ fn hedged_read_flag_without_health_layer_is_bit_identical() {
     // attached, `hedged_reads = true` must be byte-for-byte the plain
     // read path — same makespan bits, same clocks, same file bytes.
     fn run(plan: &Plan, hedged: bool) -> (u64, Vec<u64>, Vec<u8>) {
-        fn to_mpi<E: std::fmt::Display>(e: E) -> mpisim::MpiError {
-            mpisim::MpiError::InvalidDatatype(e.to_string())
-        }
         let fs = pfs::Pfs::new(plan.nprocs, pfs::PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         let plan2 = plan.clone();
-        let model = model_file(plan);
-        let model2 = model.clone();
         let rep = mpisim::run(plan.nprocs, mpisim::SimConfig::default(), move |rk| {
-            let mut cfg = TcioConfig::for_file_size_with_segment(
-                model2.len().max(1) as u64,
-                rk.nprocs(),
-                plan2.segment,
-            );
+            let mut cfg = plan2.tcio_config();
             cfg.hedged_reads = hedged;
-            {
-                let mut f = TcioFile::open(rk, &fs2, "/zh", TcioMode::Write, cfg.clone())
-                    .map_err(to_mpi)?;
-                for &(rank, off, len, fill) in &plan2.blocks {
-                    if rank == rk.rank() {
-                        f.write_at(rk, off, &block_data(len, fill))
-                            .map_err(to_mpi)?;
-                    }
-                }
-                f.close(rk).map_err(to_mpi)?;
-            }
-            let mut f = TcioFile::open(rk, &fs2, "/zh", TcioMode::Read, cfg).map_err(to_mpi)?;
-            let mut bufs: Vec<(u64, Vec<u8>)> = plan2
-                .blocks
-                .iter()
-                .filter(|&&(r, _, _, _)| r == rk.rank())
-                .map(|&(_, off, len, _)| (off, vec![0u8; len]))
-                .collect();
-            for (off, buf) in bufs.iter_mut() {
-                f.read_at(rk, *off, buf).map_err(to_mpi)?;
-            }
-            f.fetch(rk).map_err(to_mpi)?;
-            f.close(rk).map_err(to_mpi)?;
+            plan2.write_tcio(rk, &fs2, "/zh", cfg.clone())?;
+            plan2.read_tcio(rk, &fs2, "/zh", cfg)?;
             Ok(())
         })
         .unwrap();

@@ -5,7 +5,6 @@ use std::sync::Arc;
 use tcio::{TcioConfig, TcioFile, TcioMode};
 use workloads::ior::{self, IorParams};
 use workloads::synthetic::{self, Method, SynthParams};
-use workloads::WlError;
 
 #[test]
 fn degraded_ost_slows_the_whole_collective_job() {
@@ -27,9 +26,8 @@ fn degraded_ost_slows_the_whole_collective_job() {
         let fs2 = Arc::clone(&fs);
         let p2 = p.clone();
         let rep = mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
-            let w =
-                synthetic::write_tcio(rk, &fs2, &p2, "/deg", None).map_err(WlError::into_mpi)?;
-            synthetic::read_tcio(rk, &fs2, &p2, "/deg", None).map_err(WlError::into_mpi)?;
+            let w = synthetic::write_tcio(rk, &fs2, &p2, "/deg", None)?;
+            synthetic::read_tcio(rk, &fs2, &p2, "/deg", None)?;
             Ok(w.elapsed)
         })
         .unwrap();
@@ -62,8 +60,7 @@ fn sieving_speeds_up_strided_independent_io_without_changing_bytes() {
             // Hand-rolled vanilla write so we can toggle sieving.
             rk.barrier()?;
             let t0 = rk.now();
-            let mut f = mpiio::File::open(rk, &fs2, "/s", mpiio::Mode::WriteOnly)
-                .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+            let mut f = mpiio::File::open(rk, &fs2, "/s", mpiio::Mode::WriteOnly)?;
             if sieve {
                 f.set_sieving(Some(mpiio::SieveConfig {
                     min_density: 0.0,
@@ -91,12 +88,10 @@ fn sieving_speeds_up_strided_independent_io_without_changing_bytes() {
                 ),
             )
             .commit();
-            f.set_view(rk, rk.rank() as u64 * p2.transfer_size, &etype, &ftype)
-                .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+            f.set_view(rk, rk.rank() as u64 * p2.transfer_size, &etype, &ftype)?;
             let data = vec![rk.rank() as u8 + 1; p2.block_size as usize];
             for s in 0..p2.segments {
-                f.write_at(rk, s as u64 * p2.block_size, &data)
-                    .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+                f.write_at(rk, s as u64 * p2.block_size, &data)?;
             }
             rk.barrier()?;
             Ok(rk.now() - t0)
@@ -128,8 +123,8 @@ fn ior_tcio_beats_vanilla_on_strided_pattern() {
     let fs2 = Arc::clone(&fs);
     let p2 = p.clone();
     let rep = mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
-        let t = ior::write(rk, &fs2, &p2, Method::Tcio, "/t").map_err(WlError::into_mpi)?;
-        let v = ior::write(rk, &fs2, &p2, Method::Vanilla, "/v").map_err(WlError::into_mpi)?;
+        let t = ior::write(rk, &fs2, &p2, Method::Tcio, "/t")?;
+        let v = ior::write(rk, &fs2, &p2, Method::Vanilla, "/v")?;
         Ok((t.elapsed, v.elapsed))
     })
     .unwrap();
@@ -161,8 +156,8 @@ fn art_buffered_vanilla_sits_between_baselines() {
         let fs2 = Arc::clone(&fs);
         let cfg2 = cfg.clone();
         let rep = mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
-            let w = art::dump(rk, &fs2, &cfg2, method, "/a").map_err(WlError::into_mpi)?;
-            art::restart(rk, &fs2, &cfg2, method, "/a").map_err(WlError::into_mpi)?;
+            let w = art::dump(rk, &fs2, &cfg2, method, "/a")?;
+            art::restart(rk, &fs2, &cfg2, method, "/a")?;
             Ok(w.elapsed)
         })
         .unwrap();
@@ -188,25 +183,19 @@ fn tcio_scales_to_128_ranks_with_verification() {
     let rep = mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
         let file_size = (nprocs * 4 * block) as u64;
         let cfg = TcioConfig::for_file_size_with_segment(file_size, rk.nprocs(), 512);
-        let mut f = TcioFile::open(rk, &fs2, "/scale", TcioMode::Write, cfg.clone())
-            .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+        let mut f = TcioFile::open(rk, &fs2, "/scale", TcioMode::Write, cfg.clone())?;
         for i in 0..4usize {
             let off = ((i * nprocs + rk.rank()) * block) as u64;
-            f.write_at(rk, off, &vec![(rk.rank() % 251) as u8 + 1; block])
-                .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+            f.write_at(rk, off, &vec![(rk.rank() % 251) as u8 + 1; block])?;
         }
-        f.close(rk)
-            .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+        f.close(rk)?;
         // Read a peer's block back and verify.
         let peer = (rk.rank() + 1) % nprocs;
         let mut buf = vec![0u8; block];
         {
-            let mut g = TcioFile::open(rk, &fs2, "/scale", TcioMode::Read, cfg)
-                .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
-            g.read_at(rk, (peer * block) as u64, &mut buf)
-                .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
-            g.close(rk)
-                .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+            let mut g = TcioFile::open(rk, &fs2, "/scale", TcioMode::Read, cfg)?;
+            g.read_at(rk, (peer * block) as u64, &mut buf)?;
+            g.close(rk)?;
         }
         let expect = (peer % 251) as u8 + 1;
         assert!(buf.iter().all(|&b| b == expect), "peer block corrupted");
@@ -240,8 +229,8 @@ fn art_scale_run(nprocs: usize) {
         ..Default::default()
     };
     let rep = mpisim::run(nprocs, sim, move |rk| {
-        let w = art::dump(rk, &fs2, &cfg, ArtMethod::Tcio, "/big").map_err(WlError::into_mpi)?;
-        let r = art::restart(rk, &fs2, &cfg, ArtMethod::Tcio, "/big").map_err(WlError::into_mpi)?;
+        let w = art::dump(rk, &fs2, &cfg, ArtMethod::Tcio, "/big")?;
+        let r = art::restart(rk, &fs2, &cfg, ArtMethod::Tcio, "/big")?;
         assert_eq!(w.bytes, r.bytes, "restart must recover every dumped byte");
         Ok(w.bytes)
     })
@@ -274,8 +263,7 @@ fn memory_budget_interacts_with_sieving() {
         ..Default::default()
     };
     let err = mpisim::run(1, sim, move |rk| {
-        let mut f = mpiio::File::open(rk, &fs, "/b", mpiio::Mode::WriteOnly)
-            .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+        let mut f = mpiio::File::open(rk, &fs, "/b", mpiio::Mode::WriteOnly)?;
         f.set_sieving(Some(mpiio::SieveConfig {
             buffer_size: 1 << 20,
             min_extents: 2,
@@ -284,22 +272,22 @@ fn memory_budget_interacts_with_sieving() {
         let etype =
             mpisim::Datatype::contiguous(64, mpisim::Datatype::named(mpisim::Named::Byte)).commit();
         let ftype = mpisim::Datatype::vector(8, 1, 4, etype.datatype().clone()).commit();
-        f.set_view(rk, 0, &etype, &ftype)
-            .map_err(|e| mpisim::MpiError::InvalidDatatype(e.to_string()))?;
+        f.set_view(rk, 0, &etype, &ftype)?;
         // Span = 8 blocks × 4 stride × 64 B ≈ 1.8 KiB > 256 B budget.
-        match f.write_at(rk, 0, &[1u8; 512]) {
-            Err(mpiio::IoError::Mpi(e @ mpisim::MpiError::OutOfMemory { .. })) => Err::<(), _>(e),
-            other => panic!("expected OOM from sieve buffer, got {other:?}"),
-        }
+        f.write_at(rk, 0, &[1u8; 512])?;
+        Ok(())
     })
     .unwrap_err();
-    assert!(matches!(
-        err,
-        mpisim::SimError::RankFailed {
-            error: mpisim::MpiError::OutOfMemory { .. },
-            ..
-        }
-    ));
+    assert!(
+        matches!(
+            err,
+            mpisim::SimError::RankFailed {
+                error: mpisim::MpiError::OutOfMemory { .. },
+                ..
+            }
+        ),
+        "expected OOM from the sieve buffer, got {err:?}"
+    );
 }
 
 /// Nightly-only (see .github/workflows): the gray-failure soak. A

@@ -18,14 +18,13 @@
 //!
 //! Regenerate with: `BLESS=1 cargo test --test rounds_fingerprint`
 
-use mpiio::{CollectiveConfig, File, IoError, Mode, SieveConfig};
+use mpiio::{CollectiveConfig, File, Mode, SieveConfig};
 use mpisim::{Datatype, MpiError, Named, SimConfig, Topology};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use tcio::{ReadMode, SyncMode, TcioConfig, TcioError, TcioFile, TcioMode};
 use workloads::synthetic::{self, SynthParams};
-use workloads::WlError;
 
 const NPROCS: usize = 16;
 const PPN: usize = 4;
@@ -45,13 +44,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
     })
-}
-
-fn to_mpi(e: IoError) -> mpisim::MpiError {
-    match e {
-        IoError::Mpi(m) => m,
-        other => mpisim::MpiError::InvalidDatatype(other.to_string()),
-    }
 }
 
 /// What rank `r` holds at stream position `i` (and so what the file holds
@@ -256,8 +248,7 @@ fn set_interleaved_view(rk: &mut mpisim::Rank, f: &mut File) -> Result<(), MpiEr
         etype.datatype().clone(),
     )
     .commit();
-    f.set_view(rk, (rk.rank() * BLOCK) as u64, &etype, &ftype)
-        .map_err(to_mpi)
+    Ok(f.set_view(rk, (rk.rank() * BLOCK) as u64, &etype, &ftype)?)
 }
 
 /// How often each span name occurs in a finished cell.
@@ -293,7 +284,7 @@ fn collective_cell(
         } else {
             Mode::WriteOnly
         };
-        let mut f = File::open(rk, &fs2, "/fp", mode).map_err(to_mpi)?;
+        let mut f = File::open(rk, &fs2, "/fp", mode)?;
         set_interleaved_view(rk, &mut f)?;
         let data = rank_data(rk.rank());
         let mut back = vec![0u8; data.len()];
@@ -301,11 +292,11 @@ fn collective_cell(
             Entry::WriteAll => mpiio::write_all_at(rk, &mut f, 0, &data, &cfg),
             Entry::ReadAll => mpiio::read_all_at(rk, &mut f, 0, &mut back, &cfg),
             Entry::WriteViewBased => {
-                let views = mpiio::register_views(rk, &f).map_err(to_mpi)?;
+                let views = mpiio::register_views(rk, &f)?;
                 mpiio::write_all_view_based(rk, &mut f, &views, 0, &data, &cfg)
             }
             Entry::ReadViewBased => {
-                let views = mpiio::register_views(rk, &f).map_err(to_mpi)?;
+                let views = mpiio::register_views(rk, &f)?;
                 mpiio::read_all_view_based(rk, &mut f, &views, 0, &mut back, &cfg)
             }
             Entry::WritePartitioned => {
@@ -313,9 +304,8 @@ fn collective_cell(
                 let comm = rk.split((rk.rank() / 8) as u64)?;
                 mpiio::write_all_partitioned(rk, &mut f, &comm, 0, &data, &cfg)
             }
-        }
-        .map_err(to_mpi)?;
-        f.close(rk).map_err(to_mpi)?;
+        }?;
+        f.close(rk)?;
         Ok(back)
     })
     .unwrap();
@@ -342,9 +332,8 @@ fn tcio_cell(out: &mut String, name: &str, plan: Plan, knobs: impl Fn(&mut TcioC
     let rep = mpisim::run(NPROCS, sim_config(true, engine), move |rk| {
         let mut cfg = TcioConfig::for_file_size_with_segment(p2.file_size(NPROCS), NPROCS, 512);
         knobs(&mut cfg);
-        synthetic::write_tcio(rk, &fs2, &p2, "/fp", Some(cfg.clone()))
-            .map_err(WlError::into_mpi)?;
-        synthetic::read_tcio(rk, &fs2, &p2, "/fp", Some(cfg)).map_err(WlError::into_mpi)?;
+        synthetic::write_tcio(rk, &fs2, &p2, "/fp", Some(cfg.clone()))?;
+        synthetic::read_tcio(rk, &fs2, &p2, "/fp", Some(cfg))?;
         Ok(())
     })
     .unwrap();
@@ -359,7 +348,7 @@ fn indep_cell(out: &mut String, name: &str, sieve: bool, plan: Plan) {
     let (fs, engine) = new_fs(plan);
     let fs2 = Arc::clone(&fs);
     let rep = mpisim::run(NPROCS, sim_config(false, engine), move |rk| {
-        let mut f = File::open(rk, &fs2, "/fp", Mode::ReadWrite).map_err(to_mpi)?;
+        let mut f = File::open(rk, &fs2, "/fp", Mode::ReadWrite)?;
         set_interleaved_view(rk, &mut f)?;
         f.set_sieving(sieve.then_some(SieveConfig {
             buffer_size: 1 << 20,
@@ -367,11 +356,11 @@ fn indep_cell(out: &mut String, name: &str, sieve: bool, plan: Plan) {
             min_density: 0.0,
         }));
         let data = rank_data(rk.rank());
-        f.write_at(rk, 0, &data).map_err(to_mpi)?;
+        f.write_at(rk, 0, &data)?;
         rk.barrier()?;
         let mut back = vec![0u8; data.len()];
-        f.read_at(rk, 0, &mut back).map_err(to_mpi)?;
-        f.close(rk).map_err(to_mpi)?;
+        f.read_at(rk, 0, &mut back)?;
+        f.close(rk)?;
         Ok(back)
     })
     .unwrap();
@@ -401,13 +390,6 @@ fn indep_cell(out: &mut String, name: &str, sieve: bool, plan: Plan) {
     );
 }
 
-fn tcio_to_mpi(e: TcioError) -> MpiError {
-    match e {
-        TcioError::Mpi(m) => m,
-        other => MpiError::InvalidDatatype(other.to_string()),
-    }
-}
-
 /// Segment loads whose first, open-time-priced attempt lands inside the
 /// outage and is retried at the backed-off clock (a write phase in the same
 /// run would outlast the outage first).
@@ -426,12 +408,12 @@ fn tcio_load_retry_cell(out: &mut String, name: &str, read_mode: ReadMode) {
             ..TcioConfig::for_file_size_with_segment(file_image().len() as u64, NPROCS, 512)
         };
         let mut back = vec![0u8; BLOCK * BLOCKS_PER_RANK];
-        let mut f = TcioFile::open(rk, &fs2, "/fp", TcioMode::Read, cfg).map_err(tcio_to_mpi)?;
+        let mut f = TcioFile::open(rk, &fs2, "/fp", TcioMode::Read, cfg)?;
         for (k, piece) in back.chunks_mut(BLOCK).enumerate() {
             let off = ((k * NPROCS + rk.rank()) * BLOCK) as u64;
-            f.read_at(rk, off, piece).map_err(tcio_to_mpi)?;
+            f.read_at(rk, off, piece)?;
         }
-        f.close(rk).map_err(tcio_to_mpi)?;
+        f.close(rk)?;
         Ok(back)
     })
     .unwrap();
@@ -463,12 +445,11 @@ fn tcio_image_cell(out: &mut String, name: &str, plan: Plan, knobs: fn(&mut Tcio
             TcioConfig::for_file_size_with_segment(file_image().len() as u64, NPROCS, 512);
         knobs(&mut cfg);
         let offset = |k: usize| ((k * NPROCS + me) * BLOCK) as u64;
-        let mut f =
-            TcioFile::open(rk, &fs2, "/fp", TcioMode::Write, cfg.clone()).map_err(tcio_to_mpi)?;
+        let mut f = TcioFile::open(rk, &fs2, "/fp", TcioMode::Write, cfg.clone())?;
         for (k, block) in rank_data(me).chunks(BLOCK).enumerate() {
-            f.write_at(rk, offset(k), block).map_err(tcio_to_mpi)?;
+            f.write_at(rk, offset(k), block)?;
         }
-        f.flush(rk).map_err(tcio_to_mpi)?;
+        f.flush(rk)?;
         if crash {
             // Past the crash instant, so the failure fires inside close.
             rk.advance(1.0);
@@ -479,14 +460,14 @@ fn tcio_image_cell(out: &mut String, name: &str, plan: Plan, knobs: fn(&mut Tcio
             Err(TcioError::Mpi(MpiError::RankCrashed { rank })) if crash && rank == me => {
                 return Ok((Vec::new(), 0));
             }
-            Err(e) => return Err(tcio_to_mpi(e)),
+            Err(e) => return Err(e.into()),
         };
         let mut back = vec![0u8; BLOCK * BLOCKS_PER_RANK];
-        let mut g = TcioFile::open(rk, &fs2, "/fp", TcioMode::Read, cfg).map_err(tcio_to_mpi)?;
+        let mut g = TcioFile::open(rk, &fs2, "/fp", TcioMode::Read, cfg)?;
         for (k, piece) in back.chunks_mut(BLOCK).enumerate() {
-            g.read_at(rk, offset(k), piece).map_err(tcio_to_mpi)?;
+            g.read_at(rk, offset(k), piece)?;
         }
-        g.close(rk).map_err(tcio_to_mpi)?;
+        g.close(rk)?;
         Ok((back, stats.l1_fallbacks))
     })
     .unwrap();
