@@ -36,17 +36,22 @@ struct RvState {
     /// generation completes when every *surviving* rank has deposited.
     /// Dead ranks' slots publish as empty payloads.
     dead: Vec<bool>,
+    /// How many of `dead` are set.
+    dead_count: usize,
 }
 
 impl RvState {
     /// Every surviving rank has arrived (and at least one survivor exists).
+    /// A rank dies only by its own hand, never while parked here, so a dead
+    /// rank's slot is empty and the arrivals are all survivors.
     fn complete(&self) -> bool {
-        self.arrived > 0
-            && self
-                .slots
-                .iter()
-                .zip(&self.dead)
-                .all(|(s, d)| s.is_some() || *d)
+        let filled_or_dead = self
+            .slots
+            .iter()
+            .zip(&self.dead)
+            .filter(|(s, d)| s.is_some() || **d);
+        debug_assert_eq!(filled_or_dead.count(), self.arrived + self.dead_count);
+        self.arrived > 0 && self.arrived + self.dead_count == self.slots.len()
     }
 }
 
@@ -55,6 +60,8 @@ impl RvState {
 pub(crate) struct RvResult {
     /// Payloads indexed by rank.
     pub payloads: Arc<Vec<Vec<u8>>>,
+    /// Sum of the payload lengths.
+    pub total_bytes: usize,
     /// Maximum clock among participants at entry.
     pub max_t: f64,
     /// The participant whose entry clock equals `max_t` — the straggler
@@ -77,6 +84,7 @@ impl Rendezvous {
                 straggler: None,
                 done: None,
                 dead: vec![false; n],
+                dead_count: 0,
             }),
         }
     }
@@ -91,6 +99,7 @@ impl Rendezvous {
             .map(|s| s.take().unwrap_or_default())
             .collect();
         let done = RvResult {
+            total_bytes: payloads.iter().map(Vec::len).sum(),
             payloads: Arc::new(payloads),
             max_t: st.max_t,
             straggler: st.straggler.take(),
@@ -114,6 +123,7 @@ impl Rendezvous {
             return;
         }
         st.dead[rank] = true;
+        st.dead_count += 1;
         if st.complete() {
             Self::publish(&mut st);
         }

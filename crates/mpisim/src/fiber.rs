@@ -31,8 +31,11 @@
 
 use std::cell::Cell;
 
-/// Fiber stack size in bytes: `MPISIM_STACK_KB` (KiB) or 1 MiB. Stacks
-/// are lazily committed, so the default costs two pages per idle fiber.
+/// Fiber stack size in bytes: `MPISIM_STACK_KB` (KiB) or 1 MiB. That is
+/// address space: stacks are committed lazily, so a fiber costs the pages
+/// its deepest call chain has touched — two for an empty body (simbench's
+/// `mpisim.spawn_minflt_per_rank` cell), more under a real workload, and
+/// invisible to the allocator (`tests/alloc_budget.rs` cannot count them).
 pub(crate) fn stack_bytes_from_env() -> usize {
     std::env::var("MPISIM_STACK_KB")
         .ok()

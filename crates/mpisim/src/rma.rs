@@ -20,6 +20,11 @@
 //! Byte payloads are applied eagerly under a per-region mutex (so memory
 //! stays consistent regardless of thread scheduling); *costs* are charged at
 //! unlock time by the runtime.
+//!
+//! A region's *modelled* bytes are charged to its owner's memory budget at
+//! `win_create`; its *real* bytes are allocated on first touch (a put or
+//! [`Window::with_local`]). A region nobody wrote reads as zeros, which is
+//! what never-written `calloc`ed window memory returns, and costs nothing.
 
 use crate::error::{MpiError, Result};
 use parking_lot::Mutex;
@@ -39,6 +44,8 @@ pub enum LockKind {
 /// epochs do not book the token — they only contend at the NIC ports.
 #[derive(Debug)]
 pub(crate) struct WinShared {
+    /// One byte region per rank, either unbacked (empty) or all of its
+    /// `sizes[rank]` bytes: see [`backed`] and [`read_region`].
     pub regions: Vec<Mutex<Vec<u8>>>,
     pub tokens: Vec<Mutex<crate::timeline::Timeline>>,
     pub sizes: Vec<usize>,
@@ -47,7 +54,7 @@ pub(crate) struct WinShared {
 impl WinShared {
     pub(crate) fn new(sizes: Vec<usize>) -> Self {
         WinShared {
-            regions: sizes.iter().map(|&s| Mutex::new(vec![0u8; s])).collect(),
+            regions: sizes.iter().map(|_| Mutex::default()).collect(),
             tokens: sizes
                 .iter()
                 .map(|_| Mutex::new(crate::timeline::Timeline::new()))
@@ -57,9 +64,29 @@ impl WinShared {
     }
 }
 
+/// First touch: back `region` with its `size` zeroed bytes unless a
+/// previous touch already has.
+fn backed(region: &mut Vec<u8>, size: usize) -> &mut [u8] {
+    if region.len() != size {
+        *region = vec![0u8; size];
+    }
+    region
+}
+
+/// Copy the bytes at `disp` out of `region` (bounds already checked); a
+/// region still unbacked reads as zeros and stays unbacked.
+fn read_region(region: &[u8], disp: usize, buf: &mut [u8]) {
+    if region.is_empty() {
+        buf.fill(0);
+    } else {
+        buf.copy_from_slice(&region[disp..disp + buf.len()]);
+    }
+}
+
 /// A window handle owned by one rank. Created collectively via
 /// [`crate::Rank::win_create`]; the local region's bytes count against the
-/// rank's simulated memory budget for as long as the handle lives.
+/// rank's simulated memory budget for as long as the handle lives, whether
+/// or not a put ever makes the process allocate them.
 #[derive(Debug)]
 pub struct Window {
     pub(crate) shared: std::sync::Arc<WinShared>,
@@ -76,10 +103,11 @@ impl Window {
 
     /// Access this rank's own region directly (e.g., the owner draining its
     /// level-2 segments to the file system). No network cost is implied;
-    /// callers should charge memcpy time as appropriate.
+    /// callers should charge memcpy time as appropriate. `f` always sees
+    /// all `size_of(owner)` bytes: an untouched region is backed here.
     pub fn with_local<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let mut region = self.shared.regions[self.owner].lock();
-        f(&mut region)
+        f(backed(&mut region, self.shared.sizes[self.owner]))
     }
 
     fn check_bounds(&self, target: usize, disp: usize, len: usize) -> Result<()> {
@@ -139,6 +167,7 @@ impl<'w> Epoch<'w> {
             self.win.check_bounds(self.target, disp, data.len())?;
         }
         let mut region = self.win.shared.regions[self.target].lock();
+        let region = backed(&mut region, self.win.shared.sizes[self.target]);
         let mut bytes = 0usize;
         for &(disp, data) in parts {
             region[disp..disp + data.len()].copy_from_slice(data);
@@ -152,7 +181,7 @@ impl<'w> Epoch<'w> {
     pub fn get(&mut self, disp: usize, buf: &mut [u8]) -> Result<()> {
         self.win.check_bounds(self.target, disp, buf.len())?;
         let region = self.win.shared.regions[self.target].lock();
-        buf.copy_from_slice(&region[disp..disp + buf.len()]);
+        read_region(&region, disp, buf);
         self.get_msgs.push((buf.len(), 1));
         Ok(())
     }
@@ -168,7 +197,7 @@ impl<'w> Epoch<'w> {
         let region = self.win.shared.regions[self.target].lock();
         let mut bytes = 0usize;
         for (disp, buf) in parts.iter_mut() {
-            buf.copy_from_slice(&region[*disp..*disp + buf.len()]);
+            read_region(&region, *disp, buf);
             bytes += buf.len();
         }
         self.get_msgs.push((bytes, parts.len()));
@@ -187,6 +216,71 @@ mod tests {
             owner,
             _mem: None,
         }
+    }
+
+    /// Bytes the process really holds for `rank`'s region.
+    fn backing(w: &Window, rank: usize) -> usize {
+        w.shared.regions[rank].lock().len()
+    }
+
+    #[test]
+    fn gets_from_a_never_written_region_read_zeros_and_leave_it_unbacked() {
+        let w = window(vec![16, 16], 0);
+        let mut ep = Epoch::new(&w, 1, LockKind::Shared);
+        let mut buf = [7u8; 5];
+        ep.get(11, &mut buf).unwrap();
+        assert_eq!(buf, [0; 5]);
+        let (mut a, mut b) = ([7u8; 2], [7u8; 3]);
+        ep.get_gathered(&mut [(0, &mut a[..]), (13, &mut b[..])])
+            .unwrap();
+        assert_eq!((a, b), ([0; 2], [0; 3]));
+        assert_eq!(ep.get_msgs, vec![(5, 1), (5, 2)]);
+        assert_eq!(backing(&w, 1), 0);
+    }
+
+    #[test]
+    fn first_put_backs_the_whole_target_region_and_no_other() {
+        let w = window(vec![16, 16, 16], 0);
+        let mut ep = Epoch::new(&w, 1, LockKind::Exclusive);
+        ep.put(14, &[1, 2]).unwrap();
+        let mut buf = [7u8; 16];
+        ep.get(0, &mut buf).unwrap();
+        assert_eq!(buf[..14], [0; 14]);
+        assert_eq!(buf[14..], [1, 2]);
+        assert_eq!([backing(&w, 0), backing(&w, 1), backing(&w, 2)], [0, 16, 0]);
+    }
+
+    #[test]
+    fn out_of_bounds_put_on_an_unbacked_region_allocates_nothing() {
+        let w = window(vec![8], 0);
+        let mut ep = Epoch::new(&w, 0, LockKind::Exclusive);
+        let err = ep
+            .put_gathered(&[(0, &[9][..]), (7, &[9, 9][..])])
+            .unwrap_err();
+        assert!(matches!(err, MpiError::WindowOutOfBounds { .. }));
+        assert!(ep.put_msgs.is_empty());
+        assert_eq!(backing(&w, 0), 0);
+    }
+
+    #[test]
+    fn with_local_on_an_unbacked_region_sees_size_zeros() {
+        let w = window(vec![4, 12], 1);
+        w.with_local(|r| assert_eq!(r, [0u8; 12]));
+        assert_eq!(backing(&w, 1), 12);
+    }
+
+    #[test]
+    fn zero_size_region_stays_zero_size() {
+        // What a crash-stopped rank exposes: nothing to back, every
+        // non-empty access out of bounds.
+        let w = window(vec![0, 8], 0);
+        w.with_local(|r| assert!(r.is_empty()));
+        let mut ep = Epoch::new(&w, 0, LockKind::Exclusive);
+        assert!(ep.put(0, &[1]).is_err());
+        assert!(ep.get(0, &mut [0u8; 1]).is_err());
+        ep.put(0, &[]).unwrap();
+        ep.get(0, &mut []).unwrap();
+        assert_eq!((w.size_of(0), backing(&w, 0)), (0, 0));
     }
 
     #[test]

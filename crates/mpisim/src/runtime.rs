@@ -91,7 +91,7 @@ pub enum Backend {
     /// so it is impractical beyond a few thousand ranks.
     Thread,
     /// Fiber substrate: every rank is a cooperative asm fiber resumed on
-    /// the driver thread. User-space switches, two pages per idle rank:
+    /// the driver thread. User-space switches and lazily committed stacks:
     /// 16k+ ranks on one machine.
     Event,
 }
@@ -781,33 +781,32 @@ impl Rank {
         self.barrier_in(&self.world())
     }
 
-    /// The allgather engine: rendezvous, cost model, span — everything
-    /// except materializing per-rank copies of the payload vector. Typed
-    /// helpers read the shared [`RvResult::payloads`] `Arc` directly, so
-    /// an allgather of one `u64` over P ranks stays O(P) per rank instead
-    /// of the O(P²) total that per-rank cloning costs at 16k ranks.
+    /// The allgather engine: rendezvous, cost model, span. Every caller,
+    /// typed helper or [`Rank::allgather_in`], reads the one shared
+    /// [`RvResult::payloads`] `Arc`: nobody gets a per-rank copy of the
+    /// payload vector, which is O(P²) allocations across the job.
     fn allgather_rv_in(&mut self, comm: &Comm, payload: &[u8]) -> Result<RvResult> {
         let start = self.clock;
         let rv = self.rendezvous_in(comm, payload.to_vec())?;
         let cfg = self.shared.fabric.config();
-        let total: usize = rv.payloads.iter().map(Vec::len).sum();
-        let foreign = total - payload.len();
+        let foreign = rv.total_bytes - payload.len();
         self.set_clock_as(
             rv.max_t + cfg.latency * comm.log2() as f64 + foreign as f64 * cfg.byte_time,
             Phase::Sync,
         );
-        self.record_sync(comm.flavor().allgather, start, total as u64, &rv);
+        self.record_sync(comm.flavor().allgather, start, rv.total_bytes as u64, &rv);
         Ok(rv)
     }
 
     /// Gather one byte payload from every member of `comm`, delivered to
-    /// all (indexed by group rank).
-    pub fn allgather_in(&mut self, comm: &Comm, payload: &[u8]) -> Result<Vec<Vec<u8>>> {
-        Ok(self.allgather_rv_in(comm, payload)?.payloads.to_vec())
+    /// all (indexed by group rank) as one read-only vector the members
+    /// share.
+    pub fn allgather_in(&mut self, comm: &Comm, payload: &[u8]) -> Result<Arc<Vec<Vec<u8>>>> {
+        Ok(self.allgather_rv_in(comm, payload)?.payloads)
     }
 
     /// Gather one byte payload from every rank, delivered to all.
-    pub fn allgather(&mut self, payload: &[u8]) -> Result<Vec<Vec<u8>>> {
+    pub fn allgather(&mut self, payload: &[u8]) -> Result<Arc<Vec<Vec<u8>>>> {
         self.allgather_in(&self.world(), payload)
     }
 
@@ -1754,7 +1753,7 @@ mod tests {
         })
         .unwrap();
         for all in rep.results {
-            assert_eq!(all, vec![vec![0], vec![10], vec![20]]);
+            assert_eq!(*all, vec![vec![0], vec![10], vec![20]]);
         }
     }
 
@@ -2172,7 +2171,7 @@ mod comm_tests {
             } else {
                 vec![vec![3], vec![4], vec![5]]
             };
-            assert_eq!(gathered, &expect);
+            assert_eq!(**gathered, expect);
         }
     }
 

@@ -5,7 +5,9 @@
 //! ## Write path (§IV.A, Fig. 4)
 //!
 //! Each process owns one **level-1 buffer**: a segment-sized combine buffer
-//! aligned with one segment-sized window of the file. POSIX-like writes
+//! aligned with one segment-sized window of the file (charged to the rank's
+//! memory budget in full; the process holds only the hull of the bytes the
+//! current window has buffered — see `L1`). POSIX-like writes
 //! land in it as long as they fall inside the current window; when a write
 //! departs the window (or on `flush`/`close`), the buffered blocks are
 //! shipped to the owning rank's **level-2 segment** as a *single* gathered
@@ -133,13 +135,50 @@ impl Durability {
     }
 }
 
-/// Level-1 buffer state.
+/// Level-1 buffer state. The model's buffer is one segment; `buf` is the
+/// part of it the current window has used: the hull of `extents`.
+#[derive(Default)]
 struct L1 {
     /// File offset of the window the buffer is aligned with.
     window_start: Option<u64>,
+    /// Window-relative offset of `buf[0]`.
+    base: usize,
+    /// Empty after every flush, its capacity kept for the next window.
     buf: Vec<u8>,
     /// Valid bytes, window-relative.
     extents: ExtentSet,
+}
+
+impl L1 {
+    /// Copy `chunk` in at window-relative `rel`, growing the hull to cover
+    /// it. Upward growth is amortised; a write below `base` extends to the
+    /// window start at once, so a descending writer shifts the buffer once
+    /// per window, not once per write.
+    fn place(&mut self, rel: usize, chunk: &[u8]) {
+        if self.buf.is_empty() {
+            self.base = rel;
+        } else if rel < self.base {
+            self.buf.splice(0..0, std::iter::repeat_n(0, self.base));
+            self.base = 0;
+        }
+        let at = rel - self.base;
+        if at + chunk.len() > self.buf.len() {
+            self.buf.resize(at + chunk.len(), 0);
+        }
+        self.buf[at..at + chunk.len()].copy_from_slice(chunk);
+        self.extents.insert(rel as u64, chunk.len() as u64);
+    }
+
+    /// The buffered bytes of the window-relative run `(o, l)`.
+    fn run(&self, o: u64, l: u64) -> &[u8] {
+        &self.buf[o as usize - self.base..][..l as usize]
+    }
+
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.extents.clear();
+        self.window_start = None;
+    }
 }
 
 /// An open TCIO file on one rank.
@@ -160,6 +199,8 @@ pub struct TcioFile<'a> {
     meta: Arc<SharedMeta>,
     _l1_mem: Option<MemGuard>,
     l1: L1,
+    /// The read temporary `load` fills, reused by every load of this open.
+    scratch: Vec<u8>,
     pending_reads: Vec<(u64, &'a mut [u8])>,
     read_window: Option<u64>,
     /// Cursor for `write`/`read` (the POSIX-style sequential calls).
@@ -259,15 +300,10 @@ impl<'a> TcioFile<'a> {
         let (nprocs, nsegs) = (rank.nprocs(), cfg.num_segments);
         let per_rank = move |_| (0..nsegs).map(|_| Mutex::default()).collect();
         let meta = rank.shared_state(move || (0..nprocs).map(per_rank).collect::<SharedMeta>())?;
-        // Level-1 buffer: one segment (write path only, but cheap enough to
-        // always account).
+        // Level-1 buffer: one segment, accounted at every open (the model's
+        // footprint) and allocated by the first write to need it.
         let l1_mem = rank.alloc(cfg.segment_size)?;
         rank.note_mem_peak();
-        let l1 = L1 {
-            window_start: None,
-            buf: vec![0u8; cfg.segment_size as usize],
-            extents: ExtentSet::new(),
-        };
         rank.barrier()?;
         let opened_at = rank.now();
         Ok(TcioFile {
@@ -280,7 +316,8 @@ impl<'a> TcioFile<'a> {
             dur,
             meta,
             _l1_mem: Some(l1_mem),
-            l1,
+            l1: L1::default(),
+            scratch: Vec::new(),
             pending_reads: Vec::new(),
             read_window: None,
             pos: 0,
@@ -440,11 +477,9 @@ impl<'a> TcioFile<'a> {
         } else {
             rank.metrics.hit_l1();
         }
-        let rel = (off - window) as usize;
         let t0 = rank.now();
-        self.l1.buf[rel..rel + chunk.len()].copy_from_slice(chunk);
+        self.l1.place((off - window) as usize, chunk);
         rank.charge_memcpy(chunk.len() as u64);
-        self.l1.extents.insert(rel as u64, chunk.len() as u64);
         self.stats.bytes_buffered += chunk.len() as u64;
         rank.trace_mark("tcio_l1_fill", Phase::Compute, t0, chunk.len() as u64);
         Ok(())
@@ -551,24 +586,23 @@ impl<'a> TcioFile<'a> {
                 .chaos()
                 .is_some_and(|e| e.stall_ahead(loc.owner, rank.now()))
         {
-            let io = self.write_out(rank, &self.l1.buf, runs, window, "tcio_l1_fallback")?;
+            let base = self.l1.base as u64;
+            let runs: Vec<_> = runs.iter().map(|&(o, l)| (o - base, l)).collect();
+            let io =
+                self.write_out(rank, &self.l1.buf, &runs, window + base, "tcio_l1_fallback")?;
             client::settle(rank, io);
             self.stats.l1_fallbacks += 1;
         } else {
             let t0 = rank.now();
             let seg_base = loc.segment as u64 * self.cfg.segment_size;
-            let part = |&(o, l): &(u64, u64)| {
-                let bytes = &self.l1.buf[o as usize..(o + l) as usize];
-                ((seg_base + o) as usize, bytes)
-            };
+            let part = |&(o, l): &(u64, u64)| ((seg_base + o) as usize, self.l1.run(o, l));
             let parts: Vec<(usize, &[u8])> = runs.iter().map(part).collect();
             self.put_l2(rank, loc.owner, loc.segment, &parts, Some("tcio_replicate"))?;
             let flushed = runs.iter().map(|&(_, l)| l).sum();
             rank.trace_mark("tcio_flush", Phase::Exchange, t0, flushed);
         }
         self.stats.flushes += 1;
-        self.l1.extents.clear();
-        self.l1.window_start = None;
+        self.l1.clear();
         Ok(())
     }
 
@@ -642,10 +676,11 @@ impl<'a> TcioFile<'a> {
         Ok(())
     }
 
-    /// The read-side movement: read `len` file bytes at `file_off` into a
-    /// temporary, as one request charged to `client`'s file-system
-    /// resources, and wait for it under `Phase::Io` (marking `span`, if
-    /// any). The memory guard keeps the temporary charged to this rank.
+    /// The read-side movement: read `len` file bytes at `file_off` into
+    /// `tmp` (the open's scratch, resized to `len`), as one request charged
+    /// to `client`'s file-system resources, and wait for it under
+    /// `Phase::Io` (marking `span`, if any). The memory guard keeps the
+    /// temporary charged to this rank.
     ///
     /// The attempt is priced from the open barrier: in a real parallel run
     /// whichever reader first reached these bytes (any time after open)
@@ -658,32 +693,36 @@ impl<'a> TcioFile<'a> {
         file_off: u64,
         len: u64,
         span: Option<&'static str>,
-    ) -> Result<(MemGuard, Vec<u8>)> {
+        tmp: &mut Vec<u8>,
+    ) -> Result<MemGuard> {
         let guard = rank.alloc(len)?;
-        let mut tmp = vec![0u8; len as usize];
+        tmp.clear();
+        tmp.resize(len as usize, 0);
         let (pfs, fid) = (&self.pfs, self.fid);
         let route = ReadRoute::new(self.cfg.hedged_reads);
         route.begin_scope(pfs, client);
         let mut price_at = Some(self.opened_at);
         let read = |rk: &mut Rank, off: u64, _, _| {
             let at = price_at.take().unwrap_or(rk.now());
-            route.read_at(pfs, fid, client, off, &mut tmp, at)
+            route.read_at(pfs, fid, client, off, tmp, at)
         };
         let io = client::submit(rank, Direction::Read, span, [(file_off, len)], read)?;
         rank.with_phase(Phase::Io, |rk| client::settle(rk, io));
-        Ok((guard, tmp))
+        Ok(guard)
     }
 
     /// Ensure `(owner, segment)` is populated from the file system, then
     /// run `gets` against it — all inside one lock epoch. Already-loaded
     /// segments are read under a *shared* lock (concurrent readers don't
-    /// serialize); the one-time load takes an exclusive epoch.
+    /// serialize); the one-time load takes an exclusive epoch. `tmp` is
+    /// the open's scratch, taken out of `self` by `fetch`.
     fn with_loaded_segment(
         &mut self,
         rank: &mut Rank,
         owner: usize,
         segment: usize,
         parts: &mut [(usize, &mut [u8])],
+        tmp: &mut Vec<u8>,
     ) -> Result<()> {
         let seg_base = segment as u64 * self.cfg.segment_size;
         // A crash-stopped owner exposes a zero-byte window (it never joined
@@ -703,7 +742,7 @@ impl<'a> TcioFile<'a> {
             // against the file length), then scatter into the buffers.
             let file_off = self.map.file_offset(owner, segment) + (lo as u64 - seg_base);
             let len = (hi - lo) as u64;
-            let (_tmp_mem, tmp) = self.load(rank, rank.rank(), file_off, len, None)?;
+            let _tmp_mem = self.load(rank, rank.rank(), file_off, len, None, tmp)?;
             let mut bytes = 0u64;
             for (disp, buf) in parts.iter_mut() {
                 buf.copy_from_slice(&tmp[*disp - lo..][..buf.len()]);
@@ -735,8 +774,8 @@ impl<'a> TcioFile<'a> {
             // data into their own temporary buffers, so it is charged
             // against the segment owner's file-system client resources.
             // The triggering rank still waits for the completion.
-            let (_tmp_mem, tmp) = self.load(rank, owner, file_off, len, Some("tcio_load"))?;
-            ep.put(seg_base as usize, &tmp)?;
+            let _tmp_mem = self.load(rank, owner, file_off, len, Some("tcio_load"), tmp)?;
+            ep.put(seg_base as usize, tmp)?;
             meta.valid.insert(0, len);
             self.stats.loads += 1;
         }
@@ -764,10 +803,14 @@ impl<'a> TcioFile<'a> {
                 .or_default()
                 .push((disp, buf));
         }
-        for ((owner, segment), mut parts) in groups {
-            self.with_loaded_segment(rank, owner, segment, &mut parts)?;
-        }
-        Ok(())
+        let mut tmp = std::mem::take(&mut self.scratch);
+        let served = groups
+            .into_iter()
+            .try_for_each(|((owner, segment), mut parts)| {
+                self.with_loaded_segment(rank, owner, segment, &mut parts, &mut tmp)
+            });
+        self.scratch = tmp;
+        served
     }
 
     // ---- close ----
@@ -1280,5 +1323,187 @@ mod tests {
         let total_loads: u64 = rep.results.iter().map(|s| s.loads).sum();
         assert!(total_loads >= 1, "someone had to load segment 0");
         assert!(rep.results.iter().all(|s| s.read_requests == 1));
+    }
+
+    #[test]
+    fn l1_hull_starts_at_the_first_write_and_extends_back() {
+        let mut l1 = L1::default();
+        l1.place(40, &[1; 4]);
+        assert_eq!((l1.base, l1.buf.len()), (40, 4), "no byte below the write");
+        l1.place(50, &[2; 6]);
+        assert_eq!((l1.base, l1.buf.len()), (40, 16));
+        assert_eq!(l1.extents.runs(), &[(40, 4), (50, 6)]);
+        assert_eq!((l1.run(40, 4), l1.run(50, 6)), (&[1; 4][..], &[2; 6][..]));
+    }
+
+    #[test]
+    fn l1_hull_extends_front_to_the_window_start_once() {
+        let mut l1 = L1::default();
+        l1.place(40, &[1; 4]);
+        l1.place(30, &[2; 4]);
+        assert_eq!((l1.base, l1.buf.len()), (0, 44), "straight to the start");
+        l1.place(10, &[3; 4]);
+        assert_eq!((l1.base, l1.buf.len()), (0, 44), "descending is free now");
+        for (o, fill) in [(40, 1), (30, 2), (10, 3)] {
+            assert_eq!(l1.run(o, 4), &[fill; 4]);
+        }
+    }
+
+    #[test]
+    fn l1_overwrite_inside_the_hull_moves_nothing() {
+        let mut l1 = L1::default();
+        l1.place(8, &[1; 16]);
+        l1.place(12, &[2; 4]);
+        assert_eq!((l1.base, l1.buf.len()), (8, 16));
+        assert_eq!(l1.extents.runs(), &[(8, 16)]);
+        let mut expect = [1u8; 16];
+        expect[4..8].fill(2);
+        assert_eq!(l1.run(8, 16), &expect);
+        // A flush empties the hull and keeps its allocation.
+        let capacity = l1.buf.capacity();
+        l1.clear();
+        assert!(l1.buf.is_empty() && l1.extents.runs().is_empty());
+        assert_eq!(l1.buf.capacity(), capacity);
+        l1.place(60, &[3; 4]);
+        assert_eq!((l1.base, l1.buf.len()), (60, 4));
+    }
+
+    /// How the bytes of one property-test case travel.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Route {
+        L1,
+        NoL1,
+        /// A stalled owner: flushes to its windows take the level-1 fallback.
+        Stalled(usize),
+    }
+
+    /// The plain flat model of one writer: the file as one byte vector and
+    /// the stats `write_at` + `close` should report for it.
+    fn flat_reference(
+        ops: &[(u64, Vec<u8>)],
+        map: &SegmentMap,
+        writer: usize,
+        route: Route,
+    ) -> (Vec<u8>, TcioStats) {
+        let mut image = Vec::new();
+        let mut stats = TcioStats::default();
+        let mut current = None;
+        let flush = |stats: &mut TcioStats, window: u64| {
+            stats.flushes += 1;
+            let owner = map.locate(window).owner;
+            if route == Route::Stalled(owner) && owner != writer {
+                stats.l1_fallbacks += 1;
+            }
+        };
+        for (off, data) in ops {
+            let (off, end) = (*off as usize, *off as usize + data.len());
+            image.resize(image.len().max(end), 0);
+            image[off..end].copy_from_slice(data);
+            let windows = (off as u64..end as u64).map(|o| map.window_start(o));
+            let mut visited: Vec<u64> = windows.collect();
+            visited.dedup();
+            stats.spills += (visited.len() > 1) as u64;
+            if route == Route::NoL1 {
+                continue;
+            }
+            stats.bytes_buffered += data.len() as u64;
+            for window in visited {
+                if current != Some(window) {
+                    if let Some(old) = current.replace(window) {
+                        flush(&mut stats, old);
+                    }
+                    stats.window_switches += 1;
+                }
+            }
+        }
+        if let Some(last) = current {
+            flush(&mut stats, last);
+        }
+        (image, stats)
+    }
+
+    #[test]
+    fn hull_buffer_lands_what_a_flat_reference_lands() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        const NPROCS: usize = 3;
+        const CAPACITY: u64 = 64 * 4 * NPROCS as u64;
+        let mut fallbacks = 0;
+        for seed in 0..60u64 {
+            let mut rng = StdRng::seed_from_u64(0x4011 ^ seed);
+            let mut pick = |lo: u64, hi: u64| lo + rng.random::<u64>() % (hi - lo);
+            // Up to 100 bytes: some fit a 64-byte window, some straddle two
+            // or three; random offsets overlap each other freely.
+            let mut ops: Vec<(u64, Vec<u8>)> = (0..pick(1, 40))
+                .map(|i| {
+                    let len = pick(1, 101);
+                    let fill = (seed * 40 + i) as u8 | 1;
+                    (pick(0, CAPACITY - len + 1), vec![fill; len as usize])
+                })
+                .collect();
+            match seed % 3 {
+                0 => ops.sort_by_key(|op| op.0),
+                1 => ops.sort_by_key(|op| std::cmp::Reverse(op.0)),
+                _ => {}
+            }
+            let writer = pick(0, NPROCS as u64) as usize;
+            let route = match seed % 4 {
+                0 => Route::NoL1,
+                1 => Route::Stalled((writer + 1) % NPROCS),
+                _ => Route::L1,
+            };
+            let cfg = TcioConfig {
+                use_l1: route != Route::NoL1,
+                ..small_cfg(4)
+            };
+            let map = SegmentMap::new(cfg.segment_size, NPROCS);
+            let (image, expect) = flat_reference(&ops, &map, writer, route);
+            fallbacks += expect.l1_fallbacks;
+
+            let chaos = match route {
+                Route::Stalled(rank) => {
+                    let (from, until) = (10.0, 11.0);
+                    let stall = chaos::Fault::RankStall { rank, from, until };
+                    Some(chaos::FaultPlan::new(seed).with(stall).build().unwrap())
+                }
+                _ => None,
+            };
+            let sim = SimConfig {
+                chaos,
+                ..Default::default()
+            };
+            let fs = Pfs::new(NPROCS, PfsConfig::default()).unwrap();
+            let rep = mpisim::run(NPROCS, sim, |rk| {
+                let mut f = TcioFile::open(rk, &fs, "/p", TcioMode::Write, cfg.clone())?;
+                if rk.rank() == writer {
+                    for (off, data) in &ops {
+                        f.write_at(rk, *off, data)?;
+                    }
+                }
+                let stats = f.close(rk)?;
+                // Read everything back in 50-byte pieces: one scratch serves
+                // loads of full segments and of the shorter tail alike.
+                let mut back = vec![0xEEu8; image.len()];
+                let mut g = TcioFile::open(rk, &fs, "/p", TcioMode::Read, cfg.clone())?;
+                for (i, piece) in back.chunks_mut(50).enumerate() {
+                    g.read_at(rk, i as u64 * 50, piece)?;
+                }
+                g.close(rk)?;
+                Ok((stats, back))
+            })
+            .unwrap();
+            let landed = fs.snapshot_file(fs.open("/p").unwrap()).unwrap();
+            assert_eq!(landed, image, "seed {seed} ({route:?}): file bytes");
+            for (r, (stats, back)) in rep.results.iter().enumerate() {
+                let expect = if r == writer {
+                    expect
+                } else {
+                    TcioStats::default()
+                };
+                assert_eq!(*stats, expect, "seed {seed} ({route:?}): rank {r}");
+                assert_eq!(*back, image, "seed {seed} ({route:?}): rank {r} read");
+            }
+        }
+        assert!(fallbacks > 0, "no case took the level-1 fallback");
     }
 }

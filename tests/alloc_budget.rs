@@ -1,0 +1,222 @@
+//! What a simulated rank really costs the process, counted by the
+//! allocator instead of read off the host: bytes requested and the live
+//! peak are functions of the code alone, so the budgets below hold on any
+//! machine (no RSS, fault or wall-clock figure enters tier-1).
+//!
+//! One `#[test]` only: nothing else may allocate beside the measured
+//! regions. Fiber stacks are `mmap`ed by `mpisim::fiber` directly and are
+//! the one per-rank cost this cannot see. `-- --nocapture` prints the
+//! bytes-per-rank table DESIGN.md ("Modelled vs. real memory") quotes.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Arc;
+use tcio::{TcioConfig, TcioFile, TcioMode};
+use workloads::art::{self, ArtConfig, ArtMethod};
+use workloads::synthetic::{self, SynthParams};
+
+/// Bytes asked of the allocator (a `realloc` counts its growth).
+static REQUESTED: AtomicUsize = AtomicUsize::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static LIVE_PEAK: AtomicUsize = AtomicUsize::new(0);
+
+struct Counting;
+
+fn grew(bytes: usize) {
+    REQUESTED.fetch_add(bytes, Relaxed);
+    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
+    LIVE_PEAK.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// side effects that never touch the memory handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Relaxed);
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        match new_size.checked_sub(layout.size()) {
+            Some(growth) => grew(growth),
+            None => drop(LIVE.fetch_sub(layout.size() - new_size, Relaxed)),
+        }
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Allocator traffic of one measured region.
+#[derive(Debug, Clone, Copy)]
+struct Cost {
+    requested: usize,
+    /// Highest live byte count reached, above the level at entry.
+    live_peak: usize,
+}
+
+fn measure(f: impl FnOnce()) -> Cost {
+    let (requested, live) = (REQUESTED.load(Relaxed), LIVE.load(Relaxed));
+    LIVE_PEAK.store(live, Relaxed);
+    f();
+    Cost {
+        requested: REQUESTED.load(Relaxed) - requested,
+        live_peak: LIVE_PEAK.load(Relaxed) - live,
+    }
+}
+
+fn sim() -> mpisim::SimConfig {
+    mpisim::SimConfig {
+        backend: mpisim::Backend::Event,
+        ..Default::default()
+    }
+}
+
+const ART_RANKS: usize = 256;
+const SYNTH_RANKS: usize = 128;
+
+/// `synth_tcio_roundtrip`'s `requested` at 7846fa5, the last commit whose
+/// opens allocated both segment-sized buffers eagerly. Every level-2 byte
+/// of that run holds data, so first touch can save nothing there and must
+/// not cost more than the slack below.
+const SYNTH_REQUESTED_AT_7846FA5: usize = 62_860_674;
+
+/// simbench's `art_scale` shape at `ART_RANKS`: one segment of ~3 small
+/// trees per rank, so rank count, not bytes, is what it costs.
+fn art_cfg() -> ArtConfig {
+    ArtConfig {
+        num_segments: ART_RANKS,
+        mu: 3.0,
+        sigma: 1.0,
+        seed: 7,
+        ..ArtConfig::default()
+    }
+}
+
+/// One dump + restart cycle on a fresh file system: `[dump, restart]`.
+fn art_cycle() -> [Cost; 2] {
+    type Phase = fn(
+        &mut mpisim::Rank,
+        &Arc<pfs::Pfs>,
+        &ArtConfig,
+        ArtMethod,
+        &str,
+    ) -> workloads::Result<synthetic::RunMetrics>;
+    let cfg = art_cfg();
+    let fs = pfs::Pfs::new(ART_RANKS, pfs::PfsConfig::default()).unwrap();
+    [art::dump as Phase, art::restart].map(|phase| {
+        measure(|| {
+            let rep = mpisim::run(ART_RANKS, sim(), |rk| {
+                Ok(phase(rk, &fs, &cfg, ArtMethod::Tcio, "/art")?.bytes)
+            })
+            .unwrap();
+            assert!(rep.results.iter().all(|&b| b > 0), "every rank moved data");
+        })
+    })
+}
+
+/// Collective open + close of a default-configured (1 MiB segment) handle
+/// that moves nothing.
+fn idle_open(fs: &Arc<pfs::Pfs>, mode: TcioMode) -> Cost {
+    measure(|| {
+        mpisim::run(ART_RANKS, sim(), |rk| {
+            let cfg = TcioConfig::for_file_size(0, rk.nprocs());
+            TcioFile::open(rk, fs, "/idle", mode, cfg)?.close(rk)?;
+            Ok(())
+        })
+        .unwrap();
+    })
+}
+
+/// Table-I arrays through TCIO and back where the file fills every
+/// level-2 segment exactly: 128 ranks × 1024 × (4 + 8) B = 384 × 4 KiB.
+fn synth_tcio_roundtrip() -> Cost {
+    let p = SynthParams::with_types("i,d", 1024, 1).unwrap();
+    let tcfg = TcioConfig::for_file_size_with_segment(p.file_size(SYNTH_RANKS), SYNTH_RANKS, 4096);
+    assert_eq!(
+        tcfg.l2_bytes() * SYNTH_RANKS as u64,
+        p.file_size(SYNTH_RANKS)
+    );
+    let fs = pfs::Pfs::new(SYNTH_RANKS, pfs::PfsConfig::default()).unwrap();
+    measure(|| {
+        mpisim::run(SYNTH_RANKS, sim(), |rk| {
+            synthetic::write_tcio(rk, &fs, &p, "/synth", Some(tcfg.clone()))?;
+            synthetic::read_tcio(rk, &fs, &p, "/synth", Some(tcfg.clone()))?;
+            Ok(())
+        })
+        .unwrap();
+    })
+}
+
+fn within(a: usize, b: usize, frac: f64) -> bool {
+    a.abs_diff(b) as f64 <= frac * a.max(b) as f64
+}
+
+#[test]
+fn real_allocation_follows_touched_bytes() {
+    let runtime = measure(|| drop(mpisim::run(ART_RANKS, sim(), |_| Ok(())).unwrap()));
+    let fs = pfs::Pfs::new(ART_RANKS, pfs::PfsConfig::default()).unwrap();
+    let idle_write = idle_open(&fs, TcioMode::Write);
+    let idle_read = idle_open(&fs, TcioMode::Read);
+    let plan = measure(|| drop(art::plan(&art_cfg())));
+    let first = art_cycle();
+    let second = art_cycle();
+    let synth = synth_tcio_roundtrip();
+
+    println!("bytes per rank, requested / live peak ({ART_RANKS} ranks; fiber stacks not counted)");
+    let row = |name: &str, c: Cost, ranks: usize| {
+        println!(
+            "  {name:<44} {:>9} / {:>9}",
+            c.requested / ranks,
+            c.live_peak / ranks
+        );
+    };
+    row("mpisim::run, empty body", runtime, ART_RANKS);
+    row(
+        "+ TcioFile open + close, write mode, idle",
+        idle_write,
+        ART_RANKS,
+    );
+    row(
+        "+ TcioFile open + close, read mode, idle",
+        idle_read,
+        ART_RANKS,
+    );
+    row("ART dump, whole run", first[0], ART_RANKS);
+    row("ART restart, whole run", first[1], ART_RANKS);
+    row("  of which art::plan, per call", plan, 1);
+    row("ART dump, second cycle", second[0], ART_RANKS);
+    row("ART restart, second cycle", second[1], ART_RANKS);
+    println!("synth TCIO write + read-back, {SYNTH_RANKS} ranks, every level-2 byte used:");
+    row("whole run", synth, SYNTH_RANKS);
+    println!("  requested in total: {}", synth.requested);
+
+    // (a) A cycle costs what its ranks touch, not two segment-sized buffers
+    // per open (4 MiB per rank over the two opens at 7846fa5).
+    for cycle in [first, second] {
+        let per_rank = (cycle[0].requested + cycle[1].requested) / ART_RANKS;
+        assert!(per_rank < 256 << 10, "{per_rank} B per rank and cycle");
+    }
+    // (b) ... and not what an earlier cycle left behind.
+    for (a, b) in first.iter().zip(&second) {
+        assert!(within(a.requested, b.requested, 0.02), "{a:?} vs {b:?}");
+        assert!(within(a.live_peak, b.live_peak, 0.02), "{a:?} vs {b:?}");
+    }
+    // (c) A handle that moves nothing allocates no buffer.
+    let per_rank = idle_read.requested / ART_RANKS;
+    assert!(
+        per_rank < 16 << 10,
+        "idle read-mode open: {per_rank} B per rank"
+    );
+    // (d) Where every buffer byte is used, laziness is (nearly) free.
+    let budget = SYNTH_REQUESTED_AT_7846FA5 + SYNTH_REQUESTED_AT_7846FA5 / 20;
+    assert!(synth.requested <= budget, "{} > {budget}", synth.requested);
+}

@@ -205,9 +205,11 @@ fn tcio_scales_to_128_ranks_with_verification() {
     assert_eq!(rep.results.len(), nprocs);
 }
 
-/// One ART dump/restart cycle at `nprocs` ranks on the event core. No
-/// wall-clock assertion: what this shape costs the host is measured by
-/// simbench (`art_scale`, `probe-scale`), not by tier-1.
+/// One ART dump/restart cycle at `nprocs` ranks on the event core.
+/// Correctness only: what this shape may allocate is pinned, host-
+/// independently, by `tests/alloc_budget.rs`; what it costs a given host
+/// in seconds and resident bytes is simbench's to measure (`art_scale`,
+/// `probe-scale`) and the nightly job's to log, not tier-1's to assert.
 fn art_scale_run(nprocs: usize) {
     use workloads::art::{self, ArtConfig, ArtMethod, FttConfig};
     // One segment per rank, ~3 small trees each: the point is rank count
