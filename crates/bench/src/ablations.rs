@@ -1,7 +1,7 @@
 //! The single-table ablations of §IV.A and §V.B: TCIO's segment size and
 //! design choices, OCIO's collective-buffering hints, partitioned
-//! collectives, and the access-size sweep. Each prints a table, writes it
-//! as CSV under `bench_results/`, and returns it as a document.
+//! collectives, and the access-size sweep. Each prints a table and returns
+//! it as a document.
 
 use crate::registry::Args;
 use crate::runner::{dump_restart, run_synth, synth_params, tcio_config};
@@ -61,7 +61,7 @@ pub fn segment_size(args: &Args) -> Json {
         t.row(vec![label, mbs(tput), locks.to_string()]);
     }
     t.print();
-    let doc = t.save("ablation_segment_size.csv");
+    let doc = t.to_json();
     println!("\nexpected shape: sub-stripe segments suffer lock transfers; throughput peaks near segment = stripe");
     doc
 }
@@ -116,7 +116,7 @@ pub fn modes(args: &Args) -> Json {
         eprintln!("  {name}: w={} r={}", mbs(w), mbs(r));
     }
     t.print();
-    let doc = t.save("ablation_modes.csv");
+    let doc = t.to_json();
     println!("\nexpected shape: the default wins; no-L1 collapses on writes; fence pays collective synchronization; eager reads lose coalescing");
     doc
 }
@@ -242,7 +242,7 @@ pub fn cb(args: &Args) -> Json {
     ]);
     eprintln!("  view-based: w={} peak={}", mbs(w), fmt_bytes(peak));
     t.print();
-    let doc = t.save("ablation_cb.csv");
+    let doc = t.to_json();
     println!(
         "\nexpected shape: chunking caps memory at the cost of extra exchange rounds; fewer \
          aggregators concentrate memory and serialize the I/O phase.\n\
@@ -312,7 +312,7 @@ pub fn parcoll(args: &Args) -> Json {
         groups *= 4;
     }
     t.print();
-    let doc = t.save("ablation_parcoll.csv");
+    let doc = t.to_json();
     println!("\nexpected shape: throughput rises as groups shrink the exchange burst (the collective wall breaking), then flattens at the file-system ceiling");
     doc
 }
@@ -347,7 +347,7 @@ pub fn access_size(args: &Args) -> Json {
         t.row(cells);
     }
     t.print();
-    let doc = t.save("ablation_access_size.csv");
+    let doc = t.to_json();
     println!("\nexpected shape: vanilla MPI-IO catches up as accesses grow; the collective methods sit at the ceiling throughout");
     doc
 }

@@ -10,7 +10,7 @@ use mpisim::{chrome_trace_json, Phase, TraceReport};
 use pfs::Pfs;
 use std::sync::Arc;
 use tcio::{TcioFile, TcioMode};
-use workloads::synthetic::{self, Method};
+use workloads::synthetic::{self, Configs, Direction, Method};
 
 /// Cost of one pairwise-exchange all-to-all vs process count, isolating
 /// the collective-wall noise term.
@@ -67,21 +67,17 @@ pub fn breakdown(args: &Args) -> Json {
             let fs = Pfs::new(nprocs, calib.pfs.clone()).unwrap();
             let fs2 = Arc::clone(&fs);
             let p2 = p.clone();
-            let tcfg = tcio_config(&calib, &p, nprocs);
+            let cfgs = Configs {
+                tcio: Some(tcio_config(&calib, &p, nprocs)),
+                ..Default::default()
+            };
             // Always write first (so reads have data); time only `phase`.
             let rep = mpisim::run(nprocs, calib.sim_config_unbudgeted(), move |rk| {
-                let ccfg = mpiio::CollectiveConfig::default();
-                let w = match method {
-                    Method::Tcio => synthetic::write_tcio(rk, &fs2, &p2, "/d", Some(tcfg.clone())),
-                    _ => synthetic::write_ocio(rk, &fs2, &p2, "/d", &ccfg),
-                }?;
+                let w = synthetic::run(Direction::Write, method, rk, &fs2, &p2, "/d", &cfgs)?;
                 if phase == "write" {
                     return Ok(w.elapsed);
                 }
-                let r = match method {
-                    Method::Tcio => synthetic::read_tcio(rk, &fs2, &p2, "/d", Some(tcfg.clone())),
-                    _ => synthetic::read_ocio(rk, &fs2, &p2, "/d", &ccfg),
-                }?;
+                let r = synthetic::run(Direction::Read, method, rk, &fs2, &p2, "/d", &cfgs)?;
                 Ok(r.elapsed)
             })
             .expect("run");

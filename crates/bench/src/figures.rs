@@ -1,7 +1,7 @@
 //! The paper's figures and tables: Fig. 5, Figs. 6–7, Figs. 9–10,
 //! Table III, and the sensitivity analysis behind the Fig. 5 ordering.
-//! Each prints the figure's data as a table, writes it as CSV under
-//! `bench_results/`, and returns it as a document.
+//! Each prints the figure's data as a table and returns it as a document
+//! (`--json <path>` writes it; a run leaves no other file behind).
 
 use crate::registry::Args;
 use crate::runner::{run_art, run_synth, tcio_config};
@@ -9,7 +9,7 @@ use crate::{fmt_bytes, mbs, sparkline, Calib, Json, Table};
 use pfs::Pfs;
 use std::sync::Arc;
 use workloads::art::{ArtConfig, ArtMethod};
-use workloads::synthetic::{self, Method, SynthParams};
+use workloads::synthetic::{self, Configs, Direction, Method, SynthParams};
 
 /// Figure 5: synthetic-benchmark throughput vs number of processes.
 ///
@@ -70,7 +70,7 @@ shape:  TCIO write {}   OCIO write {}   TCIO read {}   OCIO read {}",
         sparkline(&series[2]),
         sparkline(&series[3])
     );
-    let doc = table.save("fig5.csv");
+    let doc = table.to_json();
     println!("\nexpected shape: OCIO ahead on writes at small P; TCIO ahead at large P; TCIO ahead on all reads");
     doc
 }
@@ -119,7 +119,7 @@ pub fn fig6_7_filesize(args: &Args) -> Json {
         ]);
     }
     table.print();
-    let doc = table.save("fig6_7.csv");
+    let doc = table.to_json();
     println!("\nexpected shape: OCIO fails with OOM at 48GB on both write and read; TCIO completes everywhere");
     doc
 }
@@ -203,7 +203,7 @@ pub fn fig9_10_art(args: &Args) -> Json {
         );
     }
     table.print();
-    let doc = table.save("fig9_10.csv");
+    let doc = table.to_json();
     println!("\nexpected shape: TCIO 1-2 orders of magnitude above vanilla MPI-IO; TCIO rises then dips as the OST set saturates");
     doc
 }
@@ -238,15 +238,13 @@ fn peak_multiple(method: Method, nprocs: usize, p: &SynthParams, calib: &Calib) 
     let fs = Pfs::new(nprocs, calib.pfs.clone()).unwrap();
     let fs2 = Arc::clone(&fs);
     let p2 = p.clone();
-    let tcfg = tcio_config(calib, p, nprocs);
+    let cfgs = Configs {
+        tcio: Some(tcio_config(calib, p, nprocs)),
+        ..Default::default()
+    };
     let rep = mpisim::run(nprocs, calib.sim_config_unbudgeted(), move |rk| {
-        Ok(match method {
-            Method::Tcio => synthetic::write_tcio(rk, &fs2, &p2, "/m", Some(tcfg.clone())),
-            Method::Ocio => {
-                synthetic::write_ocio(rk, &fs2, &p2, "/m", &mpiio::CollectiveConfig::default())
-            }
-            Method::Vanilla => synthetic::write_vanilla(rk, &fs2, &p2, "/m"),
-        }?)
+        let write = synthetic::run(Direction::Write, method, rk, &fs2, &p2, "/m", &cfgs);
+        Ok(write?)
     })
     .expect("run");
     let peak = rep.stats.iter().map(|s| s.mem_peak).max().unwrap_or(0);
@@ -258,7 +256,8 @@ fn peak_multiple(method: Method, nprocs: usize, p: &SynthParams, calib: &Calib) 
 ///
 /// * **Lines of code** are counted from the actual benchmark
 ///   implementations in `workloads::synthetic` (the Rust renderings of the
-///   paper's Program 2 and Program 3), excluding comments and blank lines.
+///   paper's Program 2 and Program 3 — the latter the one loop TCIO and
+///   vanilla MPI-IO share), excluding comments and blank lines.
 /// * **Memory efficiency** is measured: the peak simulated memory per
 ///   process of each method on the same workload, reported as a multiple
 ///   of the per-process dataset (the paper's §V.B.2b accounting: OCIO ≈ 3×
@@ -294,7 +293,7 @@ pub fn table3_effort(_args: &Args) -> Json {
         "any POSIX-like pattern",
     ]);
     t.print();
-    let doc = t.save("table3.csv");
+    let doc = t.to_json();
     println!(
         "\nexpected shape: OCIO needs more code ({ocio_loc} vs {tcio_loc} LoC) and more memory ({ocio_peak:.1}x vs {tcio_peak:.1}x the dataset)"
     );
@@ -367,7 +366,7 @@ pub fn sensitivity(args: &Args) -> Json {
         }
     }
     t.print();
-    let doc = t.save("sensitivity.csv");
+    let doc = t.to_json();
     println!("\nexpected shape: the large-P ratio drops below 1 as match_overhead grows; the small-P ratio is insensitive");
     doc
 }

@@ -1,4 +1,4 @@
-//! Table printing, CSV output, and JSON plumbing for the experiments.
+//! Table printing and JSON plumbing for the experiments.
 //! [`Json`] is a minimal self-contained value type (the offline build has
 //! no serde): deterministic rendering — object keys keep insertion order,
 //! numbers use Rust's shortest-roundtrip formatting — a total parser for
@@ -6,7 +6,6 @@
 //! through.
 
 use std::fs;
-use std::io::Write;
 use std::path::Path;
 
 /// A simple fixed-width table that mirrors the paper's figure data.
@@ -63,26 +62,8 @@ impl Table {
         print!("{}", self.render());
     }
 
-    /// Write as CSV under `bench_results/`.
-    pub fn write_csv(&self, name: &str) -> std::io::Result<std::path::PathBuf> {
-        let dir = Path::new("bench_results");
-        fs::create_dir_all(dir)?;
-        let path = dir.join(name);
-        let mut f = fs::File::create(&path)?;
-        writeln!(f, "{}", self.headers.join(","))?;
-        for row in &self.rows {
-            writeln!(f, "{}", row.join(","))?;
-        }
-        Ok(path)
-    }
-
-    /// Write the CSV under `bench_results/`, report where it went, and
-    /// return the table as a document (`columns` plus string `rows`).
-    pub fn save(&self, name: &str) -> Json {
-        match self.write_csv(name) {
-            Ok(path) => println!("\nwrote {}", path.display()),
-            Err(e) => eprintln!("csv write failed: {e}"),
-        }
+    /// The table as a document (`columns` plus string `rows`).
+    pub fn to_json(&self) -> Json {
         let strs = |cells: &[String]| Json::Arr(cells.iter().map(Json::str).collect());
         Json::obj().with("columns", strs(&self.headers)).with(
             "rows",
@@ -454,7 +435,7 @@ pub fn write_json_file(path: &Path, value: &Json) -> std::io::Result<()> {
 }
 
 /// Render a series as a one-line unicode sparkline (quick shape check in
-/// the terminal; the CSVs carry the real numbers).
+/// the terminal; the table carries the real numbers).
 pub fn sparkline(values: &[f64]) -> String {
     const BARS: [char; 8] = [
         '\u{2581}', '\u{2582}', '\u{2583}', '\u{2584}', '\u{2585}', '\u{2586}', '\u{2587}',

@@ -7,7 +7,7 @@ use pfs::Pfs;
 use std::sync::Arc;
 use tcio::TcioConfig;
 use workloads::art::{ArtConfig, ArtMethod};
-use workloads::synthetic::{self, Method, SynthParams};
+use workloads::synthetic::{self, Configs, Direction, Method, SynthParams};
 
 /// Report a bad command line (or an unreadable input file) and exit 2.
 pub fn die(msg: impl std::fmt::Display) -> ! {
@@ -48,16 +48,12 @@ pub fn dump_restart(
     tcfg: &TcioConfig,
     ccfg: &CollectiveConfig,
 ) -> Result<(f64, f64), MpiError> {
-    let w = match method {
-        Method::Tcio => synthetic::write_tcio(rk, fs, p, path, Some(tcfg.clone())),
-        Method::Ocio => synthetic::write_ocio(rk, fs, p, path, ccfg),
-        Method::Vanilla => synthetic::write_vanilla(rk, fs, p, path),
-    }?;
-    let r = match method {
-        Method::Tcio => synthetic::read_tcio(rk, fs, p, path, Some(tcfg.clone())),
-        Method::Ocio => synthetic::read_ocio(rk, fs, p, path, ccfg),
-        Method::Vanilla => synthetic::read_vanilla(rk, fs, p, path),
-    }?;
+    let cfgs = Configs {
+        tcio: Some(tcfg.clone()),
+        ocio: ccfg.clone(),
+    };
+    let w = synthetic::run(Direction::Write, method, rk, fs, p, path, &cfgs)?;
+    let r = synthetic::run(Direction::Read, method, rk, fs, p, path, &cfgs)?;
     Ok((w.elapsed, r.elapsed))
 }
 
@@ -182,7 +178,9 @@ pub fn run_traced_synth(
     let fs2 = Arc::clone(&fs);
     let rep = mpisim::run(nprocs, sim, move |rk| {
         let t0 = rk.now();
-        match synthetic::write_with(method, rk, &fs2, &p, "/trace.dat").map_err(MpiError::from) {
+        let cfgs = Configs::default();
+        let run = synthetic::run(Direction::Write, method, rk, &fs2, &p, "/trace.dat", &cfgs);
+        match run.map_err(MpiError::from) {
             Ok(m) => Ok(m.elapsed),
             // Fault-tolerant body: a rank crash-stopped by the plan stops
             // here with the virtual time it survived; the other ranks

@@ -432,11 +432,6 @@ impl FaultPlan {
         self
     }
 
-    pub fn with_retry(mut self, retry: RetryPolicy) -> FaultPlan {
-        self.retry = retry;
-        self
-    }
-
     /// A plan with every fault's intensity scaled by `k ∈ [0, 1]`
     /// (`k = 0` ⇒ all windows empty ⇒ behaviourally fault-free).
     /// `ConnFlush` and `RankCrash` are instants, not windows: they cannot
@@ -767,12 +762,6 @@ impl ChaosEngine {
             .fold(None, |acc, u| Some(acc.map_or(u, |a: f64| a.max(u))))
     }
 
-    /// Is `rank` stalled at `t`? (Straggler-aggregator query used by the
-    /// I/O layers to shrink aggregator sets / reroute flushes.)
-    pub fn is_stalled(&self, rank: usize, t: f64) -> bool {
-        self.rank_stall_until(rank, t).is_some()
-    }
-
     /// Is `rank` stalled at `t` or scheduled to stall later? The planning
     /// query behind graceful degradation: when the I/O layers pick
     /// aggregators at time `t`, a rank with a stall window still ahead is a
@@ -996,9 +985,8 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(e.rank_stall_until(2, 2.0), Some(4.0));
-        assert!(e.is_stalled(2, 1.0));
-        assert!(!e.is_stalled(2, 4.0));
-        assert!(!e.is_stalled(0, 2.0));
+        assert_eq!(e.rank_stall_until(2, 4.0), None, "the window is half-open");
+        assert_eq!(e.rank_stall_until(0, 2.0), None);
         assert_eq!(e.rank_slowdown(1, 1.0), 8.0);
         assert_eq!(e.rank_slowdown(1, 3.0), 1.0);
         assert_eq!(e.max_rank(), Some(2));

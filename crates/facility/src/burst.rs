@@ -211,12 +211,6 @@ impl BurstBuffer {
         Ok(start + dur)
     }
 
-    /// The instant every drain issued so far has completed (≥ `now`).
-    pub fn drained_by(&self, now: f64) -> f64 {
-        let st = self.state.lock();
-        st.inflight.iter().map(|&(t, _)| t).fold(now, f64::max)
-    }
-
     pub fn stats(&self) -> BurstStats {
         self.state.lock().stats
     }
@@ -357,17 +351,5 @@ mod tests {
         let mut buf = vec![0u8; 150];
         bb.read(&p, id, 0, 25, &mut buf, 1.0).unwrap();
         assert_eq!(bb.stats().read_hits, 1, "span crossing both extents hits");
-    }
-
-    #[test]
-    fn drained_by_tracks_inflight_completions() {
-        let p = fs();
-        let id = p.create("/f").unwrap();
-        let bb = BurstBuffer::new(BurstConfig::default(), 3).unwrap();
-        let ack = bb
-            .write_through(&p, id, 0, 0, &[9u8; 1 << 20], 0.0)
-            .unwrap();
-        let drained = bb.drained_by(ack);
-        assert!(drained > ack, "drain completes after the absorb ack");
     }
 }

@@ -36,7 +36,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use mpisim::{Phase, PhaseTotals, RankTrace, Span, Topology};
+use mpisim::{Phase, RankTrace, Span, Topology};
 
 pub mod resilience;
 pub use resilience::ResilienceReport;
@@ -694,53 +694,6 @@ impl<'a> Analyzer<'a> {
     }
 }
 
-/// Clock attribution of one named rank group — the tenant-scoped view
-/// the multi-tenant facility reports: summed compute/exchange/io/sync
-/// seconds of the group's members and the group's share of all groups'
-/// total clock time.
-#[derive(Debug, Clone)]
-pub struct GroupAttribution {
-    pub name: String,
-    pub ranks: Vec<usize>,
-    pub totals: PhaseTotals,
-    /// This group's fraction of the summed clock time of *all* groups
-    /// (0 when nothing ran).
-    pub share: f64,
-}
-
-/// Attribute per-rank phase totals to named rank groups (e.g. tenants).
-/// Ranks outside every group are simply not counted; ranks outside the
-/// trace set are ignored, so speculative groupings are safe.
-pub fn attribute_groups(
-    traces: &[RankTrace],
-    groups: &[(String, Vec<usize>)],
-) -> Vec<GroupAttribution> {
-    let mut rows: Vec<GroupAttribution> = groups
-        .iter()
-        .map(|(name, ranks)| {
-            let mut totals = PhaseTotals::default();
-            for &r in ranks {
-                if let Some(t) = traces.get(r) {
-                    totals.merge(&t.totals);
-                }
-            }
-            GroupAttribution {
-                name: name.clone(),
-                ranks: ranks.clone(),
-                totals,
-                share: 0.0,
-            }
-        })
-        .collect();
-    let overall: f64 = rows.iter().map(|g| g.totals.total()).sum();
-    if overall > 0.0 {
-        for g in &mut rows {
-            g.share = g.totals.total() / overall;
-        }
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -951,33 +904,5 @@ mod tests {
         assert!(cp.segments.is_empty());
         assert_eq!(cp.makespan, 0.0);
         assert_eq!(cp.imbalance(), 0.0);
-    }
-
-    #[test]
-    fn group_attribution_sums_members_and_shares() {
-        let trace = |rank: usize, compute: f64, io: f64| {
-            let mut totals = PhaseTotals::default();
-            totals.add(Phase::Compute, compute);
-            totals.add(Phase::Io, io);
-            RankTrace {
-                rank,
-                totals,
-                spans: Vec::new(),
-            }
-        };
-        let traces = vec![trace(0, 1.0, 2.0), trace(1, 1.0, 0.0), trace(2, 0.0, 4.0)];
-        let groups = vec![
-            ("alpha".to_string(), vec![0, 1]),
-            ("beta".to_string(), vec![2, 99]), // out-of-range rank ignored
-        ];
-        let rows = attribute_groups(&traces, &groups);
-        assert_eq!(rows.len(), 2);
-        assert!((rows[0].totals.total() - 4.0).abs() < 1e-12);
-        assert!((rows[1].totals.get(Phase::Io) - 4.0).abs() < 1e-12);
-        assert!((rows[0].share - 0.5).abs() < 1e-12);
-        assert!((rows[0].share + rows[1].share - 1.0).abs() < 1e-12);
-        // Empty traces: no division by zero, shares stay 0.
-        let empty = attribute_groups(&[], &groups);
-        assert_eq!(empty[0].share, 0.0);
     }
 }

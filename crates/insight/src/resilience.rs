@@ -13,7 +13,7 @@
 
 use std::fmt::Write as _;
 
-use pfs::{Breaker, HealthSnapshot};
+use pfs::HealthSnapshot;
 
 /// Derived view over the raw health counters.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,39 +38,9 @@ impl ResilienceReport {
         }
     }
 
-    /// Fraction of issued hedges that were pure waste (primary won
-    /// anyway). Complement of [`ResilienceReport::hedge_win_rate`].
-    pub fn hedge_waste_rate(&self) -> Option<f64> {
-        self.hedge_win_rate().map(|w| 1.0 - w)
-    }
-
-    /// Bytes written around quarantined OSTs that have since been
-    /// migrated home, as a fraction of all degraded bytes. 1.0 means the
-    /// rebuild has fully converged.
-    pub fn rebuild_progress(&self) -> Option<f64> {
-        let s = &self.snapshot;
-        if s.degraded_bytes == 0 {
-            None
-        } else {
-            Some(s.rebuilt_bytes as f64 / s.degraded_bytes as f64)
-        }
-    }
-
     /// Has every relocated extent been migrated back home?
     pub fn converged(&self) -> bool {
         self.snapshot.relocated_live == 0
-    }
-
-    /// OSTs whose breaker is not `Closed` right now, worst-EWMA first.
-    pub fn sick_osts(&self) -> Vec<usize> {
-        let mut sick: Vec<_> = self
-            .snapshot
-            .osts
-            .iter()
-            .filter(|o| !matches!(o.state, Breaker::Closed))
-            .collect();
-        sick.sort_by(|a, b| b.ewma.total_cmp(&a.ewma).then(a.ost.cmp(&b.ost)));
-        sick.into_iter().map(|o| o.ost).collect()
     }
 
     /// Human-readable summary table.
@@ -133,7 +103,7 @@ impl ResilienceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pfs::OstHealthRow;
+    use pfs::{Breaker, OstHealthRow};
 
     fn snap() -> HealthSnapshot {
         HealthSnapshot {
@@ -172,10 +142,7 @@ mod tests {
     fn rates_and_convergence() {
         let r = ResilienceReport::new(snap());
         assert_eq!(r.hedge_win_rate(), Some(0.75));
-        assert_eq!(r.hedge_waste_rate(), Some(0.25));
-        assert_eq!(r.rebuild_progress(), Some(0.75));
         assert!(!r.converged());
-        assert_eq!(r.sick_osts(), vec![0]);
         let done = ResilienceReport::new(HealthSnapshot {
             relocated_live: 0,
             ..snap()
@@ -187,9 +154,7 @@ mod tests {
     fn empty_snapshot_has_no_rates() {
         let r = ResilienceReport::new(HealthSnapshot::default());
         assert_eq!(r.hedge_win_rate(), None);
-        assert_eq!(r.rebuild_progress(), None);
         assert!(r.converged());
-        assert!(r.sick_osts().is_empty());
     }
 
     #[test]

@@ -261,11 +261,12 @@ mod tests {
         // Chained outage windows: each `retry_after` hint lands inside the
         // next window, so the helper must give up with the typed error
         // once the attempt budget is spent, not loop forever.
-        let mut plan = chaos::FaultPlan::new(3).with_retry(chaos::RetryPolicy {
+        let mut plan = chaos::FaultPlan::new(3);
+        plan.retry = chaos::RetryPolicy {
             max_attempts: 3,
             base_backoff: 1e-3,
             max_backoff: 1e-2,
-        });
+        };
         for k in 0..8 {
             plan = plan.with(chaos::Fault::OstOutage {
                 ost: 0,

@@ -58,7 +58,7 @@ impl From<mpisim::wire::Malformed> for IoError {
     }
 }
 
-pub type Result<T> = std::result::Result<T, IoError>;
+pub type Result<T, E = IoError> = std::result::Result<T, E>;
 
 #[cfg(test)]
 mod tests {

@@ -82,23 +82,6 @@ impl ExtentSet {
     pub fn clear(&mut self) {
         self.runs.clear();
     }
-
-    /// Iterate over the runs intersected with `[off, off+len)`.
-    pub fn intersect(&self, off: u64, len: u64) -> Vec<(u64, u64)> {
-        let end = off + len;
-        let mut out = Vec::new();
-        for &(o, l) in &self.runs {
-            let s = o.max(off);
-            let e = (o + l).min(end);
-            if s < e {
-                out.push((s, e - s));
-            }
-            if o >= end {
-                break;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -162,16 +145,6 @@ mod tests {
         assert!(!s.contains(15, 2));
         assert!(s.contains(25, 5));
         assert!(!s.contains(25, 6));
-    }
-
-    #[test]
-    fn intersect_clips_runs() {
-        let mut s = ExtentSet::new();
-        s.insert(0, 10);
-        s.insert(20, 10);
-        assert_eq!(s.intersect(5, 20), vec![(5, 5), (20, 5)]);
-        assert_eq!(s.intersect(10, 10), vec![]);
-        assert_eq!(s.intersect(0, 100), vec![(0, 10), (20, 10)]);
     }
 
     #[test]

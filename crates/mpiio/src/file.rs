@@ -44,6 +44,158 @@ pub enum Whence {
     End,
 }
 
+/// The POSIX-like file surface an application's "level 0" access code is
+/// written against. [`File`] (independent MPI-IO) and `tcio::TcioFile` both
+/// implement it — the paper's *transparent* as a type: code generic over it
+/// gets collective-I/O behaviour by opening the other handle.
+///
+/// `'buf` is how long a read destination stays borrowed: a lazy handle
+/// fills it as late as `close`, an eager one (any `'buf`) at once.
+pub trait PositionedFile<'buf>: Sized {
+    /// The handle's error type; a misuse the provided methods catch is an
+    /// [`IoError::Usage`] converted into it.
+    type Error: From<IoError>;
+
+    /// Write `data` at `offset`.
+    fn write_at(&mut self, rank: &mut Rank, offset: u64, data: &[u8]) -> Result<(), Self::Error>;
+
+    /// Read `buf.len()` bytes at `offset` into `buf`.
+    fn read_at(
+        &mut self,
+        rank: &mut Rank,
+        offset: u64,
+        buf: &'buf mut [u8],
+    ) -> Result<(), Self::Error>;
+
+    /// Collective close; every destination handed to a read is filled.
+    fn close(self, rank: &mut Rank) -> Result<(), Self::Error>;
+
+    /// The cursor `seek` moves and the cursor `write`/`read` advance.
+    fn position(&self) -> u64;
+
+    fn set_position(&mut self, pos: u64);
+
+    /// Where [`Whence::End`] is.
+    fn end(&self) -> Result<u64, Self::Error>;
+
+    /// Move the cursor. Positions are `MPI_Offset`s: non-negative `i64`s.
+    fn seek(&mut self, offset: i64, whence: Whence) -> Result<(), Self::Error> {
+        let base = match whence {
+            Whence::Set => 0,
+            Whence::Cur => self.position(),
+            Whence::End => self.end()?,
+        };
+        let target = i64::try_from(base).ok().and_then(|b| b.checked_add(offset));
+        let pos = target.and_then(|t| u64::try_from(t).ok()).ok_or_else(|| {
+            IoError::Usage(format!(
+                "seek by {offset} from {base} leaves the offset range"
+            ))
+        })?;
+        self.set_position(pos);
+        Ok(())
+    }
+
+    /// Write at the cursor and advance it.
+    fn write(&mut self, rank: &mut Rank, data: &[u8]) -> Result<(), Self::Error> {
+        let pos = self.position();
+        self.write_at(rank, pos, data)?;
+        self.set_position(pos + data.len() as u64);
+        Ok(())
+    }
+
+    /// Read at the cursor and advance it.
+    fn read(&mut self, rank: &mut Rank, buf: &'buf mut [u8]) -> Result<(), Self::Error> {
+        let (pos, len) = (self.position(), buf.len() as u64);
+        self.read_at(rank, pos, buf)?;
+        self.set_position(pos + len);
+        Ok(())
+    }
+
+    /// Typed write: `count` instances of `dtype` laid out in `memory`,
+    /// packed (charging memcpy time) unless they already are the stream.
+    fn write_typed_at(
+        &mut self,
+        rank: &mut Rank,
+        offset: u64,
+        memory: &[u8],
+        dtype: &Committed,
+        count: usize,
+    ) -> Result<(), Self::Error> {
+        if let Some(bytes) = contiguous_len(dtype, count, memory.len())? {
+            return self.write_at(rank, offset, &memory[..bytes]);
+        }
+        let packed = dtype.pack(memory, count).map_err(IoError::from)?;
+        rank.charge_memcpy(packed.len() as u64);
+        self.write_at(rank, offset, &packed)
+    }
+
+    /// Typed read into `count` instances of `dtype` laid out in `memory`.
+    /// Strided memory is read block by block, each block of the type map
+    /// its own destination (a lazy handle has no later moment to unpack
+    /// in), so the blocks must ascend through `memory` without overlap.
+    fn read_typed_at(
+        &mut self,
+        rank: &mut Rank,
+        offset: u64,
+        memory: &'buf mut [u8],
+        dtype: &Committed,
+        count: usize,
+    ) -> Result<(), Self::Error> {
+        if let Some(bytes) = contiguous_len(dtype, count, memory.len())? {
+            return self.read_at(rank, offset, &mut memory[..bytes]);
+        }
+        // Carve every block out of `memory` front to back before reading
+        // any: `rest` is what no block has been carved from yet, and starts
+        // `carved` bytes in.
+        let (mut rest, mut carved, mut pieces) = (memory, 0usize, Vec::new());
+        for i in 0..count {
+            for &(off, len) in dtype.extents() {
+                let skip = || {
+                    let start = i.checked_mul(dtype.extent())?.checked_add_signed(off)?;
+                    let skip = start.checked_sub(carved)?;
+                    (skip <= rest.len().checked_sub(len)?).then_some(skip)
+                };
+                let Some(skip) = skip() else {
+                    return Err(IoError::Usage(format!(
+                        "typed read: block ({off}, {len}) of instance {i} leaves the buffer \
+                         or lies behind an earlier block"
+                    ))
+                    .into());
+                };
+                let (piece, tail) = std::mem::take(&mut rest)[skip..].split_at_mut(len);
+                (rest, carved) = (tail, carved + skip + len);
+                pieces.push(piece);
+            }
+        }
+        let mut at = offset;
+        for piece in pieces {
+            let len = piece.len() as u64;
+            self.read_at(rank, at, piece)?;
+            at += len;
+        }
+        Ok(())
+    }
+}
+
+/// The typed wrappers' fast path: `Some(bytes)` when `count` instances of
+/// `dtype` are the first `bytes` of a buffer of `have` bytes (the buffer
+/// already is the stream), `None` when the memory is strided.
+fn contiguous_len(dtype: &Committed, count: usize, have: usize) -> Result<Option<usize>> {
+    let size = dtype.size();
+    let cannot_hold = || {
+        let what = format!("{have} bytes cannot hold {count} instances of a {size}-byte datatype");
+        IoError::Usage(what)
+    };
+    let bytes = size.checked_mul(count).ok_or_else(cannot_hold)?;
+    if !dtype.is_contiguous() || (count > 1 && dtype.extent() != size) {
+        return Ok(None); // strided: `pack`, or the carve, checks the bounds
+    }
+    if bytes > have {
+        return Err(cannot_hold());
+    }
+    Ok(Some(bytes))
+}
+
 /// An open MPI-IO file on one rank.
 pub struct File {
     pfs: Arc<Pfs>,
@@ -84,14 +236,18 @@ impl File {
                 fid
             }
         };
-        Ok(File {
+        Ok(File::new(pfs, fid, mode))
+    }
+
+    fn new(pfs: &Arc<Pfs>, fid: FileId, mode: Mode) -> File {
+        File {
             pfs: Arc::clone(pfs),
             fid,
             view: FileView::contiguous(),
             pos: 0,
             mode,
             sieve: None,
-        })
+        }
     }
 
     /// Non-collective open (`MPI_File_open` on `MPI_COMM_SELF`, or a
@@ -109,14 +265,7 @@ impl File {
             Mode::ReadOnly => pfs.open(path)?,
             Mode::WriteOnly | Mode::ReadWrite => pfs.open_or_create(path)?,
         };
-        Ok(File {
-            pfs: Arc::clone(pfs),
-            fid,
-            view: FileView::contiguous(),
-            pos: 0,
-            mode,
-            sieve: None,
-        })
+        Ok(File::new(pfs, fid, mode))
     }
 
     pub fn mode(&self) -> Mode {
@@ -148,28 +297,6 @@ impl File {
         rank.barrier()?;
         self.view = view;
         self.pos = 0;
-        Ok(())
-    }
-
-    /// Current individual file pointer (view-stream bytes).
-    pub fn position(&self) -> u64 {
-        self.pos
-    }
-
-    /// Move the individual file pointer. Positions are `MPI_Offset`s:
-    /// non-negative `i64`s.
-    pub fn seek(&mut self, offset: i64, whence: Whence) -> Result<()> {
-        let base = match whence {
-            Whence::Set => 0,
-            Whence::Cur => self.pos,
-            Whence::End => self.view.stream_len_for_file(self.pfs.len(self.fid)?),
-        };
-        let target = i64::try_from(base).ok().and_then(|b| b.checked_add(offset));
-        self.pos = target.and_then(|t| u64::try_from(t).ok()).ok_or_else(|| {
-            IoError::Usage(format!(
-                "seek by {offset} from {base} leaves the offset range"
-            ))
-        })?;
         Ok(())
     }
 
@@ -282,65 +409,41 @@ impl File {
         Ok(())
     }
 
-    /// Independent write at the individual file pointer.
-    pub fn write(&mut self, rank: &mut Rank, data: &[u8]) -> Result<()> {
-        let pos = self.pos;
-        self.write_at(rank, pos, data)?;
-        self.pos += data.len() as u64;
-        Ok(())
-    }
-
-    /// Independent read at the individual file pointer.
-    pub fn read(&mut self, rank: &mut Rank, buf: &mut [u8]) -> Result<()> {
-        let pos = self.pos;
-        self.read_at(rank, pos, buf)?;
-        self.pos += buf.len() as u64;
-        Ok(())
-    }
-
-    /// Typed independent write: packs `count` instances of `dtype` from
-    /// `memory` (charging memcpy time) and writes the stream.
-    pub fn write_typed_at(
-        &mut self,
-        rank: &mut Rank,
-        offset: u64,
-        memory: &[u8],
-        dtype: &Committed,
-        count: usize,
-    ) -> Result<()> {
-        if dtype.is_contiguous() {
-            let bytes = dtype.size() * count;
-            return self.write_at(rank, offset, &memory[..bytes]);
-        }
-        let packed = dtype.pack(memory, count)?;
-        rank.charge_memcpy(packed.len() as u64);
-        self.write_at(rank, offset, &packed)
-    }
-
-    /// Typed independent read: reads the stream and unpacks into `memory`.
-    pub fn read_typed_at(
-        &mut self,
-        rank: &mut Rank,
-        offset: u64,
-        memory: &mut [u8],
-        dtype: &Committed,
-        count: usize,
-    ) -> Result<()> {
-        if dtype.is_contiguous() {
-            let bytes = dtype.size() * count;
-            return self.read_at(rank, offset, &mut memory[..bytes]);
-        }
-        let mut stream = vec![0u8; dtype.size() * count];
-        self.read_at(rank, offset, &mut stream)?;
-        rank.charge_memcpy(stream.len() as u64);
-        dtype.unpack(&stream, memory, count)?;
-        Ok(())
-    }
-
     /// Collective close (barrier; the simulated PFS needs no flush).
     pub fn close(self, rank: &mut Rank) -> Result<()> {
         rank.barrier()?;
         Ok(())
+    }
+}
+
+/// Independent MPI-IO under the POSIX-like surface: every call is its own
+/// file-system request, served before it returns.
+impl<'buf> PositionedFile<'buf> for File {
+    type Error = IoError;
+
+    fn write_at(&mut self, rank: &mut Rank, offset: u64, data: &[u8]) -> Result<()> {
+        File::write_at(self, rank, offset, data)
+    }
+
+    fn read_at(&mut self, rank: &mut Rank, offset: u64, buf: &'buf mut [u8]) -> Result<()> {
+        File::read_at(self, rank, offset, buf)
+    }
+
+    fn close(self, rank: &mut Rank) -> Result<()> {
+        File::close(self, rank)
+    }
+
+    /// In *view stream* bytes.
+    fn position(&self) -> u64 {
+        self.pos
+    }
+
+    fn set_position(&mut self, pos: u64) {
+        self.pos = pos;
+    }
+
+    fn end(&self) -> Result<u64> {
+        Ok(self.view.stream_len_for_file(self.pfs.len(self.fid)?))
     }
 }
 
@@ -403,26 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn seek_set_cur_end() {
-        with_world(1, |rk, fs| {
-            let mut f = File::open(rk, fs, "/s", Mode::ReadWrite)?;
-            f.write(rk, &[1, 2, 3, 4, 5])?;
-            assert_eq!(f.position(), 5);
-            f.seek(0, Whence::Set)?;
-            assert_eq!(f.position(), 0);
-            f.seek(2, Whence::Cur)?;
-            assert_eq!(f.position(), 2);
-            f.seek(-1, Whence::End)?;
-            assert_eq!(f.position(), 4);
-            let mut b = [0u8; 1];
-            f.read(rk, &mut b)?;
-            assert_eq!(b[0], 5);
-            assert!(f.seek(-10, Whence::Set).is_err());
-            Ok(())
-        });
-    }
-
-    #[test]
     fn view_routes_interleaved_writes() {
         // Two ranks, the paper's Fig. 2 layout via independent writes.
         let fs = Pfs::new(2, PfsConfig::default()).unwrap();
@@ -451,33 +534,6 @@ mod tests {
                 expect - 1
             );
         }
-    }
-
-    #[test]
-    fn typed_write_packs_noncontiguous_memory() {
-        with_world(1, |rk, fs| {
-            let mut f = File::open(rk, fs, "/t", Mode::ReadWrite)?;
-            // Memory: 4 ints at stride 2 (every other int).
-            let t = Datatype::vector(4, 1, 2, Datatype::named(Named::Int)).commit();
-            let memory: Vec<u8> = (0..32u8).collect();
-            f.write_typed_at(rk, 0, &memory, &t, 1)?;
-            let mut got = vec![0u8; 16];
-            f.read_at(rk, 0, &mut got)?;
-            let expect: Vec<u8> = vec![
-                0, 1, 2, 3, // int 0
-                8, 9, 10, 11, // int 2
-                16, 17, 18, 19, // int 4
-                24, 25, 26, 27, // int 6
-            ];
-            assert_eq!(got, expect);
-            // And read back through the same type into a fresh buffer.
-            let mut mem2 = vec![0u8; 32];
-            f.read_typed_at(rk, 0, &mut mem2, &t, 1)?;
-            for i in (0..8).step_by(2) {
-                assert_eq!(&mem2[i * 4..i * 4 + 4], &memory[i * 4..i * 4 + 4]);
-            }
-            Ok(())
-        });
     }
 
     #[test]

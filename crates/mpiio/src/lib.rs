@@ -32,7 +32,7 @@ pub use client::{DeferredQueue, ReadRoute};
 pub use collective::{read_all_at, write_all_at, CollectiveConfig};
 pub use error::{IoError, Result};
 pub use extents::ExtentSet;
-pub use file::{File, Mode, Whence};
+pub use file::{File, Mode, PositionedFile, Whence};
 pub use parcoll::write_all_partitioned;
 pub use sieve::SieveConfig;
 pub use view::FileView;

@@ -80,13 +80,6 @@ pub enum Datatype {
         stride: isize,
         child: Arc<Datatype>,
     },
-    /// Like `Vector` but the stride is in bytes.
-    Hvector {
-        count: usize,
-        blocklen: usize,
-        stride_bytes: isize,
-        child: Arc<Datatype>,
-    },
     /// Blocks of `blocklens[i]` children at displacements `displs[i]`
     /// (in child extents).
     Indexed {
@@ -142,20 +135,6 @@ impl Datatype {
             count,
             blocklen,
             stride,
-            child: Arc::new(child),
-        }
-    }
-
-    pub fn hvector(
-        count: usize,
-        blocklen: usize,
-        stride_bytes: isize,
-        child: Datatype,
-    ) -> Datatype {
-        Datatype::Hvector {
-            count,
-            blocklen,
-            stride_bytes,
             child: Arc::new(child),
         }
     }
@@ -308,12 +287,6 @@ impl Datatype {
         Datatype::subarray(gsizes.to_vec(), subsizes, starts, order, child)
     }
 
-    /// `MPI_Type_dup`: a structurally identical copy (cheap, shares
-    /// children via `Arc`).
-    pub fn dup(&self) -> Datatype {
-        self.clone()
-    }
-
     // ---- size / extent algebra ----
 
     /// Number of bytes of actual data in one instance of this type.
@@ -322,12 +295,6 @@ impl Datatype {
             Datatype::Named(n) => n.size(),
             Datatype::Contiguous { count, child } => count * child.size(),
             Datatype::Vector {
-                count,
-                blocklen,
-                child,
-                ..
-            }
-            | Datatype::Hvector {
                 count,
                 blocklen,
                 child,
@@ -374,12 +341,6 @@ impl Datatype {
                 stride,
                 child,
             } => strided_bounds(*count, *blocklen, *stride * child.extent() as isize, child),
-            Datatype::Hvector {
-                count,
-                blocklen,
-                stride_bytes,
-                child,
-            } => strided_bounds(*count, *blocklen, *stride_bytes, child),
             Datatype::Indexed {
                 blocklens,
                 displs,
@@ -468,12 +429,6 @@ impl Datatype {
                 let ext = child.extent() as isize;
                 flatten_strided(*count, *blocklen, *stride * ext, child, base, out);
             }
-            Datatype::Hvector {
-                count,
-                blocklen,
-                stride_bytes,
-                child,
-            } => flatten_strided(*count, *blocklen, *stride_bytes, child, base, out),
             Datatype::Indexed {
                 blocklens,
                 displs,
@@ -715,7 +670,9 @@ impl Committed {
     /// Negative type-map offsets are not supported when packing from a slice
     /// (the data would precede the buffer); such types return an error.
     pub fn pack(&self, src: &[u8], count: usize) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(self.size * count);
+        // No more than `src` can supply: a wild `count` fails at its first
+        // out-of-range block below, not in the allocator.
+        let mut out = Vec::with_capacity(self.size.saturating_mul(count).min(src.len()));
         for i in 0..count {
             let base = (i * self.extent) as isize;
             for &(off, len) in self.flat.iter() {
@@ -822,14 +779,6 @@ mod tests {
         assert_eq!(c.extents(), &[(0, 12), (16, 12)]);
         assert_eq!(c.size(), 24);
         assert_eq!(c.extent(), 28);
-    }
-
-    #[test]
-    fn hvector_uses_byte_stride() {
-        let t = Datatype::hvector(3, 1, 10, byte());
-        let c = t.commit();
-        assert_eq!(c.extents(), &[(0, 1), (10, 1), (20, 1)]);
-        assert_eq!(t.extent(), 21);
     }
 
     #[test]
@@ -1023,13 +972,6 @@ mod tests {
             2,
             "Fortran: first elem at (2,0) col-major"
         );
-    }
-
-    #[test]
-    fn dup_is_structurally_identical() {
-        let t = Datatype::vector(3, 1, 2, Datatype::named(Named::Int));
-        let d = t.dup();
-        assert_eq!(t.commit().extents(), d.commit().extents());
     }
 
     #[test]

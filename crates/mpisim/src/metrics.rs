@@ -11,9 +11,8 @@
 //! * [`Registry`] — a post-run collection of canonically named counters
 //!   and histograms, filled from the existing stats structs
 //!   (`RankStats`, `FabricStatsSnapshot`, and the pfs/tcio snapshots via
-//!   their own `export_metrics` impls). Exported as JSON and as
-//!   Prometheus-style text. Iteration order is `BTreeMap` order, so both
-//!   exports are deterministic.
+//!   their own `export_metrics` impls). Exported as JSON; iteration order
+//!   is `BTreeMap` order, so the export is deterministic.
 //!
 //! Canonical naming: `<layer>_<field>[_total]` in `snake_case` —
 //! `mpisim_rank_crashes_total`, `pfs_transient_errors_total`,
@@ -162,9 +161,6 @@ pub struct RankMetrics {
     /// Attempts used per retried PFS operation (`mpiio_retry_attempts`);
     /// observed once per operation that needed more than one attempt.
     pub retry_attempts: Hist,
-    /// PFS request service latencies in nanoseconds of virtual time
-    /// (`pfs_request_latency_ns`).
-    pub pfs_latency_ns: Hist,
     /// TCIO level-1 buffer hits/misses on the write path (`tcio_l1_*`).
     pub l1_hits: u64,
     pub l1_misses: u64,
@@ -197,13 +193,6 @@ impl RankMetrics {
         }
     }
 
-    /// Record one PFS request's service latency (virtual seconds).
-    pub fn observe_pfs_latency(&mut self, secs: f64) {
-        if self.enabled {
-            self.pfs_latency_ns.observe((secs.max(0.0) * 1e9) as u64);
-        }
-    }
-
     pub fn hit_l1(&mut self) {
         if self.enabled {
             self.l1_hits += 1;
@@ -232,7 +221,6 @@ impl RankMetrics {
     pub fn is_empty(&self) -> bool {
         self.msg_bytes.is_empty()
             && self.retry_attempts.is_empty()
-            && self.pfs_latency_ns.is_empty()
             && self.l1_hits == 0
             && self.l1_misses == 0
             && self.l2_hits == 0
@@ -243,7 +231,6 @@ impl RankMetrics {
         self.enabled |= other.enabled;
         self.msg_bytes.merge(&other.msg_bytes);
         self.retry_attempts.merge(&other.retry_attempts);
-        self.pfs_latency_ns.merge(&other.pfs_latency_ns);
         self.l1_hits += other.l1_hits;
         self.l1_misses += other.l1_misses;
         self.l2_hits += other.l2_hits;
@@ -257,9 +244,6 @@ impl RankMetrics {
         }
         if !self.retry_attempts.is_empty() {
             reg.insert_hist("mpiio_retry_attempts", self.retry_attempts.clone());
-        }
-        if !self.pfs_latency_ns.is_empty() {
-            reg.insert_hist("pfs_request_latency_ns", self.pfs_latency_ns.clone());
         }
         reg.add_counter("tcio_l1_hits_total", self.l1_hits);
         reg.add_counter("tcio_l1_misses_total", self.l1_misses);
@@ -401,34 +385,6 @@ impl Registry {
         out.push_str("}}");
         out
     }
-
-    /// Prometheus text exposition: counters as `# TYPE <name> counter`,
-    /// histograms with cumulative `_bucket{le="..."}` series plus `_sum`
-    /// and `_count`.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.counters {
-            let _ = writeln!(out, "# TYPE {k} counter");
-            let _ = writeln!(out, "{k} {v}");
-        }
-        for (k, h) in &self.hists {
-            let _ = writeln!(out, "# TYPE {k} histogram");
-            let mut cum = 0u64;
-            for (le, n) in h.nonzero_buckets() {
-                cum += n;
-                let _ = writeln!(out, "{k}_bucket{{le=\"{le}\"}} {cum}");
-            }
-            let _ = writeln!(out, "{k}_bucket{{le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(out, "{k}_sum {}", h.sum);
-            let _ = writeln!(out, "{k}_count {}", h.count);
-            if !h.is_empty() {
-                for (q, v) in [(0.5, h.p50()), (0.95, h.p95()), (0.99, h.p99())] {
-                    let _ = writeln!(out, "{k}{{quantile=\"{q}\"}} {v}");
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -471,14 +427,13 @@ mod tests {
         let mut m = RankMetrics::new(false);
         m.observe_msg_bytes(4096);
         m.observe_retry_attempts(3);
-        m.observe_pfs_latency(0.5);
         m.hit_l1();
         m.miss_l2();
         assert!(m.is_empty());
     }
 
     #[test]
-    fn json_and_prometheus_are_deterministic() {
+    fn json_is_deterministic() {
         let mut reg = Registry::new();
         reg.set_counter("b_metric_total", 2);
         reg.set_counter("a_metric_total", 1);
@@ -493,15 +448,6 @@ mod tests {
         assert!(j.contains(
             "\"lat_ns\":{\"count\":2,\"sum\":703,\"p50\":3,\"p95\":1023,\"p99\":1023,\"buckets\":[[3,1],[1023,1]]}"
         ));
-        let p = reg.to_prometheus();
-        assert!(p.contains("# TYPE a_metric_total counter\na_metric_total 1\n"));
-        assert!(p.contains("lat_ns_bucket{le=\"3\"} 1"));
-        assert!(p.contains("lat_ns_bucket{le=\"1023\"} 2"));
-        assert!(p.contains("lat_ns_bucket{le=\"+Inf\"} 2"));
-        assert!(p.contains("lat_ns_sum 703"));
-        assert!(p.contains("lat_ns_count 2"));
-        assert!(p.contains("lat_ns{quantile=\"0.5\"} 3"));
-        assert!(p.contains("lat_ns{quantile=\"0.99\"} 1023"));
     }
 
     #[test]

@@ -826,29 +826,6 @@ impl Rank {
         reduce_slots(&rv.payloads, |a, b| op.u64(a, b))?.ok_or(NO_SURVIVOR)
     }
 
-    /// Allreduce of one `u64` over all ranks.
-    pub fn allreduce_u64(&mut self, value: u64, op: ReduceOp) -> Result<u64> {
-        self.allreduce_u64_in(&self.world(), value, op)
-    }
-
-    /// Survivor agreement (communicator shrink): synchronize through a
-    /// barrier, then return the ranks that have not crash-stopped.
-    ///
-    /// No extra communication is needed beyond the barrier: every survivor
-    /// leaves it with the *identical* reconciled clock, and the fault plan
-    /// is a pure function of `(rank, time)` — so all survivors evaluate
-    /// the same predicate at the same instant and agree on the same list.
-    /// Collectives re-form around the result (e.g. TCIO's recovery drain
-    /// reassigns a crashed owner's segments to its buddy).
-    pub fn agree_survivors(&mut self) -> Result<Vec<usize>> {
-        self.barrier()?;
-        let t = self.clock;
-        Ok(match &self.shared.chaos {
-            Some(e) => (0..self.nprocs).filter(|&r| !e.crashed(r, t)).collect(),
-            None => (0..self.nprocs).collect(),
-        })
-    }
-
     /// `MPI_Comm_split`: collectively partition the world by `color`.
     /// Every rank receives a [`Comm`] over the ranks that passed the same
     /// color (ordered by world rank).
@@ -1004,11 +981,6 @@ impl Rank {
         };
         let leaders = self.elect(comm, layout)?;
         self.hier_exchange(comm, layout, &leaders, data)
-    }
-
-    /// [`Rank::alltoallv_burst_hier_in`] over all ranks.
-    pub fn alltoallv_burst_hier(&mut self, data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
-        self.alltoallv_burst_hier_in(&self.world(), data)
     }
 
     /// Barrier over `comm`, then the node-leader election of the two-level
@@ -1760,9 +1732,9 @@ mod tests {
     #[test]
     fn allreduce_ops() {
         let rep = run(4, cfg(), |rk| {
-            let min = rk.allreduce_u64(rk.rank() as u64 + 5, ReduceOp::Min)?;
-            let max = rk.allreduce_u64(rk.rank() as u64 + 5, ReduceOp::Max)?;
-            let sum = rk.allreduce_u64(rk.rank() as u64 + 5, ReduceOp::Sum)?;
+            let min = rk.allreduce_u64_in(&rk.world(), rk.rank() as u64 + 5, ReduceOp::Min)?;
+            let max = rk.allreduce_u64_in(&rk.world(), rk.rank() as u64 + 5, ReduceOp::Max)?;
+            let sum = rk.allreduce_u64_in(&rk.world(), rk.rank() as u64 + 5, ReduceOp::Sum)?;
             Ok((min, max, sum))
         })
         .unwrap();
@@ -2047,7 +2019,7 @@ mod tests {
     #[test]
     fn large_scale_smoke_256_ranks() {
         let rep = run(256, cfg(), |rk| {
-            let sum = rk.allreduce_u64(rk.rank() as u64, ReduceOp::Sum)?;
+            let sum = rk.allreduce_u64_in(&rk.world(), rk.rank() as u64, ReduceOp::Sum)?;
             rk.barrier()?;
             Ok(sum)
         })
@@ -2091,7 +2063,7 @@ mod tests {
             if rk.rank() == 0 {
                 rk.allgather(&[1]).map(drop)
             } else {
-                rk.allreduce_u64(5, ReduceOp::Sum).map(drop)
+                rk.allreduce_u64_in(&rk.world(), 5, ReduceOp::Sum).map(drop)
             }
         })
         .unwrap_err();
@@ -2254,7 +2226,7 @@ mod comm_tests {
             };
             let hier = run(nprocs, topo_cfg, |rk| {
                 let data = mk_data(rk.rank(), rk.nprocs());
-                rk.alltoallv_burst_hier(data)
+                rk.alltoallv_burst_hier_in(&rk.world(), data)
             })
             .unwrap();
             let flat = run(nprocs, cfg(), |rk| {
@@ -2298,7 +2270,7 @@ mod comm_tests {
             move |rk: &mut Rank| {
                 let data: Vec<Vec<u8>> = (0..rk.nprocs()).map(|d| vec![d as u8; 64]).collect();
                 let out = if hier {
-                    rk.alltoallv_burst_hier(data)?
+                    rk.alltoallv_burst_hier_in(&rk.world(), data)?
                 } else {
                     rk.alltoallv_burst(data)?
                 };
@@ -2325,7 +2297,7 @@ mod comm_tests {
         };
         let hier = run(8, topo(), move |rk| {
             let d = data_of(rk);
-            rk.alltoallv_burst_hier(d)
+            rk.alltoallv_burst_hier_in(&rk.world(), d)
         })
         .unwrap();
         let flat = run(8, topo(), move |rk| {

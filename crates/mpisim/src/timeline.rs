@@ -15,39 +15,23 @@
 //! on when work is due in virtual time, not on which rank booked first.
 
 /// A set of disjoint busy intervals on the virtual-time axis.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Timeline {
     /// Sorted, non-overlapping `(start, end)` busy intervals.
     busy: Vec<(f64, f64)>,
     /// No reservation may start before this (set when old intervals are
     /// pruned; bounds memory on very long runs).
     floor: f64,
-    /// Prune threshold.
-    max_intervals: usize,
-}
-
-impl Default for Timeline {
-    fn default() -> Self {
-        Timeline {
-            busy: Vec::new(),
-            floor: 0.0,
-            max_intervals: 4096,
-        }
-    }
 }
 
 impl Timeline {
+    /// Prune threshold: a timeline keeps at most this many intervals;
+    /// older history is pruned and late stragglers are clamped to the
+    /// pruned horizon.
+    const MAX_INTERVALS: usize = 4096;
+
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A timeline that keeps at most `max` intervals; older history is
-    /// pruned and late stragglers are clamped to the pruned horizon.
-    pub fn with_capacity_limit(max: usize) -> Self {
-        Timeline {
-            max_intervals: max.max(16),
-            ..Self::default()
-        }
     }
 
     /// Reserve `dur` seconds starting no earlier than `earliest`, taking
@@ -57,7 +41,7 @@ impl Timeline {
         if dur <= 0.0 {
             return self.next_free_at(earliest);
         }
-        if self.busy.len() >= self.max_intervals {
+        if self.busy.len() >= Self::MAX_INTERVALS {
             // Drop the oldest half; nothing may book before the horizon.
             let half = self.busy.len() / 2;
             self.floor = self.busy[half - 1].1;
@@ -244,12 +228,13 @@ mod prune_tests {
 
     #[test]
     fn capacity_limit_prunes_and_clamps() {
-        let mut t = Timeline::with_capacity_limit(16);
+        let mut t = Timeline::new();
         // Create many scattered (non-coalescing) intervals.
-        for i in 0..40 {
+        for i in 0..Timeline::MAX_INTERVALS + 40 {
             t.reserve(i as f64 * 2.0, 0.5);
         }
-        assert!(t.segments() <= 17, "pruning must bound the vector");
+        let bound = Timeline::MAX_INTERVALS + 1;
+        assert!(t.segments() <= bound, "pruning must bound the vector");
         // A straggler far in the past is clamped to the horizon, not lost.
         let s = t.reserve(0.0, 0.1);
         assert!(s > 0.5, "pre-horizon request must be clamped forward");

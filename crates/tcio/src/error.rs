@@ -52,6 +52,9 @@ impl From<mpiio::IoError> for TcioError {
     fn from(e: mpiio::IoError) -> Self {
         match e {
             mpiio::IoError::Mpi(m) => TcioError::Mpi(m),
+            // API misuse is API misuse at either layer (the provided
+            // methods of `mpiio::PositionedFile` raise it this way).
+            mpiio::IoError::Usage(msg) => TcioError::Usage(msg),
             other => TcioError::Io(other),
         }
     }

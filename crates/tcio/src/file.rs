@@ -35,7 +35,7 @@ use crate::error::{Result, TcioError};
 use crate::segment::SegmentMap;
 use mpiio::client::{self, DeferredQueue, Direction, ReadRoute};
 use mpiio::ExtentSet;
-use mpisim::{Committed, DeferredIo, LockKind, MemGuard, Phase, Rank, Window};
+use mpisim::{DeferredIo, LockKind, MemGuard, Phase, Rank, Window};
 use parking_lot::Mutex;
 use pfs::{FileId, Pfs};
 use std::collections::BTreeMap;
@@ -51,8 +51,9 @@ pub enum TcioMode {
     Read,
 }
 
-/// Seek origin, mirroring `tcio_seek`'s `whence`.
-pub use mpiio::Whence;
+/// The POSIX-like surface [`TcioFile`] implements, and `tcio_seek`'s
+/// `whence`.
+pub use mpiio::{PositionedFile, Whence};
 
 /// Per-handle statistics (rank-local).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -328,48 +329,6 @@ impl<'a> TcioFile<'a> {
         })
     }
 
-    pub fn mode(&self) -> TcioMode {
-        self.mode
-    }
-
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    pub fn config(&self) -> &TcioConfig {
-        &self.cfg
-    }
-
-    /// Current cursor position (`tcio_seek` with offset 0, `Cur`).
-    pub fn position(&self) -> u64 {
-        self.pos
-    }
-
-    /// File length visible to reads.
-    pub fn len(&self) -> u64 {
-        self.file_len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.file_len == 0
-    }
-
-    /// `tcio_seek`. Positions are `MPI_Offset`s: non-negative `i64`s.
-    pub fn seek(&mut self, offset: i64, whence: Whence) -> Result<()> {
-        let base = match whence {
-            Whence::Set => 0,
-            Whence::Cur => self.pos,
-            Whence::End => self.file_len,
-        };
-        let target = i64::try_from(base).ok().and_then(|b| b.checked_add(offset));
-        self.pos = target.and_then(|t| u64::try_from(t).ok()).ok_or_else(|| {
-            TcioError::Usage(format!(
-                "seek by {offset} from {base} leaves the offset range"
-            ))
-        })?;
-        Ok(())
-    }
-
     fn locate_checked(&self, offset: u64) -> Result<crate::segment::Location> {
         let loc = self.map.locate(offset);
         if loc.segment >= self.cfg.num_segments {
@@ -423,47 +382,6 @@ impl<'a> TcioFile<'a> {
         }
         self.file_len = self.file_len.max(end);
         Ok(())
-    }
-
-    /// `tcio_write`: sequential write at the cursor.
-    pub fn write(&mut self, rank: &mut Rank, data: &[u8]) -> Result<()> {
-        let pos = self.pos;
-        self.write_at(rank, pos, data)?;
-        self.pos = pos + data.len() as u64;
-        Ok(())
-    }
-
-    /// Typed write at the cursor (`tcio_write` with an MPI datatype):
-    /// packs `count` instances of `dtype` from `memory`.
-    pub fn write_typed(
-        &mut self,
-        rank: &mut Rank,
-        memory: &[u8],
-        dtype: &Committed,
-        count: usize,
-    ) -> Result<()> {
-        let pos = self.pos;
-        self.write_typed_at(rank, pos, memory, dtype, count)?;
-        self.pos = pos + (dtype.size() * count) as u64;
-        Ok(())
-    }
-
-    /// Typed positioned write (`tcio_write_at` with an MPI datatype).
-    pub fn write_typed_at(
-        &mut self,
-        rank: &mut Rank,
-        offset: u64,
-        memory: &[u8],
-        dtype: &Committed,
-        count: usize,
-    ) -> Result<()> {
-        if dtype.is_contiguous() {
-            let bytes = dtype.size() * count;
-            return self.write_at(rank, offset, &memory[..bytes]);
-        }
-        let packed = dtype.pack(memory, count)?;
-        rank.charge_memcpy(packed.len() as u64);
-        self.write_at(rank, offset, &packed)
     }
 
     /// Place one within-window chunk in the level-1 buffer, flushing first
@@ -664,15 +582,6 @@ impl<'a> TcioFile<'a> {
             }
             off += take as u64;
         }
-        Ok(())
-    }
-
-    /// `tcio_read`: sequential read at the cursor.
-    pub fn read(&mut self, rank: &mut Rank, buf: &'a mut [u8]) -> Result<()> {
-        let pos = self.pos;
-        let len = buf.len() as u64;
-        self.read_at(rank, pos, buf)?;
-        self.pos = pos + len;
         Ok(())
     }
 
@@ -934,6 +843,37 @@ impl<'a> TcioFile<'a> {
     }
 }
 
+/// Program 1's `tcio_seek`, cursor `tcio_write`/`tcio_read` and datatype
+/// arguments are the provided methods TCIO shares with independent MPI-IO.
+impl<'a> PositionedFile<'a> for TcioFile<'a> {
+    type Error = TcioError;
+
+    fn write_at(&mut self, rank: &mut Rank, offset: u64, data: &[u8]) -> Result<()> {
+        TcioFile::write_at(self, rank, offset, data)
+    }
+
+    fn read_at(&mut self, rank: &mut Rank, offset: u64, buf: &'a mut [u8]) -> Result<()> {
+        TcioFile::read_at(self, rank, offset, buf)
+    }
+
+    fn close(self, rank: &mut Rank) -> Result<()> {
+        TcioFile::close(self, rank).map(drop)
+    }
+
+    fn position(&self) -> u64 {
+        self.pos
+    }
+
+    fn set_position(&mut self, pos: u64) {
+        self.pos = pos;
+    }
+
+    /// The file length visible to reads (what writes have reached so far).
+    fn end(&self) -> Result<u64> {
+        Ok(self.file_len)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1178,31 +1118,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_write_and_read_cursor() {
-        let fs = Pfs::new(1, PfsConfig::default()).unwrap();
-        let fs2 = Arc::clone(&fs);
-        mpisim::run(1, SimConfig::default(), move |rk| {
-            let mut f = TcioFile::open(rk, &fs2, "/seq", TcioMode::Write, small_cfg(8))?;
-            f.write(rk, &[1, 2, 3])?;
-            f.write(rk, &[4, 5])?;
-            assert_eq!(f.position(), 5);
-            f.seek(1, Whence::Set)?;
-            f.write(rk, &[9])?;
-            f.close(rk)?;
-
-            let mut g = TcioFile::open(rk, &fs2, "/seq", TcioMode::Read, small_cfg(8))?;
-            let mut buf = vec![0u8; 5];
-            g.read(rk, &mut buf)?;
-            g.fetch(rk)?;
-            // `close` consumes the handle, releasing the borrow of `buf`.
-            g.close(rk)?;
-            assert_eq!(buf, vec![1, 9, 3, 4, 5]);
-            Ok(())
-        })
-        .unwrap();
-    }
-
-    #[test]
     fn read_past_eof_rejected() {
         let fs = Pfs::new(1, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
@@ -1240,29 +1155,6 @@ mod tests {
             Ok(())
         })
         .unwrap();
-    }
-
-    #[test]
-    fn typed_writes_pack_noncontiguous_memory() {
-        let fs = Pfs::new(1, PfsConfig::default()).unwrap();
-        let fs2 = Arc::clone(&fs);
-        mpisim::run(1, SimConfig::default(), move |rk| {
-            let mut f = TcioFile::open(rk, &fs2, "/typed", TcioMode::Write, small_cfg(4))?;
-            // Every other int from memory.
-            let t = mpisim::Datatype::vector(4, 1, 2, mpisim::Datatype::named(mpisim::Named::Int))
-                .commit();
-            let memory: Vec<u8> = (0..32u8).collect();
-            f.write_typed_at(rk, 0, &memory, &t, 1)?;
-            f.close(rk)?;
-            Ok(())
-        })
-        .unwrap();
-        let fid = fs.open("/typed").unwrap();
-        let bytes = fs.snapshot_file(fid).unwrap();
-        assert_eq!(
-            &bytes[..16],
-            &[0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19, 24, 25, 26, 27]
-        );
     }
 
     #[test]

@@ -64,5 +64,5 @@ pub mod segment;
 
 pub use config::{ReadMode, SyncMode, TcioConfig};
 pub use error::{Result, TcioError};
-pub use file::{TcioFile, TcioMode, TcioStats, Whence};
+pub use file::{PositionedFile, TcioFile, TcioMode, TcioStats, Whence};
 pub use segment::{Location, SegmentMap};

@@ -84,10 +84,6 @@ impl FttTree {
         self.ncells.len()
     }
 
-    pub fn total_cells(&self) -> u64 {
-        self.ncells.iter().map(|&n| n as u64).sum()
-    }
-
     /// Header bytes: magic, cell id, level count, per-level populations.
     pub fn header(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.header_size() as usize);
@@ -121,12 +117,6 @@ impl FttTree {
             + (0..self.levels())
                 .map(|l| self.flags_size(l) + num_vars as u64 * self.var_size(l))
                 .sum::<u64>()
-    }
-
-    /// Number of small arrays in the record (the "129 arrays" count for
-    /// the paper's example: 1 header + per level (1 + vars)).
-    pub fn array_count(&self, num_vars: usize) -> usize {
-        1 + self.levels() * (1 + num_vars)
     }
 
     /// Deterministic refinement flag for cell `idx` at `level`.
@@ -230,20 +220,6 @@ mod tests {
             let rec = t.record(2);
             assert_eq!(rec.len() as u64, t.record_size(2));
         }
-    }
-
-    #[test]
-    fn paper_example_array_count() {
-        // 2 variables, 6 levels → 1 header + 6·(1 + 2) = 19 logical arrays
-        // here (we store one flags array per level; the paper's per-level
-        // layout of Fig. 8 counts finer-grained arrays, 129 total — the
-        // point is the *many small arrays of different sizes* shape).
-        let t = FttTree {
-            cell_id: 0,
-            ncells: vec![1, 2, 4, 8, 16, 32],
-        };
-        assert_eq!(t.array_count(2), 19);
-        assert_eq!(t.total_cells(), 63);
     }
 
     #[test]

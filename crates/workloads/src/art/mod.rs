@@ -21,6 +21,7 @@ pub use ftt::{FttConfig, FttTree, FTT_MAGIC};
 use crate::error::{Result, WlError};
 use crate::synthetic::{timed, RunMetrics};
 use crate::Normal;
+use mpiio::PositionedFile;
 use mpisim::wire::Cursor;
 use mpisim::Rank;
 use pfs::Pfs;
@@ -136,10 +137,23 @@ fn segment_trees(plan: &ArtPlan, seg: usize, ftt: &FttConfig) -> Vec<FttTree> {
 /// This rank's trees keyed by their segment index.
 type MyTrees = Vec<(usize, Vec<FttTree>)>;
 
+/// One restart read: `(file offset, length)`.
+type Piece = (u64, usize);
+
+/// The snapshot as one rank sees it.
+struct Layout {
+    /// Byte offset of every segment in the file.
+    seg_off: Vec<u64>,
+    my_trees: MyTrees,
+    my_bytes: u64,
+    /// Snapshot size (all segments) — sizes TCIO's level-2 buffer.
+    total: u64,
+}
+
 /// Compute the global segment byte offsets: each rank sizes its own
 /// segments, the counts are allgathered, everyone prefix-sums.
-/// Returns `(seg_offsets, my trees keyed by segment, my total bytes)`.
-fn layout(rank: &mut Rank, plan: &ArtPlan, cfg: &ArtConfig) -> Result<(Vec<u64>, MyTrees, u64)> {
+fn layout(rank: &mut Rank, cfg: &ArtConfig) -> Result<Layout> {
+    let plan = &plan(cfg);
     let nprocs = rank.nprocs();
     let me = rank.rank();
     let mine = my_segments(plan, me, nprocs);
@@ -170,13 +184,15 @@ fn layout(rank: &mut Rank, plan: &ArtPlan, cfg: &ArtConfig) -> Result<(Vec<u64>,
         seg_off.push(acc);
         acc += b;
     }
-    let my_bytes: u64 = my_sizes.iter().sum();
-    let _total = acc;
-    Ok((seg_off, my_trees, my_bytes))
+    Ok(Layout {
+        total: total_bytes(&seg_off, plan, cfg),
+        seg_off,
+        my_trees,
+        my_bytes: my_sizes.iter().sum(),
+    })
 }
 
-/// Total snapshot size (all segments) — needed to size TCIO's level-2
-/// buffer before writing.
+/// Total snapshot size (all segments).
 fn total_bytes(seg_off: &[u64], plan: &ArtPlan, cfg: &ArtConfig) -> u64 {
     // seg_off is a prefix sum; total = last offset + last segment's bytes.
     match seg_off.last() {
@@ -192,32 +208,55 @@ fn total_bytes(seg_off: &[u64], plan: &ArtPlan, cfg: &ArtConfig) -> u64 {
     }
 }
 
-/// Emit one tree's record through `put` as the sequence of small writes the
-/// real application performs: header, then per level the structure flags
-/// and each variable array.
-/// Positioned-write callback used to emit records through either I/O path.
-type PutFn<'a> = dyn FnMut(&mut Rank, u64, &[u8]) -> Result<()> + 'a;
-
-fn write_tree(
-    rank: &mut Rank,
-    tree: &FttTree,
+/// The POSIX-like dump loop, through whichever handle `open` makes: every
+/// tree's record as the sequence of small positioned writes the real
+/// application performs — header, then per level the structure flags and
+/// each variable array.
+fn write_trees<'b, F: PositionedFile<'b>>(
+    rk: &mut Rank,
+    my_trees: &[(usize, Vec<FttTree>)],
+    seg_off: &[u64],
     num_vars: usize,
-    cursor: &mut u64,
-    put: &mut PutFn<'_>,
-) -> Result<()> {
-    let h = tree.header();
-    put(rank, *cursor, &h)?;
-    *cursor += h.len() as u64;
-    for l in 0..tree.levels() {
-        let flags = tree.flags_bytes(l);
-        put(rank, *cursor, &flags)?;
-        *cursor += flags.len() as u64;
-        for v in 0..num_vars {
-            let vb = tree.var_bytes(l, v);
-            put(rank, *cursor, &vb)?;
-            *cursor += vb.len() as u64;
+    open: impl FnOnce(&mut Rank) -> Result<F, F::Error>,
+) -> Result<(), F::Error> {
+    let mut f = open(rk)?;
+    for (seg, trees) in my_trees {
+        let mut cursor = seg_off[*seg];
+        let mut put = |rk: &mut Rank, data: Vec<u8>| -> Result<(), F::Error> {
+            f.write_at(rk, cursor, &data)?;
+            cursor += data.len() as u64;
+            Ok(())
+        };
+        for tree in trees {
+            put(rk, tree.header())?;
+            for l in 0..tree.levels() {
+                put(rk, tree.flags_bytes(l))?;
+                for v in 0..num_vars {
+                    put(rk, tree.var_bytes(l, v))?;
+                }
+            }
         }
     }
+    f.close(rk)?;
+    Ok(())
+}
+
+/// The POSIX-like restart loop: one positioned read per piece, back to back
+/// into `arena` (a lazy handle fills it by `close`).
+fn read_pieces_into<'b, F: PositionedFile<'b>>(
+    rk: &mut Rank,
+    pieces: &[Piece],
+    arena: &'b mut [u8],
+    open: impl FnOnce(&mut Rank) -> Result<F, F::Error>,
+) -> Result<(), F::Error> {
+    let mut f = open(rk)?;
+    let mut rest = arena;
+    for &(off, len) in pieces {
+        let (dst, tail) = rest.split_at_mut(len);
+        rest = tail;
+        f.read_at(rk, off, dst)?;
+    }
+    f.close(rk)?;
     Ok(())
 }
 
@@ -229,41 +268,21 @@ pub fn dump(
     method: ArtMethod,
     path: &str,
 ) -> Result<RunMetrics> {
-    let p = plan(cfg);
-    let (seg_off, my_trees, my_bytes) = layout(rank, &p, cfg)?;
-    let total = total_bytes(&seg_off, &p, cfg);
+    let lay = layout(rank, cfg)?;
     let vars = cfg.ftt.num_vars;
-    let (metrics, ()) = timed(rank, my_bytes, |rk| {
+    let (metrics, ()) = timed(rank, lay.my_bytes, |rk| {
         match method {
-            ArtMethod::Tcio => {
-                let tcfg = TcioConfig::for_file_size(total, rk.nprocs());
-                let mut f = TcioFile::open(rk, pfs, path, TcioMode::Write, tcfg)?;
-                for (seg, trees) in &my_trees {
-                    let mut cursor = seg_off[*seg];
-                    for t in trees {
-                        write_tree(rk, t, vars, &mut cursor, &mut |rk, off, data| {
-                            f.write_at(rk, off, data).map_err(WlError::from)
-                        })?;
-                    }
-                }
-                f.close(rk)?;
-            }
-            ArtMethod::Vanilla => {
-                let mut f = mpiio::File::open(rk, pfs, path, mpiio::Mode::WriteOnly)?;
-                for (seg, trees) in &my_trees {
-                    let mut cursor = seg_off[*seg];
-                    for t in trees {
-                        write_tree(rk, t, vars, &mut cursor, &mut |rk, off, data| {
-                            f.write_at(rk, off, data).map_err(WlError::from)
-                        })?;
-                    }
-                }
-                f.close(rk)?;
-            }
+            ArtMethod::Tcio => write_trees(rk, &lay.my_trees, &lay.seg_off, vars, |rk| {
+                let tcfg = TcioConfig::for_file_size(lay.total, rk.nprocs());
+                TcioFile::open(rk, pfs, path, TcioMode::Write, tcfg)
+            })?,
+            ArtMethod::Vanilla => write_trees(rk, &lay.my_trees, &lay.seg_off, vars, |rk| {
+                mpiio::File::open(rk, pfs, path, mpiio::Mode::WriteOnly)
+            })?,
             ArtMethod::VanillaBuffered => {
                 let mut f = mpiio::File::open(rk, pfs, path, mpiio::Mode::WriteOnly)?;
-                for (seg, trees) in &my_trees {
-                    let mut cursor = seg_off[*seg];
+                for (seg, trees) in &lay.my_trees {
+                    let mut cursor = lay.seg_off[*seg];
                     for t in trees {
                         // Manual per-record combine buffer: the programming
                         // effort TCIO's level-1 buffer makes unnecessary.
@@ -281,40 +300,21 @@ pub fn dump(
     Ok(metrics)
 }
 
-/// One read piece of the restart plan.
-struct Piece {
-    off: u64,
-    len: usize,
-}
-
-/// Build the ascending list of read pieces for this rank's trees, mirroring
-/// the write pattern (header, flags, vars per level).
+/// The ascending `(file offset, length)` list of this rank's restart
+/// reads, mirroring the write pattern (header, flags, vars per level).
 fn read_pieces(my_trees: &[(usize, Vec<FttTree>)], seg_off: &[u64], vars: usize) -> Vec<Piece> {
     let mut pieces = Vec::new();
     for (seg, trees) in my_trees {
         let mut cursor = seg_off[*seg];
+        let mut piece = |len: u64| {
+            pieces.push((cursor, len as usize));
+            cursor += len;
+        };
         for t in trees {
-            let hs = t.header_size() as usize;
-            pieces.push(Piece {
-                off: cursor,
-                len: hs,
-            });
-            cursor += hs as u64;
+            piece(t.header_size());
             for l in 0..t.levels() {
-                let fs = t.flags_size(l) as usize;
-                pieces.push(Piece {
-                    off: cursor,
-                    len: fs,
-                });
-                cursor += fs as u64;
-                for _ in 0..vars {
-                    let vs = t.var_size(l) as usize;
-                    pieces.push(Piece {
-                        off: cursor,
-                        len: vs,
-                    });
-                    cursor += vs as u64;
-                }
+                piece(t.flags_size(l));
+                (0..vars).for_each(|_| piece(t.var_size(l)));
             }
         }
     }
@@ -349,44 +349,27 @@ pub fn restart(
     method: ArtMethod,
     path: &str,
 ) -> Result<RunMetrics> {
-    let p = plan(cfg);
-    let (seg_off, my_trees, my_bytes) = layout(rank, &p, cfg)?;
-    let total = total_bytes(&seg_off, &p, cfg);
+    let lay = layout(rank, cfg)?;
     let vars = cfg.ftt.num_vars;
-    let pieces = read_pieces(&my_trees, &seg_off, vars);
-    let _arena_mem = rank.alloc(my_bytes)?;
+    let pieces = read_pieces(&lay.my_trees, &lay.seg_off, vars);
+    let _arena_mem = rank.alloc(lay.my_bytes)?;
     rank.note_mem_peak();
-    let mut arena = vec![0u8; my_bytes as usize];
-    let (metrics, ()) = timed(rank, my_bytes, |rk| {
+    let mut arena = vec![0u8; lay.my_bytes as usize];
+    let (metrics, ()) = timed(rank, lay.my_bytes, |rk| {
         match method {
-            ArtMethod::Tcio => {
-                let tcfg = TcioConfig::for_file_size(total, rk.nprocs());
-                let mut f = TcioFile::open(rk, pfs, path, TcioMode::Read, tcfg)?;
-                let mut rest = arena.as_mut_slice();
-                for piece in &pieces {
-                    let (dst, tail) = rest.split_at_mut(piece.len);
-                    rest = tail;
-                    f.read_at(rk, piece.off, dst)?;
-                }
-                f.fetch(rk)?;
-                f.close(rk)?;
-            }
-            ArtMethod::Vanilla => {
-                let mut f = mpiio::File::open(rk, pfs, path, mpiio::Mode::ReadOnly)?;
-                let mut rest = arena.as_mut_slice();
-                for piece in &pieces {
-                    let (dst, tail) = rest.split_at_mut(piece.len);
-                    rest = tail;
-                    f.read_at(rk, piece.off, dst)?;
-                }
-                f.close(rk)?;
-            }
+            ArtMethod::Tcio => read_pieces_into(rk, &pieces, &mut arena, |rk| {
+                let tcfg = TcioConfig::for_file_size(lay.total, rk.nprocs());
+                TcioFile::open(rk, pfs, path, TcioMode::Read, tcfg)
+            })?,
+            ArtMethod::Vanilla => read_pieces_into(rk, &pieces, &mut arena, |rk| {
+                mpiio::File::open(rk, pfs, path, mpiio::Mode::ReadOnly)
+            })?,
             ArtMethod::VanillaBuffered => {
                 // One read per record instead of one per array.
                 let mut f = mpiio::File::open(rk, pfs, path, mpiio::Mode::ReadOnly)?;
                 let mut rest = arena.as_mut_slice();
-                for (seg, trees) in &my_trees {
-                    let mut cursor = seg_off[*seg];
+                for (seg, trees) in &lay.my_trees {
+                    let mut cursor = lay.seg_off[*seg];
                     for t in trees {
                         let len = t.record_size(vars) as usize;
                         let (dst, tail) = rest.split_at_mut(len);
@@ -400,7 +383,7 @@ pub fn restart(
         }
         Ok(())
     })?;
-    verify_arena(&my_trees, vars, &arena)?;
+    verify_arena(&lay.my_trees, vars, &arena)?;
     Ok(metrics)
 }
 

@@ -82,7 +82,7 @@ impl WlError {
     }
 }
 
-pub type Result<T> = std::result::Result<T, WlError>;
+pub type Result<T, E = WlError> = std::result::Result<T, E>;
 
 #[cfg(test)]
 mod tests {

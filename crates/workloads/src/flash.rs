@@ -20,6 +20,7 @@
 
 use crate::error::{Result, WlError};
 use crate::synthetic::{timed, Method, RunMetrics};
+use mpiio::PositionedFile;
 use mpisim::{Datatype, Named, Order, Rank};
 use pfs::Pfs;
 use std::sync::Arc;
@@ -138,6 +139,34 @@ fn interior_bytes(p: &FlashParams, rank: usize, b: usize, v: usize) -> Vec<u8> {
     out
 }
 
+/// The POSIX-like checkpoint loop: write each interior row directly — no
+/// combine buffer, no datatypes — through whichever handle `open` makes.
+fn write_interior_rows<'b, F: PositionedFile<'b>>(
+    rk: &mut Rank,
+    p: &FlashParams,
+    open: impl FnOnce(&mut Rank) -> Result<F, F::Error>,
+) -> Result<(), F::Error> {
+    let (me, nprocs) = (rk.rank(), rk.nprocs());
+    let mut f = open(rk)?;
+    let n = p.padded();
+    let row = p.nxb * 8;
+    for b in 0..p.blocks_per_rank {
+        for v in 0..p.num_vars {
+            let var = padded_var(p, me, b, v);
+            let mut file_off = p.var_offset(me, nprocs, b, v);
+            for z in p.guards..p.guards + p.nxb {
+                for y in p.guards..p.guards + p.nxb {
+                    let at = ((z * n + y) * n + p.guards) * 8;
+                    f.write_at(rk, file_off, &var[at..at + row])?;
+                    file_off += row as u64;
+                }
+            }
+        }
+    }
+    f.close(rk)?;
+    Ok(())
+}
+
 /// Checkpoint with the chosen method.
 pub fn checkpoint(
     rank: &mut Rank,
@@ -147,35 +176,19 @@ pub fn checkpoint(
     path: &str,
 ) -> Result<RunMetrics> {
     p.validate()?;
-    let nprocs = rank.nprocs();
-    let me = rank.rank();
+    let (me, nprocs) = (rank.rank(), rank.nprocs());
     // In-memory state: padded blocks × vars (accounted).
     let _mem = rank.alloc((p.blocks_per_rank * p.num_vars * p.padded_var_bytes()) as u64)?;
     rank.note_mem_peak();
     let (metrics, ()) = timed(rank, p.bytes_per_rank(), |rk| {
         match method {
-            Method::Tcio => {
-                let cfg = TcioConfig::for_file_size(p.file_size(nprocs), nprocs);
-                let mut f = TcioFile::open(rk, pfs, path, TcioMode::Write, cfg)?;
-                // Write each interior row directly — POSIX style, no
-                // combine buffer, no datatypes.
-                let n = p.padded();
-                let row = p.nxb * 8;
-                for b in 0..p.blocks_per_rank {
-                    for v in 0..p.num_vars {
-                        let var = padded_var(p, me, b, v);
-                        let mut file_off = p.var_offset(me, nprocs, b, v);
-                        for z in p.guards..p.guards + p.nxb {
-                            for y in p.guards..p.guards + p.nxb {
-                                let at = ((z * n + y) * n + p.guards) * 8;
-                                f.write_at(rk, file_off, &var[at..at + row])?;
-                                file_off += row as u64;
-                            }
-                        }
-                    }
-                }
-                f.close(rk)?;
-            }
+            Method::Tcio => write_interior_rows(rk, p, |rk| {
+                let tcfg = TcioConfig::for_file_size(p.file_size(nprocs), nprocs);
+                TcioFile::open(rk, pfs, path, TcioMode::Write, tcfg)
+            })?,
+            Method::Vanilla => write_interior_rows(rk, p, |rk| {
+                mpiio::File::open(rk, pfs, path, mpiio::Mode::WriteOnly)
+            })?,
             Method::Ocio => {
                 // The FLASH recipe: pack interiors via the subarray type
                 // into a combine buffer, then one collective write of the
@@ -204,25 +217,6 @@ pub fn checkpoint(
                 .commit();
                 f.set_view(rk, (me * record) as u64, &etype, &ftype)?;
                 mpiio::write_all_at(rk, &mut f, 0, &buffer, &mpiio::CollectiveConfig::default())?;
-                f.close(rk)?;
-            }
-            Method::Vanilla => {
-                let mut f = mpiio::File::open(rk, pfs, path, mpiio::Mode::WriteOnly)?;
-                let n = p.padded();
-                let row = p.nxb * 8;
-                for b in 0..p.blocks_per_rank {
-                    for v in 0..p.num_vars {
-                        let var = padded_var(p, me, b, v);
-                        let mut file_off = p.var_offset(me, nprocs, b, v);
-                        for z in p.guards..p.guards + p.nxb {
-                            for y in p.guards..p.guards + p.nxb {
-                                let at = ((z * n + y) * n + p.guards) * 8;
-                                f.write_at(rk, file_off, &var[at..at + row])?;
-                                file_off += row as u64;
-                            }
-                        }
-                    }
-                }
                 f.close(rk)?;
             }
         }
@@ -256,7 +250,6 @@ pub fn verify_checkpoint(
                 f.read_at(rk, p.var_offset(me, nprocs, b, v), dst)?;
             }
         }
-        f.fetch(rk)?;
         f.close(rk)?;
         Ok(())
     })?;

@@ -20,6 +20,7 @@
 
 use crate::error::{Result, WlError};
 use crate::synthetic::{timed, Method, RunMetrics};
+use mpiio::PositionedFile;
 use mpisim::Rank;
 use pfs::Pfs;
 use std::sync::Arc;
@@ -92,6 +93,47 @@ fn fill(rank: usize, s: usize, t: u64, len: usize) -> Vec<u8> {
         .collect()
 }
 
+/// The POSIX-like write loop: one positioned write per transfer, through
+/// whichever handle `open` makes.
+fn write_transfers<'b, F: PositionedFile<'b>>(
+    rk: &mut Rank,
+    p: &IorParams,
+    open: impl FnOnce(&mut Rank) -> Result<F, F::Error>,
+) -> Result<(), F::Error> {
+    let (me, nprocs) = (rk.rank(), rk.nprocs());
+    let mut f = open(rk)?;
+    for s in 0..p.segments {
+        for t in 0..p.transfers_per_block() {
+            let data = fill(me, s, t, p.transfer_size as usize);
+            f.write_at(rk, p.offset(me, nprocs, s, t), &data)?;
+        }
+    }
+    f.close(rk)?;
+    Ok(())
+}
+
+/// The POSIX-like read loop: one positioned read per transfer, back to
+/// back into `arena` (a lazy handle fills it by `close`).
+fn read_transfers<'b, F: PositionedFile<'b>>(
+    rk: &mut Rank,
+    p: &IorParams,
+    arena: &'b mut [u8],
+    open: impl FnOnce(&mut Rank) -> Result<F, F::Error>,
+) -> Result<(), F::Error> {
+    let (me, nprocs) = (rk.rank(), rk.nprocs());
+    let mut f = open(rk)?;
+    let mut rest = arena;
+    for s in 0..p.segments {
+        for t in 0..p.transfers_per_block() {
+            let (piece, tail) = rest.split_at_mut(p.transfer_size as usize);
+            rest = tail;
+            f.read_at(rk, p.offset(me, nprocs, s, t), piece)?;
+        }
+    }
+    f.close(rk)?;
+    Ok(())
+}
+
 /// Write the IOR pattern with the chosen method.
 pub fn write(
     rank: &mut Rank,
@@ -101,33 +143,17 @@ pub fn write(
     path: &str,
 ) -> Result<RunMetrics> {
     p.validate()?;
-    let nprocs = rank.nprocs();
-    let me = rank.rank();
-    let file_size = p.file_size(nprocs);
+    let (me, nprocs) = (rank.rank(), rank.nprocs());
     let _mem = rank.alloc(p.bytes_per_rank())?;
     let (metrics, ()) = timed(rank, p.bytes_per_rank(), |rk| {
         match method {
-            Method::Tcio => {
-                let cfg = TcioConfig::for_file_size(file_size, nprocs);
-                let mut f = TcioFile::open(rk, pfs, path, TcioMode::Write, cfg)?;
-                for s in 0..p.segments {
-                    for t in 0..p.transfers_per_block() {
-                        let data = fill(me, s, t, p.transfer_size as usize);
-                        f.write_at(rk, p.offset(me, nprocs, s, t), &data)?;
-                    }
-                }
-                f.close(rk)?;
-            }
-            Method::Vanilla => {
-                let mut f = mpiio::File::open(rk, pfs, path, mpiio::Mode::WriteOnly)?;
-                for s in 0..p.segments {
-                    for t in 0..p.transfers_per_block() {
-                        let data = fill(me, s, t, p.transfer_size as usize);
-                        f.write_at(rk, p.offset(me, nprocs, s, t), &data)?;
-                    }
-                }
-                f.close(rk)?;
-            }
+            Method::Tcio => write_transfers(rk, p, |rk| {
+                let tcfg = TcioConfig::for_file_size(p.file_size(nprocs), nprocs);
+                TcioFile::open(rk, pfs, path, TcioMode::Write, tcfg)
+            })?,
+            Method::Vanilla => write_transfers(rk, p, |rk| {
+                mpiio::File::open(rk, pfs, path, mpiio::Mode::WriteOnly)
+            })?,
             Method::Ocio => {
                 // One collective call per segment: each rank contributes
                 // its whole block (IOR's collective mode).
@@ -192,43 +218,22 @@ pub fn read(
     path: &str,
 ) -> Result<RunMetrics> {
     p.validate()?;
-    let nprocs = rank.nprocs();
-    let me = rank.rank();
-    let file_size = p.file_size(nprocs);
+    let (me, nprocs) = (rank.rank(), rank.nprocs());
     let x = p.transfer_size as usize;
     let total = p.bytes_per_rank() as usize;
     let _mem = rank.alloc(total as u64)?;
     let mut arena = vec![0u8; total];
     let (metrics, ()) = timed(rank, p.bytes_per_rank(), |rk| {
         match method {
-            Method::Tcio => {
-                let cfg = TcioConfig::for_file_size(file_size, nprocs);
-                let mut f = TcioFile::open(rk, pfs, path, TcioMode::Read, cfg)?;
-                let mut rest = arena.as_mut_slice();
-                for s in 0..p.segments {
-                    for t in 0..p.transfers_per_block() {
-                        let (piece, tail) = rest.split_at_mut(x);
-                        rest = tail;
-                        f.read_at(rk, p.offset(me, nprocs, s, t), piece)?;
-                    }
-                }
-                f.fetch(rk)?;
-                f.close(rk)?;
-            }
-            Method::Vanilla | Method::Ocio => {
-                // (OCIO's read path is exercised by the synthetic
-                // benchmark; independent reads suffice for IOR here.)
-                let mut f = mpiio::File::open(rk, pfs, path, mpiio::Mode::ReadOnly)?;
-                let mut rest = arena.as_mut_slice();
-                for s in 0..p.segments {
-                    for t in 0..p.transfers_per_block() {
-                        let (piece, tail) = rest.split_at_mut(x);
-                        rest = tail;
-                        f.read_at(rk, p.offset(me, nprocs, s, t), piece)?;
-                    }
-                }
-                f.close(rk)?;
-            }
+            Method::Tcio => read_transfers(rk, p, &mut arena, |rk| {
+                let tcfg = TcioConfig::for_file_size(p.file_size(nprocs), nprocs);
+                TcioFile::open(rk, pfs, path, TcioMode::Read, tcfg)
+            })?,
+            // (OCIO's read path is exercised by the synthetic benchmark;
+            // independent reads suffice for IOR here.)
+            Method::Vanilla | Method::Ocio => read_transfers(rk, p, &mut arena, |rk| {
+                mpiio::File::open(rk, pfs, path, mpiio::Mode::ReadOnly)
+            })?,
         }
         Ok(())
     })?;

@@ -7,7 +7,9 @@
 //! * [`write_tcio`]/[`read_tcio`] — **Program 3**: POSIX-like TCIO calls,
 //!   one per array element group, no buffers, no datatypes, no view;
 //! * [`write_vanilla`]/[`read_vanilla`] — plain independent MPI-IO, one
-//!   request per noncontiguous block.
+//!   request per noncontiguous block: the *same function* as Program 3
+//!   (`write_arrays`/`read_arrays`, generic over [`PositionedFile`]),
+//!   handed the other handle. That is what "transparent" means.
 //!
 //! Every process holds `NUM_array` in-memory arrays (types from
 //! `TYPE_array`) of `LEN_array` elements, and the file interleaves
@@ -19,6 +21,8 @@
 //! drivers verify against the deterministic data generator.
 
 use crate::error::{Result, WlError};
+pub use mpiio::client::Direction;
+use mpiio::PositionedFile;
 use mpisim::{Datatype, MemGuard, Named, Rank};
 use pfs::Pfs;
 use std::sync::Arc;
@@ -220,12 +224,95 @@ pub fn timed<T>(
     ))
 }
 
+/// What every write phase shares: validate, generate the arrays, and time
+/// `phase` between barriers.
+fn generate_and_time(
+    rank: &mut Rank,
+    p: &SynthParams,
+    phase: impl FnOnce(&mut Rank, &Arrays) -> Result<()>,
+) -> Result<RunMetrics> {
+    p.validate()?;
+    let arrays = gen_arrays(rank, p)?;
+    let (metrics, ()) = timed(rank, p.bytes_per_rank(), |rk| phase(rk, &arrays))?;
+    Ok(metrics)
+}
+
+/// What every read phase shares: validate, zeroed targets, time `phase`
+/// between barriers, then verify what it read against the generator.
+fn time_and_verify(
+    rank: &mut Rank,
+    p: &SynthParams,
+    phase: impl FnOnce(&mut Rank, &mut Arrays) -> Result<()>,
+) -> Result<RunMetrics> {
+    p.validate()?;
+    let mut arrays = zeroed_arrays(rank, p)?;
+    let (metrics, ()) = timed(rank, p.bytes_per_rank(), |rk| phase(rk, &mut arrays))?;
+    verify_arrays(rank.rank(), p, &arrays)?;
+    Ok(metrics)
+}
+
 // ----------------------------------------------------------------------
-// Program 3: TCIO
+// Program 3: the POSIX-like access loop, for TCIO and vanilla MPI-IO alike
 // ----------------------------------------------------------------------
 
-/// The TCIO write path (Program 3): plain positioned writes, one per array
-/// per access; no application buffer, no datatypes, no file view.
+/// Program 3: open, plain positioned writes — one per array per access; no
+/// application buffer, no datatypes, no file view — close. Which handle
+/// `open` makes decides whether the calls are aggregated (TCIO) or each
+/// becomes its own file-system request (independent MPI-IO).
+fn write_arrays<'b, F: PositionedFile<'b>>(
+    rk: &mut Rank,
+    p: &SynthParams,
+    arrays: &Arrays,
+    open: impl FnOnce(&mut Rank) -> Result<F, F::Error>,
+) -> Result<(), F::Error> {
+    let (nprocs, me, bs) = (rk.nprocs() as u64, rk.rank() as u64, p.block_size() as u64);
+    // [program3-begin] — the I/O-essential lines of the paper's Program 3,
+    // counted by `bench table3_effort`; `open(rk)` stands for the one-line
+    // open expression of either caller.
+    let mut f = open(rk)?;
+    for a in 0..p.accesses() {
+        // Program 3 line 3a: pos = rank·bs + access·bs·P
+        let mut pos = me * bs + a as u64 * bs * nprocs;
+        for (j, arr) in arrays.data.iter().enumerate() {
+            let ts = p.type_sizes[j];
+            let start = a * p.size_access * ts;
+            let end = start + p.size_access * ts;
+            f.write_at(rk, pos, &arr[start..end])?;
+            pos += (ts * p.size_access) as u64;
+        }
+    }
+    f.close(rk)?;
+    // [program3-end]
+    Ok(())
+}
+
+/// The read half of Program 3: positioned reads straight into the arrays
+/// (a lazy handle fills them by `close`).
+fn read_arrays<'b, F: PositionedFile<'b>>(
+    rk: &mut Rank,
+    p: &SynthParams,
+    arrays: &'b mut Arrays,
+    open: impl FnOnce(&mut Rank) -> Result<F, F::Error>,
+) -> Result<(), F::Error> {
+    let (nprocs, me, bs) = (rk.nprocs() as u64, rk.rank() as u64, p.block_size() as u64);
+    let mut f = open(rk)?;
+    // Hand out disjoint mutable sub-slices of each array, front to back.
+    let mut cursors: Vec<&mut [u8]> = arrays.data.iter_mut().map(|a| a.as_mut_slice()).collect();
+    for a in 0..p.accesses() {
+        let mut pos = me * bs + a as u64 * bs * nprocs;
+        for (j, ts) in p.type_sizes.iter().enumerate() {
+            let take = p.size_access * ts;
+            let (piece, rest) = std::mem::take(&mut cursors[j]).split_at_mut(take);
+            cursors[j] = rest;
+            f.read_at(rk, pos, piece)?;
+            pos += take as u64;
+        }
+    }
+    f.close(rk)?;
+    Ok(())
+}
+
+/// Program 3 through TCIO.
 pub fn write_tcio(
     rank: &mut Rank,
     pfs: &Arc<Pfs>,
@@ -233,37 +320,16 @@ pub fn write_tcio(
     path: &str,
     cfg: Option<TcioConfig>,
 ) -> Result<RunMetrics> {
-    p.validate()?;
-    let arrays = gen_arrays(rank, p)?;
-    let nprocs = rank.nprocs() as u64;
-    let me = rank.rank() as u64;
-    let bs = p.block_size() as u64;
-    let cfg =
-        cfg.unwrap_or_else(|| TcioConfig::for_file_size(p.file_size(rank.nprocs()), rank.nprocs()));
-    let (metrics, ()) = timed(rank, p.bytes_per_rank(), |rk| {
-        // [program3-begin] — the I/O-essential lines of the paper's
-        // Program 3, counted by `bench table3_effort`.
-        let mut f = TcioFile::open(rk, pfs, path, TcioMode::Write, cfg)?;
-        for a in 0..p.accesses() {
-            // Program 3 line 3a: pos = rank·bs + access·bs·P
-            let mut pos = me * bs + a as u64 * bs * nprocs;
-            for (j, arr) in arrays.data.iter().enumerate() {
-                let ts = p.type_sizes[j];
-                let start = a * p.size_access * ts;
-                let end = start + p.size_access * ts;
-                f.write_at(rk, pos, &arr[start..end])?;
-                pos += (ts * p.size_access) as u64;
-            }
-        }
-        f.close(rk)?;
-        // [program3-end]
-        Ok(())
-    })?;
-    Ok(metrics)
+    generate_and_time(rank, p, |rk, arrays| {
+        let sized = || TcioConfig::for_file_size(p.file_size(rk.nprocs()), rk.nprocs());
+        let cfg = cfg.unwrap_or_else(sized);
+        let open = |rk: &mut Rank| TcioFile::open(rk, pfs, path, TcioMode::Write, cfg);
+        Ok(write_arrays(rk, p, arrays, open)?)
+    })
 }
 
-/// The TCIO read path: lazy positioned reads into the arrays, one fetch,
-/// then verification.
+/// The TCIO read path: lazy positioned reads into the arrays, resolved at
+/// close, then verification.
 pub fn read_tcio(
     rank: &mut Rank,
     pfs: &Arc<Pfs>,
@@ -271,40 +337,39 @@ pub fn read_tcio(
     path: &str,
     cfg: Option<TcioConfig>,
 ) -> Result<RunMetrics> {
-    p.validate()?;
-    let mut arrays = zeroed_arrays(rank, p)?;
-    let nprocs = rank.nprocs() as u64;
-    let me_id = rank.rank();
-    let me = me_id as u64;
-    let bs = p.block_size() as u64;
-    let cfg =
-        cfg.unwrap_or_else(|| TcioConfig::for_file_size(p.file_size(rank.nprocs()), rank.nprocs()));
-    let type_sizes = p.type_sizes.clone();
-    let size_access = p.size_access;
-    let accesses = p.accesses();
-    let (metrics, ()) = timed(rank, p.bytes_per_rank(), |rk| {
-        let mut f = TcioFile::open(rk, pfs, path, TcioMode::Read, cfg)?;
-        // Hand out disjoint mutable sub-slices of each array, front to
-        // back, as the lazy-read destinations.
-        let mut cursors: Vec<&mut [u8]> =
-            arrays.data.iter_mut().map(|a| a.as_mut_slice()).collect();
-        for a in 0..accesses {
-            let mut pos = me * bs + a as u64 * bs * nprocs;
-            for (j, ts) in type_sizes.iter().enumerate() {
-                let take = size_access * ts;
-                let slot = std::mem::take(&mut cursors[j]);
-                let (piece, rest) = slot.split_at_mut(take);
-                cursors[j] = rest;
-                f.read_at(rk, pos, piece)?;
-                pos += take as u64;
-            }
-        }
-        f.fetch(rk)?;
-        f.close(rk)?;
-        Ok(())
-    })?;
-    verify_arrays(me_id, p, &arrays)?;
-    Ok(metrics)
+    time_and_verify(rank, p, |rk, arrays| {
+        let sized = || TcioConfig::for_file_size(p.file_size(rk.nprocs()), rk.nprocs());
+        let cfg = cfg.unwrap_or_else(sized);
+        let open = |rk: &mut Rank| TcioFile::open(rk, pfs, path, TcioMode::Read, cfg);
+        Ok(read_arrays(rk, p, arrays, open)?)
+    })
+}
+
+/// Program 3 through independent MPI-IO: the same calls, every positioned
+/// write its own file-system request.
+pub fn write_vanilla(
+    rank: &mut Rank,
+    pfs: &Arc<Pfs>,
+    p: &SynthParams,
+    path: &str,
+) -> Result<RunMetrics> {
+    generate_and_time(rank, p, |rk, arrays| {
+        let open = |rk: &mut Rank| mpiio::File::open(rk, pfs, path, mpiio::Mode::WriteOnly);
+        Ok(write_arrays(rk, p, arrays, open)?)
+    })
+}
+
+/// Independent MPI-IO reads, with verification.
+pub fn read_vanilla(
+    rank: &mut Rank,
+    pfs: &Arc<Pfs>,
+    p: &SynthParams,
+    path: &str,
+) -> Result<RunMetrics> {
+    time_and_verify(rank, p, |rk, arrays| {
+        let open = |rk: &mut Rank| mpiio::File::open(rk, pfs, path, mpiio::Mode::ReadOnly);
+        Ok(read_arrays(rk, p, arrays, open)?)
+    })
 }
 
 // ----------------------------------------------------------------------
@@ -329,11 +394,8 @@ pub fn write_ocio(
     path: &str,
     ccfg: &mpiio::CollectiveConfig,
 ) -> Result<RunMetrics> {
-    p.validate()?;
-    let arrays = gen_arrays(rank, p)?;
-    let me = rank.rank() as u64;
-    let nprocs = rank.nprocs();
-    let (metrics, ()) = timed(rank, p.bytes_per_rank(), |rk| {
+    generate_and_time(rank, p, |rk, arrays| {
+        let (me, nprocs) = (rk.rank() as u64, rk.nprocs());
         // [program2-begin] — the I/O-essential lines of the paper's
         // Program 2, counted by `bench table3_effort`.
         // Steps 1–2: the application-level combine buffer (an extra copy of
@@ -360,8 +422,7 @@ pub fn write_ocio(
         f.close(rk)?;
         // [program2-end]
         Ok(())
-    })?;
-    Ok(metrics)
+    })
 }
 
 /// The OCIO read path: collective read into the combine buffer, then
@@ -373,12 +434,8 @@ pub fn read_ocio(
     path: &str,
     ccfg: &mpiio::CollectiveConfig,
 ) -> Result<RunMetrics> {
-    p.validate()?;
-    let mut arrays = zeroed_arrays(rank, p)?;
-    let me_id = rank.rank();
-    let me = me_id as u64;
-    let nprocs = rank.nprocs();
-    let (metrics, ()) = timed(rank, p.bytes_per_rank(), |rk| {
+    time_and_verify(rank, p, |rk, arrays| {
+        let (me, nprocs) = (rk.rank() as u64, rk.nprocs());
         let _combine_mem = rk.alloc(p.bytes_per_rank())?;
         rk.note_mem_peak();
         let mut buffer = vec![0u8; p.bytes_per_rank() as usize];
@@ -400,104 +457,39 @@ pub fn read_ocio(
         rk.charge_memcpy(cursor as u64);
         f.close(rk)?;
         Ok(())
-    })?;
-    verify_arrays(me_id, p, &arrays)?;
-    Ok(metrics)
+    })
 }
 
 // ----------------------------------------------------------------------
-// Vanilla MPI-IO
+// By method
 // ----------------------------------------------------------------------
 
-/// Independent MPI-IO writes: same call pattern as Program 3 but every
-/// positioned write becomes its own file-system request.
-pub fn write_vanilla(
-    rank: &mut Rank,
-    pfs: &Arc<Pfs>,
-    p: &SynthParams,
-    path: &str,
-) -> Result<RunMetrics> {
-    p.validate()?;
-    let arrays = gen_arrays(rank, p)?;
-    let nprocs = rank.nprocs() as u64;
-    let me = rank.rank() as u64;
-    let bs = p.block_size() as u64;
-    let (metrics, ()) = timed(rank, p.bytes_per_rank(), |rk| {
-        let mut f = mpiio::File::open(rk, pfs, path, mpiio::Mode::WriteOnly)?;
-        for a in 0..p.accesses() {
-            let mut pos = me * bs + a as u64 * bs * nprocs;
-            for (j, arr) in arrays.data.iter().enumerate() {
-                let ts = p.type_sizes[j];
-                let start = a * p.size_access * ts;
-                f.write_at(rk, pos, &arr[start..start + p.size_access * ts])?;
-                pos += (ts * p.size_access) as u64;
-            }
-        }
-        f.close(rk)?;
-        Ok(())
-    })?;
-    Ok(metrics)
+/// What the configurable methods run under. The default is the config-less
+/// run: TCIO sized for the file it makes, ROMIO's default collective.
+#[derive(Debug, Clone, Default)]
+pub struct Configs {
+    pub tcio: Option<TcioConfig>,
+    pub ocio: mpiio::CollectiveConfig,
 }
 
-/// Independent MPI-IO reads, with verification.
-pub fn read_vanilla(
-    rank: &mut Rank,
-    pfs: &Arc<Pfs>,
-    p: &SynthParams,
-    path: &str,
-) -> Result<RunMetrics> {
-    p.validate()?;
-    let mut arrays = zeroed_arrays(rank, p)?;
-    let me_id = rank.rank();
-    let me = me_id as u64;
-    let nprocs = rank.nprocs() as u64;
-    let bs = p.block_size() as u64;
-    let (metrics, ()) = timed(rank, p.bytes_per_rank(), |rk| {
-        let mut f = mpiio::File::open(rk, pfs, path, mpiio::Mode::ReadOnly)?;
-        for a in 0..p.accesses() {
-            let mut pos = me * bs + a as u64 * bs * nprocs;
-            for (j, arr) in arrays.data.iter_mut().enumerate() {
-                let ts = p.type_sizes[j];
-                let start = a * p.size_access * ts;
-                let take = p.size_access * ts;
-                f.read_at(rk, pos, &mut arr[start..start + take])?;
-                pos += take as u64;
-            }
-        }
-        f.close(rk)?;
-        Ok(())
-    })?;
-    verify_arrays(me_id, p, &arrays)?;
-    Ok(metrics)
-}
-
-/// Dispatch by method.
-pub fn write_with(
+/// One phase of the benchmark through `method` — the one place a
+/// [`Method`] becomes a call.
+pub fn run(
+    phase: Direction,
     method: Method,
     rank: &mut Rank,
     pfs: &Arc<Pfs>,
     p: &SynthParams,
     path: &str,
+    cfgs: &Configs,
 ) -> Result<RunMetrics> {
-    match method {
-        Method::Ocio => write_ocio(rank, pfs, p, path, &mpiio::CollectiveConfig::default()),
-        Method::Tcio => write_tcio(rank, pfs, p, path, None),
-        Method::Vanilla => write_vanilla(rank, pfs, p, path),
-    }
-}
-
-/// Dispatch by method.
-pub fn read_with(
-    method: Method,
-    rank: &mut Rank,
-    pfs: &Arc<Pfs>,
-    p: &SynthParams,
-    path: &str,
-) -> Result<RunMetrics> {
-    match method {
-        Method::Ocio => read_ocio(rank, pfs, p, path, &mpiio::CollectiveConfig::default()),
-        Method::Tcio => read_tcio(rank, pfs, p, path, None),
-        Method::Vanilla => read_vanilla(rank, pfs, p, path),
+    match (phase, method) {
+        (Direction::Write, Method::Ocio) => write_ocio(rank, pfs, p, path, &cfgs.ocio),
+        (Direction::Write, Method::Tcio) => write_tcio(rank, pfs, p, path, cfgs.tcio.clone()),
+        (Direction::Write, Method::Vanilla) => write_vanilla(rank, pfs, p, path),
+        (Direction::Read, Method::Ocio) => read_ocio(rank, pfs, p, path, &cfgs.ocio),
+        (Direction::Read, Method::Tcio) => read_tcio(rank, pfs, p, path, cfgs.tcio.clone()),
+        (Direction::Read, Method::Vanilla) => read_vanilla(rank, pfs, p, path),
     }
 }
 
@@ -540,9 +532,10 @@ mod tests {
         let fs = Pfs::new(nprocs, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         let p2 = p.clone();
+        let cfgs = Configs::default();
         let rep = mpisim::run(nprocs, SimConfig::default(), move |rk| {
-            let w = write_with(method, rk, &fs2, &p2, "/synth")?;
-            let r = read_with(method, rk, &fs2, &p2, "/synth")?;
+            let w = run(Direction::Write, method, rk, &fs2, &p2, "/synth", &cfgs)?;
+            let r = run(Direction::Read, method, rk, &fs2, &p2, "/synth", &cfgs)?;
             Ok((w, r))
         })
         .unwrap();
@@ -581,8 +574,9 @@ mod tests {
             let fs = Pfs::new(3, PfsConfig::default()).unwrap();
             let fs2 = Arc::clone(&fs);
             let p2 = p.clone();
+            let cfgs = Configs::default();
             mpisim::run(3, SimConfig::default(), move |rk| {
-                write_with(method, rk, &fs2, &p2, "/f")?;
+                run(Direction::Write, method, rk, &fs2, &p2, "/f", &cfgs)?;
                 Ok(())
             })
             .unwrap();
@@ -600,10 +594,11 @@ mod tests {
         let fs = Pfs::new(2, PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
         let p2 = p.clone();
+        let cfgs = Configs::default();
         mpisim::run(2, SimConfig::default(), move |rk| {
-            write_with(Method::Ocio, rk, &fs2, &p2, "/x")?;
-            read_with(Method::Tcio, rk, &fs2, &p2, "/x")?;
-            read_with(Method::Vanilla, rk, &fs2, &p2, "/x")?;
+            run(Direction::Write, Method::Ocio, rk, &fs2, &p2, "/x", &cfgs)?;
+            run(Direction::Read, Method::Tcio, rk, &fs2, &p2, "/x", &cfgs)?;
+            run(Direction::Read, Method::Vanilla, rk, &fs2, &p2, "/x", &cfgs)?;
             Ok(())
         })
         .unwrap();

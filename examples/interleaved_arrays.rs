@@ -19,14 +19,16 @@
 //! Run with: `cargo run --example interleaved_arrays`
 
 use std::sync::Arc;
-use workloads::synthetic::{self, Method, SynthParams};
+use workloads::synthetic::{self, Configs, Direction, Method, SynthParams};
 
 fn run(method: Method, nprocs: usize, p: &SynthParams) -> (f64, u64, Vec<u8>) {
     let fs = pfs::Pfs::new(nprocs, pfs::PfsConfig::default()).expect("pfs");
     let fs2 = Arc::clone(&fs);
     let p2 = p.clone();
     let report = mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
-        let metrics = synthetic::write_with(method, rk, &fs2, &p2, "/interleaved.dat")?;
+        let cfgs = Configs::default();
+        let path = "/interleaved.dat";
+        let metrics = synthetic::run(Direction::Write, method, rk, &fs2, &p2, path, &cfgs)?;
         Ok(metrics)
     })
     .expect("run");

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 use workloads::art::{self, ArtConfig, ArtMethod, FttConfig};
-use workloads::synthetic::{self, Method, SynthParams};
+use workloads::synthetic::{self, Configs, Direction, Method, SynthParams};
 
 use mpisim::Backend;
 
@@ -152,8 +152,9 @@ fn run_synth(
     let fs2 = Arc::clone(&fs);
     let p2 = params.clone();
     let rep = mpisim::run(nprocs, sim, move |rk| {
-        let w = synthetic::write_with(method, rk, &fs2, &p2, "/w")?;
-        let r = synthetic::read_with(method, rk, &fs2, &p2, "/w")?;
+        let cfgs = Configs::default();
+        let w = synthetic::run(Direction::Write, method, rk, &fs2, &p2, "/w", &cfgs)?;
+        let r = synthetic::run(Direction::Read, method, rk, &fs2, &p2, "/w", &cfgs)?;
         Ok((w.bytes, w.elapsed.to_bits(), r.elapsed.to_bits()))
     })
     .unwrap();

@@ -648,7 +648,12 @@ fn collectives_with_a_crashed_rank_terminate_with_typed_errors() {
                 }
                 Err(e) => return Err(e),
             };
-            let survivors = rk.agree_survivors()?;
+            // Survivor agreement needs no message beyond a barrier: everyone
+            // leaves it with the same clock, and `crashed(r, t)` is a pure
+            // function of the shared plan.
+            rk.barrier()?;
+            let (plan, t) = (rk.chaos().expect("engine attached"), rk.now());
+            let survivors: Vec<usize> = (0..4).filter(|&r| !plan.crashed(r, t)).collect();
             // Point-to-point with the dead rank fails typed, not hangs.
             let p2p_typed = matches!(
                 rk.recv(Some(1), Some(77)),
@@ -671,7 +676,7 @@ fn collectives_with_a_crashed_rank_terminate_with_typed_errors() {
         let aborted = mpisim::run(4, sim, |rk| {
             rk.advance(1.0);
             rk.barrier()?;
-            rk.allreduce_u64(1, mpisim::ReduceOp::Sum)
+            rk.allreduce_u64_in(&rk.world(), 1, mpisim::ReduceOp::Sum)
         });
         let _ = tx.send((shrunk, aborted));
     });

@@ -3,9 +3,9 @@
 //! experiments use it.
 
 use std::sync::Arc;
-use tcio::{TcioConfig, TcioFile, TcioMode};
+use tcio::{PositionedFile, TcioConfig, TcioFile, TcioMode};
 use workloads::art::{self, ArtConfig, ArtMethod, FttConfig};
-use workloads::synthetic::{self, Method, SynthParams};
+use workloads::synthetic::{self, Configs, Direction, Method, SynthParams};
 use workloads::WlError;
 
 fn small_art() -> ArtConfig {
@@ -32,7 +32,8 @@ fn synthetic_all_methods_all_scales_identical_files() {
             let fs2 = Arc::clone(&fs);
             let p2 = p.clone();
             mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
-                synthetic::write_with(method, rk, &fs2, &p2, "/f")?;
+                let cfgs = Configs::default();
+                synthetic::run(Direction::Write, method, rk, &fs2, &p2, "/f", &cfgs)?;
                 Ok(())
             })
             .unwrap();
@@ -61,9 +62,10 @@ fn every_reader_reads_every_writer() {
         let fs2 = Arc::clone(&fs);
         let p2 = p.clone();
         mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
-            synthetic::write_with(writer, rk, &fs2, &p2, "/rw")?;
+            let cfgs = Configs::default();
+            synthetic::run(Direction::Write, writer, rk, &fs2, &p2, "/rw", &cfgs)?;
             for reader in [Method::Ocio, Method::Tcio, Method::Vanilla] {
-                synthetic::read_with(reader, rk, &fs2, &p2, "/rw")?;
+                synthetic::run(Direction::Read, reader, rk, &fs2, &p2, "/rw", &cfgs)?;
             }
             Ok(())
         })
@@ -221,7 +223,9 @@ fn virtual_time_orders_methods_sensibly() {
         let fs = pfs::Pfs::new(nprocs, pfs::PfsConfig::default()).unwrap();
         let p2 = p.clone();
         let rep = mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
-            Ok(synthetic::write_with(method, rk, &fs, &p2, "/t")?)
+            let cfgs = Configs::default();
+            let w = synthetic::run(Direction::Write, method, rk, &fs, &p2, "/t", &cfgs)?;
+            Ok(w)
         })
         .unwrap();
         elapsed.push(rep.results[0].elapsed);
@@ -259,25 +263,25 @@ fn far_offsets_are_typed_errors_at_every_entry_point() {
 
         let mut w = TcioFile::open(rk, &fs2, "/far", TcioMode::Write, cfg.clone())?;
         w.write(rk, &[1u8; 8])?;
-        let state = (w.len(), w.position());
+        let state = (w.end()?, w.position());
         assert_eq!(state, (8, 8));
         let refused = usage(w.write_at(rk, FAR, &[7u8; 8]));
-        rows.push(("tcio write_at", refused, state, (w.len(), w.position())));
+        rows.push(("tcio write_at", refused, state, (w.end()?, w.position())));
         for (name, off, whence) in [
             ("tcio seek cur", i64::MAX, tcio::Whence::Cur),
             ("tcio seek end", i64::MAX, tcio::Whence::End),
             ("tcio seek back", i64::MIN, tcio::Whence::Cur),
         ] {
             let refused = usage(w.seek(off, whence));
-            rows.push((name, refused, state, (w.len(), w.position())));
+            rows.push((name, refused, state, (w.end()?, w.position())));
         }
         w.close(rk)?;
 
         let mut back = [0u8; 8];
         let mut r = TcioFile::open(rk, &fs2, "/far", TcioMode::Read, cfg)?;
-        let state = (r.len(), r.position());
+        let state = (r.end()?, r.position());
         let refused = usage(r.read_at(rk, FAR, &mut back));
-        rows.push(("tcio read_at", refused, state, (r.len(), r.position())));
+        rows.push(("tcio read_at", refused, state, (r.end()?, r.position())));
         r.close(rk)?;
 
         let mut f = mpiio::File::open(rk, &fs2, "/far", mpiio::Mode::ReadWrite)?;

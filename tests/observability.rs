@@ -8,7 +8,7 @@
 //! span claims is a byte that landed in the simulated PFS.
 
 use std::sync::Arc;
-use workloads::synthetic::{self, Method, SynthParams};
+use workloads::synthetic::{self, Configs, Direction, Method, SynthParams};
 
 /// Span names that account for bytes written to the PFS (one per write
 /// path: collective aggregator, independent, data-sieving RMW, TCIO
@@ -48,7 +48,8 @@ fn traced_write_topo(
     let fs2 = Arc::clone(&fs);
     let p2 = p.clone();
     let rep = mpisim::run(nprocs, sim, move |rk| {
-        synthetic::write_with(method, rk, &fs2, &p2, "/obs")?;
+        let cfgs = Configs::default();
+        synthetic::run(Direction::Write, method, rk, &fs2, &p2, "/obs", &cfgs)?;
         Ok(())
     })
     .unwrap();
@@ -77,7 +78,8 @@ fn phase_durations_sum_to_elapsed_virtual_time() {
         let fs = pfs::Pfs::new(4, pfs::PfsConfig::default()).unwrap();
         let p2 = p.clone();
         let rep_off = mpisim::run(4, mpisim::SimConfig::default(), move |rk| {
-            synthetic::write_with(method, rk, &fs, &p2, "/obs")?;
+            let cfgs = Configs::default();
+            synthetic::run(Direction::Write, method, rk, &fs, &p2, "/obs", &cfgs)?;
             Ok(())
         })
         .unwrap();

@@ -576,7 +576,6 @@ fn chaos_fingerprint(e: &chaos::ChaosEngine, seed: u64) -> Vec<u64> {
         out.push(e.message_delay(t).to_bits());
         out.push(e.conn_flush_generation(t));
         out.push(e.rank_stall_until(r, t).map_or(0, f64::to_bits));
-        out.push(e.is_stalled(r, t) as u64);
         out.push(e.stall_ahead(r, t) as u64);
         out.push(e.rank_slowdown(r, t).to_bits());
         out.push(e.crash_at(r).map_or(0, f64::to_bits));
