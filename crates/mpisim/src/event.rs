@@ -67,6 +67,8 @@ impl Ord for ReadyKey {
 struct CoreInner {
     state: Vec<TaskState>,
     ready: BinaryHeap<Reverse<ReadyKey>>,
+    /// Ranks not yet `Done`.
+    live: usize,
 }
 
 impl CoreInner {
@@ -94,6 +96,7 @@ impl EventCore {
             inner: Mutex::new(CoreInner {
                 state: vec![TaskState::Ready; nprocs],
                 ready,
+                live: nprocs,
             }),
         }
     }
@@ -161,17 +164,13 @@ impl EventCore {
             "done by a non-running rank"
         );
         g.state[rank] = TaskState::Done;
+        g.live -= 1;
     }
 
     /// Ranks whose bodies have not yet returned; used by the driver to
     /// tell "all finished" from "deadlock" when the heap runs dry.
     pub(crate) fn live_count(&self) -> usize {
-        self.inner
-            .lock()
-            .state
-            .iter()
-            .filter(|s| !matches!(s, TaskState::Done))
-            .count()
+        self.inner.lock().live
     }
 }
 

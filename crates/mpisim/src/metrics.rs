@@ -167,6 +167,11 @@ pub struct RankMetrics {
     /// TCIO level-2 (segment window) hits/misses on the read path.
     pub l2_hits: u64,
     pub l2_misses: u64,
+    /// Times a [`Timeline`](crate::timeline::Timeline) of the fabric's
+    /// ports or of a window's lock tokens dropped its older half, and
+    /// requests it then moved up to the pruned horizon (`timeline_*`).
+    pub(crate) timeline_prunes: u64,
+    pub(crate) timeline_clamped: u64,
 }
 
 impl RankMetrics {
@@ -217,6 +222,14 @@ impl RankMetrics {
         }
     }
 
+    /// Add `(prunes, clamped)` counted on timelines this rank booked.
+    pub(crate) fn add_timeline_cliff(&mut self, (prunes, clamped): (u64, u64)) {
+        if self.enabled {
+            self.timeline_prunes += prunes;
+            self.timeline_clamped += clamped;
+        }
+    }
+
     /// Nothing was observed (true in particular whenever disabled).
     pub fn is_empty(&self) -> bool {
         self.msg_bytes.is_empty()
@@ -225,6 +238,8 @@ impl RankMetrics {
             && self.l1_misses == 0
             && self.l2_hits == 0
             && self.l2_misses == 0
+            && self.timeline_prunes == 0
+            && self.timeline_clamped == 0
     }
 
     pub fn merge(&mut self, other: &RankMetrics) {
@@ -235,6 +250,8 @@ impl RankMetrics {
         self.l1_misses += other.l1_misses;
         self.l2_hits += other.l2_hits;
         self.l2_misses += other.l2_misses;
+        self.timeline_prunes += other.timeline_prunes;
+        self.timeline_clamped += other.timeline_clamped;
     }
 
     /// Export under canonical names.
@@ -249,6 +266,16 @@ impl RankMetrics {
         reg.add_counter("tcio_l1_misses_total", self.l1_misses);
         reg.add_counter("tcio_l2_hits_total", self.l2_hits);
         reg.add_counter("tcio_l2_misses_total", self.l2_misses);
+        // A cliff that never fired adds no keys: the export of a run too
+        // short to prune is what it was before these counters existed.
+        for (name, n) in [
+            ("timeline_prunes_total", self.timeline_prunes),
+            ("timeline_clamped_total", self.timeline_clamped),
+        ] {
+            if n > 0 {
+                reg.add_counter(name, n);
+            }
+        }
     }
 }
 

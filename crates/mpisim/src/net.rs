@@ -179,10 +179,33 @@ impl LruSet {
 }
 
 /// In-flight transfer interval tracking for the congestion term.
+///
+/// Every recorded interval has `start ≤ end`, so the number of intervals
+/// containing `t` is `#{start ≤ t} − #{end ≤ t}`: two binary searches over
+/// the window's starts and ends, each kept sorted, instead of a scan.
 #[derive(Debug, Default)]
 struct Inflight {
-    /// (start, end) of recent transfers, pruned lazily.
-    intervals: VecDeque<(f64, f64)>,
+    /// `(start, end)` of the recent transfers, oldest first (eviction order).
+    recent: VecDeque<(f64, f64)>,
+    /// The starts, and the ends, of exactly those transfers, ascending.
+    starts: VecDeque<f64>,
+    ends: VecDeque<f64>,
+}
+
+/// Add `v` to an ascending deque (appended when it is past the back).
+fn insert_sorted(sorted: &mut VecDeque<f64>, v: f64) {
+    match sorted.back() {
+        Some(&last) if v < last => sorted.insert(sorted.partition_point(|&x| x <= v), v),
+        _ => sorted.push_back(v),
+    }
+}
+
+/// Remove one occurrence of `v`, which is present, from an ascending deque
+/// (popped when it is the front).
+fn remove_sorted(sorted: &mut VecDeque<f64>, v: f64) {
+    let at = sorted.partition_point(|&x| x < v);
+    debug_assert_eq!(sorted.get(at), Some(&v));
+    sorted.remove(at);
 }
 
 impl Inflight {
@@ -193,15 +216,20 @@ impl Inflight {
 
     /// Count recent intervals overlapping `t`, then record `[start, end)`.
     fn overlap_and_record(&mut self, t: f64, start: f64, end: f64) -> usize {
-        while self.intervals.len() >= Self::WINDOW {
-            self.intervals.pop_front();
+        assert!(
+            start <= end,
+            "in-flight interval [{start}, {end}) ends before it starts: \
+             is `NetConfig::byte_time` negative or NaN?"
+        );
+        while self.recent.len() >= Self::WINDOW {
+            let (s, e) = self.recent.pop_front().expect("window is not empty");
+            remove_sorted(&mut self.starts, s);
+            remove_sorted(&mut self.ends, e);
         }
-        let n = self
-            .intervals
-            .iter()
-            .filter(|&&(s, e)| s <= t && t < e)
-            .count();
-        self.intervals.push_back((start, end));
+        let n = self.starts.partition_point(|&s| s <= t) - self.ends.partition_point(|&e| e <= t);
+        self.recent.push_back((start, end));
+        insert_sorted(&mut self.starts, start);
+        insert_sorted(&mut self.ends, end);
         n
     }
 }
@@ -281,6 +309,12 @@ impl Fabric {
     /// Message counters so far.
     pub fn stats(&self) -> FabricStatsSnapshot {
         self.state.lock().stats
+    }
+
+    /// `(prunes, clamped)` summed over the NIC port timelines.
+    pub(crate) fn timeline_cliff(&self) -> (u64, u64) {
+        let st = self.state.lock();
+        (st.tx.iter().chain(&st.rx)).fold((0, 0), |(p, c), t| (p + t.prunes(), c + t.clamped()))
     }
 
     /// Does a `src → dst` transfer stay on one node? (Loopback always
@@ -479,6 +513,66 @@ mod tests {
         assert!(lru.touch(1)); // hit, 1 becomes MRU
         assert!(!lru.touch(3)); // evicts 2
         assert!(!lru.touch(2)); // miss again
+    }
+
+    /// The linear scan the sorted window replaced, kept as the oracle.
+    #[derive(Default)]
+    struct ScanInflight(VecDeque<(f64, f64)>);
+
+    impl ScanInflight {
+        fn overlap_and_record(&mut self, t: f64, start: f64, end: f64) -> usize {
+            while self.0.len() >= Inflight::WINDOW {
+                self.0.pop_front();
+            }
+            let n = self.0.iter().filter(|&&(s, e)| s <= t && t < e).count();
+            self.0.push_back((start, end));
+            n
+        }
+    }
+
+    #[test]
+    fn sorted_window_counts_what_the_scan_counted() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(0x1F11 ^ seed);
+            let (mut new, mut old) = (Inflight::default(), ScanInflight::default());
+            let (mut clock, mut busiest) = (0.0f64, 0);
+            // Five times round the window. Starts sit on a coarse grid so
+            // that many are equal; the clock creeps up, with every fourth
+            // transfer reaching back as a backfilled booking does.
+            for step in 0..5 * Inflight::WINDOW {
+                clock += 1.0e-6 * (rng.next_u64() % 3) as f64;
+                let back = if step % 4 == 0 {
+                    (rng.next_u64() % 400) as f64
+                } else {
+                    0.0
+                };
+                let start = (clock - 1.0e-6 * back).max(0.0);
+                let dur = match rng.next_u64() % 4 {
+                    0 => 0.0,
+                    _ => 1.0e-6 * (rng.next_u64() % 300) as f64,
+                };
+                let t = start + 1.0e-6 * (rng.next_u64() % 5) as f64 - 2.0e-6;
+                let n = new.overlap_and_record(t, start, start + dur);
+                let want = old.overlap_and_record(t, start, start + dur);
+                assert_eq!(n, want, "seed {seed} step {step}");
+                busiest = busiest.max(n);
+            }
+            assert!(
+                busiest > 8,
+                "seed {seed}: the stream never overlapped itself"
+            );
+            assert_eq!(new.recent, old.0);
+            assert!(new
+                .starts
+                .iter()
+                .zip(new.starts.range(1..))
+                .any(|(a, b)| a == b));
+            for sorted in [&new.starts, &new.ends] {
+                assert_eq!(sorted.len(), Inflight::WINDOW);
+                assert!(sorted.iter().zip(sorted.range(1..)).all(|(a, b)| a <= b));
+            }
+        }
     }
 
     #[test]

@@ -441,19 +441,25 @@ impl Rank {
         if self.crashed {
             return Err(MpiError::RankCrashed { rank: self.id });
         }
-        let Some(engine) = self.shared.chaos.clone() else {
+        let Some(engine) = self.shared.chaos.as_deref() else {
             return Ok(());
         };
-        if !engine.crashed(self.id, self.clock) {
-            if let Some(until) = engine.rank_stall_until(self.id, self.clock) {
-                let start = self.clock;
-                self.set_clock_as(until, Phase::Compute);
-                self.stats.chaos_stalls += 1;
-                self.tracer
-                    .record("chaos_stall", Phase::Compute, start, self.clock, 0, None);
-            }
+        // Ask the (borrowed) engine everything before acting on any of it:
+        // a stall lifts at `until`, which is where the clock will then be.
+        let start = self.clock;
+        let stall = if engine.crashed(self.id, start) {
+            None
+        } else {
+            engine.rank_stall_until(self.id, start)
+        };
+        let crashed = engine.crashed(self.id, stall.unwrap_or(start));
+        if let Some(until) = stall {
+            self.set_clock_as(until, Phase::Compute);
+            self.stats.chaos_stalls += 1;
+            self.tracer
+                .record("chaos_stall", Phase::Compute, start, self.clock, 0, None);
         }
-        if engine.crashed(self.id, self.clock) {
+        if crashed {
             self.crashed = true;
             self.stats.rank_crashes += 1;
             self.tracer.record(
@@ -1255,7 +1261,7 @@ impl Rank {
     pub fn win_unlock(&mut self, ep: Epoch<'_>) -> Result<()> {
         self.check_abort()?;
         self.chaos_checkpoint()?;
-        let cfg = self.shared.fabric.config().clone();
+        let cfg = self.shared.fabric.config();
         let me = self.id;
         let epoch_start = self.clock;
         let target = ep.target;
@@ -1272,9 +1278,16 @@ impl Rank {
             intrinsic += 2.0 * cfg.latency + cfg.send_overhead + msg as f64 * cfg.byte_time;
         }
         let start = match ep.kind {
-            LockKind::Exclusive => ep.win.shared.tokens[target]
-                .lock()
-                .reserve(self.clock, intrinsic),
+            LockKind::Exclusive => {
+                let mut token = ep.win.shared.tokens[target].lock();
+                let before = (token.prunes(), token.clamped());
+                let start = token.reserve(self.clock, intrinsic);
+                // A window's tokens go when its last handle does, so what
+                // this booking did to them is counted here.
+                self.metrics
+                    .add_timeline_cliff((token.prunes() - before.0, token.clamped() - before.1));
+                start
+            }
             LockKind::Shared => self.clock,
         };
         if start > epoch_start {
@@ -1621,6 +1634,7 @@ where
             _ => unreachable!("errors handled above"),
         }
     }
+    metrics.add_timeline_cliff(shared.fabric.timeline_cliff());
     let makespan = clocks.iter().cloned().fold(0.0, f64::max);
     Ok(SimReport {
         results,

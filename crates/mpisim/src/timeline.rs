@@ -11,17 +11,38 @@
 //! virtual time than reservations already made; behind a scalar it would
 //! queue after the last of them, serializing ranks that a real machine
 //! interleaves. A [`Timeline`] keeps the actual busy intervals and lets a
-//! reservation backfill the earliest gap that fits, so the outcome depends
-//! on when work is due in virtual time, not on which rank booked first.
+//! reservation backfill the earliest gap that fits, so a request waits for
+//! the work due around it in virtual time, not for everything booked before
+//! it. First fit is still not order-free: busy time is conserved in any
+//! order, but a request that fits no gap lands behind whatever booked first
+//! (`tests/property_model.rs` pins what does hold), so it is the event
+//! core's deterministic booking order that makes a result repeatable.
+
+use std::collections::VecDeque;
 
 /// A set of disjoint busy intervals on the virtual-time axis.
 #[derive(Debug, Default)]
 pub struct Timeline {
-    /// Sorted, non-overlapping `(start, end)` busy intervals.
-    busy: Vec<(f64, f64)>,
+    /// Sorted, non-overlapping `(start, end)` busy intervals as a gap
+    /// buffer over a ring: the `gap` intervals below the gap sit at the
+    /// back of the deque, the rest at its front, so inserting at the gap
+    /// is `push_back` and moving it is a rotation. A booking then costs
+    /// its distance from the previous booking (they are near each other),
+    /// not its distance from the tail. Same bytes as a `Vec`; an empty
+    /// timeline allocates nothing.
+    busy: VecDeque<(f64, f64)>,
+    /// Number of intervals below the gap.
+    gap: usize,
     /// No reservation may start before this (set when old intervals are
     /// pruned; bounds memory on very long runs).
     floor: f64,
+    /// Times the older half was dropped, and requests whose `earliest` was
+    /// raised to `floor` as a result.
+    prunes: u64,
+    clamped: u64,
+    /// Intervals rotated across the gap, for the locality test.
+    #[cfg(test)]
+    moved: usize,
 }
 
 impl Timeline {
@@ -37,23 +58,26 @@ impl Timeline {
     /// Reserve `dur` seconds starting no earlier than `earliest`, taking
     /// the first gap that fits. Returns the granted start time.
     pub fn reserve(&mut self, earliest: f64, dur: f64) -> f64 {
-        let earliest = earliest.max(self.floor);
         if dur <= 0.0 {
+            let earliest = self.clamp(earliest);
             return self.next_free_at(earliest);
         }
         if self.busy.len() >= Self::MAX_INTERVALS {
             // Drop the oldest half; nothing may book before the horizon.
+            // With the gap above them they are the back of the deque.
             let half = self.busy.len() / 2;
-            self.floor = self.busy[half - 1].1;
-            self.busy.drain(..half);
+            self.floor = self.get(half - 1).1;
+            self.move_gap(half);
+            self.busy.truncate(self.busy.len() - half);
+            self.gap = 0;
+            self.prunes += 1;
         }
-        let earliest = earliest.max(self.floor);
+        let earliest = self.clamp(earliest);
         // Find the first interval that could constrain us: binary search
         // for the first busy interval ending after `earliest`.
-        let mut idx = self.busy.partition_point(|&(_, e)| e <= earliest);
+        let mut idx = self.first_ending_after(earliest);
         let mut start = earliest;
-        while idx < self.busy.len() {
-            let (bs, be) = self.busy[idx];
+        while let Some((bs, be)) = self.nth(idx) {
             if start + dur <= bs {
                 break; // fits in the gap before interval idx
             }
@@ -64,11 +88,18 @@ impl Timeline {
         start
     }
 
+    /// `earliest`, or the pruned horizon if that is later (and counted).
+    fn clamp(&mut self, earliest: f64) -> f64 {
+        if earliest < self.floor {
+            self.clamped += 1;
+        }
+        earliest.max(self.floor)
+    }
+
     /// The earliest instant ≥ `t` that is not inside a busy interval.
     pub fn next_free_at(&self, t: f64) -> f64 {
-        let idx = self.busy.partition_point(|&(_, e)| e <= t);
-        match self.busy.get(idx) {
-            Some(&(bs, be)) if bs <= t => be,
+        match self.nth(self.first_ending_after(t)) {
+            Some((bs, be)) if bs <= t => be,
             _ => t,
         }
     }
@@ -78,12 +109,18 @@ impl Timeline {
     /// drain model uses this to find when staged data has fully reached
     /// the backing store.
     pub fn horizon(&self) -> f64 {
-        self.busy.last().map(|&(_, e)| e).unwrap_or(self.floor)
+        let last = self.nth(self.busy.len().wrapping_sub(1));
+        last.map_or(self.floor, |(_, end)| end)
     }
 
     /// Total reserved time (diagnostics).
     pub fn total_busy(&self) -> f64 {
-        self.busy.iter().map(|&(s, e)| e - s).sum()
+        // Summed in time order, so the rounding does not depend on where
+        // the gap happens to be.
+        let above = self.busy.len() - self.gap;
+        (self.busy.range(above..).chain(self.busy.range(..above)))
+            .map(|&(s, e)| e - s)
+            .sum()
     }
 
     /// Number of disjoint busy intervals (diagnostics).
@@ -91,27 +128,100 @@ impl Timeline {
         self.busy.len()
     }
 
+    /// Times the older half of the intervals has been dropped.
+    pub fn prunes(&self) -> u64 {
+        self.prunes
+    }
+
+    /// Requests that asked for an instant before the pruned horizon and
+    /// were moved up to it.
+    pub fn clamped(&self) -> u64 {
+        self.clamped
+    }
+
     /// Gaps shorter than this merge away: they are far below the smallest
     /// modeled cost (α ≈ 2 µs) so no reservation could use them, and
-    /// coalescing keeps the interval vector small under steady load.
+    /// coalescing keeps the interval store small under steady load.
     const MERGE_SLACK: f64 = 1.0e-7;
+
+    /// Position in `busy` of the `i`-th interval in time order.
+    fn slot(&self, i: usize) -> usize {
+        if i < self.gap {
+            self.busy.len() - self.gap + i
+        } else {
+            i - self.gap
+        }
+    }
+
+    fn get(&self, i: usize) -> (f64, f64) {
+        self.busy[self.slot(i)]
+    }
+
+    /// The `i`-th interval in time order, if there are that many.
+    fn nth(&self, i: usize) -> Option<(f64, f64)> {
+        (i < self.busy.len()).then(|| self.get(i))
+    }
+
+    /// Index of the first interval ending after `t`.
+    fn first_ending_after(&self, t: f64) -> usize {
+        let (mut lo, mut hi) = (0, self.busy.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.get(mid).1 <= t {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Put the gap before interval `idx`.
+    fn move_gap(&mut self, idx: usize) {
+        if idx > self.gap {
+            self.busy.rotate_left(idx - self.gap);
+        } else {
+            self.busy.rotate_right(self.gap - idx);
+        }
+        #[cfg(test)]
+        {
+            let k = idx.abs_diff(self.gap);
+            self.moved += k.min(self.busy.len() - k);
+        }
+        self.gap = idx;
+    }
 
     fn insert_at(&mut self, idx: usize, start: f64, end: f64) {
         // Coalesce with neighbours when (nearly) adjacent to keep the
-        // vector short (the common case: FIFO appends).
-        let touches_prev = idx > 0 && start - self.busy[idx - 1].1 < Self::MERGE_SLACK;
-        let touches_next = idx < self.busy.len() && self.busy[idx].0 - end < Self::MERGE_SLACK;
+        // store short (the common case: FIFO appends).
+        let touches_prev = idx > 0 && start - self.get(idx - 1).1 < Self::MERGE_SLACK;
+        let touches_next = idx < self.busy.len() && self.get(idx).0 - end < Self::MERGE_SLACK;
         match (touches_prev, touches_next) {
             (true, true) => {
-                self.busy[idx - 1].1 = self.busy[idx].1;
-                self.busy.remove(idx);
+                // With the gap between them the two neighbours are the
+                // deque's back and front.
+                self.move_gap(idx);
+                let next = self.busy.pop_front().expect("interval idx exists");
+                self.busy.back_mut().expect("interval idx - 1 exists").1 = next.1;
             }
-            (true, false) => self.busy[idx - 1].1 = end,
-            (false, true) => self.busy[idx].0 = start,
-            (false, false) => self.busy.insert(idx, (start, end)),
+            (true, false) => {
+                let at = self.slot(idx - 1);
+                self.busy[at].1 = end;
+            }
+            (false, true) => {
+                let at = self.slot(idx);
+                self.busy[at].0 = start;
+            }
+            (false, false) => {
+                self.move_gap(idx);
+                self.busy.push_back((start, end));
+                self.gap += 1;
+            }
         }
+        // Only the neighbours of `idx` can have changed.
         debug_assert!(
-            self.busy.windows(2).all(|w| w[0].1 <= w[1].0),
+            (idx.saturating_sub(1).max(1)..(idx + 2).min(self.busy.len()))
+                .all(|i| self.get(i - 1).1 <= self.get(i).0),
             "timeline intervals must stay sorted and disjoint"
         );
     }
@@ -234,9 +344,188 @@ mod prune_tests {
             t.reserve(i as f64 * 2.0, 0.5);
         }
         let bound = Timeline::MAX_INTERVALS + 1;
-        assert!(t.segments() <= bound, "pruning must bound the vector");
+        assert!(t.segments() <= bound, "pruning must bound the store");
+        assert_eq!((t.prunes(), t.clamped()), (1, 0));
         // A straggler far in the past is clamped to the horizon, not lost.
         let s = t.reserve(0.0, 0.1);
         assert!(s > 0.5, "pre-horizon request must be clamped forward");
+        assert_eq!((t.prunes(), t.clamped()), (1, 1));
+    }
+}
+
+/// The `Vec`-backed store the gap buffer replaced, kept as the oracle: the
+/// two must grant the same bits for any stream of requests.
+#[cfg(test)]
+mod reference {
+    #[derive(Debug, Default)]
+    pub struct VecTimeline {
+        pub busy: Vec<(f64, f64)>,
+        pub floor: f64,
+        pub prunes: u64,
+        pub clamped: u64,
+    }
+
+    impl VecTimeline {
+        const MAX_INTERVALS: usize = super::Timeline::MAX_INTERVALS;
+        const MERGE_SLACK: f64 = super::Timeline::MERGE_SLACK;
+
+        pub fn reserve(&mut self, earliest: f64, dur: f64) -> f64 {
+            let asked = earliest;
+            let earliest = earliest.max(self.floor);
+            if dur <= 0.0 {
+                self.clamped += u64::from(asked < self.floor);
+                return self.next_free_at(earliest);
+            }
+            if self.busy.len() >= Self::MAX_INTERVALS {
+                let half = self.busy.len() / 2;
+                self.floor = self.busy[half - 1].1;
+                self.busy.drain(..half);
+                self.prunes += 1;
+            }
+            self.clamped += u64::from(asked < self.floor);
+            let earliest = earliest.max(self.floor);
+            let mut idx = self.busy.partition_point(|&(_, e)| e <= earliest);
+            let mut start = earliest;
+            while idx < self.busy.len() {
+                let (bs, be) = self.busy[idx];
+                if start + dur <= bs {
+                    break;
+                }
+                start = start.max(be);
+                idx += 1;
+            }
+            self.insert_at(idx, start, start + dur);
+            start
+        }
+
+        pub fn next_free_at(&self, t: f64) -> f64 {
+            let idx = self.busy.partition_point(|&(_, e)| e <= t);
+            match self.busy.get(idx) {
+                Some(&(bs, be)) if bs <= t => be,
+                _ => t,
+            }
+        }
+
+        pub fn horizon(&self) -> f64 {
+            self.busy.last().map(|&(_, e)| e).unwrap_or(self.floor)
+        }
+
+        pub fn total_busy(&self) -> f64 {
+            self.busy.iter().map(|&(s, e)| e - s).sum()
+        }
+
+        fn insert_at(&mut self, idx: usize, start: f64, end: f64) {
+            let touches_prev = idx > 0 && start - self.busy[idx - 1].1 < Self::MERGE_SLACK;
+            let touches_next = idx < self.busy.len() && self.busy[idx].0 - end < Self::MERGE_SLACK;
+            match (touches_prev, touches_next) {
+                (true, true) => {
+                    self.busy[idx - 1].1 = self.busy[idx].1;
+                    self.busy.remove(idx);
+                }
+                (true, false) => self.busy[idx - 1].1 = end,
+                (false, true) => self.busy[idx].0 = start,
+                (false, false) => self.busy.insert(idx, (start, end)),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod oracle_tests {
+    use super::reference::VecTimeline;
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    fn intervals(t: &Timeline) -> Vec<(f64, f64)> {
+        (0..t.segments()).map(|i| t.get(i)).collect()
+    }
+
+    /// One seeded request stream into both stores; every granted start and,
+    /// every 64 requests, every read-only answer must agree to the bit.
+    fn drive(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut new, mut old) = (Timeline::new(), VecTimeline::default());
+        let mut coalesced_both = 0;
+        for step in 0..40_000 {
+            let front = old.horizon();
+            let below_front = old.floor + rng.random::<f64>() * (front - old.floor);
+            let dur = match rng.next_u64() % 8 {
+                0 => 0.0,
+                1 => Timeline::MERGE_SLACK * rng.random::<f64>(),
+                _ => 1.0e-6 * (1 + rng.next_u64() % 8) as f64,
+            };
+            let (earliest, dur) = match rng.next_u64() % 16 {
+                // FIFO appends: due now, lands at (and coalesces with) the front.
+                0..=2 => (front, dur),
+                // A gap ahead of the front.
+                3..=7 => (front + 1.0e-6 * (1.0 + 31.0 * rng.random::<f64>()), dur),
+                // Backfills anywhere below the front.
+                8..=12 => (below_front, dur),
+                // Due at the very beginning: clamped once anything is pruned.
+                13 => (0.0, dur),
+                // Exactly fill the gap after a random interval, if it has one.
+                _ => {
+                    let i = rng.next_u64() as usize % old.busy.len().max(1);
+                    match (old.busy.get(i), old.busy.get(i + 1)) {
+                        (Some(&(_, e)), Some(&(s, _))) => (e, s - e),
+                        _ => (front, dur),
+                    }
+                }
+            };
+            let before = old.busy.len();
+            let (a, b) = (new.reserve(earliest, dur), old.reserve(earliest, dur));
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "seed {seed} step {step}: {a} vs {b}"
+            );
+            coalesced_both += usize::from(old.busy.len() + 1 == before);
+            if step % 64 == 0 {
+                assert_eq!(intervals(&new), old.busy, "seed {seed} step {step}");
+                assert_eq!(new.horizon().to_bits(), old.horizon().to_bits());
+                assert_eq!(new.total_busy().to_bits(), old.total_busy().to_bits());
+                let t = below_front;
+                assert_eq!(new.next_free_at(t).to_bits(), old.next_free_at(t).to_bits());
+            }
+        }
+        assert_eq!((new.prunes(), new.clamped()), (old.prunes, old.clamped));
+        assert!(old.prunes >= 1, "seed {seed} never pruned");
+        assert!(old.clamped >= 1, "seed {seed} never clamped a request");
+        assert!(
+            coalesced_both >= 1,
+            "seed {seed} never joined two neighbours"
+        );
+    }
+
+    #[test]
+    fn gap_buffer_grants_the_same_bits_as_the_vec() {
+        for seed in 0..6 {
+            drive(0x71E_11E ^ seed);
+        }
+    }
+
+    /// Bookings near the previous one are cheap wherever they are: an
+    /// ascending sweep of backfills through a long timeline moves a few
+    /// intervals each (plus one pass per prune), where the `Vec` shifted
+    /// everything above each of them.
+    #[test]
+    fn an_ascending_sweep_of_backfills_moves_o_sweep_intervals() {
+        const LEN: usize = 4000;
+        const SWEEP: usize = 2000;
+        let mut t = Timeline::new();
+        for i in 0..LEN {
+            t.reserve(i as f64 * 2.0, 0.5); // busy [2i, 2i + 0.5)
+        }
+        t.moved = 0;
+        for i in 0..SWEEP {
+            t.reserve(i as f64 * 2.0 + 1.0, 0.5); // into the gap after interval i
+        }
+        assert!(t.prunes() >= 1, "the sweep crosses MAX_INTERVALS");
+        assert!(
+            t.moved <= 2 * SWEEP + Timeline::MAX_INTERVALS,
+            "{} intervals moved for {SWEEP} nearby backfills",
+            t.moved
+        );
     }
 }

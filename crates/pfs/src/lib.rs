@@ -1241,6 +1241,22 @@ impl Pfs {
         if !lat.is_empty() {
             reg.insert_hist("pfs_request_latency_ns", lat);
         }
+        // The Timeline cliff on the OST and client-link timelines. Nothing
+        // fired means no keys, so a run too short to prune exports what it
+        // did before the counters existed (mpisim's half does the same).
+        let (prunes, clamped) = {
+            let st = self.state.lock();
+            (st.osts.iter().map(|o| &o.busy).chain(&st.clients))
+                .fold((0, 0), |(p, c), t| (p + t.prunes(), c + t.clamped()))
+        };
+        for (name, n) in [
+            ("timeline_prunes_total", prunes),
+            ("timeline_clamped_total", clamped),
+        ] {
+            if n > 0 {
+                reg.add_counter(name, n);
+            }
+        }
         // Per-tenant attribution, only when a QoS layer is attached.
         for u in self.tenant_report() {
             let p = format!("pfs_tenant{}", u.tenant);

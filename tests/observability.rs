@@ -723,3 +723,45 @@ fn health_layer_attached_but_healthy_is_bit_identical_and_quiet() {
         "non-defense metrics must not depend on the health layer"
     );
 }
+
+/// `(timeline_prunes_total, timeline_clamped_total)` of Table-I arrays of
+/// `len` elements written and read back through TCIO by 8 ranks over
+/// 512-byte level-2 segments, tracing off. An absent key reads as zero.
+fn timeline_cliff(len: usize) -> (u64, u64) {
+    let nprocs = 8;
+    let p = workloads::synthetic::SynthParams::with_types("i,d", len, 1).unwrap();
+    let tcfg = tcio::TcioConfig::for_file_size_with_segment(p.file_size(nprocs), nprocs, 512);
+    let fs = pfs::Pfs::new(nprocs, pfs::PfsConfig::default()).unwrap();
+    let sim = mpisim::SimConfig {
+        metrics: true,
+        ..Default::default()
+    };
+    let rep = mpisim::run(nprocs, sim, |rk| {
+        workloads::synthetic::write_tcio(rk, &fs, &p, "/cliff", Some(tcfg.clone()))?;
+        workloads::synthetic::read_tcio(rk, &fs, &p, "/cliff", Some(tcfg.clone()))?;
+        Ok(())
+    })
+    .unwrap();
+    let mut reg = mpisim::Registry::new();
+    reg.export_sim_report(&rep);
+    fs.export_metrics(&mut reg);
+    let read = |name: &str| reg.counter(name).unwrap_or(0);
+    (
+        read("timeline_prunes_total"),
+        read("timeline_clamped_total"),
+    )
+}
+
+/// The Timeline cliff is counted, not hidden: a cell long enough to fill
+/// a timeline reports how often the older half was dropped and how many
+/// requests were then moved up to the pruned horizon; a short cell reports
+/// neither (so no committed export gains a key).
+#[test]
+fn timeline_cliff_is_counted_on_a_long_cell_and_silent_on_a_short_one() {
+    assert_eq!(timeline_cliff(256), (0, 0));
+    let (prunes, clamped) = timeline_cliff(16384);
+    assert!(
+        prunes > 0 && clamped > 0,
+        "{prunes} prunes, {clamped} clamped"
+    );
+}

@@ -120,6 +120,143 @@ fn timeline_grants_are_legal() {
     }
 }
 
+/// Order independence of a [`Timeline`](mpisim::timeline::Timeline), and
+/// where it stops. One seeded multiset of `(earliest, dur)` is booked in
+/// several orders (sorted by `earliest`, reversed, shuffled); times are
+/// multiples of 2⁻¹⁰ s so that every sum below is exact.
+///
+/// * **Busy time is conserved in any order**, to the bit, whatever the mix
+///   of durations.
+/// * **Slot-aligned bookings are order-free.** When every request has the
+///   same `dur` and is due on a multiple of it, each takes the first free
+///   slot at or after its due slot, and the *set* of slots taken does not
+///   depend on the order (swap two consecutive bookings `a`, `b` with
+///   `a` due first: either `a`'s slot lies before `b` is due and the two do
+///   not interact, or both compete for the same first free slot `g` and
+///   the next one `g'`, and between them take exactly `{g, g'}` either
+///   way). So the granted starts, as a multiset, and the last completion
+///   are identical — not merely within one `dur`.
+/// * **Last completion is order-free up to the span of the due times**,
+///   whatever the durations. A booking that starts after the latest due
+///   instant `D` starts at the end of another interval, so no gap ever
+///   opens past `D`: in any order the last completion lies between
+///   `min due + work` and `D + work`.
+/// * **Within one `dur`** is what that becomes for equal durations whose
+///   lost slivers are small. The `unaligned` family is the demand of
+///   `order_insensitive_total_completion` in `mpisim::timeline`, seeded:
+///   one `dur`, due on seven multiples of a `step` that `dur` does not
+///   divide. A request that books ahead of earlier-due ones strands a
+///   sliver of a few `step − dur` in front of its due instant; with six
+///   later instants and `6 × (step − dur) ≤ dur` the orders end within one
+///   `dur` of each other. With wider slivers they do not (a `step` half
+///   way to `2 dur` ends several `dur` apart), which is the next point.
+/// * **First-fit backfill is *not* order-free otherwise.** A request that
+///   fits no gap — a long one among short ones, or any request facing
+///   slivers shorter than itself — lands behind whatever was booked before
+///   it: shorts due at 0, 3, 6, … leave gaps of 2, so a request of 3 due at
+///   0 runs at once when it books first and after the last short when it
+///   books last. Every such sliver is lost to it, so no bound in terms of
+///   one `dur` holds across orders in general; the event core's
+///   `(clock, rank)` schedule is what keeps a simulation's own booking
+///   order, and with it the result, deterministic.
+#[test]
+fn timeline_order_independence_and_its_limit() {
+    use mpisim::timeline::Timeline;
+    const UNIT: f64 = 1.0 / 1024.0;
+    /// Book `demand` in `order`; returns (sorted granted starts, busy
+    /// time, last completion), all as bits.
+    fn book(demand: &[(f64, f64)], order: &[usize]) -> (Vec<u64>, u64, u64) {
+        let mut t = Timeline::new();
+        let mut starts: Vec<u64> = order
+            .iter()
+            .map(|&i| t.reserve(demand[i].0, demand[i].1).to_bits())
+            .collect();
+        starts.sort_unstable();
+        (starts, t.total_busy().to_bits(), t.horizon().to_bits())
+    }
+    for seed in 0..32u64 {
+        let mut rng = StdRng::seed_from_u64(0x0DE2 ^ seed);
+        let n = pick(&mut rng, 2, 200) as usize;
+        // Each family is generated in `earliest` order, so the identity
+        // permutation is "sorted" for all three.
+        let by_due = |mut demand: Vec<(f64, f64)>| {
+            demand.sort_by(|a, b| a.0.total_cmp(&b.0));
+            demand
+        };
+        let units = pick(&mut rng, 6, 13);
+        let dur = units as f64 * UNIT;
+        let aligned = by_due(
+            (0..n)
+                .map(|_| (pick(&mut rng, 0, 150) as f64 * dur, dur))
+                .collect(),
+        );
+        // `dur` is at least six units, so six slivers of `step - dur` fit
+        // in one `dur`.
+        let step = dur + UNIT;
+        let unaligned = by_due(
+            (0..n)
+                .map(|_| (pick(&mut rng, 0, 7) as f64 * step, dur))
+                .collect(),
+        );
+        let mixed = by_due(
+            (0..n)
+                .map(|_| {
+                    let due = pick(&mut rng, 0, 1000) as f64 * UNIT;
+                    (due, pick(&mut rng, 1, 40) as f64 * UNIT)
+                })
+                .collect(),
+        );
+        let sorted: Vec<usize> = (0..n).collect();
+        let mut orders = vec![sorted.clone(), sorted.iter().rev().copied().collect()];
+        for _ in 0..3 {
+            let mut shuffled = sorted.clone();
+            for i in (1..n).rev() {
+                shuffled.swap(i, pick(&mut rng, 0, i as u64 + 1) as usize);
+            }
+            orders.push(shuffled);
+        }
+        let want_aligned = book(&aligned, &orders[0]);
+        let want_unaligned = book(&unaligned, &orders[0]);
+        let want_mixed = book(&mixed, &orders[0]);
+        let work: f64 = mixed.iter().map(|&(_, d)| d).sum();
+        assert_eq!(want_mixed.1, work.to_bits(), "seed {seed}");
+        let due_span = mixed[n - 1].0 - mixed[0].0;
+        for order in &orders[1..] {
+            assert_eq!(
+                book(&aligned, order),
+                want_aligned,
+                "seed {seed}: {order:?}"
+            );
+            let got = book(&unaligned, order);
+            assert_eq!(got.1, want_unaligned.1, "seed {seed}: {order:?}");
+            let apart = (f64::from_bits(got.2) - f64::from_bits(want_unaligned.2)).abs();
+            assert!(apart <= dur, "seed {seed}: {apart} > {dur}: {order:?}");
+            let got = book(&mixed, order);
+            assert_eq!(got.1, want_mixed.1, "seed {seed}: {order:?}");
+            let apart = (f64::from_bits(got.2) - f64::from_bits(want_mixed.2)).abs();
+            assert!(apart <= due_span, "seed {seed}: {apart} > {due_span}");
+        }
+    }
+
+    // The limit, pinned: the same multiset, long request first or last.
+    let shorts = (0..10).map(|i| (3.0 * i as f64, 1.0));
+    let demand: Vec<(f64, f64)> = shorts.chain([(0.0, 3.0)]).collect();
+    let long_last: Vec<usize> = (0..demand.len()).collect();
+    let long_first: Vec<usize> = long_last.iter().rev().copied().collect();
+    let (last, first) = (book(&demand, &long_last), book(&demand, &long_first));
+    assert_eq!(last.1, first.1, "busy time is conserved");
+    assert_eq!(
+        f64::from_bits(last.2),
+        31.0,
+        "behind the last short: 28 + 3"
+    );
+    assert_eq!(
+        f64::from_bits(first.2),
+        28.0,
+        "shorts due under it slide into the gaps"
+    );
+}
+
 /// IOR offsets: for any legal geometry, the transfers of all ranks tile
 /// the file exactly (no overlap, no hole), strided or segmented.
 /// Exhaustive over the seed suite's parameter ranges.
