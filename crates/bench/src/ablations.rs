@@ -4,11 +4,9 @@
 //! it as a document.
 
 use crate::registry::Args;
-use crate::runner::{dump_restart, run_synth, synth_params, tcio_config};
+use crate::runner::{mbs_or_oom, run_synth, synth_params, Cell, Job};
 use crate::{fmt_bytes, mbs, Calib, Json, Table};
 use mpiio::CollectiveConfig;
-use pfs::Pfs;
-use std::sync::Arc;
 use tcio::{ReadMode, SyncMode, TcioConfig};
 use workloads::synthetic::{self, Method, SynthParams};
 
@@ -42,17 +40,12 @@ pub fn segment_size(args: &Args) -> Json {
     // fewer ranks than P own any segment at all.
     for factor_num in [1u64, 2, 4, 8, 16, 64, 128, 512, 2048] {
         let seg = (stripe * factor_num / 8).max(1);
-        let fs = Pfs::new(nprocs, calib.pfs.clone()).unwrap();
-        let fs2 = Arc::clone(&fs);
-        let p2 = p.clone();
-        let rep = mpisim::run(nprocs, calib.sim_config_unbudgeted(), move |rk| {
-            let tcfg =
-                TcioConfig::for_file_size_with_segment(p2.file_size(rk.nprocs()), rk.nprocs(), seg);
-            Ok(synthetic::write_tcio(rk, &fs2, &p2, "/a", Some(tcfg))?)
-        })
-        .expect("run");
-        let tput = calib.throughput_mbs(bytes_real, rep.results[0].elapsed);
-        let locks = fs.stats.snapshot().lock_transfers;
+        let job = Job::new(&calib, nprocs);
+        let tcfg = TcioConfig::for_file_size_with_segment(bytes_real, nprocs, seg);
+        let write =
+            job.run(|rk, fs| Ok(synthetic::write_tcio(rk, fs, &p, "/a", Some(tcfg.clone()))?));
+        let tput = calib.throughput_mbs(bytes_real, write.expect("run").results[0].elapsed);
+        let locks = job.fs.stats.snapshot().lock_transfers;
         let label = if factor_num >= 8 {
             format!("{}x", factor_num / 8)
         } else {
@@ -91,26 +84,12 @@ pub fn modes(args: &Args) -> Json {
         ("eager reads", |c| c.read_mode = ReadMode::Eager),
     ];
     for (name, mutate) in variants {
-        let fs = Pfs::new(nprocs, calib.pfs.clone()).unwrap();
-        let mut tcfg = tcio_config(&calib, &p, nprocs);
-        mutate(&mut tcfg);
-        let p2 = p.clone();
-        let rep = mpisim::run(nprocs, calib.sim_config_unbudgeted(), move |rk| {
-            dump_restart(
-                rk,
-                &fs,
-                &p2,
-                "/v",
-                Method::Tcio,
-                &tcfg,
-                &CollectiveConfig::default(),
-            )
-        })
-        .expect("variant run");
-        let (w, r) = rep.results[0];
+        let mut cell = Cell::new(&calib, nprocs, p.clone(), Method::Tcio);
+        mutate(&mut cell.tcio);
+        let run = cell.run().expect("variant run");
         let (w, r) = (
-            calib.throughput_mbs(bytes, w),
-            calib.throughput_mbs(bytes, r),
+            calib.throughput_mbs(bytes, run.write_s),
+            calib.throughput_mbs(bytes, run.read_s),
         );
         t.row(vec![name.to_string(), mbs(w), mbs(r)]);
         eprintln!("  {name}: w={} r={}", mbs(w), mbs(r));
@@ -122,17 +101,23 @@ pub fn modes(args: &Args) -> Json {
 }
 
 fn run_cfg(calib: &Calib, nprocs: usize, p: &SynthParams, ccfg: &CollectiveConfig) -> (f64, u64) {
-    let fs = Pfs::new(nprocs, calib.pfs.clone()).unwrap();
-    let bytes = p.file_size(nprocs);
-    let p2 = p.clone();
-    let ccfg = ccfg.clone();
-    let rep = mpisim::run(nprocs, calib.sim_config_unbudgeted(), move |rk| {
-        Ok(synthetic::write_ocio(rk, &fs, &p2, "/cb", &ccfg)?)
-    })
-    .expect("run");
-    let peak = rep.stats.iter().map(|s| s.mem_peak).max().unwrap_or(0);
+    let write =
+        Job::new(calib, nprocs).run(|rk, fs| Ok(synthetic::write_ocio(rk, fs, p, "/cb", ccfg)?));
+    let rep = write.expect("run");
+    peak_row(
+        calib,
+        p.file_size(nprocs),
+        rep.results[0].elapsed,
+        &rep.stats,
+    )
+}
+
+/// Paper-equivalent MB/s and the largest per-rank memory peak, in
+/// paper-equivalent bytes.
+fn peak_row(calib: &Calib, bytes: u64, elapsed: f64, stats: &[mpisim::RankStats]) -> (f64, u64) {
+    let peak = stats.iter().map(|s| s.mem_peak).max().unwrap_or(0);
     (
-        calib.throughput_mbs(bytes, rep.results[0].elapsed),
+        calib.throughput_mbs(bytes, elapsed),
         calib.virtual_bytes(peak),
     )
 }
@@ -140,38 +125,31 @@ fn run_cfg(calib: &Calib, nprocs: usize, p: &SynthParams, ccfg: &CollectiveConfi
 fn run_view_based(calib: &Calib, nprocs: usize, p: &SynthParams) -> (f64, u64) {
     // The related-work [16] alternative: views registered once, then a
     // metadata-light exchange. Same aggregation, smaller messages.
-    let fs = Pfs::new(nprocs, calib.pfs.clone()).unwrap();
-    let bytes = p.file_size(nprocs);
-    let p2 = p.clone();
-    let rep = mpisim::run(nprocs, calib.sim_config_unbudgeted(), move |rk| {
+    let run = Job::new(calib, nprocs).run(|rk, fs| {
         rk.barrier()?;
         let t0 = rk.now();
-        let mut f = mpiio::File::open(rk, &fs, "/vb", mpiio::Mode::WriteOnly)?;
+        let mut f = mpiio::File::open(rk, fs, "/vb", mpiio::Mode::WriteOnly)?;
         let etype = mpisim::Datatype::contiguous(
-            p2.block_size(),
+            p.block_size(),
             mpisim::Datatype::named(mpisim::Named::Byte),
         )
         .commit();
         let ftype = mpisim::Datatype::vector(
-            p2.accesses(),
+            p.accesses(),
             1,
             rk.nprocs() as isize,
             etype.datatype().clone(),
         )
         .commit();
-        f.set_view(rk, (rk.rank() * p2.block_size()) as u64, &etype, &ftype)?;
+        f.set_view(rk, (rk.rank() * p.block_size()) as u64, &etype, &ftype)?;
         let views = mpiio::register_views(rk, &f)?;
-        let data = vec![1u8; p2.bytes_per_rank() as usize];
+        let data = vec![1u8; p.bytes_per_rank() as usize];
         mpiio::write_all_view_based(rk, &mut f, &views, 0, &data, &CollectiveConfig::default())?;
         rk.barrier()?;
         Ok(rk.now() - t0)
-    })
-    .expect("view-based run");
-    let peak = rep.stats.iter().map(|s| s.mem_peak).max().unwrap_or(0);
-    (
-        calib.throughput_mbs(bytes, rep.results[0]),
-        calib.virtual_bytes(peak),
-    )
+    });
+    let rep = run.expect("view-based run");
+    peak_row(calib, p.file_size(nprocs), rep.results[0], &rep.stats)
 }
 
 /// Ablation: OCIO (two-phase) tuning hints — collective-buffer chunking
@@ -254,14 +232,13 @@ pub fn cb(args: &Args) -> Json {
 }
 
 fn run_groups(calib: &Calib, nprocs: usize, groups: usize, block_real: usize) -> f64 {
-    let fs = Pfs::new(nprocs, calib.pfs.clone()).unwrap();
     let bytes = (block_real * nprocs) as u64;
-    let rep = mpisim::run(nprocs, calib.sim_config_unbudgeted(), move |rk| {
+    let run = Job::new(calib, nprocs).run(|rk, fs| {
         let gsize = nprocs / groups;
         let comm = rk.split((rk.rank() / gsize) as u64)?;
         rk.barrier()?;
         let t0 = rk.now();
-        let mut f = mpiio::File::open_independent(rk, &fs, "/pc", mpiio::Mode::WriteOnly)?;
+        let mut f = mpiio::File::open_independent(rk, fs, "/pc", mpiio::Mode::WriteOnly)?;
         // Group-clustered layout: rank r's block is contiguous at r·B.
         let data = vec![rk.rank() as u8; block_real];
         mpiio::write_all_partitioned(
@@ -274,9 +251,8 @@ fn run_groups(calib: &Calib, nprocs: usize, groups: usize, block_real: usize) ->
         )?;
         rk.barrier()?;
         Ok(rk.now() - t0)
-    })
-    .expect("run");
-    calib.throughput_mbs(bytes, rep.results[0])
+    });
+    calib.throughput_mbs(bytes, run.expect("run").results[0])
 }
 
 /// Ablation: partitioned collective I/O (ParColl, the paper's related
@@ -340,8 +316,8 @@ pub fn access_size(args: &Args) -> Json {
     for size_access in [1usize, 16, 256, 4096, 65536] {
         let mut cells = vec![size_access.to_string()];
         for method in [Method::Tcio, Method::Ocio, Method::Vanilla] {
-            let (w, _r) = run_synth(&calib, nprocs, len_virtual, size_access, method, false);
-            cells.push(w.cell());
+            let run = run_synth(&calib, nprocs, len_virtual, size_access, method, false);
+            cells.push(mbs_or_oom(run.map(|(w, _r)| w)));
         }
         eprintln!("  SIZE_access={size_access}: {:?}", &cells[1..]);
         t.row(cells);

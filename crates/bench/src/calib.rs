@@ -85,20 +85,16 @@ impl Calib {
         Calib::paper(1)
     }
 
-    /// Simulation config with the (scaled) memory budget applied.
-    pub fn sim_config(&self) -> SimConfig {
-        SimConfig {
-            net: self.net.clone(),
-            mem_budget: Some(self.mem_budget_virtual / self.scale_inv),
-            ..Default::default()
-        }
+    /// The per-process memory budget in real (scaled) bytes.
+    pub fn mem_budget(&self) -> u64 {
+        self.mem_budget_virtual / self.scale_inv
     }
 
-    /// Simulation config without memory enforcement.
+    /// Simulation config on the calibrated network, without memory
+    /// enforcement.
     pub fn sim_config_unbudgeted(&self) -> SimConfig {
         SimConfig {
             net: self.net.clone(),
-            mem_budget: None,
             ..Default::default()
         }
     }
@@ -163,7 +159,7 @@ mod tests {
         let c = Calib::paper(256);
         assert_eq!(c.pfs.stripe_size, (1 << 20) / 256);
         assert_eq!(c.segment_size, c.pfs.stripe_size);
-        assert_eq!(c.sim_config().mem_budget, Some((2 << 30) / 256));
+        assert_eq!(c.mem_budget(), (2 << 30) / 256);
     }
 
     #[test]

@@ -14,13 +14,12 @@
 //! skip the crash sweep.
 
 use crate::registry::Args;
-use crate::runner::{die, dump_restart, load_plan, slowest, synth_params, tcio_config};
+use crate::runner::{die, load_plan, synth_params, Cell};
 use crate::{Calib, Json};
 use chaos::{Fault, FaultPlan};
-use mpisim::{MpiError, SimError};
-use pfs::Pfs;
+use mpisim::SimError;
 use std::sync::Arc;
-use workloads::synthetic::Method;
+use workloads::synthetic::{Method, SynthParams};
 use workloads::WlError;
 
 /// The built-in full-intensity plan: one fault from every family that the
@@ -85,62 +84,32 @@ struct ChaosRun {
 fn run_synth_chaos(
     calib: &Calib,
     nprocs: usize,
-    len_virtual: usize,
-    size_access: usize,
+    p: &SynthParams,
     method: Method,
     engine: Arc<chaos::ChaosEngine>,
 ) -> ChaosRun {
-    let p = synth_params(calib, len_virtual, size_access);
-    let sim = mpisim::SimConfig {
-        chaos: Some(engine.clone()),
-        ..calib.sim_config_unbudgeted()
-    };
-    let fs = Pfs::new(nprocs, calib.pfs.clone()).expect("pfs config");
     let planned_crashes = (0..nprocs).filter(|&r| engine.crash_ahead(r)).count() as u64;
-    fs.attach_chaos(engine)
-        .expect("fault plan fits the PFS layout");
-    let tcfg = tcio_config(calib, &p, nprocs);
-    let fs2 = Arc::clone(&fs);
-    let run = mpisim::run(nprocs, sim, move |rk| {
-        let ccfg = mpiio::CollectiveConfig::default();
-        match dump_restart(rk, &fs2, &p, "/synth", method, &tcfg, &ccfg) {
-            Ok(phases) => Ok(Some(phases)),
-            // TCIO callers are fault-tolerant: a crash-stopped rank catches
-            // its own typed failure and drops out while the survivors finish
-            // the dump (including the buddy recovery drain) and verify the
-            // restart. OCIO/vanilla have no recovery story — the crash
-            // propagates and the run reports a typed abort instead.
-            Err(MpiError::RankCrashed { rank }) if method == Method::Tcio && rank == rk.rank() => {
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
-    });
-    match run {
-        Ok(rep) => {
-            let (write_s, read_s) = slowest(rep.results.iter().flatten().copied());
-            ChaosRun {
-                write_s,
-                read_s,
-                io_retries: rep.stats.iter().map(|s| s.io_retries).sum(),
-                chaos_stalls: rep.stats.iter().map(|s| s.chaos_stalls).sum(),
-                transient_errors: fs.stats.snapshot().transient_errors,
-                completed: true,
-                rank_crashes: rep.stats.iter().map(|s| s.rank_crashes).sum(),
-                segments_recovered: rep.stats.iter().map(|s| s.segments_recovered).sum(),
-            }
-        }
-        Err(e) if undone_by_a_crash(&e) => ChaosRun {
-            write_s: f64::NAN,
-            read_s: f64::NAN,
-            io_retries: 0,
-            chaos_stalls: 0,
-            transient_errors: fs.stats.snapshot().transient_errors,
-            completed: false,
-            rank_crashes: planned_crashes,
-            segments_recovered: 0,
-        },
+    let mut cell = Cell::new(calib, nprocs, p.clone(), method);
+    cell.job.under(Some(engine));
+    let run = cell.run();
+    let transient_errors = cell.job.fs.stats.snapshot().transient_errors;
+    // A run the crash undid reports no times and no per-rank counters:
+    // the report died with it.
+    let (write_s, read_s, agg) = match run {
+        Ok(run) => (run.write_s, run.read_s, Some(run.rep.aggregate_stats())),
+        Err(e) if undone_by_a_crash(&e) => (f64::NAN, f64::NAN, None),
         Err(other) => panic!("experiment failed unexpectedly: {other}"),
+    };
+    let agg = agg.as_ref();
+    ChaosRun {
+        write_s,
+        read_s,
+        io_retries: agg.map_or(0, |s| s.io_retries),
+        chaos_stalls: agg.map_or(0, |s| s.chaos_stalls),
+        transient_errors,
+        completed: agg.is_some(),
+        rank_crashes: agg.map_or(planned_crashes, |s| s.rank_crashes),
+        segments_recovered: agg.map_or(0, |s| s.segments_recovered),
     }
 }
 
@@ -164,24 +133,23 @@ fn sweep(
     label: &str,
     calib: &Calib,
     nprocs: usize,
-    len: usize,
-    size_access: usize,
+    p: &SynthParams,
     points: usize,
 ) -> Json {
     let methods = [(Method::Tcio, "tcio"), (Method::Ocio, "ocio")];
     let mut baselines = [0.0f64; 2];
     let mut out = Vec::new();
-    for p in 0..points {
-        let k = p as f64 / (points - 1) as f64;
+    for pt in 0..points {
+        let k = pt as f64 / (points - 1) as f64;
         let engine = plan
             .scaled(k)
             .build()
             .unwrap_or_else(|e| die(format!("fault plan rejected at intensity {k}: {e}")));
         let mut point = Json::obj().with("intensity", Json::num(k));
         for (m, (method, name)) in methods.iter().enumerate() {
-            let r = run_synth_chaos(calib, nprocs, len, size_access, *method, engine.clone());
+            let r = run_synth_chaos(calib, nprocs, p, *method, engine.clone());
             let total = r.write_s + r.read_s;
-            if p == 0 {
+            if pt == 0 {
                 baselines[m] = total;
             }
             let slowdown = total / baselines[m];
@@ -219,18 +187,14 @@ fn sweep(
 
 pub fn run(args: &Args) -> Json {
     let nprocs = args.usize("procs");
-    let len = args.usize("len");
-    let size_access = args.usize("size-access");
     let points = args.usize("points").max(2);
     let calib = Calib::paper(args.int("scale"));
+    let p = synth_params(&calib, args.usize("len"), args.usize("size-access"));
     let plan = match args.text("plan") {
         "" => builtin_plan(),
         path => load_plan(path),
     };
-    let mut doc = Json::obj().with(
-        "points",
-        sweep(&plan, "", &calib, nprocs, len, size_access, points),
-    );
+    let mut doc = Json::obj().with("points", sweep(&plan, "", &calib, nprocs, &p, points));
 
     // Crash sweep: the same plan with one rank crash-stopped mid-dump.
     // TCIO recovers (durability epochs); OCIO aborts. Rank 0 is the
@@ -247,15 +211,7 @@ pub fn run(args: &Args) -> Json {
         };
         let at = args.float("crash-at");
         let crash_plan = plan.clone().with(Fault::RankCrash { rank, at });
-        let points = sweep(
-            &crash_plan,
-            "crash ",
-            &calib,
-            nprocs,
-            len,
-            size_access,
-            points,
-        );
+        let points = sweep(&crash_plan, "crash ", &calib, nprocs, &p, points);
         doc.set(
             "crash",
             Json::obj()

@@ -3,12 +3,12 @@
 //! writes it).
 
 use crate::registry::Args;
-use crate::runner::{die, load_plan, run_traced_synth, synth_params, tcio_config};
+use crate::runner::{
+    die, load_plan, registry_json, run_traced_synth, synth_params, tcio_config, Job,
+};
 use crate::{Calib, Json};
 use insight::{Analyzer, Category};
 use mpisim::{chrome_trace_json, Phase, TraceReport};
-use pfs::Pfs;
-use std::sync::Arc;
 use tcio::{TcioFile, TcioMode};
 use workloads::synthetic::{self, Configs, Direction, Method};
 
@@ -21,16 +21,15 @@ pub fn a2a(args: &Args) -> Json {
     let mut points = Vec::new();
     for p in args.ints("procs") {
         let msg = per_rank_real / p;
-        let rep = mpisim::run(p, calib.sim_config_unbudgeted(), move |rk| {
+        let run = Job::new(&calib, p).run(|rk, _fs| {
             rk.barrier()?;
             let t0 = rk.now();
             let data: Vec<Vec<u8>> = (0..rk.nprocs()).map(|_| vec![0u8; msg]).collect();
             rk.alltoallv(data)?;
             rk.barrier()?;
             Ok(rk.now() - t0)
-        })
-        .expect("run");
-        let t = rep.results[0];
+        });
+        let t = run.expect("run").results[0];
         let ms_round = t / (p - 1) as f64 * 1e3;
         println!("P={p}: alltoallv of {per_rank_real}B/rank → {t:.3}s ({ms_round:.2} ms/round)");
         points.push(
@@ -61,93 +60,43 @@ pub fn breakdown(args: &Args) -> Json {
         calib.segment_size
     );
 
+    let cfgs = Configs {
+        tcio: Some(tcio_config(&calib, &p, nprocs)),
+        ..Default::default()
+    };
     let mut runs = Vec::new();
     for method in [Method::Tcio, Method::Ocio] {
         for phase in ["write", "read"] {
-            let fs = Pfs::new(nprocs, calib.pfs.clone()).unwrap();
-            let fs2 = Arc::clone(&fs);
-            let p2 = p.clone();
-            let cfgs = Configs {
-                tcio: Some(tcio_config(&calib, &p, nprocs)),
-                ..Default::default()
-            };
             // Always write first (so reads have data); time only `phase`.
-            let rep = mpisim::run(nprocs, calib.sim_config_unbudgeted(), move |rk| {
-                let w = synthetic::run(Direction::Write, method, rk, &fs2, &p2, "/d", &cfgs)?;
+            let job = Job::new(&calib, nprocs);
+            let run = job.run(|rk, fs| {
+                let w = synthetic::run(Direction::Write, method, rk, fs, &p, "/d", &cfgs)?;
                 if phase == "write" {
                     return Ok(w.elapsed);
                 }
-                let r = synthetic::run(Direction::Read, method, rk, &fs2, &p2, "/d", &cfgs)?;
+                let r = synthetic::run(Direction::Read, method, rk, fs, &p, "/d", &cfgs)?;
                 Ok(r.elapsed)
-            })
-            .expect("run");
+            });
+            let rep = run.expect("run");
             let elapsed = rep.results[0];
-            let agg = rep.aggregate_stats();
-            let fstats = rep.fabric;
-            let pstats = fs.stats.snapshot();
+            let tput = calib.throughput_mbs(bytes_real, elapsed);
+            let reg = job.export(&rep);
             println!(
-                "\n{} {phase}: {:.3}s virtual → {:.0} MB/s (paper-equivalent)",
+                "\n{} {phase}: {elapsed:.3}s virtual → {tput:.0} MB/s (paper-equivalent)",
                 method.label(),
-                elapsed,
-                calib.throughput_mbs(bytes_real, elapsed)
             );
-            println!(
-                "  net: {} msgs / {} B, {} conn misses, {} congested",
-                fstats.messages, fstats.bytes, fstats.conn_misses, fstats.congested_transfers
-            );
-            println!(
-                "  rma: {} epochs, {} puts / {} B, {} gets / {} B",
-                agg.rma_epochs, agg.puts, agg.put_bytes, agg.gets, agg.get_bytes
-            );
-            println!(
-                "  pfs: {} wr-rpcs / {} B, {} rd-rpcs / {} B, {} lock transfers",
-                pstats.write_rpcs,
-                pstats.bytes_written,
-                pstats.read_rpcs,
-                pstats.bytes_read,
-                pstats.lock_transfers
-            );
-            println!(
-                "  collectives: {}, total collective wait {:.3}s",
-                agg.collectives, agg.collective_wait
-            );
+            for (name, n) in reg.counters().filter(|&(_, n)| n > 0) {
+                println!("  {name:<36} {n}");
+            }
+            let (counters, hists) = registry_json(&reg);
             runs.push(
                 Json::obj()
                     .with("method", Json::str(method.label()))
                     .with("phase", Json::str(phase))
                     .with("elapsed_s", Json::num(elapsed))
-                    .with(
-                        "throughput_mbs",
-                        Json::num(calib.throughput_mbs(bytes_real, elapsed)),
-                    )
-                    .with(
-                        "net",
-                        Json::obj()
-                            .with("messages", Json::num(fstats.messages as f64))
-                            .with("bytes", Json::num(fstats.bytes as f64))
-                            .with("conn_misses", Json::num(fstats.conn_misses as f64))
-                            .with("congested", Json::num(fstats.congested_transfers as f64)),
-                    )
-                    .with(
-                        "rma",
-                        Json::obj()
-                            .with("epochs", Json::num(agg.rma_epochs as f64))
-                            .with("puts", Json::num(agg.puts as f64))
-                            .with("put_bytes", Json::num(agg.put_bytes as f64))
-                            .with("gets", Json::num(agg.gets as f64))
-                            .with("get_bytes", Json::num(agg.get_bytes as f64)),
-                    )
-                    .with(
-                        "pfs",
-                        Json::obj()
-                            .with("write_rpcs", Json::num(pstats.write_rpcs as f64))
-                            .with("bytes_written", Json::num(pstats.bytes_written as f64))
-                            .with("read_rpcs", Json::num(pstats.read_rpcs as f64))
-                            .with("bytes_read", Json::num(pstats.bytes_read as f64))
-                            .with("lock_transfers", Json::num(pstats.lock_transfers as f64)),
-                    )
-                    .with("collectives", Json::num(agg.collectives as f64))
-                    .with("collective_wait_s", Json::num(agg.collective_wait)),
+                    .with("throughput_mbs", Json::num(tput))
+                    .with("counters", counters)
+                    .with("hists", hists),
             );
         }
     }
@@ -166,13 +115,12 @@ pub fn phase(args: &Args) -> Json {
     let calib = Calib::paper(args.int("scale"));
     let p = synth_params(&calib, args.usize("len"), 1);
     let (len, block) = (p.accesses(), p.block_size());
-    let fs = Pfs::new(nprocs, calib.pfs.clone()).unwrap();
     let tcfg = tcio_config(&calib, &p, nprocs);
 
-    let rep = mpisim::run(nprocs, calib.sim_config_unbudgeted(), move |rk| {
+    let run = Job::new(&calib, nprocs).run(|rk, fs| {
         rk.barrier()?;
         let t0 = rk.now();
-        let mut f = TcioFile::open(rk, &fs, "/p", TcioMode::Write, tcfg.clone())?;
+        let mut f = TcioFile::open(rk, fs, "/p", TcioMode::Write, tcfg.clone())?;
         let t_open = rk.now();
         let data = vec![rk.rank() as u8; block];
         for i in 0..len {
@@ -188,8 +136,8 @@ pub fn phase(args: &Args) -> Json {
             t_close - t_loop,
             stats.flushes,
         ))
-    })
-    .unwrap();
+    });
+    let rep = run.expect("run");
     let (open, mut lp, mut close, mut flushes) = (rep.results[0].0, 0.0f64, 0.0f64, 0u64);
     let mut lp_min = f64::MAX;
     for &(_, l, c, fl) in &rep.results {
@@ -221,11 +169,10 @@ pub fn read(args: &Args) -> Json {
     let nprocs = args.usize("procs");
     let calib = Calib::paper(args.int("scale"));
     let p = synth_params(&calib, args.usize("len"), 1);
-    let fs = Pfs::new(nprocs, calib.pfs.clone()).unwrap();
     let tcfg = tcio_config(&calib, &p, nprocs);
 
-    let rep = mpisim::run(nprocs, calib.sim_config_unbudgeted(), move |rk| {
-        synthetic::write_tcio(rk, &fs, &p, "/r", Some(tcfg.clone()))?;
+    let run = Job::new(&calib, nprocs).run(|rk, fs| {
+        synthetic::write_tcio(rk, fs, &p, "/r", Some(tcfg.clone()))?;
         rk.barrier()?;
         let t0 = rk.now();
         let block = p.block_size();
@@ -233,7 +180,7 @@ pub fn read(args: &Args) -> Json {
         let n = p.accesses();
         let mut buf = vec![0u8; n * block];
         let mut marks = Vec::new();
-        let mut f = TcioFile::open(rk, &fs, "/r", TcioMode::Read, tcfg.clone())?;
+        let mut f = TcioFile::open(rk, fs, "/r", TcioMode::Read, tcfg.clone())?;
         let t_open = rk.now();
         let mut rest = buf.as_mut_slice();
         for i in 0..n {
@@ -263,8 +210,8 @@ pub fn read(args: &Args) -> Json {
             );
         }
         Ok((t_loop - t_open, stats.loads))
-    })
-    .unwrap();
+    });
+    let rep = run.expect("run");
     let max_loop = rep.results.iter().map(|r| r.0).fold(0.0f64, f64::max);
     let min_loop = rep.results.iter().map(|r| r.0).fold(f64::MAX, f64::min);
     let loads: u64 = rep.results.iter().map(|r| r.1).sum();

@@ -4,12 +4,31 @@
 //! (`--json <path>` writes it; a run leaves no other file behind).
 
 use crate::registry::Args;
-use crate::runner::{run_art, run_synth, tcio_config};
+use crate::runner::{mbs_or_oom, run_art, run_synth, tcio_config, Job};
 use crate::{fmt_bytes, mbs, sparkline, Calib, Json, Table};
-use pfs::Pfs;
-use std::sync::Arc;
 use workloads::art::{ArtConfig, ArtMethod};
 use workloads::synthetic::{self, Configs, Direction, Method, SynthParams};
+
+const VS_OCIO: [&str; 4] = ["TCIO write", "OCIO write", "TCIO read", "OCIO read"];
+
+/// Both collective methods at one scale point, in [`VS_OCIO`] order;
+/// `None` is a run that died of a simulated out-of-memory.
+fn tcio_vs_ocio(
+    calib: &Calib,
+    nprocs: usize,
+    len: usize,
+    size_access: usize,
+    budget: bool,
+) -> [Option<f64>; 4] {
+    let t = run_synth(calib, nprocs, len, size_access, Method::Tcio, budget);
+    let o = run_synth(calib, nprocs, len, size_access, Method::Ocio, budget);
+    [
+        t.map(|t| t.0),
+        o.map(|o| o.0),
+        t.map(|t| t.1),
+        o.map(|o| o.1),
+    ]
+}
 
 /// Figure 5: synthetic-benchmark throughput vs number of processes.
 ///
@@ -32,34 +51,16 @@ pub fn fig5_scale(args: &Args) -> Json {
     );
     println!("(throughputs in paper-equivalent MB/s)\n");
 
-    let mut table = Table::new(vec![
-        "procs",
-        "TCIO write",
-        "OCIO write",
-        "TCIO read",
-        "OCIO read",
-    ]);
+    let mut table = Table::new([&["procs"][..], &VS_OCIO].concat());
     let mut series: [Vec<f64>; 4] = Default::default();
     for p in args.ints("procs") {
-        let (tw, tr) = run_synth(&calib, p, len_virtual, size_access, Method::Tcio, false);
-        let (ow, or) = run_synth(&calib, p, len_virtual, size_access, Method::Ocio, false);
-        for (k, o) in [&tw, &ow, &tr, &or].iter().enumerate() {
-            series[k].push(o.throughput().unwrap_or(0.0));
+        let row = tcio_vs_ocio(&calib, p, len_virtual, size_access, false);
+        for (k, o) in row.iter().enumerate() {
+            series[k].push(o.unwrap_or(0.0));
         }
-        table.row(vec![
-            p.to_string(),
-            tw.cell(),
-            ow.cell(),
-            tr.cell(),
-            or.cell(),
-        ]);
-        eprintln!(
-            "  P={p}: TCIO w={} o-w={} r={} o-r={}",
-            tw.cell(),
-            ow.cell(),
-            tr.cell(),
-            or.cell()
-        );
+        let [tw, ow, tr, or] = row.map(mbs_or_oom);
+        eprintln!("  P={p}: TCIO w={tw} o-w={ow} r={tr} o-r={or}");
+        table.row(vec![p.to_string(), tw, ow, tr, or]);
     }
     table.print();
     println!(
@@ -91,32 +92,13 @@ pub fn fig6_7_filesize(args: &Args) -> Json {
     let calib = Calib::paper(scale);
 
     println!("Figs. 6/7 — file-size sweep at P={nprocs} (scaled 1/{scale}), Lonestar memory budget enforced\n");
-    let mut table = Table::new(vec![
-        "file size",
-        "TCIO write",
-        "OCIO write",
-        "TCIO read",
-        "OCIO read",
-    ]);
+    let mut table = Table::new([&["file size"][..], &VS_OCIO].concat());
     // LEN_array = 1M, 4M, 16M, 64M → file sizes 768MB, 3GB, 12GB, 48GB.
     for len in args.ints("lens") {
         let file_virtual = fmt_bytes((len as u64) * 12 * nprocs as u64);
-        let (tw, tr) = run_synth(&calib, nprocs, len, 1, Method::Tcio, true);
-        let (ow, or) = run_synth(&calib, nprocs, len, 1, Method::Ocio, true);
-        eprintln!(
-            "  {file_virtual}: TCIO w={} OCIO w={} TCIO r={} OCIO r={}",
-            tw.cell(),
-            ow.cell(),
-            tr.cell(),
-            or.cell()
-        );
-        table.row(vec![
-            file_virtual,
-            tw.cell(),
-            ow.cell(),
-            tr.cell(),
-            or.cell(),
-        ]);
+        let [tw, ow, tr, or] = tcio_vs_ocio(&calib, nprocs, len, 1, true).map(mbs_or_oom);
+        eprintln!("  {file_virtual}: TCIO w={tw} OCIO w={ow} TCIO r={tr} OCIO r={or}");
+        table.row(vec![file_virtual, tw, ow, tr, or]);
     }
     table.print();
     let doc = table.to_json();
@@ -235,20 +217,23 @@ fn fn_loc(name: &str) -> usize {
 }
 
 fn peak_multiple(method: Method, nprocs: usize, p: &SynthParams, calib: &Calib) -> f64 {
-    let fs = Pfs::new(nprocs, calib.pfs.clone()).unwrap();
-    let fs2 = Arc::clone(&fs);
-    let p2 = p.clone();
     let cfgs = Configs {
         tcio: Some(tcio_config(calib, p, nprocs)),
         ..Default::default()
     };
-    let rep = mpisim::run(nprocs, calib.sim_config_unbudgeted(), move |rk| {
-        let write = synthetic::run(Direction::Write, method, rk, &fs2, &p2, "/m", &cfgs);
-        Ok(write?)
-    })
-    .expect("run");
-    let peak = rep.stats.iter().map(|s| s.mem_peak).max().unwrap_or(0);
-    peak as f64 / p.bytes_per_rank() as f64
+    let write = Job::new(calib, nprocs).run(|rk, fs| {
+        Ok(synthetic::run(
+            Direction::Write,
+            method,
+            rk,
+            fs,
+            p,
+            "/m",
+            &cfgs,
+        )?)
+    });
+    let peak = write.expect("run").stats.iter().map(|s| s.mem_peak).max();
+    peak.unwrap_or(0) as f64 / p.bytes_per_rank() as f64
 }
 
 /// Table III + the Programs 2/3 comparison: programming effort, memory
@@ -303,10 +288,8 @@ pub fn table3_effort(_args: &Args) -> Json {
 }
 
 fn ratio_at(calib: &Calib, p: usize, len: usize) -> f64 {
-    let (tw, _) = run_synth(calib, p, len, 1, Method::Tcio, false);
-    let (ow, _) = run_synth(calib, p, len, 1, Method::Ocio, false);
-    match (ow.throughput(), tw.throughput()) {
-        (Some(o), Some(t)) if t > 0.0 => o / t,
+    match tcio_vs_ocio(calib, p, len, 1, false) {
+        [Some(t), Some(o), ..] if t > 0.0 => o / t,
         _ => f64::NAN,
     }
 }

@@ -6,7 +6,7 @@
 //! with a name, a description, declared options and a `run(&Args) -> Json`.
 //! `bench list` prints the table; `bench <name> --help` an entry's options.
 //!
-//! Six entries own a committed baseline under `bench_results/`, all in
+//! Five entries own a committed baseline under `bench_results/`, all in
 //! one schema — `{"schema", "experiment", "args", "result"}`. `bench gate`
 //! re-runs each with the args its baseline records, requires every leaf
 //! of the document to match exactly, and checks the entry's headline
@@ -14,11 +14,11 @@
 //! files. Nothing in this crate reads a wall clock — host-time
 //! measurement lives in `benchmark/` (simbench).
 
-pub mod ablation;
 pub mod ablations;
 pub mod calib;
 pub mod chaos_sweep;
 pub mod diag;
+pub mod exchange;
 pub mod figures;
 pub mod perf;
 pub mod perfgate;
@@ -27,7 +27,6 @@ pub mod report;
 pub mod resilience;
 pub mod runner;
 pub mod tenant;
-pub mod topo;
 
 pub use calib::{fmt_bytes, Calib};
 pub use registry::{Args, Experiment, EXPERIMENTS};

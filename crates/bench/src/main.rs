@@ -9,7 +9,7 @@ fn usage() -> String {
     format!(
         "usage: bench <subcommand> [--option value]... [--json <path>]\n\n\
          \x20 {:<22} this table\n\
-         \x20 {:<22} re-run the six committed baselines under bench_results/ and diff them exactly\n\
+         \x20 {:<22} re-run the five committed baselines under bench_results/ and diff them exactly\n\
          \x20 {:<22} rewrite those baselines\n{}\n\
          `bench <experiment> --help` lists an experiment's options.\n",
         "list",

@@ -8,71 +8,41 @@
 //! measured by simbench under `benchmark/`, and only there.
 
 use crate::registry::Args;
-use crate::runner::{dump_restart, synth_params, tcio_config};
+use crate::runner::{registry_json, synth_params, Cell, Job};
 use crate::{Calib, Json};
 use insight::{Analyzer, Category};
-use mpisim::{Registry, SimConfig, SimReport};
-use pfs::Pfs;
-use std::sync::Arc;
+use mpisim::{Registry, SimReport};
 use workloads::art::{self, ArtConfig, ArtMethod};
 use workloads::synthetic::Method;
 
-fn traced_sim(calib: &Calib) -> SimConfig {
-    SimConfig {
-        trace: true,
-        metrics: true,
-        ..calib.sim_config_unbudgeted()
-    }
-}
-
-fn export(rep: &SimReport<f64>, fs: &Pfs) -> Registry {
-    let mut reg = Registry::new();
-    reg.export_sim_report(rep);
-    fs.export_metrics(&mut reg);
-    reg
-}
-
 /// Table-I/II interleaved-arrays dump-then-restart through TCIO, with
-/// tracing and metrics on. Returns the report and the exported registry.
-fn run_synth_perf(nprocs: usize, len: usize) -> (SimReport<f64>, Registry) {
+/// tracing and metrics on.
+fn synth_entry(label: &str, nprocs: usize, len: usize) -> Json {
     let calib = Calib::unscaled();
-    let p = synth_params(&calib, len, 1);
-    let fs = Pfs::new(nprocs, calib.pfs.clone()).expect("pfs config");
-    fs.enable_latency_metrics();
-    let tcfg = tcio_config(&calib, &p, nprocs);
-    let fs2 = Arc::clone(&fs);
-    let rep = mpisim::run(nprocs, traced_sim(&calib), move |rk| {
-        let ccfg = mpiio::CollectiveConfig::default();
-        dump_restart(rk, &fs2, &p, "/perf", Method::Tcio, &tcfg, &ccfg).map(|(w, r)| w + r)
-    })
-    .expect("perf synth run");
-    let reg = export(&rep, &fs);
-    (rep, reg)
+    let mut cell = Cell::new(&calib, nprocs, synth_params(&calib, len, 1), Method::Tcio);
+    cell.job.traced().metered();
+    let rep = cell.run().expect("perf synth run").rep;
+    workload_entry(label, &rep, &cell.job.export(&rep))
 }
 
 /// ART dump through TCIO with tracing and metrics on, sized for CI.
-fn run_art_perf(nprocs: usize) -> (SimReport<f64>, Registry) {
-    let calib = Calib::unscaled();
+fn art_entry(label: &str, nprocs: usize) -> Json {
     let cfg = ArtConfig {
         num_segments: 4 * nprocs,
         mu: 8.0,
         sigma: 2.0,
         ..ArtConfig::default()
     };
-    let fs = Pfs::new(nprocs, calib.pfs.clone()).expect("pfs config");
-    fs.enable_latency_metrics();
-    let fs2 = Arc::clone(&fs);
-    let rep = mpisim::run(nprocs, traced_sim(&calib), move |rk| {
-        Ok(art::dump(rk, &fs2, &cfg, ArtMethod::Tcio, "/art")?.elapsed)
-    })
-    .expect("perf art run");
-    let reg = export(&rep, &fs);
-    (rep, reg)
+    let mut job = Job::new(&Calib::unscaled(), nprocs);
+    job.traced().metered();
+    let dump = job.run(|rk, fs| Ok(art::dump(rk, fs, &cfg, ArtMethod::Tcio, "/art")?.elapsed));
+    let rep = dump.expect("perf art run");
+    workload_entry(label, &rep, &job.export(&rep))
 }
 
 /// One workload's summary entry: makespan, critical-path breakdown,
 /// path imbalance, cache hit ratios, and the full registry export.
-fn workload_entry(label: &str, rep: &SimReport<f64>, reg: &Registry) -> Json {
+fn workload_entry<T>(label: &str, rep: &SimReport<T>, reg: &Registry) -> Json {
     let cp = Analyzer::new(&rep.traces).critical_path();
     assert!(
         !cp.truncated && cp.residual().abs() <= 1e-6 * cp.makespan.max(1.0),
@@ -90,35 +60,20 @@ fn workload_entry(label: &str, rep: &SimReport<f64>, reg: &Registry) -> Json {
         .with("makespan", Json::num(rep.makespan))
         .with("imbalance", Json::num(cp.imbalance()))
         .with("path", path);
-    let ratio = |hits: Option<u64>, misses: Option<u64>| -> Option<f64> {
-        let (h, m) = (hits? as f64, misses? as f64);
-        (h + m > 0.0).then_some(h / (h + m))
-    };
-    if let Some(r) = ratio(
-        reg.counter("tcio_l1_hits_total"),
-        reg.counter("tcio_l1_misses_total"),
-    ) {
-        entry.set("l1_hit_ratio", Json::num(r));
+    for level in ["l1", "l2"] {
+        let n = |what| {
+            reg.counter(&format!("tcio_{level}_{what}_total"))
+                .unwrap_or(0) as f64
+        };
+        let (hits, misses) = (n("hits"), n("misses"));
+        if hits + misses > 0.0 {
+            entry.set(
+                &format!("{level}_hit_ratio"),
+                Json::num(hits / (hits + misses)),
+            );
+        }
     }
-    if let Some(r) = ratio(
-        reg.counter("tcio_l2_hits_total"),
-        reg.counter("tcio_l2_misses_total"),
-    ) {
-        entry.set("l2_hit_ratio", Json::num(r));
-    }
-    let mut counters = Json::obj();
-    for (k, v) in reg.counters() {
-        counters.set(k, Json::num(v as f64));
-    }
-    let mut hists = Json::obj();
-    for (k, h) in reg.hists() {
-        hists.set(
-            k,
-            Json::obj()
-                .with("count", Json::num(h.count() as f64))
-                .with("sum", Json::num(h.sum() as f64)),
-        );
-    }
+    let (counters, hists) = registry_json(reg);
     entry.with("counters", counters).with("hists", hists)
 }
 
@@ -126,12 +81,10 @@ pub fn run(args: &Args) -> Json {
     let len = args.usize("len");
     let mut workloads = Json::obj();
     for n in args.ints("ranks") {
-        let (rep, reg) = run_synth_perf(n, len);
         let label = format!("synth_p{n}");
-        workloads.set(&label, workload_entry(&label, &rep, &reg));
-        let (rep, reg) = run_art_perf(n);
+        workloads.set(&label, synth_entry(&label, n, len));
         let label = format!("art_p{n}");
-        workloads.set(&label, workload_entry(&label, &rep, &reg));
+        workloads.set(&label, art_entry(&label, n));
     }
     Json::obj().with("workloads", workloads)
 }

@@ -4,12 +4,12 @@
 //! carries.
 //!
 //! An [`Experiment`] is a name, a one-line description, its options with
-//! defaults, and `run(&Args) -> Json`. The six whose output is committed
+//! defaults, and `run(&Args) -> Json`. The five whose output is committed
 //! under `bench_results/` also name that file and carry `claims`, the
 //! headline assertions checked on every fresh run (see [`crate::perfgate`]).
 
 use crate::report::Json;
-use crate::{ablation, ablations, chaos_sweep, diag, figures, perf, resilience, tenant, topo};
+use crate::{ablations, chaos_sweep, diag, exchange, figures, perf, resilience, tenant};
 
 /// What an option's value must look like; checked when the command line
 /// (or a baseline's recorded `args`) is parsed, so `run` never sees a
@@ -428,23 +428,13 @@ pub static EXPERIMENTS: &[Experiment] = &[
         gate: None,
     },
     Experiment {
-        name: "topo_sweep",
-        about: "node topology: ppn x {TCIO, OCIO, OCIO+intra-agg}, intra/inter byte split",
+        name: "exchange_sweep",
+        about: "node topology: ppn x {TCIO, OCIO flat / two-level / req-agg} x rounds x pipeline",
         opts: GRID,
-        run: topo::run,
+        run: exchange::run,
         gate: Some(Gate {
-            baseline: "baseline_topo.json",
-            claims: topo::claims,
-        }),
-    },
-    Experiment {
-        name: "ablation_sweep",
-        about: "{flat, +req-agg, +pipeline, +both} x {tcio, ocio}: makespans + overlap",
-        opts: GRID,
-        run: ablation::run,
-        gate: Some(Gate {
-            baseline: "ablation_sweep.json",
-            claims: ablation::claims,
+            baseline: "exchange_sweep.json",
+            claims: exchange::claims,
         }),
     },
     Experiment {
@@ -553,7 +543,7 @@ mod tests {
 
     #[test]
     fn options_are_validated_against_the_declaration() {
-        let opts = find("topo_sweep").unwrap().opts;
+        let opts = find("exchange_sweep").unwrap().opts;
         let a = Args::parse(opts, &argv(&["--procs", "4, 8", "--json", "x.json"])).unwrap();
         assert_eq!(a.ints("procs"), vec![4, 8]);
         assert_eq!(a.usize("len"), 65536, "unset options take their default");

@@ -18,12 +18,11 @@
 use crate::calib::Calib;
 use crate::registry::Args;
 use crate::report::Json;
-use crate::runner::{die, dump_restart, load_plan, slowest, synth_params, tcio_config};
+use crate::runner::{die, load_plan, synth_params, Cell};
 use chaos::{Fault, FaultPlan};
 use mpisim::SimError;
-use pfs::{HealthConfig, HealthSnapshot, Pfs};
+use pfs::{HealthConfig, HealthSnapshot};
 use std::sync::Arc;
-use tcio::TcioConfig;
 use workloads::synthetic::Method;
 
 /// Calibration the resilience sweep runs under: the paper testbed scaled
@@ -145,34 +144,17 @@ pub fn run_cell(
     rebuild_at: f64,
 ) -> ResilienceCell {
     let p = synth_params(calib, len_virtual, size_access);
-    let sim = mpisim::SimConfig {
-        chaos: engine.clone(),
-        ..calib.sim_config_unbudgeted()
-    };
-    let fs = Pfs::new(nprocs, calib.pfs.clone()).expect("pfs config");
+    let mut cell = Cell::new(calib, nprocs, p, Method::Tcio);
+    cell.job.under(engine);
+    cell.tcio.hedged_reads = defended;
+    let fs = &cell.job.fs;
     fs.enable_latency_metrics();
-    if let Some(e) = engine {
-        fs.attach_chaos(e).expect("fault plan fits the PFS layout");
-    }
     if defended {
         fs.enable_health(sweep_health_config())
             .expect("valid health config");
     }
-    let tcfg = TcioConfig {
-        hedged_reads: defended,
-        ..tcio_config(calib, &p, nprocs)
-    };
-    let fs2 = Arc::clone(&fs);
-    let run = mpisim::run(nprocs, sim, move |rk| {
-        let ccfg = mpiio::CollectiveConfig::default();
-        dump_restart(rk, &fs2, &p, "/synth", Method::Tcio, &tcfg, &ccfg)
-    });
-    let (completed, write_s, read_s, end) = match run {
-        Ok(rep) => {
-            let (w, r) = slowest(rep.results.iter().copied());
-            let end = rep.clocks.iter().cloned().fold(0.0f64, f64::max);
-            (true, w, r, end)
-        }
+    let (completed, write_s, read_s, end) = match cell.run() {
+        Ok(run) => (true, run.write_s, run.read_s, run.rep.makespan),
         Err(SimError::RankFailed { .. }) | Err(SimError::CollectiveAborted { .. }) => {
             (false, f64::NAN, f64::NAN, 0.0)
         }

@@ -113,12 +113,8 @@ const TINY: &[(&str, &[&str])] = &[
     ("diag_a2a", &["--procs", "4,8"]),
     ("diag_trace", &["--procs", "4", "--len", "4096"]),
     (
-        "topo_sweep",
+        "exchange_sweep",
         &["--procs", "16", "--ppns", "1,4,16", "--len", "16384"],
-    ),
-    (
-        "ablation_sweep",
-        &["--procs", "16", "--ppns", "4", "--len", "16384"],
     ),
     (
         "tenant_sweep",
@@ -198,7 +194,11 @@ fn every_committed_document_has_exactly_one_owner() {
     owned.sort();
     assert_eq!(owned, committed);
     owned.dedup();
-    assert_eq!(owned.len(), 6, "six gated experiments, six distinct files");
+    assert_eq!(
+        owned.len(),
+        5,
+        "five gated experiments, five distinct files"
+    );
 }
 
 /// Options are parsed against the table: a typo, a missing or non-numeric
@@ -208,12 +208,12 @@ fn every_committed_document_has_exactly_one_owner() {
 fn bad_command_lines_exit_2_and_name_the_valid_spellings() {
     let dir = std::env::temp_dir();
     for (argv, names) in [
-        (&["topo_sweep", "--proc", "8"][..], "--procs"),
-        (&["topo_sweep", "--len"], "--len"),
-        (&["topo_sweep", "--len", "many"], "non-negative integer"),
+        (&["exchange_sweep", "--proc", "8"][..], "--procs"),
+        (&["exchange_sweep", "--len"], "--len"),
+        (&["exchange_sweep", "--len", "many"], "non-negative integer"),
         (&["fig5_scale", "write"], "--procs"),
         (&["tenant_sweep", "--qos", "lifo"], "off|fifo|fair"),
-        (&["topo_sweeep"], "topo_sweep"),
+        (&["exchange_sweeep"], "exchange_sweep"),
         (&["gate", "--tolerance", "0.1"], "no arguments"),
         (&[], "usage"),
     ] {

@@ -495,7 +495,7 @@ impl ChaosEngine {
                 _ => None,
             })
             .collect();
-        conn_flushes.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
+        conn_flushes.sort_by(f64::total_cmp);
         let max_ost = plan
             .faults
             .iter()
@@ -527,6 +527,7 @@ impl ChaosEngine {
 
     /// Convenience: an engine that injects nothing.
     pub fn none() -> Arc<ChaosEngine> {
+        // Invariant: `build` only rejects faults, and this plan has none.
         FaultPlan::new(0).build().expect("empty plan is valid")
     }
 

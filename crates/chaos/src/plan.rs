@@ -340,6 +340,8 @@ fn fault_from_section(mut s: Section) -> Result<Fault, PlanError> {
             });
         }
     };
+    // Invariant: every arm above but the last is a `KIND_KEYS` entry, and
+    // the last returned.
     s.finish(keys_for_kind(&kind).expect("every accepted kind is in KIND_KEYS"))?;
     Ok(fault)
 }
@@ -348,13 +350,15 @@ fn retry_from_section(mut s: Section) -> Result<RetryPolicy, PlanError> {
     let mut retry = RetryPolicy::default();
     if let Some((v, line)) = s.take("max_attempts") {
         let n = v.as_usize("max_attempts", line)?;
-        if n == 0 || n > u32::MAX as usize {
-            return Err(PlanError::Syntax {
-                line,
-                msg: "`max_attempts` must be ≥ 1".into(),
-            });
-        }
-        retry.max_attempts = n as u32;
+        retry.max_attempts = match u32::try_from(n) {
+            Ok(n) if n >= 1 => n,
+            _ => {
+                return Err(PlanError::Syntax {
+                    line,
+                    msg: "`max_attempts` must be ≥ 1 and fit 32 bits".into(),
+                })
+            }
+        };
     }
     if let Some((v, line)) = s.take("base_backoff") {
         retry.base_backoff = v.as_f64("base_backoff", line)?;

@@ -87,8 +87,10 @@ impl Category {
         }
     }
 
+    /// Position in [`Category::ALL`], which lists the variants in
+    /// declaration order.
     fn index(self) -> usize {
-        Category::ALL.iter().position(|c| *c == self).unwrap()
+        self as usize
     }
 }
 
@@ -193,7 +195,7 @@ impl OverlapReport {
 /// sorted list of disjoint intervals. Empty/inverted inputs are dropped.
 fn interval_union(iv: impl Iterator<Item = (f64, f64)>) -> Vec<(f64, f64)> {
     let mut v: Vec<(f64, f64)> = iv.filter(|&(a, b)| b > a).collect();
-    v.sort_by(|x, y| x.partial_cmp(y).expect("finite interval bounds"));
+    v.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.total_cmp(&y.1)));
     let mut out: Vec<(f64, f64)> = Vec::with_capacity(v.len());
     for (a, b) in v {
         match out.last_mut() {
@@ -364,7 +366,10 @@ struct Leaf {
 /// parents in program order — the sort by `(start asc, end desc)` restores
 /// outer-before-inner, and the stack sweep carves children out of parents.
 fn flatten(spans: &[Span], horizon: f64) -> Vec<Leaf> {
-    let mut order: Vec<u32> = (0..spans.len() as u32)
+    // Invariant: a span id packs its per-rank sequence number into 32
+    // bits, so one rank never records more spans than a `u32` counts.
+    let count = u32::try_from(spans.len()).expect("span sequence numbers are 32-bit");
+    let mut order: Vec<u32> = (0..count)
         .filter(|&i| spans[i as usize].end > spans[i as usize].start)
         .collect();
     order.sort_by(|&a, &b| {
@@ -567,6 +572,8 @@ impl<'a> Analyzer<'a> {
             };
         }
         // Start on the rank that finished last (lowest rank on ties).
+        // Invariant: `nranks > 0` past the early return, so `max_by` has a
+        // candidate.
         let mut rank = (0..nranks)
             .max_by(|&a, &b| {
                 self.horizons[a]
@@ -574,7 +581,7 @@ impl<'a> Analyzer<'a> {
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(b.cmp(&a))
             })
-            .unwrap();
+            .expect("at least one rank");
         let mut t = makespan;
         let eps = makespan * 1e-12;
         // `pending` is the link the *next emitted* (earlier) segment uses to

@@ -233,6 +233,8 @@ mod asm_impl {
     extern "C" fn entry(inner: *mut Inner) -> ! {
         {
             let inner = unsafe { &mut *inner };
+            // Invariant: `new` stores the closure and only this entry, which
+            // a stack runs once, takes it.
             let f = inner.closure.take().expect("fiber entered twice");
             // The closure catches its own panics (the rank body runs
             // under catch_unwind); one escaping here has no frame left to
@@ -302,6 +304,8 @@ mod asm_impl {
         /// Run the fiber until it parks or finishes. Returns `true` once
         /// the closure has completed; the fiber must not be resumed again.
         pub(crate) fn resume(&mut self) -> bool {
+            // Invariant (both expects): `inner` is `Some` from `new` until
+            // `Drop`, the only place that takes it.
             let inner = self.inner.as_mut().expect("fiber leaked");
             debug_assert!(!inner.finished, "resumed a finished fiber");
             inner.started = true;
@@ -407,6 +411,8 @@ mod thread_impl {
                 // First resume: start the worker, parked until handed the
                 // baton below.
                 let chan = Arc::clone(&self.chan);
+                // Invariant: `thread` is `None` exactly until this branch
+                // ran once, and nothing else takes the closure.
                 let f = self.closure.take().expect("fiber entered twice");
                 let h = std::thread::Builder::new()
                     .name("mpisim-fiber".into())
@@ -426,6 +432,9 @@ mod thread_impl {
                         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
                         chan.hand(Baton::Finished, Baton::Finished);
                     })
+                    // Not an invariant but a host limit: the oracle
+                    // substrate is nothing without its thread, and `resume`
+                    // has no error path (the event core never gets here).
                     .expect("failed to spawn fiber thread");
                 self.thread = Some(h);
             }

@@ -222,7 +222,9 @@ impl Inflight {
              is `NetConfig::byte_time` negative or NaN?"
         );
         while self.recent.len() >= Self::WINDOW {
-            let (s, e) = self.recent.pop_front().expect("window is not empty");
+            let Some((s, e)) = self.recent.pop_front() else {
+                break;
+            };
             remove_sorted(&mut self.starts, s);
             remove_sorted(&mut self.ends, e);
         }

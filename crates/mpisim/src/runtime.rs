@@ -1340,11 +1340,30 @@ impl Rank {
         Ok(())
     }
 
+    /// A barrier that says which one it is, for callers whose collectives
+    /// are only legal in lockstep: every member deposits `kind`, and a
+    /// member that finds a peer under another name fails with
+    /// [`MpiError::CollectiveMismatch`] instead of pairing with it. A peer
+    /// inside a plain [`Rank::barrier`] and a crash-stopped rank name
+    /// nothing. Costs exactly a barrier.
+    pub fn barrier_named(&mut self, kind: u8) -> Result<()> {
+        let world = self.world();
+        let rv = self.sync_in(&world, world.flavor().barrier, vec![kind], 0)?;
+        if rv.payloads.iter().any(|p| !p.is_empty() && p[..] != [kind]) {
+            return Err(MpiError::CollectiveMismatch(
+                "a peer reached a different collective",
+            ));
+        }
+        Ok(())
+    }
+
     /// Fence synchronization (collective; provided for the sync-mode
     /// ablation — the paper rejects fences because they would force all
-    /// ranks to synchronize on every access epoch).
+    /// ranks to synchronize on every access epoch). A rank that fences
+    /// while a peer is in another named collective gets a
+    /// [`MpiError::CollectiveMismatch`].
     pub fn win_fence(&mut self, _win: &Window) -> Result<()> {
-        self.barrier()
+        self.barrier_named(b'F')
     }
 
     /// Record the current memory peak into the rank stats (called by layers
@@ -1553,6 +1572,8 @@ where
         }
     }
     drop(fibers);
+    // Invariant: the driver loop above ends only once every fiber has
+    // finished, and a fiber's last act is to fill its slot.
     slots
         .into_iter()
         .map(|s| s.expect("rank fiber finished without reporting"))

@@ -198,8 +198,9 @@ impl Timeline {
         let touches_next = idx < self.busy.len() && self.get(idx).0 - end < Self::MERGE_SLACK;
         match (touches_prev, touches_next) {
             (true, true) => {
-                // With the gap between them the two neighbours are the
-                // deque's back and front.
+                // Invariant (both expects): `touches_prev` and
+                // `touches_next` say intervals idx - 1 and idx exist; with
+                // the gap between them they are the deque's back and front.
                 self.move_gap(idx);
                 let next = self.busy.pop_front().expect("interval idx exists");
                 self.busy.back_mut().expect("interval idx - 1 exists").1 = next.1;

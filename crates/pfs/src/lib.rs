@@ -671,22 +671,23 @@ impl Pfs {
         (ost_base + (stripe as usize % self.cfg.stripe_count)) % self.cfg.num_osts
     }
 
-    /// Split `[offset, offset+len)` into RPC pieces: stripe-bounded and
-    /// `max_rpc`-bounded. Total for any input: a range running past
-    /// `u64::MAX` is clipped there.
-    fn rpc_pieces(&self, offset: u64, len: u64) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
+    /// Split `[offset, offset+len)` into RPC pieces, in file order:
+    /// stripe-bounded and `max_rpc`-bounded. Total for any input: a range
+    /// running past `u64::MAX` is clipped there.
+    fn rpc_pieces(&self, offset: u64, len: u64) -> impl Iterator<Item = (u64, u64)> {
+        let (stripe_size, max_rpc) = (self.cfg.stripe_size, self.cfg.max_rpc);
         let mut pos = offset;
         let end = offset.saturating_add(len);
-        while pos < end {
-            let stripe_end = (pos / self.cfg.stripe_size + 1).saturating_mul(self.cfg.stripe_size);
-            let piece_end = end
-                .min(stripe_end)
-                .min(pos.saturating_add(self.cfg.max_rpc));
-            out.push((pos, piece_end - pos));
+        std::iter::from_fn(move || {
+            if pos >= end {
+                return None;
+            }
+            let stripe_end = (pos / stripe_size + 1).saturating_mul(stripe_size);
+            let piece_end = end.min(stripe_end).min(pos.saturating_add(max_rpc));
+            let piece = (pos, piece_end - pos);
             pos = piece_end;
-        }
-        out
+            Some(piece)
+        })
     }
 
     /// Write `data` at `offset` on behalf of `client`, starting at virtual
@@ -1476,7 +1477,10 @@ mod tests {
         // The piece splitter is total too: a range ending at u64::MAX
         // neither wraps nor loops.
         let p = fs(1);
-        assert_eq!(p.rpc_pieces(u64::MAX - 3, 8), vec![(u64::MAX - 3, 3)]);
+        assert_eq!(
+            p.rpc_pieces(u64::MAX - 3, 8).collect::<Vec<_>>(),
+            vec![(u64::MAX - 3, 3)]
+        );
     }
 
     #[test]
@@ -1500,9 +1504,9 @@ mod tests {
         };
         let p = Pfs::new(1, cfg).unwrap();
         // Crossing two stripe boundaries.
-        let pieces = p.rpc_pieces(50, 200);
+        let pieces: Vec<_> = p.rpc_pieces(50, 200).collect();
         assert_eq!(pieces, vec![(50, 50), (100, 100), (200, 50)]);
-        let pieces = p.rpc_pieces(0, 100);
+        let pieces: Vec<_> = p.rpc_pieces(0, 100).collect();
         assert_eq!(pieces, vec![(0, 100)]);
     }
 
@@ -1516,7 +1520,7 @@ mod tests {
             ..Default::default()
         };
         let p = Pfs::new(1, cfg).unwrap();
-        let pieces = p.rpc_pieces(0, 1000);
+        let pieces: Vec<_> = p.rpc_pieces(0, 1000).collect();
         assert_eq!(pieces, vec![(0, 300), (300, 300), (600, 300), (900, 100)]);
     }
 

@@ -14,9 +14,10 @@ pub enum SyncMode {
     /// independently.
     LockUnlock,
     /// `MPI_Win_fence` — the "simplest approach" §IV.A rejects: it is a
-    /// collective, so it only works when all ranks flush in lockstep (true
-    /// for the symmetric synthetic benchmark, deadlock for ART). Kept for
-    /// the ablation bench.
+    /// collective, so it is only legal when all ranks flush in lockstep
+    /// (true for the symmetric synthetic benchmark at stripe-sized
+    /// segments, false for ART). A rank that flushes out of step with its
+    /// peers gets a `TcioError::Usage`. Kept for the ablation bench.
     Fence,
 }
 

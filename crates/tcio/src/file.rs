@@ -35,7 +35,7 @@ use crate::error::{Result, TcioError};
 use crate::segment::SegmentMap;
 use mpiio::client::{self, DeferredQueue, Direction, ReadRoute};
 use mpiio::ExtentSet;
-use mpisim::{DeferredIo, LockKind, MemGuard, Phase, Rank, Window};
+use mpisim::{DeferredIo, LockKind, MemGuard, MpiError, Phase, Rank, Window};
 use parking_lot::Mutex;
 use pfs::{FileId, Pfs};
 use std::collections::BTreeMap;
@@ -180,6 +180,15 @@ impl L1 {
         self.extents.clear();
         self.window_start = None;
     }
+}
+
+/// The collectives a file issues between `open` and the end of `close`.
+#[derive(Debug, Clone, Copy)]
+enum Collective {
+    /// `MPI_Win_fence` around a level-2 put (`SyncMode::Fence` only).
+    Fence,
+    /// One of `close`'s two barriers.
+    Close,
 }
 
 /// An open TCIO file on one rank.
@@ -423,10 +432,7 @@ impl<'a> TcioFile<'a> {
         parts: &[(usize, &[u8])],
         replica_span: Option<&'static str>,
     ) -> Result<()> {
-        let fence = self.cfg.sync == SyncMode::Fence;
-        if fence {
-            rank.win_fence(&self.win)?;
-        }
+        self.lockstep(rank, Collective::Fence)?;
         // Durability: mirror the gathered put into the owner's buddy
         // *before* the primary, so a flush interrupted between the two
         // loses only unacknowledged bytes (the caller never saw this
@@ -453,15 +459,36 @@ impl<'a> TcioFile<'a> {
             ep.put_gathered(parts)?;
             rank.win_unlock(ep)?;
         }
-        if fence {
-            rank.win_fence(&self.win)?;
-        }
+        self.lockstep(rank, Collective::Fence)?;
         let seg_base = segment as u64 * self.cfg.segment_size;
         let mut meta = self.meta[owner][segment].lock();
         for &(d, s) in parts {
             meta.valid.insert(d as u64 - seg_base, s.len() as u64);
         }
         Ok(())
+    }
+
+    /// One of this file's collectives. Under `SyncMode::Fence` every flush
+    /// is one, so the mode is only legal when all ranks flush in lockstep:
+    /// there each collective names itself, and a rank whose fence would
+    /// pair with a peer's `close` (or the reverse) fails typed instead of
+    /// mis-ordering the flush or hanging. Otherwise a fence is no
+    /// collective at all and `close` synchronizes on plain barriers.
+    fn lockstep(&self, rank: &mut Rank, what: Collective) -> Result<()> {
+        match (self.cfg.sync, what) {
+            (SyncMode::LockUnlock, Collective::Fence) => Ok(()),
+            (SyncMode::LockUnlock, Collective::Close) => Ok(rank.barrier()?),
+            (SyncMode::Fence, Collective::Fence) => rank.win_fence(&self.win),
+            (SyncMode::Fence, Collective::Close) => rank.barrier_named(b'C'),
+        }
+        .map_err(|e| match e {
+            MpiError::CollectiveMismatch(_) => TcioError::Usage(format!(
+                "SyncMode::Fence needs every rank to flush in lockstep: rank {} reached a \
+                 {what:?} collective while a peer was in another",
+                rank.rank()
+            )),
+            e => e.into(),
+        })
     }
 
     /// §IV's third movement: write `runs` of `region` — offsets relative
@@ -736,7 +763,7 @@ impl<'a> TcioFile<'a> {
         match self.mode {
             TcioMode::Write => {
                 self.flush_l1(rank)?;
-                rank.barrier()?;
+                self.lockstep(rank, Collective::Close)?;
                 let doomed = self.dur.as_ref().is_some_and(|d| d.doomed[rank.rank()]);
                 if !doomed {
                     self.drain_l2(rank)?;
@@ -745,7 +772,7 @@ impl<'a> TcioFile<'a> {
             }
             TcioMode::Read => self.fetch(rank)?,
         }
-        rank.barrier()?;
+        self.lockstep(rank, Collective::Close)?;
         Ok(self.stats)
     }
 

@@ -19,12 +19,13 @@
 //! Regenerate with: `BLESS=1 cargo test --test rounds_fingerprint`
 
 use mpiio::{CollectiveConfig, File, Mode, SieveConfig};
-use mpisim::{Datatype, MpiError, Named, SimConfig, Topology};
+use mpisim::{Datatype, MpiError, Named, SimConfig, SimError, Topology};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use tcio::{ReadMode, SyncMode, TcioConfig, TcioError, TcioFile, TcioMode};
 use workloads::synthetic::{self, SynthParams};
+use workloads::WlError;
 
 const NPROCS: usize = 16;
 const PPN: usize = 4;
@@ -671,4 +672,33 @@ fn fingerprint_is_deterministic_and_pipelining_is_visible() {
     assert_ne!(flat, piped);
     assert!(flat.contains("ocio_io=") && !flat.contains("ocio_io_pipe="));
     assert!(piped.contains("ocio_io_pipe="));
+}
+
+/// `SyncMode::Fence` is only legal for callers that flush in lockstep (the
+/// image cells above). The synthetic workload at 512-byte segments without
+/// level 1, or at 256-byte segments with it, is not one: some ranks reach
+/// `close` while others still fence. That used to pair a fence with a
+/// peer's `close` barrier — a flush mis-ordered against the drain, caught
+/// only by the restart's verification — and is a typed usage error now,
+/// on every rank, before any byte is misplaced.
+#[test]
+fn fence_outside_lockstep_is_a_typed_usage_error() {
+    for (segment, use_l1) in [(512, false), (256, true)] {
+        let (fs, engine) = new_fs(Plan::None);
+        let p = SynthParams::with_types("i,d", 64, 2).unwrap();
+        let run = mpisim::run(NPROCS, sim_config(false, engine), move |rk| {
+            let mut cfg =
+                TcioConfig::for_file_size_with_segment(p.file_size(NPROCS), NPROCS, segment);
+            cfg.sync = SyncMode::Fence;
+            cfg.use_l1 = use_l1;
+            Ok(synthetic::write_tcio(rk, &fs, &p, "/fp", Some(cfg))?)
+        });
+        match run {
+            Err(SimError::RankFailed { error, .. }) => match error.layer::<WlError>() {
+                Some(WlError::Tcio(TcioError::Usage(why))) if why.contains("lockstep") => {}
+                other => panic!("segment {segment}: expected a usage error, got {other:?}"),
+            },
+            other => panic!("segment {segment}: {:?}", other.map(|rep| rep.makespan)),
+        }
+    }
 }
