@@ -30,7 +30,7 @@
 use crate::error::{IoError, Result};
 use crate::extents::ExtentSet;
 use crate::file::File;
-use crate::rounds::{read_rounds, write_rounds, Path};
+use crate::rounds::{read_rounds, write_rounds, Path, Requests};
 use mpisim::wire::{push_u32, Cursor, Malformed};
 use mpisim::Rank;
 
@@ -79,15 +79,20 @@ pub struct CollectiveConfig {
     pub hedged_reads: bool,
 }
 
-/// The list header both payload kinds share: a count, then one
-/// `(file_off u64, len u32)` entry per item. An empty list is the empty
-/// payload — the exchange's "nothing for you".
-fn encode_list(list: impl ExactSizeIterator<Item = (u64, u64)>, data: usize) -> Result<Vec<u8>> {
-    if list.len() == 0 {
+/// The list both payload kinds start with: a count, then one
+/// `(file_off u64, len u32)` entry per item — a count pass, then a write
+/// pass. `with_data` reserves room for the items' bytes to follow. An empty
+/// list is the empty payload — the exchange's "nothing for you".
+fn encode_list(list: impl Iterator<Item = (u64, u64)> + Clone, with_data: bool) -> Result<Vec<u8>> {
+    let (n, bytes) = list
+        .clone()
+        .fold((0usize, 0u64), |(n, bytes), (_, len)| (n + 1, bytes + len));
+    if n == 0 {
         return Ok(Vec::new());
     }
-    let mut out = Vec::with_capacity(4 + list.len() * 12 + data);
-    push_u32(&mut out, list.len() as u64)?;
+    let data = if with_data { bytes as usize } else { 0 };
+    let mut out = Vec::with_capacity(4 + n * 12 + data);
+    push_u32(&mut out, n as u64)?;
     for (off, len) in list {
         out.extend_from_slice(&off.to_le_bytes());
         push_u32(&mut out, len)?;
@@ -95,105 +100,141 @@ fn encode_list(list: impl ExactSizeIterator<Item = (u64, u64)>, data: usize) -> 
     Ok(out)
 }
 
-/// Parse a list header; returns the `(file_off, len)` entries (nothing,
-/// for the empty payload) and leaves the cursor just past them. The count
-/// is checked against the buffer before anything is allocated for it.
-fn decode_list(cur: &mut Cursor<'_>) -> Result<Vec<(u64, u64)>> {
-    if cur.is_empty() {
-        return Ok(Vec::new());
-    }
-    let n = cur.u32()?;
-    let mut entries = Cursor::new(cur.take(n.checked_mul(12).ok_or(Malformed::Truncated)?)?);
-    let mut list = Vec::with_capacity(n);
-    for _ in 0..n {
-        list.push((entries.u64()?, entries.u32()? as u64));
-    }
-    Ok(list)
+/// Split a payload into its `(file_off, len)` entries (none, for the empty
+/// payload) and the bytes past them. The count is checked against the
+/// buffer before anything is read through it.
+#[allow(clippy::type_complexity)]
+fn decode_list(buf: &[u8]) -> Result<(impl Iterator<Item = (u64, u64)> + Clone + '_, &[u8])> {
+    let mut cur = Cursor::new(buf);
+    let n = if buf.is_empty() { 0 } else { cur.u32()? };
+    let entries = cur.take(n.checked_mul(12).ok_or(Malformed::Truncated)?)?;
+    let entry = |e: &[u8]| {
+        let mut e = Cursor::new(e);
+        let whole = "a 12-byte entry holds both fields";
+        (e.u64().expect(whole), e.u32().expect(whole) as u64)
+    };
+    Ok((entries.chunks_exact(12).map(entry), cur.rest()))
 }
 
-/// Serialize a piece list `[(file_off, payload)]` for the exchange.
-pub(crate) fn encode_pieces(pieces: &[(u64, &[u8])]) -> Result<Vec<u8>> {
-    let data: usize = pieces.iter().map(|(_, d)| d.len()).sum();
-    let mut out = encode_list(pieces.iter().map(|&(o, d)| (o, d.len() as u64)), data)?;
+/// Serialize a piece list `(file_off, payload)*` for the exchange.
+pub(crate) fn encode_pieces<'d>(
+    pieces: impl IntoIterator<Item = (u64, &'d [u8]), IntoIter: Clone>,
+) -> Result<Vec<u8>> {
+    let pieces = pieces.into_iter();
+    let lens = pieces.clone().map(|(off, d)| (off, d.len() as u64));
+    let mut out = encode_list(lens, true)?;
     for (_, d) in pieces {
         out.extend_from_slice(d);
     }
     Ok(out)
 }
 
-/// Decode a piece list; returns `(off, payload)` views into `buf`.
-pub(crate) fn decode_pieces(buf: &[u8]) -> Result<Vec<(u64, &[u8])>> {
-    let mut cur = Cursor::new(buf);
-    let meta = decode_list(&mut cur)?;
-    let mut out = Vec::with_capacity(meta.len());
-    for (off, len) in meta {
-        out.push((off, cur.take(len as usize)?));
+/// Decode a piece list into `(off, payload)` views into `buf`. The lengths
+/// are checked against the buffer first, so the iterator cannot fail.
+pub(crate) fn decode_pieces(buf: &[u8]) -> Result<impl Iterator<Item = (u64, &[u8])> + Clone> {
+    let (meta, mut data) = decode_list(buf)?;
+    let total = meta
+        .clone()
+        .try_fold(0usize, |sum, (_, len)| sum.checked_add(len as usize));
+    if total.is_none_or(|total| total > data.len()) {
+        return Err(Malformed::Truncated.into());
     }
-    Ok(out)
+    Ok(meta.map(move |(off, len)| {
+        let (piece, rest) = data.split_at(len as usize);
+        data = rest;
+        (off, piece)
+    }))
 }
 
-/// Serialize a request list `[(file_off, len)]` (reads, phase 1).
-pub(crate) fn encode_requests(reqs: &[(u64, u64)]) -> Result<Vec<u8>> {
-    encode_list(reqs.iter().copied(), 0)
+/// Serialize a request list `(file_off, len)*` (reads, phase 1).
+pub(crate) fn encode_requests(
+    reqs: impl IntoIterator<Item = (u64, u64), IntoIter: Clone>,
+) -> Result<Vec<u8>> {
+    encode_list(reqs.into_iter(), false)
 }
 
-pub(crate) fn decode_requests(buf: &[u8]) -> Result<Vec<(u64, u64)>> {
-    let mut cur = Cursor::new(buf);
-    let reqs = decode_list(&mut cur)?;
-    if !cur.is_empty() {
+pub(crate) fn decode_requests(buf: &[u8]) -> Result<impl Iterator<Item = (u64, u64)> + Clone + '_> {
+    let (reqs, rest) = decode_list(buf)?;
+    if !rest.is_empty() {
         return Err(IoError::Usage("malformed request payload".into()));
     }
     Ok(reqs)
 }
 
-/// How far [`clip`] has walked a request's extents. The windows of a round
-/// come in ascending file order, so a round costs one pass over the
-/// extents, not one per aggregator.
-#[derive(Default)]
-struct Walked {
-    /// Extents before this one end at or before `floor`…
-    next: usize,
-    /// …and hold this many bytes of the stream.
+/// The classic path's requests: offset–length lists.
+pub(crate) struct OffsetLists;
+
+impl Requests for OffsetLists {
+    fn wanted<'p>(
+        &'p self,
+        _src: usize,
+        payload: &'p [u8],
+    ) -> Result<impl Iterator<Item = (u64, u64)> + Clone + 'p> {
+        decode_requests(payload)
+    }
+}
+
+/// How far a request's extents have been walked by [`Walked::clip`]. The
+/// windows of a round come in ascending file order, so a round costs one
+/// pass over the extents, not one per aggregator.
+struct Walked<I> {
+    /// The request's extents from the first one, to rewind to.
+    all: I,
+    /// The first extent not wholly behind `floor`, and those after it…
+    head: Option<(u64, u64)>,
+    rest: I,
+    /// …and the bytes of the stream the extents before them hold.
     stream_pos: u64,
     /// Where the last window began.
     floor: u64,
 }
 
-/// The parts of a request's file `extents` (in stream order) that fall
-/// inside `[ws, we)`, as `(file_off, buf_cursor, len)` — the cursor is the
-/// part's position in the caller's buffer. A window that starts before its
-/// predecessor (the next round) rewinds the walk.
-fn clip<'a>(
-    extents: &'a [(u64, u64)],
-    walked: &mut Walked,
-    ws: u64,
-    we: u64,
-) -> impl Iterator<Item = (u64, usize, usize)> + 'a {
-    if ws < walked.floor {
-        (walked.next, walked.stream_pos) = (0, 0);
-    }
-    walked.floor = ws;
-    // Only extents wholly below `ws` are left behind: one straddling this
-    // window's end is still there for the next window.
-    while let Some(&(eoff, elen)) = extents.get(walked.next) {
-        if eoff + elen > ws {
-            break;
+impl<I: Iterator<Item = (u64, u64)> + Clone> Walked<I> {
+    /// Nothing walked yet. `extents` come in stream order, ascending by
+    /// file offset (views are monotone).
+    fn new(extents: I) -> Walked<I> {
+        let mut rest = extents.clone();
+        Walked {
+            all: extents,
+            head: rest.next(),
+            rest,
+            stream_pos: 0,
+            floor: 0,
         }
-        walked.stream_pos += elen;
-        walked.next += 1;
     }
-    let mut stream_pos = walked.stream_pos;
-    // Extents are sorted by file offset (views are monotone): nothing at
-    // or past `we` can overlap the window.
-    let reachable = extents[walked.next..]
-        .iter()
-        .take_while(move |&&(eoff, _)| eoff < we);
-    reachable.filter_map(move |&(eoff, elen)| {
-        let cursor = stream_pos;
-        stream_pos += elen;
-        let (s, e) = (eoff.max(ws), (eoff + elen).min(we));
-        (s < e).then(|| (s, (cursor + (s - eoff)) as usize, (e - s) as usize))
-    })
+
+    /// The parts of the extents that fall inside `[ws, we)`, as `(file_off,
+    /// buf_cursor, len)` — the cursor is the part's position in the
+    /// caller's buffer. A window that starts before its predecessor (the
+    /// next round) rewinds the walk.
+    fn clip(
+        &mut self,
+        ws: u64,
+        we: u64,
+    ) -> impl Iterator<Item = (u64, usize, usize)> + Clone + use<I> {
+        if ws < self.floor {
+            *self = Walked::new(self.all.clone());
+        }
+        self.floor = ws;
+        // Only extents wholly below `ws` are left behind: one straddling
+        // this window's end is still there for the next window.
+        while let Some((_, elen)) = self.head.filter(|&(eoff, elen)| eoff + elen <= ws) {
+            self.stream_pos += elen;
+            self.head = self.rest.next();
+        }
+        let mut stream_pos = self.stream_pos;
+        // Extents ascend by file offset: nothing at or past `we` can
+        // overlap the window.
+        let reachable = self.head.into_iter().chain(self.rest.clone());
+        reachable
+            .take_while(move |&(eoff, _)| eoff < we)
+            .filter_map(move |(eoff, elen)| {
+                let cursor = stream_pos;
+                stream_pos += elen;
+                let (s, e) = (eoff.max(ws), (eoff + elen).min(we));
+                (s < e).then(|| (s, (cursor + (s - eoff)) as usize, (e - s) as usize))
+            })
+    }
 }
 
 /// The piece-list collective write behind [`write_all_at`] and
@@ -207,13 +248,11 @@ pub(crate) fn write_pieces(
     data: &[u8],
     cfg: &CollectiveConfig,
 ) -> Result<()> {
-    let extents = file.view().map_range(offset, data.len() as u64);
-    let mut walked = Walked::default();
+    let len = data.len() as u64;
+    let mut walked = Walked::new(file.view().extents(offset, len));
     let build = |ws, we| {
-        let pieces: Vec<(u64, &[u8])> = clip(&extents, &mut walked, ws, we)
-            .map(|(off, cursor, len)| (off, &data[cursor..cursor + len]))
-            .collect();
-        encode_pieces(&pieces)
+        let pieces = walked.clip(ws, we);
+        encode_pieces(pieces.map(|(off, cursor, len)| (off, &data[cursor..cursor + len])))
     };
     let place =
         |rank: &mut Rank, _src, payload: &[u8], ws, buf: &mut [u8], dirty: &mut ExtentSet| {
@@ -225,7 +264,8 @@ pub(crate) fn write_pieces(
             }
             Ok(())
         };
-    write_rounds(rank, file, cfg, path, &extents, build, place)
+    let hull = file.view().hull(offset, len);
+    write_rounds(rank, file, cfg, path, hull, build, place)
 }
 
 /// Collective write: all ranks must call, each with its own (possibly
@@ -265,16 +305,19 @@ pub fn read_all_at(
         flat_span: Some("ocio_read"),
         pipe_span: Some("ocio_read_pipe"),
     };
-    let extents = file.view().map_range(offset, buf.len() as u64);
-    let mut walked = Walked::default();
+    let len = buf.len() as u64;
+    let mut walked = Walked::new(file.view().extents(offset, len));
+    // The slots of `buf` a reply fills are the window's clip again.
     let request = |ws, we| {
-        let (reqs, slots): (Vec<_>, Vec<_>) = clip(&extents, &mut walked, ws, we)
-            .map(|(off, cursor, len)| ((off, len as u64), (cursor, len)))
-            .unzip();
-        Ok((encode_requests(&reqs)?, slots))
+        let parts = walked.clip(ws, we);
+        let reqs = parts.clone().map(|(off, _, len)| (off, len as u64));
+        Ok((
+            encode_requests(reqs)?,
+            parts.map(|(_, cursor, len)| (cursor, len)),
+        ))
     };
-    let decode = |_src, payload: &[u8]| decode_requests(payload);
-    read_rounds(rank, file, cfg, &path, &extents, buf, request, decode)
+    let hull = file.view().hull(offset, len);
+    read_rounds(rank, file, cfg, &path, hull, buf, request, &OffsetLists)
 }
 
 #[cfg(test)]
@@ -291,21 +334,20 @@ mod tests {
     fn codec_roundtrip() {
         let a = [1u8, 2, 3];
         let b = [9u8];
-        let enc = encode_pieces(&[(10, &a), (99, &b)]).unwrap();
-        let dec = decode_pieces(&enc).unwrap();
-        assert_eq!(dec.len(), 2);
-        assert_eq!(dec[0], (10, &a[..]));
-        assert_eq!(dec[1], (99, &b[..]));
+        let pieces = [(10, &a[..]), (99, &b[..])];
+        let enc = encode_pieces(pieces).unwrap();
+        let dec: Vec<_> = decode_pieces(&enc).unwrap().collect();
+        assert_eq!(dec, pieces);
 
         let reqs = [(5u64, 7u64), (100, 1)];
-        let enc = encode_requests(&reqs).unwrap();
-        assert_eq!(decode_requests(&enc).unwrap(), reqs.to_vec());
+        let enc = encode_requests(reqs).unwrap();
+        assert_eq!(decode_requests(&enc).unwrap().collect::<Vec<_>>(), reqs);
 
         // The empty list and the empty payload are the same thing.
-        assert!(encode_pieces(&[]).unwrap().is_empty());
-        assert!(encode_requests(&[]).unwrap().is_empty());
-        assert!(decode_pieces(&[]).unwrap().is_empty());
-        assert!(decode_requests(&[]).unwrap().is_empty());
+        assert!(encode_pieces([]).unwrap().is_empty());
+        assert!(encode_requests([]).unwrap().is_empty());
+        assert_eq!(decode_pieces(&[]).unwrap().count(), 0);
+        assert_eq!(decode_requests(&[]).unwrap().count(), 0);
     }
 
     #[test]
@@ -325,13 +367,13 @@ mod tests {
         assert!(usage(pieces(&short)));
         assert!(usage(requests(&short)));
         // A piece length running past the end of the buffer.
-        let mut long = encode_pieces(&[(0, &[7u8; 4])]).unwrap();
+        let mut long = encode_pieces([(0, &[7u8; 4][..])]).unwrap();
         long.truncate(long.len() - 1);
         assert!(usage(pieces(&long)));
         long[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(usage(pieces(&long)));
         // Trailing bytes after a request list.
-        let mut trailing = encode_requests(&[(0, 1)]).unwrap();
+        let mut trailing = encode_requests([(0, 1)]).unwrap();
         trailing.push(0);
         assert!(usage(requests(&trailing)));
     }
@@ -341,10 +383,10 @@ mod tests {
         // A >= 4 GiB extent used to be truncated by `as u32`.
         let too_long = u32::MAX as u64 + 1;
         assert!(matches!(
-            encode_requests(&[(0, too_long)]),
+            encode_requests([(0, too_long)]),
             Err(IoError::Usage(_))
         ));
-        assert!(encode_requests(&[(u64::MAX, u32::MAX as u64)]).is_ok());
+        assert!(encode_requests([(u64::MAX, u32::MAX as u64)]).is_ok());
     }
 
     /// Corrupt a valid encoding: truncate, extend, plant an all-ones
@@ -375,8 +417,8 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x2b);
         let a = [7u8; 40];
-        let pieces = encode_pieces(&[(0, &a[..8]), (64, &a[..]), (1 << 40, &a[..1])]).unwrap();
-        let requests = encode_requests(&[(0, 8), (64, 40), (1 << 40, u32::MAX as u64)]).unwrap();
+        let pieces = encode_pieces([(0, &a[..8]), (64, &a[..]), (1 << 40, &a[..1])]).unwrap();
+        let requests = encode_requests([(0, 8), (64, 40), (1 << 40, u32::MAX as u64)]).unwrap();
         let mut frames = Vec::new();
         push_frame(&mut frames, 3, &pieces).unwrap();
         push_frame(&mut frames, 0, &[]).unwrap();
@@ -389,10 +431,11 @@ mod tests {
             for _ in 0..4000 {
                 let m = mutate(&seed, &mut rng);
                 if let Ok(list) = decode_pieces(&m) {
-                    assert!(4 + 12 * list.capacity() <= m.len().max(4));
+                    let data: usize = list.clone().map(|(_, d)| d.len()).sum();
+                    assert!(4 + 12 * list.count() + data <= m.len().max(4));
                 }
                 if let Ok(list) = decode_requests(&m) {
-                    assert!(4 + 12 * list.capacity() <= m.len().max(4));
+                    assert!(4 + 12 * list.count() <= m.len().max(4));
                 }
                 let mut cur = Cursor::new(&m);
                 while !cur.is_empty() && cur.frame().is_ok() {}
@@ -733,7 +776,7 @@ mod tests {
         check_interleaved(&bytes, 4, 8);
     }
 
-    /// What [`clip`] must return, by a scan from the first extent.
+    /// What [`Walked::clip`] must return, by a scan from the first extent.
     fn rescan(extents: &[(u64, u64)], ws: u64, we: u64) -> Vec<(u64, usize, usize)> {
         let mut stream_pos = 0u64;
         let mut parts = Vec::new();
@@ -747,9 +790,49 @@ mod tests {
         parts
     }
 
-    /// The resumable [`clip`] equals the rescan for every window of every
+    /// One rank's share of [`resumable_clip_matches_a_rescan_for_every_window`]:
+    /// agree on a plan over everyone's `extents`, then walk this rank's.
+    fn clip_matches_rescan<I: Iterator<Item = (u64, u64)> + Clone>(
+        rk: &mut Rank,
+        cfg: &CollectiveConfig,
+        extents: I,
+        what: &str,
+    ) -> Result<()> {
+        let mine: Vec<_> = extents.clone().collect();
+        let world = rk.world();
+        let path = Path {
+            comm: &world,
+            merges: true,
+            flat_span: None,
+            pipe_span: None,
+        };
+        let hull = mine.first().zip(mine.last());
+        let hull = hull.map(|(first, last)| (first.0, last.0 + last.1));
+        let Some(plan) = Plan::agree(rk, cfg, &path, hull)? else {
+            return Ok(());
+        };
+        let check = |walked: &mut Walked<I>, r: u64| {
+            for (_, ws, we) in plan.windows(r) {
+                let got: Vec<_> = walked.clip(ws, we).collect();
+                let want = rescan(&mine, ws, we);
+                assert_eq!(got, want, "{what} round {r} [{ws}, {we})");
+            }
+        };
+        let (mut serial, mut piped) = (Walked::new(extents.clone()), Walked::new(extents));
+        for r in 0..plan.rounds {
+            check(&mut serial, r);
+            check(&mut piped, r);
+            check(&mut piped, r + 1);
+            check(&mut piped, r);
+        }
+        Ok(())
+    }
+
+    /// The resumable clip equals the rescan for every window of every
     /// round of random plans, asked in the serialized order and in an
-    /// r, r+1, r order that rewinds more than the pipelined read.
+    /// r, r+1, r order that rewinds more than the pipelined read — over
+    /// arbitrary extent lists, and over the cursor the collectives walk: a
+    /// strided view's [`crate::view::ViewExtents`].
     #[test]
     fn resumable_clip_matches_a_rescan_for_every_window() {
         use rand::{RngExt, SeedableRng};
@@ -774,35 +857,28 @@ mod tests {
                     at = off + len;
                 }
             }
+            // Program 2's shape: blocks of `block` bytes dealt round-robin,
+            // a few of them per stride, each rank asking for its own part
+            // of a stream a few tiles long.
+            let (block, per_stride, blocks) = (pick(1, 40), pick(1, 4), pick(1, 30));
+            let etype = Datatype::contiguous(block as usize, Datatype::named(Named::Byte));
+            let stride = (per_stride * nprocs as u64) as isize;
+            let ftype =
+                Datatype::vector(blocks as usize, per_stride as usize, stride, etype.clone());
+            let (etype, ftype) = (etype.commit(), ftype.commit());
+            let tile = block * per_stride * blocks;
+            let asks: Vec<(u64, u64)> = (0..nprocs)
+                .map(|_| (pick(0, 2 * tile), pick(0, 3 * tile) * pick(0, 4).min(1)))
+                .collect();
             mpisim::run(nprocs, SimConfig::default(), |rk| {
-                let mine = &extents[rk.rank()];
-                let world = rk.world();
-                let path = Path {
-                    comm: &world,
-                    merges: true,
-                    flat_span: None,
-                    pipe_span: None,
-                };
-                let Some(plan) = Plan::agree(rk, &cfg, &path, mine)? else {
-                    return Ok(());
-                };
-                let check = |walked: &mut Walked, r: u64| {
-                    for (_, ws, we) in plan.windows(r) {
-                        let got: Vec<_> = clip(mine, walked, ws, we).collect();
-                        assert_eq!(
-                            got,
-                            rescan(mine, ws, we),
-                            "seed {seed} round {r} [{ws}, {we})"
-                        );
-                    }
-                };
-                let (mut serial, mut piped) = (Walked::default(), Walked::default());
-                for r in 0..plan.rounds {
-                    check(&mut serial, r);
-                    check(&mut piped, r);
-                    check(&mut piped, r + 1);
-                    check(&mut piped, r);
-                }
+                let me = rk.rank();
+                let list = extents[me].iter().copied();
+                clip_matches_rescan(rk, &cfg, list, &format!("seed {seed} list"))?;
+                let disp = me as u64 * block * per_stride;
+                let view = crate::FileView::new(disp, &etype, &ftype)?;
+                let (pos, len) = asks[me];
+                let walk = view.extents(pos, len);
+                clip_matches_rescan(rk, &cfg, walk, &format!("seed {seed} view"))?;
                 Ok(())
             })
             .unwrap();
@@ -828,7 +904,7 @@ mod tests {
                 flat_span: None,
                 pipe_span: None,
             };
-            let plan = Plan::agree(rk, &cfg, &path, &[(r * 10, 10)])?.unwrap();
+            let plan = Plan::agree(rk, &cfg, &path, Some((r * 10, r * 10 + 10)))?.unwrap();
             Ok(plan.agg_ranks)
         })
         .unwrap();

@@ -10,7 +10,7 @@
 use crate::client::{self, Direction};
 use crate::error::{IoError, Result};
 use crate::sieve::{gather_into_span, scatter_from_span, SieveConfig};
-use crate::view::FileView;
+use crate::view::{FileView, ViewExtents};
 use mpisim::{Committed, Rank};
 use pfs::{FileId, Pfs};
 use std::sync::Arc;
@@ -149,7 +149,7 @@ pub trait PositionedFile<'buf>: Sized {
         // `carved` bytes in.
         let (mut rest, mut carved, mut pieces) = (memory, 0usize, Vec::new());
         for i in 0..count {
-            for &(off, len) in dtype.extents() {
+            for (off, len) in dtype.extents() {
                 let skip = || {
                     let start = i.checked_mul(dtype.extent())?.checked_add_signed(off)?;
                     let skip = start.checked_sub(carved)?;
@@ -327,11 +327,9 @@ impl File {
     pub fn write_at(&mut self, rank: &mut Rank, offset: u64, data: &[u8]) -> Result<()> {
         self.check_writable()?;
         rank.advance(rank.net_config().api_call_overhead);
-        let extents = self.view.map_range(offset, data.len() as u64);
-        if let Some(cfg) = self.sieve {
-            if cfg.should_sieve(&extents) {
-                return self.write_sieved(rank, &extents, data);
-            }
+        let extents = self.view.extents(offset, data.len() as u64);
+        if let Some(span) = self.sieve.and_then(|cfg| cfg.sieve_span(extents.clone())) {
+            return self.write_sieved(rank, span, extents, data);
         }
         let (pfs, fid) = (&self.pfs, self.fid);
         let write = |rk: &mut Rank, off, len: u64, pos: u64| {
@@ -348,12 +346,17 @@ impl File {
     /// [`pfs::Pfs::write_rmw`], standing in for the whole-span file lock a
     /// real data-sieving implementation must hold — without it, concurrent
     /// writers whose spans overlap would resurrect stale gap bytes.
-    fn write_sieved(&mut self, rank: &mut Rank, extents: &[(u64, u64)], data: &[u8]) -> Result<()> {
-        let (start, span_len) = SieveConfig::span(extents);
+    fn write_sieved(
+        &self,
+        rank: &mut Rank,
+        (start, span_len): (u64, u64),
+        extents: ViewExtents<'_>,
+        data: &[u8],
+    ) -> Result<()> {
         let _mem = rank.alloc(span_len)?;
         let (pfs, fid) = (&self.pfs, self.fid);
         let rmw = |rk: &mut Rank, off, len, _| {
-            let gather = &mut |span: &mut [u8]| gather_into_span(off, span, extents, data);
+            let gather = &mut |span: &mut [u8]| gather_into_span(off, span, extents.clone(), data);
             pfs.write_rmw(fid, rk.rank(), off, len, gather, rk.now())
         };
         let run = [(start, span_len)];
@@ -371,11 +374,9 @@ impl File {
     pub fn read_at(&mut self, rank: &mut Rank, offset: u64, buf: &mut [u8]) -> Result<()> {
         self.check_readable()?;
         rank.advance(rank.net_config().api_call_overhead);
-        let extents = self.view.map_range(offset, buf.len() as u64);
-        if let Some(cfg) = self.sieve {
-            if cfg.should_sieve(&extents) {
-                return self.read_sieved(rank, &extents, buf);
-            }
+        let extents = self.view.extents(offset, buf.len() as u64);
+        if let Some(span) = self.sieve.and_then(|cfg| cfg.sieve_span(extents.clone())) {
+            return self.read_sieved(rank, span, extents, buf);
         }
         let (pfs, fid) = (&self.pfs, self.fid);
         let read = |rk: &mut Rank, off, len: u64, pos: u64| {
@@ -390,12 +391,12 @@ impl File {
     /// Sieved read: one large request for the spanning range, then pick
     /// the wanted bytes out of it.
     fn read_sieved(
-        &mut self,
+        &self,
         rank: &mut Rank,
-        extents: &[(u64, u64)],
+        (start, span_len): (u64, u64),
+        extents: ViewExtents<'_>,
         buf: &mut [u8],
     ) -> Result<()> {
-        let (start, span_len) = SieveConfig::span(extents);
         let _mem = rank.alloc(span_len)?;
         let mut sieve = vec![0u8; span_len as usize];
         let (pfs, fid) = (&self.pfs, self.fid);

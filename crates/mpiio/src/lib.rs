@@ -35,5 +35,5 @@ pub use extents::ExtentSet;
 pub use file::{File, Mode, PositionedFile, Whence};
 pub use parcoll::write_all_partitioned;
 pub use sieve::SieveConfig;
-pub use view::FileView;
+pub use view::{FileView, ViewExtents};
 pub use viewcoll::{read_all_view_based, register_views, write_all_view_based, RegisteredViews};

@@ -146,6 +146,14 @@ impl PieceMap {
             return;
         }
         let end = off + data.len() as u64;
+        // The common case — members of a node interleave without overlap,
+        // each piece continuing a run an earlier member left: grow that
+        // run in place. `coalesced` would have joined the two anyway.
+        if let Some((&s, below)) = self.runs.range_mut(..end).next_back() {
+            if s + below.len() as u64 == off {
+                return below.extend_from_slice(data);
+            }
+        }
         // Runs are disjoint, so walking down from the last run starting
         // before `end` stops at the first non-overlapping one.
         let overlapping: Vec<u64> = self
@@ -185,8 +193,7 @@ impl PieceMap {
 
     fn encode(self) -> Result<Vec<u8>> {
         let pieces = self.coalesced();
-        let views: Vec<(u64, &[u8])> = pieces.iter().map(|(o, b)| (*o, b.as_slice())).collect();
-        encode_pieces(&views)
+        encode_pieces(pieces.iter().map(|(o, b)| (*o, b.as_slice())))
     }
 }
 
@@ -318,14 +325,14 @@ pub(crate) fn exchange_requests(
         let mut union = ExtentSet::new();
         let mut by_member = BTreeMap::new();
         for (member, blob) in lists {
-            let reqs = decode_requests(&blob)?;
+            let reqs: Vec<_> = decode_requests(&blob)?.collect();
             for &(o, l) in &reqs {
                 union.insert(o, l);
             }
             by_member.insert(member, reqs);
         }
         let runs = union.runs().to_vec();
-        let enc = encode_requests(&runs)?;
+        let enc = encode_requests(runs.iter().copied())?;
         merged.insert(agg, runs);
         member_reqs.insert(agg, by_member);
         Ok(enc)
@@ -492,6 +499,33 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, 0);
         assert_eq!(got[0].1, vec![5, 5, 5, 8, 8, 5, 5, 5, 5, 5]);
+    }
+
+    #[test]
+    fn piecemap_adjacent_inserts_grow_runs_in_place() {
+        // Four members of a node, three strides each, member by member:
+        // every piece of members 1..3 continues the run the member before
+        // it left, so the map holds one run per stride throughout.
+        let mut m = PieceMap::default();
+        for member in 0..4u8 {
+            for stride in 0..3u64 {
+                m.insert(stride * 100 + member as u64 * 2, &[member; 2]);
+                let strides_seen = if member == 0 { stride + 1 } else { 3 };
+                assert_eq!(m.runs.len() as u64, strides_seen);
+            }
+        }
+        // An overlapping insert still goes the slow way: it splits the run
+        // it lands in and its bytes win.
+        m.insert(101, &[9; 4]);
+        assert_eq!(m.runs.len(), 5);
+        assert_eq!(
+            pieces(m),
+            vec![
+                (0, vec![0, 0, 1, 1, 2, 2, 3, 3]),
+                (100, vec![0, 9, 9, 9, 9, 2, 3, 3]),
+                (200, vec![0, 0, 1, 1, 2, 2, 3, 3]),
+            ]
+        );
     }
 
     #[test]

@@ -82,18 +82,18 @@ pub(crate) struct Plan<'a> {
 }
 
 impl<'a> Plan<'a> {
-    /// Agree on the aggregate domain of everyone's `extents` and split it
-    /// across aggregators. `None` — after the closing barrier — when
-    /// nobody has anything to move.
+    /// Agree on the aggregate domain — the union of everyone's `hull`, the
+    /// file range `[start, end)` its request spans — and split it across
+    /// aggregators. `None` — after the closing barrier — when nobody has
+    /// anything to move.
     pub(crate) fn agree(
         rank: &mut Rank,
         cfg: &CollectiveConfig,
         path: &'a Path<'a>,
-        extents: &[(u64, u64)],
+        hull: Option<(u64, u64)>,
     ) -> Result<Option<Plan<'a>>> {
         let comm = path.comm;
-        let local_min = extents.first().map_or(u64::MAX, |&(o, _)| o);
-        let local_max = extents.last().map_or(0, |&(o, l)| o + l);
+        let (local_min, local_max) = hull.unwrap_or((u64::MAX, 0));
         let gmin = rank.allreduce_u64_in(comm, local_min, ReduceOp::Min)?;
         let gmax = rank.allreduce_u64_in(comm, local_max, ReduceOp::Max)?;
         if gmin >= gmax {
@@ -199,14 +199,14 @@ pub(crate) fn write_rounds(
     file: &File,
     cfg: &CollectiveConfig,
     path: &Path<'_>,
-    extents: &[(u64, u64)],
+    hull: Option<(u64, u64)>,
     mut build: impl FnMut(u64, u64) -> Result<Vec<u8>>,
     mut place: impl FnMut(&mut Rank, usize, &[u8], u64, &mut [u8], &mut ExtentSet) -> Result<()>,
 ) -> Result<()> {
     if !file.mode().writable() {
         return Err(IoError::Usage("file is not open for writing".into()));
     }
-    let Some(plan) = Plan::agree(rank, cfg, path, extents)? else {
+    let Some(plan) = Plan::agree(rank, cfg, path, hull)? else {
         return Ok(());
     };
     let (pfs, fid) = (file.pfs(), file.file_id());
@@ -254,20 +254,27 @@ pub(crate) fn write_rounds(
     Ok(rank.barrier_in(plan.path.comm)?)
 }
 
-/// `(buf_cursor, len)` slots of the caller's buffer that one aggregator's
-/// answer fills, in request order.
-pub(crate) type Slots = Vec<(usize, usize)>;
+/// How an aggregator reads a source's request payload: the wire format of
+/// a read path's phase 1.
+pub(crate) trait Requests {
+    /// The file extents `src` wants of this aggregator's window, in reply
+    /// order.
+    fn wanted<'p>(
+        &'p self,
+        src: usize,
+        payload: &'p [u8],
+    ) -> Result<impl Iterator<Item = (u64, u64)> + Clone + 'p>;
+}
 
 /// One round's request phase: the incoming requests, the request-aggregation
-/// session to answer through, and the slots each asked aggregator's reply fills.
-type Asked = (Vec<Vec<u8>>, Option<ReadSession>, Vec<(usize, Slots)>);
+/// session to answer through, and per asked aggregator the `(buf_cursor,
+/// len)` slots of the caller's buffer its reply fills, in request order.
+type Asked<S> = (Vec<Vec<u8>>, Option<ReadSession>, Vec<(usize, S)>);
 
 /// An aggregator's submitted window read.
 struct WindowRead {
     ws: u64,
     wbuf: Vec<u8>,
-    /// Per source rank, the file extents it asked for, in reply order.
-    wanted_by: Vec<Vec<(u64, u64)>>,
     io: DeferredIo,
     _cb: MemGuard,
 }
@@ -280,20 +287,15 @@ fn read_window(
     route: ReadRoute,
     (ws, we): (u64, u64),
     incoming: &[Vec<u8>],
-    decode: &mut impl FnMut(usize, &[u8]) -> Result<Vec<(u64, u64)>>,
+    codec: &impl Requests,
 ) -> Result<Option<WindowRead>> {
     let mut wanted = ExtentSet::new();
-    let mut wanted_by = Vec::with_capacity(incoming.len());
     for (src, payload) in incoming.iter().enumerate() {
-        let reqs = if payload.is_empty() {
-            Vec::new()
-        } else {
-            decode(src, payload)?
-        };
-        for &(o, l) in &reqs {
-            wanted.insert(o, l);
+        if !payload.is_empty() {
+            for (o, l) in codec.wanted(src, payload)? {
+                wanted.insert(o, l);
+            }
         }
-        wanted_by.push(reqs);
     }
     if wanted.is_empty() {
         return Ok(None);
@@ -312,40 +314,39 @@ fn read_window(
     Ok(Some(WindowRead {
         ws,
         wbuf,
-        wanted_by,
         io,
         _cb: cb,
     }))
 }
 
 /// The collective read loop. `request(ws, we)` encodes what this rank
-/// needs from window `[ws, we)` plus the `buf` slots the reply will fill
-/// (empty payload = nothing); `decode(src, payload)` turns an incoming
-/// request into the file extents `src` wants, in reply order.
+/// needs from window `[ws, we)` plus the `(buf_cursor, len)` slots of `buf`
+/// the reply will fill (empty payload = nothing); `codec` reads an
+/// incoming request back into the file extents its source wants.
 ///
 /// Serialized, a round is request exchange → window read → reply
 /// exchange. Pipelined, the aggregator leaves the read's completion
 /// outstanding, runs round r+1's *request* exchange while the OSTs
 /// service it, and only then settles the read and answers round r.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn read_rounds(
+pub(crate) fn read_rounds<S: Iterator<Item = (usize, usize)> + Clone>(
     rank: &mut Rank,
     file: &File,
     cfg: &CollectiveConfig,
     path: &Path<'_>,
-    extents: &[(u64, u64)],
+    hull: Option<(u64, u64)>,
     buf: &mut [u8],
-    mut request: impl FnMut(u64, u64) -> Result<(Vec<u8>, Slots)>,
-    mut decode: impl FnMut(usize, &[u8]) -> Result<Vec<(u64, u64)>>,
+    mut request: impl FnMut(u64, u64) -> Result<(Vec<u8>, S)>,
+    codec: &impl Requests,
 ) -> Result<()> {
     if !file.mode().readable() {
         return Err(IoError::Usage("file is not open for reading".into()));
     }
-    let Some(plan) = Plan::agree(rank, cfg, path, extents)? else {
+    let Some(plan) = Plan::agree(rank, cfg, path, hull)? else {
         return Ok(());
     };
     let route = ReadRoute::new(cfg.hedged_reads);
-    let mut ask = |rank: &mut Rank, r: u64| -> Result<Asked> {
+    let mut ask = |rank: &mut Rank, r: u64| -> Result<Asked<S>> {
         let mut requests: Vec<Vec<u8>> = vec![Vec::new(); path.comm.size()];
         let mut fills = Vec::new();
         for (a, ws, we) in plan.windows(r) {
@@ -364,14 +365,14 @@ pub(crate) fn read_rounds(
         };
         Ok((incoming, session, fills))
     };
-    let mut prefetched: Option<Asked> = None;
+    let mut prefetched: Option<Asked<S>> = None;
     for r in 0..plan.rounds {
         let (incoming, session, fills) = match prefetched.take() {
             Some(asked) => asked,
             None => ask(rank, r)?,
         };
         let window = match plan.my_window(r) {
-            Some(w) => read_window(rank, &plan, file, route, w, &incoming, &mut decode)?,
+            Some(w) => read_window(rank, &plan, file, route, w, &incoming, codec)?,
             None => None,
         };
         if plan.pipe_span.is_some() && r + 1 < plan.rounds {
@@ -386,13 +387,14 @@ pub(crate) fn read_rounds(
             } else {
                 client::settle(rank, w.io);
             }
-            for (src, reqs) in w.wanted_by.iter().enumerate() {
-                if reqs.is_empty() {
+            for (src, payload) in incoming.iter().enumerate() {
+                if payload.is_empty() {
                     continue;
                 }
-                let total: u64 = reqs.iter().map(|&(_, l)| l).sum();
+                let reqs = codec.wanted(src, payload)?;
+                let total: u64 = reqs.clone().map(|(_, l)| l).sum();
                 let mut resp = Vec::with_capacity(total as usize);
-                for &(off, len) in reqs {
+                for (off, len) in reqs {
                     let at = (off - w.ws) as usize;
                     resp.extend_from_slice(&w.wbuf[at..at + len as usize]);
                 }
@@ -404,14 +406,14 @@ pub(crate) fn read_rounds(
             Some(s) => reqagg::exchange_responses(rank, s, responses)?,
             None => plan.burst(rank, responses)?,
         };
-        for (a, slots) in &fills {
-            let answer = &answers[*a];
-            let expect: usize = slots.iter().map(|&(_, len)| len).sum();
+        for (a, slots) in fills {
+            let answer = &answers[a];
+            let expect: usize = slots.clone().map(|(_, len)| len).sum();
             if answer.len() != expect {
                 return Err(IoError::Usage("read reply length mismatch".into()));
             }
             let mut pos = 0usize;
-            for &(cursor, len) in slots {
+            for (cursor, len) in slots {
                 buf[cursor..cursor + len].copy_from_slice(&answer[pos..pos + len]);
                 pos += len;
             }

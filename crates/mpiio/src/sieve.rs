@@ -13,6 +13,8 @@
 //! optimization, orthogonal to (and historically the companion of)
 //! two-phase collective I/O.
 
+use std::borrow::Borrow;
+
 /// Sieving policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SieveConfig {
@@ -38,32 +40,42 @@ impl Default for SieveConfig {
 
 impl SieveConfig {
     /// Should this extent list be sieved? `extents` must be sorted.
-    pub fn should_sieve(&self, extents: &[(u64, u64)]) -> bool {
-        if extents.len() < self.min_extents {
-            return false;
-        }
-        let (first, last) = (extents[0], extents[extents.len() - 1]);
-        let span = last.0 + last.1 - first.0;
-        if span > self.buffer_size {
-            return false;
-        }
-        let wanted: u64 = extents.iter().map(|&(_, l)| l).sum();
-        wanted as f64 >= span as f64 * self.min_density
+    pub fn should_sieve<E: Borrow<(u64, u64)>>(
+        &self,
+        extents: impl IntoIterator<Item = E>,
+    ) -> bool {
+        self.sieve_span(extents).is_some()
     }
 
-    /// The spanning range `[start, len)` of a sorted extent list.
-    pub fn span(extents: &[(u64, u64)]) -> (u64, u64) {
-        let first = extents[0];
-        let last = extents[extents.len() - 1];
-        (first.0, last.0 + last.1 - first.0)
+    /// The spanning range `(start, len)` of a sorted extent list, when the
+    /// policy says to sieve it — one pass over the extents.
+    pub fn sieve_span<E: Borrow<(u64, u64)>>(
+        &self,
+        extents: impl IntoIterator<Item = E>,
+    ) -> Option<(u64, u64)> {
+        let mut extents = extents.into_iter().map(|e| *e.borrow());
+        let (start, first) = extents.next()?;
+        let (n, end, wanted) = extents.fold((1, start + first, first), |(n, _, wanted), (o, l)| {
+            (n + 1, o + l, wanted + l)
+        });
+        let span = end - start;
+        let sieve = n >= self.min_extents
+            && span <= self.buffer_size
+            && wanted as f64 >= span as f64 * self.min_density;
+        sieve.then_some((start, span))
     }
 }
 
 /// Scatter `extents`-worth of bytes from a span buffer into `dst`
 /// (read sieving, user side).
-pub fn scatter_from_span(span_start: u64, span: &[u8], extents: &[(u64, u64)], dst: &mut [u8]) {
+pub fn scatter_from_span(
+    span_start: u64,
+    span: &[u8],
+    extents: impl IntoIterator<Item = (u64, u64)>,
+    dst: &mut [u8],
+) {
     let mut cursor = 0usize;
-    for &(off, len) in extents {
+    for (off, len) in extents {
         let at = (off - span_start) as usize;
         dst[cursor..cursor + len as usize].copy_from_slice(&span[at..at + len as usize]);
         cursor += len as usize;
@@ -73,9 +85,14 @@ pub fn scatter_from_span(span_start: u64, span: &[u8], extents: &[(u64, u64)], d
 
 /// Patch `extents`-worth of bytes from `src` into a span buffer
 /// (write sieving, modify step).
-pub fn gather_into_span(span_start: u64, span: &mut [u8], extents: &[(u64, u64)], src: &[u8]) {
+pub fn gather_into_span(
+    span_start: u64,
+    span: &mut [u8],
+    extents: impl IntoIterator<Item = (u64, u64)>,
+    src: &[u8],
+) {
     let mut cursor = 0usize;
-    for &(off, len) in extents {
+    for (off, len) in extents {
         let at = (off - span_start) as usize;
         span[at..at + len as usize].copy_from_slice(&src[cursor..cursor + len as usize]);
         cursor += len as usize;
@@ -95,19 +112,25 @@ mod tests {
             min_density: 0.5,
         };
         // Too few extents.
-        assert!(!cfg.should_sieve(&[(0, 10), (20, 10)]));
+        assert!(!cfg.should_sieve([(0, 10), (20, 10)]));
         // Dense enough: 30 wanted of span 50.
-        assert!(cfg.should_sieve(&[(0, 10), (20, 10), (40, 10)]));
+        assert!(cfg.should_sieve([(0, 10), (20, 10), (40, 10)]));
         // Span too large.
-        assert!(!cfg.should_sieve(&[(0, 10), (50, 10), (200, 10)]));
+        assert!(!cfg.should_sieve([(0, 10), (50, 10), (200, 10)]));
         // Too sparse: 30 wanted of span 90.
-        assert!(!cfg.should_sieve(&[(0, 10), (40, 10), (80, 10)]));
+        assert!(!cfg.should_sieve([(0, 10), (40, 10), (80, 10)]));
     }
 
     #[test]
     fn span_computation() {
-        assert_eq!(SieveConfig::span(&[(10, 5), (30, 10)]), (10, 30));
-        assert_eq!(SieveConfig::span(&[(7, 3)]), (7, 3));
+        let always = SieveConfig {
+            buffer_size: u64::MAX,
+            min_extents: 0,
+            min_density: 0.0,
+        };
+        assert_eq!(always.sieve_span([(10, 5), (30, 10)]), Some((10, 30)));
+        assert_eq!(always.sieve_span([(7, 3)]), Some((7, 3)));
+        assert_eq!(always.sieve_span([(0u64, 0u64); 0]), None);
     }
 
     #[test]
@@ -115,12 +138,12 @@ mod tests {
         let extents = [(10u64, 3u64), (20, 2), (25, 4)];
         let mut span = vec![0xAAu8; 20]; // covers [10, 30)
         let src: Vec<u8> = (1..=9).collect();
-        gather_into_span(10, &mut span, &extents, &src);
+        gather_into_span(10, &mut span, extents, &src);
         // Untouched gap bytes keep the sentinel.
         assert_eq!(span[3], 0xAA);
         assert_eq!(span[13], 0xAA);
         let mut dst = vec![0u8; 9];
-        scatter_from_span(10, &span, &extents, &mut dst);
+        scatter_from_span(10, &span, extents, &mut dst);
         assert_eq!(dst, src);
     }
 }

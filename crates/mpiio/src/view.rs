@@ -4,24 +4,27 @@
 //! `MPI_File_set_view(handle, disp, etype, filetype, …)` is the mechanism
 //! OCIO forces on applications (§III): the *filetype* tiles the file from
 //! `disp` onward, and the bytes a rank reads/writes land in the holes the
-//! filetype describes. This module flattens a committed filetype once and
-//! then maps `(stream position, length)` ranges to absolute file extents in
-//! O(extents) time.
+//! filetype describes. A view shares the committed filetype's strided runs
+//! and walks `(stream position, length)` ranges over them as an iterator
+//! of absolute file extents — a binary search to the run, a division
+//! inside it, then O(1) per extent and no list of them anywhere.
 
 use crate::error::{IoError, Result};
 use mpisim::wire::{push_u32, Cursor};
-use mpisim::Committed;
+use mpisim::{Committed, Run};
+use std::sync::Arc;
 
 /// A resolved file view for one rank.
 #[derive(Debug, Clone)]
 pub struct FileView {
     /// Absolute displacement (bytes) where the tiling starts.
     disp: u64,
-    /// Data extents of one filetype tile: `(offset-in-tile, len)`, in
-    /// type-map order (monotone for file views, which MPI requires).
-    tile: Vec<(u64, u64)>,
-    /// Cumulative stream offset at the start of each tile entry (same
-    /// length as `tile`); `prefix[i]` = bytes of data before entry `i`.
+    /// The type map of one filetype tile, shared with the committed
+    /// filetype: non-negative offsets, blocks ascending without overlap
+    /// (MPI requires monotone file views) and spanning at most `tile_extent`.
+    runs: Arc<[Run]>,
+    /// Cumulative stream offset at the start of each run (same length as
+    /// `runs`); `prefix[i]` = bytes of data before run `i`.
     prefix: Vec<u64>,
     /// Distance between consecutive tiles in the file.
     tile_extent: u64,
@@ -31,12 +34,54 @@ pub struct FileView {
     identity: bool,
 }
 
+/// Check what every view promises of its tile — blocks at non-negative
+/// offsets, ascending without overlap, spanning no more than `tile_extent`
+/// — and sum the data before each run. Returns the prefix sums and the
+/// tile's data size.
+fn check_tile(runs: &[Run], tile_extent: u64) -> Result<(Vec<u64>, u64)> {
+    let too_big = || IoError::Usage("filetype does not fit the offset range".into());
+    let mut prefix = Vec::with_capacity(runs.len());
+    let (mut size, mut end) = (0u64, 0i128);
+    for r in runs {
+        if r.len == 0 || r.count == 0 {
+            return Err(IoError::Usage("filetype holds an empty block".into()));
+        }
+        if r.off < 0 {
+            return Err(IoError::Usage(
+                "file views cannot contain negative displacements".into(),
+            ));
+        }
+        if (r.off as i128) < end || (r.count > 1 && r.stride < r.len as isize) {
+            return Err(IoError::Usage(
+                "filetype extents must be monotonically increasing".into(),
+            ));
+        }
+        end = r.off as i128 + r.stride as i128 * (r.count as i128 - 1) + r.len as i128;
+        prefix.push(size);
+        let bytes = (r.len as u64).checked_mul(r.count as u64);
+        size = bytes
+            .and_then(|b| size.checked_add(b))
+            .ok_or_else(too_big)?;
+    }
+    // Tile k+1 starts `tile_extent` past tile k: its first block must not
+    // begin before tile k's last one ends.
+    let first = runs.first().map_or(0, |r| r.off as i128);
+    if end - first > tile_extent as i128 {
+        return Err(IoError::Usage(format!(
+            "filetype blocks span {} bytes, more than its extent {tile_extent}: \
+             consecutive tiles would overlap",
+            end - first
+        )));
+    }
+    Ok((prefix, size))
+}
+
 impl FileView {
     /// The default view: contiguous bytes starting at offset 0.
     pub fn contiguous() -> FileView {
         FileView {
             disp: 0,
-            tile: Vec::new(),
+            runs: Arc::new([]),
             prefix: Vec::new(),
             tile_extent: 0,
             tile_size: 0,
@@ -61,41 +106,19 @@ impl FileView {
                 etype.size()
             )));
         }
-        let mut tile = Vec::with_capacity(filetype.extents().len());
-        let mut prefix = Vec::with_capacity(filetype.extents().len());
-        let mut acc = 0u64;
-        let mut last_end: Option<u64> = None;
-        for &(off, len) in filetype.extents() {
-            if off < 0 {
-                return Err(IoError::Usage(
-                    "file views cannot contain negative displacements".into(),
-                ));
-            }
-            let off = off as u64;
-            if let Some(end) = last_end {
-                if off < end {
-                    return Err(IoError::Usage(
-                        "filetype extents must be monotonically increasing".into(),
-                    ));
-                }
-            }
-            last_end = Some(off + len as u64);
-            tile.push((off, len as u64));
-            prefix.push(acc);
-            acc += len as u64;
-        }
+        let runs = Arc::clone(filetype.runs());
+        let tile_extent = filetype.extent() as u64;
+        // A nonzero size within the extent: the extent is nonzero too.
+        let (prefix, tile_size) = check_tile(&runs, tile_extent)?;
         // An identity view (one extent at 0 covering the whole extent) gets
         // the fast path.
-        let identity = disp == 0
-            && tile.len() == 1
-            && tile[0].0 == 0
-            && tile[0].1 as usize == filetype.extent();
+        let identity = disp == 0 && filetype.is_contiguous() && tile_size == tile_extent;
         Ok(FileView {
             disp,
-            tile,
+            runs,
             prefix,
-            tile_extent: filetype.extent() as u64,
-            tile_size: acc,
+            tile_extent,
+            tile_size,
             identity,
         })
     }
@@ -109,62 +132,75 @@ impl FileView {
         self.tile_size
     }
 
-    /// Map a stream range `[pos, pos+len)` to absolute file extents,
-    /// merged where adjacent. The result is sorted by file offset.
-    pub fn map_range(&self, pos: u64, len: u64) -> Vec<(u64, u64)> {
-        if len == 0 {
-            return Vec::new();
-        }
-        if self.identity {
-            return vec![(self.disp + pos, len)];
-        }
-        debug_assert!(self.tile_size > 0);
-        let mut out: Vec<(u64, u64)> = Vec::new();
-        let mut remaining = len;
-        let mut tile_idx = pos / self.tile_size;
-        let mut in_tile = pos % self.tile_size;
-        // Find the first entry covering `in_tile` by binary search on the
-        // prefix sums.
-        let mut entry = match self.prefix.binary_search(&in_tile) {
-            Ok(i) => i,
-            Err(i) => i - 1,
+    /// The absolute file extents of the stream range `[pos, pos+len)`,
+    /// merged where adjacent and ascending by file offset, in O(1) space.
+    pub fn extents(&self, pos: u64, len: u64) -> ViewExtents<'_> {
+        let mut walk = ViewExtents {
+            view: self,
+            remaining: len,
+            tile_base: self.disp,
+            run: 0,
+            cur: NO_RUN,
+            block: 0,
+            start: self.disp,
+            skip: pos,
         };
-        while remaining > 0 {
-            let (e_off, e_len) = self.tile[entry];
-            let skip = in_tile - self.prefix[entry];
-            let avail = e_len - skip;
-            let take = avail.min(remaining);
-            let file_off = self.disp + tile_idx * self.tile_extent + e_off + skip;
-            match out.last_mut() {
-                Some(last) if last.0 + last.1 == file_off => last.1 += take,
-                _ => out.push((file_off, take)),
-            }
-            remaining -= take;
-            in_tile += take;
-            if in_tile == self.tile_size {
-                tile_idx += 1;
-                in_tile = 0;
-                entry = 0;
-            } else if take == avail {
-                entry += 1;
-            }
+        if !self.identity && len > 0 {
+            debug_assert!(self.tile_size > 0);
+            let in_tile = pos % self.tile_size;
+            walk.tile_base += pos / self.tile_size * self.tile_extent;
+            // The run covering `in_tile`, by binary search on the prefix
+            // sums; the block inside it, by division.
+            walk.run = self.prefix.partition_point(|&p| p <= in_tile) - 1;
+            walk.cur = self.runs[walk.run];
+            let in_run = in_tile - self.prefix[walk.run];
+            let block_len = walk.cur.len as u64;
+            (walk.block, walk.skip) = (in_run / block_len, in_run % block_len);
+            walk.start = walk.tile_base + walk.cur.block(walk.block as usize).0 as u64;
         }
+        walk
+    }
+
+    /// [`FileView::extents`], collected.
+    pub fn map_range(&self, pos: u64, len: u64) -> Vec<(u64, u64)> {
+        let walk = self.extents(pos, len);
+        let mut out = Vec::with_capacity(walk.size_hint().0);
+        out.extend(walk);
         out
+    }
+
+    /// The file range `[start, end)` that the stream range `[pos, pos+len)`
+    /// spans: where its first extent starts and its last one ends. `None`
+    /// for an empty range.
+    pub fn hull(&self, pos: u64, len: u64) -> Option<(u64, u64)> {
+        let (start, _) = self.extents(pos, len).next()?;
+        let (last, _) = self.extents(pos + len - 1, 1).next()?;
+        Some((start, last + 1))
     }
 
     /// Serialize for transmission (view-based collective I/O registers
     /// every rank's view at the aggregators once, instead of shipping
-    /// per-call offset lists). Fails, rather than truncating, on a view
-    /// with more tile entries than the 32-bit count field can carry.
+    /// per-call offset lists). The wire carries the expanded tile, one
+    /// `(offset, len)` entry per block. Fails, rather than truncating, on
+    /// a view with more blocks than the 32-bit count field can carry.
     pub fn serialize(&self) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(21 + self.tile.len() * 16);
+        let blocks = self
+            .runs
+            .iter()
+            .try_fold(0usize, |n, r| n.checked_add(r.count));
+        let blocks = blocks
+            .filter(|&n| u32::try_from(n).is_ok())
+            .ok_or_else(|| {
+                IoError::Usage("view has more blocks than its wire format can count".into())
+            })?;
+        let mut out = Vec::with_capacity(21 + blocks * 16);
         out.extend_from_slice(&self.disp.to_le_bytes());
         out.extend_from_slice(&self.tile_extent.to_le_bytes());
         out.push(self.identity as u8);
-        push_u32(&mut out, self.tile.len() as u64)?;
-        for &(o, l) in &self.tile {
-            out.extend_from_slice(&o.to_le_bytes());
-            out.extend_from_slice(&l.to_le_bytes());
+        push_u32(&mut out, blocks as u64)?;
+        for (o, l) in self.runs.iter().flat_map(Run::blocks) {
+            out.extend_from_slice(&(o as u64).to_le_bytes());
+            out.extend_from_slice(&(l as u64).to_le_bytes());
         }
         Ok(out)
     }
@@ -172,9 +208,9 @@ impl FileView {
     /// Inverse of [`FileView::serialize`], total on arbitrary bytes: the
     /// entry count must account for the buffer exactly before anything is
     /// allocated for it, and the entries must satisfy what
-    /// [`FileView::new`] guarantees — monotone extents whose sizes sum
-    /// without overflow, to a nonzero tile unless the view is the
-    /// identity.
+    /// [`FileView::new`] guarantees — monotone extents within the tile
+    /// extent, whose sizes sum without overflow to a nonzero tile — unless
+    /// the view is the default one, which has no tile.
     pub fn deserialize(buf: &[u8]) -> Result<FileView> {
         let bad = || IoError::Usage("malformed serialized view".into());
         let mut cur = Cursor::new(buf);
@@ -186,56 +222,155 @@ impl FileView {
         if !cur.is_empty() {
             return Err(bad());
         }
-        let mut tile = Vec::with_capacity(n);
-        let mut prefix = Vec::with_capacity(n);
-        let (mut acc, mut last_end) = (0u64, 0u64);
+        let mut runs = Vec::with_capacity(n);
         for _ in 0..n {
             let (o, l) = (entries.u64()?, entries.u64()?);
-            if o < last_end {
-                return Err(bad());
-            }
-            last_end = o.checked_add(l).ok_or_else(bad)?;
-            tile.push((o, l));
-            prefix.push(acc);
-            acc = acc.checked_add(l).ok_or_else(bad)?;
+            runs.push(Run {
+                off: isize::try_from(o).map_err(|_| bad())?,
+                len: usize::try_from(l).map_err(|_| bad())?,
+                stride: 0,
+                count: 1,
+            });
         }
-        if acc == 0 && !identity {
+        let (prefix, tile_size) = check_tile(&runs, tile_extent).map_err(|_| bad())?;
+        if tile_size == 0 && !(identity && n == 0) {
             return Err(bad());
         }
         Ok(FileView {
             disp,
-            tile,
+            runs: runs.into(),
             prefix,
             tile_extent,
-            tile_size: acc,
+            tile_size,
             identity,
         })
     }
 
     /// Total bytes of data available in `[0, stream_len)` given a file of
     /// `file_len` bytes — i.e., the stream position corresponding to EOF.
-    /// Used to validate reads. Returns `None` when the view never reaches
-    /// `file_len` (file shorter than `disp`).
+    /// Used to validate reads; 0 when the file is shorter than `disp`.
     pub fn stream_len_for_file(&self, file_len: u64) -> u64 {
-        if self.identity {
-            return file_len.saturating_sub(self.disp);
+        let span = file_len.saturating_sub(self.disp);
+        if self.identity || span == 0 {
+            return span;
         }
-        if file_len <= self.disp {
-            return 0;
+        let (full_tiles, rem) = (span / self.tile_extent, span % self.tile_extent);
+        // Data of the last, partial tile below `rem`: per run, its whole
+        // blocks below it and the part of the one block `rem` may cut.
+        let below = |r: &Run| {
+            let (off, len, stride) = (r.off as u64, r.len as u64, r.stride as u64);
+            if rem <= off {
+                return 0;
+            }
+            let whole = match r.count {
+                1 => 0,
+                count => ((rem - off) / stride).min(count as u64 - 1),
+            };
+            whole * len + (rem - off - whole * stride).min(len)
+        };
+        full_tiles * self.tile_size + self.runs.iter().map(below).sum::<u64>()
+    }
+}
+
+/// The walk behind [`FileView::extents`]: a position in the tiling and the
+/// stream bytes still to map.
+#[derive(Debug, Clone)]
+pub struct ViewExtents<'a> {
+    view: &'a FileView,
+    /// Stream bytes not yet mapped.
+    remaining: u64,
+    /// File offset of the current tile's origin.
+    tile_base: u64,
+    /// The current block: `block` of `cur`, which is `view.runs[run]`…
+    run: usize,
+    cur: Run,
+    block: u64,
+    /// …where in the file it starts, and the bytes of it already behind
+    /// the walk. Under the identity view, `disp` and the stream position.
+    start: u64,
+    skip: u64,
+}
+
+/// What [`ViewExtents::cur`] holds under the identity view, which has no runs.
+const NO_RUN: Run = Run {
+    off: 0,
+    len: 0,
+    stride: 0,
+    count: 0,
+};
+
+impl ViewExtents<'_> {
+    /// Step to the start of the next block of the tiling.
+    fn next_block(&mut self) {
+        self.skip = 0;
+        self.block += 1;
+        if self.block < self.cur.count as u64 {
+            self.start += self.cur.stride as u64;
+            return;
         }
-        let span = file_len - self.disp;
-        let full_tiles = span / self.tile_extent.max(1);
-        let rem = span - full_tiles * self.tile_extent;
-        let mut bytes = full_tiles * self.tile_size;
-        for (i, &(off, len)) in self.tile.iter().enumerate() {
-            let _ = i;
-            if off + len <= rem {
-                bytes += len;
-            } else if off < rem {
-                bytes += rem - off;
+        self.block = 0;
+        self.run += 1;
+        if self.run == self.view.runs.len() {
+            self.run = 0;
+            self.tile_base += self.view.tile_extent;
+        }
+        self.cur = self.view.runs[self.run];
+        self.start = self.tile_base + self.cur.off as u64;
+    }
+}
+
+impl Iterator for ViewExtents<'_> {
+    type Item = (u64, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u64, u64)> {
+        // A whole block with more of its run to follow — all but a few
+        // steps of a strided request: nothing to cut, nothing to merge.
+        let whole = self.cur.len as u64;
+        if self.skip == 0 && self.remaining >= whole && self.block + 1 < self.cur.count as u64 {
+            let off = self.start;
+            self.start += self.cur.stride as u64;
+            self.block += 1;
+            self.remaining -= whole;
+            return Some((off, whole));
+        }
+        if self.remaining == 0 {
+            return None;
+        }
+        let off = self.start + self.skip;
+        if self.view.identity {
+            return Some((off, std::mem::take(&mut self.remaining)));
+        }
+        let mut len = 0;
+        loop {
+            let take = (self.cur.len as u64 - self.skip).min(self.remaining);
+            len += take;
+            self.remaining -= take;
+            self.skip += take;
+            if self.skip < self.cur.len as u64 {
+                break; // cut short: the range ends inside this block
+            }
+            self.next_block();
+            // Blocks of one run never touch; the last of a run or tile and
+            // the first of the next may.
+            if self.block != 0 || self.remaining == 0 || self.start != off + len {
+                break;
             }
         }
-        bytes
+        Some((off, len))
+    }
+
+    /// At least the blocks of the current run the range still reaches (they
+    /// never touch each other), so collecting a range that stays inside one
+    /// run — a strided request — allocates once.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        if self.remaining == 0 || self.view.identity {
+            let all = (self.remaining > 0) as usize;
+            return (all, Some(all));
+        }
+        let reached = (self.skip + self.remaining).div_ceil(self.cur.len as u64);
+        let ahead = self.cur.count as u64 - self.block;
+        (reached.min(ahead) as usize, None)
     }
 }
 
@@ -349,5 +484,236 @@ mod tests {
         let got = v.map_range(far, 12);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].1, 12);
+    }
+
+    /// The view as it used to be held — the tile expanded to one entry and
+    /// one prefix sum per block — with the old `map_range`, `serialize`
+    /// and `stream_len_for_file`: the oracle the strided walk is checked
+    /// against.
+    struct Expanded {
+        disp: u64,
+        tile: Vec<(u64, u64)>,
+        prefix: Vec<u64>,
+        tile_extent: u64,
+        tile_size: u64,
+        identity: bool,
+    }
+
+    impl Expanded {
+        fn of(view: &FileView) -> Expanded {
+            let blocks = view.runs.iter().flat_map(Run::blocks);
+            let tile: Vec<(u64, u64)> = blocks.map(|(o, l)| (o as u64, l as u64)).collect();
+            let mut acc = 0;
+            let prefix = tile.iter().map(|&(_, l)| (acc, acc += l).0).collect();
+            Expanded {
+                disp: view.disp,
+                tile,
+                prefix,
+                tile_extent: view.tile_extent,
+                tile_size: acc,
+                identity: view.identity,
+            }
+        }
+
+        fn map_range(&self, pos: u64, len: u64) -> Vec<(u64, u64)> {
+            if len == 0 {
+                return Vec::new();
+            }
+            if self.identity {
+                return vec![(self.disp + pos, len)];
+            }
+            let mut out: Vec<(u64, u64)> = Vec::new();
+            let mut remaining = len;
+            let mut tile_idx = pos / self.tile_size;
+            let mut in_tile = pos % self.tile_size;
+            let mut entry = match self.prefix.binary_search(&in_tile) {
+                Ok(i) => i,
+                Err(i) => i - 1,
+            };
+            while remaining > 0 {
+                let (e_off, e_len) = self.tile[entry];
+                let skip = in_tile - self.prefix[entry];
+                let avail = e_len - skip;
+                let take = avail.min(remaining);
+                let file_off = self.disp + tile_idx * self.tile_extent + e_off + skip;
+                match out.last_mut() {
+                    Some(last) if last.0 + last.1 == file_off => last.1 += take,
+                    _ => out.push((file_off, take)),
+                }
+                remaining -= take;
+                in_tile += take;
+                if in_tile == self.tile_size {
+                    tile_idx += 1;
+                    in_tile = 0;
+                    entry = 0;
+                } else if take == avail {
+                    entry += 1;
+                }
+            }
+            out
+        }
+
+        fn serialize(&self) -> Vec<u8> {
+            let mut out = Vec::with_capacity(21 + self.tile.len() * 16);
+            out.extend_from_slice(&self.disp.to_le_bytes());
+            out.extend_from_slice(&self.tile_extent.to_le_bytes());
+            out.push(self.identity as u8);
+            push_u32(&mut out, self.tile.len() as u64).unwrap();
+            for &(o, l) in &self.tile {
+                out.extend_from_slice(&o.to_le_bytes());
+                out.extend_from_slice(&l.to_le_bytes());
+            }
+            out
+        }
+
+        fn stream_len_for_file(&self, file_len: u64) -> u64 {
+            if self.identity {
+                return file_len.saturating_sub(self.disp);
+            }
+            if file_len <= self.disp {
+                return 0;
+            }
+            let span = file_len - self.disp;
+            let full_tiles = span / self.tile_extent.max(1);
+            let rem = span - full_tiles * self.tile_extent;
+            let mut bytes = full_tiles * self.tile_size;
+            for &(off, len) in &self.tile {
+                if off + len <= rem {
+                    bytes += len;
+                } else if off < rem {
+                    bytes += rem - off;
+                }
+            }
+            bytes
+        }
+    }
+
+    /// A random monotone filetype: every constructor that can make one,
+    /// nested, with blocks that touch, tiles that touch and tiles padded
+    /// past their last block.
+    fn random_filetype(rng: &mut rand::rngs::StdRng, depth: u32) -> Datatype {
+        use rand::RngExt;
+        let mut pick = |lo: u64, hi: u64| (lo + rng.next_u64() % (hi - lo)) as usize;
+        if depth == 0 {
+            let named = [Named::Byte, Named::Int, Named::Double];
+            return Datatype::contiguous(pick(1, 9), Datatype::named(named[pick(0, 3)]));
+        }
+        let kind = pick(0, 5);
+        let (count, blocklen, gap) = (pick(1, 7), pick(1, 4), pick(0, 4));
+        let n = pick(1, 4);
+        let lens: Vec<usize> = (0..n).map(|_| pick(1, 4)).collect();
+        let gaps: Vec<usize> = (0..n).map(|_| pick(0, 3)).collect();
+        let sizes: Vec<usize> = (0..n).map(|_| pick(1, 5)).collect();
+        let subsizes: Vec<usize> = sizes.iter().map(|&s| pick(1, s as u64 + 1)).collect();
+        let starts = sizes.iter().zip(&subsizes);
+        let starts: Vec<usize> = starts
+            .map(|(&s, &sub)| pick(0, (s - sub) as u64 + 1))
+            .collect();
+        let order = [mpisim::Order::C, mpisim::Order::Fortran][pick(0, 2)];
+        let child = random_filetype(rng, depth - 1);
+        match kind {
+            0 => Datatype::contiguous(count, child),
+            1 => Datatype::vector(count, blocklen, (blocklen + gap) as isize, child),
+            2 => {
+                // Ascending blocks, `gaps[i]` children apart.
+                let mut at = 0;
+                let displs = lens.iter().zip(&gaps).map(|(&l, &g)| {
+                    at += g;
+                    ((at as isize), at += l).0
+                });
+                let displs = displs.collect();
+                Datatype::indexed(lens, displs, child).unwrap()
+            }
+            3 => Datatype::subarray(sizes, subsizes, starts, order, child).unwrap(),
+            _ => Datatype::resized(0, child.extent() + gap, child),
+        }
+    }
+
+    #[test]
+    fn strided_walk_matches_the_expanded_oracle_on_random_views() {
+        use rand::{RngExt, SeedableRng};
+        let mut strided = 0;
+        for seed in 0..1500u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x71e3 ^ seed);
+            let ftype = random_filetype(&mut rng, 2).commit();
+            let etype = Datatype::named(Named::Byte).commit();
+            let mut pick = |lo: u64, hi: u64| lo + rng.next_u64() % (hi - lo);
+            let disp = pick(0, 3) * pick(0, 100);
+            let view = FileView::new(disp, &etype, &ftype).unwrap();
+            let old = Expanded::of(&view);
+            strided += view.runs.iter().filter(|r| r.count > 1).count();
+            assert_eq!(view.tile_size, old.tile_size, "seed {seed}");
+            assert_eq!(view.serialize().unwrap(), old.serialize(), "seed {seed}");
+            let back = FileView::deserialize(&old.serialize()).unwrap();
+            for _ in 0..24 {
+                let pos = pick(0, 3 * view.tile_size);
+                let len = pick(0, 3 * view.tile_size) * pick(0, 4).min(1);
+                let want = old.map_range(pos, len);
+                let got: Vec<_> = view.extents(pos, len).collect();
+                assert_eq!(got, want, "seed {seed}: [{pos}, +{len}) of {ftype:?}");
+                assert_eq!(back.map_range(pos, len), want, "seed {seed}: deserialized");
+                let hull = want.first().zip(want.last()).map(|(f, l)| (f.0, l.0 + l.1));
+                assert_eq!(view.hull(pos, len), hull, "seed {seed}: [{pos}, +{len})");
+                let eof = pick(0, disp + 3 * view.tile_extent + 2);
+                let visible = view.stream_len_for_file(eof);
+                assert_eq!(visible, old.stream_len_for_file(eof), "seed {seed}: {eof}");
+                assert_eq!(back.stream_len_for_file(eof), visible, "seed {seed}: {eof}");
+            }
+        }
+        assert!(strided > 500, "only {strided} strided runs were generated");
+    }
+
+    /// A view costs its runs, not its blocks: 2^32 blocks are one run, and
+    /// a range near the end of the tile is a search and a division away.
+    #[test]
+    fn a_view_cannot_be_linear_in_its_blocks() {
+        let etype = Datatype::contiguous(12, Datatype::named(Named::Byte)).commit();
+        let blocks = 1u64 << 32;
+        let ftype = Datatype::vector(blocks as usize, 1, 256, etype.datatype().clone()).commit();
+        let view = FileView::new(36, &etype, &ftype).unwrap();
+        assert_eq!((view.runs.len(), view.prefix.len()), (1, 1));
+        // 24 bytes straddling the last two blocks: the second half of one,
+        // then the last block and — touching it — the first half of the
+        // next tile's first.
+        let last = 36 + (blocks - 1) * 3072;
+        let got = view.map_range((blocks - 2) * 12 + 6, 24);
+        assert_eq!(got, [(last - 3072 + 6, 6), (last, 18)]);
+        assert_eq!(
+            view.map_range((blocks - 2) * 12, 24),
+            [(last - 3072, 12), (last, 12)]
+        );
+        assert_eq!(36 + view.tile_extent, last + 12);
+        assert_eq!(view.stream_len_for_file(last + 5), (blocks - 1) * 12 + 5);
+        // Its wire format counts blocks in 32 bits: refused, not attempted.
+        assert!(matches!(view.serialize(), Err(IoError::Usage(_))));
+    }
+
+    /// A tile must fit its extent, or consecutive tiles overlap.
+    #[test]
+    fn overlapping_tiles_are_rejected() {
+        let byte = || Datatype::named(Named::Byte);
+        let etype = byte().commit();
+        for extent in [0, 4, 7] {
+            let ftype = Datatype::resized(0, extent, Datatype::contiguous(8, byte())).commit();
+            let err = FileView::new(0, &etype, &ftype);
+            assert!(matches!(err, Err(IoError::Usage(_))), "extent {extent}");
+        }
+        let fits = Datatype::resized(0, 8, Datatype::contiguous(8, byte())).commit();
+        let view = FileView::new(0, &etype, &fits).unwrap();
+        assert_eq!(view.map_range(0, 24), [(0, 24)]);
+        // `deserialize` promises what `new` does: the same tile under a
+        // shorter extent is refused.
+        let mut wire = view.serialize().unwrap();
+        assert!(FileView::deserialize(&wire).is_ok());
+        wire[8..16].copy_from_slice(&4u64.to_le_bytes());
+        assert!(matches!(
+            FileView::deserialize(&wire),
+            Err(IoError::Usage(_))
+        ));
+        wire[8..16].copy_from_slice(&0u64.to_le_bytes());
+        assert!(matches!(
+            FileView::deserialize(&wire),
+            Err(IoError::Usage(_))
+        ));
     }
 }

@@ -20,7 +20,7 @@ use crate::collective::CollectiveConfig;
 use crate::error::{IoError, Result};
 use crate::extents::ExtentSet;
 use crate::file::File;
-use crate::rounds::{read_rounds, write_rounds, Path};
+use crate::rounds::{read_rounds, write_rounds, Path, Requests};
 use crate::view::FileView;
 use mpisim::wire::Cursor;
 use mpisim::Rank;
@@ -101,7 +101,7 @@ pub fn write_all_view_based(
         pipe_span: Some("vb_io_pipe"),
     };
     let view = views.mine(rank)?;
-    let extents = view.map_range(offset, data.len() as u64);
+    let hull = view.hull(offset, data.len() as u64);
     // Sender side: one contiguous stream interval per aggregator.
     let build = |ws, we| {
         let Some((lo, hi)) = stream_interval(view, offset, data.len() as u64, ws, we) else {
@@ -119,7 +119,7 @@ pub fn write_all_view_based(
                 return Err(IoError::Usage("view-based payload length mismatch".into()));
             }
             let mut cursor = 0usize;
-            for (foff, flen) in views.views[src].map_range(stream_lo, len) {
+            for (foff, flen) in views.views[src].extents(stream_lo, len) {
                 let at = (foff - ws) as usize;
                 buf[at..at + flen as usize].copy_from_slice(&bytes[cursor..cursor + flen as usize]);
                 cursor += flen as usize;
@@ -128,7 +128,7 @@ pub fn write_all_view_based(
             rank.charge_memcpy(len);
             Ok(())
         };
-    write_rounds(rank, file, cfg, &path, &extents, build, place)
+    write_rounds(rank, file, cfg, &path, hull, build, place)
 }
 
 /// View-based collective read: the registered views replace the entire
@@ -160,24 +160,35 @@ pub fn read_all_view_based(
     };
     let view = views.mine(rank)?;
     let want = buf.len() as u64;
-    let extents = view.map_range(offset, want);
     // Phase 1: a 16-byte interval header per aggregator; its reply fills
-    // the one matching slot of `buf`.
+    // the one matching slot of `buf`. Phase 2 is [`Requests`] on the
+    // registered views.
     let request = |ws, we| {
         Ok(match stream_interval(view, offset, want, ws, we) {
             Some((lo, hi)) => (
                 interval_header(lo, hi - lo, 0),
-                vec![((lo - offset) as usize, (hi - lo) as usize)],
+                Some(((lo - offset) as usize, (hi - lo) as usize)).into_iter(),
             ),
-            None => (Vec::new(), Vec::new()),
+            None => (Vec::new(), None.into_iter()),
         })
     };
-    // Phase 2: the aggregator derives the wanted file runs from `src`'s view.
-    let decode = |src: usize, payload: &[u8]| match parse_interval(payload)? {
-        (lo, len, []) => Ok(views.views[src].map_range(lo, len)),
-        _ => Err(IoError::Usage("malformed view-based request".into())),
-    };
-    read_rounds(rank, file, cfg, &path, &extents, buf, request, decode)
+    let hull = view.hull(offset, want);
+    read_rounds(rank, file, cfg, &path, hull, buf, request, views)
+}
+
+/// The aggregator derives the file runs a source wants from its registered
+/// view and the 16-byte interval header it sent.
+impl Requests for RegisteredViews {
+    fn wanted<'p>(
+        &'p self,
+        src: usize,
+        payload: &'p [u8],
+    ) -> Result<impl Iterator<Item = (u64, u64)> + Clone + 'p> {
+        match parse_interval(payload)? {
+            (lo, len, []) => Ok(self.views[src].extents(lo, len)),
+            _ => Err(IoError::Usage("malformed view-based request".into())),
+        }
+    }
 }
 
 #[cfg(test)]

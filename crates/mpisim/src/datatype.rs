@@ -6,8 +6,8 @@
 //! `MPI_Type_create_struct`, `MPI_Type_create_subarray`) and to install them
 //! as file views. TCIO itself uses an indexed type to coalesce a gathered
 //! one-sided transfer into a single message (§IV.A). This module implements
-//! the constructors, the size/extent algebra, flattening into `(offset, len)`
-//! extents, and pack/unpack against user buffers.
+//! the constructors, the size/extent algebra, the merged type map as strided
+//! [`Run`]s, and pack/unpack against user buffers.
 //!
 //! Displacements follow MPI semantics: a type has a *size* (bytes of actual
 //! data), a *lower bound* and an *extent* (the stride used when the type is
@@ -401,24 +401,18 @@ impl Datatype {
         (ub - lb).max(0) as usize
     }
 
-    // ---- flattening ----
+    // ---- type maps ----
 
-    /// Flatten one instance into byte extents `(offset, len)` relative to
-    /// the type origin, in type-map order (not sorted, not merged).
-    pub fn flatten_raw(&self) -> Vec<(isize, usize)> {
-        let mut out = Vec::new();
-        self.flatten_into(0, &mut out);
-        out
-    }
-
-    fn flatten_into(&self, base: isize, out: &mut Vec<(isize, usize)>) {
+    /// The merged type map of one instance, as strided runs relative to
+    /// the type origin, in type-map order. Built bottom-up: a node lays
+    /// copies of its child's runs at its own stride, so a block of dense
+    /// children is one run and the cost follows the runs, not the bytes.
+    fn runs(&self) -> Vec<Run> {
+        let mut out = TypeMap::default();
         match self {
-            Datatype::Named(n) => out.push((base, n.size())),
+            Datatype::Named(n) => out.block(0, n.size()),
             Datatype::Contiguous { count, child } => {
-                let ext = child.extent() as isize;
-                for i in 0..*count {
-                    child.flatten_into(base + ext * i as isize, out);
-                }
+                out.repeat(&child.runs(), 0, child.extent() as isize, *count);
             }
             Datatype::Vector {
                 count,
@@ -427,19 +421,18 @@ impl Datatype {
                 child,
             } => {
                 let ext = child.extent() as isize;
-                flatten_strided(*count, *blocklen, *stride * ext, child, base, out);
+                let mut block = TypeMap::default();
+                block.repeat(&child.runs(), 0, ext, *blocklen);
+                out.repeat(&block.runs, 0, *stride * ext, *count);
             }
             Datatype::Indexed {
                 blocklens,
                 displs,
                 child,
             } => {
-                let ext = child.extent() as isize;
+                let (ext, child) = (child.extent() as isize, child.runs());
                 for (&b, &d) in blocklens.iter().zip(displs.iter()) {
-                    let start = base + d * ext;
-                    for j in 0..b {
-                        child.flatten_into(start + ext * j as isize, out);
-                    }
+                    out.repeat(&child, d * ext, ext, b);
                 }
             }
             Datatype::Hindexed {
@@ -447,12 +440,9 @@ impl Datatype {
                 displs_bytes,
                 child,
             } => {
-                let ext = child.extent() as isize;
+                let (ext, child) = (child.extent() as isize, child.runs());
                 for (&b, &d) in blocklens.iter().zip(displs_bytes.iter()) {
-                    let start = base + d;
-                    for j in 0..b {
-                        child.flatten_into(start + ext * j as isize, out);
-                    }
+                    out.repeat(&child, d, ext, b);
                 }
             }
             Datatype::Struct {
@@ -465,10 +455,7 @@ impl Datatype {
                     .zip(displs_bytes.iter())
                     .zip(children.iter())
                 {
-                    let ext = c.extent() as isize;
-                    for j in 0..b {
-                        c.flatten_into(base + d + ext * j as isize, out);
-                    }
+                    out.repeat(&c.runs(), d, c.extent() as isize, b);
                 }
             }
             Datatype::Subarray {
@@ -477,36 +464,142 @@ impl Datatype {
                 starts,
                 order,
                 child,
-            } => flatten_subarray(sizes, subsizes, starts, *order, child, base, out),
-            Datatype::Resized { child, .. } => child.flatten_into(base, out),
-        }
-    }
-
-    /// Commit the type: precompute the merged flattening and cache the
-    /// size/extent. Mirrors `MPI_Type_commit`.
-    pub fn commit(&self) -> Committed {
-        let mut flat = self.flatten_raw();
-        // Merge extents that are adjacent *in type-map order*; MPI type maps
-        // are ordered, so this is the canonical coalescing.
-        let mut merged: Vec<(isize, usize)> = Vec::with_capacity(flat.len());
-        for (off, len) in flat.drain(..) {
-            if len == 0 {
-                continue;
-            }
-            if let Some(last) = merged.last_mut() {
-                if last.0 + last.1 as isize == off {
-                    last.1 += len;
-                    continue;
+            } => {
+                // A subarray is nested vectors: rows of `subsizes[fastest]`
+                // children, laid `subsizes[d]` times at each slower
+                // dimension's stride.
+                let n = sizes.len();
+                let fastest_first: Vec<usize> = match order {
+                    Order::C => (0..n).rev().collect(),
+                    Order::Fortran => (0..n).collect(),
+                };
+                let mut stride = child.extent() as isize;
+                out.runs = child.runs();
+                for d in fastest_first {
+                    let inner = std::mem::take(&mut out.runs);
+                    out.repeat(&inner, starts[d] as isize * stride, stride, subsizes[d]);
+                    stride *= sizes[d] as isize;
                 }
             }
-            merged.push((off, len));
+            Datatype::Resized { child, .. } => return child.runs(),
         }
+        out.runs
+    }
+
+    /// Commit the type: precompute the merged type map and cache the
+    /// size/extent. Mirrors `MPI_Type_commit`.
+    pub fn commit(&self) -> Committed {
         Committed {
             size: self.size(),
             extent: self.extent(),
             lb: self.lb(),
-            flat: merged.into(),
+            runs: self.runs().into(),
             ty: self.clone(),
+        }
+    }
+}
+
+/// One strided run of a type map: `count` blocks of `len` bytes, block `i`
+/// at byte `off + i * stride` from the type origin. A lone block has
+/// `count == 1` and `stride == 0`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    pub off: isize,
+    pub len: usize,
+    pub stride: isize,
+    pub count: usize,
+}
+
+impl Run {
+    /// Block `i` as `(offset, len)`.
+    pub fn block(&self, i: usize) -> (isize, usize) {
+        (self.off + self.stride * i as isize, self.len)
+    }
+
+    /// The `(offset, len)` blocks, in order.
+    pub fn blocks(&self) -> impl Iterator<Item = (isize, usize)> + Clone + '_ {
+        (0..self.count).map(|i| self.block(i))
+    }
+}
+
+/// A type map under construction. Blocks adjacent *in type-map order* are
+/// merged as they arrive (MPI type maps are ordered, so this is the
+/// canonical coalescing): no two consecutive blocks of the expansion touch.
+#[derive(Default)]
+struct TypeMap {
+    runs: Vec<Run>,
+}
+
+impl TypeMap {
+    /// Where the last block ends.
+    fn end(&self) -> Option<isize> {
+        let last = self.runs.last()?;
+        Some(last.block(last.count - 1).0 + last.len as isize)
+    }
+
+    /// Append one block.
+    fn block(&mut self, off: isize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        let lone = |off, len| Run {
+            off,
+            len,
+            stride: 0,
+            count: 1,
+        };
+        let touches = self.end() == Some(off);
+        match self.runs.last_mut().filter(|_| touches) {
+            None => self.runs.push(lone(off, len)),
+            Some(last) if last.count == 1 => last.len += len,
+            Some(last) => {
+                // The last block of a strided run grows: it leaves the run.
+                last.count -= 1;
+                let (at, had) = last.block(last.count);
+                if last.count == 1 {
+                    last.stride = 0;
+                }
+                self.runs.push(lone(at, had + len));
+            }
+        }
+    }
+
+    /// Append `count` blocks of `len` bytes, `stride` apart.
+    fn strided(&mut self, off: isize, len: usize, stride: isize, count: usize) {
+        if count == 0 || len == 0 {
+            return;
+        }
+        if count == 1 || stride == len as isize {
+            return self.block(off, len * count);
+        }
+        if self.end() == Some(off) {
+            // Only the first block touches what came before; the rest can
+            // touch neither it nor each other.
+            self.block(off, len);
+            return self.strided(off + stride, len, stride, count - 1);
+        }
+        self.runs.push(Run {
+            off,
+            len,
+            stride,
+            count,
+        });
+    }
+
+    /// Append `count` copies of `child` (one instance's runs), copy `i`
+    /// displaced by `base + i * stride`.
+    fn repeat(&mut self, child: &[Run], base: isize, stride: isize, count: usize) {
+        match child {
+            [] => {}
+            [one] if one.count == 1 => self.strided(base + one.off, one.len, stride, count),
+            _ => {
+                for i in 0..count {
+                    let at = base + stride * i as isize;
+                    for r in child {
+                        self.strided(at + r.off, r.len, r.stride, r.count);
+                    }
+                }
+            }
         }
     }
 }
@@ -556,84 +649,14 @@ fn indexed_bounds(
     }
 }
 
-fn flatten_strided(
-    count: usize,
-    blocklen: usize,
-    stride_bytes: isize,
-    child: &Datatype,
-    base: isize,
-    out: &mut Vec<(isize, usize)>,
-) {
-    let ext = child.extent() as isize;
-    for i in 0..count {
-        let start = base + stride_bytes * i as isize;
-        for j in 0..blocklen {
-            child.flatten_into(start + ext * j as isize, out);
-        }
-    }
-}
-
-fn flatten_subarray(
-    sizes: &[usize],
-    subsizes: &[usize],
-    starts: &[usize],
-    order: Order,
-    child: &Datatype,
-    base: isize,
-    out: &mut Vec<(isize, usize)>,
-) {
-    let n = sizes.len();
-    let ext = child.extent() as isize;
-    // Compute strides (in elements) for each dimension under the ordering.
-    let mut strides = vec![1usize; n];
-    match order {
-        Order::C => {
-            for d in (0..n.saturating_sub(1)).rev() {
-                strides[d] = strides[d + 1] * sizes[d + 1];
-            }
-        }
-        Order::Fortran => {
-            for d in 1..n {
-                strides[d] = strides[d - 1] * sizes[d - 1];
-            }
-        }
-    }
-    // Iterate over all index tuples of the subarray.
-    let mut idx = vec![0usize; n];
-    loop {
-        let mut elem = 0usize;
-        for d in 0..n {
-            elem += (starts[d] + idx[d]) * strides[d];
-        }
-        child.flatten_into(base + elem as isize * ext, out);
-        // Advance the index tuple, fastest-varying dimension per ordering.
-        let dims: Box<dyn Iterator<Item = usize>> = match order {
-            Order::C => Box::new((0..n).rev()),
-            Order::Fortran => Box::new(0..n),
-        };
-        let mut done = true;
-        for d in dims {
-            idx[d] += 1;
-            if idx[d] < subsizes[d] {
-                done = false;
-                break;
-            }
-            idx[d] = 0;
-        }
-        if done {
-            break;
-        }
-    }
-}
-
-/// A committed datatype: immutable, cheap to clone, with the flattened
-/// extent list precomputed. This is what I/O layers consume.
+/// A committed datatype: immutable, cheap to clone, with the merged type
+/// map precomputed as strided runs. This is what I/O layers consume.
 #[derive(Debug, Clone)]
 pub struct Committed {
     size: usize,
     extent: usize,
     lb: isize,
-    flat: Arc<[(isize, usize)]>,
+    runs: Arc<[Run]>,
     ty: Datatype,
 }
 
@@ -650,9 +673,17 @@ impl Committed {
         self.lb
     }
 
-    /// Merged `(offset, len)` byte extents of one instance, in type-map order.
-    pub fn extents(&self) -> &[(isize, usize)] {
-        &self.flat
+    /// The type map of one instance in its compact form, in type-map
+    /// order: no two consecutive blocks of the expansion touch. Shared, so
+    /// a file view holds the same runs rather than a copy.
+    pub fn runs(&self) -> &Arc<[Run]> {
+        &self.runs
+    }
+
+    /// Merged `(offset, len)` byte extents of one instance, in type-map
+    /// order: the expansion of [`Committed::runs`].
+    pub fn extents(&self) -> impl Iterator<Item = (isize, usize)> + Clone + '_ {
+        self.runs.iter().flat_map(Run::blocks)
     }
 
     pub fn datatype(&self) -> &Datatype {
@@ -661,7 +692,33 @@ impl Committed {
 
     /// True if one instance is a single contiguous run starting at offset 0.
     pub fn is_contiguous(&self) -> bool {
-        self.flat.len() <= 1 && self.flat.first().is_none_or(|&(o, _)| o == 0)
+        match &self.runs[..] {
+            [] => true,
+            [one] => one.off == 0 && one.count == 1,
+            _ => false,
+        }
+    }
+
+    /// Where block 0 of `run` of instance `i` starts in a buffer of `have`
+    /// bytes whose first byte is the type origin — once every block of the
+    /// run is known to lie inside the buffer.
+    fn locate(&self, what: &str, i: usize, run: &Run, have: usize) -> Result<usize> {
+        let outside = |why: String| Err(MpiError::InvalidDatatype(format!("{what}: {why}")));
+        let Some(base) = i.checked_mul(self.extent) else {
+            return outside(format!("instance {i} lies outside the address space"));
+        };
+        let first = base as i128 + run.off as i128;
+        let last = first + run.stride as i128 * (run.count as i128 - 1);
+        let (lo, hi) = (first.min(last), first.max(last) + run.len as i128);
+        if lo < 0 {
+            return outside("negative displacement relative to buffer start".into());
+        }
+        if hi > have as i128 {
+            return outside(format!(
+                "extent [{lo}, {hi}) exceeds buffer of {have} bytes"
+            ));
+        }
+        Ok(first as usize)
     }
 
     /// Pack `count` instances laid out in `src` (origin at `src\[0\]`,
@@ -671,26 +728,15 @@ impl Committed {
     /// (the data would precede the buffer); such types return an error.
     pub fn pack(&self, src: &[u8], count: usize) -> Result<Vec<u8>> {
         // No more than `src` can supply: a wild `count` fails at its first
-        // out-of-range block below, not in the allocator.
+        // out-of-range run below, not in the allocator.
         let mut out = Vec::with_capacity(self.size.saturating_mul(count).min(src.len()));
         for i in 0..count {
-            let base = (i * self.extent) as isize;
-            for &(off, len) in self.flat.iter() {
-                let at = base + off;
-                if at < 0 {
-                    return Err(MpiError::InvalidDatatype(
-                        "pack: negative displacement relative to buffer start".into(),
-                    ));
+            for run in self.runs.iter() {
+                let mut at = self.locate("pack", i, run, src.len())?;
+                for _ in 0..run.count {
+                    out.extend_from_slice(&src[at..at + run.len]);
+                    at = at.wrapping_add_signed(run.stride);
                 }
-                let at = at as usize;
-                let end = at + len;
-                if end > src.len() {
-                    return Err(MpiError::InvalidDatatype(format!(
-                        "pack: extent [{at}, {end}) exceeds buffer of {} bytes",
-                        src.len()
-                    )));
-                }
-                out.extend_from_slice(&src[at..end]);
             }
         }
         Ok(out)
@@ -698,7 +744,11 @@ impl Committed {
 
     /// Unpack a contiguous byte stream into `count` instances within `dst`.
     pub fn unpack(&self, stream: &[u8], dst: &mut [u8], count: usize) -> Result<()> {
-        if stream.len() < self.size * count {
+        if self
+            .size
+            .checked_mul(count)
+            .is_none_or(|n| stream.len() < n)
+        {
             return Err(MpiError::InvalidDatatype(format!(
                 "unpack: stream of {} bytes shorter than {} instances × {} bytes",
                 stream.len(),
@@ -706,29 +756,196 @@ impl Committed {
                 self.size
             )));
         }
-        let mut cursor = 0usize;
+        let mut stream = stream;
         for i in 0..count {
-            let base = (i * self.extent) as isize;
-            for &(off, len) in self.flat.iter() {
-                let at = base + off;
-                if at < 0 {
-                    return Err(MpiError::InvalidDatatype(
-                        "unpack: negative displacement relative to buffer start".into(),
-                    ));
+            for run in self.runs.iter() {
+                let mut at = self.locate("unpack", i, run, dst.len())?;
+                for _ in 0..run.count {
+                    let (block, rest) = stream.split_at(run.len);
+                    dst[at..at + run.len].copy_from_slice(block);
+                    stream = rest;
+                    at = at.wrapping_add_signed(run.stride);
                 }
-                let at = at as usize;
-                let end = at + len;
-                if end > dst.len() {
-                    return Err(MpiError::InvalidDatatype(format!(
-                        "unpack: extent [{at}, {end}) exceeds buffer of {} bytes",
-                        dst.len()
-                    )));
-                }
-                dst[at..end].copy_from_slice(&stream[cursor..cursor + len]);
-                cursor += len;
             }
         }
         Ok(())
+    }
+}
+
+/// The type map the way it used to be built — every named element its own
+/// entry, then a merge pass — kept as the oracle the strided runs are
+/// checked against.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    impl Datatype {
+        /// Flatten one instance into byte extents `(offset, len)` relative
+        /// to the type origin, in type-map order (not sorted, not merged).
+        pub(super) fn flatten_raw(&self) -> Vec<(isize, usize)> {
+            let mut out = Vec::new();
+            self.flatten_into(0, &mut out);
+            out
+        }
+
+        fn flatten_into(&self, base: isize, out: &mut Vec<(isize, usize)>) {
+            match self {
+                Datatype::Named(n) => out.push((base, n.size())),
+                Datatype::Contiguous { count, child } => {
+                    let ext = child.extent() as isize;
+                    for i in 0..*count {
+                        child.flatten_into(base + ext * i as isize, out);
+                    }
+                }
+                Datatype::Vector {
+                    count,
+                    blocklen,
+                    stride,
+                    child,
+                } => {
+                    let ext = child.extent() as isize;
+                    flatten_strided(*count, *blocklen, *stride * ext, child, base, out);
+                }
+                Datatype::Indexed {
+                    blocklens,
+                    displs,
+                    child,
+                } => {
+                    let ext = child.extent() as isize;
+                    for (&b, &d) in blocklens.iter().zip(displs.iter()) {
+                        let start = base + d * ext;
+                        for j in 0..b {
+                            child.flatten_into(start + ext * j as isize, out);
+                        }
+                    }
+                }
+                Datatype::Hindexed {
+                    blocklens,
+                    displs_bytes,
+                    child,
+                } => {
+                    let ext = child.extent() as isize;
+                    for (&b, &d) in blocklens.iter().zip(displs_bytes.iter()) {
+                        let start = base + d;
+                        for j in 0..b {
+                            child.flatten_into(start + ext * j as isize, out);
+                        }
+                    }
+                }
+                Datatype::Struct {
+                    blocklens,
+                    displs_bytes,
+                    children,
+                } => {
+                    for ((&b, &d), c) in blocklens
+                        .iter()
+                        .zip(displs_bytes.iter())
+                        .zip(children.iter())
+                    {
+                        let ext = c.extent() as isize;
+                        for j in 0..b {
+                            c.flatten_into(base + d + ext * j as isize, out);
+                        }
+                    }
+                }
+                Datatype::Subarray {
+                    sizes,
+                    subsizes,
+                    starts,
+                    order,
+                    child,
+                } => flatten_subarray(sizes, subsizes, starts, *order, child, base, out),
+                Datatype::Resized { child, .. } => child.flatten_into(base, out),
+            }
+        }
+
+        /// `flatten_raw`, with extents adjacent in type-map order merged.
+        pub(super) fn flatten_merged(&self) -> Vec<(isize, usize)> {
+            let mut merged: Vec<(isize, usize)> = Vec::new();
+            for (off, len) in self.flatten_raw() {
+                if len == 0 {
+                    continue;
+                }
+                if let Some(last) = merged.last_mut() {
+                    if last.0 + last.1 as isize == off {
+                        last.1 += len;
+                        continue;
+                    }
+                }
+                merged.push((off, len));
+            }
+            merged
+        }
+    }
+
+    fn flatten_strided(
+        count: usize,
+        blocklen: usize,
+        stride_bytes: isize,
+        child: &Datatype,
+        base: isize,
+        out: &mut Vec<(isize, usize)>,
+    ) {
+        let ext = child.extent() as isize;
+        for i in 0..count {
+            let start = base + stride_bytes * i as isize;
+            for j in 0..blocklen {
+                child.flatten_into(start + ext * j as isize, out);
+            }
+        }
+    }
+
+    fn flatten_subarray(
+        sizes: &[usize],
+        subsizes: &[usize],
+        starts: &[usize],
+        order: Order,
+        child: &Datatype,
+        base: isize,
+        out: &mut Vec<(isize, usize)>,
+    ) {
+        let n = sizes.len();
+        let ext = child.extent() as isize;
+        // Compute strides (in elements) for each dimension under the ordering.
+        let mut strides = vec![1usize; n];
+        match order {
+            Order::C => {
+                for d in (0..n.saturating_sub(1)).rev() {
+                    strides[d] = strides[d + 1] * sizes[d + 1];
+                }
+            }
+            Order::Fortran => {
+                for d in 1..n {
+                    strides[d] = strides[d - 1] * sizes[d - 1];
+                }
+            }
+        }
+        // Iterate over all index tuples of the subarray.
+        let mut idx = vec![0usize; n];
+        loop {
+            let mut elem = 0usize;
+            for d in 0..n {
+                elem += (starts[d] + idx[d]) * strides[d];
+            }
+            child.flatten_into(base + elem as isize * ext, out);
+            // Advance the index tuple, fastest-varying dimension per ordering.
+            let dims: Box<dyn Iterator<Item = usize>> = match order {
+                Order::C => Box::new((0..n).rev()),
+                Order::Fortran => Box::new(0..n),
+            };
+            let mut done = true;
+            for d in dims {
+                idx[d] += 1;
+                if idx[d] < subsizes[d] {
+                    done = false;
+                    break;
+                }
+                idx[d] = 0;
+            }
+            if done {
+                break;
+            }
+        }
     }
 }
 
@@ -738,6 +955,11 @@ mod tests {
 
     fn byte() -> Datatype {
         Datatype::named(Named::Byte)
+    }
+
+    /// The expanded type map.
+    fn extents(c: &Committed) -> Vec<(isize, usize)> {
+        c.extents().collect()
     }
 
     #[test]
@@ -755,7 +977,7 @@ mod tests {
         assert_eq!(t.size(), 20);
         assert_eq!(t.extent(), 20);
         let c = t.commit();
-        assert_eq!(c.extents(), &[(0, 20)]);
+        assert_eq!(extents(&c), [(0, 20)]);
         assert!(c.is_contiguous());
     }
 
@@ -768,7 +990,7 @@ mod tests {
         assert_eq!(ft.size(), 36);
         assert_eq!(ft.extent(), 12 * (2 * 2 + 1)); // last block at stride 2*2
         let c = ft.commit();
-        assert_eq!(c.extents(), &[(0, 12), (24, 12), (48, 12)]);
+        assert_eq!(extents(&c), [(0, 12), (24, 12), (48, 12)]);
     }
 
     #[test]
@@ -776,7 +998,7 @@ mod tests {
         // stride of 4 child extents = 16 bytes for 4-byte ints.
         let t = Datatype::vector(2, 3, 4, Datatype::named(Named::Int));
         let c = t.commit();
-        assert_eq!(c.extents(), &[(0, 12), (16, 12)]);
+        assert_eq!(extents(&c), [(0, 12), (16, 12)]);
         assert_eq!(c.size(), 24);
         assert_eq!(c.extent(), 28);
     }
@@ -785,7 +1007,7 @@ mod tests {
     fn indexed_disjoint_blocks() {
         let t = Datatype::indexed(vec![2, 1], vec![0, 5], Datatype::named(Named::Int)).unwrap();
         let c = t.commit();
-        assert_eq!(c.extents(), &[(0, 8), (20, 4)]);
+        assert_eq!(extents(&c), [(0, 8), (20, 4)]);
         assert_eq!(t.size(), 12);
         assert_eq!(t.extent(), 24);
     }
@@ -814,7 +1036,7 @@ mod tests {
         assert_eq!(t.size(), 12);
         assert_eq!(t.extent(), 16);
         let c = t.commit();
-        assert_eq!(c.extents(), &[(0, 4), (8, 8)]);
+        assert_eq!(extents(&c), [(0, 4), (8, 8)]);
     }
 
     #[test]
@@ -836,7 +1058,7 @@ mod tests {
         assert_eq!(t.size(), 16);
         assert_eq!(t.extent(), 64); // whole enclosing array
         let c = t.commit();
-        assert_eq!(c.extents(), &[(20, 8), (36, 8)]);
+        assert_eq!(extents(&c), [(20, 8), (36, 8)]);
     }
 
     #[test]
@@ -851,7 +1073,7 @@ mod tests {
         .unwrap();
         let c = t.commit();
         // Column-major: element (i,j) at i + j*4; block (1..3, 1..3).
-        assert_eq!(c.extents(), &[(20, 8), (36, 8)]);
+        assert_eq!(extents(&c), [(20, 8), (36, 8)]);
     }
 
     #[test]
@@ -878,14 +1100,9 @@ mod tests {
         assert_eq!(packed.len(), t.size() * 2);
         let mut dst = vec![0u8; 40];
         t.unpack(&packed, &mut dst, 2).unwrap();
-        for &(off, len) in t.extents() {
-            for i in 0..(2 * t.extent()) {
-                let _ = (off, len, i);
-            }
-        }
         // Every byte touched by the type map must round-trip.
         for inst in 0..2 {
-            for &(off, len) in t.extents() {
+            for (off, len) in t.extents() {
                 let at = (inst * t.extent()) as isize + off;
                 let at = at as usize;
                 assert_eq!(&dst[at..at + len], &src[at..at + len]);
@@ -912,7 +1129,7 @@ mod tests {
         let t = Datatype::contiguous(0, byte());
         assert_eq!(t.size(), 0);
         assert_eq!(t.extent(), 0);
-        assert!(t.commit().extents().is_empty());
+        assert!(t.commit().runs().is_empty());
     }
 
     #[test]
@@ -930,7 +1147,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(t.size(), 16);
-            for &(off, len) in t.commit().extents() {
+            for (off, len) in t.commit().extents() {
                 assert_eq!(off % 4, 0);
                 assert_eq!(len % 4, 0);
                 for e in 0..len / 4 {
@@ -948,7 +1165,7 @@ mod tests {
         let b = Datatype::darray_block(1, &[5], &[2], Order::C, byte()).unwrap();
         assert_eq!(a.size(), 3);
         assert_eq!(b.size(), 2);
-        assert_eq!(b.commit().extents(), &[(3, 2)]);
+        assert_eq!(extents(&b.commit()), [(3, 2)]);
     }
 
     #[test]
@@ -966,9 +1183,9 @@ mod tests {
         // along the first under Fortran ranking (rows 2..4).
         let c_r1 = Datatype::darray_block(1, &[4, 6], &[2, 2], Order::C, byte()).unwrap();
         let f_r1 = Datatype::darray_block(1, &[4, 6], &[2, 2], Order::Fortran, byte()).unwrap();
-        assert_eq!(c_r1.commit().extents()[0].0, 3, "C: first elem at (0,3)");
+        assert_eq!(c_r1.commit().runs()[0].off, 3, "C: first elem at (0,3)");
         assert_eq!(
-            f_r1.commit().extents()[0].0,
+            f_r1.commit().runs()[0].off,
             2,
             "Fortran: first elem at (2,0) col-major"
         );
@@ -986,6 +1203,151 @@ mod tests {
         let t = Datatype::vector(2, 1, 2, rec);
         let c = t.commit();
         assert_eq!(c.size(), 2 * (4 + 16));
-        assert_eq!(c.extents().len(), 4);
+        assert_eq!(c.extents().count(), 4);
+    }
+
+    /// A random datatype tree: every constructor, zero counts, negative
+    /// strides and displacements, overlapping and touching blocks.
+    fn random_type(rng: &mut rand::rngs::StdRng, depth: u32) -> Datatype {
+        use rand::RngExt;
+        let mut pick = |lo: i64, hi: i64| lo + (rng.next_u64() % (hi - lo) as u64) as i64;
+        if depth == 0 || pick(0, 4) == 0 {
+            let named = [Named::Byte, Named::Short, Named::Int, Named::Double];
+            return Datatype::named(named[pick(0, 4) as usize]);
+        }
+        let kind = pick(0, 7);
+        let n = pick(1, 4) as usize;
+        let lens: Vec<usize> = (0..n).map(|_| pick(0, 4) as usize).collect();
+        match kind {
+            0 => Datatype::contiguous(pick(0, 5) as usize, random_type(rng, depth - 1)),
+            1 => {
+                let (count, blocklen, stride) = (pick(0, 6), pick(0, 4), pick(-3, 7));
+                let child = random_type(rng, depth - 1);
+                Datatype::vector(count as usize, blocklen as usize, stride as isize, child)
+            }
+            2 => {
+                let displs = (0..n).map(|_| pick(-4, 9) as isize).collect();
+                Datatype::indexed(lens, displs, random_type(rng, depth - 1)).unwrap()
+            }
+            3 => {
+                let displs = (0..n).map(|_| pick(-16, 48) as isize).collect();
+                Datatype::hindexed(lens, displs, random_type(rng, depth - 1)).unwrap()
+            }
+            4 => {
+                let displs = (0..n).map(|_| pick(-16, 48) as isize).collect();
+                let children = (0..n).map(|_| random_type(rng, depth - 1)).collect();
+                Datatype::structured(lens, displs, children).unwrap()
+            }
+            5 => {
+                // No empty dimension: the oracle's odometer emits one
+                // element before it looks at the subsizes.
+                let sizes: Vec<usize> = (0..n).map(|_| pick(1, 5) as usize).collect();
+                let subsizes: Vec<usize> = sizes
+                    .iter()
+                    .map(|&s| pick(1, s as i64 + 1) as usize)
+                    .collect();
+                let starts = sizes
+                    .iter()
+                    .zip(&subsizes)
+                    .map(|(&s, &sub)| pick(0, (s - sub) as i64 + 1) as usize)
+                    .collect();
+                let order = [Order::C, Order::Fortran][pick(0, 2) as usize];
+                Datatype::subarray(sizes, subsizes, starts, order, random_type(rng, depth - 1))
+                    .unwrap()
+            }
+            _ => {
+                let (lb, extent) = (pick(-4, 5) as isize, pick(0, 40) as usize);
+                Datatype::resized(lb, extent, random_type(rng, depth - 1))
+            }
+        }
+    }
+
+    #[test]
+    fn runs_expand_to_the_flatten_and_merge_oracle_on_random_trees() {
+        use rand::SeedableRng;
+        let mut strided = 0;
+        for seed in 0..2000u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xda7a ^ seed);
+            let t = random_type(&mut rng, 3);
+            let c = t.commit();
+            let want = t.flatten_merged();
+            assert_eq!(extents(&c), want, "seed {seed}: {t:?}");
+            // The compact form is canonical: a strided run's blocks do not
+            // touch (they may overlap), and a lone block carries no stride.
+            for r in c.runs().iter() {
+                assert!(r.len > 0 && r.count > 0, "seed {seed}: {r:?}");
+                assert!(r.stride != r.len as isize, "seed {seed}: {r:?}");
+                assert!(r.count > 1 || r.stride == 0, "seed {seed}: {r:?}");
+                strided += (r.count > 1) as usize;
+            }
+            assert_eq!(c.size(), t.size());
+            assert_eq!(c.size(), want.iter().map(|&(_, len)| len).sum::<usize>());
+            assert_eq!((c.extent(), c.lb()), (t.extent(), t.lb()));
+            assert_eq!(
+                c.is_contiguous(),
+                want.len() <= 1 && want.iter().all(|&(o, _)| o == 0)
+            );
+
+            // pack ∘ unpack over two instances, against the oracle's map.
+            let instances = 2;
+            let reach = want.iter().map(|&(o, l)| o + l as isize).max().unwrap_or(0);
+            let have = (c.extent() * (instances - 1)) + reach.max(0) as usize;
+            let src: Vec<u8> = (0..have).map(|i| (i % 251) as u8 + 1).collect();
+            if want.iter().any(|&(o, _)| o < 0) {
+                assert!(c.pack(&src, instances).is_err(), "seed {seed}");
+                continue;
+            }
+            let packed = c.pack(&src, instances).unwrap();
+            let mut gathered = Vec::new();
+            let mut mapped = vec![false; have];
+            for i in 0..instances {
+                for &(off, len) in &want {
+                    let at = i * c.extent() + off as usize;
+                    gathered.extend_from_slice(&src[at..at + len]);
+                    mapped[at..at + len].fill(true);
+                }
+            }
+            assert_eq!(packed, gathered, "seed {seed}: {t:?}");
+            let mut dst = vec![0u8; have];
+            c.unpack(&packed, &mut dst, instances).unwrap();
+            for at in 0..have {
+                let want = if mapped[at] { src[at] } else { 0 };
+                assert_eq!(dst[at], want, "seed {seed}: byte {at} of {t:?}");
+            }
+        }
+        assert!(strided > 500, "only {strided} strided runs were generated");
+    }
+
+    /// Program 2's filetype — `vector(LEN_array, 1, P, etype)` — is one
+    /// run whatever `LEN_array` is.
+    #[test]
+    fn program2_filetype_is_one_run() {
+        let etype = Datatype::contiguous(12, byte());
+        for len_array in [1usize, 4096, 15104] {
+            let c = Datatype::vector(len_array, 1, 256, etype.clone()).commit();
+            let stride = if len_array == 1 { 0 } else { 3072 };
+            let one = Run {
+                off: 0,
+                len: 12,
+                stride,
+                count: len_array,
+            };
+            assert_eq!(c.runs()[..], [one]);
+            assert_eq!(c.extents().count(), len_array);
+        }
+    }
+
+    /// Committing costs the runs, not the bytes: 2^32 blocks are one run.
+    #[test]
+    fn commit_cannot_be_linear_in_the_blocks() {
+        let c = Datatype::vector(1 << 32, 1, 256, Datatype::contiguous(12, byte())).commit();
+        assert_eq!(c.runs().len(), 1);
+        assert_eq!(c.size(), 12 << 32);
+        assert_eq!(
+            c.runs()[0].block((1 << 32) - 1),
+            (3072 * ((1 << 32) - 1), 12)
+        );
+        // A wild count fails at its first out-of-range block.
+        assert!(c.pack(&[0u8; 64], 1).is_err());
     }
 }

@@ -52,7 +52,7 @@ pub mod wire;
 
 pub use collectives::log2ceil;
 pub use comm::Comm;
-pub use datatype::{Committed, Datatype, Named, Order};
+pub use datatype::{Committed, Datatype, Named, Order, Run};
 pub use error::{LayerError, MpiError, Result, SimError};
 pub use mem::{MemGuard, MemTracker};
 pub use metrics::{Hist, RankMetrics, Registry};

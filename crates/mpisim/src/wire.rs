@@ -62,6 +62,11 @@ impl<'a> Cursor<'a> {
         Ok(head)
     }
 
+    /// Everything not yet read.
+    pub fn rest(self) -> &'a [u8] {
+        self.0
+    }
+
     fn array<const N: usize>(&mut self) -> Result<[u8; N], Malformed> {
         let (head, rest) = self.0.split_first_chunk().ok_or(Malformed::Truncated)?;
         self.0 = rest;

@@ -82,6 +82,7 @@ fn sim() -> mpisim::SimConfig {
 
 const ART_RANKS: usize = 256;
 const SYNTH_RANKS: usize = 128;
+const OCIO_RANKS: usize = 64;
 
 /// `synth_tcio_roundtrip`'s `requested` at 7846fa5, the last commit whose
 /// opens allocated both segment-sized buffers eagerly. Every level-2 byte
@@ -156,6 +157,29 @@ fn synth_tcio_roundtrip() -> Cost {
     })
 }
 
+/// Program 2 — the Table-I arrays through a derived-datatype file view and
+/// one collective call — written, then read back: `[write, read]`.
+fn synth_ocio_cycle(p: &SynthParams) -> [Cost; 2] {
+    type Phase = fn(
+        &mut mpisim::Rank,
+        &Arc<pfs::Pfs>,
+        &SynthParams,
+        &str,
+        &mpiio::CollectiveConfig,
+    ) -> workloads::Result<synthetic::RunMetrics>;
+    let fs = pfs::Pfs::new(OCIO_RANKS, pfs::PfsConfig::default()).unwrap();
+    let ccfg = mpiio::CollectiveConfig::default();
+    [synthetic::write_ocio as Phase, synthetic::read_ocio].map(|phase| {
+        measure(|| {
+            mpisim::run(OCIO_RANKS, sim(), |rk| {
+                phase(rk, &fs, p, "/ocio", &ccfg)?;
+                Ok(())
+            })
+            .unwrap();
+        })
+    })
+}
+
 fn within(a: usize, b: usize, frac: f64) -> bool {
     a.abs_diff(b) as f64 <= frac * a.max(b) as f64
 }
@@ -170,6 +194,8 @@ fn real_allocation_follows_touched_bytes() {
     let first = art_cycle();
     let second = art_cycle();
     let synth = synth_tcio_roundtrip();
+    let ocio_params = SynthParams::with_types("i,d", 4096, 1).unwrap();
+    let ocio = synth_ocio_cycle(&ocio_params);
 
     println!("bytes per rank, requested / live peak ({ART_RANKS} ranks; fiber stacks not counted)");
     let row = |name: &str, c: Cost, ranks: usize| {
@@ -198,6 +224,10 @@ fn real_allocation_follows_touched_bytes() {
     println!("synth TCIO write + read-back, {SYNTH_RANKS} ranks, every level-2 byte used:");
     row("whole run", synth, SYNTH_RANKS);
     println!("  requested in total: {}", synth.requested);
+    let ocio_data = ocio_params.bytes_per_rank() as usize;
+    println!("synth OCIO (Program 2), {OCIO_RANKS} ranks, {ocio_data} B of data per rank:");
+    row("write_ocio, whole run", ocio[0], OCIO_RANKS);
+    row("read_ocio, whole run", ocio[1], OCIO_RANKS);
 
     // (a) A cycle costs what its ranks touch, not two segment-sized buffers
     // per open (4 MiB per rank over the two opens at 7846fa5).
@@ -219,4 +249,19 @@ fn real_allocation_follows_touched_bytes() {
     // (d) Where every buffer byte is used, laziness is (nearly) free.
     let budget = SYNTH_REQUESTED_AT_7846FA5 + SYNTH_REQUESTED_AT_7846FA5 / 20;
     assert!(synth.requested <= budget, "{} > {budget}", synth.requested);
+    // (e) A collective costs a small multiple of the data it moves, not of
+    // the blocks its file view has: the type map is strided runs from
+    // `commit` to the exchange, never a list of extents (55× requested and
+    // 11× live per data byte when it was one, four times over).
+    for (cost, what) in ocio.iter().zip(["write_ocio", "read_ocio"]) {
+        let (requested, live) = (cost.requested / OCIO_RANKS, cost.live_peak / OCIO_RANKS);
+        assert!(
+            requested <= 20 * ocio_data,
+            "{what}: {requested} B requested per rank to move {ocio_data} B"
+        );
+        assert!(
+            live <= 8 * ocio_data,
+            "{what}: {live} B live per rank to move {ocio_data} B"
+        );
+    }
 }

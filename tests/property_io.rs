@@ -417,7 +417,7 @@ fn datatype_pack_unpack_identity() {
                     // Every byte in the type map must round-trip; gaps stay 0.
                     for inst in 0..instances {
                         let base = inst * t.extent();
-                        for &(off, len) in t.extents() {
+                        for (off, len) in t.extents() {
                             let at = base + off as usize;
                             assert_eq!(
                                 &dst[at..at + len],

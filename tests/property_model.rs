@@ -76,7 +76,7 @@ fn subarray_matches_naive_walk() {
             }
         }
         let mut got = vec![false; total];
-        for &(off, len) in c.extents() {
+        for (off, len) in c.extents() {
             for i in 0..len {
                 got[off as usize + i] = true;
             }
