@@ -174,69 +174,6 @@ impl Requests for OffsetLists {
     }
 }
 
-/// How far a request's extents have been walked by [`Walked::clip`]. The
-/// windows of a round come in ascending file order, so a round costs one
-/// pass over the extents, not one per aggregator.
-struct Walked<I> {
-    /// The request's extents from the first one, to rewind to.
-    all: I,
-    /// The first extent not wholly behind `floor`, and those after it…
-    head: Option<(u64, u64)>,
-    rest: I,
-    /// …and the bytes of the stream the extents before them hold.
-    stream_pos: u64,
-    /// Where the last window began.
-    floor: u64,
-}
-
-impl<I: Iterator<Item = (u64, u64)> + Clone> Walked<I> {
-    /// Nothing walked yet. `extents` come in stream order, ascending by
-    /// file offset (views are monotone).
-    fn new(extents: I) -> Walked<I> {
-        let mut rest = extents.clone();
-        Walked {
-            all: extents,
-            head: rest.next(),
-            rest,
-            stream_pos: 0,
-            floor: 0,
-        }
-    }
-
-    /// The parts of the extents that fall inside `[ws, we)`, as `(file_off,
-    /// buf_cursor, len)` — the cursor is the part's position in the
-    /// caller's buffer. A window that starts before its predecessor (the
-    /// next round) rewinds the walk.
-    fn clip(
-        &mut self,
-        ws: u64,
-        we: u64,
-    ) -> impl Iterator<Item = (u64, usize, usize)> + Clone + use<I> {
-        if ws < self.floor {
-            *self = Walked::new(self.all.clone());
-        }
-        self.floor = ws;
-        // Only extents wholly below `ws` are left behind: one straddling
-        // this window's end is still there for the next window.
-        while let Some((_, elen)) = self.head.filter(|&(eoff, elen)| eoff + elen <= ws) {
-            self.stream_pos += elen;
-            self.head = self.rest.next();
-        }
-        let mut stream_pos = self.stream_pos;
-        // Extents ascend by file offset: nothing at or past `we` can
-        // overlap the window.
-        let reachable = self.head.into_iter().chain(self.rest.clone());
-        reachable
-            .take_while(move |&(eoff, _)| eoff < we)
-            .filter_map(move |(eoff, elen)| {
-                let cursor = stream_pos;
-                stream_pos += elen;
-                let (s, e) = (eoff.max(ws), (eoff + elen).min(we));
-                (s < e).then(|| (s, (cursor + (s - eoff)) as usize, (e - s) as usize))
-            })
-    }
-}
-
 /// The piece-list collective write behind [`write_all_at`] and
 /// [`crate::write_all_partitioned`]: every rank sends each aggregator the
 /// pieces of its request that fall inside that aggregator's window.
@@ -248,11 +185,16 @@ pub(crate) fn write_pieces(
     data: &[u8],
     cfg: &CollectiveConfig,
 ) -> Result<()> {
-    let len = data.len() as u64;
-    let mut walked = Walked::new(file.view().extents(offset, len));
+    let (view, len) = (file.view(), data.len() as u64);
+    // A window's share of the request is one stream interval: its extents
+    // head the payload, its bytes follow as one slice.
     let build = |ws, we| {
-        let pieces = walked.clip(ws, we);
-        encode_pieces(pieces.map(|(off, cursor, len)| (off, &data[cursor..cursor + len])))
+        let Some((lo, hi)) = view.stream_interval(offset, len, ws, we) else {
+            return Ok(Vec::new());
+        };
+        let mut out = encode_list(view.extents(lo, hi - lo), true)?;
+        out.extend_from_slice(&data[(lo - offset) as usize..(hi - offset) as usize]);
+        Ok(out)
     };
     let place =
         |rank: &mut Rank, _src, payload: &[u8], ws, buf: &mut [u8], dirty: &mut ExtentSet| {
@@ -264,8 +206,7 @@ pub(crate) fn write_pieces(
             }
             Ok(())
         };
-    let hull = file.view().hull(offset, len);
-    write_rounds(rank, file, cfg, path, hull, build, place)
+    write_rounds(rank, file, cfg, path, view.hull(offset, len), build, place)
 }
 
 /// Collective write: all ranks must call, each with its own (possibly
@@ -305,18 +246,17 @@ pub fn read_all_at(
         flat_span: Some("ocio_read"),
         pipe_span: Some("ocio_read_pipe"),
     };
-    let len = buf.len() as u64;
-    let mut walked = Walked::new(file.view().extents(offset, len));
-    // The slots of `buf` a reply fills are the window's clip again.
+    let (view, len) = (file.view(), buf.len() as u64);
+    // The reply to a window's request fills the one slot of `buf` its
+    // stream interval is.
     let request = |ws, we| {
-        let parts = walked.clip(ws, we);
-        let reqs = parts.clone().map(|(off, _, len)| (off, len as u64));
-        Ok((
-            encode_requests(reqs)?,
-            parts.map(|(_, cursor, len)| (cursor, len)),
-        ))
+        let Some((lo, hi)) = view.stream_interval(offset, len, ws, we) else {
+            return Ok(None);
+        };
+        let slot = ((lo - offset) as usize, (hi - lo) as usize);
+        Ok(Some((encode_requests(view.extents(lo, hi - lo))?, slot)))
     };
-    let hull = file.view().hull(offset, len);
+    let hull = view.hull(offset, len);
     read_rounds(rank, file, cfg, &path, hull, buf, request, &OffsetLists)
 }
 
@@ -442,6 +382,9 @@ mod tests {
                 if let Ok(v) = crate::FileView::deserialize(&m) {
                     assert_eq!(v.serialize().unwrap().len(), m.len());
                     assert!(v.is_identity() || v.tile_size() > 0);
+                    for eof in [0, 1 << 20, u64::MAX] {
+                        assert!(v.stream_len_for_file(eof) <= eof);
+                    }
                 }
             }
         }
@@ -776,113 +719,51 @@ mod tests {
         check_interleaved(&bytes, 4, 8);
     }
 
-    /// What [`Walked::clip`] must return, by a scan from the first extent.
-    fn rescan(extents: &[(u64, u64)], ws: u64, we: u64) -> Vec<(u64, usize, usize)> {
-        let mut stream_pos = 0u64;
-        let mut parts = Vec::new();
-        for &(eoff, elen) in extents {
-            let (s, e) = (eoff.max(ws), (eoff + elen).min(we));
-            if s < e {
-                parts.push((s, (stream_pos + (s - eoff)) as usize, (e - s) as usize));
-            }
-            stream_pos += elen;
-        }
-        parts
-    }
-
-    /// One rank's share of [`resumable_clip_matches_a_rescan_for_every_window`]:
-    /// agree on a plan over everyone's `extents`, then walk this rank's.
-    fn clip_matches_rescan<I: Iterator<Item = (u64, u64)> + Clone>(
-        rk: &mut Rank,
-        cfg: &CollectiveConfig,
-        extents: I,
-        what: &str,
-    ) -> Result<()> {
-        let mine: Vec<_> = extents.clone().collect();
-        let world = rk.world();
-        let path = Path {
-            comm: &world,
-            merges: true,
-            flat_span: None,
-            pipe_span: None,
-        };
-        let hull = mine.first().zip(mine.last());
-        let hull = hull.map(|(first, last)| (first.0, last.0 + last.1));
-        let Some(plan) = Plan::agree(rk, cfg, &path, hull)? else {
-            return Ok(());
-        };
-        let check = |walked: &mut Walked<I>, r: u64| {
-            for (_, ws, we) in plan.windows(r) {
-                let got: Vec<_> = walked.clip(ws, we).collect();
-                let want = rescan(&mine, ws, we);
-                assert_eq!(got, want, "{what} round {r} [{ws}, {we})");
-            }
-        };
-        let (mut serial, mut piped) = (Walked::new(extents.clone()), Walked::new(extents));
-        for r in 0..plan.rounds {
-            check(&mut serial, r);
-            check(&mut piped, r);
-            check(&mut piped, r + 1);
-            check(&mut piped, r);
-        }
-        Ok(())
-    }
-
-    /// The resumable clip equals the rescan for every window of every
-    /// round of random plans, asked in the serialized order and in an
-    /// r, r+1, r order that rewinds more than the pipelined read — over
-    /// arbitrary extent lists, and over the cursor the collectives walk: a
-    /// strided view's [`crate::view::ViewExtents`].
+    /// A multi-round collective costs a rank its request once, not once per
+    /// round: Program 2's one-run view through 8 rounds × 16 aggregators,
+    /// windows cutting blocks, walks at most `2·blocks + 2·windows` extents
+    /// per rank and phase — `encode_list`'s count pass and write pass, plus
+    /// a cut block per window edge (and the two ends `hull` looks up).
     #[test]
-    fn resumable_clip_matches_a_rescan_for_every_window() {
-        use rand::{RngExt, SeedableRng};
-        for seed in 0..64u64 {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(0xc11b ^ seed);
-            let mut pick = |lo: u64, hi: u64| lo + rng.next_u64() % (hi - lo);
-            let nprocs = pick(1, 7) as usize;
-            let cfg = CollectiveConfig {
-                cb_nodes: (pick(0, 2) == 0).then(|| pick(1, 9) as usize),
-                cb_buffer: (pick(0, 3) > 0).then(|| pick(1, 300)),
-                align: (pick(0, 2) == 0).then(|| pick(1, 65)),
-                ..Default::default()
-            };
-            // Monotone extents per rank: gaps from none to several windows
-            // wide, lengths from empty to long enough to straddle a few.
-            let mut extents = vec![Vec::new(); nprocs];
-            for mine in &mut extents {
-                let mut at = pick(0, 500);
-                for _ in 0..pick(0, 40) {
-                    let (off, len) = (at + pick(0, 120), pick(0, 400) * pick(0, 2));
-                    mine.push((off, len));
-                    at = off + len;
-                }
-            }
-            // Program 2's shape: blocks of `block` bytes dealt round-robin,
-            // a few of them per stride, each rank asking for its own part
-            // of a stream a few tiles long.
-            let (block, per_stride, blocks) = (pick(1, 40), pick(1, 4), pick(1, 30));
-            let etype = Datatype::contiguous(block as usize, Datatype::named(Named::Byte));
-            let stride = (per_stride * nprocs as u64) as isize;
+    fn a_round_walks_its_windows_pieces_not_the_whole_request() {
+        use std::sync::atomic::Ordering::Relaxed;
+        const BLOCKS: usize = 15_104;
+        const NPROCS: usize = 16;
+        let cfg = CollectiveConfig {
+            cb_nodes: Some(NPROCS),
+            cb_buffer: Some(22_660), // an eighth of a 181 248-byte domain, and 4 bytes
+            ..Default::default()
+        };
+        let windows = 8 * NPROCS as u64;
+        let fs = Pfs::new(NPROCS, PfsConfig::default()).unwrap();
+        mpisim::run(NPROCS, SimConfig::default(), move |rk| {
+            let mut f = File::open(rk, &fs, "/steps", Mode::ReadWrite)?;
+            let etype = Datatype::contiguous(12, Datatype::named(Named::Byte)).commit();
             let ftype =
-                Datatype::vector(blocks as usize, per_stride as usize, stride, etype.clone());
-            let (etype, ftype) = (etype.commit(), ftype.commit());
-            let tile = block * per_stride * blocks;
-            let asks: Vec<(u64, u64)> = (0..nprocs)
-                .map(|_| (pick(0, 2 * tile), pick(0, 3 * tile) * pick(0, 4).min(1)))
-                .collect();
-            mpisim::run(nprocs, SimConfig::default(), |rk| {
-                let me = rk.rank();
-                let list = extents[me].iter().copied();
-                clip_matches_rescan(rk, &cfg, list, &format!("seed {seed} list"))?;
-                let disp = me as u64 * block * per_stride;
-                let view = crate::FileView::new(disp, &etype, &ftype)?;
-                let (pos, len) = asks[me];
-                let walk = view.extents(pos, len);
-                clip_matches_rescan(rk, &cfg, walk, &format!("seed {seed} view"))?;
-                Ok(())
-            })
-            .unwrap();
-        }
+                Datatype::vector(BLOCKS, 1, NPROCS as isize, etype.datatype().clone()).commit();
+            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)?;
+            let data = vec![rk.rank() as u8 + 1; 12 * BLOCKS];
+            let mut back = vec![0u8; data.len()];
+            let steps = |f: &File| f.view().steps.load(Relaxed);
+            let before = steps(&f);
+            write_all_at(rk, &mut f, 0, &data, &cfg)?;
+            let written = steps(&f);
+            read_all_at(rk, &mut f, 0, &mut back, &cfg)?;
+            assert_eq!(back, data);
+            for (phase, took) in [("write", written - before), ("read", steps(&f) - written)] {
+                let bound = 2 * BLOCKS as u64 + 2 * windows + 2;
+                assert!(
+                    took <= bound,
+                    "{phase}: {took} extents walked, over {bound}"
+                );
+                assert!(
+                    took >= 2 * BLOCKS as u64,
+                    "{phase}: only {took} extents walked"
+                );
+            }
+            Ok(())
+        })
+        .unwrap();
     }
 
     #[test]

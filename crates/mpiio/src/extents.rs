@@ -49,21 +49,33 @@ impl ExtentSet {
             return;
         }
         let end = off + len;
-        // Find insertion point: first run whose end >= off (candidates for
-        // merging start here).
-        let start_idx = self.runs.partition_point(|&(o, l)| o + l < off);
-        let mut merge_end = start_idx;
-        let mut new_off = off;
-        let mut new_end = end;
-        while merge_end < self.runs.len() && self.runs[merge_end].0 <= end {
-            new_off = new_off.min(self.runs[merge_end].0);
-            new_end = new_end.max(self.runs[merge_end].0 + self.runs[merge_end].1);
-            merge_end += 1;
+        // The first run the range reaches (every run before it ends short
+        // of `off`); candidates for merging start here.
+        let at = self.runs.partition_point(|&(o, l)| o + l < off);
+        // What an ascending piece list does: append past every run, or
+        // grow the one run it touches — both in place.
+        let next_apart = self.runs.get(at + 1).is_none_or(|&(o, _)| o > end);
+        match self.runs.get_mut(at) {
+            None => self.runs.push((off, len)),
+            Some(run) if run.0 <= end && next_apart => {
+                let start = run.0.min(off);
+                *run = (start, end.max(run.0 + run.1) - start);
+            }
+            Some(_) => self.merge(at, off, end),
         }
-        self.runs.splice(
-            start_idx..merge_end,
-            std::iter::once((new_off, new_end - new_off)),
-        );
+    }
+
+    /// [`ExtentSet::insert`] in general: replace the runs from `at` on that
+    /// `[off, end)` touches — none, one or many — with their union.
+    fn merge(&mut self, at: usize, off: u64, end: u64) {
+        let (mut upto, mut new_off, mut new_end) = (at, off, end);
+        while upto < self.runs.len() && self.runs[upto].0 <= end {
+            new_off = new_off.min(self.runs[upto].0);
+            new_end = new_end.max(self.runs[upto].0 + self.runs[upto].1);
+            upto += 1;
+        }
+        let union = std::iter::once((new_off, new_end - new_off));
+        self.runs.splice(at..upto, union);
     }
 
     /// Does the set fully cover `[off, off+len)`?
@@ -145,6 +157,40 @@ mod tests {
         assert!(!s.contains(15, 2));
         assert!(s.contains(25, 5));
         assert!(!s.contains(25, 6));
+    }
+
+    /// The in-place cases of `insert` leave what the general merge would:
+    /// random inserts — ascending piece lists from interleaved sources
+    /// among them — into one set through `insert`, into another through
+    /// `merge` alone.
+    #[test]
+    fn in_place_inserts_match_the_general_merge() {
+        use rand::{RngExt, SeedableRng};
+        let mut grown = 0;
+        for seed in 0..200u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xe47 ^ seed);
+            let mut pick = |lo: u64, hi: u64| lo + rng.next_u64() % (hi - lo);
+            let (mut fast, mut general) = (ExtentSet::new(), ExtentSet::new());
+            let (sources, block, scattered) = (pick(1, 6), pick(1, 9), pick(0, 2) == 0);
+            for src in 0..sources {
+                for i in 0..pick(1, 40) {
+                    let (off, len) = match scattered {
+                        true => (pick(0, 400), pick(0, 30)),
+                        false => ((i * sources + src) * block + pick(0, 2), block),
+                    };
+                    let before = fast.len();
+                    fast.insert(off, len);
+                    // Only growing exactly one run keeps the count.
+                    grown += (fast.len() == before && len > 0) as usize;
+                    if len > 0 {
+                        let at = general.runs.partition_point(|&(o, l)| o + l < off);
+                        general.merge(at, off, off + len);
+                    }
+                    assert_eq!(fast, general, "seed {seed}: insert ({off}, {len})");
+                }
+            }
+        }
+        assert!(grown > 1000, "only {grown} inserts grew a run in place");
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! `read_rounds` own that skeleton, including the depth-2 deferred
 //! completions of `CollectiveConfig::pipeline`. A caller supplies only
 //! what is its own: a `Path` (communicator, whether `req_agg` merges
-//! semantically, span names) and the closures that speak its wire format.
+//! semantically, span names) and the closures that speak its wire format
+//! — each handed a window and answering with this rank's share of it, which
+//! `FileView::stream_interval` makes one slice of the caller's buffer.
 
 use crate::client::{self, DeferredQueue, Direction, ReadRoute};
 use crate::collective::CollectiveConfig;
@@ -268,8 +270,12 @@ pub(crate) trait Requests {
 
 /// One round's request phase: the incoming requests, the request-aggregation
 /// session to answer through, and per asked aggregator the `(buf_cursor,
-/// len)` slots of the caller's buffer its reply fills, in request order.
-type Asked<S> = (Vec<Vec<u8>>, Option<ReadSession>, Vec<(usize, S)>);
+/// len)` slot of the caller's buffer its reply fills.
+type Asked = (
+    Vec<Vec<u8>>,
+    Option<ReadSession>,
+    Vec<(usize, (usize, usize))>,
+);
 
 /// An aggregator's submitted window read.
 struct WindowRead {
@@ -320,23 +326,24 @@ fn read_window(
 }
 
 /// The collective read loop. `request(ws, we)` encodes what this rank
-/// needs from window `[ws, we)` plus the `(buf_cursor, len)` slots of `buf`
-/// the reply will fill (empty payload = nothing); `codec` reads an
-/// incoming request back into the file extents its source wants.
+/// needs from window `[ws, we)` plus the one `(buf_cursor, len)` slot of
+/// `buf` the reply will fill — views are monotone, so a window's share of a
+/// request is contiguous in the stream (`None` = nothing); `codec` reads
+/// an incoming request back into the file extents its source wants.
 ///
 /// Serialized, a round is request exchange → window read → reply
 /// exchange. Pipelined, the aggregator leaves the read's completion
 /// outstanding, runs round r+1's *request* exchange while the OSTs
 /// service it, and only then settles the read and answers round r.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn read_rounds<S: Iterator<Item = (usize, usize)> + Clone>(
+pub(crate) fn read_rounds(
     rank: &mut Rank,
     file: &File,
     cfg: &CollectiveConfig,
     path: &Path<'_>,
     hull: Option<(u64, u64)>,
     buf: &mut [u8],
-    mut request: impl FnMut(u64, u64) -> Result<(Vec<u8>, S)>,
+    mut request: impl FnMut(u64, u64) -> Result<Option<(Vec<u8>, (usize, usize))>>,
     codec: &impl Requests,
 ) -> Result<()> {
     if !file.mode().readable() {
@@ -346,14 +353,13 @@ pub(crate) fn read_rounds<S: Iterator<Item = (usize, usize)> + Clone>(
         return Ok(());
     };
     let route = ReadRoute::new(cfg.hedged_reads);
-    let mut ask = |rank: &mut Rank, r: u64| -> Result<Asked<S>> {
+    let mut ask = |rank: &mut Rank, r: u64| -> Result<Asked> {
         let mut requests: Vec<Vec<u8>> = vec![Vec::new(); path.comm.size()];
         let mut fills = Vec::new();
         for (a, ws, we) in plan.windows(r) {
-            let (msg, slots) = request(ws, we)?;
-            if !msg.is_empty() {
+            if let Some((msg, slot)) = request(ws, we)? {
                 requests[a] = msg;
-                fills.push((a, slots));
+                fills.push((a, slot));
             }
         }
         let (incoming, session) = match plan.exch {
@@ -365,7 +371,7 @@ pub(crate) fn read_rounds<S: Iterator<Item = (usize, usize)> + Clone>(
         };
         Ok((incoming, session, fills))
     };
-    let mut prefetched: Option<Asked<S>> = None;
+    let mut prefetched: Option<Asked> = None;
     for r in 0..plan.rounds {
         let (incoming, session, fills) = match prefetched.take() {
             Some(asked) => asked,
@@ -406,17 +412,11 @@ pub(crate) fn read_rounds<S: Iterator<Item = (usize, usize)> + Clone>(
             Some(s) => reqagg::exchange_responses(rank, s, responses)?,
             None => plan.burst(rank, responses)?,
         };
-        for (a, slots) in fills {
-            let answer = &answers[a];
-            let expect: usize = slots.clone().map(|(_, len)| len).sum();
-            if answer.len() != expect {
+        for (a, (cursor, len)) in fills {
+            if answers[a].len() != len {
                 return Err(IoError::Usage("read reply length mismatch".into()));
             }
-            let mut pos = 0usize;
-            for (cursor, len) in slots {
-                buf[cursor..cursor + len].copy_from_slice(&answer[pos..pos + len]);
-                pos += len;
-            }
+            buf[cursor..cursor + len].copy_from_slice(&answers[a]);
         }
     }
     Ok(rank.barrier_in(plan.path.comm)?)

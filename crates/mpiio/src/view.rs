@@ -32,6 +32,9 @@ pub struct FileView {
     tile_size: u64,
     /// Fast path: the view is the identity (contiguous bytes from `disp`).
     identity: bool,
+    /// Extents yielded by walks of this view, for the complexity test.
+    #[cfg(test)]
+    pub(crate) steps: Arc<std::sync::atomic::AtomicU64>,
 }
 
 /// Check what every view promises of its tile — blocks at non-negative
@@ -86,6 +89,8 @@ impl FileView {
             tile_extent: 0,
             tile_size: 0,
             identity: true,
+            #[cfg(test)]
+            steps: Arc::default(),
         }
     }
 
@@ -120,6 +125,8 @@ impl FileView {
             tile_extent,
             tile_size,
             identity,
+            #[cfg(test)]
+            steps: Arc::default(),
         })
     }
 
@@ -243,32 +250,55 @@ impl FileView {
             tile_extent,
             tile_size,
             identity,
+            #[cfg(test)]
+            steps: Arc::default(),
         })
     }
 
     /// Total bytes of data available in `[0, stream_len)` given a file of
-    /// `file_len` bytes — i.e., the stream position corresponding to EOF.
-    /// Used to validate reads; 0 when the file is shorter than `disp`.
+    /// `file_len` bytes — i.e., the stream position corresponding to EOF:
+    /// the stream bytes the view maps below `file_len`. Used to validate
+    /// reads; 0 when the file is shorter than `disp`. A search over the
+    /// runs and a division inside one.
     pub fn stream_len_for_file(&self, file_len: u64) -> u64 {
         let span = file_len.saturating_sub(self.disp);
         if self.identity || span == 0 {
             return span;
         }
+        // Tiles sit `tile_extent` apart and a tile's blocks span at most
+        // that from its *first* block, which a lower bound (`resized`, a
+        // positive first displacement) puts past the tile's origin: split
+        // the span there, and take every offset relative to that block.
+        let first = self.runs[0].off as u64;
+        let Some(span) = span.checked_sub(first) else {
+            return 0;
+        };
         let (full_tiles, rem) = (span / self.tile_extent, span % self.tile_extent);
-        // Data of the last, partial tile below `rem`: per run, its whole
-        // blocks below it and the part of the one block `rem` may cut.
-        let below = |r: &Run| {
-            let (off, len, stride) = (r.off as u64, r.len as u64, r.stride as u64);
-            if rem <= off {
-                return 0;
-            }
+        // Data of the last, partial tile below `rem`: the runs wholly below
+        // it (they ascend), then of the one run `rem` may cut its whole
+        // blocks below it and the part of the one block it may cut.
+        let below = self.runs.partition_point(|r| r.off as u64 - first < rem);
+        let partial = below.checked_sub(1).map_or(0, |i| {
+            let r = &self.runs[i];
+            let (len, stride) = (r.len as u64, r.stride as u64);
+            let into = rem - (r.off as u64 - first);
             let whole = match r.count {
                 1 => 0,
-                count => ((rem - off) / stride).min(count as u64 - 1),
+                count => (into / stride).min(count as u64 - 1),
             };
-            whole * len + (rem - off - whole * stride).min(len)
-        };
-        full_tiles * self.tile_size + self.runs.iter().map(below).sum::<u64>()
+            self.prefix[i] + whole * len + (into - whole * stride).min(len)
+        });
+        full_tiles * self.tile_size + partial
+    }
+
+    /// The part `[lo, hi)` of the stream range `[offset, offset + len)`
+    /// that the view maps into the file window `[ws, we)` — one contiguous
+    /// interval, because views are monotone. Every collective path cuts a
+    /// request into its windows' shares with this.
+    pub fn stream_interval(&self, offset: u64, len: u64, ws: u64, we: u64) -> Option<(u64, u64)> {
+        let lo = self.stream_len_for_file(ws).max(offset);
+        let hi = self.stream_len_for_file(we).min(offset + len);
+        (lo < hi).then_some((lo, hi))
     }
 }
 
@@ -324,6 +354,11 @@ impl Iterator for ViewExtents<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<(u64, u64)> {
+        #[cfg(test)]
+        (self.view.steps).fetch_add(
+            (self.remaining > 0) as u64,
+            std::sync::atomic::Ordering::Relaxed,
+        );
         // A whole block with more of its run to follow — all but a few
         // steps of a strided request: nothing to cut, nothing to merge.
         let whole = self.cur.len as u64;
@@ -375,7 +410,7 @@ impl Iterator for ViewExtents<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mpisim::{Datatype, Named};
 
@@ -487,8 +522,9 @@ mod tests {
     }
 
     /// The view as it used to be held — the tile expanded to one entry and
-    /// one prefix sum per block — with the old `map_range`, `serialize`
-    /// and `stream_len_for_file`: the oracle the strided walk is checked
+    /// one prefix sum per block — with the old `map_range` and `serialize`,
+    /// and `stream_len_for_file` as a count over that `map_range`: the
+    /// oracle the strided walk and the window arithmetic are checked
     /// against.
     struct Expanded {
         disp: u64,
@@ -566,32 +602,57 @@ mod tests {
             out
         }
 
+        /// The stream bytes mapped below `file_len`, counted over the
+        /// extents of every tile that starts at or below it.
         fn stream_len_for_file(&self, file_len: u64) -> u64 {
             if self.identity {
                 return file_len.saturating_sub(self.disp);
             }
-            if file_len <= self.disp {
-                return 0;
-            }
-            let span = file_len - self.disp;
-            let full_tiles = span / self.tile_extent.max(1);
-            let rem = span - full_tiles * self.tile_extent;
-            let mut bytes = full_tiles * self.tile_size;
-            for &(off, len) in &self.tile {
-                if off + len <= rem {
-                    bytes += len;
-                } else if off < rem {
-                    bytes += rem - off;
-                }
-            }
-            bytes
+            let tiles = file_len / self.tile_extent + 1;
+            bytes_below(self.map_range(0, tiles * self.tile_size), file_len)
         }
+    }
+
+    /// The bytes of `extents` that lie below file offset `eof`.
+    pub(crate) fn bytes_below(extents: impl IntoIterator<Item = (u64, u64)>, eof: u64) -> u64 {
+        let below = extents.into_iter().map(|(o, l)| eof.clamp(o, o + l) - o);
+        below.sum()
+    }
+
+    /// What a window's share of a request must be, by a scan from the
+    /// request's first extent: the parts of `extents` inside `[ws, we)` as
+    /// `(file_off, buf_cursor, len)`.
+    fn rescan(extents: &[(u64, u64)], ws: u64, we: u64) -> Vec<(u64, usize, usize)> {
+        let mut stream_pos = 0u64;
+        let mut parts = Vec::new();
+        for &(eoff, elen) in extents {
+            let (s, e) = (eoff.max(ws), (eoff + elen).min(we));
+            if s < e {
+                parts.push((s, (stream_pos + (s - eoff)) as usize, (e - s) as usize));
+            }
+            stream_pos += elen;
+        }
+        parts
+    }
+
+    /// The share [`FileView::stream_interval`] finds, walked with its
+    /// buffer cursors.
+    fn share(view: &FileView, pos: u64, len: u64, ws: u64, we: u64) -> Vec<(u64, usize, usize)> {
+        let Some((lo, hi)) = view.stream_interval(pos, len, ws, we) else {
+            return Vec::new();
+        };
+        let mut cursor = (lo - pos) as usize;
+        let with_cursor = |(off, len): (u64, u64)| {
+            cursor += len as usize;
+            (off, cursor - len as usize, len as usize)
+        };
+        view.extents(lo, hi - lo).map(with_cursor).collect()
     }
 
     /// A random monotone filetype: every constructor that can make one,
     /// nested, with blocks that touch, tiles that touch and tiles padded
     /// past their last block.
-    fn random_filetype(rng: &mut rand::rngs::StdRng, depth: u32) -> Datatype {
+    pub(crate) fn random_filetype(rng: &mut rand::rngs::StdRng, depth: u32) -> Datatype {
         use rand::RngExt;
         let mut pick = |lo: u64, hi: u64| (lo + rng.next_u64() % (hi - lo)) as usize;
         if depth == 0 {
@@ -632,7 +693,7 @@ mod tests {
     #[test]
     fn strided_walk_matches_the_expanded_oracle_on_random_views() {
         use rand::{RngExt, SeedableRng};
-        let mut strided = 0;
+        let (mut strided, mut lower_bounds) = (0, 0);
         for seed in 0..1500u64 {
             let mut rng = rand::rngs::StdRng::seed_from_u64(0x71e3 ^ seed);
             let ftype = random_filetype(&mut rng, 2).commit();
@@ -658,9 +719,49 @@ mod tests {
                 let visible = view.stream_len_for_file(eof);
                 assert_eq!(visible, old.stream_len_for_file(eof), "seed {seed}: {eof}");
                 assert_eq!(back.stream_len_for_file(eof), visible, "seed {seed}: {eof}");
+                // A window — empty, inside a block, a few tiles wide or the
+                // whole file: its share of the request, found by arithmetic,
+                // is what a scan of the whole request clips to it.
+                let everything = disp + 8 * view.tile_extent;
+                let (ws, we) = match pick(0, 4) {
+                    0 => (eof, eof),
+                    1 => (eof, eof + pick(1, 4)),
+                    2 => (eof, eof + pick(1, 3 * view.tile_extent + 1)),
+                    _ => (0, everything),
+                };
+                let scanned = rescan(&want, ws, we);
+                for v in [&view, &back] {
+                    let got = share(v, pos, len, ws, we);
+                    assert_eq!(
+                        got, scanned,
+                        "seed {seed}: [{pos}, +{len}) in [{ws}, {we}) of {ftype:?}"
+                    );
+                }
+                lower_bounds += (view.runs[0].off > 0 && !scanned.is_empty()) as usize;
             }
         }
         assert!(strided > 500, "only {strided} strided runs were generated");
+        assert!(
+            lower_bounds > 500,
+            "only {lower_bounds} shares of a tile with a lower bound"
+        );
+    }
+
+    /// A tile's blocks are counted from its first one, wherever a lower
+    /// bound puts it: the three filetypes `stream_len_for_file` used to
+    /// count past `file_len` for, against a count over the extents.
+    #[test]
+    fn stream_len_for_file_honours_a_lower_bound() {
+        let byte = || Datatype::named(Named::Byte);
+        let at_8 = || Datatype::indexed(vec![4], vec![8], byte()).unwrap();
+        let two = Datatype::indexed(vec![2, 3], vec![5, 9], byte()).unwrap();
+        for ftype in [at_8(), Datatype::resized(0, 8, at_8()), two] {
+            let view = FileView::new(3, &byte().commit(), &ftype.commit()).unwrap();
+            for eof in 0..80 {
+                let want = bytes_below(view.extents(0, 80), eof);
+                assert_eq!(view.stream_len_for_file(eof), want, "{ftype:?} below {eof}");
+            }
+        }
     }
 
     /// A view costs its runs, not its blocks: 2^32 blocks are one run, and

@@ -55,15 +55,6 @@ pub fn register_views(rank: &mut Rank, file: &File) -> Result<RegisteredViews> {
     Ok(RegisteredViews { views })
 }
 
-/// The part `[lo, hi)` of the stream range `[offset, offset + len)` that
-/// `view` maps into the file window `[ws, we)` — one contiguous interval,
-/// because views are monotone.
-fn stream_interval(view: &FileView, offset: u64, len: u64, ws: u64, we: u64) -> Option<(u64, u64)> {
-    let lo = view.stream_len_for_file(ws).max(offset);
-    let hi = view.stream_len_for_file(we).min(offset + len);
-    (lo < hi).then_some((lo, hi))
-}
-
 /// The 16-byte `(stream position, length)` header, with room for `data`
 /// bytes to follow.
 fn interval_header(lo: u64, len: u64, data: usize) -> Vec<u8> {
@@ -104,7 +95,7 @@ pub fn write_all_view_based(
     let hull = view.hull(offset, data.len() as u64);
     // Sender side: one contiguous stream interval per aggregator.
     let build = |ws, we| {
-        let Some((lo, hi)) = stream_interval(view, offset, data.len() as u64, ws, we) else {
+        let Some((lo, hi)) = view.stream_interval(offset, data.len() as u64, ws, we) else {
             return Ok(Vec::new());
         };
         let mut msg = interval_header(lo, hi - lo, (hi - lo) as usize);
@@ -164,13 +155,11 @@ pub fn read_all_view_based(
     // the one matching slot of `buf`. Phase 2 is [`Requests`] on the
     // registered views.
     let request = |ws, we| {
-        Ok(match stream_interval(view, offset, want, ws, we) {
-            Some((lo, hi)) => (
-                interval_header(lo, hi - lo, 0),
-                Some(((lo - offset) as usize, (hi - lo) as usize)).into_iter(),
-            ),
-            None => (Vec::new(), None.into_iter()),
-        })
+        let share = view.stream_interval(offset, want, ws, we);
+        Ok(share.map(|(lo, hi)| {
+            let slot = ((lo - offset) as usize, (hi - lo) as usize);
+            (interval_header(lo, hi - lo, 0), slot)
+        }))
     };
     let hull = view.hull(offset, want);
     read_rounds(rank, file, cfg, &path, hull, buf, request, views)
@@ -194,53 +183,93 @@ impl Requests for RegisteredViews {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::file::Mode;
+    use crate::file::{Mode, PositionedFile};
     use mpisim::{Datatype, Named, SimConfig};
     use pfs::{Pfs, PfsConfig};
     use std::sync::Arc;
 
-    fn write_both_ways(
-        nprocs: usize,
-        len_array: usize,
-        cfg: CollectiveConfig,
-    ) -> (Vec<u8>, Vec<u8>) {
-        // The Fig. 2 interleaved pattern, written once with classic
-        // two-phase and once view-based; files must be identical.
-        let mut snaps = Vec::new();
-        for view_based in [false, true] {
+    /// The differential between the piece-list and the view-based
+    /// collectives: rank r sets `ftype` as its view at `disp = r · stride`
+    /// and writes `asks[r] = (stream offset, length)` of its own bytes —
+    /// once through each write path, each time read back through both read
+    /// paths. The two files and all four read-backs must agree; returns
+    /// the file. `File::end` is checked on the way, against a count over
+    /// the view's extents.
+    fn both_ways(
+        ftype: &Datatype,
+        stride: u64,
+        asks: &[(u64, usize)],
+        cfg: &CollectiveConfig,
+        topology: Option<mpisim::Topology>,
+    ) -> Vec<u8> {
+        let nprocs = asks.len();
+        let etype = Datatype::named(Named::Byte).commit();
+        let ftype = ftype.commit();
+        let files = [false, true].map(|view_based| {
             let fs = Pfs::new(nprocs, PfsConfig::default()).unwrap();
-            let fs2 = Arc::clone(&fs);
-            let cfg = cfg.clone();
-            mpisim::run(nprocs, SimConfig::default(), move |rk| {
-                let mut f = File::open(rk, &fs2, "/vb", Mode::WriteOnly)?;
-                let etype = Datatype::contiguous(12, Datatype::named(Named::Byte)).commit();
-                let ftype =
-                    Datatype::vector(len_array, 1, nprocs as isize, etype.datatype().clone())
-                        .commit();
-                f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)?;
-                let data = vec![rk.rank() as u8 + 1; 12 * len_array];
+            let sim = SimConfig {
+                topology: topology.clone(),
+                ..Default::default()
+            };
+            mpisim::run(nprocs, sim, |rk| {
+                let me = rk.rank();
+                let mut f = File::open(rk, &fs, "/vb", Mode::ReadWrite)?;
+                f.set_view(rk, me as u64 * stride, &etype, &ftype)?;
+                let (offset, len) = asks[me];
+                let data: Vec<u8> = (0..len).map(|i| (me * 37 + i) as u8).collect();
+                let views = register_views(rk, &f)?;
                 if view_based {
-                    let views = register_views(rk, &f)?;
-                    write_all_view_based(rk, &mut f, &views, 0, &data, &cfg)?;
+                    write_all_view_based(rk, &mut f, &views, offset, &data, cfg)?;
                 } else {
-                    crate::collective::write_all_at(rk, &mut f, 0, &data, &cfg)?;
+                    crate::collective::write_all_at(rk, &mut f, offset, &data, cfg)?;
                 }
+                let (mut pieces, mut viewed) = (vec![0u8; len], vec![0u8; len]);
+                crate::collective::read_all_at(rk, &mut f, offset, &mut pieces, cfg)?;
+                read_all_view_based(rk, &mut f, &views, offset, &mut viewed, cfg)?;
+                assert_eq!(
+                    pieces, data,
+                    "rank {me}: piece-list read, view_based={view_based}"
+                );
+                assert_eq!(
+                    viewed, data,
+                    "rank {me}: view-based read, view_based={view_based}"
+                );
+                // A stream of `eof` bytes reaches past byte `eof` of the file.
+                let eof = fs.len(f.file_id())?;
+                let below = crate::view::tests::bytes_below(f.view().extents(0, eof), eof);
+                assert_eq!(f.end()?, below, "rank {me}: end of a {eof}-byte file");
                 f.close(rk)?;
                 Ok(())
             })
             .unwrap();
-            let fid = fs.open("/vb").unwrap();
-            snaps.push(fs.snapshot_file(fid).unwrap());
-        }
-        let b = snaps.pop().unwrap();
-        let a = snaps.pop().unwrap();
-        (a, b)
+            fs.snapshot_file(fs.open("/vb").unwrap()).unwrap()
+        });
+        let [two_phase, view_based] = files;
+        assert_eq!(
+            two_phase, view_based,
+            "the two write paths left different files"
+        );
+        two_phase
+    }
+
+    /// The Fig. 2 interleaved pattern: `len_array` 12-byte blocks per rank,
+    /// dealt round-robin.
+    fn fig2(
+        nprocs: usize,
+        len_array: usize,
+        cfg: &CollectiveConfig,
+        topology: Option<mpisim::Topology>,
+    ) -> Vec<u8> {
+        let block = Datatype::contiguous(12, Datatype::named(Named::Byte));
+        let ftype = Datatype::vector(len_array, 1, nprocs as isize, block);
+        let asks = vec![(0, 12 * len_array); nprocs];
+        both_ways(&ftype, 12, &asks, cfg, topology)
     }
 
     #[test]
     fn view_based_matches_two_phase() {
-        let (two_phase, view_based) = write_both_ways(4, 8, CollectiveConfig::default());
-        assert_eq!(two_phase, view_based);
+        let file = fig2(4, 8, &CollectiveConfig::default(), None);
+        assert_eq!(file.len(), 4 * 8 * 12);
     }
 
     #[test]
@@ -250,8 +279,7 @@ mod tests {
             cb_buffer: Some(64),
             ..Default::default()
         };
-        let (two_phase, view_based) = write_both_ways(3, 5, cfg);
-        assert_eq!(two_phase, view_based);
+        fig2(3, 5, &cfg, None);
     }
 
     #[test]
@@ -262,40 +290,80 @@ mod tests {
             pipeline: true,
             ..Default::default()
         };
-        let (two_phase, view_based) = write_both_ways(3, 5, cfg);
-        assert_eq!(two_phase, view_based);
+        fig2(3, 5, &cfg, None);
     }
 
     #[test]
     fn view_based_two_level_matches_with_topology() {
-        let (two_phase, _) = write_both_ways(4, 8, CollectiveConfig::default());
+        let flat = fig2(4, 8, &CollectiveConfig::default(), None);
         let cfg = CollectiveConfig {
             intra_agg: true,
             ..Default::default()
         };
-        let nprocs = 4;
-        let len_array = 8;
-        let fs = Pfs::new(nprocs, PfsConfig::default()).unwrap();
-        let fs2 = Arc::clone(&fs);
-        let sim = SimConfig {
-            topology: Some(mpisim::Topology::blocked(nprocs, 2)),
+        let topology = Some(mpisim::Topology::blocked(4, 2));
+        assert_eq!(fig2(4, 8, &cfg, topology), flat);
+    }
+
+    /// A filetype whose first block sits past its tile's origin:
+    /// `stream_len_for_file` used to count from the origin, and the
+    /// view-based write panicked placing a piece past its window where the
+    /// piece-list write was right.
+    #[test]
+    fn a_lower_bound_moves_no_window() {
+        let byte = Datatype::named(Named::Byte);
+        let at_8 = Datatype::indexed(vec![4], vec![8], byte).unwrap();
+        let cfg = CollectiveConfig {
+            cb_nodes: Some(2),
+            cb_buffer: Some(16),
             ..Default::default()
         };
-        mpisim::run(nprocs, sim, move |rk| {
-            let mut f = File::open(rk, &fs2, "/vb2", Mode::WriteOnly)?;
-            let etype = Datatype::contiguous(12, Datatype::named(Named::Byte)).commit();
-            let ftype =
-                Datatype::vector(len_array, 1, nprocs as isize, etype.datatype().clone()).commit();
-            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)?;
-            let data = vec![rk.rank() as u8 + 1; 12 * len_array];
-            let views = register_views(rk, &f)?;
-            write_all_view_based(rk, &mut f, &views, 0, &data, &cfg)?;
-            f.close(rk)?;
-            Ok(())
-        })
-        .unwrap();
-        let fid = fs.open("/vb2").unwrap();
-        assert_eq!(fs.snapshot_file(fid).unwrap(), two_phase);
+        let file = both_ways(&Datatype::resized(0, 8, at_8), 4, &[(0, 16); 2], &cfg, None);
+        // Rank r's block k is bytes `8 + 8k + 4r ..+ 4` of the file.
+        let expect = |at: usize| match at.checked_sub(8) {
+            Some(i) => ((i / 4 % 2) * 37 + i / 8 * 4 + i % 4) as u8,
+            None => 0,
+        };
+        assert_eq!(file, (0..40).map(expect).collect::<Vec<u8>>());
+    }
+
+    /// Both paths, the same bytes, over random filetype trees — tiled
+    /// between the ranks so no two write the same byte — random requests
+    /// starting mid-block (a quarter of them empty) and random hints:
+    /// aggregator count, window size, pipelining, request aggregation over
+    /// a topology. Small windows leave most sources no share of most of
+    /// them: that is the empty payload, on every path.
+    #[test]
+    fn both_paths_agree_on_random_views_and_hints() {
+        use rand::{RngExt, SeedableRng};
+        for seed in 0..64u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xb07 ^ seed);
+            let tile = crate::view::tests::random_filetype(&mut rng, 2);
+            let mut pick = |lo: u64, hi: u64| lo + rng.next_u64() % (hi - lo);
+            let nprocs = pick(1, 7);
+            let (size, extent) = (tile.size() as u64, tile.extent() as u64);
+            let ftype = Datatype::resized(0, (nprocs * extent) as usize, tile);
+            let asks: Vec<(u64, usize)> = (0..nprocs)
+                .map(|_| {
+                    (
+                        pick(0, 2 * size),
+                        (pick(0, 3 * size) * pick(0, 4).min(1)) as usize,
+                    )
+                })
+                .collect();
+            let req_agg = pick(0, 2) == 0;
+            let cfg = CollectiveConfig {
+                cb_nodes: (pick(0, 2) == 0).then(|| pick(1, nprocs + 1) as usize),
+                // From a sliver of one round-robin tile to a few of them.
+                cb_buffer: (pick(0, 3) > 0)
+                    .then(|| pick(1 + nprocs * extent / 32, 2 * nprocs * extent)),
+                pipeline: pick(0, 2) == 0,
+                req_agg,
+                ..Default::default()
+            };
+            let topology =
+                req_agg.then(|| mpisim::Topology::blocked(nprocs as usize, pick(1, 4) as usize));
+            both_ways(&ftype, extent, &asks, &cfg, topology);
+        }
     }
 
     #[test]
@@ -366,42 +434,6 @@ mod tests {
         .unwrap();
         let fid = fs.open("/e").unwrap();
         assert_eq!(fs.snapshot_file(fid).unwrap(), vec![7u8; 24]);
-    }
-
-    #[test]
-    fn view_based_read_roundtrips() {
-        let nprocs = 4;
-        let len_array = 8;
-        // Write with classic two-phase, read back view-based.
-        let fs = Pfs::new(nprocs, PfsConfig::default()).unwrap();
-        let fs2 = Arc::clone(&fs);
-        let rep = mpisim::run(nprocs, SimConfig::default(), move |rk| {
-            let mut f = File::open(rk, &fs2, "/vbr", Mode::ReadWrite)?;
-            let etype = Datatype::contiguous(12, Datatype::named(Named::Byte)).commit();
-            let ftype =
-                Datatype::vector(len_array, 1, nprocs as isize, etype.datatype().clone()).commit();
-            f.set_view(rk, rk.rank() as u64 * 12, &etype, &ftype)?;
-            let data = vec![rk.rank() as u8 + 1; 12 * len_array];
-            crate::collective::write_all_at(rk, &mut f, 0, &data, &CollectiveConfig::default())?;
-            let views = register_views(rk, &f)?;
-            let mut back = vec![0u8; 12 * len_array];
-            read_all_view_based(
-                rk,
-                &mut f,
-                &views,
-                0,
-                &mut back,
-                &CollectiveConfig::default(),
-            )?;
-            Ok(back)
-        })
-        .unwrap();
-        for (r, back) in rep.results.iter().enumerate() {
-            assert!(
-                back.iter().all(|&b| b == r as u8 + 1),
-                "rank {r} read bad data"
-            );
-        }
     }
 
     #[test]
