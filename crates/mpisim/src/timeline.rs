@@ -17,6 +17,14 @@
 //! order, but a request that fits no gap lands behind whatever booked first
 //! (`tests/property_model.rs` pins what does hold), so it is the event
 //! core's deterministic booking order that makes a result repeatable.
+//!
+//! Bookings cluster: a resource's next booking usually lands at or next
+//! to its previous one, most often past the last interval. The store is
+//! therefore a gap buffer that sits where the last booking that added an
+//! interval landed (one that merges into a neighbour leaves it in place),
+//! and the search gallops out from there: a booking `d` intervals from the
+//! gap costs O(log d) probes to find and, if it adds an interval, a
+//! `d`-interval move to insert, whatever the store's length.
 
 use std::collections::VecDeque;
 
@@ -27,9 +35,9 @@ pub struct Timeline {
     /// buffer over a ring: the `gap` intervals below the gap sit at the
     /// back of the deque, the rest at its front, so inserting at the gap
     /// is `push_back` and moving it is a rotation. A booking then costs
-    /// its distance from the previous booking (they are near each other),
-    /// not its distance from the tail. Same bytes as a `Vec`; an empty
-    /// timeline allocates nothing.
+    /// its distance from the last booking that did not merge into a
+    /// neighbour (bookings cluster), not its distance from the tail. Same
+    /// bytes as a `Vec`; an empty timeline allocates nothing.
     busy: VecDeque<(f64, f64)>,
     /// Number of intervals below the gap.
     gap: usize,
@@ -43,6 +51,9 @@ pub struct Timeline {
     /// Intervals rotated across the gap, for the locality test.
     #[cfg(test)]
     moved: usize,
+    /// Intervals read by the search, for the locality test.
+    #[cfg(test)]
+    probes: std::cell::Cell<usize>,
 }
 
 impl Timeline {
@@ -58,6 +69,12 @@ impl Timeline {
     /// Reserve `dur` seconds starting no earlier than `earliest`, taking
     /// the first gap that fits. Returns the granted start time.
     pub fn reserve(&mut self, earliest: f64, dur: f64) -> f64 {
+        // A NaN or infinite interval would break the sort order every
+        // search relies on; cost constants are validated where they enter.
+        debug_assert!(
+            earliest.is_finite() && dur.is_finite(),
+            "reserve({earliest}, {dur}): times must be finite"
+        );
         if dur <= 0.0 {
             let earliest = self.clamp(earliest);
             return self.next_free_at(earliest);
@@ -73,8 +90,8 @@ impl Timeline {
             self.prunes += 1;
         }
         let earliest = self.clamp(earliest);
-        // Find the first interval that could constrain us: binary search
-        // for the first busy interval ending after `earliest`.
+        // Find the first interval that could constrain us: the first busy
+        // interval ending after `earliest`.
         let mut idx = self.first_ending_after(earliest);
         let mut start = earliest;
         while let Some((bs, be)) = self.nth(idx) {
@@ -162,12 +179,48 @@ impl Timeline {
         (i < self.busy.len()).then(|| self.get(i))
     }
 
-    /// Index of the first interval ending after `t`.
+    /// Does interval `i` end at or before `t`? The one predicate the
+    /// search asks; true on a prefix of the store.
+    fn ends_by(&self, i: usize, t: f64) -> bool {
+        #[cfg(test)]
+        self.probes.set(self.probes.get() + 1);
+        self.get(i).1 <= t
+    }
+
+    /// Index of the first interval ending after `t`. Gallops out from the
+    /// gap (±1, ±2, ±4, …), which is where the last booking that did not
+    /// merge into a neighbour landed, then binary-searches the bracket: a
+    /// booking `d` intervals from the gap costs O(log d) probes.
     fn first_ending_after(&self, t: f64) -> usize {
-        let (mut lo, mut hi) = (0, self.busy.len());
+        let n = self.busy.len();
+        let g = self.gap;
+        let (mut lo, mut hi) = (0, n);
+        if g < n && self.ends_by(g, t) {
+            lo = g + 1;
+            let mut step = 1;
+            while g + step < n {
+                if !self.ends_by(g + step, t) {
+                    hi = g + step;
+                    break;
+                }
+                lo = g + step + 1;
+                step *= 2;
+            }
+        } else {
+            hi = g;
+            let mut step = 1;
+            while step <= g {
+                if self.ends_by(g - step, t) {
+                    lo = g - step + 1;
+                    break;
+                }
+                hi = g - step;
+                step *= 2;
+            }
+        }
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if self.get(mid).1 <= t {
+            if self.ends_by(mid, t) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -482,6 +535,22 @@ mod oracle_tests {
                 "seed {seed} step {step}: {a} vs {b}"
             );
             coalesced_both += usize::from(old.busy.len() + 1 == before);
+            // The galloping search against the plain one, from wherever
+            // the booking left the gap.
+            let t = match rng.next_u64() % 4 {
+                0 => old.floor - rng.random::<f64>(),
+                1 => old.horizon() + rng.random::<f64>(),
+                2 => {
+                    let i = rng.next_u64() as usize % old.busy.len().max(1);
+                    old.busy.get(i).map_or(old.floor, |&(_, e)| e)
+                }
+                _ => old.floor + rng.random::<f64>() * (old.horizon() - old.floor),
+            };
+            assert_eq!(
+                new.first_ending_after(t),
+                old.busy.partition_point(|&(_, e)| e <= t),
+                "seed {seed} step {step}: search for {t}"
+            );
             if step % 64 == 0 {
                 assert_eq!(intervals(&new), old.busy, "seed {seed} step {step}");
                 assert_eq!(new.horizon().to_bits(), old.horizon().to_bits());
@@ -527,6 +596,36 @@ mod oracle_tests {
             t.moved <= 2 * SWEEP + Timeline::MAX_INTERVALS,
             "{} intervals moved for {SWEEP} nearby backfills",
             t.moved
+        );
+    }
+
+    /// Finding where a booking goes costs its distance from the gap, not
+    /// the store's length: FIFO appends (which merge and leave the gap at
+    /// the tail) and an ascending sweep of nearby backfills (each of which
+    /// moves it) through 4 000 intervals, crossing a prune, read a few
+    /// intervals each, where a binary search from the root read ~12.
+    #[test]
+    fn bookings_near_the_previous_one_probe_a_few_intervals() {
+        const LEN: usize = 4000;
+        const APPENDS: usize = 2000;
+        const SWEEP: usize = 2000;
+        let mut t = Timeline::new();
+        for i in 0..LEN {
+            t.reserve(i as f64 * 2.0, 0.5); // busy [2i, 2i + 0.5)
+        }
+        t.probes.set(0);
+        for _ in 0..APPENDS {
+            let front = t.horizon();
+            t.reserve(front, 0.5);
+        }
+        for i in 0..SWEEP {
+            t.reserve(i as f64 * 2.0 + 1.0, 0.5); // into the gap after interval i
+        }
+        assert!(t.prunes() >= 1, "the sweep crosses MAX_INTERVALS");
+        let per_booking = t.probes.get() as f64 / (APPENDS + SWEEP) as f64;
+        assert!(
+            per_booking <= 4.0,
+            "{per_booking:.2} probes per booking near the previous one"
         );
     }
 }

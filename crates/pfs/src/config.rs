@@ -60,7 +60,10 @@ impl Default for PfsConfig {
 }
 
 impl PfsConfig {
-    /// Scale bandwidth-independent sanity check used by tests.
+    /// Reject a configuration the cost model cannot run (checked by
+    /// [`crate::Pfs::new`]): a zero size or count, more stripes than OSTs,
+    /// or a cost constant that is NaN, infinite or negative (a bandwidth
+    /// must also be non-zero). The error names the field.
     pub fn validate(&self) -> Result<(), String> {
         if self.stripe_size == 0 {
             return Err("stripe_size must be positive".into());
@@ -76,6 +79,28 @@ impl PfsConfig {
         }
         if self.max_rpc == 0 {
             return Err("max_rpc must be positive".into());
+        }
+        // Every cost below becomes a duration on an OST or client-link
+        // timeline; a NaN or infinite one would corrupt its order.
+        for (name, bw) in [
+            ("ost_write_bw", self.ost_write_bw),
+            ("ost_read_bw", self.ost_read_bw),
+        ] {
+            if !(bw.is_finite() && bw > 0.0) {
+                return Err(format!("{name} must be positive and finite, got {bw}"));
+            }
+        }
+        for (name, cost) in [
+            ("ost_service", self.ost_service),
+            ("request_overhead", self.request_overhead),
+            ("lock_transfer", self.lock_transfer),
+            ("client_byte_time", self.client_byte_time),
+        ] {
+            if !(cost.is_finite() && cost >= 0.0) {
+                return Err(format!(
+                    "{name} must be finite and non-negative, got {cost}"
+                ));
+            }
         }
         Ok(())
     }
@@ -110,5 +135,35 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn bad_cost_constants_are_rejected_by_name() {
+        type Field = fn(&mut PfsConfig) -> &mut f64;
+        // (field, may it be zero?)
+        let fields: [(&str, Field, bool); 6] = [
+            ("ost_write_bw", |c| &mut c.ost_write_bw, false),
+            ("ost_read_bw", |c| &mut c.ost_read_bw, false),
+            ("ost_service", |c| &mut c.ost_service, true),
+            ("request_overhead", |c| &mut c.request_overhead, true),
+            ("lock_transfer", |c| &mut c.lock_transfer, true),
+            ("client_byte_time", |c| &mut c.client_byte_time, true),
+        ];
+        for (name, field, zero_ok) in fields {
+            let with = |v: f64| {
+                let mut c = PfsConfig::default();
+                *field(&mut c) = v;
+                c
+            };
+            assert_eq!(with(0.0).validate().is_ok(), zero_ok, "{name} = 0");
+            let bad = [f64::NAN, -1.0, f64::INFINITY, f64::NEG_INFINITY];
+            for v in bad.into_iter().chain((!zero_ok).then_some(0.0)) {
+                let err = crate::Pfs::new(1, with(v)).err();
+                assert!(
+                    matches!(&err, Some(crate::PfsError::Config(m)) if m.contains(name)),
+                    "{name} = {v}: {err:?}"
+                );
+            }
+        }
     }
 }

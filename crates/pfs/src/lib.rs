@@ -1494,6 +1494,18 @@ mod tests {
     }
 
     #[test]
+    fn truncate_keeps_lock_owners() {
+        // TCIO's write open truncates to 0; the stripe's last writer
+        // still holds its lock, so another client rewriting it pays.
+        let p = fs(2);
+        let id = p.create("/f").unwrap();
+        let t = p.write_at(id, 0, 0, &[1u8; 16], 0.0).unwrap();
+        p.truncate(id, 0).unwrap();
+        p.write_at(id, 1, 0, &[2u8; 16], t).unwrap();
+        assert_eq!(p.stats.snapshot().lock_transfers, 1);
+    }
+
+    #[test]
     fn rpc_pieces_respect_stripes_and_max_rpc() {
         let cfg = PfsConfig {
             stripe_size: 100,
