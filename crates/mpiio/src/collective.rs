@@ -28,7 +28,7 @@
 //! multi-round chunking and is exercised by the ablation benches.
 
 use crate::error::{IoError, Result};
-use crate::extents::ExtentSet;
+use crate::extents::Cover;
 use crate::file::File;
 use crate::rounds::{read_rounds, write_rounds, Path, Requests};
 use mpisim::wire::{push_u32, Cursor, Malformed};
@@ -83,7 +83,10 @@ pub struct CollectiveConfig {
 /// `(file_off u64, len u32)` entry per item — a count pass, then a write
 /// pass. `with_data` reserves room for the items' bytes to follow. An empty
 /// list is the empty payload — the exchange's "nothing for you".
-fn encode_list(list: impl Iterator<Item = (u64, u64)> + Clone, with_data: bool) -> Result<Vec<u8>> {
+pub(crate) fn encode_list(
+    list: impl Iterator<Item = (u64, u64)> + Clone,
+    with_data: bool,
+) -> Result<Vec<u8>> {
     let (n, bytes) = list
         .clone()
         .fold((0usize, 0u64), |(n, bytes), (_, len)| (n + 1, bytes + len));
@@ -116,7 +119,9 @@ fn decode_list(buf: &[u8]) -> Result<(impl Iterator<Item = (u64, u64)> + Clone +
     Ok((entries.chunks_exact(12).map(entry), cur.rest()))
 }
 
-/// Serialize a piece list `(file_off, payload)*` for the exchange.
+/// Serialize a piece list `(file_off, payload)*`. Senders write theirs
+/// with [`encode_list`] and one slice of data; this is the tests' encoder.
+#[cfg(test)]
 pub(crate) fn encode_pieces<'d>(
     pieces: impl IntoIterator<Item = (u64, &'d [u8]), IntoIter: Clone>,
 ) -> Result<Vec<u8>> {
@@ -196,17 +201,27 @@ pub(crate) fn write_pieces(
         out.extend_from_slice(&data[(lo - offset) as usize..(hi - offset) as usize]);
         Ok(out)
     };
-    let place =
-        |rank: &mut Rank, _src, payload: &[u8], ws, buf: &mut [u8], dirty: &mut ExtentSet| {
-            for (off, bytes) in decode_pieces(payload)? {
-                let at = (off - ws) as usize;
-                buf[at..at + bytes.len()].copy_from_slice(bytes);
-                rank.charge_memcpy(bytes.len() as u64);
-                dirty.insert(off, bytes.len() as u64);
-            }
-            Ok(())
-        };
-    write_rounds(rank, file, cfg, path, view.hull(offset, len), build, place)
+    let hull = view.hull(offset, len);
+    write_rounds(rank, file, cfg, path, hull, build, place_pieces)
+}
+
+/// An aggregator's `place` for piece lists: each piece into window `ws`'s
+/// buffer, marked dirty first — which refuses one outside the window.
+pub(crate) fn place_pieces(
+    rank: &mut Rank,
+    _src: usize,
+    payload: &[u8],
+    ws: u64,
+    buf: &mut [u8],
+    dirty: &mut Cover,
+) -> Result<()> {
+    for (off, bytes) in decode_pieces(payload)? {
+        dirty.insert(off, bytes.len() as u64)?;
+        let at = (off - ws) as usize;
+        buf[at..at + bytes.len()].copy_from_slice(bytes);
+        rank.charge_memcpy(bytes.len() as u64);
+    }
+    Ok(())
 }
 
 /// Collective write: all ranks must call, each with its own (possibly

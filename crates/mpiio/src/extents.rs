@@ -1,8 +1,15 @@
-//! A sorted, coalescing set of byte extents.
+//! Two ledgers of which bytes a range of the file holds.
 //!
-//! Used by the two-phase collective implementation to track which parts of
-//! an aggregator's file domain were actually filled (so holes are not
-//! written), and reused by TCIO for its level-2 segment validity tracking.
+//! [`ExtentSet`] is sparse: sorted, coalesced runs, for coverage with no
+//! bound on its span — TCIO's level-1 hull and level-2 segment validity.
+//! `Cover` is dense: one bit per byte of a two-phase round's window, for
+//! which bytes an aggregator's collective buffer was filled with (so holes
+//! are not written), which bytes its sources asked to read, and what a
+//! request-aggregation leader merges for it. A window's bytes are already
+//! one dense buffer, so its bitmap costs an eighth of memory already
+//! committed, and marking a piece is O(1) however many runs the window has.
+
+use crate::error::{IoError, Result};
 
 /// Sorted, non-overlapping, coalesced `(offset, len)` runs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -93,6 +100,97 @@ impl ExtentSet {
     /// Remove everything (reuse without reallocating).
     pub fn clear(&mut self) {
         self.runs.clear();
+    }
+}
+
+/// The covered bytes of one window `[ws, we)`, one bit per byte.
+pub(crate) struct Cover {
+    ws: u64,
+    we: u64,
+    words: Vec<u64>,
+    /// Covered bytes below each word, and below the end: built by the
+    /// first `Cover::rank` after the last insert.
+    below: Vec<u64>,
+}
+
+impl Cover {
+    pub(crate) fn new(ws: u64, we: u64) -> Self {
+        Cover {
+            ws,
+            we,
+            words: vec![0; (we - ws).div_ceil(64) as usize],
+            below: Vec::new(),
+        }
+    }
+
+    /// Cover `[off, off+len)`. A range that does not lie inside the window
+    /// — even an empty one — is a usage error, so a byte offset of a range
+    /// the window took is always an index into the window's buffer.
+    pub(crate) fn insert(&mut self, off: u64, len: u64) -> Result<()> {
+        let (ws, we) = (self.ws, self.we);
+        let Some(end) = off.checked_add(len).filter(|&end| ws <= off && end <= we) else {
+            return Err(IoError::Usage(format!(
+                "extent of {len} bytes at {off} outside window [{ws}, {we})"
+            )));
+        };
+        if len == 0 {
+            return Ok(());
+        }
+        self.below.clear();
+        let (lo, hi) = (off - ws, end - ws - 1);
+        let (first, last) = ((lo / 64) as usize, (hi / 64) as usize);
+        let (head, tail) = (!0u64 << (lo % 64), !0u64 >> (63 - hi % 64));
+        if first == last {
+            self.words[first] |= head & tail;
+        } else {
+            self.words[first] |= head;
+            self.words[first + 1..last].fill(!0);
+            self.words[last] |= tail;
+        }
+        Ok(())
+    }
+
+    /// The maximal covered `(offset, len)` runs, ascending.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (u64, u64)> + Clone + '_ {
+        let bits = self.we - self.ws;
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let start = self.next_bit(at, true)?;
+            at = self.next_bit(start, false).unwrap_or(bits);
+            Some((self.ws + start, at - start))
+        })
+    }
+
+    /// The first bit at or past `from` that is `set`, if any. The bits past
+    /// the window in the last word are clear, so a run ending there ends
+    /// at the window's end.
+    fn next_bit(&self, from: u64, set: bool) -> Option<u64> {
+        let flip = if set { 0 } else { !0 };
+        let mut w = (from / 64) as usize;
+        let mut word = (self.words.get(w)? ^ flip) & (!0u64 << (from % 64));
+        while word == 0 {
+            w += 1;
+            word = self.words.get(w)? ^ flip;
+        }
+        Some(w as u64 * 64 + word.trailing_zeros() as u64)
+    }
+
+    /// The covered bytes below `off`, for `off` in `[ws, we]`: where byte
+    /// `off` sits in a buffer of just the covered bytes.
+    pub(crate) fn rank(&mut self, off: u64) -> u64 {
+        if self.below.is_empty() {
+            self.below.reserve_exact(self.words.len() + 1);
+            self.below.push(0);
+            let mut sum = 0;
+            for w in &self.words {
+                sum += w.count_ones() as u64;
+                self.below.push(sum);
+            }
+        }
+        let bit = off - self.ws;
+        let (w, b) = ((bit / 64) as usize, bit % 64);
+        let partial = self.words.get(w).map_or(0, |&word| word & ((1 << b) - 1));
+        self.below[w] + partial.count_ones() as u64
     }
 }
 
@@ -200,5 +298,82 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.covered(), 0);
+    }
+
+    /// A window's bitmap against the run list and a boolean model: windows
+    /// of 1, 63, 64 and 65 bytes and of random lengths off a multiple of
+    /// 64, each at a random non-zero start; pieces empty, overlapping,
+    /// adjacent to the one before, straddling a word boundary, and touching
+    /// `ws` and `we − 1`. The runs must be `ExtentSet`'s, and `rank` a count
+    /// over the model at every offset of the window and at `we` — also when
+    /// asked between inserts.
+    #[test]
+    fn cover_matches_extent_set_and_a_boolean_model() {
+        use rand::{RngExt, SeedableRng};
+        for seed in 0..500u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xc07e ^ seed);
+            let mut pick = |lo: u64, hi: u64| lo + rng.next_u64() % (hi - lo);
+            let len = match seed % 5 {
+                0 => 1,
+                1 => 63,
+                2 => 64,
+                3 => 65,
+                _ => pick(1, 12) * 64 + pick(1, 64),
+            };
+            let ws = pick(1, 1 << 40);
+            let we = ws + len;
+            let mut cover = Cover::new(ws, we);
+            let (mut set, mut model) = (ExtentSet::new(), vec![false; len as usize]);
+            let mut last_end = ws;
+            for _ in 0..pick(1, 24) {
+                let (off, n) = match pick(0, 6) {
+                    0 => (pick(ws, we + 1), 0),
+                    1 => (ws, pick(1, len + 1)),
+                    2 => {
+                        let n = pick(1, len + 1);
+                        (we - n, n)
+                    }
+                    3 if len > 64 => {
+                        let boundary = 64 * pick(1, (len - 1) / 64 + 1);
+                        let off = ws + boundary - pick(1, boundary.min(20) + 1);
+                        (off, pick(ws + boundary - off + 1, we - off + 1))
+                    }
+                    4 if last_end < we => (last_end, pick(1, (we - last_end).min(30) + 1)),
+                    _ => {
+                        let off = pick(ws, we);
+                        (off, pick(1, (we - off).min(40) + 1))
+                    }
+                };
+                cover.insert(off, n).unwrap();
+                set.insert(off, n);
+                model[(off - ws) as usize..(off + n - ws) as usize].fill(true);
+                last_end = off + n;
+                assert_eq!(cover.runs().collect::<Vec<_>>(), set.runs(), "seed {seed}");
+                if pick(0, 4) == 0 {
+                    let all = model.iter().filter(|&&b| b).count() as u64;
+                    assert_eq!(cover.rank(we), all, "seed {seed}: rank between inserts");
+                }
+            }
+            let mut below = 0;
+            for off in ws..=we {
+                assert_eq!(cover.rank(off), below, "seed {seed}: rank({off})");
+                below += model.get((off - ws) as usize).is_some_and(|&b| b) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn cover_refuses_ranges_outside_its_window() {
+        let mut cover = Cover::new(100, 200);
+        for (off, len) in [(99, 1), (99, 0), (199, 2), (201, 0), (150, u64::MAX)] {
+            assert!(
+                matches!(cover.insert(off, len), Err(IoError::Usage(_))),
+                "({off}, {len})"
+            );
+        }
+        cover.insert(200, 0).unwrap();
+        cover.insert(100, 100).unwrap();
+        assert_eq!(cover.runs().collect::<Vec<_>>(), [(100, 100)]);
+        assert_eq!(cover.rank(200), 100);
     }
 }

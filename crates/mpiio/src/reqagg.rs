@@ -22,7 +22,10 @@
 //!    member order (later members overwrite on overlap — the same
 //!    index-order the flat burst applies), coalesces adjacent extents, and
 //!    sends exactly one merged list to each off-node aggregator
-//!    (`TAG_RA_XNODE`, empty allowed).
+//!    (`TAG_RA_XNODE`, empty allowed). The merge is a `Cover` of the
+//!    aggregator's window for the round: every member piece is marked, then
+//!    copied to its `Cover::rank` in one buffer of just the covered bytes,
+//!    and the cover's runs are the merged extents, that buffer their data.
 //!
 //! An aggregator therefore receives: direct lists from its node peers, and
 //! one merged list from every other node's leader — surfaced in the
@@ -30,12 +33,17 @@
 //! the merged list sitting at the *leader's* rank index.
 //!
 //! Reads run the same shape twice: `exchange_requests` merges request
-//! lists uphill (the leader unions them into sorted, coalesced runs —
-//! [`ExtentSet`] — and remembers each member's original list in a
-//! `ReadSession`), then `exchange_responses` routes the aggregator's
-//! run-ordered response bytes back down, the leader slicing each member's
-//! requested extents out of the merged runs (`TAG_RA_DOWN` down-blob:
-//! `(agg u32, len u32, bytes)*`).
+//! lists uphill (the leader unions them in a transient `Cover` of the
+//! window, sends its runs, and remembers those runs and each member's
+//! original list in a `ReadSession`), then `exchange_responses` routes the
+//! aggregator's run-ordered response bytes back down, the leader slicing
+//! each member's requested extents out of the merged runs with one cursor
+//! walking forward over them, as a member's requests ascend (`TAG_RA_DOWN`
+//! down-blob: `(agg u32, len u32, bytes)*`).
+//!
+//! A leader's cover spans the destination aggregator's window, so a member
+//! extent outside it is an `IoError::Usage` at the leader, as it is at the
+//! aggregator.
 //!
 //! Ordering semantics: concurrent collective writes to the *same* file
 //! byte are undefined in MPI-IO. Within a node the merge preserves the
@@ -45,9 +53,9 @@
 //! case — are bit-identical to the flat burst, which is what the
 //! differential suite pins.
 
-use crate::collective::{decode_pieces, decode_requests, encode_pieces, encode_requests};
+use crate::collective::{decode_pieces, decode_requests, encode_list, encode_requests};
 use crate::error::{IoError, Result};
-use crate::extents::ExtentSet;
+use crate::extents::Cover;
 use mpisim::wire::{push_frame, Cursor};
 use mpisim::{MpiError, Phase, Rank, Tag};
 use std::collections::BTreeMap;
@@ -132,83 +140,21 @@ fn make_plan(rank: &mut Rank, agg_ranks: &[usize]) -> Result<RaPlan> {
     })
 }
 
-/// Disjoint byte runs keyed by file offset, with later inserts overwriting
-/// earlier bytes on overlap — the merge buffer a node leader builds per
-/// destination aggregator.
-#[derive(Default)]
-pub(crate) struct PieceMap {
-    runs: BTreeMap<u64, Vec<u8>>,
-}
-
-impl PieceMap {
-    pub(crate) fn insert(&mut self, off: u64, data: &[u8]) {
-        if data.is_empty() {
-            return;
-        }
-        let end = off + data.len() as u64;
-        // The common case — members of a node interleave without overlap,
-        // each piece continuing a run an earlier member left: grow that
-        // run in place. `coalesced` would have joined the two anyway.
-        if let Some((&s, below)) = self.runs.range_mut(..end).next_back() {
-            if s + below.len() as u64 == off {
-                return below.extend_from_slice(data);
-            }
-        }
-        // Runs are disjoint, so walking down from the last run starting
-        // before `end` stops at the first non-overlapping one.
-        let overlapping: Vec<u64> = self
-            .runs
-            .range(..end)
-            .rev()
-            .take_while(|(&s, v)| s + v.len() as u64 > off)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            let Some(v) = self.runs.remove(&s) else {
-                continue;
-            };
-            let e = s + v.len() as u64;
-            if s < off {
-                self.runs.insert(s, v[..(off - s) as usize].to_vec());
-            }
-            if e > end {
-                self.runs.insert(end, v[(end - s) as usize..].to_vec());
-            }
-        }
-        self.runs.insert(off, data.to_vec());
-    }
-
-    /// Sorted `(off, bytes)` pieces with adjacent runs coalesced into one
-    /// extent — the aggregation win: one wire header per merged extent.
-    pub(crate) fn coalesced(self) -> Vec<(u64, Vec<u8>)> {
-        let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
-        for (off, bytes) in self.runs {
-            match out.last_mut() {
-                Some((o, b)) if *o + b.len() as u64 == off => b.extend_from_slice(&bytes),
-                _ => out.push((off, bytes)),
-            }
-        }
-        out
-    }
-
-    fn encode(self) -> Result<Vec<u8>> {
-        let pieces = self.coalesced();
-        encode_pieces(pieces.iter().map(|(o, b)| (*o, b.as_slice())))
-    }
-}
-
 /// The uphill leg both directions share. `payloads` is indexed by world
 /// rank (non-empty only at aggregator ranks); the result is indexed by
 /// source rank like the flat burst, with each node's merged off-node list
-/// at its leader's index. `merge(rank, agg, lists)` is the leader's one
-/// decision: fold its members' lists for an off-node aggregator (keyed by
-/// member rank, so ascending) into the single list that crosses the wire.
+/// at its leader's index. `windows` is the round's `(agg, ws, we)` for
+/// every aggregator with a non-empty window. `merge(rank, (agg, ws, we),
+/// lists)` is the leader's one decision: fold its members' lists for an
+/// off-node aggregator's window (keyed by member rank, so ascending) into
+/// the single list that crosses the wire.
 fn uphill(
     rank: &mut Rank,
     plan: &RaPlan,
+    windows: &[(usize, u64, u64)],
     mut payloads: Vec<Vec<u8>>,
     span: &'static str,
-    mut merge: impl FnMut(&mut Rank, usize, BTreeMap<usize, Vec<u8>>) -> Result<Vec<u8>>,
+    mut merge: impl FnMut(&mut Rank, (usize, u64, u64), BTreeMap<usize, Vec<u8>>) -> Result<Vec<u8>>,
 ) -> Result<Vec<Vec<u8>>> {
     let start = rank.now();
     let total: u64 = payloads.iter().map(|p| p.len() as u64).sum();
@@ -250,7 +196,12 @@ fn uphill(
         }
         for &a in &plan.off_node_aggs {
             let merged = match contrib.remove(&a) {
-                Some(lists) => merge(rank, a, lists)?,
+                Some(lists) => {
+                    let window = windows.iter().find(|w| w.0 == a).ok_or_else(|| {
+                        IoError::Usage(format!("a list for aggregator {a}, which has no window"))
+                    })?;
+                    merge(rank, *window, lists)?
+                }
                 None => Vec::new(),
             };
             sends.push(rank.isend(a, TAG_RA_XNODE, &merged)?);
@@ -275,27 +226,45 @@ fn uphill(
 pub(crate) fn exchange_pieces(
     rank: &mut Rank,
     agg_ranks: &[usize],
+    windows: &[(usize, u64, u64)],
     payloads: Vec<Vec<u8>>,
 ) -> Result<Vec<Vec<u8>>> {
     let plan = make_plan(rank, agg_ranks)?;
-    uphill(
-        rank,
-        &plan,
-        payloads,
-        "reqagg_pieces",
-        |rank, _agg, lists| {
-            let mut map = PieceMap::default();
-            let mut moved = 0u64;
-            for blob in lists.values() {
-                for (off, bytes) in decode_pieces(blob)? {
-                    map.insert(off, bytes);
-                    moved += bytes.len() as u64;
-                }
-            }
-            rank.charge_memcpy(moved);
-            map.encode()
-        },
-    )
+    let merge = |rank: &mut Rank, (_, ws, we), lists: BTreeMap<usize, Vec<u8>>| {
+        let (merged, moved) = merge_pieces(ws, we, lists.values())?;
+        rank.charge_memcpy(moved);
+        Ok(merged)
+    };
+    uphill(rank, &plan, windows, payloads, "reqagg_pieces", merge)
+}
+
+/// A leader's merge of its members' piece lists for window `[ws, we)`, in
+/// member order: the merged list, and the piece bytes it copied. Every
+/// piece is marked first; the cover's runs then head the list, and each
+/// piece is copied to its rank among the covered bytes that follow — a
+/// later member's bytes over an earlier one's.
+fn merge_pieces<'b>(
+    ws: u64,
+    we: u64,
+    blobs: impl Iterator<Item = &'b Vec<u8>>,
+) -> Result<(Vec<u8>, u64)> {
+    let lists = blobs
+        .map(|b| decode_pieces(b))
+        .collect::<Result<Vec<_>>>()?;
+    let mut cover = Cover::new(ws, we);
+    for (off, bytes) in lists.iter().cloned().flatten() {
+        cover.insert(off, bytes.len() as u64)?;
+    }
+    let mut merged = encode_list(cover.runs(), true)?;
+    let head = merged.len();
+    merged.resize(head + cover.rank(we) as usize, 0);
+    let mut moved = 0;
+    for (off, bytes) in lists.into_iter().flatten() {
+        let at = head + cover.rank(off) as usize;
+        merged[at..at + bytes.len()].copy_from_slice(bytes);
+        moved += bytes.len() as u64;
+    }
+    Ok((merged, moved))
 }
 
 /// State carried from the request leg to the response leg of an
@@ -316,27 +285,29 @@ pub(crate) struct ReadSession {
 pub(crate) fn exchange_requests(
     rank: &mut Rank,
     agg_ranks: &[usize],
+    windows: &[(usize, u64, u64)],
     requests: Vec<Vec<u8>>,
 ) -> Result<(Vec<Vec<u8>>, ReadSession)> {
     let plan = make_plan(rank, agg_ranks)?;
     let mut merged = BTreeMap::new();
     let mut member_reqs = BTreeMap::new();
-    let out = uphill(rank, &plan, requests, "reqagg_reads", |_, agg, lists| {
-        let mut union = ExtentSet::new();
+    let union_of = |_: &mut Rank, (agg, ws, we), lists: BTreeMap<usize, Vec<u8>>| {
+        let mut union = Cover::new(ws, we);
         let mut by_member = BTreeMap::new();
         for (member, blob) in lists {
             let reqs: Vec<_> = decode_requests(&blob)?.collect();
             for &(o, l) in &reqs {
-                union.insert(o, l);
+                union.insert(o, l)?;
             }
             by_member.insert(member, reqs);
         }
-        let runs = union.runs().to_vec();
+        let runs: Vec<_> = union.runs().collect();
         let enc = encode_requests(runs.iter().copied())?;
         merged.insert(agg, runs);
         member_reqs.insert(agg, by_member);
         Ok(enc)
-    })?;
+    };
+    let out = uphill(rank, &plan, windows, requests, "reqagg_reads", union_of)?;
     let session = ReadSession {
         plan,
         merged,
@@ -347,24 +318,29 @@ pub(crate) fn exchange_requests(
 
 /// Slice one member's requested extents out of a merged run-ordered
 /// response blob. Each request lies wholly inside one merged run (the
-/// union covers it contiguously), so a prefix-sum lookup suffices.
-fn slice_member(runs: &[(u64, u64)], prefix: &[u64], blob: &[u8], reqs: &[(u64, u64)]) -> Vec<u8> {
+/// union covers it contiguously), and a member's requests ascend, so one
+/// cursor walks forward over the runs — run `i` starts `at` bytes into
+/// the blob; a request below the cursor restarts it from the first run.
+/// An empty request names no run: it is skipped.
+fn slice_member(runs: &[(u64, u64)], blob: &[u8], reqs: &[(u64, u64)]) -> Vec<u8> {
     let total: u64 = reqs.iter().map(|&(_, l)| l).sum();
     let mut out = Vec::with_capacity(total as usize);
-    for &(off, len) in reqs {
-        let idx = runs.partition_point(|&(o, _)| o <= off) - 1;
-        let (ro, rl) = runs[idx];
-        debug_assert!(
-            off >= ro && off + len <= ro + rl,
-            "request outside merged run"
-        );
-        let at = (prefix[idx] + (off - ro)) as usize;
+    let (mut i, mut at) = (0, 0);
+    for &(off, len) in reqs.iter().filter(|&&(_, len)| len > 0) {
+        if runs.get(i).is_none_or(|&(o, _)| off < o) {
+            (i, at) = (0, 0);
+        }
+        while let Some(&(_, l)) = runs.get(i).filter(|&&(o, l)| o + l <= off) {
+            (i, at) = (i + 1, at + l);
+        }
+        let (o, l) = runs[i];
+        debug_assert!(off >= o && off + len <= o + l, "request outside merged run");
+        let from = (at + off - o) as usize;
         // A crashed aggregator yields an empty blob; leave zeros rather
         // than slicing past the end (mirrors the flat burst's contract).
-        if at + len as usize <= blob.len() {
-            out.extend_from_slice(&blob[at..at + len as usize]);
-        } else {
-            out.resize(out.len() + len as usize, 0);
+        match blob.get(from..from + len as usize) {
+            Some(bytes) => out.extend_from_slice(bytes),
+            None => out.resize(out.len() + len as usize, 0),
         }
     }
     out
@@ -415,15 +391,9 @@ pub(crate) fn exchange_responses(
             let Some(runs) = merged.get(&a) else {
                 continue;
             };
-            let mut prefix = Vec::with_capacity(runs.len());
-            let mut acc = 0u64;
-            for &(_, l) in runs {
-                prefix.push(acc);
-                acc += l;
-            }
             if let Some(lists) = member_reqs.get(&a) {
                 for (&m, reqs) in lists {
-                    let bytes = slice_member(runs, &prefix, &blob, reqs);
+                    let bytes = slice_member(runs, &blob, reqs);
                     moved += bytes.len() as u64;
                     if m == me {
                         answers[a] = bytes;
@@ -457,6 +427,100 @@ pub(crate) fn exchange_responses(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collective::encode_pieces;
+    use crate::extents::ExtentSet;
+
+    /// Disjoint byte runs keyed by file offset, with later inserts overwriting
+    /// earlier bytes on overlap — the merge buffer a node leader built per
+    /// destination aggregator before [`merge_pieces`], kept as its oracle.
+    #[derive(Default)]
+    struct PieceMap {
+        runs: BTreeMap<u64, Vec<u8>>,
+    }
+
+    impl PieceMap {
+        fn insert(&mut self, off: u64, data: &[u8]) {
+            if data.is_empty() {
+                return;
+            }
+            let end = off + data.len() as u64;
+            // The common case — members of a node interleave without overlap,
+            // each piece continuing a run an earlier member left: grow that
+            // run in place. `coalesced` would have joined the two anyway.
+            if let Some((&s, below)) = self.runs.range_mut(..end).next_back() {
+                if s + below.len() as u64 == off {
+                    return below.extend_from_slice(data);
+                }
+            }
+            // Runs are disjoint, so walking down from the last run starting
+            // before `end` stops at the first non-overlapping one.
+            let overlapping: Vec<u64> = self
+                .runs
+                .range(..end)
+                .rev()
+                .take_while(|(&s, v)| s + v.len() as u64 > off)
+                .map(|(&s, _)| s)
+                .collect();
+            for s in overlapping {
+                let Some(v) = self.runs.remove(&s) else {
+                    continue;
+                };
+                let e = s + v.len() as u64;
+                if s < off {
+                    self.runs.insert(s, v[..(off - s) as usize].to_vec());
+                }
+                if e > end {
+                    self.runs.insert(end, v[(end - s) as usize..].to_vec());
+                }
+            }
+            self.runs.insert(off, data.to_vec());
+        }
+
+        /// Sorted `(off, bytes)` pieces with adjacent runs coalesced into one
+        /// extent — the aggregation win: one wire header per merged extent.
+        fn coalesced(self) -> Vec<(u64, Vec<u8>)> {
+            let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
+            for (off, bytes) in self.runs {
+                match out.last_mut() {
+                    Some((o, b)) if *o + b.len() as u64 == off => b.extend_from_slice(&bytes),
+                    _ => out.push((off, bytes)),
+                }
+            }
+            out
+        }
+
+        fn encode(self) -> Result<Vec<u8>> {
+            let pieces = self.coalesced();
+            encode_pieces(pieces.iter().map(|(o, b)| (*o, b.as_slice())))
+        }
+    }
+
+    /// [`slice_member`] before the cursor — a binary search per request
+    /// over the merged runs' prefix sums — kept as its oracle.
+    fn slice_member_by_prefix(
+        runs: &[(u64, u64)],
+        prefix: &[u64],
+        blob: &[u8],
+        reqs: &[(u64, u64)],
+    ) -> Vec<u8> {
+        let total: u64 = reqs.iter().map(|&(_, l)| l).sum();
+        let mut out = Vec::with_capacity(total as usize);
+        for &(off, len) in reqs {
+            let idx = runs.partition_point(|&(o, _)| o <= off) - 1;
+            let (ro, rl) = runs[idx];
+            debug_assert!(
+                off >= ro && off + len <= ro + rl,
+                "request outside merged run"
+            );
+            let at = (prefix[idx] + (off - ro)) as usize;
+            if at + len as usize <= blob.len() {
+                out.extend_from_slice(&blob[at..at + len as usize]);
+            } else {
+                out.resize(out.len() + len as usize, 0);
+            }
+        }
+        out
+    }
 
     fn pieces(map: PieceMap) -> Vec<(u64, Vec<u8>)> {
         map.coalesced()
@@ -536,22 +600,113 @@ mod tests {
     }
 
     #[test]
-    fn slice_member_uses_run_prefix_sums() {
+    fn slice_member_walks_one_cursor_over_the_runs() {
         // Merged runs [10,14) and [20,23); blob holds their bytes back to
         // back. A member that asked for (12,2) and (20,3) gets exactly
-        // those bytes in request order.
-        let runs = vec![(10u64, 4u64), (20, 3)];
-        let prefix = vec![0u64, 4];
-        let blob = vec![10, 11, 12, 13, 20, 21, 22];
-        let got = slice_member(&runs, &prefix, &blob, &[(12, 2), (20, 3)]);
-        assert_eq!(got, vec![12, 13, 20, 21, 22]);
+        // those bytes in request order; one asking below the cursor again
+        // restarts it.
+        let runs = [(10u64, 4u64), (20, 3)];
+        let blob = [10, 11, 12, 13, 20, 21, 22];
+        let got = slice_member(&runs, &blob, &[(12, 2), (20, 3)]);
+        assert_eq!(got, [12, 13, 20, 21, 22]);
+        let got = slice_member(&runs, &blob, &[(21, 2), (10, 1), (13, 0), (13, 1)]);
+        assert_eq!(got, [21, 22, 10, 13]);
+        let prefix = [0, 4];
+        let old = slice_member_by_prefix(&runs, &prefix, &blob, &[(12, 2), (20, 3)]);
+        assert_eq!(old, [12, 13, 20, 21, 22]);
     }
 
     #[test]
     fn slice_member_zero_fills_on_short_blob() {
-        let runs = vec![(0u64, 4u64)];
-        let prefix = vec![0u64];
-        let got = slice_member(&runs, &prefix, &[], &[(0, 4)]);
-        assert_eq!(got, vec![0, 0, 0, 0]);
+        let runs = [(0u64, 4u64)];
+        assert_eq!(slice_member(&runs, &[], &[(0, 4)]), [0, 0, 0, 0]);
+        assert_eq!(slice_member_by_prefix(&runs, &[0], &[], &[(0, 4)]), [0; 4]);
+    }
+
+    /// Both leader merges against the code they replaced, over 500 seeded
+    /// merges of 1–8 members' ascending lists into a window at a random
+    /// start: members interleaving block by block like Program 2's ranks
+    /// on a node, or scattered over the window overlapping earlier ones,
+    /// with zero-length pieces among them. The write merge must encode the
+    /// very bytes `PieceMap` did; the read union must be `ExtentSet`'s
+    /// runs, and every member's slice of a random response to them — or
+    /// of the empty one a crashed aggregator leaves — what the prefix-sum
+    /// search sliced.
+    #[test]
+    fn leader_merges_match_the_piece_map_and_prefix_sum_oracles() {
+        use rand::{RngExt, SeedableRng};
+        for seed in 0..500u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x1ead ^ seed);
+            let mut pick = |lo: u64, hi: u64| lo + rng.next_u64() % (hi - lo);
+            let (members, block) = (pick(1, 9), pick(1, 16));
+            let ws = pick(0, 3) * pick(1, 1 << 30);
+            let we = ws + members * block * pick(1, 12) + pick(0, 70);
+            let scattered = pick(0, 2) == 0;
+            let mut lists: Vec<Vec<(u64, u64)>> = Vec::new();
+            for m in 0..members {
+                let (mut list, mut end) = (Vec::new(), ws);
+                loop {
+                    // A zero-length piece where the last one ended: inside a
+                    // run of the union, so the prefix-sum oracle takes it.
+                    let (off, len) = match (scattered, pick(0, 8)) {
+                        (_, 0) if !list.is_empty() => (end, 0),
+                        (true, _) => (end + pick(0, 2) * pick(0, 40), pick(1, 30)),
+                        (false, _) => {
+                            let next = (end - ws).div_ceil(members * block);
+                            (ws + (next * members + m) * block, block)
+                        }
+                    };
+                    if off + len > we {
+                        break;
+                    }
+                    list.push((off, len));
+                    end = off + len;
+                }
+                lists.push(list);
+            }
+            let data =
+                |m: usize, i: usize, len: u64| vec![(m * 31 + i * 7) as u8 | 1; len as usize];
+            let blobs: Vec<Vec<u8>> = (lists.iter().enumerate())
+                .map(|(m, list)| {
+                    let owned: Vec<_> = (list.iter().enumerate())
+                        .map(|(i, &(off, len))| (off, data(m, i, len)))
+                        .collect();
+                    encode_pieces(owned.iter().map(|(o, d)| (*o, &d[..]))).unwrap()
+                })
+                .collect();
+            let (merged, moved) = merge_pieces(ws, we, blobs.iter()).unwrap();
+            let mut map = PieceMap::default();
+            for blob in &blobs {
+                for (off, bytes) in decode_pieces(blob).unwrap() {
+                    map.insert(off, bytes);
+                }
+            }
+            assert_eq!(merged, map.encode().unwrap(), "seed {seed}: merged list");
+            let all: u64 = lists.iter().flatten().map(|&(_, l)| l).sum();
+            assert_eq!(moved, all, "seed {seed}: bytes moved");
+
+            let (mut union, mut set) = (Cover::new(ws, we), ExtentSet::new());
+            for &(off, len) in lists.iter().flatten() {
+                union.insert(off, len).unwrap();
+                set.insert(off, len);
+            }
+            let runs: Vec<_> = union.runs().collect();
+            assert_eq!(runs, set.runs(), "seed {seed}: union");
+            let prefix: Vec<u64> = (runs.iter())
+                .scan(0, |acc, &(_, l)| Some(std::mem::replace(acc, *acc + l)))
+                .collect();
+            let covered = set.covered() as usize;
+            let answer: Vec<u8> = (0..covered).map(|_| pick(0, 256) as u8).collect();
+            for blob in [&answer[..], &[]] {
+                for reqs in &lists {
+                    assert_eq!(
+                        slice_member(&runs, blob, reqs),
+                        slice_member_by_prefix(&runs, &prefix, blob, reqs),
+                        "seed {seed}: a member's slice of {} bytes",
+                        blob.len()
+                    );
+                }
+            }
+        }
     }
 }

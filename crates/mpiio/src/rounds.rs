@@ -16,7 +16,7 @@
 use crate::client::{self, DeferredQueue, Direction, ReadRoute};
 use crate::collective::CollectiveConfig;
 use crate::error::{IoError, Result};
-use crate::extents::ExtentSet;
+use crate::extents::Cover;
 use crate::file::File;
 use crate::reqagg::{self, ReadSession};
 use mpisim::{Comm, DeferredIo, MemGuard, Rank, ReduceOp};
@@ -194,8 +194,10 @@ impl<'a> Plan<'a> {
 
 /// The collective write loop. `build(ws, we)` encodes this rank's payload
 /// for the aggregator owning window `[ws, we)` (empty = nothing to send);
-/// `place(rank, src, payload, ws, buf, dirty)` copies one incoming payload
-/// into the window buffer, charges the copy and records what it touched.
+/// `place(rank, src, payload, ws, buf, dirty)` marks what one incoming
+/// payload touches in `dirty` — which refuses an extent outside the window
+/// before a byte moves — then copies it into the window buffer and charges
+/// the copy.
 pub(crate) fn write_rounds(
     rank: &mut Rank,
     file: &File,
@@ -203,7 +205,7 @@ pub(crate) fn write_rounds(
     path: &Path<'_>,
     hull: Option<(u64, u64)>,
     mut build: impl FnMut(u64, u64) -> Result<Vec<u8>>,
-    mut place: impl FnMut(&mut Rank, usize, &[u8], u64, &mut [u8], &mut ExtentSet) -> Result<()>,
+    mut place: impl FnMut(&mut Rank, usize, &[u8], u64, &mut [u8], &mut Cover) -> Result<()>,
 ) -> Result<()> {
     if !file.mode().writable() {
         return Err(IoError::Usage("file is not open for writing".into()));
@@ -221,7 +223,10 @@ pub(crate) fn write_rounds(
         }
         // Data exchange phase.
         let exchanged = match plan.exch {
-            Exchange::ReqAgg => reqagg::exchange_pieces(rank, &plan.agg_ranks, payloads)?,
+            Exchange::ReqAgg => {
+                let windows: Vec<_> = plan.windows(r).collect();
+                reqagg::exchange_pieces(rank, &plan.agg_ranks, &windows, payloads)?
+            }
             _ => plan.burst(rank, payloads)?,
         };
         // I/O phase (aggregators only): assemble the window in the
@@ -232,13 +237,13 @@ pub(crate) fn write_rounds(
         let cb = rank.alloc(we - ws)?;
         rank.note_mem_peak();
         let mut buf = vec![0u8; (we - ws) as usize];
-        let mut dirty = ExtentSet::new();
+        let mut dirty = Cover::new(ws, we);
         for (src, payload) in exchanged.iter().enumerate() {
             if !payload.is_empty() {
                 place(rank, src, payload, ws, &mut buf, &mut dirty)?;
             }
         }
-        let runs = dirty.runs().iter().copied();
+        let runs = dirty.runs();
         let write = |rk: &mut Rank, off, len: u64, _| {
             let at = (off - ws) as usize;
             pfs.write_at(fid, rk.rank(), off, &buf[at..at + len as usize], rk.now())
@@ -285,7 +290,9 @@ struct WindowRead {
     _cb: MemGuard,
 }
 
-/// Read the union of what the sources asked of window `[ws, we)`.
+/// Read the union of what the sources asked of window `[ws, we)`. Every
+/// extent asked is checked against the window here, before the read and the
+/// reply gather index the window buffer with it.
 fn read_window(
     rank: &mut Rank,
     plan: &Plan<'_>,
@@ -295,15 +302,15 @@ fn read_window(
     incoming: &[Vec<u8>],
     codec: &impl Requests,
 ) -> Result<Option<WindowRead>> {
-    let mut wanted = ExtentSet::new();
+    let mut wanted = Cover::new(ws, we);
     for (src, payload) in incoming.iter().enumerate() {
         if !payload.is_empty() {
             for (o, l) in codec.wanted(src, payload)? {
-                wanted.insert(o, l);
+                wanted.insert(o, l)?;
             }
         }
     }
-    if wanted.is_empty() {
+    if wanted.runs().next().is_none() {
         return Ok(None);
     }
     let cb = rank.alloc(we - ws)?;
@@ -311,7 +318,7 @@ fn read_window(
     let mut wbuf = vec![0u8; (we - ws) as usize];
     let (pfs, fid) = (file.pfs(), file.file_id());
     route.begin_scope(pfs, rank.rank());
-    let runs = wanted.runs().iter().copied();
+    let runs = wanted.runs();
     let read = |rk: &mut Rank, off, len: u64, _| {
         let dst = &mut wbuf[(off - ws) as usize..][..len as usize];
         route.read_at(pfs, fid, rk.rank(), off, dst, rk.now())
@@ -364,7 +371,9 @@ pub(crate) fn read_rounds(
         }
         let (incoming, session) = match plan.exch {
             Exchange::ReqAgg => {
-                let (inc, s) = reqagg::exchange_requests(rank, &plan.agg_ranks, requests)?;
+                let windows: Vec<_> = plan.windows(r).collect();
+                let (inc, s) =
+                    reqagg::exchange_requests(rank, &plan.agg_ranks, &windows, requests)?;
                 (inc, Some(s))
             }
             _ => (plan.burst(rank, requests)?, None),
@@ -420,4 +429,63 @@ pub(crate) fn read_rounds(
         }
     }
     Ok(rank.barrier_in(plan.path.comm)?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::collective::{encode_pieces, encode_requests, place_pieces, OffsetLists};
+    use crate::file::Mode;
+    use mpisim::{SimConfig, SimError};
+    use pfs::{Pfs, PfsConfig};
+
+    /// A payload can decode cleanly and still name an extent outside the
+    /// window it was sent for — from a bad peer, or a mismatched registered
+    /// view. The aggregator refuses it with a typed usage error before a
+    /// byte of it moves; it used to panic the rank. Two ranks aggregate
+    /// `[0, 100)` and `[100, 200)`, and each forges, for the first window,
+    /// an extent ending at `we + 1` and, for the second, one starting below
+    /// `ws` — written, and asked for.
+    #[test]
+    fn an_extent_outside_its_window_is_a_usage_error_not_a_panic() {
+        let forged = |ws: u64, we: u64| if ws == 0 { (we - 4, 5) } else { (ws - 1, 4) };
+        for write in [true, false] {
+            let fs = Pfs::new(2, PfsConfig::default()).unwrap();
+            let err = mpisim::run(2, SimConfig::default(), |rk| {
+                let f = File::open(rk, &fs, "/forged", Mode::ReadWrite)?;
+                let world = rk.world();
+                let path = Path {
+                    comm: &world,
+                    merges: true,
+                    flat_span: None,
+                    pipe_span: None,
+                };
+                let lo = rk.rank() as u64 * 100;
+                let (cfg, hull) = (CollectiveConfig::default(), Some((lo, lo + 100)));
+                if write {
+                    let build = |ws, we| {
+                        let (off, len) = forged(ws, we);
+                        encode_pieces([(off, &[7u8; 8][..len as usize])])
+                    };
+                    write_rounds(rk, &f, &cfg, &path, hull, build, place_pieces)?;
+                } else {
+                    let request = |ws, we| {
+                        let (off, len) = forged(ws, we);
+                        Ok(Some((encode_requests([(off, len)])?, (0, len as usize))))
+                    };
+                    let mut buf = [0u8; 8];
+                    read_rounds(rk, &f, &cfg, &path, hull, &mut buf, request, &OffsetLists)?;
+                }
+                Ok(())
+            })
+            .unwrap_err();
+            let SimError::RankFailed { error, .. } = &err else {
+                panic!("write={write}: {err}");
+            };
+            let Some(IoError::Usage(msg)) = error.layer::<IoError>() else {
+                panic!("write={write}: {error}");
+            };
+            assert!(msg.contains("outside window"), "write={write}: {msg}");
+        }
+    }
 }

@@ -18,7 +18,7 @@
 
 use crate::collective::CollectiveConfig;
 use crate::error::{IoError, Result};
-use crate::extents::ExtentSet;
+use crate::extents::Cover;
 use crate::file::File;
 use crate::rounds::{read_rounds, write_rounds, Path, Requests};
 use crate::view::FileView;
@@ -104,17 +104,17 @@ pub fn write_all_view_based(
     };
     // Aggregator side: reconstruct placement from the stored views.
     let place =
-        |rank: &mut Rank, src: usize, payload: &[u8], ws, buf: &mut [u8], dirty: &mut ExtentSet| {
+        |rank: &mut Rank, src: usize, payload: &[u8], ws, buf: &mut [u8], dirty: &mut Cover| {
             let (stream_lo, len, bytes) = parse_interval(payload)?;
             if bytes.len() as u64 != len {
                 return Err(IoError::Usage("view-based payload length mismatch".into()));
             }
             let mut cursor = 0usize;
             for (foff, flen) in views.views[src].extents(stream_lo, len) {
+                dirty.insert(foff, flen)?;
                 let at = (foff - ws) as usize;
                 buf[at..at + flen as usize].copy_from_slice(&bytes[cursor..cursor + flen as usize]);
                 cursor += flen as usize;
-                dirty.insert(foff, flen);
             }
             rank.charge_memcpy(len);
             Ok(())
