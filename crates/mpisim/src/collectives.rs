@@ -4,7 +4,7 @@
 //! their current virtual clock; the last arrival publishes the full payload
 //! set and the maximum clock, and every participant leaves with both. Cost
 //! formulas (tree depth × latency, bandwidth terms) are applied by the
-//! callers in `runtime.rs` on top of the reconciled clock.
+//! callers in `runtime/coll.rs` on top of the reconciled clock.
 //!
 //! Each completed rendezvous has a unique, monotonically increasing
 //! *generation*, which doubles as a collectively-agreed identifier (used to
@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Nothing blocks here: a depositor that is not the last parks in the
-/// event core and polls its generation when woken (see `runtime.rs`).
+/// event core and polls its generation when woken (see `runtime/coll.rs`).
 #[derive(Debug)]
 pub(crate) struct Rendezvous {
     inner: Mutex<RvState>,

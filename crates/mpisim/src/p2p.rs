@@ -29,7 +29,7 @@ pub(crate) struct Envelope {
 
 /// One rank's incoming-message queue. Nothing blocks here: a receiver
 /// that finds no match parks in the event core, and the sender's push is
-/// followed by a wake of the destination rank (see `runtime.rs`).
+/// followed by a wake of the destination rank (see `runtime/p2p.rs`).
 #[derive(Debug, Default)]
 pub(crate) struct Mailbox {
     inner: Mutex<MailboxInner>,
