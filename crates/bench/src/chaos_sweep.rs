@@ -16,7 +16,7 @@
 use crate::registry::Args;
 use crate::runner::{die, load_plan, synth_params, Cell};
 use crate::{Calib, Json};
-use chaos::{Fault, FaultPlan};
+use chaos::{Effect, Fault, FaultPlan};
 use mpisim::SimError;
 use std::sync::Arc;
 use workloads::synthetic::{Method, SynthParams};
@@ -27,34 +27,19 @@ use workloads::WlError;
 /// retry budget runs out.
 fn builtin_plan() -> FaultPlan {
     FaultPlan::new(0xC0FFEE)
-        .with(Fault::OstSlowdown {
-            ost: 0,
-            factor: 4.0,
-            from: 0.0,
-            until: 1e9,
-        })
+        .with(
+            Effect::OstSlowdown {
+                ost: 0,
+                factor: 4.0,
+            }
+            .during(0.0, 1e9),
+        )
         // Outage on OST 0: stripe 0 of the first file always lands there,
         // so the plan bites even when a small file spans a single stripe.
-        .with(Fault::OstOutage {
-            ost: 0,
-            from: 0.0,
-            until: 0.05,
-        })
-        .with(Fault::RequestOverhead {
-            extra: 100.0e-6,
-            from: 0.0,
-            until: 1e9,
-        })
-        .with(Fault::MessageDelay {
-            delay: 50.0e-6,
-            from: 0.0,
-            until: 1e9,
-        })
-        .with(Fault::RankStall {
-            rank: 1,
-            from: 0.0,
-            until: 0.02,
-        })
+        .with(Effect::OstOutage { ost: 0 }.during(0.0, 0.05))
+        .with(Effect::RequestOverhead { extra: 100.0e-6 }.during(0.0, 1e9))
+        .with(Effect::MessageDelay { delay: 50.0e-6 }.during(0.0, 1e9))
+        .with(Effect::RankStall { rank: 1 }.during(0.0, 0.02))
 }
 
 /// One dump-then-restart run under a fault plan: per-phase elapsed times
@@ -122,7 +107,7 @@ fn undone_by_a_crash(e: &SimError) -> bool {
         SimError::RankFailed { error, .. } => {
             matches!(error.layer(), Some(WlError::Mismatch(_)))
         }
-        SimError::RankPanicked { .. } => false,
+        SimError::RankPanicked { .. } | SimError::Config(_) => false,
     }
 }
 

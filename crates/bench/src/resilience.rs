@@ -55,23 +55,7 @@ pub fn sweep_health_config() -> HealthConfig {
 /// rebuild pass is scheduled after this, so quarantined OSTs probe
 /// healthy and the relocation map can drain.
 pub fn plan_horizon(plan: &FaultPlan) -> f64 {
-    plan.faults
-        .iter()
-        .map(|f| match *f {
-            Fault::OstSlowdown { until, .. }
-            | Fault::OstOutage { until, .. }
-            | Fault::RequestOverhead { until, .. }
-            | Fault::LockStorm { until, .. }
-            | Fault::ClientLockStorm { until, .. }
-            | Fault::MessageDelay { until, .. }
-            | Fault::RankStall { until, .. }
-            | Fault::RankSlowdown { until, .. }
-            | Fault::SilentCorruption { until, .. }
-            | Fault::FlakyOst { until, .. }
-            | Fault::LinkDegrade { until, .. } => until,
-            Fault::ConnFlush { at } | Fault::RankCrash { at, .. } => at,
-        })
-        .fold(0.0f64, f64::max)
+    plan.faults.iter().map(Fault::end).fold(0.0, f64::max)
 }
 
 /// Upper bound on rebuild passes before the cell gives up on
@@ -146,7 +130,6 @@ pub fn run_cell(
     let p = synth_params(calib, len_virtual, size_access);
     let mut cell = Cell::new(calib, nprocs, p, Method::Tcio);
     cell.job.under(engine);
-    cell.tcio.hedged_reads = defended;
     let fs = &cell.job.fs;
     fs.enable_latency_metrics();
     if defended {

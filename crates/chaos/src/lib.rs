@@ -21,12 +21,14 @@
 //! * `mpiio`/`tcio` ask which ranks are stalled (straggler aggregators) and
 //!   read the [`RetryPolicy`] that budgets their exponential backoff.
 //!
-//! Faults are *windows* `[from, until)` on the virtual-time axis (except
-//! [`Fault::ConnFlush`] and [`Fault::RankCrash`], which are instants —
-//! and a crash-stop is *permanent*). Because the queries are pure
-//! functions of virtual time, no wall-clock state leaks into a simulation:
-//! determinism is by construction, which is what makes chaos runs usable
-//! as regression tests.
+//! A fault is an [`Effect`] — a magnitude and a target — acting over a
+//! [`Window`] `[from, until)` of virtual time, or one of two instants:
+//! [`Fault::ConnFlush`] and [`Fault::RankCrash`] (a crash-stop is
+//! *permanent*). The window is checked, tested, emptied and scaled in one
+//! place, so an effect carries no time of its own. Because the queries are
+//! pure functions of virtual time, no wall-clock state leaks into a
+//! simulation: determinism is by construction, which is what makes chaos
+//! runs usable as regression tests.
 //!
 //! Plans come from the [`FaultPlan`] builder API or from a TOML-subset
 //! text format (see [`FaultPlan::parse`]).
@@ -37,334 +39,211 @@ mod plan;
 
 pub use plan::PlanError;
 
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
-/// One injected fault. All times are virtual seconds; all windows are
-/// half-open `[from, until)`.
+/// When a windowed fault acts: the half-open virtual-time interval
+/// `[from, until)`, built by [`Effect::during`]. Its bounds are private:
+/// this is the only code that compares an instant against them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Window {
+    from: f64,
+    until: f64,
+}
+
+impl Window {
+    fn check(self) -> Result<(), String> {
+        if !(self.from.is_finite() && self.until.is_finite())
+            || self.from < 0.0
+            || self.until < self.from
+        {
+            return Err(format!("bad fault window [{}, {})", self.from, self.until));
+        }
+        Ok(())
+    }
+
+    /// Does the window hold instant `t`?
+    fn contains(self, t: f64) -> bool {
+        self.from <= t && t < self.until
+    }
+
+    /// Does the window hold no instant at all?
+    fn is_empty(self) -> bool {
+        self.until <= self.from
+    }
+
+    /// Does the window hold an instant at or after `t`?
+    fn reaches(self, t: f64) -> bool {
+        !self.is_empty() && t < self.until
+    }
+
+    /// The window shortened to `k` of its length, from the same start.
+    fn scaled(self, k: f64) -> Window {
+        Window {
+            from: self.from,
+            until: self.from + (self.until - self.from) * k,
+        }
+    }
+}
+
+/// What a windowed fault does while its window holds: a target and a
+/// magnitude. Slowdown factors are `≥ 1` and compose multiplicatively with
+/// others covering the same instant; additive magnitudes sum.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Fault {
-    /// OST `ost` serves requests `factor`× slower inside the window
-    /// (`factor ≥ 1`). Composes multiplicatively with other slowdowns
-    /// covering the same instant.
-    OstSlowdown {
-        ost: usize,
-        factor: f64,
-        from: f64,
-        until: f64,
-    },
-    /// OST `ost` refuses service inside the window: accesses touching it
-    /// fail with a transient error carrying `retry_after = until`.
-    OstOutage { ost: usize, from: f64, until: f64 },
+pub enum Effect {
+    /// OST `ost` serves requests `factor`× slower.
+    OstSlowdown { ost: usize, factor: f64 },
+    /// OST `ost` refuses service: accesses touching it fail with a
+    /// transient error carrying `retry_after` = the window's end.
+    OstOutage { ost: usize },
     /// Every file-system RPC pays `extra` additional request overhead
-    /// inside the window (metadata-server brownout).
-    RequestOverhead { extra: f64, from: f64, until: f64 },
-    /// Extent-lock revocation storm: every lock acquisition inside the
-    /// window behaves as a conflicting transfer (revoke + re-grant), even
-    /// from the current holder.
-    LockStorm { from: f64, until: f64 },
-    /// A lock storm scoped to the clients in `[lo, hi]` (inclusive world
-    /// ranks). This is the tenant-targeted variant: a facility fault plan
-    /// can hammer one tenant's rank range while the other tenants' lock
-    /// traffic stays healthy, which is what the isolation experiments
-    /// need.
-    ClientLockStorm {
-        lo: usize,
-        hi: usize,
-        from: f64,
-        until: f64,
+    /// (metadata-server brownout).
+    RequestOverhead { extra: f64 },
+    /// Extent-lock revocation storm: every lock acquisition by a client in
+    /// `clients` (inclusive world ranks; `None` = every client) behaves as
+    /// a conflicting transfer (revoke + re-grant), even from the current
+    /// holder. A range lets a facility plan hammer one tenant while the
+    /// others' lock traffic stays healthy.
+    LockStorm {
+        clients: Option<RangeInclusive<usize>>,
     },
-    /// Every fabric message transmitted inside the window arrives an extra
-    /// `delay` seconds late (switch congestion / route flap).
-    MessageDelay { delay: f64, from: f64, until: f64 },
-    /// All connection caches are invalidated at instant `at`: the first
-    /// transfer of each source rank after `at` pays connection setup again.
-    ConnFlush { at: f64 },
-    /// Rank `rank` is descheduled for the window: the first runtime
-    /// operation it attempts inside `[from, until)` stalls until `until`.
-    RankStall { rank: usize, from: f64, until: f64 },
-    /// Rank `rank`'s local work runs `factor`× slower inside the window.
-    RankSlowdown {
-        rank: usize,
-        factor: f64,
-        from: f64,
-        until: f64,
-    },
-    /// Crash-stop: rank `rank` permanently fails at instant `at`. Its first
-    /// runtime operation at or after `at` raises a typed error, and every
-    /// later one does too — the rank never recovers. Like
-    /// [`Fault::ConnFlush`] this is an instant, not a window.
-    RankCrash { rank: usize, at: f64 },
-    /// Silent data corruption: inside the window, each PFS stripe write is
-    /// corrupted *after* its checksum is recorded with probability `rate`
-    /// (decided deterministically per write site via [`ChaosEngine::unit_hash`]).
+    /// Every fabric message transmitted arrives an extra `delay` seconds
+    /// late (switch congestion / route flap).
+    MessageDelay { delay: f64 },
+    /// Rank `rank` is descheduled: the first runtime operation it attempts
+    /// inside the window stalls until the window ends.
+    RankStall { rank: usize },
+    /// Rank `rank`'s local work runs `factor`× slower.
+    RankSlowdown { rank: usize, factor: f64 },
+    /// Silent data corruption: each PFS stripe write is corrupted *after*
+    /// its checksum is recorded with probability `rate` (decided
+    /// deterministically per write site via [`ChaosEngine::unit_hash`]).
     /// The stored bytes then disagree with the stored checksum — exactly
     /// the failure end-to-end verification exists to catch.
-    SilentCorruption { rate: f64, from: f64, until: f64 },
-    /// Gray failure: OST `ost` is *flaky* inside the window — it cycles
-    /// between healthy service and `factor`× tail-latency spikes. Each
-    /// `period`-second cycle contains one spike covering a `duty` fraction
-    /// of the cycle, with the spike's phase within the cycle drawn
-    /// deterministically per cycle from the plan seed. Unlike
-    /// [`Fault::OstSlowdown`] the degradation is intermittent, which is
-    /// what defeats naive threshold detectors and motivates EWMA health
-    /// tracking + hedging.
+    SilentCorruption { rate: f64 },
+    /// Gray failure: OST `ost` is *flaky* — it cycles between healthy
+    /// service and `factor`× tail-latency spikes. Each `period`-second
+    /// cycle contains one spike covering a `duty` fraction of the cycle,
+    /// with the spike's phase within the cycle drawn deterministically per
+    /// cycle from the plan seed. Unlike [`Effect::OstSlowdown`] the
+    /// degradation is intermittent, which is what defeats naive threshold
+    /// detectors and motivates EWMA health tracking + hedging.
     FlakyOst {
         ost: usize,
         factor: f64,
         period: f64,
         duty: f64,
-        from: f64,
-        until: f64,
     },
     /// Gray failure: the fabric path from node `src` to node `dst` loses
-    /// bandwidth inside the window — transfers in that direction take
-    /// `factor`× longer. Asymmetric by design (the reverse path is
-    /// unaffected unless a second fault names it), modeling a degraded
-    /// link lane / failing optic.
-    LinkDegrade {
-        src: usize,
-        dst: usize,
-        factor: f64,
-        from: f64,
-        until: f64,
-    },
+    /// bandwidth — transfers in that direction take `factor`× longer.
+    /// Asymmetric by design (the reverse path is unaffected unless a second
+    /// fault names it), modeling a degraded link lane / failing optic.
+    LinkDegrade { src: usize, dst: usize, factor: f64 },
 }
 
-impl Fault {
-    fn validate(&self) -> Result<(), String> {
-        let check_window = |from: f64, until: f64| {
-            if !(from.is_finite() && until.is_finite()) || from < 0.0 || until < from {
-                Err(format!("bad fault window [{from}, {until})"))
-            } else {
+impl Effect {
+    /// This effect acting over `[from, until)`.
+    pub fn during(self, from: f64, until: f64) -> Fault {
+        Fault::During {
+            effect: self,
+            window: Window { from, until },
+        }
+    }
+
+    fn check(&self) -> Result<(), String> {
+        let need = |what: &str, x: f64, ok: bool, rule: &str| {
+            if x.is_finite() && ok {
                 Ok(())
+            } else {
+                Err(format!("{what} {x} must be {rule}"))
             }
         };
-        let check_factor = |factor: f64| {
-            if !factor.is_finite() || factor < 1.0 {
-                Err(format!("slowdown factor {factor} must be ≥ 1"))
-            } else {
-                Ok(())
-            }
-        };
+        let factor = |f: f64| need("slowdown factor", f, f >= 1.0, "≥ 1");
+        let unit = |what, x: f64| need(what, x, (0.0..=1.0).contains(&x), "in [0, 1]");
         match *self {
-            Fault::OstSlowdown {
-                factor,
-                from,
-                until,
-                ..
-            } => {
-                check_window(from, until)?;
-                check_factor(factor)
+            Effect::OstOutage { .. } | Effect::RankStall { .. } => Ok(()),
+            Effect::OstSlowdown { factor: f, .. }
+            | Effect::RankSlowdown { factor: f, .. }
+            | Effect::LinkDegrade { factor: f, .. } => factor(f),
+            Effect::RequestOverhead { extra: x } | Effect::MessageDelay { delay: x } => {
+                need("added time", x, x >= 0.0, "≥ 0")
             }
-            Fault::OstOutage { from, until, .. } => check_window(from, until),
-            Fault::RequestOverhead { extra, from, until } => {
-                check_window(from, until)?;
-                if !extra.is_finite() || extra < 0.0 {
-                    return Err(format!("bad extra overhead {extra}"));
-                }
-                Ok(())
-            }
-            Fault::LockStorm { from, until } => check_window(from, until),
-            Fault::ClientLockStorm {
-                lo,
-                hi,
-                from,
-                until,
-            } => {
-                check_window(from, until)?;
-                if lo > hi {
-                    return Err(format!("bad client range [{lo}, {hi}]"));
-                }
-                Ok(())
-            }
-            Fault::MessageDelay { delay, from, until } => {
-                check_window(from, until)?;
-                if !delay.is_finite() || delay < 0.0 {
-                    return Err(format!("bad message delay {delay}"));
-                }
-                Ok(())
-            }
-            Fault::ConnFlush { at } => {
-                if !at.is_finite() || at < 0.0 {
-                    return Err(format!("bad flush instant {at}"));
-                }
-                Ok(())
-            }
-            Fault::RankStall { from, until, .. } => check_window(from, until),
-            Fault::RankSlowdown {
-                factor,
-                from,
-                until,
-                ..
-            } => {
-                check_window(from, until)?;
-                check_factor(factor)
-            }
-            Fault::RankCrash { at, .. } => {
-                if !at.is_finite() || at < 0.0 {
-                    return Err(format!("bad crash instant {at}"));
-                }
-                Ok(())
-            }
-            Fault::SilentCorruption { rate, from, until } => {
-                check_window(from, until)?;
-                if !rate.is_finite() || !(0.0..=1.0).contains(&rate) {
-                    return Err(format!("corruption rate {rate} must be in [0, 1]"));
-                }
-                Ok(())
-            }
-            Fault::FlakyOst {
-                factor,
+            Effect::SilentCorruption { rate } => unit("corruption rate", rate),
+            Effect::LockStorm { ref clients } => match clients {
+                Some(c) if c.is_empty() => Err(format!("bad client range {c:?}")),
+                _ => Ok(()),
+            },
+            Effect::FlakyOst {
+                factor: f,
                 period,
                 duty,
-                from,
-                until,
                 ..
             } => {
-                check_window(from, until)?;
-                check_factor(factor)?;
-                if !period.is_finite() || period <= 0.0 {
-                    return Err(format!("flaky period {period} must be > 0"));
-                }
-                if !duty.is_finite() || !(0.0..=1.0).contains(&duty) {
-                    return Err(format!("flaky duty {duty} must be in [0, 1]"));
-                }
-                Ok(())
-            }
-            Fault::LinkDegrade {
-                factor,
-                from,
-                until,
-                ..
-            } => {
-                check_window(from, until)?;
-                check_factor(factor)
+                factor(f)?;
+                need("flaky period", period, period > 0.0, "> 0")?;
+                unit("flaky duty", duty)
             }
         }
     }
 
-    /// Scale the fault's *intensity* by `k ∈ [0, 1]`: window lengths and
-    /// magnitudes shrink linearly toward "no fault". Used by the sweep
-    /// binary to trace slowdown curves.
-    fn scaled(&self, k: f64) -> Fault {
-        let w = |from: f64, until: f64| (from, from + (until - from) * k);
-        let f = |factor: f64| 1.0 + (factor - 1.0) * k;
-        match *self {
-            Fault::OstSlowdown {
-                ost,
-                factor,
-                from,
-                until,
-            } => {
-                let (from, until) = w(from, until);
-                Fault::OstSlowdown {
-                    ost,
-                    factor: f(factor),
-                    from,
-                    until,
+    /// The effect with its magnitude shrunk linearly toward "no fault" by
+    /// `k ∈ [0, 1]`: factors toward 1, additive magnitudes and the flaky
+    /// duty toward 0.
+    fn scaled(&self, k: f64) -> Effect {
+        let toward_one = |f: &mut f64| *f = 1.0 + (*f - 1.0) * k;
+        let mut e = self.clone();
+        match &mut e {
+            Effect::OstSlowdown { factor, .. }
+            | Effect::RankSlowdown { factor, .. }
+            | Effect::LinkDegrade { factor, .. } => toward_one(factor),
+            Effect::RequestOverhead { extra: x }
+            | Effect::MessageDelay { delay: x }
+            | Effect::SilentCorruption { rate: x } => *x *= k,
+            Effect::FlakyOst { factor, duty, .. } => {
+                toward_one(factor);
+                *duty *= k;
+            }
+            Effect::OstOutage { .. } | Effect::RankStall { .. } | Effect::LockStorm { .. } => {}
+        }
+        e
+    }
+}
+
+/// One injected fault. All times are virtual seconds.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Fault {
+    /// `effect` acts at every instant `window` holds. Build one with
+    /// [`Effect::during`].
+    During { effect: Effect, window: Window },
+    /// All connection caches are invalidated at instant `at`: the first
+    /// transfer of each source rank after `at` pays connection setup again.
+    ConnFlush { at: f64 },
+    /// Crash-stop: rank `rank` permanently fails at instant `at`. Its first
+    /// runtime operation at or after `at` raises a typed error, and every
+    /// later one does too — the rank never recovers.
+    RankCrash { rank: usize, at: f64 },
+}
+
+impl Fault {
+    fn check(&self) -> Result<(), String> {
+        match self {
+            Fault::During { effect, window } => window.check().and_then(|()| effect.check()),
+            Fault::ConnFlush { at } | Fault::RankCrash { at, .. } => {
+                if at.is_finite() && *at >= 0.0 {
+                    Ok(())
+                } else {
+                    Err(format!("bad fault instant {at}"))
                 }
             }
-            Fault::OstOutage { ost, from, until } => {
-                let (from, until) = w(from, until);
-                Fault::OstOutage { ost, from, until }
-            }
-            Fault::RequestOverhead { extra, from, until } => {
-                let (from, until) = w(from, until);
-                Fault::RequestOverhead {
-                    extra: extra * k,
-                    from,
-                    until,
-                }
-            }
-            Fault::LockStorm { from, until } => {
-                let (from, until) = w(from, until);
-                Fault::LockStorm { from, until }
-            }
-            Fault::ClientLockStorm {
-                lo,
-                hi,
-                from,
-                until,
-            } => {
-                let (from, until) = w(from, until);
-                Fault::ClientLockStorm {
-                    lo,
-                    hi,
-                    from,
-                    until,
-                }
-            }
-            Fault::MessageDelay { delay, from, until } => {
-                let (from, until) = w(from, until);
-                Fault::MessageDelay {
-                    delay: delay * k,
-                    from,
-                    until,
-                }
-            }
-            Fault::ConnFlush { at } => Fault::ConnFlush { at },
-            Fault::RankStall { rank, from, until } => {
-                let (from, until) = w(from, until);
-                Fault::RankStall { rank, from, until }
-            }
-            Fault::RankSlowdown {
-                rank,
-                factor,
-                from,
-                until,
-            } => {
-                let (from, until) = w(from, until);
-                Fault::RankSlowdown {
-                    rank,
-                    factor: f(factor),
-                    from,
-                    until,
-                }
-            }
-            // An instant cannot shrink; `FaultPlan::scaled` drops it at k = 0.
-            Fault::RankCrash { rank, at } => Fault::RankCrash { rank, at },
-            Fault::SilentCorruption { rate, from, until } => {
-                let (from, until) = w(from, until);
-                Fault::SilentCorruption {
-                    rate: rate * k,
-                    from,
-                    until,
-                }
-            }
-            Fault::FlakyOst {
-                ost,
-                factor,
-                period,
-                duty,
-                from,
-                until,
-            } => {
-                let (from, until) = w(from, until);
-                Fault::FlakyOst {
-                    ost,
-                    factor: f(factor),
-                    period,
-                    duty: duty * k,
-                    from,
-                    until,
-                }
-            }
-            Fault::LinkDegrade {
-                src,
-                dst,
-                factor,
-                from,
-                until,
-            } => {
-                let (from, until) = w(from, until);
-                Fault::LinkDegrade {
-                    src,
-                    dst,
-                    factor: f(factor),
-                    from,
-                    until,
-                }
-            }
+        }
+    }
+
+    /// The last instant the fault can act at: its window's end, or its
+    /// instant.
+    pub fn end(&self) -> f64 {
+        match self {
+            Fault::During { window, .. } => window.until,
+            Fault::ConnFlush { at } | Fault::RankCrash { at, .. } => *at,
         }
     }
 }
@@ -432,32 +311,44 @@ impl FaultPlan {
         self
     }
 
-    /// A plan with every fault's intensity scaled by `k ∈ [0, 1]`
-    /// (`k = 0` ⇒ all windows empty ⇒ behaviourally fault-free).
-    /// `ConnFlush` and `RankCrash` are instants, not windows: they cannot
-    /// shrink, so they are dropped entirely at `k = 0` to honor the
-    /// fault-free contract.
+    /// A plan with every fault's intensity scaled by `k ∈ [0, 1]`: windows
+    /// shrink from their start and magnitudes toward "no fault" (`k = 0` ⇒
+    /// all windows empty ⇒ behaviourally fault-free). The two instants
+    /// cannot shrink, so they are dropped entirely at `k = 0` to honor the
+    /// fault-free contract. Used by the sweeps to trace slowdown curves.
     pub fn scaled(&self, k: f64) -> FaultPlan {
+        let faults = self.faults.iter().filter_map(|f| match f {
+            Fault::During { effect, window } => Some(Fault::During {
+                effect: effect.scaled(k),
+                window: window.scaled(k),
+            }),
+            instant => (k > 0.0).then(|| instant.clone()),
+        });
         FaultPlan {
             seed: self.seed,
             retry: self.retry,
-            faults: self
-                .faults
-                .iter()
-                .filter(|f| {
-                    k > 0.0 || !matches!(f, Fault::ConnFlush { .. } | Fault::RankCrash { .. })
-                })
-                .map(|f| f.scaled(k))
-                .collect(),
+            faults: faults.collect(),
         }
     }
 
     /// Validate and compile into an engine.
     pub fn build(self) -> Result<Arc<ChaosEngine>, PlanError> {
         for f in &self.faults {
-            f.validate().map_err(PlanError::Invalid)?;
+            f.check().map_err(PlanError::Invalid)?;
         }
-        Ok(Arc::new(ChaosEngine::compile(self)))
+        let mut conn_flushes: Vec<f64> = self
+            .faults
+            .iter()
+            .filter_map(|f| match f {
+                Fault::ConnFlush { at } => Some(*at),
+                _ => None,
+            })
+            .collect();
+        conn_flushes.sort_by(f64::total_cmp);
+        Ok(Arc::new(ChaosEngine {
+            plan: self,
+            conn_flushes,
+        }))
     }
 }
 
@@ -473,58 +364,17 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// The compiled plan: immutable, shared via `Arc` by every layer of one
-/// simulation. All queries are pure functions of virtual time.
+/// simulation. All queries are pure functions of virtual time; the ones
+/// asked at a given instant visit the effects whose window holds it, in
+/// plan order, and allocate nothing.
 #[derive(Debug)]
 pub struct ChaosEngine {
     plan: FaultPlan,
     /// Sorted instants of connection-cache flushes.
     conn_flushes: Vec<f64>,
-    /// Largest OST index any fault names (for attach-time validation).
-    max_ost: Option<usize>,
-    /// Largest rank index any fault names.
-    max_rank: Option<usize>,
 }
 
 impl ChaosEngine {
-    fn compile(plan: FaultPlan) -> ChaosEngine {
-        let mut conn_flushes: Vec<f64> = plan
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::ConnFlush { at } => Some(*at),
-                _ => None,
-            })
-            .collect();
-        conn_flushes.sort_by(f64::total_cmp);
-        let max_ost = plan
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::OstSlowdown { ost, .. }
-                | Fault::OstOutage { ost, .. }
-                | Fault::FlakyOst { ost, .. } => Some(*ost),
-                _ => None,
-            })
-            .max();
-        let max_rank = plan
-            .faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::RankStall { rank, .. }
-                | Fault::RankSlowdown { rank, .. }
-                | Fault::RankCrash { rank, .. } => Some(*rank),
-                Fault::ClientLockStorm { hi, .. } => Some(*hi),
-                _ => None,
-            })
-            .max();
-        ChaosEngine {
-            plan,
-            conn_flushes,
-            max_ost,
-            max_rank,
-        }
-    }
-
     /// Convenience: an engine that injects nothing.
     pub fn none() -> Arc<ChaosEngine> {
         // Invariant: `build` only rejects faults, and this plan has none.
@@ -539,44 +389,82 @@ impl ChaosEngine {
         self.plan.retry
     }
 
-    /// True when no fault can ever trigger (plans scaled to zero still
-    /// carry zero-length windows, which never contain any instant).
-    pub fn is_inert(&self) -> bool {
-        self.plan.faults.iter().all(|f| match *f {
-            Fault::ConnFlush { .. } | Fault::RankCrash { .. } => false,
-            Fault::SilentCorruption { rate, from, until } => until <= from || rate <= 0.0,
-            Fault::FlakyOst {
-                factor,
-                duty,
-                from,
-                until,
-                ..
-            } => until <= from || duty <= 0.0 || factor <= 1.0,
-            Fault::LinkDegrade {
-                factor,
-                from,
-                until,
-                ..
-            } => until <= from || factor <= 1.0,
-            Fault::OstSlowdown { from, until, .. }
-            | Fault::OstOutage { from, until, .. }
-            | Fault::RequestOverhead { from, until, .. }
-            | Fault::LockStorm { from, until }
-            | Fault::ClientLockStorm { from, until, .. }
-            | Fault::MessageDelay { from, until, .. }
-            | Fault::RankStall { from, until, .. }
-            | Fault::RankSlowdown { from, until, .. } => until <= from,
+    /// Every windowed effect with its window, in plan order.
+    fn windowed(&self) -> impl Iterator<Item = (&Effect, Window)> {
+        self.plan.faults.iter().filter_map(|f| match f {
+            Fault::During { effect, window } => Some((effect, *window)),
+            _ => None,
         })
+    }
+
+    /// The effects acting at `t` with their windows, in plan order.
+    fn acting(&self, t: f64) -> impl Iterator<Item = (&Effect, Window)> {
+        self.windowed().filter(move |(_, w)| w.contains(t))
+    }
+
+    /// The ranks the `rank_*` faults name.
+    fn ranks(&self) -> impl Iterator<Item = usize> + '_ {
+        self.plan.faults.iter().filter_map(|f| match f {
+            Fault::During {
+                effect: Effect::RankStall { rank } | Effect::RankSlowdown { rank, .. },
+                ..
+            }
+            | Fault::RankCrash { rank, .. } => Some(*rank),
+            _ => None,
+        })
+    }
+
+    /// True when no fault can ever act: every fault has an empty window
+    /// (a plan scaled to zero).
+    pub fn is_inert(&self) -> bool {
+        self.plan
+            .faults
+            .iter()
+            .all(|f| matches!(f, Fault::During { window, .. } if window.is_empty()))
     }
 
     /// Largest OST index named by any fault (attach-time bounds check).
     pub fn max_ost(&self) -> Option<usize> {
-        self.max_ost
+        self.windowed()
+            .filter_map(|(e, _)| match *e {
+                Effect::OstSlowdown { ost, .. }
+                | Effect::OstOutage { ost }
+                | Effect::FlakyOst { ost, .. } => Some(ost),
+                _ => None,
+            })
+            .max()
     }
 
-    /// Largest rank index named by any fault.
+    /// Largest rank index named by any fault, lock-storm client ranges
+    /// included.
     pub fn max_rank(&self) -> Option<usize> {
-        self.max_rank
+        let storms = self.windowed().filter_map(|(e, _)| match e {
+            Effect::LockStorm { clients } => clients.as_ref().map(|c| *c.end()),
+            _ => None,
+        });
+        self.ranks().chain(storms).max()
+    }
+
+    /// Refuse a plan naming a rank or a fabric port a run of `nprocs` ranks
+    /// over `ports` NIC ports does not have: such a fault would inject
+    /// nothing, silently. Lock-storm client ranges are not checked — a
+    /// facility plan names tenants of its largest fleet.
+    pub fn check_world(&self, nprocs: usize, ports: usize) -> Result<(), String> {
+        if let Some(rank) = self.ranks().find(|&r| r >= nprocs) {
+            return Err(format!(
+                "fault plan names rank {rank}, but the run has {nprocs} ranks"
+            ));
+        }
+        for (e, _) in self.windowed() {
+            if let Effect::LinkDegrade { src, dst, .. } = *e {
+                if src.max(dst) >= ports {
+                    return Err(format!(
+                        "fault plan degrades link {src} -> {dst}, but the fabric has {ports} ports"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// A deterministic pseudo-random `f64` in `[0, 1)` derived from the
@@ -589,54 +477,37 @@ impl ChaosEngine {
     // ---- pfs-facing queries ----
 
     /// Multiplicative service-time factor for `ost` at instant `t`.
-    /// Folds both steady [`Fault::OstSlowdown`] windows and the spike
-    /// phases of [`Fault::FlakyOst`] cycles, so consumers need a single
+    /// Folds both steady [`Effect::OstSlowdown`] windows and the spike
+    /// phases of [`Effect::FlakyOst`] cycles, so consumers need a single
     /// call site for all service-degradation families.
     pub fn ost_factor(&self, ost: usize, t: f64) -> f64 {
-        let mut f = 1.0;
-        for fault in &self.plan.faults {
-            match *fault {
-                Fault::OstSlowdown {
-                    ost: o,
-                    factor,
-                    from,
-                    until,
-                } if o == ost && from <= t && t < until => {
-                    f *= factor;
-                }
-                Fault::FlakyOst {
+        self.acting(t)
+            .filter_map(|(e, w)| match *e {
+                Effect::OstSlowdown { ost: o, factor } if o == ost => Some(factor),
+                Effect::FlakyOst {
                     ost: o,
                     factor,
                     period,
                     duty,
-                    from,
-                    until,
-                } if o == ost
-                    && from <= t
-                    && t < until
-                    && self.flaky_spike(o, period, duty, from, t) =>
-                {
-                    f *= factor;
-                }
-                _ => {}
-            }
-        }
-        f
+                } if o == ost && self.flaky_spike(o, period, duty, t - w.from) => Some(factor),
+                _ => None,
+            })
+            .product()
     }
 
-    /// Is the flaky spike of the cycle containing `t` active? Each cycle
-    /// `c = ⌊(t − from)/period⌋` holds one spike of length `duty × period`
-    /// whose start phase is drawn deterministically from
+    /// Is the flaky spike of the cycle `since` seconds into the window
+    /// active? Each cycle `c = ⌊since/period⌋` holds one spike of length
+    /// `duty × period` whose start phase is drawn deterministically from
     /// `unit_hash(site(ost, c))` — intermittence without shared state.
-    fn flaky_spike(&self, ost: usize, period: f64, duty: f64, from: f64, t: f64) -> bool {
+    fn flaky_spike(&self, ost: usize, period: f64, duty: f64, since: f64) -> bool {
         if duty <= 0.0 {
             return false;
         }
         if duty >= 1.0 {
             return true;
         }
-        let cycle = ((t - from) / period).floor();
-        let frac = (t - from) / period - cycle;
+        let cycle = (since / period).floor();
+        let frac = since / period - cycle;
         let site = 0x464c_414b_594f_0000u64 ^ ((ost as u64) << 24) ^ (cycle as u64);
         let start = self.unit_hash(site) * (1.0 - duty);
         frac >= start && frac < start + duty
@@ -644,51 +515,28 @@ impl ChaosEngine {
 
     /// If `ost` is in outage at `t`, the instant the outage lifts.
     pub fn ost_outage_until(&self, ost: usize, t: f64) -> Option<f64> {
-        self.plan
-            .faults
-            .iter()
-            .filter_map(|f| match *f {
-                Fault::OstOutage {
-                    ost: o,
-                    from,
-                    until,
-                } if o == ost && from <= t && t < until => Some(until),
-                _ => None,
+        self.acting(t)
+            .filter_map(|(e, w)| {
+                matches!(*e, Effect::OstOutage { ost: o } if o == ost).then_some(w.until)
             })
-            .fold(None, |acc, u| Some(acc.map_or(u, |a: f64| a.max(u))))
+            .reduce(f64::max)
     }
 
     /// Extra per-RPC request overhead at `t`.
     pub fn extra_request_overhead(&self, t: f64) -> f64 {
-        self.plan
-            .faults
-            .iter()
-            .map(|f| match *f {
-                Fault::RequestOverhead { extra, from, until } if from <= t && t < until => extra,
-                _ => 0.0,
+        self.acting(t)
+            .filter_map(|(e, _)| match *e {
+                Effect::RequestOverhead { extra } => Some(extra),
+                _ => None,
             })
             .sum()
     }
 
-    /// Is a lock-revocation storm active at `t`?
-    pub fn lock_storm(&self, t: f64) -> bool {
-        self.plan
-            .faults
-            .iter()
-            .any(|f| matches!(*f, Fault::LockStorm { from, until } if from <= t && t < until))
-    }
-
-    /// Is a lock storm affecting `client` in force at `t`? Global storms
-    /// hit everyone; [`Fault::ClientLockStorm`] only hits its rank range.
+    /// Is a lock storm affecting `client` in force at `t`? A storm without
+    /// a client range hits everyone.
     pub fn lock_storm_for(&self, client: usize, t: f64) -> bool {
-        self.plan.faults.iter().any(|f| match *f {
-            Fault::LockStorm { from, until } => from <= t && t < until,
-            Fault::ClientLockStorm {
-                lo,
-                hi,
-                from,
-                until,
-            } => lo <= client && client <= hi && from <= t && t < until,
+        self.acting(t).any(|(e, _)| match e {
+            Effect::LockStorm { clients } => clients.as_ref().is_none_or(|c| c.contains(&client)),
             _ => false,
         })
     }
@@ -697,12 +545,10 @@ impl ChaosEngine {
 
     /// Extra in-network delay for a message transmitted at `t`.
     pub fn message_delay(&self, t: f64) -> f64 {
-        self.plan
-            .faults
-            .iter()
-            .map(|f| match *f {
-                Fault::MessageDelay { delay, from, until } if from <= t && t < until => delay,
-                _ => 0.0,
+        self.acting(t)
+            .filter_map(|(e, _)| match *e {
+                Effect::MessageDelay { delay } => Some(delay),
+                _ => None,
             })
             .sum()
     }
@@ -711,31 +557,23 @@ impl ChaosEngine {
     /// node `src` to node `dst` transmitted at `t`. Asymmetric: only
     /// faults naming exactly this ordered pair apply. `1.0` when healthy.
     pub fn link_factor(&self, src: usize, dst: usize, t: f64) -> f64 {
-        let mut f = 1.0;
-        for fault in &self.plan.faults {
-            if let Fault::LinkDegrade {
-                src: s,
-                dst: d,
-                factor,
-                from,
-                until,
-            } = *fault
-            {
-                if s == src && d == dst && from <= t && t < until {
-                    f *= factor;
-                }
-            }
-        }
-        f
+        self.acting(t)
+            .filter_map(|(e, _)| match *e {
+                Effect::LinkDegrade {
+                    src: s,
+                    dst: d,
+                    factor,
+                } if (s, d) == (src, dst) => Some(factor),
+                _ => None,
+            })
+            .product()
     }
 
-    /// Does the plan contain any [`Fault::LinkDegrade`] at all? Fast-path
+    /// Does the plan contain any [`Effect::LinkDegrade`] at all? Fast-path
     /// gate so the fabric skips the per-transfer query on healthy plans.
     pub fn any_link_degrade(&self) -> bool {
-        self.plan
-            .faults
-            .iter()
-            .any(|f| matches!(f, Fault::LinkDegrade { .. }))
+        self.windowed()
+            .any(|(e, _)| matches!(e, Effect::LinkDegrade { .. }))
     }
 
     /// Number of connection-cache flush instants at or before `t`. A source
@@ -749,18 +587,11 @@ impl ChaosEngine {
 
     /// If `rank` is inside a stall window at `t`, the instant it wakes.
     pub fn rank_stall_until(&self, rank: usize, t: f64) -> Option<f64> {
-        self.plan
-            .faults
-            .iter()
-            .filter_map(|f| match *f {
-                Fault::RankStall {
-                    rank: r,
-                    from,
-                    until,
-                } if r == rank && from <= t && t < until => Some(until),
-                _ => None,
+        self.acting(t)
+            .filter_map(|(e, w)| {
+                matches!(*e, Effect::RankStall { rank: r } if r == rank).then_some(w.until)
             })
-            .fold(None, |acc, u| Some(acc.map_or(u, |a: f64| a.max(u))))
+            .reduce(f64::max)
     }
 
     /// Is `rank` stalled at `t` or scheduled to stall later? The planning
@@ -771,9 +602,8 @@ impl ChaosEngine {
     /// `now()` right after an allreduce yields the same answer everywhere —
     /// no extra communication needed.
     pub fn stall_ahead(&self, rank: usize, t: f64) -> bool {
-        self.plan.faults.iter().any(|f| {
-            matches!(*f, Fault::RankStall { rank: r, from, until } if r == rank && until > t && from < until)
-        })
+        self.windowed()
+            .any(|(e, w)| matches!(*e, Effect::RankStall { rank: r } if r == rank) && w.reaches(t))
     }
 
     /// The instant `rank` crash-stops, if the plan ever kills it (the
@@ -786,7 +616,7 @@ impl ChaosEngine {
                 Fault::RankCrash { rank: r, at } if r == rank => Some(at),
                 _ => None,
             })
-            .fold(None, |acc, at| Some(acc.map_or(at, |a: f64| a.min(at))))
+            .reduce(f64::min)
     }
 
     /// Has `rank` crash-stopped at or before `t`? Crash-stops are permanent,
@@ -823,22 +653,18 @@ impl ChaosEngine {
     /// plan that cannot corrupt must not pay for it — wall-clock zero-cost
     /// off, mirroring [`ChaosEngine::any_crash`].
     pub fn any_corruption(&self) -> bool {
-        self.plan
-            .faults
-            .iter()
-            .any(|f| matches!(f, Fault::SilentCorruption { .. }))
+        self.windowed()
+            .any(|(e, _)| matches!(e, Effect::SilentCorruption { .. }))
     }
 
     /// Combined silent-corruption probability at `t` (sum of active
     /// windows, clamped to 1).
     pub fn corruption_rate(&self, t: f64) -> f64 {
         let r: f64 = self
-            .plan
-            .faults
-            .iter()
-            .map(|f| match *f {
-                Fault::SilentCorruption { rate, from, until } if from <= t && t < until => rate,
-                _ => 0.0,
+            .acting(t)
+            .filter_map(|(e, _)| match *e {
+                Effect::SilentCorruption { rate } => Some(rate),
+                _ => None,
             })
             .sum();
         r.min(1.0)
@@ -855,27 +681,30 @@ impl ChaosEngine {
 
     /// Multiplicative local-work slowdown of `rank` at `t`.
     pub fn rank_slowdown(&self, rank: usize, t: f64) -> f64 {
-        let mut f = 1.0;
-        for fault in &self.plan.faults {
-            if let Fault::RankSlowdown {
-                rank: r,
-                factor,
-                from,
-                until,
-            } = *fault
-            {
-                if r == rank && from <= t && t < until {
-                    f *= factor;
-                }
-            }
-        }
-        f
+        self.acting(t)
+            .filter_map(|(e, _)| match *e {
+                Effect::RankSlowdown { rank: r, factor } if r == rank => Some(factor),
+                _ => None,
+            })
+            .product()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn engine(faults: impl IntoIterator<Item = Fault>) -> Arc<ChaosEngine> {
+        plan(faults).build().unwrap()
+    }
+
+    fn plan(faults: impl IntoIterator<Item = Fault>) -> FaultPlan {
+        faults.into_iter().fold(FaultPlan::new(1), FaultPlan::with)
+    }
+
+    fn rejected(fault: Fault) -> bool {
+        plan([fault]).build().is_err()
+    }
 
     #[test]
     fn empty_plan_is_inert_and_identity() {
@@ -884,7 +713,7 @@ mod tests {
         assert_eq!(e.ost_factor(0, 1.0), 1.0);
         assert_eq!(e.ost_outage_until(0, 1.0), None);
         assert_eq!(e.extra_request_overhead(1.0), 0.0);
-        assert!(!e.lock_storm(1.0));
+        assert!(!e.lock_storm_for(0, 1.0));
         assert_eq!(e.message_delay(1.0), 0.0);
         assert_eq!(e.conn_flush_generation(f64::MAX), 0);
         assert_eq!(e.rank_stall_until(3, 1.0), None);
@@ -893,58 +722,48 @@ mod tests {
 
     #[test]
     fn windows_are_half_open() {
-        let e = FaultPlan::new(1)
-            .with(Fault::OstSlowdown {
-                ost: 2,
-                factor: 4.0,
-                from: 1.0,
-                until: 2.0,
-            })
-            .build()
-            .unwrap();
+        let e = engine([Effect::OstSlowdown {
+            ost: 2,
+            factor: 4.0,
+        }
+        .during(1.0, 2.0)]);
         assert_eq!(e.ost_factor(2, 0.999), 1.0);
         assert_eq!(e.ost_factor(2, 1.0), 4.0);
         assert_eq!(e.ost_factor(2, 1.999), 4.0);
         assert_eq!(e.ost_factor(2, 2.0), 1.0);
         assert_eq!(e.ost_factor(0, 1.5), 1.0, "other OSTs unaffected");
+        let w = Window {
+            from: 1.0,
+            until: 2.0,
+        };
+        assert!(w.reaches(1.999) && !w.reaches(2.0) && !w.is_empty());
+        assert!(w.scaled(0.0).is_empty() && !w.scaled(0.0).reaches(0.0));
     }
 
     #[test]
     fn overlapping_slowdowns_compose() {
-        let e = FaultPlan::new(1)
-            .with(Fault::OstSlowdown {
+        let e = engine([
+            Effect::OstSlowdown {
                 ost: 0,
                 factor: 2.0,
-                from: 0.0,
-                until: 10.0,
-            })
-            .with(Fault::OstSlowdown {
+            }
+            .during(0.0, 10.0),
+            Effect::OstSlowdown {
                 ost: 0,
                 factor: 3.0,
-                from: 5.0,
-                until: 10.0,
-            })
-            .build()
-            .unwrap();
+            }
+            .during(5.0, 10.0),
+        ]);
         assert_eq!(e.ost_factor(0, 1.0), 2.0);
         assert_eq!(e.ost_factor(0, 6.0), 6.0);
     }
 
     #[test]
     fn outage_reports_lift_time() {
-        let e = FaultPlan::new(1)
-            .with(Fault::OstOutage {
-                ost: 1,
-                from: 0.5,
-                until: 1.5,
-            })
-            .with(Fault::OstOutage {
-                ost: 1,
-                from: 1.0,
-                until: 2.0,
-            })
-            .build()
-            .unwrap();
+        let e = engine([
+            Effect::OstOutage { ost: 1 }.during(0.5, 1.5),
+            Effect::OstOutage { ost: 1 }.during(1.0, 2.0),
+        ]);
         assert_eq!(e.ost_outage_until(1, 0.4), None);
         assert_eq!(e.ost_outage_until(1, 0.6), Some(1.5));
         assert_eq!(
@@ -957,11 +776,7 @@ mod tests {
 
     #[test]
     fn conn_flush_generations_count_instants() {
-        let e = FaultPlan::new(1)
-            .with(Fault::ConnFlush { at: 1.0 })
-            .with(Fault::ConnFlush { at: 3.0 })
-            .build()
-            .unwrap();
+        let e = engine([Fault::ConnFlush { at: 3.0 }, Fault::ConnFlush { at: 1.0 }]);
         assert!(!e.is_inert());
         assert_eq!(e.conn_flush_generation(0.5), 0);
         assert_eq!(e.conn_flush_generation(1.0), 1);
@@ -971,23 +786,18 @@ mod tests {
 
     #[test]
     fn stall_and_slowdown_per_rank() {
-        let e = FaultPlan::new(1)
-            .with(Fault::RankStall {
-                rank: 2,
-                from: 1.0,
-                until: 4.0,
-            })
-            .with(Fault::RankSlowdown {
+        let e = engine([
+            Effect::RankStall { rank: 2 }.during(1.0, 4.0),
+            Effect::RankSlowdown {
                 rank: 1,
                 factor: 8.0,
-                from: 0.0,
-                until: 2.0,
-            })
-            .build()
-            .unwrap();
+            }
+            .during(0.0, 2.0),
+        ]);
         assert_eq!(e.rank_stall_until(2, 2.0), Some(4.0));
         assert_eq!(e.rank_stall_until(2, 4.0), None, "the window is half-open");
         assert_eq!(e.rank_stall_until(0, 2.0), None);
+        assert!(e.stall_ahead(2, 0.0) && e.stall_ahead(2, 3.9) && !e.stall_ahead(2, 4.0));
         assert_eq!(e.rank_slowdown(1, 1.0), 8.0);
         assert_eq!(e.rank_slowdown(1, 3.0), 1.0);
         assert_eq!(e.max_rank(), Some(2));
@@ -995,21 +805,11 @@ mod tests {
 
     #[test]
     fn scaled_to_zero_is_inert() {
-        let plan = FaultPlan::new(7)
-            .with(Fault::OstOutage {
-                ost: 0,
-                from: 1.0,
-                until: 2.0,
-            })
-            .with(Fault::MessageDelay {
-                delay: 1e-3,
-                from: 0.0,
-                until: 5.0,
-            })
-            .with(Fault::LockStorm {
-                from: 0.0,
-                until: 1.0,
-            });
+        let plan = plan([
+            Effect::OstOutage { ost: 0 }.during(1.0, 2.0),
+            Effect::MessageDelay { delay: 1e-3 }.during(0.0, 5.0),
+            Effect::LockStorm { clients: None }.during(0.0, 1.0),
+        ]);
         let zero = plan.scaled(0.0).build().unwrap();
         assert!(zero.is_inert());
         let half = plan.scaled(0.5).build().unwrap();
@@ -1021,31 +821,24 @@ mod tests {
 
     #[test]
     fn invalid_plans_rejected() {
-        assert!(FaultPlan::new(0)
-            .with(Fault::OstSlowdown {
+        assert!(rejected(
+            Effect::OstSlowdown {
                 ost: 0,
-                factor: 0.5,
-                from: 0.0,
-                until: 1.0,
-            })
-            .build()
-            .is_err());
-        assert!(FaultPlan::new(0)
-            .with(Fault::OstOutage {
-                ost: 0,
-                from: 2.0,
-                until: 1.0,
-            })
-            .build()
-            .is_err());
-        assert!(FaultPlan::new(0)
-            .with(Fault::MessageDelay {
-                delay: f64::NAN,
-                from: 0.0,
-                until: 1.0,
-            })
-            .build()
-            .is_err());
+                factor: 0.5
+            }
+            .during(0.0, 1.0)
+        ));
+        assert!(rejected(Effect::OstOutage { ost: 0 }.during(2.0, 1.0)));
+        assert!(rejected(Effect::OstOutage { ost: 0 }.during(-1.0, 1.0)));
+        assert!(rejected(
+            Effect::OstOutage { ost: 0 }.during(0.0, f64::INFINITY)
+        ));
+        assert!(rejected(
+            Effect::MessageDelay { delay: f64::NAN }.during(0.0, 1.0)
+        ));
+        assert!(rejected(
+            Effect::RequestOverhead { extra: -1e-3 }.during(0.0, 1.0)
+        ));
     }
 
     #[test]
@@ -1081,11 +874,10 @@ mod tests {
 
     #[test]
     fn crash_is_permanent_and_earliest_wins() {
-        let e = FaultPlan::new(9)
-            .with(Fault::RankCrash { rank: 2, at: 3.0 })
-            .with(Fault::RankCrash { rank: 2, at: 1.5 })
-            .build()
-            .unwrap();
+        let e = engine([
+            Fault::RankCrash { rank: 2, at: 3.0 },
+            Fault::RankCrash { rank: 2, at: 1.5 },
+        ]);
         assert!(!e.is_inert());
         assert!(e.any_crash());
         assert_eq!(e.crash_at(2), Some(1.5));
@@ -1100,13 +892,10 @@ mod tests {
 
     #[test]
     fn crash_dropped_at_zero_intensity() {
-        let plan = FaultPlan::new(9)
-            .with(Fault::RankCrash { rank: 1, at: 0.5 })
-            .with(Fault::SilentCorruption {
-                rate: 0.8,
-                from: 0.0,
-                until: 2.0,
-            });
+        let plan = plan([
+            Fault::RankCrash { rank: 1, at: 0.5 },
+            Effect::SilentCorruption { rate: 0.8 }.during(0.0, 2.0),
+        ]);
         let zero = plan.scaled(0.0).build().unwrap();
         assert!(zero.is_inert());
         assert!(!zero.any_crash());
@@ -1119,11 +908,7 @@ mod tests {
     #[test]
     fn corruption_is_windowed_and_deterministic() {
         let e = FaultPlan::new(11)
-            .with(Fault::SilentCorruption {
-                rate: 0.5,
-                from: 1.0,
-                until: 2.0,
-            })
+            .with(Effect::SilentCorruption { rate: 0.5 }.during(1.0, 2.0))
             .build()
             .unwrap();
         assert_eq!(e.corruption_rate(0.5), 0.0);
@@ -1139,14 +924,7 @@ mod tests {
             assert_eq!(e.corrupts(site, 1.5), e.unit_hash(site) < 0.5);
         }
         // rate = 1 corrupts everything inside the window.
-        let all = FaultPlan::new(11)
-            .with(Fault::SilentCorruption {
-                rate: 1.0,
-                from: 0.0,
-                until: 1.0,
-            })
-            .build()
-            .unwrap();
+        let all = engine([Effect::SilentCorruption { rate: 1.0 }.during(0.0, 1.0)]);
         for site in 0..64 {
             assert!(all.corrupts(site, 0.5));
         }
@@ -1154,85 +932,73 @@ mod tests {
 
     #[test]
     fn crash_and_corruption_plans_validate() {
-        assert!(FaultPlan::new(0)
-            .with(Fault::RankCrash {
-                rank: 0,
-                at: f64::NAN,
-            })
-            .build()
-            .is_err());
-        assert!(FaultPlan::new(0)
-            .with(Fault::RankCrash { rank: 0, at: -1.0 })
-            .build()
-            .is_err());
-        assert!(FaultPlan::new(0)
-            .with(Fault::SilentCorruption {
-                rate: 1.5,
-                from: 0.0,
-                until: 1.0,
-            })
-            .build()
-            .is_err());
-        assert!(FaultPlan::new(0)
-            .with(Fault::SilentCorruption {
-                rate: -0.1,
-                from: 0.0,
-                until: 1.0,
-            })
-            .build()
-            .is_err());
+        assert!(rejected(Fault::RankCrash {
+            rank: 0,
+            at: f64::NAN
+        }));
+        assert!(rejected(Fault::RankCrash { rank: 0, at: -1.0 }));
+        assert!(rejected(Fault::ConnFlush { at: f64::INFINITY }));
+        assert!(rejected(
+            Effect::SilentCorruption { rate: 1.5 }.during(0.0, 1.0)
+        ));
+        assert!(rejected(
+            Effect::SilentCorruption { rate: -0.1 }.during(0.0, 1.0)
+        ));
     }
 
     #[test]
     fn client_lock_storm_scopes_to_its_range() {
-        let e = FaultPlan::new(0)
-            .with(Fault::ClientLockStorm {
-                lo: 4,
-                hi: 7,
-                from: 1.0,
-                until: 2.0,
-            })
-            .build()
-            .unwrap();
-        assert!(!e.lock_storm(1.5), "scoped storm is not a global storm");
+        let e = engine([Effect::LockStorm {
+            clients: Some(4..=7),
+        }
+        .during(1.0, 2.0)]);
         assert!(e.lock_storm_for(4, 1.5));
         assert!(e.lock_storm_for(7, 1.5));
         assert!(!e.lock_storm_for(3, 1.5), "below the range");
         assert!(!e.lock_storm_for(8, 1.5), "above the range");
         assert!(!e.lock_storm_for(5, 2.0), "window is half-open");
-        assert_eq!(e.max_rank(), Some(7), "range feeds the bounds check");
-        // A global storm hits every client through the scoped query too.
-        let g = FaultPlan::new(0)
-            .with(Fault::LockStorm {
-                from: 0.0,
-                until: 1.0,
-            })
-            .build()
-            .unwrap();
+        assert_eq!(e.max_rank(), Some(7), "the range counts as a rank");
+        assert_eq!(e.check_world(2, 2), Ok(()), "but is not bounds-checked");
+        // A storm without a range hits every client.
+        let g = engine([Effect::LockStorm { clients: None }.during(0.0, 1.0)]);
         assert!(g.lock_storm_for(123, 0.5));
         // Bad ranges are rejected at build time.
-        assert!(FaultPlan::new(0)
-            .with(Fault::ClientLockStorm {
-                lo: 5,
-                hi: 4,
-                from: 0.0,
-                until: 1.0,
-            })
-            .build()
-            .is_err());
+        #[allow(clippy::reversed_empty_ranges)]
+        let backwards = Some(5..=4);
+        assert!(rejected(
+            Effect::LockStorm { clients: backwards }.during(0.0, 1.0)
+        ));
+    }
+
+    #[test]
+    fn check_world_refuses_ranks_and_ports_the_run_lacks() {
+        let e = engine([
+            Effect::RankStall { rank: 1 }.during(0.0, 1.0),
+            Fault::RankCrash { rank: 3, at: 0.5 },
+            Effect::LinkDegrade {
+                src: 0,
+                dst: 5,
+                factor: 2.0,
+            }
+            .during(0.0, 1.0),
+        ]);
+        assert_eq!(e.check_world(4, 6), Ok(()));
+        let short = e.check_world(3, 6).unwrap_err();
+        assert!(short.contains("rank 3"), "{short}");
+        let narrow = e.check_world(4, 5).unwrap_err();
+        assert!(narrow.contains("link 0 -> 5"), "{narrow}");
     }
 
     #[test]
     fn flaky_ost_spikes_within_duty_cycle() {
+        let flaky = |duty: f64| Effect::FlakyOst {
+            ost: 1,
+            factor: 16.0,
+            period: 0.1,
+            duty,
+        };
         let e = FaultPlan::new(3)
-            .with(Fault::FlakyOst {
-                ost: 1,
-                factor: 16.0,
-                period: 0.1,
-                duty: 0.4,
-                from: 0.0,
-                until: 10.0,
-            })
+            .with(flaky(0.4).during(0.0, 10.0))
             .build()
             .unwrap();
         assert!(!e.is_inert());
@@ -1258,109 +1024,44 @@ mod tests {
             (frac - 0.4).abs() < 0.05,
             "spike fraction {frac} should track duty 0.4"
         );
-        // duty = 1 degenerates to a steady slowdown; duty = 0 is inert.
-        let solid = FaultPlan::new(3)
-            .with(Fault::FlakyOst {
-                ost: 0,
-                factor: 2.0,
-                period: 1.0,
-                duty: 1.0,
-                from: 0.0,
-                until: 5.0,
-            })
-            .build()
-            .unwrap();
-        assert_eq!(solid.ost_factor(0, 2.5), 2.0);
-        let idle = FaultPlan::new(3)
-            .with(Fault::FlakyOst {
-                ost: 0,
-                factor: 2.0,
-                period: 1.0,
-                duty: 0.0,
-                from: 0.0,
-                until: 5.0,
-            })
-            .build()
-            .unwrap();
-        assert!(idle.is_inert());
-        assert_eq!(idle.ost_factor(0, 2.5), 1.0);
+        // duty = 1 degenerates to a steady slowdown; duty = 0 never spikes.
+        let solid = engine([flaky(1.0).during(0.0, 5.0)]);
+        assert_eq!(solid.ost_factor(1, 2.5), 16.0);
+        let idle = engine([flaky(0.0).during(0.0, 5.0)]);
+        assert_eq!(idle.ost_factor(1, 2.5), 1.0);
     }
 
     #[test]
     fn flaky_ost_scales_and_validates() {
-        let plan = FaultPlan::new(3).with(Fault::FlakyOst {
+        let flaky = |factor, period, duty| Effect::FlakyOst {
             ost: 0,
-            factor: 9.0,
-            period: 0.5,
-            duty: 0.8,
-            from: 0.0,
-            until: 4.0,
-        });
-        let zero = plan.scaled(0.0).build().unwrap();
-        assert!(zero.is_inert());
-        let half = plan.scaled(0.5).build().unwrap();
-        match half.plan().faults[0] {
-            Fault::FlakyOst {
-                factor,
-                duty,
-                until,
-                ..
-            } => {
-                assert_eq!(factor, 5.0);
-                assert_eq!(duty, 0.4);
-                assert_eq!(until, 2.0);
-            }
-            _ => unreachable!(),
-        }
+            factor,
+            period,
+            duty,
+        };
+        let plan = plan([flaky(9.0, 0.5, 0.8).during(0.0, 4.0)]);
+        assert!(plan.scaled(0.0).build().unwrap().is_inert());
+        assert_eq!(
+            plan.scaled(0.5).faults,
+            [flaky(5.0, 0.5, 0.4).during(0.0, 2.0)]
+        );
         for bad in [
-            Fault::FlakyOst {
-                ost: 0,
-                factor: 0.5,
-                period: 1.0,
-                duty: 0.5,
-                from: 0.0,
-                until: 1.0,
-            },
-            Fault::FlakyOst {
-                ost: 0,
-                factor: 2.0,
-                period: 0.0,
-                duty: 0.5,
-                from: 0.0,
-                until: 1.0,
-            },
-            Fault::FlakyOst {
-                ost: 0,
-                factor: 2.0,
-                period: 1.0,
-                duty: 1.5,
-                from: 0.0,
-                until: 1.0,
-            },
+            flaky(0.5, 1.0, 0.5),
+            flaky(2.0, 0.0, 0.5),
+            flaky(2.0, 1.0, 1.5),
         ] {
-            assert!(FaultPlan::new(0).with(bad).build().is_err());
+            assert!(rejected(bad.during(0.0, 1.0)));
         }
     }
 
     #[test]
     fn link_degrade_is_asymmetric_and_windowed() {
-        let e = FaultPlan::new(5)
-            .with(Fault::LinkDegrade {
-                src: 0,
-                dst: 2,
-                factor: 3.0,
-                from: 1.0,
-                until: 2.0,
-            })
-            .with(Fault::LinkDegrade {
-                src: 0,
-                dst: 2,
-                factor: 2.0,
-                from: 1.5,
-                until: 2.5,
-            })
-            .build()
-            .unwrap();
+        let link = |factor| Effect::LinkDegrade {
+            src: 0,
+            dst: 2,
+            factor,
+        };
+        let e = engine([link(3.0).during(1.0, 2.0), link(2.0).during(1.5, 2.5)]);
         assert!(!e.is_inert());
         assert!(e.any_link_degrade());
         assert_eq!(e.link_factor(0, 2, 0.5), 1.0, "before the window");
@@ -1371,30 +1072,14 @@ mod tests {
         assert_eq!(e.link_factor(1, 2, 1.2), 1.0, "other pairs healthy");
         assert!(!ChaosEngine::none().any_link_degrade());
         // Scaling shrinks both factor and window.
-        let half = FaultPlan::new(5)
-            .with(Fault::LinkDegrade {
-                src: 0,
-                dst: 2,
-                factor: 3.0,
-                from: 1.0,
-                until: 2.0,
-            })
+        let half = plan([link(3.0).during(1.0, 2.0)])
             .scaled(0.5)
             .build()
             .unwrap();
         assert_eq!(half.link_factor(0, 2, 1.25), 2.0);
         assert_eq!(half.link_factor(0, 2, 1.75), 1.0);
         // factor < 1 rejected.
-        assert!(FaultPlan::new(0)
-            .with(Fault::LinkDegrade {
-                src: 0,
-                dst: 1,
-                factor: 0.9,
-                from: 0.0,
-                until: 1.0,
-            })
-            .build()
-            .is_err());
+        assert!(rejected(link(0.9).during(0.0, 1.0)));
     }
 
     #[test]

@@ -19,67 +19,52 @@
 //!
 //! Supported value forms: unsigned integers, floats (including `1e-3`
 //! notation), double-quoted strings, `true`/`false`. `#` starts a comment.
+//! An integer key (`seed`, `max_attempts`, and every OST, rank, client and
+//! node index) takes only an integer literal, read exactly as a `u64`; a
+//! float key takes either form.
 //!
-//! | `kind`             | required keys                         |
-//! |--------------------|---------------------------------------|
-//! | `ost_slowdown`     | `ost`, `factor`, `from`, `until`      |
-//! | `ost_outage`       | `ost`, `from`, `until`                |
-//! | `request_overhead` | `extra`, `from`, `until`              |
-//! | `lock_storm`       | `from`, `until`                       |
-//! | `client_lock_storm`| `client_lo`, `client_hi`, `from`, `until` |
-//! | `message_delay`    | `delay`, `from`, `until`              |
-//! | `conn_flush`       | `at`                                  |
-//! | `rank_stall`       | `rank`, `from`, `until`               |
-//! | `rank_slowdown`    | `rank`, `factor`, `from`, `until`     |
-//! | `rank_crash`       | `rank`, `at`                          |
-//! | `silent_corruption`| `rate`, `from`, `until`               |
-//! | `flaky_ost`        | `ost`, `factor`, `period`, `duty`, `from`, `until` |
-//! | `link_degrade`     | `src`, `dst`, `factor`, `from`, `until` |
+//! Every kind but the two instants also takes its window, `from` and
+//! `until`:
+//!
+//! | `kind`             | keys besides `kind`, `from`, `until` |
+//! |--------------------|--------------------------------------|
+//! | `ost_slowdown`     | `ost`, `factor`                      |
+//! | `ost_outage`       | `ost`                                |
+//! | `request_overhead` | `extra`                              |
+//! | `lock_storm`       | —                                    |
+//! | `client_lock_storm`| `client_lo`, `client_hi`             |
+//! | `message_delay`    | `delay`                              |
+//! | `rank_stall`       | `rank`                               |
+//! | `rank_slowdown`    | `rank`, `factor`                     |
+//! | `silent_corruption`| `rate`                               |
+//! | `flaky_ost`        | `ost`, `factor`, `period`, `duty`    |
+//! | `link_degrade`     | `src`, `dst`, `factor`               |
+//! | `conn_flush`       | `at` (an instant: no window)         |
+//! | `rank_crash`       | `rank`, `at` (an instant: no window) |
 //!
 //! Unknown sections, kinds, and keys are rejected with a line-numbered
 //! error that names the nearest valid spelling (edit distance), so a
 //! typo'd plan fails loudly instead of silently injecting nothing.
 
-use crate::{Fault, FaultPlan, RetryPolicy};
+use crate::{Effect, Fault, FaultPlan, RetryPolicy};
 
-/// Every fault kind with its full key set (`kind` included) — the
-/// suggestion tables behind unknown-key / unknown-kind diagnostics.
-const KIND_KEYS: &[(&str, &[&str])] = &[
-    ("ost_slowdown", &["kind", "ost", "factor", "from", "until"]),
-    ("ost_outage", &["kind", "ost", "from", "until"]),
-    ("request_overhead", &["kind", "extra", "from", "until"]),
-    ("lock_storm", &["kind", "from", "until"]),
-    (
-        "client_lock_storm",
-        &["kind", "client_lo", "client_hi", "from", "until"],
-    ),
-    ("message_delay", &["kind", "delay", "from", "until"]),
-    ("conn_flush", &["kind", "at"]),
-    ("rank_stall", &["kind", "rank", "from", "until"]),
-    (
-        "rank_slowdown",
-        &["kind", "rank", "factor", "from", "until"],
-    ),
-    ("rank_crash", &["kind", "rank", "at"]),
-    ("silent_corruption", &["kind", "rate", "from", "until"]),
-    (
-        "flaky_ost",
-        &["kind", "ost", "factor", "period", "duty", "from", "until"],
-    ),
-    (
-        "link_degrade",
-        &["kind", "src", "dst", "factor", "from", "until"],
-    ),
+/// Every fault kind — the suggestion table behind unknown-kind
+/// diagnostics.
+const KINDS: &[&str] = &[
+    "ost_slowdown",
+    "ost_outage",
+    "request_overhead",
+    "lock_storm",
+    "client_lock_storm",
+    "message_delay",
+    "conn_flush",
+    "rank_stall",
+    "rank_slowdown",
+    "rank_crash",
+    "silent_corruption",
+    "flaky_ost",
+    "link_degrade",
 ];
-
-const RETRY_KEYS: &[&str] = &["max_attempts", "base_backoff", "max_backoff"];
-
-fn keys_for_kind(kind: &str) -> Option<&'static [&'static str]> {
-    KIND_KEYS
-        .iter()
-        .find(|(k, _)| *k == kind)
-        .map(|(_, keys)| *keys)
-}
 
 /// Classic dynamic-programming edit distance, O(|a|·|b|); plan keys are
 /// tiny so no banding needed.
@@ -129,8 +114,17 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
+fn syntax(line: usize, msg: impl Into<String>) -> PlanError {
+    PlanError::Syntax {
+        line,
+        msg: msg.into(),
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
 enum Value {
+    /// A literal that reads as a `u64` exactly.
+    Int(u64),
     Num(f64),
     Str(String),
     Bool(bool),
@@ -138,24 +132,20 @@ enum Value {
 
 impl Value {
     fn as_f64(&self, key: &str, line: usize) -> Result<f64, PlanError> {
-        match self {
-            Value::Num(n) => Ok(*n),
-            _ => Err(PlanError::Syntax {
-                line,
-                msg: format!("`{key}` must be a number"),
-            }),
+        match *self {
+            Value::Int(n) => Ok(n as f64),
+            Value::Num(x) => Ok(x),
+            _ => Err(syntax(line, format!("`{key}` must be a number"))),
         }
     }
 
-    fn as_usize(&self, key: &str, line: usize) -> Result<usize, PlanError> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= usize::MAX as f64 => {
-                Ok(*n as usize)
-            }
-            _ => Err(PlanError::Syntax {
+    fn as_u64(&self, key: &str, line: usize) -> Result<u64, PlanError> {
+        match *self {
+            Value::Int(n) => Ok(n),
+            _ => Err(syntax(
                 line,
-                msg: format!("`{key}` must be a non-negative integer"),
-            }),
+                format!("`{key}` must be a non-negative integer that fits 64 bits"),
+            )),
         }
     }
 }
@@ -169,48 +159,61 @@ struct Entry {
 
 /// Accumulates the entries of the section currently being parsed.
 struct Section {
-    name: String,
+    name: &'static str,
     start_line: usize,
     entries: Vec<Entry>,
+    /// Every key the parser looked for, in order: the section's valid
+    /// spellings.
+    asked: Vec<&'static str>,
 }
 
 impl Section {
-    fn take(&mut self, key: &str) -> Option<(Value, usize)> {
+    fn new(name: &'static str, start_line: usize) -> Section {
+        Section {
+            name,
+            start_line,
+            entries: Vec::new(),
+            asked: Vec::new(),
+        }
+    }
+
+    fn take(&mut self, key: &'static str) -> Option<(Value, usize)> {
+        self.asked.push(key);
         let i = self.entries.iter().position(|e| e.key == key)?;
         let e = self.entries.remove(i);
         Some((e.value, e.line))
     }
 
-    fn require(&mut self, key: &str) -> Result<(Value, usize), PlanError> {
-        self.take(key).ok_or_else(|| PlanError::Syntax {
-            line: self.start_line,
-            msg: format!("section `{}` is missing key `{key}`", self.name),
-        })
+    fn require(&mut self, key: &'static str) -> Result<(Value, usize), PlanError> {
+        let (name, line) = (self.name, self.start_line);
+        self.take(key)
+            .ok_or_else(|| syntax(line, format!("section `{name}` is missing key `{key}`")))
     }
 
-    fn require_f64(&mut self, key: &str) -> Result<f64, PlanError> {
+    fn f64(&mut self, key: &'static str) -> Result<f64, PlanError> {
         let (v, line) = self.require(key)?;
         v.as_f64(key, line)
     }
 
-    fn require_usize(&mut self, key: &str) -> Result<usize, PlanError> {
+    fn index(&mut self, key: &'static str) -> Result<usize, PlanError> {
         let (v, line) = self.require(key)?;
-        v.as_usize(key, line)
+        let n = v.as_u64(key, line)?;
+        usize::try_from(n).map_err(|_| syntax(line, format!("`{key}` {n} is out of range")))
     }
 
-    fn finish(self, valid: &[&str]) -> Result<(), PlanError> {
-        if let Some(e) = self.entries.first() {
-            return Err(PlanError::Syntax {
-                line: e.line,
-                msg: format!(
+    fn finish(self) -> Result<(), PlanError> {
+        match self.entries.first() {
+            Some(e) => Err(syntax(
+                e.line,
+                format!(
                     "unknown key `{}` in section `{}`{}",
                     e.key,
                     self.name,
-                    nearest(&e.key, valid)
+                    nearest(&e.key, &self.asked)
                 ),
-            });
+            )),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -220,22 +223,19 @@ fn parse_value(raw: &str, line: usize) -> Result<Value, PlanError> {
         if raw.len() >= 2 && raw.ends_with('"') && !raw[1..raw.len() - 1].contains('"') {
             return Ok(Value::Str(raw[1..raw.len() - 1].to_string()));
         }
-        return Err(PlanError::Syntax {
-            line,
-            msg: format!("malformed string {raw}"),
-        });
+        return Err(syntax(line, format!("malformed string {raw}")));
     }
     match raw {
-        "true" => return Ok(Value::Bool(true)),
-        "false" => return Ok(Value::Bool(false)),
-        _ => {}
+        "true" => Ok(Value::Bool(true)),
+        "false" => Ok(Value::Bool(false)),
+        _ => match raw.parse::<u64>() {
+            Ok(n) => Ok(Value::Int(n)),
+            Err(_) => raw
+                .parse::<f64>()
+                .map(Value::Num)
+                .map_err(|_| syntax(line, format!("cannot parse value `{raw}`"))),
+        },
     }
-    raw.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|_| PlanError::Syntax {
-            line,
-            msg: format!("cannot parse value `{raw}`"),
-        })
 }
 
 fn strip_comment(line: &str) -> &str {
@@ -251,113 +251,77 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-fn fault_from_section(mut s: Section) -> Result<Fault, PlanError> {
-    let (kind_v, kind_line) = s.require("kind")?;
-    let kind = match kind_v {
-        Value::Str(k) => k,
-        _ => {
-            return Err(PlanError::Syntax {
-                line: kind_line,
-                msg: "`kind` must be a string".into(),
-            })
-        }
-    };
-    let fault = match kind.as_str() {
-        "ost_slowdown" => Fault::OstSlowdown {
-            ost: s.require_usize("ost")?,
-            factor: s.require_f64("factor")?,
-            from: s.require_f64("from")?,
-            until: s.require_f64("until")?,
+/// The effect a windowed `kind` names, read from its keys.
+fn effect_from_section(kind: &str, line: usize, s: &mut Section) -> Result<Effect, PlanError> {
+    Ok(match kind {
+        "ost_slowdown" => Effect::OstSlowdown {
+            ost: s.index("ost")?,
+            factor: s.f64("factor")?,
         },
-        "ost_outage" => Fault::OstOutage {
-            ost: s.require_usize("ost")?,
-            from: s.require_f64("from")?,
-            until: s.require_f64("until")?,
+        "ost_outage" => Effect::OstOutage {
+            ost: s.index("ost")?,
         },
-        "request_overhead" => Fault::RequestOverhead {
-            extra: s.require_f64("extra")?,
-            from: s.require_f64("from")?,
-            until: s.require_f64("until")?,
+        "request_overhead" => Effect::RequestOverhead {
+            extra: s.f64("extra")?,
         },
-        "lock_storm" => Fault::LockStorm {
-            from: s.require_f64("from")?,
-            until: s.require_f64("until")?,
+        "lock_storm" => Effect::LockStorm { clients: None },
+        "client_lock_storm" => Effect::LockStorm {
+            clients: Some(s.index("client_lo")?..=s.index("client_hi")?),
         },
-        "client_lock_storm" => Fault::ClientLockStorm {
-            lo: s.require_usize("client_lo")?,
-            hi: s.require_usize("client_hi")?,
-            from: s.require_f64("from")?,
-            until: s.require_f64("until")?,
+        "message_delay" => Effect::MessageDelay {
+            delay: s.f64("delay")?,
         },
-        "message_delay" => Fault::MessageDelay {
-            delay: s.require_f64("delay")?,
-            from: s.require_f64("from")?,
-            until: s.require_f64("until")?,
+        "rank_stall" => Effect::RankStall {
+            rank: s.index("rank")?,
         },
-        "conn_flush" => Fault::ConnFlush {
-            at: s.require_f64("at")?,
+        "rank_slowdown" => Effect::RankSlowdown {
+            rank: s.index("rank")?,
+            factor: s.f64("factor")?,
         },
-        "rank_stall" => Fault::RankStall {
-            rank: s.require_usize("rank")?,
-            from: s.require_f64("from")?,
-            until: s.require_f64("until")?,
+        "silent_corruption" => Effect::SilentCorruption {
+            rate: s.f64("rate")?,
         },
-        "rank_slowdown" => Fault::RankSlowdown {
-            rank: s.require_usize("rank")?,
-            factor: s.require_f64("factor")?,
-            from: s.require_f64("from")?,
-            until: s.require_f64("until")?,
+        "flaky_ost" => Effect::FlakyOst {
+            ost: s.index("ost")?,
+            factor: s.f64("factor")?,
+            period: s.f64("period")?,
+            duty: s.f64("duty")?,
         },
-        "rank_crash" => Fault::RankCrash {
-            rank: s.require_usize("rank")?,
-            at: s.require_f64("at")?,
-        },
-        "silent_corruption" => Fault::SilentCorruption {
-            rate: s.require_f64("rate")?,
-            from: s.require_f64("from")?,
-            until: s.require_f64("until")?,
-        },
-        "flaky_ost" => Fault::FlakyOst {
-            ost: s.require_usize("ost")?,
-            factor: s.require_f64("factor")?,
-            period: s.require_f64("period")?,
-            duty: s.require_f64("duty")?,
-            from: s.require_f64("from")?,
-            until: s.require_f64("until")?,
-        },
-        "link_degrade" => Fault::LinkDegrade {
-            src: s.require_usize("src")?,
-            dst: s.require_usize("dst")?,
-            factor: s.require_f64("factor")?,
-            from: s.require_f64("from")?,
-            until: s.require_f64("until")?,
+        "link_degrade" => Effect::LinkDegrade {
+            src: s.index("src")?,
+            dst: s.index("dst")?,
+            factor: s.f64("factor")?,
         },
         other => {
-            let kinds: Vec<&str> = KIND_KEYS.iter().map(|(k, _)| *k).collect();
-            return Err(PlanError::Syntax {
-                line: kind_line,
-                msg: format!("unknown fault kind `{other}`{}", nearest(other, &kinds)),
-            });
+            let hint = nearest(other, KINDS);
+            return Err(syntax(line, format!("unknown fault kind `{other}`{hint}")));
         }
+    })
+}
+
+fn fault_from_section(mut s: Section) -> Result<Fault, PlanError> {
+    let (kind, line) = s.require("kind")?;
+    let Value::Str(kind) = kind else {
+        return Err(syntax(line, "`kind` must be a string"));
     };
-    // Invariant: every arm above but the last is a `KIND_KEYS` entry, and
-    // the last returned.
-    s.finish(keys_for_kind(&kind).expect("every accepted kind is in KIND_KEYS"))?;
+    let fault = match kind.as_str() {
+        "conn_flush" => Fault::ConnFlush { at: s.f64("at")? },
+        "rank_crash" => Fault::RankCrash {
+            rank: s.index("rank")?,
+            at: s.f64("at")?,
+        },
+        kind => effect_from_section(kind, line, &mut s)?.during(s.f64("from")?, s.f64("until")?),
+    };
+    s.finish()?;
     Ok(fault)
 }
 
 fn retry_from_section(mut s: Section) -> Result<RetryPolicy, PlanError> {
     let mut retry = RetryPolicy::default();
     if let Some((v, line)) = s.take("max_attempts") {
-        let n = v.as_usize("max_attempts", line)?;
-        retry.max_attempts = match u32::try_from(n) {
+        retry.max_attempts = match u32::try_from(v.as_u64("max_attempts", line)?) {
             Ok(n) if n >= 1 => n,
-            _ => {
-                return Err(PlanError::Syntax {
-                    line,
-                    msg: "`max_attempts` must be ≥ 1 and fit 32 bits".into(),
-                })
-            }
+            _ => return Err(syntax(line, "`max_attempts` must be ≥ 1 and fit 32 bits")),
         };
     }
     if let Some((v, line)) = s.take("base_backoff") {
@@ -366,7 +330,7 @@ fn retry_from_section(mut s: Section) -> Result<RetryPolicy, PlanError> {
     if let Some((v, line)) = s.take("max_backoff") {
         retry.max_backoff = v.as_f64("max_backoff", line)?;
     }
-    s.finish(RETRY_KEYS)?;
+    s.finish()?;
     if !(retry.base_backoff.is_finite()
         && retry.base_backoff >= 0.0
         && retry.max_backoff.is_finite()
@@ -384,25 +348,15 @@ impl FaultPlan {
     /// of this module. The result still needs [`FaultPlan::build`] to be
     /// validated and compiled.
     pub fn parse(text: &str) -> Result<FaultPlan, PlanError> {
-        enum Target {
-            Top,
-            Retry(Section),
-            Fault(Section),
-        }
         let mut plan = FaultPlan::new(0);
-        let mut target = Target::Top;
-        let close = |t: Target, plan: &mut FaultPlan| -> Result<(), PlanError> {
-            match t {
-                Target::Top => Ok(()),
-                Target::Retry(s) => {
-                    plan.retry = retry_from_section(s)?;
-                    Ok(())
-                }
-                Target::Fault(s) => {
-                    plan.faults.push(fault_from_section(s)?);
-                    Ok(())
-                }
+        let mut open: Option<Section> = None;
+        let close = |s: Option<Section>, plan: &mut FaultPlan| -> Result<(), PlanError> {
+            match s {
+                Some(s) if s.name == "retry" => plan.retry = retry_from_section(s)?,
+                Some(s) => plan.faults.push(fault_from_section(s)?),
+                None => {}
             }
+            Ok(())
         };
         for (idx, raw) in text.lines().enumerate() {
             let line_no = idx + 1;
@@ -410,74 +364,37 @@ impl FaultPlan {
             if line.is_empty() {
                 continue;
             }
-            if let Some(header) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
-                let prev = std::mem::replace(&mut target, Target::Top);
-                close(prev, &mut plan)?;
-                if header.trim() != "fault" {
-                    return Err(PlanError::Syntax {
-                        line: line_no,
-                        msg: format!("unknown array section `[[{}]]`", header.trim()),
-                    });
-                }
-                target = Target::Fault(Section {
-                    name: "fault".into(),
-                    start_line: line_no,
-                    entries: Vec::new(),
-                });
-            } else if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                let prev = std::mem::replace(&mut target, Target::Top);
-                close(prev, &mut plan)?;
-                if header.trim() != "retry" {
-                    return Err(PlanError::Syntax {
-                        line: line_no,
-                        msg: format!("unknown section `[{}]`", header.trim()),
-                    });
-                }
-                target = Target::Retry(Section {
-                    name: "retry".into(),
-                    start_line: line_no,
-                    entries: Vec::new(),
-                });
+            if let Some(inner) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+                close(open.take(), &mut plan)?;
+                let name = match inner.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+                    Some(array) if array.trim() == "fault" => "fault",
+                    None if inner.trim() == "retry" => "retry",
+                    _ => return Err(syntax(line_no, format!("unknown section `{line}`"))),
+                };
+                open = Some(Section::new(name, line_no));
             } else if let Some((key, value)) = line.split_once('=') {
-                let key = key.trim().to_string();
+                let key = key.trim();
                 let value = parse_value(value, line_no)?;
-                match &mut target {
-                    Target::Top => match key.as_str() {
-                        "seed" => {
-                            plan.seed = match value {
-                                Value::Num(n) if n >= 0.0 && n.fract() == 0.0 => n as u64,
-                                _ => {
-                                    return Err(PlanError::Syntax {
-                                        line: line_no,
-                                        msg: "`seed` must be a non-negative integer".into(),
-                                    })
-                                }
-                            };
-                        }
-                        other => {
-                            return Err(PlanError::Syntax {
-                                line: line_no,
-                                msg: format!(
-                                    "unknown top-level key `{other}`{}",
-                                    nearest(other, &["seed"])
-                                ),
-                            })
-                        }
-                    },
-                    Target::Retry(s) | Target::Fault(s) => s.entries.push(Entry {
-                        key,
+                match &mut open {
+                    Some(s) => s.entries.push(Entry {
+                        key: key.to_string(),
                         value,
                         line: line_no,
                     }),
+                    None if key == "seed" => plan.seed = value.as_u64("seed", line_no)?,
+                    None => {
+                        let hint = nearest(key, &["seed"]);
+                        return Err(syntax(
+                            line_no,
+                            format!("unknown top-level key `{key}`{hint}"),
+                        ));
+                    }
                 }
             } else {
-                return Err(PlanError::Syntax {
-                    line: line_no,
-                    msg: format!("cannot parse `{line}`"),
-                });
+                return Err(syntax(line_no, format!("cannot parse `{line}`")));
             }
         }
-        close(target, &mut plan)?;
+        close(open, &mut plan)?;
         Ok(plan)
     }
 }
@@ -526,16 +443,8 @@ mod tests {
         assert_eq!(
             plan.faults,
             vec![
-                Fault::OstOutage {
-                    ost: 3,
-                    from: 0.002,
-                    until: 0.010
-                },
-                Fault::MessageDelay {
-                    delay: 1.5e-4,
-                    from: 0.0,
-                    until: 0.02
-                },
+                Effect::OstOutage { ost: 3 }.during(0.002, 0.010),
+                Effect::MessageDelay { delay: 1.5e-4 }.during(0.0, 0.02),
                 Fault::ConnFlush { at: 0.005 },
             ]
         );
@@ -586,11 +495,7 @@ mod tests {
         assert_eq!(plan.faults[5], Fault::RankCrash { rank: 3, at: 0.5 });
         assert_eq!(
             plan.faults[6],
-            Fault::SilentCorruption {
-                rate: 0.25,
-                from: 0.0,
-                until: 1.0
-            }
+            Effect::SilentCorruption { rate: 0.25 }.during(0.0, 1.0)
         );
         plan.build().unwrap();
     }
@@ -666,21 +571,19 @@ mod tests {
         assert_eq!(
             plan.faults,
             vec![
-                Fault::FlakyOst {
+                Effect::FlakyOst {
                     ost: 2,
                     factor: 50.0,
                     period: 0.01,
                     duty: 0.8,
-                    from: 0.0,
-                    until: 1.0,
-                },
-                Fault::LinkDegrade {
+                }
+                .during(0.0, 1.0),
+                Effect::LinkDegrade {
                     src: 0,
                     dst: 3,
                     factor: 4.0,
-                    from: 0.1,
-                    until: 0.9,
-                },
+                }
+                .during(0.1, 0.9),
             ]
         );
         plan.build().unwrap();
@@ -713,19 +616,17 @@ mod tests {
     fn every_family_rejects_unknown_keys_naming_the_nearest() {
         // One probe per fault family: a typo'd copy of a real key must be
         // rejected with the line number and the intended spelling.
-        for (kind, keys) in KIND_KEYS {
-            let victim = keys.iter().find(|k| **k != "kind").unwrap();
+        for kind in KINDS {
+            let body = minimal_body(kind);
+            let victim = body.split(" =").next().unwrap();
             let typo = format!("{victim}z");
-            let text = format!(
-                "[[fault]]\nkind = \"{kind}\"\n{}\n{typo} = 1.0",
-                minimal_body(kind)
-            );
+            let text = format!("[[fault]]\nkind = \"{kind}\"\n{body}\n{typo} = 1.0");
             let err = FaultPlan::parse(&text).unwrap_err();
             match err {
                 PlanError::Syntax { line, msg } => {
                     assert_eq!(
                         line,
-                        3 + minimal_body(kind).lines().count(),
+                        3 + body.lines().count(),
                         "{kind}: line must point at the typo"
                     );
                     assert!(
@@ -766,5 +667,54 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn integer_keys_read_integer_literals_exactly() {
+        // `Ok(n)`: the key holds exactly `n`; `Err(line)`: a syntax error
+        // there. Integers that f64 cannot hold must not round, and a float
+        // literal is no integer, however large or whole.
+        let seed = |text: &str| FaultPlan::parse(&format!("# plan\n{text}")).map(|p| p.seed);
+        let cases: &[(&str, Result<u64, usize>)] = &[
+            ("seed = 9007199254740993", Ok(9_007_199_254_740_993)),
+            ("seed = 18446744073709551615", Ok(u64::MAX)),
+            ("seed = 18446744073709551616", Err(2)),
+            ("seed = 1e300", Err(2)),
+            ("seed = 4.0", Err(2)),
+            ("seed = -1", Err(2)),
+            ("seed = \"7\"", Err(2)),
+        ];
+        for (text, want) in cases {
+            let got = seed(text).map_err(|e| match e {
+                PlanError::Syntax { line, .. } => line,
+                other => panic!("{text}: {other:?}"),
+            });
+            assert_eq!(got, *want, "{text}");
+        }
+        let rank = |value: &str| {
+            let text = format!("[[fault]]\nkind = \"rank_crash\"\nrank = {value}\nat = 1");
+            FaultPlan::parse(&text).map(|p| p.faults[0].clone())
+        };
+        assert_eq!(
+            rank("9007199254740993"),
+            Ok(Fault::RankCrash {
+                rank: 9_007_199_254_740_993,
+                at: 1.0
+            }),
+            "an integer key is exact; a float key takes an integer"
+        );
+        for bad in ["2.5", "1e300", "3.0"] {
+            assert!(
+                matches!(rank(bad), Err(PlanError::Syntax { line: 3, .. })),
+                "rank = {bad}"
+            );
+        }
+        let ost = "[[fault]]\nkind = \"ost_outage\"\nost = 1e0\nfrom = 0\nuntil = 1";
+        assert!(matches!(
+            FaultPlan::parse(ost),
+            Err(PlanError::Syntax { line: 3, .. })
+        ));
+        let retry = FaultPlan::parse("[retry]\nmax_attempts = 4294967296");
+        assert!(matches!(retry, Err(PlanError::Syntax { line: 2, .. })));
     }
 }

@@ -26,7 +26,7 @@
 
 use crate::burst::BurstBuffer;
 use crate::FacilityError;
-use mpiio::client::{settle, submit, Direction, ReadRoute};
+use mpiio::client::{settle, submit, Direction};
 use mpisim::{Comm, Phase, Rank};
 use pfs::{FileId, Pfs};
 
@@ -48,11 +48,6 @@ pub struct JobSpec {
     pub access: u64,
     /// Read the rank's own blocks back after the write and verify them.
     pub read_back: bool,
-    /// Serve read-back through [`Pfs::read_at_hedged`]: with the
-    /// facility's health layer attached, tail-latency reads race a
-    /// speculative duplicate at a healthy OST. Without a health layer
-    /// the hedged entry point is bit-identical to the plain one.
-    pub hedged_reads: bool,
 }
 
 /// What one rank contributed to a finished job.
@@ -104,14 +99,13 @@ fn read_span(
     id: FileId,
     offset: u64,
     buf: &mut [u8],
-    route: ReadRoute,
 ) -> Result<(), FacilityError> {
     // Burst-buffer reads serve staged bytes at the buffer's own speed, so
     // only direct file-system reads can hedge.
     let run = [(offset, buf.len() as u64)];
     let read = |rk: &mut Rank, off, _, _| match bb {
         Some(bb) => bb.read(fs, id, rk.rank(), off, buf, rk.now()),
-        None => route.read_at(fs, id, rk.rank(), off, buf, rk.now()),
+        None => fs.read_at_hedged(id, rk.rank(), off, buf, rk.now()),
     };
     let io = submit(rank, Direction::Read, None, run, read)?;
     rank.with_phase(Phase::Io, |rk| settle(rk, io));
@@ -179,13 +173,12 @@ pub fn run_job(
     if spec.read_back {
         // The hedge token bucket is per read phase, mirroring the
         // per-collective reset the mpiio read paths perform.
-        let route = ReadRoute::new(spec.hedged_reads);
-        route.begin_scope(fs, rank.rank());
+        fs.hedge_scope_begin(rank.rank());
         let mut block = vec![0u8; spec.access as usize];
         for b in 0..nblocks {
             let i = (b * g + gr) as u64;
             let off = i * spec.access;
-            read_span(rank, fs, bb, id, off, &mut block, route)?;
+            read_span(rank, fs, bb, id, off, &mut block)?;
             for (k, &byte) in block.iter().enumerate() {
                 let want = pattern_byte(tenant, job, off + k as u64);
                 if byte != want {

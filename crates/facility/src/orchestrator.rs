@@ -330,7 +330,6 @@ pub fn run_facility(cfg: &FacilityConfig) -> Result<FacilityReport, FacilityErro
     };
     let fs_body = Arc::clone(&fs);
     let buffers_body = Arc::clone(&buffers);
-    let defended = cfg.health.is_some();
     let rep = mpisim::run(nranks, sim, move |rank: &mut Rank| {
         let log = rank.shared_state(|| Mutex::new(Vec::<JobRecord>::new()))?;
         let t = tenant_of_rank[rank.rank()] as usize;
@@ -356,7 +355,6 @@ pub fn run_facility(cfg: &FacilityConfig) -> Result<FacilityReport, FacilityErro
                 bytes_per_rank: spec.bytes_per_rank,
                 access: spec.access,
                 read_back: spec.read_back,
-                hedged_reads: defended,
             };
             job::run_job(rank, &comm, &fs_body, bb, t as u32, j as u32, &jspec)?;
             // run_job ends with a group barrier, so every member's clock

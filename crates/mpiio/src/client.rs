@@ -8,8 +8,8 @@
 //! [`settle`] (or a [`DeferredQueue`], for pipelined callers) charges that
 //! completion to the rank's clock. What callers differ in is an argument
 //! or closure state: direction, span name, which client the request is
-//! charged to, which instant an attempt is priced at, [`ReadRoute`], file
-//! system or burst buffer.
+//! charged to, which instant an attempt is priced at, file system or burst
+//! buffer.
 //!
 //! ## Retries
 //!
@@ -161,49 +161,6 @@ fn pfs_retry(rank: &mut Rank, mut op: impl FnMut(&mut Rank) -> pfs::Result<f64>)
     }
 }
 
-/// Which PFS read call a window read or segment load goes through — the
-/// one place `hedged_reads` (of `CollectiveConfig` and tcio's config) is
-/// turned into a call. Hedging is a no-op unless the PFS has a health
-/// layer attached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadRoute {
-    Plain,
-    Hedged,
-}
-
-impl ReadRoute {
-    pub fn new(hedged_reads: bool) -> ReadRoute {
-        if hedged_reads {
-            ReadRoute::Hedged
-        } else {
-            ReadRoute::Plain
-        }
-    }
-
-    /// Reset `client`'s hedge budget at the start of a read phase.
-    pub fn begin_scope(self, pfs: &pfs::Pfs, client: usize) {
-        if self == ReadRoute::Hedged {
-            pfs.hedge_scope_begin(client);
-        }
-    }
-
-    /// One read attempt — the body of a [`submit`] closure.
-    pub fn read_at(
-        self,
-        pfs: &pfs::Pfs,
-        fid: pfs::FileId,
-        client: usize,
-        off: u64,
-        dst: &mut [u8],
-        now: f64,
-    ) -> pfs::Result<f64> {
-        match self {
-            ReadRoute::Plain => pfs.read_at(fid, client, off, dst, now),
-            ReadRoute::Hedged => pfs.read_at_hedged(fid, client, off, dst, now),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,11 +171,7 @@ mod tests {
     #[test]
     fn retries_until_outage_lifts_and_counts() {
         let engine = chaos::FaultPlan::new(3)
-            .with(chaos::Fault::OstOutage {
-                ost: 0,
-                from: 0.0,
-                until: 0.5,
-            })
+            .with(chaos::Effect::OstOutage { ost: 0 }.during(0.0, 0.5))
             .build()
             .unwrap();
         let fs = Pfs::new(
@@ -268,11 +221,7 @@ mod tests {
             max_backoff: 1e-2,
         };
         for k in 0..8 {
-            plan = plan.with(chaos::Fault::OstOutage {
-                ost: 0,
-                from: k as f64,
-                until: (k + 1) as f64,
-            });
+            plan = plan.with(chaos::Effect::OstOutage { ost: 0 }.during(k as f64, (k + 1) as f64));
         }
         let engine = plan.build().unwrap();
         let fs = Pfs::new(

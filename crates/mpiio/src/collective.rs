@@ -69,14 +69,6 @@ pub struct CollectiveConfig {
     /// submission); only the clock attribution changes. Combine with
     /// `cb_buffer` — a single unchunked round has nothing to overlap.
     pub pipeline: bool,
-    /// Adaptive hedged reads: aggregators route window reads through
-    /// [`pfs::Pfs::read_at_hedged`], with the per-collective hedge budget
-    /// reset at each read phase via [`pfs::Pfs::hedge_scope_begin`]. A
-    /// no-op unless the PFS has a health layer attached (and bit-identical
-    /// to the plain path until the healthy-latency histograms warm up or a
-    /// breaker opens), so the default `false` only matters for
-    /// unconfigured stacks.
-    pub hedged_reads: bool,
 }
 
 /// The list both payload kinds start with: a count, then one

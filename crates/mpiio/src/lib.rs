@@ -28,7 +28,7 @@ pub mod sieve;
 pub mod view;
 pub mod viewcoll;
 
-pub use client::{DeferredQueue, ReadRoute};
+pub use client::DeferredQueue;
 pub use collective::{read_all_at, write_all_at, CollectiveConfig};
 pub use error::{IoError, Result};
 pub use extents::ExtentSet;

@@ -13,7 +13,7 @@
 //! — each handed a window and answering with this rank's share of it, which
 //! `FileView::stream_interval` makes one slice of the caller's buffer.
 
-use crate::client::{self, DeferredQueue, Direction, ReadRoute};
+use crate::client::{self, DeferredQueue, Direction};
 use crate::collective::CollectiveConfig;
 use crate::error::{IoError, Result};
 use crate::extents::Cover;
@@ -297,7 +297,6 @@ fn read_window(
     rank: &mut Rank,
     plan: &Plan<'_>,
     file: &File,
-    route: ReadRoute,
     (ws, we): (u64, u64),
     incoming: &[Vec<u8>],
     codec: &impl Requests,
@@ -317,11 +316,11 @@ fn read_window(
     rank.note_mem_peak();
     let mut wbuf = vec![0u8; (we - ws) as usize];
     let (pfs, fid) = (file.pfs(), file.file_id());
-    route.begin_scope(pfs, rank.rank());
+    pfs.hedge_scope_begin(rank.rank());
     let runs = wanted.runs();
     let read = |rk: &mut Rank, off, len: u64, _| {
         let dst = &mut wbuf[(off - ws) as usize..][..len as usize];
-        route.read_at(pfs, fid, rk.rank(), off, dst, rk.now())
+        pfs.read_at_hedged(fid, rk.rank(), off, dst, rk.now())
     };
     let io = client::submit(rank, Direction::Read, plan.io_span(), runs, read)?;
     Ok(Some(WindowRead {
@@ -359,7 +358,6 @@ pub(crate) fn read_rounds(
     let Some(plan) = Plan::agree(rank, cfg, path, hull)? else {
         return Ok(());
     };
-    let route = ReadRoute::new(cfg.hedged_reads);
     let mut ask = |rank: &mut Rank, r: u64| -> Result<Asked> {
         let mut requests: Vec<Vec<u8>> = vec![Vec::new(); path.comm.size()];
         let mut fills = Vec::new();
@@ -387,7 +385,7 @@ pub(crate) fn read_rounds(
             None => ask(rank, r)?,
         };
         let window = match plan.my_window(r) {
-            Some(w) => read_window(rank, &plan, file, route, w, &incoming, codec)?,
+            Some(w) => read_window(rank, &plan, file, w, &incoming, codec)?,
             None => None,
         };
         if plan.pipe_span.is_some() && r + 1 < plan.rounds {

@@ -161,6 +161,10 @@ pub enum SimError {
     /// [`MpiError::RankCrashed`] and shrink around the dead rank never see
     /// this — their survivors run to completion.
     CollectiveAborted { crashed_rank: usize },
+    /// The run was refused before any rank started: its configuration
+    /// names something the run does not have (a fault-plan rank past
+    /// `nprocs`, a link endpoint past the fabric's ports).
+    Config(String),
 }
 
 impl fmt::Display for SimError {
@@ -178,6 +182,7 @@ impl fmt::Display for SimError {
                     "collectives aborted: rank {crashed_rank} crash-stopped (injected fault)"
                 )
             }
+            SimError::Config(msg) => write!(f, "simulation refused: {msg}"),
         }
     }
 }

@@ -329,6 +329,12 @@ impl Fabric {
                 .is_some_and(|t| t.colocated(src, dst))
     }
 
+    /// Number of NIC port pairs: nodes under an active topology, else
+    /// ranks.
+    pub(crate) fn ports(&self) -> usize {
+        self.state.lock().tx.len()
+    }
+
     /// Index of `rank`'s NIC port pair: its node under an active
     /// topology, else the rank itself. Also the index fault plans name
     /// link endpoints by.
@@ -626,13 +632,14 @@ mod tests {
 
     #[test]
     fn link_degrade_stretches_only_the_named_direction() {
-        let plan = chaos::FaultPlan::new(1).with(chaos::Fault::LinkDegrade {
-            src: 0,
-            dst: 1,
-            factor: 4.0,
-            from: 0.0,
-            until: 1e9,
-        });
+        let plan = chaos::FaultPlan::new(1).with(
+            chaos::Effect::LinkDegrade {
+                src: 0,
+                dst: 1,
+                factor: 4.0,
+            }
+            .during(0.0, 1e9),
+        );
         let f = Fabric::new_full(4, NetConfig::default(), Some(plan.build().unwrap()), None);
         let h = fabric(4);
         let bytes = 1 << 20;

@@ -223,6 +223,11 @@ where
     assert!(nprocs > 0, "need at least one rank");
     let backend = cfg.backend.resolve();
     let shared = Arc::new(Shared::new(nprocs, &cfg));
+    if let Some(engine) = &cfg.chaos {
+        engine
+            .check_world(nprocs, shared.fabric.ports())
+            .map_err(SimError::Config)?;
+    }
     let substrate = match backend {
         Backend::Thread => Substrate::Thread,
         Backend::Event | Backend::Auto => Substrate::Native,

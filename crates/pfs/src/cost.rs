@@ -512,12 +512,13 @@ mod tests {
         let data = vec![0u8; 1 << 20];
         let healthy = p.write_at(id, 0, 0, &data, 0.0).unwrap();
         let engine = chaos::FaultPlan::new(1)
-            .with(chaos::Fault::OstSlowdown {
-                ost: 0,
-                factor: 4.0,
-                from: 0.0,
-                until: 1e9,
-            })
+            .with(
+                chaos::Effect::OstSlowdown {
+                    ost: 0,
+                    factor: 4.0,
+                }
+                .during(0.0, 1e9),
+            )
             .build()
             .unwrap();
         p.attach_chaos(engine).unwrap();
@@ -543,10 +544,7 @@ mod tests {
             "sole writer never conflicts when healthy"
         );
         let engine = chaos::FaultPlan::new(1)
-            .with(chaos::Fault::LockStorm {
-                from: 0.0,
-                until: 1e9,
-            })
+            .with(chaos::Effect::LockStorm { clients: None }.during(0.0, 1e9))
             .build()
             .unwrap();
         p.attach_chaos(engine).unwrap();
@@ -566,11 +564,12 @@ mod tests {
         let id = p.create("/f").unwrap();
         let healthy = p.write_at(id, 0, 0, &[1u8; 8], 0.0).unwrap();
         let engine = chaos::FaultPlan::new(1)
-            .with(chaos::Fault::RequestOverhead {
-                extra: 10.0 * healthy,
-                from: 50.0,
-                until: 1e9,
-            })
+            .with(
+                chaos::Effect::RequestOverhead {
+                    extra: 10.0 * healthy,
+                }
+                .during(50.0, 1e9),
+            )
             .build()
             .unwrap();
         p.attach_chaos(engine).unwrap();

@@ -248,8 +248,9 @@ impl Pfs {
 
     /// Like [`Pfs::read_at`], but with adaptive hedging enabled when a
     /// health layer is attached (see [`Pfs::enable_health`]). Without a
-    /// health layer this is bit-identical to `read_at`. Callers opt in per
-    /// read so the default path stays byte-for-byte unchanged.
+    /// health layer this is bit-identical to `read_at`, so the collective
+    /// window reads, TCIO's segment loads and the facility's read-back
+    /// always come through here.
     pub fn read_at_hedged(
         &self,
         id: FileId,
@@ -452,6 +453,48 @@ mod tests {
     }
 
     #[test]
+    fn hedged_read_without_a_health_layer_is_read_at() {
+        // Twin file systems under a flaky OST, one read plainly and one
+        // through the hedged entry point, agree on every completion bit,
+        // every byte and every counter: without a health layer hedging
+        // is off, so callers need no flag of their own.
+        let twin = || {
+            let cfg = PfsConfig {
+                num_osts: 4,
+                stripe_count: 4,
+                stripe_size: 64,
+                ..Default::default()
+            };
+            let p = Pfs::new(3, cfg).unwrap();
+            let flaky = chaos::Effect::FlakyOst {
+                ost: 1,
+                factor: 20.0,
+                period: 0.005,
+                duty: 0.8,
+            };
+            let plan = chaos::FaultPlan::new(23).with(flaky.during(0.0, 3.0));
+            p.attach_chaos(plan.build().unwrap()).unwrap();
+            let id = p.create("/f").unwrap();
+            let data: Vec<u8> = (0..1024u32).map(|i| (i * 7) as u8).collect();
+            p.write_at(id, 0, 0, &data, 0.0).unwrap();
+            (p, id)
+        };
+        let ((plain, a), (hedged, b)) = (twin(), twin());
+        let mut t = 0.0;
+        for i in 0..64u64 {
+            let (client, off, len) = ((i % 3) as usize, (i * 37) % 900, 1 + (i * 13) % 120);
+            let (mut x, mut y) = (vec![0u8; len as usize], vec![0u8; len as usize]);
+            hedged.hedge_scope_begin(client);
+            let done = plain.read_at(a, client, off, &mut x, t).unwrap();
+            let hedged_done = hedged.read_at_hedged(b, client, off, &mut y, t).unwrap();
+            assert_eq!(done.to_bits(), hedged_done.to_bits(), "read {i}");
+            assert_eq!(x, y, "read {i}");
+            t = done.min(t + 1e-4);
+        }
+        assert_eq!(plain.stats.snapshot(), hedged.stats.snapshot());
+    }
+
+    #[test]
     fn chaos_outage_is_transient_and_leaves_bytes_untouched() {
         let cfg = PfsConfig {
             num_osts: 2,
@@ -463,11 +506,7 @@ mod tests {
         let id = p.create("/f").unwrap();
         p.write_at(id, 0, 0, &[9u8; 64], 0.0).unwrap();
         let engine = chaos::FaultPlan::new(1)
-            .with(chaos::Fault::OstOutage {
-                ost: 0,
-                from: 0.0,
-                until: 2.0,
-            })
+            .with(chaos::Effect::OstOutage { ost: 0 }.during(0.0, 2.0))
             .build()
             .unwrap();
         p.attach_chaos(engine).unwrap();
@@ -497,11 +536,7 @@ mod tests {
 
     fn corruption_engine(rate: f64, until: f64) -> Arc<chaos::ChaosEngine> {
         chaos::FaultPlan::new(41)
-            .with(chaos::Fault::SilentCorruption {
-                rate,
-                from: 0.0,
-                until,
-            })
+            .with(chaos::Effect::SilentCorruption { rate }.during(0.0, until))
             .build()
             .unwrap()
     }
@@ -543,11 +578,8 @@ mod tests {
     fn intensity_zero_has_no_false_positives() {
         let p = fs(1);
         let id = p.create("/f").unwrap();
-        let plan = chaos::FaultPlan::new(41).with(chaos::Fault::SilentCorruption {
-            rate: 0.8,
-            from: 0.0,
-            until: 1e9,
-        });
+        let plan = chaos::FaultPlan::new(41)
+            .with(chaos::Effect::SilentCorruption { rate: 0.8 }.during(0.0, 1e9));
         p.attach_chaos(plan.scaled(0.0).build().unwrap()).unwrap();
         let data = vec![9u8; 3 << 20];
         let t = p.write_at(id, 0, 0, &data, 0.0).unwrap();
@@ -575,11 +607,7 @@ mod tests {
         // bookkeeping (sums are only recorded under plans that can
         // corrupt) without ever flipping a byte in this test.
         let armed = chaos::FaultPlan::new(41)
-            .with(chaos::Fault::SilentCorruption {
-                rate: 1.0,
-                from: 1e8,
-                until: 1e9,
-            })
+            .with(chaos::Effect::SilentCorruption { rate: 1.0 }.during(1e8, 1e9))
             .build()
             .unwrap();
         p.attach_chaos(armed).unwrap();

@@ -522,11 +522,7 @@ mod tests {
         };
         let p = Pfs::new(1, cfg).unwrap();
         let bad = chaos::FaultPlan::new(1)
-            .with(chaos::Fault::OstOutage {
-                ost: 7,
-                from: 0.0,
-                until: 1.0,
-            })
+            .with(chaos::Effect::OstOutage { ost: 7 }.during(0.0, 1.0))
             .build()
             .unwrap();
         assert!(matches!(p.attach_chaos(bad), Err(PfsError::Config(_))));
@@ -535,11 +531,7 @@ mod tests {
             "failed attach leaves no engine"
         );
         let ok = chaos::FaultPlan::new(1)
-            .with(chaos::Fault::OstOutage {
-                ost: 1,
-                from: 0.0,
-                until: 1.0,
-            })
+            .with(chaos::Effect::OstOutage { ost: 1 }.during(0.0, 1.0))
             .build()
             .unwrap();
         p.attach_chaos(ok).unwrap();

@@ -151,11 +151,7 @@ mod tests {
         // Moderate rate: some stripes corrupt on the primary only, so
         // their replicas remain the repair source.
         let engine = chaos::FaultPlan::new(41)
-            .with(chaos::Fault::SilentCorruption {
-                rate: 0.4,
-                from: 0.0,
-                until: 0.5,
-            })
+            .with(chaos::Effect::SilentCorruption { rate: 0.4 }.during(0.0, 0.5))
             .build()
             .unwrap();
         p.attach_chaos(engine).unwrap();
@@ -180,14 +176,15 @@ mod tests {
     /// OST `ost` runs `factor`× slow continuously until `until`.
     fn flaky_engine(ost: usize, factor: f64, until: f64) -> Arc<chaos::ChaosEngine> {
         chaos::FaultPlan::new(7)
-            .with(chaos::Fault::FlakyOst {
-                ost,
-                factor,
-                period: 0.01,
-                duty: 1.0,
-                from: 0.0,
-                until,
-            })
+            .with(
+                chaos::Effect::FlakyOst {
+                    ost,
+                    factor,
+                    period: 0.01,
+                    duty: 1.0,
+                }
+                .during(0.0, until),
+            )
             .build()
             .unwrap()
     }

@@ -56,12 +56,6 @@ pub struct TcioConfig {
     /// bytes are identical either way — the storage layer applies data at
     /// submission — so this is purely a virtual-time overlap knob.
     pub pipeline_drain: bool,
-    /// Route segment loads (and crash-fallback reads) through
-    /// [`pfs::Pfs::read_at_hedged`] so a fail-slow OST cannot stall a
-    /// delegated load. A no-op unless the PFS has a health layer attached;
-    /// bit-identical to the plain path until the healthy-latency
-    /// histograms warm up or a breaker opens.
-    pub hedged_reads: bool,
 }
 
 impl Default for TcioConfig {
@@ -73,7 +67,6 @@ impl Default for TcioConfig {
             sync: SyncMode::LockUnlock,
             read_mode: ReadMode::Lazy,
             pipeline_drain: false,
-            hedged_reads: false,
         }
     }
 }

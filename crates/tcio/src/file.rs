@@ -33,7 +33,7 @@
 use crate::config::{ReadMode, SyncMode, TcioConfig};
 use crate::error::{Result, TcioError};
 use crate::segment::SegmentMap;
-use mpiio::client::{self, DeferredQueue, Direction, ReadRoute};
+use mpiio::client::{self, DeferredQueue, Direction};
 use mpiio::ExtentSet;
 use mpisim::{DeferredIo, LockKind, MemGuard, MpiError, Phase, Rank, Window};
 use parking_lot::Mutex;
@@ -635,12 +635,11 @@ impl<'a> TcioFile<'a> {
         tmp.clear();
         tmp.resize(len as usize, 0);
         let (pfs, fid) = (&self.pfs, self.fid);
-        let route = ReadRoute::new(self.cfg.hedged_reads);
-        route.begin_scope(pfs, client);
+        pfs.hedge_scope_begin(client);
         let mut price_at = Some(self.opened_at);
         let read = |rk: &mut Rank, off: u64, _, _| {
             let at = price_at.take().unwrap_or(rk.now());
-            route.read_at(pfs, fid, client, off, tmp, at)
+            pfs.read_at_hedged(fid, client, off, tmp, at)
         };
         let io = client::submit(rank, Direction::Read, span, [(file_off, len)], read)?;
         rank.with_phase(Phase::Io, |rk| client::settle(rk, io));
@@ -1382,7 +1381,7 @@ mod tests {
             let chaos = match route {
                 Route::Stalled(rank) => {
                     let (from, until) = (10.0, 11.0);
-                    let stall = chaos::Fault::RankStall { rank, from, until };
+                    let stall = chaos::Effect::RankStall { rank }.during(from, until);
                     Some(chaos::FaultPlan::new(seed).with(stall).build().unwrap())
                 }
                 _ => None,

@@ -77,38 +77,25 @@ fn fingerprint<T: std::fmt::Debug>(
 /// finish so the two backends produce complete, comparable reports).
 fn benign_plan(seed: u64) -> chaos::FaultPlan {
     chaos::FaultPlan::new(seed)
-        .with(chaos::Fault::OstSlowdown {
-            ost: 0,
-            factor: 2.5,
-            from: 0.0,
-            until: 1e9,
-        })
-        .with(chaos::Fault::RequestOverhead {
-            extra: 40.0e-6,
-            from: 0.0,
-            until: 1e9,
-        })
-        .with(chaos::Fault::MessageDelay {
-            delay: 20.0e-6,
-            from: 0.0,
-            until: 1e9,
-        })
-        .with(chaos::Fault::RankStall {
-            rank: 1,
-            from: 0.0,
-            until: 0.002,
-        })
-        .with(chaos::Fault::RankSlowdown {
-            rank: 2,
-            factor: 1.3,
-            from: 0.0,
-            until: 1e9,
-        })
+        .with(
+            chaos::Effect::OstSlowdown {
+                ost: 0,
+                factor: 2.5,
+            }
+            .during(0.0, 1e9),
+        )
+        .with(chaos::Effect::RequestOverhead { extra: 40.0e-6 }.during(0.0, 1e9))
+        .with(chaos::Effect::MessageDelay { delay: 20.0e-6 }.during(0.0, 1e9))
+        .with(chaos::Effect::RankStall { rank: 1 }.during(0.0, 0.002))
+        .with(
+            chaos::Effect::RankSlowdown {
+                rank: 2,
+                factor: 1.3,
+            }
+            .during(0.0, 1e9),
+        )
         .with(chaos::Fault::ConnFlush { at: 0.001 })
-        .with(chaos::Fault::LockStorm {
-            from: 0.0,
-            until: 0.0005,
-        })
+        .with(chaos::Effect::LockStorm { clients: None }.during(0.0, 0.0005))
 }
 
 fn sim_config(
@@ -357,14 +344,15 @@ fn rank_panic_surfaces_as_typed_error_on_both_backends() {
 fn run_degraded(backend: Backend) -> (Fingerprint, pfs::HealthSnapshot) {
     let nprocs = 8;
     let horizon = 0.05;
-    let plan = chaos::FaultPlan::new(41).with(chaos::Fault::FlakyOst {
-        ost: 0,
-        factor: 16.0,
-        period: 1e-3,
-        duty: 0.7,
-        from: 0.0,
-        until: horizon,
-    });
+    let plan = chaos::FaultPlan::new(41).with(
+        chaos::Effect::FlakyOst {
+            ost: 0,
+            factor: 16.0,
+            period: 1e-3,
+            duty: 0.7,
+        }
+        .during(0.0, horizon),
+    );
     let engine = plan.build().unwrap();
     // Small stripes so the ~48 KiB synthetic file spreads across all four
     // OSTs and the flaky one sees enough traffic to trip its breaker.
@@ -394,12 +382,11 @@ fn run_degraded(backend: Backend) -> (Fingerprint, pfs::HealthSnapshot) {
     let params = SynthParams::with_types("i,d", 512, 2).unwrap();
     let fs2 = Arc::clone(&fs);
     let rep = mpisim::run(nprocs, sim, move |rk| {
-        let mut cfg = tcio::TcioConfig::for_file_size_with_segment(
+        let cfg = tcio::TcioConfig::for_file_size_with_segment(
             params.file_size(rk.nprocs()),
             rk.nprocs(),
             4 << 10,
         );
-        cfg.hedged_reads = true;
         let w = synthetic::write_tcio(rk, &fs2, &params, "/gf", Some(cfg.clone()))?;
         let r = synthetic::read_tcio(rk, &fs2, &params, "/gf", Some(cfg))?;
         Ok((w.bytes, w.elapsed.to_bits(), r.elapsed.to_bits()))

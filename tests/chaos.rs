@@ -8,43 +8,26 @@ use tcio::{TcioConfig, TcioFile, TcioMode};
 /// A fault plan touching every family the interleaved workload exercises.
 fn mixed_plan() -> chaos::FaultPlan {
     chaos::FaultPlan::new(7)
-        .with(chaos::Fault::OstSlowdown {
-            ost: 0,
-            factor: 3.0,
-            from: 0.0,
-            until: 1e9,
-        })
-        .with(chaos::Fault::OstOutage {
-            ost: 2,
-            from: 0.0,
-            until: 0.01,
-        })
-        .with(chaos::Fault::RequestOverhead {
-            extra: 80.0e-6,
-            from: 0.0,
-            until: 1e9,
-        })
-        .with(chaos::Fault::MessageDelay {
-            delay: 30.0e-6,
-            from: 0.0,
-            until: 1e9,
-        })
-        .with(chaos::Fault::RankStall {
-            rank: 1,
-            from: 0.0,
-            until: 0.004,
-        })
-        .with(chaos::Fault::RankSlowdown {
-            rank: 3,
-            factor: 1.5,
-            from: 0.0,
-            until: 1e9,
-        })
+        .with(
+            chaos::Effect::OstSlowdown {
+                ost: 0,
+                factor: 3.0,
+            }
+            .during(0.0, 1e9),
+        )
+        .with(chaos::Effect::OstOutage { ost: 2 }.during(0.0, 0.01))
+        .with(chaos::Effect::RequestOverhead { extra: 80.0e-6 }.during(0.0, 1e9))
+        .with(chaos::Effect::MessageDelay { delay: 30.0e-6 }.during(0.0, 1e9))
+        .with(chaos::Effect::RankStall { rank: 1 }.during(0.0, 0.004))
+        .with(
+            chaos::Effect::RankSlowdown {
+                rank: 3,
+                factor: 1.5,
+            }
+            .during(0.0, 1e9),
+        )
         .with(chaos::Fault::ConnFlush { at: 0.002 })
-        .with(chaos::Fault::LockStorm {
-            from: 0.0,
-            until: 0.001,
-        })
+        .with(chaos::Effect::LockStorm { clients: None }.during(0.0, 0.001))
 }
 
 /// [`mixed_plan`] plus the crash-stop and silent-corruption families.
@@ -54,11 +37,7 @@ fn mixed_plan() -> chaos::FaultPlan {
 fn extended_plan() -> chaos::FaultPlan {
     mixed_plan()
         .with(chaos::Fault::RankCrash { rank: 1, at: 0.003 })
-        .with(chaos::Fault::SilentCorruption {
-            rate: 0.3,
-            from: 0.0,
-            until: 0.05,
-        })
+        .with(chaos::Effect::SilentCorruption { rate: 0.3 }.during(0.0, 0.05))
 }
 
 /// Owner-local, OST-disjoint TCIO dump + restart: rank r's data lives in
@@ -270,15 +249,8 @@ fn lock_storm_ping_pong_keeps_unaligned_writers_correct() {
         let fs = pfs::Pfs::new(nprocs, pcfg).unwrap();
         let engine = if storm {
             let e = chaos::FaultPlan::new(11)
-                .with(chaos::Fault::LockStorm {
-                    from: 0.0,
-                    until: 1e9,
-                })
-                .with(chaos::Fault::OstOutage {
-                    ost: 0,
-                    from: 0.0,
-                    until: 0.002,
-                })
+                .with(chaos::Effect::LockStorm { clients: None }.during(0.0, 1e9))
+                .with(chaos::Effect::OstOutage { ost: 0 }.during(0.0, 0.002))
                 .build()
                 .unwrap();
             fs.attach_chaos(Arc::clone(&e)).unwrap();
@@ -334,11 +306,7 @@ fn stalled_node_leader_falls_back_and_two_level_write_completes() {
     let nprocs = 8;
     let block = 2048usize;
     let engine = chaos::FaultPlan::new(31)
-        .with(chaos::Fault::RankStall {
-            rank: 0,
-            from: 1.0e-3,
-            until: 0.05,
-        })
+        .with(chaos::Effect::RankStall { rank: 0 }.during(1.0e-3, 0.05))
         .build()
         .unwrap();
     let fs = pfs::Pfs::new(nprocs, pfs::PfsConfig::default()).unwrap();
@@ -399,21 +367,9 @@ fn tcio_and_ocio_survive_outage_and_message_delay_end_to_end() {
         };
         let fs = pfs::Pfs::new(nprocs, pcfg).unwrap();
         let engine = chaos::FaultPlan::new(23)
-            .with(chaos::Fault::OstOutage {
-                ost: 0,
-                from: 0.0,
-                until: 0.05,
-            })
-            .with(chaos::Fault::MessageDelay {
-                delay: 20.0e-6,
-                from: 0.0,
-                until: 1e9,
-            })
-            .with(chaos::Fault::RankStall {
-                rank: 1,
-                from: 0.0,
-                until: 0.003,
-            })
+            .with(chaos::Effect::OstOutage { ost: 0 }.during(0.0, 0.05))
+            .with(chaos::Effect::MessageDelay { delay: 20.0e-6 }.during(0.0, 1e9))
+            .with(chaos::Effect::RankStall { rank: 1 }.during(0.0, 0.003))
             .build()
             .unwrap();
         fs.attach_chaos(Arc::clone(&engine)).unwrap();
@@ -741,4 +697,60 @@ fn a_crash_inside_a_group_collective_aborts_typed_on_both_backends() {
             other => panic!("{backend:?}: expected CollectiveAborted for rank 4, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn a_plan_naming_a_rank_or_link_the_run_lacks_is_refused_before_any_rank_runs() {
+    // A fault aimed past the run's ranks or fabric ports would inject
+    // nothing, silently; the run must refuse it up front with a typed
+    // error, and run no rank body. Lock-storm client ranges stay
+    // unchecked: a facility plan names tenants of its largest fleet.
+    let run = |nprocs: usize, topology: Option<mpisim::Topology>, text: &str| {
+        let engine = chaos::FaultPlan::parse(text).unwrap().build().unwrap();
+        let sim = mpisim::SimConfig {
+            chaos: Some(engine),
+            topology,
+            ..Default::default()
+        };
+        let ran = std::sync::atomic::AtomicUsize::new(0);
+        let out = mpisim::run(nprocs, sim, |rk| {
+            ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            rk.barrier()
+        });
+        (out.map(|rep| rep.makespan), ran.into_inner())
+    };
+    let stall_and_crash = "[[fault]]\nkind = \"rank_stall\"\nrank = 9\nfrom = 0.0\nuntil = 1.0\n\
+                           [[fault]]\nkind = \"rank_crash\"\nrank = 7\nat = 0.5";
+    let (out, ran) = run(2, None, stall_and_crash);
+    match out {
+        Err(mpisim::SimError::Config(msg)) => assert!(msg.contains("rank 9"), "{msg}"),
+        other => panic!("expected a config refusal, got {other:?}"),
+    }
+    assert_eq!(ran, 0, "no rank may start");
+    let slow = |rank| {
+        format!("[[fault]]\nkind = \"rank_slowdown\"\nrank = {rank}\nfactor = 2.0\nfrom = 0.0\nuntil = 1.0")
+    };
+    assert!(matches!(
+        run(4, None, &slow(4)).0,
+        Err(mpisim::SimError::Config(_))
+    ));
+    assert!(run(4, None, &slow(3)).0.is_ok());
+    // Link endpoints are fabric ports: ranks on a flat machine, nodes
+    // under a topology.
+    let link = |dst| {
+        format!("[[fault]]\nkind = \"link_degrade\"\nsrc = 0\ndst = {dst}\nfactor = 2.0\nfrom = 0.0\nuntil = 1.0")
+    };
+    assert!(run(4, None, &link(3)).0.is_ok());
+    assert!(matches!(
+        run(4, None, &link(4)).0,
+        Err(mpisim::SimError::Config(_))
+    ));
+    let two_nodes = || Some(mpisim::Topology::blocked(8, 4));
+    assert!(run(8, two_nodes(), &link(1)).0.is_ok());
+    assert!(matches!(
+        run(8, two_nodes(), &link(3)).0,
+        Err(mpisim::SimError::Config(_))
+    ));
+    let storm = "[[fault]]\nkind = \"client_lock_storm\"\nclient_lo = 4\nclient_hi = 7\nfrom = 0.0\nuntil = 1.0";
+    assert!(run(2, None, storm).0.is_ok());
 }

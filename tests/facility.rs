@@ -64,7 +64,6 @@ fn qos_off_single_tenant_is_bit_identical_to_a_direct_run() {
                 bytes_per_rank: BPR,
                 access: ACCESS,
                 read_back: true,
-                hedged_reads: false,
             };
             job::run_job(rk, &comm, &fs2, None, 0, j as u32, &spec)?;
         }
@@ -361,14 +360,15 @@ fn defended_facility_survives_a_flaky_ost_with_verified_read_back() {
     // pattern check lives inside run_job, so a wrong byte fails the
     // run). The per-tenant makespan damage stays bounded relative to
     // the undefended facility under the same plan.
-    let plan = chaos::FaultPlan::new(47).with(chaos::Fault::FlakyOst {
-        ost: 0,
-        factor: 20.0,
-        period: 2e-3,
-        duty: 0.8,
-        from: 0.0,
-        until: 10.0,
-    });
+    let plan = chaos::FaultPlan::new(47).with(
+        chaos::Effect::FlakyOst {
+            ost: 0,
+            factor: 20.0,
+            period: 2e-3,
+            duty: 0.8,
+        }
+        .during(0.0, 10.0),
+    );
     let cfg_for = |health: Option<pfs::HealthConfig>| {
         let mut t = TenantSpec::new("solo", 4);
         t.jobs = 2;

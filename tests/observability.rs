@@ -649,7 +649,6 @@ fn health_layer_attached_but_healthy_is_bit_identical_and_quiet() {
             let cfg = tcio::TcioConfig {
                 segment_size: seg,
                 num_segments: 1,
-                hedged_reads: defended,
                 ..Default::default()
             };
             let data = vec![rk.rank() as u8 + 1; seg as usize];

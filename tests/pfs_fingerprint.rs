@@ -112,25 +112,10 @@ impl Fs {
                 let text = std::fs::read_to_string(path).unwrap();
                 let engine = chaos::FaultPlan::parse(&text)
                     .unwrap()
-                    .with(chaos::Fault::OstOutage {
-                        ost: 2,
-                        from: 0.010,
-                        until: 0.014,
-                    })
-                    .with(chaos::Fault::LockStorm {
-                        from: 0.020,
-                        until: 0.024,
-                    })
-                    .with(chaos::Fault::RequestOverhead {
-                        extra: 2.0e-4,
-                        from: 0.015,
-                        until: 0.025,
-                    })
-                    .with(chaos::Fault::SilentCorruption {
-                        rate: 0.3,
-                        from: 0.0,
-                        until: 0.030,
-                    })
+                    .with(chaos::Effect::OstOutage { ost: 2 }.during(0.010, 0.014))
+                    .with(chaos::Effect::LockStorm { clients: None }.during(0.020, 0.024))
+                    .with(chaos::Effect::RequestOverhead { extra: 2.0e-4 }.during(0.015, 0.025))
+                    .with(chaos::Effect::SilentCorruption { rate: 0.3 }.during(0.0, 0.030))
                     .build()
                     .unwrap();
                 fs.attach_chaos(engine).unwrap();

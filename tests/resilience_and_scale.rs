@@ -303,14 +303,15 @@ fn memory_budget_interacts_with_sieving() {
 fn gray_failure_soak_bounds_the_tail_and_rebuilds_at_1024_ranks() {
     use bench::resilience::{plan_horizon, run_cell, sweep_calib};
     let calib = sweep_calib(1024);
-    let plan = chaos::FaultPlan::new(23).with(chaos::Fault::FlakyOst {
-        ost: 0,
-        factor: 20.0,
-        period: 0.005,
-        duty: 0.8,
-        from: 0.0,
-        until: 30.0,
-    });
+    let plan = chaos::FaultPlan::new(23).with(
+        chaos::Effect::FlakyOst {
+            ost: 0,
+            factor: 20.0,
+            period: 0.005,
+            duty: 0.8,
+        }
+        .during(0.0, 30.0),
+    );
     let engine = plan.clone().build().unwrap();
     let quiet = run_cell(&calib, 1024, 1 << 21, 1, None, true, 0.0);
     let loud = run_cell(

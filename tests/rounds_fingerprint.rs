@@ -151,22 +151,17 @@ impl Plan {
             Plan::OstOutage => Plan::file("ost_outage"),
             Plan::FlakyDefended => Plan::fault(
                 41,
-                chaos::Fault::FlakyOst {
+                chaos::Effect::FlakyOst {
                     ost: 0,
                     factor: 16.0,
                     period: 1e-3,
                     duty: 0.7,
-                    from: 0.0,
-                    until: 0.05,
-                },
+                }
+                .during(0.0, 0.05),
             ),
             Plan::OwnerStall => Plan::fault(
                 43,
-                chaos::Fault::RankStall {
-                    rank: STRAGGLER,
-                    from: 10.0,
-                    until: 11.0,
-                },
+                chaos::Effect::RankStall { rank: STRAGGLER }.during(10.0, 11.0),
             ),
             Plan::OwnerCrash => Plan::fault(
                 47,
@@ -543,31 +538,27 @@ fn fingerprint() -> String {
                 cb_buffer: Some(CB_BUFFER),
                 req_agg: true,
                 pipeline,
-                hedged_reads: true,
                 ..Default::default()
             };
             collective_cell(&mut out, entry, &name, cfg, true, Plan::FlakyDefended);
         }
     }
-    // The fourth round loop: tcio's level-2 drain (and its hedged loads).
-    for (pipeline_drain, hedged, plan) in [
-        (false, false, Plan::None),
-        (true, false, Plan::None),
-        (false, false, Plan::OstSlowdown),
-        (true, false, Plan::OstSlowdown),
-        (false, true, Plan::FlakyDefended),
-        (true, true, Plan::FlakyDefended),
-    ] {
-        let name = format!(
-            "tcio drain={} plan={}{}",
-            if pipeline_drain { "pipelined" } else { "flat" },
-            plan.label(),
-            if hedged { " hedged" } else { "" }
-        );
-        tcio_cell(&mut out, &name, plan, |c| {
-            c.pipeline_drain = pipeline_drain;
-            c.hedged_reads = hedged;
-        });
+    // The fourth round loop: tcio's level-2 drain (and, with the health
+    // layer on, its hedged loads).
+    for plan in [Plan::None, Plan::OstSlowdown, Plan::FlakyDefended] {
+        for pipeline_drain in [false, true] {
+            let name = format!(
+                "tcio drain={} plan={}{}",
+                if pipeline_drain { "pipelined" } else { "flat" },
+                plan.label(),
+                if matches!(plan, Plan::FlakyDefended) {
+                    " hedged"
+                } else {
+                    ""
+                }
+            );
+            tcio_cell(&mut out, &name, plan, |c| c.pipeline_drain = pipeline_drain);
+        }
     }
     // Everything else that issues file-system requests.
     for sieve in [false, true] {
