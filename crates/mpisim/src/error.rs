@@ -161,9 +161,10 @@ pub enum SimError {
     /// [`MpiError::RankCrashed`] and shrink around the dead rank never see
     /// this — their survivors run to completion.
     CollectiveAborted { crashed_rank: usize },
-    /// The run was refused before any rank started: its configuration
-    /// names something the run does not have (a fault-plan rank past
-    /// `nprocs`, a link endpoint past the fabric's ports).
+    /// The run was refused before any rank started: a network cost
+    /// constant is NaN, infinite or negative, or the configuration names
+    /// something the run does not have (a fault-plan rank past `nprocs`, a
+    /// link endpoint past the fabric's ports).
     Config(String),
 }
 

@@ -38,6 +38,7 @@ pub mod datatype;
 pub mod error;
 mod event;
 mod fiber;
+mod gap;
 pub mod mem;
 pub mod metrics;
 pub mod net;

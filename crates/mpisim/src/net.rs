@@ -19,6 +19,7 @@
 //! All bookkeeping is in *virtual seconds*, and reservations are made in the
 //! deterministic order the event core runs the ranks in.
 
+use crate::gap::GapBuffer;
 use crate::timeline::Timeline;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -114,6 +115,39 @@ impl Default for NetConfig {
     }
 }
 
+impl NetConfig {
+    /// Reject a configuration the cost model cannot run (checked by
+    /// [`crate::run`] before any rank starts): a time or per-byte constant
+    /// that is NaN, infinite or negative. The error names the field.
+    pub fn validate(&self) -> Result<(), String> {
+        // Every constant below becomes part of a clock or of a duration on
+        // a NIC or lock timeline; a NaN, infinite or negative one would
+        // corrupt the order those keep.
+        for (name, cost) in [
+            ("latency", self.latency),
+            ("byte_time", self.byte_time),
+            ("send_overhead", self.send_overhead),
+            ("recv_overhead", self.recv_overhead),
+            ("conn_setup", self.conn_setup),
+            ("congestion_coeff", self.congestion_coeff),
+            ("rma_lock_cost", self.rma_lock_cost),
+            ("memcpy_byte_time", self.memcpy_byte_time),
+            ("noise_mean", self.noise_mean),
+            ("api_call_overhead", self.api_call_overhead),
+            ("intra_latency", self.intra_latency),
+            ("intra_byte_time", self.intra_byte_time),
+            ("match_overhead", self.match_overhead),
+        ] {
+            if !(cost.is_finite() && cost >= 0.0) {
+                return Err(format!(
+                    "{name} must be finite and non-negative, got {cost}"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Outcome of scheduling one transfer through the fabric.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transfer {
@@ -141,11 +175,15 @@ pub struct FabricStatsSnapshot {
     pub inter_bytes: u64,
 }
 
-/// A tiny LRU set of peer ranks (linear scan; capacities are small).
+/// A tiny LRU set of peer ranks: a contiguous array, least recently used
+/// first. Membership is one pass over the whole array with no early exit,
+/// which the compiler turns into a few wide compares, so a miss (the
+/// common case when a rank cycles through more peers than the cache holds)
+/// costs that pass and a shift of the array.
 #[derive(Debug)]
 struct LruSet {
     cap: usize,
-    entries: VecDeque<usize>,
+    peers: Vec<u32>,
     /// Last chaos connection-flush generation this cache has seen; when the
     /// engine reports a newer one, the cache cold-starts.
     flush_gen: u64,
@@ -155,8 +193,17 @@ impl LruSet {
     fn new(cap: usize) -> Self {
         LruSet {
             cap,
-            entries: VecDeque::with_capacity(cap),
+            peers: Vec::with_capacity(cap),
             flush_gen: 0,
+        }
+    }
+
+    /// Forget every connection if the chaos engine's flush generation
+    /// `gen` is newer than the last one this cache saw.
+    fn observe_flush(&mut self, gen: u64) {
+        if gen > self.flush_gen {
+            self.peers.clear();
+            self.flush_gen = gen;
         }
     }
 
@@ -165,47 +212,36 @@ impl LruSet {
         if self.cap == 0 {
             return false;
         }
-        if let Some(pos) = self.entries.iter().position(|&p| p == peer) {
-            self.entries.remove(pos);
-            self.entries.push_back(peer);
-            return true;
+        let peer = u32::try_from(peer).expect("rank numbers fit in u32");
+        let hit = self.peers.iter().fold(false, |hit, &p| hit | (p == peer));
+        if hit {
+            self.peers.retain(|&p| p != peer);
+        } else if self.peers.len() == self.cap {
+            self.peers.remove(0);
         }
-        if self.entries.len() == self.cap {
-            self.entries.pop_front();
-        }
-        self.entries.push_back(peer);
-        false
+        self.peers.push(peer);
+        hit
     }
 }
 
 /// In-flight transfer interval tracking for the congestion term.
 ///
 /// Every recorded interval has `start ≤ end`, so the number of intervals
-/// containing `t` is `#{start ≤ t} − #{end ≤ t}`: two binary searches over
-/// the window's starts and ends, each kept sorted, instead of a scan.
+/// containing `t` is `#{start ≤ t} − #{end ≤ t}`: two searches over the
+/// window's starts and ends, each kept sorted in a [`GapBuffer`], instead
+/// of a scan. Ranks that never park book their whole phase one after
+/// another, each from its own early clock upward. While a rank's phase
+/// overlaps the previous rank's transfers still in the window, the one a
+/// record evicts sits beside the one it inserts; once it has passed them,
+/// it evicts the front and appends at the back, which the ring joins. So a
+/// record moves O(1) entries, and it counts where the last one appended.
 #[derive(Debug, Default)]
 struct Inflight {
     /// `(start, end)` of the recent transfers, oldest first (eviction order).
     recent: VecDeque<(f64, f64)>,
     /// The starts, and the ends, of exactly those transfers, ascending.
-    starts: VecDeque<f64>,
-    ends: VecDeque<f64>,
-}
-
-/// Add `v` to an ascending deque (appended when it is past the back).
-fn insert_sorted(sorted: &mut VecDeque<f64>, v: f64) {
-    match sorted.back() {
-        Some(&last) if v < last => sorted.insert(sorted.partition_point(|&x| x <= v), v),
-        _ => sorted.push_back(v),
-    }
-}
-
-/// Remove one occurrence of `v`, which is present, from an ascending deque
-/// (popped when it is the front).
-fn remove_sorted(sorted: &mut VecDeque<f64>, v: f64) {
-    let at = sorted.partition_point(|&x| x < v);
-    debug_assert_eq!(sorted.get(at), Some(&v));
-    sorted.remove(at);
+    starts: GapBuffer<f64>,
+    ends: GapBuffer<f64>,
 }
 
 impl Inflight {
@@ -214,24 +250,40 @@ impl Inflight {
     /// bounded by count, not by time.
     const WINDOW: usize = 2048;
 
-    /// Count recent intervals overlapping `t`, then record `[start, end)`.
+    /// Count recent intervals overlapping `t`, then record `[start, end)`:
+    /// the window holds the last `WINDOW` transfers, this one included.
     fn overlap_and_record(&mut self, t: f64, start: f64, end: f64) -> usize {
-        assert!(
+        // `NetConfig::validate` keeps durations finite and non-negative.
+        debug_assert!(
             start <= end,
-            "in-flight interval [{start}, {end}) ends before it starts: \
-             is `NetConfig::byte_time` negative or NaN?"
+            "in-flight interval [{start}, {end}) ends before it starts"
         );
-        while self.recent.len() >= Self::WINDOW {
-            let Some((s, e)) = self.recent.pop_front() else {
-                break;
-            };
-            remove_sorted(&mut self.starts, s);
-            remove_sorted(&mut self.ends, e);
+        // Counted before the eviction, near where the last record
+        // appended; the evicted transfer, if it holds `t`, is taken back out.
+        let mut n = self.starts.gallop(|s| s <= t) - self.ends.gallop(|e| e <= t);
+        if self.recent.len() >= Self::WINDOW {
+            if let Some((s, e)) = self.recent.pop_front() {
+                n -= usize::from(s <= t && t < e);
+                for (sorted, v) in [(&mut self.starts, s), (&mut self.ends, e)] {
+                    // The oldest transfer is usually the earliest.
+                    let at = match sorted.nth(0) {
+                        Some(first) if first == v => 0,
+                        _ => sorted.gallop(|x| x < v),
+                    };
+                    debug_assert_eq!(sorted.nth(at), Some(v));
+                    sorted.remove(at);
+                }
+            }
         }
-        let n = self.starts.partition_point(|&s| s <= t) - self.ends.partition_point(|&e| e <= t);
         self.recent.push_back((start, end));
-        insert_sorted(&mut self.starts, start);
-        insert_sorted(&mut self.ends, end);
+        for (sorted, v) in [(&mut self.starts, start), (&mut self.ends, end)] {
+            // The newest transfer is usually the latest.
+            let at = match sorted.last() {
+                Some(last) if last > v => sorted.gallop(|x| x <= v),
+                _ => sorted.len(),
+            };
+            sorted.insert(at, v);
+        }
         n
     }
 }
@@ -387,11 +439,7 @@ impl Fabric {
 
         let cache = &mut st.conns[src];
         if let Some(engine) = &self.chaos {
-            let gen = engine.conn_flush_generation(start);
-            if gen > cache.flush_gen {
-                cache.entries.clear();
-                cache.flush_gen = gen;
-            }
+            cache.observe_flush(engine.conn_flush_generation(start));
         }
         let conn = if cache.touch(dst) {
             0.0
@@ -538,6 +586,13 @@ mod tests {
         }
     }
 
+    fn ascending(sorted: &GapBuffer<f64>) -> bool {
+        sorted
+            .iter()
+            .zip(sorted.iter().skip(1))
+            .all(|(a, b)| a <= b)
+    }
+
     #[test]
     fn sorted_window_counts_what_the_scan_counted() {
         use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -545,22 +600,26 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(0x1F11 ^ seed);
             let (mut new, mut old) = (Inflight::default(), ScanInflight::default());
             let (mut clock, mut busiest) = (0.0f64, 0);
-            // Five times round the window. Starts sit on a coarse grid so
-            // that many are equal; the clock creeps up, with every fourth
-            // transfer reaching back as a backfilled booking does.
+            // Five times round the window. Times are whole microseconds,
+            // exact in f64, so that many starts, ends and instants are
+            // equal; the clock creeps up, with every fourth transfer
+            // reaching back as a backfilled booking does, and some
+            // transfers outlast the window, so that what it evicts can
+            // still be in flight.
             for step in 0..5 * Inflight::WINDOW {
-                clock += 1.0e-6 * (rng.next_u64() % 3) as f64;
+                clock += (rng.next_u64() % 3) as f64;
                 let back = if step % 4 == 0 {
                     (rng.next_u64() % 400) as f64
                 } else {
                     0.0
                 };
-                let start = (clock - 1.0e-6 * back).max(0.0);
-                let dur = match rng.next_u64() % 4 {
-                    0 => 0.0,
-                    _ => 1.0e-6 * (rng.next_u64() % 300) as f64,
+                let start = (clock - back).max(0.0);
+                let dur = match rng.next_u64() % 8 {
+                    0 | 1 => 0.0,
+                    2 => (rng.next_u64() % 6000) as f64,
+                    _ => (rng.next_u64() % 300) as f64,
                 };
-                let t = start + 1.0e-6 * (rng.next_u64() % 5) as f64 - 2.0e-6;
+                let t = start + (rng.next_u64() % 5) as f64 - 2.0;
                 let n = new.overlap_and_record(t, start, start + dur);
                 let want = old.overlap_and_record(t, start, start + dur);
                 assert_eq!(n, want, "seed {seed} step {step}");
@@ -571,14 +630,181 @@ mod tests {
                 "seed {seed}: the stream never overlapped itself"
             );
             assert_eq!(new.recent, old.0);
-            assert!(new
-                .starts
-                .iter()
-                .zip(new.starts.range(1..))
-                .any(|(a, b)| a == b));
+            let starts: Vec<f64> = new.starts.iter().copied().collect();
+            assert!(starts.windows(2).any(|w| w[0] == w[1]));
             for sorted in [&new.starts, &new.ends] {
                 assert_eq!(sorted.len(), Inflight::WINDOW);
-                assert!(sorted.iter().zip(sorted.range(1..)).all(|(a, b)| a <= b));
+                assert!(ascending(sorted));
+            }
+        }
+    }
+
+    /// A record counts before it evicts and takes the evicted transfer back
+    /// out only if that held `t`: one that ends exactly at `t` did not.
+    #[test]
+    fn an_evicted_transfer_ending_at_t_was_not_in_flight() {
+        let (mut new, mut old) = (Inflight::default(), ScanInflight::default());
+        let first = std::iter::once((0.0, 0.0, 10.0));
+        let fill = std::iter::repeat_n((5.0, 5.0, 20.0), Inflight::WINDOW - 1);
+        let records = first
+            .chain(fill)
+            .chain([(10.0, 10.0, 11.0), (0.0, 0.0, 1.0)]);
+        for (i, (t, start, end)) in records.enumerate() {
+            let n = new.overlap_and_record(t, start, end);
+            assert_eq!(n, old.overlap_and_record(t, start, end), "record {i}");
+        }
+    }
+
+    /// Ranks that never park book their phases one after another, each
+    /// sweeping up from its own early clock: eight "ranks" of three
+    /// windows' worth of transfers each. The window counts what the scan
+    /// counts, and a record moves a few entries, where the deques moved
+    /// about a quarter of the window for every one of a rank's first
+    /// `WINDOW` transfers.
+    #[test]
+    fn a_rank_sequential_sweep_moves_a_few_entries_per_record() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        const RANKS: usize = 8;
+        const PER_RANK: usize = 3 * Inflight::WINDOW;
+        let mut rng = StdRng::seed_from_u64(0x5EE9);
+        let (mut new, mut old) = (Inflight::default(), ScanInflight::default());
+        let mut busiest = 0;
+        for rank in 0..RANKS {
+            let mut clock = 0.0f64;
+            for step in 0..PER_RANK {
+                clock += (1 + rng.next_u64() % 3) as f64;
+                let dur = (rng.next_u64() % 4) as f64;
+                let n = new.overlap_and_record(clock, clock, clock + dur);
+                let want = old.overlap_and_record(clock, clock, clock + dur);
+                assert_eq!(n, want, "rank {rank} step {step}");
+                busiest = busiest.max(n);
+            }
+        }
+        assert!(busiest >= 2, "the sweeps never overlapped");
+        let moved = new.starts.moved + new.ends.moved;
+        let records = RANKS * PER_RANK;
+        assert!(
+            moved <= 4 * records,
+            "{moved} entries moved for {records} records"
+        );
+        assert!(ascending(&new.starts) && ascending(&new.ends));
+    }
+
+    /// The `VecDeque` LRU the contiguous array replaced, kept as the
+    /// oracle.
+    struct DequeLru {
+        cap: usize,
+        entries: VecDeque<usize>,
+        flush_gen: u64,
+    }
+
+    impl DequeLru {
+        fn touch(&mut self, peer: usize) -> bool {
+            if self.cap == 0 {
+                return false;
+            }
+            if let Some(pos) = self.entries.iter().position(|&p| p == peer) {
+                self.entries.remove(pos);
+                self.entries.push_back(peer);
+                return true;
+            }
+            if self.entries.len() == self.cap {
+                self.entries.pop_front();
+            }
+            self.entries.push_back(peer);
+            false
+        }
+    }
+
+    #[test]
+    fn lru_set_hits_and_evicts_what_the_deque_did() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x14B);
+        let mut hits = 0;
+        for cap in [0, 1, 2, 64, 65] {
+            for peers in [1, 2, 3, 63, 64, 65, 66, 128, 300] {
+                let mut new = LruSet::new(cap);
+                let mut old = DequeLru {
+                    cap,
+                    entries: VecDeque::new(),
+                    flush_gen: 0,
+                };
+                let mut gen = 0;
+                for step in 0..4000 {
+                    // A connection flush part-way (and a stale generation,
+                    // which must change nothing, just after it).
+                    if step == 2000 || step == 2001 {
+                        gen = if step == 2000 { 3 } else { 2 };
+                        new.observe_flush(gen);
+                        if gen > old.flush_gen {
+                            old.entries.clear();
+                            old.flush_gen = gen;
+                        }
+                    }
+                    // Mostly a cycle through the peers, sometimes any one.
+                    let peer = match rng.next_u64() % 4 {
+                        0 => rng.next_u64() as usize % peers,
+                        _ => step % peers,
+                    };
+                    let hit = new.touch(peer);
+                    assert_eq!(hit, old.touch(peer), "cap {cap} peers {peers} step {step}");
+                    hits += usize::from(hit);
+                    let order = new.peers.iter().map(|&p| p as usize);
+                    assert!(order.eq(old.entries.iter().copied()));
+                }
+                assert_eq!(new.flush_gen, gen.max(3));
+            }
+        }
+        assert!(hits > 0);
+    }
+
+    /// Every time and per-byte constant must be finite and non-negative,
+    /// and `run` refuses one that is not before any rank starts, naming it.
+    #[test]
+    fn bad_net_constants_are_refused_by_name() {
+        type Field = fn(&mut NetConfig) -> &mut f64;
+        let fields: [(&str, Field); 13] = [
+            ("latency", |c| &mut c.latency),
+            ("byte_time", |c| &mut c.byte_time),
+            ("send_overhead", |c| &mut c.send_overhead),
+            ("recv_overhead", |c| &mut c.recv_overhead),
+            ("conn_setup", |c| &mut c.conn_setup),
+            ("congestion_coeff", |c| &mut c.congestion_coeff),
+            ("rma_lock_cost", |c| &mut c.rma_lock_cost),
+            ("memcpy_byte_time", |c| &mut c.memcpy_byte_time),
+            ("noise_mean", |c| &mut c.noise_mean),
+            ("api_call_overhead", |c| &mut c.api_call_overhead),
+            ("intra_latency", |c| &mut c.intra_latency),
+            ("intra_byte_time", |c| &mut c.intra_byte_time),
+            ("match_overhead", |c| &mut c.match_overhead),
+        ];
+        NetConfig::default().validate().unwrap();
+        for (name, field) in fields {
+            let with = |v: f64| {
+                let mut net = NetConfig::default();
+                *field(&mut net) = v;
+                crate::SimConfig {
+                    net,
+                    ..Default::default()
+                }
+            };
+            assert!(with(0.0).net.validate().is_ok(), "{name} = 0");
+            for v in [f64::NAN, f64::INFINITY, -1.0e-9] {
+                // A send, its receive and a barrier: what the unchecked
+                // constants let run with skewed clocks, or panic in.
+                let err = crate::run(2, with(v), |rk| {
+                    if rk.rank() == 0 {
+                        rk.send(1, 0, &[1, 2, 3])?;
+                    } else {
+                        rk.recv(Some(0), Some(0))?;
+                    }
+                    rk.barrier()
+                })
+                .err();
+                assert!(
+                    matches!(&err, Some(crate::SimError::Config(m)) if m.contains(name)),
+                    "{name} = {v}: {err:?}"
+                );
             }
         }
     }

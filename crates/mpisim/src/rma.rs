@@ -124,6 +124,30 @@ impl Window {
     }
 }
 
+/// The `(bytes, parts)` of each message one direction of an epoch sent,
+/// in issue order. The first is held inline and only the rest spill to the
+/// heap, so an epoch of one put or one get (every TCIO flush and fetch)
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    first: Option<(usize, usize)>,
+    rest: Vec<(usize, usize)>,
+}
+
+impl Ledger {
+    fn push(&mut self, msg: (usize, usize)) {
+        match self.first {
+            None => self.first = Some(msg),
+            Some(_) => self.rest.push(msg),
+        }
+    }
+
+    /// The messages in issue order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.first.into_iter().chain(self.rest.iter().copied())
+    }
+}
+
 /// An open passive-target epoch. Ops apply data immediately; the accumulated
 /// cost ledger is settled by [`crate::Rank::win_unlock`].
 #[derive(Debug)]
@@ -131,10 +155,8 @@ pub struct Epoch<'w> {
     pub(crate) win: &'w Window,
     pub(crate) target: usize,
     pub(crate) kind: LockKind,
-    /// (bytes, parts) of each put message, in issue order.
-    pub(crate) put_msgs: Vec<(usize, usize)>,
-    /// (bytes, parts) of each get message, in issue order.
-    pub(crate) get_msgs: Vec<(usize, usize)>,
+    pub(crate) put_msgs: Ledger,
+    pub(crate) get_msgs: Ledger,
 }
 
 impl<'w> Epoch<'w> {
@@ -143,8 +165,8 @@ impl<'w> Epoch<'w> {
             win,
             target,
             kind,
-            put_msgs: Vec::new(),
-            get_msgs: Vec::new(),
+            put_msgs: Ledger::default(),
+            get_msgs: Ledger::default(),
         }
     }
 
@@ -218,6 +240,10 @@ mod tests {
         }
     }
 
+    fn msgs(ledger: &Ledger) -> Vec<(usize, usize)> {
+        ledger.iter().collect()
+    }
+
     /// Bytes the process really holds for `rank`'s region.
     fn backing(w: &Window, rank: usize) -> usize {
         w.shared.regions[rank].lock().len()
@@ -234,7 +260,7 @@ mod tests {
         ep.get_gathered(&mut [(0, &mut a[..]), (13, &mut b[..])])
             .unwrap();
         assert_eq!((a, b), ([0; 2], [0; 3]));
-        assert_eq!(ep.get_msgs, vec![(5, 1), (5, 2)]);
+        assert_eq!(msgs(&ep.get_msgs), vec![(5, 1), (5, 2)]);
         assert_eq!(backing(&w, 1), 0);
     }
 
@@ -258,7 +284,7 @@ mod tests {
             .put_gathered(&[(0, &[9][..]), (7, &[9, 9][..])])
             .unwrap_err();
         assert!(matches!(err, MpiError::WindowOutOfBounds { .. }));
-        assert!(ep.put_msgs.is_empty());
+        assert!(msgs(&ep.put_msgs).is_empty());
         assert_eq!(backing(&w, 0), 0);
     }
 
@@ -291,8 +317,27 @@ mod tests {
         let mut buf = [0u8; 3];
         ep.get(4, &mut buf).unwrap();
         assert_eq!(buf, [1, 2, 3]);
-        assert_eq!(ep.put_msgs, vec![(3, 1)]);
-        assert_eq!(ep.get_msgs, vec![(3, 1)]);
+        assert_eq!(msgs(&ep.put_msgs), vec![(3, 1)]);
+        assert_eq!(msgs(&ep.get_msgs), vec![(3, 1)]);
+    }
+
+    #[test]
+    fn a_one_message_ledger_stays_inline_and_more_keep_issue_order() {
+        let w = window(vec![16], 0);
+        let mut ep = Epoch::new(&w, 0, LockKind::Exclusive);
+        ep.put(0, &[1]).unwrap();
+        ep.get(0, &mut [0u8; 2]).unwrap();
+        let spilled = |ep: &Epoch| (ep.put_msgs.rest.capacity(), ep.get_msgs.rest.capacity());
+        assert_eq!(
+            spilled(&ep),
+            (0, 0),
+            "one message each way allocates nothing"
+        );
+        ep.put(4, &[2, 2, 2]).unwrap();
+        ep.put_gathered(&[(8, &[3][..]), (12, &[4, 4][..])])
+            .unwrap();
+        assert_eq!(msgs(&ep.put_msgs), vec![(1, 1), (3, 1), (3, 2)]);
+        assert_eq!(msgs(&ep.get_msgs), vec![(2, 1)]);
     }
 
     #[test]
@@ -301,7 +346,7 @@ mod tests {
         let mut ep = Epoch::new(&w, 0, LockKind::Exclusive);
         ep.put_gathered(&[(0, &[1, 1][..]), (10, &[2][..]), (20, &[3, 3, 3][..])])
             .unwrap();
-        assert_eq!(ep.put_msgs, vec![(6, 3)]);
+        assert_eq!(msgs(&ep.put_msgs), vec![(6, 3)]);
         w.with_local(|r| {
             assert_eq!(&r[0..2], &[1, 1]);
             assert_eq!(r[10], 2);
@@ -320,7 +365,7 @@ mod tests {
             .unwrap();
         assert_eq!(a, [1, 2]);
         assert_eq!(b, [5, 6, 7]);
-        assert_eq!(ep.get_msgs, vec![(5, 2)]);
+        assert_eq!(msgs(&ep.get_msgs), vec![(5, 2)]);
     }
 
     #[test]
@@ -349,8 +394,8 @@ mod tests {
         let mut ep = Epoch::new(&w, 0, LockKind::Exclusive);
         ep.put_gathered(&[]).unwrap();
         ep.get_gathered(&mut []).unwrap();
-        assert!(ep.put_msgs.is_empty());
-        assert!(ep.get_msgs.is_empty());
+        assert!(msgs(&ep.put_msgs).is_empty());
+        assert!(msgs(&ep.get_msgs).is_empty());
     }
 
     #[test]

@@ -221,6 +221,7 @@ where
     F: Fn(&mut Rank) -> Result<T> + Sync,
 {
     assert!(nprocs > 0, "need at least one rank");
+    cfg.net.validate().map_err(SimError::Config)?;
     let backend = cfg.backend.resolve();
     let shared = Arc::new(Shared::new(nprocs, &cfg));
     if let Some(engine) = &cfg.chaos {

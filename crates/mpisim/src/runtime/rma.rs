@@ -60,10 +60,10 @@ impl Rank {
         // to book the exclusive-lock token before the NIC-level costs are
         // resolved.
         let mut intrinsic = 0.0;
-        for &m in &ep.put_msgs {
+        for m in ep.put_msgs.iter() {
             intrinsic += cfg.send_overhead + cfg.latency + wire(m) as f64 * cfg.byte_time;
         }
-        for &m in &ep.get_msgs {
+        for m in ep.get_msgs.iter() {
             intrinsic += 2.0 * cfg.latency + cfg.send_overhead + wire(m) as f64 * cfg.byte_time;
         }
         let start = match ep.kind {
@@ -94,14 +94,14 @@ impl Rank {
         }
         let mut now = start;
         let mut moved = 0u64;
-        for &m in &ep.put_msgs {
+        for m in ep.put_msgs.iter() {
             let tr = self.shared.fabric.transfer(me, target, wire(m), now);
             now = tr.arrival;
             self.stats.puts += 1;
             self.stats.put_bytes += m.0 as u64;
             moved += m.0 as u64;
         }
-        for &m in &ep.get_msgs {
+        for m in ep.get_msgs.iter() {
             // Get is a round trip: request, then data target → origin.
             let tr = self
                 .shared

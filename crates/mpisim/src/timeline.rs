@@ -20,27 +20,21 @@
 //!
 //! Bookings cluster: a resource's next booking usually lands at or next
 //! to its previous one, most often past the last interval. The store is
-//! therefore a gap buffer that sits where the last booking that added an
-//! interval landed (one that merges into a neighbour leaves it in place),
-//! and the search gallops out from there: a booking `d` intervals from the
-//! gap costs O(log d) probes to find and, if it adds an interval, a
-//! `d`-interval move to insert, whatever the store's length.
+//! therefore the crate's gap buffer (`gap::GapBuffer`), whose gap sits
+//! where the last booking that added an interval landed (one that merges
+//! into a neighbour leaves it in place), and the search gallops out from
+//! there: a booking `d` intervals from the gap costs O(log d) probes to
+//! find and, if it adds an interval, a `d`-interval move to insert,
+//! whatever the store's length.
 
-use std::collections::VecDeque;
+use crate::gap::GapBuffer;
 
 /// A set of disjoint busy intervals on the virtual-time axis.
 #[derive(Debug, Default)]
 pub struct Timeline {
-    /// Sorted, non-overlapping `(start, end)` busy intervals as a gap
-    /// buffer over a ring: the `gap` intervals below the gap sit at the
-    /// back of the deque, the rest at its front, so inserting at the gap
-    /// is `push_back` and moving it is a rotation. A booking then costs
-    /// its distance from the last booking that did not merge into a
-    /// neighbour (bookings cluster), not its distance from the tail. Same
-    /// bytes as a `Vec`; an empty timeline allocates nothing.
-    busy: VecDeque<(f64, f64)>,
-    /// Number of intervals below the gap.
-    gap: usize,
+    /// Sorted, non-overlapping `(start, end)` busy intervals. An empty
+    /// timeline allocates nothing.
+    busy: GapBuffer<(f64, f64)>,
     /// No reservation may start before this (set when old intervals are
     /// pruned; bounds memory on very long runs).
     floor: f64,
@@ -48,12 +42,6 @@ pub struct Timeline {
     /// raised to `floor` as a result.
     prunes: u64,
     clamped: u64,
-    /// Intervals rotated across the gap, for the locality test.
-    #[cfg(test)]
-    moved: usize,
-    /// Intervals read by the search, for the locality test.
-    #[cfg(test)]
-    probes: std::cell::Cell<usize>,
 }
 
 impl Timeline {
@@ -81,12 +69,9 @@ impl Timeline {
         }
         if self.busy.len() >= Self::MAX_INTERVALS {
             // Drop the oldest half; nothing may book before the horizon.
-            // With the gap above them they are the back of the deque.
             let half = self.busy.len() / 2;
-            self.floor = self.get(half - 1).1;
-            self.move_gap(half);
-            self.busy.truncate(self.busy.len() - half);
-            self.gap = 0;
+            self.floor = self.busy.get(half - 1).1;
+            self.busy.drop_first(half);
             self.prunes += 1;
         }
         let earliest = self.clamp(earliest);
@@ -94,7 +79,7 @@ impl Timeline {
         // interval ending after `earliest`.
         let mut idx = self.first_ending_after(earliest);
         let mut start = earliest;
-        while let Some((bs, be)) = self.nth(idx) {
+        while let Some((bs, be)) = self.busy.nth(idx) {
             if start + dur <= bs {
                 break; // fits in the gap before interval idx
             }
@@ -115,7 +100,7 @@ impl Timeline {
 
     /// The earliest instant ≥ `t` that is not inside a busy interval.
     pub fn next_free_at(&self, t: f64) -> f64 {
-        match self.nth(self.first_ending_after(t)) {
+        match self.busy.nth(self.first_ending_after(t)) {
             Some((bs, be)) if bs <= t => be,
             _ => t,
         }
@@ -126,18 +111,14 @@ impl Timeline {
     /// drain model uses this to find when staged data has fully reached
     /// the backing store.
     pub fn horizon(&self) -> f64 {
-        let last = self.nth(self.busy.len().wrapping_sub(1));
-        last.map_or(self.floor, |(_, end)| end)
+        self.busy.last().map_or(self.floor, |(_, end)| end)
     }
 
     /// Total reserved time (diagnostics).
     pub fn total_busy(&self) -> f64 {
         // Summed in time order, so the rounding does not depend on where
         // the gap happens to be.
-        let above = self.busy.len() - self.gap;
-        (self.busy.range(above..).chain(self.busy.range(..above)))
-            .map(|&(s, e)| e - s)
-            .sum()
+        self.busy.iter().map(|&(s, e)| e - s).sum()
     }
 
     /// Number of disjoint busy intervals (diagnostics).
@@ -161,121 +142,34 @@ impl Timeline {
     /// coalescing keeps the interval store small under steady load.
     const MERGE_SLACK: f64 = 1.0e-7;
 
-    /// Position in `busy` of the `i`-th interval in time order.
-    fn slot(&self, i: usize) -> usize {
-        if i < self.gap {
-            self.busy.len() - self.gap + i
-        } else {
-            i - self.gap
-        }
-    }
-
-    fn get(&self, i: usize) -> (f64, f64) {
-        self.busy[self.slot(i)]
-    }
-
-    /// The `i`-th interval in time order, if there are that many.
-    fn nth(&self, i: usize) -> Option<(f64, f64)> {
-        (i < self.busy.len()).then(|| self.get(i))
-    }
-
-    /// Does interval `i` end at or before `t`? The one predicate the
-    /// search asks; true on a prefix of the store.
-    fn ends_by(&self, i: usize, t: f64) -> bool {
-        #[cfg(test)]
-        self.probes.set(self.probes.get() + 1);
-        self.get(i).1 <= t
-    }
-
-    /// Index of the first interval ending after `t`. Gallops out from the
-    /// gap (±1, ±2, ±4, …), which is where the last booking that did not
-    /// merge into a neighbour landed, then binary-searches the bracket: a
-    /// booking `d` intervals from the gap costs O(log d) probes.
+    /// Index of the first interval ending after `t`, galloping out from
+    /// where the last booking that did not merge into a neighbour landed.
     fn first_ending_after(&self, t: f64) -> usize {
-        let n = self.busy.len();
-        let g = self.gap;
-        let (mut lo, mut hi) = (0, n);
-        if g < n && self.ends_by(g, t) {
-            lo = g + 1;
-            let mut step = 1;
-            while g + step < n {
-                if !self.ends_by(g + step, t) {
-                    hi = g + step;
-                    break;
-                }
-                lo = g + step + 1;
-                step *= 2;
-            }
-        } else {
-            hi = g;
-            let mut step = 1;
-            while step <= g {
-                if self.ends_by(g - step, t) {
-                    lo = g - step + 1;
-                    break;
-                }
-                hi = g - step;
-                step *= 2;
-            }
-        }
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.ends_by(mid, t) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
-    /// Put the gap before interval `idx`.
-    fn move_gap(&mut self, idx: usize) {
-        if idx > self.gap {
-            self.busy.rotate_left(idx - self.gap);
-        } else {
-            self.busy.rotate_right(self.gap - idx);
-        }
-        #[cfg(test)]
-        {
-            let k = idx.abs_diff(self.gap);
-            self.moved += k.min(self.busy.len() - k);
-        }
-        self.gap = idx;
+        self.busy.gallop(|(_, end)| end <= t)
     }
 
     fn insert_at(&mut self, idx: usize, start: f64, end: f64) {
         // Coalesce with neighbours when (nearly) adjacent to keep the
         // store short (the common case: FIFO appends).
-        let touches_prev = idx > 0 && start - self.get(idx - 1).1 < Self::MERGE_SLACK;
-        let touches_next = idx < self.busy.len() && self.get(idx).0 - end < Self::MERGE_SLACK;
+        let n = self.busy.len();
+        let touches_prev = idx > 0 && start - self.busy.get(idx - 1).1 < Self::MERGE_SLACK;
+        let touches_next = idx < n && self.busy.get(idx).0 - end < Self::MERGE_SLACK;
         match (touches_prev, touches_next) {
             (true, true) => {
-                // Invariant (both expects): `touches_prev` and
-                // `touches_next` say intervals idx - 1 and idx exist; with
-                // the gap between them they are the deque's back and front.
-                self.move_gap(idx);
-                let next = self.busy.pop_front().expect("interval idx exists");
-                self.busy.back_mut().expect("interval idx - 1 exists").1 = next.1;
+                let next = self.busy.remove(idx);
+                self.busy.get_mut(idx - 1).1 = next.1;
             }
-            (true, false) => {
-                let at = self.slot(idx - 1);
-                self.busy[at].1 = end;
-            }
-            (false, true) => {
-                let at = self.slot(idx);
-                self.busy[at].0 = start;
-            }
-            (false, false) => {
-                self.move_gap(idx);
-                self.busy.push_back((start, end));
-                self.gap += 1;
-            }
+            (true, false) => self.busy.get_mut(idx - 1).1 = end,
+            (false, true) => self.busy.get_mut(idx).0 = start,
+            (false, false) => self.busy.insert(idx, (start, end)),
         }
         // Only the neighbours of `idx` can have changed.
         debug_assert!(
-            (idx.saturating_sub(1).max(1)..(idx + 2).min(self.busy.len()))
-                .all(|i| self.get(i - 1).1 <= self.get(i).0),
+            (idx.saturating_sub(1).max(1)..(idx + 2).min(self.busy.len())).all(|i| self
+                .busy
+                .get(i - 1)
+                .1
+                <= self.busy.get(i).0),
             "timeline intervals must stay sorted and disjoint"
         );
     }
@@ -492,7 +386,7 @@ mod oracle_tests {
     use rand::{RngExt, SeedableRng};
 
     fn intervals(t: &Timeline) -> Vec<(f64, f64)> {
-        (0..t.segments()).map(|i| t.get(i)).collect()
+        t.busy.iter().copied().collect()
     }
 
     /// One seeded request stream into both stores; every granted start and,
@@ -587,15 +481,15 @@ mod oracle_tests {
         for i in 0..LEN {
             t.reserve(i as f64 * 2.0, 0.5); // busy [2i, 2i + 0.5)
         }
-        t.moved = 0;
+        t.busy.moved = 0;
         for i in 0..SWEEP {
             t.reserve(i as f64 * 2.0 + 1.0, 0.5); // into the gap after interval i
         }
         assert!(t.prunes() >= 1, "the sweep crosses MAX_INTERVALS");
         assert!(
-            t.moved <= 2 * SWEEP + Timeline::MAX_INTERVALS,
+            t.busy.moved <= 2 * SWEEP + Timeline::MAX_INTERVALS,
             "{} intervals moved for {SWEEP} nearby backfills",
-            t.moved
+            t.busy.moved
         );
     }
 
@@ -613,7 +507,7 @@ mod oracle_tests {
         for i in 0..LEN {
             t.reserve(i as f64 * 2.0, 0.5); // busy [2i, 2i + 0.5)
         }
-        t.probes.set(0);
+        t.busy.probes.set(0);
         for _ in 0..APPENDS {
             let front = t.horizon();
             t.reserve(front, 0.5);
@@ -622,7 +516,7 @@ mod oracle_tests {
             t.reserve(i as f64 * 2.0 + 1.0, 0.5); // into the gap after interval i
         }
         assert!(t.prunes() >= 1, "the sweep crosses MAX_INTERVALS");
-        let per_booking = t.probes.get() as f64 / (APPENDS + SWEEP) as f64;
+        let per_booking = t.busy.probes.get() as f64 / (APPENDS + SWEEP) as f64;
         assert!(
             per_booking <= 4.0,
             "{per_booking:.2} probes per booking near the previous one"

@@ -24,8 +24,8 @@
 //! ## Read path
 //!
 //! Reads are **lazy**: `read`/`read_at` only record `(offset, destination)`;
-//! the data moves at `fetch` time (or when the read window departs),
-//! grouped per segment into gathered one-sided gets. Segments are loaded
+//! the data moves at `fetch` time (or when the read window departs), as
+//! one gathered one-sided get from the window's segment. Segments are loaded
 //! from the file system on demand, once, by whichever rank needs them
 //! first (reader-initiated delegation — see DESIGN.md for the divergence
 //! note).
@@ -38,7 +38,6 @@ use mpiio::ExtentSet;
 use mpisim::{DeferredIo, LockKind, MemGuard, MpiError, Phase, Rank, Window};
 use parking_lot::Mutex;
 use pfs::{FileId, Pfs};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Open mode. TCIO handles are single-direction, matching the paper's
@@ -182,6 +181,14 @@ impl L1 {
     }
 }
 
+/// `parts`, emptied, at any lifetime: a borrowing buffer's allocation
+/// outlives the borrows it held. Collecting an empty vector's own
+/// iterator reuses its allocation, and the map never runs.
+fn emptied<'b>(mut parts: Vec<(usize, &[u8])>) -> Vec<(usize, &'b [u8])> {
+    parts.clear();
+    parts.into_iter().map(|_| unreachable!()).collect()
+}
+
 /// The collectives a file issues between `open` and the end of `close`.
 #[derive(Debug, Clone, Copy)]
 enum Collective {
@@ -211,8 +218,16 @@ pub struct TcioFile<'a> {
     l1: L1,
     /// The read temporary `load` fills, reused by every load of this open.
     scratch: Vec<u8>,
+    /// Lazy reads not yet served, `(file offset, destination)`, all in
+    /// `read_window`.
     pending_reads: Vec<(u64, &'a mut [u8])>,
     read_window: Option<u64>,
+    /// `fetch`'s gathered-get parts, empty between fetches and kept for
+    /// its capacity.
+    get_parts: Vec<(usize, &'a mut [u8])>,
+    /// `flush_l1`'s put parts, likewise. They borrow the level-1 buffer
+    /// only while a flush runs, so the empty vector is kept at `'static`.
+    flush_parts: Vec<(usize, &'static [u8])>,
     /// Cursor for `write`/`read` (the POSIX-style sequential calls).
     pos: u64,
     file_len: u64,
@@ -330,6 +345,8 @@ impl<'a> TcioFile<'a> {
             scratch: Vec::new(),
             pending_reads: Vec::new(),
             read_window: None,
+            get_parts: Vec::new(),
+            flush_parts: Vec::new(),
             pos: 0,
             file_len,
             opened_at,
@@ -368,6 +385,18 @@ impl<'a> TcioFile<'a> {
             return Ok(());
         }
         let s = self.cfg.segment_size;
+        // Inside the window the level-1 buffer is open on: that window was
+        // located and validated when the buffer opened on it.
+        if let Some(window) = self
+            .l1
+            .window_start
+            .filter(|&w| offset >= w && end - w <= s)
+        {
+            rank.metrics.hit_l1();
+            self.fill_l1(rank, (offset - window) as usize, data);
+            self.file_len = self.file_len.max(end);
+            return Ok(());
+        }
         let mut off = offset;
         let mut cursor = 0usize;
         let crosses = self.map.window_start(offset) != self.map.window_start(end - 1);
@@ -404,12 +433,17 @@ impl<'a> TcioFile<'a> {
         } else {
             rank.metrics.hit_l1();
         }
+        self.fill_l1(rank, (off - window) as usize, chunk);
+        Ok(())
+    }
+
+    /// Copy `chunk` into the level-1 buffer at window-relative `rel`.
+    fn fill_l1(&mut self, rank: &mut Rank, rel: usize, chunk: &[u8]) {
         let t0 = rank.now();
-        self.l1.place((off - window) as usize, chunk);
+        self.l1.place(rel, chunk);
         rank.charge_memcpy(chunk.len() as u64);
         self.stats.bytes_buffered += chunk.len() as u64;
         rank.trace_mark("tcio_l1_fill", Phase::Compute, t0, chunk.len() as u64);
-        Ok(())
     }
 
     /// Ablation path (`use_l1 = false`): one epoch + one put per block.
@@ -541,8 +575,11 @@ impl<'a> TcioFile<'a> {
             let t0 = rank.now();
             let seg_base = loc.segment as u64 * self.cfg.segment_size;
             let part = |&(o, l): &(u64, u64)| ((seg_base + o) as usize, self.l1.run(o, l));
-            let parts: Vec<(usize, &[u8])> = runs.iter().map(part).collect();
-            self.put_l2(rank, loc.owner, loc.segment, &parts, Some("tcio_replicate"))?;
+            let mut parts: Vec<(usize, &[u8])> = std::mem::take(&mut self.flush_parts);
+            parts.extend(runs.iter().map(part));
+            let put = self.put_l2(rank, loc.owner, loc.segment, &parts, Some("tcio_replicate"));
+            self.flush_parts = emptied(parts);
+            put?;
             let flushed = runs.iter().map(|&(_, l)| l).sum();
             rank.trace_mark("tcio_flush", Phase::Exchange, t0, flushed);
         }
@@ -587,10 +624,27 @@ impl<'a> TcioFile<'a> {
                 self.file_len
             )));
         }
+        let s = self.cfg.segment_size;
+        // Inside the window the pending reads are in: nothing to split,
+        // locate or resolve first.
+        if self
+            .read_window
+            .is_some_and(|w| offset >= w && offset + len - w <= s)
+        {
+            self.stats.read_requests += 1;
+            self.pending_reads.push((offset, buf));
+            if self.cfg.read_mode == ReadMode::Eager {
+                self.fetch(rank)?;
+            }
+            return Ok(());
+        }
+        // The last byte's segment is the read's highest: refuse a read past
+        // the level-2 capacity here, before anything is recorded, not at
+        // the fetch that would serve it.
+        self.locate_checked(self.map.window_start(offset + len - 1))?;
         self.stats.read_requests += 1;
         // Split at segment-window boundaries so each pending entry lives in
         // exactly one segment.
-        let s = self.cfg.segment_size;
         let mut off = offset;
         let mut rest = buf;
         while !rest.is_empty() {
@@ -721,30 +775,37 @@ impl<'a> TcioFile<'a> {
     }
 
     /// `tcio_fetch`: resolve all recorded lazy reads.
+    ///
+    /// `read_at` resolves its pending reads whenever it leaves their
+    /// window, so they all lie in `read_window`: one `(owner, segment)`,
+    /// served by one gathered get in push order.
     pub fn fetch(&mut self, rank: &mut Rank) -> Result<()> {
         if self.pending_reads.is_empty() {
             return Ok(());
         }
-        let pending = std::mem::take(&mut self.pending_reads);
-        self.read_window = None;
-        // Group by (owner, segment); BTreeMap gives a deterministic order.
-        type GetParts<'b> = Vec<(usize, &'b mut [u8])>;
-        let mut groups: BTreeMap<(usize, usize), GetParts<'_>> = BTreeMap::new();
-        for (off, buf) in pending {
-            let loc = self.locate_checked(off)?;
-            let disp = (loc.segment as u64 * self.cfg.segment_size + loc.disp) as usize;
-            groups
-                .entry((loc.owner, loc.segment))
-                .or_default()
-                .push((disp, buf));
-        }
+        // Invariant: `read_at` sets the window before it pushes a read,
+        // and only this function, which empties both, clears it.
+        let window = self
+            .read_window
+            .take()
+            .expect("pending reads have a window");
+        let loc = self.map.locate(window);
+        debug_assert!(
+            loc.segment < self.cfg.num_segments,
+            "read_at validated the window"
+        );
+        let seg_base = loc.segment as u64 * self.cfg.segment_size;
+        let s = self.cfg.segment_size;
+        let mut parts = std::mem::take(&mut self.get_parts);
+        parts.extend(self.pending_reads.drain(..).map(|(off, buf)| {
+            debug_assert!(off >= window && off + buf.len() as u64 - window <= s);
+            ((seg_base + off - window) as usize, buf)
+        }));
         let mut tmp = std::mem::take(&mut self.scratch);
-        let served = groups
-            .into_iter()
-            .try_for_each(|((owner, segment), mut parts)| {
-                self.with_loaded_segment(rank, owner, segment, &mut parts, &mut tmp)
-            });
+        let served = self.with_loaded_segment(rank, loc.owner, loc.segment, &mut parts, &mut tmp);
         self.scratch = tmp;
+        parts.clear();
+        self.get_parts = parts;
         served
     }
 
@@ -1068,6 +1129,41 @@ mod tests {
     }
 
     #[test]
+    fn a_read_past_the_level_2_capacity_fails_at_the_read() {
+        let fs = Pfs::new(2, PfsConfig::default()).unwrap();
+        let fs2 = Arc::clone(&fs);
+        mpisim::run(2, SimConfig::default(), move |rk| {
+            // 400 bytes are windows 0..=6, and window 6 is segment 3 of
+            // its owner: four segments hold the file.
+            let mut f = TcioFile::open(rk, &fs2, "/cap", TcioMode::Write, small_cfg(4))?;
+            if rk.rank() == 0 {
+                f.write_at(rk, 0, &[5u8; 400])?;
+            }
+            f.close(rk)?;
+            // A reader with one segment cannot serve window 3 (segment 1).
+            let mut buf = [0u8; 8];
+            let mut g = TcioFile::open(rk, &fs2, "/cap", TcioMode::Read, small_cfg(1))?;
+            let refused = g.read_at(rk, 192, &mut buf);
+            assert!(
+                matches!(
+                    refused,
+                    Err(TcioError::SegmentOverflow {
+                        offset: 192,
+                        needed_segments: 2,
+                        configured_segments: 1
+                    })
+                ),
+                "expected overflow at the read, got {refused:?}"
+            );
+            // Nothing was recorded, so nothing is left to fail at close.
+            let stats = g.close(rk)?;
+            assert_eq!(stats.read_requests, 0);
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    #[test]
     fn lazy_read_roundtrip_with_fetch() {
         let nprocs = 4;
         let (fs, _) = write_interleaved(nprocs, 8, 16, small_cfg(8));
@@ -1347,6 +1443,7 @@ mod tests {
         const NPROCS: usize = 3;
         const CAPACITY: u64 = 64 * 4 * NPROCS as u64;
         let mut fallbacks = 0;
+        let mut straddled = [0; 3];
         for seed in 0..60u64 {
             let mut rng = StdRng::seed_from_u64(0x4011 ^ seed);
             let mut pick = |lo: u64, hi: u64| lo + rng.random::<u64>() % (hi - lo);
@@ -1377,6 +1474,30 @@ mod tests {
             let map = SegmentMap::new(cfg.segment_size, NPROCS);
             let (image, expect) = flat_reference(&ops, &map, writer, route);
             fallbacks += expect.l1_fallbacks;
+            // Each rank's random reads: `(offset, len, fetch after it)`.
+            // Up to 129 bytes, so some straddle two or three windows.
+            let reads: Vec<Vec<(u64, usize, bool)>> = (0..NPROCS)
+                .map(|_| {
+                    (0..pick(1, 30))
+                        .map(|_| {
+                            let off = pick(0, image.len() as u64);
+                            let most = 129.min(image.len() as u64 - off);
+                            let len = pick(1, most + 1) as usize;
+                            (off, len, pick(0, 5) == 0)
+                        })
+                        .collect()
+                })
+                .collect();
+            for &(off, len, _) in reads.iter().flatten() {
+                let end = off + len as u64 - 1;
+                let windows =
+                    (map.window_start(end) - map.window_start(off)) / map.segment_size + 1;
+                straddled[windows as usize - 1] += 1;
+            }
+            let read_mode = match seed % 5 {
+                2 => ReadMode::Eager,
+                _ => ReadMode::Lazy,
+            };
 
             let chaos = match route {
                 Route::Stalled(rank) => {
@@ -1401,18 +1522,37 @@ mod tests {
                 let stats = f.close(rk)?;
                 // Read everything back in 50-byte pieces: one scratch serves
                 // loads of full segments and of the shorter tail alike.
+                // Then this rank's random reads, some followed by an
+                // explicit fetch in the middle of a window.
+                let mine = &reads[rk.rank()];
                 let mut back = vec![0xEEu8; image.len()];
-                let mut g = TcioFile::open(rk, &fs, "/p", TcioMode::Read, cfg.clone())?;
+                let mut got: Vec<Vec<u8>> =
+                    mine.iter().map(|&(_, len, _)| vec![0xEE; len]).collect();
+                let read_cfg = TcioConfig {
+                    read_mode,
+                    ..cfg.clone()
+                };
+                let mut g = TcioFile::open(rk, &fs, "/p", TcioMode::Read, read_cfg)?;
                 for (i, piece) in back.chunks_mut(50).enumerate() {
                     g.read_at(rk, i as u64 * 50, piece)?;
                 }
-                g.close(rk)?;
-                Ok((stats, back))
+                for (&(off, _, fetch), buf) in mine.iter().zip(got.iter_mut()) {
+                    g.read_at(rk, off, buf)?;
+                    if fetch {
+                        g.fetch(rk)?;
+                    }
+                }
+                let read_stats = g.close(rk)?;
+                Ok((stats, back, got, read_stats))
             })
             .unwrap();
             let landed = fs.snapshot_file(fs.open("/p").unwrap()).unwrap();
             assert_eq!(landed, image, "seed {seed} ({route:?}): file bytes");
-            for (r, (stats, back)) in rep.results.iter().enumerate() {
+            // Every rank reads every window once through the 50-byte
+            // pieces, and some rank loads each window's segment first.
+            let windows = map.window_start(image.len() as u64 - 1) / map.segment_size + 1;
+            let mut loads = 0;
+            for (r, (stats, back, got, read_stats)) in rep.results.iter().enumerate() {
                 let expect = if r == writer {
                     expect
                 } else {
@@ -1420,8 +1560,25 @@ mod tests {
                 };
                 assert_eq!(*stats, expect, "seed {seed} ({route:?}): rank {r}");
                 assert_eq!(*back, image, "seed {seed} ({route:?}): rank {r} read");
+                for (&(off, len, _), got) in reads[r].iter().zip(got) {
+                    let want = &image[off as usize..][..len];
+                    assert_eq!(got, want, "seed {seed} ({read_mode:?}): rank {r} at {off}");
+                }
+                let requests = back.chunks(50).count() + reads[r].len();
+                let only_reads = TcioStats {
+                    read_requests: requests as u64,
+                    loads: read_stats.loads,
+                    ..TcioStats::default()
+                };
+                assert_eq!(*read_stats, only_reads, "seed {seed}: rank {r} read stats");
+                loads += read_stats.loads;
             }
+            assert_eq!(loads, windows, "seed {seed}: segments loaded");
         }
         assert!(fallbacks > 0, "no case took the level-1 fallback");
+        assert!(
+            straddled.iter().all(|&n| n > 0),
+            "reads within one, two and three windows: {straddled:?}"
+        );
     }
 }

@@ -6,7 +6,8 @@
 //! One `#[test]` only: nothing else may allocate beside the measured
 //! regions. Fiber stacks are `mmap`ed by `mpisim::fiber` directly and are
 //! the one per-rank cost this cannot see. `-- --nocapture` prints the
-//! bytes-per-rank table DESIGN.md ("Modelled vs. real memory") quotes.
+//! bytes-per-rank table DESIGN.md ("Modelled vs. real memory") quotes,
+//! with each region's allocation count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -17,6 +18,8 @@ use workloads::synthetic::{self, SynthParams};
 
 /// Bytes asked of the allocator (a `realloc` counts its growth).
 static REQUESTED: AtomicUsize = AtomicUsize::new(0);
+/// Calls that handed out a block: `alloc`, `alloc_zeroed` and `realloc`.
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static LIVE_PEAK: AtomicUsize = AtomicUsize::new(0);
 
@@ -32,10 +35,12 @@ fn grew(bytes: usize) {
 // side effects that never touch the memory handed out.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Relaxed);
         grew(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Relaxed);
         grew(layout.size());
         System.alloc_zeroed(layout)
     }
@@ -44,6 +49,7 @@ unsafe impl GlobalAlloc for Counting {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Relaxed);
         match new_size.checked_sub(layout.size()) {
             Some(growth) => grew(growth),
             None => drop(LIVE.fetch_sub(layout.size() - new_size, Relaxed)),
@@ -59,16 +65,20 @@ static ALLOC: Counting = Counting;
 #[derive(Debug, Clone, Copy)]
 struct Cost {
     requested: usize,
+    /// Blocks handed out (a `realloc` counts as one).
+    allocations: usize,
     /// Highest live byte count reached, above the level at entry.
     live_peak: usize,
 }
 
 fn measure(f: impl FnOnce()) -> Cost {
     let (requested, live) = (REQUESTED.load(Relaxed), LIVE.load(Relaxed));
+    let allocations = ALLOCATIONS.load(Relaxed);
     LIVE_PEAK.store(live, Relaxed);
     f();
     Cost {
         requested: REQUESTED.load(Relaxed) - requested,
+        allocations: ALLOCATIONS.load(Relaxed) - allocations,
         live_peak: LIVE_PEAK.load(Relaxed) - live,
     }
 }
@@ -89,6 +99,11 @@ const OCIO_RANKS: usize = 64;
 /// of that run holds data, so first touch can save nothing there and must
 /// not cost more than the slack below.
 const SYNTH_REQUESTED_AT_7846FA5: usize = 62_860_674;
+
+/// Most allocations `synth_tcio_roundtrip` may make: about twice what it
+/// makes (slack for std's growth policy), and well under one per flush,
+/// fetch or epoch.
+const SYNTH_ALLOCATIONS: usize = 20_000;
 
 /// simbench's `art_scale` shape at `ART_RANKS`: one segment of ~3 small
 /// trees per rank, so rank count, not bytes, is what it costs.
@@ -197,12 +212,16 @@ fn real_allocation_follows_touched_bytes() {
     let ocio_params = SynthParams::with_types("i,d", 4096, 1).unwrap();
     let ocio = synth_ocio_cycle(&ocio_params);
 
-    println!("bytes per rank, requested / live peak ({ART_RANKS} ranks; fiber stacks not counted)");
+    println!(
+        "bytes per rank, requested / live peak, and allocations in the whole region \
+         ({ART_RANKS} ranks; fiber stacks not counted)"
+    );
     let row = |name: &str, c: Cost, ranks: usize| {
         println!(
-            "  {name:<44} {:>9} / {:>9}",
+            "  {name:<44} {:>9} / {:>9} {:>9}",
             c.requested / ranks,
-            c.live_peak / ranks
+            c.live_peak / ranks,
+            c.allocations
         );
     };
     row("mpisim::run, empty body", runtime, ART_RANKS);
@@ -249,7 +268,17 @@ fn real_allocation_follows_touched_bytes() {
     // (d) Where every buffer byte is used, laziness is (nearly) free.
     let budget = SYNTH_REQUESTED_AT_7846FA5 + SYNTH_REQUESTED_AT_7846FA5 / 20;
     assert!(synth.requested <= budget, "{} > {budget}", synth.requested);
-    // (e) A collective costs a small multiple of the data it moves, not of
+    // (e) A TCIO epoch, fetch and flush allocates nothing: the run's
+    // ~49k flushes, ~49k fetches and ~98k epochs made 370 401 allocations
+    // when each allocated its ledger, parts and groups; what is left is
+    // per open and per segment, and a heap allocation back in any one of
+    // them fails this.
+    assert!(
+        synth.allocations <= SYNTH_ALLOCATIONS,
+        "{} allocations > {SYNTH_ALLOCATIONS}",
+        synth.allocations
+    );
+    // (f) A collective costs a small multiple of the data it moves, not of
     // the blocks its file view has: the type map is strided runs from
     // `commit` to the exchange, never a list of extents (55× requested and
     // 11× live per data byte when it was one, four times over).
