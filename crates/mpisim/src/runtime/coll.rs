@@ -1,13 +1,15 @@
 //! Rendezvous collectives: barrier, allgather, allreduce, split and
-//! collectively created shared objects, and the checked decoders for the
+//! collectively created shared objects, the replicated read-only tables
+//! that cost no rendezvous at all, and the checked decoders for the
 //! payloads peers deposit.
 
-use super::{Rank, GROUP};
+use super::{Rank, RegistryEntry, Slot, GROUP};
 use crate::collectives::{Deposit, RvResult};
 use crate::comm::{Comm, SplitRegistry};
 use crate::error::{MpiError, Result};
 use crate::trace::Phase;
-use std::any::Any;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -227,28 +229,85 @@ impl Rank {
         init: impl FnOnce() -> T,
     ) -> Result<Arc<T>> {
         let rv = self.sync_in(&self.world(), "shared_state", Vec::new(), 0)?;
-        self.collective_object(rv.gen, init)
+        self.collective_object(rv.gen, || Ok(init()))
     }
 
     /// The object every rank of world collective `gen` shares: built by
-    /// whichever rank asks first, handed to the rest.
+    /// whichever rank asks first, handed to the rest — or the error the
+    /// build returned, to every rank.
     pub(super) fn collective_object<T: Send + Sync + 'static>(
         &self,
         gen: u64,
-        init: impl FnOnce() -> T,
+        init: impl FnOnce() -> Result<T>,
     ) -> Result<Arc<T>> {
+        self.shared_object(Slot::Collective(gen), 0, init)
+    }
+
+    /// One read-only object for every rank, at no virtual cost. The n-th
+    /// call on each rank shares what the first rank to make it built with
+    /// `init`, or the error `init` returned. It is host memory and host
+    /// time only: no rendezvous, no clock movement, no span and no
+    /// [`RankStats`](crate::stats::RankStats) field, so a table every rank
+    /// would compute identically from identical inputs is built once per
+    /// simulation instead of once per rank, and the run is bit-identical
+    /// with or without the sharing. `key` names what is built (hash what
+    /// the table depends on); an n-th call that names another key or type
+    /// than the first fails with [`MpiError::CollectiveMismatch`]. `init`
+    /// runs under the registry lock and must not share another object. The
+    /// object is dropped once every rank has fetched it, and with the run
+    /// at the latest.
+    pub fn replicated<T, E>(
+        &mut self,
+        key: impl Hash,
+        init: impl FnOnce() -> std::result::Result<T, E>,
+    ) -> std::result::Result<Arc<T>, E>
+    where
+        T: Send + Sync + 'static,
+        E: From<MpiError> + Clone + Send + Sync + 'static,
+    {
+        let mut hasher = DefaultHasher::new();
+        key.hash(&mut hasher);
+        let slot = Slot::Replica(self.replicas);
+        self.replicas += 1;
+        self.shared_object(slot, hasher.finish(), init)
+    }
+
+    /// Fetch the object in `slot`, built by `init` if this rank asks
+    /// first.
+    fn shared_object<T, E>(
+        &self,
+        slot: Slot,
+        key: u64,
+        init: impl FnOnce() -> std::result::Result<T, E>,
+    ) -> std::result::Result<Arc<T>, E>
+    where
+        T: Send + Sync + 'static,
+        E: From<MpiError> + Clone + Send + Sync + 'static,
+    {
         let mut reg = self.shared.registry.lock();
-        let entry = reg
-            .entry(gen)
-            .or_insert_with(|| (Arc::new(init()) as Arc<dyn Any + Send + Sync>, 0));
-        entry.1 += 1;
-        let object = Arc::clone(&entry.0);
-        if entry.1 == self.nprocs {
-            reg.remove(&gen);
+        let entry = reg.entry(slot).or_insert_with(|| RegistryEntry {
+            key,
+            object: Box::new(init().map(Arc::new)),
+            fetched: 0,
+        });
+        entry.fetched += 1;
+        let object = match entry
+            .object
+            .downcast_ref::<std::result::Result<Arc<T>, E>>()
+        {
+            _ if entry.key != key => Err(E::from(MpiError::CollectiveMismatch(
+                "shared object key mismatch across ranks",
+            ))),
+            Some(Ok(object)) => Ok(Arc::clone(object)),
+            Some(Err(e)) => Err(e.clone()),
+            None => Err(E::from(MpiError::CollectiveMismatch(
+                "collective object type mismatch across ranks",
+            ))),
+        };
+        if entry.fetched == self.nprocs {
+            reg.remove(&slot);
         }
-        object.downcast::<T>().map_err(|_| {
-            MpiError::CollectiveMismatch("collective object type mismatch across ranks")
-        })
+        object
     }
 }
 
@@ -256,7 +315,7 @@ impl Rank {
 mod tests {
     use super::*;
     use crate::error::SimError;
-    use crate::runtime::{run, SimConfig};
+    use crate::runtime::{run, Backend, SimConfig, SimReport};
 
     fn cfg() -> SimConfig {
         SimConfig::default()
@@ -322,6 +381,83 @@ mod tests {
         .unwrap();
         assert_eq!(INITS.load(Ordering::SeqCst), 1);
         assert!(rep.results.iter().all(|&l| l == 3));
+    }
+
+    fn on_both_backends() -> [SimConfig; 2] {
+        [Backend::Thread, Backend::Event].map(|backend| SimConfig {
+            backend,
+            trace: true,
+            metrics: true,
+            ..cfg()
+        })
+    }
+
+    #[test]
+    fn replicated_builds_once_per_simulation_and_costs_nothing() {
+        use std::sync::atomic::AtomicUsize;
+        static BUILDS: AtomicUsize = AtomicUsize::new(0);
+        // Ranks drift apart, meet in collectives and share three tables in
+        // between; the same body without the tables is the reference.
+        let body = |share: bool| {
+            move |rk: &mut Rank| {
+                rk.advance(1e-3 * rk.rank() as f64);
+                for round in 0..3u64 {
+                    rk.allreduce_u64_in(&rk.world(), round, ReduceOp::Sum)?;
+                    if share {
+                        let table: Arc<Vec<u64>> = rk.replicated(("table", round), || {
+                            BUILDS.fetch_add(1, Ordering::SeqCst);
+                            Ok::<_, MpiError>(vec![round; 64])
+                        })?;
+                        assert_eq!(table[rk.rank()], round);
+                    }
+                    rk.advance(1e-4);
+                }
+                rk.barrier()
+            }
+        };
+        for sim in on_both_backends() {
+            BUILDS.store(0, Ordering::SeqCst);
+            let shared = run(4, sim.clone(), body(true)).unwrap();
+            assert_eq!(BUILDS.load(Ordering::SeqCst), 3, "one build per call site");
+            let plain = run(4, sim, body(false)).unwrap();
+            let bits = |r: &SimReport<()>| r.clocks.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&shared), bits(&plain), "clocks");
+            assert_eq!(shared.stats, plain.stats, "RankStats");
+            assert_eq!(
+                format!("{:?}", shared.traces),
+                format!("{:?}", plain.traces),
+                "spans and phase totals"
+            );
+        }
+    }
+
+    #[test]
+    fn replicated_refuses_a_key_or_type_mismatch_and_shares_a_failed_build() {
+        for sim in on_both_backends() {
+            let rep = run(3, sim, |rk| {
+                let built = |v: u32| move || Ok::<_, MpiError>(v);
+                // Rank 0 runs first and builds every object.
+                let key = if rk.rank() == 2 { "other" } else { "table" };
+                let by_key = rk.replicated(key, built(1)).map(drop);
+                let by_type = if rk.rank() == 1 {
+                    rk.replicated("t", || Ok::<_, MpiError>(1u64)).map(drop)
+                } else {
+                    rk.replicated("t", built(1)).map(drop)
+                };
+                let failed = rk.replicated("f", || {
+                    Err::<u32, _>(MpiError::CollectiveMismatch("built wrong"))
+                });
+                Ok((by_key, by_type, failed.map(drop)))
+            })
+            .unwrap();
+            let [r0, r1, r2] = [0, 1, 2].map(|r| rep.results[r].clone());
+            assert_eq!((r0.0, r0.1), (Ok(()), Ok(())));
+            assert!(is_mismatch(r1.1) && r1.0.is_ok());
+            assert!(is_mismatch(r2.0) && r2.1.is_ok());
+            for (_, _, failed) in &rep.results {
+                assert_eq!(failed, &Err(MpiError::CollectiveMismatch("built wrong")));
+            }
+        }
     }
 
     #[test]

@@ -151,9 +151,24 @@ pub struct SimConfig {
     pub topology: Option<crate::topology::Topology>,
 }
 
-/// A collectively-created object plus the number of ranks that fetched it
-/// (entries are pruned once every rank holds one).
-type RegistryEntry = (Arc<dyn Any + Send + Sync>, usize);
+/// Where a shared object sits in the registry: under the world rendezvous
+/// generation that created it, or under the per-rank sequence number of
+/// the [`Rank::replicated`] call that asked for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Slot {
+    Collective(u64),
+    Replica(u64),
+}
+
+/// A shared object, the key it was built under and the number of ranks
+/// that fetched it (entries are pruned once every rank holds one). The
+/// object is its builder's whole `Result<Arc<T>, E>`, so a failed build
+/// hands every rank the same error.
+struct RegistryEntry {
+    key: u64,
+    object: Box<dyn Any + Send + Sync>,
+    fetched: usize,
+}
 
 pub(crate) struct Shared {
     nprocs: usize,
@@ -163,8 +178,8 @@ pub(crate) struct Shared {
     /// onto this one instance.
     world: Arc<CommShared>,
     mem: Vec<Arc<MemState>>,
-    /// Collectively-created objects keyed by rendezvous generation.
-    registry: Mutex<HashMap<u64, RegistryEntry>>,
+    /// Shared objects: collectively created ones and replicated tables.
+    registry: Mutex<HashMap<Slot, RegistryEntry>>,
     abort: AtomicBool,
     trace: bool,
     metrics: bool,
@@ -276,6 +291,9 @@ pub struct Rank {
     /// injected crash; every runtime operation afterwards returns
     /// [`MpiError::RankCrashed`].
     crashed: bool,
+    /// How many [`Rank::replicated`] calls this rank has made: the next
+    /// one's registry slot.
+    replicas: u64,
 }
 
 impl Rank {
@@ -297,6 +315,7 @@ impl Rank {
             metrics: crate::metrics::RankMetrics::new(metrics),
             tracer: Tracer::new(id, trace),
             crashed: false,
+            replicas: 0,
         }
     }
 

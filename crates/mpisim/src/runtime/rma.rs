@@ -16,10 +16,14 @@ impl Rank {
         self.note_mem_peak();
         let size = local_size as u64;
         let rv = self.sync_in(&self.world(), "win_create", size.to_le_bytes().into(), size)?;
-        // A crash-stopped rank exposes no window memory.
-        let size_of = |b: &Vec<u8>| slot_or(b, 0).map(|v| v as usize);
-        let sizes = rv.payloads.iter().map(size_of).collect::<Result<_>>()?;
-        let shared_win = self.collective_object(rv.gen, || WinShared::new(sizes))?;
+        // The first rank here decodes the P sizes for all of them, and a
+        // malformed slot fails every rank alike. A crash-stopped rank
+        // exposes no window memory.
+        let shared_win = self.collective_object(rv.gen, || {
+            let size_of = |b: &Vec<u8>| slot_or(b, 0).map(|v| v as usize);
+            let sizes = rv.payloads.iter().map(size_of).collect::<Result<_>>()?;
+            Ok(WinShared::new(sizes))
+        })?;
         Ok(Window {
             shared: shared_win,
             owner: self.id,
@@ -158,7 +162,7 @@ impl Rank {
 mod tests {
     use crate::error::{MpiError, SimError};
     use crate::rma::LockKind;
-    use crate::runtime::{run, SimConfig};
+    use crate::runtime::{run, Backend, SimConfig};
 
     fn cfg() -> SimConfig {
         SimConfig::default()
@@ -215,6 +219,27 @@ mod tests {
         // absence of panic; byte content checked in rma module tests).
         assert!(rep.makespan > 0.0);
         assert_eq!(rep.aggregate_stats().puts, (n - 1) as u64);
+    }
+
+    #[test]
+    fn a_malformed_window_slot_fails_every_creating_rank() {
+        for backend in [Backend::Thread, Backend::Event] {
+            let rep = run(4, SimConfig { backend, ..cfg() }, |rk| {
+                if rk.rank() == 3 {
+                    // A 3-byte slot where an 8-byte window size belongs.
+                    rk.allgather(&[1, 2, 3])?;
+                    return Ok(None);
+                }
+                Ok(rk.win_create(64).err())
+            })
+            .unwrap();
+            for (r, err) in rep.results[..3].iter().enumerate() {
+                assert!(
+                    matches!(err, Some(MpiError::CollectiveMismatch(_))),
+                    "{backend:?} rank {r}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

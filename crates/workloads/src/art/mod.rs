@@ -12,7 +12,10 @@
 //!
 //! Offsets are agreed the way the real code does it: each rank sizes its
 //! own segments locally, the per-segment byte counts are allgathered, and
-//! everyone prefix-sums the global layout.
+//! the global layout is their prefix sum. The tables every rank would
+//! compute identically — the segment lengths and the byte offsets — are
+//! built once per simulation and shared ([`Rank::replicated`]), so a rank
+//! costs the host O(its own segments), not O(all segments).
 
 pub mod ftt;
 
@@ -22,9 +25,9 @@ use crate::error::{Result, WlError};
 use crate::synthetic::{timed, RunMetrics};
 use crate::Normal;
 use mpiio::PositionedFile;
-use mpisim::wire::Cursor;
-use mpisim::Rank;
+use mpisim::{MpiError, Rank};
 use pfs::Pfs;
+use std::hash::Hash;
 use std::sync::Arc;
 use tcio::{TcioConfig, TcioFile, TcioMode};
 
@@ -67,6 +70,36 @@ impl ArtConfig {
             ..base
         }
     }
+
+    /// Refuse parameters the sampler cannot turn into segment lengths: a
+    /// non-finite or negative `mu` or `sigma`, or one whose samples could
+    /// exceed `u32::MAX` cells (the length cast would saturate, and the run
+    /// would hang generating that many trees).
+    pub fn validate(&self) -> Result<()> {
+        for (name, v) in [("mu", self.mu), ("sigma", self.sigma)] {
+            if !v.is_finite() || v < 0.0 {
+                return Err(WlError::Config(format!(
+                    "ART {name} must be finite and non-negative, got {v}"
+                )));
+            }
+        }
+        let longest = self.mu + Normal::MAX_ABS_Z * self.sigma;
+        if longest.round() > u32::MAX as f64 {
+            return Err(WlError::Config(format!(
+                "ART segments of up to {longest} cells do not fit in u32"
+            )));
+        }
+        Ok(())
+    }
+
+    /// A [`Rank::replicated`] key for `table`, over every field a table
+    /// depends on.
+    fn key(&self, table: &'static str) -> impl Hash {
+        let ftt = &self.ftt;
+        let shape = (ftt.max_depth, ftt.refine_prob.to_bits(), ftt.num_vars);
+        let lengths = (self.mu.to_bits(), self.sigma.to_bits(), self.seed);
+        (table, self.num_segments, lengths, shape)
+    }
 }
 
 /// Which I/O path to exercise.
@@ -92,11 +125,6 @@ impl ArtMethod {
     }
 }
 
-/// Table IV: the segment lengths (identical on every rank).
-pub fn segment_lengths(cfg: &ArtConfig) -> Vec<u32> {
-    Normal::new(cfg.mu, cfg.sigma, cfg.seed).sample_lengths(cfg.num_segments)
-}
-
 /// The global cell layout derived from the segment lengths.
 #[derive(Debug, Clone)]
 pub struct ArtPlan {
@@ -106,8 +134,10 @@ pub struct ArtPlan {
     pub total_cells: u64,
 }
 
+/// Table IV's segment lengths (identical on every rank) and the cell
+/// layout they give. [`dump`] and [`restart`] build it once per simulation.
 pub fn plan(cfg: &ArtConfig) -> ArtPlan {
-    let seg_lens = segment_lengths(cfg);
+    let seg_lens = Normal::new(cfg.mu, cfg.sigma, cfg.seed).sample_lengths(cfg.num_segments);
     let mut seg_cell_start = Vec::with_capacity(seg_lens.len());
     let mut acc = 0u64;
     for &l in &seg_lens {
@@ -140,53 +170,82 @@ type MyTrees = Vec<(usize, Vec<FttTree>)>;
 /// One restart read: `(file offset, length)`.
 type Piece = (u64, usize);
 
-/// The snapshot as one rank sees it.
-struct Layout {
+/// The snapshot's byte layout: the same on every rank, built once.
+#[derive(Debug, PartialEq)]
+struct Offsets {
     /// Byte offset of every segment in the file.
     seg_off: Vec<u64>,
-    my_trees: MyTrees,
-    my_bytes: u64,
     /// Snapshot size (all segments) — sizes TCIO's level-2 buffer.
     total: u64,
 }
 
-/// Compute the global segment byte offsets: each rank sizes its own
-/// segments, the counts are allgathered, everyone prefix-sums.
+impl Offsets {
+    /// Prefix-sum the allgathered per-segment sizes: rank r's slot holds
+    /// segments r, r+P, r+2P, … in that order, 8 bytes each. A
+    /// crash-stopped rank's slot is empty and its segments read as 0 bytes;
+    /// a slot of any other wrong length (a peer that entered another
+    /// allgather here) is a typed error, never a guess.
+    fn decode(plan: &ArtPlan, cfg: &ArtConfig, gathered: &[Vec<u8>]) -> Result<Offsets> {
+        let nsegs = plan.seg_lens.len();
+        let mut seg_off = vec![0u64; nsegs];
+        for (r, slot) in gathered.iter().enumerate() {
+            let segs = (r..nsegs).step_by(gathered.len());
+            if slot.is_empty() {
+                continue;
+            }
+            if slot.len() != 8 * segs.len() {
+                return Err(MpiError::CollectiveMismatch(
+                    "an ART size slot is not 8 bytes per segment of its rank",
+                )
+                .into());
+            }
+            for (s, bytes) in segs.zip(slot.chunks_exact(8)) {
+                seg_off[s] = u64::from_le_bytes(bytes.try_into().expect("an 8-byte chunk"));
+            }
+        }
+        let mut acc = 0u64;
+        for off in &mut seg_off {
+            let bytes = std::mem::replace(off, acc);
+            acc = acc.checked_add(bytes).ok_or(MpiError::CollectiveMismatch(
+                "ART segment sizes overflow a file offset",
+            ))?;
+        }
+        Ok(Offsets {
+            total: total_bytes(&seg_off, plan, cfg),
+            seg_off,
+        })
+    }
+}
+
+/// The snapshot as one rank sees it.
+struct Layout {
+    offsets: Arc<Offsets>,
+    my_trees: MyTrees,
+    my_bytes: u64,
+}
+
+/// Agree the global segment byte offsets: each rank sizes its own
+/// segments, the counts are allgathered, and one prefix sum serves every
+/// rank. The plan and the offsets are each built once per simulation.
 fn layout(rank: &mut Rank, cfg: &ArtConfig) -> Result<Layout> {
-    let plan = &plan(cfg);
-    let nprocs = rank.nprocs();
-    let me = rank.rank();
-    let mine = my_segments(plan, me, nprocs);
+    cfg.validate()?;
+    let shared_plan = rank.replicated(cfg.key("plan"), || Ok::<_, WlError>(plan(cfg)))?;
+    let mine = my_segments(&shared_plan, rank.rank(), rank.nprocs());
     let mut my_trees = Vec::with_capacity(mine.len());
     let mut my_sizes = Vec::with_capacity(mine.len());
     for &s in &mine {
-        let trees = segment_trees(plan, s, &cfg.ftt);
+        let trees = segment_trees(&shared_plan, s, &cfg.ftt);
         let bytes: u64 = trees.iter().map(|t| t.record_size(cfg.ftt.num_vars)).sum();
         my_sizes.push(bytes);
         my_trees.push((s, trees));
     }
-    // Allgather the per-segment sizes (rank r's payload covers segments
-    // r, r+P, r+2P, … in that order).
     let payload: Vec<u8> = my_sizes.iter().flat_map(|b| b.to_le_bytes()).collect();
     let gathered = rank.allgather(&payload)?;
-    let nsegs = plan.seg_lens.len();
-    let mut seg_bytes = vec![0u64; nsegs];
-    for (r, buf) in gathered.iter().enumerate() {
-        let mut sizes = Cursor::new(buf);
-        for s in (r..nsegs).step_by(nprocs) {
-            // A crash-stopped rank's slot is empty: its segments stay 0.
-            seg_bytes[s] = sizes.u64().unwrap_or(0);
-        }
-    }
-    let mut seg_off = Vec::with_capacity(nsegs);
-    let mut acc = 0u64;
-    for &b in &seg_bytes {
-        seg_off.push(acc);
-        acc += b;
-    }
+    let offsets = rank.replicated(cfg.key("offsets"), || {
+        Offsets::decode(&shared_plan, cfg, &gathered)
+    })?;
     Ok(Layout {
-        total: total_bytes(&seg_off, plan, cfg),
-        seg_off,
+        offsets,
         my_trees,
         my_bytes: my_sizes.iter().sum(),
     })
@@ -269,20 +328,21 @@ pub fn dump(
     path: &str,
 ) -> Result<RunMetrics> {
     let lay = layout(rank, cfg)?;
+    let seg_off = &lay.offsets.seg_off;
     let vars = cfg.ftt.num_vars;
     let (metrics, ()) = timed(rank, lay.my_bytes, |rk| {
         match method {
-            ArtMethod::Tcio => write_trees(rk, &lay.my_trees, &lay.seg_off, vars, |rk| {
-                let tcfg = TcioConfig::for_file_size(lay.total, rk.nprocs());
+            ArtMethod::Tcio => write_trees(rk, &lay.my_trees, seg_off, vars, |rk| {
+                let tcfg = TcioConfig::for_file_size(lay.offsets.total, rk.nprocs());
                 TcioFile::open(rk, pfs, path, TcioMode::Write, tcfg)
             })?,
-            ArtMethod::Vanilla => write_trees(rk, &lay.my_trees, &lay.seg_off, vars, |rk| {
+            ArtMethod::Vanilla => write_trees(rk, &lay.my_trees, seg_off, vars, |rk| {
                 mpiio::File::open(rk, pfs, path, mpiio::Mode::WriteOnly)
             })?,
             ArtMethod::VanillaBuffered => {
                 let mut f = mpiio::File::open(rk, pfs, path, mpiio::Mode::WriteOnly)?;
                 for (seg, trees) in &lay.my_trees {
-                    let mut cursor = lay.seg_off[*seg];
+                    let mut cursor = seg_off[*seg];
                     for t in trees {
                         // Manual per-record combine buffer: the programming
                         // effort TCIO's level-1 buffer makes unnecessary.
@@ -350,15 +410,16 @@ pub fn restart(
     path: &str,
 ) -> Result<RunMetrics> {
     let lay = layout(rank, cfg)?;
+    let seg_off = &lay.offsets.seg_off;
     let vars = cfg.ftt.num_vars;
-    let pieces = read_pieces(&lay.my_trees, &lay.seg_off, vars);
+    let pieces = read_pieces(&lay.my_trees, seg_off, vars);
     let _arena_mem = rank.alloc(lay.my_bytes)?;
     rank.note_mem_peak();
     let mut arena = vec![0u8; lay.my_bytes as usize];
     let (metrics, ()) = timed(rank, lay.my_bytes, |rk| {
         match method {
             ArtMethod::Tcio => read_pieces_into(rk, &pieces, &mut arena, |rk| {
-                let tcfg = TcioConfig::for_file_size(lay.total, rk.nprocs());
+                let tcfg = TcioConfig::for_file_size(lay.offsets.total, rk.nprocs());
                 TcioFile::open(rk, pfs, path, TcioMode::Read, tcfg)
             })?,
             ArtMethod::Vanilla => read_pieces_into(rk, &pieces, &mut arena, |rk| {
@@ -369,7 +430,7 @@ pub fn restart(
                 let mut f = mpiio::File::open(rk, pfs, path, mpiio::Mode::ReadOnly)?;
                 let mut rest = arena.as_mut_slice();
                 for (seg, trees) in &lay.my_trees {
-                    let mut cursor = lay.seg_off[*seg];
+                    let mut cursor = seg_off[*seg];
                     for t in trees {
                         let len = t.record_size(vars) as usize;
                         let (dst, tail) = rest.split_at_mut(len);
@@ -404,6 +465,166 @@ mod tests {
                 refine_prob: 0.3,
                 num_vars: 2,
             },
+        }
+    }
+
+    /// `(seg_off, total, my_bytes)` as the per-rank oracle computes them.
+    type Oracle = (Vec<u64>, u64, u64);
+
+    /// The layout as every rank computed it before the tables were shared:
+    /// its own plan, every slot decoded by it, its own prefix sum. The
+    /// oracle the shared layout must equal.
+    fn layout_per_rank(rank: &mut Rank, cfg: &ArtConfig) -> Result<Oracle> {
+        let plan = &plan(cfg);
+        let nprocs = rank.nprocs();
+        let mine = my_segments(plan, rank.rank(), nprocs);
+        let my_sizes: Vec<u64> = mine
+            .iter()
+            .map(|&s| {
+                let trees = segment_trees(plan, s, &cfg.ftt);
+                trees.iter().map(|t| t.record_size(cfg.ftt.num_vars)).sum()
+            })
+            .collect();
+        let payload: Vec<u8> = my_sizes.iter().flat_map(|b| b.to_le_bytes()).collect();
+        let gathered = rank.allgather(&payload)?;
+        let nsegs = plan.seg_lens.len();
+        let mut seg_bytes = vec![0u64; nsegs];
+        for (r, buf) in gathered.iter().enumerate() {
+            let mut sizes = mpisim::wire::Cursor::new(buf);
+            for s in (r..nsegs).step_by(nprocs) {
+                seg_bytes[s] = sizes.u64().unwrap_or(0);
+            }
+        }
+        let mut seg_off = Vec::with_capacity(nsegs);
+        let mut acc = 0u64;
+        for &b in &seg_bytes {
+            seg_off.push(acc);
+            acc += b;
+        }
+        let total = total_bytes(&seg_off, plan, cfg);
+        Ok((seg_off, total, my_sizes.iter().sum()))
+    }
+
+    /// Every rank's shared layout next to the per-rank oracle's, computed
+    /// in the same run; `None` for a rank the plan crash-stops.
+    fn both_layouts(
+        cfg: &ArtConfig,
+        nprocs: usize,
+        chaos: Option<Arc<chaos::ChaosEngine>>,
+    ) -> Vec<Option<(Arc<Offsets>, u64, Oracle)>> {
+        let sim = SimConfig {
+            chaos,
+            ..SimConfig::default()
+        };
+        mpisim::run(nprocs, sim, |rk| {
+            let me = rk.rank();
+            let lay = match layout(rk, cfg) {
+                Err(WlError::Mpi(MpiError::RankCrashed { rank })) if rank == me => return Ok(None),
+                lay => lay?,
+            };
+            let oracle = layout_per_rank(rk, cfg)?;
+            Ok(Some((lay.offsets, lay.my_bytes, oracle)))
+        })
+        .unwrap()
+        .results
+    }
+
+    #[test]
+    fn the_shared_layout_equals_the_per_rank_oracle() {
+        for seed in 0..8u64 {
+            let cfg = ArtConfig {
+                num_segments: 1 + (seed as usize * 7) % 23,
+                mu: 2.0 + seed as f64,
+                sigma: 1.0 + (seed % 3) as f64,
+                seed,
+                ..tiny_cfg()
+            };
+            let nprocs = 1 + seed as usize % 6;
+            for (r, got) in both_layouts(&cfg, nprocs, None).into_iter().enumerate() {
+                let (offsets, my_bytes, (seg_off, total, my)) = got.expect("no crash planned");
+                assert_eq!(*offsets, Offsets { seg_off, total }, "seed {seed} rank {r}");
+                assert_eq!(my_bytes, my, "seed {seed} rank {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_shared_layout_equals_the_oracle_around_a_crashed_rank() {
+        let crash = chaos::FaultPlan::new(3)
+            .with(chaos::Fault::RankCrash { rank: 1, at: 0.0 })
+            .build()
+            .unwrap();
+        let got = both_layouts(&tiny_cfg(), 4, Some(crash));
+        assert!(got[1].is_none(), "rank 1 crashed in the allgather");
+        for (r, got) in got.into_iter().enumerate().filter(|&(r, _)| r != 1) {
+            let (offsets, my_bytes, (seg_off, total, my)) = got.unwrap();
+            // The dead rank's segments 1 and 5 read as zero bytes.
+            assert_eq!(offsets.seg_off[1], offsets.seg_off[2], "rank {r}");
+            assert_eq!(*offsets, Offsets { seg_off, total }, "rank {r}");
+            assert_eq!(my_bytes, my, "rank {r}");
+        }
+    }
+
+    #[test]
+    fn a_malformed_size_slot_fails_every_rank_typed() {
+        // Rank 2 enters another allgather where the layout's belongs; its
+        // two segments need 16 bytes.
+        for bad in [vec![1u8, 2, 3], vec![7; 8], vec![7; 24]] {
+            let fs = Pfs::new(4, PfsConfig::default()).unwrap();
+            let rep = mpisim::run(4, SimConfig::default(), |rk| {
+                if rk.rank() == 2 {
+                    rk.allgather(&bad)?;
+                    return Ok(None);
+                }
+                Ok(dump(rk, &fs, &tiny_cfg(), ArtMethod::Tcio, "/bad").err())
+            })
+            .unwrap();
+            for r in [0, 1, 3] {
+                let err = &rep.results[r];
+                assert!(
+                    matches!(err, Some(WlError::Mpi(MpiError::CollectiveMismatch(_)))),
+                    "{} bytes, rank {r}: {err:?}",
+                    bad.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bad_configs_are_refused_before_any_sampling() {
+        let bad = [
+            (f64::INFINITY, 1.0),
+            (f64::NAN, 1.0),
+            (-1.0, 1.0),
+            (4.0, f64::NAN),
+            (4.0, -0.5),
+            (1e12, 1.0),
+            (4.2e9, 1e7),
+        ];
+        for (mu, sigma) in bad {
+            let cfg = ArtConfig {
+                mu,
+                sigma,
+                ..tiny_cfg()
+            };
+            assert!(
+                matches!(cfg.validate(), Err(WlError::Config(_))),
+                "{mu} {sigma}"
+            );
+            let fs = Pfs::new(2, PfsConfig::default()).unwrap();
+            let rep = mpisim::run(2, SimConfig::default(), |rk| {
+                let d = dump(rk, &fs, &cfg, ArtMethod::Tcio, "/c").err();
+                let r = restart(rk, &fs, &cfg, ArtMethod::Tcio, "/c").err();
+                Ok((d, r))
+            })
+            .unwrap();
+            for (d, r) in rep.results {
+                assert!(matches!(d, Some(WlError::Config(_))), "{mu} {sigma}: {d:?}");
+                assert!(matches!(r, Some(WlError::Config(_))), "{mu} {sigma}: {r:?}");
+            }
+        }
+        for good in [tiny_cfg(), ArtConfig::default(), ArtConfig::scaled(0.01)] {
+            assert_eq!(good.validate(), Ok(()));
         }
     }
 

@@ -18,6 +18,10 @@ pub struct Normal {
 }
 
 impl Normal {
+    /// No sample lies further than this many `sigma` from `mu`: Box–Muller's
+    /// radius is `√(−2 ln u)` with `u > f64::MIN_POSITIVE`, at most 37.64….
+    pub const MAX_ABS_Z: f64 = 37.65;
+
     pub fn new(mu: f64, sigma: f64, seed: u64) -> Normal {
         Normal {
             rng: StdRng::seed_from_u64(seed),
@@ -83,6 +87,12 @@ mod tests {
         assert!((mean - 2048.0).abs() < 5.0, "mean {mean}");
         let sd = var.sqrt();
         assert!((sd - 128.0).abs() < 5.0, "sd {sd}");
+    }
+
+    #[test]
+    fn max_abs_z_bounds_the_box_muller_radius() {
+        let radius = (-2.0 * f64::MIN_POSITIVE.ln()).sqrt();
+        assert!(radius < Normal::MAX_ABS_Z && Normal::MAX_ABS_Z - radius < 0.01);
     }
 
     #[test]

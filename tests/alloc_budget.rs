@@ -91,6 +91,9 @@ fn sim() -> mpisim::SimConfig {
 }
 
 const ART_RANKS: usize = 256;
+/// The same shape at four times the ranks: what a rank costs must not grow
+/// with the rank count.
+const ART_RANKS_LARGE: usize = 1024;
 const SYNTH_RANKS: usize = 128;
 const OCIO_RANKS: usize = 64;
 
@@ -105,11 +108,11 @@ const SYNTH_REQUESTED_AT_7846FA5: usize = 62_860_674;
 /// fetch or epoch.
 const SYNTH_ALLOCATIONS: usize = 20_000;
 
-/// simbench's `art_scale` shape at `ART_RANKS`: one segment of ~3 small
-/// trees per rank, so rank count, not bytes, is what it costs.
-fn art_cfg() -> ArtConfig {
+/// simbench's `art_scale` shape at `ranks`: one segment of ~3 small trees
+/// per rank, so rank count, not bytes, is what it costs.
+fn art_cfg(ranks: usize) -> ArtConfig {
     ArtConfig {
-        num_segments: ART_RANKS,
+        num_segments: ranks,
         mu: 3.0,
         sigma: 1.0,
         seed: 7,
@@ -117,8 +120,9 @@ fn art_cfg() -> ArtConfig {
     }
 }
 
-/// One dump + restart cycle on a fresh file system: `[dump, restart]`.
-fn art_cycle() -> [Cost; 2] {
+/// One dump + restart cycle at `ranks` on a fresh file system:
+/// `[dump, restart]`.
+fn art_cycle(ranks: usize) -> [Cost; 2] {
     type Phase = fn(
         &mut mpisim::Rank,
         &Arc<pfs::Pfs>,
@@ -126,11 +130,11 @@ fn art_cycle() -> [Cost; 2] {
         ArtMethod,
         &str,
     ) -> workloads::Result<synthetic::RunMetrics>;
-    let cfg = art_cfg();
-    let fs = pfs::Pfs::new(ART_RANKS, pfs::PfsConfig::default()).unwrap();
+    let cfg = art_cfg(ranks);
+    let fs = pfs::Pfs::new(ranks, pfs::PfsConfig::default()).unwrap();
     [art::dump as Phase, art::restart].map(|phase| {
         measure(|| {
-            let rep = mpisim::run(ART_RANKS, sim(), |rk| {
+            let rep = mpisim::run(ranks, sim(), |rk| {
                 Ok(phase(rk, &fs, &cfg, ArtMethod::Tcio, "/art")?.bytes)
             })
             .unwrap();
@@ -205,9 +209,10 @@ fn real_allocation_follows_touched_bytes() {
     let fs = pfs::Pfs::new(ART_RANKS, pfs::PfsConfig::default()).unwrap();
     let idle_write = idle_open(&fs, TcioMode::Write);
     let idle_read = idle_open(&fs, TcioMode::Read);
-    let plan = measure(|| drop(art::plan(&art_cfg())));
-    let first = art_cycle();
-    let second = art_cycle();
+    let plan = measure(|| drop(art::plan(&art_cfg(ART_RANKS))));
+    let first = art_cycle(ART_RANKS);
+    let second = art_cycle(ART_RANKS);
+    let large = art_cycle(ART_RANKS_LARGE);
     let synth = synth_tcio_roundtrip();
     let ocio_params = SynthParams::with_types("i,d", 4096, 1).unwrap();
     let ocio = synth_ocio_cycle(&ocio_params);
@@ -240,6 +245,9 @@ fn real_allocation_follows_touched_bytes() {
     row("  of which art::plan, per call", plan, 1);
     row("ART dump, second cycle", second[0], ART_RANKS);
     row("ART restart, second cycle", second[1], ART_RANKS);
+    println!("ART at {ART_RANKS_LARGE} ranks:");
+    row("ART dump, whole run", large[0], ART_RANKS_LARGE);
+    row("ART restart, whole run", large[1], ART_RANKS_LARGE);
     println!("synth TCIO write + read-back, {SYNTH_RANKS} ranks, every level-2 byte used:");
     row("whole run", synth, SYNTH_RANKS);
     println!("  requested in total: {}", synth.requested);
@@ -293,4 +301,15 @@ fn real_allocation_follows_touched_bytes() {
             "{what}: {live} B live per rank to move {ocio_data} B"
         );
     }
+    // (g) A rank costs the same at four times the ranks: the tables every
+    // rank needs are built once per simulation, not once per rank (each
+    // rank building its own made the 1024-rank cycle 2.0× the 256-rank
+    // one, per rank).
+    let per_rank =
+        |c: [Cost; 2], ranks: usize| (c[0].requested + c[1].requested) as f64 / ranks as f64;
+    let growth = per_rank(large, ART_RANKS_LARGE) / per_rank(first, ART_RANKS);
+    assert!(
+        growth <= 1.1,
+        "a rank requests {growth:.2}x at {ART_RANKS_LARGE} ranks"
+    );
 }
