@@ -10,9 +10,10 @@
 //! one schema — `{"schema", "experiment", "args", "result"}`. `bench gate`
 //! re-runs each with the args its baseline records, requires every leaf
 //! of the document to match exactly, and checks the entry's headline
-//! claims on the fresh result ([`perfgate`]); `bench bless` rewrites the
-//! files. Nothing in this crate reads a wall clock — host-time
-//! measurement lives in `benchmark/` (simbench).
+//! claims on the fresh result ([`perfgate`], which also checks the golden
+//! files under `tests/golden/`); `scripts/repin.sh` rewrites every pin
+//! after an intentional model change. Nothing in this crate reads a wall
+//! clock — host-time measurement lives in `benchmark/` (simbench).
 
 pub mod ablations;
 pub mod calib;

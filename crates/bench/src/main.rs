@@ -1,5 +1,7 @@
 //! The `bench` binary: `bench list`, `bench <experiment> [--opt value]…
-//! [--json <path>]`, `bench gate`, `bench bless`.
+//! [--json <path>]`, `bench gate`. Baselines are re-pinned by
+//! `scripts/repin.sh` (`BLESS=1`, see `bench::perfgate`), not by a
+//! subcommand.
 
 use bench::runner::die;
 use bench::{perfgate, registry, write_json_file, Args};
@@ -9,12 +11,11 @@ fn usage() -> String {
     format!(
         "usage: bench <subcommand> [--option value]... [--json <path>]\n\n\
          \x20 {:<22} this table\n\
-         \x20 {:<22} re-run the five committed baselines under bench_results/ and diff them exactly\n\
-         \x20 {:<22} rewrite those baselines\n{}\n\
-         `bench <experiment> --help` lists an experiment's options.\n",
+         \x20 {:<22} re-run the five committed baselines under bench_results/ and diff them exactly\n{}\n\
+         `bench <experiment> --help` lists an experiment's options;\n\
+         `scripts/repin.sh` re-pins the baselines after an intentional model change.\n",
         "list",
         "gate",
-        "bless",
         registry::list()
     )
 }
@@ -32,10 +33,7 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        ("bless", _) if rest.is_empty() => {
-            perfgate::bless(root).unwrap_or_else(|e| die(format!("cannot write baseline: {e}")))
-        }
-        ("gate" | "bless", _) => die(format!("bench {cmd} takes no arguments")),
+        ("gate", _) => die(format!("bench {cmd} takes no arguments")),
         (_, None) => die(format!("unknown subcommand {cmd:?}\n\n{}", usage())),
         (_, Some(e)) if rest.iter().any(|a| a == "--help" || a == "-h") => print!("{}", e.usage()),
         (_, Some(e)) => {

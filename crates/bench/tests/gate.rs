@@ -1,15 +1,21 @@
-//! The harness's one integration test file: the gate holds at HEAD and
-//! catches any single-leaf edit of any baseline; every experiment in the
+//! The harness's one integration test file: the gate holds at HEAD (under
+//! `BLESS=1`, re-pins each baseline from its rerun) and catches any
+//! single-leaf edit of any baseline; every experiment in the
 //! table runs through the real binary; every committed document has
 //! exactly one owner; bad command lines exit 2 with the valid spellings.
 
-use bench::perfgate::{rerun, verdict};
+use bench::perfgate::{check_baseline, verdict};
 use bench::{Args, Experiment, Json, EXPERIMENTS};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+    crate_dir
+        .ancestors()
+        .nth(2)
+        .expect("the repo root")
+        .to_path_buf()
 }
 
 fn gated() -> impl Iterator<Item = (&'static Experiment, &'static str)> {
@@ -44,13 +50,10 @@ fn child<'a>(j: &'a mut Json, key: &str) -> &'a mut Json {
 fn gate_holds_at_head_and_catches_any_single_leaf_edit() {
     let all: Vec<_> = gated().collect();
     for_each_in_parallel(&all, |&(e, file)| {
-        let text = std::fs::read_to_string(root().join("bench_results").join(file))
-            .map_err(|err| format!("{file}: {err}"))?;
-        let committed = Json::parse(&text)?;
-        let fresh = rerun(e, &committed)?;
-        verdict(e, &committed, &fresh).map_err(|why| format!("{}: {why}", e.name))?;
+        let baseline = root().join("bench_results").join(file);
+        let fresh = check_baseline(e, &baseline).map_err(|why| format!("{}: {why}", e.name))?;
 
-        let leaves = committed.leaves();
+        let leaves = fresh.leaves();
         let (path, x) = leaves
             .iter()
             .rev()
@@ -60,11 +63,11 @@ fn gate_holds_at_head_and_catches_any_single_leaf_edit() {
         let (last, parents) = keys.split_last().expect("non-empty path");
         let extra = format!("{}.not_in_fresh", parents.join("."));
 
-        let mut moved = committed.clone();
+        let mut moved = fresh.clone();
         *keys.iter().fold(&mut moved, |j, k| child(j, k)) =
             Json::Num(f64::from_bits(x.to_bits() + 1));
-        let mut removed = committed.clone();
-        let mut added = committed.clone();
+        let mut removed = fresh.clone();
+        let mut added = fresh.clone();
         for (doc, drop) in [(&mut removed, true), (&mut added, false)] {
             let Json::Obj(pairs) = parents.iter().fold(doc, |j, k| child(j, k)) else {
                 panic!("{path}: parent is not an object");
@@ -215,6 +218,7 @@ fn bad_command_lines_exit_2_and_name_the_valid_spellings() {
         (&["tenant_sweep", "--qos", "lifo"], "off|fifo|fair"),
         (&["exchange_sweeep"], "exchange_sweep"),
         (&["gate", "--tolerance", "0.1"], "no arguments"),
+        (&["bless"], "unknown subcommand"),
         (&[], "usage"),
     ] {
         let run = bench(&dir, argv);

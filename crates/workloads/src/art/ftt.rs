@@ -33,6 +33,12 @@ pub struct FttConfig {
     pub num_vars: usize,
 }
 
+impl FttConfig {
+    /// The deepest tree whose levels fit the `u32` cell counts of the
+    /// record header even when every cell refines: 8^10 = 2^30 cells.
+    pub const MAX_DEPTH: usize = 10;
+}
+
 impl Default for FttConfig {
     fn default() -> Self {
         FttConfig {

@@ -74,8 +74,25 @@ impl ArtConfig {
     /// Refuse parameters the sampler cannot turn into segment lengths: a
     /// non-finite or negative `mu` or `sigma`, or one whose samples could
     /// exceed `u32::MAX` cells (the length cast would saturate, and the run
-    /// would hang generating that many trees).
+    /// would hang generating that many trees). Refuse a tree shape
+    /// [`FttTree::generate`] cannot count: a `refine_prob` outside [0, 1]
+    /// (NaN would silently mean "never refine"), or a `max_depth` past
+    /// [`FttConfig::MAX_DEPTH`].
     pub fn validate(&self) -> Result<()> {
+        let ftt = &self.ftt;
+        if !(0.0..=1.0).contains(&ftt.refine_prob) {
+            return Err(WlError::Config(format!(
+                "FTT refine_prob must be in [0, 1], got {}",
+                ftt.refine_prob
+            )));
+        }
+        if ftt.max_depth > FttConfig::MAX_DEPTH {
+            return Err(WlError::Config(format!(
+                "FTT max_depth {} is past {}: a fully refined level would not fit in u32",
+                ftt.max_depth,
+                FttConfig::MAX_DEPTH
+            )));
+        }
         for (name, v) in [("mu", self.mu), ("sigma", self.sigma)] {
             if !v.is_finite() || v < 0.0 {
                 return Err(WlError::Config(format!(
@@ -601,20 +618,32 @@ mod tests {
             (1e12, 1.0),
             (4.2e9, 1e7),
         ];
-        for (mu, sigma) in bad {
-            let cfg = ArtConfig {
-                mu,
-                sigma,
-                ..tiny_cfg()
-            };
+        let lengths = bad.map(|(mu, sigma)| ArtConfig {
+            mu,
+            sigma,
+            ..tiny_cfg()
+        });
+        // A tree shape whose top level overflows u32 at full refinement, or
+        // a refine_prob that is not a probability.
+        let shapes = [(11, 1.0), (64, 0.25), (4, f64::NAN), (4, -0.1), (4, 1.5)];
+        let shapes = shapes.map(|(max_depth, refine_prob)| ArtConfig {
+            ftt: FttConfig {
+                max_depth,
+                refine_prob,
+                ..tiny_cfg().ftt
+            },
+            ..tiny_cfg()
+        });
+        for cfg in lengths.iter().chain(&shapes) {
+            let (mu, sigma, ftt) = (cfg.mu, cfg.sigma, &cfg.ftt);
             assert!(
                 matches!(cfg.validate(), Err(WlError::Config(_))),
-                "{mu} {sigma}"
+                "{mu} {sigma} {ftt:?}"
             );
             let fs = Pfs::new(2, PfsConfig::default()).unwrap();
             let rep = mpisim::run(2, SimConfig::default(), |rk| {
-                let d = dump(rk, &fs, &cfg, ArtMethod::Tcio, "/c").err();
-                let r = restart(rk, &fs, &cfg, ArtMethod::Tcio, "/c").err();
+                let d = dump(rk, &fs, cfg, ArtMethod::Tcio, "/c").err();
+                let r = restart(rk, &fs, cfg, ArtMethod::Tcio, "/c").err();
                 Ok((d, r))
             })
             .unwrap();
@@ -623,7 +652,20 @@ mod tests {
                 assert!(matches!(r, Some(WlError::Config(_))), "{mu} {sigma}: {r:?}");
             }
         }
-        for good in [tiny_cfg(), ArtConfig::default(), ArtConfig::scaled(0.01)] {
+        let deepest = ArtConfig {
+            ftt: FttConfig {
+                max_depth: FttConfig::MAX_DEPTH,
+                refine_prob: 1.0,
+                ..tiny_cfg().ftt
+            },
+            ..tiny_cfg()
+        };
+        for good in [
+            tiny_cfg(),
+            ArtConfig::default(),
+            ArtConfig::scaled(0.01),
+            deepest,
+        ] {
             assert_eq!(good.validate(), Ok(()));
         }
     }

@@ -7,6 +7,7 @@
 //! per-phase totals partition the elapsed time; and every byte a write
 //! span claims is a byte that landed in the simulated PFS.
 
+use bench::perfgate::check_golden;
 use std::sync::Arc;
 use workloads::synthetic::{self, Configs, Direction, Method, SynthParams};
 
@@ -304,7 +305,6 @@ fn fabric_level_split_partitions_messages_and_bytes() {
 fn chrome_trace_matches_golden_file() {
     // One rank, fixed workload: the trace is exactly deterministic, so the
     // exported JSON must be byte-identical to the committed golden file.
-    // Regenerate with: BLESS=1 cargo test --test observability
     let p = SynthParams::with_types("i,d", 16, 2).unwrap();
     let (rep, _) = traced_write(Method::Tcio, 1, &p);
     let json = mpisim::chrome_trace_json(&rep.traces);
@@ -312,14 +312,7 @@ fn chrome_trace_matches_golden_file() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/chrome_trace.json"
     );
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(path, &json).unwrap();
-    }
-    let expected = std::fs::read_to_string(path).expect("golden file missing; run with BLESS=1");
-    assert_eq!(
-        json, expected,
-        "exporter output drifted from the golden file"
-    );
+    check_golden(path, &json).unwrap_or_else(|why| panic!("{why}"));
     // Sanity-check the envelope without relying on a JSON parser.
     assert!(json.starts_with("{\"traceEvents\":["));
     assert!(json.trim_end().ends_with("\"displayTimeUnit\":\"ms\"}"));

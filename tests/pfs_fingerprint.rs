@@ -20,8 +20,10 @@
 //! assert inequalities; this pins QoS, health, rebuild and read-modify-write
 //! costs bit for bit.
 //!
-//! Regenerate with: `BLESS=1 cargo test --test pfs_fingerprint`
+//! A failure names the first diverging line and its file system;
+//! `scripts/repin.sh` re-pins it after an intentional cost-model change.
 
+use bench::perfgate::{check_golden, fnv1a};
 use pfs::{Discipline, HealthConfig, Pfs, PfsConfig, QosConfig};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -35,12 +37,6 @@ const STEP: f64 = 2.0e-4;
 /// Where the health file system's closing phase starts: past the flaky
 /// plan's window, so the quarantined OST can heal and be rebuilt.
 const AFTER_FLAKY: f64 = 3.5;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// splitmix64: the stream is a pure function of its seed.
 struct Rng(u64);
@@ -316,27 +312,11 @@ fn fingerprint() -> String {
 
 #[test]
 fn pfs_cost_model_matches_golden_fingerprint() {
-    let got = fingerprint();
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/pfs_fingerprint.txt"
     );
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(path, &got).unwrap();
-    }
-    let expected = std::fs::read_to_string(path).expect("golden file missing; run with BLESS=1");
-    let mut cell = "";
-    for (n, (g, e)) in got.lines().zip(expected.lines()).enumerate() {
-        if e.starts_with('[') {
-            cell = e;
-        }
-        assert_eq!(g, e, "line {} diverged in cell {cell}", n + 1);
-    }
-    assert_eq!(
-        got.lines().count(),
-        expected.lines().count(),
-        "fingerprint and golden file differ in length"
-    );
+    check_golden(path, &fingerprint()).unwrap_or_else(|why| panic!("{why}"));
 }
 
 #[test]

@@ -13,6 +13,7 @@
 //! * the text parsers (fault plans, bench documents) are total on
 //!   mutated input.
 
+use bench::perfgate::{check_golden, fnv1a};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
@@ -596,8 +597,7 @@ fn chaos_fingerprint(e: &chaos::ChaosEngine, seed: u64) -> Vec<u64> {
 
 /// Every committed plan and every [`random_fault_plan`], each as written
 /// and scaled to `k ∈ {0, 0.5, 1}`, through [`chaos_fingerprint`]: one line
-/// per plan. Regenerate with `BLESS=1 cargo test --test property_io
-/// chaos_queries_match`.
+/// per plan.
 #[test]
 fn chaos_queries_match_golden_fingerprint() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("plans");
@@ -620,12 +620,12 @@ fn chaos_queries_match_golden_fingerprint() {
         .collect();
     plans.extend((0..50u64).map(|seed| (format!("random {seed}"), random_fault_plan(seed))));
     let fnv = |words: Vec<u64>| {
-        words
-            .iter()
-            .flat_map(|w| w.to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-            })
+        fnv1a(
+            &words
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .collect::<Vec<_>>(),
+        )
     };
     let mut got = String::new();
     for (i, (label, plan)) in plans.iter().enumerate() {
@@ -643,14 +643,7 @@ fn chaos_queries_match_golden_fingerprint() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/chaos_fingerprint.txt"
     );
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(path, &got).unwrap();
-    }
-    let expected = std::fs::read_to_string(path).expect("golden file missing; run with BLESS=1");
-    for (g, e) in got.lines().zip(expected.lines()) {
-        assert_eq!(g, e, "chaos queries diverged");
-    }
-    assert_eq!(got.lines().count(), expected.lines().count());
+    check_golden(path, &got).unwrap_or_else(|why| panic!("{why}"));
 }
 
 #[test]

@@ -16,8 +16,10 @@
 //! writes, the read-back buffers for reads) and the multiset of span
 //! names — everything a refactor of the round loops could disturb.
 //!
-//! Regenerate with: `BLESS=1 cargo test --test rounds_fingerprint`
+//! A failure names the first diverging line and its cell;
+//! `scripts/repin.sh` re-pins it after an intentional cost-model change.
 
+use bench::perfgate::{check_golden, fnv1a};
 use mpiio::{CollectiveConfig, File, Mode, SieveConfig};
 use mpisim::{Datatype, MpiError, Named, SimConfig, SimError, Topology};
 use std::collections::BTreeMap;
@@ -40,12 +42,6 @@ const CB_BUFFER: u64 = 1000;
 const STRAGGLER: usize = 5;
 /// Later than any cell's write phase, earlier than `CRASH_AT + 1`.
 const CRASH_AT: f64 = 0.5;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// What rank `r` holds at stream position `i` (and so what the file holds
 /// at the position the interleaved view maps it to).
@@ -610,29 +606,11 @@ fn fingerprint() -> String {
 
 #[test]
 fn round_loops_match_golden_fingerprint() {
-    let got = fingerprint();
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/rounds_fingerprint.txt"
     );
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(path, &got).unwrap();
-    }
-    let expected = std::fs::read_to_string(path).expect("golden file missing; run with BLESS=1");
-    // Name the first diverging line (and its cell) instead of dumping two
-    // 600-line strings.
-    let mut cell = "";
-    for (n, (g, e)) in got.lines().zip(expected.lines()).enumerate() {
-        if e.starts_with('[') {
-            cell = e;
-        }
-        assert_eq!(g, e, "line {} diverged in cell {cell}", n + 1);
-    }
-    assert_eq!(
-        got.lines().count(),
-        expected.lines().count(),
-        "fingerprint and golden file differ in length"
-    );
+    check_golden(path, &fingerprint()).unwrap_or_else(|why| panic!("{why}"));
 }
 
 #[test]
