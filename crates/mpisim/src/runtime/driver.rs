@@ -122,8 +122,9 @@ fn run_event<T, F>(
     nprocs: usize,
     shared: &Arc<Shared>,
     substrate: Substrate,
+    stack_bytes: usize,
     body: &F,
-) -> Vec<PerRank<T>>
+) -> std::result::Result<Vec<PerRank<T>>, SimError>
 where
     T: Send,
     F: Fn(&mut Rank) -> Result<T> + Sync,
@@ -148,9 +149,10 @@ where
     }
 
     let core = Arc::clone(&shared.core);
-    let stack_bytes = crate::fiber::stack_bytes_from_env();
     let mut slots: Vec<Option<PerRank<T>>> = (0..nprocs).map(|_| None).collect();
-    let mut fibers: Vec<Task> = slots
+    // On a refused stack the tasks spawned so far are dropped unstarted,
+    // before `slots`, and hand their stacks back.
+    let mut fibers = slots
         .iter_mut()
         .enumerate()
         .map(|(i, slot)| {
@@ -168,7 +170,12 @@ where
             let f = unsafe { forge_static(Box::new(closure)) };
             Task::spawn(substrate, stack_bytes, f)
         })
-        .collect();
+        .collect::<std::result::Result<Vec<Task>, String>>()
+        .map_err(|e| {
+            SimError::Config(format!(
+                "cannot give {nprocs} ranks a {stack_bytes}-byte fiber stack each: {e}"
+            ))
+        })?;
 
     loop {
         match core.pop_next() {
@@ -204,10 +211,10 @@ where
     drop(fibers);
     // Invariant: the driver loop above ends only once every fiber has
     // finished, and a fiber's last act is to fill its slot.
-    slots
+    Ok(slots
         .into_iter()
         .map(|s| s.expect("rank fiber finished without reporting"))
-        .collect()
+        .collect())
 }
 
 /// Entry point: run `body` on `nprocs` simulated ranks.
@@ -220,9 +227,14 @@ where
     T: Send,
     F: Fn(&mut Rank) -> Result<T> + Sync,
 {
-    assert!(nprocs > 0, "need at least one rank");
+    if nprocs == 0 {
+        return Err(SimError::Config("need at least one rank, got 0".into()));
+    }
     cfg.net.validate().map_err(SimError::Config)?;
-    let backend = cfg.backend.resolve();
+    let backend = cfg.backend.resolve().map_err(SimError::Config)?;
+    let stack_bytes = super::env_var("MPISIM_STACK_KB")
+        .and_then(|kb| crate::fiber::stack_bytes(kb.as_deref()))
+        .map_err(SimError::Config)?;
     let shared = Arc::new(Shared::new(nprocs, &cfg));
     if let Some(engine) = &cfg.chaos {
         engine
@@ -233,7 +245,7 @@ where
         Backend::Thread => Substrate::Thread,
         Backend::Event | Backend::Auto => Substrate::Native,
     };
-    let per_rank = run_event(nprocs, &shared, substrate, &body);
+    let per_rank = run_event(nprocs, &shared, substrate, stack_bytes, &body)?;
 
     // Prefer a root-cause error (not Aborted) from the lowest rank. An
     // unhandled crash dominates its own knock-on effects (peers failing
@@ -412,6 +424,174 @@ mod tests {
                 (tr.totals.total() - rep.clocks[r]).abs() < 1e-9,
                 "totals still conserve when spans are off"
             );
+        }
+    }
+
+    #[test]
+    fn setup_errors_are_config_errors_before_any_rank_runs() {
+        match run(0, cfg(), |_| Ok(())) {
+            Err(SimError::Config(m)) => assert!(m.contains("at least one rank"), "{m}"),
+            other => panic!("unexpected: {other:?}"),
+        }
+        assert_eq!(Backend::from_env(None), Ok(Backend::Event));
+        assert_eq!(Backend::from_env(Some("event")), Ok(Backend::Event));
+        assert_eq!(Backend::from_env(Some("thread")), Ok(Backend::Thread));
+        for bad in ["bogus", "", "Thread", "event "] {
+            let m = Backend::from_env(Some(bad)).unwrap_err();
+            assert!(m.contains(&format!("got {bad:?}")), "{m}");
+        }
+    }
+
+    /// The asm substrate's stack pool, seen through its `#[cfg(test)]`
+    /// counters.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    mod pooled {
+        use super::*;
+
+        #[test]
+        fn a_refused_stack_is_a_config_error_and_the_spawned_fibers_go_back() {
+            use crate::fiber::{pool_counts, set_map_budget};
+            use std::sync::atomic::AtomicUsize;
+            let ran = AtomicUsize::new(0);
+            let body = |_: &mut Rank| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            };
+            let event = || SimConfig {
+                backend: Backend::Event,
+                ..cfg()
+            };
+            set_map_budget(Some(3));
+            let err = run(5, event(), body).unwrap_err();
+            set_map_budget(None);
+            match err {
+                SimError::Config(m) => assert!(
+                    m.contains("cannot give 5 ranks a ") && m.contains("-byte fiber stack each"),
+                    "{m}"
+                ),
+                other => panic!("unexpected: {other}"),
+            }
+            assert_eq!(ran.load(Ordering::SeqCst), 0, "no rank ran");
+            let c = pool_counts();
+            assert_eq!((c.maps, c.pooled, c.in_use), (3, 3, 0), "{c:?}");
+            run(5, event(), body).unwrap();
+            assert_eq!(ran.load(Ordering::SeqCst), 5);
+            assert_eq!(pool_counts().maps, 5, "two more maps, three stacks reused");
+        }
+
+        /// What a traced run shows: clocks and makespan as f64 bits, stats,
+        /// the Chrome trace and the results.
+        type Observed = (Vec<u64>, u64, Vec<RankStats>, String, Vec<u64>);
+
+        fn observe(rep: SimReport<u64>) -> Observed {
+            let clocks = rep.clocks.iter().map(|c| c.to_bits()).collect();
+            let trace = crate::trace::chrome_trace_json(&rep.traces);
+            (
+                clocks,
+                rep.makespan.to_bits(),
+                rep.stats,
+                trace,
+                rep.results,
+            )
+        }
+
+        /// A ring exchange, a barrier, an allgather and a call chain deep
+        /// enough that the next run on this stack starts over the bytes
+        /// this one left. Records the base of the fiber stack it runs on
+        /// (none on the thread substrate).
+        fn ring(rk: &mut Rank, bases: &parking_lot::Mutex<Vec<usize>>) -> Result<u64> {
+            fn depth(n: u64) -> u64 {
+                let pad = std::hint::black_box([n as u8; 256]);
+                if n == 0 {
+                    0
+                } else {
+                    depth(n - 1) + u64::from(pad[n as usize % 256])
+                }
+            }
+            bases.lock().extend(crate::fiber::current_stack());
+            let (me, n) = (rk.rank(), rk.nprocs());
+            rk.advance(1e-4 * (me % 3) as f64);
+            rk.send((me + 1) % n, 1, &[me as u8; 64])?;
+            let got = rk.recv(Some((me + n - 1) % n), Some(1))?;
+            rk.barrier()?;
+            let all = rk.allgather(&got.data[..1 + me % 4])?;
+            Ok(depth(40) + all.iter().map(|p| p.len() as u64).sum::<u64>())
+        }
+
+        #[test]
+        fn pooled_stacks_leave_every_report_bit_identical() {
+            use crate::fiber::pool_counts;
+            use parking_lot::Mutex;
+            const N: usize = 16;
+            const STUCK: [usize; 2] = [1, 3];
+            let traced = |backend, bases: &Mutex<Vec<usize>>| {
+                let c = SimConfig {
+                    trace: true,
+                    backend,
+                    ..cfg()
+                };
+                observe(run(N, c, |rk| ring(rk, bases)).unwrap())
+            };
+            // (maps, pooled, in use, peak); the pool never holds more stacks
+            // than were in use at once.
+            let counts = || {
+                let c = pool_counts();
+                assert!(c.pooled + c.in_use <= c.peak, "{c:?}");
+                (c.maps, c.pooled, c.in_use, c.peak)
+            };
+            assert_eq!(
+                counts(),
+                (0, 0, 0, 0),
+                "each test thread starts with no pool"
+            );
+
+            let cold_bases = Mutex::new(Vec::new());
+            let cold = traced(Backend::Event, &cold_bases);
+            assert_eq!(counts(), (N, N, 0, N));
+
+            let warm_bases = Mutex::new(Vec::new());
+            assert_eq!(traced(Backend::Event, &warm_bases), cold, "warm run");
+            assert_eq!(counts(), (N, N, 0, N), "the warm run maps no stack");
+            assert_eq!(*warm_bases.lock(), *cold_bases.lock(), "rank i, stack i");
+
+            // Two ranks park for good and ignore the abort: the driver gives
+            // up and leaks their suspended fibers, stacks included.
+            let stuck_bases = Mutex::new(Vec::new());
+            let event = SimConfig {
+                backend: Backend::Event,
+                ..cfg()
+            };
+            let deadlock = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run(N, event, |rk| {
+                    if STUCK.contains(&rk.rank()) {
+                        stuck_bases.lock().extend(crate::fiber::current_stack());
+                        loop {
+                            rk.shared.core.park(rk.id, rk.clock);
+                        }
+                    }
+                    Ok(())
+                })
+            }));
+            assert!(deadlock.is_err(), "the deadlock path panics");
+            assert_eq!(counts(), (N, N - 2, 2, N));
+
+            let after_bases = Mutex::new(Vec::new());
+            assert_eq!(traced(Backend::Event, &after_bases), cold, "after a leak");
+            assert_eq!(
+                counts(),
+                (N + 2, N, 2, N + 2),
+                "two maps replace the leaked"
+            );
+            let stuck = stuck_bases.lock();
+            assert_eq!(stuck.len(), 2);
+            assert!(
+                after_bases.lock().iter().all(|b| !stuck.contains(b)),
+                "a leaked stack was handed out again"
+            );
+
+            let none = Mutex::new(Vec::new());
+            assert_eq!(traced(Backend::Thread, &none), cold, "thread substrate");
+            assert!(none.lock().is_empty());
         }
     }
 }

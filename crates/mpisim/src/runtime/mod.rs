@@ -109,16 +109,32 @@ pub enum Backend {
 }
 
 impl Backend {
-    fn resolve(self) -> Backend {
+    fn resolve(self) -> std::result::Result<Backend, String> {
         match self {
-            Backend::Auto => match std::env::var("MPISIM_BACKEND") {
-                Ok(v) if v == "thread" => Backend::Thread,
-                Ok(v) if v == "event" => Backend::Event,
-                Ok(v) => panic!("MPISIM_BACKEND must be 'thread' or 'event', got {v:?}"),
-                Err(_) => Backend::Event,
-            },
-            explicit => explicit,
+            Backend::Auto => Backend::from_env(env_var("MPISIM_BACKEND")?.as_deref()),
+            explicit => Ok(explicit),
         }
+    }
+
+    /// The backend a raw `MPISIM_BACKEND` value names (`None` when unset).
+    fn from_env(v: Option<&str>) -> std::result::Result<Backend, String> {
+        match v {
+            None | Some("event") => Ok(Backend::Event),
+            Some("thread") => Ok(Backend::Thread),
+            Some(v) => Err(format!(
+                "MPISIM_BACKEND must be 'thread' or 'event', got {v:?}"
+            )),
+        }
+    }
+}
+
+/// An environment variable's value, `None` when unset; one that is not
+/// UTF-8 is refused by name rather than read as unset.
+fn env_var(name: &str) -> std::result::Result<Option<String>, String> {
+    match std::env::var(name) {
+        Ok(v) => Ok(Some(v)),
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(v)) => Err(format!("{name}={v:?} is not UTF-8")),
     }
 }
 
