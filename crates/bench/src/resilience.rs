@@ -47,7 +47,6 @@ pub fn sweep_health_config() -> HealthConfig {
         min_samples: 4,
         hedge_min_samples: 16,
         open_secs: 0.5,
-        ..HealthConfig::default()
     }
 }
 

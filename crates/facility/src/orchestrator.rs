@@ -98,8 +98,6 @@ pub struct FacilityConfig {
     pub burst: BurstConfig,
     /// Gateway batching window in seconds (0 = no batching).
     pub batch_window: f64,
-    /// Fair-share burst allowance (see [`pfs::qos::QosConfig`]).
-    pub fair_allowance: f64,
     pub chaos: Option<Arc<chaos::ChaosEngine>>,
     /// Collect per-rank metric histograms and build a [`Registry`].
     pub metrics: bool,
@@ -120,7 +118,6 @@ impl Default for FacilityConfig {
             pfs: PfsConfig::default(),
             burst: BurstConfig::default(),
             batch_window: 0.0,
-            fair_allowance: QosConfig::default().fair_allowance,
             chaos: None,
             metrics: false,
             health: None,
@@ -291,7 +288,6 @@ pub fn run_facility(cfg: &FacilityConfig) -> Result<FacilityReport, FacilityErro
                 weights: cfg.tenants.iter().map(|t| t.weight).collect(),
                 token_buckets: cfg.tenants.iter().map(|t| t.token_bucket).collect(),
                 batch_window: cfg.batch_window,
-                fair_allowance: cfg.fair_allowance,
                 ..QosConfig::default()
             };
             fs.enable_qos(qcfg, tenant_of_client.clone())?;

@@ -38,9 +38,6 @@ use std::fmt::Write as _;
 
 use mpisim::{Phase, RankTrace, Span, Topology};
 
-pub mod resilience;
-pub use resilience::ResilienceReport;
-
 /// Where a slice of critical-path time went. Finer than [`Phase`]: the
 /// comm phases split by locality, and the I/O phase splits out the
 /// resilience machinery (retries, recovery) and RMA lock waits.

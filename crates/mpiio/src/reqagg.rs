@@ -215,7 +215,7 @@ fn uphill(
             out[l] = recv_or_empty(rank, l, TAG_RA_XNODE)?;
         }
     }
-    rank.waitall(sends)?;
+    rank.waitall(sends);
     rank.trace_mark(span, Phase::Exchange, start, total);
     Ok(out)
 }
@@ -419,7 +419,7 @@ pub(crate) fn exchange_responses(
             })? = bytes.to_vec();
         }
     }
-    rank.waitall(sends)?;
+    rank.waitall(sends);
     rank.trace_mark("reqagg_resp", Phase::Exchange, start, total);
     Ok(answers)
 }

@@ -20,12 +20,12 @@ use std::borrow::Borrow;
 pub struct SieveConfig {
     /// Maximum spanning range to buffer (ROMIO's `ind_rd_buffer_size` /
     /// `ind_wr_buffer_size`).
-    pub buffer_size: u64,
+    pub buffer_size: u64, // setting: the sieving tests and golden cells set it
     /// Minimum number of extents before sieving is worthwhile.
-    pub min_extents: usize,
+    pub min_extents: usize, // setting: the sieving tests and golden cells set it
     /// Only sieve when wanted bytes are at least this fraction of the span
     /// (sieving a nearly-empty span wastes bandwidth on unwanted data).
-    pub min_density: f64,
+    pub min_density: f64, // setting: the sieving tests and golden cells set it
 }
 
 impl Default for SieveConfig {

@@ -80,6 +80,23 @@ impl CoreInner {
     }
 }
 
+/// The lock rule: no rank holds a host lock (a `parking_lot` guard) across
+/// virtual time, that is, across a park or a clock funnel
+/// (`Rank::set_clock_as`, `Rank::advance_as`). Another rank may run, or in
+/// a lookahead scheme the rank may yield, at either; a guard held there
+/// deadlocks the first rank that wants it. Debug builds check the rule
+/// there and fail the rank loudly, naming it; release builds check
+/// nothing.
+#[inline]
+pub(crate) fn assert_no_host_lock(at: &str) {
+    debug_assert!(
+        parking_lot::live_guards() == 0,
+        "no host lock across virtual time: {} parking_lot guard(s) live at {at}; \
+         drop every guard before a `&mut Rank` call",
+        parking_lot::live_guards()
+    );
+}
+
 pub(crate) struct EventCore {
     inner: Mutex<CoreInner>,
 }
@@ -120,6 +137,7 @@ impl EventCore {
     /// clock it blocked at so a wake re-enqueues it at the right key, then
     /// switch back to the driver. Returns once the rank is resumed.
     pub(crate) fn park(&self, rank: usize, clock: f64) {
+        assert_no_host_lock("a park");
         {
             let mut g = self.inner.lock();
             debug_assert_eq!(

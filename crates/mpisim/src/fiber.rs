@@ -21,10 +21,10 @@
 //!
 //! Stacks are pooled per driver thread (see `asm_impl::Pool`): a
 //! finished or never-started fiber hands its stack back, and the next
-//! spawn of the same size takes it instead of mapping a new one. A cold
-//! spawn maps a stack and faults in its top page; a warm spawn (every
-//! rank of a simulation that follows one at least as large, on the same
-//! thread) makes no syscall and takes no page fault.
+//! spawn takes it instead of mapping a new one. A cold spawn maps a stack
+//! and faults in its top page; a warm spawn (every rank of a simulation
+//! that follows one at least as large, on the same thread) makes no
+//! syscall and takes no page fault.
 //!
 //! Safety contract with the caller (the event core):
 //!
@@ -39,20 +39,7 @@
 
 use std::cell::Cell;
 
-/// Fiber stack size when `MPISIM_STACK_KB` is unset: 1 MiB.
-const DEFAULT_STACK_KB: usize = 1 << 10;
-/// Smaller requests are raised to this many KiB.
-const MIN_STACK_KB: usize = 64;
-/// Largest accepted `MPISIM_STACK_KB`: 1 GiB per rank. Stacks are address
-/// space, not memory, but 16k ranks of 1 GiB already reserve 16 TiB of
-/// the 128 TiB a process can map.
-const MAX_STACK_KB: usize = 1 << 20;
-
-/// Fiber stack size in bytes for a raw `MPISIM_STACK_KB` value (KiB;
-/// `None` when unset): the 1 MiB default, raised to at least 64 KiB. A
-/// value that is not a whole number of KiB, or is above [`MAX_STACK_KB`],
-/// is refused with a message naming it; below the ceiling the product
-/// cannot overflow.
+/// Usable stack of every fiber, on either substrate: 1 MiB.
 ///
 /// That is address space: stacks are committed lazily, so a fiber costs
 /// the pages its deepest call chain has touched, and invisibly to the
@@ -61,20 +48,7 @@ const MAX_STACK_KB: usize = 1 << 20;
 /// whose stack comes from the pool, faults only pages no earlier owner
 /// touched (simbench's `mpisim.spawn_minflt_per_rank` cell times warm
 /// spawns).
-pub(crate) fn stack_bytes(kb: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = kb else {
-        return Ok(DEFAULT_STACK_KB * 1024);
-    };
-    let kb: usize = raw
-        .parse()
-        .map_err(|_| format!("MPISIM_STACK_KB={raw:?} is not a whole number of KiB"))?;
-    if kb > MAX_STACK_KB {
-        return Err(format!(
-            "MPISIM_STACK_KB={raw} is above the {MAX_STACK_KB} KiB ceiling"
-        ));
-    }
-    Ok(kb.max(MIN_STACK_KB) * 1024)
-}
+pub(crate) const STACK_BYTES: usize = 1 << 20;
 
 /// A boxed rank body. `Send` so the thread substrate can run it; the asm
 /// substrate runs everything on the driver thread anyway.
@@ -108,11 +82,11 @@ pub(crate) enum Task {
 impl Task {
     /// A suspended task that runs `f` when first resumed. Fails only when
     /// the host refuses the asm substrate a stack (`mmap` or the guard's
-    /// `mprotect`); the error names the size and the host's reason.
-    pub(crate) fn spawn(sub: Substrate, stack_bytes: usize, f: FiberFn) -> Result<Task, String> {
+    /// `mprotect`); the error gives the host's reason.
+    pub(crate) fn spawn(sub: Substrate, f: FiberFn) -> Result<Task, String> {
         Ok(match sub {
-            Substrate::Native => Task::Native(native_impl::Fiber::spawn(stack_bytes, f)?),
-            Substrate::Thread => Task::Thread(thread_impl::Fiber::spawn(stack_bytes, f)?),
+            Substrate::Native => Task::Native(native_impl::Fiber::spawn(f)?),
+            Substrate::Thread => Task::Thread(thread_impl::Fiber::spawn(f)?),
         })
     }
 
@@ -140,7 +114,7 @@ pub(crate) fn park_current() {
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 mod asm_impl {
-    use super::{Cell, FiberFn};
+    use super::{Cell, FiberFn, STACK_BYTES};
     use std::cell::RefCell;
     use std::collections::VecDeque;
 
@@ -182,27 +156,20 @@ mod asm_impl {
         stack: Stack,
     }
 
-    /// One fiber stack: a private anonymous mapping of `len` bytes whose
-    /// lowest page is a `PROT_NONE` guard, so an overflow faults instead
-    /// of silently corrupting a neighbouring stack. Plain data: the
-    /// [`Pool`] decides when it is unmapped.
+    /// One fiber stack: a private anonymous mapping of [`Stack::LEN`]
+    /// bytes whose lowest page is a `PROT_NONE` guard, so an overflow
+    /// faults instead of silently corrupting a neighbouring stack. Plain
+    /// data: the [`Pool`] decides when it is unmapped.
     struct Stack {
         base: *mut u8,
-        len: usize,
     }
 
     impl Stack {
-        /// Mapping length for `bytes` of usable stack: whole pages plus
-        /// the guard.
-        fn len_for(bytes: usize) -> Result<usize, String> {
-            bytes
-                .div_ceil(PAGE)
-                .checked_add(1)
-                .and_then(|pages| pages.checked_mul(PAGE))
-                .ok_or_else(|| format!("a {bytes}-byte fiber stack does not fit the address space"))
-        }
+        /// Mapping length: the usable stack plus the guard page.
+        const LEN: usize = STACK_BYTES + PAGE;
 
-        fn map(len: usize) -> Result<Stack, String> {
+        fn map() -> Result<Stack, String> {
+            let len = Self::LEN;
             // SAFETY: a fresh anonymous mapping at an address of the
             // kernel's choosing aliases nothing.
             let base = unsafe {
@@ -219,10 +186,7 @@ mod asm_impl {
                 let why = std::io::Error::last_os_error();
                 return Err(format!("mmap of a {len}-byte fiber stack failed: {why}"));
             }
-            let stack = Stack {
-                base: base.cast(),
-                len,
-            };
+            let stack = Stack { base: base.cast() };
             // SAFETY: the first page of the mapping made above.
             if unsafe { mprotect(base, PAGE, PROT_NONE) } != 0 {
                 let why = std::io::Error::last_os_error();
@@ -237,12 +201,12 @@ mod asm_impl {
         fn unmap(self) {
             // SAFETY: the whole mapping `map` made; nothing points into it
             // once its fiber is gone (finished or never started).
-            unsafe { munmap(self.base.cast(), self.len) };
+            unsafe { munmap(self.base.cast(), Self::LEN) };
         }
 
         fn top(&self) -> *mut usize {
             // Page-aligned, hence 16-aligned as the ABI requires.
-            unsafe { self.base.add(self.len).cast() }
+            unsafe { self.base.add(Self::LEN).cast() }
         }
     }
 
@@ -252,14 +216,12 @@ mod asm_impl {
     /// * A spawn takes the oldest pooled stack and maps a new one only
     ///   when none is free, so a warm spawn makes no syscall; its top
     ///   pages are still resident, so it takes no page fault either.
-    ///   First in, first out: a simulation that follows one of the same
-    ///   size gives rank `i` the stack rank `i` had.
+    ///   First in, first out: a simulation that follows one gives rank `i`
+    ///   the stack rank `i` had.
     /// * A stack is mapped only while every stack the thread owns is in
     ///   use, so pooled plus in-use stacks never outnumber the most that
     ///   were in use at once. Their touched pages do stay resident
     ///   between simulations.
-    /// * Pooled stacks share one length; a spawn of another length unmaps
-    ///   them all.
     /// * A stack comes back unwiped, guard page still `PROT_NONE`: a
     ///   frame writes its slots before it reads them.
     /// * A fiber leaked while suspended never hands its stack back; the
@@ -284,32 +246,29 @@ mod asm_impl {
     }
 
     impl Pool {
-        fn take(&mut self, bytes: usize) -> Result<Stack, String> {
-            let len = Stack::len_for(bytes)?;
-            if self.free.front().is_some_and(|s| s.len != len) {
-                self.free.drain(..).for_each(Stack::unmap);
-            }
+        fn take(&mut self) -> Result<Stack, String> {
             let stack = match self.free.pop_front() {
                 Some(stack) => stack,
-                None => self.map(len)?,
+                None => self.map()?,
             };
             self.in_use += 1;
             self.peak = self.peak.max(self.in_use);
             Ok(stack)
         }
 
-        fn map(&mut self, len: usize) -> Result<Stack, String> {
+        fn map(&mut self) -> Result<Stack, String> {
             #[cfg(test)]
             {
                 if self.map_budget == Some(0) {
                     return Err(format!(
-                        "mmap of a {len}-byte fiber stack failed: test budget"
+                        "mmap of a {}-byte fiber stack failed: test budget",
+                        Stack::LEN
                     ));
                 }
                 self.map_budget = self.map_budget.map(|n| n - 1);
                 self.maps += 1;
             }
-            Stack::map(len)
+            Stack::map()
         }
 
         fn give_back(&mut self, stack: Stack) {
@@ -467,8 +426,8 @@ mod asm_impl {
     impl Fiber {
         /// Create a suspended fiber that will run `f` when first resumed,
         /// on a pooled stack if one is free (see [`Pool`]).
-        pub(crate) fn spawn(stack_bytes: usize, f: FiberFn) -> Result<Fiber, String> {
-            let stack = POOL.with(|p| p.borrow_mut().take(stack_bytes))?;
+        pub(crate) fn spawn(f: FiberFn) -> Result<Fiber, String> {
+            let stack = POOL.with(|p| p.borrow_mut().take())?;
             let mut inner = Box::new(Inner {
                 fiber_rsp: 0,
                 driver_rsp: 0,
@@ -539,7 +498,7 @@ mod asm_impl {
 /// backend) on every target, and also the `Native` fallback off
 /// x86_64-linux.
 mod thread_impl {
-    use super::{Cell, FiberFn};
+    use super::{Cell, FiberFn, STACK_BYTES};
     use parking_lot::{Condvar, Mutex};
     use std::sync::Arc;
 
@@ -580,21 +539,19 @@ mod thread_impl {
     pub(crate) struct Fiber {
         chan: Arc<Chan>,
         thread: Option<std::thread::JoinHandle<()>>,
-        stack_bytes: usize,
         closure: Option<FiberFn>,
         finished: bool,
     }
 
     impl Fiber {
         /// Never fails: the worker thread starts at the first resume.
-        pub(crate) fn spawn(stack_bytes: usize, f: FiberFn) -> Result<Fiber, String> {
+        pub(crate) fn spawn(f: FiberFn) -> Result<Fiber, String> {
             Ok(Fiber {
                 chan: Arc::new(Chan {
                     state: Mutex::new(Baton::Driver),
                     cv: Condvar::new(),
                 }),
                 thread: None,
-                stack_bytes,
                 closure: Some(f),
                 finished: false,
             })
@@ -614,7 +571,7 @@ mod thread_impl {
                 let f = self.closure.take().expect("fiber entered twice");
                 let h = std::thread::Builder::new()
                     .name("mpisim-fiber".into())
-                    .stack_size(self.stack_bytes)
+                    .stack_size(STACK_BYTES)
                     .spawn(move || {
                         let p: *const Chan = &*chan;
                         CURRENT.with(|c| c.set(p));
@@ -678,22 +635,19 @@ mod tests {
     use std::sync::Arc;
 
     fn ping_pong<Fb>(
-        spawn: impl Fn(usize, FiberFn) -> Result<Fb, String>,
+        spawn: impl Fn(FiberFn) -> Result<Fb, String>,
         mut resume: impl FnMut(&mut Fb) -> bool,
         park: fn(),
     ) {
         let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let l2 = Arc::clone(&log);
-        let mut f = spawn(
-            64 * 1024,
-            Box::new(move || {
-                l2.lock().push("a");
-                park();
-                l2.lock().push("b");
-                park();
-                l2.lock().push("c");
-            }),
-        )
+        let mut f = spawn(Box::new(move || {
+            l2.lock().push("a");
+            park();
+            l2.lock().push("b");
+            park();
+            l2.lock().push("c");
+        }))
         .unwrap();
         assert!(!resume(&mut f), "parked, not finished");
         log.lock().push("driver1");
@@ -723,17 +677,14 @@ mod tests {
         let mut fibers: Vec<Fiber> = (0..n)
             .map(|i| {
                 let c = Arc::clone(&counter);
-                Fiber::spawn(
-                    64 * 1024,
-                    Box::new(move || {
-                        for round in 0..3 {
-                            // Each round must observe the round-robin
-                            // schedule the driver below imposes.
-                            assert_eq!(c.fetch_add(1, Ordering::SeqCst), round * 64 + i);
-                            park_current();
-                        }
-                    }),
-                )
+                Fiber::spawn(Box::new(move || {
+                    for round in 0..3 {
+                        // Each round must observe the round-robin
+                        // schedule the driver below imposes.
+                        assert_eq!(c.fetch_add(1, Ordering::SeqCst), round * 64 + i);
+                        park_current();
+                    }
+                }))
                 .unwrap()
             })
             .collect();
@@ -751,83 +702,27 @@ mod tests {
 
     #[test]
     fn unstarted_fiber_drops_cleanly() {
-        let f = super::native_impl::Fiber::spawn(64 * 1024, Box::new(|| {})).unwrap();
+        let f = super::native_impl::Fiber::spawn(Box::new(|| {})).unwrap();
         drop(f); // closure freed, stack pooled, nothing leaked
     }
 
     #[test]
     fn deep_stack_use_within_bounds_is_fine() {
-        let mut f = super::native_impl::Fiber::spawn(
-            512 * 1024,
-            Box::new(|| {
-                fn recurse(n: usize) -> usize {
-                    let pad = [n as u8; 128];
-                    if n == 0 {
-                        pad[0] as usize
-                    } else {
-                        recurse(n - 1) + pad[64] as usize
-                    }
+        let mut f = super::native_impl::Fiber::spawn(Box::new(|| {
+            fn recurse(n: usize) -> usize {
+                let pad = [n as u8; 128];
+                if n == 0 {
+                    pad[0] as usize
+                } else {
+                    recurse(n - 1) + pad[64] as usize
                 }
-                // Recompute independently: each level adds (n % 256).
-                let expect = (1..=1000usize).map(|n| n % 256).sum::<usize>();
-                assert_eq!(recurse(1000), expect);
-            }),
-        )
+            }
+            // Recompute independently: each level adds (n % 256).
+            let expect = (1..=1000usize).map(|n| n % 256).sum::<usize>();
+            assert_eq!(recurse(1000), expect);
+        }))
         .unwrap();
         assert!(f.resume());
-    }
-
-    #[test]
-    fn stack_sizes_are_checked_before_any_mapping() {
-        assert_eq!(stack_bytes(None), Ok(1 << 20));
-        assert_eq!(stack_bytes(Some("256")), Ok(256 << 10));
-        assert_eq!(stack_bytes(Some("0")), Ok(64 << 10), "raised to the floor");
-        assert_eq!(
-            stack_bytes(Some("1048576")),
-            Ok(1 << 30),
-            "the ceiling itself"
-        );
-        for bad in [
-            "1048577",
-            // Wrapped to a one-page mapping, all guard: SIGSEGV at spawn.
-            "18014398509481984",
-            // Wrapped to a 4 EiB mapping: mmap failed with a panic.
-            "4503599627370496",
-            "18446744073709551616",
-            "",
-            "1m",
-            "-1",
-            " 64",
-            "abc",
-        ] {
-            let err = stack_bytes(Some(bad)).unwrap_err();
-            assert!(
-                err.contains(&format!("MPISIM_STACK_KB={bad}"))
-                    || err.contains(&format!("MPISIM_STACK_KB={bad:?}")),
-                "{bad:?}: {err}"
-            );
-        }
-    }
-
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-    #[test]
-    fn a_stack_the_host_refuses_is_an_error_not_a_panic() {
-        // Past the 47-bit user address space on every x86-64 Linux.
-        let err = match asm_impl::Fiber::spawn(1 << 47, Box::new(|| {})) {
-            Err(e) => e,
-            Ok(_) => panic!("a 128 TiB stack was mapped"),
-        };
-        assert!(
-            err.contains("mmap of a 140737488359424-byte fiber stack failed"),
-            "{err}"
-        );
-        let err = match asm_impl::Fiber::spawn(usize::MAX, Box::new(|| {})) {
-            Err(e) => e,
-            Ok(_) => panic!("a usize::MAX stack was mapped"),
-        };
-        assert!(err.contains("does not fit the address space"), "{err}");
-        let c = pool_counts();
-        assert_eq!((c.in_use, c.pooled), (0, 0), "nothing held: {c:?}");
     }
 
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -842,7 +737,7 @@ mod tests {
                 .map(|_| {
                     let seen = Arc::clone(&seen);
                     let body = move || seen.lock().push(current_stack().unwrap());
-                    Fiber::spawn(64 << 10, Box::new(body)).unwrap()
+                    Fiber::spawn(Box::new(body)).unwrap()
                 })
                 .collect();
             for f in &mut fibers {
@@ -870,13 +765,10 @@ mod tests {
         // Leaked while suspended: never back in the pool, never reused.
         let stuck_base = Arc::new(AtomicUsize::new(0));
         let sb = Arc::clone(&stuck_base);
-        let mut stuck = Fiber::spawn(
-            64 << 10,
-            Box::new(move || {
-                sb.store(current_stack().unwrap(), Ordering::SeqCst);
-                park_current();
-            }),
-        )
+        let mut stuck = Fiber::spawn(Box::new(move || {
+            sb.store(current_stack().unwrap(), Ordering::SeqCst);
+            park_current();
+        }))
         .unwrap();
         assert!(!stuck.resume());
         drop(stuck);
@@ -884,9 +776,5 @@ mod tests {
         let after = bases(3);
         assert!(!after.contains(&stuck_base.load(Ordering::SeqCst)));
         assert_eq!(now(), (4, 3, 1, 4), "one map replaces the leaked stack");
-
-        // Another length: the pooled stacks go, the new one is mapped.
-        drop(Fiber::spawn(128 << 10, Box::new(|| {})).unwrap());
-        assert_eq!(now(), (5, 1, 1, 4));
     }
 }

@@ -90,14 +90,6 @@ impl Hist {
         self.count == 0
     }
 
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     pub fn merge(&mut self, other: &Hist) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets) {
             *a += b;
@@ -172,6 +164,10 @@ pub struct RankMetrics {
     /// requests it then moved up to the pruned horizon (`timeline_*`).
     pub(crate) timeline_prunes: u64,
     pub(crate) timeline_clamped: u64,
+    /// Transfers the fabric's in-flight window evicted while they were
+    /// still in flight (`fabric_inflight_evicted_live_total`): the
+    /// congestion term no longer counts them.
+    pub(crate) inflight_evicted_live: u64,
 }
 
 impl RankMetrics {
@@ -230,6 +226,13 @@ impl RankMetrics {
         }
     }
 
+    /// Add the live transfers the fabric's in-flight window evicted.
+    pub(crate) fn add_inflight_evicted_live(&mut self, n: u64) {
+        if self.enabled {
+            self.inflight_evicted_live += n;
+        }
+    }
+
     /// Nothing was observed (true in particular whenever disabled).
     pub fn is_empty(&self) -> bool {
         self.msg_bytes.is_empty()
@@ -240,6 +243,7 @@ impl RankMetrics {
             && self.l2_misses == 0
             && self.timeline_prunes == 0
             && self.timeline_clamped == 0
+            && self.inflight_evicted_live == 0
     }
 
     pub fn merge(&mut self, other: &RankMetrics) {
@@ -252,6 +256,7 @@ impl RankMetrics {
         self.l2_misses += other.l2_misses;
         self.timeline_prunes += other.timeline_prunes;
         self.timeline_clamped += other.timeline_clamped;
+        self.inflight_evicted_live += other.inflight_evicted_live;
     }
 
     /// Export under canonical names.
@@ -271,6 +276,10 @@ impl RankMetrics {
         for (name, n) in [
             ("timeline_prunes_total", self.timeline_prunes),
             ("timeline_clamped_total", self.timeline_clamped),
+            (
+                "fabric_inflight_evicted_live_total",
+                self.inflight_evicted_live,
+            ),
         ] {
             if n > 0 {
                 reg.add_counter(name, n);
@@ -434,7 +443,7 @@ mod tests {
     }
 
     #[test]
-    fn hist_observe_merge_and_mean() {
+    fn hist_observe_and_merge() {
         let mut a = Hist::default();
         a.observe(1);
         a.observe(100);
@@ -446,7 +455,6 @@ mod tests {
         assert_eq!(a.sum(), 1_000_201);
         let buckets: Vec<_> = a.nonzero_buckets().collect();
         assert_eq!(buckets, vec![(1, 1), (127, 2), (1048575, 1)]);
-        assert!((a.mean() - 250050.25).abs() < 1e-9);
     }
 
     #[test]

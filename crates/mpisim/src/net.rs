@@ -25,28 +25,37 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// Tunable constants of the network model. All times are seconds, all
-/// bandwidth terms are seconds-per-byte.
+/// One-way message latency (α), in seconds.
+pub(crate) const LATENCY: f64 = 2.0e-6;
+/// CPU overhead to post a send.
+pub(crate) const SEND_OVERHEAD: f64 = 0.5e-6;
+/// CPU overhead to complete a receive.
+pub(crate) const RECV_OVERHEAD: f64 = 0.5e-6;
+/// Cost of (re-)establishing a connection to a peer on an LRU miss
+/// (queue-pair setup).
+const CONN_SETUP: f64 = 60.0e-6;
+/// Per-rank LRU connection-cache capacity.
+const CONN_CACHE: usize = 64;
+/// Number of concurrently in-flight transfers the fabric absorbs without
+/// any congestion penalty.
+const CONGESTION_FREE: usize = 64;
+/// Relative growth of per-byte time per excess in-flight transfer,
+/// normalized by `CONGESTION_FREE`.
+const CONGESTION_COEFF: f64 = 0.02;
+/// One-way latency between two ranks on the *same node* (shared-memory
+/// transport) when a [`Topology`](crate::Topology) is configured.
+const INTRA_LATENCY: f64 = 0.3e-6;
+
+/// The calibrated constants of the network model: what
+/// `bench::Calib::paper` scales or sets. All times are seconds, all
+/// bandwidth terms are seconds-per-byte. The model's fixed constants
+/// (latency, send and receive overheads, connection setup and cache, the
+/// congestion knee, intra-node latency) are named constants of this
+/// module.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// One-way message latency (α).
-    pub latency: f64,
     /// Per-byte transfer time on a link (β). `1.0 / bytes_per_second`.
     pub byte_time: f64,
-    /// CPU overhead to post a send.
-    pub send_overhead: f64,
-    /// CPU overhead to complete a receive.
-    pub recv_overhead: f64,
-    /// Cost of (re-)establishing a connection to a peer on an LRU miss.
-    pub conn_setup: f64,
-    /// Per-rank LRU connection-cache capacity.
-    pub conn_cache: usize,
-    /// Number of concurrently in-flight transfers the fabric absorbs without
-    /// any congestion penalty.
-    pub congestion_free: usize,
-    /// Relative growth of per-byte time per excess in-flight transfer,
-    /// normalized by `congestion_free`.
-    pub congestion_coeff: f64,
     /// Cost to acquire or release a remote RMA window lock (one-way control
     /// message handshake, charged twice per epoch).
     pub rma_lock_cost: f64,
@@ -70,10 +79,6 @@ pub struct NetConfig {
     /// dominant when applications issue millions of tiny accesses (the
     /// ART pattern of §V.C).
     pub api_call_overhead: f64,
-    /// One-way latency between two ranks on the *same node* (shared-memory
-    /// transport) when a [`Topology`](crate::Topology) is configured.
-    /// Unused without one.
-    pub intra_latency: f64,
     /// Per-byte time for intra-node transfers (memory-bus bandwidth, no
     /// NIC). Unused without a topology.
     pub intra_byte_time: f64,
@@ -90,24 +95,16 @@ pub struct NetConfig {
 
 impl Default for NetConfig {
     /// Defaults loosely calibrated to a QDR InfiniBand fat-tree of the
-    /// Lonestar era: ~2 µs latency, ~3 GB/s per-link bandwidth, expensive
-    /// connection establishment (queue-pair setup), and a modest congestion
-    /// knee.
+    /// Lonestar era: ~3 GB/s per-link bandwidth (with the constants above:
+    /// ~2 µs latency, expensive connection establishment and a modest
+    /// congestion knee).
     fn default() -> Self {
         NetConfig {
-            latency: 2.0e-6,
             byte_time: 1.0 / 3.0e9,
-            send_overhead: 0.5e-6,
-            recv_overhead: 0.5e-6,
-            conn_setup: 60.0e-6,
-            conn_cache: 64,
-            congestion_free: 64,
-            congestion_coeff: 0.02,
             rma_lock_cost: 2.0e-6,
             memcpy_byte_time: 1.0 / 6.0e9,
             gather_header_bytes: 16,
             noise_mean: 0.0,
-            intra_latency: 0.3e-6,
             intra_byte_time: 1.0 / 8.0e9,
             api_call_overhead: 0.3e-6,
             match_overhead: 50.0e-9,
@@ -124,17 +121,11 @@ impl NetConfig {
         // a NIC or lock timeline; a NaN, infinite or negative one would
         // corrupt the order those keep.
         for (name, cost) in [
-            ("latency", self.latency),
             ("byte_time", self.byte_time),
-            ("send_overhead", self.send_overhead),
-            ("recv_overhead", self.recv_overhead),
-            ("conn_setup", self.conn_setup),
-            ("congestion_coeff", self.congestion_coeff),
             ("rma_lock_cost", self.rma_lock_cost),
             ("memcpy_byte_time", self.memcpy_byte_time),
             ("noise_mean", self.noise_mean),
             ("api_call_overhead", self.api_call_overhead),
-            ("intra_latency", self.intra_latency),
             ("intra_byte_time", self.intra_byte_time),
             ("match_overhead", self.match_overhead),
         ] {
@@ -242,6 +233,9 @@ struct Inflight {
     /// The starts, and the ends, of exactly those transfers, ascending.
     starts: GapBuffer<f64>,
     ends: GapBuffer<f64>,
+    /// Evicted transfers that were still in flight (`end > t`) when a
+    /// record pushed them out.
+    evicted_live: u64,
 }
 
 impl Inflight {
@@ -264,6 +258,7 @@ impl Inflight {
         if self.recent.len() >= Self::WINDOW {
             if let Some((s, e)) = self.recent.pop_front() {
                 n -= usize::from(s <= t && t < e);
+                self.evicted_live += u64::from(e > t);
                 for (sorted, v) in [(&mut self.starts, s), (&mut self.ends, e)] {
                     // The oldest transfer is usually the earliest.
                     let at = match sorted.nth(0) {
@@ -341,7 +336,7 @@ impl Fabric {
             state: Mutex::new(State {
                 tx: (0..ports).map(|_| Timeline::new()).collect(),
                 rx: (0..ports).map(|_| Timeline::new()).collect(),
-                conns: (0..nprocs).map(|_| LruSet::new(cfg.conn_cache)).collect(),
+                conns: (0..nprocs).map(|_| LruSet::new(CONN_CACHE)).collect(),
                 inflight: Inflight::default(),
                 stats: FabricStatsSnapshot::default(),
             }),
@@ -369,6 +364,11 @@ impl Fabric {
     pub(crate) fn timeline_cliff(&self) -> (u64, u64) {
         let st = self.state.lock();
         (st.tx.iter().chain(&st.rx)).fold((0, 0), |(p, c), t| (p + t.prunes(), c + t.clamped()))
+    }
+
+    /// Transfers the in-flight window evicted while still in flight.
+    pub(crate) fn inflight_evicted_live(&self) -> u64 {
+        self.state.lock().inflight.evicted_live
     }
 
     /// Does a `src → dst` transfer stay on one node? (Loopback always
@@ -403,7 +403,7 @@ impl Fabric {
     ///
     /// `src == dst` models a local loopback: only memcpy cost, no NIC.
     /// Under an active topology, distinct co-located ranks use the
-    /// shared-memory cost model (`intra_latency`/`intra_byte_time`, no
+    /// shared-memory cost model (`INTRA_LATENCY`/`intra_byte_time`, no
     /// connection setup, no NIC serialization, no congestion), and
     /// off-node transfers serialize on the *node* NIC ports.
     pub fn transfer(&self, src: usize, dst: usize, bytes: usize, start: f64) -> Transfer {
@@ -421,7 +421,7 @@ impl Fabric {
         }
 
         if src == dst {
-            let done = start + self.cfg.send_overhead + bytes as f64 * self.cfg.memcpy_byte_time;
+            let done = start + SEND_OVERHEAD + bytes as f64 * self.cfg.memcpy_byte_time;
             return Transfer {
                 arrival: done,
                 sender_done: done,
@@ -429,10 +429,9 @@ impl Fabric {
         }
 
         if intra {
-            let sender_done =
-                start + self.cfg.send_overhead + bytes as f64 * self.cfg.intra_byte_time;
+            let sender_done = start + SEND_OVERHEAD + bytes as f64 * self.cfg.intra_byte_time;
             return Transfer {
-                arrival: sender_done + self.cfg.intra_latency,
+                arrival: sender_done + INTRA_LATENCY,
                 sender_done,
             };
         }
@@ -445,10 +444,10 @@ impl Fabric {
             0.0
         } else {
             st.stats.conn_misses += 1;
-            self.cfg.conn_setup
+            CONN_SETUP
         };
 
-        let ready = start + self.cfg.send_overhead + conn;
+        let ready = start + SEND_OVERHEAD + conn;
 
         // Congestion: effective per-byte time grows with the number of
         // transfers in flight around `ready`.
@@ -456,9 +455,8 @@ impl Fabric {
         let overlap = st
             .inflight
             .overlap_and_record(ready, ready, ready + base_dur);
-        let excess = overlap.saturating_sub(self.cfg.congestion_free);
-        let factor = 1.0
-            + self.cfg.congestion_coeff * excess as f64 / (self.cfg.congestion_free.max(1) as f64);
+        let excess = overlap.saturating_sub(CONGESTION_FREE);
+        let factor = 1.0 + CONGESTION_COEFF * excess as f64 / CONGESTION_FREE as f64;
         if excess > 0 {
             st.stats.congested_transfers += 1;
         }
@@ -483,7 +481,7 @@ impl Fabric {
             Some(engine) => engine.message_delay(tx_start),
             None => 0.0,
         };
-        let rx_start = st.rx[dst_port].reserve(tx_start + self.cfg.latency + delay, dur);
+        let rx_start = st.rx[dst_port].reserve(tx_start + LATENCY + delay, dur);
         Transfer {
             arrival: rx_start + dur,
             sender_done: tx_start + dur,
@@ -506,7 +504,7 @@ mod tests {
         // First message pays connection setup; send a warm-up first.
         f.transfer(0, 1, 1, 0.0);
         let t = f.transfer(0, 1, 3000, 1.0);
-        let expect = 1.0 + cfg.send_overhead + cfg.latency + 3000.0 * cfg.byte_time;
+        let expect = 1.0 + SEND_OVERHEAD + LATENCY + 3000.0 * cfg.byte_time;
         assert!(
             (t.arrival - expect).abs() < 1e-12,
             "arrival {} != {}",
@@ -519,13 +517,12 @@ mod tests {
     #[test]
     fn first_contact_pays_connection_setup() {
         let f = fabric(2);
-        let cfg = f.config().clone();
         let cold = f.transfer(0, 1, 1000, 0.0);
         let warm = f.transfer(0, 1, 1000, cold.sender_done + 1.0);
         let cold_cost = cold.arrival;
         let warm_cost = warm.arrival - (cold.sender_done + 1.0);
         assert!(
-            (cold_cost - warm_cost - cfg.conn_setup).abs() < 1e-9,
+            (cold_cost - warm_cost - CONN_SETUP).abs() < 1e-9,
             "cold {cold_cost} vs warm {warm_cost}"
         );
     }
@@ -640,7 +637,8 @@ mod tests {
     }
 
     /// A record counts before it evicts and takes the evicted transfer back
-    /// out only if that held `t`: one that ends exactly at `t` did not.
+    /// out only if that held `t`: one that ends exactly at `t` did not, and
+    /// is not counted as evicted live either.
     #[test]
     fn an_evicted_transfer_ending_at_t_was_not_in_flight() {
         let (mut new, mut old) = (Inflight::default(), ScanInflight::default());
@@ -653,6 +651,9 @@ mod tests {
             let n = new.overlap_and_record(t, start, end);
             assert_eq!(n, old.overlap_and_record(t, start, end), "record {i}");
         }
+        // Of the two evictions, only the second pushed out a transfer
+        // still in flight: `[5, 20)` at `t = 0`.
+        assert_eq!(new.evicted_live, 1);
     }
 
     /// Ranks that never park book their phases one after another, each
@@ -763,18 +764,12 @@ mod tests {
     #[test]
     fn bad_net_constants_are_refused_by_name() {
         type Field = fn(&mut NetConfig) -> &mut f64;
-        let fields: [(&str, Field); 13] = [
-            ("latency", |c| &mut c.latency),
+        let fields: [(&str, Field); 7] = [
             ("byte_time", |c| &mut c.byte_time),
-            ("send_overhead", |c| &mut c.send_overhead),
-            ("recv_overhead", |c| &mut c.recv_overhead),
-            ("conn_setup", |c| &mut c.conn_setup),
-            ("congestion_coeff", |c| &mut c.congestion_coeff),
             ("rma_lock_cost", |c| &mut c.rma_lock_cost),
             ("memcpy_byte_time", |c| &mut c.memcpy_byte_time),
             ("noise_mean", |c| &mut c.noise_mean),
             ("api_call_overhead", |c| &mut c.api_call_overhead),
-            ("intra_latency", |c| &mut c.intra_latency),
             ("intra_byte_time", |c| &mut c.intra_byte_time),
             ("match_overhead", |c| &mut c.match_overhead),
         ];
@@ -821,38 +816,34 @@ mod tests {
         let f = fabric(2);
         let cfg = f.config().clone();
         let t = f.transfer(1, 1, 1 << 20, 5.0);
-        let expect = 5.0 + cfg.send_overhead + (1 << 20) as f64 * cfg.memcpy_byte_time;
+        let expect = 5.0 + SEND_OVERHEAD + (1 << 20) as f64 * cfg.memcpy_byte_time;
         assert!((t.arrival - expect).abs() < 1e-12);
         assert_eq!(t.arrival, t.sender_done);
     }
 
     #[test]
     fn congestion_inflates_bursts() {
-        let cfg = NetConfig {
-            congestion_free: 4,
-            congestion_coeff: 0.5,
-            ..Default::default()
-        };
-        let f = Fabric::new(64, cfg.clone());
+        // A burst of simultaneous transfers from distinct sources to
+        // distinct destinations: no NIC serialization, but fabric
+        // congestion once more than `CONGESTION_FREE` are in flight.
+        let burst = CONGESTION_FREE + 32;
+        let f = fabric(2 * burst + 2);
         let bytes = 1 << 16;
-        // Warm the connections so setup cost doesn't pollute the comparison.
-        for src in 0..32 {
-            f.transfer(src, 63, 1, 0.0);
-        }
-        // A burst of 32 simultaneous transfers from distinct sources to
-        // distinct destinations: no NIC serialization, but fabric congestion.
         let mut congested = 0.0f64;
-        for src in 0..31 {
-            let t = f.transfer(src, 32 + src, bytes, 100.0);
+        for src in 0..burst {
+            let t = f.transfer(src, burst + src, bytes, 100.0);
             congested = congested.max(t.arrival - 100.0);
         }
-        assert!(
-            f.stats().congested_transfers > 0,
+        // The k-th transfer of the burst finds k in flight.
+        assert_eq!(
+            f.stats().congested_transfers,
+            (burst - CONGESTION_FREE - 1) as u64,
             "burst should trip the congestion term"
         );
-        // A lone transfer in a quiet period is faster.
-        let lone = f.transfer(40, 41, bytes, 1000.0);
-        let lone_cost = lone.arrival - 1000.0 - cfg.conn_setup;
+        // A lone transfer in a quiet period, also on a cold connection, is
+        // faster.
+        let lone = f.transfer(2 * burst, 2 * burst + 1, bytes, 1000.0);
+        let lone_cost = lone.arrival - 1000.0;
         assert!(congested > lone_cost, "{congested} <= {lone_cost}");
     }
 
@@ -939,9 +930,9 @@ mod tests {
         );
         let cfg = f.config().clone();
         let t = f.transfer(0, 1, 1 << 20, 3.0);
-        let expect_done = 3.0 + cfg.send_overhead + (1 << 20) as f64 * cfg.intra_byte_time;
+        let expect_done = 3.0 + SEND_OVERHEAD + (1 << 20) as f64 * cfg.intra_byte_time;
         assert!((t.sender_done - expect_done).abs() < 1e-12);
-        assert!((t.arrival - (expect_done + cfg.intra_latency)).abs() < 1e-12);
+        assert!((t.arrival - (expect_done + INTRA_LATENCY)).abs() < 1e-12);
         let s = f.stats();
         assert_eq!(s.conn_misses, 0, "shared memory needs no connection");
         assert_eq!(s.intra_messages, 1);

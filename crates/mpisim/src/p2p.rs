@@ -111,17 +111,11 @@ impl Mailbox {
     }
 }
 
-/// Handle for a nonblocking operation, completed via `Rank::wait` /
-/// `Rank::waitall`.
+/// Handle for a posted isend, completed via `Rank::wait` /
+/// `Rank::waitall`: the sender side completes at `done`.
 #[derive(Debug)]
-pub enum Request {
-    /// A posted isend: the sender side completes at `done`.
-    Send { done: f64 },
-    /// A posted irecv: matching is deferred to the wait.
-    Recv {
-        src: Option<usize>,
-        tag: Option<Tag>,
-    },
+pub struct Request {
+    pub(crate) done: f64,
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@ impl Rank {
         let mut out: Vec<Vec<u8>> = (0..g).map(|_| Vec::new()).collect();
         out[me] = std::mem::take(&mut data[me]);
         let sends = exchange(self, data, &mut out)?;
-        self.waitall(sends)?;
+        self.waitall(sends);
         self.tracer
             .record(name, Phase::Exchange, start, self.clock, total, None);
         Ok(out)
@@ -138,11 +138,6 @@ impl Rank {
             }
             Ok(sends)
         })
-    }
-
-    /// [`Rank::alltoallv_burst_in`] over all ranks.
-    pub fn alltoallv_burst(&mut self, data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
-        self.alltoallv_burst_in(&self.world(), data)
     }
 
     /// Two-level all-to-all for hierarchical machines (Kang et al.,
@@ -431,7 +426,7 @@ mod tests {
             .unwrap();
             let flat = run(nprocs, cfg(), |rk| {
                 let data = mk_data(rk.rank(), rk.nprocs());
-                rk.alltoallv_burst(data)
+                rk.alltoallv_burst_in(&rk.world(), data)
             })
             .unwrap();
             assert_eq!(hier.results, flat.results, "nprocs={nprocs} ppn={ppn}");
@@ -472,7 +467,7 @@ mod tests {
                 let out = if hier {
                     rk.alltoallv_burst_hier_in(&rk.world(), data)?
                 } else {
-                    rk.alltoallv_burst(data)?
+                    rk.alltoallv_burst_in(&rk.world(), data)?
                 };
                 Ok((out, rk.now()))
             }
@@ -502,7 +497,7 @@ mod tests {
         .unwrap();
         let flat = run(8, topo(), move |rk| {
             let d = data_of(rk);
-            rk.alltoallv_burst(d)
+            rk.alltoallv_burst_in(&rk.world(), d)
         })
         .unwrap();
         assert!(

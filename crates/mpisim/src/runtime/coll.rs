@@ -7,6 +7,7 @@ use super::{Rank, RegistryEntry, Slot, GROUP};
 use crate::collectives::{Deposit, RvResult};
 use crate::comm::{Comm, SplitRegistry};
 use crate::error::{MpiError, Result};
+use crate::net::LATENCY;
 use crate::trace::Phase;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -140,11 +141,7 @@ impl Rank {
     ) -> Result<RvResult> {
         let start = self.clock;
         let rv = self.rendezvous_in(comm, payload)?;
-        let cfg = self.shared.fabric.config();
-        self.set_clock_as(
-            rv.max_t + 2.0 * cfg.latency * comm.log2() as f64,
-            Phase::Sync,
-        );
+        self.set_clock_as(rv.max_t + 2.0 * LATENCY * comm.log2() as f64, Phase::Sync);
         self.record_sync(name, start, bytes, &rv);
         Ok(rv)
     }
@@ -170,7 +167,7 @@ impl Rank {
         let cfg = self.shared.fabric.config();
         let foreign = rv.total_bytes - payload.len();
         self.set_clock_as(
-            rv.max_t + cfg.latency * comm.log2() as f64 + foreign as f64 * cfg.byte_time,
+            rv.max_t + LATENCY * comm.log2() as f64 + foreign as f64 * cfg.byte_time,
             Phase::Sync,
         );
         self.record_sync(comm.flavor().allgather, start, rv.total_bytes as u64, &rv);

@@ -122,7 +122,6 @@ fn run_event<T, F>(
     nprocs: usize,
     shared: &Arc<Shared>,
     substrate: Substrate,
-    stack_bytes: usize,
     body: &F,
 ) -> std::result::Result<Vec<PerRank<T>>, SimError>
 where
@@ -168,12 +167,12 @@ where
                 unsafe { *slot.0 = Some(out) };
             };
             let f = unsafe { forge_static(Box::new(closure)) };
-            Task::spawn(substrate, stack_bytes, f)
+            Task::spawn(substrate, f)
         })
         .collect::<std::result::Result<Vec<Task>, String>>()
         .map_err(|e| {
             SimError::Config(format!(
-                "cannot give {nprocs} ranks a {stack_bytes}-byte fiber stack each: {e}"
+                "cannot give {nprocs} ranks a fiber stack each: {e}"
             ))
         })?;
 
@@ -232,9 +231,6 @@ where
     }
     cfg.net.validate().map_err(SimError::Config)?;
     let backend = cfg.backend.resolve().map_err(SimError::Config)?;
-    let stack_bytes = super::env_var("MPISIM_STACK_KB")
-        .and_then(|kb| crate::fiber::stack_bytes(kb.as_deref()))
-        .map_err(SimError::Config)?;
     let shared = Arc::new(Shared::new(nprocs, &cfg));
     if let Some(engine) = &cfg.chaos {
         engine
@@ -245,7 +241,7 @@ where
         Backend::Thread => Substrate::Thread,
         Backend::Event | Backend::Auto => Substrate::Native,
     };
-    let per_rank = run_event(nprocs, &shared, substrate, stack_bytes, &body)?;
+    let per_rank = run_event(nprocs, &shared, substrate, &body)?;
 
     // Prefer a root-cause error (not Aborted) from the lowest rank. An
     // unhandled crash dominates its own knock-on effects (peers failing
@@ -304,6 +300,7 @@ where
         }
     }
     metrics.add_timeline_cliff(shared.fabric.timeline_cliff());
+    metrics.add_inflight_evicted_live(shared.fabric.inflight_evicted_live());
     let makespan = clocks.iter().cloned().fold(0.0, f64::max);
     Ok(SimReport {
         results,
@@ -374,6 +371,43 @@ mod tests {
                 assert!(message.contains("deliberate"));
             }
             other => panic!("unexpected: {other}"),
+        }
+    }
+
+    /// The lock rule fails loudly: a rank that holds a host lock across a
+    /// clock funnel panics, and the message names the rule. The same body
+    /// with the guard dropped first runs. On both substrates.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_guard_held_across_virtual_time_fails_the_rank_naming_the_rule() {
+        let lock = parking_lot::Mutex::new(0u64);
+        for backend in [Backend::Event, Backend::Thread] {
+            let c = SimConfig { backend, ..cfg() };
+            let err = run(2, c.clone(), |rk| {
+                let mut held = lock.lock();
+                rk.advance(1e-6);
+                *held += 1;
+                Ok(())
+            })
+            .unwrap_err();
+            match err {
+                SimError::RankPanicked { rank, message } => {
+                    assert_eq!(rank, 0, "{backend:?}");
+                    assert!(
+                        message.contains("no host lock across virtual time")
+                            && message.contains("1 parking_lot guard(s) live at a clock funnel"),
+                        "{backend:?}: {message}"
+                    );
+                }
+                other => panic!("{backend:?}: unexpected: {other}"),
+            }
+            let rep = run(2, c, |rk| {
+                *lock.lock() += 1;
+                rk.advance(1e-6);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(rep.clocks, vec![1e-6; 2], "{backend:?}");
         }
     }
 
@@ -466,7 +500,7 @@ mod tests {
             set_map_budget(None);
             match err {
                 SimError::Config(m) => assert!(
-                    m.contains("cannot give 5 ranks a ") && m.contains("-byte fiber stack each"),
+                    m.contains("cannot give 5 ranks a fiber stack each: mmap of a"),
                     "{m}"
                 ),
                 other => panic!("unexpected: {other}"),

@@ -382,6 +382,7 @@ impl Rank {
     /// positive delta to `phase`. Jumps backwards are clamped to no-ops —
     /// the virtual clock is monotone.
     fn set_clock_as(&mut self, t: f64, phase: Phase) {
+        crate::event::assert_no_host_lock("a clock funnel");
         if t > self.clock {
             self.tracer.attribute(phase, t - self.clock);
             self.clock = t;
@@ -391,6 +392,7 @@ impl Rank {
     /// The single funnel for "advance the clock by `dt`" with an explicit
     /// phase attribution.
     fn advance_as(&mut self, dt: f64, phase: Phase) {
+        crate::event::assert_no_host_lock("a clock funnel");
         if dt > 0.0 {
             self.tracer.attribute(phase, dt);
             self.clock += dt;

@@ -3,6 +3,7 @@
 
 use super::{Rank, TAG_INTERNAL_BASE};
 use crate::error::{MpiError, Result};
+use crate::net::{RECV_OVERHEAD, SEND_OVERHEAD};
 use crate::p2p::{Received, Request, Tag};
 use crate::trace::Phase;
 use std::sync::atomic::Ordering;
@@ -73,7 +74,7 @@ impl Rank {
             .shared
             .fabric
             .transfer(self.id, dst, data.len(), self.clock);
-        self.advance_as(self.shared.fabric.config().send_overhead, Phase::Exchange);
+        self.advance_as(SEND_OVERHEAD, Phase::Exchange);
         let span = self.tracer.record(
             self.send_span_name("isend", dst),
             Phase::Exchange,
@@ -87,7 +88,7 @@ impl Rank {
         self.metrics.observe_msg_bytes(data.len() as u64);
         self.shared.mailboxes[dst].push(self.id, tag, data, tr.arrival, span);
         self.shared.notify_recv(dst);
-        Ok(Request::Send {
+        Ok(Request {
             done: tr.sender_done,
         })
     }
@@ -109,9 +110,8 @@ impl Rank {
         // Completion: reconcile with the arrival, pay the receive overhead,
         // and pay the unexpected-queue matching cost for every message that
         // was pending when this one matched.
-        let done = self.clock.max(r.arrival)
-            + cfg.recv_overhead
-            + r.queue_depth as f64 * cfg.match_overhead;
+        let done =
+            self.clock.max(r.arrival) + RECV_OVERHEAD + r.queue_depth as f64 * cfg.match_overhead;
         self.set_clock_as(done, Phase::Exchange);
         self.tracer.record_full(
             "recv",
@@ -128,36 +128,17 @@ impl Rank {
         Ok(r)
     }
 
-    /// Post a nonblocking receive; complete with [`Rank::wait`].
-    pub fn irecv(&mut self, src: Option<usize>, tag: Option<Tag>) -> Result<Request> {
-        if let Some(s) = src {
-            self.check_rank(s)?;
-        }
-        self.check_abort()?;
-        Ok(Request::Recv { src, tag })
-    }
-
-    /// Complete a request. Returns the message for receives, `None` for sends.
-    pub fn wait(&mut self, req: Request) -> Result<Option<Received>> {
-        match req {
-            Request::Send { done } => {
-                self.set_clock_as(done, Phase::Exchange);
-                Ok(None)
-            }
-            Request::Recv { src, tag } => {
-                let r = self.recv(src, tag)?;
-                Ok(Some(r))
-            }
-        }
+    /// Complete a send request: the clock moves to when its sender side
+    /// is done.
+    pub fn wait(&mut self, req: Request) {
+        self.set_clock_as(req.done, Phase::Exchange);
     }
 
     /// Complete a batch of requests, in order.
-    pub fn waitall(&mut self, reqs: Vec<Request>) -> Result<Vec<Option<Received>>> {
-        let mut out = Vec::with_capacity(reqs.len());
+    pub fn waitall(&mut self, reqs: Vec<Request>) {
         for req in reqs {
-            out.push(self.wait(req)?);
+            self.wait(req);
         }
-        Ok(out)
     }
 
     /// A blocking receive against this rank's mailbox. Predicates are
@@ -242,19 +223,16 @@ mod tests {
     }
 
     #[test]
-    fn isend_irecv_waitall() {
+    fn isend_waitall() {
         let rep = run(2, cfg(), |rk| {
             if rk.rank() == 0 {
                 let r1 = rk.isend(1, 1, &[1])?;
                 let r2 = rk.isend(1, 2, &[2, 2])?;
-                rk.waitall(vec![r1, r2])?;
+                rk.waitall(vec![r1, r2]);
                 Ok(0u64)
             } else {
-                let a = rk.irecv(Some(0), Some(2))?;
-                let b = rk.irecv(Some(0), Some(1))?;
-                let out = rk.waitall(vec![a, b])?;
-                let x = out[0].as_ref().unwrap().data.len() as u64;
-                let y = out[1].as_ref().unwrap().data.len() as u64;
+                let x = rk.recv(Some(0), Some(2))?.data.len() as u64;
+                let y = rk.recv(Some(0), Some(1))?.data.len() as u64;
                 Ok(x * 10 + y)
             }
         })

@@ -5,6 +5,7 @@
 use super::coll::slot_or;
 use super::Rank;
 use crate::error::{MpiError, Result};
+use crate::net::{LATENCY, SEND_OVERHEAD};
 use crate::rma::{Epoch, LockKind, WinShared, Window};
 use crate::trace::Phase;
 
@@ -65,10 +66,10 @@ impl Rank {
         // resolved.
         let mut intrinsic = 0.0;
         for m in ep.put_msgs.iter() {
-            intrinsic += cfg.send_overhead + cfg.latency + wire(m) as f64 * cfg.byte_time;
+            intrinsic += SEND_OVERHEAD + LATENCY + wire(m) as f64 * cfg.byte_time;
         }
         for m in ep.get_msgs.iter() {
-            intrinsic += 2.0 * cfg.latency + cfg.send_overhead + wire(m) as f64 * cfg.byte_time;
+            intrinsic += 2.0 * LATENCY + SEND_OVERHEAD + wire(m) as f64 * cfg.byte_time;
         }
         let start = match ep.kind {
             LockKind::Exclusive => {
@@ -110,7 +111,7 @@ impl Rank {
             let tr = self
                 .shared
                 .fabric
-                .transfer(target, me, wire(m), now + cfg.latency);
+                .transfer(target, me, wire(m), now + LATENCY);
             now = tr.arrival;
             self.stats.gets += 1;
             self.stats.get_bytes += m.0 as u64;

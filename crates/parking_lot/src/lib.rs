@@ -11,10 +11,31 @@
 //!   transparently ignored, matching parking_lot's no-poisoning behaviour.
 //! - `Condvar::wait(&mut MutexGuard)` atomically releases and reacquires
 //!   the mutex in place.
+//!
+//! One addition: debug builds count the guards alive on each thread
+//! ([`live_guards`]), so a caller can check that it holds no lock at a
+//! point where it must not (the simulator's clock funnels and parks).
 
+#[cfg(debug_assertions)]
+use std::cell::Cell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
+
+#[cfg(debug_assertions)]
+thread_local! {
+    /// Guards of this crate's mutexes alive on this thread.
+    static LIVE: Cell<usize> = const { Cell::new(0) };
+}
+
+/// How many [`MutexGuard`]s the calling thread holds. Counted in debug
+/// builds only; a release build always reports 0.
+pub fn live_guards() -> usize {
+    #[cfg(debug_assertions)]
+    return LIVE.with(Cell::get);
+    #[cfg(not(debug_assertions))]
+    0
+}
 
 /// Mutual exclusion primitive. `lock()` never fails: a poisoned inner lock
 /// (panicked holder) is recovered, as parking_lot has no poisoning.
@@ -39,9 +60,10 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
-        }
+        let inner = Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner));
+        #[cfg(debug_assertions)]
+        LIVE.with(|n| n.set(n.get() + 1));
+        MutexGuard { inner }
     }
 
     pub fn get_mut(&mut self) -> &mut T {
@@ -72,6 +94,13 @@ impl<T: ?Sized> Deref for MutexGuard<'_, T> {
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         self.inner.as_mut().expect("guard taken during wait")
+    }
+}
+
+#[cfg(debug_assertions)]
+impl<T: ?Sized> Drop for MutexGuard<'_, T> {
+    fn drop(&mut self) {
+        LIVE.with(|n| n.set(n.get() - 1));
     }
 }
 
@@ -152,6 +181,19 @@ mod tests {
             cv.notify_all();
         }
         assert!(t.join().unwrap());
+    }
+
+    #[test]
+    fn guards_are_counted_per_thread_in_debug_builds() {
+        let (a, b) = (Mutex::new(0), Mutex::new(0));
+        assert_eq!(live_guards(), 0);
+        let ga = a.lock();
+        let gb = b.lock();
+        let held = if cfg!(debug_assertions) { 2 } else { 0 };
+        assert_eq!(live_guards(), held);
+        assert_eq!(thread::spawn(live_guards).join().unwrap(), 0);
+        drop((ga, gb));
+        assert_eq!(live_guards(), 0);
     }
 
     #[test]

@@ -21,14 +21,8 @@ pub struct PfsConfig {
     pub ost_write_bw: f64,
     /// Sustained read bandwidth of one OST (bytes/s).
     pub ost_read_bw: f64,
-    /// Client-side cost per RPC (request marshalling, metadata).
-    pub request_overhead: f64,
     /// Server-side fixed service time per RPC (seek, commit bookkeeping).
     pub ost_service: f64,
-    /// Cost of migrating an extent lock between clients (revocation,
-    /// re-grant); this is what punishes interleaved small writes from many
-    /// clients into the same stripe.
-    pub lock_transfer: f64,
     /// Per-byte time on the client's link to the storage network.
     pub client_byte_time: f64,
     /// Maximum payload of a single RPC; larger accesses are split.
@@ -38,7 +32,7 @@ pub struct PfsConfig {
     /// report them (models RAID-style redundancy behind the OSTs). Off by
     /// default: checksums always verify, but without a replica a bad
     /// stripe is only detectable.
-    pub stripe_replicas: bool,
+    pub stripe_replicas: bool, // setting: the pfs fingerprint's health cell sets it
 }
 
 impl Default for PfsConfig {
@@ -49,9 +43,7 @@ impl Default for PfsConfig {
             num_osts: 30,
             ost_write_bw: 350.0e6,
             ost_read_bw: 900.0e6,
-            request_overhead: 60.0e-6,
             ost_service: 400.0e-6,
-            lock_transfer: 600.0e-6,
             client_byte_time: 1.0 / 2.5e9,
             max_rpc: 4 << 20,
             stripe_replicas: false,
@@ -92,8 +84,6 @@ impl PfsConfig {
         }
         for (name, cost) in [
             ("ost_service", self.ost_service),
-            ("request_overhead", self.request_overhead),
-            ("lock_transfer", self.lock_transfer),
             ("client_byte_time", self.client_byte_time),
         ] {
             if !(cost.is_finite() && cost >= 0.0) {
@@ -141,12 +131,10 @@ mod tests {
     fn bad_cost_constants_are_rejected_by_name() {
         type Field = fn(&mut PfsConfig) -> &mut f64;
         // (field, may it be zero?)
-        let fields: [(&str, Field, bool); 6] = [
+        let fields: [(&str, Field, bool); 4] = [
             ("ost_write_bw", |c| &mut c.ost_write_bw, false),
             ("ost_read_bw", |c| &mut c.ost_read_bw, false),
             ("ost_service", |c| &mut c.ost_service, true),
-            ("request_overhead", |c| &mut c.request_overhead, true),
-            ("lock_transfer", |c| &mut c.lock_transfer, true),
             ("client_byte_time", |c| &mut c.client_byte_time, true),
         ];
         for (name, field, zero_ok) in fields {

@@ -10,6 +10,13 @@ use super::{FileId, LockMode, Ost, Pfs, PfsError, Result, State};
 use mpisim::metrics::Hist;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Client-side cost per RPC (request marshalling, metadata).
+const REQUEST_OVERHEAD: f64 = 60.0e-6;
+/// Cost of migrating an extent lock between clients (revocation,
+/// re-grant); this is what punishes interleaved small writes from many
+/// clients into the same stripe.
+const LOCK_TRANSFER: f64 = 600.0e-6;
+
 impl Ost {
     /// Total service-time multiplier at virtual time `t`: the manually-set
     /// degradation times any chaos slowdown window.
@@ -132,14 +139,14 @@ impl Pfs {
         let transfer = acquired || storm;
         let lock_cost = if transfer {
             self.stats.lock_transfers.fetch_add(1, Ordering::Relaxed);
-            self.cfg.lock_transfer
+            LOCK_TRANSFER
         } else {
             0.0
         };
         let extra_overhead = engine.map_or(0.0, |e| e.extra_request_overhead(client_t));
         let base_overhead = match &mut st.qos {
-            Some(q) => q.rpc_overhead(client, len, client_t, self.cfg.request_overhead),
-            None => self.cfg.request_overhead,
+            Some(q) => q.rpc_overhead(client, len, client_t, REQUEST_OVERHEAD),
+            None => REQUEST_OVERHEAD,
         };
         Rpc {
             stripe,
@@ -367,7 +374,7 @@ mod tests {
         for i in 0..100u64 {
             t = p.write_at(id, 0, i * 8, &[0u8; 8], t).unwrap();
         }
-        assert!(t >= 100.0 * (cfg.request_overhead + cfg.ost_service) * 0.9);
+        assert!(t >= 100.0 * (REQUEST_OVERHEAD + cfg.ost_service) * 0.9);
     }
 
     #[test]
@@ -694,8 +701,6 @@ mod tests {
             p.enable_qos(
                 QosConfig {
                     batch_window: window,
-                    batch_threshold: 4096,
-                    batched_overhead: 1.0e-6,
                     ..Default::default()
                 },
                 vec![0],

@@ -519,7 +519,6 @@ mod tests {
                 retry_after: 2.0
             }
         );
-        assert!(err.is_transient());
         assert_eq!(
             p.snapshot_file(id).unwrap(),
             vec![9u8; 64],
@@ -560,7 +559,6 @@ mod tests {
         let mut buf = vec![0u8; 1024];
         let err = p.read_at(id, 0, 0, &mut buf, 1.0).unwrap_err();
         assert!(matches!(err, PfsError::ChecksumMismatch { .. }));
-        assert!(!err.is_transient(), "corruption is not retryable");
         assert!(
             buf.iter().all(|&b| b == 0),
             "no corrupt byte may reach the caller"

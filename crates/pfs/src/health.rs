@@ -12,22 +12,22 @@
 //!   per-OST EWMA and a per-OST log2 latency histogram.
 //! * **Three-state circuit breaker** per OST
 //!   (`Closed → Open → HalfOpen → …`): the breaker opens when the EWMA
-//!   ratio exceeds [`HealthConfig::open_factor`] (after a minimum sample
+//!   ratio exceeds `OPEN_FACTOR` (after a minimum sample
 //!   count) or when transient errors burst within
-//!   [`HealthConfig::err_window`]. While `Open`, *new writes route around*
+//!   `ERR_WINDOW`. While `Open`, *new writes route around*
 //!   the quarantined OST via a relocation map (degraded-mode striping).
 //!   After [`HealthConfig::open_secs`] the breaker half-opens: the next
 //!   request through is the probe, and its observed ratio decides
 //!   `Closed` (healthy again) or re-`Open`.
 //! * **Adaptive hedged reads** — a read piece whose projected wait exceeds
-//!   the live [`HealthConfig::hedge_quantile`] of the *healthy-OST*
+//!   the live `HEDGE_QUANTILE` of the *healthy-OST*
 //!   latency histograms (sick OSTs are excluded so their inflated tails
 //!   cannot stretch the deadline; an `Open`/`HalfOpen` home hedges
 //!   immediately) fires a speculative duplicate at a closed-breaker buddy
 //!   OST. First service to finish wins; the loser's in-flight service is
 //!   sunk cost but its response is never streamed (loser cancellation).
-//!   A per-client token bucket ([`HealthConfig::hedge_budget`] earned per
-//!   piece, reset to [`HealthConfig::hedge_burst`] at each collective via
+//!   A per-client token bucket (`HEDGE_BUDGET` earned per
+//!   piece, reset to `HEDGE_BURST` at each collective via
 //!   [`crate::Pfs::hedge_scope_begin`]) bounds hedge volume, and a hedge
 //!   is never aimed at an OST whose breaker is not `Closed` — hedges
 //!   cannot storm an already-sick server.
@@ -42,86 +42,56 @@ use std::collections::HashMap;
 
 use mpisim::metrics::Hist;
 
-/// Tuning knobs for the gray-failure defense layer. The defaults are
-/// sized for the simulated testbed's sub-millisecond service times.
+/// EWMA smoothing for the per-OST service ratio (weight of the newest
+/// sample).
+const EWMA_ALPHA: f64 = 0.25;
+/// EWMA service ratio at which the breaker opens. A healthy OST's ratio is
+/// exactly 1.0, so any value > 1 keeps fault-free runs breaker-quiet.
+const OPEN_FACTOR: f64 = 4.0;
+/// Transient errors within [`ERR_WINDOW`] that open the breaker.
+const ERR_THRESHOLD: usize = 3;
+/// Sliding window (virtual seconds) for the error burst detector.
+const ERR_WINDOW: f64 = 0.05;
+/// Latency quantile of the healthy-OST histograms used as the hedge
+/// deadline.
+const HEDGE_QUANTILE: f64 = 0.95;
+/// Hedge-budget tokens earned per hedge-eligible read piece.
+const HEDGE_BUDGET: f64 = 0.25;
+/// Token-bucket cap, and the per-collective allowance restored by
+/// [`crate::Pfs::hedge_scope_begin`].
+const HEDGE_BURST: f64 = 8.0;
+
+/// Tuning knobs for the gray-failure defense layer: what a caller sizes
+/// to its request counts. The defaults are sized for the simulated
+/// testbed's sub-millisecond service times; the layer's fixed constants
+/// are named constants of this module.
 #[derive(Debug, Clone)]
 pub struct HealthConfig {
-    /// EWMA smoothing for the per-OST service ratio (weight of the newest
-    /// sample).
-    pub ewma_alpha: f64,
     /// Samples an OST must accumulate before its EWMA can open the
     /// breaker (cold-start guard).
     pub min_samples: u64,
-    /// EWMA service ratio at which the breaker opens. A healthy OST's
-    /// ratio is exactly 1.0, so any value > 1 keeps fault-free runs
-    /// breaker-quiet.
-    pub open_factor: f64,
-    /// Transient errors within [`HealthConfig::err_window`] that open the
-    /// breaker.
-    pub err_threshold: u64,
-    /// Sliding window (virtual seconds) for the error burst detector.
-    pub err_window: f64,
     /// Quarantine length: an `Open` breaker half-opens this many virtual
     /// seconds after it tripped.
     pub open_secs: f64,
-    /// Latency quantile of the healthy-OST histograms used as the hedge
-    /// deadline.
-    pub hedge_quantile: f64,
     /// Healthy-histogram depth required before deadline hedging arms
     /// (an `Open`/`HalfOpen` home still hedges immediately).
     pub hedge_min_samples: u64,
-    /// Hedge-budget tokens earned per hedge-eligible read piece.
-    pub hedge_budget: f64,
-    /// Token-bucket cap, and the per-collective allowance restored by
-    /// [`crate::Pfs::hedge_scope_begin`].
-    pub hedge_burst: f64,
 }
 
 impl Default for HealthConfig {
     fn default() -> Self {
         HealthConfig {
-            ewma_alpha: 0.25,
             min_samples: 8,
-            open_factor: 4.0,
-            err_threshold: 3,
-            err_window: 0.05,
             open_secs: 0.02,
-            hedge_quantile: 0.95,
             hedge_min_samples: 32,
-            hedge_budget: 0.25,
-            hedge_burst: 8.0,
         }
     }
 }
 
 impl HealthConfig {
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.ewma_alpha.is_finite() && self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0) {
-            return Err(format!("ewma_alpha {} must be in (0, 1]", self.ewma_alpha));
-        }
-        if !(self.open_factor.is_finite() && self.open_factor > 1.0) {
-            return Err(format!("open_factor {} must be > 1", self.open_factor));
-        }
-        if self.err_threshold == 0 {
-            return Err("err_threshold must be ≥ 1".into());
-        }
-        if !(self.err_window.is_finite() && self.err_window > 0.0) {
-            return Err(format!("err_window {} must be > 0", self.err_window));
-        }
         if !(self.open_secs.is_finite() && self.open_secs > 0.0) {
             return Err(format!("open_secs {} must be > 0", self.open_secs));
-        }
-        if !(self.hedge_quantile > 0.0 && self.hedge_quantile < 1.0) {
-            return Err(format!(
-                "hedge_quantile {} must be in (0, 1)",
-                self.hedge_quantile
-            ));
-        }
-        if !(self.hedge_budget.is_finite() && self.hedge_budget >= 0.0) {
-            return Err(format!("hedge_budget {} must be ≥ 0", self.hedge_budget));
-        }
-        if !(self.hedge_burst.is_finite() && self.hedge_burst >= 0.0) {
-            return Err(format!("hedge_burst {} must be ≥ 0", self.hedge_burst));
         }
         Ok(())
     }
@@ -300,19 +270,19 @@ impl Health {
     pub(crate) fn observe(&mut self, ost: usize, ratio: f64, latency: f64, now: f64) {
         let cfg = &self.cfg;
         let h = &mut self.osts[ost];
-        h.ewma += cfg.ewma_alpha * (ratio - h.ewma);
+        h.ewma += EWMA_ALPHA * (ratio - h.ewma);
         h.samples += 1;
         h.lat.observe((latency.max(0.0) * 1e9) as u64);
         match h.state {
             Breaker::Closed => {
-                if h.samples >= cfg.min_samples && h.ewma > cfg.open_factor {
+                if h.samples >= cfg.min_samples && h.ewma > OPEN_FACTOR {
                     h.trip(now + cfg.open_secs);
                 }
             }
             Breaker::HalfOpen => {
                 // This observation is the probe result.
                 self.probes += 1;
-                if ratio <= cfg.open_factor {
+                if ratio <= OPEN_FACTOR {
                     h.state = Breaker::Closed;
                     // Restart the EWMA from the probe so stale sickness
                     // does not instantly re-trip on the next sample.
@@ -336,11 +306,11 @@ impl Health {
     pub(crate) fn observe_error(&mut self, ost: usize, now: f64) {
         let cfg = &self.cfg;
         let h = &mut self.osts[ost];
-        h.err_times.retain(|&t| now - t < cfg.err_window);
+        h.err_times.retain(|&t| now - t < ERR_WINDOW);
         h.err_times.push(now);
         match h.breaker(now) {
             Breaker::Closed => {
-                if h.err_times.len() as u64 >= cfg.err_threshold {
+                if h.err_times.len() >= ERR_THRESHOLD {
                     h.trip(now + cfg.open_secs);
                 }
             }
@@ -397,15 +367,14 @@ impl Health {
     /// [`crate::Pfs::hedge_scope_begin`]) at each collective-read entry,
     /// making the budget per-collective.
     pub(crate) fn scope_begin(&mut self, client: usize) {
-        self.budgets.insert(client, self.cfg.hedge_burst);
+        self.budgets.insert(client, HEDGE_BURST);
     }
 
     /// Decide whether to hedge a read piece served by `home`, whose
     /// primary service is projected to finish at `primary_fin`, for a
     /// client that started waiting at `wait_start`.
     ///
-    /// Deadline math: a `Closed` home uses the
-    /// [`HealthConfig::hedge_quantile`] of the merged latency histograms
+    /// Deadline math: a `Closed` home uses the `HEDGE_QUANTILE` of the merged latency histograms
     /// of all closed-breaker OSTs (the healthy population — a sick home
     /// must not stretch its own deadline); an `Open`/`HalfOpen` home is
     /// known-sick and hedges immediately (deadline 0). No hedge fires if
@@ -433,13 +402,12 @@ impl Health {
                 if merged.count() < self.cfg.hedge_min_samples {
                     return None;
                 }
-                merged.quantile(self.cfg.hedge_quantile) as f64 / 1e9
+                merged.quantile(HEDGE_QUANTILE) as f64 / 1e9
             }
         };
         // Earn per-piece budget, capped at the burst allowance.
-        let burst = self.cfg.hedge_burst;
-        let b = self.budgets.entry(client).or_insert(burst);
-        *b = (*b + self.cfg.hedge_budget).min(burst);
+        let b = self.budgets.entry(client).or_insert(HEDGE_BURST);
+        *b = (*b + HEDGE_BUDGET).min(HEDGE_BURST);
         let fire = wait_start + deadline;
         if primary_fin <= fire {
             // The primary response will beat the deadline: the duplicate
@@ -613,8 +581,6 @@ mod tests {
     fn hedge_quote_respects_deadline_buddies_and_budget() {
         let cfg = HealthConfig {
             hedge_min_samples: 4,
-            hedge_burst: 2.0,
-            hedge_budget: 0.0,
             ..HealthConfig::default()
         };
         let mut h = Health::new(cfg, 4).unwrap();
@@ -631,13 +597,18 @@ mod tests {
         let q = h.hedge_quote(0, 0, 10.0, 10.0 + 1.0).expect("should hedge");
         assert_eq!(q.buddy, 1, "nearest closed-breaker buddy");
         assert!(q.fire > 10.0 && q.fire < 10.0 + 0.1, "fire {}", q.fire);
-        // Budget: burst of 2 with no refill → third hedge is refused.
-        assert!(h.hedge_quote(0, 0, 20.0, 21.0).is_some());
-        assert_eq!(h.hedge_quote(0, 0, 30.0, 31.0), None, "budget dry");
-        assert_eq!(h.snapshot().hedges_issued, 2);
+        // Budget: every quote earns `HEDGE_BUDGET` = 0.25, capped at
+        // `HEDGE_BURST` = 8, and every hedge spends one token. The bucket
+        // holds 8 − 1 after the hedge above, then 0.75 less after each
+        // hedge: nine more fit, and the quote after them finds 0.5.
+        let mut t = 20.0;
+        while h.hedge_quote(0, 0, t, t + 1.0).is_some() {
+            t += 10.0;
+        }
+        assert_eq!(h.snapshot().hedges_issued, 10, "budget dry");
         // A new collective scope restores the allowance.
         h.scope_begin(0);
-        assert!(h.hedge_quote(0, 0, 40.0, 41.0).is_some());
+        assert!(h.hedge_quote(0, 0, t, t + 1.0).is_some());
         h.hedge_outcome(true);
         h.hedge_outcome(false);
         let snap = h.snapshot();
@@ -697,29 +668,10 @@ mod tests {
 
     #[test]
     fn bad_configs_rejected() {
-        for bad in [
-            HealthConfig {
-                ewma_alpha: 0.0,
-                ..HealthConfig::default()
-            },
-            HealthConfig {
-                open_factor: 1.0,
-                ..HealthConfig::default()
-            },
-            HealthConfig {
-                err_threshold: 0,
-                ..HealthConfig::default()
-            },
-            HealthConfig {
-                open_secs: 0.0,
-                ..HealthConfig::default()
-            },
-            HealthConfig {
-                hedge_quantile: 1.0,
-                ..HealthConfig::default()
-            },
-        ] {
-            assert!(Health::new(bad, 2).is_err());
-        }
+        let bad = HealthConfig {
+            open_secs: 0.0,
+            ..HealthConfig::default()
+        };
+        assert!(Health::new(bad, 2).is_err());
     }
 }

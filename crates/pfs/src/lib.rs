@@ -51,7 +51,6 @@ mod stats;
 pub use config::PfsConfig;
 pub use health::{Breaker, HealthConfig, HealthSnapshot, OstHealthRow, RebuildReport};
 pub use locks::{LockManager, LockMode};
-pub use namespace::FileStat;
 pub use qos::{Discipline, QosConfig, TenantUsage};
 pub use recovery::ScrubReport;
 pub use stats::{PfsStats, PfsStatsSnapshot};
@@ -135,13 +134,6 @@ impl fmt::Display for PfsError {
                 "checksum mismatch on stripe {stripe} (OST {ost}): stored bytes are corrupt"
             ),
         }
-    }
-}
-
-impl PfsError {
-    /// Is this error worth retrying (after its backoff hint)?
-    pub fn is_transient(&self) -> bool {
-        matches!(self, PfsError::Transient { .. })
     }
 }
 

@@ -30,9 +30,8 @@ enum LockState {
 /// Tracks extent locks for all files: one 16-byte slot per stripe, in a
 /// vector per file indexed by stripe, so an RPC's lock decision is two
 /// indexings. A file's vector grows to the highest stripe accessed and is
-/// dropped only by [`LockManager::forget_file`]: truncating a file keeps
-/// its lock owners, so a rewrite after a truncate still contends for the
-/// stripe it lands in.
+/// never dropped: truncating a file keeps its lock owners, so a rewrite
+/// after a truncate still contends for the stripe it lands in.
 #[derive(Debug, Default)]
 pub struct LockManager {
     /// Indexed by file id, then by stripe.
@@ -81,13 +80,6 @@ impl LockManager {
             stripes.resize(stripe + 1, LockState::Free);
         }
         &mut stripes[stripe]
-    }
-
-    /// Drop all lock state for a file (delete/close-unlink path).
-    pub fn forget_file(&mut self, file: u32) {
-        if let Some(stripes) = self.files.get_mut(file as usize) {
-            *stripes = Vec::new();
-        }
     }
 
     /// Number of stripes currently tracked (for tests/diagnostics).
@@ -166,17 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn forget_file_clears_only_that_file() {
-        let mut lm = LockManager::new();
-        lm.acquire(1, 0, 0, LockMode::Write);
-        lm.acquire(1, 1, 0, LockMode::Write);
-        lm.acquire(2, 0, 0, LockMode::Write);
-        lm.forget_file(1);
-        assert_eq!(lm.tracked(), 1);
-        assert!(!lm.acquire(1, 0, 5, LockMode::Write), "state was forgotten");
-    }
-
-    #[test]
     fn a_stripe_lock_is_sixteen_bytes() {
         assert_eq!(std::mem::size_of::<LockState>(), 16);
     }
@@ -224,10 +205,6 @@ mod reference {
             transfer
         }
 
-        pub fn forget_file(&mut self, file: u32) {
-            self.table.retain(|&(f, _), _| f != file);
-        }
-
         pub fn tracked(&self) -> usize {
             self.table.len()
         }
@@ -242,8 +219,8 @@ mod oracle_tests {
     use rand::{RngExt, SeedableRng};
 
     /// Seeded acquires over 3 files × 64 stripes × 8 clients in both
-    /// modes, with files forgotten now and then: every transfer decision
-    /// and every `tracked()` count must match the hash-table manager's.
+    /// modes: every transfer decision and every `tracked()` count must
+    /// match the hash-table manager's.
     #[test]
     fn slot_vectors_decide_every_transfer_like_the_hash_table() {
         let mut rng = StdRng::seed_from_u64(0x10C_5107);
@@ -251,11 +228,6 @@ mod oracle_tests {
         let mut transfers = [0usize; 2];
         for step in 0..20_000 {
             let file = (rng.next_u64() % 3) as u32;
-            if rng.next_u64() % 500 == 0 {
-                new.forget_file(file);
-                old.forget_file(file);
-                continue;
-            }
             // Few clients per stripe most of the time, so sole-reader
             // upgrades happen as well as shared ones.
             let stripe = rng.next_u64() % 64;

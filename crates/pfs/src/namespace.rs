@@ -1,17 +1,7 @@
-//! The namespace and per-file metadata: create, open, delete, length,
-//! truncate, stat and list.
+//! The namespace and per-file metadata: create, open, length, truncate
+//! and list.
 
 use super::{span_end, File, FileId, Pfs, PfsError, Result, State};
-
-/// Metadata snapshot of one file (`stat`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileStat {
-    pub len: u64,
-    pub stripe_size: u64,
-    pub stripe_count: usize,
-    /// OST index of stripe 0.
-    pub ost_base: usize,
-}
 
 impl Pfs {
     /// Create a new empty file. Fails if the path exists.
@@ -54,30 +44,6 @@ impl Pfs {
         }
     }
 
-    /// Remove a file and its lock state.
-    pub fn delete(&self, path: &str) -> Result<()> {
-        let mut guard = self.state.lock();
-        let st = &mut *guard;
-        let id = st
-            .namespace
-            .remove(path)
-            .ok_or_else(|| PfsError::NotFound(path.to_string()))?;
-        st.locks.forget_file(id.0);
-        // The file-id slot stays reserved (ids are stable); drop the bytes
-        // so memory is reclaimed.
-        if let Some(f) = st.files.get_mut(id.0 as usize) {
-            *f = File {
-                ost_base: f.ost_base,
-                ..File::default()
-            };
-        }
-        Ok(())
-    }
-
-    pub fn exists(&self, path: &str) -> bool {
-        self.state.lock().namespace.contains_key(path)
-    }
-
     /// Current length of the file in bytes.
     pub fn len(&self, id: FileId) -> Result<u64> {
         Ok(self.state.lock().file(id)?.bytes.len() as u64)
@@ -113,18 +79,6 @@ impl Pfs {
         Ok(())
     }
 
-    /// File metadata.
-    pub fn stat(&self, id: FileId) -> Result<FileStat> {
-        let st = self.state.lock();
-        let f = st.file(id)?;
-        Ok(FileStat {
-            len: f.bytes.len() as u64,
-            stripe_size: self.cfg.stripe_size,
-            stripe_count: self.cfg.stripe_count,
-            ost_base: f.ost_base,
-        })
-    }
-
     /// Sorted listing of the namespace.
     pub fn list(&self) -> Vec<String> {
         let mut names: Vec<String> = self.state.lock().namespace.keys().cloned().collect();
@@ -144,15 +98,12 @@ mod tests {
     }
 
     #[test]
-    fn create_open_delete_namespace() {
+    fn create_and_open_namespace() {
         let p = fs(1);
+        assert!(matches!(p.open("/a"), Err(PfsError::NotFound(_))));
         let id = p.create("/a").unwrap();
         assert_eq!(p.open("/a").unwrap(), id);
         assert!(matches!(p.create("/a"), Err(PfsError::AlreadyExists(_))));
-        assert!(p.exists("/a"));
-        p.delete("/a").unwrap();
-        assert!(!p.exists("/a"));
-        assert!(matches!(p.open("/a"), Err(PfsError::NotFound(_))));
     }
 
     #[test]
@@ -186,15 +137,12 @@ mod tests {
     }
 
     #[test]
-    fn stat_and_list() {
+    fn len_and_list() {
         let p = fs(1);
         let id = p.create("/b").unwrap();
         p.create("/a").unwrap();
         p.write_at(id, 0, 0, &[1, 2, 3], 0.0).unwrap();
-        let st = p.stat(id).unwrap();
-        assert_eq!(st.len, 3);
-        assert_eq!(st.stripe_size, 1 << 20);
-        assert_eq!(st.stripe_count, 30);
+        assert_eq!(p.len(id).unwrap(), 3);
         assert_eq!(p.list(), vec!["/a".to_string(), "/b".to_string()]);
     }
 

@@ -10,10 +10,10 @@
 //!    aggregate byte rate into the storage network is capped at `rate`
 //!    bytes/s with a `burst` allowance; excess requests wait before the
 //!    request overhead is even paid.
-//! 2. **Gateway request batching**: small requests (≤ `batch_threshold`
+//! 2. **Gateway request batching**: small requests (≤ `BATCH_THRESHOLD`
 //!    bytes) from one tenant arriving within `batch_window` seconds
 //!    coalesce — the window opener pays the full per-RPC overhead, the
-//!    followers pay only `batched_overhead`. This is what keeps a
+//!    followers pay only `BATCHED_OVERHEAD`. This is what keeps a
 //!    metadata-heavy tenant from melting the request path.
 //! 3. **Weighted fair sharing of each OST** ([`Discipline::FairShare`]):
 //!    share-paced booking with a burst allowance. The cost model books
@@ -40,6 +40,12 @@
 //! serves OSTs in plain arrival order — the ablation baseline that the
 //! isolation experiments beat.
 
+/// Only requests of at most this many bytes coalesce.
+const BATCH_THRESHOLD: u64 = 4096;
+/// Per-RPC overhead paid by coalesced followers (the window opener pays
+/// the full per-RPC request overhead).
+const BATCHED_OVERHEAD: f64 = 5.0e-6;
+
 /// OST queue discipline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Discipline {
@@ -62,15 +68,10 @@ pub struct QosConfig {
     pub token_buckets: Vec<Option<(f64, f64)>>,
     /// Gateway coalescing window in seconds (0 disables batching).
     pub batch_window: f64,
-    /// Only requests of at most this many bytes coalesce.
-    pub batch_threshold: u64,
-    /// Per-RPC overhead paid by coalesced followers (the window opener
-    /// pays the full `PfsConfig::request_overhead`).
-    pub batched_overhead: f64,
     /// Burst allowance of the fair-share pacer: how many seconds of
     /// share-charged service a tenant may book ahead on one OST before
     /// its pieces are paced to its weighted share.
-    pub fair_allowance: f64,
+    pub fair_allowance: f64, // setting: the pfs fingerprint's QoS cell sets it
 }
 
 impl Default for QosConfig {
@@ -80,8 +81,6 @@ impl Default for QosConfig {
             weights: Vec::new(),
             token_buckets: Vec::new(),
             batch_window: 0.0,
-            batch_threshold: 4096,
-            batched_overhead: 5.0e-6,
             fair_allowance: 5.0e-3,
         }
     }
@@ -102,9 +101,6 @@ impl QosConfig {
         }
         if !self.batch_window.is_finite() || self.batch_window < 0.0 {
             return Err(format!("bad batch window {}", self.batch_window));
-        }
-        if !self.batched_overhead.is_finite() || self.batched_overhead < 0.0 {
-            return Err(format!("bad batched overhead {}", self.batched_overhead));
         }
         if !self.fair_allowance.is_finite() || self.fair_allowance < 0.0 {
             return Err(format!("bad fair allowance {}", self.fair_allowance));
@@ -230,17 +226,17 @@ impl Qos {
     }
 
     /// Per-RPC gateway overhead after coalescing: small requests landing
-    /// inside an open batch window pay `batched_overhead` instead of
+    /// inside an open batch window pay `BATCHED_OVERHEAD` instead of
     /// `base`.
     pub(crate) fn rpc_overhead(&mut self, client: usize, len: u64, t: f64, base: f64) -> f64 {
-        if self.cfg.batch_window <= 0.0 || len > self.cfg.batch_threshold {
+        if self.cfg.batch_window <= 0.0 || len > BATCH_THRESHOLD {
             return base;
         }
         let tenant = self.tenant_of(client);
         let st = &mut self.tenants[tenant];
         if t < st.window_end {
             st.usage.batched_rpcs += 1;
-            self.cfg.batched_overhead
+            BATCHED_OVERHEAD
         } else {
             st.window_end = t + self.cfg.batch_window;
             base
@@ -365,8 +361,6 @@ mod tests {
     fn batching_coalesces_small_requests_within_the_window() {
         let cfg = QosConfig {
             batch_window: 1.0e-3,
-            batch_threshold: 1024,
-            batched_overhead: 1.0e-6,
             ..Default::default()
         };
         let mut q = qos(cfg, vec![0]);
@@ -374,12 +368,12 @@ mod tests {
         // Window opener pays full freight.
         assert_eq!(q.rpc_overhead(0, 100, 0.0, base), base);
         // Followers inside the window coalesce.
-        assert_eq!(q.rpc_overhead(0, 100, 0.5e-3, base), 1.0e-6);
-        assert_eq!(q.rpc_overhead(0, 100, 0.9e-3, base), 1.0e-6);
+        assert_eq!(q.rpc_overhead(0, 100, 0.5e-3, base), BATCHED_OVERHEAD);
+        assert_eq!(q.rpc_overhead(0, 100, 0.9e-3, base), BATCHED_OVERHEAD);
         // Past the window a new opener pays again.
         assert_eq!(q.rpc_overhead(0, 100, 2.0e-3, base), base);
         // Large requests never coalesce.
-        assert_eq!(q.rpc_overhead(0, 4096, 0.5e-3, base), base);
+        assert_eq!(q.rpc_overhead(0, BATCH_THRESHOLD + 1, 0.5e-3, base), base);
         assert_eq!(q.usage()[0].batched_rpcs, 2);
     }
 

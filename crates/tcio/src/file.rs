@@ -96,8 +96,20 @@ struct SegMeta {
     loaded: bool,
 }
 
-/// `[rank][segment]`, shared by all ranks of one open.
-type SharedMeta = Vec<Vec<Mutex<SegMeta>>>;
+/// Every rank's segments, `rank × num_segments + segment`, shared by all
+/// ranks of one open. One lock, held only to read or update an entry:
+/// never across a `&mut Rank` call (see `mpisim`'s lock rule).
+type SharedMeta = Mutex<Vec<SegMeta>>;
+
+/// Where [`TcioFile::write_out`] reads the bytes it writes: a buffer of
+/// this rank, or this rank's own region of a window from a displacement
+/// on. A window region is locked per attempt, inside the file-system call,
+/// not across the request.
+#[derive(Clone, Copy)]
+enum Src<'s> {
+    Buf(&'s [u8]),
+    Local(&'s Window, usize),
+}
 
 /// Buddy-replication state for durability epochs. Built only when the
 /// attached fault plan contains a crash instant (`any_crash`) on a
@@ -322,9 +334,10 @@ impl<'a> TcioFile<'a> {
             }
             _ => None,
         };
-        let (nprocs, nsegs) = (rank.nprocs(), cfg.num_segments);
-        let per_rank = move |_| (0..nsegs).map(|_| Mutex::default()).collect();
-        let meta = rank.shared_state(move || (0..nprocs).map(per_rank).collect::<SharedMeta>())?;
+        let segs = rank.nprocs() * cfg.num_segments;
+        let meta = rank.shared_state(move || {
+            Mutex::new((0..segs).map(|_| SegMeta::default()).collect::<Vec<_>>())
+        })?;
         // Level-1 buffer: one segment, accounted at every open (the model's
         // footprint) and allocated by the first write to need it.
         let l1_mem = rank.alloc(cfg.segment_size)?;
@@ -353,6 +366,11 @@ impl<'a> TcioFile<'a> {
             stats: TcioStats::default(),
             cfg,
         })
+    }
+
+    /// `(owner, segment)`'s entry in the shared segment table.
+    fn seg(&self, owner: usize, segment: usize) -> usize {
+        owner * self.cfg.num_segments + segment
     }
 
     fn locate_checked(&self, offset: u64) -> Result<crate::segment::Location> {
@@ -495,9 +513,9 @@ impl<'a> TcioFile<'a> {
         }
         self.lockstep(rank, Collective::Fence)?;
         let seg_base = segment as u64 * self.cfg.segment_size;
-        let mut meta = self.meta[owner][segment].lock();
+        let valid = &mut self.meta.lock()[self.seg(owner, segment)].valid;
         for &(d, s) in parts {
-            meta.valid.insert(d as u64 - seg_base, s.len() as u64);
+            valid.insert(d as u64 - seg_base, s.len() as u64);
         }
         Ok(())
     }
@@ -525,13 +543,13 @@ impl<'a> TcioFile<'a> {
         })
     }
 
-    /// §IV's third movement: write `runs` of `region` — offsets relative
-    /// to `region` and to `file_base` alike — to the file system as one
+    /// §IV's third movement: write `runs` of `src` — offsets relative
+    /// to `src` and to `file_base` alike — to the file system as one
     /// client request of this rank. The caller settles the handle.
     fn write_out(
         &self,
         rank: &mut Rank,
-        region: &[u8],
+        src: Src<'_>,
         runs: &[(u64, u64)],
         file_base: u64,
         span: &'static str,
@@ -539,8 +557,12 @@ impl<'a> TcioFile<'a> {
         let (pfs, fid, me) = (&self.pfs, self.fid, rank.rank());
         let runs = runs.iter().map(|&(o, l)| (file_base + o, l));
         let write = |rk: &mut Rank, off: u64, len: u64, _| {
-            let at = (off - file_base) as usize;
-            pfs.write_at(fid, me, off, &region[at..at + len as usize], rk.now())
+            let (at, now) = ((off - file_base) as usize, rk.now());
+            let write = |from: &[u8]| pfs.write_at(fid, me, off, &from[at..at + len as usize], now);
+            match src {
+                Src::Buf(buf) => write(buf),
+                Src::Local(win, disp) => win.with_local(|region| write(&region[disp..])),
+            }
         };
         let io = client::submit(rank, Direction::Write, Some(span), runs, write)?;
         Ok(io)
@@ -567,8 +589,8 @@ impl<'a> TcioFile<'a> {
         {
             let base = self.l1.base as u64;
             let runs: Vec<_> = runs.iter().map(|&(o, l)| (o - base, l)).collect();
-            let io =
-                self.write_out(rank, &self.l1.buf, &runs, window + base, "tcio_l1_fallback")?;
+            let src = Src::Buf(&self.l1.buf);
+            let io = self.write_out(rank, src, &runs, window + base, "tcio_l1_fallback")?;
             client::settle(rank, io);
             self.stats.l1_fallbacks += 1;
         } else {
@@ -741,17 +763,15 @@ impl<'a> TcioFile<'a> {
             rank.trace_mark("tcio_read_fallback", Phase::Io, t0, bytes);
             return Ok(());
         }
-        let meta = self.meta[owner][segment].lock();
-        if meta.loaded {
+        let seg = self.seg(owner, segment);
+        if self.meta.lock()[seg].loaded {
             rank.metrics.hit_l2();
-            drop(meta);
             let mut ep = rank.win_lock(&self.win, owner, LockKind::Shared)?;
             ep.get_gathered(parts)?;
             rank.win_unlock(ep)?;
             return Ok(());
         }
         rank.metrics.miss_l2();
-        let mut meta = meta;
         let mut ep = rank.win_lock(&self.win, owner, LockKind::Exclusive)?;
         let file_off = self.map.file_offset(owner, segment);
         let len = self
@@ -765,10 +785,10 @@ impl<'a> TcioFile<'a> {
             // The triggering rank still waits for the completion.
             let _tmp_mem = self.load(rank, owner, file_off, len, Some("tcio_load"), tmp)?;
             ep.put(seg_base as usize, tmp)?;
-            meta.valid.insert(0, len);
+            self.meta.lock()[seg].valid.insert(0, len);
             self.stats.loads += 1;
         }
-        meta.loaded = true;
+        self.meta.lock()[seg].loaded = true;
         ep.get_gathered(parts)?;
         rank.win_unlock(ep)?;
         Ok(())
@@ -857,17 +877,16 @@ impl<'a> TcioFile<'a> {
         };
         let mut inflight = DeferredQueue::default();
         for seg in 0..self.cfg.num_segments {
-            let meta = self.meta[me][seg].lock();
-            let runs = meta.valid.runs();
+            // Drained once: only this rank drains its own segments.
+            let valid = std::mem::take(&mut self.meta.lock()[self.seg(me, seg)].valid);
+            let runs = valid.runs();
             if runs.is_empty() {
                 continue;
             }
             inflight.make_room(rank);
             let file_base = self.map.file_offset(me, seg);
-            let seg_base = seg * self.cfg.segment_size as usize;
-            let io = self.win.with_local(|region| {
-                self.write_out(rank, &region[seg_base..], runs, file_base, span)
-            })?;
+            let src = Src::Local(&self.win, seg * self.cfg.segment_size as usize);
+            let io = self.write_out(rank, src, runs, file_base, span)?;
             if pipelined {
                 inflight.push(io, None);
             } else {
@@ -897,8 +916,10 @@ impl<'a> TcioFile<'a> {
         for &d in dur.covered[me].iter().filter(|&&d| dur.doomed[d]) {
             let image = dur.replica_base(d, self.cfg.l2_bytes());
             for seg in 0..self.cfg.num_segments {
-                let meta = self.meta[d][seg].lock();
-                let runs = meta.valid.runs();
+                // Recovered once: `d` has one buddy, and a doomed rank
+                // never drains.
+                let valid = std::mem::take(&mut self.meta.lock()[self.seg(d, seg)].valid);
+                let runs = valid.runs();
                 if runs.is_empty() {
                     continue;
                 }
@@ -916,10 +937,8 @@ impl<'a> TcioFile<'a> {
                     rank.win_unlock(ep)?;
                 }
                 let file_base = self.map.file_offset(d, seg);
-                let mut io = dur.rwin.with_local(|region| {
-                    let replica = &region[image + seg_base..];
-                    self.write_out(rank, replica, runs, file_base, "tcio_recover")
-                })?;
+                let src = Src::Local(&dur.rwin, image + seg_base);
+                let mut io = self.write_out(rank, src, runs, file_base, "tcio_recover")?;
                 // The span covers the quarantine as well as the writes.
                 io.submitted = t0;
                 client::settle(rank, io);

@@ -26,9 +26,9 @@ pub const FTT_MAGIC: u32 = 0x4654_5431; // "FTT1"
 #[derive(Debug, Clone, PartialEq)]
 pub struct FttConfig {
     /// Maximum refinement depth (root level = 0).
-    pub max_depth: usize,
+    pub max_depth: usize, // setting: ART's shape and validation tests vary it
     /// Probability that a cell refines into 8 children.
-    pub refine_prob: f64,
+    pub refine_prob: f64, // setting: ART's shape and validation tests vary it
     /// Physics variables stored per cell (the paper's example uses 2).
     pub num_vars: usize,
 }

@@ -368,7 +368,6 @@ fn run_degraded(backend: Backend) -> (Fingerprint, pfs::HealthSnapshot) {
         min_samples: 2,
         hedge_min_samples: 8,
         open_secs: 2e-3,
-        ..Default::default()
     })
     .unwrap();
     let sim = mpisim::SimConfig {

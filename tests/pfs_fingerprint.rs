@@ -96,8 +96,6 @@ impl Fs {
                         weights: vec![1.0, 2.0, 1.0],
                         token_buckets: vec![None, Some((2.0e7, 16384.0)), None],
                         batch_window: 2.0e-4,
-                        batch_threshold: 4096,
-                        batched_overhead: 5.0e-6,
                         fair_allowance: 1.0e-3,
                     },
                     vec![0, 0, 1, 1, 2, 2],
@@ -119,7 +117,6 @@ impl Fs {
                     min_samples: 4,
                     open_secs: 0.01,
                     hedge_min_samples: 8,
-                    ..Default::default()
                 })
                 .unwrap();
             }

@@ -862,7 +862,6 @@ fn run_defended_gray(plan: &Plan, seed: u64) -> DefendedRun {
         min_samples: 2,
         hedge_min_samples: 8,
         open_secs: 2e-3,
-        ..Default::default()
     })
     .unwrap();
     let sim = mpisim::SimConfig {

@@ -192,7 +192,6 @@ fn new_fs(plan: Plan) -> (Arc<pfs::Pfs>, Option<Arc<chaos::ChaosEngine>>) {
             min_samples: 2,
             hedge_min_samples: 8,
             open_secs: 2e-3,
-            ..Default::default()
         })
         .unwrap();
     }
