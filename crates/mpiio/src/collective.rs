@@ -31,7 +31,7 @@ use crate::error::{IoError, Result};
 use crate::extents::Cover;
 use crate::file::File;
 use crate::rounds::{read_rounds, write_rounds, Path, Requests};
-use mpisim::wire::{push_u32, Cursor, Malformed};
+use mpisim::wire::Malformed;
 use mpisim::Rank;
 
 /// Tuning knobs of the two-phase implementation (ROMIO hints).
@@ -72,58 +72,60 @@ pub struct CollectiveConfig {
 }
 
 /// The list both payload kinds start with: a count, then one
-/// `(file_off u64, len u32)` entry per item — a count pass, then a write
-/// pass. `with_data` reserves room for the items' bytes to follow. An empty
-/// list is the empty payload — the exchange's "nothing for you".
+/// `(file_off u64, len u32)` entry per item. One walk writes each entry as
+/// one 12-byte array and the count is patched into the header after it, so
+/// the header is always the walk's own count. `data` reserves room for the
+/// items' bytes to follow: the payload is allocated once, at its final
+/// size, from the list's size hint — a list whose hint is not exact (an
+/// irregular view, a `Cover`'s runs) is counted first. An empty list is the
+/// empty payload — the exchange's "nothing for you".
 pub(crate) fn encode_list(
     list: impl Iterator<Item = (u64, u64)> + Clone,
-    with_data: bool,
+    data: u64,
 ) -> Result<Vec<u8>> {
-    let (n, bytes) = list
-        .clone()
-        .fold((0usize, 0u64), |(n, bytes), (_, len)| (n + 1, bytes + len));
+    let n = match list.size_hint() {
+        (lo, Some(hi)) if lo == hi => lo,
+        _ => list.clone().count(),
+    };
     if n == 0 {
         return Ok(Vec::new());
     }
-    let data = if with_data { bytes as usize } else { 0 };
-    let mut out = Vec::with_capacity(4 + n * 12 + data);
-    push_u32(&mut out, n as u64)?;
+    let mut out = Vec::with_capacity(4 + n * 12 + data as usize);
+    out.extend_from_slice(&[0; 4]);
     for (off, len) in list {
-        out.extend_from_slice(&off.to_le_bytes());
-        push_u32(&mut out, len)?;
+        let len = u32::try_from(len).map_err(|_| Malformed::Overflow(len))?;
+        let mut entry = [0; 12];
+        entry[..8].copy_from_slice(&off.to_le_bytes());
+        entry[8..].copy_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(&entry);
     }
+    let walked = (out.len() - 4) / 12;
+    debug_assert_eq!(walked, n, "an exact size hint the walk did not keep");
+    let count = u32::try_from(walked).map_err(|_| Malformed::Overflow(walked as u64))?;
+    out[..4].copy_from_slice(&count.to_le_bytes());
     Ok(out)
 }
 
 /// Split a payload into its `(file_off, len)` entries (none, for the empty
 /// payload) and the bytes past them. The count is checked against the
-/// buffer before anything is read through it.
+/// buffer before anything is read through it; the entries are then
+/// 12-byte arrays (`chunks_exact(12)` with the width in the type), each
+/// read as two fixed-width little-endian loads.
 #[allow(clippy::type_complexity)]
 fn decode_list(buf: &[u8]) -> Result<(impl Iterator<Item = (u64, u64)> + Clone + '_, &[u8])> {
-    let mut cur = Cursor::new(buf);
-    let n = if buf.is_empty() { 0 } else { cur.u32()? };
-    let entries = cur.take(n.checked_mul(12).ok_or(Malformed::Truncated)?)?;
-    let entry = |e: &[u8]| {
-        let mut e = Cursor::new(e);
-        let whole = "a 12-byte entry holds both fields";
-        (e.u64().expect(whole), e.u32().expect(whole) as u64)
+    let (n, rest) = match buf.split_first_chunk() {
+        Some((n, rest)) => (u32::from_le_bytes(*n) as usize, rest),
+        None if buf.is_empty() => (0, buf),
+        None => return Err(Malformed::Truncated.into()),
     };
-    Ok((entries.chunks_exact(12).map(entry), cur.rest()))
-}
-
-/// Serialize a piece list `(file_off, payload)*`. Senders write theirs
-/// with [`encode_list`] and one slice of data; this is the tests' encoder.
-#[cfg(test)]
-pub(crate) fn encode_pieces<'d>(
-    pieces: impl IntoIterator<Item = (u64, &'d [u8]), IntoIter: Clone>,
-) -> Result<Vec<u8>> {
-    let pieces = pieces.into_iter();
-    let lens = pieces.clone().map(|(off, d)| (off, d.len() as u64));
-    let mut out = encode_list(lens, true)?;
-    for (_, d) in pieces {
-        out.extend_from_slice(d);
-    }
-    Ok(out)
+    let (entries, rest) = (n.checked_mul(12))
+        .and_then(|len| rest.split_at_checked(len))
+        .ok_or(Malformed::Truncated)?;
+    let entry = |&[o0, o1, o2, o3, o4, o5, o6, o7, l0, l1, l2, l3]: &[u8; 12]| {
+        let off = u64::from_le_bytes([o0, o1, o2, o3, o4, o5, o6, o7]);
+        (off, u32::from_le_bytes([l0, l1, l2, l3]) as u64)
+    };
+    Ok((entries.as_chunks().0.iter().map(entry), rest))
 }
 
 /// Decode a piece list into `(off, payload)` views into `buf`. The lengths
@@ -147,7 +149,7 @@ pub(crate) fn decode_pieces(buf: &[u8]) -> Result<impl Iterator<Item = (u64, &[u
 pub(crate) fn encode_requests(
     reqs: impl IntoIterator<Item = (u64, u64), IntoIter: Clone>,
 ) -> Result<Vec<u8>> {
-    encode_list(reqs.into_iter(), false)
+    encode_list(reqs.into_iter(), 0)
 }
 
 pub(crate) fn decode_requests(buf: &[u8]) -> Result<impl Iterator<Item = (u64, u64)> + Clone + '_> {
@@ -189,7 +191,7 @@ pub(crate) fn write_pieces(
         let Some((lo, hi)) = view.stream_interval(offset, len, ws, we) else {
             return Ok(Vec::new());
         };
-        let mut out = encode_list(view.extents(lo, hi - lo), true)?;
+        let mut out = encode_list(view.extents(lo, hi - lo), hi - lo)?;
         out.extend_from_slice(&data[(lo - offset) as usize..(hi - offset) as usize]);
         Ok(out)
     };
@@ -268,14 +270,28 @@ pub fn read_all_at(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::file::{File, Mode};
     use crate::rounds::Plan;
-    use mpisim::wire::push_frame;
+    use mpisim::wire::{push_frame, push_u32, Cursor};
     use mpisim::{Datatype, Named, SimConfig};
     use pfs::{Pfs, PfsConfig};
     use std::sync::Arc;
+
+    /// Serialize a piece list `(file_off, payload)*`. Senders write theirs
+    /// with [`encode_list`] and one slice of data; this is the tests' encoder.
+    pub(crate) fn encode_pieces<'d>(
+        pieces: impl IntoIterator<Item = (u64, &'d [u8]), IntoIter: Clone>,
+    ) -> Result<Vec<u8>> {
+        let pieces = pieces.into_iter();
+        let lens = pieces.clone().map(|(off, d)| (off, d.len() as u64));
+        let mut out = encode_list(lens.clone(), lens.map(|(_, l)| l).sum())?;
+        for (_, d) in pieces {
+            out.extend_from_slice(d);
+        }
+        Ok(out)
+    }
 
     #[test]
     fn codec_roundtrip() {
@@ -336,6 +352,160 @@ mod tests {
         assert!(encode_requests([(u64::MAX, u32::MAX as u64)]).is_ok());
     }
 
+    /// The encoder [`encode_list`] replaced, kept as its oracle: a count
+    /// pass, then a write pass, and `with_data` reserving the sum of the
+    /// lengths.
+    fn encode_list_two_pass(
+        list: impl Iterator<Item = (u64, u64)> + Clone,
+        with_data: bool,
+    ) -> Result<Vec<u8>> {
+        let (n, bytes) = list
+            .clone()
+            .fold((0usize, 0u64), |(n, bytes), (_, len)| (n + 1, bytes + len));
+        if n == 0 {
+            return Ok(Vec::new());
+        }
+        let data = if with_data { bytes as usize } else { 0 };
+        let mut out = Vec::with_capacity(4 + n * 12 + data);
+        push_u32(&mut out, n as u64)?;
+        for (off, len) in list {
+            out.extend_from_slice(&off.to_le_bytes());
+            push_u32(&mut out, len)?;
+        }
+        Ok(out)
+    }
+
+    /// The decoder [`decode_list`] replaced, kept as its oracle: each entry
+    /// read through a `Cursor`.
+    #[allow(clippy::type_complexity)]
+    fn decode_list_by_cursor(
+        buf: &[u8],
+    ) -> Result<(impl Iterator<Item = (u64, u64)> + Clone + '_, &[u8])> {
+        let mut cur = Cursor::new(buf);
+        let n = if buf.is_empty() { 0 } else { cur.u32()? };
+        let entries = cur.take(n.checked_mul(12).ok_or(Malformed::Truncated)?)?;
+        let entry = |e: &[u8]| {
+            let mut e = Cursor::new(e);
+            let whole = "a 12-byte entry holds both fields";
+            (e.u64().expect(whole), e.u32().expect(whole) as u64)
+        };
+        Ok((entries.chunks_exact(12).map(entry), cur.rest()))
+    }
+
+    /// Encode `list` with and without data, as a piece list's sender and a
+    /// request list's do, by [`encode_list`] and by its two-pass oracle:
+    /// the same bytes or the same error, no more capacity than the oracle
+    /// gave, and both decoders reading back the list. Returns whether the
+    /// list's size hint was exact (the one-walk case).
+    fn assert_encodes_as_the_oracle(
+        list: impl Iterator<Item = (u64, u64)> + Clone,
+        what: &str,
+    ) -> bool {
+        let data: u64 = list.clone().map(|(_, l)| l).sum();
+        for with_data in [false, true] {
+            let new = encode_list(list.clone(), if with_data { data } else { 0 });
+            let old = encode_list_two_pass(list.clone(), with_data);
+            assert_eq!(new, old, "{what}, with_data={with_data}");
+            let (Ok(new), Ok(old)) = (new, old) else {
+                continue;
+            };
+            assert!(new.capacity() <= old.capacity(), "{what}: over-reserved");
+            let (entries, rest) = decode_list(&new).unwrap();
+            assert!(
+                entries.eq(list.clone()) && rest.is_empty(),
+                "{what}: read back"
+            );
+            let (entries, rest) = decode_list_by_cursor(&new).unwrap();
+            assert!(
+                entries.eq(list.clone()) && rest.is_empty(),
+                "{what}: oracle read back"
+            );
+        }
+        matches!(list.size_hint(), (lo, Some(hi)) if lo == hi)
+    }
+
+    /// A monotone struct filetype: random children at ascending byte
+    /// displacements, each past the blocks before it (a child's blocks
+    /// start at its lower bound).
+    fn random_struct(rng: &mut rand::rngs::StdRng) -> Datatype {
+        use rand::RngExt;
+        let n = 1 + rng.next_u64() as usize % 3;
+        let (mut lens, mut displs, mut children) = (Vec::new(), Vec::new(), Vec::new());
+        let mut at = rng.next_u64() as usize % 5;
+        for _ in 0..n {
+            let child = crate::view::tests::random_filetype(rng, 1);
+            let len = 1 + rng.next_u64() as usize % 3;
+            displs.push(at as isize);
+            at += child.lb() as usize + len * child.extent() + rng.next_u64() as usize % 7;
+            lens.push(len);
+            children.push(child);
+        }
+        Datatype::structured(lens, displs, children).unwrap()
+    }
+
+    /// The one-walk encoder against the two-pass one over 600 seeded views
+    /// — vector, indexed, subarray, resized and struct filetypes under a
+    /// displacement, and the identity view — each walked over ranges that
+    /// cross tiles, empty ranges and the window shares a collective sends;
+    /// then a length past the 32-bit field. Both the exact-hint walk and
+    /// the counted one must be exercised.
+    #[test]
+    fn the_one_walk_encoder_writes_the_two_pass_bytes_on_random_views() {
+        use rand::{RngExt, SeedableRng};
+        let etype = Datatype::named(Named::Byte).commit();
+        let (mut exact, mut counted) = (0, 0);
+        for seed in 0..600u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xc0de ^ seed);
+            let ftype = match rng.next_u64() % 6 {
+                0 => None,
+                1 => Some(random_struct(&mut rng)),
+                _ => Some(crate::view::tests::random_filetype(&mut rng, 2)),
+            };
+            let mut pick = |lo: u64, hi: u64| lo + rng.next_u64() % (hi - lo);
+            let view = match &ftype {
+                None => crate::FileView::contiguous(),
+                Some(t) => {
+                    let disp = pick(0, 3) * pick(0, 100);
+                    crate::FileView::new(disp, &etype, &t.commit()).unwrap()
+                }
+            };
+            let tile = view.tile_size().max(64);
+            let (fs, fe) = view.hull(0, 4 * tile).unwrap();
+            for _ in 0..16 {
+                let pos = pick(0, 3 * tile);
+                let len = pick(0, 3 * tile) * pick(0, 4).min(1);
+                let what = format!("seed {seed}: [{pos}, +{len}) of {ftype:?}");
+                if assert_encodes_as_the_oracle(view.extents(pos, len), &what) {
+                    exact += 1;
+                } else {
+                    counted += 1;
+                }
+                // A window's share of the range, as a collective cuts it.
+                let ws = pick(fs.saturating_sub(8), fe);
+                let we = ws + pick(1, fe - fs + 2);
+                if let Some((lo, hi)) = view.stream_interval(pos, len, ws, we) {
+                    let what = format!("{what} in [{ws}, {we})");
+                    assert_encodes_as_the_oracle(view.extents(lo, hi - lo), &what);
+                }
+            }
+        }
+        assert!(exact > 1000, "only {exact} ranges walked once");
+        assert!(counted > 1000, "only {counted} ranges counted first");
+        // A length past the 32-bit field fails both encoders alike, with or
+        // without the 4 GiB of data room (reserved, never touched): one
+        // identity extent, and a block of a strided view.
+        let identity = crate::FileView::contiguous();
+        let past = u32::MAX as u64 + 1;
+        assert_encodes_as_the_oracle(identity.extents(7, past), "identity");
+        let block = Datatype::contiguous(past as usize + 2, Datatype::named(Named::Byte));
+        let ftype = Datatype::vector(3, 1, 2, block).commit();
+        let strided = crate::FileView::new(5, &etype, &ftype).unwrap();
+        assert!(assert_encodes_as_the_oracle(
+            strided.extents(1, past),
+            "a long block"
+        ));
+    }
+
     /// Corrupt a valid encoding: truncate, extend, plant an all-ones
     /// length field, or flip a bit — one to three times.
     fn mutate(seed: &[u8], rng: &mut rand::rngs::StdRng) -> Vec<u8> {
@@ -358,7 +528,8 @@ mod tests {
     /// crate — piece lists, request lists, request-aggregation frames and
     /// serialized views: a corrupted payload decodes to a typed error or a
     /// value, never a panic, and a decoded list never has more entries
-    /// than the input has bytes to describe them.
+    /// than the input has bytes to describe them. The list decoder yields
+    /// what its `Cursor` oracle yields, and fails exactly where it fails.
     #[test]
     fn every_decoder_is_total_on_mutated_payloads() {
         use rand::SeedableRng;
@@ -383,6 +554,12 @@ mod tests {
                 }
                 if let Ok(list) = decode_requests(&m) {
                     assert!(4 + 12 * list.count() <= m.len().max(4));
+                }
+                match (decode_list(&m), decode_list_by_cursor(&m)) {
+                    (Ok((new, new_rest)), Ok((old, old_rest))) => {
+                        assert!(new.eq(old) && new_rest == old_rest);
+                    }
+                    (new, old) => assert_eq!(new.err(), old.err()),
                 }
                 let mut cur = Cursor::new(&m);
                 while !cur.is_empty() && cur.frame().is_ok() {}
@@ -726,11 +903,13 @@ mod tests {
         check_interleaved(&bytes, 4, 8);
     }
 
-    /// A multi-round collective costs a rank its request once, not once per
-    /// round: Program 2's one-run view through 8 rounds × 16 aggregators,
-    /// windows cutting blocks, walks at most `2·blocks + 2·windows` extents
-    /// per rank and phase — `encode_list`'s count pass and write pass, plus
-    /// a cut block per window edge (and the two ends `hull` looks up).
+    /// A multi-round collective costs a rank one walk of its request, not
+    /// one per round: Program 2's one-run view through 8 rounds × 16
+    /// aggregators, windows cutting blocks, walks between `blocks` and
+    /// `blocks + windows + 2` extents per rank and phase — `encode_list`'s
+    /// one walk per window (each window's share ends inside the run, so
+    /// its size hint is exact and nothing is counted first), plus a cut
+    /// block per window edge and the two ends `hull` looks up.
     #[test]
     fn a_round_walks_its_windows_pieces_not_the_whole_request() {
         use std::sync::atomic::Ordering::Relaxed;
@@ -758,15 +937,12 @@ mod tests {
             read_all_at(rk, &mut f, 0, &mut back, &cfg)?;
             assert_eq!(back, data);
             for (phase, took) in [("write", written - before), ("read", steps(&f) - written)] {
-                let bound = 2 * BLOCKS as u64 + 2 * windows + 2;
+                let bound = BLOCKS as u64 + windows + 2;
                 assert!(
                     took <= bound,
                     "{phase}: {took} extents walked, over {bound}"
                 );
-                assert!(
-                    took >= 2 * BLOCKS as u64,
-                    "{phase}: only {took} extents walked"
-                );
+                assert!(took >= BLOCKS as u64, "{phase}: only {took} extents walked");
             }
             Ok(())
         })

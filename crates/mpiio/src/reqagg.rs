@@ -167,7 +167,7 @@ fn uphill(
     // On-node lists go directly over the shared-memory links.
     for &a in &plan.on_node_aggs {
         let p = std::mem::take(&mut payloads[a]);
-        sends.push(rank.isend(a, TAG_RA_LOCAL, &p)?);
+        sends.push(rank.isend(a, TAG_RA_LOCAL, p)?);
     }
     if me != plan.my_leader {
         let mut up = Vec::new();
@@ -177,7 +177,7 @@ fn uphill(
                 push_frame(&mut up, a, &p)?;
             }
         }
-        sends.push(rank.isend(plan.my_leader, TAG_RA_UP, &up)?);
+        sends.push(rank.isend(plan.my_leader, TAG_RA_UP, up)?);
     } else {
         let mut contrib: BTreeMap<usize, BTreeMap<usize, Vec<u8>>> = BTreeMap::new();
         for &a in &plan.off_node_aggs {
@@ -204,7 +204,7 @@ fn uphill(
                 }
                 None => Vec::new(),
             };
-            sends.push(rank.isend(a, TAG_RA_XNODE, &merged)?);
+            sends.push(rank.isend(a, TAG_RA_XNODE, merged)?);
         }
     }
     if plan.i_am_agg() {
@@ -255,9 +255,10 @@ fn merge_pieces<'b>(
     for (off, bytes) in lists.iter().cloned().flatten() {
         cover.insert(off, bytes.len() as u64)?;
     }
-    let mut merged = encode_list(cover.runs(), true)?;
+    let covered = cover.rank(we);
+    let mut merged = encode_list(cover.runs(), covered)?;
     let head = merged.len();
-    merged.resize(head + cover.rank(we) as usize, 0);
+    merged.resize(head + covered as usize, 0);
     let mut moved = 0;
     for (off, bytes) in lists.into_iter().flatten() {
         let at = head + cover.rank(off) as usize;
@@ -372,11 +373,11 @@ pub(crate) fn exchange_responses(
         // allowed, so receives match on (src, tag).
         for p in plan.peers() {
             let r = std::mem::take(&mut responses[p]);
-            sends.push(rank.isend(p, TAG_RA_RESP_LOCAL, &r)?);
+            sends.push(rank.isend(p, TAG_RA_RESP_LOCAL, r)?);
         }
         for l in plan.remote_leaders() {
             let r = std::mem::take(&mut responses[l]);
-            sends.push(rank.isend(l, TAG_RA_RESP_X, &r)?);
+            sends.push(rank.isend(l, TAG_RA_RESP_X, r)?);
         }
     }
     for &a in &plan.on_node_aggs {
@@ -406,7 +407,7 @@ pub(crate) fn exchange_responses(
         rank.charge_memcpy(moved);
         for m in plan.peers() {
             let blob = down.remove(&m).unwrap_or_default();
-            sends.push(rank.isend(m, TAG_RA_DOWN, &blob)?);
+            sends.push(rank.isend(m, TAG_RA_DOWN, blob)?);
         }
     } else {
         let down = recv_or_empty(rank, plan.my_leader, TAG_RA_DOWN)?;
@@ -427,7 +428,7 @@ pub(crate) fn exchange_responses(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collective::encode_pieces;
+    use crate::collective::tests::encode_pieces;
     use crate::extents::ExtentSet;
 
     /// Disjoint byte runs keyed by file offset, with later inserts overwriting

@@ -286,13 +286,16 @@ type Asked = (
 struct WindowRead {
     ws: u64,
     wbuf: Vec<u8>,
+    /// The bytes each source asked for: its reply's length.
+    totals: Vec<u64>,
     io: DeferredIo,
     _cb: MemGuard,
 }
 
-/// Read the union of what the sources asked of window `[ws, we)`. Every
-/// extent asked is checked against the window here, before the read and the
-/// reply gather index the window buffer with it.
+/// Read the union of what the sources asked of window `[ws, we)`, summing
+/// each source's total on the way. Every extent asked is checked against
+/// the window here, before the read and the reply gather index the window
+/// buffer with it.
 fn read_window(
     rank: &mut Rank,
     plan: &Plan<'_>,
@@ -302,10 +305,12 @@ fn read_window(
     codec: &impl Requests,
 ) -> Result<Option<WindowRead>> {
     let mut wanted = Cover::new(ws, we);
+    let mut totals = vec![0; incoming.len()];
     for (src, payload) in incoming.iter().enumerate() {
         if !payload.is_empty() {
             for (o, l) in codec.wanted(src, payload)? {
                 wanted.insert(o, l)?;
+                totals[src] += l;
             }
         }
     }
@@ -326,6 +331,7 @@ fn read_window(
     Ok(Some(WindowRead {
         ws,
         wbuf,
+        totals,
         io,
         _cb: cb,
     }))
@@ -392,7 +398,8 @@ pub(crate) fn read_rounds(
             prefetched = Some(ask(rank, r + 1)?);
         }
         // Settle the read, then slice each source's extents out of the
-        // window buffer in the order it asked for them.
+        // window buffer in the order it asked for them, into a reply of the
+        // length `read_window` summed.
         let mut responses: Vec<Vec<u8>> = vec![Vec::new(); path.comm.size()];
         if let Some(w) = window {
             if plan.pipe_span.is_some() {
@@ -404,10 +411,9 @@ pub(crate) fn read_rounds(
                 if payload.is_empty() {
                     continue;
                 }
-                let reqs = codec.wanted(src, payload)?;
-                let total: u64 = reqs.clone().map(|(_, l)| l).sum();
+                let total = w.totals[src];
                 let mut resp = Vec::with_capacity(total as usize);
-                for (off, len) in reqs {
+                for (off, len) in codec.wanted(src, payload)? {
                     let at = (off - w.ws) as usize;
                     resp.extend_from_slice(&w.wbuf[at..at + len as usize]);
                 }
@@ -432,7 +438,8 @@ pub(crate) fn read_rounds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collective::{encode_pieces, encode_requests, place_pieces, OffsetLists};
+    use crate::collective::tests::encode_pieces;
+    use crate::collective::{encode_requests, place_pieces, OffsetLists};
     use crate::file::Mode;
     use mpisim::{SimConfig, SimError};
     use pfs::{Pfs, PfsConfig};
@@ -485,5 +492,71 @@ mod tests {
             };
             assert!(msg.contains("outside window"), "write={write}: {msg}");
         }
+    }
+
+    /// A larger collective buffer never means more rounds, and an unset
+    /// one, or one at least the domain size, means exactly one: a seeded
+    /// grid of hulls (some ranks with none), aggregator counts, alignments
+    /// and ascending `cb_buffer` values — around the domain size too —
+    /// agreed by four ranks.
+    #[test]
+    fn a_larger_cb_buffer_never_means_more_rounds() {
+        use rand::{RngExt, SeedableRng};
+        const NPROCS: usize = 4;
+        mpisim::run(NPROCS, SimConfig::default(), |rk| {
+            let world = rk.world();
+            let path = Path {
+                comm: &world,
+                merges: true,
+                flat_span: None,
+                pipe_span: None,
+            };
+            let mut multi = 0;
+            for seed in 0..64u64 {
+                // Every rank draws the same grid, and takes its own hull.
+                let mut rng = rand::rngs::StdRng::seed_from_u64(0x40c ^ seed);
+                let mut pick = |lo: u64, hi: u64| lo + rng.next_u64() % (hi - lo);
+                let hulls: Vec<_> = (0..NPROCS)
+                    .map(|_| (pick(0, 1 << 20), pick(0, 1 << 16), pick(0, 4)))
+                    .map(|(start, len, empty)| (empty > 0).then_some((start, start + len + 1)))
+                    .collect();
+                let hull = hulls[rk.rank()];
+                let cb_nodes = Some(pick(1, NPROCS as u64 + 1) as usize);
+                let align = (pick(0, 2) == 1).then(|| pick(1, 4096));
+                let agree = |rk: &mut Rank, cb_buffer| {
+                    let cfg = CollectiveConfig {
+                        cb_nodes,
+                        cb_buffer,
+                        align,
+                        ..Default::default()
+                    };
+                    Plan::agree(rk, &cfg, &path, hull).map(|p| p.map(|p| (p.rounds, p.dsize)))
+                };
+                let Some((rounds, dsize)) = agree(rk, None)? else {
+                    continue;
+                };
+                assert_eq!(rounds, 1, "seed {seed}: an unset buffer");
+                let mut buffers: Vec<u64> = (0..8).map(|_| pick(1, 2 * dsize + 2)).collect();
+                buffers.extend(
+                    [1, dsize - 1, dsize, dsize + 1]
+                        .into_iter()
+                        .filter(|&b| b > 0),
+                );
+                buffers.sort_unstable();
+                let mut fewest = u64::MAX;
+                for cb in buffers {
+                    let (rounds, _) = agree(rk, Some(cb))?.unwrap();
+                    assert!(rounds <= fewest, "seed {seed}: {rounds} rounds at {cb}");
+                    if cb >= dsize {
+                        assert_eq!(rounds, 1, "seed {seed}: {cb} bytes of a {dsize} domain");
+                    }
+                    fewest = rounds;
+                    multi += (rounds > 1) as usize;
+                }
+            }
+            assert!(multi > 100, "only {multi} multi-round plans");
+            Ok(())
+        })
+        .unwrap();
     }
 }

@@ -395,9 +395,11 @@ impl Iterator for ViewExtents<'_> {
         Some((off, len))
     }
 
-    /// At least the blocks of the current run the range still reaches (they
-    /// never touch each other), so collecting a range that stays inside one
-    /// run — a strided request — allocates once.
+    /// The blocks of the current run the range still reaches (they never
+    /// touch each other). When the range ends inside this run — every
+    /// strided request — that is exactly the extents left, so encoding or
+    /// collecting the range walks it once and allocates once; otherwise it
+    /// is a lower bound.
     fn size_hint(&self) -> (usize, Option<usize>) {
         if self.remaining == 0 || self.view.identity {
             let all = (self.remaining > 0) as usize;
@@ -405,7 +407,11 @@ impl Iterator for ViewExtents<'_> {
         }
         let reached = (self.skip + self.remaining).div_ceil(self.cur.len as u64);
         let ahead = self.cur.count as u64 - self.block;
-        (reached.min(ahead) as usize, None)
+        if reached <= ahead {
+            (reached as usize, Some(reached as usize))
+        } else {
+            (ahead as usize, None)
+        }
     }
 }
 

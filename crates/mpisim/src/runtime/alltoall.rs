@@ -86,11 +86,7 @@ impl Rank {
                 // Per-round software jitter (scheduling, progress engine).
                 let noise = rk.noise_sample();
                 rk.advance_as(noise, Phase::Exchange);
-                sends.push(rk.isend_internal(
-                    dst,
-                    TAG_ALLTOALLV,
-                    std::mem::take(&mut data[dst]),
-                )?);
+                sends.push(rk.isend(dst, TAG_ALLTOALLV, std::mem::take(&mut data[dst]))?);
                 out[src] = rk.recv(Some(src), Some(TAG_ALLTOALLV))?.data;
             }
             Ok(sends)
@@ -115,7 +111,7 @@ impl Rank {
             let mut sends = Vec::with_capacity(g.saturating_sub(1));
             for k in 1..g {
                 let dst = (mi + k) % g;
-                sends.push(rk.isend_internal(
+                sends.push(rk.isend(
                     comm.world_rank(dst),
                     flavor.burst_tag,
                     std::mem::take(&mut data[dst]),
@@ -239,7 +235,7 @@ impl Rank {
         // On-node payloads go directly: the links are shared memory, so
         // funnelling them through the leader would only add copies.
         for &j in &peers {
-            sends.push(self.isend_internal(
+            sends.push(self.isend(
                 comm.world_rank(j),
                 TAG_HIER_LOCAL,
                 std::mem::take(&mut data[j]),
@@ -255,7 +251,7 @@ impl Rank {
                     push_frame(&mut up, j, payload)?;
                 }
             }
-            sends.push(self.isend_internal(comm.world_rank(my_leader), TAG_HIER_UP, up)?);
+            sends.push(self.isend(comm.world_rank(my_leader), TAG_HIER_UP, up)?);
             // The leader's scatter carries everything off-node sent to me:
             // (src, len, bytes)*.
             let down = self.recv(Some(comm.world_rank(my_leader)), Some(TAG_HIER_DOWN))?;
@@ -292,11 +288,7 @@ impl Rank {
             for k in 1..n {
                 let node = (my_node + k) % n;
                 let blob = std::mem::take(&mut cross[node]);
-                sends.push(self.isend_internal(
-                    comm.world_rank(leaders[node]),
-                    TAG_HIER_XNODE,
-                    blob,
-                )?);
+                sends.push(self.isend(comm.world_rank(leaders[node]), TAG_HIER_XNODE, blob)?);
             }
             let mut down: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
             for k in 1..n {
@@ -314,7 +306,7 @@ impl Rank {
                 }
             }
             for &p in &peers {
-                sends.push(self.isend_internal(
+                sends.push(self.isend(
                     comm.world_rank(p),
                     TAG_HIER_DOWN,
                     down.remove(&p).unwrap_or_default(),

@@ -53,19 +53,10 @@ impl Rank {
         Ok(())
     }
 
-    /// Nonblocking send; complete with [`Rank::wait`].
-    pub fn isend(&mut self, dst: usize, tag: Tag, data: &[u8]) -> Result<Request> {
-        self.isend_internal(dst, tag, data.to_vec())
-    }
-
-    /// [`Rank::isend`] of an owned buffer (the collectives' own sends move
-    /// their payloads instead of copying them).
-    pub(super) fn isend_internal(
-        &mut self,
-        dst: usize,
-        tag: Tag,
-        data: Vec<u8>,
-    ) -> Result<Request> {
+    /// Nonblocking send; complete with [`Rank::wait`]. An owned buffer is
+    /// moved into the message, a borrowed one copied.
+    pub fn isend(&mut self, dst: usize, tag: Tag, data: impl Into<Vec<u8>>) -> Result<Request> {
+        let data = data.into();
         self.check_abort()?;
         self.check_rank(dst)?;
         self.chaos_checkpoint()?;
@@ -226,8 +217,8 @@ mod tests {
     fn isend_waitall() {
         let rep = run(2, cfg(), |rk| {
             if rk.rank() == 0 {
-                let r1 = rk.isend(1, 1, &[1])?;
-                let r2 = rk.isend(1, 2, &[2, 2])?;
+                let r1 = rk.isend(1, 1, [1])?;
+                let r2 = rk.isend(1, 2, [2, 2])?;
                 rk.waitall(vec![r1, r2]);
                 Ok(0u64)
             } else {
