@@ -235,7 +235,6 @@ pub(crate) fn write_rounds(
             continue;
         };
         let cb = rank.alloc(we - ws)?;
-        rank.note_mem_peak();
         let mut buf = vec![0u8; (we - ws) as usize];
         let mut dirty = Cover::new(ws, we);
         for (src, payload) in exchanged.iter().enumerate() {
@@ -318,7 +317,6 @@ fn read_window(
         return Ok(None);
     }
     let cb = rank.alloc(we - ws)?;
-    rank.note_mem_peak();
     let mut wbuf = vec![0u8; (we - ws) as usize];
     let (pfs, fid) = (file.pfs(), file.file_id());
     pfs.hedge_scope_begin(rank.rank());

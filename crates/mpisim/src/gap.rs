@@ -1,18 +1,16 @@
-//! The one sorted store of the cost model's ledgers: a gap buffer over a
-//! ring, searched by galloping out from the gap.
+//! The sorted store behind a [`Timeline`](crate::timeline::Timeline): a
+//! gap buffer over a ring, searched by galloping out from the gap.
 //!
-//! Two ledgers keep sorted values that are edited where they were last
-//! edited: a [`Timeline`](crate::timeline::Timeline)'s busy intervals (a
-//! resource's next booking usually lands at or next to its previous one)
-//! and the fabric's in-flight window (a rank booking its phase evicts a
-//! transfer beside the one it records, or evicts the earliest and records
-//! the latest). So the store keeps a gap at the last edit: the `gap`
-//! elements below it sit at the back of a deque and the rest at its front.
-//! Inserting or removing at the gap is a push or a pop, and moving the gap
-//! is a rotation of the elements it passes, taken the short way round the
-//! ring (so from one end of the order to the other is free). A search
-//! gallops out from the gap. An edit `d` elements from the last one costs
-//! O(log d) probes and a `d`-element move, whatever the store's length.
+//! A timeline's busy intervals are sorted values that are edited where
+//! they were last edited: a resource's next booking usually lands at or
+//! next to its previous one. So the store keeps a gap at the last edit:
+//! the `gap` elements below it sit at the back of a deque and the rest at
+//! its front. Inserting or removing at the gap is a push or a pop, and
+//! moving the gap is a rotation of the elements it passes, taken the short
+//! way round the ring (so from one end of the order to the other is free).
+//! A search gallops out from the gap. An edit `d` elements from the last
+//! one costs O(log d) probes and a `d`-element move, whatever the store's
+//! length.
 
 use std::collections::VecDeque;
 

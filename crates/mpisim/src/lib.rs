@@ -23,9 +23,10 @@
 //!   `bytes / makespan`.
 //! * **The network model is where the paper's effects live**: per-message
 //!   latency/bandwidth, per-rank NIC serialization (incast), LRU connection
-//!   caching with setup costs, and a burst-congestion term. These produce
-//!   the OCIO-vs-TCIO crossover of Fig. 5 for the documented reasons
-//!   (connection growth and synchronized traffic bursts).
+//!   caching with setup costs, and the receiver's unexpected-queue matching
+//!   cost. These produce the OCIO-vs-TCIO crossover of Fig. 5 for the
+//!   documented reasons (connection growth and synchronized traffic
+//!   bursts).
 //!
 //! The public surface mirrors the MPI feature subset the paper needs:
 //! derived datatypes ([`datatype`]), point-to-point with wildcards and

@@ -10,13 +10,13 @@
 //!   it directly through the public field on `Rank`.
 //! * [`Registry`] — a post-run collection of canonically named counters
 //!   and histograms, filled from the existing stats structs
-//!   (`RankStats`, `FabricStatsSnapshot`, and the pfs/tcio snapshots via
-//!   their own `export_metrics` impls). Exported as JSON; iteration order
-//!   is `BTreeMap` order, so the export is deterministic.
+//!   (`RankStats`, `FabricStatsSnapshot`, and the pfs snapshot via its
+//!   own `export_metrics` impl). Exported as JSON; iteration order is
+//!   `BTreeMap` order, so the export is deterministic.
 //!
 //! Canonical naming: `<layer>_<field>[_total]` in `snake_case` —
 //! `mpisim_rank_crashes_total`, `pfs_transient_errors_total`,
-//! `tcio_l1_fallbacks_total`. Names are the only keys: there is no alias
+//! `tcio_l1_hits_total`. Names are the only keys: there is no alias
 //! table, so a lookup is one `BTreeMap` probe.
 
 use crate::stats::RankStats;
@@ -164,10 +164,6 @@ pub struct RankMetrics {
     /// requests it then moved up to the pruned horizon (`timeline_*`).
     pub(crate) timeline_prunes: u64,
     pub(crate) timeline_clamped: u64,
-    /// Transfers the fabric's in-flight window evicted while they were
-    /// still in flight (`fabric_inflight_evicted_live_total`): the
-    /// congestion term no longer counts them.
-    pub(crate) inflight_evicted_live: u64,
 }
 
 impl RankMetrics {
@@ -226,13 +222,6 @@ impl RankMetrics {
         }
     }
 
-    /// Add the live transfers the fabric's in-flight window evicted.
-    pub(crate) fn add_inflight_evicted_live(&mut self, n: u64) {
-        if self.enabled {
-            self.inflight_evicted_live += n;
-        }
-    }
-
     /// Nothing was observed (true in particular whenever disabled).
     pub fn is_empty(&self) -> bool {
         self.msg_bytes.is_empty()
@@ -243,7 +232,6 @@ impl RankMetrics {
             && self.l2_misses == 0
             && self.timeline_prunes == 0
             && self.timeline_clamped == 0
-            && self.inflight_evicted_live == 0
     }
 
     pub fn merge(&mut self, other: &RankMetrics) {
@@ -256,7 +244,6 @@ impl RankMetrics {
         self.l2_misses += other.l2_misses;
         self.timeline_prunes += other.timeline_prunes;
         self.timeline_clamped += other.timeline_clamped;
-        self.inflight_evicted_live += other.inflight_evicted_live;
     }
 
     /// Export under canonical names.
@@ -276,10 +263,6 @@ impl RankMetrics {
         for (name, n) in [
             ("timeline_prunes_total", self.timeline_prunes),
             ("timeline_clamped_total", self.timeline_clamped),
-            (
-                "fabric_inflight_evicted_live_total",
-                self.inflight_evicted_live,
-            ),
         ] {
             if n > 0 {
                 reg.add_counter(name, n);
@@ -371,7 +354,6 @@ impl Registry {
         self.add_counter("fabric_messages_total", snap.messages);
         self.add_counter("fabric_bytes_total", snap.bytes);
         self.add_counter("fabric_conn_misses_total", snap.conn_misses);
-        self.add_counter("fabric_congested_transfers_total", snap.congested_transfers);
         self.add_counter("fabric_intra_messages_total", snap.intra_messages);
         self.add_counter("fabric_intra_bytes_total", snap.intra_bytes);
         self.add_counter("fabric_inter_messages_total", snap.inter_messages);

@@ -10,19 +10,20 @@
 //!    other in virtual time. This makes the all-to-all exchange of the
 //!    original collective I/O (OCIO) serialize `P` incoming messages at
 //!    every rank, whereas TCIO's one-at-a-time one-sided transfers do not.
-//! 3. **Connection setup and burst congestion** — each rank keeps an LRU
-//!    cache of established connections; misses pay a setup cost. On top of
-//!    that, the effective per-byte time inflates when many transfers are in
-//!    flight in the same virtual-time neighbourhood, modelling fabric/switch
-//!    contention during synchronized communication bursts.
+//! 3. **Connection setup** — each rank keeps an LRU cache of established
+//!    connections; misses pay a setup cost.
+//!
+//! The cost of a synchronized burst is not a fabric term: the receiver
+//! pays it in matching (`NetConfig::match_overhead`). A transfer's cost
+//! depends only on its own size, its connection and its NIC ports, never
+//! on how many other transfers are in flight, so the fabric keeps no
+//! record of them.
 //!
 //! All bookkeeping is in *virtual seconds*, and reservations are made in the
 //! deterministic order the event core runs the ranks in.
 
-use crate::gap::GapBuffer;
 use crate::timeline::Timeline;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One-way message latency (α), in seconds.
@@ -36,12 +37,6 @@ pub(crate) const RECV_OVERHEAD: f64 = 0.5e-6;
 const CONN_SETUP: f64 = 60.0e-6;
 /// Per-rank LRU connection-cache capacity.
 const CONN_CACHE: usize = 64;
-/// Number of concurrently in-flight transfers the fabric absorbs without
-/// any congestion penalty.
-const CONGESTION_FREE: usize = 64;
-/// Relative growth of per-byte time per excess in-flight transfer,
-/// normalized by `CONGESTION_FREE`.
-const CONGESTION_COEFF: f64 = 0.02;
 /// One-way latency between two ranks on the *same node* (shared-memory
 /// transport) when a [`Topology`](crate::Topology) is configured.
 const INTRA_LATENCY: f64 = 0.3e-6;
@@ -49,9 +44,8 @@ const INTRA_LATENCY: f64 = 0.3e-6;
 /// The calibrated constants of the network model: what
 /// `bench::Calib::paper` scales or sets. All times are seconds, all
 /// bandwidth terms are seconds-per-byte. The model's fixed constants
-/// (latency, send and receive overheads, connection setup and cache, the
-/// congestion knee, intra-node latency) are named constants of this
-/// module.
+/// (latency, send and receive overheads, connection setup and cache,
+/// intra-node latency) are named constants of this module.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Per-byte transfer time on a link (β). `1.0 / bytes_per_second`.
@@ -96,8 +90,7 @@ pub struct NetConfig {
 impl Default for NetConfig {
     /// Defaults loosely calibrated to a QDR InfiniBand fat-tree of the
     /// Lonestar era: ~3 GB/s per-link bandwidth (with the constants above:
-    /// ~2 µs latency, expensive connection establishment and a modest
-    /// congestion knee).
+    /// ~2 µs latency and expensive connection establishment).
     fn default() -> Self {
         NetConfig {
             byte_time: 1.0 / 3.0e9,
@@ -155,8 +148,6 @@ pub struct FabricStatsSnapshot {
     pub messages: u64,
     pub bytes: u64,
     pub conn_misses: u64,
-    /// Transfers that saw a congestion multiplier > 1.
-    pub congested_transfers: u64,
     /// Transfers that stayed on a node (loopback, or co-located ranks
     /// under a non-trivial topology).
     pub intra_messages: u64,
@@ -215,75 +206,7 @@ impl LruSet {
     }
 }
 
-/// In-flight transfer interval tracking for the congestion term.
-///
-/// Every recorded interval has `start ≤ end`, so the number of intervals
-/// containing `t` is `#{start ≤ t} − #{end ≤ t}`: two searches over the
-/// window's starts and ends, each kept sorted in a [`GapBuffer`], instead
-/// of a scan. Ranks that never park book their whole phase one after
-/// another, each from its own early clock upward. While a rank's phase
-/// overlaps the previous rank's transfers still in the window, the one a
-/// record evicts sits beside the one it inserts; once it has passed them,
-/// it evicts the front and appends at the back, which the ring joins. So a
-/// record moves O(1) entries, and it counts where the last one appended.
-#[derive(Debug, Default)]
-struct Inflight {
-    /// `(start, end)` of the recent transfers, oldest first (eviction order).
-    recent: VecDeque<(f64, f64)>,
-    /// The starts, and the ends, of exactly those transfers, ascending.
-    starts: GapBuffer<f64>,
-    ends: GapBuffer<f64>,
-    /// Evicted transfers that were still in flight (`end > t`) when a
-    /// record pushed them out.
-    evicted_live: u64,
-}
-
-impl Inflight {
-    /// Most recent transfers remembered for overlap counting. Virtual time
-    /// is not monotone across ranks (gap backfill), so the window is
-    /// bounded by count, not by time.
-    const WINDOW: usize = 2048;
-
-    /// Count recent intervals overlapping `t`, then record `[start, end)`:
-    /// the window holds the last `WINDOW` transfers, this one included.
-    fn overlap_and_record(&mut self, t: f64, start: f64, end: f64) -> usize {
-        // `NetConfig::validate` keeps durations finite and non-negative.
-        debug_assert!(
-            start <= end,
-            "in-flight interval [{start}, {end}) ends before it starts"
-        );
-        // Counted before the eviction, near where the last record
-        // appended; the evicted transfer, if it holds `t`, is taken back out.
-        let mut n = self.starts.gallop(|s| s <= t) - self.ends.gallop(|e| e <= t);
-        if self.recent.len() >= Self::WINDOW {
-            if let Some((s, e)) = self.recent.pop_front() {
-                n -= usize::from(s <= t && t < e);
-                self.evicted_live += u64::from(e > t);
-                for (sorted, v) in [(&mut self.starts, s), (&mut self.ends, e)] {
-                    // The oldest transfer is usually the earliest.
-                    let at = match sorted.nth(0) {
-                        Some(first) if first == v => 0,
-                        _ => sorted.gallop(|x| x < v),
-                    };
-                    debug_assert_eq!(sorted.nth(at), Some(v));
-                    sorted.remove(at);
-                }
-            }
-        }
-        self.recent.push_back((start, end));
-        for (sorted, v) in [(&mut self.starts, start), (&mut self.ends, end)] {
-            // The newest transfer is usually the latest.
-            let at = match sorted.last() {
-                Some(last) if last > v => sorted.gallop(|x| x <= v),
-                _ => sorted.len(),
-            };
-            sorted.insert(at, v);
-        }
-        n
-    }
-}
-
-/// The shared fabric: NIC reservations, connection caches, congestion state.
+/// The shared fabric: NIC reservations and connection caches.
 ///
 /// Everything that changes after construction is one plain `State`
 /// behind one mutex; every public method locks once. The event core runs
@@ -314,7 +237,6 @@ struct State {
     rx: Vec<Timeline>,
     /// Per-rank connection caches.
     conns: Vec<LruSet>,
-    inflight: Inflight,
     stats: FabricStatsSnapshot,
 }
 
@@ -337,7 +259,6 @@ impl Fabric {
                 tx: (0..ports).map(|_| Timeline::new()).collect(),
                 rx: (0..ports).map(|_| Timeline::new()).collect(),
                 conns: (0..nprocs).map(|_| LruSet::new(CONN_CACHE)).collect(),
-                inflight: Inflight::default(),
                 stats: FabricStatsSnapshot::default(),
             }),
             chaos,
@@ -364,11 +285,6 @@ impl Fabric {
     pub(crate) fn timeline_cliff(&self) -> (u64, u64) {
         let st = self.state.lock();
         (st.tx.iter().chain(&st.rx)).fold((0, 0), |(p, c), t| (p + t.prunes(), c + t.clamped()))
-    }
-
-    /// Transfers the in-flight window evicted while still in flight.
-    pub(crate) fn inflight_evicted_live(&self) -> u64 {
-        self.state.lock().inflight.evicted_live
     }
 
     /// Does a `src → dst` transfer stay on one node? (Loopback always
@@ -404,8 +320,8 @@ impl Fabric {
     /// `src == dst` models a local loopback: only memcpy cost, no NIC.
     /// Under an active topology, distinct co-located ranks use the
     /// shared-memory cost model (`INTRA_LATENCY`/`intra_byte_time`, no
-    /// connection setup, no NIC serialization, no congestion), and
-    /// off-node transfers serialize on the *node* NIC ports.
+    /// connection setup, no NIC serialization), and off-node transfers
+    /// serialize on the *node* NIC ports.
     pub fn transfer(&self, src: usize, dst: usize, bytes: usize, start: f64) -> Transfer {
         let mut guard = self.state.lock();
         let st = &mut *guard;
@@ -449,18 +365,7 @@ impl Fabric {
 
         let ready = start + SEND_OVERHEAD + conn;
 
-        // Congestion: effective per-byte time grows with the number of
-        // transfers in flight around `ready`.
-        let base_dur = bytes as f64 * self.cfg.byte_time;
-        let overlap = st
-            .inflight
-            .overlap_and_record(ready, ready, ready + base_dur);
-        let excess = overlap.saturating_sub(CONGESTION_FREE);
-        let factor = 1.0 + CONGESTION_COEFF * excess as f64 / CONGESTION_FREE as f64;
-        if excess > 0 {
-            st.stats.congested_transfers += 1;
-        }
-        let mut dur = base_dur * factor;
+        let mut dur = bytes as f64 * self.cfg.byte_time;
 
         // Gray failure: a degraded link lane between these two nodes
         // stretches the transfer. Evaluated at `ready` (the instant the
@@ -492,6 +397,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     fn fabric(n: usize) -> Fabric {
         Fabric::new(n, NetConfig::default())
@@ -566,129 +472,6 @@ mod tests {
         assert!(lru.touch(1)); // hit, 1 becomes MRU
         assert!(!lru.touch(3)); // evicts 2
         assert!(!lru.touch(2)); // miss again
-    }
-
-    /// The linear scan the sorted window replaced, kept as the oracle.
-    #[derive(Default)]
-    struct ScanInflight(VecDeque<(f64, f64)>);
-
-    impl ScanInflight {
-        fn overlap_and_record(&mut self, t: f64, start: f64, end: f64) -> usize {
-            while self.0.len() >= Inflight::WINDOW {
-                self.0.pop_front();
-            }
-            let n = self.0.iter().filter(|&&(s, e)| s <= t && t < e).count();
-            self.0.push_back((start, end));
-            n
-        }
-    }
-
-    fn ascending(sorted: &GapBuffer<f64>) -> bool {
-        sorted
-            .iter()
-            .zip(sorted.iter().skip(1))
-            .all(|(a, b)| a <= b)
-    }
-
-    #[test]
-    fn sorted_window_counts_what_the_scan_counted() {
-        use rand::{rngs::StdRng, RngExt, SeedableRng};
-        for seed in 0..4u64 {
-            let mut rng = StdRng::seed_from_u64(0x1F11 ^ seed);
-            let (mut new, mut old) = (Inflight::default(), ScanInflight::default());
-            let (mut clock, mut busiest) = (0.0f64, 0);
-            // Five times round the window. Times are whole microseconds,
-            // exact in f64, so that many starts, ends and instants are
-            // equal; the clock creeps up, with every fourth transfer
-            // reaching back as a backfilled booking does, and some
-            // transfers outlast the window, so that what it evicts can
-            // still be in flight.
-            for step in 0..5 * Inflight::WINDOW {
-                clock += (rng.next_u64() % 3) as f64;
-                let back = if step % 4 == 0 {
-                    (rng.next_u64() % 400) as f64
-                } else {
-                    0.0
-                };
-                let start = (clock - back).max(0.0);
-                let dur = match rng.next_u64() % 8 {
-                    0 | 1 => 0.0,
-                    2 => (rng.next_u64() % 6000) as f64,
-                    _ => (rng.next_u64() % 300) as f64,
-                };
-                let t = start + (rng.next_u64() % 5) as f64 - 2.0;
-                let n = new.overlap_and_record(t, start, start + dur);
-                let want = old.overlap_and_record(t, start, start + dur);
-                assert_eq!(n, want, "seed {seed} step {step}");
-                busiest = busiest.max(n);
-            }
-            assert!(
-                busiest > 8,
-                "seed {seed}: the stream never overlapped itself"
-            );
-            assert_eq!(new.recent, old.0);
-            let starts: Vec<f64> = new.starts.iter().copied().collect();
-            assert!(starts.windows(2).any(|w| w[0] == w[1]));
-            for sorted in [&new.starts, &new.ends] {
-                assert_eq!(sorted.len(), Inflight::WINDOW);
-                assert!(ascending(sorted));
-            }
-        }
-    }
-
-    /// A record counts before it evicts and takes the evicted transfer back
-    /// out only if that held `t`: one that ends exactly at `t` did not, and
-    /// is not counted as evicted live either.
-    #[test]
-    fn an_evicted_transfer_ending_at_t_was_not_in_flight() {
-        let (mut new, mut old) = (Inflight::default(), ScanInflight::default());
-        let first = std::iter::once((0.0, 0.0, 10.0));
-        let fill = std::iter::repeat_n((5.0, 5.0, 20.0), Inflight::WINDOW - 1);
-        let records = first
-            .chain(fill)
-            .chain([(10.0, 10.0, 11.0), (0.0, 0.0, 1.0)]);
-        for (i, (t, start, end)) in records.enumerate() {
-            let n = new.overlap_and_record(t, start, end);
-            assert_eq!(n, old.overlap_and_record(t, start, end), "record {i}");
-        }
-        // Of the two evictions, only the second pushed out a transfer
-        // still in flight: `[5, 20)` at `t = 0`.
-        assert_eq!(new.evicted_live, 1);
-    }
-
-    /// Ranks that never park book their phases one after another, each
-    /// sweeping up from its own early clock: eight "ranks" of three
-    /// windows' worth of transfers each. The window counts what the scan
-    /// counts, and a record moves a few entries, where the deques moved
-    /// about a quarter of the window for every one of a rank's first
-    /// `WINDOW` transfers.
-    #[test]
-    fn a_rank_sequential_sweep_moves_a_few_entries_per_record() {
-        use rand::{rngs::StdRng, RngExt, SeedableRng};
-        const RANKS: usize = 8;
-        const PER_RANK: usize = 3 * Inflight::WINDOW;
-        let mut rng = StdRng::seed_from_u64(0x5EE9);
-        let (mut new, mut old) = (Inflight::default(), ScanInflight::default());
-        let mut busiest = 0;
-        for rank in 0..RANKS {
-            let mut clock = 0.0f64;
-            for step in 0..PER_RANK {
-                clock += (1 + rng.next_u64() % 3) as f64;
-                let dur = (rng.next_u64() % 4) as f64;
-                let n = new.overlap_and_record(clock, clock, clock + dur);
-                let want = old.overlap_and_record(clock, clock, clock + dur);
-                assert_eq!(n, want, "rank {rank} step {step}");
-                busiest = busiest.max(n);
-            }
-        }
-        assert!(busiest >= 2, "the sweeps never overlapped");
-        let moved = new.starts.moved + new.ends.moved;
-        let records = RANKS * PER_RANK;
-        assert!(
-            moved <= 4 * records,
-            "{moved} entries moved for {records} records"
-        );
-        assert!(ascending(&new.starts) && ascending(&new.ends));
     }
 
     /// The `VecDeque` LRU the contiguous array replaced, kept as the
@@ -821,30 +604,20 @@ mod tests {
         assert_eq!(t.arrival, t.sender_done);
     }
 
+    /// A burst of equal transfers on disjoint pairs, all starting at one
+    /// instant: no two share a NIC port, so each costs what the first does,
+    /// however many are in flight beside it.
     #[test]
-    fn congestion_inflates_bursts() {
-        // A burst of simultaneous transfers from distinct sources to
-        // distinct destinations: no NIC serialization, but fabric
-        // congestion once more than `CONGESTION_FREE` are in flight.
-        let burst = CONGESTION_FREE + 32;
-        let f = fabric(2 * burst + 2);
+    fn a_transfer_costs_the_same_however_many_are_in_flight() {
+        const PAIRS: usize = 96;
+        let f = fabric(2 * PAIRS);
         let bytes = 1 << 16;
-        let mut congested = 0.0f64;
-        for src in 0..burst {
-            let t = f.transfer(src, burst + src, bytes, 100.0);
-            congested = congested.max(t.arrival - 100.0);
+        let first = f.transfer(0, 1, bytes, 100.0);
+        for i in 1..PAIRS {
+            let t = f.transfer(2 * i, 2 * i + 1, bytes, 100.0);
+            assert_eq!(t, first, "pair {i}");
         }
-        // The k-th transfer of the burst finds k in flight.
-        assert_eq!(
-            f.stats().congested_transfers,
-            (burst - CONGESTION_FREE - 1) as u64,
-            "burst should trip the congestion term"
-        );
-        // A lone transfer in a quiet period, also on a cold connection, is
-        // faster.
-        let lone = f.transfer(2 * burst, 2 * burst + 1, bytes, 1000.0);
-        let lone_cost = lone.arrival - 1000.0;
-        assert!(congested > lone_cost, "{congested} <= {lone_cost}");
+        assert_eq!(f.stats().inter_messages, PAIRS as u64);
     }
 
     #[test]

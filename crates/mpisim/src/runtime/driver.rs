@@ -107,7 +107,9 @@ where
             Outcome::Panic(msg)
         }
     };
-    rank.note_mem_peak();
+    // The memory high-water mark only grows, so one read at the end is
+    // the rank's peak.
+    rank.stats.mem_peak = rank.mem.peak();
     let trace = std::mem::replace(&mut rank.tracer, Tracer::new(i, false)).finish();
     let metrics = std::mem::take(&mut rank.metrics);
     (rank.clock, rank.stats, trace, metrics, outcome)
@@ -300,7 +302,6 @@ where
         }
     }
     metrics.add_timeline_cliff(shared.fabric.timeline_cliff());
-    metrics.add_inflight_evicted_live(shared.fabric.inflight_evicted_live());
     let makespan = clocks.iter().cloned().fold(0.0, f64::max);
     Ok(SimReport {
         results,

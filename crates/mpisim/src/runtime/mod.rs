@@ -532,10 +532,4 @@ impl Rank {
             Ok(())
         }
     }
-
-    /// Record the current memory peak into the rank stats (called by layers
-    /// after sizeable allocations).
-    pub fn note_mem_peak(&mut self) {
-        self.stats.mem_peak = self.stats.mem_peak.max(self.mem.peak());
-    }
 }

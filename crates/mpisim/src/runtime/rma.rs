@@ -14,7 +14,6 @@ impl Rank {
     /// rank. The bytes count against this rank's simulated memory budget.
     pub fn win_create(&mut self, local_size: usize) -> Result<Window> {
         let mem = self.alloc(local_size as u64)?;
-        self.note_mem_peak();
         let size = local_size as u64;
         let rv = self.sync_in(&self.world(), "win_create", size.to_le_bytes().into(), size)?;
         // The first rank here decodes the P sizes for all of them, and a

@@ -74,19 +74,6 @@ pub struct TcioStats {
     pub l1_fallbacks: u64,
 }
 
-impl TcioStats {
-    /// Export under the canonical `tcio_*` registry names.
-    pub fn export_metrics(&self, reg: &mut mpisim::metrics::Registry) {
-        reg.add_counter("tcio_flushes_total", self.flushes);
-        reg.add_counter("tcio_window_switches_total", self.window_switches);
-        reg.add_counter("tcio_loads_total", self.loads);
-        reg.add_counter("tcio_bytes_buffered_total", self.bytes_buffered);
-        reg.add_counter("tcio_read_requests_total", self.read_requests);
-        reg.add_counter("tcio_spills_total", self.spills);
-        reg.add_counter("tcio_l1_fallbacks_total", self.l1_fallbacks);
-    }
-}
-
 /// Shared per-segment bookkeeping, co-located with the level-2 window.
 #[derive(Debug, Default)]
 struct SegMeta {
@@ -341,7 +328,6 @@ impl<'a> TcioFile<'a> {
         // Level-1 buffer: one segment, accounted at every open (the model's
         // footprint) and allocated by the first write to need it.
         let l1_mem = rank.alloc(cfg.segment_size)?;
-        rank.note_mem_peak();
         rank.barrier()?;
         let opened_at = rank.now();
         Ok(TcioFile {

@@ -431,7 +431,6 @@ pub fn restart(
     let vars = cfg.ftt.num_vars;
     let pieces = read_pieces(&lay.my_trees, seg_off, vars);
     let _arena_mem = rank.alloc(lay.my_bytes)?;
-    rank.note_mem_peak();
     let mut arena = vec![0u8; lay.my_bytes as usize];
     let (metrics, ()) = timed(rank, lay.my_bytes, |rk| {
         match method {

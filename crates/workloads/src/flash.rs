@@ -179,7 +179,6 @@ pub fn checkpoint(
     let (me, nprocs) = (rank.rank(), rank.nprocs());
     // In-memory state: padded blocks × vars (accounted).
     let _mem = rank.alloc((p.blocks_per_rank * p.num_vars * p.padded_var_bytes()) as u64)?;
-    rank.note_mem_peak();
     let (metrics, ()) = timed(rank, p.bytes_per_rank(), |rk| {
         match method {
             Method::Tcio => write_interior_rows(rk, p, |rk| {
@@ -195,7 +194,6 @@ pub fn checkpoint(
                 // rank's whole contribution.
                 let sub = p.interior_subarray().commit();
                 let _combine = rk.alloc(p.bytes_per_rank())?;
-                rk.note_mem_peak();
                 let mut buffer = Vec::with_capacity(p.bytes_per_rank() as usize);
                 for b in 0..p.blocks_per_rank {
                     for v in 0..p.num_vars {

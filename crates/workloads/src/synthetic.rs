@@ -144,7 +144,6 @@ pub struct Arrays {
 /// Generate the arrays with their deterministic content.
 pub fn gen_arrays(rank: &mut Rank, p: &SynthParams) -> Result<Arrays> {
     let mem = rank.alloc(p.bytes_per_rank())?;
-    rank.note_mem_peak();
     let me = rank.rank();
     let data = p
         .type_sizes
@@ -162,7 +161,6 @@ pub fn gen_arrays(rank: &mut Rank, p: &SynthParams) -> Result<Arrays> {
 /// Allocate zeroed arrays of the right shapes (read targets).
 pub fn zeroed_arrays(rank: &mut Rank, p: &SynthParams) -> Result<Arrays> {
     let mem = rank.alloc(p.bytes_per_rank())?;
-    rank.note_mem_peak();
     let data = p
         .type_sizes
         .iter()
@@ -401,7 +399,6 @@ pub fn write_ocio(
         // Steps 1–2: the application-level combine buffer (an extra copy of
         // the whole per-rank dataset — the memory cost OCIO imposes).
         let _combine_mem = rk.alloc(p.bytes_per_rank())?;
-        rk.note_mem_peak();
         let mut buffer = Vec::with_capacity(p.bytes_per_rank() as usize);
         for a in 0..p.accesses() {
             for (j, arr) in arrays.data.iter().enumerate() {
@@ -437,7 +434,6 @@ pub fn read_ocio(
     time_and_verify(rank, p, |rk, arrays| {
         let (me, nprocs) = (rk.rank() as u64, rk.nprocs());
         let _combine_mem = rk.alloc(p.bytes_per_rank())?;
-        rk.note_mem_peak();
         let mut buffer = vec![0u8; p.bytes_per_rank() as usize];
         let mut f = mpiio::File::open(rk, pfs, path, mpiio::Mode::ReadOnly)?;
         let (etype, ftype) = ocio_view(p, nprocs);

@@ -716,11 +716,10 @@ fn health_layer_attached_but_healthy_is_bit_identical_and_quiet() {
     );
 }
 
-/// `(timeline_prunes_total, timeline_clamped_total,
-/// fabric_inflight_evicted_live_total)` of Table-I arrays of `len`
-/// elements written and read back through TCIO by `nprocs` ranks over
+/// `(timeline_prunes_total, timeline_clamped_total)` of Table-I arrays of
+/// `len` elements written and read back through TCIO by `nprocs` ranks over
 /// 512-byte level-2 segments, tracing off. An absent key reads as zero.
-fn timeline_cliff(nprocs: usize, len: usize) -> (u64, u64, u64) {
+fn timeline_cliff(nprocs: usize, len: usize) -> (u64, u64) {
     let p = workloads::synthetic::SynthParams::with_types("i,d", len, 1).unwrap();
     let tcfg = tcio::TcioConfig::for_file_size_with_segment(p.file_size(nprocs), nprocs, 512);
     let fs = pfs::Pfs::new(nprocs, pfs::PfsConfig::default()).unwrap();
@@ -741,26 +740,20 @@ fn timeline_cliff(nprocs: usize, len: usize) -> (u64, u64, u64) {
     (
         read("timeline_prunes_total"),
         read("timeline_clamped_total"),
-        read("fabric_inflight_evicted_live_total"),
     )
 }
 
 /// The Timeline cliff is counted, not hidden: a cell long enough to fill
 /// a timeline reports how often the older half was dropped and how many
 /// requests were then moved up to the pruned horizon; a short cell reports
-/// neither (so no committed export gains a key). The third cliff, the
-/// fabric's in-flight window evicting transfers still in flight, is
-/// counted the same way, and it fires on its own: twice the ranks over a
-/// quarter of the arrays fill that window long before any timeline fills.
+/// neither (so no committed export gains a key).
 #[test]
 fn timeline_cliff_is_counted_on_a_long_cell_and_silent_on_a_short_one() {
-    assert_eq!(timeline_cliff(8, 256), (0, 0, 0));
-    let (prunes, clamped, live) = timeline_cliff(8, 16384);
+    assert_eq!(timeline_cliff(8, 256), (0, 0));
+    let (prunes, clamped) = timeline_cliff(8, 16384);
     assert!(
-        prunes > 0 && clamped > 0 && live > 0,
-        "{prunes} prunes, {clamped} clamped, {live} evicted live"
+        prunes > 0 && clamped > 0,
+        "{prunes} prunes, {clamped} clamped"
     );
-    let (prunes, clamped, live) = timeline_cliff(16, 4096);
-    assert_eq!((prunes, clamped), (0, 0), "no timeline filled");
-    assert!(live > 0, "no live transfer evicted");
+    assert_eq!(timeline_cliff(16, 4096), (0, 0), "no timeline filled");
 }
