@@ -149,6 +149,26 @@ impl FacilityConfig {
                     t.name, t.bytes_per_rank, t.access
                 )));
             }
+            // Past these bounds two files' patterns overlap (see
+            // `job::pattern_byte`), and a misplaced byte could verify.
+            let file_bytes = (t.ranks as u64).checked_mul(t.bytes_per_rank);
+            if file_bytes.is_none_or(|b| b > job::PATTERN_RUN) {
+                return Err(FacilityError::Config(format!(
+                    "tenant {}: a file of {} ranks x {} bytes passes the pattern's {} unique offsets",
+                    t.name,
+                    t.ranks,
+                    t.bytes_per_rank,
+                    job::PATTERN_RUN
+                )));
+            }
+            if t.jobs as u64 > job::PATTERN_JOBS {
+                return Err(FacilityError::Config(format!(
+                    "tenant {}: {} jobs pass the pattern's {} unique jobs",
+                    t.name,
+                    t.jobs,
+                    job::PATTERN_JOBS
+                )));
+            }
             if !t.weight.is_finite() || t.weight <= 0.0 {
                 return Err(FacilityError::Config(format!(
                     "tenant {}: bad weight {}",

@@ -123,15 +123,51 @@ impl SynthParams {
     }
 }
 
-/// Deterministic content byte for array `j` of `rank` at byte index `i`.
-#[inline]
-fn content_byte(rank: usize, array: usize, i: usize) -> u8 {
-    let x = (rank as u64)
+/// Multiplier of the content hash's final product.
+const CONTENT_MUL: u64 = 0xFF51_AFD7_ED55_8CCD;
+
+/// The start of array `j` of `rank` in the content hash's sum.
+fn content_seed(rank: usize, array: usize) -> u64 {
+    (rank as u64)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add((array as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
-        .wrapping_add(i as u64);
-    (x.wrapping_mul(0xFF51_AFD7_ED55_8CCD) >> 56) as u8
 }
+
+/// Deterministic content byte for array `j` of `rank` at byte index `i` —
+/// the definition `fill_content` streams and the tests check it against.
+#[inline]
+pub fn content_byte(rank: usize, array: usize, i: usize) -> u8 {
+    let x = content_seed(rank, array).wrapping_add(i as u64);
+    (x.wrapping_mul(CONTENT_MUL) >> 56) as u8
+}
+
+/// Fill `buf` with array `array` of `rank` from byte index `base`: byte `k`
+/// is `content_byte(rank, array, base + k)`. The hashed product
+/// `(seed + i)·CONTENT_MUL` grows by `CONTENT_MUL` per byte (mod 2^64), so
+/// eight independent lanes step it by addition and no byte multiplies.
+fn fill_content(buf: &mut [u8], rank: usize, array: usize, base: usize) {
+    let z = content_seed(rank, array)
+        .wrapping_add(base as u64)
+        .wrapping_mul(CONTENT_MUL);
+    let mut lanes: [u64; 8] =
+        std::array::from_fn(|k| z.wrapping_add(CONTENT_MUL.wrapping_mul(k as u64)));
+    let step = CONTENT_MUL.wrapping_mul(8);
+    let mut chunks = buf.chunks_exact_mut(8);
+    for chunk in &mut chunks {
+        for (b, lane) in chunk.iter_mut().zip(&mut lanes) {
+            *b = (*lane >> 56) as u8;
+            *lane = lane.wrapping_add(step);
+        }
+    }
+    for (b, &lane) in chunks.into_remainder().iter_mut().zip(&lanes) {
+        *b = (lane >> 56) as u8;
+    }
+}
+
+/// Bytes [`verify_arrays`] generates and compares at a time, on the stack:
+/// small, so that a rank's fiber stack touches no page it had not already
+/// touched (a 4 KiB chunk cost every rank a page fault).
+const VERIFY_CHUNK: usize = 512;
 
 /// The rank's in-memory arrays, registered against the simulated memory
 /// budget (they are part of the application's footprint in the Fig. 6/7
@@ -150,9 +186,9 @@ pub fn gen_arrays(rank: &mut Rank, p: &SynthParams) -> Result<Arrays> {
         .iter()
         .enumerate()
         .map(|(j, &ts)| {
-            (0..p.len_array * ts)
-                .map(|i| content_byte(me, j, i))
-                .collect()
+            let mut arr = vec![0u8; p.len_array * ts];
+            fill_content(&mut arr, me, j, 0);
+            arr
         })
         .collect();
     Ok(Arrays { data, _mem: mem })
@@ -180,13 +216,24 @@ pub fn verify_arrays(rank: usize, p: &SynthParams, arrays: &Arrays) -> Result<()
                 p.len_array * ts
             )));
         }
-        for (i, &b) in arr.iter().enumerate() {
-            let expect = content_byte(rank, j, i);
-            if b != expect {
-                return Err(WlError::Mismatch(format!(
-                    "rank {rank} array {j} byte {i}: got {b:#x}, expected {expect:#x}"
-                )));
+        let mut want = [0u8; VERIFY_CHUNK];
+        for (c, got) in arr.chunks(VERIFY_CHUNK).enumerate() {
+            let base = c * VERIFY_CHUNK;
+            let want = &mut want[..got.len()];
+            fill_content(want, rank, j, base);
+            if got == want {
+                continue;
             }
+            let (k, (b, expect)) = got
+                .iter()
+                .zip(want.iter())
+                .enumerate()
+                .find(|(_, (a, b))| a != b)
+                .expect("unequal chunks of one length differ somewhere");
+            return Err(WlError::Mismatch(format!(
+                "rank {rank} array {j} byte {}: got {b:#x}, expected {expect:#x}",
+                base + k
+            )));
         }
     }
     Ok(())
@@ -598,6 +645,60 @@ mod tests {
             Ok(())
         })
         .unwrap();
+    }
+
+    #[test]
+    fn fill_content_is_content_byte_byte_for_byte() {
+        use rand::{RngExt, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x00C0_17E7);
+        let mut cases = Vec::new();
+        for len in 0..=17 {
+            for base in [0, 1, 5, 8, 4093] {
+                cases.push((2, 1, base, len));
+            }
+        }
+        for _ in 0..300 {
+            let rank = (rng.random::<u64>() % 100_000) as usize;
+            let array = (rng.random::<u64>() % 8) as usize;
+            let base = (rng.random::<u64>() >> 20) as usize;
+            let len = (rng.random::<u64>() % 3000) as usize;
+            cases.push((rank, array, base, len));
+        }
+        for (rank, array, base, len) in cases {
+            let mut buf = vec![0xAAu8; len];
+            fill_content(&mut buf, rank, array, base);
+            let want: Vec<u8> = (base..base + len)
+                .map(|i| content_byte(rank, array, i))
+                .collect();
+            assert_eq!(buf, want, "rank {rank} array {array} base {base} len {len}");
+        }
+    }
+
+    #[test]
+    fn verify_names_a_flipped_byte_past_the_first_chunk() {
+        // Array 1 holds 2048 doubles: 16 KiB, many compare chunks.
+        let p = SynthParams::with_types("i,d", 2048, 2).unwrap();
+        let rep = mpisim::run(1, SimConfig::default(), move |rk| {
+            let mut arrays = gen_arrays(rk, &p)?;
+            verify_arrays(0, &p, &arrays)?;
+            let mut errors = Vec::new();
+            for i in [VERIFY_CHUNK + 5, 2048 * 8 - 1] {
+                arrays.data[1][i] ^= 0x5A;
+                errors.push((i, arrays.data[1][i], verify_arrays(0, &p, &arrays)));
+                arrays.data[1][i] ^= 0x5A;
+            }
+            Ok(errors)
+        })
+        .unwrap();
+        for (i, got, err) in rep.results.into_iter().next().unwrap() {
+            let expect = content_byte(0, 1, i);
+            assert_eq!(
+                err,
+                Err(WlError::Mismatch(format!(
+                    "rank 0 array 1 byte {i}: got {got:#x}, expected {expect:#x}"
+                )))
+            );
+        }
     }
 
     #[test]

@@ -13,9 +13,14 @@
 //!   pinned to the storm tenant's client range), weighted fair sharing
 //!   keeps the victims' job latency inside a fixed tolerance band of
 //!   the storm-free run, while FIFO demonstrably blows through it.
+//! * **Typed failure** — a crash-stopped peer fails a run with a typed
+//!   error at every instant, and a tenant past the content pattern's
+//!   uniqueness bounds is refused before it runs.
 
-use facility::{job, run_facility, FacilityConfig, JobSpec, QosMode, Style, TenantSpec};
-use mpisim::{Backend, SimConfig};
+use facility::{
+    job, run_facility, FacilityConfig, FacilityError, JobSpec, QosMode, Style, TenantSpec,
+};
+use mpisim::{Backend, SimConfig, SimError};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
@@ -412,4 +417,86 @@ fn defended_facility_survives_a_flaky_ost_with_verified_read_back() {
         defended.makespan,
         undefended.makespan
     );
+}
+
+// ---------------------------------------------------------------------
+// A crash-stopped peer on the world communicator
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_crashed_world_peer_fails_the_run_typed_never_by_a_panic() {
+    // A single tenant runs on the world communicator, whose burst hands a
+    // crash-stopped peer's payload back empty. Sweep the crash of rank 1
+    // over the whole run, both exchange styles: a survivor that finds a
+    // payload short must fail typed, never panic slicing it.
+    let mut typed = 0;
+    for style in [Style::Tcio, Style::Ocio] {
+        for tenth_ms in 1..60u32 {
+            let at = f64::from(tenth_ms) * 1e-4;
+            let plan = chaos::FaultPlan::new(1)
+                .with(chaos::Fault::RankCrash { rank: 1, at })
+                .build()
+                .unwrap();
+            let mut t = TenantSpec::new("solo", 4);
+            t.style = style;
+            t.jobs = 2;
+            t.bytes_per_rank = 256 << 10;
+            let cfg = FacilityConfig {
+                tenants: vec![t],
+                chaos: Some(plan),
+                ..FacilityConfig::default()
+            };
+            match run_facility(&cfg) {
+                Err(FacilityError::Sim(SimError::RankPanicked { rank, message })) => {
+                    panic!("{style:?}, rank 1 crashed at {at}: rank {rank} panicked: {message}")
+                }
+                Err(_) => typed += 1,
+                Ok(_) => {}
+            }
+        }
+    }
+    assert!(typed > 0, "no crash instant fell inside a job");
+}
+
+// ---------------------------------------------------------------------
+// The pattern's uniqueness bounds
+// ---------------------------------------------------------------------
+
+fn refused(t: TenantSpec) -> String {
+    let cfg = FacilityConfig {
+        tenants: vec![TenantSpec::new("ok", 2), t],
+        ..FacilityConfig::default()
+    };
+    match cfg.validate() {
+        Err(FacilityError::Config(msg)) => msg,
+        other => panic!("expected a config error, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_file_past_the_patterns_unique_offsets_is_refused() {
+    // 16 MiB is the last file size whose every offset has its own pattern
+    // byte: 4 ranks x 4 MiB passes, one access more is refused.
+    let mut t = TenantSpec::new("wide", 4);
+    t.bytes_per_rank = 4 << 20;
+    let ok = FacilityConfig {
+        tenants: vec![t.clone()],
+        ..FacilityConfig::default()
+    };
+    assert_eq!(ok.validate(), Ok(()));
+    t.bytes_per_rank += t.access;
+    assert!(refused(t).contains("unique offsets"));
+}
+
+#[test]
+fn jobs_past_the_patterns_unique_jobs_are_refused() {
+    let mut t = TenantSpec::new("busy", 1);
+    t.jobs = 1 << 16;
+    let ok = FacilityConfig {
+        tenants: vec![t.clone()],
+        ..FacilityConfig::default()
+    };
+    assert_eq!(ok.validate(), Ok(()));
+    t.jobs += 1;
+    assert!(refused(t).contains("unique jobs"));
 }
