@@ -1,7 +1,6 @@
 //! The single-table ablations of §IV.A and §V.B: TCIO's segment size and
-//! design choices, OCIO's collective-buffering hints, partitioned
-//! collectives, and the access-size sweep. Each prints a table and returns
-//! it as a document.
+//! design choices, OCIO's collective-buffering hints, and the access-size
+//! sweep. Each prints a table and returns it as a document.
 
 use crate::registry::Args;
 use crate::runner::{mbs_or_oom, run_synth, synth_params, Cell, Job};
@@ -100,56 +99,17 @@ pub fn modes(args: &Args) -> Json {
     doc
 }
 
+/// One OCIO write under `ccfg`: paper-equivalent MB/s and the largest
+/// per-rank memory peak, in paper-equivalent bytes.
 fn run_cfg(calib: &Calib, nprocs: usize, p: &SynthParams, ccfg: &CollectiveConfig) -> (f64, u64) {
     let write =
         Job::new(calib, nprocs).run(|rk, fs| Ok(synthetic::write_ocio(rk, fs, p, "/cb", ccfg)?));
     let rep = write.expect("run");
-    peak_row(
-        calib,
-        p.file_size(nprocs),
-        rep.results[0].elapsed,
-        &rep.stats,
-    )
-}
-
-/// Paper-equivalent MB/s and the largest per-rank memory peak, in
-/// paper-equivalent bytes.
-fn peak_row(calib: &Calib, bytes: u64, elapsed: f64, stats: &[mpisim::RankStats]) -> (f64, u64) {
-    let peak = stats.iter().map(|s| s.mem_peak).max().unwrap_or(0);
+    let peak = rep.stats.iter().map(|s| s.mem_peak).max().unwrap_or(0);
     (
-        calib.throughput_mbs(bytes, elapsed),
+        calib.throughput_mbs(p.file_size(nprocs), rep.results[0].elapsed),
         calib.virtual_bytes(peak),
     )
-}
-
-fn run_view_based(calib: &Calib, nprocs: usize, p: &SynthParams) -> (f64, u64) {
-    // The related-work [16] alternative: views registered once, then a
-    // metadata-light exchange. Same aggregation, smaller messages.
-    let run = Job::new(calib, nprocs).run(|rk, fs| {
-        rk.barrier()?;
-        let t0 = rk.now();
-        let mut f = mpiio::File::open(rk, fs, "/vb", mpiio::Mode::WriteOnly)?;
-        let etype = mpisim::Datatype::contiguous(
-            p.block_size(),
-            mpisim::Datatype::named(mpisim::Named::Byte),
-        )
-        .commit();
-        let ftype = mpisim::Datatype::vector(
-            p.accesses(),
-            1,
-            rk.nprocs() as isize,
-            etype.datatype().clone(),
-        )
-        .commit();
-        f.set_view(rk, (rk.rank() * p.block_size()) as u64, &etype, &ftype)?;
-        let views = mpiio::register_views(rk, &f)?;
-        let data = vec![1u8; p.bytes_per_rank() as usize];
-        mpiio::write_all_view_based(rk, &mut f, &views, 0, &data, &CollectiveConfig::default())?;
-        rk.barrier()?;
-        Ok(rk.now() - t0)
-    });
-    let rep = run.expect("view-based run");
-    peak_row(calib, p.file_size(nprocs), rep.results[0], &rep.stats)
 }
 
 /// Ablation: OCIO (two-phase) tuning hints — collective-buffer chunking
@@ -212,84 +172,12 @@ pub fn cb(args: &Args) -> Json {
         t.row(vec![name.clone(), mbs(w), fmt_bytes(peak)]);
         eprintln!("  {name}: w={} peak={}", mbs(w), fmt_bytes(peak));
     }
-    let (w, peak) = run_view_based(&calib, nprocs, &p);
-    t.row(vec![
-        "view-based exchange [16]".to_string(),
-        mbs(w),
-        fmt_bytes(peak),
-    ]);
-    eprintln!("  view-based: w={} peak={}", mbs(w), fmt_bytes(peak));
     t.print();
     let doc = t.to_json();
     println!(
         "\nexpected shape: chunking caps memory at the cost of extra exchange rounds; fewer \
-         aggregators concentrate memory and serialize the I/O phase.\n\
-         note: the view-based row pays its one-time view registration (an allgather of the \
-         flattened views) inside this single timed call — its per-call metadata savings only \
-         amortize when the same view serves many collective calls [16]."
+         aggregators concentrate memory and serialize the I/O phase."
     );
-    doc
-}
-
-fn run_groups(calib: &Calib, nprocs: usize, groups: usize, block_real: usize) -> f64 {
-    let bytes = (block_real * nprocs) as u64;
-    let run = Job::new(calib, nprocs).run(|rk, fs| {
-        let gsize = nprocs / groups;
-        let comm = rk.split((rk.rank() / gsize) as u64)?;
-        rk.barrier()?;
-        let t0 = rk.now();
-        let mut f = mpiio::File::open_independent(rk, fs, "/pc", mpiio::Mode::WriteOnly)?;
-        // Group-clustered layout: rank r's block is contiguous at r·B.
-        let data = vec![rk.rank() as u8; block_real];
-        mpiio::write_all_partitioned(
-            rk,
-            &mut f,
-            &comm,
-            (rk.rank() * block_real) as u64,
-            &data,
-            &CollectiveConfig::default(),
-        )?;
-        rk.barrier()?;
-        Ok(rk.now() - t0)
-    });
-    calib.throughput_mbs(bytes, run.expect("run").results[0])
-}
-
-/// Ablation: partitioned collective I/O (ParColl, the paper's related
-/// work \[15\]) vs global two-phase collective I/O.
-///
-/// The global exchange burst costs O(P²) in unexpected-queue matching; a
-/// partitioned collective pays O(G²) per group with no global
-/// synchronization. On a group-clustered layout (IOR-segmented blocks)
-/// this sweep shows the wall being broken as the group size shrinks —
-/// ParColl's claim, and independent evidence that this reproduction's
-/// Fig. 5 crossover rests on the same mechanism.
-pub fn parcoll(args: &Args) -> Json {
-    let scale = args.int("scale");
-    let nprocs = args.usize("procs");
-    // 48 MB virtual per rank, matching the Fig. 5 workload volume.
-    let block_real = ((48u64 << 20) / scale).max(1) as usize;
-    let calib = Calib::paper(scale);
-
-    println!(
-        "Ablation — partitioned collective I/O (ParColl) vs global two-phase, P={nprocs}\n\
-         (group count 1 = classic OCIO exchange; more groups = smaller bursts)\n"
-    );
-    let mut t = Table::new(vec!["groups", "group size", "write MB/s"]);
-    let mut groups = 1usize;
-    while groups <= nprocs / 4 {
-        let tput = run_groups(&calib, nprocs, groups, block_real);
-        t.row(vec![
-            groups.to_string(),
-            (nprocs / groups).to_string(),
-            mbs(tput),
-        ]);
-        eprintln!("  groups={groups}: {} MB/s", mbs(tput));
-        groups *= 4;
-    }
-    t.print();
-    let doc = t.to_json();
-    println!("\nexpected shape: throughput rises as groups shrink the exchange burst (the collective wall breaking), then flattens at the file-system ceiling");
     doc
 }
 

@@ -46,10 +46,11 @@ impl Calib {
     /// aggregate write bandwidth saturating around ~1.2 GB/s and reads
     /// around ~7 GB/s (the ceilings of Figs. 5–7); passive-target RMA
     /// epochs costing tens of microseconds (MVAPICH-era lock/unlock); and
-    /// a per-round system-noise term on synchronized software exchanges
-    /// (the collective wall) with a millisecond-scale mean, reflecting the
-    /// paper's "experiments were conducted during production mode, meaning
-    /// other applications coexist in the system".
+    /// a per-round system-noise term on the pairwise all-to-all with a
+    /// millisecond-scale mean, reflecting the paper's "experiments were
+    /// conducted during production mode, meaning other applications
+    /// coexist in the system" — only `diag_a2a` runs that all-to-all; the
+    /// figures' exchanges do not sample the term.
     pub fn paper(scale_inv: u64) -> Calib {
         assert!(scale_inv >= 1);
         let k = scale_inv as f64;

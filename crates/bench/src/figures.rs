@@ -294,13 +294,16 @@ fn ratio_at(calib: &Calib, p: usize, len: usize) -> f64 {
     }
 }
 
-/// Sensitivity analysis: how the Fig. 5 endpoints respond to the three
+/// Sensitivity analysis: how the Fig. 5 endpoints respond to the two
 /// calibration constants that carry the paper's story —
 ///
 /// * `match_overhead` (the burst/unexpected-queue cost that degrades
 ///   OCIO's exchange quadratically with P),
-/// * `rma_lock_cost` (TCIO's per-epoch one-sided overhead),
-/// * `noise_mean` (the collective-wall jitter on synchronized rounds).
+/// * `rma_lock_cost` (TCIO's per-epoch one-sided overhead).
+///
+/// `noise_mean` is not swept: only the pairwise [`mpisim::Rank::alltoallv`]
+/// samples it, and neither Fig. 5 method calls that — OCIO bursts through
+/// `alltoallv_burst_in`, TCIO moves data one-sided.
 ///
 /// For each constant we sweep ×0, ×0.5, ×1, ×2 around the calibrated value
 /// and report the OCIO/TCIO write ratio at the smallest and largest scale
@@ -315,10 +318,9 @@ pub fn sensitivity(args: &Args) -> Json {
 
     println!(
         "Sensitivity of the Fig. 5 write ordering (OCIO/TCIO ratio; >1 = OCIO ahead)\n\
-         calibrated: match_overhead={:.0}us rma_lock={:.0}us noise={:.2}ms\n",
+         calibrated: match_overhead={:.0}us rma_lock={:.0}us\n",
         base.net.match_overhead * 1e6,
         base.net.rma_lock_cost * 1e6,
-        base.net.noise_mean * 1e3
     );
 
     let mut t = Table::new(vec![
@@ -328,10 +330,9 @@ pub fn sensitivity(args: &Args) -> Json {
         &format!("OCIO/TCIO @P={large}"),
     ]);
     type Knob = (&'static str, fn(&mut Calib, f64));
-    let knobs: [Knob; 3] = [
+    let knobs: [Knob; 2] = [
         ("match_overhead", |c, m| c.net.match_overhead *= m),
         ("rma_lock_cost", |c, m| c.net.rma_lock_cost *= m),
-        ("noise_mean", |c, m| c.net.noise_mean *= m),
     ];
     for (name, apply) in knobs {
         for mult in [0.0, 0.5, 1.0, 2.0] {

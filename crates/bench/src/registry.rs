@@ -315,7 +315,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "sensitivity",
-        about: "Fig. 5 write ordering vs the three calibration constants that carry it",
+        about: "Fig. 5 write ordering vs the two calibration constants that carry it",
         opts: &[
             SCALE_256,
             opt("small", Kind::Int, "64", "small-scale endpoint P"),
@@ -344,13 +344,6 @@ pub static EXPERIMENTS: &[Experiment] = &[
         about: "OCIO hints: unchunked vs cb_buffer-chunked exchange, aggregator counts",
         opts: ABLATION,
         run: ablations::cb,
-        gate: None,
-    },
-    Experiment {
-        name: "ablation_parcoll",
-        about: "partitioned collective I/O (ParColl) vs global two-phase",
-        opts: &[SCALE_256, opt("procs", Kind::Int, "256", "process count")],
-        run: ablations::parcoll,
         gate: None,
     },
     Experiment {

@@ -108,7 +108,6 @@ const TINY: &[(&str, &[&str])] = &[
     ("ablation_segment_size", &["--procs", "4", "--len", "16384"]),
     ("ablation_modes", &["--procs", "4", "--len", "16384"]),
     ("ablation_cb", &["--procs", "4", "--len", "16384"]),
-    ("ablation_parcoll", &["--procs", "16"]),
     ("ablation_access_size", &["--procs", "4", "--len", "65536"]),
     ("diag_breakdown", &["--procs", "4", "--len", "16384"]),
     ("diag_phase", &["--procs", "4", "--len", "16384"]),

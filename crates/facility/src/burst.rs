@@ -21,6 +21,7 @@
 //!   [`pfs::Pfs::read_bytes`] path); anything else takes the full PFS
 //!   read path.
 
+use mpiio::ExtentSet;
 use mpisim::timeline::Timeline;
 use parking_lot::Mutex;
 use pfs::{FileId, Pfs};
@@ -74,14 +75,18 @@ pub struct BurstStats {
     pub peak_occupancy: u64,
 }
 
+/// Everything a buffer keeps, behind its one lock.
 #[derive(Debug, Default)]
 struct BbState {
+    /// The fast tier's ingest port: absorbs and read hits queue on it.
+    absorb: Timeline,
     /// In-flight drains: `(drain completion, bytes)`; bytes occupy the
     /// buffer until then.
     inflight: Vec<(f64, u64)>,
     occupancy: u64,
-    /// Staged extents per file, readable at buffer speed.
-    staged: HashMap<FileId, Vec<(u64, u64)>>,
+    /// Staged extents per file, coalesced as they are staged; a read they
+    /// contain is served at buffer speed.
+    staged: HashMap<FileId, ExtentSet>,
     stats: BurstStats,
 }
 
@@ -92,7 +97,6 @@ pub struct BurstBuffer {
     /// PFS client id the drain traffic bills to (map it to the owning
     /// tenant in the QoS client map).
     drain_client: usize,
-    absorb: Mutex<Timeline>,
     state: Mutex<BbState>,
 }
 
@@ -102,7 +106,6 @@ impl BurstBuffer {
         Ok(BurstBuffer {
             cfg,
             drain_client,
-            absorb: Mutex::new(Timeline::new()),
             state: Mutex::new(BbState::default()),
         })
     }
@@ -132,37 +135,33 @@ impl BurstBuffer {
         if len == 0 {
             return Ok(now);
         }
+        let mut st = self.state.lock();
         if len > self.cfg.capacity {
-            self.state.lock().stats.bypasses += 1;
+            st.stats.bypasses += 1;
             return fs.write_at(id, client, offset, data, now);
         }
         // Capacity backpressure: wait (in virtual time) until in-flight
         // drains have freed enough room.
         let mut t0 = now + OP_OVERHEAD;
-        {
-            let mut st = self.state.lock();
-            st.release_until(t0);
-            if st.occupancy + len > self.cfg.capacity {
-                st.inflight.sort_by(|a, b| a.0.total_cmp(&b.0));
-                while st.occupancy + len > self.cfg.capacity {
-                    let (done, freed) = st.inflight.remove(0);
-                    st.occupancy -= freed;
-                    t0 = t0.max(done);
-                }
-                st.stats.capacity_waits += 1;
-                st.stats.capacity_wait_secs += t0 - (now + OP_OVERHEAD);
+        st.release_until(t0);
+        if st.occupancy + len > self.cfg.capacity {
+            st.inflight.sort_by(|a, b| a.0.total_cmp(&b.0));
+            while st.occupancy + len > self.cfg.capacity {
+                let (done, freed) = st.inflight.remove(0);
+                st.occupancy -= freed;
+                t0 = t0.max(done);
             }
+            st.stats.capacity_waits += 1;
+            st.stats.capacity_wait_secs += t0 - (now + OP_OVERHEAD);
         }
         // Absorb at buffer speed; the writer is released at `ack`.
         let dur = len as f64 / ABSORB_BW;
-        let start = self.absorb.lock().reserve(t0, dur);
-        let ack = start + dur;
+        let ack = st.absorb.reserve(t0, dur) + dur;
         // Drain to the PFS as the drain agent, paying full storage cost.
         let drain_done = fs.write_at(id, self.drain_client, offset, data, ack)?;
-        let mut st = self.state.lock();
         st.occupancy += len;
         st.inflight.push((drain_done, len));
-        st.staged.entry(id).or_default().push((offset, len));
+        st.staged.entry(id).or_default().insert(offset, len);
         st.stats.staged_writes += 1;
         st.stats.staged_bytes += len;
         st.stats.peak_occupancy = st.stats.peak_occupancy.max(st.occupancy);
@@ -184,24 +183,17 @@ impl BurstBuffer {
         if len == 0 {
             return Ok(now);
         }
-        let covered = {
-            let mut st = self.state.lock();
-            let hit = st.covers(id, offset, len);
-            if hit {
-                st.stats.read_hits += 1;
-                st.stats.bytes_hit += len;
-            } else {
-                st.stats.read_misses += 1;
-            }
-            hit
-        };
-        if !covered {
+        let mut st = self.state.lock();
+        let hit = st.staged.get(&id).is_some_and(|s| s.contains(offset, len));
+        if !hit {
+            st.stats.read_misses += 1;
             return fs.read_at(id, client, offset, buf, now);
         }
+        st.stats.read_hits += 1;
+        st.stats.bytes_hit += len;
         fs.read_bytes(id, offset, buf)?;
         let dur = len as f64 / ABSORB_BW;
-        let start = self.absorb.lock().reserve(now + OP_OVERHEAD, dur);
-        Ok(start + dur)
+        Ok(st.absorb.reserve(now + OP_OVERHEAD, dur) + dur)
     }
 
     pub fn stats(&self) -> BurstStats {
@@ -221,27 +213,6 @@ impl BbState {
             }
         });
         self.occupancy -= freed;
-    }
-
-    /// Is `[offset, offset+len)` fully covered by staged extents of `id`?
-    fn covers(&mut self, id: FileId, offset: u64, len: u64) -> bool {
-        let Some(extents) = self.staged.get_mut(&id) else {
-            return false;
-        };
-        // Merge in place (keeps repeated queries cheap for hot files).
-        extents.sort_unstable();
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(extents.len());
-        for &(s, l) in extents.iter() {
-            match merged.last_mut() {
-                Some(last) if s <= last.0 + last.1 => {
-                    last.1 = last.1.max(s + l - last.0);
-                }
-                _ => merged.push((s, l)),
-            }
-        }
-        *extents = merged;
-        let end = offset + len;
-        extents.iter().any(|&(s, l)| s <= offset && end <= s + l)
     }
 }
 

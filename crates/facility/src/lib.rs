@@ -20,8 +20,9 @@
 //!   normal cost model under the tenant's own QoS identity.
 //!
 //! Everything is deterministic: same [`orchestrator::FacilityConfig`],
-//! same seed, same report — bit for bit — because the facility always
-//! runs on the serial event core ([`mpisim::Backend::Event`]).
+//! same seed, same report — bit for bit — on either
+//! [`mpisim::Backend`], because both resume ranks one at a time in the
+//! same `(virtual clock, rank)` order.
 
 #![forbid(unsafe_code)]
 

@@ -4,11 +4,11 @@
 //! sizes a shared [`pfs::Pfs`] (tenant ranks plus burst-buffer drain
 //! agents), attaches the QoS layer and fault plan, precomputes every
 //! tenant's seeded arrival schedule, and runs all tenants' ranks in a
-//! single [`mpisim::run`] on the **event core** — the QoS and
-//! burst-buffer state is shared mutable state keyed by call order, and
-//! the serial event core is what makes that order (and hence the whole
-//! report) a pure function of the config. The thread backend is
-//! deliberately never used here, even if `MPISIM_BACKEND` asks for it.
+//! single [`mpisim::run`] on whichever backend the caller's environment
+//! picks. The QoS and burst-buffer state is shared mutable state keyed by
+//! call order; both substrates resume ranks one at a time in the same
+//! deterministic `(virtual clock, rank)` order, so that order — and hence
+//! the whole report — is a pure function of the config on either.
 //!
 //! Each tenant's ranks form a contiguous block of the world and split
 //! into a tenant communicator; a single-tenant facility skips the split
@@ -22,7 +22,7 @@ use crate::job::{self, JobSpec, Style};
 use crate::FacilityError;
 use mpisim::metrics::{Hist, Registry};
 use mpisim::trace::PhaseTotals;
-use mpisim::{Backend, Phase, Rank, RankStats, SimConfig};
+use mpisim::{Phase, Rank, RankStats, SimConfig};
 use parking_lot::Mutex;
 use pfs::qos::{Discipline, QosConfig};
 use pfs::{Pfs, PfsConfig, TenantUsage};
@@ -336,10 +336,6 @@ pub fn run_facility(cfg: &FacilityConfig) -> Result<FacilityReport, FacilityErro
     let tenant_of_rank: Arc<Vec<u32>> = Arc::new(tenant_of_client[..nranks].to_vec());
 
     let sim = SimConfig {
-        // The facility REQUIRES the serial event core: QoS and burst
-        // state depend on virtual-time call order, which only the event
-        // core makes deterministic. Never resolve from the environment.
-        backend: Backend::Event,
         chaos: cfg.chaos.clone(),
         metrics: cfg.metrics,
         ..SimConfig::default()

@@ -18,9 +18,8 @@
 //! `read_all_at` runs the phases in reverse, with an extra request-exchange
 //! round so aggregators know what to read.
 //!
-//! The round loop itself is [`crate::rounds`], shared with the view-based
-//! and partitioned paths; this module owns the knobs and the classic wire
-//! format: offset–length piece and request lists.
+//! The round loop itself is [`crate::rounds`]; this module owns the knobs
+//! and the wire format: offset–length piece and request lists.
 //!
 //! `cb_buffer = None` reproduces the paper's observed behaviour (the whole
 //! domain is buffered at once — their memory accounting in §V.B.2b implies
@@ -30,7 +29,7 @@
 use crate::error::{IoError, Result};
 use crate::extents::Cover;
 use crate::file::File;
-use crate::rounds::{read_rounds, write_rounds, Path, Requests};
+use crate::rounds::{read_rounds, write_rounds};
 use mpisim::wire::Malformed;
 use mpisim::Rank;
 
@@ -54,11 +53,9 @@ pub struct CollectiveConfig {
     /// `intra_agg`'s opaque byte forwarding): node leaders decode their
     /// members' offset–length lists, merge them per aggregator with
     /// adjacent-extent coalescing, and ship one merged list per
-    /// (node, aggregator) pair — see [`crate::reqagg`]. Classic two-phase
-    /// (`write_all_at`/`read_all_at`) merges semantically; the view-based
-    /// and partitioned paths treat this flag as `intra_agg` (their wire
-    /// formats are already per-interval, not per-extent). Falls back to
-    /// the flat burst without a topology.
+    /// (node, aggregator) pair — see [`crate::reqagg`]. Falls back to the
+    /// flat burst without a topology; setting it together with `intra_agg`
+    /// is an [`IoError::Usage`].
     pub req_agg: bool,
     /// Pipelined (double-buffered) rounds: an aggregator submits round
     /// k's file I/O, *keeps the completion as a deferred handle*, and
@@ -152,6 +149,8 @@ pub(crate) fn encode_requests(
     encode_list(reqs.into_iter(), 0)
 }
 
+/// Decode a request list: the file extents a source wants of an
+/// aggregator's window, in the order its reply carries them.
 pub(crate) fn decode_requests(buf: &[u8]) -> Result<impl Iterator<Item = (u64, u64)> + Clone + '_> {
     let (reqs, rest) = decode_list(buf)?;
     if !rest.is_empty() {
@@ -160,26 +159,31 @@ pub(crate) fn decode_requests(buf: &[u8]) -> Result<impl Iterator<Item = (u64, u
     Ok(reqs)
 }
 
-/// The classic path's requests: offset–length lists.
-pub(crate) struct OffsetLists;
-
-impl Requests for OffsetLists {
-    fn wanted<'p>(
-        &'p self,
-        _src: usize,
-        payload: &'p [u8],
-    ) -> Result<impl Iterator<Item = (u64, u64)> + Clone + 'p> {
-        decode_requests(payload)
+/// An aggregator's placement of one source's piece list: each piece into
+/// window `ws`'s buffer, marked dirty first — which refuses one outside the
+/// window.
+pub(crate) fn place_pieces(
+    rank: &mut Rank,
+    payload: &[u8],
+    ws: u64,
+    buf: &mut [u8],
+    dirty: &mut Cover,
+) -> Result<()> {
+    for (off, bytes) in decode_pieces(payload)? {
+        dirty.insert(off, bytes.len() as u64)?;
+        let at = (off - ws) as usize;
+        buf[at..at + bytes.len()].copy_from_slice(bytes);
+        rank.charge_memcpy(bytes.len() as u64);
     }
+    Ok(())
 }
 
-/// The piece-list collective write behind [`write_all_at`] and
-/// [`crate::write_all_partitioned`]: every rank sends each aggregator the
-/// pieces of its request that fall inside that aggregator's window.
-pub(crate) fn write_pieces(
+/// Collective write: all ranks must call, each with its own (possibly
+/// empty) data at a view-stream `offset`. Every rank sends each aggregator
+/// the pieces of its request that fall inside that aggregator's window.
+pub fn write_all_at(
     rank: &mut Rank,
-    file: &File,
-    path: &Path<'_>,
+    file: &mut File,
     offset: u64,
     data: &[u8],
     cfg: &CollectiveConfig,
@@ -196,45 +200,7 @@ pub(crate) fn write_pieces(
         Ok(out)
     };
     let hull = view.hull(offset, len);
-    write_rounds(rank, file, cfg, path, hull, build, place_pieces)
-}
-
-/// An aggregator's `place` for piece lists: each piece into window `ws`'s
-/// buffer, marked dirty first — which refuses one outside the window.
-pub(crate) fn place_pieces(
-    rank: &mut Rank,
-    _src: usize,
-    payload: &[u8],
-    ws: u64,
-    buf: &mut [u8],
-    dirty: &mut Cover,
-) -> Result<()> {
-    for (off, bytes) in decode_pieces(payload)? {
-        dirty.insert(off, bytes.len() as u64)?;
-        let at = (off - ws) as usize;
-        buf[at..at + bytes.len()].copy_from_slice(bytes);
-        rank.charge_memcpy(bytes.len() as u64);
-    }
-    Ok(())
-}
-
-/// Collective write: all ranks must call, each with its own (possibly
-/// empty) data at a view-stream `offset`.
-pub fn write_all_at(
-    rank: &mut Rank,
-    file: &mut File,
-    offset: u64,
-    data: &[u8],
-    cfg: &CollectiveConfig,
-) -> Result<()> {
-    let world = rank.world();
-    let path = Path {
-        comm: &world,
-        merges: true,
-        flat_span: Some("ocio_io"),
-        pipe_span: Some("ocio_io_pipe"),
-    };
-    write_pieces(rank, file, &path, offset, data, cfg)
+    write_rounds(rank, file, cfg, hull, build)
 }
 
 /// Collective read: all ranks must call, each filling its own (possibly
@@ -248,13 +214,6 @@ pub fn read_all_at(
     buf: &mut [u8],
     cfg: &CollectiveConfig,
 ) -> Result<()> {
-    let world = rank.world();
-    let path = Path {
-        comm: &world,
-        merges: true,
-        flat_span: Some("ocio_read"),
-        pipe_span: Some("ocio_read_pipe"),
-    };
     let (view, len) = (file.view(), buf.len() as u64);
     // The reply to a window's request fills the one slot of `buf` its
     // stream interval is.
@@ -266,14 +225,16 @@ pub fn read_all_at(
         Ok(Some((encode_requests(view.extents(lo, hi - lo))?, slot)))
     };
     let hull = view.hull(offset, len);
-    read_rounds(rank, file, cfg, &path, hull, buf, request, &OffsetLists)
+    read_rounds(rank, file, cfg, hull, buf, request)
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::file::{File, Mode};
+    use crate::client::Direction;
+    use crate::file::{File, Mode, PositionedFile};
     use crate::rounds::Plan;
+    use crate::view::tests::{bytes_below, random_filetype};
     use mpisim::wire::{push_frame, push_u32, Cursor};
     use mpisim::{Datatype, Named, SimConfig};
     use pfs::{Pfs, PfsConfig};
@@ -433,7 +394,7 @@ pub(crate) mod tests {
         let (mut lens, mut displs, mut children) = (Vec::new(), Vec::new(), Vec::new());
         let mut at = rng.next_u64() as usize % 5;
         for _ in 0..n {
-            let child = crate::view::tests::random_filetype(rng, 1);
+            let child = random_filetype(rng, 1);
             let len = 1 + rng.next_u64() as usize % 3;
             displs.push(at as isize);
             at += child.lb() as usize + len * child.extent() + rng.next_u64() as usize % 7;
@@ -459,7 +420,7 @@ pub(crate) mod tests {
             let ftype = match rng.next_u64() % 6 {
                 0 => None,
                 1 => Some(random_struct(&mut rng)),
-                _ => Some(crate::view::tests::random_filetype(&mut rng, 2)),
+                _ => Some(random_filetype(&mut rng, 2)),
             };
             let mut pick = |lo: u64, hi: u64| lo + rng.next_u64() % (hi - lo);
             let view = match &ftype {
@@ -525,8 +486,8 @@ pub(crate) mod tests {
     }
 
     /// The seeded mutate-and-decode loop over every wire format of the
-    /// crate — piece lists, request lists, request-aggregation frames and
-    /// serialized views: a corrupted payload decodes to a typed error or a
+    /// crate — piece lists, request lists and request-aggregation frames:
+    /// a corrupted payload decodes to a typed error or a
     /// value, never a panic, and a decoded list never has more entries
     /// than the input has bytes to describe them. The list decoder yields
     /// what its `Cursor` oracle yields, and fails exactly where it fails.
@@ -541,11 +502,7 @@ pub(crate) mod tests {
         push_frame(&mut frames, 3, &pieces).unwrap();
         push_frame(&mut frames, 0, &[]).unwrap();
         push_frame(&mut frames, 17, &requests).unwrap();
-        let etype = Datatype::named(Named::Int).commit();
-        let ftype = Datatype::vector(6, 2, 5, Datatype::named(Named::Int)).commit();
-        let view = crate::FileView::new(24, &etype, &ftype).unwrap();
-        let view = view.serialize().unwrap();
-        for seed in [pieces, requests, frames, view] {
+        for seed in [pieces, requests, frames] {
             for _ in 0..4000 {
                 let m = mutate(&seed, &mut rng);
                 if let Ok(list) = decode_pieces(&m) {
@@ -563,13 +520,6 @@ pub(crate) mod tests {
                 }
                 let mut cur = Cursor::new(&m);
                 while !cur.is_empty() && cur.frame().is_ok() {}
-                if let Ok(v) = crate::FileView::deserialize(&m) {
-                    assert_eq!(v.serialize().unwrap().len(), m.len());
-                    assert!(v.is_identity() || v.tile_size() > 0);
-                    for eof in [0, 1 << 20, u64::MAX] {
-                        assert!(v.stream_len_for_file(eof) <= eof);
-                    }
-                }
             }
         }
     }
@@ -961,14 +911,8 @@ pub(crate) mod tests {
                 ..Default::default()
             };
             let r = rk.rank() as u64;
-            let world = rk.world();
-            let path = Path {
-                comm: &world,
-                merges: true,
-                flat_span: None,
-                pipe_span: None,
-            };
-            let plan = Plan::agree(rk, &cfg, &path, Some((r * 10, r * 10 + 10)))?.unwrap();
+            let hull = Some((r * 10, r * 10 + 10));
+            let plan = Plan::agree(rk, &cfg, Direction::Write, hull)?.unwrap();
             Ok(plan.agg_ranks)
         })
         .unwrap();
@@ -1160,5 +1104,259 @@ pub(crate) mod tests {
         assert!(bytes[0..8].iter().all(|&b| b == 1));
         assert!(bytes[8..1000].iter().all(|&b| b == 0xAA), "gap clobbered");
         assert!(bytes[1000..1008].iter().all(|&b| b == 2));
+    }
+
+    /// Independent I/O is the collective's oracle: rank r sets `ftype` as
+    /// its view at `disp = r · stride` (or keeps the default view, for
+    /// `None`) and writes `asks[r] = (stream offset, length)` of its own
+    /// bytes, then reads the same range back — once with `write_all_at` /
+    /// `read_all_at` under `cfg` and `topology`, once with independent
+    /// `File::write_at` / `read_at`, which share no code with the round
+    /// engine past the view. The two files must be byte-identical and every
+    /// read-back the bytes written; `File::end` is checked on the way,
+    /// against a count over the view's extents. Returns the file.
+    fn against_independent(
+        ftype: Option<&Datatype>,
+        stride: u64,
+        asks: &[(u64, usize)],
+        cfg: &CollectiveConfig,
+        topology: Option<mpisim::Topology>,
+    ) -> Vec<u8> {
+        let nprocs = asks.len();
+        let etype = Datatype::named(Named::Byte).commit();
+        let ftype = ftype.map(Datatype::commit);
+        let files = [true, false].map(|collective| {
+            let fs = Pfs::new(nprocs, PfsConfig::default()).unwrap();
+            let sim = SimConfig {
+                topology: topology.clone(),
+                ..Default::default()
+            };
+            let rep = mpisim::run(nprocs, sim, |rk| {
+                let me = rk.rank();
+                let mut f = File::open(rk, &fs, "/oracle", Mode::ReadWrite)?;
+                if let Some(ftype) = &ftype {
+                    f.set_view(rk, me as u64 * stride, &etype, ftype)?;
+                }
+                let (offset, len) = asks[me];
+                let data: Vec<u8> = (0..len).map(|i| (me * 37 + i) as u8).collect();
+                let mut back = vec![0u8; len];
+                if collective {
+                    write_all_at(rk, &mut f, offset, &data, cfg)?;
+                    read_all_at(rk, &mut f, offset, &mut back, cfg)?;
+                } else {
+                    f.write_at(rk, offset, &data)?;
+                    rk.barrier()?;
+                    f.read_at(rk, offset, &mut back)?;
+                }
+                assert_eq!(back, data, "rank {me}: read back, collective={collective}");
+                // A stream of `eof` bytes reaches past byte `eof` of the file.
+                let eof = fs.len(f.file_id())?;
+                let below = bytes_below(f.view().extents(0, eof), eof);
+                assert_eq!(f.end()?, below, "rank {me}: end of a {eof}-byte file");
+                f.close(rk)?;
+                Ok(back)
+            })
+            .unwrap();
+            let file = fs.snapshot_file(fs.open("/oracle").unwrap()).unwrap();
+            (file, rep.results)
+        });
+        let [(collective, read_collective), (independent, read_independent)] = files;
+        assert_eq!(collective, independent, "the collective left another file");
+        assert_eq!(read_collective, read_independent, "the read-backs differ");
+        collective
+    }
+
+    /// The Fig. 2 interleaved pattern — `len_array` 12-byte blocks per rank,
+    /// dealt round-robin — against independent I/O under every exchange:
+    /// the flat burst, fewer aggregators over several rounds, pipelined
+    /// rounds, and the two-level and request-aggregation exchanges over a
+    /// topology.
+    #[test]
+    fn fig2_matches_independent_io_under_every_exchange() {
+        let chunked = CollectiveConfig {
+            cb_nodes: Some(2),
+            cb_buffer: Some(64),
+            ..Default::default()
+        };
+        let cases = [
+            (4, 8, CollectiveConfig::default(), None),
+            (3, 5, chunked.clone(), None),
+            (
+                3,
+                5,
+                CollectiveConfig {
+                    pipeline: true,
+                    ..chunked.clone()
+                },
+                None,
+            ),
+            (
+                4,
+                8,
+                CollectiveConfig {
+                    intra_agg: true,
+                    ..Default::default()
+                },
+                Some(2),
+            ),
+            (
+                4,
+                8,
+                CollectiveConfig {
+                    req_agg: true,
+                    ..chunked
+                },
+                Some(2),
+            ),
+        ];
+        for (nprocs, len_array, cfg, ppn) in cases {
+            let block = Datatype::contiguous(12, Datatype::named(Named::Byte));
+            let ftype = Datatype::vector(len_array, 1, nprocs as isize, block);
+            let asks = vec![(0, 12 * len_array); nprocs];
+            let topology = ppn.map(|ppn| mpisim::Topology::blocked(nprocs, ppn));
+            let file = against_independent(Some(&ftype), 12, &asks, &cfg, topology);
+            assert_eq!(file.len(), nprocs * len_array * 12, "{cfg:?}");
+        }
+    }
+
+    /// A filetype whose first block sits past its tile's origin:
+    /// `stream_len_for_file` used to count from the origin, which misplaced
+    /// a window's share of the request.
+    #[test]
+    fn a_lower_bound_moves_no_window() {
+        let byte = Datatype::named(Named::Byte);
+        let at_8 = Datatype::indexed(vec![4], vec![8], byte).unwrap();
+        let cfg = CollectiveConfig {
+            cb_nodes: Some(2),
+            cb_buffer: Some(16),
+            ..Default::default()
+        };
+        let ftype = Datatype::resized(0, 8, at_8);
+        let file = against_independent(Some(&ftype), 4, &[(0, 16); 2], &cfg, None);
+        // Rank r's block k is bytes `8 + 8k + 4r ..+ 4` of the file.
+        let expect = |at: usize| match at.checked_sub(8) {
+            Some(i) => ((i / 4 % 2) * 37 + i / 8 * 4 + i % 4) as u8,
+            None => 0,
+        };
+        assert_eq!(file, (0..40).map(expect).collect::<Vec<u8>>());
+    }
+
+    /// The collective and independent I/O, the same bytes, over random
+    /// filetype trees — tiled between the ranks so no two write the same
+    /// byte — random requests starting mid-block (a quarter of them empty)
+    /// and random hints: aggregator count, window size, pipelining, request
+    /// aggregation over a topology. Small windows leave most sources no
+    /// share of most of them: that is the empty payload, on every exchange.
+    #[test]
+    fn the_collective_matches_independent_io_on_random_views_and_hints() {
+        use rand::{RngExt, SeedableRng};
+        for seed in 0..64u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xb07 ^ seed);
+            let tile = random_filetype(&mut rng, 2);
+            let mut pick = |lo: u64, hi: u64| lo + rng.next_u64() % (hi - lo);
+            let nprocs = pick(1, 7);
+            let (size, extent) = (tile.size() as u64, tile.extent() as u64);
+            let ftype = Datatype::resized(0, (nprocs * extent) as usize, tile);
+            let asks: Vec<(u64, usize)> = (0..nprocs)
+                .map(|_| {
+                    (
+                        pick(0, 2 * size),
+                        (pick(0, 3 * size) * pick(0, 4).min(1)) as usize,
+                    )
+                })
+                .collect();
+            let req_agg = pick(0, 2) == 0;
+            let cfg = CollectiveConfig {
+                cb_nodes: (pick(0, 2) == 0).then(|| pick(1, nprocs + 1) as usize),
+                // From a sliver of one round-robin tile to a few of them.
+                cb_buffer: (pick(0, 3) > 0)
+                    .then(|| pick(1 + nprocs * extent / 32, 2 * nprocs * extent)),
+                pipeline: pick(0, 2) == 0,
+                req_agg,
+                ..Default::default()
+            };
+            let topology =
+                req_agg.then(|| mpisim::Topology::blocked(nprocs as usize, pick(1, 4) as usize));
+            against_independent(Some(&ftype), extent, &asks, &cfg, topology);
+        }
+    }
+
+    /// Ranks with nothing to write still take part: rank 0 writes 24 bytes
+    /// through the default view, the other two nothing.
+    #[test]
+    fn empty_ranks_participate() {
+        let file = against_independent(
+            None,
+            0,
+            &[(0, 24), (0, 0), (0, 0)],
+            &Default::default(),
+            None,
+        );
+        assert_eq!(file, (0..24).collect::<Vec<u8>>());
+    }
+
+    /// A read of a middle slice of the stream, collective and independent,
+    /// after a collective write of the whole of it.
+    #[test]
+    fn a_partial_range_reads_back() {
+        let nprocs = 2;
+        let fs = Pfs::new(nprocs, PfsConfig::default()).unwrap();
+        mpisim::run(nprocs, SimConfig::default(), |rk| {
+            let me = rk.rank();
+            let mut f = File::open(rk, &fs, "/partial", Mode::ReadWrite)?;
+            let etype = Datatype::contiguous(8, Datatype::named(Named::Byte)).commit();
+            let ftype = Datatype::vector(6, 1, 2, etype.datatype().clone()).commit();
+            f.set_view(rk, me as u64 * 8, &etype, &ftype)?;
+            let data: Vec<u8> = (0..48).map(|i| (me * 100 + i) as u8).collect();
+            write_all_at(rk, &mut f, 0, &data, &CollectiveConfig::default())?;
+            let (mut collective, mut independent) = (vec![0u8; 16], vec![0u8; 16]);
+            read_all_at(rk, &mut f, 10, &mut collective, &Default::default())?;
+            f.read_at(rk, 10, &mut independent)?;
+            assert_eq!(collective, &data[10..26], "rank {me}: collective");
+            assert_eq!(independent, &data[10..26], "rank {me}: independent");
+            Ok(())
+        })
+        .unwrap();
+    }
+
+    /// `intra_agg` and `req_agg` name two exchanges: asking for both is a
+    /// typed usage error on every rank, with or without a topology, for
+    /// writes and reads — never one flag silently winning.
+    #[test]
+    fn both_exchange_flags_are_a_usage_error() {
+        let cfg = CollectiveConfig {
+            intra_agg: true,
+            req_agg: true,
+            ..Default::default()
+        };
+        for topology in [None, Some(mpisim::Topology::blocked(4, 2))] {
+            for write in [true, false] {
+                let fs = Pfs::new(4, PfsConfig::default()).unwrap();
+                let sim = SimConfig {
+                    topology: topology.clone(),
+                    ..Default::default()
+                };
+                let err = mpisim::run(4, sim, |rk| {
+                    let mut f = File::open(rk, &fs, "/both", Mode::ReadWrite)?;
+                    let mut buf = [rk.rank() as u8; 8];
+                    let off = rk.rank() as u64 * 8;
+                    if write {
+                        write_all_at(rk, &mut f, off, &buf, &cfg)?;
+                    } else {
+                        read_all_at(rk, &mut f, off, &mut buf, &cfg)?;
+                    }
+                    Ok(())
+                })
+                .unwrap_err();
+                let what = format!("topology={}, write={write}", topology.is_some());
+                let mpisim::SimError::RankFailed { error, .. } = &err else {
+                    panic!("{what}: {err}");
+                };
+                let Some(IoError::Usage(msg)) = error.layer::<IoError>() else {
+                    panic!("{what}: {error}");
+                };
+                assert!(msg.contains("intra_agg and req_agg"), "{what}: {msg}");
+            }
+        }
     }
 }

@@ -236,36 +236,14 @@ impl File {
                 fid
             }
         };
-        Ok(File::new(pfs, fid, mode))
-    }
-
-    fn new(pfs: &Arc<Pfs>, fid: FileId, mode: Mode) -> File {
-        File {
+        Ok(File {
             pfs: Arc::clone(pfs),
             fid,
             view: FileView::contiguous(),
             pos: 0,
             mode,
             sieve: None,
-        }
-    }
-
-    /// Non-collective open (`MPI_File_open` on `MPI_COMM_SELF`, or a
-    /// group-scoped open for partitioned collective I/O): no barrier, so
-    /// independent groups don't accidentally synchronize through the
-    /// namespace. Creation is idempotent across racing ranks.
-    pub fn open_independent(
-        rank: &mut Rank,
-        pfs: &Arc<Pfs>,
-        path: &str,
-        mode: Mode,
-    ) -> Result<File> {
-        let _ = &rank; // opening charges no modeled time beyond the FS RPCs
-        let fid = match mode {
-            Mode::ReadOnly => pfs.open(path)?,
-            Mode::WriteOnly | Mode::ReadWrite => pfs.open_or_create(path)?,
-        };
-        Ok(File::new(pfs, fid, mode))
+        })
     }
 
     pub fn mode(&self) -> Mode {

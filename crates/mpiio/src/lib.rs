@@ -21,19 +21,15 @@ pub mod collective;
 pub mod error;
 pub mod extents;
 pub mod file;
-pub mod parcoll;
 pub mod reqagg;
 pub mod rounds;
 pub mod sieve;
 pub mod view;
-pub mod viewcoll;
 
 pub use client::DeferredQueue;
 pub use collective::{read_all_at, write_all_at, CollectiveConfig};
 pub use error::{IoError, Result};
 pub use extents::ExtentSet;
 pub use file::{File, Mode, PositionedFile, Whence};
-pub use parcoll::write_all_partitioned;
 pub use sieve::SieveConfig;
 pub use view::{FileView, ViewExtents};
-pub use viewcoll::{read_all_view_based, register_views, write_all_view_based, RegisteredViews};

@@ -1,43 +1,23 @@
-//! The two-phase round engine: the one loop behind every collective path.
+//! The two-phase round engine behind `write_all_at` and `read_all_at`.
 //!
-//! ROMIO's two-phase algorithm (§III.A) is the same skeleton whichever
-//! wire format rides it: agree on the aggregate file domain, split it
-//! across aggregators, and per round — one `cb_buffer` window per
-//! aggregator — exchange per-destination payloads, assemble the window in
-//! a memory-accounted collective buffer and move its extent runs to or
-//! from the file system through the [`client`] door. `write_rounds` and
-//! `read_rounds` own that skeleton, including the depth-2 deferred
-//! completions of `CollectiveConfig::pipeline`. A caller supplies only
-//! what is its own: a `Path` (communicator, whether `req_agg` merges
-//! semantically, span names) and the closures that speak its wire format
-//! — each handed a window and answering with this rank's share of it, which
-//! `FileView::stream_interval` makes one slice of the caller's buffer.
+//! ROMIO's two-phase algorithm (§III.A): agree on the aggregate file
+//! domain, split it across aggregators, and per round — one `cb_buffer`
+//! window per aggregator — exchange per-destination offset–length lists,
+//! assemble the window in a memory-accounted collective buffer and move its
+//! extent runs to or from the file system through the [`client`] door.
+//! `write_rounds` and `read_rounds` own that loop, including the depth-2
+//! deferred completions of `CollectiveConfig::pipeline`. The caller hands
+//! in only the closure that encodes this rank's share of a window, which
+//! `FileView::stream_interval` makes one slice of the caller's buffer; the
+//! aggregator decodes it with [`crate::collective`]'s list codec.
 
 use crate::client::{self, DeferredQueue, Direction};
-use crate::collective::CollectiveConfig;
+use crate::collective::{decode_requests, place_pieces, CollectiveConfig};
 use crate::error::{IoError, Result};
 use crate::extents::Cover;
 use crate::file::File;
 use crate::reqagg::{self, ReadSession};
 use mpisim::{Comm, DeferredIo, MemGuard, Rank, ReduceOp};
-
-/// What one collective path is, as values: everything the five callers
-/// differ in outside their wire formats.
-pub(crate) struct Path<'a> {
-    /// The communicator the collective runs over. Payload vectors and
-    /// aggregator ranks live in its rank space.
-    pub(crate) comm: &'a Comm,
-    /// `req_agg` merges offset–length lists at node leaders on this path
-    /// (its payloads are piece/request lists); otherwise `req_agg` means
-    /// the opaque two-level exchange, like `intra_agg`.
-    pub(crate) merges: bool,
-    /// Span of a serialized round's I/O, as [`client::settle`] takes it:
-    /// `None` waits in the caller's phase and marks nothing.
-    pub(crate) flat_span: Option<&'static str>,
-    /// Deferred-handle span under `CollectiveConfig::pipeline`; `None` for
-    /// a path that has nothing to overlap and ignores the knob.
-    pub(crate) pipe_span: Option<&'static str>,
-}
 
 /// The data-exchange strategy, resolved once per collective.
 #[derive(Clone, Copy, PartialEq)]
@@ -51,39 +31,55 @@ enum Exchange {
 }
 
 impl Exchange {
-    fn resolve(rank: &Rank, cfg: &CollectiveConfig, merges: bool) -> Exchange {
-        // Without a topology there are no node leaders: both knobs fall
-        // back to the flat burst.
-        if !(cfg.intra_agg || cfg.req_agg) || rank.topology().is_none() {
-            Exchange::Flat
-        } else if cfg.req_agg && merges {
-            Exchange::ReqAgg
-        } else {
-            Exchange::TwoLevel
-        }
+    /// `intra_agg` and `req_agg` each name one exchange, so setting both is
+    /// a usage error. Without a topology there are no node leaders: either
+    /// knob falls back to the flat burst.
+    fn resolve(rank: &Rank, cfg: &CollectiveConfig) -> Result<Exchange> {
+        Ok(match (cfg.intra_agg, cfg.req_agg) {
+            (true, true) => {
+                return Err(IoError::Usage(
+                    "intra_agg and req_agg name two exchanges; set at most one".into(),
+                ))
+            }
+            (false, false) => Exchange::Flat,
+            _ if rank.topology().is_none() => Exchange::Flat,
+            (true, false) => Exchange::TwoLevel,
+            (false, true) => Exchange::ReqAgg,
+        })
+    }
+}
+
+/// The span a window's file-system I/O is named by.
+fn io_span(direction: Direction, pipelined: bool) -> &'static str {
+    match (direction, pipelined) {
+        (Direction::Write, false) => "ocio_io",
+        (Direction::Write, true) => "ocio_io_pipe",
+        (Direction::Read, false) => "ocio_read",
+        (Direction::Read, true) => "ocio_read_pipe",
     }
 }
 
 /// What one collective call agreed on: the file-domain geometry, who
 /// aggregates, how payloads travel and how completions reach the clock.
-pub(crate) struct Plan<'a> {
-    path: &'a Path<'a>,
+pub(crate) struct Plan {
+    world: Comm,
     exch: Exchange,
     gmin: u64,
     gmax: u64,
     dsize: u64,
     round_size: u64,
     pub(crate) rounds: u64,
-    /// The rank (in the communicator's rank space) serving each aggregator
-    /// index.
+    /// The world rank serving each aggregator index.
     pub(crate) agg_ranks: Vec<usize>,
     /// The aggregator index this rank serves, if any.
     my_agg: Option<usize>,
-    /// The deferred-handle span when this call pipelines its rounds.
-    pipe_span: Option<&'static str>,
+    /// Whether this call pipelines its rounds.
+    pipelined: bool,
+    /// The span a window's I/O is submitted under.
+    io_span: &'static str,
 }
 
-impl<'a> Plan<'a> {
+impl Plan {
     /// Agree on the aggregate domain — the union of everyone's `hull`, the
     /// file range `[start, end)` its request spans — and split it across
     /// aggregators. `None` — after the closing barrier — when nobody has
@@ -91,20 +87,21 @@ impl<'a> Plan<'a> {
     pub(crate) fn agree(
         rank: &mut Rank,
         cfg: &CollectiveConfig,
-        path: &'a Path<'a>,
+        direction: Direction,
         hull: Option<(u64, u64)>,
-    ) -> Result<Option<Plan<'a>>> {
-        let comm = path.comm;
+    ) -> Result<Option<Plan>> {
+        let exch = Exchange::resolve(rank, cfg)?;
+        let world = rank.world();
         let (local_min, local_max) = hull.unwrap_or((u64::MAX, 0));
-        let gmin = rank.allreduce_u64_in(comm, local_min, ReduceOp::Min)?;
-        let gmax = rank.allreduce_u64_in(comm, local_max, ReduceOp::Max)?;
+        let gmin = rank.allreduce_u64_in(&world, local_min, ReduceOp::Min)?;
+        let gmax = rank.allreduce_u64_in(&world, local_max, ReduceOp::Max)?;
         if gmin >= gmax {
-            rank.barrier_in(comm)?;
+            rank.barrier()?;
             return Ok(None);
         }
-        let (me, n) = (comm.group_rank(), comm.size());
+        let n = rank.nprocs();
         let naggs = cfg.cb_nodes.unwrap_or(n).clamp(1, n);
-        let mut agg_ranks: Vec<usize> = match rank.topology().filter(|_| comm.is_world()) {
+        let mut agg_ranks: Vec<usize> = match rank.topology() {
             // Node-aware placement: interleave nodes so the first
             // `num_nodes` aggregators land one per node — aggregator NICs
             // are the bottleneck of the I/O phase, so doubling up on a node
@@ -114,19 +111,17 @@ impl<'a> Plan<'a> {
                 order.truncate(naggs);
                 order
             }
-            // Topology-blind (and every group, whatever the topology): the
-            // classic evenly-spread ROMIO mapping.
+            // Topology-blind: the classic evenly-spread ROMIO mapping.
             None => (0..naggs).map(|i| i * n / naggs).collect(),
         };
-        // Graceful degradation (world only): drop aggregators with a stall
-        // window still ahead or a crash-stop coming — an aggregator that
-        // dies mid-drain takes every rank's staged data with it. The
-        // allreduces above are symmetric, so all ranks get here with
-        // *identical* clocks and the pure-function stall/crash queries
-        // yield the same shrunk set everywhere without extra communication.
-        // If every candidate is a straggler, keep the original set (someone
-        // has to do the I/O).
-        if let Some(engine) = rank.chaos().filter(|_| comm.is_world()) {
+        // Graceful degradation: drop aggregators with a stall window still
+        // ahead or a crash-stop coming — an aggregator that dies mid-drain
+        // takes every rank's staged data with it. The allreduces above are
+        // symmetric, so all ranks get here with *identical* clocks and the
+        // pure-function stall/crash queries yield the same shrunk set
+        // everywhere without extra communication. If every candidate is a
+        // straggler, keep the original set (someone has to do the I/O).
+        if let Some(engine) = rank.chaos() {
             let t = rank.now();
             let healthy = |&r: &usize| !engine.stall_ahead(r, t) && !engine.crash_ahead(r);
             let shrunk: Vec<usize> = agg_ranks.iter().copied().filter(healthy).collect();
@@ -140,16 +135,17 @@ impl<'a> Plan<'a> {
         }
         let round_size = cfg.cb_buffer.unwrap_or(dsize).max(1).min(dsize);
         Ok(Some(Plan {
-            path,
-            exch: Exchange::resolve(rank, cfg, path.merges),
+            world,
+            exch,
             gmin,
             gmax,
             dsize,
             round_size,
             rounds: dsize.div_ceil(round_size),
-            my_agg: agg_ranks.iter().position(|&r| r == me),
+            my_agg: agg_ranks.iter().position(|&r| r == rank.rank()),
             agg_ranks,
-            pipe_span: path.pipe_span.filter(|_| cfg.pipeline),
+            pipelined: cfg.pipeline,
+            io_span: io_span(direction, cfg.pipeline),
         }))
     }
 
@@ -179,45 +175,36 @@ impl<'a> Plan<'a> {
 
     /// The all-to-all burst, flat or leader-forwarded.
     fn burst(&self, rank: &mut Rank, data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
-        let comm = self.path.comm;
         Ok(match self.exch {
-            Exchange::TwoLevel => rank.alltoallv_burst_hier_in(comm, data)?,
-            _ => rank.alltoallv_burst_in(comm, data)?,
+            Exchange::TwoLevel => rank.alltoallv_burst_hier_in(&self.world, data)?,
+            _ => rank.alltoallv_burst_in(&self.world, data)?,
         })
-    }
-
-    /// The span a window's I/O is submitted under.
-    fn io_span(&self) -> Option<&'static str> {
-        self.pipe_span.or(self.path.flat_span)
     }
 }
 
-/// The collective write loop. `build(ws, we)` encodes this rank's payload
-/// for the aggregator owning window `[ws, we)` (empty = nothing to send);
-/// `place(rank, src, payload, ws, buf, dirty)` marks what one incoming
-/// payload touches in `dirty` — which refuses an extent outside the window
-/// before a byte moves — then copies it into the window buffer and charges
-/// the copy.
+/// The collective write loop. `build(ws, we)` encodes this rank's piece
+/// list for the aggregator owning window `[ws, we)` (empty = nothing to
+/// send); the aggregator places each incoming list with
+/// [`place_pieces`], which refuses an extent outside the window before a
+/// byte moves.
 pub(crate) fn write_rounds(
     rank: &mut Rank,
     file: &File,
     cfg: &CollectiveConfig,
-    path: &Path<'_>,
     hull: Option<(u64, u64)>,
     mut build: impl FnMut(u64, u64) -> Result<Vec<u8>>,
-    mut place: impl FnMut(&mut Rank, usize, &[u8], u64, &mut [u8], &mut Cover) -> Result<()>,
 ) -> Result<()> {
     if !file.mode().writable() {
         return Err(IoError::Usage("file is not open for writing".into()));
     }
-    let Some(plan) = Plan::agree(rank, cfg, path, hull)? else {
+    let Some(plan) = Plan::agree(rank, cfg, Direction::Write, hull)? else {
         return Ok(());
     };
     let (pfs, fid) = (file.pfs(), file.file_id());
     let mut inflight = DeferredQueue::default();
     for r in 0..plan.rounds {
         inflight.make_room(rank);
-        let mut payloads: Vec<Vec<u8>> = vec![Vec::new(); path.comm.size()];
+        let mut payloads: Vec<Vec<u8>> = vec![Vec::new(); rank.nprocs()];
         for (a, ws, we) in plan.windows(r) {
             payloads[a] = build(ws, we)?;
         }
@@ -237,18 +224,16 @@ pub(crate) fn write_rounds(
         let cb = rank.alloc(we - ws)?;
         let mut buf = vec![0u8; (we - ws) as usize];
         let mut dirty = Cover::new(ws, we);
-        for (src, payload) in exchanged.iter().enumerate() {
-            if !payload.is_empty() {
-                place(rank, src, payload, ws, &mut buf, &mut dirty)?;
-            }
+        for payload in exchanged.iter().filter(|p| !p.is_empty()) {
+            place_pieces(rank, payload, ws, &mut buf, &mut dirty)?;
         }
         let runs = dirty.runs();
         let write = |rk: &mut Rank, off, len: u64, _| {
             let at = (off - ws) as usize;
             pfs.write_at(fid, rk.rank(), off, &buf[at..at + len as usize], rk.now())
         };
-        let io = client::submit(rank, Direction::Write, plan.io_span(), runs, write)?;
-        if plan.pipe_span.is_some() {
+        let io = client::submit(rank, Direction::Write, Some(plan.io_span), runs, write)?;
+        if plan.pipelined {
             // Round r+1's exchange overlaps the OST service.
             inflight.push(io, Some(cb));
         } else {
@@ -257,19 +242,7 @@ pub(crate) fn write_rounds(
         }
     }
     inflight.drain(rank);
-    Ok(rank.barrier_in(plan.path.comm)?)
-}
-
-/// How an aggregator reads a source's request payload: the wire format of
-/// a read path's phase 1.
-pub(crate) trait Requests {
-    /// The file extents `src` wants of this aggregator's window, in reply
-    /// order.
-    fn wanted<'p>(
-        &'p self,
-        src: usize,
-        payload: &'p [u8],
-    ) -> Result<impl Iterator<Item = (u64, u64)> + Clone + 'p>;
+    Ok(rank.barrier()?)
 }
 
 /// One round's request phase: the incoming requests, the request-aggregation
@@ -297,20 +270,17 @@ struct WindowRead {
 /// buffer with it.
 fn read_window(
     rank: &mut Rank,
-    plan: &Plan<'_>,
+    plan: &Plan,
     file: &File,
     (ws, we): (u64, u64),
     incoming: &[Vec<u8>],
-    codec: &impl Requests,
 ) -> Result<Option<WindowRead>> {
     let mut wanted = Cover::new(ws, we);
     let mut totals = vec![0; incoming.len()];
     for (src, payload) in incoming.iter().enumerate() {
-        if !payload.is_empty() {
-            for (o, l) in codec.wanted(src, payload)? {
-                wanted.insert(o, l)?;
-                totals[src] += l;
-            }
+        for (o, l) in decode_requests(payload)? {
+            wanted.insert(o, l)?;
+            totals[src] += l;
         }
     }
     if wanted.runs().next().is_none() {
@@ -325,7 +295,7 @@ fn read_window(
         let dst = &mut wbuf[(off - ws) as usize..][..len as usize];
         pfs.read_at_hedged(fid, rk.rank(), off, dst, rk.now())
     };
-    let io = client::submit(rank, Direction::Read, plan.io_span(), runs, read)?;
+    let io = client::submit(rank, Direction::Read, Some(plan.io_span), runs, read)?;
     Ok(Some(WindowRead {
         ws,
         wbuf,
@@ -335,35 +305,32 @@ fn read_window(
     }))
 }
 
-/// The collective read loop. `request(ws, we)` encodes what this rank
-/// needs from window `[ws, we)` plus the one `(buf_cursor, len)` slot of
-/// `buf` the reply will fill — views are monotone, so a window's share of a
-/// request is contiguous in the stream (`None` = nothing); `codec` reads
-/// an incoming request back into the file extents its source wants.
+/// The collective read loop. `request(ws, we)` encodes the request list of
+/// what this rank needs from window `[ws, we)` plus the one `(buf_cursor,
+/// len)` slot of `buf` the reply will fill — views are monotone, so a
+/// window's share of a request is contiguous in the stream (`None` =
+/// nothing).
 ///
 /// Serialized, a round is request exchange → window read → reply
 /// exchange. Pipelined, the aggregator leaves the read's completion
 /// outstanding, runs round r+1's *request* exchange while the OSTs
 /// service it, and only then settles the read and answers round r.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn read_rounds(
     rank: &mut Rank,
     file: &File,
     cfg: &CollectiveConfig,
-    path: &Path<'_>,
     hull: Option<(u64, u64)>,
     buf: &mut [u8],
     mut request: impl FnMut(u64, u64) -> Result<Option<(Vec<u8>, (usize, usize))>>,
-    codec: &impl Requests,
 ) -> Result<()> {
     if !file.mode().readable() {
         return Err(IoError::Usage("file is not open for reading".into()));
     }
-    let Some(plan) = Plan::agree(rank, cfg, path, hull)? else {
+    let Some(plan) = Plan::agree(rank, cfg, Direction::Read, hull)? else {
         return Ok(());
     };
     let mut ask = |rank: &mut Rank, r: u64| -> Result<Asked> {
-        let mut requests: Vec<Vec<u8>> = vec![Vec::new(); path.comm.size()];
+        let mut requests: Vec<Vec<u8>> = vec![Vec::new(); rank.nprocs()];
         let mut fills = Vec::new();
         for (a, ws, we) in plan.windows(r) {
             if let Some((msg, slot)) = request(ws, we)? {
@@ -389,18 +356,18 @@ pub(crate) fn read_rounds(
             None => ask(rank, r)?,
         };
         let window = match plan.my_window(r) {
-            Some(w) => read_window(rank, &plan, file, w, &incoming, codec)?,
+            Some(w) => read_window(rank, &plan, file, w, &incoming)?,
             None => None,
         };
-        if plan.pipe_span.is_some() && r + 1 < plan.rounds {
+        if plan.pipelined && r + 1 < plan.rounds {
             prefetched = Some(ask(rank, r + 1)?);
         }
         // Settle the read, then slice each source's extents out of the
         // window buffer in the order it asked for them, into a reply of the
         // length `read_window` summed.
-        let mut responses: Vec<Vec<u8>> = vec![Vec::new(); path.comm.size()];
+        let mut responses: Vec<Vec<u8>> = vec![Vec::new(); rank.nprocs()];
         if let Some(w) = window {
-            if plan.pipe_span.is_some() {
+            if plan.pipelined {
                 rank.io_complete(w.io);
             } else {
                 client::settle(rank, w.io);
@@ -411,7 +378,7 @@ pub(crate) fn read_rounds(
                 }
                 let total = w.totals[src];
                 let mut resp = Vec::with_capacity(total as usize);
-                for (off, len) in codec.wanted(src, payload)? {
+                for (off, len) in decode_requests(payload)? {
                     let at = (off - w.ws) as usize;
                     resp.extend_from_slice(&w.wbuf[at..at + len as usize]);
                 }
@@ -430,21 +397,20 @@ pub(crate) fn read_rounds(
             buf[cursor..cursor + len].copy_from_slice(&answers[a]);
         }
     }
-    Ok(rank.barrier_in(plan.path.comm)?)
+    Ok(rank.barrier()?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::collective::encode_requests;
     use crate::collective::tests::encode_pieces;
-    use crate::collective::{encode_requests, place_pieces, OffsetLists};
     use crate::file::Mode;
     use mpisim::{SimConfig, SimError};
     use pfs::{Pfs, PfsConfig};
 
     /// A payload can decode cleanly and still name an extent outside the
-    /// window it was sent for — from a bad peer, or a mismatched registered
-    /// view. The aggregator refuses it with a typed usage error before a
+    /// window it was sent for — from a bad peer. The aggregator refuses it with a typed usage error before a
     /// byte of it moves; it used to panic the rank. Two ranks aggregate
     /// `[0, 100)` and `[100, 200)`, and each forges, for the first window,
     /// an extent ending at `we + 1` and, for the second, one starting below
@@ -456,13 +422,6 @@ mod tests {
             let fs = Pfs::new(2, PfsConfig::default()).unwrap();
             let err = mpisim::run(2, SimConfig::default(), |rk| {
                 let f = File::open(rk, &fs, "/forged", Mode::ReadWrite)?;
-                let world = rk.world();
-                let path = Path {
-                    comm: &world,
-                    merges: true,
-                    flat_span: None,
-                    pipe_span: None,
-                };
                 let lo = rk.rank() as u64 * 100;
                 let (cfg, hull) = (CollectiveConfig::default(), Some((lo, lo + 100)));
                 if write {
@@ -470,14 +429,14 @@ mod tests {
                         let (off, len) = forged(ws, we);
                         encode_pieces([(off, &[7u8; 8][..len as usize])])
                     };
-                    write_rounds(rk, &f, &cfg, &path, hull, build, place_pieces)?;
+                    write_rounds(rk, &f, &cfg, hull, build)?;
                 } else {
                     let request = |ws, we| {
                         let (off, len) = forged(ws, we);
                         Ok(Some((encode_requests([(off, len)])?, (0, len as usize))))
                     };
                     let mut buf = [0u8; 8];
-                    read_rounds(rk, &f, &cfg, &path, hull, &mut buf, request, &OffsetLists)?;
+                    read_rounds(rk, &f, &cfg, hull, &mut buf, request)?;
                 }
                 Ok(())
             })
@@ -502,13 +461,6 @@ mod tests {
         use rand::{RngExt, SeedableRng};
         const NPROCS: usize = 4;
         mpisim::run(NPROCS, SimConfig::default(), |rk| {
-            let world = rk.world();
-            let path = Path {
-                comm: &world,
-                merges: true,
-                flat_span: None,
-                pipe_span: None,
-            };
             let mut multi = 0;
             for seed in 0..64u64 {
                 // Every rank draws the same grid, and takes its own hull.
@@ -528,7 +480,8 @@ mod tests {
                         align,
                         ..Default::default()
                     };
-                    Plan::agree(rk, &cfg, &path, hull).map(|p| p.map(|p| (p.rounds, p.dsize)))
+                    Plan::agree(rk, &cfg, Direction::Write, hull)
+                        .map(|p| p.map(|p| (p.rounds, p.dsize)))
                 };
                 let Some((rounds, dsize)) = agree(rk, None)? else {
                     continue;

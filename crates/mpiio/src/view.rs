@@ -10,7 +10,6 @@
 //! inside it, then O(1) per extent and no list of them anywhere.
 
 use crate::error::{IoError, Result};
-use mpisim::wire::{push_u32, Cursor};
 use mpisim::{Committed, Run};
 use std::sync::Arc;
 
@@ -183,76 +182,6 @@ impl FileView {
         let (start, _) = self.extents(pos, len).next()?;
         let (last, _) = self.extents(pos + len - 1, 1).next()?;
         Some((start, last + 1))
-    }
-
-    /// Serialize for transmission (view-based collective I/O registers
-    /// every rank's view at the aggregators once, instead of shipping
-    /// per-call offset lists). The wire carries the expanded tile, one
-    /// `(offset, len)` entry per block. Fails, rather than truncating, on
-    /// a view with more blocks than the 32-bit count field can carry.
-    pub fn serialize(&self) -> Result<Vec<u8>> {
-        let blocks = self
-            .runs
-            .iter()
-            .try_fold(0usize, |n, r| n.checked_add(r.count));
-        let blocks = blocks
-            .filter(|&n| u32::try_from(n).is_ok())
-            .ok_or_else(|| {
-                IoError::Usage("view has more blocks than its wire format can count".into())
-            })?;
-        let mut out = Vec::with_capacity(21 + blocks * 16);
-        out.extend_from_slice(&self.disp.to_le_bytes());
-        out.extend_from_slice(&self.tile_extent.to_le_bytes());
-        out.push(self.identity as u8);
-        push_u32(&mut out, blocks as u64)?;
-        for (o, l) in self.runs.iter().flat_map(Run::blocks) {
-            out.extend_from_slice(&(o as u64).to_le_bytes());
-            out.extend_from_slice(&(l as u64).to_le_bytes());
-        }
-        Ok(out)
-    }
-
-    /// Inverse of [`FileView::serialize`], total on arbitrary bytes: the
-    /// entry count must account for the buffer exactly before anything is
-    /// allocated for it, and the entries must satisfy what
-    /// [`FileView::new`] guarantees — monotone extents within the tile
-    /// extent, whose sizes sum without overflow to a nonzero tile — unless
-    /// the view is the default one, which has no tile.
-    pub fn deserialize(buf: &[u8]) -> Result<FileView> {
-        let bad = || IoError::Usage("malformed serialized view".into());
-        let mut cur = Cursor::new(buf);
-        let disp = cur.u64()?;
-        let tile_extent = cur.u64()?;
-        let identity = cur.take(1)?[0] != 0;
-        let n = cur.u32()?;
-        let mut entries = Cursor::new(cur.take(n.checked_mul(16).ok_or_else(bad)?)?);
-        if !cur.is_empty() {
-            return Err(bad());
-        }
-        let mut runs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (o, l) = (entries.u64()?, entries.u64()?);
-            runs.push(Run {
-                off: isize::try_from(o).map_err(|_| bad())?,
-                len: usize::try_from(l).map_err(|_| bad())?,
-                stride: 0,
-                count: 1,
-            });
-        }
-        let (prefix, tile_size) = check_tile(&runs, tile_extent).map_err(|_| bad())?;
-        if tile_size == 0 && !(identity && n == 0) {
-            return Err(bad());
-        }
-        Ok(FileView {
-            disp,
-            runs: runs.into(),
-            prefix,
-            tile_extent,
-            tile_size,
-            identity,
-            #[cfg(test)]
-            steps: Arc::default(),
-        })
     }
 
     /// Total bytes of data available in `[0, stream_len)` given a file of
@@ -528,8 +457,7 @@ pub(crate) mod tests {
     }
 
     /// The view as it used to be held — the tile expanded to one entry and
-    /// one prefix sum per block — with the old `map_range` and `serialize`,
-    /// and `stream_len_for_file` as a count over that `map_range`: the
+    /// one prefix sum per block — with the old `map_range`, and `stream_len_for_file` as a count over that `map_range`: the
     /// oracle the strided walk and the window arithmetic are checked
     /// against.
     struct Expanded {
@@ -591,19 +519,6 @@ pub(crate) mod tests {
                 } else if take == avail {
                     entry += 1;
                 }
-            }
-            out
-        }
-
-        fn serialize(&self) -> Vec<u8> {
-            let mut out = Vec::with_capacity(21 + self.tile.len() * 16);
-            out.extend_from_slice(&self.disp.to_le_bytes());
-            out.extend_from_slice(&self.tile_extent.to_le_bytes());
-            out.push(self.identity as u8);
-            push_u32(&mut out, self.tile.len() as u64).unwrap();
-            for &(o, l) in &self.tile {
-                out.extend_from_slice(&o.to_le_bytes());
-                out.extend_from_slice(&l.to_le_bytes());
             }
             out
         }
@@ -710,21 +625,17 @@ pub(crate) mod tests {
             let old = Expanded::of(&view);
             strided += view.runs.iter().filter(|r| r.count > 1).count();
             assert_eq!(view.tile_size, old.tile_size, "seed {seed}");
-            assert_eq!(view.serialize().unwrap(), old.serialize(), "seed {seed}");
-            let back = FileView::deserialize(&old.serialize()).unwrap();
             for _ in 0..24 {
                 let pos = pick(0, 3 * view.tile_size);
                 let len = pick(0, 3 * view.tile_size) * pick(0, 4).min(1);
                 let want = old.map_range(pos, len);
                 let got: Vec<_> = view.extents(pos, len).collect();
                 assert_eq!(got, want, "seed {seed}: [{pos}, +{len}) of {ftype:?}");
-                assert_eq!(back.map_range(pos, len), want, "seed {seed}: deserialized");
                 let hull = want.first().zip(want.last()).map(|(f, l)| (f.0, l.0 + l.1));
                 assert_eq!(view.hull(pos, len), hull, "seed {seed}: [{pos}, +{len})");
                 let eof = pick(0, disp + 3 * view.tile_extent + 2);
                 let visible = view.stream_len_for_file(eof);
                 assert_eq!(visible, old.stream_len_for_file(eof), "seed {seed}: {eof}");
-                assert_eq!(back.stream_len_for_file(eof), visible, "seed {seed}: {eof}");
                 // A window — empty, inside a block, a few tiles wide or the
                 // whole file: its share of the request, found by arithmetic,
                 // is what a scan of the whole request clips to it.
@@ -736,13 +647,11 @@ pub(crate) mod tests {
                     _ => (0, everything),
                 };
                 let scanned = rescan(&want, ws, we);
-                for v in [&view, &back] {
-                    let got = share(v, pos, len, ws, we);
-                    assert_eq!(
-                        got, scanned,
-                        "seed {seed}: [{pos}, +{len}) in [{ws}, {we}) of {ftype:?}"
-                    );
-                }
+                assert_eq!(
+                    share(&view, pos, len, ws, we),
+                    scanned,
+                    "seed {seed}: [{pos}, +{len}) in [{ws}, {we}) of {ftype:?}"
+                );
                 lower_bounds += (view.runs[0].off > 0 && !scanned.is_empty()) as usize;
             }
         }
@@ -791,8 +700,6 @@ pub(crate) mod tests {
         );
         assert_eq!(36 + view.tile_extent, last + 12);
         assert_eq!(view.stream_len_for_file(last + 5), (blocks - 1) * 12 + 5);
-        // Its wire format counts blocks in 32 bits: refused, not attempted.
-        assert!(matches!(view.serialize(), Err(IoError::Usage(_))));
     }
 
     /// A tile must fit its extent, or consecutive tiles overlap.
@@ -808,19 +715,5 @@ pub(crate) mod tests {
         let fits = Datatype::resized(0, 8, Datatype::contiguous(8, byte())).commit();
         let view = FileView::new(0, &etype, &fits).unwrap();
         assert_eq!(view.map_range(0, 24), [(0, 24)]);
-        // `deserialize` promises what `new` does: the same tile under a
-        // shorter extent is refused.
-        let mut wire = view.serialize().unwrap();
-        assert!(FileView::deserialize(&wire).is_ok());
-        wire[8..16].copy_from_slice(&4u64.to_le_bytes());
-        assert!(matches!(
-            FileView::deserialize(&wire),
-            Err(IoError::Usage(_))
-        ));
-        wire[8..16].copy_from_slice(&0u64.to_le_bytes());
-        assert!(matches!(
-            FileView::deserialize(&wire),
-            Err(IoError::Usage(_))
-        ));
     }
 }

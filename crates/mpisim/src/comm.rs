@@ -1,11 +1,10 @@
 //! Communicators: the world, and the groups `MPI_Comm_split` carves out
 //! of it (with a color, no key reordering).
 //!
-//! Partitioned collective I/O (ParColl — Yu & Vetter, ICPP'08, the paper's
-//! related work \[15\]) divides the processes and the file into disjoint
-//! groups so that each group synchronizes only internally, breaking the
-//! "collective wall". That needs collectives scoped to a subset of ranks.
-//! Every collective in [`crate::Rank`] is therefore written once, over a
+//! A multi-tenant facility runs each tenant's job on its own group, so a
+//! tenant's collectives synchronize only its own ranks. That needs
+//! collectives scoped to a subset of ranks. Every collective in
+//! [`crate::Rank`] is therefore written once, over a
 //! [`Comm`]: the world is the instance [`crate::Rank::world`] hands out,
 //! a group is what [`crate::Rank::split`] returns. Point-to-point
 //! communication keeps using world ranks.
@@ -229,5 +228,37 @@ mod tests {
         let l = NodeLayout::new(&[4, 7], &topo);
         assert_eq!(l.nodes, vec![vec![0, 1]]);
         assert_eq!(l.node_of, vec![0, 0]);
+    }
+
+    /// The world and a one-colour split are the same communicator but for
+    /// `is_world`: the same members in the same order, the same group
+    /// ranks, the same node layout over a topology, and a burst all-to-all
+    /// and an allreduce over either deliver the same values.
+    #[test]
+    fn the_world_and_a_one_colour_split_are_the_same_communicator() {
+        use crate::runtime::{run, ReduceOp, SimConfig};
+        const NPROCS: usize = 8;
+        let sim = SimConfig {
+            topology: Some(Topology::blocked(NPROCS, 4)),
+            ..Default::default()
+        };
+        run(NPROCS, sim, |rk| {
+            let (me, world, split) = (rk.rank(), rk.world(), rk.split(7)?);
+            assert!(world.is_world() && !split.is_world());
+            for comm in [&world, &split] {
+                assert_eq!(comm.size(), NPROCS);
+                assert_eq!(comm.group_rank(), me);
+                assert_eq!(comm.members(), (0..NPROCS).collect::<Vec<_>>());
+            }
+            let (w, s) = (world.nodes().unwrap(), split.nodes().unwrap());
+            assert_eq!((&w.nodes, &w.node_of), (&s.nodes, &s.node_of));
+            let payloads = || (0..NPROCS).map(|d| vec![me as u8, d as u8]).collect();
+            let via_world = rk.alltoallv_burst_in(&world, payloads())?;
+            assert_eq!(via_world, rk.alltoallv_burst_in(&split, payloads())?);
+            let sum = rk.allreduce_u64_in(&world, me as u64, ReduceOp::Sum)?;
+            assert_eq!(sum, rk.allreduce_u64_in(&split, me as u64, ReduceOp::Sum)?);
+            Ok(())
+        })
+        .unwrap();
     }
 }

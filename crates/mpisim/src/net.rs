@@ -58,15 +58,15 @@ pub struct NetConfig {
     /// Fixed per-extent overhead (bytes) added to gathered RMA messages to
     /// account for the offset/length headers of an indexed datatype.
     pub gather_header_bytes: usize,
-    /// Mean of the per-round system-noise term applied to *synchronized,
-    /// software-mediated* communication (the pairwise rounds of an
-    /// all-to-all). On a production machine, OS jitter and competing jobs
-    /// delay each round by a random amount, and because the rounds
-    /// synchronize pairwise the delays compound transitively — the
-    /// "collective wall" (Yu & Vetter, ICPP'08) the paper's §II discusses.
-    /// One-sided hardware transfers (RMA puts/gets) bypass the remote
-    /// software stack and take no noise. `0.0` disables the term (unit
-    /// tests); the benchmark calibration enables it.
+    /// Mean of the per-round system-noise term of the pairwise
+    /// all-to-all, [`crate::Rank::alltoallv`] — its only sampler. On a
+    /// production machine, OS jitter and competing jobs delay each round
+    /// by a random amount, and because the rounds synchronize pairwise the
+    /// delays compound transitively — the "collective wall" (Yu & Vetter,
+    /// ICPP'08) the paper's §II discusses. The two-phase exchange's
+    /// bursts, request aggregation's sends and every one-sided transfer
+    /// take no noise, so no figure or workload path samples it. `0.0`
+    /// disables the term (unit tests); the benchmark calibration sets it.
     pub noise_mean: f64,
     /// CPU cost of one I/O-library API call (offset arithmetic, handle
     /// bookkeeping). Charged by the I/O layers per `write_at`/`read_at`;

@@ -71,11 +71,12 @@ impl Rank {
     /// exchange**: `P − 1` rounds in which rank `i` sends to `(i + k) % P`
     /// and receives from `(i − k) % P`. The rounds synchronize pairwise, so
     /// per-round system noise
-    /// ([`NetConfig::noise_mean`](crate::NetConfig::noise_mean)) compounds
-    /// transitively across the machine — the "collective wall" that makes
-    /// the two-phase exchange degrade at scale while TCIO's independent
-    /// one-sided transfers do not. `data[d]` is the payload for rank `d`;
-    /// returns payloads indexed by source.
+    /// ([`NetConfig::noise_mean`](crate::NetConfig::noise_mean), sampled
+    /// here and nowhere else) compounds transitively across the machine —
+    /// the "collective wall". The two-phase collective does not use this
+    /// exchange (it bursts through [`Rank::alltoallv_burst_in`]); the
+    /// `diag_a2a` experiment measures it. `data[d]` is the payload for rank
+    /// `d`; returns payloads indexed by source.
     pub fn alltoallv(&mut self, data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
         let (me, n) = (self.id, self.nprocs);
         self.all_to_all("alltoallv", n, me, data, |rk, mut data, out| {
@@ -102,9 +103,8 @@ impl Rank {
     /// with the communicator's size (see
     /// [`NetConfig::match_overhead`](crate::NetConfig::match_overhead)) —
     /// the "heavy traffic bursting" behaviour the paper blames for OCIO's
-    /// collapse at scale, and within a group exactly what partitioned
-    /// collective I/O cuts down. `data[i]` is the payload for member `i`;
-    /// returns payloads indexed by source member.
+    /// collapse at scale. `data[i]` is the payload for member `i`; returns
+    /// payloads indexed by source member.
     pub fn alltoallv_burst_in(&mut self, comm: &Comm, data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
         let (g, mi, flavor) = (comm.size(), comm.group_rank(), comm.flavor());
         self.all_to_all(flavor.burst, g, mi, data, |rk, mut data, out| {

@@ -145,7 +145,7 @@ pub struct SimConfig {
     /// Execution engine (see [`Backend`]). `Auto` honours the
     /// `MPISIM_BACKEND` environment variable and otherwise picks the
     /// event core.
-    pub backend: Backend,
+    pub backend: Backend, // setting: differential tests pin each substrate explicitly
     /// Simulated memory budget per rank in bytes (`None` = unlimited).
     pub mem_budget: Option<u64>,
     /// Record per-operation trace spans (phase totals are always kept).

@@ -107,9 +107,8 @@ impl Timeline {
     }
 
     /// End of the last busy interval (the earliest instant after which the
-    /// resource is idle forever, given today's bookings). The burst-buffer
-    /// drain model uses this to find when staged data has fully reached
-    /// the backing store.
+    /// resource is idle forever, given today's bookings). Only tests read
+    /// it: the oracle comparisons below and `tests/property_model.rs`.
     pub fn horizon(&self) -> f64 {
         self.busy.last().map_or(self.floor, |(_, end)| end)
     }

@@ -16,11 +16,17 @@
 //! * **Typed failure** — a crash-stopped peer fails a run with a typed
 //!   error at every instant, and a tenant past the content pattern's
 //!   uniqueness bounds is refused before it runs.
+//! * **Pinned bits** — a small two-tenant report (makespan bits, job
+//!   records, metrics registry, file hashes) is pinned in
+//!   `tests/golden/facility_fingerprint.txt`; under
+//!   `MPISIM_BACKEND=thread` the same file checks the thread substrate.
 
+use bench::perfgate::{check_golden, fnv1a};
 use facility::{
     job, run_facility, FacilityConfig, FacilityError, JobSpec, QosMode, Style, TenantSpec,
 };
-use mpisim::{Backend, SimConfig, SimError};
+use mpisim::{SimConfig, SimError};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
@@ -54,11 +60,7 @@ fn qos_off_single_tenant_is_bit_identical_to_a_direct_run() {
     // would surface as a bit difference.
     let fs = pfs::Pfs::new(RANKS, pfs::PfsConfig::default()).unwrap();
     let fs2 = Arc::clone(&fs);
-    let sim = SimConfig {
-        backend: Backend::Event,
-        ..SimConfig::default()
-    };
-    let rep = mpisim::run(RANKS, sim, move |rk| {
+    let rep = mpisim::run(RANKS, SimConfig::default(), move |rk| {
         let _log = rk.shared_state(|| ())?;
         let comm = rk.world();
         for j in 0..JOBS {
@@ -499,4 +501,74 @@ fn jobs_past_the_patterns_unique_jobs_are_refused() {
     assert_eq!(ok.validate(), Ok(()));
     t.jobs += 1;
     assert!(refused(t).contains("unique jobs"));
+}
+
+// ---------------------------------------------------------------------
+// Pinned bits
+// ---------------------------------------------------------------------
+
+/// Two tenants under fair-share QoS with the health layer attached and
+/// metrics on: a burst-buffered TCIO tenant and an OCIO one, both reading
+/// their files back, arriving open loop.
+fn fingerprint_cfg() -> FacilityConfig {
+    let mut bb = TenantSpec::new("bb", 2);
+    bb.jobs = 2;
+    bb.bytes_per_rank = 64 << 10;
+    bb.access = 16 << 10;
+    bb.arrival_rate = 200.0;
+    bb.read_back = true;
+    bb.burst_buffer = true;
+    let mut coll = TenantSpec::new("coll", 2);
+    coll.style = Style::Ocio;
+    coll.jobs = 2;
+    coll.bytes_per_rank = 32 << 10;
+    coll.access = 8 << 10;
+    coll.arrival_rate = 200.0;
+    coll.read_back = true;
+    FacilityConfig {
+        tenants: vec![bb, coll],
+        qos: QosMode::FairShare,
+        metrics: true,
+        health: Some(pfs::HealthConfig::default()),
+        seed: 0xF1_4E5E,
+        ..FacilityConfig::default()
+    }
+}
+
+/// The report's bits: makespan, every job record with its file's length
+/// and hash, the burst buffer's counters and the metrics registry.
+#[test]
+fn a_two_tenant_facility_matches_its_golden_fingerprint() {
+    let rep = run_facility(&fingerprint_cfg()).unwrap();
+    assert_eq!(rep.jobs.len(), 4);
+    assert!(rep.tenants[0].burst.is_some_and(|b| b.staged_writes > 0));
+    let mut out = String::new();
+    writeln!(out, "makespan {:016x}", rep.makespan.to_bits()).unwrap();
+    for r in &rep.jobs {
+        writeln!(
+            out,
+            "job {}/{} arrival {:016x} finish {:016x} written {} read {}",
+            r.tenant,
+            r.job,
+            r.arrival.to_bits(),
+            r.finish.to_bits(),
+            r.bytes_written,
+            r.bytes_read
+        )
+        .unwrap();
+        let name = format!("/tenant{}/job{}.dat", r.tenant, r.job);
+        let bytes = rep.fs.snapshot_file(rep.fs.open(&name).unwrap()).unwrap();
+        writeln!(out, "file {name} {} {:016x}", bytes.len(), fnv1a(&bytes)).unwrap();
+    }
+    for (t, outcome) in rep.tenants.iter().enumerate() {
+        if let Some(bb) = outcome.burst {
+            writeln!(out, "burst {t} {bb:?}").unwrap();
+        }
+    }
+    writeln!(out, "registry {}", rep.registry.unwrap().to_json()).unwrap();
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/facility_fingerprint.txt"
+    );
+    check_golden(path, &out).unwrap_or_else(|why| panic!("{why}"));
 }

@@ -15,14 +15,12 @@ use workloads::synthetic::{self, Configs, Direction, Method, SynthParams};
 /// path: collective aggregator, independent, data-sieving RMW, TCIO
 /// drain — plus the pipelined twins each path records when its deferred
 /// round/segment handles are in play).
-const WRITE_SITES: [&str; 8] = [
+const WRITE_SITES: [&str; 6] = [
     "ocio_io",
     "indep_write",
     "sieve_rmw",
     "tcio_drain",
     "ocio_io_pipe",
-    "vb_io_pipe",
-    "par_io_pipe",
     "tcio_drain_pipe",
 ];
 

@@ -1,8 +1,7 @@
 //! Virtual-time fingerprint of every two-phase round loop.
 //!
-//! The five collective entry points (`write_all_at`, `read_all_at`,
-//! `write_all_view_based`, `read_all_view_based`, `write_all_partitioned`)
-//! are crossed with {flat, `cb_buffer`-chunked, chunked + `pipeline`} ×
+//! The two collective entry points (`write_all_at`, `read_all_at`) are
+//! crossed with {flat, `cb_buffer`-chunked, chunked + `pipeline`} ×
 //! {no topology, 4×4 topology + `intra_agg`, 4×4 topology + `req_agg`} ×
 //! {fault-free, `plans/ost_slowdown.toml`}; a few extra cells cover hedged
 //! window reads and tcio's level-2 drain. A second block pins every other
@@ -73,32 +72,20 @@ fn file_image() -> Vec<u8> {
 enum Entry {
     WriteAll,
     ReadAll,
-    WriteViewBased,
-    ReadViewBased,
-    WritePartitioned,
 }
 
 impl Entry {
-    const ALL: [Entry; 5] = [
-        Entry::WriteAll,
-        Entry::ReadAll,
-        Entry::WriteViewBased,
-        Entry::ReadViewBased,
-        Entry::WritePartitioned,
-    ];
+    const ALL: [Entry; 2] = [Entry::WriteAll, Entry::ReadAll];
 
     fn label(self) -> &'static str {
         match self {
             Entry::WriteAll => "write_all_at",
             Entry::ReadAll => "read_all_at",
-            Entry::WriteViewBased => "write_all_view_based",
-            Entry::ReadViewBased => "read_all_view_based",
-            Entry::WritePartitioned => "write_all_partitioned",
         }
     }
 
     fn reads(self) -> bool {
-        matches!(self, Entry::ReadAll | Entry::ReadViewBased)
+        matches!(self, Entry::ReadAll)
     }
 }
 
@@ -282,19 +269,6 @@ fn collective_cell(
         match entry {
             Entry::WriteAll => mpiio::write_all_at(rk, &mut f, 0, &data, &cfg),
             Entry::ReadAll => mpiio::read_all_at(rk, &mut f, 0, &mut back, &cfg),
-            Entry::WriteViewBased => {
-                let views = mpiio::register_views(rk, &f)?;
-                mpiio::write_all_view_based(rk, &mut f, &views, 0, &data, &cfg)
-            }
-            Entry::ReadViewBased => {
-                let views = mpiio::register_views(rk, &f)?;
-                mpiio::read_all_view_based(rk, &mut f, &views, 0, &mut back, &cfg)
-            }
-            Entry::WritePartitioned => {
-                // Two groups of eight, each straddling two nodes.
-                let comm = rk.split((rk.rank() / 8) as u64)?;
-                mpiio::write_all_partitioned(rk, &mut f, &comm, 0, &data, &cfg)
-            }
         }?;
         f.close(rk)?;
         Ok(back)
@@ -521,22 +495,27 @@ fn fingerprint() -> String {
         }
     }
     // Hedged window reads under a flaky OST with the health layer on.
-    for entry in [Entry::ReadAll, Entry::ReadViewBased] {
-        for pipeline in [false, true] {
-            let name = format!(
-                "{} chunk=chunked{} topo=4x4+req_agg plan=flaky_defended hedged",
-                entry.label(),
-                if pipeline { "+pipeline" } else { "" }
-            );
-            let cfg = CollectiveConfig {
-                cb_nodes: Some(CB_NODES),
-                cb_buffer: Some(CB_BUFFER),
-                req_agg: true,
-                pipeline,
-                ..Default::default()
-            };
-            collective_cell(&mut out, entry, &name, cfg, true, Plan::FlakyDefended);
-        }
+    for pipeline in [false, true] {
+        let name = format!(
+            "{} chunk=chunked{} topo=4x4+req_agg plan=flaky_defended hedged",
+            Entry::ReadAll.label(),
+            if pipeline { "+pipeline" } else { "" }
+        );
+        let cfg = CollectiveConfig {
+            cb_nodes: Some(CB_NODES),
+            cb_buffer: Some(CB_BUFFER),
+            req_agg: true,
+            pipeline,
+            ..Default::default()
+        };
+        collective_cell(
+            &mut out,
+            Entry::ReadAll,
+            &name,
+            cfg,
+            true,
+            Plan::FlakyDefended,
+        );
     }
     // The fourth round loop: tcio's level-2 drain (and, with the health
     // layer on, its hedged loads).
