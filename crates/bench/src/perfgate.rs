@@ -11,8 +11,8 @@
 //!   then checks the experiment's headline claims on the fresh result
 //!   ([`verdict`]);
 //! - the golden text files under `tests/golden/`: [`check_golden`]
-//!   compares a fingerprint line by line and names the first diverging
-//!   line and its `[cell]`.
+//!   pairs a fingerprint's lines with the pinned ones by `[cell]` and first
+//!   word, and names the first line that moved, was added or was removed.
 //!
 //! There is no tolerance, direction or exemption to configure. Under
 //! `BLESS=1` — read here and nowhere else — both checks rewrite their file
@@ -173,11 +173,12 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Check `got` against the golden file at `path`, line by line. A
-/// mismatch names the first diverging line, its `[cell]` (the nearest line
-/// above it that starts with `[`) and both texts; a file that only differs
-/// in length says so. Under `BLESS=1` the file is rewritten with `got`
-/// instead and a `moved-pins` line is printed.
+/// Check `got` against the golden file at `path`, pairing each line with
+/// the pinned line of the same `[cell]`, first word and occurrence of that
+/// word. A mismatch names the first moved line, its `[cell]` and both
+/// texts, or else the first line added or removed, and counts all three
+/// kinds. Under `BLESS=1` the file is rewritten with `got` instead and a
+/// `moved-pins` line is printed.
 pub fn check_golden(path: impl AsRef<Path>, got: &str) -> Result<(), String> {
     let path = path.as_ref();
     if !blessing() {
@@ -195,41 +196,198 @@ fn diff_golden(path: &Path, got: &str) -> Result<(), String> {
     let pinned = std::fs::read_to_string(path)
         .map_err(|err| format!("{shown}: {err} (scripts/repin.sh writes it)"))?;
     let (want, have): (Vec<&str>, Vec<&str>) = (pinned.lines().collect(), got.lines().collect());
-    match first_moved(&want, &have) {
-        Some(n) if n < want.len().min(have.len()) => Err(format!(
-            "{shown}:{} diverged{}\n  pinned: {}\n  got:    {}",
+    let d = LineDiff::new(&want, &have);
+    let counts = format!(
+        "{} moved, {}, {}",
+        d.moved.len(),
+        d.added().show("added"),
+        d.removed().show("removed")
+    );
+    if let Some(&(n, m)) = d.moved.first() {
+        let cell = d.want[n].cell;
+        let within = if cell.is_empty() {
+            String::new()
+        } else {
+            format!(" in cell {cell}")
+        };
+        return Err(format!(
+            "{shown}:{} diverged{within}: {counts}\n  pinned: {}\n  got:    {}",
             n + 1,
-            cell_of(&want, n).map_or(String::new(), |c| format!(" in cell {c}")),
             want[n],
-            have[n]
-        )),
-        Some(n) => Err(format!(
-            "{shown}: {} lines pinned, {} got (the first {n} agree)",
+            have[m]
+        ));
+    }
+    if let Some(first) = d.first() {
+        return Err(format!(
+            "{shown}: {} lines pinned, {} got: {counts}; first {first}",
             want.len(),
             have.len(),
-        )),
-        None if pinned != got => Err(format!(
+        ));
+    }
+    if pinned == got {
+        Ok(())
+    } else if want == have {
+        Err(format!(
             "{shown}: every line agrees but the line endings differ"
-        )),
-        None => Ok(()),
+        ))
+    } else {
+        Err(format!(
+            "{shown}: every line agrees but their order differs"
+        ))
     }
 }
 
-/// The first line at which `want` and `have` differ, in content or (past
-/// the shorter) in length.
-fn first_moved(want: &[&str], have: &[&str]) -> Option<usize> {
-    let common = want.len().min(have.len());
-    let changed = (0..common).find(|&n| want[n] != have[n]);
-    changed.or((want.len() != have.len()).then_some(common))
+/// What pairs a golden line with its re-run: its `[cell]` (the nearest
+/// line at or above it that starts with `[`, empty in a headerless file),
+/// its first word (up to whitespace or a comma, so a JSON trace line is
+/// keyed by its name) and how many earlier lines of that cell share the
+/// word. A header line's word is the header itself.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key<'a> {
+    cell: &'a str,
+    word: &'a str,
+    nth: usize,
 }
 
-/// The `[cell]` header line `n` sits under, if the file has one above it.
-fn cell_of<'a>(lines: &[&'a str], n: usize) -> Option<&'a str> {
-    lines[..=n]
-        .iter()
-        .rev()
-        .find(|l| l.starts_with('['))
-        .copied()
+impl<'a> Key<'a> {
+    /// The key of every line, in order.
+    fn all(lines: &[&'a str]) -> Vec<Key<'a>> {
+        let mut seen: BTreeMap<(&str, &str), usize> = BTreeMap::new();
+        let mut cell = "";
+        let mut keys = Vec::with_capacity(lines.len());
+        for &line in lines {
+            let word = if line.starts_with('[') {
+                cell = line;
+                line
+            } else {
+                let mut words = line.split(|c: char| c.is_whitespace() || c == ',');
+                words.next().unwrap_or_default()
+            };
+            let nth = seen.entry((cell, word)).or_default();
+            keys.push(Key {
+                cell,
+                word,
+                nth: *nth,
+            });
+            *nth += 1;
+        }
+        keys
+    }
+
+    fn is_header(&self) -> bool {
+        self.word.starts_with('[')
+    }
+}
+
+impl fmt::Display for Key<'_> {
+    /// `[cell] word#nth`, without the parts a line does not have.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let clip = |s: &str| s.chars().take(60).collect::<String>();
+        match (self.is_header(), self.cell.is_empty()) {
+            (true, _) => write!(f, "{}", clip(self.cell))?,
+            (false, true) => write!(f, "{}", clip(self.word))?,
+            (false, false) => write!(f, "{} {}", clip(self.cell), clip(self.word))?,
+        }
+        if self.nth > 0 {
+            write!(f, "#{}", self.nth)?;
+        }
+        Ok(())
+    }
+}
+
+/// A golden file against its re-run, paired by [`Key`]. Line numbers are
+/// 0-based indices into the pinned (`want`) or fresh (`have`) file, in
+/// file order.
+struct LineDiff<'a> {
+    want: Vec<Key<'a>>,
+    have: Vec<Key<'a>>,
+    /// Keys in both files whose text differs: `(pinned, fresh)`.
+    moved: Vec<(usize, usize)>,
+    /// Fresh lines whose key the pin lacks.
+    added: Vec<usize>,
+    /// Pinned lines whose key the fresh run lacks.
+    removed: Vec<usize>,
+}
+
+impl<'a> LineDiff<'a> {
+    fn new(want: &[&'a str], have: &[&'a str]) -> LineDiff<'a> {
+        let (want_keys, have_keys) = (Key::all(want), Key::all(have));
+        let at = |keys: &[Key<'a>]| -> BTreeMap<Key<'a>, usize> {
+            keys.iter().enumerate().map(|(n, &k)| (k, n)).collect()
+        };
+        let (want_at, have_at) = (at(&want_keys), at(&have_keys));
+        let (mut moved, mut removed) = (Vec::new(), Vec::new());
+        for (n, key) in want_keys.iter().enumerate() {
+            match have_at.get(key) {
+                Some(&m) if want[n] != have[m] => moved.push((n, m)),
+                Some(_) => {}
+                None => removed.push(n),
+            }
+        }
+        let added = (0..have.len())
+            .filter(|&m| !want_at.contains_key(&have_keys[m]))
+            .collect();
+        LineDiff {
+            want: want_keys,
+            have: have_keys,
+            moved,
+            added,
+            removed,
+        }
+    }
+
+    fn added(&self) -> Tally {
+        Tally::of(&self.added, &self.have)
+    }
+
+    fn removed(&self) -> Tally {
+        Tally::of(&self.removed, &self.want)
+    }
+
+    /// The first line that moved or was removed, in pinned order, else the
+    /// first one added: `line <n> <key>`, numbered in the file it is in.
+    fn first(&self) -> Option<String> {
+        let moved = self.moved.first().map(|&(n, _)| n);
+        match [moved, self.removed.first().copied()]
+            .into_iter()
+            .flatten()
+            .min()
+        {
+            Some(n) => Some(format!("line {} {}", n + 1, self.want[n])),
+            None => self
+                .added
+                .first()
+                .map(|&m| format!("line {} {}", m + 1, self.have[m])),
+        }
+    }
+}
+
+/// How many lines (or leaves) were added or removed, and how many whole
+/// `[cell]`s (header lines) are among them.
+#[derive(Clone, Copy)]
+struct Tally {
+    n: usize,
+    cells: usize,
+}
+
+impl Tally {
+    fn of(lines: &[usize], keys: &[Key]) -> Tally {
+        let cells = lines.iter().filter(|&&n| keys[n].is_header()).count();
+        Tally {
+            n: lines.len(),
+            cells,
+        }
+    }
+
+    /// `3 removed`, `3 removed (1 cell)`.
+    fn show(self, verb: &str) -> String {
+        let n = self.n;
+        match self.cells {
+            0 => format!("{n} {verb}"),
+            1 => format!("{n} {verb} (1 cell)"),
+            cells => format!("{n} {verb} ({cells} cells)"),
+        }
+    }
 }
 
 /// The decimal numbers of a line, in order: the tokens between
@@ -243,27 +401,29 @@ fn decimals(line: &str) -> Vec<f64> {
 }
 
 /// What one re-pin moved in one pinned file: `moved` of `total` lines (or
-/// leaves), the first one that moved, and the relative changes of the
-/// decimal numbers that moved (against a non-zero pinned value).
+/// leaves), those added and removed, the first that differs, and the
+/// relative changes of the decimal numbers that moved (against a non-zero
+/// pinned value).
 struct Moved {
     path: String,
     unit: &'static str,
     moved: usize,
     total: usize,
+    added: Tally,
+    removed: Tally,
     first: Option<String>,
     relative: Vec<f64>,
 }
 
 impl Moved {
-    /// A text file: lines compared by position.
+    /// A text file: lines paired by [`Key`].
     fn lines(path: &Path, pinned: &str, got: &str) -> Moved {
         let (want, have): (Vec<&str>, Vec<&str>) =
             (pinned.lines().collect(), got.lines().collect());
-        let common = want.len().min(have.len());
-        let changed: Vec<usize> = (0..common).filter(|&n| want[n] != have[n]).collect();
+        let d = LineDiff::new(&want, &have);
         let mut relative = Vec::new();
-        for &n in &changed {
-            let (a, b) = (decimals(want[n]), decimals(have[n]));
+        for &(n, m) in &d.moved {
+            let (a, b) = (decimals(want[n]), decimals(have[m]));
             if a.len() == b.len() {
                 let pairs = a.iter().zip(&b).filter(|(x, y)| x != y && **x != 0.0);
                 relative.extend(pairs.map(|(x, y)| (y - x) / x.abs()));
@@ -272,33 +432,31 @@ impl Moved {
         Moved {
             path: path.display().to_string(),
             unit: "lines",
-            moved: changed.len() + want.len().abs_diff(have.len()),
+            moved: d.moved.len(),
             total: have.len(),
-            first: first_moved(&want, &have).map(|n| {
-                // A headerless file (one pin per line) names the line by
-                // its first word instead.
-                let lines = if n < want.len() { &want } else { &have };
-                let name = cell_of(lines, n)
-                    .or_else(|| lines[n].split_whitespace().next())
-                    .unwrap_or("");
-                format!(
-                    "line {} {}",
-                    n + 1,
-                    name.chars().take(60).collect::<String>()
-                )
-            }),
+            added: d.added(),
+            removed: d.removed(),
+            first: d.first(),
             relative,
         }
     }
 
-    /// A JSON document: leaves compared by path.
+    /// A JSON document: leaves paired by path.
     fn leaves(path: &Path, pinned: &Json, fresh: &Json) -> Moved {
         let diffs = diff(pinned, fresh);
+        let count = |absent: fn(&LeafDiff) -> bool| Tally {
+            n: diffs.iter().filter(|d| absent(d)).count(),
+            cells: 0,
+        };
+        let added = count(|d| d.baseline.is_none());
+        let removed = count(|d| d.fresh.is_none());
         Moved {
             path: path.display().to_string(),
             unit: "leaves",
-            moved: diffs.len(),
+            moved: diffs.len() - added.n - removed.n,
             total: fresh.leaves().len(),
+            added,
+            removed,
             first: diffs.first().map(|d| d.path.clone()),
             relative: diffs
                 .iter()
@@ -310,11 +468,16 @@ impl Moved {
 }
 
 impl fmt::Display for Moved {
-    /// One line, starting `moved-pins <path>: <moved>/<total>`, which
+    /// One line, starting `moved-pins <path>: <moved>/<total> <unit>` (and
+    /// `, <n> added, <n> removed` when either is not zero), which
     /// `scripts/repin.sh` collects and sums.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (path, moved, total, unit) = (&self.path, self.moved, self.total, self.unit);
         write!(f, "moved-pins {path}: {moved}/{total} {unit}")?;
+        if self.added.n + self.removed.n > 0 {
+            let (added, removed) = (self.added.show("added"), self.removed.show("removed"));
+            write!(f, ", {added}, {removed}")?;
+        }
         if let Some(first) = &self.first {
             write!(f, "; first {first}")?;
         }
@@ -337,13 +500,17 @@ mod tests {
 
     const PINNED: &str = "[a]\nx 1\n[b]\ny 100 3f6711b3a30de91a\nz 2\n";
 
-    /// A golden file in the temp dir holding [`PINNED`], removed on drop.
+    /// [`PINNED`] with a third cell, and the same without its middle one.
+    const THREE: &str = "[a]\nx 1\n[b]\ny 100 3f6711b3a30de91a\nz 2\n[c]\nx 3\n";
+    const NO_MIDDLE: &str = "[a]\nx 1\n[c]\nx 3\n";
+
+    /// A golden file in the temp dir holding `text`, removed on drop.
     struct TempGolden(PathBuf);
 
     impl TempGolden {
-        fn new(name: &str) -> TempGolden {
+        fn new(name: &str, text: &str) -> TempGolden {
             let path = std::env::temp_dir().join(format!("{name}-{}.txt", std::process::id()));
-            std::fs::write(&path, PINNED).unwrap();
+            std::fs::write(&path, text).unwrap();
             TempGolden(path)
         }
     }
@@ -356,7 +523,7 @@ mod tests {
 
     #[test]
     fn a_golden_mismatch_names_its_line_and_cell_or_its_length() {
-        let file = TempGolden::new("perfgate-golden");
+        let file = TempGolden::new("perfgate-golden", PINNED);
         assert_eq!(diff_golden(&file.0, PINNED), Ok(()));
 
         let edited = PINNED.replace("y 100", "y 101");
@@ -374,13 +541,27 @@ mod tests {
         let why = diff_golden(&file.0, PINNED.trim_end()).unwrap_err();
         assert!(why.contains("line endings"), "{why}");
 
+        let swapped = "[b]\ny 100 3f6711b3a30de91a\nz 2\n[a]\nx 1\n";
+        let why = diff_golden(&file.0, swapped).unwrap_err();
+        assert!(why.contains("order differs"), "{why}");
+
         let missing = file.0.with_extension("absent");
         assert!(diff_golden(&missing, PINNED).is_err());
+
+        // Cells are paired by key, not by position: the lines after a
+        // dropped cell have not moved.
+        let three = TempGolden::new("perfgate-golden-three", THREE);
+        let why = diff_golden(&three.0, NO_MIDDLE).unwrap_err();
+        assert!(
+            why.contains("7 lines pinned, 4 got: 0 moved, 0 added, 3 removed (1 cell)"),
+            "{why}"
+        );
+        assert!(why.ends_with("; first line 3 [b]"), "{why}");
     }
 
     #[test]
     fn the_moved_report_counts_lines_and_the_decimals_that_moved() {
-        let file = TempGolden::new("perfgate-moved");
+        let file = TempGolden::new("perfgate-moved", PINNED);
         let same = Moved::lines(&file.0, PINNED, PINNED).to_string();
         assert!(same.ends_with(": 0/5 lines"), "{same}");
 
@@ -396,7 +577,24 @@ mod tests {
 
         let grown = format!("{PINNED}w 7\n");
         let longer = Moved::lines(&file.0, PINNED, &grown).to_string();
-        assert!(longer.contains(": 1/6 lines; first line 6 [b]"), "{longer}");
+        assert!(
+            longer.ends_with(": 0/6 lines, 1 added, 0 removed; first line 6 [b] w"),
+            "{longer}"
+        );
+
+        // The lines after a dropped cell keep their keys, so none moved;
+        // a repeated first word in a cell is keyed by its occurrence.
+        let dropped = Moved::lines(&file.0, THREE, NO_MIDDLE).to_string();
+        assert!(
+            dropped.ends_with(": 0/4 lines, 0 added, 3 removed (1 cell); first line 3 [b]"),
+            "{dropped}"
+        );
+        let again = format!("{PINNED}y 5\n");
+        let twice = Moved::lines(&file.0, &again, &again.replace("y 5", "y 6")).to_string();
+        assert!(
+            twice.contains(": 1/6 lines; first line 6 [b] y#1"),
+            "{twice}"
+        );
 
         let doc = |x: f64| Json::obj().with("r", Json::obj().with("a", Json::num(x)));
         let leaf = Moved::leaves(&file.0, &doc(2.0), &doc(3.0)).to_string();
@@ -405,6 +603,12 @@ mod tests {
             "{leaf}"
         );
         assert!(leaf.ends_with("max 5.000e-1 median 5.000e-1"), "{leaf}");
+        let wider = doc(2.0).with("s", Json::num(1.0));
+        let leaf = Moved::leaves(&file.0, &doc(2.0), &wider).to_string();
+        assert!(
+            leaf.ends_with(": 0/2 leaves, 1 added, 0 removed; first s"),
+            "{leaf}"
+        );
     }
 
     #[test]

@@ -87,12 +87,6 @@ pub enum Datatype {
         displs: Arc<[isize]>,
         child: Arc<Datatype>,
     },
-    /// Like `Indexed` but displacements are bytes.
-    Hindexed {
-        blocklens: Arc<[usize]>,
-        displs_bytes: Arc<[isize]>,
-        child: Arc<Datatype>,
-    },
     /// Heterogeneous blocks: `blocklens[i]` copies of `children[i]` at byte
     /// displacement `displs_bytes[i]`.
     Struct {
@@ -154,25 +148,6 @@ impl Datatype {
         })
     }
 
-    pub fn hindexed(
-        blocklens: Vec<usize>,
-        displs_bytes: Vec<isize>,
-        child: Datatype,
-    ) -> Result<Datatype> {
-        if blocklens.len() != displs_bytes.len() {
-            return Err(MpiError::InvalidDatatype(format!(
-                "hindexed: {} blocklens but {} displacements",
-                blocklens.len(),
-                displs_bytes.len()
-            )));
-        }
-        Ok(Datatype::Hindexed {
-            blocklens: blocklens.into(),
-            displs_bytes: displs_bytes.into(),
-            child: Arc::new(child),
-        })
-    }
-
     pub fn structured(
         blocklens: Vec<usize>,
         displs_bytes: Vec<isize>,
@@ -228,65 +203,6 @@ impl Datatype {
         }
     }
 
-    /// `MPI_Type_create_darray` with block distribution in every dimension:
-    /// the subarray of an n-dimensional global array owned by process
-    /// `rank` of a `psizes` process grid. This is the datatype real codes
-    /// use to set the file view for the Fig. 1 pattern (3-D volume to 1-D
-    /// file), and what `workloads::decomp` computes by hand.
-    pub fn darray_block(
-        rank: usize,
-        gsizes: &[usize],
-        psizes: &[usize],
-        order: Order,
-        child: Datatype,
-    ) -> Result<Datatype> {
-        if gsizes.len() != psizes.len() || gsizes.is_empty() {
-            return Err(MpiError::InvalidDatatype(
-                "darray: gsizes and psizes must be equal-length and nonempty".into(),
-            ));
-        }
-        let nprocs: usize = psizes.iter().product();
-        if rank >= nprocs {
-            return Err(MpiError::InvalidDatatype(format!(
-                "darray: rank {rank} outside the {nprocs}-process grid"
-            )));
-        }
-        // Process coordinates: first dimension varies slowest under C
-        // ordering (matching MPI_Cart ranking), fastest under Fortran.
-        let n = gsizes.len();
-        let mut coords = vec![0usize; n];
-        let mut rest = rank;
-        match order {
-            Order::C => {
-                for d in (0..n).rev() {
-                    coords[d] = rest % psizes[d];
-                    rest /= psizes[d];
-                }
-            }
-            Order::Fortran => {
-                for d in 0..n {
-                    coords[d] = rest % psizes[d];
-                    rest /= psizes[d];
-                }
-            }
-        }
-        let mut subsizes = Vec::with_capacity(n);
-        let mut starts = Vec::with_capacity(n);
-        for d in 0..n {
-            let block = gsizes[d].div_ceil(psizes[d]);
-            let start = (coords[d] * block).min(gsizes[d]);
-            let end = ((coords[d] + 1) * block).min(gsizes[d]);
-            if start >= end {
-                return Err(MpiError::InvalidDatatype(format!(
-                    "darray: dim {d}: process {rank} owns an empty block"
-                )));
-            }
-            starts.push(start);
-            subsizes.push(end - start);
-        }
-        Datatype::subarray(gsizes.to_vec(), subsizes, starts, order, child)
-    }
-
     // ---- size / extent algebra ----
 
     /// Number of bytes of actual data in one instance of this type.
@@ -301,9 +217,6 @@ impl Datatype {
                 ..
             } => count * blocklen * child.size(),
             Datatype::Indexed {
-                blocklens, child, ..
-            }
-            | Datatype::Hindexed {
                 blocklens, child, ..
             } => blocklens.iter().sum::<usize>() * child.size(),
             Datatype::Struct {
@@ -350,11 +263,6 @@ impl Datatype {
                 displs.iter().map(|&d| d * child.extent() as isize),
                 child,
             ),
-            Datatype::Hindexed {
-                blocklens,
-                displs_bytes,
-                child,
-            } => indexed_bounds(blocklens, displs_bytes.iter().copied(), child),
             Datatype::Struct {
                 blocklens,
                 displs_bytes,
@@ -433,16 +341,6 @@ impl Datatype {
                 let (ext, child) = (child.extent() as isize, child.runs());
                 for (&b, &d) in blocklens.iter().zip(displs.iter()) {
                     out.repeat(&child, d * ext, ext, b);
-                }
-            }
-            Datatype::Hindexed {
-                blocklens,
-                displs_bytes,
-                child,
-            } => {
-                let (ext, child) = (child.extent() as isize, child.runs());
-                for (&b, &d) in blocklens.iter().zip(displs_bytes.iter()) {
-                    out.repeat(&child, d, ext, b);
                 }
             }
             Datatype::Struct {
@@ -819,19 +717,6 @@ mod oracle {
                         }
                     }
                 }
-                Datatype::Hindexed {
-                    blocklens,
-                    displs_bytes,
-                    child,
-                } => {
-                    let ext = child.extent() as isize;
-                    for (&b, &d) in blocklens.iter().zip(displs_bytes.iter()) {
-                        let start = base + d;
-                        for j in 0..b {
-                            child.flatten_into(start + ext * j as isize, out);
-                        }
-                    }
-                }
                 Datatype::Struct {
                     blocklens,
                     displs_bytes,
@@ -1018,8 +903,9 @@ mod tests {
     }
 
     #[test]
-    fn hindexed_negative_displacement_bounds() {
-        let t = Datatype::hindexed(vec![1, 1], vec![-4, 4], Datatype::named(Named::Int)).unwrap();
+    fn struct_negative_displacement_bounds() {
+        let int = Datatype::named(Named::Int);
+        let t = Datatype::structured(vec![1, 1], vec![-4, 4], vec![int.clone(), int]).unwrap();
         assert_eq!(t.lb(), -4);
         assert_eq!(t.extent(), 12);
     }
@@ -1133,65 +1019,6 @@ mod tests {
     }
 
     #[test]
-    fn darray_blocks_partition_global_array() {
-        // 4×4 ints over a 2×2 process grid: each rank owns a 2×2 corner;
-        // together they must cover every element exactly once.
-        let mut seen = vec![0u32; 16];
-        for rank in 0..4 {
-            let t = Datatype::darray_block(
-                rank,
-                &[4, 4],
-                &[2, 2],
-                Order::C,
-                Datatype::named(Named::Int),
-            )
-            .unwrap();
-            assert_eq!(t.size(), 16);
-            for (off, len) in t.commit().extents() {
-                assert_eq!(off % 4, 0);
-                assert_eq!(len % 4, 0);
-                for e in 0..len / 4 {
-                    seen[off as usize / 4 + e] += 1;
-                }
-            }
-        }
-        assert!(seen.iter().all(|&c| c == 1), "coverage {seen:?}");
-    }
-
-    #[test]
-    fn darray_uneven_division_clips_last_block() {
-        // 5 elements over 2 procs: blocks of 3 and 2.
-        let a = Datatype::darray_block(0, &[5], &[2], Order::C, byte()).unwrap();
-        let b = Datatype::darray_block(1, &[5], &[2], Order::C, byte()).unwrap();
-        assert_eq!(a.size(), 3);
-        assert_eq!(b.size(), 2);
-        assert_eq!(extents(&b.commit()), [(3, 2)]);
-    }
-
-    #[test]
-    fn darray_rejects_bad_grids() {
-        assert!(Datatype::darray_block(4, &[4], &[2], Order::C, byte()).is_err());
-        assert!(Datatype::darray_block(0, &[4, 4], &[2], Order::C, byte()).is_err());
-        // 2 elements over 3 procs: the last process owns nothing.
-        assert!(Datatype::darray_block(2, &[2], &[3], Order::C, byte()).is_err());
-    }
-
-    #[test]
-    fn darray_fortran_process_ordering() {
-        // On an asymmetric 4×6 array over a 2×2 grid, rank 1 advances
-        // along the last dimension under C ranking (columns 3..6) but
-        // along the first under Fortran ranking (rows 2..4).
-        let c_r1 = Datatype::darray_block(1, &[4, 6], &[2, 2], Order::C, byte()).unwrap();
-        let f_r1 = Datatype::darray_block(1, &[4, 6], &[2, 2], Order::Fortran, byte()).unwrap();
-        assert_eq!(c_r1.commit().runs()[0].off, 3, "C: first elem at (0,3)");
-        assert_eq!(
-            f_r1.commit().runs()[0].off,
-            2,
-            "Fortran: first elem at (2,0) col-major"
-        );
-    }
-
-    #[test]
     fn nested_types_compose() {
         // vector of structs: the ART-ish "many small arrays" shape.
         let rec = Datatype::structured(
@@ -1215,7 +1042,7 @@ mod tests {
             let named = [Named::Byte, Named::Short, Named::Int, Named::Double];
             return Datatype::named(named[pick(0, 4) as usize]);
         }
-        let kind = pick(0, 7);
+        let kind = pick(0, 6);
         let n = pick(1, 4) as usize;
         let lens: Vec<usize> = (0..n).map(|_| pick(0, 4) as usize).collect();
         match kind {
@@ -1231,14 +1058,10 @@ mod tests {
             }
             3 => {
                 let displs = (0..n).map(|_| pick(-16, 48) as isize).collect();
-                Datatype::hindexed(lens, displs, random_type(rng, depth - 1)).unwrap()
-            }
-            4 => {
-                let displs = (0..n).map(|_| pick(-16, 48) as isize).collect();
                 let children = (0..n).map(|_| random_type(rng, depth - 1)).collect();
                 Datatype::structured(lens, displs, children).unwrap()
             }
-            5 => {
+            4 => {
                 // No empty dimension: the oracle's odometer emits one
                 // element before it looks at the subsizes.
                 let sizes: Vec<usize> = (0..n).map(|_| pick(1, 5) as usize).collect();

@@ -16,8 +16,6 @@ pub mod art;
 pub mod decomp;
 pub mod dist;
 pub mod error;
-pub mod flash;
-pub mod ior;
 pub mod synthetic;
 
 pub use dist::Normal;

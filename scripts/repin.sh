@@ -9,8 +9,9 @@
 # check_golden) and every baseline under bench_results/ (check_baseline)
 # is rewritten instead of compared, and each prints one `moved-pins` line.
 # The report ends the output: per file, the lines or leaves that moved out
-# of its total, the first that moved, and the max and median relative
-# change of the decimal numbers that moved. Review `git diff` before
+# of its total, those added and removed (golden lines are paired by their
+# [cell] and first word, not by position), the first that differs, and the
+# max and median relative change of the decimal numbers that moved. Review `git diff` before
 # committing. A test that fails for any other reason fails the command.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -32,6 +33,12 @@ fi
 pins=$(grep -o 'moved-pins .*' "$log" | sed "s#$PWD/##" | sort -u)
 echo "== moved pins"
 sed 's/^moved-pins //' <<<"$pins"
-awk 'NF { split($3, n, "/"); moved += n[1]; files++ }
-     END { printf "%d moved pins in %d files\n", moved, files }' <<<"$pins"
+awk 'function count(what,    at) {
+         at = match(head, "[0-9]+ " what)
+         return at ? substr(head, RSTART, RLENGTH) + 0 : 0
+     }
+     NF { split($3, n, "/"); moved += n[1]; files++
+          head = $0; sub(/;.*/, "", head)
+          added += count("added"); removed += count("removed") }
+     END { printf "%d moved pins, %d added, %d removed in %d files\n", moved, added, removed, files }' <<<"$pins"
 exit "$status"

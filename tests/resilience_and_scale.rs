@@ -3,8 +3,7 @@
 
 use std::sync::Arc;
 use tcio::{TcioConfig, TcioFile, TcioMode};
-use workloads::ior::{self, IorParams};
-use workloads::synthetic::{self, Method, SynthParams};
+use workloads::synthetic::{self, SynthParams};
 
 #[test]
 fn degraded_ost_slows_the_whole_collective_job() {
@@ -43,19 +42,17 @@ fn degraded_ost_slows_the_whole_collective_job() {
 
 #[test]
 fn sieving_speeds_up_strided_independent_io_without_changing_bytes() {
+    // Each rank writes SEGMENTS blocks of BLOCK bytes, each block cut into
+    // TRANSFER-byte pieces that interleave across the ranks.
+    const SEGMENTS: u64 = 2;
+    const BLOCK: u64 = 4096;
+    const TRANSFER: u64 = 256;
     let nprocs = 4;
-    let p = IorParams {
-        segments: 2,
-        block_size: 4096,
-        transfer_size: 256,
-        strided: true,
-    };
     let mut elapsed = Vec::new();
     let mut snaps = Vec::new();
     for sieve in [false, true] {
         let fs = pfs::Pfs::new(nprocs, pfs::PfsConfig::default()).unwrap();
         let fs2 = Arc::clone(&fs);
-        let p2 = p.clone();
         let rep = mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
             // Hand-rolled vanilla write so we can toggle sieving.
             rk.barrier()?;
@@ -69,7 +66,7 @@ fn sieving_speeds_up_strided_independent_io_without_changing_bytes() {
             }
             // Set a strided view so each write_at maps to many extents.
             let etype = mpisim::Datatype::contiguous(
-                p2.transfer_size as usize,
+                TRANSFER as usize,
                 mpisim::Datatype::named(mpisim::Named::Byte),
             )
             .commit();
@@ -79,19 +76,19 @@ fn sieving_speeds_up_strided_independent_io_without_changing_bytes() {
             // ranks' extents collide.
             let ftype = mpisim::Datatype::resized(
                 0,
-                (p2.block_size * rk.nprocs() as u64) as usize,
+                (BLOCK * rk.nprocs() as u64) as usize,
                 mpisim::Datatype::vector(
-                    p2.transfers_per_block() as usize,
+                    (BLOCK / TRANSFER) as usize,
                     1,
                     rk.nprocs() as isize,
                     etype.datatype().clone(),
                 ),
             )
             .commit();
-            f.set_view(rk, rk.rank() as u64 * p2.transfer_size, &etype, &ftype)?;
-            let data = vec![rk.rank() as u8 + 1; p2.block_size as usize];
-            for s in 0..p2.segments {
-                f.write_at(rk, s as u64 * p2.block_size, &data)?;
+            f.set_view(rk, rk.rank() as u64 * TRANSFER, &etype, &ftype)?;
+            let data = vec![rk.rank() as u8 + 1; BLOCK as usize];
+            for s in 0..SEGMENTS {
+                f.write_at(rk, s * BLOCK, &data)?;
             }
             rk.barrier()?;
             Ok(rk.now() - t0)
@@ -111,27 +108,23 @@ fn sieving_speeds_up_strided_independent_io_without_changing_bytes() {
 }
 
 #[test]
-fn ior_tcio_beats_vanilla_on_strided_pattern() {
+fn tcio_beats_vanilla_on_strided_pattern() {
+    // SIZE_access = 1 over an int and a double: every call writes 4 or 8
+    // bytes, interleaved across the ranks.
     let nprocs = 8;
-    let p = IorParams {
-        segments: 2,
-        block_size: 8192,
-        transfer_size: 64,
-        strided: true,
-    };
+    let p = SynthParams::with_types("i,d", 1024, 1).unwrap();
     let fs = pfs::Pfs::new(nprocs, pfs::PfsConfig::default()).unwrap();
     let fs2 = Arc::clone(&fs);
-    let p2 = p.clone();
     let rep = mpisim::run(nprocs, mpisim::SimConfig::default(), move |rk| {
-        let t = ior::write(rk, &fs2, &p2, Method::Tcio, "/t")?;
-        let v = ior::write(rk, &fs2, &p2, Method::Vanilla, "/v")?;
+        let t = synthetic::write_tcio(rk, &fs2, &p, "/t", None)?;
+        let v = synthetic::write_vanilla(rk, &fs2, &p, "/v")?;
         Ok((t.elapsed, v.elapsed))
     })
     .unwrap();
     let (t, v) = rep.results[0];
     assert!(
         v > 5.0 * t,
-        "64-byte strided transfers: vanilla {v}s must be far slower than TCIO {t}s"
+        "4- and 8-byte strided writes: vanilla {v}s must be far slower than TCIO {t}s"
     );
 }
 
