@@ -44,13 +44,8 @@ impl Calib {
     ///
     /// Calibration targets (production Lonestar, shared with other jobs):
     /// aggregate write bandwidth saturating around ~1.2 GB/s and reads
-    /// around ~7 GB/s (the ceilings of Figs. 5–7); passive-target RMA
-    /// epochs costing tens of microseconds (MVAPICH-era lock/unlock); and
-    /// a per-round system-noise term on the pairwise all-to-all with a
-    /// millisecond-scale mean, reflecting the paper's "experiments were
-    /// conducted during production mode, meaning other applications
-    /// coexist in the system" — only `diag_a2a` runs that all-to-all; the
-    /// figures' exchanges do not sample the term.
+    /// around ~7 GB/s (the ceilings of Figs. 5–7), and passive-target RMA
+    /// epochs costing tens of microseconds (MVAPICH-era lock/unlock).
     pub fn paper(scale_inv: u64) -> Calib {
         assert!(scale_inv >= 1);
         let k = scale_inv as f64;
@@ -62,7 +57,6 @@ impl Calib {
         // with the data (otherwise header cost would inflate k-fold).
         net.gather_header_bytes = ((net.gather_header_bytes as u64).div_ceil(scale_inv)) as usize;
         net.rma_lock_cost = 25.0e-6;
-        net.noise_mean = 1.5e-3;
         net.match_overhead = 30.0e-6;
         net.api_call_overhead = 2.0e-6;
         let mut fs = PfsConfig::default();

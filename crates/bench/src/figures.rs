@@ -301,9 +301,10 @@ fn ratio_at(calib: &Calib, p: usize, len: usize) -> f64 {
 ///   OCIO's exchange quadratically with P),
 /// * `rma_lock_cost` (TCIO's per-epoch one-sided overhead).
 ///
-/// `noise_mean` is not swept: only the pairwise [`mpisim::Rank::alltoallv`]
-/// samples it, and neither Fig. 5 method calls that — OCIO bursts through
-/// `alltoallv_burst_in`, TCIO moves data one-sided.
+/// `noise_mean` is not swept, and the calibration leaves it at 0: only the
+/// pairwise [`mpisim::Rank::alltoallv`] samples it, and neither Fig. 5
+/// method calls that — OCIO bursts through `alltoallv_burst_in`, TCIO
+/// moves data one-sided.
 ///
 /// For each constant we sweep ×0, ×0.5, ×1, ×2 around the calibrated value
 /// and report the OCIO/TCIO write ratio at the smallest and largest scale

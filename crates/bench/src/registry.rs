@@ -257,7 +257,6 @@ const GRID: &[Opt] = &[
     SCALE_1024,
 ];
 const ABLATION: &[Opt] = &[SCALE_256, PROCS_16, LEN_1M];
-const DIAG: &[Opt] = &[SCALE_256, PROCS_64, LEN_4M];
 
 /// Everything `bench <name>` can run; `bench list` prints this table.
 pub static EXPERIMENTS: &[Experiment] = &[
@@ -351,43 +350,6 @@ pub static EXPERIMENTS: &[Experiment] = &[
         about: "SIZE_access sweep across TCIO, OCIO and vanilla MPI-IO",
         opts: ABLATION,
         run: ablations::access_size,
-        gate: None,
-    },
-    Experiment {
-        name: "diag_breakdown",
-        about: "virtual-time and counter breakdown of one synthetic run per method",
-        opts: DIAG,
-        run: diag::breakdown,
-        gate: None,
-    },
-    Experiment {
-        name: "diag_phase",
-        about: "phase timestamps inside one TCIO write",
-        opts: DIAG,
-        run: diag::phase,
-        gate: None,
-    },
-    Experiment {
-        name: "diag_read",
-        about: "clock progression through a TCIO lazy-read loop",
-        opts: DIAG,
-        run: diag::read,
-        gate: None,
-    },
-    Experiment {
-        name: "diag_a2a",
-        about: "cost of one pairwise-exchange all-to-all vs process count",
-        opts: &[
-            SCALE_256,
-            opt(
-                "bytes",
-                Kind::Int,
-                "50331648",
-                "bytes per rank in paper units",
-            ),
-            opt("procs", Kind::Ints, "64,256,1024", "process counts"),
-        ],
-        run: diag::a2a,
         gate: None,
     },
     Experiment {

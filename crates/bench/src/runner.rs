@@ -244,7 +244,9 @@ pub fn mbs_or_oom(throughput: Option<f64>) -> String {
 }
 
 /// Interleaved-arrays write with tracing enabled: returns the simulation
-/// report (including per-rank `RankTrace`s) and the per-OST metric rows.
+/// report (including per-rank `RankTrace`s) and the job it ran, whose file
+/// system holds the per-OST rows and whose [`Job::export`] is the run's
+/// registry.
 ///
 /// This is the workload behind `diag_trace` and the observability
 /// acceptance tests: every rank writes its slice of an `"i,d"` interleaved
@@ -257,7 +259,7 @@ pub fn run_traced_synth(
     size_access: usize,
     method: Method,
     engine: Option<Arc<ChaosEngine>>,
-) -> (SimReport<f64>, Vec<mpisim::OstRow>) {
+) -> (SimReport<f64>, Job) {
     let p = synth_params(calib, len_virtual, size_access);
     let mut job = Job::new(calib, nprocs);
     job.traced().under(engine);
@@ -274,7 +276,7 @@ pub fn run_traced_synth(
             Err(e) => Err(e),
         }
     });
-    (run.expect("traced run"), job.fs.ost_report())
+    (run.expect("traced run"), job)
 }
 
 /// ART dump + restart at `nprocs`: returns (write MB/s, read MB/s, bytes).
@@ -313,8 +315,9 @@ mod tests {
         // time, and the run yields spans plus per-OST rows.
         let calib = Calib::unscaled();
         for method in [Method::Ocio, Method::Tcio, Method::Vanilla] {
-            let (rep, osts) = run_traced_synth(&calib, 4, 1 << 12, 1, method, None);
-            assert!(!osts.is_empty());
+            let (rep, job) = run_traced_synth(&calib, 4, 1 << 12, 1, method, None);
+            assert!(!job.fs.ost_report().is_empty());
+            assert!(job.export(&rep).counter("pfs_write_rpcs_total") > Some(0));
             assert_eq!(rep.traces.len(), 4);
             for (r, tr) in rep.traces.iter().enumerate() {
                 assert!(

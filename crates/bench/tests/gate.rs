@@ -109,10 +109,6 @@ const TINY: &[(&str, &[&str])] = &[
     ("ablation_modes", &["--procs", "4", "--len", "16384"]),
     ("ablation_cb", &["--procs", "4", "--len", "16384"]),
     ("ablation_access_size", &["--procs", "4", "--len", "65536"]),
-    ("diag_breakdown", &["--procs", "4", "--len", "16384"]),
-    ("diag_phase", &["--procs", "4", "--len", "16384"]),
-    ("diag_read", &["--procs", "4", "--len", "16384"]),
-    ("diag_a2a", &["--procs", "4,8"]),
     ("diag_trace", &["--procs", "4", "--len", "4096"]),
     (
         "exchange_sweep",

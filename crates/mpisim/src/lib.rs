@@ -61,7 +61,7 @@ pub use metrics::{Hist, RankMetrics, Registry};
 pub use net::{FabricStatsSnapshot, NetConfig, Transfer};
 pub use p2p::{Received, Request, Tag};
 pub use rma::{Epoch, LockKind, Window};
-pub use runtime::{run, Backend, DeferredIo, Rank, ReduceOp, SimConfig, SimReport};
+pub use runtime::{run, simulation, Backend, DeferredIo, Rank, ReduceOp, SimConfig, SimReport};
 pub use stats::RankStats;
 pub use topology::Topology;
 pub use trace::{chrome_trace_json, OstRow, Phase, PhaseTotals, RankTrace, Span, TraceReport};

@@ -74,9 +74,9 @@ impl Rank {
     /// ([`NetConfig::noise_mean`](crate::NetConfig::noise_mean), sampled
     /// here and nowhere else) compounds transitively across the machine —
     /// the "collective wall". The two-phase collective does not use this
-    /// exchange (it bursts through [`Rank::alltoallv_burst_in`]); the
-    /// `diag_a2a` experiment measures it. `data[d]` is the payload for rank
-    /// `d`; returns payloads indexed by source.
+    /// exchange (it bursts through [`Rank::alltoallv_burst_in`]); simbench's
+    /// `alltoallv_pair_ns` cell measures it. `data[d]` is the payload for
+    /// rank `d`; returns payloads indexed by source.
     pub fn alltoallv(&mut self, data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
         let (me, n) = (self.id, self.nprocs);
         self.all_to_all("alltoallv", n, me, data, |rk, mut data, out| {

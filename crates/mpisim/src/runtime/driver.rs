@@ -9,9 +9,41 @@ use crate::metrics::RankMetrics;
 use crate::net::FabricStatsSnapshot;
 use crate::stats::RankStats;
 use crate::trace::{PhaseTotals, RankTrace, Tracer};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Where simulation ids come from: every [`run`] draws the next one.
+static NEXT_SIMULATION: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// The simulation whose rank this thread is running.
+    static SIMULATION: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+pub(super) fn next_simulation() -> u64 {
+    NEXT_SIMULATION.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The id of the simulation whose rank is running on this thread, on
+/// either substrate; `None` outside every [`run`]. Each `run` has a fresh
+/// id, so state that outlives one simulation can tell when the next one
+/// begins: a file system keeps its bytes across simulations but starts
+/// its timelines afresh.
+pub fn simulation() -> Option<u64> {
+    SIMULATION.get()
+}
+
+/// Puts back the calling thread's simulation id when [`run`] returns or
+/// unwinds: on the event substrate the ranks ran on this thread.
+struct RestoreSimulation(Option<u64>);
+
+impl Drop for RestoreSimulation {
+    fn drop(&mut self) {
+        SIMULATION.set(self.0);
+    }
+}
 
 /// Result of a completed simulation.
 #[derive(Debug)]
@@ -85,6 +117,7 @@ fn execute_rank<T, F>(i: usize, shared: &Arc<Shared>, body: &F) -> PerRank<T>
 where
     F: Fn(&mut Rank) -> Result<T> + Sync,
 {
+    SIMULATION.set(Some(shared.id));
     let mut rank = Rank::new(i, Arc::clone(shared));
     let out = catch_unwind(AssertUnwindSafe(|| body(&mut rank)));
     let outcome = match out {
@@ -243,7 +276,10 @@ where
         Backend::Thread => Substrate::Thread,
         Backend::Event | Backend::Auto => Substrate::Native,
     };
-    let per_rank = run_event(nprocs, &shared, substrate, &body)?;
+    let per_rank = {
+        let _outer = RestoreSimulation(simulation());
+        run_event(nprocs, &shared, substrate, &body)?
+    };
 
     // Prefer a root-cause error (not Aborted) from the lowest rank. An
     // unhandled crash dominates its own knock-on effects (peers failing
@@ -372,6 +408,23 @@ mod tests {
                 assert!(message.contains("deliberate"));
             }
             other => panic!("unexpected: {other}"),
+        }
+    }
+
+    /// Every rank of a run, on either substrate, sees that run's id; the
+    /// next run has another, and the caller's thread is outside both.
+    #[test]
+    fn each_run_is_a_simulation_of_its_own_on_every_rank_thread() {
+        assert_eq!(simulation(), None);
+        for backend in [Backend::Event, Backend::Thread] {
+            let ids = || {
+                let c = SimConfig { backend, ..cfg() };
+                run(4, c, |_| Ok(simulation())).unwrap().results
+            };
+            let (a, b) = (ids(), ids());
+            assert!(a[0].is_some() && a.iter().all(|&id| id == a[0]), "{a:?}");
+            assert!(b.iter().all(|&id| id == b[0]) && b[0] != a[0], "{b:?}");
+            assert_eq!(simulation(), None, "{backend:?}: the caller's id is back");
         }
     }
 

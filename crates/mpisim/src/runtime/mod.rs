@@ -41,7 +41,7 @@ mod p2p;
 mod rma;
 
 pub use coll::ReduceOp;
-pub use driver::{run, SimReport};
+pub use driver::{run, simulation, SimReport};
 
 use crate::comm::{CommShared, Flavor};
 use crate::error::{MpiError, Result};
@@ -210,6 +210,8 @@ pub(crate) struct Shared {
     /// completion, abort, rank death) must wake the affected parked
     /// tasks here.
     core: Arc<EventCore>,
+    /// This simulation's id, fresh per [`run`]; see [`simulation`].
+    id: u64,
 }
 
 impl Shared {
@@ -236,6 +238,7 @@ impl Shared {
             chaos: cfg.chaos.clone(),
             dead: (0..nprocs).map(|_| AtomicBool::new(false)).collect(),
             core: Arc::new(EventCore::new(nprocs)),
+            id: driver::next_simulation(),
         }
     }
 

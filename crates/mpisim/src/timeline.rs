@@ -125,6 +125,14 @@ impl Timeline {
         self.busy.len()
     }
 
+    /// Drop every booking and the pruned horizon: the resource is idle
+    /// from time 0 on, as on a new timeline. The prune and clamp counts
+    /// stay: they report on the timeline's whole life.
+    pub fn clear(&mut self) {
+        self.busy = GapBuffer::default();
+        self.floor = 0.0;
+    }
+
     /// Times the older half of the intervals has been dropped.
     pub fn prunes(&self) -> u64 {
         self.prunes

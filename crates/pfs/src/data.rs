@@ -55,6 +55,7 @@ impl Pfs {
         let mut guard = self.state.lock();
         let st = &mut *guard;
         st.file(id)?;
+        st.enter_simulation();
         st.clients
             .get(client)
             .ok_or_else(|| PfsError::Config(format!("no client {client}")))?;

@@ -256,6 +256,20 @@ impl Health {
         })
     }
 
+    /// Forget every virtual instant, for a simulation whose clocks start
+    /// at 0: the error windows empty, and an open breaker's quarantine,
+    /// timed on the old clocks, counts as expired, so it half-opens and the
+    /// next request probes it. EWMAs, latency histograms, counters and the
+    /// relocation map persist.
+    pub(crate) fn restart(&mut self) {
+        for h in &mut self.osts {
+            h.err_times.clear();
+            if let Breaker::Open { .. } = h.state {
+                h.state = Breaker::HalfOpen;
+            }
+        }
+    }
+
     /// Breaker state of `ost` at `now` (an expired quarantine half-opens
     /// here). All state transitions are driven by request arrivals, never
     /// by wall clock — pure virtual time.
@@ -549,6 +563,23 @@ mod tests {
             h2.observe_error(1, i as f64); // 1 s apart >> 50 ms window
         }
         assert_eq!(h2.breaker(1, 10.0), Breaker::Closed);
+    }
+
+    #[test]
+    fn a_restart_half_opens_and_forgets_the_error_window() {
+        let mut h = health(4);
+        for t in [0.010, 0.020, 0.030] {
+            h.observe_error(0, t);
+        }
+        h.observe_error(1, 0.010);
+        h.observe_error(1, 0.020);
+        assert!(matches!(h.breaker(0, 0.030), Breaker::Open { .. }));
+        h.restart();
+        assert_eq!(h.breaker(0, 0.0), Breaker::HalfOpen, "next request probes");
+        // OST 1's two errors were on the old clocks: a third now is one.
+        h.observe_error(1, 0.0);
+        assert_eq!(h.breaker(1, 0.0), Breaker::Closed);
+        assert_eq!(h.snapshot().breaker_opens, 1, "counters persist");
     }
 
     #[test]

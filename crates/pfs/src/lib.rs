@@ -254,6 +254,10 @@ struct State {
     /// Per-RPC service-latency histogram (ns of virtual time); `None`
     /// until [`Pfs::enable_latency_metrics`].
     latency: Option<Hist>,
+    /// The simulation ([`mpisim::simulation`]) whose clocks the time state
+    /// above is on: the OST and client timelines, the QoS buckets and the
+    /// health windows.
+    simulation: Option<u64>,
 }
 
 /// One object storage target.
@@ -286,6 +290,35 @@ impl State {
             .get(id.0 as usize)
             .ok_or(PfsError::InvalidFile(id.0))
     }
+
+    /// Called by every request that books time. Each simulation starts
+    /// its clocks at 0, so the time state belongs to one simulation: the
+    /// first booking from a new one finds the timelines empty, the QoS
+    /// buckets full and the health windows clear (a restart does not queue
+    /// behind the dump that wrote its file). File bytes, the namespace,
+    /// lock ownership and health's relocation map persist. A call made
+    /// outside every simulation books on the state as it is.
+    fn enter_simulation(&mut self) {
+        let sim = mpisim::simulation();
+        if sim.is_none() || sim == self.simulation {
+            return;
+        }
+        self.simulation = sim;
+        for timeline in self
+            .osts
+            .iter_mut()
+            .map(|o| &mut o.busy)
+            .chain(&mut self.clients)
+        {
+            timeline.clear();
+        }
+        if let Some(q) = &mut self.qos {
+            q.restart();
+        }
+        if let Some(h) = &mut self.health {
+            h.restart();
+        }
+    }
 }
 
 impl Pfs {
@@ -309,6 +342,7 @@ impl Pfs {
             qos: None,
             health: None,
             latency: None,
+            simulation: None,
         };
         Ok(Arc::new(Pfs {
             cfg,
@@ -503,6 +537,35 @@ mod tests {
         let snap = p.stats.snapshot();
         assert_eq!(reqs, snap.read_rpcs + snap.write_rpcs);
         assert!(rows.iter().map(|r| r.busy).sum::<f64>() > 0.0);
+    }
+
+    /// Time state belongs to one simulation: the same request in a second
+    /// simulation finds empty timelines and a full token bucket, while a
+    /// call outside every simulation books on what is there. Bytes stay.
+    #[test]
+    fn each_simulation_starts_the_clocks_afresh_and_keeps_the_bytes() {
+        let p = Pfs::new(1, PfsConfig::default()).unwrap();
+        let qos = QosConfig {
+            token_buckets: vec![Some((1.0e6, 4096.0))],
+            ..QosConfig::default()
+        };
+        p.enable_qos(qos, vec![0]).unwrap();
+        let id = p.create("/f").unwrap();
+        let write = |byte: u8| p.write_at(id, 0, 0, &[byte; 8192], 0.0).unwrap();
+        let in_a_simulation = |byte: u8| {
+            let rep = mpisim::run(1, mpisim::SimConfig::default(), |_| Ok(write(byte)));
+            rep.unwrap().results[0]
+        };
+        let first = in_a_simulation(1);
+        let outside = write(2);
+        assert!(
+            outside > first,
+            "outside a simulation: queued, {outside} vs {first}"
+        );
+        assert_eq!(in_a_simulation(3).to_bits(), first.to_bits());
+        assert_eq!(in_a_simulation(4).to_bits(), first.to_bits());
+        assert_eq!(p.snapshot_file(id).unwrap(), vec![4u8; 8192]);
+        assert_eq!(p.stats.snapshot().bytes_written, 4 * 8192);
     }
 
     #[test]

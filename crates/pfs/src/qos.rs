@@ -165,21 +165,37 @@ impl Qos {
         let mut tenants = vec![TenantState::default(); ntenants];
         for (t, st) in tenants.iter_mut().enumerate() {
             st.usage.tenant = t;
-            // Buckets start full: a fresh tenant may burst immediately.
-            if let Some(&Some((_, burst))) = cfg.token_buckets.get(t) {
-                st.tokens = burst;
-            }
         }
         let total_weight = (0..ntenants)
             .map(|t| cfg.weights.get(t).copied().unwrap_or(1.0))
             .sum();
-        Ok(Qos {
+        let mut q = Qos {
             vclock: vec![vec![0.0; ntenants]; num_osts],
             tenants,
             total_weight,
             tenant_of_client,
             cfg,
-        })
+        };
+        q.restart();
+        Ok(q)
+    }
+
+    /// Put every virtual instant back to 0, for a simulation whose clocks
+    /// start there: buckets start full (a fresh tenant may burst
+    /// immediately), no batch window is open, and the fair-share clocks
+    /// restart. Usage counts persist.
+    pub(crate) fn restart(&mut self) {
+        for (t, st) in self.tenants.iter_mut().enumerate() {
+            st.tokens = match self.cfg.token_buckets.get(t) {
+                Some(&Some((_, burst))) => burst,
+                _ => 0.0,
+            };
+            st.stamp = 0.0;
+            st.window_end = 0.0;
+        }
+        for clocks in &mut self.vclock {
+            clocks.fill(0.0);
+        }
     }
 
     /// Tenant owning `client`; unmapped clients (e.g. internal drain

@@ -68,6 +68,7 @@ impl Pfs {
     /// `remaining == 0`.
     pub fn rebuild(&self, now: f64) -> Result<RebuildReport> {
         let mut guard = self.state.lock();
+        guard.enter_simulation();
         let State {
             files,
             osts,

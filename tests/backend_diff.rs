@@ -263,6 +263,56 @@ fn art_checkpoint_is_bit_identical_across_backends() {
     }
 }
 
+/// A `Pfs` keeps bytes across simulations, not time: ART's restart, run as
+/// a second simulation on the file system its dump wrote, gets the clock
+/// bits a restart gets on a fresh file system holding the same bytes, on
+/// both substrates. Lock ownership persists by design, so both file
+/// systems first take the snapshot from one client no rank is, outside
+/// any simulation (which books on the timelines as they are).
+#[test]
+fn a_restart_on_the_dumped_pfs_is_priced_as_on_a_fresh_one() {
+    let nprocs = 8;
+    let mover = nprocs;
+    let cfg = ArtConfig {
+        num_segments: 16,
+        mu: 12.0,
+        sigma: 2.0,
+        seed: 5,
+        ftt: FttConfig::default(),
+    };
+    let topo = || Some(mpisim::Topology::blocked(nprocs, 4));
+    let restart = |fs: &Arc<pfs::Pfs>, backend, method| {
+        let (sim, _) = sim_config(backend, topo(), None);
+        let rep = mpisim::run(nprocs, sim, |rk| {
+            Ok(art::restart(rk, fs, &cfg, method, "/a")?.elapsed.to_bits())
+        });
+        fingerprint(&rep.unwrap(), fs, &["/a"])
+    };
+    for backend in [Backend::Event, Backend::Thread] {
+        for method in [ArtMethod::Tcio, ArtMethod::Vanilla] {
+            let dumped = pfs::Pfs::new(nprocs + 1, pfs::PfsConfig::default()).unwrap();
+            let (sim, _) = sim_config(backend, topo(), None);
+            mpisim::run(nprocs, sim, |rk| {
+                Ok(art::dump(rk, &dumped, &cfg, method, "/a")?.bytes)
+            })
+            .unwrap();
+            let fresh = pfs::Pfs::new(nprocs + 1, pfs::PfsConfig::default()).unwrap();
+            for path in dumped.list() {
+                let bytes = dumped.snapshot_file(dumped.open(&path).unwrap()).unwrap();
+                for fs in [&dumped, &fresh] {
+                    let id = fs.open_or_create(&path).unwrap();
+                    fs.write_at(id, mover, 0, &bytes, 0.0).unwrap();
+                }
+            }
+            assert_fp_eq(
+                &restart(&dumped, backend, method),
+                &restart(&fresh, backend, method),
+                &format!("{backend:?} {method:?} restart, dumped vs fresh"),
+            );
+        }
+    }
+}
+
 #[test]
 fn event_backend_is_deterministic_across_50_seeds() {
     // Same seed ⇒ byte-identical everything, including the trace report

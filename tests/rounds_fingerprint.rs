@@ -10,7 +10,8 @@
 //! retried drains and segment loads under `plans/ost_outage.toml`, the
 //! fence ablation, the level-1 fallback around a stalled segment owner, and
 //! crash recovery followed by reads of the dead owner's segments. Every cell records the makespan
-//! and every rank's final clock as raw `f64` bits, the per-rank
+//! (its raw `f64` bits, then its decimal value) and every rank's final
+//! clock as raw `f64` bits, the per-rank
 //! `RankStats`, an FNV-1a hash of the bytes that landed (the PFS file for
 //! writes, the read-back buffers for reads) and the multiset of span
 //! names — everything a refactor of the round loops could disturb.
@@ -198,7 +199,10 @@ fn sim_config(topology: bool, engine: Option<Arc<chaos::ChaosEngine>>) -> SimCon
 /// moved (file contents or read-back buffers).
 fn render<T>(out: &mut String, name: &str, rep: &mpisim::SimReport<T>, landed: u64) {
     writeln!(out, "[{name}]").unwrap();
-    writeln!(out, "makespan {:016x}", rep.makespan.to_bits()).unwrap();
+    // The bits pin the makespan; the decimal after them is what the
+    // re-pin report reads to give a moved makespan's relative change.
+    let makespan = rep.makespan;
+    writeln!(out, "makespan {:016x} ({makespan:e})", makespan.to_bits()).unwrap();
     let clocks: Vec<String> = rep
         .clocks
         .iter()
