@@ -106,11 +106,6 @@ impl Calib {
         }
         self.virtual_bytes(real_bytes) as f64 / 1.0e6 / seconds
     }
-
-    /// Human-readable size of a virtual byte count.
-    pub fn fmt_virtual(&self, real_bytes: u64) -> String {
-        fmt_bytes(self.virtual_bytes(real_bytes))
-    }
 }
 
 /// Format a byte count the way the paper labels its x-axes (768MB, 48GB…).

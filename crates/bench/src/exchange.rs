@@ -1,31 +1,27 @@
 //! Exchange sweep (`exchange_sweep`): the Table II interleaved-arrays
-//! workload on a node topology, with the three two-phase exchanges run
-//! head to head under the same hints.
+//! workload on a node topology, with the two two-phase exchanges run head
+//! to head under the same hints.
 //!
 //! Per `(nprocs, ppn)` placement the grid runs TCIO (node-aware level-2
-//! owner placement) with and without its pipelined drain, and OCIO across
+//! owner placement), and OCIO across
 //!
 //! * **rounds** — `single`: ROMIO's defaults, one unchunked round and every
 //!   rank an aggregator; `quarter`: one aggregator per node and a
 //!   `cb_buffer` of a quarter of its file domain, so every collective runs
 //!   ≈4 rounds and a pipeline has something to overlap;
-//! * **exchange** — `flat`: the all-to-all burst; `two_level`: node leaders
-//!   forward their members' payloads opaquely, so one rank per node is on
-//!   the wire; `req_agg`: leaders decode and merge the members'
-//!   offset–length lists and ship one list per (node, aggregator) pair
-//!   (both Kang et al., arXiv:1907.12656);
+//! * **exchange** — `flat`: the all-to-all burst; `req_agg`: node leaders
+//!   decode and merge the members' offset–length lists and ship one list
+//!   per (node, aggregator) pair (Kang et al., arXiv:1907.12656);
 //! * **pipeline** (`quarter` only — a single round has nothing to overlap):
 //!   round k+1's exchange runs while the OSTs service round k.
 //!
 //! Every cell reports the write and read makespans, the fabric's intra-/
-//! inter-node byte split (what the leader exchanges move), the fraction of
+//! inter-node byte split (what the leader exchange moves), the fraction of
 //! OST service that coincided with exchange spans
 //! ([`insight::Analyzer::overlap_report`]) and the service seconds hidden
-//! behind other work (`RankStats::io_overlap`). TCIO's pipelined drain
-//! overlaps service with window copies and *other* service, never with
-//! exchange, so it shows in `hidden_s` only. `ppn = 1` is the
-//! zero-cost-off placement: a trivial topology has no leaders, so the
-//! three exchanges must agree there to the bit.
+//! behind other work (`RankStats::io_overlap`). `ppn = 1` is the
+//! zero-cost-off placement: a trivial topology has no leaders, so the two
+//! exchanges must agree there to the bit.
 
 use crate::calib::Calib;
 use crate::registry::Args;
@@ -34,7 +30,7 @@ use crate::runner::{synth_params, Cell};
 use mpiio::CollectiveConfig;
 use workloads::synthetic::Method;
 
-pub const EXCHANGES: [&str; 3] = ["flat", "two_level", "req_agg"];
+pub const EXCHANGES: [&str; 2] = ["flat", "req_agg"];
 /// The hint sets OCIO runs under: `(rounds, pipeline)`.
 pub const HINTS: [(&str, bool); 3] = [("single", false), ("quarter", false), ("quarter", true)];
 
@@ -47,19 +43,20 @@ pub struct Variant {
 }
 
 impl Variant {
-    /// The eleven variants of a placement, in document order.
+    /// The seven variants of a placement, in document order: TCIO, then
+    /// OCIO under every hint set and exchange.
     pub fn all() -> Vec<Variant> {
-        let tcio = [false, true].map(|pipeline| Variant {
+        let tcio = Variant {
             ocio: None,
-            pipeline,
-        });
+            pipeline: false,
+        };
         let ocio = HINTS.iter().flat_map(|&(rounds, pipeline)| {
             EXCHANGES.map(|exchange| Variant {
                 ocio: Some((rounds, exchange)),
                 pipeline,
             })
         });
-        tcio.into_iter().chain(ocio).collect()
+        std::iter::once(tcio).chain(ocio).collect()
     }
 
     /// The fields that identify the variant in a cell of the document.
@@ -102,14 +99,12 @@ pub fn run_cell(
     let mut cell = Cell::new(calib, nprocs, p, method);
     // Traced: the overlap report needs per-operation spans.
     cell.job.on_nodes(ppn).traced();
-    cell.tcio.pipeline_drain = variant.pipeline;
     if let Some((rounds, exchange)) = variant.ocio {
         let nodes = nprocs.div_ceil(ppn);
         let quarter = rounds == "quarter";
         cell.ocio = CollectiveConfig {
             cb_nodes: quarter.then_some(nodes),
             cb_buffer: quarter.then(|| quarter_cb_buffer(file_size, nodes)),
-            intra_agg: exchange == "two_level",
             req_agg: exchange == "req_agg",
             pipeline: variant.pipeline,
             ..Default::default()
@@ -176,27 +171,18 @@ const FIELDS: [&str; 6] = [
 /// What the committed grid must show, checked on every fresh result.
 ///
 /// Coverage: every placement the evaluation quotes, every variant, every
-/// field. The trivial topology is free: at `ppn = 1` the three exchanges
-/// agree in every field. Unpipelined cells report exactly zero overlap and
-/// hidden service; pipelined OCIO rounds overlap some as soon as there is
-/// an exchange (more than one rank).
+/// field. The trivial topology is free: at `ppn = 1` the two exchanges
+/// agree in every field. Unpipelined cells — TCIO's drain among them —
+/// report exactly zero overlap and hidden service; pipelined OCIO rounds
+/// overlap some as soon as there is an exchange (more than one rank).
 ///
-/// Past the per-rank connection cache (64) a leader exchange pays: at
-/// 128 × 16 the flat burst thrashes connection setup and queues P−1
-/// unexpected messages per rank, so the single-round write is ≥ 20 % faster
-/// two-level (it measures > 2×), and the quarter-round write ≥ 20 % faster
-/// with request aggregation plus the pipeline.
-///
-/// Head to head on the cells with `ppn > 1`, neither leader exchange
-/// dominates, which is why all three stay. Under every hint set request
-/// aggregation never loses to flat, write or read, and moves the fewest
-/// inter-node bytes (req-agg < flat < two-level: opaque forwarding
-/// re-ships whole payloads, merging ships one list). On the single-round
-/// cells it also wins every write against two-level, while two-level wins
-/// the large reads — at 128 ranks by ≥ 2×. Neither of those two carries
-/// over to the quarter rounds (one aggregator per node): there two-level's
-/// write edges req-agg's at 128 × 4 (by 0.1 %), and the read order
-/// reverses — req-agg ≤ two-level on every cell, which is claimed instead.
+/// On the cells with `ppn > 1`, under every hint set, request aggregation
+/// never loses to flat, write or read, and moves fewer inter-node bytes.
+/// Past the per-rank connection cache (64) it pays: at 128 × 16 the flat
+/// burst thrashes connection setup and queues P−1 unexpected messages per
+/// rank, so the single-round write is ≥ 20 % faster with request
+/// aggregation (it measures > 2×), and the quarter-round write ≥ 20 %
+/// faster with request aggregation plus the pipeline.
 pub fn claims(result: &Json) -> Result<(), String> {
     let cells = result.get("cells").and_then(Json::as_arr).unwrap_or(&[]);
     let get = |nprocs: usize, ppn: usize, v: Variant, key: &str| {
@@ -234,45 +220,35 @@ pub fn claims(result: &Json) -> Result<(), String> {
                     check(frac > 0.0, &at, "pipelined, yet no overlap")?;
                 }
             }
-            for (rounds, pipeline) in HINTS {
-                if ppn == 1 {
-                    continue;
-                }
-                // [flat, two-level, req-agg]
-                let three = |key| -> Result<[f64; 3], String> {
-                    let mut out = [0.0; 3];
-                    for (x, exchange) in out.iter_mut().zip(EXCHANGES) {
-                        let ocio = Some((rounds, exchange));
-                        *x = get(nprocs, ppn, Variant { ocio, pipeline }, key)?;
-                    }
-                    Ok(out)
+            // Head to head where a node has leaders: [flat, req-agg].
+            for (rounds, pipeline) in HINTS.into_iter().filter(|_| ppn > 1) {
+                let both = |key| -> Result<[f64; 2], String> {
+                    let of = |exchange| Variant {
+                        ocio: Some((rounds, exchange)),
+                        pipeline,
+                    };
+                    Ok([
+                        get(nprocs, ppn, of("flat"), key)?,
+                        get(nprocs, ppn, of("req_agg"), key)?,
+                    ])
                 };
-                let (w, r, b) = (three("write_s")?, three("read_s")?, three("inter_bytes")?);
+                let (w, r, b) = (both("write_s")?, both("read_s")?, both("inter_bytes")?);
                 let at = format!(
-                    "{nprocs}x{ppn} {rounds} pipeline={pipeline}: [flat, two-level, req-agg] \
+                    "{nprocs}x{ppn} {rounds} pipeline={pipeline}: [flat, req-agg] \
                      write {w:?} read {r:?} inter bytes {b:?}"
                 );
-                check(w[2] <= w[0] && r[2] <= r[0], &at, "req-agg loses to flat")?;
-                check(b[2] < b[0] && b[0] < b[1], &at, "inter bytes out of order")?;
-                if rounds == "quarter" {
-                    check(r[2] <= r[1], &at, "req-agg read over two-level's")?;
-                } else {
-                    check(w[2] <= w[1], &at, "req-agg write over two-level's")?;
-                    let halved = nprocs < 128 || r[1] <= 0.5 * r[2];
-                    check(halved, &at, "two-level read not half of req-agg's")?;
-                }
+                check(w[1] <= w[0] && r[1] <= r[0], &at, "req-agg loses to flat")?;
+                check(b[1] < b[0], &at, "req-agg moves no fewer inter bytes")?;
             }
         }
     }
-    for (rounds, exchange, pipeline) in
-        [("single", "two_level", false), ("quarter", "req_agg", true)]
-    {
+    for (rounds, pipeline) in [("single", false), ("quarter", true)] {
         let write = |exchange, pipeline| {
             let ocio = Some((rounds, exchange));
             get(128, 16, Variant { ocio, pipeline }, "write_s")
         };
-        let (flat, lead) = (write("flat", false)?, write(exchange, pipeline)?);
-        let what = format!("{rounds} {exchange} {lead}s not 20% under flat {flat}s");
+        let (flat, lead) = (write("flat", false)?, write("req_agg", pipeline)?);
+        let what = format!("{rounds} req_agg {lead}s not 20% under flat {flat}s");
         check(lead <= 0.8 * flat, "128x16 write", &what)?;
     }
     Ok(())
@@ -303,9 +279,9 @@ mod tests {
     fn cells_report_the_byte_split_and_attribute_overlap() {
         let flat1 = cell(1, Some(("single", "flat")), false, 1 << 16);
         assert_eq!(flat1("intra_bytes"), 0.0, "ppn=1 is all inter-node");
-        let two = cell(4, Some(("single", "two_level")), false, 1 << 16);
-        assert!(two("write_s") > 0.0 && two("read_s") > 0.0);
-        assert!(two("intra_bytes") > 0.0, "two-level must move intra bytes");
+        let agg = cell(4, Some(("single", "req_agg")), false, 1 << 16);
+        assert!(agg("write_s") > 0.0 && agg("read_s") > 0.0);
+        assert!(agg("intra_bytes") > 0.0, "req-agg must move intra bytes");
         let flat = cell(4, Some(("quarter", "flat")), false, 1 << 16);
         assert_eq!(
             flat("overlap_frac"),
@@ -317,26 +293,17 @@ mod tests {
     }
 
     #[test]
-    fn tcio_pipelined_drain_hides_service() {
-        // TCIO's deferred drain never overlaps exchange (the drain is all
-        // copies + file writes), so the insight fraction stays 0; the
-        // hidden-service accounting is where its pipeline shows up. Needs
-        // several L2 segments per rank — a single-segment drain has
-        // nothing to keep in flight — hence the longer arrays.
-        let flat = cell(4, None, false, 1 << 20);
-        assert_eq!((flat("overlap_frac"), flat("hidden_s")), (0.0, 0.0));
-        let piped = cell(4, None, true, 1 << 20);
-        assert_eq!(
-            piped("overlap_frac"),
-            0.0,
-            "drain has no exchange to overlap"
-        );
-        assert!(piped("hidden_s") > 0.0, "pipelined drain hides OST service");
+    fn tcio_drain_hides_no_service() {
+        // The drain submits every segment at its start and waits once, so
+        // no segment's service is hidden behind other work, even with
+        // several L2 segments per rank — hence the longer arrays.
+        let tcio = cell(4, None, false, 1 << 20);
+        assert_eq!((tcio("overlap_frac"), tcio("hidden_s")), (0.0, 0.0));
     }
 
     #[test]
     fn grid_helpers() {
-        assert_eq!(Variant::all().len(), 11);
+        assert_eq!(Variant::all().len(), 7);
         assert_eq!(sweep_ppns(8, &[1, 4, 16]), vec![1, 4]);
         assert_eq!(sweep_ppns(32, &[1, 4, 16]), vec![1, 4, 16]);
         assert_eq!(quarter_cb_buffer(1 << 20, 8), 1 << 15);

@@ -11,8 +11,9 @@
 //!   then checks the experiment's headline claims on the fresh result
 //!   ([`verdict`]);
 //! - the golden text files under `tests/golden/`: [`check_golden`]
-//!   pairs a fingerprint's lines with the pinned ones by `[cell]` and first
-//!   word, and names the first line that moved, was added or was removed.
+//!   pairs a fingerprint's lines with the pinned ones by `[cell]` and
+//!   leading word, and names the first line that moved, was added or was
+//!   removed.
 //!
 //! There is no tolerance, direction or exemption to configure. Under
 //! `BLESS=1` — read here and nowhere else — both checks rewrite their file
@@ -22,7 +23,7 @@
 
 use crate::registry::{Args, Experiment, EXPERIMENTS};
 use crate::report::{write_json_file, Json};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -70,34 +71,124 @@ fn same(a: &Json, b: &Json) -> bool {
     }
 }
 
-/// Every leaf that is changed, removed or added, in baseline order
-/// (additions last).
-fn diff(baseline: &Json, fresh: &Json) -> Vec<LeafDiff> {
-    let (base, new) = (baseline.leaves(), fresh.leaves());
-    let new_at: BTreeMap<&str, &Json> = new.iter().map(|(p, v)| (p.as_str(), *v)).collect();
-    let base_at: BTreeMap<&str, &Json> = base.iter().map(|(p, v)| (p.as_str(), *v)).collect();
-    let entry = |path: &str, b: Option<&Json>, n: Option<&Json>| LeafDiff {
-        path: path.to_string(),
-        baseline: b.cloned(),
-        fresh: n.cloned(),
-    };
-    let changed = base
-        .iter()
-        .filter_map(|(path, b)| match new_at.get(path.as_str()) {
-            Some(n) if same(b, n) => None,
-            n => Some(entry(path, Some(b), n.copied())),
+/// The longest common subsequence of identical elements of `a` and `b`,
+/// as ascending index pairs.
+fn lcs(a: &[Json], b: &[Json]) -> Vec<(usize, usize)> {
+    let eq = |i: usize, j: usize| DocDiff::new(&a[i], &b[j]).leaves.is_empty();
+    // `len[i][j]`: the length of the LCS of `a[i..]` and `b[j..]`.
+    let mut len = vec![vec![0u32; b.len() + 1]; a.len() + 1];
+    for i in (0..a.len()).rev() {
+        for j in (0..b.len()).rev() {
+            len[i][j] = match eq(i, j) {
+                true => len[i + 1][j + 1] + 1,
+                false => len[i + 1][j].max(len[i][j + 1]),
+            };
+        }
+    }
+    let (mut i, mut j, mut pairs) = (0, 0, Vec::new());
+    while i < a.len() && j < b.len() {
+        if eq(i, j) {
+            pairs.push((i, j));
+            j += 1;
+        } else if len[i + 1][j] < len[i][j + 1] {
+            j += 1;
+            continue;
+        }
+        i += 1;
+    }
+    pairs
+}
+
+/// Everything one document differs from another in: each leaf changed,
+/// removed or added, and how many whole array elements were removed and
+/// added. Object members pair by name and array elements by index, except
+/// in two arrays of different lengths: those pair the longest common
+/// subsequence of identical elements and remove or add the others whole,
+/// so a cell deleted from the middle of a grid moves no later one.
+#[derive(Default)]
+struct DocDiff {
+    leaves: Vec<LeafDiff>,
+    elements_removed: usize,
+    elements_added: usize,
+}
+
+impl DocDiff {
+    fn new(baseline: &Json, fresh: &Json) -> DocDiff {
+        let mut d = DocDiff::default();
+        d.walk(Some(baseline), Some(fresh), "");
+        d
+    }
+
+    /// `b` against `f` at `path`; `None` is absent.
+    fn walk(&mut self, b: Option<&Json>, f: Option<&Json>, path: &str) {
+        let at = |key: &str| match (path, key) {
+            ("", k) | (k, "") => k.to_string(),
+            (p, k) => format!("{p}.{k}"),
+        };
+        let leaf = |j: &Json| matches!(j.leaves().as_slice(), [(p, _)] if p.is_empty());
+        match (b, f) {
+            (Some(Json::Arr(bs)), Some(Json::Arr(fs))) if !bs.is_empty() && !fs.is_empty() => {
+                let pairs = match bs.len() == fs.len() {
+                    true => (0..bs.len()).map(|i| (i, i)).collect(),
+                    false => lcs(bs, fs),
+                };
+                let (mut i, mut j) = (0, 0);
+                for (pi, pj) in pairs.into_iter().chain([(bs.len(), fs.len())]) {
+                    self.elements_removed += pi - i;
+                    self.elements_added += pj - j;
+                    for (k, bv) in bs.iter().enumerate().take(pi).skip(i) {
+                        self.walk(Some(bv), None, &at(&k.to_string()));
+                    }
+                    for (k, fv) in fs.iter().enumerate().take(pj).skip(j) {
+                        self.walk(None, Some(fv), &at(&k.to_string()));
+                    }
+                    if pi < bs.len() {
+                        self.walk(Some(&bs[pi]), Some(&fs[pj]), &at(&pi.to_string()));
+                    }
+                    (i, j) = (pi + 1, pj + 1);
+                }
+            }
+            (Some(Json::Obj(bs)), Some(Json::Obj(fs))) if !bs.is_empty() && !fs.is_empty() => {
+                for (k, bv) in bs {
+                    self.walk(Some(bv), f.and_then(|f| f.get(k)), &at(k));
+                }
+                for (k, fv) in fs
+                    .iter()
+                    .filter(|(k, _)| b.and_then(|b| b.get(k)).is_none())
+                {
+                    self.walk(None, Some(fv), &at(k));
+                }
+            }
+            (Some(x), Some(y)) if leaf(x) && leaf(y) => {
+                if !same(x, y) {
+                    self.push(path.to_string(), b, f);
+                }
+            }
+            _ => {
+                let (old, new) = (b.map(Json::leaves), f.map(Json::leaves));
+                for (p, v) in old.into_iter().flatten() {
+                    self.push(at(&p), Some(v), None);
+                }
+                for (p, v) in new.into_iter().flatten() {
+                    self.push(at(&p), None, Some(v));
+                }
+            }
+        }
+    }
+
+    fn push(&mut self, path: String, baseline: Option<&Json>, fresh: Option<&Json>) {
+        self.leaves.push(LeafDiff {
+            path,
+            baseline: baseline.cloned(),
+            fresh: fresh.cloned(),
         });
-    let added = new
-        .iter()
-        .filter(|(path, _)| !base_at.contains_key(path.as_str()))
-        .map(|(path, n)| entry(path, None, Some(n)));
-    changed.chain(added).collect()
+    }
 }
 
 /// The verdict on one experiment given both documents: no differing leaf,
 /// and the claims hold on the fresh result.
 pub fn verdict(e: &Experiment, baseline: &Json, fresh: &Json) -> Result<(), String> {
-    let diffs = diff(baseline, fresh);
+    let diffs = DocDiff::new(baseline, fresh).leaves;
     if !diffs.is_empty() {
         let lines: Vec<String> = diffs.iter().map(|d| format!("\n  {d}")).collect();
         return Err(format!("{} leaves differ:{}", diffs.len(), lines.concat()));
@@ -174,10 +265,10 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Check `got` against the golden file at `path`, pairing each line with
-/// the pinned line of the same `[cell]`, first word and occurrence of that
-/// word. A mismatch names the first moved line, its `[cell]` and both
-/// texts, or else the first line added or removed, and counts all three
-/// kinds. Under `BLESS=1` the file is rewritten with `got` instead and a
+/// the pinned line of the same key: `[cell]`, first word (two where it
+/// repeats) and occurrence. A mismatch names the first moved line, its
+/// `[cell]` and both texts, or else the first line added or removed, and
+/// counts all three kinds. Under `BLESS=1` the file is rewritten with `got` instead and a
 /// `moved-pins` line is printed.
 pub fn check_golden(path: impl AsRef<Path>, got: &str) -> Result<(), String> {
     let path = path.as_ref();
@@ -200,8 +291,8 @@ fn diff_golden(path: &Path, got: &str) -> Result<(), String> {
     let counts = format!(
         "{} moved, {}, {}",
         d.moved.len(),
-        d.added().show("added"),
-        d.removed().show("removed")
+        d.added().show("added", "cell"),
+        d.removed().show("removed", "cell")
     );
     if let Some(&(n, m)) = d.moved.first() {
         let cell = d.want[n].cell;
@@ -237,11 +328,22 @@ fn diff_golden(path: &Path, got: &str) -> Result<(), String> {
     }
 }
 
+/// A line's first word, up to whitespace or a comma (so a JSON trace
+/// line's is its name), or with `two` its first two words.
+fn leading_words(line: &str, two: bool) -> &str {
+    let sep = |c: char| c.is_whitespace() || c == ',';
+    let end = |from: usize| line[from..].find(sep).map_or(line.len(), |i| from + i);
+    let first = end(0);
+    let second = line[first..].find(|c| !sep(c)).map(|i| end(first + i));
+    &line[..second.filter(|_| two).unwrap_or(first)]
+}
+
 /// What pairs a golden line with its re-run: its `[cell]` (the nearest
 /// line at or above it that starts with `[`, empty in a headerless file),
-/// its first word (up to whitespace or a comma, so a JSON trace line is
-/// keyed by its name) and how many earlier lines of that cell share the
-/// word. A header line's word is the header itself.
+/// its first word — or its first two where the first repeats within the
+/// cell in either file, so `job 0/1` and `random 3` are keys of their own
+/// — and how many earlier lines of that cell share the word. A header
+/// line's word is the header itself.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key<'a> {
     cell: &'a str,
@@ -250,8 +352,21 @@ struct Key<'a> {
 }
 
 impl<'a> Key<'a> {
-    /// The key of every line, in order.
-    fn all(lines: &[&'a str]) -> Vec<Key<'a>> {
+    /// The keys of both files' lines, in order.
+    fn both(want: &[&'a str], have: &[&'a str]) -> (Vec<Key<'a>>, Vec<Key<'a>>) {
+        let none = BTreeSet::new();
+        let repeated: BTreeSet<(&str, &str)> = [want, have]
+            .iter()
+            .flat_map(|lines| Key::all(lines, &none))
+            .filter(|k| k.nth == 1)
+            .map(|k| (k.cell, k.word))
+            .collect();
+        (Key::all(want, &repeated), Key::all(have, &repeated))
+    }
+
+    /// The key of every line, in order, keying a line by two words where
+    /// its `(cell, first word)` is `repeated`.
+    fn all(lines: &[&'a str], repeated: &BTreeSet<(&str, &str)>) -> Vec<Key<'a>> {
         let mut seen: BTreeMap<(&str, &str), usize> = BTreeMap::new();
         let mut cell = "";
         let mut keys = Vec::with_capacity(lines.len());
@@ -260,8 +375,8 @@ impl<'a> Key<'a> {
                 cell = line;
                 line
             } else {
-                let mut words = line.split(|c: char| c.is_whitespace() || c == ',');
-                words.next().unwrap_or_default()
+                let first = leading_words(line, false);
+                leading_words(line, repeated.contains(&(cell, first)))
             };
             let nth = seen.entry((cell, word)).or_default();
             keys.push(Key {
@@ -311,7 +426,7 @@ struct LineDiff<'a> {
 
 impl<'a> LineDiff<'a> {
     fn new(want: &[&'a str], have: &[&'a str]) -> LineDiff<'a> {
-        let (want_keys, have_keys) = (Key::all(want), Key::all(have));
+        let (want_keys, have_keys) = Key::both(want, have);
         let at = |keys: &[Key<'a>]| -> BTreeMap<Key<'a>, usize> {
             keys.iter().enumerate().map(|(n, &k)| (k, n)).collect()
         };
@@ -363,29 +478,29 @@ impl<'a> LineDiff<'a> {
 }
 
 /// How many lines (or leaves) were added or removed, and how many whole
-/// `[cell]`s (header lines) are among them.
+/// `[cell]`s (header lines) or array elements are among them.
 #[derive(Clone, Copy)]
 struct Tally {
     n: usize,
-    cells: usize,
+    whole: usize,
 }
 
 impl Tally {
     fn of(lines: &[usize], keys: &[Key]) -> Tally {
-        let cells = lines.iter().filter(|&&n| keys[n].is_header()).count();
+        let whole = lines.iter().filter(|&&n| keys[n].is_header()).count();
         Tally {
             n: lines.len(),
-            cells,
+            whole,
         }
     }
 
-    /// `3 removed`, `3 removed (1 cell)`.
-    fn show(self, verb: &str) -> String {
+    /// `3 removed`, `3 removed (1 cell)`, `20 removed (2 elements)`.
+    fn show(self, verb: &str, whole: &str) -> String {
         let n = self.n;
-        match self.cells {
+        match self.whole {
             0 => format!("{n} {verb}"),
-            1 => format!("{n} {verb} (1 cell)"),
-            cells => format!("{n} {verb} ({cells} cells)"),
+            1 => format!("{n} {verb} (1 {whole})"),
+            k => format!("{n} {verb} ({k} {whole}s)"),
         }
     }
 }
@@ -400,15 +515,25 @@ fn decimals(line: &str) -> Vec<f64> {
         .collect()
 }
 
+/// The 16-digit hex words of a line (raw `f64` bits, hashes), in order.
+fn hex_words(line: &str) -> Vec<&str> {
+    line.split(|c: char| !c.is_ascii_alphanumeric())
+        .filter(|t| t.len() == 16 && t.bytes().all(|b| b.is_ascii_hexdigit()))
+        .collect()
+}
+
 /// What one re-pin moved in one pinned file: `moved` of `total` lines (or
-/// leaves), those added and removed, the first that differs, and the
-/// relative changes of the decimal numbers that moved (against a non-zero
-/// pinned value).
+/// leaves), the lines whose text alone changed, those added and removed,
+/// the first that differs, and the relative changes of the decimal numbers
+/// that moved (against a non-zero pinned value).
 struct Moved {
     path: String,
     unit: &'static str,
+    /// What a whole added or removed unit is called: a cell or an element.
+    whole: &'static str,
     moved: usize,
     total: usize,
+    text_only: usize,
     added: Tally,
     removed: Tally,
     first: Option<String>,
@@ -416,15 +541,19 @@ struct Moved {
 }
 
 impl Moved {
-    /// A text file: lines paired by [`Key`].
+    /// A text file: lines paired by [`Key`]. A paired line that keeps
+    /// every decimal and hex word it had changed in text only and has not
+    /// moved.
     fn lines(path: &Path, pinned: &str, got: &str) -> Moved {
         let (want, have): (Vec<&str>, Vec<&str>) =
             (pinned.lines().collect(), got.lines().collect());
         let d = LineDiff::new(&want, &have);
-        let mut relative = Vec::new();
+        let (mut text_only, mut relative) = (0, Vec::new());
         for &(n, m) in &d.moved {
             let (a, b) = (decimals(want[n]), decimals(have[m]));
-            if a.len() == b.len() {
+            if a == b && hex_words(want[n]) == hex_words(have[m]) {
+                text_only += 1;
+            } else if a.len() == b.len() {
                 let pairs = a.iter().zip(&b).filter(|(x, y)| x != y && **x != 0.0);
                 relative.extend(pairs.map(|(x, y)| (y - x) / x.abs()));
             }
@@ -432,8 +561,10 @@ impl Moved {
         Moved {
             path: path.display().to_string(),
             unit: "lines",
-            moved: d.moved.len(),
+            whole: "cell",
+            moved: d.moved.len() - text_only,
             total: have.len(),
+            text_only,
             added: d.added(),
             removed: d.removed(),
             first: d.first(),
@@ -441,24 +572,27 @@ impl Moved {
         }
     }
 
-    /// A JSON document: leaves paired by path.
+    /// A JSON document: leaves paired as [`DocDiff`] pairs them.
     fn leaves(path: &Path, pinned: &Json, fresh: &Json) -> Moved {
-        let diffs = diff(pinned, fresh);
-        let count = |absent: fn(&LeafDiff) -> bool| Tally {
-            n: diffs.iter().filter(|d| absent(d)).count(),
-            cells: 0,
+        let d = DocDiff::new(pinned, fresh);
+        let count = |absent: fn(&LeafDiff) -> bool, whole| Tally {
+            n: d.leaves.iter().filter(|l| absent(l)).count(),
+            whole,
         };
-        let added = count(|d| d.baseline.is_none());
-        let removed = count(|d| d.fresh.is_none());
+        let added = count(|l| l.baseline.is_none(), d.elements_added);
+        let removed = count(|l| l.fresh.is_none(), d.elements_removed);
         Moved {
             path: path.display().to_string(),
             unit: "leaves",
-            moved: diffs.len() - added.n - removed.n,
+            whole: "element",
+            moved: d.leaves.len() - added.n - removed.n,
             total: fresh.leaves().len(),
+            text_only: 0,
             added,
             removed,
-            first: diffs.first().map(|d| d.path.clone()),
-            relative: diffs
+            first: d.leaves.first().map(|l| l.path.clone()),
+            relative: d
+                .leaves
                 .iter()
                 .filter_map(LeafDiff::relative)
                 .filter(|r| r.is_finite())
@@ -468,14 +602,18 @@ impl Moved {
 }
 
 impl fmt::Display for Moved {
-    /// One line, starting `moved-pins <path>: <moved>/<total> <unit>` (and
-    /// `, <n> added, <n> removed` when either is not zero), which
-    /// `scripts/repin.sh` collects and sums.
+    /// One line, starting `moved-pins <path>: <moved>/<total> <unit>` (then
+    /// `, <n> text only` and `, <n> added, <n> removed` where not zero),
+    /// which `scripts/repin.sh` collects and sums.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (path, moved, total, unit) = (&self.path, self.moved, self.total, self.unit);
         write!(f, "moved-pins {path}: {moved}/{total} {unit}")?;
+        if self.text_only > 0 {
+            write!(f, ", {} text only", self.text_only)?;
+        }
         if self.added.n + self.removed.n > 0 {
-            let (added, removed) = (self.added.show("added"), self.removed.show("removed"));
+            let added = self.added.show("added", self.whole);
+            let removed = self.removed.show("removed", self.whole);
             write!(f, ", {added}, {removed}")?;
         }
         if let Some(first) = &self.first {
@@ -583,16 +721,18 @@ mod tests {
         );
 
         // The lines after a dropped cell keep their keys, so none moved;
-        // a repeated first word in a cell is keyed by its occurrence.
+        // a repeated first word in a cell is keyed by its first two words,
+        // and those by their occurrence where they repeat too.
         let dropped = Moved::lines(&file.0, THREE, NO_MIDDLE).to_string();
         assert!(
             dropped.ends_with(": 0/4 lines, 0 added, 3 removed (1 cell); first line 3 [b]"),
             "{dropped}"
         );
-        let again = format!("{PINNED}y 5\n");
-        let twice = Moved::lines(&file.0, &again, &again.replace("y 5", "y 6")).to_string();
+        let again = format!("{PINNED}y 100 5\n");
+        let twice = Moved::lines(&file.0, &again, &again.replace("y 100 5", "y 100 6"));
+        let twice = twice.to_string();
         assert!(
-            twice.contains(": 1/6 lines; first line 6 [b] y#1"),
+            twice.contains(": 1/6 lines; first line 6 [b] y 100#1"),
             "{twice}"
         );
 
@@ -609,6 +749,100 @@ mod tests {
             leaf.ends_with(": 0/2 leaves, 1 added, 0 removed; first s"),
             "{leaf}"
         );
+    }
+
+    /// A change of format that keeps every decimal and hex word is text
+    /// only: it has not moved, and the report says so.
+    #[test]
+    fn a_line_whose_text_alone_changed_has_not_moved() {
+        let file = TempGolden::new("perfgate-text", PINNED);
+        let reworded = PINNED.replace("y 100 3f6711b3a30de91a", "y (100) bits=3f6711b3a30de91a");
+        let report = Moved::lines(&file.0, PINNED, &reworded).to_string();
+        assert!(
+            report.ends_with(": 0/5 lines, 1 text only; first line 4 [b] y"),
+            "{report}"
+        );
+        // A changed hex word is a moved pin, though no decimal moved.
+        let bits = PINNED.replace("3f6711b3a30de91a", "3f6711b3a30de91b");
+        let report = Moved::lines(&file.0, PINNED, &bits).to_string();
+        assert!(
+            report.ends_with(": 1/5 lines; first line 4 [b] y"),
+            "{report}"
+        );
+        let both = reworded.replace("z 2", "z 3");
+        let report = Moved::lines(&file.0, PINNED, &both).to_string();
+        assert!(
+            report.contains(": 1/5 lines, 1 text only; first line 4 [b] y"),
+            "{report}"
+        );
+    }
+
+    /// Where a first word repeats within a cell, its lines are keyed by
+    /// their first two words: removing one job line leaves the others
+    /// paired with their own pins.
+    #[test]
+    fn a_repeated_first_word_keys_a_line_by_two_words() {
+        let pinned = "[f]\njob 0/0 finish 1\njob 0/1 finish 2\njob 1/0 finish 3\n";
+        let file = TempGolden::new("perfgate-jobs", pinned);
+        let got = "[f]\njob 0/0 finish 1\njob 1/0 finish 4\n";
+        let why = diff_golden(&file.0, got).unwrap_err();
+        assert!(
+            why.contains(":4 diverged in cell [f]: 1 moved, 0 added, 1 removed"),
+            "{why}"
+        );
+        assert!(
+            why.contains("pinned: job 1/0 finish 3") && why.contains("got:    job 1/0 finish 4"),
+            "{why}"
+        );
+        let report = Moved::lines(&file.0, pinned, got).to_string();
+        assert!(
+            report.contains(": 1/3 lines, 0 added, 1 removed; first line 3 [f] job 0/1;"),
+            "{report}"
+        );
+        assert_eq!(leading_words("a,b c", true), "a,b");
+        assert_eq!(leading_words("  x", false), "");
+        assert_eq!(leading_words("one", true), "one");
+    }
+
+    /// A pinned array and a shorter re-run are aligned by their longest
+    /// common subsequence: an element dropped from the middle is removed
+    /// whole, and the later ones have not moved.
+    #[test]
+    fn a_mid_array_deletion_moves_no_later_element() {
+        let cell = |x: f64| {
+            Json::obj()
+                .with("n", Json::num(x))
+                .with("s", Json::num(2.0 * x))
+        };
+        let doc = |xs: &[f64]| {
+            Json::obj().with("cells", Json::Arr(xs.iter().map(|&x| cell(x)).collect()))
+        };
+        let (pinned, fresh) = (doc(&[1.0, 2.0, 3.0, 4.0]), doc(&[1.0, 3.0, 4.0]));
+        let file = TempGolden::new("perfgate-array", "");
+        let report = Moved::leaves(&file.0, &pinned, &fresh).to_string();
+        assert!(
+            report.ends_with(": 0/6 leaves, 0 added, 2 removed (1 element); first cells.1.n"),
+            "{report}"
+        );
+        let grown = Moved::leaves(&file.0, &fresh, &pinned).to_string();
+        assert!(
+            grown.ends_with(": 0/8 leaves, 2 added (1 element), 0 removed; first cells.1.n"),
+            "{grown}"
+        );
+        // Equal lengths still pair by index: a changed element moved.
+        let edited = doc(&[1.0, 2.0, 5.0, 4.0]);
+        let report = Moved::leaves(&file.0, &pinned, &edited).to_string();
+        assert!(report.contains(": 2/8 leaves; first cells.2.n"), "{report}");
+        assert!(verdict_leaves(&pinned, &pinned).is_empty());
+        assert_eq!(verdict_leaves(&pinned, &fresh).len(), 2);
+    }
+
+    fn verdict_leaves(a: &Json, b: &Json) -> Vec<String> {
+        DocDiff::new(a, b)
+            .leaves
+            .iter()
+            .map(|l| l.to_string())
+            .collect()
     }
 
     #[test]

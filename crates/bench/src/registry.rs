@@ -384,7 +384,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "exchange_sweep",
-        about: "node topology: ppn x {TCIO, OCIO flat / two-level / req-agg} x rounds x pipeline",
+        about: "node topology: ppn x {TCIO, OCIO flat / req-agg} x rounds x pipeline",
         opts: GRID,
         run: exchange::run,
         gate: Some(Gate {

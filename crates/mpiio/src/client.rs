@@ -99,7 +99,7 @@ const PIPELINE_DEPTH: usize = 2;
 /// buffer's memory guard rides along with its handle, so the buffer stays
 /// charged against the rank's budget until its round is settled.
 #[derive(Default)]
-pub struct DeferredQueue(VecDeque<(DeferredIo, Option<MemGuard>)>);
+pub struct DeferredQueue(VecDeque<(DeferredIo, MemGuard)>);
 
 impl DeferredQueue {
     /// Double buffering: settle the oldest handles until one more fits
@@ -115,7 +115,7 @@ impl DeferredQueue {
 
     /// Keep a submitted I/O's completion outstanding. The storage layer
     /// applied the bytes at submission; only the clock sync is deferred.
-    pub fn push(&mut self, io: DeferredIo, guard: Option<MemGuard>) {
+    pub fn push(&mut self, io: DeferredIo, guard: MemGuard) {
         self.0.push_back((io, guard));
     }
 

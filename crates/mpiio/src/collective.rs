@@ -44,18 +44,11 @@ pub struct CollectiveConfig {
     /// Round file-domain boundaries up to this alignment (e.g. the PFS
     /// stripe size, per Liao & Choudhary's lock-boundary partitioning).
     pub align: Option<u64>,
-    /// Two-level exchange (Kang et al.): pre-aggregate pieces on a node
-    /// leader over the cheap intra-node links so only one rank per node
-    /// participates in the inter-node all-to-all burst. A no-op (falls
-    /// back to the flat burst) when the simulation has no topology.
-    pub intra_agg: bool,
-    /// Full intra-node *request* aggregation (Kang et al., going beyond
-    /// `intra_agg`'s opaque byte forwarding): node leaders decode their
-    /// members' offset–length lists, merge them per aggregator with
+    /// Intra-node *request* aggregation (Kang et al.): node leaders decode
+    /// their members' offset–length lists, merge them per aggregator with
     /// adjacent-extent coalescing, and ship one merged list per
     /// (node, aggregator) pair — see [`crate::reqagg`]. Falls back to the
-    /// flat burst without a topology; setting it together with `intra_agg`
-    /// is an [`IoError::Usage`].
+    /// flat burst without a topology.
     pub req_agg: bool,
     /// Pipelined (double-buffered) rounds: an aggregator submits round
     /// k's file I/O, *keeps the completion as a deferred handle*, and
@@ -608,23 +601,6 @@ pub(crate) mod tests {
         check_interleaved(&bytes, 4, 8);
     }
 
-    #[test]
-    fn two_level_exchange_with_topology_is_byte_identical() {
-        let flat = run_interleaved(8, 6, CollectiveConfig::default()).1;
-        for ppn in [2, 4] {
-            let sim = SimConfig {
-                topology: Some(mpisim::Topology::blocked(8, ppn)),
-                ..Default::default()
-            };
-            let cfg = CollectiveConfig {
-                intra_agg: true,
-                ..Default::default()
-            };
-            let (_, bytes) = run_interleaved_sim(8, 6, cfg, sim);
-            assert_eq!(bytes, flat, "ppn={ppn} diverged from the flat burst");
-        }
-    }
-
     fn run_interleaved_report(
         nprocs: usize,
         len_array: usize,
@@ -843,9 +819,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn intra_agg_without_topology_falls_back_to_flat() {
+    fn req_agg_without_topology_falls_back_to_flat() {
         let cfg = CollectiveConfig {
-            intra_agg: true,
+            req_agg: true,
             cb_nodes: Some(2),
             ..Default::default()
         };
@@ -1169,8 +1145,7 @@ pub(crate) mod tests {
     /// The Fig. 2 interleaved pattern — `len_array` 12-byte blocks per rank,
     /// dealt round-robin — against independent I/O under every exchange:
     /// the flat burst, fewer aggregators over several rounds, pipelined
-    /// rounds, and the two-level and request-aggregation exchanges over a
-    /// topology.
+    /// rounds, and request aggregation over a topology.
     #[test]
     fn fig2_matches_independent_io_under_every_exchange() {
         let chunked = CollectiveConfig {
@@ -1189,15 +1164,6 @@ pub(crate) mod tests {
                     ..chunked.clone()
                 },
                 None,
-            ),
-            (
-                4,
-                8,
-                CollectiveConfig {
-                    intra_agg: true,
-                    ..Default::default()
-                },
-                Some(2),
             ),
             (
                 4,
@@ -1317,46 +1283,5 @@ pub(crate) mod tests {
             Ok(())
         })
         .unwrap();
-    }
-
-    /// `intra_agg` and `req_agg` name two exchanges: asking for both is a
-    /// typed usage error on every rank, with or without a topology, for
-    /// writes and reads — never one flag silently winning.
-    #[test]
-    fn both_exchange_flags_are_a_usage_error() {
-        let cfg = CollectiveConfig {
-            intra_agg: true,
-            req_agg: true,
-            ..Default::default()
-        };
-        for topology in [None, Some(mpisim::Topology::blocked(4, 2))] {
-            for write in [true, false] {
-                let fs = Pfs::new(4, PfsConfig::default()).unwrap();
-                let sim = SimConfig {
-                    topology: topology.clone(),
-                    ..Default::default()
-                };
-                let err = mpisim::run(4, sim, |rk| {
-                    let mut f = File::open(rk, &fs, "/both", Mode::ReadWrite)?;
-                    let mut buf = [rk.rank() as u8; 8];
-                    let off = rk.rank() as u64 * 8;
-                    if write {
-                        write_all_at(rk, &mut f, off, &buf, &cfg)?;
-                    } else {
-                        read_all_at(rk, &mut f, off, &mut buf, &cfg)?;
-                    }
-                    Ok(())
-                })
-                .unwrap_err();
-                let what = format!("topology={}, write={write}", topology.is_some());
-                let mpisim::SimError::RankFailed { error, .. } = &err else {
-                    panic!("{what}: {err}");
-                };
-                let Some(IoError::Usage(msg)) = error.layer::<IoError>() else {
-                    panic!("{what}: {error}");
-                };
-                assert!(msg.contains("intra_agg and req_agg"), "{what}: {msg}");
-            }
-        }
     }
 }

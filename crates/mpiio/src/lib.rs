@@ -26,7 +26,6 @@ pub mod rounds;
 pub mod sieve;
 pub mod view;
 
-pub use client::DeferredQueue;
 pub use collective::{read_all_at, write_all_at, CollectiveConfig};
 pub use error::{IoError, Result};
 pub use extents::ExtentSet;

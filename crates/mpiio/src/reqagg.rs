@@ -1,15 +1,14 @@
 //! Intra-node request aggregation for two-phase collective I/O.
 //!
-//! The two-level exchange (`CollectiveConfig::intra_agg`) forwards members'
-//! payloads through node leaders *opaquely*: the leader relays each
-//! member's piece list unchanged, so an aggregator still parses one list
-//! per source rank. This module implements the stronger form from the
-//! paper's lineage (Kang et al.): the leader **decodes** its members'
-//! offset–length lists, merges them per destination aggregator — resolving
-//! overlaps by member order and coalescing adjacent extents — and ships
-//! *one merged list per (node, aggregator) pair*. The aggregator then
-//! parses `O(nodes)` lists instead of `O(ranks)`, and the inter-node wire
-//! carries one header per merged extent instead of one per member extent.
+//! A node leader relaying its members' piece lists opaquely would leave an
+//! aggregator parsing one list per source rank. This module implements the
+//! full form from the paper's lineage (Kang et al.): the leader **decodes**
+//! its members' offset–length lists, merges them per destination
+//! aggregator — resolving overlaps by member order and coalescing adjacent
+//! extents — and ships *one merged list per (node, aggregator) pair*. The
+//! aggregator then parses `O(nodes)` lists instead of `O(ranks)`, and the
+//! inter-node wire carries one header per merged extent instead of one per
+//! member extent.
 //!
 //! Wire protocol (writes, `exchange_pieces`):
 //!
@@ -81,9 +80,8 @@ fn recv_or_empty(rank: &mut Rank, src: usize, tag: Tag) -> Result<Vec<u8>> {
 }
 
 /// Roles for one aggregated exchange: node membership, the elected node
-/// leaders (`Rank::elect_node_leaders_in` — the same election as the
-/// runtime's two-level exchange, so the same rank leads either way), and
-/// the aggregator set split into on-node and off-node.
+/// leaders (`Rank::elect_node_leaders_in`, chaos-aware), and the
+/// aggregator set split into on-node and off-node.
 struct RaPlan {
     me: usize,
     my_node: usize,

@@ -24,28 +24,19 @@ use mpisim::{Comm, DeferredIo, MemGuard, Rank, ReduceOp};
 enum Exchange {
     /// The flat all-to-all burst.
     Flat,
-    /// Node leaders forward members' payloads opaquely (Kang et al.).
-    TwoLevel,
     /// Node leaders decode and merge the lists — see [`crate::reqagg`].
     ReqAgg,
 }
 
 impl Exchange {
-    /// `intra_agg` and `req_agg` each name one exchange, so setting both is
-    /// a usage error. Without a topology there are no node leaders: either
-    /// knob falls back to the flat burst.
-    fn resolve(rank: &Rank, cfg: &CollectiveConfig) -> Result<Exchange> {
-        Ok(match (cfg.intra_agg, cfg.req_agg) {
-            (true, true) => {
-                return Err(IoError::Usage(
-                    "intra_agg and req_agg name two exchanges; set at most one".into(),
-                ))
-            }
-            (false, false) => Exchange::Flat,
-            _ if rank.topology().is_none() => Exchange::Flat,
-            (true, false) => Exchange::TwoLevel,
-            (false, true) => Exchange::ReqAgg,
-        })
+    /// `req_agg` over a topology; without one there are no node leaders
+    /// and the knob falls back to the flat burst.
+    fn resolve(rank: &Rank, cfg: &CollectiveConfig) -> Exchange {
+        if cfg.req_agg && rank.topology().is_some() {
+            Exchange::ReqAgg
+        } else {
+            Exchange::Flat
+        }
     }
 }
 
@@ -90,7 +81,7 @@ impl Plan {
         direction: Direction,
         hull: Option<(u64, u64)>,
     ) -> Result<Option<Plan>> {
-        let exch = Exchange::resolve(rank, cfg)?;
+        let exch = Exchange::resolve(rank, cfg);
         let world = rank.world();
         let (local_min, local_max) = hull.unwrap_or((u64::MAX, 0));
         let gmin = rank.allreduce_u64_in(&world, local_min, ReduceOp::Min)?;
@@ -173,12 +164,9 @@ impl Plan {
         (w.0 < w.1).then_some(w)
     }
 
-    /// The all-to-all burst, flat or leader-forwarded.
+    /// The flat all-to-all burst over the world.
     fn burst(&self, rank: &mut Rank, data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
-        Ok(match self.exch {
-            Exchange::TwoLevel => rank.alltoallv_burst_hier_in(&self.world, data)?,
-            _ => rank.alltoallv_burst_in(&self.world, data)?,
-        })
+        Ok(rank.alltoallv_burst_in(&self.world, data)?)
     }
 }
 
@@ -214,7 +202,7 @@ pub(crate) fn write_rounds(
                 let windows: Vec<_> = plan.windows(r).collect();
                 reqagg::exchange_pieces(rank, &plan.agg_ranks, &windows, payloads)?
             }
-            _ => plan.burst(rank, payloads)?,
+            Exchange::Flat => plan.burst(rank, payloads)?,
         };
         // I/O phase (aggregators only): assemble the window in the
         // collective buffer, then write only the runs that were touched.
@@ -235,7 +223,7 @@ pub(crate) fn write_rounds(
         let io = client::submit(rank, Direction::Write, Some(plan.io_span), runs, write)?;
         if plan.pipelined {
             // Round r+1's exchange overlaps the OST service.
-            inflight.push(io, Some(cb));
+            inflight.push(io, cb);
         } else {
             drop(cb);
             client::settle(rank, io);
@@ -345,7 +333,7 @@ pub(crate) fn read_rounds(
                     reqagg::exchange_requests(rank, &plan.agg_ranks, &windows, requests)?;
                 (inc, Some(s))
             }
-            _ => (plan.burst(rank, requests)?, None),
+            Exchange::Flat => (plan.burst(rank, requests)?, None),
         };
         Ok((incoming, session, fills))
     };

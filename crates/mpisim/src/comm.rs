@@ -35,8 +35,6 @@ pub(crate) struct NodeLayout {
     /// Member indices grouped by node, nodes ascending; members ascend
     /// within a node.
     pub(crate) nodes: Vec<Vec<usize>>,
-    /// Member index → position of its node in `nodes`.
-    pub(crate) node_of: Vec<usize>,
 }
 
 impl NodeLayout {
@@ -45,14 +43,9 @@ impl NodeLayout {
         for (j, &w) in members.iter().enumerate() {
             by_node.entry(topo.node_of(w)).or_default().push(j);
         }
-        let nodes: Vec<Vec<usize>> = by_node.into_values().collect();
-        let mut node_of = vec![0; members.len()];
-        for (n, idxs) in nodes.iter().enumerate() {
-            for &j in idxs {
-                node_of[j] = n;
-            }
+        NodeLayout {
+            nodes: by_node.into_values().collect(),
         }
-        NodeLayout { nodes, node_of }
     }
 }
 
@@ -223,11 +216,9 @@ mod tests {
         let topo = Topology::blocked(8, 4);
         let l = NodeLayout::new(&[1, 2, 5, 6], &topo);
         assert_eq!(l.nodes, vec![vec![0, 1], vec![2, 3]]);
-        assert_eq!(l.node_of, vec![0, 0, 1, 1]);
         // A group confined to node 1 sees one node, at position 0.
         let l = NodeLayout::new(&[4, 7], &topo);
         assert_eq!(l.nodes, vec![vec![0, 1]]);
-        assert_eq!(l.node_of, vec![0, 0]);
     }
 
     /// The world and a one-colour split are the same communicator but for
@@ -251,7 +242,7 @@ mod tests {
                 assert_eq!(comm.members(), (0..NPROCS).collect::<Vec<_>>());
             }
             let (w, s) = (world.nodes().unwrap(), split.nodes().unwrap());
-            assert_eq!((&w.nodes, &w.node_of), (&s.nodes, &s.node_of));
+            assert_eq!(w.nodes, s.nodes);
             let payloads = || (0..NPROCS).map(|d| vec![me as u8, d as u8]).collect();
             let via_world = rk.alltoallv_burst_in(&world, payloads())?;
             assert_eq!(via_world, rk.alltoallv_burst_in(&split, payloads())?);

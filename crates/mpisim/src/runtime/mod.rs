@@ -28,7 +28,7 @@
 //!
 //! The runtime is split by concern: `p2p` (sends, receives and the
 //! mailbox wait), `coll` (the rendezvous collectives and the payload
-//! decoders), `alltoall` (the three personalized all-to-alls and the
+//! decoders), `alltoall` (the two personalized all-to-alls and the
 //! node-leader election), `rma` (windows and lock epochs) and `driver`
 //! (the event loop, `run` and [`SimReport`]). This file holds the
 //! configuration, the shared simulation state, the [`Rank`] handle and its
@@ -61,14 +61,6 @@ use std::sync::Arc;
 const TAG_INTERNAL_BASE: Tag = Tag::MAX - 15;
 const TAG_ALLTOALLV: Tag = TAG_INTERNAL_BASE;
 const TAG_GROUP_A2A: Tag = TAG_INTERNAL_BASE + 1;
-/// Two-level (hierarchical) all-to-all: non-leader → node leader.
-const TAG_HIER_UP: Tag = TAG_INTERNAL_BASE + 2;
-/// Two-level all-to-all: leader → leader, across nodes.
-const TAG_HIER_XNODE: Tag = TAG_INTERNAL_BASE + 3;
-/// Two-level all-to-all: node leader → non-leader.
-const TAG_HIER_DOWN: Tag = TAG_INTERNAL_BASE + 4;
-/// Two-level all-to-all: direct payload between co-located ranks.
-const TAG_HIER_LOCAL: Tag = TAG_INTERNAL_BASE + 5;
 
 static WORLD: Flavor = Flavor {
     barrier: "barrier",

@@ -30,7 +30,7 @@ pub struct RankStats {
     pub io_retries: u64,
     /// Injected rank-stall windows this rank actually hit.
     pub chaos_stalls: u64,
-    /// Times this rank was elected node leader in a hierarchical exchange
+    /// Times this rank was elected node leader for request aggregation
     /// because the default (lowest) leader was stalled by a fault plan.
     pub leader_fallbacks: u64,
     /// Crash-stop faults this rank hit (0 or 1 — crashes are permanent).

@@ -109,11 +109,6 @@ impl Topology {
         self.inner.trivial
     }
 
-    /// Default node leader: the lowest rank on the node.
-    pub fn leader_of(&self, node: usize) -> usize {
-        self.inner.nodes[node][0]
-    }
-
     /// Do `a` and `b` share a node?
     pub fn colocated(&self, a: usize, b: usize) -> bool {
         self.inner.node_of[a] == self.inner.node_of[b]
@@ -152,7 +147,6 @@ mod tests {
         assert_eq!(t.node_of(5), 1);
         assert!(t.colocated(4, 7));
         assert!(!t.colocated(3, 4));
-        assert_eq!(t.leader_of(1), 4);
         assert!(!t.is_trivial());
     }
 
@@ -172,7 +166,6 @@ mod tests {
         assert_eq!(t.ppn(), 1);
         for r in 0..4 {
             assert_eq!(t.node_of(r), r);
-            assert_eq!(t.leader_of(r), r);
         }
     }
 

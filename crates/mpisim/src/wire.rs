@@ -23,7 +23,7 @@ impl From<Malformed> for MpiError {
     fn from(e: Malformed) -> MpiError {
         MpiError::CollectiveMismatch(match e {
             Malformed::Truncated => "collective payload truncated",
-            Malformed::Overflow(_) => "two-level exchange field exceeds u32",
+            Malformed::Overflow(_) => "exchange field exceeds u32",
         })
     }
 }

@@ -50,12 +50,6 @@ pub struct TcioConfig {
     pub sync: SyncMode,
     /// Read materialization strategy.
     pub read_mode: ReadMode,
-    /// Pipelined level-2 drain: submit each segment's file writes, keep
-    /// the completion as a deferred handle, and start copying the next
-    /// segment while the OSTs service it (double-buffered, depth 2). File
-    /// bytes are identical either way — the storage layer applies data at
-    /// submission — so this is purely a virtual-time overlap knob.
-    pub pipeline_drain: bool,
 }
 
 impl Default for TcioConfig {
@@ -66,7 +60,6 @@ impl Default for TcioConfig {
             use_l1: true,
             sync: SyncMode::LockUnlock,
             read_mode: ReadMode::Lazy,
-            pipeline_drain: false,
         }
     }
 }

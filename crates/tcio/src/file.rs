@@ -33,7 +33,7 @@
 use crate::config::{ReadMode, SyncMode, TcioConfig};
 use crate::error::{Result, TcioError};
 use crate::segment::SegmentMap;
-use mpiio::client::{self, DeferredQueue, Direction};
+use mpiio::client::{self, Direction};
 use mpiio::ExtentSet;
 use mpisim::{DeferredIo, LockKind, MemGuard, MpiError, Phase, Rank, Window};
 use parking_lot::Mutex;
@@ -842,26 +842,18 @@ impl<'a> TcioFile<'a> {
         Ok(self.stats)
     }
 
-    /// Drain this rank's populated level-2 segments. Serialized, the whole
-    /// drain is one wait and one span; with `pipeline_drain` each segment's
-    /// completion stays deferred — at most two outstanding — so segment
-    /// k+1's submission overlaps segment k's OST service.
+    /// Drain this rank's populated level-2 segments: every segment's writes
+    /// are submitted at the drain's start, and the whole drain is one wait
+    /// and one span.
     fn drain_l2(&mut self, rank: &mut Rank) -> Result<()> {
         let me = rank.rank();
-        let pipelined = self.cfg.pipeline_drain;
-        let span = if pipelined {
-            "tcio_drain_pipe"
-        } else {
-            "tcio_drain"
-        };
         let t0 = rank.now();
         let mut whole = DeferredIo {
-            name: span,
+            name: "tcio_drain",
             submitted: t0,
             done: t0,
             bytes: 0,
         };
-        let mut inflight = DeferredQueue::default();
         for seg in 0..self.cfg.num_segments {
             // Drained once: only this rank drains its own segments.
             let valid = std::mem::take(&mut self.meta.lock()[self.seg(me, seg)].valid);
@@ -869,22 +861,13 @@ impl<'a> TcioFile<'a> {
             if runs.is_empty() {
                 continue;
             }
-            inflight.make_room(rank);
             let file_base = self.map.file_offset(me, seg);
             let src = Src::Local(&self.win, seg * self.cfg.segment_size as usize);
-            let io = self.write_out(rank, src, runs, file_base, span)?;
-            if pipelined {
-                inflight.push(io, None);
-            } else {
-                whole.done = whole.done.max(io.done);
-                whole.bytes += io.bytes;
-            }
+            let io = self.write_out(rank, src, runs, file_base, "tcio_drain")?;
+            whole.done = whole.done.max(io.done);
+            whole.bytes += io.bytes;
         }
-        if pipelined {
-            inflight.drain(rank);
-        } else {
-            client::settle(rank, whole);
-        }
+        client::settle(rank, whole);
         Ok(())
     }
 
@@ -1058,24 +1041,6 @@ mod tests {
             let fid = fs.open("/t").unwrap();
             assert_eq!(fs.snapshot_file(fid).unwrap(), flat, "ppn={ppn} diverged");
         }
-    }
-
-    #[test]
-    fn pipelined_drain_is_byte_identical() {
-        let (flat_fs, _) = write_interleaved(4, 8, 16, small_cfg(8));
-        let fid = flat_fs.open("/t").unwrap();
-        let flat = flat_fs.snapshot_file(fid).unwrap();
-        let cfg = TcioConfig {
-            pipeline_drain: true,
-            ..small_cfg(8)
-        };
-        let (fs, _) = write_interleaved(4, 8, 16, cfg);
-        let fid = fs.open("/t").unwrap();
-        assert_eq!(
-            fs.snapshot_file(fid).unwrap(),
-            flat,
-            "pipelined drain changed file contents"
-        );
     }
 
     #[test]

@@ -9,9 +9,12 @@
 # check_golden) and every baseline under bench_results/ (check_baseline)
 # is rewritten instead of compared, and each prints one `moved-pins` line.
 # The report ends the output: per file, the lines or leaves that moved out
-# of its total, those added and removed (golden lines are paired by their
-# [cell] and first word, not by position), the first that differs, and the
-# max and median relative change of the decimal numbers that moved. Review `git diff` before
+# of its total, the lines whose text alone changed (every decimal and hex
+# word kept), those added and removed (golden lines are paired by their
+# [cell] and leading words, not by position; a JSON array whose length
+# changed is aligned by its longest common subsequence of identical
+# elements), the first that differs, and the max and median relative
+# change of the decimal numbers that moved. Review `git diff` before
 # committing. A test that fails for any other reason fails the command.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -39,6 +42,7 @@ awk 'function count(what,    at) {
      }
      NF { split($3, n, "/"); moved += n[1]; files++
           head = $0; sub(/;.*/, "", head)
-          added += count("added"); removed += count("removed") }
-     END { printf "%d moved pins, %d added, %d removed in %d files\n", moved, added, removed, files }' <<<"$pins"
+          text += count("text only"); added += count("added"); removed += count("removed") }
+     END { printf "%d moved pins, %d text only, %d added, %d removed in %d files\n",
+                  moved, text, added, removed, files }' <<<"$pins"
 exit "$status"

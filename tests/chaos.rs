@@ -300,9 +300,9 @@ fn lock_storm_ping_pong_keeps_unaligned_writers_correct() {
 fn stalled_node_leader_falls_back_and_two_level_write_completes() {
     // Fault × topology interaction: rank 0 is the default leader of node 0
     // under blocked(8, 4), but a stall window opens just ahead of the
-    // two-level exchange. The chaos-aware election must route around it
-    // (bumping `leader_fallbacks` on the stand-in), and the collective
-    // write must still land every byte.
+    // request-aggregation exchange. The chaos-aware election must route
+    // around it (bumping `leader_fallbacks` on the stand-in), and the
+    // collective write must still land every byte.
     let nprocs = 8;
     let block = 2048usize;
     let engine = chaos::FaultPlan::new(31)
@@ -320,7 +320,7 @@ fn stalled_node_leader_falls_back_and_two_level_write_completes() {
     let rep = mpisim::run(nprocs, sim, move |rk| {
         let mut f = mpiio::File::open(rk, &fs2, "/lead", mpiio::Mode::WriteOnly)?;
         let ccfg = mpiio::CollectiveConfig {
-            intra_agg: true,
+            req_agg: true,
             ..Default::default()
         };
         let data = vec![rk.rank() as u8 + 1; block];

@@ -13,15 +13,14 @@ use workloads::synthetic::{self, Configs, Direction, Method, SynthParams};
 
 /// Span names that account for bytes written to the PFS (one per write
 /// path: collective aggregator, independent, data-sieving RMW, TCIO
-/// drain — plus the pipelined twins each path records when its deferred
-/// round/segment handles are in play).
-const WRITE_SITES: [&str; 6] = [
+/// drain — plus the pipelined twin the collective records when its
+/// deferred round handles are in play).
+const WRITE_SITES: [&str; 5] = [
     "ocio_io",
     "indep_write",
     "sieve_rmw",
     "tcio_drain",
     "ocio_io_pipe",
-    "tcio_drain_pipe",
 ];
 
 fn traced_write(
@@ -271,7 +270,7 @@ fn fabric_level_split_partitions_messages_and_bytes() {
             assert_eq!(claimed, fs.stats.snapshot().bytes_written);
         }
     }
-    // With co-located ranks the two-level exchange must actually shift
+    // With co-located ranks request aggregation must actually shift
     // traffic onto the intra-node links.
     let fs = pfs::Pfs::new(4, pfs::PfsConfig::default()).unwrap();
     let sim = mpisim::SimConfig {
@@ -282,7 +281,7 @@ fn fabric_level_split_partitions_messages_and_bytes() {
     let p2 = p.clone();
     let rep = mpisim::run(4, sim, move |rk| {
         let ccfg = mpiio::CollectiveConfig {
-            intra_agg: true,
+            req_agg: true,
             ..Default::default()
         };
         synthetic::write_ocio(rk, &fs2, &p2, "/obs", &ccfg)?;
@@ -291,7 +290,7 @@ fn fabric_level_split_partitions_messages_and_bytes() {
     .unwrap();
     assert!(
         rep.fabric.intra_bytes > 0,
-        "two-level exchange on a 2-rank node must move intra-node bytes"
+        "request aggregation on a 2-rank node must move intra-node bytes"
     );
     assert_eq!(
         rep.fabric.intra_bytes + rep.fabric.inter_bytes,

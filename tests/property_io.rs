@@ -190,7 +190,7 @@ fn run_plan_variant(plan: &Plan, ppn: usize, variant: &'static str) -> Vec<u8> {
             }
             _ => {
                 let ccfg = mpiio::CollectiveConfig {
-                    intra_agg: variant == "ocio_intra",
+                    req_agg: variant == "ocio_req_agg",
                     ..Default::default()
                 };
                 plan2.write_ocio(rk, &fs2, "/diff", &ccfg)?;
@@ -231,13 +231,7 @@ fn run_plan_ablation(
             ..Default::default()
         };
         match method {
-            "tcio" => {
-                let cfg = TcioConfig {
-                    pipeline_drain: pipeline,
-                    ..plan2.tcio_config()
-                };
-                plan2.write_tcio(rk, &fs2, "/abl", cfg)?;
-            }
+            "tcio" => plan2.write_tcio(rk, &fs2, "/abl", plan2.tcio_config())?,
             _ => plan2.write_ocio(rk, &fs2, "/abl", &ccfg)?,
         }
         // Read-back through the collective read path under the same
@@ -315,10 +309,10 @@ fn ablation_matrix_is_byte_identical_across_random_plans() {
 fn all_write_stacks_agree_under_random_topologies() {
     // Differential suite for the node-aware paths: for each seeded plan
     // and a seeded node placement, TCIO (node-aware L2 owner order), flat
-    // two-phase, two-phase with intra-node pre-aggregation, and plain
+    // two-phase, two-phase with intra-node request aggregation, and plain
     // independent writes must all produce byte-identical PFS contents —
-    // equal to the byte-array model. Topology and the two-level exchange
-    // are pure cost-model features; any byte drift is a routing bug.
+    // equal to the byte-array model. Topology and request aggregation are
+    // pure cost-model features; any byte drift is a routing bug.
     for seed in 300..350u64 {
         let plan = random_plan(seed);
         if plan.blocks.is_empty() {
@@ -327,7 +321,7 @@ fn all_write_stacks_agree_under_random_topologies() {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7090);
         let ppn = pick(&mut rng, 1, plan.nprocs as u64 + 1) as usize;
         let want = model_file(&plan);
-        for variant in ["tcio", "ocio", "ocio_intra", "indep"] {
+        for variant in ["tcio", "ocio", "ocio_req_agg", "indep"] {
             let got = run_plan_variant(&plan, ppn, variant);
             assert_eq!(got, want, "seed {seed} ppn {ppn} {variant}: {plan:?}");
         }

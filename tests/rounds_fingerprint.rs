@@ -2,7 +2,7 @@
 //!
 //! The two collective entry points (`write_all_at`, `read_all_at`) are
 //! crossed with {flat, `cb_buffer`-chunked, chunked + `pipeline`} ×
-//! {no topology, 4×4 topology + `intra_agg`, 4×4 topology + `req_agg`} ×
+//! {no topology, 4×4 topology + `req_agg`} ×
 //! {fault-free, `plans/ost_slowdown.toml`}; a few extra cells cover hedged
 //! window reads and tcio's level-2 drain. A second block pins every other
 //! path that issues file-system requests: independent `write_at`/`read_at`
@@ -474,11 +474,7 @@ fn fingerprint() -> String {
             ("chunked", Some(CB_BUFFER), false),
             ("chunked+pipeline", Some(CB_BUFFER), true),
         ] {
-            for (topo, topology, intra_agg, req_agg) in [
-                ("none", false, false, false),
-                ("4x4+intra_agg", true, true, false),
-                ("4x4+req_agg", true, false, true),
-            ] {
+            for (topo, req_agg) in [("none", false), ("4x4+req_agg", true)] {
                 for plan in [Plan::None, Plan::OstSlowdown] {
                     let name = format!(
                         "{} chunk={chunk} topo={topo} plan={}",
@@ -488,12 +484,11 @@ fn fingerprint() -> String {
                     let cfg = CollectiveConfig {
                         cb_nodes: Some(CB_NODES),
                         cb_buffer,
-                        intra_agg,
                         req_agg,
                         pipeline,
                         ..Default::default()
                     };
-                    collective_cell(&mut out, entry, &name, cfg, topology, plan);
+                    collective_cell(&mut out, entry, &name, cfg, req_agg, plan);
                 }
             }
         }
@@ -524,19 +519,13 @@ fn fingerprint() -> String {
     // The fourth round loop: tcio's level-2 drain (and, with the health
     // layer on, its hedged loads).
     for plan in [Plan::None, Plan::OstSlowdown, Plan::FlakyDefended] {
-        for pipeline_drain in [false, true] {
-            let name = format!(
-                "tcio drain={} plan={}{}",
-                if pipeline_drain { "pipelined" } else { "flat" },
-                plan.label(),
-                if matches!(plan, Plan::FlakyDefended) {
-                    " hedged"
-                } else {
-                    ""
-                }
-            );
-            tcio_cell(&mut out, &name, plan, |c| c.pipeline_drain = pipeline_drain);
-        }
+        let hedged = if matches!(plan, Plan::FlakyDefended) {
+            " hedged"
+        } else {
+            ""
+        };
+        let name = format!("tcio drain=flat plan={}{hedged}", plan.label());
+        tcio_cell(&mut out, &name, plan, |_| {});
     }
     // Everything else that issues file-system requests.
     for sieve in [false, true] {
@@ -555,15 +544,12 @@ fn fingerprint() -> String {
     tcio_cell(&mut out, "tcio read=eager plan=none", Plan::None, |c| {
         c.read_mode = ReadMode::Eager
     });
-    for pipeline_drain in [false, true] {
-        let name = format!(
-            "tcio drain={} plan=ost_outage",
-            if pipeline_drain { "pipelined" } else { "flat" }
-        );
-        tcio_cell(&mut out, &name, Plan::OstOutage, |c| {
-            c.pipeline_drain = pipeline_drain
-        });
-    }
+    tcio_cell(
+        &mut out,
+        "tcio drain=flat plan=ost_outage",
+        Plan::OstOutage,
+        |_| {},
+    );
     for (label, read_mode) in [("lazy", ReadMode::Lazy), ("eager", ReadMode::Eager)] {
         let name = format!("tcio load read={label} plan=ost_outage");
         tcio_load_retry_cell(&mut out, &name, read_mode);
