@@ -59,16 +59,16 @@ impl Variant {
         std::iter::once(tcio).chain(ocio).collect()
     }
 
-    /// The fields that identify the variant in a cell of the document.
+    /// The fields that identify the variant in a cell of the document
+    /// (TCIO has no round hints to name).
     fn key(&self) -> Vec<(&'static str, Json)> {
-        let pipeline = ("pipeline", Json::Bool(self.pipeline));
         match self.ocio {
-            None => vec![("method", Json::str("tcio")), pipeline],
+            None => vec![("method", Json::str("tcio"))],
             Some((rounds, exchange)) => vec![
                 ("method", Json::str("ocio")),
                 ("rounds", Json::str(rounds)),
                 ("exchange", Json::str(exchange)),
-                pipeline,
+                ("pipeline", Json::Bool(self.pipeline)),
             ],
         }
     }

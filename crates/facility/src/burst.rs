@@ -310,4 +310,31 @@ mod tests {
         bb.read(&p, id, 0, 25, &mut buf, 1.0).unwrap();
         assert_eq!(bb.stats().read_hits, 1, "span crossing both extents hits");
     }
+
+    /// The absorb port's timeline prunes and clamps like every other, and
+    /// the simulation that booked it counts both: more read hits than a
+    /// timeline keeps intervals (4096), each one booking only the port,
+    /// then one hit due before the pruned horizon.
+    #[test]
+    fn the_absorb_ports_cliff_is_counted() {
+        let p = fs();
+        let id = p.create("/f").unwrap();
+        let bb = BurstBuffer::new(BurstConfig::default(), 3).unwrap();
+        let rep = mpisim::run(1, mpisim::SimConfig::default(), |_| {
+            bb.write_through(&p, id, 0, 0, &[1u8; 64], 0.0).unwrap();
+            let mut buf = [0u8; 8];
+            for i in 0..4096 + 16 {
+                bb.read(&p, id, 0, 0, &mut buf, 1.0 + i as f64 * 1e-3)
+                    .unwrap();
+            }
+            bb.read(&p, id, 0, 0, &mut buf, 0.0).unwrap();
+            Ok(bb.stats().read_hits)
+        })
+        .unwrap();
+        assert_eq!(rep.results, [4096 + 17]);
+        let mut reg = mpisim::Registry::new();
+        reg.export_sim_report(&rep);
+        assert!(reg.counter("timeline_prunes_total") >= Some(1));
+        assert!(reg.counter("timeline_clamped_total") >= Some(1));
+    }
 }

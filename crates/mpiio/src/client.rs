@@ -5,11 +5,11 @@
 //! ADIO device layer; this module is that layer here. [`submit`] issues a
 //! request — one [`pfs`] call per run — under the retry policy, counts it in
 //! [`mpisim::RankStats`] and returns its completion as a [`DeferredIo`];
-//! [`settle`] (or a [`DeferredQueue`], for pipelined callers) charges that
-//! completion to the rank's clock. What callers differ in is an argument
-//! or closure state: direction, span name, which client the request is
-//! charged to, which instant an attempt is priced at, file system or burst
-//! buffer.
+//! [`settle`] charges that completion to the rank's clock (the pipelined
+//! write round loop defers it through [`Rank::io_complete`] instead). What
+//! callers differ in is an argument or closure state: direction, span name,
+//! which client the request is charged to, which instant an attempt is
+//! priced at, file system or burst buffer.
 //!
 //! ## Retries
 //!
@@ -23,8 +23,7 @@
 //! an `io_retry` span, keeping the PR-1 conservation invariant intact.
 
 use crate::error::{IoError, Result};
-use mpisim::{DeferredIo, MemGuard, Phase, Rank};
-use std::collections::VecDeque;
+use mpisim::{DeferredIo, Phase, Rank};
 
 /// Which way a request moves bytes, and so which `RankStats` counters it
 /// bumps.
@@ -86,45 +85,6 @@ pub fn settle(rank: &mut Rank, io: DeferredIo) {
     } else {
         rank.with_phase(Phase::Io, |rk| rk.sync_to(io.done));
         rank.trace_mark(io.name, Phase::Io, io.submitted, io.bytes);
-    }
-}
-
-/// Pipeline depth of every round loop: double buffering, matching the two
-/// collective buffers an aggregator holds in flight.
-const PIPELINE_DEPTH: usize = 2;
-
-/// Deferred completions of in-flight rounds, oldest first — the pipelined
-/// alternative to [`settle`]: handles land through [`Rank::io_complete`],
-/// which credits the service time hidden behind other work. A collective
-/// buffer's memory guard rides along with its handle, so the buffer stays
-/// charged against the rank's budget until its round is settled.
-#[derive(Default)]
-pub struct DeferredQueue(VecDeque<(DeferredIo, MemGuard)>);
-
-impl DeferredQueue {
-    /// Double buffering: settle the oldest handles until one more fits
-    /// within the pipeline depth. Call before opening the next round.
-    pub fn make_room(&mut self, rank: &mut Rank) {
-        while self.0.len() >= PIPELINE_DEPTH {
-            let Some((io, _guard)) = self.0.pop_front() else {
-                break;
-            };
-            rank.io_complete(io);
-        }
-    }
-
-    /// Keep a submitted I/O's completion outstanding. The storage layer
-    /// applied the bytes at submission; only the clock sync is deferred.
-    pub fn push(&mut self, io: DeferredIo, guard: MemGuard) {
-        self.0.push_back((io, guard));
-    }
-
-    /// Settle everything. Call before the closing barrier so the rank's
-    /// clock covers its own I/O completions.
-    pub fn drain(&mut self, rank: &mut Rank) {
-        for (io, _guard) in self.0.drain(..) {
-            rank.io_complete(io);
-        }
     }
 }
 

@@ -80,7 +80,7 @@ fn recv_or_empty(rank: &mut Rank, src: usize, tag: Tag) -> Result<Vec<u8>> {
 }
 
 /// Roles for one aggregated exchange: node membership, the elected node
-/// leaders (`Rank::elect_node_leaders_in`, chaos-aware), and the
+/// leaders (`Rank::elect_node_leaders`, chaos-aware), and the
 /// aggregator set split into on-node and off-node.
 struct RaPlan {
     me: usize,
@@ -116,7 +116,7 @@ impl RaPlan {
 
 /// Synchronize and elect, over the world.
 fn make_plan(rank: &mut Rank, agg_ranks: &[usize]) -> Result<RaPlan> {
-    let leaders = rank.elect_node_leaders_in(&rank.world())?;
+    let leaders = rank.elect_node_leaders()?;
     let (Some(topo), Some(leader_of)) = (rank.topology(), leaders) else {
         return Err(IoError::Usage(
             "request aggregation needs a topology".into(),

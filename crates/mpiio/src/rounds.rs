@@ -11,13 +11,14 @@
 //! `FileView::stream_interval` makes one slice of the caller's buffer; the
 //! aggregator decodes it with [`crate::collective`]'s list codec.
 
-use crate::client::{self, DeferredQueue, Direction};
+use crate::client::{self, Direction};
 use crate::collective::{decode_requests, place_pieces, CollectiveConfig};
 use crate::error::{IoError, Result};
 use crate::extents::Cover;
 use crate::file::File;
 use crate::reqagg::{self, ReadSession};
 use mpisim::{Comm, DeferredIo, MemGuard, Rank, ReduceOp};
+use std::collections::VecDeque;
 
 /// The data-exchange strategy, resolved once per collective.
 #[derive(Clone, Copy, PartialEq)]
@@ -167,6 +168,46 @@ impl Plan {
     /// The flat all-to-all burst over the world.
     fn burst(&self, rank: &mut Rank, data: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
         Ok(rank.alltoallv_burst_in(&self.world, data)?)
+    }
+}
+
+/// Pipeline depth of the write round loop: double buffering, matching the
+/// two collective buffers an aggregator holds in flight.
+const PIPELINE_DEPTH: usize = 2;
+
+/// Deferred completions of in-flight rounds, oldest first — the pipelined
+/// alternative to [`client::settle`]: handles land through
+/// [`Rank::io_complete`], which credits the service time hidden behind
+/// other work. A collective buffer's memory guard rides along with its
+/// handle, so the buffer stays charged against the rank's budget until its
+/// round is settled.
+#[derive(Default)]
+struct DeferredQueue(VecDeque<(DeferredIo, MemGuard)>);
+
+impl DeferredQueue {
+    /// Double buffering: settle the oldest handles until one more fits
+    /// within the pipeline depth. Call before opening the next round.
+    fn make_room(&mut self, rank: &mut Rank) {
+        while self.0.len() >= PIPELINE_DEPTH {
+            let Some((io, _guard)) = self.0.pop_front() else {
+                break;
+            };
+            rank.io_complete(io);
+        }
+    }
+
+    /// Keep a submitted I/O's completion outstanding. The storage layer
+    /// applied the bytes at submission; only the clock sync is deferred.
+    fn push(&mut self, io: DeferredIo, guard: MemGuard) {
+        self.0.push_back((io, guard));
+    }
+
+    /// Settle everything. Call before the closing barrier so the rank's
+    /// clock covers its own I/O completions.
+    fn drain(&mut self, rank: &mut Rank) {
+        for (io, _guard) in self.0.drain(..) {
+            rank.io_complete(io);
+        }
     }
 }
 

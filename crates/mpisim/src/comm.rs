@@ -12,9 +12,8 @@
 use crate::collectives::{log2ceil, Rendezvous};
 use crate::error::{MpiError, Result};
 use crate::p2p::Tag;
-use crate::topology::Topology;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What differs between the world and a group, as data: trace span names
@@ -30,44 +29,18 @@ pub(crate) struct Flavor {
     pub(crate) world: bool,
 }
 
-/// Which members share a node, fixed at construction.
-pub(crate) struct NodeLayout {
-    /// Member indices grouped by node, nodes ascending; members ascend
-    /// within a node.
-    pub(crate) nodes: Vec<Vec<usize>>,
-}
-
-impl NodeLayout {
-    fn new(members: &[usize], topo: &Topology) -> NodeLayout {
-        let mut by_node: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (j, &w) in members.iter().enumerate() {
-            by_node.entry(topo.node_of(w)).or_default().push(j);
-        }
-        NodeLayout {
-            nodes: by_node.into_values().collect(),
-        }
-    }
-}
-
 /// The state all members of one communicator share.
 pub(crate) struct CommShared {
     /// World ranks of the members, ascending.
     members: Box<[usize]>,
     pub(crate) rendezvous: Rendezvous,
-    /// `None` on a flat machine (no, or a trivial, topology).
-    nodes: Option<NodeLayout>,
     flavor: &'static Flavor,
 }
 
 impl CommShared {
-    pub(crate) fn new(
-        members: Vec<usize>,
-        topo: Option<&Topology>,
-        flavor: &'static Flavor,
-    ) -> CommShared {
+    pub(crate) fn new(members: Vec<usize>, flavor: &'static Flavor) -> CommShared {
         CommShared {
             rendezvous: Rendezvous::new(members.len()),
-            nodes: topo.map(|t| NodeLayout::new(&members, t)),
             members: members.into(),
             flavor,
         }
@@ -106,7 +79,6 @@ impl Comm {
         me: usize,
         registry: &SplitRegistry,
         color: u64,
-        topo: Option<&Topology>,
         flavor: &'static Flavor,
     ) -> Result<Comm> {
         let my_index = members
@@ -116,7 +88,7 @@ impl Comm {
             registry
                 .lock()
                 .entry(color)
-                .or_insert_with(|| Arc::new(CommShared::new(members, topo, flavor))),
+                .or_insert_with(|| Arc::new(CommShared::new(members, flavor))),
         );
         Ok(Comm { shared, my_index })
     }
@@ -155,10 +127,6 @@ impl Comm {
         &self.shared.rendezvous
     }
 
-    pub(crate) fn nodes(&self) -> Option<&NodeLayout> {
-        self.shared.nodes.as_ref()
-    }
-
     /// Cost exponent for tree collectives over the members.
     pub(crate) fn log2(&self) -> u32 {
         log2ceil(self.size())
@@ -178,7 +146,7 @@ mod tests {
     };
 
     fn build(members: Vec<usize>, me: usize, reg: &SplitRegistry, color: u64) -> Result<Comm> {
-        Comm::build(members, me, reg, color, None, &GROUP)
+        Comm::build(members, me, reg, color, &GROUP)
     }
 
     #[test]
@@ -191,7 +159,6 @@ mod tests {
         assert_eq!(c.world_rank(2), 5);
         assert_eq!(c.members(), &[1, 3, 5]);
         assert!(!c.is_world());
-        assert!(c.nodes().is_none(), "no topology, no node layout");
     }
 
     #[test]
@@ -210,24 +177,15 @@ mod tests {
         assert!(build(vec![0, 2], 1, &reg, 0).is_err());
     }
 
-    #[test]
-    fn node_layout_groups_member_indices_by_node() {
-        // Four ranks per node: members 1, 2 sit on node 0 and 5, 6 on node 1.
-        let topo = Topology::blocked(8, 4);
-        let l = NodeLayout::new(&[1, 2, 5, 6], &topo);
-        assert_eq!(l.nodes, vec![vec![0, 1], vec![2, 3]]);
-        // A group confined to node 1 sees one node, at position 0.
-        let l = NodeLayout::new(&[4, 7], &topo);
-        assert_eq!(l.nodes, vec![vec![0, 1]]);
-    }
-
     /// The world and a one-colour split are the same communicator but for
     /// `is_world`: the same members in the same order, the same group
-    /// ranks, the same node layout over a topology, and a burst all-to-all
-    /// and an allreduce over either deliver the same values.
+    /// ranks, and a burst all-to-all and an allreduce over either deliver
+    /// the same values. Node leaders are elected over the world only: the
+    /// lowest rank of each node.
     #[test]
     fn the_world_and_a_one_colour_split_are_the_same_communicator() {
         use crate::runtime::{run, ReduceOp, SimConfig};
+        use crate::topology::Topology;
         const NPROCS: usize = 8;
         let sim = SimConfig {
             topology: Some(Topology::blocked(NPROCS, 4)),
@@ -241,8 +199,7 @@ mod tests {
                 assert_eq!(comm.group_rank(), me);
                 assert_eq!(comm.members(), (0..NPROCS).collect::<Vec<_>>());
             }
-            let (w, s) = (world.nodes().unwrap(), split.nodes().unwrap());
-            assert_eq!(w.nodes, s.nodes);
+            assert_eq!(rk.elect_node_leaders()?, Some(vec![0, 4]));
             let payloads = || (0..NPROCS).map(|d| vec![me as u8, d as u8]).collect();
             let via_world = rk.alltoallv_burst_in(&world, payloads())?;
             assert_eq!(via_world, rk.alltoallv_burst_in(&split, payloads())?);

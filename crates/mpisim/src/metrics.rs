@@ -144,7 +144,9 @@ impl Hist {
 }
 
 /// Per-rank metric observation state. All mutators are no-ops when the
-/// registry is disabled (`SimConfig::metrics == false`).
+/// registry is disabled (`SimConfig::metrics == false`). The timeline
+/// cliff is not a rank's: it is the simulation's, in
+/// [`SimReport::cliff`](crate::SimReport::cliff).
 #[derive(Debug, Clone, Default)]
 pub struct RankMetrics {
     enabled: bool,
@@ -159,11 +161,6 @@ pub struct RankMetrics {
     /// TCIO level-2 (segment window) hits/misses on the read path.
     pub l2_hits: u64,
     pub l2_misses: u64,
-    /// Times a [`Timeline`](crate::timeline::Timeline) of the fabric's
-    /// ports or of a window's lock tokens dropped its older half, and
-    /// requests it then moved up to the pruned horizon (`timeline_*`).
-    pub(crate) timeline_prunes: u64,
-    pub(crate) timeline_clamped: u64,
 }
 
 impl RankMetrics {
@@ -214,14 +211,6 @@ impl RankMetrics {
         }
     }
 
-    /// Add `(prunes, clamped)` counted on timelines this rank booked.
-    pub(crate) fn add_timeline_cliff(&mut self, (prunes, clamped): (u64, u64)) {
-        if self.enabled {
-            self.timeline_prunes += prunes;
-            self.timeline_clamped += clamped;
-        }
-    }
-
     /// Nothing was observed (true in particular whenever disabled).
     pub fn is_empty(&self) -> bool {
         self.msg_bytes.is_empty()
@@ -230,8 +219,6 @@ impl RankMetrics {
             && self.l1_misses == 0
             && self.l2_hits == 0
             && self.l2_misses == 0
-            && self.timeline_prunes == 0
-            && self.timeline_clamped == 0
     }
 
     pub fn merge(&mut self, other: &RankMetrics) {
@@ -242,8 +229,6 @@ impl RankMetrics {
         self.l1_misses += other.l1_misses;
         self.l2_hits += other.l2_hits;
         self.l2_misses += other.l2_misses;
-        self.timeline_prunes += other.timeline_prunes;
-        self.timeline_clamped += other.timeline_clamped;
     }
 
     /// Export under canonical names.
@@ -258,16 +243,6 @@ impl RankMetrics {
         reg.add_counter("tcio_l1_misses_total", self.l1_misses);
         reg.add_counter("tcio_l2_hits_total", self.l2_hits);
         reg.add_counter("tcio_l2_misses_total", self.l2_misses);
-        // A cliff that never fired adds no keys: the export of a run too
-        // short to prune is what it was before these counters existed.
-        for (name, n) in [
-            ("timeline_prunes_total", self.timeline_prunes),
-            ("timeline_clamped_total", self.timeline_clamped),
-        ] {
-            if n > 0 {
-                reg.add_counter(name, n);
-            }
-        }
     }
 }
 
@@ -361,11 +336,23 @@ impl Registry {
     }
 
     /// Export everything a finished simulation knows: aggregated rank
-    /// stats, fabric counters, and the merged per-rank histograms.
+    /// stats, fabric counters, the merged per-rank histograms, and the
+    /// timeline cliff of every resource the run booked (NIC ports, lock
+    /// tokens, OSTs, client links, burst-buffer ports).
     pub fn export_sim_report<T>(&mut self, rep: &crate::runtime::SimReport<T>) {
         self.export_rank_stats(&rep.aggregate_stats());
         self.export_fabric(&rep.fabric);
         rep.metrics.export(self);
+        // A cliff that never fired adds no keys: the export of a run too
+        // short to prune is what it was before these counters existed.
+        for (name, n) in [
+            ("timeline_prunes_total", rep.cliff.prunes),
+            ("timeline_clamped_total", rep.cliff.clamped),
+        ] {
+            if n > 0 {
+                self.add_counter(name, n);
+            }
+        }
     }
 
     /// Deterministic JSON rendering:

@@ -281,12 +281,6 @@ impl Fabric {
         self.state.lock().stats
     }
 
-    /// `(prunes, clamped)` summed over the NIC port timelines.
-    pub(crate) fn timeline_cliff(&self) -> (u64, u64) {
-        let st = self.state.lock();
-        (st.tx.iter().chain(&st.rx)).fold((0, 0), |(p, c), t| (p + t.prunes(), c + t.clamped()))
-    }
-
     /// Does a `src → dst` transfer stay on one node? (Loopback always
     /// does; otherwise only co-located ranks under an active topology.)
     pub fn is_intra(&self, src: usize, dst: usize) -> bool {

@@ -123,40 +123,35 @@ impl Rank {
         })
     }
 
-    /// Barrier over `comm`, then the node-leader election of intra-node
-    /// request aggregation: the elected leader (member index) of every node
-    /// the communicator touches, nodes ascending — for the world, indexed by
-    /// the topology's node index. `None`, without synchronizing, on a flat
+    /// Barrier, then the node-leader election of intra-node request
+    /// aggregation: the elected leader (world rank) of every node, by the
+    /// topology's node index. `None`, without synchronizing, on a flat
     /// machine.
     ///
-    /// The election is chaos-aware: each node takes its lowest member that
+    /// The election is chaos-aware: each node takes its lowest rank that
     /// is not inside or ahead of an injected stall window or crash; if all
-    /// are, the default (lowest) is kept. All members compute the same
+    /// are, the default (lowest) is kept. All ranks compute the same
     /// result without messages — their clocks agree after the barrier and
     /// the fault plan is a pure function of `(rank, time)`. A non-default
     /// election bumps
     /// [`RankStats::leader_fallbacks`](crate::RankStats::leader_fallbacks) on
     /// the elected rank.
-    pub fn elect_node_leaders_in(&mut self, comm: &Comm) -> Result<Option<Vec<usize>>> {
-        let Some(layout) = comm.nodes() else {
+    pub fn elect_node_leaders(&mut self) -> Result<Option<Vec<usize>>> {
+        let Some(topo) = self.topology() else {
             return Ok(None);
         };
-        self.barrier_in(comm)?;
+        self.barrier()?;
         let now = self.clock;
-        let healthy = |&j: &usize| match &self.shared.chaos {
-            Some(e) => {
-                let w = comm.world_rank(j);
-                !e.stall_ahead(w, now) && !e.crash_ahead(w)
-            }
+        let healthy = |&w: &usize| match &self.shared.chaos {
+            Some(e) => !e.stall_ahead(w, now) && !e.crash_ahead(w),
             None => true,
         };
-        let leaders: Vec<usize> = layout
-            .nodes
-            .iter()
-            .map(|idxs| idxs.iter().copied().find(healthy).unwrap_or(idxs[0]))
+        let leaders: Vec<usize> = (0..topo.num_nodes())
+            .map(|node| topo.ranks_on_node(node))
+            .map(|ranks| ranks.iter().copied().find(healthy).unwrap_or(ranks[0]))
             .collect();
-        let mi = comm.group_rank();
-        if leaders.contains(&mi) && layout.nodes.iter().all(|idxs| idxs[0] != mi) {
+        let me = self.id;
+        if leaders.contains(&me) && topo.ranks_on_node(topo.node_of(me))[0] != me {
             self.stats.leader_fallbacks += 1;
         }
         Ok(Some(leaders))

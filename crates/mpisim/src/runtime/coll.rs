@@ -214,8 +214,7 @@ impl Rank {
             .map(|(r, _)| r)
             .collect();
         let registry: Arc<SplitRegistry> = self.shared_state(SplitRegistry::default)?;
-        let topo = self.shared.fabric.topology();
-        Comm::build(members, self.id, &registry, color, topo, &GROUP)
+        Comm::build(members, self.id, &registry, color, &GROUP)
     }
 
     /// Collectively create (or fetch) a shared object. The closure runs on

@@ -8,8 +8,9 @@ use crate::fiber::{Substrate, Task};
 use crate::metrics::RankMetrics;
 use crate::net::FabricStatsSnapshot;
 use crate::stats::RankStats;
+use crate::timeline::{Cliff, CliffTally};
 use crate::trace::{PhaseTotals, RankTrace, Tracer};
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -19,7 +20,7 @@ static NEXT_SIMULATION: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// The simulation whose rank this thread is running.
-    static SIMULATION: Cell<Option<u64>> = const { Cell::new(None) };
+    static SIMULATION: RefCell<Option<Arc<Shared>>> = const { RefCell::new(None) };
 }
 
 pub(super) fn next_simulation() -> u64 {
@@ -32,16 +33,26 @@ pub(super) fn next_simulation() -> u64 {
 /// begins: a file system keeps its bytes across simulations but starts
 /// its timelines afresh.
 pub fn simulation() -> Option<u64> {
-    SIMULATION.get()
+    SIMULATION.with_borrow(|s| s.as_ref().map(|s| s.id))
 }
 
-/// Puts back the calling thread's simulation id when [`run`] returns or
+/// Apply `f` to the cliff tally of the simulation whose rank is running on
+/// this thread; outside every [`run`], do nothing.
+pub(crate) fn with_cliff_tally(f: impl FnOnce(&CliffTally)) {
+    SIMULATION.with_borrow(|s| {
+        if let Some(s) = s {
+            f(&s.cliff);
+        }
+    });
+}
+
+/// Puts back the calling thread's simulation when [`run`] returns or
 /// unwinds: on the event substrate the ranks ran on this thread.
-struct RestoreSimulation(Option<u64>);
+struct RestoreSimulation(Option<Arc<Shared>>);
 
 impl Drop for RestoreSimulation {
     fn drop(&mut self) {
-        SIMULATION.set(self.0);
+        SIMULATION.set(self.0.take());
     }
 }
 
@@ -62,6 +73,8 @@ pub struct SimReport<T> {
     pub traces: Vec<RankTrace>,
     /// Merged per-rank metric histograms (empty unless `SimConfig::metrics`).
     pub metrics: RankMetrics,
+    /// The prune-and-clamp cliff of every timeline the run booked.
+    pub cliff: Cliff,
 }
 
 /// Merge `parts` into one, in order.
@@ -117,7 +130,7 @@ fn execute_rank<T, F>(i: usize, shared: &Arc<Shared>, body: &F) -> PerRank<T>
 where
     F: Fn(&mut Rank) -> Result<T> + Sync,
 {
-    SIMULATION.set(Some(shared.id));
+    SIMULATION.set(Some(Arc::clone(shared)));
     let mut rank = Rank::new(i, Arc::clone(shared));
     let out = catch_unwind(AssertUnwindSafe(|| body(&mut rank)));
     let outcome = match out {
@@ -277,7 +290,7 @@ where
         Backend::Event | Backend::Auto => Substrate::Native,
     };
     let per_rank = {
-        let _outer = RestoreSimulation(simulation());
+        let _outer = RestoreSimulation(SIMULATION.with_borrow(Option::clone));
         run_event(nprocs, &shared, substrate, &body)?
     };
 
@@ -337,7 +350,6 @@ where
             _ => unreachable!("errors handled above"),
         }
     }
-    metrics.add_timeline_cliff(shared.fabric.timeline_cliff());
     let makespan = clocks.iter().cloned().fold(0.0, f64::max);
     Ok(SimReport {
         results,
@@ -347,6 +359,7 @@ where
         fabric: shared.fabric.stats(),
         traces,
         metrics,
+        cliff: shared.cliff.total(),
     })
 }
 

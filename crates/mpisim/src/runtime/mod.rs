@@ -41,6 +41,7 @@ mod p2p;
 mod rma;
 
 pub use coll::ReduceOp;
+pub(crate) use driver::with_cliff_tally;
 pub use driver::{run, simulation, SimReport};
 
 use crate::comm::{CommShared, Flavor};
@@ -50,6 +51,7 @@ use crate::mem::{MemGuard, MemState, MemTracker};
 use crate::net::{Fabric, NetConfig};
 use crate::p2p::{Mailbox, Tag};
 use crate::stats::RankStats;
+use crate::timeline::CliffTally;
 use crate::trace::{Phase, Tracer};
 use parking_lot::Mutex;
 use std::any::Any;
@@ -204,6 +206,9 @@ pub(crate) struct Shared {
     core: Arc<EventCore>,
     /// This simulation's id, fresh per [`run`]; see [`simulation`].
     id: u64,
+    /// What every timeline booked from one of this simulation's ranks gave
+    /// up to its prune; see [`Timeline`](crate::timeline::Timeline).
+    cliff: CliffTally,
 }
 
 impl Shared {
@@ -214,7 +219,7 @@ impl Shared {
             cfg.chaos.clone(),
             cfg.topology.clone(),
         );
-        let world = CommShared::new((0..nprocs).collect(), fabric.topology(), &WORLD);
+        let world = CommShared::new((0..nprocs).collect(), &WORLD);
         Shared {
             nprocs,
             fabric,
@@ -231,6 +236,7 @@ impl Shared {
             dead: (0..nprocs).map(|_| AtomicBool::new(false)).collect(),
             core: Arc::new(EventCore::new(nprocs)),
             id: driver::next_simulation(),
+            cliff: CliffTally::default(),
         }
     }
 

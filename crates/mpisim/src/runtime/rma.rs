@@ -71,16 +71,9 @@ impl Rank {
             intrinsic += 2.0 * LATENCY + SEND_OVERHEAD + wire(m) as f64 * cfg.byte_time;
         }
         let start = match ep.kind {
-            LockKind::Exclusive => {
-                let mut token = ep.win.shared.tokens[target].lock();
-                let before = (token.prunes(), token.clamped());
-                let start = token.reserve(self.clock, intrinsic);
-                // A window's tokens go when its last handle does, so what
-                // this booking did to them is counted here.
-                self.metrics
-                    .add_timeline_cliff((token.prunes() - before.0, token.clamped() - before.1));
-                start
-            }
+            LockKind::Exclusive => ep.win.shared.tokens[target]
+                .lock()
+                .reserve(self.clock, intrinsic),
             LockKind::Shared => self.clock,
         };
         if start > epoch_start {

@@ -28,6 +28,43 @@
 //! whatever the store's length.
 
 use crate::gap::GapBuffer;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The prune-and-clamp cliff of one simulation: how often any of its
+/// timelines dropped its older half (`prunes`), and how many requests were
+/// then moved up to a pruned horizon (`clamped`). Every timeline booked
+/// from one of its ranks counts here, whoever owns it; a booking outside
+/// every simulation counts nowhere.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Cliff {
+    pub prunes: u64,
+    pub clamped: u64,
+}
+
+/// A running simulation's [`Cliff`], shared by every thread that books.
+/// `Relaxed` suffices: the counts publish no other data, and the driver
+/// reads them once every rank has finished.
+#[derive(Debug, Default)]
+pub(crate) struct CliffTally {
+    prunes: AtomicU64,
+    clamped: AtomicU64,
+}
+
+impl CliffTally {
+    pub(crate) fn total(&self) -> Cliff {
+        Cliff {
+            prunes: self.prunes.load(Ordering::Relaxed),
+            clamped: self.clamped.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Add one to the running simulation's `which` count.
+    fn count(which: fn(&CliffTally) -> &AtomicU64) {
+        crate::runtime::with_cliff_tally(|t| {
+            which(t).fetch_add(1, Ordering::Relaxed);
+        });
+    }
+}
 
 /// A set of disjoint busy intervals on the virtual-time axis.
 #[derive(Debug, Default)]
@@ -36,12 +73,10 @@ pub struct Timeline {
     /// timeline allocates nothing.
     busy: GapBuffer<(f64, f64)>,
     /// No reservation may start before this (set when old intervals are
-    /// pruned; bounds memory on very long runs).
+    /// pruned; bounds memory on very long runs). Each prune, and each
+    /// request raised to it, is counted in the running simulation's
+    /// [`Cliff`].
     floor: f64,
-    /// Times the older half was dropped, and requests whose `earliest` was
-    /// raised to `floor` as a result.
-    prunes: u64,
-    clamped: u64,
 }
 
 impl Timeline {
@@ -72,7 +107,7 @@ impl Timeline {
             let half = self.busy.len() / 2;
             self.floor = self.busy.get(half - 1).1;
             self.busy.drop_first(half);
-            self.prunes += 1;
+            CliffTally::count(|t| &t.prunes);
         }
         let earliest = self.clamp(earliest);
         // Find the first interval that could constrain us: the first busy
@@ -91,9 +126,9 @@ impl Timeline {
     }
 
     /// `earliest`, or the pruned horizon if that is later (and counted).
-    fn clamp(&mut self, earliest: f64) -> f64 {
+    fn clamp(&self, earliest: f64) -> f64 {
         if earliest < self.floor {
-            self.clamped += 1;
+            CliffTally::count(|t| &t.clamped);
         }
         earliest.max(self.floor)
     }
@@ -126,22 +161,10 @@ impl Timeline {
     }
 
     /// Drop every booking and the pruned horizon: the resource is idle
-    /// from time 0 on, as on a new timeline. The prune and clamp counts
-    /// stay: they report on the timeline's whole life.
+    /// from time 0 on, as on a new timeline.
     pub fn clear(&mut self) {
         self.busy = GapBuffer::default();
         self.floor = 0.0;
-    }
-
-    /// Times the older half of the intervals has been dropped.
-    pub fn prunes(&self) -> u64 {
-        self.prunes
-    }
-
-    /// Requests that asked for an instant before the pruned horizon and
-    /// were moved up to it.
-    pub fn clamped(&self) -> u64 {
-        self.clamped
     }
 
     /// Gaps shorter than this merge away: they are far below the smallest
@@ -291,20 +314,47 @@ mod tests {
 mod prune_tests {
     use super::*;
 
-    #[test]
-    fn capacity_limit_prunes_and_clamps() {
+    /// `f`'s result on the one rank of a simulation, and the simulation's
+    /// cliff: what the timelines `f` booked gave up to their prune.
+    pub(super) fn in_a_run<T: Send>(f: impl Fn() -> T + Sync) -> (T, Cliff) {
+        let mut rep = crate::run(1, crate::SimConfig::default(), |_| Ok(f())).unwrap();
+        (rep.results.pop().unwrap(), rep.cliff)
+    }
+
+    fn cliff(prunes: u64, clamped: u64) -> Cliff {
+        Cliff { prunes, clamped }
+    }
+
+    /// Many scattered (non-coalescing) intervals: one prune.
+    fn filled() -> Timeline {
         let mut t = Timeline::new();
-        // Create many scattered (non-coalescing) intervals.
         for i in 0..Timeline::MAX_INTERVALS + 40 {
             t.reserve(i as f64 * 2.0, 0.5);
         }
+        t
+    }
+
+    #[test]
+    fn capacity_limit_prunes_and_clamps() {
+        let (segments, counted) = in_a_run(|| filled().segments());
         let bound = Timeline::MAX_INTERVALS + 1;
-        assert!(t.segments() <= bound, "pruning must bound the store");
-        assert_eq!((t.prunes(), t.clamped()), (1, 0));
+        assert!(segments <= bound, "pruning must bound the store");
+        assert_eq!(counted, cliff(1, 0));
         // A straggler far in the past is clamped to the horizon, not lost.
-        let s = t.reserve(0.0, 0.1);
+        let (s, counted) = in_a_run(|| filled().reserve(0.0, 0.1));
         assert!(s > 0.5, "pre-horizon request must be clamped forward");
-        assert_eq!((t.prunes(), t.clamped()), (1, 1));
+        assert_eq!(counted, cliff(1, 1));
+    }
+
+    /// The tally belongs to the simulation: each run counts only its own
+    /// bookings, and a booking outside every run counts nowhere.
+    #[test]
+    fn each_simulation_counts_its_own_cliff_and_no_run_counts_none() {
+        let mut outside = filled();
+        outside.reserve(0.0, 0.1);
+        let (_, first) = in_a_run(|| filled().reserve(0.0, 0.1));
+        let (_, second) = in_a_run(|| filled().segments());
+        assert_eq!((first, second), (cliff(1, 1), cliff(1, 0)));
     }
 }
 
@@ -387,6 +437,7 @@ mod reference {
 
 #[cfg(test)]
 mod oracle_tests {
+    use super::prune_tests::in_a_run;
     use super::reference::VecTimeline;
     use super::*;
     use rand::rngs::StdRng;
@@ -397,8 +448,23 @@ mod oracle_tests {
     }
 
     /// One seeded request stream into both stores; every granted start and,
-    /// every 64 requests, every read-only answer must agree to the bit.
+    /// every 64 requests, every read-only answer must agree to the bit, and
+    /// the simulation counts the cliff the `Vec` counted.
     fn drive(seed: u64) {
+        let (old, counted) = in_a_run(|| drive_both(seed));
+        assert_eq!(
+            counted,
+            Cliff {
+                prunes: old.prunes,
+                clamped: old.clamped
+            }
+        );
+        assert!(old.prunes >= 1, "seed {seed} never pruned");
+        assert!(old.clamped >= 1, "seed {seed} never clamped a request");
+    }
+
+    /// `drive`'s request stream; returns the `Vec`.
+    fn drive_both(seed: u64) -> VecTimeline {
         let mut rng = StdRng::seed_from_u64(seed);
         let (mut new, mut old) = (Timeline::new(), VecTimeline::default());
         let mut coalesced_both = 0;
@@ -460,13 +526,11 @@ mod oracle_tests {
                 assert_eq!(new.next_free_at(t).to_bits(), old.next_free_at(t).to_bits());
             }
         }
-        assert_eq!((new.prunes(), new.clamped()), (old.prunes, old.clamped));
-        assert!(old.prunes >= 1, "seed {seed} never pruned");
-        assert!(old.clamped >= 1, "seed {seed} never clamped a request");
         assert!(
             coalesced_both >= 1,
             "seed {seed} never joined two neighbours"
         );
+        old
     }
 
     #[test]
@@ -484,19 +548,21 @@ mod oracle_tests {
     fn an_ascending_sweep_of_backfills_moves_o_sweep_intervals() {
         const LEN: usize = 4000;
         const SWEEP: usize = 2000;
-        let mut t = Timeline::new();
-        for i in 0..LEN {
-            t.reserve(i as f64 * 2.0, 0.5); // busy [2i, 2i + 0.5)
-        }
-        t.busy.moved = 0;
-        for i in 0..SWEEP {
-            t.reserve(i as f64 * 2.0 + 1.0, 0.5); // into the gap after interval i
-        }
-        assert!(t.prunes() >= 1, "the sweep crosses MAX_INTERVALS");
-        assert!(
-            t.busy.moved <= 2 * SWEEP + Timeline::MAX_INTERVALS,
-            "{} intervals moved for {SWEEP} nearby backfills",
+        let (moved, counted) = in_a_run(|| {
+            let mut t = Timeline::new();
+            for i in 0..LEN {
+                t.reserve(i as f64 * 2.0, 0.5); // busy [2i, 2i + 0.5)
+            }
+            t.busy.moved = 0;
+            for i in 0..SWEEP {
+                t.reserve(i as f64 * 2.0 + 1.0, 0.5); // into the gap after interval i
+            }
             t.busy.moved
+        });
+        assert!(counted.prunes >= 1, "the sweep crosses MAX_INTERVALS");
+        assert!(
+            moved <= 2 * SWEEP + Timeline::MAX_INTERVALS,
+            "{moved} intervals moved for {SWEEP} nearby backfills"
         );
     }
 
@@ -510,20 +576,23 @@ mod oracle_tests {
         const LEN: usize = 4000;
         const APPENDS: usize = 2000;
         const SWEEP: usize = 2000;
-        let mut t = Timeline::new();
-        for i in 0..LEN {
-            t.reserve(i as f64 * 2.0, 0.5); // busy [2i, 2i + 0.5)
-        }
-        t.busy.probes.set(0);
-        for _ in 0..APPENDS {
-            let front = t.horizon();
-            t.reserve(front, 0.5);
-        }
-        for i in 0..SWEEP {
-            t.reserve(i as f64 * 2.0 + 1.0, 0.5); // into the gap after interval i
-        }
-        assert!(t.prunes() >= 1, "the sweep crosses MAX_INTERVALS");
-        let per_booking = t.busy.probes.get() as f64 / (APPENDS + SWEEP) as f64;
+        let (probes, counted) = in_a_run(|| {
+            let mut t = Timeline::new();
+            for i in 0..LEN {
+                t.reserve(i as f64 * 2.0, 0.5); // busy [2i, 2i + 0.5)
+            }
+            t.busy.probes.set(0);
+            for _ in 0..APPENDS {
+                let front = t.horizon();
+                t.reserve(front, 0.5);
+            }
+            for i in 0..SWEEP {
+                t.reserve(i as f64 * 2.0 + 1.0, 0.5); // into the gap after interval i
+            }
+            t.busy.probes.get()
+        });
+        assert!(counted.prunes >= 1, "the sweep crosses MAX_INTERVALS");
+        let per_booking = probes as f64 / (APPENDS + SWEEP) as f64;
         assert!(
             per_booking <= 4.0,
             "{per_booking:.2} probes per booking near the previous one"

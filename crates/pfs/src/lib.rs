@@ -433,28 +433,15 @@ impl Pfs {
     }
 
     /// Export this file system's counters (and the latency histogram when
-    /// enabled and non-empty) into a metrics registry.
+    /// enabled and non-empty) into a metrics registry. The prune-and-clamp
+    /// cliff of its OST and client-link timelines is the simulation's that
+    /// booked them, exported with its report
+    /// ([`Registry::export_sim_report`](mpisim::Registry::export_sim_report)).
     pub fn export_metrics(&self, reg: &mut mpisim::metrics::Registry) {
         self.stats.snapshot().export_metrics(reg);
         let lat = self.latency_snapshot();
         if !lat.is_empty() {
             reg.insert_hist("pfs_request_latency_ns", lat);
-        }
-        // The Timeline cliff on the OST and client-link timelines. Nothing
-        // fired means no keys, so a run too short to prune exports what it
-        // did before the counters existed (mpisim's half does the same).
-        let (prunes, clamped) = {
-            let st = self.state.lock();
-            (st.osts.iter().map(|o| &o.busy).chain(&st.clients))
-                .fold((0, 0), |(p, c), t| (p + t.prunes(), c + t.clamped()))
-        };
-        for (name, n) in [
-            ("timeline_prunes_total", prunes),
-            ("timeline_clamped_total", clamped),
-        ] {
-            if n > 0 {
-                reg.add_counter(name, n);
-            }
         }
         // Per-tenant attribution, only when a QoS layer is attached.
         for u in self.tenant_report() {
