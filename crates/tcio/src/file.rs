@@ -18,17 +18,19 @@
 //!
 //! Past the level-1 copy, each movement is one function: `put_l2` (runs
 //! into a level-2 segment and its replica), `write_out` (runs of a buffer
-//! to the file system) and `load` (a file range into a temporary); the
-//! last two go through [`mpiio::client`] like every request of the stack.
+//! to the file system) and `fill_l2` (a rank's segments from the file
+//! system into its window); the last two go through [`mpiio::client`] like
+//! every request of the stack.
 //!
 //! ## Read path
 //!
+//! The read-mode `open` is the delegated read: each rank reads its own
+//! level-2 segments from the file system straight into its window, segment
+//! `k` of every owner in round `k`, and records when each load completes.
 //! Reads are **lazy**: `read`/`read_at` only record `(offset, destination)`;
-//! the data moves at `fetch` time (or when the read window departs), as
-//! one gathered one-sided get from the window's segment. Segments are loaded
-//! from the file system on demand, once, by whichever rank needs them
-//! first (reader-initiated delegation — see DESIGN.md for the divergence
-//! note).
+//! the data moves at `fetch` time (or when the read window departs): the
+//! reader waits for its segment's load, then takes one gathered one-sided
+//! get under a shared lock.
 
 use crate::config::{ReadMode, SyncMode, TcioConfig};
 use crate::error::{Result, TcioError};
@@ -61,7 +63,7 @@ pub struct TcioStats {
     pub flushes: u64,
     /// Times the level-1 buffer re-aligned to a new window.
     pub window_switches: u64,
-    /// Segments this rank loaded from the file system (read path).
+    /// Segments this rank loaded from the file system (read-mode open).
     pub loads: u64,
     /// Bytes that passed through the level-1 buffer.
     pub bytes_buffered: u64,
@@ -79,8 +81,9 @@ pub struct TcioStats {
 struct SegMeta {
     /// Which bytes of the segment hold real data (segment-relative).
     valid: ExtentSet,
-    /// Read path: has this segment been populated from the file system?
-    loaded: bool,
+    /// Read path: when the open's load of this segment completes; `None`
+    /// while its owner has not loaded it.
+    ready: Option<f64>,
 }
 
 /// Every rank's segments, `rank × num_segments + segment`, shared by all
@@ -215,8 +218,6 @@ pub struct TcioFile<'a> {
     meta: Arc<SharedMeta>,
     _l1_mem: Option<MemGuard>,
     l1: L1,
-    /// The read temporary `load` fills, reused by every load of this open.
-    scratch: Vec<u8>,
     /// Lazy reads not yet served, `(file offset, destination)`, all in
     /// `read_window`.
     pending_reads: Vec<(u64, &'a mut [u8])>,
@@ -230,10 +231,6 @@ pub struct TcioFile<'a> {
     /// Cursor for `write`/`read` (the POSIX-style sequential calls).
     pos: u64,
     file_len: u64,
-    /// Clock right after the collective open — the earliest virtual time
-    /// any rank could have demanded a segment load (used to price lazy
-    /// loads as the parallel batch a real run would produce).
-    opened_at: f64,
     pub stats: TcioStats,
 }
 
@@ -328,9 +325,7 @@ impl<'a> TcioFile<'a> {
         // Level-1 buffer: one segment, accounted at every open (the model's
         // footprint) and allocated by the first write to need it.
         let l1_mem = rank.alloc(cfg.segment_size)?;
-        rank.barrier()?;
-        let opened_at = rank.now();
-        Ok(TcioFile {
+        let mut file = TcioFile {
             pfs: Arc::clone(pfs),
             fid,
             path: path.to_string(),
@@ -341,17 +336,58 @@ impl<'a> TcioFile<'a> {
             meta,
             _l1_mem: Some(l1_mem),
             l1: L1::default(),
-            scratch: Vec::new(),
             pending_reads: Vec::new(),
             read_window: None,
             get_parts: Vec::new(),
             flush_parts: Vec::new(),
             pos: 0,
             file_len,
-            opened_at,
             stats: TcioStats::default(),
             cfg,
-        })
+        };
+        if mode == TcioMode::Read {
+            file.fill_l2(rank)?;
+        }
+        rank.barrier()?;
+        Ok(file)
+    }
+
+    /// The read-mode open's delegated read: submit the file-system reads
+    /// of this rank's level-2 segments, straight into its window, each at
+    /// this rank's clock and charged to its own client, and record each
+    /// completion as the segment's `ready`. Segment `k` of every owner goes
+    /// in round `k`, with a barrier between rounds, so the file system sees
+    /// the loads in file order, as P clients issuing their k-th read
+    /// together would send them. Rounds past the file's end, or past the
+    /// level-2 capacity (`read_at` refuses those reads), are skipped.
+    fn fill_l2(&mut self, rank: &mut Rank) -> Result<()> {
+        let (s, me) = (self.cfg.segment_size, rank.rank());
+        let per_round = s * rank.nprocs() as u64;
+        let rounds = (self.file_len.div_ceil(per_round) as usize).min(self.cfg.num_segments);
+        let (pfs, fid, win) = (&self.pfs, self.fid, &self.win);
+        for segment in 0..rounds {
+            if segment > 0 {
+                rank.barrier()?;
+            }
+            let file_off = self.map.file_offset(me, segment);
+            let len = s.min(self.file_len.saturating_sub(file_off));
+            if len == 0 {
+                continue;
+            }
+            let disp = (segment as u64 * s) as usize;
+            pfs.hedge_scope_begin(me);
+            let read = |rk: &mut Rank, off: u64, len: u64, _| {
+                let now = rk.now();
+                win.with_local(|region| {
+                    let buf = &mut region[disp..disp + len as usize];
+                    pfs.read_at_hedged(fid, me, off, buf, now)
+                })
+            };
+            let io = client::submit(rank, Direction::Read, None, [(file_off, len)], read)?;
+            self.meta.lock()[self.seg(me, segment)].ready = Some(io.done);
+            self.stats.loads += 1;
+        }
+        Ok(())
     }
 
     /// `(owner, segment)`'s entry in the shared segment table.
@@ -674,72 +710,43 @@ impl<'a> TcioFile<'a> {
         Ok(())
     }
 
-    /// The read-side movement: read `len` file bytes at `file_off` into
-    /// `tmp` (the open's scratch, resized to `len`), as one request charged
-    /// to `client`'s file-system resources, and wait for it under
-    /// `Phase::Io` (marking `span`, if any). The memory guard keeps the
-    /// temporary charged to this rank.
-    ///
-    /// The attempt is priced from the open barrier: in a real parallel run
-    /// whichever reader first reached these bytes (any time after open)
-    /// would have triggered the read. Retries must re-issue at the
-    /// backed-off clock or the outage never lifts.
-    fn load(
+    /// Serve `parts` from `(owner, segment)`: wait under `Phase::Io` for
+    /// the open's load of the segment to complete, then take one gathered
+    /// get under a shared lock.
+    fn get_l2(
         &self,
-        rank: &mut Rank,
-        client: usize,
-        file_off: u64,
-        len: u64,
-        span: Option<&'static str>,
-        tmp: &mut Vec<u8>,
-    ) -> Result<MemGuard> {
-        let guard = rank.alloc(len)?;
-        tmp.clear();
-        tmp.resize(len as usize, 0);
-        let (pfs, fid) = (&self.pfs, self.fid);
-        pfs.hedge_scope_begin(client);
-        let mut price_at = Some(self.opened_at);
-        let read = |rk: &mut Rank, off: u64, _, _| {
-            let at = price_at.take().unwrap_or(rk.now());
-            pfs.read_at_hedged(fid, client, off, tmp, at)
-        };
-        let io = client::submit(rank, Direction::Read, span, [(file_off, len)], read)?;
-        rank.with_phase(Phase::Io, |rk| client::settle(rk, io));
-        Ok(guard)
-    }
-
-    /// Ensure `(owner, segment)` is populated from the file system, then
-    /// run `gets` against it — all inside one lock epoch. Already-loaded
-    /// segments are read under a *shared* lock (concurrent readers don't
-    /// serialize); the one-time load takes an exclusive epoch. `tmp` is
-    /// the open's scratch, taken out of `self` by `fetch`.
-    fn with_loaded_segment(
-        &mut self,
         rank: &mut Rank,
         owner: usize,
         segment: usize,
         parts: &mut [(usize, &mut [u8])],
-        tmp: &mut Vec<u8>,
     ) -> Result<()> {
-        let seg_base = segment as u64 * self.cfg.segment_size;
-        // A crash-stopped owner exposes a zero-byte window (it never joined
-        // this open's `win_create`), so its level-2 cache cannot hold the
-        // segment. Serve the parts straight from the file system instead —
-        // no caching, every reader pays the I/O, but the data flows.
-        if self.win.size_of(owner) == 0 {
+        // An owner that crash-stopped before it loaded the segment (before
+        // this open, or inside it) never recorded the load, and its level-2
+        // cache does not hold the bytes. Serve the parts straight from the
+        // file system instead — no caching, every reader pays the I/O, but
+        // the data flows.
+        let ready = self.meta.lock()[self.seg(owner, segment)].ready;
+        let Some(ready) = ready else {
             rank.metrics.miss_l2();
             let t0 = rank.now();
-            let lo = parts.iter().map(|p| p.0).min().unwrap_or(0);
-            let hi = parts.iter().map(|(d, b)| d + b.len()).max().unwrap_or(0);
-            if hi == lo {
-                return Ok(());
-            }
             // One sieved read covering the whole group (the span between
             // the extreme parts is in-file: every part end was validated
-            // against the file length), then scatter into the buffers.
+            // against the file length), at this rank's clock and charged
+            // to its own client, then scatter into the buffers. The memory
+            // guard keeps the temporary charged to this rank.
+            let lo = parts.iter().map(|p| p.0).min().unwrap_or(0);
+            let hi = parts.iter().map(|(d, b)| d + b.len()).max().unwrap_or(0);
+            let seg_base = segment as u64 * self.cfg.segment_size;
             let file_off = self.map.file_offset(owner, segment) + (lo as u64 - seg_base);
             let len = (hi - lo) as u64;
-            let _tmp_mem = self.load(rank, rank.rank(), file_off, len, None, tmp)?;
+            let _tmp_mem = rank.alloc(len)?;
+            let mut tmp = vec![0u8; hi - lo];
+            let (pfs, fid, me) = (&self.pfs, self.fid, rank.rank());
+            pfs.hedge_scope_begin(me);
+            let read =
+                |rk: &mut Rank, off, _, _| pfs.read_at_hedged(fid, me, off, &mut tmp, rk.now());
+            let io = client::submit(rank, Direction::Read, None, [(file_off, len)], read)?;
+            rank.with_phase(Phase::Io, |rk| client::settle(rk, io));
             let mut bytes = 0u64;
             for (disp, buf) in parts.iter_mut() {
                 buf.copy_from_slice(&tmp[*disp - lo..][..buf.len()]);
@@ -748,33 +755,14 @@ impl<'a> TcioFile<'a> {
             rank.charge_memcpy(bytes);
             rank.trace_mark("tcio_read_fallback", Phase::Io, t0, bytes);
             return Ok(());
+        };
+        rank.metrics.hit_l2();
+        if ready > rank.now() {
+            let t0 = rank.now();
+            rank.with_phase(Phase::Io, |rk| rk.sync_to(ready));
+            rank.trace_mark("tcio_load", Phase::Io, t0, 0);
         }
-        let seg = self.seg(owner, segment);
-        if self.meta.lock()[seg].loaded {
-            rank.metrics.hit_l2();
-            let mut ep = rank.win_lock(&self.win, owner, LockKind::Shared)?;
-            ep.get_gathered(parts)?;
-            rank.win_unlock(ep)?;
-            return Ok(());
-        }
-        rank.metrics.miss_l2();
-        let mut ep = rank.win_lock(&self.win, owner, LockKind::Exclusive)?;
-        let file_off = self.map.file_offset(owner, segment);
-        let len = self
-            .cfg
-            .segment_size
-            .min(self.file_len.saturating_sub(file_off));
-        if len > 0 {
-            // The load is *delegated*: the paper's aggregators move file
-            // data into their own temporary buffers, so it is charged
-            // against the segment owner's file-system client resources.
-            // The triggering rank still waits for the completion.
-            let _tmp_mem = self.load(rank, owner, file_off, len, Some("tcio_load"), tmp)?;
-            ep.put(seg_base as usize, tmp)?;
-            self.meta.lock()[seg].valid.insert(0, len);
-            self.stats.loads += 1;
-        }
-        self.meta.lock()[seg].loaded = true;
+        let mut ep = rank.win_lock(&self.win, owner, LockKind::Shared)?;
         ep.get_gathered(parts)?;
         rank.win_unlock(ep)?;
         Ok(())
@@ -807,9 +795,7 @@ impl<'a> TcioFile<'a> {
             debug_assert!(off >= window && off + buf.len() as u64 - window <= s);
             ((seg_base + off - window) as usize, buf)
         }));
-        let mut tmp = std::mem::take(&mut self.scratch);
-        let served = self.with_loaded_segment(rank, loc.owner, loc.segment, &mut parts, &mut tmp);
-        self.scratch = tmp;
+        let served = self.get_l2(rank, loc.owner, loc.segment, &mut parts);
         parts.clear();
         self.get_parts = parts;
         served
@@ -1304,9 +1290,123 @@ mod tests {
             Ok(stats)
         })
         .unwrap();
-        let total_loads: u64 = rep.results.iter().map(|s| s.loads).sum();
-        assert!(total_loads >= 1, "someone had to load segment 0");
+        // 256 bytes are four windows: each owner loaded its two at the open.
+        assert!(rep.results.iter().all(|s| s.loads == 2));
         assert!(rep.results.iter().all(|s| s.read_requests == 1));
+    }
+
+    /// The bytes of a file written straight to the file system.
+    fn content(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// A fresh file system holding `content(len)` at `path`.
+    fn on_disk(nprocs: usize, path: &str, len: usize) -> Arc<Pfs> {
+        let fs = Pfs::new(nprocs, PfsConfig::default()).unwrap();
+        let fid = fs.create(path).unwrap();
+        fs.write_at(fid, 0, 0, &content(len), 0.0).unwrap();
+        fs
+    }
+
+    #[test]
+    fn no_rank_gets_a_segment_before_its_load_completes() {
+        const SEG: u64 = 1 << 20;
+        let nprocs = 3;
+        for backend in [mpisim::Backend::Event, mpisim::Backend::Thread] {
+            let fs = on_disk(nprocs, "/c", nprocs * SEG as usize);
+            // One whole segment on one OST: no load can complete sooner.
+            let load = SEG as f64 / fs.config().ost_read_bw;
+            let sim = SimConfig {
+                backend,
+                ..Default::default()
+            };
+            let rep = mpisim::run(nprocs, sim, |rk| {
+                let cfg = TcioConfig {
+                    segment_size: SEG,
+                    num_segments: 1,
+                    ..Default::default()
+                };
+                let before = rk.now();
+                let mut buf = [0u8; 8];
+                let mut f = TcioFile::open(rk, &fs, "/c", TcioMode::Read, cfg)?;
+                // Every rank reads 8 bytes of rank 0's segment 0.
+                f.read_at(rk, 8 * rk.rank() as u64, &mut buf)?;
+                f.fetch(rk)?;
+                let after = rk.now();
+                f.close(rk)?;
+                Ok((before, after, buf))
+            })
+            .unwrap();
+            for (r, &(before, after, buf)) in rep.results.iter().enumerate() {
+                assert!(
+                    after >= before + load,
+                    "{backend:?}: rank {r} got its bytes at {after}, before a load from {before} \
+                     could complete ({load} s)"
+                );
+                assert_eq!(
+                    buf[..],
+                    content(8 * r + 8)[8 * r..],
+                    "{backend:?}: rank {r}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_segment_its_owner_died_before_loading_is_read_from_the_file_system() {
+        // Rank 1 crash-stops inside the read-mode open, after it exposed
+        // its window and before it loaded a segment.
+        let (nprocs, len) = (3, 292);
+        let fs = on_disk(nprocs, "/d", len);
+        let crash = chaos::Fault::RankCrash { rank: 1, at: 1e-6 };
+        let sim = SimConfig {
+            chaos: Some(chaos::FaultPlan::new(1).with(crash).build().unwrap()),
+            ..Default::default()
+        };
+        let rep = mpisim::run(nprocs, sim, |rk| {
+            let mut back = vec![0u8; len];
+            let mut f = match TcioFile::open(rk, &fs, "/d", TcioMode::Read, small_cfg(4)) {
+                Err(TcioError::Mpi(MpiError::RankCrashed { rank: 1 })) => return Ok(None),
+                opened => opened?,
+            };
+            assert_eq!(f.win.size_of(1), 256, "rank 1 died inside the open");
+            f.read_at(rk, 0, &mut back)?;
+            f.close(rk)?;
+            Ok(Some(back))
+        })
+        .unwrap();
+        assert_eq!(rep.results[1], None);
+        for r in [0, 2] {
+            assert_eq!(
+                rep.results[r].as_deref(),
+                Some(&content(len)[..]),
+                "rank {r}"
+            );
+        }
+    }
+
+    #[test]
+    fn owners_load_their_segments_at_the_open() {
+        // Three ranks over 64-byte segments, 292 bytes: two rounds. Round 0
+        // is segment 0 of every owner; round 1 is 64 bytes of rank 0's
+        // segment 1 and 36 of rank 1's, and rank 2's is past the end.
+        let (nprocs, len) = (3, 292);
+        let fs = on_disk(nprocs, "/o", len);
+        let rep = mpisim::run(nprocs, SimConfig::default(), |rk| {
+            let mut back = vec![0u8; len];
+            let mut f = TcioFile::open(rk, &fs, "/o", TcioMode::Read, small_cfg(4))?;
+            let loads = f.stats.loads;
+            f.read_at(rk, 0, &mut back)?;
+            f.close(rk)?;
+            Ok((loads, back))
+        })
+        .unwrap();
+        for (r, (loads, back)) in rep.results.iter().enumerate() {
+            let own = [2, 2, 1][r];
+            assert_eq!(*loads, own, "rank {r}: loads when the open returned");
+            assert_eq!(rep.stats[r].io_reads, own, "rank {r}: file-system reads");
+            assert_eq!(*back, content(len), "rank {r}");
+        }
     }
 
     #[test]
@@ -1490,10 +1590,9 @@ mod tests {
                     }
                 }
                 let stats = f.close(rk)?;
-                // Read everything back in 50-byte pieces: one scratch serves
-                // loads of full segments and of the shorter tail alike.
-                // Then this rank's random reads, some followed by an
-                // explicit fetch in the middle of a window.
+                // Read everything back in 50-byte pieces, then this rank's
+                // random reads, some followed by an explicit fetch in the
+                // middle of a window.
                 let mine = &reads[rk.rank()];
                 let mut back = vec![0xEEu8; image.len()];
                 let mut got: Vec<Vec<u8>> =
@@ -1519,7 +1618,8 @@ mod tests {
             let landed = fs.snapshot_file(fs.open("/p").unwrap()).unwrap();
             assert_eq!(landed, image, "seed {seed} ({route:?}): file bytes");
             // Every rank reads every window once through the 50-byte
-            // pieces, and some rank loads each window's segment first.
+            // pieces, and each window's owner loaded its segment at the
+            // open.
             let windows = map.window_start(image.len() as u64 - 1) / map.segment_size + 1;
             let mut loads = 0;
             for (r, (stats, back, got, read_stats)) in rep.results.iter().enumerate() {

@@ -740,16 +740,18 @@ fn timeline_cliff(nprocs: usize, len: usize) -> (u64, u64) {
     )
 }
 
-/// The Timeline cliff is counted, not hidden: a cell long enough to fill
-/// a timeline reports how often the older half was dropped and how many
-/// requests were then moved up to the pruned horizon; a short cell reports
-/// neither (so no committed export gains a key).
+/// The Timeline cliff is counted, and a TCIO round trip books nothing
+/// below a pruned horizon: a cell long enough to fill a timeline reports
+/// how often the older half was dropped and moves no request up to the
+/// horizon; a short cell reports neither (so no committed export gains a
+/// key). That a clamp is counted is checked by `timeline.rs`'s oracle tests
+/// and the burst buffer's `the_absorb_ports_cliff_is_counted`.
 #[test]
-fn timeline_cliff_is_counted_on_a_long_cell_and_silent_on_a_short_one() {
+fn timeline_prunes_a_long_cell_without_clamping_and_is_silent_on_a_short_one() {
     assert_eq!(timeline_cliff(8, 256), (0, 0));
     let (prunes, clamped) = timeline_cliff(8, 16384);
     assert!(
-        prunes > 0 && clamped > 0,
+        prunes > 0 && clamped == 0,
         "{prunes} prunes, {clamped} clamped"
     );
     assert_eq!(timeline_cliff(16, 4096), (0, 0), "no timeline filled");

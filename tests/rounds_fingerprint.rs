@@ -359,9 +359,9 @@ fn indep_cell(out: &mut String, name: &str, sieve: bool, plan: Plan) {
     );
 }
 
-/// Segment loads whose first, open-time-priced attempt lands inside the
-/// outage and is retried at the backed-off clock (a write phase in the same
-/// run would outlast the outage first).
+/// The read-mode open's segment loads, whose first attempt lands inside
+/// the outage and is retried at the backed-off clock (a write phase in the
+/// same run would outlast the outage first).
 fn tcio_load_retry_cell(out: &mut String, name: &str, read_mode: ReadMode) {
     // Populate the file before the plan can refuse the write.
     let (fs, _) = new_fs(Plan::None);
